@@ -12,9 +12,10 @@
 package backend
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -99,11 +100,10 @@ func RightsToPerm(r cap.Rights) hw.Perm {
 }
 
 // Segment is one contiguous run of identically permissioned memory in a
-// domain's flattened view; both backends program from this form.
-type Segment struct {
-	Region phys.Region
-	Perm   hw.Perm
-}
+// domain's flattened view; both backends program from this form. It is
+// the hardware's own extent type, so a flattened view goes to
+// hw.EPT.Replace as it is.
+type Segment = hw.EPTMapping
 
 // FlattenGrants folds a domain's per-capability memory grants into
 // minimal disjoint segments, OR-ing permissions where capabilities
@@ -113,42 +113,32 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 		return nil
 	}
 	type ev struct {
-		at   phys.Addr
-		perm hw.Perm
-		open bool
+		at    phys.Addr
+		perm  hw.Perm
+		delta int // +1 opens a grant, -1 closes one
 	}
-	var events []ev
+	events := make([]ev, 0, 2*len(grants))
 	for _, g := range grants {
 		p := RightsToPerm(g.Rights)
 		if p == hw.PermNone || g.Region.Empty() {
 			continue
 		}
-		events = append(events, ev{g.Region.Start, p, true}, ev{g.Region.End, p, false})
-	}
-	if len(events) == 0 {
-		return nil
+		events = append(events, ev{g.Region.Start, p, +1}, ev{g.Region.End, p, -1})
 	}
 	// Sweep with permission multiset; close before open at equal points.
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(a, b ev) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return !events[i].open && events[j].open
+		return cmp.Compare(a.delta, b.delta)
 	})
-	counts := map[hw.Perm]int{}
+	var counts [hw.PermRWX + 1]int // open grants per permission value
 	var out []Segment
 	var prev phys.Addr
 	cur := hw.PermNone
-	recompute := func() hw.Perm {
-		var p hw.Perm
-		for perm, n := range counts {
-			if n > 0 {
-				p |= perm
-			}
-		}
-		return p
-	}
 	for _, e := range events {
+		// A region that closes where an identical-permission one opens
+		// continues the run: extend it rather than start a new segment.
 		if e.at > prev && cur != hw.PermNone {
 			if n := len(out); n > 0 && out[n-1].Region.End == prev && out[n-1].Perm == cur {
 				out[n-1].Region.End = e.at
@@ -157,22 +147,13 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 			}
 		}
 		prev = e.at
-		if e.open {
-			counts[e.perm]++
-		} else {
-			counts[e.perm]--
+		counts[e.perm] += e.delta
+		cur = hw.PermNone
+		for perm, n := range counts {
+			if n > 0 {
+				cur |= hw.Perm(perm)
+			}
 		}
-		cur = recompute()
 	}
-	// Merge adjacent equal-permission segments (can arise when a region
-	// closes and an identical-permission region opens at the same point).
-	var merged []Segment
-	for _, s := range out {
-		if n := len(merged); n > 0 && merged[n-1].Region.End == s.Region.Start && merged[n-1].Perm == s.Perm {
-			merged[n-1].Region.End = s.Region.End
-			continue
-		}
-		merged = append(merged, s)
-	}
-	return merged
+	return out
 }

@@ -3,6 +3,7 @@ package backend_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/backend"
@@ -448,6 +449,25 @@ func TestBuildDeviceFilterUnion(t *testing.T) {
 	if f.Check(0, hw.PermX) {
 		t.Fatal("device filter must not carry execute")
 	}
+	// A second DMA holder with read-only pages 2-5: where the holders
+	// overlap the device gets the union of their rights, and the whole
+	// filter is one flattened table.
+	if _, err := s.CreateRoot(3, mem(2, 4), cap.MemRX, cap.CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateRoot(3, cap.DeviceResource(dev), cap.RightUse|cap.RightDMA, cap.CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = backend.BuildDeviceFilter(s, dev); err != nil {
+		t.Fatal(err)
+	}
+	want := []hw.EPTMapping{
+		{Region: phys.MakeRegion(0, 4*pg), Perm: hw.PermRW},
+		{Region: phys.MakeRegion(4*pg, 2*pg), Perm: hw.PermR},
+	}
+	if got := f.Mappings(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two-holder device filter = %v, want %v", got, want)
+	}
 	m.IOMMU.Attach(dev, f)
 	m.IOMMU.DefaultAllow = false
 	gpu := m.Device(dev)
@@ -582,6 +602,75 @@ func TestDifferentialBackends(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// resyncWorld is the world the resync benchmarks rebuild filters for: a
+// 16 MiB machine whose dom0 (owner 1) holds all memory below a monitor
+// region, has granted four scattered pages to a second domain (so its
+// own view is five segments) and shares the device with it — two DMA
+// holders, as in the benchmark's cap_sync world.
+func resyncWorld(b *testing.B) (*hw.Machine, *cap.Space) {
+	b.Helper()
+	m, err := hw.NewMachine(hw.Config{
+		MemBytes: 16 << 20, NumCores: 2,
+		Devices: []hw.DeviceConfig{{Name: "nic0", Class: hw.DevNIC}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := cap.NewSpace()
+	root, err := s.CreateRoot(1, mem(0, 4032), cap.MemFull, cap.CleanNone)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := s.CreateRoot(1, cap.DeviceResource(0), cap.DeviceFull, cap.CleanNone)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, page := range []uint64{100, 900, 1700, 2500} {
+		if _, err := s.Grant(root, 2, mem(page, 1), cap.MemRW, cap.CleanZero); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.Share(dev, 2, cap.DeviceResource(0), cap.RightUse|cap.RightDMA, cap.CleanNone); err != nil {
+		b.Fatal(err)
+	}
+	return m, s
+}
+
+// BenchmarkSyncDomainDom0 is the per-operation cost every share, grant
+// and revoke pays for the grantor: flatten dom0's grants and publish its
+// EPT. It follows the five segments, not the ~4000 pages under them.
+func BenchmarkSyncDomainDom0(b *testing.B) {
+	m, s := resyncWorld(b)
+	bk := vtx.New(m, s)
+	if err := bk.InstallDomain(1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bk.SyncDomain(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildDeviceFilter rebuilds the IOMMU context of a device with
+// two DMA holders whose memory together covers the machine.
+func BenchmarkBuildDeviceFilter(b *testing.B) {
+	_, s := resyncWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := backend.BuildDeviceFilter(s, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.MappedPages() != 4032 {
+			b.Fatalf("filter covers %d pages", f.MappedPages())
 		}
 	}
 }

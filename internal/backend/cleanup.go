@@ -15,21 +15,18 @@ import (
 // narrow I/O domain (Figure 2's GPU pattern). Both backends program the
 // result into the machine's IOMMU.
 func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
-	filter := hw.NewEPT()
+	// One flatten over every holder's grants: FlattenGrants ORs
+	// overlapping permissions, which is the union across holders.
+	var grants []cap.MemoryGrant
 	for _, owner := range space.DeviceDMAHolders(dev) {
-		for _, s := range FlattenGrants(space.OwnerMemoryGrants(owner)) {
-			p := s.Perm &^ hw.PermX
-			if p == hw.PermNone {
-				continue
-			}
-			// OR into any permissions another DMA holder contributed.
-			for a := s.Region.Start; a < s.Region.End; a += phys.PageSize {
-				pr := phys.Region{Start: a, End: a + phys.PageSize}
-				if err := filter.Map(pr, p|filter.Lookup(a)); err != nil {
-					return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
-				}
-			}
+		for _, g := range space.OwnerMemoryGrants(owner) {
+			g.Rights &^= cap.RightExec
+			grants = append(grants, g)
 		}
+	}
+	filter := hw.NewEPT()
+	if err := filter.Replace(FlattenGrants(grants)); err != nil {
+		return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	return filter, nil
 }

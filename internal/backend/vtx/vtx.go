@@ -109,19 +109,19 @@ func (b *Backend) state(owner cap.OwnerID) (*domainState, error) {
 }
 
 // SyncDomain implements backend.Backend: rebuild the domain's EPT from
-// its current effective capabilities.
+// its current effective capabilities and publish it in one step, so a
+// core running the domain never sees a partly programmed table.
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	st, err := b.state(owner)
 	if err != nil {
 		return err
 	}
 	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
-	st.ept.Clear()
+	if err := st.ept.Replace(segs); err != nil {
+		return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
+	}
 	var pages uint64
 	for _, s := range segs {
-		if err := st.ept.Map(s.Region, s.Perm); err != nil {
-			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
-		}
 		pages += s.Region.Pages()
 		b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
 	}

@@ -62,27 +62,6 @@ func (d *Detached) NumNodes() int {
 	return len(d.all)
 }
 
-// Owners returns the distinct owners the detach's cleanup actions
-// touch, sorted ascending — the set whose hardware state the caller
-// must resynchronise after Release. Batch consumers (the monitor's
-// parallel drain round retires many Detached under one grace period)
-// union these instead of re-walking every action list.
-func (d *Detached) Owners() []OwnerID {
-	if d == nil || len(d.actions) == 0 {
-		return nil
-	}
-	seen := make(map[OwnerID]bool, 4)
-	out := make([]OwnerID, 0, 4)
-	for _, a := range d.actions {
-		if !seen[a.Owner] {
-			seen[a.Owner] = true
-			out = append(out, a.Owner)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ParentOwners returns the distinct owners of the surviving parents the
 // detached tops hang off — the grantors whose suspended access Release
 // restores. Their hardware must be resynchronised after Release just

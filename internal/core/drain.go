@@ -233,7 +233,8 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 	if len(pend) > 0 {
 		m.ep.synchronizeShared(dc.maxPub, len(pend))
 		m.mach.BeginShootdownBatch()
-		affected := make(map[cap.OwnerID]bool)
+		var acts []cap.CleanupAction
+		var alsoSync []cap.OwnerID
 		for i, p := range pend {
 			if DrainBugArmed && i == 0 {
 				// Seeded mutation (drainbug build tag): the first ring's
@@ -251,13 +252,8 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 			} else if err := m.bk.ExecuteCleanups(p.det.Actions()); err != nil {
 				m.noteDrainError(err)
 			}
-			for _, o := range p.det.Owners() {
-				affected[o] = true
-			}
-			for _, o := range p.det.ParentOwners() {
-				affected[o] = true
-			}
-			affected[p.owner] = true
+			acts = append(acts, p.det.Actions()...)
+			alsoSync = append(append(alsoSync, p.det.ParentOwners()...), p.owner)
 			m.space.Release(p.det)
 			det := p.det
 			m.ep.deferFree(func() { m.space.Reclaim(det) })
@@ -265,12 +261,7 @@ func (m *Monitor) drainRingsParallel(workers int) (uint64, map[DomainID]ringDrai
 		rounds, coalesced := m.mach.EndShootdownBatch()
 		m.stats.ringShootdowns.Add(uint64(rounds))
 		m.stats.ringOpsCoalesced.Add(uint64(coalesced))
-		resync := make([]cap.OwnerID, 0, len(affected))
-		for o := range affected {
-			resync = append(resync, o)
-		}
-		sort.Slice(resync, func(i, j int) bool { return resync[i] < resync[j] })
-		if err := m.resyncAfterRevocation(nil, resync...); err != nil {
+		if err := m.resyncAfterRevocation(acts, alsoSync...); err != nil {
 			m.noteDrainError(err)
 		}
 	}

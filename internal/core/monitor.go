@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -798,16 +799,25 @@ func (m *Monitor) revoke(caller DomainID, node cap.NodeID) error {
 // each per-domain filter rebuild takes Domain.mu, exactly like the
 // delegation path's syncAfterChange, keeping rebuilds for one domain
 // serialised against concurrent delegations.
+//
+// Device filters are resynchronised as narrowly as on the delegation
+// path. A device's filter is the union of its DMA holders' memory, so
+// it can only have changed if the holder set did — a device capability
+// was among those revoked, which acts names — or if a current holder is
+// one of the affected owners.
 func (m *Monitor) resyncAfterRevocation(acts []cap.CleanupAction, alsoSync ...cap.OwnerID) error {
-	affected := make(map[cap.OwnerID]bool)
+	owners := append([]cap.OwnerID(nil), alsoSync...)
+	var devs []phys.DeviceID
 	for _, a := range acts {
-		affected[a.Owner] = true
+		owners = append(owners, a.Owner)
+		if a.Resource.Kind == cap.ResDevice {
+			devs = append(devs, a.Resource.Device)
+		}
 	}
-	for _, o := range alsoSync {
-		affected[o] = true
-	}
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
 	tab := m.tab.Load()
-	for o := range affected {
+	for _, o := range owners {
 		if d, ok := tab.doms[DomainID(o)]; ok && d.State() != StateDead {
 			d.mu.Lock()
 			err := m.bk.SyncDomain(o)
@@ -817,7 +827,7 @@ func (m *Monitor) resyncAfterRevocation(acts []cap.CleanupAction, alsoSync ...ca
 			}
 		}
 	}
-	if err := m.syncAllDevices(); err != nil {
+	if err := m.syncDevicesFor(devs, owners...); err != nil {
 		return err
 	}
 	return m.syncEncryption()
@@ -856,28 +866,19 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 	// whose DMA holders include an affected domain can have changed —
 	// scoped, so delegations between device-less domains skip the
 	// global hardware lock entirely.
-	if err := m.syncDevicesFor(a.id, b.id); err != nil {
+	if err := m.syncDevicesFor(nil, cap.OwnerID(a.id), cap.OwnerID(b.id)); err != nil {
 		return err
 	}
 	return m.syncEncryption()
 }
 
-// syncDevicesFor reprograms the IOMMU context of every device whose
-// DMA-holder set intersects the given domains.
-func (m *Monitor) syncDevicesFor(ids ...DomainID) error {
-	intersects := func(holders []cap.OwnerID) bool {
-		for _, h := range holders {
-			for _, id := range ids {
-				if h == cap.OwnerID(id) {
-					return true
-				}
-			}
-		}
-		return false
-	}
+// syncDevicesFor reprograms the IOMMU context of every device in devs
+// and of every device whose DMA-holder set intersects owners.
+func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, owners ...cap.OwnerID) error {
 	var affected []phys.DeviceID
 	for _, dev := range m.mach.DeviceIDs() {
-		if intersects(m.space.DeviceDMAHolders(dev)) {
+		if slices.Contains(devs, dev) ||
+			slices.ContainsFunc(m.space.DeviceDMAHolders(dev), func(h cap.OwnerID) bool { return slices.Contains(owners, h) }) {
 			affected = append(affected, dev)
 		}
 	}
@@ -894,6 +895,7 @@ func (m *Monitor) syncDevicesFor(ids ...DomainID) error {
 	return nil
 }
 
+// syncAllDevices programs every device's IOMMU context at boot.
 func (m *Monitor) syncAllDevices() error {
 	m.hwMu.Lock()
 	defer m.hwMu.Unlock()

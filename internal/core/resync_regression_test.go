@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -81,4 +83,169 @@ func TestRevokeResyncsGrantorFilter(t *testing.T) {
 		t.Fatal("grantor did not regain capability access after revoking its grant")
 	}
 	requireFilterMatchesSpace(t, m, InitialDomain, base)
+}
+
+// requireDeviceFilterCurrent asserts that the IOMMU context attached for
+// dev is what the capability space says it should be right now. The
+// revoke, kill and drain paths resynchronise only the devices they can
+// have affected; a device wrongly left out would keep a stale context.
+func requireDeviceFilterCurrent(t *testing.T, m *Monitor, dev phys.DeviceID, when string) {
+	t.Helper()
+	want, err := backend.BuildDeviceFilter(m.space, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := m.Machine().IOMMU.ContextOf(dev).(*hw.EPT)
+	if !ok {
+		t.Fatalf("%s: device %v has no extent-table context", when, dev)
+	}
+	if !reflect.DeepEqual(got.Mappings(), want.Mappings()) {
+		t.Errorf("%s: device %v filter is %v, capability state says %v", when, dev, got.Mappings(), want.Mappings())
+	}
+}
+
+// TestRevocationNarrowsDeviceFilter: a driver domain hands pages and the
+// device on to an I/O domain. Revoking memory from the I/O domain, killing
+// a domain it granted a page to, and killing the I/O domain itself must
+// each leave the device's filter exactly as the capability space has it.
+func TestRevocationNarrowsDeviceFilter(t *testing.T) {
+	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := bootWorld(t, kind)
+			gpu := m.Machine().Device(0)
+			dma := func(page uint64) bool { return gpu.DMAWrite(phys.Addr(page*pg), []byte{1}) == nil }
+			nodeOf := func(owner DomainID, kind cap.ResourceKind) cap.NodeID {
+				t.Helper()
+				for _, n := range m.OwnerNodes(owner) {
+					if n.Resource.Kind == kind {
+						return n.ID
+					}
+				}
+				t.Fatalf("domain %d holds no %v capability", owner, kind)
+				return 0
+			}
+			must := func(id cap.NodeID, err error) cap.NodeID {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			}
+
+			driver, _ := m.CreateDomain(InitialDomain, "driver")
+			must(m.Grant(InitialDomain, nodeOf(InitialDomain, cap.ResMemory), driver, memRes(128, 12), cap.MemRW|cap.RightGrant, cap.CleanZero))
+			must(m.Grant(InitialDomain, nodeOf(InitialDomain, cap.ResDevice), driver, cap.DeviceResource(0), cap.RightUse|cap.RightDMA|cap.RightGrant, cap.CleanNone))
+			iodom, _ := m.CreateDomain(driver, "io")
+			drvMem := nodeOf(driver, cap.ResMemory)
+			must(m.Grant(driver, drvMem, iodom, memRes(128, 2), cap.MemRW|cap.RightGrant, cap.CleanZero))
+			high := must(m.Grant(driver, drvMem, iodom, memRes(130, 2), cap.MemRW, cap.CleanZero))
+			must(m.Grant(driver, nodeOf(driver, cap.ResDevice), iodom, cap.DeviceResource(0), cap.RightUse|cap.RightDMA, cap.CleanNone))
+			requireDeviceFilterCurrent(t, m, 0, "after delegation")
+			if !dma(128) || !dma(131) || dma(132) || dma(4) {
+				t.Fatal("device not confined to the I/O domain's four pages")
+			}
+
+			// Revoking memory from the holder narrows the filter.
+			if err := m.Revoke(driver, high); err != nil {
+				t.Fatal(err)
+			}
+			requireDeviceFilterCurrent(t, m, 0, "after revoking pages 130-131")
+			if !dma(128) || dma(130) {
+				t.Fatal("revoked pages still reachable by DMA")
+			}
+
+			// The holder grants a page away (exclusive: it leaves the
+			// filter) and gets it back when the grantee dies — the holder
+			// is only a parent owner of that kill.
+			sub, _ := m.CreateDomain(iodom, "sub")
+			must(m.Grant(iodom, nodeOf(iodom, cap.ResMemory), sub, memRes(129, 1), cap.MemRW, cap.CleanZero))
+			if dma(129) {
+				t.Fatal("page granted away by the holder still reachable by DMA")
+			}
+			if err := m.KillDomain(iodom, sub); err != nil {
+				t.Fatal(err)
+			}
+			requireDeviceFilterCurrent(t, m, 0, "after killing the holder's grantee")
+			if !dma(129) {
+				t.Fatal("holder regained page 129 but the device did not")
+			}
+
+			// Killing the holder detaches it: the device falls back to the
+			// driver, and nothing the dead domain held stays reachable
+			// through a filter built for it.
+			if err := m.KillDomain(driver, iodom); err != nil {
+				t.Fatal(err)
+			}
+			requireDeviceFilterCurrent(t, m, 0, "after killing the I/O domain")
+			if !dma(139) || dma(4) {
+				t.Fatal("device filter does not follow the driver's memory after the I/O domain's death")
+			}
+
+			// dom0 drops the device's root capability: every holder goes
+			// with it, so no affected owner holds the device any more and
+			// only the revoked device capability itself names the filter
+			// to empty.
+			if err := m.Revoke(InitialDomain, nodeOf(InitialDomain, cap.ResDevice)); err != nil {
+				t.Fatal(err)
+			}
+			requireDeviceFilterCurrent(t, m, 0, "after revoking the device's root capability")
+			if dma(139) {
+				t.Fatal("device with no holder left can still DMA")
+			}
+		})
+	}
+}
+
+// TestResyncNeverPublishesPartialFilter: dom0 shares a page with a child
+// and revokes it again, over and over; every round rebuilds dom0's filter
+// twice. Page 4 is dom0's throughout, so a core running dom0 must be able
+// to fetch from it at every instant. A rebuild that clears the table and
+// then maps it back segment by segment has a deny-all window in between,
+// which a reader on another thread hits within a few hundred rounds (the
+// fleet's fault(0x4000 --x at pc=0x4000)). Needs two host threads to
+// bite; run under -race as well.
+func TestResyncNeverPublishesPartialFilter(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	node := dom0MemNode(t, m)
+	child, err := m.CreateDomain(InitialDomain, "child")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := m.DomainContext(InitialDomain, InitialDomain, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 400
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			id, err := m.Share(InitialDomain, node, child, memRes(200, 1), cap.MemRW, cap.CleanNone)
+			if err == nil {
+				err = m.Revoke(InitialDomain, id)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	idle := phys.Addr(4 * pg)
+	for reads := 0; ; reads++ {
+		if p := ctx.Filter.Lookup(idle); !p.Allows(hw.PermX) {
+			t.Errorf("read %d: dom0's filter shows %v at %v mid-resync", reads, p, idle)
+			break
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -362,29 +362,16 @@ func (c *Conn) Send(from *Endpoint, plaintext []byte) ([]byte, error) {
 	if uint64(len(frame)) > from.Buffer.Size() || uint64(len(frame)) > to.Buffer.Size() {
 		return nil, ErrTooLarge
 	}
-	// Stage ciphertext in the sender's registered buffer (the sending
-	// domain writes it — capability-checked).
-	if err := from.Monitor.CopyInto(from.Domain, from.Buffer.Start, frame); err != nil {
+	out, err := from.transmit(frame)
+	if err != nil {
 		return nil, err
 	}
-	// Sender NIC DMA-reads the staged frame (IOMMU-checked).
-	out := make([]byte, len(frame))
-	if err := from.Monitor.Machine().Device(from.NIC).DMARead(from.Buffer.Start, out); err != nil {
-		return nil, fmt.Errorf("dist: tx dma: %w", err)
-	}
 	c.wire.push(out)
-	// Receiver NIC DMA-writes into the peer's registered buffer and
-	// raises an interrupt for the owning domain.
 	rx, ok := c.wire.pop()
 	if !ok {
 		return nil, ErrLinkLost
 	}
-	if err := to.Monitor.Machine().Device(to.NIC).DMAWrite(to.Buffer.Start, rx); err != nil {
-		return nil, fmt.Errorf("dist: rx dma: %w", err)
-	}
-	to.Monitor.Machine().Device(to.NIC).RaiseIRQ(1)
-	// The receiving domain reads and authenticates.
-	got, err := to.Monitor.CopyFrom(to.Domain, to.Buffer.Start, uint64(len(rx)))
+	got, err := to.receive(rx)
 	if err != nil {
 		return nil, err
 	}
@@ -394,6 +381,41 @@ func (c *Conn) Send(from *Endpoint, plaintext []byte) ([]byte, error) {
 	}
 	*seq++
 	return pt, nil
+}
+
+// transmit stages frame in the endpoint's registered buffer (the sending
+// domain writes it — capability-checked) and has the NIC DMA-read it
+// back out (IOMMU-checked). Every channel of a node runs over the same
+// buffer and NIC, so the two steps hold the NIC's queue: a frame staged
+// by another channel cannot land between them. transmit and receive
+// never hold two NICs at once, so concurrent transfers in opposite
+// directions cannot deadlock.
+func (e *Endpoint) transmit(frame []byte) ([]byte, error) {
+	nic := e.Monitor.Machine().Device(e.NIC)
+	nic.Acquire()
+	defer nic.Release()
+	if err := e.Monitor.CopyInto(e.Domain, e.Buffer.Start, frame); err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(frame))
+	if err := nic.DMARead(e.Buffer.Start, out); err != nil {
+		return nil, fmt.Errorf("dist: tx dma: %w", err)
+	}
+	return out, nil
+}
+
+// receive has the NIC DMA-write rx into the endpoint's registered
+// buffer and raise an interrupt for the owning domain, which then reads
+// the frame back — under the NIC's queue, like transmit.
+func (e *Endpoint) receive(rx []byte) ([]byte, error) {
+	nic := e.Monitor.Machine().Device(e.NIC)
+	nic.Acquire()
+	defer nic.Release()
+	if err := nic.DMAWrite(e.Buffer.Start, rx); err != nil {
+		return nil, fmt.Errorf("dist: rx dma: %w", err)
+	}
+	nic.RaiseIRQ(1)
+	return e.Monitor.CopyFrom(e.Domain, e.Buffer.Start, uint64(len(rx)))
 }
 
 // WireCarried reports whether the adversary's tap ever saw `needle` in

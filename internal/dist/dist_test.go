@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/attest"
@@ -357,5 +358,52 @@ func TestOversizedMessageRejected(t *testing.T) {
 	// Foreign endpoints are rejected.
 	if _, err := conn.Send(&Endpoint{}, []byte("x")); err == nil {
 		t.Fatal("foreign endpoint accepted")
+	}
+}
+
+// Every channel of a node stages frames in the same registered buffer
+// and moves them with the same NIC (the fleet runs a migration transfer
+// and an rv digest ship through one agent at once). Two channels that
+// share machine A — one sending from it, one receiving into it — must
+// not see each other's frames. Run under -race: it also pins the NIC's
+// DMA counter.
+func TestChannelsSharingOneNIC(t *testing.T) {
+	ma := buildMachine(t, nil)
+	mb := buildMachine(t, nil)
+	mc := buildMachine(t, nil)
+	aToB := ma.endpoint(t, mb)
+	connAB, err := Connect(aToB, mb.endpoint(t, ma), &Wire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cToA := mc.endpoint(t, ma)
+	connCA, err := Connect(cToA, ma.endpoint(t, mc), &Wire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	send := func(conn *Conn, from *Endpoint, msg []byte) error {
+		for i := 0; i < rounds; i++ {
+			got, err := conn.Send(from, msg)
+			if err != nil {
+				return fmt.Errorf("round %d: %w", i, err)
+			}
+			if !bytes.Equal(got, msg) {
+				return fmt.Errorf("round %d: received %d bytes, sent %d", i, len(got), len(msg))
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- send(connAB, aToB, bytes.Repeat([]byte{0xa5}, 3000)) }()
+	go func() { errs <- send(connCA, cToA, bytes.Repeat([]byte{0x5a}, 700)) }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	nic := ma.mon.Machine().Device(0)
+	if got := nic.DMACount(); got != 2*rounds {
+		t.Errorf("machine A's NIC counted %d DMAs, want %d", got, 2*rounds)
 	}
 }

@@ -2,6 +2,8 @@ package hw
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -39,11 +41,24 @@ type Device struct {
 	Class DeviceClass
 
 	mach *Machine
-	dmas uint64
+	dmas atomic.Uint64
+
+	// queue is held for the length of one multi-step transfer through a
+	// buffer registered with the device (see Acquire).
+	queue sync.Mutex
 }
 
 // DMACount returns the number of DMA operations issued.
-func (d *Device) DMACount() uint64 { return d.dmas }
+func (d *Device) DMACount() uint64 { return d.dmas.Load() }
+
+// Acquire takes the device's transfer queue. Single DMA operations are
+// safe on their own; a driver that stages data in a registered buffer
+// and then has the device move it holds the queue across both steps, so
+// that a concurrent transfer through the same buffer cannot interleave.
+func (d *Device) Acquire() { d.queue.Lock() }
+
+// Release gives the transfer queue back.
+func (d *Device) Release() { d.queue.Unlock() }
 
 // checkRange verifies every page of [a, a+n) against the IOMMU and
 // charges per-page IOMMU lookup costs.
@@ -65,7 +80,7 @@ func (d *Device) checkRange(a phys.Addr, n uint64, want Perm) error {
 // DMARead copies n bytes from physical memory at src into buf (device-
 // internal buffer, host visible to the caller driving the device).
 func (d *Device) DMARead(src phys.Addr, buf []byte) error {
-	d.dmas++
+	d.dmas.Add(1)
 	if err := d.checkRange(src, uint64(len(buf)), PermR); err != nil {
 		return err
 	}
@@ -75,7 +90,7 @@ func (d *Device) DMARead(src phys.Addr, buf []byte) error {
 
 // DMAWrite copies buf into physical memory at dst.
 func (d *Device) DMAWrite(dst phys.Addr, buf []byte) error {
-	d.dmas++
+	d.dmas.Add(1)
 	if err := d.checkRange(dst, uint64(len(buf)), PermW); err != nil {
 		return err
 	}
@@ -85,7 +100,7 @@ func (d *Device) DMAWrite(dst phys.Addr, buf []byte) error {
 
 // DMACopy moves n bytes from src to dst memory-to-memory.
 func (d *Device) DMACopy(src, dst phys.Addr, n uint64) error {
-	d.dmas++
+	d.dmas.Add(1)
 	if err := d.checkRange(src, n, PermR); err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,101 +15,24 @@ import (
 // access filter (§3.3: "memory virtualization provides a second level of
 // page tables to enforce memory access control at page granularity").
 //
-// Cores walk the EPT while the monitor rebuilds it on another core, so
-// the page map is behind an RWMutex and the generation is atomic: a
-// reader never observes a torn update, and a generation bump publishes
-// each rebuild to the TLB/MRU coherence checks.
+// The contents are an immutable extent table: disjoint runs of
+// identically permissioned pages, sorted by address, adjacent equal runs
+// merged, no empty or PermNone run. Cores walk the table while the
+// monitor reprograms it on another core, so the publish discipline is:
+//
+//   - readers load the table pointer once and binary-search it — no lock,
+//     and a table never changes after it is published;
+//   - a writer builds the next table off to the side, publishes it with
+//     one pointer store, and only then bumps the generation once. A
+//     reader therefore sees the old filter or the new one, never a
+//     half-built one, and a new generation implies the new table.
+//
+// Writers (copy-on-write splices for Map/Unmap, whole-table Replace and
+// Clear) are serialised by wmu; readers never take it.
 type EPT struct {
-	mu    sync.RWMutex
-	pages map[uint64]Perm
-	gen   atomic.Uint64
-}
-
-// NewEPT returns an empty EPT denying all access.
-func NewEPT() *EPT {
-	return &EPT{pages: make(map[uint64]Perm)}
-}
-
-// Check implements AccessFilter.
-func (e *EPT) Check(a phys.Addr, want Perm) bool {
-	return e.Lookup(a).Allows(want)
-}
-
-// Lookup implements AccessFilter.
-func (e *EPT) Lookup(a phys.Addr) Perm {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pages[a.Page()]
-}
-
-// Generation implements AccessFilter.
-func (e *EPT) Generation() uint64 { return e.gen.Load() }
-
-// Map sets the permission for every page of region r, replacing any
-// previous permission. r must be page-aligned.
-func (e *EPT) Map(r phys.Region, p Perm) error {
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("hw: ept map: %w", err)
-	}
-	e.mu.Lock()
-	for pg := r.Start.Page(); pg < r.End.Page(); pg++ {
-		if p == PermNone {
-			delete(e.pages, pg)
-		} else {
-			e.pages[pg] = p
-		}
-	}
-	e.mu.Unlock()
-	e.gen.Add(1)
-	return nil
-}
-
-// Unmap removes all permissions for region r.
-func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
-
-// Clear removes every mapping.
-func (e *EPT) Clear() {
-	e.mu.Lock()
-	e.pages = make(map[uint64]Perm)
-	e.mu.Unlock()
-	e.gen.Add(1)
-}
-
-// MappedPages returns the number of pages with any permission.
-func (e *EPT) MappedPages() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.pages)
-}
-
-// Mappings returns the EPT contents as maximal runs of identically
-// permissioned pages, in address order. Used for attestation enumeration
-// and debugging dumps.
-func (e *EPT) Mappings() []EPTMapping {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.pages) == 0 {
-		return nil
-	}
-	pgs := make([]uint64, 0, len(e.pages))
-	for pg := range e.pages {
-		pgs = append(pgs, pg)
-	}
-	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
-	var out []EPTMapping
-	for _, pg := range pgs {
-		p := e.pages[pg]
-		start := phys.Addr(pg << phys.PageShift)
-		if n := len(out); n > 0 && out[n-1].Region.End == start && out[n-1].Perm == p {
-			out[n-1].Region.End += phys.PageSize
-			continue
-		}
-		out = append(out, EPTMapping{
-			Region: phys.Region{Start: start, End: start + phys.PageSize},
-			Perm:   p,
-		})
-	}
-	return out
+	wmu sync.Mutex
+	tab atomic.Pointer[[]EPTMapping]
+	gen atomic.Uint64
 }
 
 // EPTMapping is one contiguous run of identically permissioned pages.
@@ -120,3 +42,146 @@ type EPTMapping struct {
 }
 
 func (m EPTMapping) String() string { return fmt.Sprintf("%v %v", m.Region, m.Perm) }
+
+// NewEPT returns an empty EPT denying all access.
+func NewEPT() *EPT { return &EPT{} }
+
+func (e *EPT) runs() []EPTMapping {
+	if t := e.tab.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// publish makes runs the live table: one store, then one generation
+// bump (wmu held).
+func (e *EPT) publish(runs []EPTMapping) {
+	e.tab.Store(&runs)
+	e.gen.Add(1)
+}
+
+// Check implements AccessFilter.
+func (e *EPT) Check(a phys.Addr, want Perm) bool {
+	return e.Lookup(a).Allows(want)
+}
+
+// Lookup implements AccessFilter: a binary search for the run holding a.
+func (e *EPT) Lookup(a phys.Addr) Perm {
+	runs := e.runs()
+	lo, hi := 0, len(runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if runs[mid].Region.End <= a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(runs) && runs[lo].Region.Start <= a {
+		return runs[lo].Perm
+	}
+	return PermNone
+}
+
+// Generation implements AccessFilter.
+func (e *EPT) Generation() uint64 { return e.gen.Load() }
+
+// appendRun appends m to a table under construction, extending the last
+// run instead when m continues it with the same permission.
+func appendRun(runs []EPTMapping, m EPTMapping) []EPTMapping {
+	if n := len(runs); n > 0 && runs[n-1].Region.End == m.Region.Start && runs[n-1].Perm == m.Perm {
+		runs[n-1].Region.End = m.Region.End
+		return runs
+	}
+	return append(runs, m)
+}
+
+// Map sets the permission for every page of region r, replacing any
+// previous permission. r must be page-aligned.
+func (e *EPT) Map(r phys.Region, p Perm) error {
+	if err := r.Validate(); err != nil {
+		return fmt.Errorf("hw: ept map: %w", err)
+	}
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	old := e.runs()
+	next := make([]EPTMapping, 0, len(old)+2)
+	i := 0
+	for ; i < len(old) && old[i].Region.End <= r.Start; i++ {
+		next = append(next, old[i])
+	}
+	if i < len(old) && old[i].Region.Start < r.Start {
+		next = append(next, EPTMapping{Region: phys.Region{Start: old[i].Region.Start, End: r.Start}, Perm: old[i].Perm})
+	}
+	if p != PermNone {
+		next = appendRun(next, EPTMapping{Region: r, Perm: p})
+	}
+	for ; i < len(old) && old[i].Region.End <= r.End; i++ {
+	}
+	if i < len(old) && old[i].Region.Start < r.End {
+		next = appendRun(next, EPTMapping{Region: phys.Region{Start: r.End, End: old[i].Region.End}, Perm: old[i].Perm})
+		i++
+	}
+	for ; i < len(old); i++ {
+		next = appendRun(next, old[i])
+	}
+	e.publish(next)
+	return nil
+}
+
+// Unmap removes all permissions for region r.
+func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
+
+// Replace publishes runs as the whole table in one step: no reader can
+// observe a mix of the old and the new filter. runs must be page-aligned,
+// non-empty, sorted by address and disjoint; otherwise Replace returns an
+// error and leaves the table and the generation unchanged. PermNone runs
+// are dropped and adjacent equal-permission runs merged. The table keeps
+// its own copy of runs.
+func (e *EPT) Replace(runs []EPTMapping) error {
+	next := make([]EPTMapping, 0, len(runs))
+	var end phys.Addr
+	for _, m := range runs {
+		if err := m.Region.Validate(); err != nil {
+			return fmt.Errorf("hw: ept replace: %w", err)
+		}
+		if m.Region.Start < end {
+			return fmt.Errorf("hw: ept replace: run %v unsorted or overlapping (previous run ends at %v)", m.Region, end)
+		}
+		end = m.Region.End
+		if m.Perm != PermNone {
+			next = appendRun(next, m)
+		}
+	}
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	e.publish(next)
+	return nil
+}
+
+// Clear removes every mapping.
+func (e *EPT) Clear() {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	e.publish(nil)
+}
+
+// MappedPages returns the number of pages with any permission.
+func (e *EPT) MappedPages() int {
+	var n uint64
+	for _, m := range e.runs() {
+		n += m.Region.Pages()
+	}
+	return int(n)
+}
+
+// Mappings returns the EPT contents as maximal runs of identically
+// permissioned pages, in address order. Used for attestation enumeration
+// and debugging dumps.
+func (e *EPT) Mappings() []EPTMapping {
+	runs := e.runs()
+	if len(runs) == 0 {
+		return nil
+	}
+	return append([]EPTMapping(nil), runs...)
+}

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -61,6 +62,41 @@ func BenchmarkCoreAccessMRU(b *testing.B) {
 	b.ResetTimer()
 	if n, trap := core.Run(b.N); n != b.N || trap.Kind != TrapNone {
 		b.Fatalf("ran %d/%d, trap %v", n, b.N, trap)
+	}
+}
+
+// BenchmarkEPTLookup measures what a TLB miss pays in the EPT: one
+// pointer load and a binary search, no lock and no allocation, at the
+// table sizes the monitor publishes (a domain's flattened view is a
+// handful of runs) and well past them. CI pins every size at 0 allocs/op.
+func BenchmarkEPTLookup(b *testing.B) {
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("runs=%d", n), func(b *testing.B) {
+			const runPages = 4
+			runs := make([]EPTMapping, n)
+			for i := range runs {
+				// Alternating permissions keep neighbours from merging.
+				runs[i] = EPTMapping{
+					Region: phys.MakeRegion(phys.Addr(i*runPages)<<phys.PageShift, runPages*phys.PageSize),
+					Perm:   [2]Perm{PermRW, PermRX}[i%2],
+				}
+			}
+			e := NewEPT()
+			if err := e.Replace(runs); err != nil {
+				b.Fatal(err)
+			}
+			if got := len(e.Mappings()); got != n {
+				b.Fatalf("table has %d runs, want %d", got, n)
+			}
+			pages := uint64(n * runPages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.Lookup(phys.Addr(uint64(i)*7%pages<<phys.PageShift)) == PermNone {
+					b.Fatal("mapped page denied")
+				}
+			}
+		})
 	}
 }
 
