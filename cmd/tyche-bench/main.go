@@ -12,15 +12,6 @@
 //	tyche-bench -experiment C19 -out BENCH_sched.json
 //	tyche-bench -verify 16 -experiment C21 -out BENCH_check.json
 //
-// A/B lock-scalability merge: run C18 from a default build and from a
-// `-tags biglock` build, then join the two JSON files into
-// BENCH_scale.json, computing per-point speedups and enforcing the
-// acceptance gate (and single-worker cycle bit-identity):
-//
-//	tyche-bench -experiment C18 -out fine.json
-//	tyche-bench-biglock -experiment C18 -out biglock.json
-//	tyche-bench -merge fine.json,biglock.json -require-speedup 1.5 -out BENCH_scale.json
-//
 // The process exits non-zero if any experiment's shape checks fail.
 package main
 
@@ -60,18 +51,8 @@ func main() {
 		out        = flag.String("out", "", "write machine-readable results (BENCH_smp.json) to this file")
 		traced     = flag.Bool("traced", false, "run every experiment with the cycle-stamped tracer and online invariant checker attached")
 		verify     = flag.Int("verify", 0, "attach the always-on runtime-verification service to every experiment world: 1 = exact sharded checking, N>1 = 1-in-N sampling of high-rate events (0 disables)")
-		merge      = flag.String("merge", "", "merge two C18 result files (fine.json,biglock.json) into an A/B scalability report instead of running experiments")
-		reqSpeedup = flag.Float64("require-speedup", 0, "with -merge: fail unless the fine-grained build beats the big lock by this factor at 4 workers (0 disables the gate)")
 	)
 	flag.Parse()
-
-	if *merge != "" {
-		if err := mergeScale(*merge, *out, *reqSpeedup); err != nil {
-			fmt.Fprintf(os.Stderr, "tyche-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		fmt.Printf("%-4s %-70s %s\n", "ID", "TITLE", "PAPER ARTEFACT")

@@ -35,9 +35,9 @@ type domainState struct {
 
 // Backend is the machine-mode PMP enforcement backend.
 //
-// Concurrency contract: under the epoch scheme every monitor entry
-// holds the top-level lock shared, so InstallDomain can race
-// RemoveDomain at this layer. The domains map and nextASID carry their
+// Concurrency contract: under the epoch scheme no monitor entry
+// excludes another, so InstallDomain can race RemoveDomain at this
+// layer. The domains map and nextASID carry their
 // own RWMutex (domMu); per-domain mutable state carries the
 // domainState mutex. A domainState pointer read under domMu.RLock
 // stays valid after the unlock — removal only deletes the map entry,

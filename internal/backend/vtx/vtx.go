@@ -23,8 +23,8 @@ type domainState struct {
 	asid uint64
 
 	// mu guards the lazily-populated per-core context cache: cores take
-	// concurrent transitions into the same domain under the monitor's
-	// shared lock. ept and asid are immutable after InstallDomain (the
+	// concurrent transitions into the same domain from the monitor's
+	// reader entries. ept and asid are immutable after InstallDomain (the
 	// EPT object synchronises its own contents).
 	mu   sync.Mutex
 	ctxs map[phys.CoreID]*hw.Context
@@ -32,9 +32,9 @@ type domainState struct {
 
 // Backend is the VT-x enforcement backend.
 //
-// Concurrency contract: under the epoch scheme every monitor entry
-// holds the top-level lock shared, so domain creation can race
-// destruction at this layer. The domains map and nextASID carry their
+// Concurrency contract: under the epoch scheme no monitor entry
+// excludes another, so domain creation can race destruction at this
+// layer. The domains map and nextASID carry their
 // own RWMutex (domMu); fastPairs is registered and consulted on the
 // shared path, so it carries another; per-domain context caches are
 // guarded by the domainState mutex. A domainState pointer read under

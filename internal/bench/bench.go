@@ -368,8 +368,7 @@ func countsMatch(c check.Counts, st core.Stats) bool {
 		c.CapOps == st.CapOps && c.Revocations == st.Revocations &&
 		c.ForcedKills == st.ForcedKills && c.PagesScrubbed == st.PagesScrubbed &&
 		c.VMCalls+c.MachineChecks == st.VMExits &&
-		c.Batches == st.RingFlushes && c.BatchedOps == st.RingOps &&
-		c.Drains == st.RingParallelDrains
+		c.Batches == st.RingFlushes && c.BatchedOps == st.RingOps
 }
 
 type worldOpts struct {

@@ -66,7 +66,7 @@ type ringRun struct {
 	complete  bool   // every worker halted cleanly with its loop drained
 	detail    string // failure detail when a check below goes red
 	scratches []phys.Region
-	// lockWait/lockAcqs are the monitor-lock acquisition totals over the
+	// lockWait/lockAcqs are the revocation-mutex acquisition totals over the
 	// concurrent phase only (C18 turns them into a contention share).
 	lockWait time.Duration
 	lockAcqs uint64

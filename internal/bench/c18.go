@@ -15,41 +15,29 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C18",
-		Title: "Monitor lock scalability: fine-grained locking vs the big lock over 1-8 cores",
+		Title: "Monitor entry scalability: pinned readers and the revocation mutex over 1-8 cores",
 		Paper: "§3 the monitor mediates every operation; mediation must not serialise multi-core execution",
 		Run:   runC18,
 	})
 }
 
 // runC18 measures how monitor-entry throughput scales with core count
-// under two workloads at opposite ends of the locking spectrum:
+// under two workloads at opposite ends of the entry discipline:
 //
 //	capring — the C15 share+revoke ring: every iteration delegates
-//	          under the shared lock and revokes via epoch-based
-//	          detach (shared lock + revocation mutex + grace period),
-//	          the heaviest mutation mix the monitor serves;
+//	          from a pinned reader entry and revokes via epoch-based
+//	          detach (revocation mutex + grace period), the heaviest
+//	          mutation mix the monitor serves;
 //	storm   — a transition storm: each worker loops a mediated
 //	          call+return into a private service domain, the pure
-//	          read-path case the fine-grained monitor runs with the
-//	          lock held shared and no cross-core contention.
+//	          read-path case: every entry pins an epoch, takes no
+//	          top-level lock, and never waits on another core.
 //
 // Each sweep point reports wall time, simulated cycles, throughput,
-// the monitor-lock wait accumulated across all cores (LockWait), the
-// wait's share of total core-time, and throughput speedup relative to
-// the single-worker run of the same workload.
-//
-// The same experiment runs on both lock implementations: the binary's
-// policy is baked in by the `biglock` build tag and reported as the
-// `biglock` metric, and `tyche-bench -merge` joins a fine-grained and
-// a big-lock BENCH json into BENCH_scale.json, computing A/B speedups
-// and enforcing the acceptance gates (storm >= 1.5x and capring >=
-// 1.1x over the big lock at 4 workers — the latter is the concurrent
-// revocation win: epoch-based reclamation detaches under the shared
-// lock, so the revoke-heavy ring no longer serialises the monitor).
-// Simulated cycles are wall-clock independent, so the merge
-// also asserts single-worker cycle counts are bit-identical across the
-// two builds — the locking policy must change timing only, never the
-// simulated machine's history.
+// the time destructive entries spent blocked on the revocation mutex
+// (LockWait — the one top-level lock an entry can wait on), the wait's
+// share of total core-time, and throughput speedup relative to the
+// single-worker run of the same workload.
 //
 // Timed runs are untraced; each sweep point is then re-run untimed
 // with the cycle-stamped tracer and online invariant checker attached,
@@ -58,18 +46,12 @@ func init() {
 // reconciliation) without perturbing the measurement.
 func runC18(cfg Config) (*Result, error) {
 	res := &Result{
-		ID: "C18", Title: "Monitor lock scalability (capring / transition storm)",
+		ID: "C18", Title: "Monitor entry scalability (capring / transition storm)",
 		Columns: []string{"workload", "workers", "wall us", "cycles", "ops", "kops/s", "lockwait us", "lock share", "speedup"},
 	}
-	lockMode := "fine-grained (sharded)"
-	if core.BigLockBuild {
-		lockMode = "big lock (biglock tag)"
-	}
-	res.metric("biglock", b2f(core.BigLockBuild))
 	res.metric("gomaxprocs", float64(runtime.GOMAXPROCS(0)))
-	res.note("lock implementation: %s; merge fine+biglock runs with `tyche-bench -merge` for the A/B", lockMode)
 	if runtime.GOMAXPROCS(0) < 4 {
-		res.note("host GOMAXPROCS=%d: workers time-share hardware threads, so wall-clock speedup cannot reflect the lock policy here (the -merge gate detects this and falls back to cycle bit-identity)", runtime.GOMAXPROCS(0))
+		res.note("host GOMAXPROCS=%d: workers time-share hardware threads, so wall-clock speedup cannot reflect the entry discipline here", runtime.GOMAXPROCS(0))
 	}
 
 	sweep := []int{1, 2, 4, 8}
@@ -95,9 +77,13 @@ func runC18(cfg Config) (*Result, error) {
 	}
 	workloads := []struct {
 		key string
-		run func(cfg Config, workers int) (*c18Point, error)
+		// revokes marks a workload with destructive entries — the only
+		// ones that take a top-level lock, so the only ones whose
+		// LockWait accounting can be checked live.
+		revokes bool
+		run     func(cfg Config, workers int) (*c18Point, error)
 	}{
-		{"capring", func(cfg Config, workers int) (*c18Point, error) {
+		{"capring", true, func(cfg Config, workers int) (*c18Point, error) {
 			r, err := runShareRevokeRing(cfg, workers, iters, nil)
 			if err != nil {
 				return nil, err
@@ -106,7 +92,7 @@ func runC18(cfg Config) (*Result, error) {
 				lockWait: r.lockWait, lockAcqs: r.lockAcqs,
 				complete: r.complete && r.revokes == r.ops, detail: r.detail, w: r.w}, nil
 		}},
-		{"storm", func(cfg Config, workers int) (*c18Point, error) {
+		{"storm", false, func(cfg Config, workers int) (*c18Point, error) {
 			r, err := runTransitionStorm(cfg, workers, iters)
 			if err != nil {
 				return nil, err
@@ -146,8 +132,10 @@ func runC18(cfg Config) (*Result, error) {
 			res.metric(tag+"_speedup_vs_w1", speedup)
 			res.check(tag+"-complete", p.complete,
 				"all %d workers drained %d op pairs%s", workers, iters, p.detail)
-			res.check(tag+"-lock-instrumented", p.lockAcqs > 0,
-				"monitor-lock accounting live: %d acquisitions, %s waiting", p.lockAcqs, p.lockWait)
+			if wl.revokes {
+				res.check(tag+"-lock-instrumented", p.lockAcqs > 0,
+					"revocation-mutex accounting live: %d acquisitions, %s waiting", p.lockAcqs, p.lockWait)
+			}
 
 			// Untimed validation: identical configuration, tracer+checker
 			// attached from boot, full-history audit.
@@ -166,13 +154,6 @@ func runC18(cfg Config) (*Result, error) {
 		res.note("notrace build: per-point trace validation skipped (tracing compiled out)")
 	}
 	return res, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // stormRun is one execution of the transition-storm workload: W caller

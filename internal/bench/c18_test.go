@@ -9,8 +9,7 @@ import (
 // job (`go test -run C18 -mutexprofile ...`): it runs the full C18
 // sweep so the mutex profile captures the monitor's contention
 // behaviour under both workloads at every core count, and requires
-// every shape check to pass on whichever lock implementation this
-// binary was built with (the `biglock` tag flips it).
+// every shape check to pass.
 func TestC18LockScalability(t *testing.T) {
 	e, ok := Lookup("C18")
 	if !ok {

@@ -585,9 +585,9 @@ func runC20TransCache(cfg Config, res *Result) error {
 }
 
 // opSpans is a trace sink collecting the cycle span of every capability
-// operation (KOpBegin..KOpEnd, matched by token). Ops are serialised by
-// the monitor lock so a token map suffices; the tracer already
-// serialises sink delivery but the mutex keeps the final read safe.
+// operation (KOpBegin..KOpEnd, matched by token). Frames carry unique
+// tokens so a token map suffices; the tracer already serialises sink
+// delivery but the mutex keeps the final read safe.
 type opSpans struct {
 	mu    sync.Mutex
 	open  map[uint64]uint64

@@ -14,52 +14,55 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C22",
-		Title: "Parallel reclamation pipeline: concurrent ring drains, shared grace periods, sharded kill-storm scrub",
+		Title: "Reclamation rounds: ring drains across host threads, shared grace periods, kill storm",
 		Paper: "§3 mediation must scale with the machine: reclamation throughput must grow with cores, not serialise behind one",
 		Run:   runC22,
 	})
 }
 
-// runC22 measures the opt-in parallel reclamation pipeline
-// (Monitor.SetReclaimWorkers) in three phases:
+// c22Threads is the host-thread sweep. The monitor has no fan-out
+// setting to sweep: a round drains on min(overlap-disjoint rings,
+// GOMAXPROCS) threads, so the experiment moves GOMAXPROCS itself — the
+// one place in the tree that sets it — and restores it on the way out.
+var c22Threads = []int{1, 2, 4}
+
+// runC22 measures the drain round (core/drain.go) in three phases:
 //
 //	drain — an 8-tenant ring fleet, every ring pre-loaded with
 //	        CallAttest descriptors (each costs an ed25519 report
 //	        signature — real, parallelisable host work). One
-//	        DrainRings per iteration drains the whole fleet; the sweep
-//	        compares the untouched serial path against partitioned
-//	        rounds at 1, 2, and 4 workers. Gates: ≥2x drain throughput
-//	        at 4 workers vs serial (demoted to a note when the host
-//	        lacks 4 hardware threads or the run shares a worker pool),
-//	        and — always enforced — the workers=1 run's cycle history
-//	        is bit-identical to serial, because one worker routes to
-//	        the exact serial code path.
+//	        DrainRings per iteration drains the whole fleet as one
+//	        round; the sweep runs it at 1, 2 and 4 host threads.
+//	        Gate: ≥2x drain throughput at 4 threads vs 1 (demoted to
+//	        a note when the host lacks 4 hardware threads or the run
+//	        shares a worker pool). Attests charge no simulated cycles,
+//	        so the cycle-identity gate lives in the next phase.
 //	mixed — the same fleet running a revocation-heavy descriptor mix
 //	        (flush-cleanup revokes + attests) with a ForceKillAll storm
-//	        at the end, run serial and at 4 workers with the tracer and
-//	        checker attached. Gates: byte-identical checker verdicts
-//	        serial-vs-parallel (both clean, same violation bytes),
-//	        identical semantic counters, and exact count reconciliation
-//	        (which now includes parallel drain rounds).
+//	        at the end, run at 1 and 4 threads with the tracer and
+//	        checker attached. Gates: byte-identical checker verdicts,
+//	        identical semantic counters and cycle totals across thread
+//	        counts (the fan-out changes wall time only), exactly one
+//	        coalesced shootdown round per drain round, and exact count
+//	        reconciliation.
 //	storm — a 12-victim ForceKillAll over ring-owning tenants with
 //	        exclusive slabs. Gate: the shared grace period combiner
 //	        covers the storm with at most kills/1.5 grace periods
-//	        (measured from EpochStats; the serial pre-pipeline kill
-//	        loop paid one per kill), and with workers opted in the
-//	        forced scrub reports sharded zeroing jobs.
+//	        (measured from EpochStats).
 //
 // Timed runs are untraced; traced validation runs audit every
 // configuration's full history, exactly as C18/C20 do.
 func runC22(cfg Config) (*Result, error) {
 	res := &Result{
-		ID: "C22", Title: "Parallel reclamation pipeline (drain scaling / verdict identity / kill storm)",
-		Columns: []string{"phase", "workers", "wall us", "cycles", "ops", "kops/s", "speedup", "graces"},
+		ID: "C22", Title: "Reclamation rounds (drain scaling / thread-count identity / kill storm)",
+		Columns: []string{"phase", "threads", "wall us", "cycles", "ops", "kops/s", "speedup", "graces"},
 	}
-	res.metric("gomaxprocs", float64(runtime.GOMAXPROCS(0)))
-	res.metric("biglock", b2f(core.BigLockBuild))
-	hostParallel := runtime.GOMAXPROCS(0) >= 4 && !cfg.contended
+	host := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(host)
+	res.metric("gomaxprocs", float64(host))
+	hostParallel := host >= 4 && !cfg.contended
 	if !hostParallel {
-		res.note("host GOMAXPROCS=%d contended=%v: drain workers time-share hardware threads, so the wall-clock speedup gate is demoted to a note (cycle bit-identity and verdict identity still gate)", runtime.GOMAXPROCS(0), cfg.contended)
+		res.note("host GOMAXPROCS=%d contended=%v: drain threads time-share hardware threads, so the wall-clock speedup gate is demoted to a note (cycle and verdict identity across thread counts still gate)", host, cfg.contended)
 	}
 
 	iters := 6
@@ -71,122 +74,93 @@ func runC22(cfg Config) (*Result, error) {
 	valid := cfg
 	valid.Trace = true
 
-	// Phase A: attest-drain scaling.
-	type point struct {
-		p    *c22DrainRun
-		tput float64
-	}
-	var serialPt point
-	for _, workers := range []int{0, 1, 2, 4} {
-		tag := fmt.Sprintf("drain_w%d", workers)
-		arm := fmt.Sprintf("%d", workers)
-		if workers == 0 {
-			tag, arm = "drain_serial", "serial"
-		}
-		p, err := runC22Drain(timed, workers, iters)
+	// Phase A: attest-drain scaling over host threads.
+	var baseTput float64
+	for _, threads := range c22Threads {
+		tag := fmt.Sprintf("drain_t%d", threads)
+		runtime.GOMAXPROCS(threads)
+		p, err := runC22Drain(timed, iters)
 		if err != nil {
 			return nil, fmt.Errorf("c22 %s: %w", tag, err)
 		}
 		tput := float64(p.ops) / p.wall.Seconds()
-		speedup := 1.0
-		if workers == 0 {
-			serialPt = point{p: p, tput: tput}
-		} else {
-			speedup = tput / serialPt.tput
+		if baseTput == 0 {
+			baseTput = tput
 		}
-		res.row("drain", arm, fmt.Sprintf("%d", p.wall.Microseconds()),
+		speedup := tput / baseTput
+		res.row("drain", fmt.Sprintf("%d", threads), fmt.Sprintf("%d", p.wall.Microseconds()),
 			fmtU(p.cycles), fmtU(p.ops), fmt.Sprintf("%.0f", tput/1e3),
 			fmt.Sprintf("%.2fx", speedup), "-")
 		res.metric(tag+"_wall_ns", float64(p.wall.Nanoseconds()))
 		res.metric(tag+"_cycles", float64(p.cycles))
 		res.metric(tag+"_ops", float64(p.ops))
 		res.metric(tag+"_ops_per_sec", tput)
-		res.metric(tag+"_speedup_vs_serial", speedup)
+		res.metric(tag+"_speedup_vs_t1", speedup)
 		res.check(tag+"-complete", p.complete, "fleet drained every descriptor each iteration%s", p.detail)
-		switch workers {
-		case 1:
-			// One worker must route to the exact serial code: the
-			// simulated history is bit-identical, not merely equivalent.
-			res.check("drain-w1-cycle-identity", p.cycles == serialPt.p.cycles,
-				"workers=1 cycle history %d vs serial %d (must be bit-identical)", p.cycles, serialPt.p.cycles)
-		case 4:
+		if threads == 4 {
 			if hostParallel {
-				res.check("drain-w4-speedup", speedup >= 2.0,
-					"4-worker drain throughput %.2fx serial (gate: >= 2x)", speedup)
+				res.check("drain-t4-speedup", speedup >= 2.0,
+					"4-thread drain throughput %.2fx one thread (gate: >= 2x)", speedup)
 			} else {
-				res.note("4-worker drain throughput %.2fx serial (2x gate demoted: host not parallel)", speedup)
+				res.note("4-thread drain throughput %.2fx one thread (2x gate demoted: host not parallel)", speedup)
 			}
 		}
 	}
 
-	// Phase B: mixed revocation workload — verdict identity.
+	// Phase B: mixed revocation workload — thread-count identity.
 	if trace.Compiled {
-		ser, err := runC22Mixed(valid, 0)
-		if err != nil {
-			return nil, fmt.Errorf("c22 mixed serial: %w", err)
-		}
-		par, err := runC22Mixed(valid, 4)
-		if err != nil {
-			return nil, fmt.Errorf("c22 mixed parallel: %w", err)
-		}
-		one, err := runC22Mixed(valid, 1)
-		if err != nil {
-			return nil, fmt.Errorf("c22 mixed w1: %w", err)
-		}
-		for tag, r := range map[string]*c22MixedRun{"mixed_serial": ser, "mixed_w4": par} {
+		mixed := map[int]*c22MixedRun{}
+		for _, threads := range []int{1, 4} {
+			tag := fmt.Sprintf("mixed_t%d", threads)
+			runtime.GOMAXPROCS(threads)
+			r, err := runC22Mixed(valid)
+			if err != nil {
+				return nil, fmt.Errorf("c22 %s: %w", tag, err)
+			}
 			r.w.traceClean(res, tag)
 			res.metric(tag+"_cycles", float64(r.cycles))
 			res.metric(tag+"_revocations", float64(r.revocations))
+			res.check(tag+"-coalesces", r.shootdownRounds == r.drainRounds,
+				"%d drain rounds retired %d shootdown rounds (cross-ring coalescing: exactly one each)",
+				r.drainRounds, r.shootdownRounds)
+			res.row("mixed", fmt.Sprintf("%d", threads), "-", fmtU(r.cycles), fmtU(r.ringOps), "-", "-", "-")
+			mixed[threads] = r
 		}
-		res.check("mixed-verdict-identity", ser.verdict == par.verdict,
-			"checker verdicts serial vs parallel: %q vs %q (must be byte-identical)", ser.verdict, par.verdict)
+		one, four := mixed[1], mixed[4]
+		res.check("mixed-verdict-identity", one.verdict == four.verdict,
+			"checker verdicts at 1 vs 4 threads: %q vs %q (must be byte-identical)", one.verdict, four.verdict)
 		res.check("mixed-semantics-identical",
-			ser.ringOps == par.ringOps && ser.revocations == par.revocations && ser.kills == par.kills,
-			"semantic counters serial ops=%d revs=%d kills=%d vs parallel ops=%d revs=%d kills=%d",
-			ser.ringOps, ser.revocations, ser.kills, par.ringOps, par.revocations, par.kills)
-		res.check("mixed-w1-cycle-identity", one.cycles == ser.cycles,
-			"workers=1 mixed cycle history %d vs serial %d (must be bit-identical)", one.cycles, ser.cycles)
-		res.check("mixed-parallel-coalesces", par.shootdownRounds < ser.shootdownRounds,
-			"parallel rounds retired %d shootdown rounds vs %d serial (cross-ring coalescing must reduce them)",
-			par.shootdownRounds, ser.shootdownRounds)
-		res.row("mixed", "serial", "-", fmtU(ser.cycles), fmtU(ser.ringOps), "-", "-", "-")
-		res.row("mixed", "4", "-", fmtU(par.cycles), fmtU(par.ringOps), "-", "-", "-")
+			one.ringOps == four.ringOps && one.revocations == four.revocations && one.kills == four.kills,
+			"semantic counters at 1 thread ops=%d revs=%d kills=%d vs 4 threads ops=%d revs=%d kills=%d",
+			one.ringOps, one.revocations, one.kills, four.ringOps, four.revocations, four.kills)
+		res.check("mixed-cycle-identity", one.cycles == four.cycles,
+			"mixed cycle history at 1 thread %d vs 4 threads %d (must be identical)", one.cycles, four.cycles)
 	} else {
-		res.note("notrace build: mixed verdict-identity phase skipped (tracing compiled out)")
+		res.note("notrace build: mixed thread-count-identity phase skipped (tracing compiled out)")
 	}
+	runtime.GOMAXPROCS(host)
 
-	// Phase C: kill storm — shared grace periods and sharded scrub.
-	for _, workers := range []int{0, 4} {
-		tag := fmt.Sprintf("storm_w%d", workers)
-		arm := fmt.Sprintf("%d", workers)
-		if workers == 0 {
-			tag, arm = "storm_serial", "serial"
-		}
-		s, err := runC22Storm(timed, workers)
+	// Phase C: kill storm — shared grace periods.
+	s, err := runC22Storm(timed)
+	if err != nil {
+		return nil, fmt.Errorf("c22 storm: %w", err)
+	}
+	res.row("storm", fmt.Sprintf("%d", host), fmt.Sprintf("%d", s.wall.Microseconds()),
+		fmtU(s.cycles), fmtU(s.kills), "-", "-", fmtU(s.graces))
+	res.metric("storm_wall_ns", float64(s.wall.Nanoseconds()))
+	res.metric("storm_graces", float64(s.graces))
+	res.metric("storm_combined", float64(s.combined))
+	res.check("storm-kills", s.kills == c22StormVictims, "storm killed %d/%d victims", s.kills, c22StormVictims)
+	res.check("storm-graces", s.graces <= c22StormVictims*2/3,
+		"storm of %d kills ran %d grace periods (gate: <= kills/1.5 = %d; combiner folded %d)",
+		c22StormVictims, s.graces, c22StormVictims*2/3, s.combined)
+	if trace.Compiled {
+		v, err := runC22Storm(valid)
 		if err != nil {
-			return nil, fmt.Errorf("c22 %s: %w", tag, err)
+			return nil, fmt.Errorf("c22 storm (traced): %w", err)
 		}
-		res.row("storm", arm, fmt.Sprintf("%d", s.wall.Microseconds()),
-			fmtU(s.cycles), fmtU(s.kills), "-", "-", fmtU(s.graces))
-		res.metric(tag+"_wall_ns", float64(s.wall.Nanoseconds()))
-		res.metric(tag+"_graces", float64(s.graces))
-		res.metric(tag+"_combined", float64(s.combined))
-		res.check(tag+"-kills", s.kills == c22StormVictims, "storm killed %d/%d victims", s.kills, c22StormVictims)
-		res.check(tag+"-graces", s.graces <= c22StormVictims*2/3,
-			"storm of %d kills ran %d grace periods (gate: <= kills/1.5 = %d; combiner folded %d)",
-			c22StormVictims, s.graces, c22StormVictims*2/3, s.combined)
-		if workers > 0 {
-			res.check(tag+"-scrub-sharded", s.scrubShards > 0,
-				"forced scrub fanned zeroing across workers: %d shard jobs", s.scrubShards)
-		}
-		if trace.Compiled {
-			v, err := runC22Storm(valid, workers)
-			if err != nil {
-				return nil, fmt.Errorf("c22 %s (traced): %w", tag, err)
-			}
-			res.check(tag+"-traced-kills", v.kills == c22StormVictims, "traced storm killed %d victims", v.kills)
-			v.w.traceClean(res, tag)
-		}
+		res.check("storm-traced-kills", v.kills == c22StormVictims, "traced storm killed %d victims", v.kills)
+		v.w.traceClean(res, "storm")
 	}
 	return res, nil
 }
@@ -214,13 +188,10 @@ func c22PageRegion(page, pages uint64) cap.Resource {
 
 // newC22Fleet boots a world with `tenants` ring-owning domains. Each
 // tenant owns one ring page (granted exclusively) at page ringBase+2i.
-func newC22Fleet(cfg Config, workers, tenants int) (*c22Fleet, error) {
+func newC22Fleet(cfg Config, tenants int) (*c22Fleet, error) {
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
 		return nil, err
-	}
-	if workers > 0 {
-		w.mon.SetReclaimWorkers(workers)
 	}
 	f := &c22Fleet{w: w, tails: make([]uint64, tenants)}
 	for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
@@ -279,9 +250,9 @@ type c22DrainRun struct {
 
 // runC22Drain drains c22PerRing CallAttest descriptors per tenant ring
 // per iteration — each descriptor signs an attestation report, so a
-// partitioned round has real host work to parallelise.
-func runC22Drain(cfg Config, workers, iters int) (*c22DrainRun, error) {
-	f, err := newC22Fleet(cfg, workers, c22Tenants)
+// round has real host work to spread over threads.
+func runC22Drain(cfg Config, iters int) (*c22DrainRun, error) {
+	f, err := newC22Fleet(cfg, c22Tenants)
 	if err != nil {
 		return nil, err
 	}
@@ -329,15 +300,16 @@ type c22MixedRun struct {
 	ringOps         uint64
 	revocations     uint64
 	kills           uint64
+	drainRounds     uint64 // DrainRings calls that retired revocations
 	shootdownRounds uint64
 	verdict         string
 }
 
 // runC22Mixed drives flush-cleanup revokes and attests through every
 // ring, then storms the last two tenants, and snapshots the checker's
-// verdict bytes for the serial-vs-parallel identity gate.
-func runC22Mixed(cfg Config, workers int) (*c22MixedRun, error) {
-	f, err := newC22Fleet(cfg, workers, 6)
+// verdict bytes for the thread-count identity gate.
+func runC22Mixed(cfg Config) (*c22MixedRun, error) {
+	f, err := newC22Fleet(cfg, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -379,6 +351,7 @@ func runC22Mixed(cfg Config, workers int) (*c22MixedRun, error) {
 		ringOps:         st.RingOps,
 		revocations:     st.Revocations,
 		kills:           st.ForcedKills,
+		drainRounds:     uint64(rounds),
 		shootdownRounds: st.RingShootdowns,
 	}
 	if f.w.ck != nil {
@@ -389,20 +362,19 @@ func runC22Mixed(cfg Config, workers int) (*c22MixedRun, error) {
 
 // c22StormRun is one kill-storm configuration.
 type c22StormRun struct {
-	w           *world
-	wall        time.Duration
-	cycles      uint64
-	kills       uint64
-	graces      uint64
-	combined    uint64
-	scrubShards uint64
+	w        *world
+	wall     time.Duration
+	cycles   uint64
+	kills    uint64
+	graces   uint64
+	combined uint64
 }
 
 // runC22Storm builds c22StormVictims ring-owning tenants, each with an
 // exclusive 8-page slab (forced-scrub fodder), and kills them all in
 // one ForceKillAll.
-func runC22Storm(cfg Config, workers int) (*c22StormRun, error) {
-	f, err := newC22Fleet(cfg, workers, c22StormVictims)
+func runC22Storm(cfg Config) (*c22StormRun, error) {
+	f, err := newC22Fleet(cfg, c22StormVictims)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +391,6 @@ func runC22Storm(cfg Config, workers int) (*c22StormRun, error) {
 	}
 	f.w.mon.DrainRings()
 	es0 := f.w.mon.EpochStats()
-	st0 := f.w.mon.Stats()
 	cyclesBefore := f.w.mach.Clock.Cycles()
 	start := time.Now()
 	n, err := f.w.mon.ForceKillAll(f.doms...)
@@ -428,14 +399,12 @@ func runC22Storm(cfg Config, workers int) (*c22StormRun, error) {
 		return nil, err
 	}
 	es1 := f.w.mon.EpochStats()
-	st1 := f.w.mon.Stats()
 	return &c22StormRun{
-		w:           f.w,
-		wall:        wall,
-		cycles:      f.w.mach.Clock.Cycles() - cyclesBefore,
-		kills:       uint64(n),
-		graces:      es1.Syncs - es0.Syncs,
-		combined:    es1.CombinedSyncs - es0.CombinedSyncs,
-		scrubShards: st1.ScrubShards - st0.ScrubShards,
+		w:        f.w,
+		wall:     wall,
+		cycles:   f.w.mach.Clock.Cycles() - cyclesBefore,
+		kills:    uint64(n),
+		graces:   es1.Syncs - es0.Syncs,
+		combined: es1.CombinedSyncs - es0.CombinedSyncs,
 	}, nil
 }

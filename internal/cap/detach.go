@@ -96,7 +96,7 @@ func (s *Space) detachSubtree(n *node, det *Detached) {
 		s.detachSubtree(c, det)
 	}
 	n.detached = true
-	s.remove(n.id)
+	s.remove(n)
 	det.all = append(det.all, n)
 	det.actions = append(det.actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,

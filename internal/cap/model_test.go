@@ -203,5 +203,65 @@ func modelInvariants(s *Space) error {
 	// whose parent's owner differs (it would have had to *receive* it).
 	// The derive path enforces this; here we merely confirm no sealed
 	// owner has an unsealed-receive artifact.
+	return ownedMatchesIndex(s)
+}
+
+// ownedMatchesIndex checks that the per-owner lists the access check
+// walks hold exactly the indexed nodes, each under its owner and its
+// owner's shard, in insertion (ascending ID) order, with no empty list.
+func ownedMatchesIndex(s *Space) error {
+	listed := 0
+	for i := range s.owned {
+		for o, l := range s.owned[i] {
+			if shardFor(o) != i || len(l) == 0 {
+				return fmt.Errorf("owner %d: list of %d nodes in shard %d", o, len(l), i)
+			}
+			for k, n := range l {
+				if got, err := s.get(n.id); err != nil || got != n || n.owner != o {
+					return fmt.Errorf("owner %d lists node %d, which the index does not hold for it", o, n.id)
+				}
+				if k > 0 && l[k-1].id >= n.id {
+					return fmt.Errorf("owner %d: node %d listed after %d", o, n.id, l[k-1].id)
+				}
+			}
+			listed += len(l)
+		}
+	}
+	if listed != s.NumNodes() {
+		return fmt.Errorf("%d nodes listed by owner, %d indexed", listed, s.NumNodes())
+	}
 	return nil
+}
+
+// TestOwnerIndexFollowsDetach: the two-phase revoke unlists a subtree at
+// its publish, like the index, and nothing later puts it back.
+func TestOwnerIndexFollowsDetach(t *testing.T) {
+	s := NewSpace()
+	root, _ := s.CreateRoot(1, mem(0, 4), MemFull, CleanNone)
+	mid, err := s.Share(root, 2, mem(0, 2), MemRW|RightShare, CleanZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Share(mid, 3, mem(0, 1), MemRW, CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Share(root, 2, mem(3, 1), MemRW, CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	det, err := s.Detach(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []func(){func() {}, func() { s.Release(det) }, func() { s.Reclaim(det) }} {
+		step()
+		if err := ownedMatchesIndex(s); err != nil {
+			t.Fatal(err)
+		}
+		if s.CheckMemAccess(2, 0, RightRead) || s.CheckMemAccess(3, 0, RightRead) {
+			t.Fatal("a detached capability still grants access")
+		}
+		if !s.CheckMemAccess(2, phys.Addr(3*pg), RightRead) || !s.CheckMemAccess(1, 0, RightRead) {
+			t.Fatal("a capability outside the detached subtree lost access")
+		}
+	}
 }

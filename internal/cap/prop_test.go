@@ -173,6 +173,11 @@ func (h *propHarness) checkInvariants() {
 			}
 		}
 	}
+
+	// I5: the per-owner lists agree with the node index.
+	if err := ownedMatchesIndex(s); err != nil {
+		t.Fatalf("I5 violated: %v", err)
+	}
 }
 
 func TestCapabilityInvariantsRandomOps(t *testing.T) {

@@ -3,6 +3,7 @@ package cap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,12 +125,21 @@ const numShards = 16
 // generation, op, and node counters are atomics. The lock order is
 // mu before shards, shards in ascending index; no Space lock is ever
 // held across a call out of the package.
+//
+// The access check — run on every checked guest load and store — walks
+// the owner's own nodes (owned), not the index: sync.Map iterates in an
+// order drawn from a per-map random seed, so a scan that stops at the
+// first match costs a different amount in every process.
 type Space struct {
 	mu     sync.RWMutex // structural: exclusive for revoke paths only
 	shards [numShards]sync.RWMutex
 
 	nodes  sync.Map // NodeID -> *node
 	sealed sync.Map // OwnerID -> bool
+	// owned[shardFor(o)][o] lists o's indexed nodes in insertion order.
+	// Guarded like the seal flag by the owner's shard; the revoke family
+	// edits it under the exclusive structural lock.
+	owned [numShards]map[OwnerID][]*node
 
 	nextID   atomic.Uint64
 	gen      atomic.Uint64
@@ -141,6 +151,9 @@ type Space struct {
 // NewSpace returns an empty capability space.
 func NewSpace() *Space {
 	s := &Space{}
+	for i := range s.owned {
+		s.owned[i] = make(map[OwnerID][]*node)
+	}
 	s.nextID.Store(1)
 	return s
 }
@@ -207,13 +220,27 @@ func (s *Space) isSealed(o OwnerID) bool {
 	return ok && v.(bool)
 }
 
+// insert indexes n. Caller holds n.owner's shard exclusively.
 func (s *Space) insert(n *node) {
 	s.nodes.Store(n.id, n)
+	own := s.owned[shardFor(n.owner)]
+	own[n.owner] = append(own[n.owner], n)
 	s.numNodes.Add(1)
 }
 
-func (s *Space) remove(id NodeID) {
-	s.nodes.Delete(id)
+// remove unindexes n. Caller holds the structural writer lock.
+func (s *Space) remove(n *node) {
+	s.nodes.Delete(n.id)
+	own := s.owned[shardFor(n.owner)]
+	l := own[n.owner]
+	if i := slices.Index(l, n); i >= 0 {
+		l = slices.Delete(l, i, i+1)
+	}
+	if len(l) == 0 {
+		delete(own, n.owner)
+	} else {
+		own[n.owner] = l
+	}
 	s.numNodes.Add(-1)
 }
 
@@ -361,7 +388,7 @@ func (s *Space) revokeSubtree(n *node, actions *[]CleanupAction) {
 		s.revokeSubtree(c, actions)
 	}
 	n.children = nil
-	s.remove(n.id)
+	s.remove(n)
 	*actions = append(*actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
 	})
@@ -683,24 +710,17 @@ func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
-	found := false
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory || !n.rights.Has(want) {
-			return true
-		}
-		if !n.res.Mem.Contains(a) {
-			return true
+	for _, n := range s.owned[shardFor(owner)][owner] {
+		if n.res.Kind != ResMemory || !n.rights.Has(want) || !n.res.Mem.Contains(a) {
+			continue
 		}
 		for _, r := range s.effectiveRegions(n) {
 			if r.Contains(a) {
-				found = true
-				return false
+				return true
 			}
 		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 // Owners returns every owner holding at least one capability, sorted.

@@ -85,10 +85,9 @@ const (
 // monitor lock held — RunCore dispatches traps lock-free and every
 // operation takes exactly the locks it needs: read-only calls (SelfID,
 // EnumerateLen, Log) touch only lock-free state or the domain's own
-// mutex, transfers and delegations hold the monitor lock shared, and
-// revocation takes it exclusively. It returns stop=true when the run
-// loop should hand control back to the embedder (CallYield; errors
-// also stop it).
+// mutex, transfers and delegations pin an epoch, and revocation takes
+// revMu. It returns stop=true when the run loop should hand control
+// back to the embedder (CallYield; errors also stop it).
 func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool, err error) {
 	cur := DomainID(c.Context().Owner)
 	call := c.Regs[0]
@@ -172,9 +171,9 @@ func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool, err err
 		}
 		c.Regs[0] = StatusOK
 	case CallAttest:
-		// Attest takes the monitor lock shared around the report commit;
-		// ringExec's attestLocked variant is only safe under the exclusive
-		// lock of a ring drain, and handleVMCall holds no lock here.
+		// Attest pins an epoch around the report commit; ringExec's
+		// attestLocked variant is only safe inside the monitor entry of
+		// a ring drain, and handleVMCall holds none here.
 		var nonce [8]byte
 		binary.LittleEndian.PutUint64(nonce[:], c.Regs[1])
 		rep, err := m.Attest(cur, nonce[:])

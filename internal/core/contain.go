@@ -9,19 +9,16 @@ package core
 // engine's cascading revocation and adds a forced scrub: containment
 // cannot trust the cleanup policies a crashed domain chose for itself.
 //
-// Every destruction path is a destructive-family entry (shared monitor
-// lock + revMu, epoch.go) and follows the epoch discipline: publish the
+// Every destruction path is a destructive-family entry (revMu,
+// epoch.go) and follows the epoch discipline: publish the
 // death (atomic state store), synchronize (wait out every reader that
 // validated liveness before the publish), then run the irreversible
 // teardown — detach, cleanups, scrub, shootdown, backend removal,
 // reclaim. Readers emit their trace events before unpinning and KKill
 // is emitted after the grace period, so the scrub-before-kill and
-// dead-domain-silence trace invariants hold exactly as they did under
-// the exclusive lock.
+// dead-domain-silence trace invariants hold.
 
 import (
-	"sync"
-
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -128,58 +125,6 @@ func (m *Monitor) DepartKill(id DomainID) error {
 	return m.destroyReclaim(t, true)
 }
 
-// scrubZero zeroes the planned scrub regions — serially by default,
-// sharded round-robin across reclaimWorkers host goroutines when the
-// parallel pipeline is opted in and there is more than one region.
-// Regions are normalized (disjoint), so concurrent zeroing never
-// overlaps; physical memory serialises writers internally. The
-// scrubbug mutation skips region 0 here AND in the accounting loop, so
-// the seeded hole stays a hole in both builds.
-func (m *Monitor) scrubZero(regs []phys.Region) error {
-	w := int(m.reclaimWorkers.Load())
-	if w > len(regs) {
-		w = len(regs)
-	}
-	if w <= 1 || len(regs) < 2 {
-		for i, r := range regs {
-			if scrubSkipFirst && i == 0 {
-				continue
-			}
-			if err := m.mach.Mem.Zero(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for s := 0; s < w; s++ {
-		wg.Add(1)
-		m.stats.scrubShards.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(regs); i += w {
-				if scrubSkipFirst && i == 0 {
-					continue
-				}
-				if err := m.mach.Mem.Zero(regs[i]); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // destroyTicket is a published-but-not-reclaimed domain death: the
 // handle destroyPublish returns and destroyReclaim consumes, with the
 // epoch ticket the grace period must cover in between.
@@ -270,13 +215,10 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 	if err := m.bk.ExecuteCleanups(det.Actions()); err != nil {
 		return err
 	}
-	// Forced scrub, two phases. Zeroing — the memory traffic — fans out
-	// across idle host workers when the parallel pipeline is opted in
-	// (regions are normalized, hence disjoint: no two workers' writes
-	// overlap). Cycle accounting, TLB shootdowns, and KScrub events stay
-	// serial in plan order, so the trace and the cycle history are
-	// bit-identical to the serial scrub and every KScrub still precedes
-	// the KKill at each quiescent merge point.
+	// Forced scrub, region by region in plan order: zero, charge, shoot
+	// down, KScrub — every KScrub precedes the KKill. Serial on purpose:
+	// physical memory holds its exclusive lock for a whole clear, so
+	// zeroing on several host threads would not overlap.
 	//
 	// The migratebug mutation elides the whole erase on the departure
 	// path (scrub, shootdowns, key drop) AFTER the plan was announced:
@@ -284,15 +226,15 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 	// trace checkers must flag.
 	elide := departEraseElided && t.depart
 	if !elide {
-		if err := m.scrubZero(scrubRegions); err != nil {
-			return err
-		}
 		for i, r := range scrubRegions {
 			if scrubSkipFirst && i == 0 {
 				// Seeded mutation (scrubbug build tag): the first planned
 				// region is neither zeroed nor shot down — its KScrubPlan is
 				// still unmatched when KKill closes the destruction.
 				continue
+			}
+			if err := m.mach.Mem.Zero(r); err != nil {
+				return err
 			}
 			m.mach.Clock.Advance(r.Size() / hw.CacheLineSize * m.mach.Cost.ZeroLine)
 			m.mach.ShootdownRegion(r)
@@ -305,7 +247,7 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 	// and queue the limbo records for reclamation after the next grace
 	// period.
 	m.space.Release(det)
-	if err := m.resyncAfterRevocation(det.Actions(), det.ParentOwners()...); err != nil {
+	if err := m.resyncAfterRevocation(det); err != nil {
 		return err
 	}
 	m.ep.deferFree(func() { m.space.Reclaim(det) })

@@ -78,8 +78,8 @@ type SyscallHandler func(c *hw.Core) error
 // Domains(), VMCall dispatch) observes it without a lock. Everything
 // else — entry point, measured regions, handlers, report data, log —
 // is guarded by mu, the per-domain mutex in the monitor's lock order
-// (below the top-level monitor lock and coreSched.mu, above hwMu and
-// the capability-space locks).
+// (below revMu/tabMu and coreSched.mu, above hwMu and the
+// capability-space locks).
 type Domain struct {
 	id      DomainID
 	name    string

@@ -3,11 +3,11 @@
 package core
 
 // DrainBugArmed reports whether this binary carries the seeded
-// coalescing bug (the drainbug build tag): the parallel drain round's
-// first deferred revocation runs its flush cleanups OUTSIDE the round's
+// coalescing bug (the drainbug build tag): the retire step runs a drain
+// round's first revocation's flush cleanups OUTSIDE the round's
 // shootdown accumulator, so extra unbatched shootdown rounds appear
 // inside the KDrainBegin/KDrainEnd frame. Mirrors the tracebug /
 // epochbug / scrubbug pattern: the mutation test proves the checker's
 // cross-ring coalescing property rejects the bug, which is what
-// licenses shipping the parallel pipeline.
+// licenses deferring revocation tails to the round.
 const DrainBugArmed = false

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -72,92 +75,173 @@ func rawEnqueue(t testing.TB, m *Monitor, base phys.Addr, entries uint64, desc .
 	}
 }
 
-// TestParallelDrainMatchesSerial drives the identical drain workload
-// through (a) the untouched serial path, (b) workers=1 — which must
-// route to the exact same serial code, cycle-for-cycle — and (c) a
-// 4-worker parallel round, which must agree on every completion,
-// every capability-space outcome, and all semantic counters, with a
-// clean trace. Two 4-worker runs must also agree with each other on
-// cycle totals (the partitioned round is deterministic).
-func TestParallelDrainMatchesSerial(t *testing.T) {
+// atHostThreads runs fn with GOMAXPROCS set to n and restores it. The
+// drain round derives its fan-out from GOMAXPROCS, so this is the only
+// way a test (or anything else) chooses it.
+func atHostThreads(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestDrainHostThreadDifferential drives the identical multi-ring
+// drain at 1, 2 and 4 host threads — inline on the caller, and fanned
+// out over 2 and 4 workers. Nothing observable may depend on the
+// fan-out: cycle total, Stats(), every completion, the capability
+// forest and both checkers' verdict bytes must be identical, and two
+// runs at 4 threads must agree with each other.
+func TestDrainHostThreadDifferential(t *testing.T) {
 	const tenants = 4
-	type outcome struct {
-		cycles  uint64
-		ops     uint64
-		revs    uint64
-		shoots  uint64
-		rounds  uint64
-		comps   []uint64
-		nodes   []int
-		pending []uint64
-	}
-	run := func(workers int) outcome {
-		m := bootWorld(t, BackendVTX)
-		if workers > 0 {
-			m.SetReclaimWorkers(workers)
-		}
-		doms, bases := drainWorld(t, m, tenants)
-		if n := m.DrainRings(); n != tenants*4 {
-			t.Fatalf("workers=%d executed %d descriptors, want %d", workers, n, tenants*4)
-		}
-		var o outcome
-		o.cycles = m.Machine().Clock.Cycles()
-		st := m.Stats()
-		o.ops, o.revs, o.shoots = st.RingOps, st.Revocations, st.RingShootdowns
-		o.rounds = st.RingParallelDrains
-		for i, base := range bases {
-			for slot := uint64(0); slot < 4; slot++ {
-				status, result := completion(t, m, base, 16, slot)
-				o.comps = append(o.comps, status, result)
+	run := func(threads int) string {
+		var out string
+		atHostThreads(threads, func() {
+			m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+			doms, bases := drainWorld(t, m, tenants)
+			if n := m.DrainRings(); n != tenants*4 {
+				t.Fatalf("threads=%d executed %d descriptors, want %d", threads, n, tenants*4)
 			}
-			o.nodes = append(o.nodes, len(m.OwnerNodes(doms[i])))
-			o.pending = append(o.pending, m.RingPending(doms[i]))
-		}
-		return o
+			var comps, pending []uint64
+			for i, base := range bases {
+				for slot := uint64(0); slot < 4; slot++ {
+					status, result := completion(t, m, base, 16, slot)
+					comps = append(comps, status, result)
+				}
+				pending = append(pending, m.RingPending(doms[i]))
+			}
+			st := m.Stats()
+			if st.RingShootdowns != 1 || st.RingOpsCoalesced != tenants*2 {
+				t.Fatalf("threads=%d: %d shootdown rounds coalescing %d requests, want 1 round of %d",
+					threads, st.RingShootdowns, st.RingOpsCoalesced, tenants*2)
+			}
+			out = fmt.Sprintf("cycles=%d\nstats=%+v\nepoch-syncs=%d\ncompletions=%v\npending=%v\n%s",
+				m.Machine().Clock.Cycles(), st, m.EpochStats().Syncs, comps, pending, m.LineageTree())
+			if trace.Compiled {
+				err := assertCheckersAgree(t, ck, sh)
+				out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
+				if err != nil {
+					t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
+				}
+			}
+		})
+		return out
 	}
-
-	serial := run(0)
 	one := run(1)
-	par := run(4)
-	par2 := run(4)
-
-	// workers=1 routes to the serial code: bit-identical cycle history.
-	if serial.cycles != one.cycles {
-		t.Fatalf("workers=1 cycles %d != serial %d", one.cycles, serial.cycles)
-	}
-	if fmt.Sprint(serial) != fmt.Sprint(one) {
-		t.Fatalf("workers=1 outcome diverged from serial:\n  serial: %+v\n  w=1:    %+v", serial, one)
-	}
-	// The parallel round must agree on all semantics. Cycle totals
-	// legitimately differ (cross-ring coalescing retires fewer
-	// shootdown rounds), as does the round counter.
-	if par.rounds != 1 || serial.rounds != 0 {
-		t.Fatalf("RingParallelDrains: serial %d (want 0), parallel %d (want 1)", serial.rounds, par.rounds)
-	}
-	if par.ops != serial.ops || par.revs != serial.revs {
-		t.Fatalf("semantic counters diverged: serial ops=%d revs=%d, parallel ops=%d revs=%d",
-			serial.ops, serial.revs, par.ops, par.revs)
-	}
-	if par.shoots >= serial.shoots {
-		t.Fatalf("parallel round ran %d shootdown rounds, serial %d — coalescing gained nothing", par.shoots, serial.shoots)
-	}
-	if fmt.Sprint(par.comps) != fmt.Sprint(serial.comps) {
-		t.Fatalf("completions diverged:\n  serial:   %v\n  parallel: %v", serial.comps, par.comps)
-	}
-	if fmt.Sprint(par.nodes) != fmt.Sprint(serial.nodes) || fmt.Sprint(par.pending) != fmt.Sprint(serial.pending) {
-		t.Fatalf("capability/ring state diverged: serial %v/%v, parallel %v/%v",
-			serial.nodes, serial.pending, par.nodes, par.pending)
-	}
-	// The partitioned round itself is deterministic.
-	if par.cycles != par2.cycles || fmt.Sprint(par) != fmt.Sprint(par2) {
-		t.Fatalf("two 4-worker runs diverged: cycles %d vs %d", par.cycles, par2.cycles)
+	for _, threads := range []int{2, 4, 4} {
+		if got := run(threads); got != one {
+			t.Fatalf("outcome at %d host threads diverged from 1:\n--- 1 thread\n%s\n--- %d threads\n%s", threads, one, threads, got)
+		}
 	}
 }
 
-// TestDrainErrorSurfaced: a malformed ring (guest overran its own
-// tail) used to fail its barrier drain silently. The failure must now
-// be counted in Stats().RingDrainErrors and latched for
-// FirstDrainError, without poisoning other tenants' rings.
+// TestDrainShardsAreOverlapComponents pins the round's partition: a
+// ring that overlaps two rings already in different shards joins them
+// into one — placed with just the first, it would share memory with a
+// ring on another worker — and the chained world drains clean with the
+// fan-out live (run under -race in CI).
+func TestDrainShardsAreOverlapComponents(t *testing.T) {
+	ringsAt := func(spans ...[2]uint64) []*domainRing {
+		var rings []*domainRing
+		for i, s := range spans {
+			rings = append(rings, &domainRing{owner: DomainID(i + 2), region: phys.MakeRegion(phys.Addr(s[0]), s[1]-s[0])})
+		}
+		return rings
+	}
+	shape := func(shards [][]*domainRing) string {
+		var out []string
+		for _, sh := range shards {
+			var ids []string
+			for _, r := range sh {
+				ids = append(ids, fmt.Sprint(r.owner))
+			}
+			out = append(out, strings.Join(ids, "+"))
+		}
+		return strings.Join(out, " ")
+	}
+	for _, tc := range []struct {
+		name  string
+		spans [][2]uint64
+		want  string
+	}{
+		{"disjoint", [][2]uint64{{0, 10}, {10, 20}, {20, 30}}, "2 3 4"},
+		{"chain-closes-late", [][2]uint64{{0, 10}, {20, 30}, {5, 25}}, "2+3+4"},
+		{"two-components", [][2]uint64{{0, 10}, {20, 30}, {5, 12}, {25, 40}, {50, 60}}, "2+4 3+5 6"},
+		{"bridge-merges-components", [][2]uint64{{0, 10}, {20, 30}, {5, 12}, {25, 40}, {11, 21}}, "2+3+4+5+6"},
+	} {
+		if got := shape(overlapShards(ringsAt(tc.spans...))); got != tc.want {
+			t.Errorf("%s: shards %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
+	// The chain end to end: tenants 1 and 2 hold disjoint rings in one
+	// shared slab, tenant 3's ring footprint spans both, and a fourth
+	// tenant's ring elsewhere keeps the round fanned out.
+	atHostThreads(4, func() {
+		m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+		node := dom0MemNode(t, m)
+		const entries = 16 // RingBytes(16) = 1344
+		offs := []uint64{0, 2048, 1024, 8 * pg}
+		var doms []DomainID
+		for _, off := range offs {
+			dom, err := m.CreateDomain(InitialDomain, "tenant")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Share(InitialDomain, node, dom, memRes(600+off/pg, 1), cap.MemRW, cap.CleanNone); err != nil {
+				t.Fatal(err)
+			}
+			doms = append(doms, dom)
+		}
+		// Registration order is not owner order: setup zeroes the header,
+		// so the overlapping ring goes first and the others land on top.
+		for _, i := range []int{2, 0, 1, 3} {
+			base := phys.Addr(600*pg + offs[i])
+			if err := m.RingSetup(doms[i], base, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range []int{0, 1, 3} {
+			rawEnqueue(t, m, phys.Addr(600*pg+offs[i]), entries, CallSelfID)
+		}
+		m.DrainRings()
+		for _, i := range []int{0, 1, 3} {
+			if st, res := completion(t, m, phys.Addr(600*pg+offs[i]), entries, 0); st != StatusOK || res != uint64(doms[i]) {
+				t.Errorf("tenant %d completion = (%d, %d), want (%d, %d)", i, st, res, StatusOK, doms[i])
+			}
+		}
+		if trace.Compiled {
+			if err := assertCheckersAgree(t, ck, sh); err != nil {
+				t.Fatalf("chained drain flagged: %v", err)
+			}
+		}
+	})
+}
+
+// failingBackend fails the calls a round's retire step makes.
+type failingBackend struct {
+	backend.Backend
+	cleanups, sync error
+}
+
+func (b *failingBackend) ExecuteCleanups(acts []cap.CleanupAction) error {
+	if b.cleanups != nil {
+		return b.cleanups
+	}
+	return b.Backend.ExecuteCleanups(acts)
+}
+
+func (b *failingBackend) SyncDomain(o cap.OwnerID) error {
+	if b.sync != nil {
+		return b.sync
+	}
+	return b.Backend.SyncDomain(o)
+}
+
+// TestDrainErrorSurfaced: no drain failure may vanish. A malformed
+// ring (guest overran its own tail) fails its barrier drain — counted
+// in Stats().RingDrainErrors and latched for FirstDrainError, without
+// poisoning other tenants' rings. A failure in the round's retire step
+// (cleanups or hardware resync) is latched the same way and, when the
+// round is a doorbell, returned from RingFlush too — with the
+// completions already written left as they are.
 func TestDrainErrorSurfaced(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
 	doms, bases := drainWorld(t, m, 2)
@@ -181,17 +265,162 @@ func TestDrainErrorSurfaced(t *testing.T) {
 	if m.RingPending(doms[1]) != 0 {
 		t.Fatal("healthy tenant's ring was not drained")
 	}
+
+	for _, tc := range []struct {
+		name string
+		fail func(*failingBackend, error)
+	}{
+		{"cleanups", func(b *failingBackend, err error) { b.cleanups = err }},
+		{"resync", func(b *failingBackend, err error) { b.sync = err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := bootWorld(t, BackendVTX)
+			doms, bases := drainWorld(t, m, 1)
+			boom := errors.New("retire step failed")
+			fb := &failingBackend{Backend: m.bk}
+			tc.fail(fb, boom)
+			m.bk = fb
+			n, err := m.RingFlush(doms[0])
+			if n != 4 || !errors.Is(err, boom) {
+				t.Fatalf("RingFlush = %d, %v; want 4 descriptors and the retire failure", n, err)
+			}
+			if got := m.Stats().RingDrainErrors; got != 1 {
+				t.Fatalf("RingDrainErrors = %d, want 1", got)
+			}
+			if err := m.FirstDrainError(); !errors.Is(err, boom) {
+				t.Fatalf("FirstDrainError = %v, want the retire failure", err)
+			}
+			for slot := uint64(0); slot < 4; slot++ {
+				if st, _ := completion(t, m, bases[0], 16, slot); st != StatusOK {
+					t.Fatalf("completion %d status = %d after the failed retire, want it left OK", slot, st)
+				}
+			}
+		})
+	}
 }
 
-// TestRevokeStormWhileDraining races 4-worker parallel drains against
-// public-API revocations, a ForceKillAll storm over ring-owning
-// tenants, guest-side descriptor enqueues, and pinned readers — the
-// revocation-storm-while-draining scenario, run under -race on both
-// lock builds. Trace-oracle gated: when tracing is compiled in, both
-// checkers must find the interleaved trace clean.
+// TestRingRoundWindow pins the batch window of a doorbell round: a
+// revocation's parent regains access when the round retires, not
+// between two descriptors, so re-sharing a page in the batch that
+// revokes its grant is denied — and succeeds on the next flush.
+func TestRingRoundWindow(t *testing.T) {
+	m, ck := bootTracedWorld(t, BackendVTX)
+	node := dom0MemNode(t, m)
+	worker, err := m.CreateDomain(InitialDomain, "worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 8
+	base := ringAt(t, m, InitialDomain, 8, entries)
+	share := []uint64{CallShare, uint64(node), uint64(worker), 200 * pg, pg, uint64(cap.MemRW)}
+
+	// The grant's node ID is what the next descriptor revokes, so the
+	// grant runs first and the batch under test follows it.
+	granted, err := m.Grant(InitialDomain, node, worker, memRes(200, 1), cap.MemRW, cap.CleanZero|cap.CleanFlushTLB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enqueue(t, m, base, entries, CallSelfID)
+	enqueue(t, m, base, entries, CallRevoke, uint64(granted))
+	enqueue(t, m, base, entries, share...)
+	if n, err := m.RingFlush(InitialDomain); n != 3 || err != nil {
+		t.Fatalf("flush = %d, %v", n, err)
+	}
+	for i, want := range []uint64{StatusOK, StatusOK, StatusDenied} {
+		if st, _ := completion(t, m, base, entries, uint64(i)); st != want {
+			t.Fatalf("completion %d status = %d, want %d", i, st, want)
+		}
+	}
+	// The round retired: the grantor has the page back, the worker
+	// nothing.
+	if !m.CheckAccess(InitialDomain, 200*pg, cap.RightRead|cap.RightWrite) || m.CheckAccess(worker, 200*pg, cap.RightRead) {
+		t.Fatal("round did not hand the revoked page back to its grantor")
+	}
+	enqueue(t, m, base, entries, share...)
+	if n, err := m.RingFlush(InitialDomain); n != 1 || err != nil {
+		t.Fatalf("second flush = %d, %v", n, err)
+	}
+	if st, id := completion(t, m, base, entries, 3); st != StatusOK || id == 0 {
+		t.Fatalf("re-share on the next flush = (%d, %d), want OK", st, id)
+	}
+	if !m.CheckAccess(worker, 200*pg, cap.RightRead) {
+		t.Fatal("re-share did not take effect")
+	}
+	assertTraceClean(t, m, ck)
+}
+
+// TestSyncRevokeGolden pins the synchronous Share+Revoke against the
+// numbers recorded at the commit before the drain round became the
+// only revoke tail: the same event kinds in the same order and the
+// same cycle charges — in particular a two-capability subtree still
+// retires two uncoalesced shootdown rounds inside its one op frame.
+func TestSyncRevokeGolden(t *testing.T) {
+	if !trace.Compiled {
+		t.Skip("tracing compiled out (notrace)")
+	}
+	for _, tc := range []struct {
+		kind          BackendKind
+		share, revoke uint64
+		events        string
+	}{
+		{BackendVTX, 12579, 13728, "op-begin share ept-map ept-map op-end op-begin share ept-map ept-map op-end " +
+			"op-begin revoke shootdown shootdown-ack shootdown-ack shootdown shootdown-ack shootdown-ack ept-map op-end"},
+		{BackendPMP, 0, 1184, "op-begin share op-end op-begin share op-end " +
+			"op-begin revoke shootdown shootdown-ack shootdown-ack shootdown shootdown-ack shootdown-ack op-end"},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			m, ck := bootTracedWorld(t, tc.kind)
+			node := dom0MemNode(t, m)
+			child, err := m.CreateDomain(InitialDomain, "child")
+			if err != nil {
+				t.Fatal(err)
+			}
+			grand, err := m.CreateDomain(InitialDomain, "grand")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := m.Machine().Tracer()
+			seq0 := len(tr.Events())
+			c0 := m.Machine().Clock.Cycles()
+			id, err := m.Share(InitialDomain, node, child, memRes(200, 2), cap.MemRW|cap.RightShare, cap.CleanZero|cap.CleanFlushTLB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Share(child, id, grand, memRes(201, 1), cap.MemRW, cap.CleanFlushTLB); err != nil {
+				t.Fatal(err)
+			}
+			c1 := m.Machine().Clock.Cycles()
+			if err := m.Revoke(InitialDomain, id); err != nil {
+				t.Fatal(err)
+			}
+			c2 := m.Machine().Clock.Cycles()
+			var kinds []string
+			for _, ev := range tr.Events()[seq0:] {
+				kinds = append(kinds, ev.Kind.String())
+			}
+			if got := strings.Join(kinds, " "); got != tc.events {
+				t.Errorf("event kinds:\n  got  %s\n  want %s", got, tc.events)
+			}
+			if c1-c0 != tc.share || c2-c1 != tc.revoke {
+				t.Errorf("cycles: shares %d revoke %d, want %d and %d", c1-c0, c2-c1, tc.share, tc.revoke)
+			}
+			if es := m.EpochStats(); es.Syncs != 1 || es.Deferred != 1 {
+				t.Errorf("epoch: %d grace periods, %d deferred frees; want 1 and 1", es.Syncs, es.Deferred)
+			}
+			assertTraceClean(t, m, ck)
+		})
+	}
+}
+
+// TestRevokeStormWhileDraining races drain rounds (fanned out wherever
+// the host has the threads) against public-API revocations, a
+// ForceKillAll storm over ring-owning tenants, guest-side descriptor
+// enqueues, and pinned readers — the revocation-storm-while-draining
+// scenario, run under -race at 1, 2 and 4 host threads in CI.
+// Trace-oracle gated: when tracing is compiled in, both checkers must
+// find the interleaved trace clean.
 func TestRevokeStormWhileDraining(t *testing.T) {
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
-	m.SetReclaimWorkers(4)
 	const tenants = 6
 	doms, bases := drainWorld(t, m, tenants)
 	node := dom0MemNode(t, m)
@@ -252,10 +481,10 @@ func TestRevokeStormWhileDraining(t *testing.T) {
 	}
 }
 
-// TestDrainHotPathAllocs pins the per-ring drain hot path (doorbell
-// flush of one pending descriptor, no tracer) at zero heap
-// allocations per operation — the batched-ABI latency budget the
-// benchmarks gate in CI.
+// TestDrainHotPathAllocs pins the doorbell round's hot path (flush of
+// one pending descriptor, no tracer) at zero heap allocations per
+// operation — a single-ring round runs inline and allocates nothing —
+// the batched-ABI latency budget the benchmarks gate in CI.
 func TestDrainHotPathAllocs(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
 	const entries = 1
@@ -285,13 +514,13 @@ func TestDrainHotPathAllocs(t *testing.T) {
 }
 
 // BenchmarkDrainRingsParallel measures a full barrier drain over an
-// 8-tenant fleet at 1 and 4 reclamation workers, and the single-ring
-// doorbell hot path (perring, which must report 0 allocs/op).
+// 8-tenant fleet at 1 and 4 host threads, and the single-ring doorbell
+// hot path (perring, which must report 0 allocs/op).
 func BenchmarkDrainRingsParallel(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("rings8/w%d", w), func(b *testing.B) {
+	for _, threads := range []int{1, 4} {
+		b.Run(fmt.Sprintf("rings8/t%d", threads), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
 			m := bootWorld(b, BackendVTX)
-			m.SetReclaimWorkers(w)
 			node := dom0MemNode(b, m)
 			const tenants, entries = 8, 64
 			bases := make([]phys.Addr, tenants)

@@ -2,10 +2,8 @@ package core
 
 // Epoch-based reclamation (EBR) for the monitor's destructive family.
 //
-// PR 4 broke the big lock for the read/dispatch path but left Revoke,
-// KillDomain, ForceKill, containFault, and the ring drains on the
-// exclusive monitor lock: every revocation stalled every reader. This
-// engine removes that last stall with the classic RCU discipline —
+// Revoke, KillDomain, ForceKill, containFault, and the ring drains
+// never stall a reader: they follow the classic RCU discipline —
 // publish, quiesce, reclaim:
 //
 //   - Publish. The destructive operation makes its change visible with
@@ -31,13 +29,14 @@ package core
 // free was deferred.
 //
 // Simulated time is never touched: pins, epochs, and waits are host-
-// side atomics and spins, so cycle histories stay bit-identical across
-// lock policies — the same contract the PR-4 LockWait accounting obeys.
+// side atomics and spins, so cycle histories stay bit-identical at any
+// host thread count — the same contract the LockWait accounting obeys.
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -205,7 +204,7 @@ func (e *epochEngine) publishTicket() uint64 { return e.global.Load() }
 // exit — exactly what the caller needs — so its wait is shared rather
 // than repeated. In a serial publish→sync sequence pub equals the
 // current epoch and the elision can never fire; it pays off when a
-// batch entry point (kill storm, parallel drain round) publishes many
+// batch entry point (kill storm, drain round) publishes many
 // detaches before the first wait.
 func (e *epochEngine) synchronizeAt(pub uint64) {
 	if e.graceDone.Load() > pub {
@@ -345,38 +344,33 @@ func (m *Monitor) EpochStats() EpochStats {
 	}
 }
 
-// renter brackets a lock-free-reader monitor entry: shared monitor
-// lock plus an epoch pin. Everything the entry emits (trace events,
-// counters) lands before rexit, so a destructive operation that
-// publishes and synchronizes is ordered strictly after every entry
-// that saw the pre-publish state — the property the trace checker's
-// dead-domain-silence invariant rides on.
-func (m *Monitor) renter() epochPin {
-	m.lk.rlock()
-	return m.ep.pin()
-}
+// renter brackets a reader monitor entry: an epoch pin and no lock.
+// Everything the entry emits (trace events, counters) lands before
+// rexit, so a destructive operation that publishes and synchronizes is
+// ordered strictly after every entry that saw the pre-publish state —
+// the property the trace checker's dead-domain-silence invariant rides
+// on.
+func (m *Monitor) renter() epochPin { return m.ep.pin() }
 
 // rexit ends a reader entry started by renter.
-func (m *Monitor) rexit(p epochPin) {
-	m.ep.unpin(p)
-	m.lk.runlock()
-}
+func (m *Monitor) rexit(p epochPin) { m.ep.unpin(p) }
 
 // denter brackets a destructive-family entry (revoke, kill,
-// containment, ring drains): the monitor lock is taken SHARED — readers
-// keep flowing — and revMu serialises destructive operations against
-// each other (single-writer EBR). Destructive entries never pin: they
-// are what synchronize waits *for readers on behalf of*, and pinning
-// here would deadlock against their own grace period. Under the
-// biglock build tag rlock is the one big mutex, so the whole scheme
-// degenerates to the PR-1 stop-the-world behaviour — the A/B baseline.
+// containment, ring drains): revMu serialises destructive operations
+// against each other (single-writer EBR) and readers keep flowing.
+// Destructive entries never pin: they are what synchronize waits *for
+// readers on behalf of*, and pinning here would deadlock against their
+// own grace period. revMu is the one top-level lock an entry can block
+// on, so the time spent blocked here is what LockWait reports; the
+// uncontended acquisition reads no clock.
 func (m *Monitor) denter() {
-	m.lk.rlock()
-	m.revMu.Lock()
+	if !m.revMu.TryLock() {
+		start := time.Now()
+		m.revMu.Lock()
+		m.revWaitNs.Add(time.Since(start).Nanoseconds())
+	}
+	m.revAcqs.Add(1)
 }
 
 // dexit ends a destructive-family entry.
-func (m *Monitor) dexit() {
-	m.revMu.Unlock()
-	m.lk.runlock()
-}
+func (m *Monitor) dexit() { m.revMu.Unlock() }

@@ -16,8 +16,7 @@ package core
 //
 // The concurrency stress test at the bottom is the linearizability
 // harness itself: lock-free readers race revoke/kill storms; run it
-// under -race (the CI race and epoch jobs do), in both the fine and
-// biglock builds.
+// under -race (the CI race and epoch jobs do).
 
 import (
 	"fmt"
@@ -214,9 +213,6 @@ func TestEpochReclaimAfterRevoke(t *testing.T) {
 func TestEpochMutationOracle(t *testing.T) {
 	if !trace.Compiled {
 		t.Skip("tracing compiled out (notrace)")
-	}
-	if BigLockBuild {
-		t.Skip("biglock serialises all entries; the grace period is vacuous")
 	}
 	skipUnlessOnlyMutation(t, EpochBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)

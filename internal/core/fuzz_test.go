@@ -34,10 +34,9 @@ import (
 // revoke-heavy mix for the epoch-reclamation scheme (revoke bursts,
 // create+share+revoke churn, revocations interleaved with ring
 // drains); op 22 bursts concurrent doorbell flushes from every
-// ring-owning domain with the parallel reclamation pipeline opted in;
-// op 23 runs the migration pipeline (snapshot → transfer → restore on
-// a lazily-booted second monitor, sometimes followed by the departure
-// kill). Widening the opcode space shifts how pre-existing corpus
+// ring-owning domain; op 23 runs the migration pipeline (snapshot →
+// transfer → restore on a lazily-booted second monitor, sometimes
+// followed by the departure kill). Widening the opcode space shifts how pre-existing corpus
 // entries decode, which is fine — every decode is a valid program.
 func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 	domains := []DomainID{InitialDomain}
@@ -224,10 +223,9 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			}
 			_ = mem.Write64(r.base+RingOffSQTail, tail+1)
 		case 18:
-			// Ring the doorbell: drains under the destructive-family
-			// entry with the coalesced shootdown armed, against whatever
-			// state ops 16/17 (and every revoke/kill in between) left
-			// behind.
+			// Ring the doorbell: a round of its own under the
+			// destructive-family entry, against whatever state ops 16/17
+			// (and every revoke/kill in between) left behind.
 			d := randDomain()
 			if _, err := m.RingFlush(d); err != nil {
 				delete(rings, d)
@@ -260,14 +258,13 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				delete(rings, d)
 			}
 		case 22:
-			// Concurrent doorbells with the parallel reclamation
-			// pipeline opted in: every registered owner flushes from its
-			// own goroutine in one burst, so partitioned drain rounds
-			// race against each other, against the serial fallback, and
-			// against whatever destructive ops neighbouring stream
-			// positions run. Workers are reset afterwards so the rest of
-			// the stream fuzzes the serial paths unchanged.
-			workers := 2 + pick(3)
+			// Concurrent doorbells: every registered owner flushes from
+			// its own goroutine in one burst, so drain rounds contend on
+			// revMu with each other and with whatever destructive ops
+			// neighbouring stream positions run. One operand byte (once a
+			// worker count) is still consumed, so the committed corpus
+			// decodes as it always did.
+			next()
 			var owners []DomainID
 			for d := range rings {
 				owners = append(owners, d)
@@ -276,7 +273,6 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			if len(owners) == 0 {
 				break
 			}
-			m.SetReclaimWorkers(workers)
 			failed := make([]bool, len(owners))
 			var wg sync.WaitGroup
 			for i, d := range owners {
@@ -289,7 +285,6 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				}(i, d)
 			}
 			wg.Wait()
-			m.SetReclaimWorkers(0)
 			for i, d := range owners {
 				if failed[i] {
 					delete(rings, d)

@@ -21,15 +21,15 @@ import (
 // Concurrently it runs:
 //   - six Go-level workers, each looping a Grant→sub-Share→Revoke→
 //     Revoke chain between randomly paired domains (seeded rand, so a
-//     failure replays) — shared monitor lock + per-domain locks +
+//     failure replays) — reader pins, revMu, per-domain locks and
 //     capability shard locks in every pairing order;
 //   - guest VMCall share/revoke rings on two cores — the same paths
 //     entered from RunCore with no Go-level locks held;
 //   - a reader thread hammering the lock-free snapshot paths (Stats,
 //     Domains, RefCounts, LineageTree, Attest);
 //   - a fault injector that machine-checks the victim's core mid-run,
-//     forcing containFault's exclusive-lock kill (scrub, owner-revoke,
-//     shootdowns) to cut across all of the above;
+//     forcing containFault's kill (scrub, owner-revoke, shootdowns)
+//     to cut across all of the above;
 //   - a spurious device interrupt exercising IRQ routing's read path.
 //
 // The trace oracle then checks the merged history: dead-domain

@@ -94,12 +94,7 @@ type Stats struct {
 	RingFlushes      uint64 // non-empty ring drains (batches)
 	RingShootdowns   uint64 // coalesced cross-core rounds those drains ran
 	RingOpsCoalesced uint64 // logical shootdowns absorbed into those rounds
-	RingDrainErrors  uint64 // per-ring drain failures surfaced by barrier drains
-
-	// Parallel reclamation pipeline (drain.go; zero until
-	// SetReclaimWorkers enables it).
-	RingParallelDrains uint64 // cross-ring parallel drain rounds
-	ScrubShards        uint64 // forced-scrub zeroing jobs run on fan-out workers
+	RingDrainErrors  uint64 // drain failures a round could not hand to a caller
 
 	// Pre-validated transition cache (transcache.go; opt-in).
 	TransCacheHits   uint64 // switches that skipped full validation
@@ -144,9 +139,6 @@ type statCounters struct {
 	ringOpsCoalesced atomic.Uint64
 	ringDrainErrors  atomic.Uint64
 
-	ringParallelDrains atomic.Uint64
-	scrubShards        atomic.Uint64
-
 	tcHits   atomic.Uint64
 	tcMisses atomic.Uint64
 
@@ -185,9 +177,6 @@ func (s *statCounters) snapshot() Stats {
 		RingOpsCoalesced: s.ringOpsCoalesced.Load(),
 		RingDrainErrors:  s.ringDrainErrors.Load(),
 
-		RingParallelDrains: s.ringParallelDrains.Load(),
-		ScrubShards:        s.scrubShards.Load(),
-
 		TransCacheHits:   s.tcHits.Load(),
 		TransCacheMisses: s.tcMisses.Load(),
 
@@ -200,8 +189,8 @@ func (s *statCounters) snapshot() Stats {
 // read path (lookup, liveness via the domain's atomic state, Domains(),
 // VMCall dispatch) loads the current table with one atomic pointer read
 // and touches no lock. Only domain creation publishes a new table, under
-// the exclusive monitor lock; domains are never removed from the table —
-// death is a state transition, observed through Domain.State.
+// tabMu; domains are never removed from the table — death is a state
+// transition, observed through Domain.State.
 type domainTable struct {
 	doms   map[DomainID]*Domain
 	nextID DomainID
@@ -224,9 +213,8 @@ type coreSched struct {
 
 // Monitor is the isolation monitor instance controlling one machine.
 //
-// The monitor is safe for concurrent use. Instead of one big lock (the
-// PR-1 design, still available under the biglock build tag), state is
-// partitioned so the dominant operations run concurrently:
+// The monitor is safe for concurrent use. There is no top-level lock:
+// state is partitioned so the dominant operations run concurrently:
 //
 //   - Lock-free read path: domain lookup goes through an
 //     atomically-published immutable table (tab); liveness is the
@@ -234,13 +222,12 @@ type coreSched struct {
 //     to the internally-synchronised cap.Space. Stats, Domain, Domains,
 //     DomainKeyID, Enumerate, Attest's enumeration+signing, RefCounts,
 //     and read-only VMCall dispatch take no monitor lock at all.
-//   - The top-level monLock (lk) is a reader/writer lock that every
-//     monitor entry now holds SHARED. Entries that rely on the state
-//     they read staying reachable — delegations, transitions, seals,
-//     copies, IRQ routing, attestation — additionally pin the epoch
-//     engine (renter/rexit, epoch.go). The destructive family (Revoke,
-//     KillDomain, ForceKill, containFault, ring drains) serialises on
-//     revMu and follows the RCU discipline: publish the removal
+//   - Entries that rely on the state they read staying reachable —
+//     delegations, transitions, seals, copies, IRQ routing, attestation
+//     — pin the epoch engine (renter/rexit, epoch.go) and take no
+//     top-level lock. The destructive family (Revoke, KillDomain,
+//     ForceKill, containFault, ring drains) serialises on revMu
+//     (denter/dexit) and follows the RCU discipline: publish the removal
 //     (capability-subtree detach, atomic death state), synchronize
 //     (wait for every pre-publish pin to drop), then run the
 //     irreversible effects (cleanups, scrub, shootdown, hardware
@@ -255,19 +242,16 @@ type coreSched struct {
 //     resync (device filters, encryption keying); the capability space
 //     shards its own locks per owner (see cap.Space).
 //
-// Lock order (documented, enforced by construction): lk (shared) →
-// revMu / tabMu → coreSched.mu → Domain.mu (two domains in ascending
-// DomainID) → hwMu → capability-space locks / hardware-object locks.
-// Locks are only ever taken left-to-right; cap and hw locks are leaves,
-// never held across calls back into the monitor. ep.synchronize is
-// called while holding only lk (shared) + revMu, before any leaf lock,
-// so a pinned reader can always finish. Go-level syscall and IRQ
-// handlers are invoked with no monitor locks held — they re-enter the
-// monitor through the public API like any caller. Under the biglock
-// build tag lk is one mutex, no two entries overlap, synchronize never
-// waits, and the whole scheme degenerates to stop-the-world.
+// Lock order (documented, enforced by construction): revMu / tabMu →
+// coreSched.mu → Domain.mu (two domains in ascending DomainID) → hwMu →
+// capability-space locks / hardware-object locks. Locks are only ever
+// taken left-to-right; cap and hw locks are leaves, never held across
+// calls back into the monitor. ep.synchronize is called while holding
+// only revMu, before any leaf lock, so a pinned reader can always
+// finish. Go-level syscall and IRQ handlers are invoked with no monitor
+// locks held — they re-enter the monitor through the public API like
+// any caller.
 type Monitor struct {
-	lk monLock
 	// hwMu serialises global hardware resynchronisation: IOMMU device
 	// filters and memory-encryption keying, which read system-wide
 	// capability state and write shared hardware objects.
@@ -275,8 +259,12 @@ type Monitor struct {
 
 	// revMu serialises the destructive family — revoke, kill,
 	// containment, ring drains — against itself: the single-writer side
-	// of the epoch scheme. It nests directly under lk (held shared).
-	revMu sync.Mutex
+	// of the epoch scheme, and the only top-level lock an entry can
+	// block on. revWaitNs/revAcqs account that blocking for LockWait
+	// (wall time only; simulated clocks are never touched).
+	revMu     sync.Mutex
+	revWaitNs atomic.Int64
+	revAcqs   atomic.Uint64
 	// tabMu serialises domain creation, the only writer of the
 	// published domain table besides boot.
 	tabMu sync.Mutex
@@ -296,7 +284,7 @@ type Monitor struct {
 
 	// opTok mints trace-frame tokens: KOpBegin/KOpEnd pairs carry one in
 	// their Node field so the checker can match frames that interleave
-	// (concurrent delegations under the shared lock).
+	// (concurrent delegations from reader entries).
 	opTok atomic.Uint64
 
 	attPriv ed25519.PrivateKey
@@ -315,16 +303,16 @@ type Monitor struct {
 	// (schedule.go): the installed policy, domains scheduled before the
 	// run queue exists, and the persistent run queue itself. It nests
 	// under any monitor lock state (destruction purges the queue while
-	// holding lk exclusively) and never holds another monitor lock; the
+	// holding revMu) and never holds another monitor lock; the
 	// Scheduler's own mutex is a leaf below it.
 	schedMu  sync.Mutex
 	schedPol *sched.Policy
 	schedSet []schedStaged
 	runq     *sched.Scheduler
 
-	// ringMu guards the submission-ring registry (ring.go). It is a
-	// leaf below lk: setup registers under the shared lock, drains and
-	// teardown walk it under the exclusive lock. ringCount mirrors
+	// ringMu guards the submission-ring registry (ring.go), a leaf:
+	// setup registers from a reader entry, drains and teardown walk it
+	// from destructive entries. ringCount mirrors
 	// len(rings) so the scheduler's round barrier can skip the drain
 	// entirely — one atomic load — when no domain ever set a ring up,
 	// keeping unbatched runs cycle-identical to pre-ring builds.
@@ -337,17 +325,9 @@ type Monitor struct {
 	// on the pre-cache path.
 	tcOn atomic.Bool
 
-	// reclaimWorkers is the parallel reclamation pipeline's fan-out
-	// (drain.go): ≤1 keeps ring drains and kill scrubs on the exact
-	// serial paths (bit-identical cycle histories — the default); >1
-	// lets DrainRings partition rings across that many host workers and
-	// fans forced-scrub zeroing out the same way. Strictly opt-in via
-	// SetReclaimWorkers, like tcOn.
-	reclaimWorkers atomic.Int32
-
-	// drainErrMu/firstDrainErr latch the first per-ring drain failure a
-	// barrier drain swallowed, so tests and embedders can observe what
-	// Stats().RingDrainErrors only counts.
+	// drainErrMu/firstDrainErr latch the first drain failure a round
+	// could not hand to a caller, so tests and embedders can observe
+	// what Stats().RingDrainErrors only counts.
 	drainErrMu    sync.Mutex
 	firstDrainErr error
 
@@ -499,24 +479,24 @@ func (m *Monitor) MonitorRegion() phys.Region { return m.monRegion }
 
 // Stats returns an allocation-free snapshot of the monitor's event
 // counters: every field is one atomic load. Each field is individually
-// exact, but since the revocation family now runs under the shared
-// lock too (epoch scheme), a snapshot may land between the
-// logically-paired counter updates of an in-flight revoke — e.g. see
-// CapOps already incremented but Revocations not yet. The tearing is
-// bounded by the number of in-flight operations and resolves as soon
-// as they retire; quiescent snapshots are exact. Delegations,
-// transitions, and revocations are never blocked by a Stats reader.
-func (m *Monitor) Stats() Stats {
-	m.lk.rlock()
-	defer m.lk.runlock()
-	return m.stats.snapshot()
-}
+// exact, but nothing excludes the revocation family (epoch scheme), so
+// a snapshot may land between the logically-paired counter updates of
+// an in-flight revoke — e.g. see CapOps already incremented but
+// Revocations not yet. The tearing is bounded by the number of
+// in-flight operations and resolves as soon as they retire; quiescent
+// snapshots are exact. Delegations, transitions, and revocations are
+// never blocked by a Stats reader.
+func (m *Monitor) Stats() Stats { return m.stats.snapshot() }
 
-// LockWait returns the cumulative wall time monitor entries spent
-// blocked acquiring the top-level monitor lock and the number of
-// acquisitions — the contention signal C18 reports as wait share. The
-// accounting is wall-clock only and never advances simulated cycles.
-func (m *Monitor) LockWait() (time.Duration, uint64) { return m.lk.wait() }
+// LockWait returns the cumulative wall time destructive-family entries
+// spent blocked on revMu — the one top-level lock a monitor entry can
+// wait on; reader entries pin an epoch and block on nothing — and the
+// number of revMu acquisitions: the contention signal C18 reports as
+// wait share. The accounting is wall-clock only and never advances
+// simulated cycles.
+func (m *Monitor) LockWait() (time.Duration, uint64) {
+	return time.Duration(m.revWaitNs.Load()), m.revAcqs.Load()
+}
 
 // SetCheckpoint installs fn (nil removes it) to run at the monitor's
 // quiescent points: every scheduler round barrier, every ring-drain
@@ -607,8 +587,8 @@ func (m *Monitor) deny(format string, args ...any) error {
 // "software running in any trust domain can access the isolation
 // monitor API").
 //
-// Creation publishes a new domain table under tabMu — it no longer
-// stalls readers or the destructive family. The epoch pin orders the
+// Creation publishes a new domain table under tabMu — it stalls
+// neither readers nor the destructive family. The epoch pin orders the
 // KCreate emit before any concurrent kill of the creator retires.
 func (m *Monitor) CreateDomain(caller DomainID, name string) (DomainID, error) {
 	p := m.renter()
@@ -729,41 +709,54 @@ func (m *Monitor) delegateLocked(caller DomainID, node cap.NodeID, dst DomainID,
 // owner of the node itself (dropping its own access) — "this keeps
 // management code in control despite making policy configuration
 // available to all software" (§3.2).
-func (m *Monitor) Revoke(caller DomainID, node cap.NodeID) error {
-	m.denter()
-	defer m.dexit()
-	return m.revoke(caller, node)
-}
-
-// revoke is Revoke with the destructive-family entry held (rlock +
-// revMu — the guest ABI and ring drain paths share it). Revocation no
-// longer stops the world; it follows the epoch discipline:
 //
-//	publish  — Detach removes the subtree from the capability index in
-//	           one short structural critical section. New readers stop
-//	           seeing the capabilities; grant suspensions persist, so
-//	           the parents cannot re-delegate the regions yet.
+// Revocation never stops the world; it follows the epoch discipline,
+// and these three steps are its only implementation — a ring drain
+// round (drain.go) runs the same publish per descriptor, one shared
+// grace, and the same retire over everything it published:
+//
+//	publish  — revokePublish: Detach removes the subtree from the
+//	           capability index in one short structural critical
+//	           section. New readers stop seeing the capabilities; grant
+//	           suspensions persist, so the parents cannot re-delegate
+//	           the regions yet.
 //	quiesce  — synchronize waits out every reader that could have
 //	           validated access before the detach. After it returns,
 //	           no check-then-act entry still relies on revoked state.
-//	reclaim  — cleanups (zero/flush + shootdowns) scrub the revoked
-//	           state, Release hands the parents their access back,
-//	           affected hardware is resynchronised, and the detached
-//	           records go to the deferred-free list.
+//	reclaim  — retire: cleanups (zero/flush + shootdowns) scrub the
+//	           revoked state, Release hands the parents their access
+//	           back, the detached records go to the deferred-free list,
+//	           and affected hardware is resynchronised.
 //
 // The KOpBegin/KOpEnd frame brackets all of it, so the trace checker's
-// shootdown-ack-inside-frame and scrub ordering invariants hold
-// unchanged.
-func (m *Monitor) revoke(caller DomainID, node cap.NodeID) error {
+// shootdown-ack-inside-frame and scrub ordering invariants hold.
+func (m *Monitor) Revoke(caller DomainID, node cap.NodeID) error {
+	m.denter()
+	defer m.dexit()
 	tok := m.opTok.Add(1)
 	m.emit(trace.KOpBegin, caller, trace.OpRevoke, tok, 0, 0)
 	defer m.emit(trace.KOpEnd, caller, trace.OpRevoke, tok, 0, 0)
-	if _, err := m.liveDomain(caller); err != nil {
+	det, err := m.revokePublish(caller, node)
+	if err != nil {
 		return err
+	}
+	m.ep.synchronize()
+	return m.retire(false, det)
+}
+
+// revokePublish authorises caller's revocation of node and publishes
+// it (destructive-family entry held): the detach is the only semantic
+// commit point — no reader can see the subtree once it returns, and
+// the grant suspensions persist until retire releases them — so any
+// number of publishes may stack up before one grace period covers them
+// all. It is the only caller of cap.Space.Detach.
+func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached, error) {
+	if _, err := m.liveDomain(caller); err != nil {
+		return nil, err
 	}
 	info, err := m.space.Node(node)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	authorized := info.Owner == cap.OwnerID(caller)
 	if !authorized && info.Parent != 0 {
@@ -772,46 +765,94 @@ func (m *Monitor) revoke(caller DomainID, node cap.NodeID) error {
 		}
 	}
 	if !authorized {
-		return m.deny("domain %d may not revoke capability %d", caller, node)
+		return nil, m.deny("domain %d may not revoke capability %d", caller, node)
 	}
 	det, err := m.space.Detach(node)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.stats.capOps.Add(1)
 	m.stats.revocations.Add(1)
 	m.emit(trace.KRevoke, caller, 0, uint64(node), 0, 0)
-	m.ep.synchronize()
-	if err := m.bk.ExecuteCleanups(det.Actions()); err != nil {
-		return err
+	return det, nil
+}
+
+// retire runs the irreversible tail of published revocations, in
+// order (destructive-family entry held; the caller has waited out a
+// grace period covering every publish). With coalesce the shootdowns
+// the cleanups request retire as at most one cross-core round — the
+// drain round's form, counted in the ring statistics; the synchronous
+// Revoke runs them as they come. A subtree whose cleanups fail is
+// never released (its parents stay suspended: fail closed); the rest
+// still retire, every affected owner is still resynchronised, and the
+// first error is returned.
+func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
+	if coalesce {
+		m.mach.BeginShootdownBatch()
 	}
-	m.space.Release(det)
-	alsoSync := append(det.ParentOwners(), info.Owner)
-	if err := m.resyncAfterRevocation(det.Actions(), alsoSync...); err != nil {
-		return err
+	var firstErr error
+	for i, det := range dets {
+		// Seeded mutation (drainbug build tag): the round's first
+		// revocation skips the coalescing — its flush cleanups run as
+		// immediate, unbatched shootdown rounds inside the drain frame,
+		// which the checker's cross-ring coalescing property must flag.
+		escape := DrainBugArmed && coalesce && i == 0
+		if escape {
+			m.endShootdownBatch()
+		}
+		err := m.bk.ExecuteCleanups(det.Actions())
+		if escape {
+			m.mach.BeginShootdownBatch()
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		m.space.Release(det)
+		m.ep.deferFree(func() { m.space.Reclaim(det) })
 	}
-	m.ep.deferFree(func() { m.space.Reclaim(det) })
-	return nil
+	if coalesce {
+		m.endShootdownBatch()
+	}
+	if err := m.resyncAfterRevocation(dets...); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
+// endShootdownBatch retires the armed shootdown accumulator and counts
+// the round in the ring statistics.
+func (m *Monitor) endShootdownBatch() {
+	rounds, coalesced := m.mach.EndShootdownBatch()
+	m.stats.ringShootdowns.Add(uint64(rounds))
+	m.stats.ringOpsCoalesced.Add(uint64(coalesced))
 }
 
 // resyncAfterRevocation reprograms hardware state for every owner whose
-// access changed. Destructive-family entry held — not exclusive — so
-// each per-domain filter rebuild takes Domain.mu, exactly like the
-// delegation path's syncAfterChange, keeping rebuilds for one domain
-// serialised against concurrent delegations.
+// access the detaches changed: the owners of the detached capabilities
+// and the grantors Release handed access back to. Destructive-family
+// entry held — readers keep flowing — so each per-domain filter
+// rebuild takes Domain.mu, exactly like the delegation path's
+// syncAfterChange, keeping rebuilds for one domain serialised against
+// concurrent delegations.
 //
 // Device filters are resynchronised as narrowly as on the delegation
 // path. A device's filter is the union of its DMA holders' memory, so
 // it can only have changed if the holder set did — a device capability
-// was among those revoked, which acts names — or if a current holder is
-// one of the affected owners.
-func (m *Monitor) resyncAfterRevocation(acts []cap.CleanupAction, alsoSync ...cap.OwnerID) error {
-	owners := append([]cap.OwnerID(nil), alsoSync...)
+// was among those revoked — or if a current holder is one of the
+// affected owners.
+func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
+	var owners []cap.OwnerID
 	var devs []phys.DeviceID
-	for _, a := range acts {
-		owners = append(owners, a.Owner)
-		if a.Resource.Kind == cap.ResDevice {
-			devs = append(devs, a.Resource.Device)
+	for _, det := range dets {
+		owners = append(owners, det.ParentOwners()...)
+		for _, a := range det.Actions() {
+			owners = append(owners, a.Owner)
+			if a.Resource.Kind == cap.ResDevice {
+				devs = append(devs, a.Resource.Device)
+			}
 		}
 	}
 	slices.Sort(owners)
@@ -995,7 +1036,7 @@ func (m *Monitor) Seal(caller, id DomainID) (tpm.Digest, error) {
 	return m.seal(caller, id)
 }
 
-// seal is Seal with the shared monitor lock held (the guest ABI path).
+// seal is Seal with a monitor entry already held (the ring drain path).
 // The domain mutex serialises it against concurrent configuration of
 // the same domain; the capability space orders the seal against
 // in-flight delegations to the domain on its owner shard.

@@ -11,9 +11,10 @@ package core
 // version (arXiv 2507.12364) makes low-cost composable monitor calls
 // the foundation, and Sanctorum (arXiv 1812.10605) demands a minimal
 // per-call monitor footprint. Batching amortises the footprint that
-// cannot be eliminated: one VM exit, one monitor-lock acquisition, and
-// — the big win — ONE cross-core TLB shootdown round per batch of
-// revocations instead of one per revocation (hw.BeginShootdownBatch).
+// cannot be eliminated: one VM exit, one revMu acquisition, one grace
+// period, one hardware resync and — the big win — ONE cross-core TLB
+// shootdown round per batch of revocations instead of one per
+// revocation (hw.BeginShootdownBatch).
 //
 // Ring memory layout (all fields 64-bit little-endian words, base must
 // be within memory the ring owner holds read+write):
@@ -37,7 +38,7 @@ package core
 // is kept monitor-side and mirrored out for the guest's benefit.
 //
 // Trust and validation. Ring setup capability-checks the whole
-// footprint for read+write under the shared lock and records the
+// footprint for read+write from a reader entry and records the
 // capability-space generation; a drain revalidates only when the
 // generation moved — the "pre-validated" discipline the transition
 // cache also uses. Because a batch can itself revoke the ring's
@@ -47,21 +48,24 @@ package core
 // the owner loses access — the monitor never writes a completion into
 // memory the owner no longer holds.
 //
-// Lock order: drains are destructive-family entries (shared monitor
-// lock + revMu, epoch.go). Batches mix delegations with revocations,
-// and one revMu section for the whole batch both amortises the
-// acquisition and keeps the coalesced shootdown race-free — every
-// shootdown call site in the monitor (batch drains, revocation
-// cleanups, kill scrubs) runs under revMu, so arming the machine-level
-// accumulator there is sound. Pinned readers keep flowing during a
-// drain; each revocation the batch executes runs its own grace period
-// before scrubbing. ringMu is a leaf below lk guarding only the
-// registry map. A drain is also a quiescent point for the epoch
-// engine's per-core counters.
+// Lock order: drains are destructive-family entries (revMu, epoch.go)
+// and every drain is a round (drain.go): this file reads descriptors
+// and executes them — a CallRevoke only publishes — and the round's
+// tail retires what the batch published after one shared grace period.
+// Batches mix delegations with revocations, and one revMu section for
+// the whole round both amortises the acquisition and keeps the
+// coalesced shootdown race-free — every shootdown call site in the
+// monitor (round retires, revocation cleanups, kill scrubs) runs under
+// revMu, so arming the machine-level accumulator there is sound.
+// Pinned readers keep flowing during a drain. ringMu is a leaf guarding
+// only the registry map. A doorbell is also a quiescent point for the
+// epoch engine's per-core counters.
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -111,11 +115,21 @@ type domainRing struct {
 	entries uint64
 	region  phys.Region
 	// head is the authoritative consume index (the sqHead word in
-	// guest memory is a mirror, never trusted).
-	head uint64
+	// guest memory is a mirror, never trusted). Only the drain advances
+	// it; RingPending reads it from a reader entry, hence the atomic.
+	head atomic.Uint64
 	// capGen is the capability-space generation at the last successful
 	// access validation of the ring footprint.
 	capGen uint64
+
+	// The ring's part of the round in flight (drain.go), written by the
+	// one host thread draining it and read by the round's coordinator
+	// after the join: descriptors executed, the drain's own failure, and
+	// the revocations its CallRevoke descriptors published, awaiting the
+	// round's retire.
+	n    uint64
+	err  error
+	pend []*cap.Detached
 }
 
 // RingSetup registers (or replaces) the caller's submission/completion
@@ -158,8 +172,8 @@ func (m *Monitor) RingSetup(caller DomainID, base phys.Addr, entries uint64) err
 	return nil
 }
 
-// ringDrop unregisters a domain's ring (ringMu taken internally; any
-// monitor-lock state). Used by drain aborts and domain destruction.
+// ringDrop unregisters a domain's ring (ringMu taken internally, from
+// any entry). Used by drain aborts and domain destruction.
 func (m *Monitor) ringDrop(id DomainID) {
 	m.ringMu.Lock()
 	if _, had := m.rings[id]; had {
@@ -177,9 +191,12 @@ func (m *Monitor) ringOf(id DomainID) (*domainRing, bool) {
 	return r, ok
 }
 
-// RingFlush drains the caller's ring now (the dedicated-mode doorbell;
-// guests reach it via CallRingFlush, which charges the one VM exit the
-// whole batch shares). It returns the number of descriptors executed.
+// RingFlush drains the caller's ring now, as a round of its own (the
+// dedicated-mode doorbell; guests reach it via CallRingFlush, which
+// charges the one VM exit the whole batch shares). It returns the
+// number of descriptors executed, and the ring's failure or else the
+// round's retire failure — completions already written stay as they
+// are either way.
 func (m *Monitor) RingFlush(caller DomainID) (uint64, error) {
 	return m.ringFlush(caller, trace.GlobalCore)
 }
@@ -194,24 +211,10 @@ func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
 	if !ok {
 		return 0, m.deny("domain %d has no ring (CallRingSetup first)", caller)
 	}
-	var n uint64
-	var err error
-	if w := int(m.reclaimWorkers.Load()); w > 1 && m.ringCount.Load() > 1 {
-		// Parallel pipeline (opt-in): the doorbell drains EVERY
-		// registered ring as one partitioned round — the flusher's trap
-		// amortises over the fleet, and the round's revocations share
-		// one grace period and one cross-ring shootdown. The caller
-		// still observes exactly its own ring's count and error.
-		_, results := m.drainRingsParallel(w)
-		res, ok := results[caller]
-		if !ok {
-			// The caller's ring was dropped (dead owner or lost
-			// footprint) before it could drain.
-			res = ringDrainResult{err: m.deny("domain %d has no ring (CallRingSetup first)", caller)}
-		}
-		n, err = res.n, res.err
-	} else {
-		n, err = m.drainRingLocked(r, core)
+	one := [1]*domainRing{r}
+	n, err := m.drainRound(core, one[:])
+	if r.err != nil {
+		err = r.err
 	}
 	// The doorbell is a quiescent point: the flushing guest is by
 	// definition outside any other monitor entry on its core.
@@ -226,7 +229,7 @@ func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
 	return n, err
 }
 
-// DrainRings drains every registered ring (ascending owner ID, one
+// DrainRings drains every registered ring as one round (one
 // destructive-family section) and returns the total descriptors
 // executed. The multi-tenant engine calls it at every round barrier;
 // dedicated-mode embedders may call it directly. With no rings
@@ -236,47 +239,47 @@ func (m *Monitor) DrainRings() uint64 {
 	if m.ringCount.Load() == 0 {
 		return 0
 	}
-	m.ringMu.Lock()
-	owners := make([]DomainID, 0, len(m.rings))
-	for id := range m.rings {
-		owners = append(owners, id)
-	}
-	m.ringMu.Unlock()
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	var total uint64
 	m.denter()
 	defer m.dexit()
-	if w := int(m.reclaimWorkers.Load()); w > 1 && len(owners) > 1 {
-		total, _ = m.drainRingsParallel(w)
-		return total
+	m.ringMu.Lock()
+	rings := make([]*domainRing, 0, len(m.rings))
+	for _, r := range m.rings {
+		rings = append(rings, r)
 	}
-	for _, id := range owners {
-		r, ok := m.ringOf(id)
-		if !ok {
-			continue
+	m.ringMu.Unlock()
+	slices.SortFunc(rings, func(a, b *domainRing) int { return cmp.Compare(a.owner, b.owner) })
+	// Dead or vanished owners drop out before the round.
+	rings = slices.DeleteFunc(rings, func(r *domainRing) bool {
+		d, err := m.domain(r.owner)
+		dead := err != nil || d.State() == StateDead
+		if dead {
+			m.ringDrop(r.owner)
 		}
-		if d, err := m.domain(id); err != nil || d.State() == StateDead {
-			m.ringDrop(id)
-			continue
-		}
-		n, err := m.drainRingLocked(r, trace.GlobalCore)
-		// A failed per-ring drain must not poison the other tenants'
-		// rings, but it must not vanish either: count it and latch the
-		// first occurrence for diagnosis (Stats().RingDrainErrors,
-		// FirstDrainError).
-		m.noteDrainError(err)
-		total += n
+		return dead
+	})
+	if len(rings) == 0 {
+		return 0
+	}
+	total, _ := m.drainRound(trace.GlobalCore, rings)
+	// A failed per-ring drain must not poison the other tenants' rings,
+	// but no caller is there to take it either: count it and latch the
+	// first occurrence for diagnosis (Stats().RingDrainErrors,
+	// FirstDrainError).
+	for _, r := range rings {
+		m.noteDrainError(r.err)
 	}
 	return total
 }
 
-// drainRingLocked executes every pending descriptor in r as one batch
-// (destructive-family entry held). The batch is bracketed by
-// KBatchBegin/KBatchEnd trace events; shootdowns the executed
-// operations request are coalesced into at most one cross-core round,
-// retired before the batch closes so the checker's ack invariant holds
-// unchanged. Returns the number of descriptors executed.
-func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
+// drainRing reads every pending descriptor out of r and executes it as
+// one batch, bracketed by KBatchBegin/KBatchEnd trace events — the only
+// function that reads submission descriptors. It runs inside a round
+// (drain.go), possibly on a host thread of its own: everything it
+// touches is ring-local (one thread per ring), atomic, or internally
+// synchronised. Revocations only publish here; the round retires them,
+// and owns the one shootdown batch. Returns the number of descriptors
+// executed.
+func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {
 	mem := m.mach.Mem
 	// Revalidate ring access only if the capability space moved since
 	// the last check (pre-validated fast path).
@@ -288,7 +291,8 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pending := tail - r.head
+	head := r.head.Load()
+	pending := tail - head
 	if pending == 0 {
 		return 0, nil
 	}
@@ -296,16 +300,15 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 		// A malformed tail (guest overran its own ring) denies the whole
 		// flush; nothing is consumed, so a fixed-up guest can retry.
 		return 0, m.deny("domain %d ring tail %d overruns head %d by more than %d entries",
-			r.owner, tail, r.head, r.entries)
+			r.owner, tail, head, r.entries)
 	}
 
 	tok := m.opTok.Add(1)
 	m.mach.Trace(core, trace.KBatchBegin, uint64(r.owner), pending, tok, 0, 0)
-	m.mach.BeginShootdownBatch()
 
 	var executed uint64
 	aborted := false
-	for i := r.head; i != tail; i++ {
+	for i := head; i != tail; i++ {
 		off := phys.Addr(RingSQOff(r.entries, i))
 		var desc [6]uint64
 		readErr := error(nil)
@@ -318,7 +321,7 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 			aborted = true
 			break
 		}
-		status, result := m.ringExec(r.owner, desc[0], desc[1], desc[2], desc[3], desc[4], desc[5])
+		status, result := m.ringExec(r, desc[0], desc[1], desc[2], desc[3], desc[4], desc[5])
 		executed++
 		// A batch may revoke (or grant away) its own ring memory;
 		// recheck before the monitor writes into it on the owner's
@@ -338,19 +341,16 @@ func (m *Monitor) drainRingLocked(r *domainRing, core int32) (uint64, error) {
 			break
 		}
 	}
-	r.head += executed
+	head = r.head.Add(executed)
 	if !aborted {
 		// Mirror progress for the guest (monitor-side head stays
 		// authoritative).
-		if err := mem.Write64(r.base+RingOffSQHead, r.head); err == nil {
-			_ = mem.Write64(r.base+RingOffCQTail, r.head)
+		if err := mem.Write64(r.base+RingOffSQHead, head); err == nil {
+			_ = mem.Write64(r.base+RingOffCQTail, head)
 		}
 	}
-	rounds, coalesced := m.mach.EndShootdownBatch()
 	m.stats.ringOps.Add(executed)
 	m.stats.ringFlushes.Add(1)
-	m.stats.ringShootdowns.Add(uint64(rounds))
-	m.stats.ringOpsCoalesced.Add(uint64(coalesced))
 	m.mach.Trace(core, trace.KBatchEnd, uint64(r.owner), executed, tok, 0, 0)
 	if aborted {
 		m.ringDrop(r.owner)
@@ -373,14 +373,19 @@ func (m *Monitor) ringRevalidate(r *domainRing) error {
 	return nil
 }
 
-// ringExec executes one descriptor on behalf of owner (destructive-
-// family entry held; batch shootdown armed). Only non-transfer verbs
-// are ring-eligible: control transfers (call/return/fast-switch/yield)
-// change which domain runs on a core and cannot be deferred into a
-// drain; ring management itself doesn't nest. An ineligible or unknown
-// verb fails its own completion with StatusBadCall without poisoning
-// the rest of the batch, exactly as a denied op fails only itself.
-func (m *Monitor) ringExec(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (status, result uint64) {
+// ringExec executes one descriptor on behalf of r's owner (inside a
+// round). Only non-transfer verbs are ring-eligible: control transfers
+// (call/return/fast-switch/yield) change which domain runs on a core
+// and cannot be deferred into a drain; ring management itself doesn't
+// nest. An ineligible or unknown verb fails its own completion with
+// StatusBadCall without poisoning the rest of the batch, exactly as a
+// denied op fails only itself. Every verb executes in full except
+// CallRevoke, whose completion is decided by its publish: the grace
+// period and the irreversible tail retire with the round, so inside
+// one batch a revoked grant's parent regains access when the round
+// retires, not between two descriptors.
+func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (status, result uint64) {
+	owner := r.owner
 	switch verb {
 	case CallSelfID:
 		return StatusOK, uint64(owner)
@@ -405,9 +410,14 @@ func (m *Monitor) ringExec(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (sta
 		}
 		return StatusOK, uint64(id)
 	case CallRevoke:
-		if err := m.revoke(owner, cap.NodeID(a1)); err != nil {
+		tok := m.opTok.Add(1)
+		m.emit(trace.KOpBegin, owner, trace.OpRevoke, tok, 0, 0)
+		det, err := m.revokePublish(owner, cap.NodeID(a1))
+		m.emit(trace.KOpEnd, owner, trace.OpRevoke, tok, 0, 0)
+		if err != nil {
 			return StatusDenied, 0
 		}
+		r.pend = append(r.pend, det)
 		return StatusOK, 0
 	case CallSealSelf:
 		if _, err := m.seal(owner, owner); err != nil {
@@ -429,8 +439,9 @@ func (m *Monitor) ringExec(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (sta
 
 // ringTeardownLocked removes a dying domain's ring (destructive-family
 // entry held, called from destroyDomain BEFORE the death publish and
-// the detach destroy the domain's capabilities). The pending descriptors are never executed —
-// dead-domain silence extends to queued work — and the header is
+// the detach destroy the domain's capabilities). The pending
+// descriptors are never executed — dead-domain silence extends to
+// queued work — and the header is
 // scrubbed so a stale ring cannot be mistaken for live state by whoever
 // inherits the memory. The scrub only runs if the dying owner still
 // holds read+write over the footprint: the owner may have granted or
@@ -472,5 +483,5 @@ func (m *Monitor) RingPending(id DomainID) uint64 {
 	if err != nil {
 		return 0
 	}
-	return tail - r.head
+	return tail - r.head.Load()
 }

@@ -20,10 +20,10 @@ package core
 // nothing here consults wall time.
 //
 // Lock order: the engine's sequential phases run with no monitor
-// locks and take lk shared → coreSched.mu inside dispatch, exactly
-// like Launch; schedMu and the Scheduler's own mutex are leaves
-// (destruction purges the queue under the exclusive lk, giving
-// lk → schedMu → sched's mutex — never the reverse).
+// locks and take coreSched.mu inside dispatch (a pinned reader entry),
+// exactly like Launch; schedMu and the Scheduler's own mutex are leaves
+// (destruction purges the queue under revMu, giving
+// revMu → schedMu → sched's mutex — never the reverse).
 
 import (
 	"errors"
@@ -315,14 +315,8 @@ func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID
 		// load — runs with no rings registered take this branch never
 		// and stay cycle-identical to pre-ring builds.
 		if firstErr == nil && m.ringCount.Load() > 0 {
-			pd := m.stats.ringParallelDrains.Load()
 			if n := m.DrainRings(); n > 0 {
 				q.RecordBarrierDrain(n)
-			}
-			// Attribute partitioned parallel rounds (opt-in pipeline) to
-			// the schedule's drain accounting.
-			if rounds := m.stats.ringParallelDrains.Load() - pd; rounds > 0 {
-				q.RecordParallelDrain(rounds, uint64(m.reclaimWorkers.Load()))
 			}
 		}
 		// Round barriers are where the runtime-verification service

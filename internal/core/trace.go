@@ -12,14 +12,14 @@ import (
 // compiles out under the notrace build tag and costs one atomic load
 // when no tracer is installed (see hw.Machine.Trace).
 //
-// Ordering: with the fine-grained monitor lock, emit sites on the
-// shared-lock path can run concurrently; when a checker is attached the
-// sink mutex serialises events in real-time emission order. Operation
-// frames (KOpBegin/KOpEnd) carry a token in their Node field so the
-// checker matches interleaved frames exactly; events that the checker's
-// invariants order strictly — shootdowns, scrubs, kills, revocations —
-// are only emitted under the exclusive monitor lock, which drains every
-// shared-path emitter first.
+// Ordering: emit sites in reader entries run concurrently; when a
+// checker is attached the sink mutex serialises events in real-time
+// emission order. Operation frames (KOpBegin/KOpEnd) carry a token in
+// their Node field so the checker matches interleaved frames exactly;
+// events that the checker's invariants order strictly — shootdowns,
+// scrubs, kills — are only emitted by destructive entries after their
+// grace period, which waits out every reader that could emit against
+// the pre-publish state.
 
 // emit records a monitor-context event.
 func (m *Monitor) emit(k trace.Kind, domain DomainID, aux, node, addr, size uint64) {

@@ -66,7 +66,7 @@ func (m *Monitor) SetTransitionCache(on bool) {
 // cachedCall attempts the pre-validated fast path for call(). It
 // returns done=true when the transfer fully happened (err is then the
 // transfer's result); done=false sends the caller to the slow path,
-// with the miss already counted. Caller holds the shared monitor lock.
+// with the miss already counted. Caller is inside a reader entry.
 func (m *Monitor) cachedCall(core phys.CoreID, target DomainID) (done bool, err error) {
 	sc := m.sched[core]
 	sc.mu.Lock()
@@ -115,7 +115,7 @@ func (m *Monitor) cachedCall(core phys.CoreID, target DomainID) (done bool, err 
 }
 
 // cachedReturn attempts the pre-validated fast path for ret(). Caller
-// holds the shared monitor lock.
+// is inside a reader entry.
 func (m *Monitor) cachedReturn(core phys.CoreID) (done bool, err error) {
 	sc := m.sched[core]
 	sc.mu.Lock()
@@ -162,7 +162,7 @@ func (m *Monitor) cachedReturn(core phys.CoreID) (done bool, err error) {
 // target was just entered), and both directions are stamped with the
 // current generations. Backends without a fast path (PMP) refuse the
 // registration and nothing is cached — every switch stays a counted
-// miss. Caller holds the shared monitor lock and sc.mu.
+// miss. Caller is inside a reader entry and holds sc.mu.
 func (m *Monitor) tcFill(sc *coreSched, core phys.CoreID, cur, target DomainID, td *Domain, entry phys.Addr, ring hw.Ring) {
 	if !m.tcOn.Load() {
 		return

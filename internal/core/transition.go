@@ -17,10 +17,10 @@ import (
 // entry point; Return unwinds. FastSwitch is the VMFUNC path: a
 // pre-authorised filter swap without a monitor exit.
 //
-// Concurrency: transitions are epoch-pinned reader entries (shared
-// monitor lock + pin, epoch.go) — they run concurrently with
-// transitions on other cores, with delegations, and with the
-// destructive family, whose irreversible effects wait out the pins.
+// Concurrency: transitions are epoch-pinned reader entries (epoch.go)
+// — they run concurrently with transitions on other cores, with
+// delegations, and with the destructive family, whose irreversible
+// effects wait out the pins.
 // The per-core coreSched mutex serialises transitions on one core;
 // cores never touch each other's scheduling state, so the transition
 // path has no cross-core contention at all.

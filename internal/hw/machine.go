@@ -85,7 +85,7 @@ type Machine struct {
 	// sdBatch, when non-nil, diverts shootdowns into a coalescing
 	// accumulator instead of running them immediately (see
 	// BeginShootdownBatch). Armed and drained only by the monitor while
-	// it holds its exclusive lock, which is also the only state every
+	// it holds its revocation mutex, which is also the only state every
 	// shootdown call site runs under — so a plain field suffices.
 	sdBatch *shootdownBatch
 

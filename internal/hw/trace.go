@@ -115,7 +115,7 @@ func (m *Machine) ShootdownAll() {
 // BeginShootdownBatch arms shootdown coalescing: until the matching
 // EndShootdownBatch, ShootdownRegion/ShootdownAll only record what must
 // be invalidated. The caller must hold whatever lock serialises all
-// shootdown call sites (the monitor's exclusive lock); batches do not
+// shootdown call sites (the monitor's revocation mutex); batches do not
 // nest.
 func (m *Machine) BeginShootdownBatch() {
 	b := &m.sdBatchCache

@@ -14,13 +14,13 @@
 // bit-identical with the service on or off — the C21 experiment gates
 // both that and the <5% wall-clock overhead at 8-core full load.
 //
-// Parallel reclamation (core.Monitor.SetReclaimWorkers) is covered
-// without special cases: a partitioned drain round emits one
-// KDrainBegin/KDrainEnd frame whose single coalesced shootdown round
-// the checker audits (trace/check property 6), the drain doorbell
-// remains the service's merge point, and the shipped digests carry the
-// drain-frame tally so the remote verifier cross-checks it like every
-// other structural count.
+// Ring drains are covered without special cases: every drain is a
+// round (core/drain.go), which emits one KDrainBegin/KDrainEnd frame
+// whose single coalesced shootdown round the checker audits
+// (trace/check property 6), the drain doorbell remains the service's
+// merge point, and the shipped digests carry the drain-frame tally so
+// the remote verifier cross-checks it like every other structural
+// count.
 package rv
 
 import (

@@ -17,9 +17,9 @@
 // any host and under the race detector.
 //
 // Locking: a Scheduler carries one mutex and is a leaf in the
-// monitor's documented lock hierarchy (below the monitor lock and
-// coreSched.mu; see docs/ARCHITECTURE.md §9). No method calls out of
-// the package while holding it.
+// monitor's documented lock hierarchy (below revMu and coreSched.mu;
+// see docs/ARCHITECTURE.md §9). No method calls out of the package
+// while holding it.
 package sched
 
 import (
@@ -118,9 +118,6 @@ type Counters struct {
 	MaxQueueDepth uint64 // deepest any single run queue ever got
 	BarrierDrains uint64 // round barriers that drained submission rings
 	DrainedOps    uint64 // ring descriptors executed at those barriers
-
-	ParallelDrains  uint64 // barrier drains that ran as partitioned parallel rounds
-	MaxDrainWorkers uint64 // widest fan-out any parallel round was configured with
 }
 
 // Scheduler is the shared run-queue state. Safe for concurrent use;
@@ -332,10 +329,9 @@ func (s *Scheduler) Requeue(v *VCPU, now uint64, yielded bool) {
 
 // PurgeDomain removes every queued vCPU whose Running domain (or any
 // saved call frame) is the dead domain, returning how many were
-// purged. The monitor's destruction path calls this under the
-// exclusive monitor lock, so a killed domain can never be dispatched
-// again — the trace oracle's dead-domain-silence property checks
-// exactly that.
+// purged. The monitor's destruction path calls this after the kill's
+// grace period, so a killed domain can never be dispatched again — the
+// trace oracle's dead-domain-silence property checks exactly that.
 func (s *Scheduler) PurgeDomain(domain uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,20 +412,6 @@ func (s *Scheduler) RecordBarrierDrain(ops uint64) {
 	defer s.mu.Unlock()
 	s.ctr.BarrierDrains++
 	s.ctr.DrainedOps += ops
-}
-
-// RecordParallelDrain tallies barrier drains that ran as partitioned
-// parallel rounds (the monitor's opt-in reclamation pipeline) and the
-// widest worker fan-out the rounds used — schedule-shaped accounting
-// like RecordBarrierDrain, so experiments can attribute barrier time
-// to serial versus parallel drain work.
-func (s *Scheduler) RecordParallelDrain(rounds, workers uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ctr.ParallelDrains += rounds
-	if workers > s.ctr.MaxDrainWorkers {
-		s.ctr.MaxDrainWorkers = workers
-	}
 }
 
 // Records returns the dispatch schedule so far.

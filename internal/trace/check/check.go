@@ -30,14 +30,14 @@
 //     op's — is fully acknowledged before the batch closes. Batches
 //     are also subject to dead-domain silence: a drain never runs for
 //     a killed ring owner.
-//  6. Cross-ring coalescing: a parallel drain round
+//  6. Cross-ring coalescing: a drain round
 //     (KDrainBegin..KDrainEnd) performs at most one cross-ring
-//     shootdown round for all the revocations its partitioned ring
-//     drains deferred, fully acknowledged before the round closes.
+//     shootdown round for all the revocations its ring drains
+//     deferred, fully acknowledged before the round closes.
 //
 // Shootdown rounds are attributed to the innermost open frame that can
 // legitimately own one — a revoke/kill operation, a ring-drain batch,
-// or a parallel drain round. Delegation frames never start rounds, so
+// or a drain round. Delegation frames never start rounds, so
 // a share/grant frame concurrently open on another core must not adopt
 // (and then fail) a round a destructive operation started.
 //
@@ -86,7 +86,7 @@ type Counts struct {
 	Attests       uint64
 	Batches       uint64 // ring drains (KBatchBegin)
 	BatchedOps    uint64 // descriptors executed inside drains (KBatchEnd.Aux)
-	Drains        uint64 // parallel drain rounds (KDrainBegin)
+	Drains        uint64 // drain rounds (KDrainBegin)
 }
 
 // add accumulates o into c (used when merging shard-local tallies).
@@ -116,7 +116,7 @@ type shootdown struct {
 }
 
 // frame is one open monitor operation (KOpBegin..KOpEnd), ring drain
-// (KBatchBegin..KBatchEnd), or parallel drain round
+// (KBatchBegin..KBatchEnd), or drain round
 // (KDrainBegin..KDrainEnd).
 type frame struct {
 	ev        trace.Event
@@ -217,7 +217,7 @@ func (c *engine) step(ev trace.Event) {
 		f := c.frames[idx]
 		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
 		// Property 6: one coalesced cross-ring shootdown round per
-		// parallel drain round, no matter how many rings deferred
+		// drain round, no matter how many rings deferred
 		// revocation shootdowns into it.
 		if len(f.shootdown) > 1 {
 			c.violate(ev, "drain round performed %d shootdown rounds (cross-ring coalescing requires at most 1)",
@@ -385,7 +385,7 @@ func (c *engine) step(ev trace.Event) {
 }
 
 // roundOwner returns the innermost open frame that can own a shootdown
-// round: a ring-drain batch, a parallel drain round, or a destructive
+// round: a ring-drain batch, a drain round, or a destructive
 // (revoke/kill) operation. Delegation frames never start rounds —
 // under the fine-grained monitor they run concurrently with the
 // destructive family, so attributing a round to whichever frame opened

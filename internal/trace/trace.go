@@ -124,14 +124,14 @@ const (
 	// KBatchEnd closes the drain: Domain = ring owner, Aux = descriptors
 	// executed, Node = the matching begin token.
 	KBatchEnd
-	// KDrainBegin opens one parallel drain round: rings partitioned
-	// across worker cores drain concurrently inside the frame (each
-	// still bracketed by its own KBatchBegin/KBatchEnd), and the round's
+	// KDrainBegin opens one drain round: its rings drain inside the
+	// frame, concurrently where the host has the threads (each still
+	// bracketed by its own KBatchBegin/KBatchEnd), and the round's
 	// deferred revocation shootdowns coalesce into at most one
 	// cross-ring KShootdown before the frame closes. Domain = 0
 	// (monitor context), Aux = rings in the round, Node = frame token.
 	KDrainBegin
-	// KDrainEnd closes the parallel round: Aux = descriptors executed
+	// KDrainEnd closes the round: Aux = descriptors executed
 	// across all rings, Node = the matching begin token.
 	KDrainEnd
 
