@@ -658,6 +658,46 @@ func BenchmarkSyncDomainDom0(b *testing.B) {
 	}
 }
 
+// BenchmarkSyncDomainTenant is what every share and revoke of the
+// benchmark's cap_* worlds pays for the delegating tenant (owner 2): a
+// dozen capabilities, one of them a 256-page heap with eight pages
+// shared to its child, in a space of a few hundred nodes. The cost
+// follows the dozen, not the few hundred.
+func BenchmarkSyncDomainTenant(b *testing.B) {
+	m, s := resyncWorld(b)
+	root := s.OwnerNodes(1)[0].ID      // dom0's memory
+	for i := uint64(0); i < 300; i++ { // bystanders' capabilities
+		if _, err := s.Share(root, cap.OwnerID(10+i%5), mem(3000+i, 1), cap.MemRW, cap.CleanNone); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 11; i++ { // the tenant's image segments
+		if _, err := s.Share(root, 2, mem(200+2*i, 1), cap.MemRWX, cap.CleanZero); err != nil {
+			b.Fatal(err)
+		}
+	}
+	heap, err := s.Share(root, 2, mem(1024, 256), cap.MemFull, cap.CleanZero)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if _, err := s.Share(heap, 3, mem(1040+i, 1), cap.MemRW, cap.CleanZero); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bk := vtx.New(m, s)
+	if err := bk.InstallDomain(2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bk.SyncDomain(2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildDeviceFilter rebuilds the IOMMU context of a device with
 // two DMA holders whose memory together covers the machine.
 func BenchmarkBuildDeviceFilter(b *testing.B) {

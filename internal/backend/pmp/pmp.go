@@ -150,21 +150,20 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 }
 
 // program writes the domain's segments into the core's PMP file
-// (st.mu held).
+// (st.mu held), replacing the previous contents in one step: a core
+// running the domain on another host thread must never fetch from a
+// cleared or half-written file.
 func (b *Backend) program(core *hw.Core, st *domainState) {
-	unit := core.PMPUnit
-	cleared := unit.ClearAll()
+	// Budget was validated at sync time; a failure here is a
+	// programming bug, not a runtime condition.
+	cleared, err := core.PMPUnit.Replace(b.reserved, st.segs)
+	if err != nil {
+		panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
+	}
 	b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
-	idx := b.reserved
-	for _, s := range st.segs {
-		// Budget was validated at sync time; a failure here is a
-		// programming bug, not a runtime condition.
-		if err := unit.Program(idx, s.Region, s.Perm); err != nil {
-			panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
-		}
+	for i, s := range st.segs {
 		b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
-		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(st.owner), uint64(idx), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
-		idx++
+		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(st.owner), uint64(b.reserved+i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
 	}
 }
 

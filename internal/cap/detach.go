@@ -1,6 +1,6 @@
 package cap
 
-import "sort"
+import "slices"
 
 // Two-phase revocation for the monitor's epoch-based reclamation scheme.
 //
@@ -73,16 +73,9 @@ func (d *Detached) ParentOwners() []OwnerID {
 	if d == nil || len(d.parents) == 0 {
 		return nil
 	}
-	seen := make(map[OwnerID]bool, len(d.parents))
-	out := make([]OwnerID, 0, len(d.parents))
-	for _, o := range d.parents {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(d.parents)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // detachSubtree walks children-first, removing every node from the
@@ -133,30 +126,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	det := &Detached{}
-	// Collect tops first: the walk mutates the node index.
-	var tops []*node
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner == owner {
-			// Skip nodes whose ancestor is also being detached; the
-			// subtree walk will reach them.
-			anc := n.parent
-			covered := false
-			for anc != nil {
-				if anc.owner == owner {
-					covered = true
-					break
-				}
-				anc = anc.parent
-			}
-			if !covered {
-				tops = append(tops, n)
-			}
-		}
-		return true
-	})
-	sort.Slice(tops, func(i, j int) bool { return tops[i].id < tops[j].id })
-	for _, n := range tops {
+	for _, n := range s.ownerTops(owner) {
 		if _, ok := s.nodes.Load(n.id); !ok {
 			continue // already detached via an earlier top's subtree
 		}

@@ -2,6 +2,9 @@ package cap
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -203,7 +206,10 @@ func modelInvariants(s *Space) error {
 	// whose parent's owner differs (it would have had to *receive* it).
 	// The derive path enforces this; here we merely confirm no sealed
 	// owner has an unsealed-receive artifact.
-	return ownedMatchesIndex(s)
+	if err := ownedMatchesIndex(s); err != nil {
+		return err
+	}
+	return ownerQueriesMatchSweep(s)
 }
 
 // ownedMatchesIndex checks that the per-owner lists the access check
@@ -229,6 +235,128 @@ func ownedMatchesIndex(s *Space) error {
 	}
 	if listed != s.NumNodes() {
 		return fmt.Errorf("%d nodes listed by owner, %d indexed", listed, s.NumNodes())
+	}
+	return nil
+}
+
+// sweepOwned is the reference every per-owner query is compared with:
+// range the whole node index, keep owner's nodes, sort them by ID.
+func sweepOwned(s *Space, owner OwnerID) []*node {
+	var out []*node
+	s.nodes.Range(func(_, v any) bool {
+		if n := v.(*node); n.owner == owner {
+			out = append(out, n)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// sortedSet returns the distinct values of vs in ascending order, nil
+// when there are none.
+func sortedSet[T ~int | ~uint64](vs []T) []T {
+	slices.Sort(vs)
+	return slices.Compact(vs)
+}
+
+// ownerQueriesMatchSweep compares every query that walks an owner's own
+// list with its brute-force reference over a sweep of the index, for
+// every owner holding a capability and for one holding none. The
+// reference always normalizes effective regions; the list walk skips
+// that for a node with no granted memory child.
+func ownerQueriesMatchSweep(s *Space) error {
+	eff := func(n *node) []phys.Region {
+		regs := []phys.Region{n.res.Mem}
+		for _, c := range n.children {
+			if c.kind == KindGranted && c.res.Kind == ResMemory {
+				var next []phys.Region
+				for _, r := range regs {
+					next = append(next, r.Subtract(c.res.Mem)...)
+				}
+				regs = next
+			}
+		}
+		return phys.NormalizeRegions(regs)
+	}
+	live := func(n *node) bool { // a core or device not granted away
+		for _, c := range n.children {
+			if c.kind == KindGranted && c.res.Kind == n.res.Kind {
+				return false
+			}
+		}
+		return true
+	}
+	for _, o := range append(s.Owners(), 99) {
+		var (
+			nodes   []Info
+			grants  []MemoryGrant
+			all, rw []phys.Region
+			cores   []phys.CoreID
+			use     []phys.DeviceID
+			dma     []phys.DeviceID
+			tops    []*node
+		)
+		for _, n := range sweepOwned(s, o) {
+			nodes = append(nodes, s.info(n))
+			anc := n.parent
+			for anc != nil && anc.owner != o {
+				anc = anc.parent
+			}
+			if anc == nil {
+				tops = append(tops, n)
+			}
+			switch n.res.Kind {
+			case ResMemory:
+				for _, r := range eff(n) {
+					grants = append(grants, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
+					all = append(all, r)
+					if n.rights.Has(RightWrite) {
+						rw = append(rw, r)
+					}
+				}
+			case ResCore:
+				if n.rights.Has(RightRun) && live(n) {
+					cores = append(cores, n.res.Core)
+				}
+			case ResDevice:
+				if n.rights.Has(RightUse) && live(n) {
+					use = append(use, n.res.Device)
+				}
+				if n.rights.Has(RightDMA) && live(n) {
+					dma = append(dma, n.res.Device)
+				}
+			}
+		}
+		cores, use, dma = sortedSet(cores), sortedSet(use), sortedSet(dma)
+		for _, q := range []struct {
+			name      string
+			got, want any
+		}{
+			{"OwnerNodes", s.OwnerNodes(o), nodes},
+			{"OwnerMemoryGrants", s.OwnerMemoryGrants(o), grants},
+			{"OwnerMemory(none)", s.OwnerMemory(o, RightsNone), phys.NormalizeRegions(all)},
+			{"OwnerMemory(write)", s.OwnerMemory(o, RightWrite), phys.NormalizeRegions(rw)},
+			{"OwnerCores", s.OwnerCores(o), cores},
+			{"OwnerDevices", s.OwnerDevices(o), use},
+			{"OwnerDMADevices", s.OwnerDMADevices(o), dma},
+			{"ownerTops", s.ownerTops(o), tops},
+		} {
+			// Every answer is a slice; an empty one may be nil or not.
+			if empty := reflect.ValueOf(q.got).Len() == 0 && reflect.ValueOf(q.want).Len() == 0; !empty && !reflect.DeepEqual(q.got, q.want) {
+				return fmt.Errorf("owner %d: %s walks its list to %v, the index sweep says %v", o, q.name, q.got, q.want)
+			}
+		}
+		for c := phys.CoreID(0); c < 4; c++ {
+			if got, want := s.OwnerHasCore(o, c), slices.Contains(cores, c); got != want {
+				return fmt.Errorf("owner %d: OwnerHasCore(%v) = %v, the index sweep says %v", o, c, got, want)
+			}
+		}
+		for d := phys.DeviceID(0); d < 4; d++ {
+			if got, want := slices.Contains(s.DeviceDMAHolders(d), o), slices.Contains(dma, d); got != want {
+				return fmt.Errorf("owner %d holds DMA on %v: DeviceDMAHolders says %v, the owner's nodes say %v", o, d, got, want)
+			}
+		}
 	}
 	return nil
 }

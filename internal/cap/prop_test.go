@@ -57,20 +57,23 @@ func (h *propHarness) derive(grant bool) {
 	}
 	id := h.ids[h.rng.Intn(len(h.ids))]
 	info, err := h.s.Node(id)
-	if err != nil || info.Resource.Kind != ResMemory {
+	if err != nil {
 		return
 	}
-	r := info.Resource.Mem
-	pages := r.Pages()
-	if pages == 0 {
-		return
-	}
-	off := uint64(h.rng.Int63n(int64(pages)))
-	n := uint64(h.rng.Int63n(int64(pages-off))) + 1
-	sub := MemResource(phys.MakeRegion(r.Start+phys.Addr(off*pg), n*pg))
+	sub := info.Resource // a core or device is delegated whole
 	rights := info.Rights
+	if info.Resource.Kind == ResMemory {
+		r := info.Resource.Mem
+		pages := r.Pages()
+		if pages == 0 {
+			return
+		}
+		off := uint64(h.rng.Int63n(int64(pages)))
+		n := uint64(h.rng.Int63n(int64(pages-off))) + 1
+		sub = MemResource(phys.MakeRegion(r.Start+phys.Addr(off*pg), n*pg))
+	}
 	if h.rng.Intn(2) == 0 {
-		rights &^= RightWrite
+		rights &^= RightWrite | RightDMA
 	}
 	newOwner := OwnerID(h.rng.Intn(6) + 1)
 	var nid NodeID
@@ -174,8 +177,12 @@ func (h *propHarness) checkInvariants() {
 		}
 	}
 
-	// I5: the per-owner lists agree with the node index.
+	// I5: the per-owner lists agree with the node index, and so does
+	// every query answered from them.
 	if err := ownedMatchesIndex(s); err != nil {
+		t.Fatalf("I5 violated: %v", err)
+	}
+	if err := ownerQueriesMatchSweep(s); err != nil {
 		t.Fatalf("I5 violated: %v", err)
 	}
 }
@@ -189,6 +196,15 @@ func TestCapabilityInvariantsRandomOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.ids = append(h.ids, root)
+		// Cores and devices too, so the per-owner core and device queries
+		// are checked on more than empty answers.
+		for _, res := range []Resource{CoreResource(0), CoreResource(1), DeviceResource(0), DeviceResource(1)} {
+			id, err := h.s.CreateRoot(1, res, res.ValidRights(), CleanNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.ids = append(h.ids, id)
+		}
 		for step := 0; step < 300; step++ {
 			h.randomOp()
 			if step%10 == 0 {

@@ -162,7 +162,7 @@ func (s *Space) CoreRefCount(core phys.CoreID) int {
 	owners := make(map[OwnerID]bool)
 	s.nodes.Range(func(_, v any) bool {
 		n := v.(*node)
-		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !s.coreGrantedAway(n) {
+		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			owners[n.owner] = true
 		}
 		return true
@@ -201,14 +201,7 @@ func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
 		if n.res.Kind != ResDevice || n.res.Device != dev || !n.rights.Has(want) {
 			return true
 		}
-		granted := false
-		for _, c := range n.children {
-			if c.kind == KindGranted && c.res.Kind == ResDevice && c.res.Device == dev {
-				granted = true
-				break
-			}
-		}
-		if !granted {
+		if !grantedAway(n) {
 			set[n.owner] = true
 		}
 		return true

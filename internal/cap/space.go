@@ -117,28 +117,34 @@ const numShards = 16
 //     acquire multiple shards in ascending shard-index order, so
 //     concurrent Share/Grant between disjoint owner pairs proceed in
 //     parallel without deadlock.
-//   - Global sweeps (reference counts, owner enumeration, tree dumps)
-//     hold every shard shared, which excludes in-flight delegations
-//     and yields a consistent snapshot without the writer lock.
+//   - Global sweeps (reference counts, device holders, owner
+//     enumeration, tree dumps) hold every shard shared, which excludes
+//     in-flight delegations and yields a consistent snapshot without the
+//     writer lock.
 //
 // Identity lookups go through a lock-free node index (sync.Map);
 // generation, op, and node counters are atomics. The lock order is
 // mu before shards, shards in ascending index; no Space lock is ever
 // held across a call out of the package.
 //
-// The access check — run on every checked guest load and store — walks
-// the owner's own nodes (owned), not the index: sync.Map iterates in an
-// order drawn from a per-map random seed, so a scan that stops at the
-// first match costs a different amount in every process.
+// Which structure answers which question: a question about one owner —
+// its memory grants, cores, devices, nodes, an access check, the tops of
+// its teardown — walks that owner's own list (owned) under that owner's
+// shard, so it costs what the owner holds, in ascending-ID order with no
+// sort. A question about every owner (the sweeps above) ranges the index
+// under all shards and costs what the machine holds. sync.Map iterates
+// in an order drawn from a per-map random seed, so nothing that stops
+// early or must be ordered may range it.
 type Space struct {
 	mu     sync.RWMutex // structural: exclusive for revoke paths only
 	shards [numShards]sync.RWMutex
 
 	nodes  sync.Map // NodeID -> *node
 	sealed sync.Map // OwnerID -> bool
-	// owned[shardFor(o)][o] lists o's indexed nodes in insertion order.
-	// Guarded like the seal flag by the owner's shard; the revoke family
-	// edits it under the exclusive structural lock.
+	// owned[shardFor(o)][o] lists o's indexed nodes in insertion order,
+	// which is ascending ID order: an ID is drawn with the owner's shard
+	// held exclusively. Guarded like the seal flag by the owner's shard;
+	// the revoke family edits it under the exclusive structural lock.
 	owned [numShards]map[OwnerID][]*node
 
 	nextID   atomic.Uint64
@@ -244,6 +250,11 @@ func (s *Space) remove(n *node) {
 	s.numNodes.Add(-1)
 }
 
+// ownedBy returns owner's indexed nodes in ascending ID order. The caller
+// holds the owner's shard (or the structural writer lock) and neither
+// keeps nor edits the slice.
+func (s *Space) ownedBy(owner OwnerID) []*node { return s.owned[shardFor(owner)][owner] }
+
 // CreateRoot mints a root capability for owner. Only the monitor calls
 // this, at boot, to hand the initial domain the machine's resources.
 func (s *Space) CreateRoot(owner OwnerID, res Resource, rights Rights, cleanup Cleanup) (NodeID, error) {
@@ -322,15 +333,10 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 		if !regionCovered(sub.Mem, s.effectiveRegions(parent)) {
 			return 0, fmt.Errorf("%w: %v already granted away from %v", ErrSubresource, sub.Mem, parent.res)
 		}
-	} else if k == KindGranted {
+	} else if k == KindGranted && grantedAway(parent) {
 		// Granting a core or device suspends the parent's use entirely;
 		// re-granting an already-granted core/device is invalid.
-		for _, c := range parent.children {
-			if c.kind == KindGranted && c.res.Kind == sub.Kind &&
-				c.res.Core == sub.Core && c.res.Device == sub.Device {
-				return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
-			}
-		}
+		return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
 	}
 	n := &node{
 		id: NodeID(s.nextID.Add(1) - 1), owner: newOwner, res: sub, rights: rights,
@@ -401,30 +407,7 @@ func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var actions []CleanupAction
-	// Collect first: revocation mutates the node index.
-	var tops []*node
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner == owner {
-			// Skip nodes whose ancestor is also being revoked; the
-			// subtree walk will reach them.
-			anc := n.parent
-			covered := false
-			for anc != nil {
-				if anc.owner == owner {
-					covered = true
-					break
-				}
-				anc = anc.parent
-			}
-			if !covered {
-				tops = append(tops, n)
-			}
-		}
-		return true
-	})
-	sort.Slice(tops, func(i, j int) bool { return tops[i].id < tops[j].id })
-	for _, n := range tops {
+	for _, n := range s.ownerTops(owner) {
 		if _, ok := s.nodes.Load(n.id); !ok {
 			continue // already revoked via an earlier top's subtree
 		}
@@ -438,6 +421,24 @@ func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
 	}
 	s.sealed.Delete(owner)
 	return actions
+}
+
+// ownerTops returns, in ID order, owner's nodes that have no ancestor of
+// the same owner: revoking their subtrees reaches every node owner
+// holds. A fresh slice — the teardown edits the list it was read from.
+// Caller holds the structural writer lock.
+func (s *Space) ownerTops(owner OwnerID) []*node {
+	var tops []*node
+	for _, n := range s.ownedBy(owner) {
+		anc := n.parent
+		for anc != nil && anc.owner != owner {
+			anc = anc.parent
+		}
+		if anc == nil {
+			tops = append(tops, n)
+		}
+	}
+	return tops
 }
 
 func removeChild(children []*node, target *node) []*node {
@@ -476,6 +477,23 @@ func (s *Space) Node(id NodeID) (Info, error) {
 	return s.info(n), nil
 }
 
+// NodeOwners returns the owner of capability id and, unless it is a
+// root, the owner of the capability it was derived from: the two
+// parties entitled to revoke it. Both are fixed at creation, so unlike
+// Node this takes no shard lock and snapshots no children.
+func (s *Space) NodeOwners(id NodeID) (owner, parent OwnerID, derived bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n, err := s.get(id)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if n.parent == nil {
+		return n.owner, 0, false, nil
+	}
+	return n.owner, n.parent.owner, true, nil
+}
+
 // info snapshots a node; the caller holds the node's owner shard.
 func (s *Space) info(n *node) Info {
 	inf := Info{
@@ -502,13 +520,9 @@ func (s *Space) OwnerNodes(owner OwnerID) []Info {
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
 	var out []Info
-	s.nodes.Range(func(_, v any) bool {
-		if n := v.(*node); n.owner == owner {
-			out = append(out, s.info(n))
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	for _, n := range s.ownedBy(owner) {
+		out = append(out, s.info(n))
+	}
 	return out
 }
 
@@ -520,15 +534,20 @@ func (s *Space) effectiveRegions(n *node) []phys.Region {
 		return nil
 	}
 	regs := []phys.Region{n.res.Mem}
+	carved := false
 	for _, c := range n.children {
 		if c.kind != KindGranted || c.res.Kind != ResMemory {
 			continue
 		}
+		carved = true
 		var next []phys.Region
 		for _, r := range regs {
 			next = append(next, r.Subtract(c.res.Mem)...)
 		}
 		regs = next
+	}
+	if !carved {
+		return regs // one validated, non-empty region is already normal
 	}
 	return phys.NormalizeRegions(regs)
 }
@@ -563,14 +582,11 @@ func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
 	var regs []phys.Region
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory || !n.rights.Has(want) {
-			return true
+	for _, n := range s.ownedBy(owner) {
+		if n.res.Kind == ResMemory && n.rights.Has(want) {
+			regs = append(regs, s.effectiveRegions(n)...)
 		}
-		regs = append(regs, s.effectiveRegions(n)...)
-		return true
-	})
+	}
 	return phys.NormalizeRegions(regs)
 }
 
@@ -589,60 +605,44 @@ func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
+	nodes := s.ownedBy(owner)
 	var out []MemoryGrant
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResMemory {
-			return true
+	for i, n := range nodes {
+		if n.res.Kind != ResMemory {
+			continue
+		}
+		if out == nil {
+			out = make([]MemoryGrant, 0, len(nodes)-i) // one region per node unless a grant splits it
 		}
 		for _, r := range s.effectiveRegions(n) {
 			out = append(out, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
 		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Region.Start < out[j].Region.Start
-	})
+	}
 	return out
 }
 
 // OwnerCores returns the cores owner may run on (holding RightRun),
-// minus cores granted away.
+// minus cores granted away, sorted.
 func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
-	return s.ownerCores(owner)
-}
-
-// ownerCores requires the owner's shard (or the structural writer lock).
-func (s *Space) ownerCores(owner OwnerID) []phys.CoreID {
-	set := make(map[phys.CoreID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResCore || !n.rights.Has(RightRun) {
-			return true
+	var out []phys.CoreID
+	for _, n := range s.ownedBy(owner) {
+		if n.res.Kind == ResCore && n.rights.Has(RightRun) && !grantedAway(n) {
+			out = append(out, n.res.Core)
 		}
-		if s.coreGrantedAway(n) {
-			return true
-		}
-		set[n.res.Core] = true
-		return true
-	})
-	out := make([]phys.CoreID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func (s *Space) coreGrantedAway(n *node) bool {
+// grantedAway reports whether n's core or device — delegated whole or
+// not at all — is granted to a child. Requires n's owner shard (or the
+// structural writer lock).
+func grantedAway(n *node) bool {
 	for _, c := range n.children {
-		if c.kind == KindGranted && c.res.Kind == ResCore && c.res.Core == n.res.Core {
+		if c.kind == KindGranted && c.res.Kind == n.res.Kind && c.res.Core == n.res.Core && c.res.Device == n.res.Device {
 			return true
 		}
 	}
@@ -654,8 +654,8 @@ func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
-	for _, c := range s.ownerCores(owner) {
-		if c == core {
+	for _, n := range s.ownedBy(owner) {
+		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			return true
 		}
 	}
@@ -663,35 +663,30 @@ func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 }
 
 // OwnerDevices returns the devices owner may use, minus devices granted
-// away.
+// away, sorted.
 func (s *Space) OwnerDevices(owner OwnerID) []phys.DeviceID {
+	return s.ownerDevices(owner, RightUse)
+}
+
+// OwnerDMADevices returns the devices owner holds live (not
+// granted-away) DMA rights on, sorted: the inverse of DeviceDMAHolders,
+// answered from the owner's own list.
+func (s *Space) OwnerDMADevices(owner OwnerID) []phys.DeviceID {
+	return s.ownerDevices(owner, RightDMA)
+}
+
+func (s *Space) ownerDevices(owner OwnerID, want Rights) []phys.DeviceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
-	set := make(map[phys.DeviceID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.owner != owner || n.res.Kind != ResDevice || !n.rights.Has(RightUse) {
-			return true
+	var out []phys.DeviceID
+	for _, n := range s.ownedBy(owner) {
+		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
+			out = append(out, n.res.Device)
 		}
-		granted := false
-		for _, c := range n.children {
-			if c.kind == KindGranted && c.res.Kind == ResDevice && c.res.Device == n.res.Device {
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			set[n.res.Device] = true
-		}
-		return true
-	})
-	out := make([]phys.DeviceID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // OwnerHasDevice reports whether owner holds RightUse on dev.
@@ -710,7 +705,7 @@ func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.rlockOwner(owner)()
-	for _, n := range s.owned[shardFor(owner)][owner] {
+	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind != ResMemory || !n.rights.Has(want) || !n.res.Mem.Contains(a) {
 			continue
 		}

@@ -2,6 +2,8 @@ package cap
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -368,6 +370,68 @@ func TestDeviceCapabilities(t *testing.T) {
 	}
 	if !s.OwnerHasDevice(1, 0) {
 		t.Fatal("device not restored")
+	}
+}
+
+// TestOwnerDMADevicesInvertsDeviceDMAHolders: the question the monitor's
+// device resync asks each owner and the one the backends ask each device
+// are the same relation read in two directions, through every edit a
+// device capability can undergo.
+func TestOwnerDMADevicesInvertsDeviceDMAHolders(t *testing.T) {
+	s := NewSpace()
+	gpu := mustRoot(t, s, 1, DeviceResource(0), DeviceFull)
+	nic := mustRoot(t, s, 1, DeviceResource(1), DeviceFull)
+	derive := func(f func(NodeID, OwnerID, Resource, Rights, Cleanup) (NodeID, error), from NodeID, to OwnerID, dev phys.DeviceID, r Rights) NodeID {
+		t.Helper()
+		id, err := f(from, to, DeviceResource(dev), r, CleanNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var shared, granted NodeID
+	var det *Detached
+	type holds map[OwnerID][]phys.DeviceID
+	for _, step := range []struct {
+		name string
+		do   func()
+		want holds
+	}{
+		{"boot", func() {}, holds{1: {0, 1}}},
+		{"share gpu with 2, DMA included", func() {
+			shared = derive(s.Share, gpu, 2, 0, RightUse|RightDMA|RightGrant)
+		}, holds{1: {0, 1}, 2: {0}}},
+		{"share nic with 3, use only", func() {
+			derive(s.Share, nic, 3, 1, RightUse)
+		}, holds{1: {0, 1}, 2: {0}}},
+		{"2 grants its gpu share on to 3", func() {
+			granted = derive(s.Grant, shared, 3, 0, RightUse|RightDMA)
+		}, holds{1: {0, 1}, 3: {0}}},
+		{"1 grants the nic away to 2", func() {
+			derive(s.Grant, nic, 2, 1, RightUse|RightDMA)
+		}, holds{1: {0}, 2: {1}, 3: {0}}},
+		{"detach 3's gpu grant: 2 stays suspended", func() {
+			var err error
+			if det, err = s.Detach(granted); err != nil {
+				t.Fatal(err)
+			}
+		}, holds{1: {0}, 2: {1}}},
+		{"release: 2 has the gpu back", func() { s.Release(det) }, holds{1: {0}, 2: {0, 1}}},
+		{"reclaim changes nothing", func() { s.Reclaim(det) }, holds{1: {0}, 2: {0, 1}}},
+		{"2 is torn down: the nic returns to 1", func() { s.RevokeOwner(2) }, holds{1: {0, 1}}},
+	} {
+		step.do()
+		for o := OwnerID(1); o <= 4; o++ {
+			got := s.OwnerDMADevices(o)
+			if !reflect.DeepEqual(got, step.want[o]) {
+				t.Errorf("%s: owner %d holds DMA on %v, want %v", step.name, o, got, step.want[o])
+			}
+			for d := phys.DeviceID(0); d < 3; d++ {
+				if byDev, byOwner := slices.Contains(s.DeviceDMAHolders(d), o), slices.Contains(got, d); byDev != byOwner {
+					t.Errorf("%s: owner %d on %v: DeviceDMAHolders says %v, OwnerDMADevices says %v", step.name, o, d, byDev, byOwner)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"github.com/tyche-sim/tyche/internal/cap"
 )
 
 // Benchmarks for the monitor's read-side telemetry. Stats must stay
@@ -54,4 +56,48 @@ func TestStatsAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = m.Stats() }); allocs != 0 {
 		t.Fatalf("Stats allocates %.1f objects per call, want 0", allocs)
 	}
+}
+
+// TestShareRevokeAllocations pins the allocations of one synchronous
+// Share + Revoke pair on the shape the benchmark's cap_sync world has: a
+// tenant delegating pages of a 256-page heap to its child, with a few
+// hundred other capabilities in the space. The resync after each
+// operation reads what the tenant and the child hold from their own
+// lists, in order; when those queries swept the node index, their sets,
+// sorts and child snapshots made the pair 139 objects. Counted on
+// go1.24, whose sync.Map (the node index) allocates one node per insert.
+func TestShareRevokeAllocations(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	node := dom0MemNode(t, m)
+	tenant, _ := m.CreateDomain(InitialDomain, "tenant")
+	child, _ := m.CreateDomain(tenant, "child")
+	heap, err := m.Grant(InitialDomain, node, tenant, memRes(256, 256), cap.MemFull, cap.CleanZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if _, err := m.Share(tenant, heap, child, memRes(256+i, 1), cap.MemRW, cap.CleanZero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bystander, _ := m.CreateDomain(InitialDomain, "bystander")
+	for i := uint64(0); i < 300; i++ {
+		if _, err := m.Share(InitialDomain, node, bystander, memRes(600+i, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const pinned = 63
+	allocs := testing.AllocsPerRun(200, func() {
+		id, err := m.Share(tenant, heap, child, memRes(300, 1), cap.MemRW, cap.CleanZero|cap.CleanFlushTLB)
+		if err == nil {
+			err = m.Revoke(tenant, id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > pinned {
+		t.Fatalf("a Share + Revoke pair allocates %.0f objects, pinned at %d", allocs, pinned)
+	}
+	t.Logf("a Share + Revoke pair allocates %.0f objects (pinned at %d)", allocs, pinned)
 }

@@ -331,6 +331,10 @@ type EpochStats struct {
 
 // EpochStats returns the monitor's epoch-reclamation counters.
 func (m *Monitor) EpochStats() EpochStats {
+	// A free is counted deferred before it can be reclaimed, so reading
+	// Reclaimed first keeps Reclaimed <= Deferred in a snapshot taken
+	// while a revocation storm runs.
+	reclaimed := m.ep.reclaimed.Load()
 	return EpochStats{
 		Epoch:         m.ep.global.Load(),
 		Pins:          m.ep.pins.Load(),
@@ -340,7 +344,7 @@ func (m *Monitor) EpochStats() EpochStats {
 		ElidedSyncs:   m.ep.elided.Load(),
 		Advances:      m.ep.advances.Load(),
 		Deferred:      m.ep.deferred.Load(),
-		Reclaimed:     m.ep.reclaimed.Load(),
+		Reclaimed:     reclaimed,
 	}
 }
 

@@ -616,15 +616,15 @@ func (m *Monitor) CreateDomain(caller DomainID, name string) (DomainID, error) {
 
 // nodeOwnedBy validates that the capability node exists and belongs to
 // owner.
-func (m *Monitor) nodeOwnedBy(node cap.NodeID, owner DomainID) (cap.Info, error) {
-	info, err := m.space.Node(node)
+func (m *Monitor) nodeOwnedBy(node cap.NodeID, owner DomainID) error {
+	holder, _, _, err := m.space.NodeOwners(node)
 	if err != nil {
-		return cap.Info{}, err
+		return err
 	}
-	if info.Owner != cap.OwnerID(owner) {
-		return cap.Info{}, m.deny("capability %d not owned by domain %d", node, owner)
+	if holder != cap.OwnerID(owner) {
+		return m.deny("capability %d not owned by domain %d", node, owner)
 	}
-	return info, nil
+	return nil
 }
 
 // Share derives a shared child capability from caller's node for dst.
@@ -671,7 +671,7 @@ func (m *Monitor) delegateLocked(caller DomainID, node cap.NodeID, dst DomainID,
 	if err != nil {
 		return 0, err
 	}
-	if _, err := m.nodeOwnedBy(node, caller); err != nil {
+	if err := m.nodeOwnedBy(node, caller); err != nil {
 		return 0, err
 	}
 	var id cap.NodeID
@@ -754,16 +754,11 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 	if _, err := m.liveDomain(caller); err != nil {
 		return nil, err
 	}
-	info, err := m.space.Node(node)
+	holder, delegator, derived, err := m.space.NodeOwners(node)
 	if err != nil {
 		return nil, err
 	}
-	authorized := info.Owner == cap.OwnerID(caller)
-	if !authorized && info.Parent != 0 {
-		if p, err := m.space.Node(info.Parent); err == nil && p.Owner == cap.OwnerID(caller) {
-			authorized = true
-		}
-	}
+	authorized := holder == cap.OwnerID(caller) || derived && delegator == cap.OwnerID(caller)
 	if !authorized {
 		return nil, m.deny("domain %d may not revoke capability %d", caller, node)
 	}
@@ -914,21 +909,30 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 }
 
 // syncDevicesFor reprograms the IOMMU context of every device in devs
-// and of every device whose DMA-holder set intersects owners.
+// and of every device one of owners holds live DMA rights on, in machine
+// device order. The question goes to each owner — a walk of what it
+// holds under its own shard — not to each device, which would sweep the
+// whole capability index under every shard once per machine device on
+// every memory delegation. No snapshot across owners is needed: a
+// device's holder set changes only through a delegation or revocation
+// of the device itself, which runs its own SyncDevice after it commits,
+// and every SyncDevice reads the space at rebuild time under hwMu — so
+// a holder this walk misses by racing such an operation is picked up by
+// that operation's rebuild, which also sees the mutation synced here.
 func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, owners ...cap.OwnerID) error {
-	var affected []phys.DeviceID
-	for _, dev := range m.mach.DeviceIDs() {
-		if slices.Contains(devs, dev) ||
-			slices.ContainsFunc(m.space.DeviceDMAHolders(dev), func(h cap.OwnerID) bool { return slices.Contains(owners, h) }) {
-			affected = append(affected, dev)
-		}
+	held := slices.Clip(devs) // appends copy, never write into the caller's array
+	for _, o := range owners {
+		held = append(held, m.space.OwnerDMADevices(o)...)
 	}
-	if len(affected) == 0 {
+	if len(held) == 0 {
 		return nil
 	}
 	m.hwMu.Lock()
 	defer m.hwMu.Unlock()
-	for _, dev := range affected {
+	for _, dev := range m.mach.DeviceIDs() {
+		if !slices.Contains(held, dev) {
+			continue
+		}
 		if err := m.bk.SyncDevice(dev); err != nil {
 			return err
 		}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/tpm"
 )
 
 // requireFilterMatchesSpace asserts that a domain's per-core hardware
@@ -196,56 +198,186 @@ func TestRevocationNarrowsDeviceFilter(t *testing.T) {
 	}
 }
 
-// TestResyncNeverPublishesPartialFilter: dom0 shares a page with a child
-// and revokes it again, over and over; every round rebuilds dom0's filter
-// twice. Page 4 is dom0's throughout, so a core running dom0 must be able
-// to fetch from it at every instant. A rebuild that clears the table and
-// then maps it back segment by segment has a deny-all window in between,
-// which a reader on another thread hits within a few hundred rounds (the
-// fleet's fault(0x4000 --x at pc=0x4000)). Needs two host threads to
-// bite; run under -race as well.
+// TestResyncNeverPublishesPartialFilter: dom0, running on core 0, shares
+// a page with a child and revokes it again, over and over; every round
+// rebuilds dom0's filter twice. Page 4 is dom0's throughout, so a core
+// running dom0 must be able to fetch from it at every instant. A rebuild
+// that clears the filter and then writes it back segment by segment — an
+// EPT unmapped and remapped, a PMP file cleared and reprogrammed entry by
+// entry — has a deny-all window in between, which a reader on another
+// thread hits within a few hundred rounds (the fleet's fault(0x4000 --x
+// at pc=0x4000), C18's fault(0x10000 --x) on the PMP backend). Needs two
+// host threads to bite; run under -race as well.
 func TestResyncNeverPublishesPartialFilter(t *testing.T) {
-	m := bootWorld(t, BackendVTX)
-	node := dom0MemNode(t, m)
-	child, err := m.CreateDomain(InitialDomain, "child")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := m.DomainContext(InitialDomain, InitialDomain, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 400
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < rounds; i++ {
-			id, err := m.Share(InitialDomain, node, child, memRes(200, 1), cap.MemRW, cap.CleanNone)
-			if err == nil {
-				err = m.Revoke(InitialDomain, id)
-			}
-			if err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	idle := phys.Addr(4 * pg)
-	for reads := 0; ; reads++ {
-		if p := ctx.Filter.Lookup(idle); !p.Allows(hw.PermX) {
-			t.Errorf("read %d: dom0's filter shows %v at %v mid-resync", reads, p, idle)
-			break
-		}
-		select {
-		case err := <-done:
+	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := bootWorld(t, kind)
+			node := dom0MemNode(t, m)
+			child, err := m.CreateDomain(InitialDomain, "child")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return
-		default:
+			// The PMP backend reprograms only the units of cores that are
+			// running the domain.
+			idle := phys.Addr(4 * pg)
+			if err := m.SetEntry(InitialDomain, InitialDomain, idle); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Launch(InitialDomain, 0); err != nil {
+				t.Fatal(err)
+			}
+			ctx, err := m.DomainContext(InitialDomain, InitialDomain, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 400
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < rounds; i++ {
+					id, err := m.Share(InitialDomain, node, child, memRes(200, 1), cap.MemRW, cap.CleanNone)
+					if err == nil {
+						err = m.Revoke(InitialDomain, id)
+					}
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			for reads := 0; ; reads++ {
+				if p := ctx.Filter.Lookup(idle); !p.Allows(hw.PermX) {
+					t.Errorf("read %d: dom0's filter shows %v at %v mid-resync", reads, p, idle)
+					break
+				}
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					return
+				default:
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// deviceSyncRecorder is a backend that notes which devices the monitor
+// resynchronises, in order.
+type deviceSyncRecorder struct {
+	backend.Backend
+	devs []phys.DeviceID
+}
+
+func (r *deviceSyncRecorder) SyncDevice(dev phys.DeviceID) error {
+	r.devs = append(r.devs, dev)
+	return r.Backend.SyncDevice(dev)
+}
+
+// TestDeviceResyncMatchesHolderSweep pins which IOMMU contexts each
+// operation reprograms, and in which order, for a machine with two
+// devices whose DMA holders overlap: a holds both, b only the second, c
+// none, and dom0 has granted both away. The monitor asks each affected
+// owner which devices it holds; the golden sequences are what sweeping
+// every device's holder set gave, and the sweep itself is re-run next to
+// each as the reference.
+func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
+	mach, err := hw.NewMachine(hw.Config{
+		MemBytes: 8 << 20, NumCores: 2, IOMMUAllowByDefault: true,
+		Devices: []hw.DeviceConfig{{Name: "gpu0", Class: hw.DevAccelerator}, {Name: "nic0", Class: hw.DevNIC}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := tpm.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Boot(BootConfig{Machine: mach, TPM: rot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &deviceSyncRecorder{Backend: m.bk}
+	m.bk = rec
+	must := func(id cap.NodeID, err error) cap.NodeID {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var devNode [2]cap.NodeID
+	for _, n := range m.OwnerNodes(InitialDomain) {
+		if n.Resource.Kind == cap.ResDevice {
+			devNode[n.Resource.Device] = n.ID
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	memNode := dom0MemNode(t, m)
+	a, _ := m.CreateDomain(InitialDomain, "a")
+	b, _ := m.CreateDomain(InitialDomain, "b")
+	c, _ := m.CreateDomain(InitialDomain, "c")
+	const share = cap.MemRW | cap.RightShare
+	aMem := must(m.Grant(InitialDomain, memNode, a, memRes(128, 4), share, cap.CleanZero))
+	bMem := must(m.Grant(InitialDomain, memNode, b, memRes(136, 4), share, cap.CleanZero))
+	must(m.Grant(InitialDomain, devNode[0], a, cap.DeviceResource(0), cap.RightUse|cap.RightDMA, cap.CleanNone))
+	bNic := must(m.Grant(InitialDomain, devNode[1], b, cap.DeviceResource(1), cap.DeviceFull, cap.CleanNone))
+	aNic := must(m.Share(b, bNic, a, cap.DeviceResource(1), cap.RightUse|cap.RightDMA, cap.CleanNone))
+
+	// sweep is the question as it used to be put: for each device, are
+	// its holders among the affected owners?
+	sweep := func(devs []phys.DeviceID, owners ...DomainID) []phys.DeviceID {
+		var out []phys.DeviceID
+		for _, dev := range mach.DeviceIDs() {
+			if slices.Contains(devs, dev) || slices.ContainsFunc(m.space.DeviceDMAHolders(dev), func(h cap.OwnerID) bool {
+				return slices.Contains(owners, DomainID(h))
+			}) {
+				out = append(out, dev)
+			}
+		}
+		return out
+	}
+	var aToC, bToC cap.NodeID
+	for _, step := range []struct {
+		name   string
+		do     func() error
+		devs   []phys.DeviceID // device capabilities the step revokes
+		owners []DomainID      // owners whose access it changes
+		want   []phys.DeviceID
+	}{
+		{"a shares a page with c", func() (err error) {
+			aToC, err = m.Share(a, aMem, c, memRes(128, 1), cap.MemRW, cap.CleanZero)
+			return
+		}, nil, []DomainID{a, c}, []phys.DeviceID{0, 1}},
+		{"b shares a page with c", func() (err error) {
+			bToC, err = m.Share(b, bMem, c, memRes(136, 1), cap.MemRW, cap.CleanZero)
+			return
+		}, nil, []DomainID{b, c}, []phys.DeviceID{1}},
+		{"dom0, which granted both devices away, shares a page with c", func() error {
+			_, err := m.Share(InitialDomain, memNode, c, memRes(200, 1), cap.MemRW, cap.CleanZero)
+			return err
+		}, nil, []DomainID{InitialDomain, c}, nil},
+		{"b revokes its page from c", func() error { return m.Revoke(b, bToC) },
+			nil, []DomainID{b, c}, []phys.DeviceID{1}},
+		{"a revokes its page from c", func() error { return m.Revoke(a, aToC) },
+			nil, []DomainID{a, c}, []phys.DeviceID{0, 1}},
+		{"b revokes a's share of the second device", func() error { return m.Revoke(b, aNic) },
+			[]phys.DeviceID{1}, []DomainID{a, b}, []phys.DeviceID{0, 1}},
+		{"c, holding no device, is killed", func() error { return m.KillDomain(InitialDomain, c) },
+			nil, []DomainID{c, InitialDomain}, nil},
+	} {
+		rec.devs = nil
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !slices.Equal(rec.devs, step.want) {
+			t.Errorf("%s: resynchronised devices %v, want %v", step.name, rec.devs, step.want)
+		}
+		if ref := sweep(step.devs, step.owners...); !slices.Equal(rec.devs, ref) {
+			t.Errorf("%s: resynchronised devices %v, the holder sweep says %v", step.name, rec.devs, ref)
+		}
 	}
 }

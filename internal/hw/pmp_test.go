@@ -1,7 +1,10 @@
 package hw
 
 import (
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -233,4 +236,71 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 			t.Fatal("generation did not advance on clear")
 		}
 	})
+}
+
+// TestPMPReplaceIsOnePublish: a reader on another thread sees one whole
+// register file or the next, never the cleared file in between, and a
+// rejected replacement changes nothing. Needs two host threads to bite.
+func TestPMPReplaceIsOnePublish(t *testing.T) {
+	seg := func(pg, n uint64, perm Perm) EPTMapping {
+		return EPTMapping{Region: phys.MakeRegion(phys.Addr(pg<<phys.PageShift), n*phys.PageSize), Perm: perm}
+	}
+	p := NewPMP(4)
+	if err := p.Program(0, phys.MakeRegion(0x100000, 0x1000), PermNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Lock(0); err != nil {
+		t.Fatal(err)
+	}
+	layouts := [2][]EPTMapping{
+		{seg(4, 1, PermRX), seg(8, 8, PermRW)},
+		{seg(0, 2, PermR), seg(2, 4, PermRWX), seg(20, 2, PermRW)},
+	}
+	if cleared, err := p.Replace(1, layouts[0]); err != nil || cleared != 0 {
+		t.Fatalf("first Replace cleared %d entries, err %v", cleared, err)
+	}
+	if cleared, err := p.Replace(1, layouts[1]); err != nil || cleared != 2 {
+		t.Fatalf("second Replace cleared %d entries (want the first layout's 2), err %v", cleared, err)
+	}
+	before, gen := p.Entries(), p.Generation()
+	for name, bad := range map[string]struct {
+		from int
+		segs []EPTMapping
+	}{
+		"over the locked entry": {0, layouts[0]},
+		"past the last entry":   {2, layouts[1]},
+		"an empty region":       {1, []EPTMapping{seg(4, 0, PermR)}},
+	} {
+		if _, err := p.Replace(bad.from, bad.segs); err == nil {
+			t.Errorf("Replace %s succeeded", name)
+		}
+		if got := p.Entries(); !slices.Equal(got, before) || p.Generation() != gen {
+			t.Fatalf("rejected Replace %s changed the file: %v", name, got)
+		}
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			if _, err := p.Replace(1, layouts[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const addr = 4 << phys.PageShift
+	for i := 0; i < 200000; i++ {
+		if perm := p.Lookup(addr); perm != PermRX && perm != PermRWX {
+			t.Errorf("read %d: Lookup(%#x) = %v, a permission neither layout grants", i, addr, perm)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if !p.Entries()[0].Locked {
+		t.Fatal("the locked entry did not survive")
+	}
 }
