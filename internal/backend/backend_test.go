@@ -380,7 +380,7 @@ func TestRunCleanups(t *testing.T) {
 	}
 	core := m.Cores[0]
 	core.TLBUnit().Insert(1, r.Start.Page(), hw.PermRW, 0)
-	core.CacheUnit().Touch(r.Start, true)
+	core.CacheUnit().Touch(r.Start)
 	acts := []cap.CleanupAction{{
 		Owner:    2,
 		Resource: cap.MemResource(r),

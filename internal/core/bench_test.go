@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/hw"
+	"github.com/tyche-sim/tyche/internal/phys"
 )
 
 // Benchmarks for the monitor's read-side telemetry. Stats must stay
@@ -100,4 +102,66 @@ func TestShareRevokeAllocations(t *testing.T) {
 		t.Fatalf("a Share + Revoke pair allocates %.0f objects, pinned at %d", allocs, pinned)
 	}
 	t.Logf("a Share + Revoke pair allocates %.0f objects (pinned at %d)", allocs, pinned)
+}
+
+// TestRequestAllocations pins the allocations of one request on the
+// shape the benchmark's node_request world has: a sealed tenant whose
+// body spins 200 iterations (407 instructions), invoked with Call and
+// run to its CallReturn with RunCore. The interpreter contributes none
+// of them — when every fetch heap-allocated its buffer, a request was
+// 413 objects; what remains is the monitor's per-transition work.
+func TestRequestAllocations(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	idleDom0(t, m)
+	const basePage, delta = 200, 7
+	base := phys.Addr(basePage * pg)
+	a := hw.NewAsm()
+	a.Movi(3, delta).Add(1, 2, 3).Movi(4, 200).Movi(5, 1)
+	a.Label("spin").Sub(4, 4, 5).Jnz(4, "spin")
+	a.Movi(0, uint32(CallReturn)).Vmcall().Hlt()
+	tenant, err := m.CreateDomain(InitialDomain, "tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CopyInto(InitialDomain, base, a.MustAssemble(base)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Grant(InitialDomain, dom0MemNode(t, m), tenant, memRes(basePage, 2), cap.MemRWX, cap.CleanZero); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range m.OwnerNodes(InitialDomain) {
+		if n.Resource.Kind == cap.ResCore && n.Resource.Core == 0 {
+			if _, err := m.Share(InitialDomain, n.ID, tenant, cap.CoreResource(0), cap.RightRun, cap.CleanNone); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.SetEntry(InitialDomain, tenant, base); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Seal(InitialDomain, tenant); err != nil {
+		t.Fatal(err)
+	}
+	cpu := m.Machine().Core(0)
+	arg := uint64(0)
+	request := func() {
+		arg++
+		cpu.Regs[2] = arg
+		if err := m.Call(0, tenant); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunCore(0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != 407 || cpu.Regs[1] != arg+delta {
+			t.Fatalf("request retired %d instructions and replied %d, want 407 and %d", res.Steps, cpu.Regs[1], arg+delta)
+		}
+	}
+	const pinned = 8
+	allocs := testing.AllocsPerRun(100, request)
+	if allocs > pinned {
+		t.Fatalf("a Call + RunCore request allocates %.0f objects, pinned at %d", allocs, pinned)
+	}
+	t.Logf("a Call + RunCore request allocates %.0f objects (pinned at %d)", allocs, pinned)
 }

@@ -1,7 +1,7 @@
 package hw
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -24,14 +24,14 @@ const DefaultCacheLines = 512
 // produce real conflict-eviction behaviour for prime+probe.
 //
 // The cache belongs to one core, but the monitor's flush-on-transition
-// cleanups flush other cores' caches (the simulated IPI), so operations
-// take a mutex. It is uncontended on the hot path.
+// cleanups flush other cores' caches (the simulated IPI), so each set
+// is one atomic word: an access is a load, a compare and, on a miss, a
+// store; a flush swaps each occupied set to empty. An access that races
+// a flush lands before or after it, set by set, as on hardware.
 type Cache struct {
-	mu    sync.Mutex
-	lines []uint64 // resident line tag per set, 0 = empty (tag is addr/64+1)
-	dirty []bool
+	lines []atomic.Uint64 // resident line tag per set, 0 = empty (tag is addr/64+1)
 
-	hits, misses, flushedLines uint64
+	hits, misses, flushedLines atomic.Uint64
 }
 
 // NewCache returns a cache with n line slots.
@@ -39,30 +39,32 @@ func NewCache(n int) *Cache {
 	if n <= 0 {
 		n = DefaultCacheLines
 	}
-	return &Cache{lines: make([]uint64, n), dirty: make([]bool, n)}
+	return &Cache{lines: make([]atomic.Uint64, n)}
 }
 
-func (c *Cache) slot(a phys.Addr) (idx int, tag uint64) {
+func (c *Cache) slot(a phys.Addr) (set *atomic.Uint64, tag uint64) {
 	line := uint64(a) / CacheLineSize
-	return int(line % uint64(len(c.lines))), line + 1
+	return &c.lines[line%uint64(len(c.lines))], line + 1
 }
 
-// Touch records an access to a, returning true on hit. Write accesses
-// mark the line dirty.
-func (c *Cache) Touch(a phys.Addr, write bool) bool {
-	idx, tag := c.slot(a)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hit := c.lines[idx] == tag
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-		c.lines[idx] = tag
-		c.dirty[idx] = false
+// touch makes a's line resident, returning true if it already was. The
+// owning core counts the outcome itself (see Core.publish).
+func (c *Cache) touch(a phys.Addr) bool {
+	set, tag := c.slot(a)
+	if set.Load() == tag {
+		return true
 	}
-	if write {
-		c.dirty[idx] = true
+	set.Store(tag)
+	return false
+}
+
+// Touch records an access to a, returning true on hit.
+func (c *Cache) Touch(a phys.Addr) bool {
+	hit := c.touch(a)
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
 	return hit
 }
@@ -70,45 +72,37 @@ func (c *Cache) Touch(a phys.Addr, write bool) bool {
 // Probe reports whether a is resident without refilling on miss: the
 // attacker's measurement primitive.
 func (c *Cache) Probe(a phys.Addr) bool {
-	idx, tag := c.slot(a)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lines[idx] == tag
+	set, tag := c.slot(a)
+	return set.Load() == tag
 }
 
 // Resident returns the number of occupied line slots.
 func (c *Cache) Resident() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
-	for _, t := range c.lines {
-		if t != 0 {
+	for i := range c.lines {
+		if c.lines[i].Load() != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// Flush invalidates the whole cache and returns the number of lines that
-// were resident (callers charge CacheFlushLine per line).
+// Flush invalidates the whole cache and returns the number of lines it
+// cleared (callers charge CacheFlushLine per line).
 func (c *Cache) Flush() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var n uint64
 	for i := range c.lines {
-		if c.lines[i] != 0 {
+		if c.lines[i].Load() != 0 && c.lines[i].Swap(0) != 0 {
 			n++
-			c.lines[i] = 0
-			c.dirty[i] = false
 		}
 	}
-	c.flushedLines += n
+	c.flushedLines.Add(n)
 	return n
 }
 
-// Stats returns hit/miss/flushed-line counters.
+// Stats returns hit/miss/flushed-line counters. The owning core adds
+// its accesses when its Run or Step returns, so while it is inside a
+// Run hits and misses lag.
 func (c *Cache) Stats() (hits, misses, flushed uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.flushedLines
+	return c.hits.Load(), c.misses.Load(), c.flushedLines.Load()
 }

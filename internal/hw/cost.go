@@ -58,7 +58,8 @@ type CostModel struct {
 	EPTUpdatePage uint64
 	// TLBFlush is a full TLB invalidation on one core.
 	TLBFlush uint64
-	// CacheFlushLine is flushing one dirty cache line (clflush-like).
+	// CacheFlushLine is charged for every line resident when a cache is
+	// flushed, clean or not (the model keeps no dirty bit).
 	CacheFlushLine uint64
 	// ZeroLine is zeroing one 64-byte line of memory (non-temporal store).
 	ZeroLine uint64
@@ -101,7 +102,9 @@ func DefaultCostModel() CostModel {
 // shard per core so that concurrently running cores never contend on a
 // single counter: each core advances only its own shard, the monitor
 // and devices advance the global counter, and Cycles sums them all.
-// Counters are atomic so aggregate reads are safe while cores run.
+// Counters are atomic so aggregate reads are safe while cores run; a
+// core adds what a Run charged when the Run returns (Core.publish), so
+// a read taken while cores run lags by their Runs in flight.
 type Clock struct {
 	cycles atomic.Uint64
 	// shards are per-core clocks registered at machine construction;

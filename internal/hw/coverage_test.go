@@ -196,7 +196,7 @@ func TestInstrStrings(t *testing.T) {
 
 func TestCacheStatsAndMKTMEBounds(t *testing.T) {
 	c := NewCache(0) // default size
-	c.Touch(0, true)
+	c.Touch(0)
 	h, ms, fl := c.Stats()
 	if h != 0 || ms != 1 || fl != 0 {
 		t.Fatalf("stats: %d %d %d", h, ms, fl)

@@ -115,11 +115,15 @@ type Context struct {
 }
 
 // Core is one simulated CPU core. Architectural state (Regs, PC, Ring,
-// the MRU translation cache, the timer) belongs to the goroutine
-// driving the core and is deliberately lock-free; state that other
-// cores or the monitor touch while this core runs (installed context,
-// halt latch, VMFUNC list, TLB, cache, instruction counters) is atomic
-// or internally locked.
+// the MRU translation cache, the decoded-page cache, the timer, the
+// pending counters) belongs to the goroutine driving the core and is
+// plain memory: a retired instruction touches nothing another goroutine
+// writes except through one atomic load each of the installed context,
+// the filter generation, the TLB flush count, the data-cache set and
+// the fetched page's write version. State that other cores or the
+// monitor touch while this core runs (installed context, halt latch,
+// VMFUNC list, TLB, cache sets, published counters) is atomic or
+// internally locked.
 type Core struct {
 	id   phys.CoreID
 	mach *Machine
@@ -141,9 +145,20 @@ type Core struct {
 	halted  atomic.Bool
 	stalled atomic.Bool
 
-	// clk is this core's clock shard: guest execution charges it
-	// lock-free, and the machine clock aggregates shards on read.
+	// clk is this core's clock shard: guest execution charges it, and
+	// the machine clock aggregates shards on read.
 	clk Clock
+
+	// pend holds what the instructions of the current Run (or Step) have
+	// charged and counted so far. publish adds it to clk, instrs and the
+	// TLB and cache statistics when Run or Step returns, so the hot path
+	// performs no atomic read-modify-write.
+	pend pending
+
+	// decoded caches instructions already fetched and validated, by
+	// page (see decodedPage). A slot is allocated the first time the core
+	// fetches from a page that maps to it.
+	decoded [decodedSlots]*decodedPage
 
 	// mru is a small fully-associative translation cache in front of the
 	// TLB: code alternating between a handful of pages (instruction
@@ -239,7 +254,9 @@ func (c *Core) TLBUnit() *TLB { return c.tlb }
 // CacheUnit exposes the core's data cache.
 func (c *Core) CacheUnit() *Cache { return c.cache }
 
-// InstrCount returns the number of retired instructions.
+// InstrCount returns the number of retired instructions. It is exact
+// whenever Run or Step has returned; read from another goroutine while
+// the core is inside a Run, it lags by what that Run has retired so far.
 func (c *Core) InstrCount() uint64 { return c.instrs.Load() }
 
 // FaultCount returns the number of access faults taken.
@@ -258,7 +275,8 @@ func (c *Core) Stalled() bool { return c.stalled.Load() }
 func (c *Core) ClearStall() { c.stalled.Store(false) }
 
 // Cycles returns the cycles this core's guest execution has consumed.
-// The machine clock already includes them in its total.
+// The machine clock already includes them in its total. Like InstrCount
+// it is exact at every Run and Step return and lags inside a Run.
 func (c *Core) Cycles() uint64 { return c.clk.Cycles() }
 
 // InstallContext binds ctx to the core, flushing the TLB (a full
@@ -324,6 +342,55 @@ func (c *Core) RestoreFrom(ctx *Context) {
 	c.halted.Store(false)
 }
 
+// pending is what a core has charged and counted since its counters
+// were last published.
+type pending struct {
+	cycles, instrs         uint64
+	tlbHits                uint64 // translations served by the MRU cache
+	cacheHits, cacheMisses uint64
+}
+
+// publish adds the pending figures to the counters other goroutines
+// and the trace clock read. Run and Step call it before they return
+// (Run before it traces the trap), so every value observed at a trap,
+// an IRQ route or a trace stamp is the one a per-instruction charge
+// would have produced.
+func (c *Core) publish() {
+	p := &c.pend
+	c.clk.Advance(p.cycles)
+	c.instrs.Add(p.instrs)
+	c.tlb.hits.Add(p.tlbHits)
+	c.cache.hits.Add(p.cacheHits)
+	c.cache.misses.Add(p.cacheMisses)
+	*p = pending{}
+}
+
+// decodedSlots is the number of pages whose decoded instructions a core
+// keeps, direct-mapped by page number.
+const decodedSlots = 8
+
+// instrsPerPage is the number of aligned instruction words in a page.
+const instrsPerPage = phys.PageSize / InstrSize
+
+// decodedPage is one slot of a core's decoded-page cache: the aligned
+// instruction words of one physical page that the core has fetched and
+// validated while the page's write version was ver. Words are filled
+// one at a time as they are executed — guests keep code and data on one
+// page, so a store invalidates with one bitmap reset rather than paying
+// for a page of decodes.
+//
+// The cache holds bytes, never rights: access still checks and charges
+// every fetch, so a slot needs no ASID, generation or flush keying. Its
+// content depends only on writes to the page, and every write bumps the
+// version (see PhysMem). The zero value is a valid slot: page 0 at
+// version 0 with no word filled.
+type decodedPage struct {
+	page  uint64
+	ver   uint64
+	valid [instrsPerPage / 64]uint64
+	ins   [instrsPerPage]Instr
+}
+
 // access checks and charges one guest memory access of size bytes at a.
 // It returns a non-nil trap on denial.
 func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
@@ -343,31 +410,37 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 		}
 	}
 	cost := &c.mach.Cost
-	clk := &c.clk
+	p := &c.pend
 	// Bus bounds.
 	if uint64(a) >= c.mach.Mem.Size() || c.mach.Mem.Size()-uint64(a) < size {
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "bus error"}
 	}
-	// Accesses are register-width at most and assumed not to straddle
-	// pages (the assembler and loaders keep data naturally aligned).
+	// Only a's page is looked up below, so an access reaching into the
+	// next page would touch bytes no filter was asked about. The
+	// assembler and loaders keep data naturally aligned; anything else
+	// fails closed.
+	if uint64(a)%phys.PageSize+size > phys.PageSize {
+		c.faults.Add(1)
+		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "access straddles a page boundary"}
+	}
 	pg := a.Page()
 	gen := ctx.Filter.Generation()
 	var perm Perm
-	if p, ok := c.mru.lookup(ctx.ASID, pg, gen, c.tlb.FlushCount()); ok {
-		perm = p
-		c.tlb.RecordHit()
-		clk.Advance(cost.TLBHit)
+	if mp, ok := c.mru.lookup(ctx.ASID, pg, gen, c.tlb.FlushCount()); ok {
+		perm = mp
+		p.tlbHits++
+		p.cycles += cost.TLBHit
 	} else {
 		var hit bool
 		perm, hit = c.tlb.Lookup(ctx.ASID, pg, gen)
 		if hit {
-			clk.Advance(cost.TLBHit)
+			p.cycles += cost.TLBHit
 		} else {
 			walk := cost.PageWalk
 			if ctx.UsesEPT {
 				walk += cost.EPTWalk
 			}
-			clk.Advance(walk)
+			p.cycles += walk
 			perm = ctx.Filter.Lookup(a)
 			c.tlb.Insert(ctx.ASID, pg, perm, gen)
 		}
@@ -384,133 +457,223 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 		c.faults.Add(1)
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "first-level (OS) denial"}
 	}
-	if c.cache.Touch(a, want.Allows(PermW)) {
-		clk.Advance(cost.MemHit)
+	if c.cache.touch(a) {
+		p.cacheHits++
+		p.cycles += cost.MemHit
 	} else {
-		clk.Advance(cost.MemMiss)
+		p.cacheMisses++
+		p.cycles += cost.MemMiss
 	}
 	return nil
+}
+
+// fetch loads the instruction at PC, which access has just admitted.
+// An aligned PC whose word the core decoded at the page's current write
+// version is served from the decoded-page cache; everything else goes
+// through fill. On failure it sets *t and returns false. The
+// instruction comes back through a pointer, as one 8-byte copy: returned
+// by value it is split across five registers and reassembled with byte
+// stores, which the profile showed costing more than the lookup.
+func (c *Core) fetch(ins *Instr, t *Trap) bool {
+	if c.PC%InstrSize == 0 {
+		pg := c.PC.Page()
+		i := uint64(c.PC) % phys.PageSize / InstrSize
+		if s := c.decoded[pg%decodedSlots]; s != nil && s.page == pg &&
+			s.valid[i/64]&(1<<(i%64)) != 0 && s.ver == c.mach.Mem.pageVersion(pg) {
+			*ins = s.ins[i]
+			return true
+		}
+	}
+	return c.fill(ins, t)
+}
+
+// fill reads the word at PC from memory together with its page's write
+// version, validates it and, for an aligned PC, records it in the
+// page's slot — resetting the slot first if it held another page or an
+// older version. Unaligned PCs and illegal words are never cached.
+func (c *Core) fill(out *Instr, t *Trap) bool {
+	pc := c.PC
+	word, ver, err := c.mach.Mem.fetchWord(pc)
+	if err != nil {
+		*t = Trap{Kind: TrapFault, Addr: pc, Want: PermX, PC: pc, Info: err.Error()}
+		return false
+	}
+	ins := decode(word)
+	if !ins.Valid() {
+		*t = Trap{Kind: TrapIllegal, PC: pc, Info: illegalInfo(word)}
+		return false
+	}
+	*out = ins
+	if pc%InstrSize != 0 {
+		return true
+	}
+	pg := pc.Page()
+	s := c.decoded[pg%decodedSlots]
+	if s == nil {
+		s = new(decodedPage)
+		c.decoded[pg%decodedSlots] = s
+	}
+	if s.page != pg || s.ver != ver {
+		s.page, s.ver = pg, ver
+		s.valid = [len(s.valid)]uint64{}
+	}
+	i := uint64(pc) % phys.PageSize / InstrSize
+	s.ins[i] = ins
+	s.valid[i/64] |= 1 << (i % 64)
+	return true
+}
+
+// illegalInfo is Decode's error text for an undecodable word. It is a
+// function of its own so that the word escapes (into the formatted
+// error) only on this path, not in every fill.
+func illegalInfo(word [InstrSize]byte) string {
+	_, err := Decode(word[:])
+	return err.Error()
 }
 
 // Step executes a single instruction. It returns a trap describing any
 // exit event; Trap.Kind==TrapNone means the instruction retired and
 // execution may continue.
 func (c *Core) Step() Trap {
+	var t Trap
+	c.step(&t)
+	c.publish()
+	return t
+}
+
+// step executes one instruction without publishing the pending
+// counters. It reports whether the instruction retired with no exit
+// event; when it returns false, *t describes the event. The trap goes
+// through a pointer so that the retiring path moves no Trap around.
+func (c *Core) step(t *Trap) bool {
 	if c.stalled.Load() {
-		return Trap{Kind: TrapMachineCheck, PC: c.PC, Info: "core stalled"}
+		*t = Trap{Kind: TrapMachineCheck, PC: c.PC, Info: "core stalled"}
+		return false
 	}
 	if c.halted.Load() {
-		return Trap{Kind: TrapHalt, PC: c.PC}
+		*t = Trap{Kind: TrapHalt, PC: c.PC}
+		return false
 	}
-	if t := c.access(c.PC, PermX, InstrSize); t != nil {
-		return *t
+	if ft := c.access(c.PC, PermX, InstrSize); ft != nil {
+		*t = *ft
+		return false
 	}
-	var raw [InstrSize]byte
-	if err := c.mach.Mem.ReadAt(c.PC, raw[:]); err != nil {
-		return Trap{Kind: TrapFault, Addr: c.PC, Want: PermX, PC: c.PC, Info: err.Error()}
+	var ins Instr
+	if !c.fetch(&ins, t) {
+		return false
 	}
-	ins, err := Decode(raw[:])
-	if err != nil {
-		return Trap{Kind: TrapIllegal, PC: c.PC, Info: err.Error()}
-	}
+	return c.exec(ins, t)
+}
+
+// exec executes the instruction fetched from PC, with step's contract.
+func (c *Core) exec(ins Instr, t *Trap) bool {
 	cost := &c.mach.Cost
-	clk := &c.clk
+	p := &c.pend
 	next := c.PC + InstrSize
 	r := &c.Regs
 	switch ins.Op {
 	case OpHlt:
 		c.halted.Store(true)
-		c.instrs.Add(1)
-		return Trap{Kind: TrapHalt, PC: c.PC}
+		p.instrs++
+		*t = Trap{Kind: TrapHalt, PC: c.PC}
+		return false
 	case OpNop:
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpMovi:
 		r[ins.Rd] = uint64(ins.Imm)
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpMov:
 		r[ins.Rd] = r[ins.Rs1]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpAdd:
 		r[ins.Rd] = r[ins.Rs1] + r[ins.Rs2]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpSub:
 		r[ins.Rd] = r[ins.Rs1] - r[ins.Rs2]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpMul:
 		r[ins.Rd] = r[ins.Rs1] * r[ins.Rs2]
-		clk.Advance(cost.ALUOp * 3)
+		p.cycles += cost.ALUOp * 3
 	case OpAnd:
 		r[ins.Rd] = r[ins.Rs1] & r[ins.Rs2]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpOr:
 		r[ins.Rd] = r[ins.Rs1] | r[ins.Rs2]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpXor:
 		r[ins.Rd] = r[ins.Rs1] ^ r[ins.Rs2]
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpShl:
 		r[ins.Rd] = r[ins.Rs1] << (r[ins.Rs2] & 63)
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpShr:
 		r[ins.Rd] = r[ins.Rs1] >> (r[ins.Rs2] & 63)
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpAddi:
 		r[ins.Rd] = r[ins.Rs1] + uint64(ins.Imm)
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpLd:
 		a := phys.Addr(r[ins.Rs1] + uint64(ins.Imm))
-		if t := c.access(a, PermR, 8); t != nil {
-			return *t
+		if ft := c.access(a, PermR, 8); ft != nil {
+			*t = *ft
+			return false
 		}
 		v, err := c.mach.Mem.Read64(a)
 		if err != nil {
-			return Trap{Kind: TrapFault, Addr: a, Want: PermR, PC: c.PC, Info: err.Error()}
+			*t = Trap{Kind: TrapFault, Addr: a, Want: PermR, PC: c.PC, Info: err.Error()}
+			return false
 		}
 		r[ins.Rd] = v
 	case OpSt:
 		a := phys.Addr(r[ins.Rs1] + uint64(ins.Imm))
-		if t := c.access(a, PermW, 8); t != nil {
-			return *t
+		if ft := c.access(a, PermW, 8); ft != nil {
+			*t = *ft
+			return false
 		}
 		if err := c.mach.Mem.Write64(a, r[ins.Rs2]); err != nil {
-			return Trap{Kind: TrapFault, Addr: a, Want: PermW, PC: c.PC, Info: err.Error()}
+			*t = Trap{Kind: TrapFault, Addr: a, Want: PermW, PC: c.PC, Info: err.Error()}
+			return false
 		}
 	case OpLdb:
 		a := phys.Addr(r[ins.Rs1] + uint64(ins.Imm))
-		if t := c.access(a, PermR, 1); t != nil {
-			return *t
+		if ft := c.access(a, PermR, 1); ft != nil {
+			*t = *ft
+			return false
 		}
 		b, err := c.mach.Mem.ReadByteAt(a)
 		if err != nil {
-			return Trap{Kind: TrapFault, Addr: a, Want: PermR, PC: c.PC, Info: err.Error()}
+			*t = Trap{Kind: TrapFault, Addr: a, Want: PermR, PC: c.PC, Info: err.Error()}
+			return false
 		}
 		r[ins.Rd] = uint64(b)
 	case OpStb:
 		a := phys.Addr(r[ins.Rs1] + uint64(ins.Imm))
-		if t := c.access(a, PermW, 1); t != nil {
-			return *t
+		if ft := c.access(a, PermW, 1); ft != nil {
+			*t = *ft
+			return false
 		}
 		if err := c.mach.Mem.WriteByteAt(a, byte(r[ins.Rs2])); err != nil {
-			return Trap{Kind: TrapFault, Addr: a, Want: PermW, PC: c.PC, Info: err.Error()}
+			*t = Trap{Kind: TrapFault, Addr: a, Want: PermW, PC: c.PC, Info: err.Error()}
+			return false
 		}
 	case OpJmp:
 		next = phys.Addr(ins.Imm)
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpJz:
 		if r[ins.Rs1] == 0 {
 			next = phys.Addr(ins.Imm)
 		}
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpJnz:
 		if r[ins.Rs1] != 0 {
 			next = phys.Addr(ins.Imm)
 		}
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpJlt:
 		if r[ins.Rs1] < r[ins.Rs2] {
 			next = phys.Addr(ins.Imm)
 		}
-		clk.Advance(cost.ALUOp)
+		p.cycles += cost.ALUOp
 	case OpVmfunc:
 		// The guest-level fast switch: no exit, tagged TLB survives.
 		// An index outside the monitor-installed list vm-exits on real
@@ -518,45 +681,54 @@ func (c *Core) Step() Trap {
 		target, ok := c.vmfuncEntry(r[14])
 		if !ok {
 			c.faults.Add(1)
-			return Trap{Kind: TrapFault, Addr: c.PC, Want: PermX, PC: c.PC,
+			*t = Trap{Kind: TrapFault, Addr: c.PC, Want: PermX, PC: c.PC,
 				Info: fmt.Sprintf("vmfunc: index %d not registered", r[14])}
+			return false
 		}
-		clk.Advance(cost.VMFunc)
+		p.cycles += cost.VMFunc
 		c.SwitchContextTagged(target)
 	case OpVmcall:
-		c.instrs.Add(1)
+		p.instrs++
 		c.PC = next // resume after the call
-		return Trap{Kind: TrapVMCall, PC: c.PC - InstrSize}
+		*t = Trap{Kind: TrapVMCall, PC: c.PC - InstrSize}
+		return false
 	case OpSyscall:
-		c.instrs.Add(1)
+		p.instrs++
 		c.PC = next
-		return Trap{Kind: TrapSyscall, PC: c.PC - InstrSize}
+		*t = Trap{Kind: TrapSyscall, PC: c.PC - InstrSize}
+		return false
 	default:
-		return Trap{Kind: TrapIllegal, PC: c.PC, Info: ins.Op.String()}
+		*t = Trap{Kind: TrapIllegal, PC: c.PC, Info: ins.Op.String()}
+		return false
 	}
-	c.instrs.Add(1)
+	p.instrs++
 	c.PC = next
 	if c.tickTimer() {
-		return Trap{Kind: TrapTimer, PC: c.PC}
+		*t = Trap{Kind: TrapTimer, PC: c.PC}
+		return false
 	}
-	return Trap{Kind: TrapNone}
+	return true
 }
 
 // Run executes up to maxInstrs instructions, stopping at the first trap.
 // It returns the number of retired instructions (the instruction that
 // raised a retiring trap — VMCALL, SYSCALL, HLT, timer — counts;
 // faulting instructions do not retire) and the trap (TrapNone when the
-// budget ran out).
+// budget ran out). The core's counters are published once, when Run
+// returns and before the trap is traced.
 func (c *Core) Run(maxInstrs int) (int, Trap) {
-	start := c.instrs.Load()
-	for int(c.instrs.Load()-start) < maxInstrs {
-		t := c.Step()
-		if t.Kind != TrapNone {
-			c.traceTrap(t)
-			return int(c.instrs.Load() - start), t
-		}
+	var t Trap
+	running := true
+	for running && int(c.pend.instrs) < maxInstrs {
+		running = c.step(&t)
 	}
-	return int(c.instrs.Load() - start), Trap{Kind: TrapNone, PC: c.PC}
+	n := int(c.pend.instrs)
+	c.publish()
+	if running {
+		return n, Trap{Kind: TrapNone, PC: c.PC}
+	}
+	c.traceTrap(t)
+	return n, t
 }
 
 // traceTrap emits the guest-exit event for a trap ending a Run. Budget

@@ -231,17 +231,17 @@ func TestTLBEviction(t *testing.T) {
 func TestCachePrimeProbe(t *testing.T) {
 	c := NewCache(16)
 	// Prime: fill a set.
-	if c.Touch(0x0, false) {
+	if c.Touch(0x0) {
 		t.Fatal("cold cache should miss")
 	}
-	if !c.Touch(0x0, false) {
+	if !c.Touch(0x0) {
 		t.Fatal("second touch should hit")
 	}
 	if !c.Probe(0x0) {
 		t.Fatal("probe should see resident line")
 	}
 	// Conflict eviction: same set index (16 lines * 64B = 1KiB stride).
-	c.Touch(0x400, false)
+	c.Touch(0x400)
 	if c.Probe(0x0) {
 		t.Fatal("conflicting line should have evicted the victim")
 	}

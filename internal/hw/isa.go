@@ -107,18 +107,23 @@ func (i Instr) EncodeTo(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
+// decode unpacks an instruction word without validating it.
+func decode(w [InstrSize]byte) Instr {
+	return Instr{
+		Op:  Opcode(w[0]),
+		Rd:  w[1],
+		Rs1: w[2],
+		Rs2: w[3],
+		Imm: binary.LittleEndian.Uint32(w[4:]),
+	}
+}
+
 // Decode parses the 8-byte word in buf.
 func Decode(buf []byte) (Instr, error) {
 	if len(buf) < InstrSize {
 		return Instr{}, fmt.Errorf("hw: short instruction fetch (%d bytes)", len(buf))
 	}
-	i := Instr{
-		Op:  Opcode(buf[0]),
-		Rd:  buf[1],
-		Rs1: buf[2],
-		Rs2: buf[3],
-		Imm: binary.LittleEndian.Uint32(buf[4:]),
-	}
+	i := decode([InstrSize]byte(buf))
 	if !i.Valid() {
 		return i, fmt.Errorf("hw: illegal instruction %#x (op=%d rd=%d rs1=%d rs2=%d)",
 			buf[:InstrSize], buf[0], buf[1], buf[2], buf[3])

@@ -8,8 +8,8 @@ import (
 )
 
 // Micro-benchmarks for the hot translation path: clock-hand TLB
-// eviction (formerly a slice-shifting FIFO) and the core's 1-entry MRU
-// cache in front of it.
+// eviction (formerly a slice-shifting FIFO) and the core's MRUWays-way
+// translation cache in front of it.
 
 // BenchmarkTLBInsertEvict hammers Insert with a working set four times
 // the TLB capacity, so every fill evicts. The old FIFO shifted the
@@ -38,7 +38,7 @@ func BenchmarkTLBLookupHit(b *testing.B) {
 }
 
 // BenchmarkCoreAccessMRU runs a tight load loop against one page, the
-// case the core's 1-entry MRU translation cache is built for: after the
+// case the core's MRU translation cache is built for: after the
 // first fill every access short-circuits before the TLB's mutex.
 func BenchmarkCoreAccessMRU(b *testing.B) {
 	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 1})
@@ -210,7 +210,7 @@ func TestTLBClockHandSecondChance(t *testing.T) {
 	}
 }
 
-// TestCoreMRUCoherence: the 1-entry MRU cache must not outlive a TLB
+// TestCoreMRUCoherence: the MRU translation cache must not outlive a TLB
 // flush (shootdown) — after a flush the next access walks again.
 func TestCoreMRUCoherence(t *testing.T) {
 	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 1})

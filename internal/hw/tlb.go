@@ -32,7 +32,10 @@ const DefaultTLBEntries = 64
 // The TLB belongs to one core but is mutated cross-core by the
 // monitor's cleanup shootdowns (backend.RunCleanups flushes every
 // core's TLB), so all operations take an internal mutex; statistics
-// counters are atomic so they can be read while the core runs.
+// counters are atomic so they can be read while the core runs. The
+// owning core reaches the TLB only when its MRU translation cache
+// misses; hits the MRU serves are counted by the core and added to
+// hits when its Run or Step returns.
 type TLB struct {
 	// Strict, when true, validates generation on every hit. Toggled
 	// only while the core is quiescent.
@@ -99,11 +102,6 @@ func (t *TLB) Lookup(asid, pg uint64, gen uint64) (Perm, bool) {
 	t.hits.Add(1)
 	return perm, true
 }
-
-// RecordHit counts a translation served by a faster structure in front
-// of the TLB (the core's 1-entry MRU cache) so hit-rate statistics keep
-// describing the whole translation path.
-func (t *TLB) RecordHit() { t.hits.Add(1) }
 
 // FlushCount returns the number of flush operations so far. The core's
 // MRU translation cache keys on it to stay coherent with shootdowns.
@@ -175,7 +173,10 @@ func (t *TLB) FlushRegion(r phys.Region) {
 	t.flushes.Add(1)
 }
 
-// Stats returns hit/miss/flush counters.
+// Stats returns hit/miss/flush counters. Hits include the translations
+// the owning core's MRUWays-way front-side cache served, so the ratio
+// describes the whole translation path; those are published when the
+// core's Run or Step returns, so while it is inside a Run hits lags.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits.Load(), t.misses.Load(), t.flushes.Load()
 }
