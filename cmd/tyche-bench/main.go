@@ -7,12 +7,15 @@
 //	tyche-bench -experiment F2
 //	tyche-bench                  # run everything
 //	tyche-bench -backend pmp -experiment F4
-//	tyche-bench -parallel 4 -out BENCH_smp.json
 //	tyche-bench -traced -experiment C15
-//	tyche-bench -experiment C19 -out BENCH_sched.json
-//	tyche-bench -verify 16 -experiment C21 -out BENCH_check.json
+//	tyche-bench -verify 16 -experiment C21
+//	tyche-bench -traced -parallel 4 -out BENCH.json   # the committed record
 //
-// The process exits non-zero if any experiment's shape checks fail.
+// Results carry counts, simulated cycles and verdicts only, so the same
+// seed reproduces the same record on any host (EXPERIMENTS.md lists the
+// few multi-core rows that follow the host's thread interleaving); the
+// elapsed time goes to stderr. The process exits non-zero if any
+// experiment's shape checks fail.
 package main
 
 import (
@@ -20,23 +23,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/tyche-sim/tyche/internal/bench"
 	"github.com/tyche-sim/tyche/internal/core"
 )
 
-// benchOutput is the BENCH_smp.json schema: the run configuration plus
-// every experiment result (tables, checks, wall-clock, metrics).
+// benchOutput is the BENCH.json schema: the run configuration plus
+// every experiment result (tables, checks, metrics).
 type benchOutput struct {
-	Backend   string
-	Quick     bool
-	Seed      int64
-	Parallel  int
-	GoMaxProc int
-	WallNanos int64
-	Results   []*bench.Result
+	Backend  string
+	Quick    bool
+	Seed     int64
+	Parallel int
+	Results  []*bench.Result
 }
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		asJSON     = flag.Bool("json", false, "emit results as JSON to stdout (for CI)")
 		parallel   = flag.Int("parallel", 1, "experiments to run concurrently")
-		out        = flag.String("out", "", "write machine-readable results (BENCH_smp.json) to this file")
+		out        = flag.String("out", "", "write machine-readable results (BENCH.json) to this file")
 		traced     = flag.Bool("traced", false, "run every experiment with the cycle-stamped tracer and online invariant checker attached")
 		verify     = flag.Int("verify", 0, "attach the always-on runtime-verification service to every experiment world: 1 = exact sharded checking, N>1 = 1-in-N sampling of high-rate events (0 disables)")
 	)
@@ -101,13 +101,11 @@ func main() {
 	}
 	if *out != "" {
 		doc := benchOutput{
-			Backend:   *backend,
-			Quick:     *quick,
-			Seed:      *seed,
-			Parallel:  *parallel,
-			GoMaxProc: runtime.GOMAXPROCS(0),
-			WallNanos: wall.Nanoseconds(),
-			Results:   results,
+			Backend:  *backend,
+			Quick:    *quick,
+			Seed:     *seed,
+			Parallel: *parallel,
+			Results:  results,
 		}
 		blob, err := json.MarshalIndent(doc, "", "  ")
 		if err == nil {

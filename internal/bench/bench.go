@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -55,12 +54,6 @@ type Config struct {
 	// can render the checker's verdict even for experiments without
 	// explicit trace checks. Wired by RunExperiments.
 	audit *traceAudit
-	// contended marks a multi-worker pool run: sibling experiments are
-	// competing for the host CPU, so wall-clock gates cannot be
-	// enforced meaningfully. Experiments with such gates (C21) demote
-	// them to informational and shrink their measurement load. Set by
-	// RunExperiments.
-	contended bool
 }
 
 // verdicter is any attached trace oracle the audit can finalise: the
@@ -123,11 +116,8 @@ type Result struct {
 	Rows    [][]string
 	Notes   []string
 	Checks  []Check
-	// WallNanos is the experiment's wall-clock duration, stamped by the
-	// harness (RunExperiments).
-	WallNanos int64 `json:",omitempty"`
 	// Metrics carries machine-readable scalars (cycle counts, hit
-	// rates) for BENCH_smp.json; experiments fill it via metric().
+	// rates) for BENCH.json; experiments fill it via metric().
 	Metrics map[string]float64 `json:",omitempty"`
 }
 
@@ -237,33 +227,12 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment serially, rendering to w, and
-// returns the failed checks across all of them.
-func RunAll(w io.Writer, cfg Config) ([]Check, error) {
-	return RunAllParallel(w, cfg, 1)
-}
-
-// RunAllParallel is RunAll over a pool of `workers` goroutines.
-// Experiments are independent (each boots its own machine), so they
-// parallelise trivially; output stays deterministic because results are
-// rendered in ID order after the pool drains.
-func RunAllParallel(w io.Writer, cfg Config, workers int) ([]Check, error) {
-	results, err := RunExperiments(Experiments(), cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	var failed []Check
-	for _, res := range results {
-		res.Render(w)
-		failed = append(failed, res.Failed()...)
-	}
-	return failed, nil
-}
-
 // RunExperiments runs the given experiments over a pool of `workers`
-// goroutines and returns their results in input order, each stamped
-// with its wall-clock duration. The first experiment error aborts the
-// batch.
+// goroutines and returns their results in input order. Experiments are
+// independent (each boots its own machines) and compare only counts,
+// simulated cycles and verdicts, so the pool size changes how long the
+// batch takes and nothing in the results. The first experiment error
+// aborts the batch.
 func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, error) {
 	if workers < 1 {
 		workers = 1
@@ -281,17 +250,14 @@ func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, erro
 			defer wg.Done()
 			for j := range jobs {
 				run := cfg
-				run.contended = workers > 1
 				if cfg.Trace || cfg.Verify > 0 {
 					run.audit = &traceAudit{}
 				}
-				start := time.Now()
 				res, err := exps[j].Run(run)
 				if err != nil {
 					errs[j] = err
 					continue
 				}
-				res.WallNanos = time.Since(start).Nanoseconds()
 				if run.audit != nil {
 					run.audit.appendCheck(res)
 				}
@@ -369,6 +335,15 @@ func countsMatch(c check.Counts, st core.Stats) bool {
 		c.ForcedKills == st.ForcedKills && c.PagesScrubbed == st.PagesScrubbed &&
 		c.VMCalls+c.MachineChecks == st.VMExits &&
 		c.Batches == st.RingFlushes && c.BatchedOps == st.RingOps
+}
+
+// countsMatchSince reconciles a checker attached mid-run against the
+// statistics delta since its attach point.
+func countsMatchSince(c check.Counts, st, base core.Stats) bool {
+	return c.Transitions == st.Transitions-base.Transitions &&
+		c.Revocations == st.Revocations-base.Revocations &&
+		c.CapOps == st.CapOps-base.CapOps &&
+		c.VMCalls+c.MachineChecks == st.VMExits-base.VMExits
 }
 
 type worldOpts struct {
@@ -476,6 +451,15 @@ func newWorld(cfg Config, o worldOpts) (*world, error) {
 	return w, nil
 }
 
+// loadOn is the load policy of an experiment's ordinary domains: the
+// defaults (unsealed, so dom0 can keep delegating to them; obfuscating
+// cleanup; no fast path), runnable on the given cores.
+func loadOn(cores ...phys.CoreID) libtyche.LoadOptions {
+	lo := libtyche.DefaultLoadOptions()
+	lo.Cores = cores
+	return lo
+}
+
 // addImage builds an image whose domain returns r2+delta via the
 // monitor's return call (the standard "service domain" payload).
 func addImage(name string, delta uint32) *image.Image {
@@ -521,10 +505,165 @@ func buildAt(cl *libtyche.Client, name string, gen func(base phys.Addr) *hw.Asm,
 	return img, nil
 }
 
+// pinnedSpec describes a worker-per-core run: `workers` guest domains,
+// worker i pinned to core i+1 (dom0 idles on core 0), all driven to
+// completion concurrently by one RunCores. The capability ring (C15,
+// C17, C18), the transition storm (C18), the batched-ABI storm (C20)
+// and the dedicated-core baseline (C19) are this run with different
+// programs. The func fields other than worker may be nil.
+type pinnedSpec struct {
+	name    string // image name prefix
+	workers int
+	budget  int // RunCores instruction budget per core
+	// tweak runs right after the world boots, before any worker loads
+	// (C17 swaps tracers there).
+	tweak func(*world) error
+	// worker describes worker i. It may load helper domains and allocate
+	// regions first, so their addresses are assembly-time constants.
+	worker func(w *world, i int) (pinnedWorker, error)
+	// regs is worker i's boot register file, poked after Launch (which
+	// zeroes it) like libtyche's Invoke argument passing. It sees every
+	// loaded worker, so a ring of workers can name its neighbours.
+	regs func(i int, doms []*libtyche.Domain) [hw.NumRegs]uint64
+	// armed runs once every core is launched, right before the counters
+	// are snapshotted.
+	armed func(*world)
+}
+
+// pinnedWorker is one worker's program, assembled against its load
+// address, plus what it holds beyond its own image.
+type pinnedWorker struct {
+	gen    func(base phys.Addr) *hw.Asm
+	extras []func(*image.Image)
+	// grants, when non-nil, hands the loaded worker extra capabilities.
+	grants func(dom *libtyche.Domain) error
+}
+
+// pinnedRun is the outcome of a pinned-worker run. Counters and cycles
+// cover the concurrent phase only: launched cores in, halted cores out.
+type pinnedRun struct {
+	w             *world
+	doms          []*libtyche.Domain
+	before, after core.Stats
+	cycles        uint64
+	lockAcqs      uint64 // revocation-mutex acquisitions
+	// complete: every worker halted with its loop counter (r10) drained
+	// and no failure marker in r15. Callers clear it, with a detail,
+	// when their own exact accounting does not add up.
+	complete bool
+	detail   string
+}
+
+// fail marks the run incomplete with the given reason.
+func (p *pinnedRun) fail(format string, args ...any) {
+	p.complete = false
+	p.detail = " (" + fmt.Sprintf(format, args...) + ")"
+}
+
+func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
+	opts := defaultWorldOpts()
+	opts.cores = spec.workers + 1
+	w, err := newWorld(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	if spec.tweak != nil {
+		if err := spec.tweak(w); err != nil {
+			return nil, err
+		}
+	}
+	p := &pinnedRun{w: w, complete: true}
+	for i := 0; i < spec.workers; i++ {
+		wk, err := spec.worker(w, i)
+		if err != nil {
+			return nil, err
+		}
+		img, err := buildAt(w.cl, fmt.Sprintf("%s%d", spec.name, i), wk.gen, wk.extras...)
+		if err != nil {
+			return nil, err
+		}
+		dom, err := w.cl.Load(img, loadOn(phys.CoreID(i+1)))
+		if err != nil {
+			return nil, err
+		}
+		if wk.grants != nil {
+			if err := wk.grants(dom); err != nil {
+				return nil, err
+			}
+		}
+		p.doms = append(p.doms, dom)
+	}
+	cores := workerCores(spec.workers)
+	for i, dom := range p.doms {
+		if err := dom.Launch(cores[i]); err != nil {
+			return nil, err
+		}
+		if spec.regs != nil {
+			w.mach.Core(cores[i]).Regs = spec.regs(i, p.doms)
+		}
+	}
+	if spec.armed != nil {
+		spec.armed(w)
+	}
+	_, acqBefore := w.mon.LockWait()
+	p.before = w.mon.Stats()
+	cyclesBefore := w.mach.Clock.Cycles()
+	runs, err := w.mon.RunCores(spec.budget, cores...)
+	if err != nil {
+		return nil, err
+	}
+	p.cycles = w.mach.Clock.Cycles() - cyclesBefore
+	p.after = w.mon.Stats()
+	_, acqAfter := w.mon.LockWait()
+	p.lockAcqs = acqAfter - acqBefore
+	for _, id := range cores {
+		run, ok := runs[id]
+		c := w.mach.Core(id)
+		if !ok || run.Trap.Kind != hw.TrapHalt || c.Regs[10] != 0 || c.Regs[15] == 0xdead {
+			p.fail("core %v: trap=%v r10=%d r15=%#x", id, run.Trap, c.Regs[10], c.Regs[15])
+		}
+	}
+	return p, nil
+}
+
+// endPinnedLoop closes a pinned worker's program the way runPinned's
+// verdict reads it: count r10 down by r12 (the constant 1) back to
+// label and halt once drained; "fail" marks r15 and halts.
+func endPinnedLoop(a *hw.Asm, label string) {
+	a.Sub(10, 10, 12)
+	a.Jnz(10, label)
+	a.Hlt()
+	a.Label("fail")
+	a.Movi(15, 0xdead)
+	a.Hlt()
+}
+
+// workerCores names the cores a pinned or scheduled workload runs on.
+func workerCores(n int) []phys.CoreID {
+	out := make([]phys.CoreID, n)
+	for i := range out {
+		out[i] = phys.CoreID(i + 1) // dom0 idles on core 0
+	}
+	return out
+}
+
 func cycles(m *hw.Machine, f func() error) (uint64, error) {
 	before := m.Clock.Cycles()
 	err := f()
 	return m.Clock.Cycles() - before, err
+}
+
+// cyclesPer runs f n times and returns the mean cycle cost of one run.
+func cyclesPer(m *hw.Machine, n int, f func() error) (uint64, error) {
+	total, err := cycles(m, func() error {
+		for i := 0; i < n; i++ {
+			if err := f(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return total / uint64(n), err
 }
 
 func fmtU(v uint64) string { return fmt.Sprintf("%d", v) }
@@ -536,9 +675,4 @@ func fmtRatio(v, base uint64) string {
 	return fmt.Sprintf("%.1fx", float64(v)/float64(base))
 }
 
-func boolCell(ok bool) string {
-	if ok {
-		return "ok"
-	}
-	return "DENIED"
-}
+func boolCell(ok bool) string { return boolCellWord(ok, "ok", "DENIED") }

@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"io"
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -9,27 +10,78 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-// TestExperimentsPassAllChecks runs every registered experiment in
-// quick mode and requires every shape check to pass — the experiments
-// double as the repository's integration suite.
+// TestExperimentsPassAllChecks runs every registered experiment once, in
+// quick mode, over a worker pool — which executes exactly what a serial
+// run does: results carry counts, simulated cycles and verdicts, never
+// host time — and requires every shape check to pass (the experiments
+// double as the repository's integration suite) and the pool to hand
+// results back in ID order despite out-of-order completion.
 func TestExperimentsPassAllChecks(t *testing.T) {
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(Config{Quick: true, Seed: 1})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			var sb strings.Builder
-			res.Render(&sb)
-			for _, c := range res.Failed() {
-				t.Errorf("%s check %s failed: %s", e.ID, c.Name, c.Detail)
-			}
-			if t.Failed() {
-				t.Log(sb.String())
+	results, err := RunExperiments(Experiments(), Config{Quick: true, Seed: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := Experiments()
+	if len(results) != len(exps) {
+		t.Fatalf("results = %d, want %d", len(results), len(exps))
+	}
+	for i, res := range results {
+		t.Run(exps[i].ID, func(t *testing.T) {
+			if res.ID != exps[i].ID {
+				t.Fatalf("result %d is %s, want %s (ID order)", i, res.ID, exps[i].ID)
 			}
 			if len(res.Rows) == 0 {
-				t.Fatalf("%s produced no table rows", e.ID)
+				t.Fatalf("%s produced no table rows", res.ID)
+			}
+			for _, c := range res.Failed() {
+				t.Errorf("%s check %s failed: %s", res.ID, c.Name, c.Detail)
+			}
+			if t.Failed() {
+				var sb strings.Builder
+				res.Render(&sb)
+				t.Log(sb.String())
+			}
+		})
+	}
+}
+
+// hostDependent names the experiments whose results legitimately differ
+// between two same-seed runs, with the reason (EXPERIMENTS.md repeats
+// the table). Everything else must reproduce byte for byte.
+var hostDependent = map[string]string{
+	"C15": "w>1: cores run as host goroutines against one cycle clock, so grace-period and shootdown waits — and the cycle total — follow the interleaving (w1 is bit-stable)",
+	"C17": "the C15 workload: w4 cycle totals and event counts follow the interleaving (w1 carries the cycles-identical gate)",
+	"C18": "the C15 workload and the transition storm at w>1: cycle totals follow the interleaving",
+	"C20": "w>1: per-op spans are read off the shared clock, so concurrent cores' progress bleeds into the p99 (cycle totals, traps and rounds are stable)",
+	"C23": "fleet.Serve fans requests over host goroutines: how many are in flight on the killed node, and so retried, varies (ROADMAP item 4)",
+}
+
+// TestResultsAreHostIndependent is the reproducibility contract: an
+// experiment's Result is a pure function of (seed, build tags), so two
+// runs with one seed must marshal to the same bytes.
+func TestResultsAreHostIndependent(t *testing.T) {
+	for _, e := range Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			if why, ok := hostDependent[e.ID]; ok {
+				t.Skip(why)
+			}
+			var out [2][]byte
+			for i := range out {
+				res, err := e.Run(Config{Quick: true, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i], _ = json.Marshal(res)
+			}
+			a, b := out[0], out[1]
+			if !bytes.Equal(a, b) {
+				at := 0
+				for at < len(a) && at < len(b) && a[at] == b[at] {
+					at++
+				}
+				from := max(at-80, 0)
+				t.Errorf("%s differs between two runs of seed 1 at byte %d:\n  ...%s\n  ...%s",
+					e.ID, at, a[from:min(at+40, len(a))], b[from:min(at+40, len(b))])
 			}
 		})
 	}
@@ -56,51 +108,15 @@ func TestExperimentsOnPMPBackend(t *testing.T) {
 	}
 }
 
-func TestRegistryAndRunAll(t *testing.T) {
-	if len(Experiments()) < 22 {
-		t.Fatalf("registered experiments = %d, want 22 (F1-F4, C1-C18)", len(Experiments()))
+func TestRegistry(t *testing.T) {
+	if n := len(Experiments()); n != 27 {
+		t.Fatalf("registered experiments = %d, want 27 (F1-F4, C1-C23)", n)
 	}
 	if _, ok := Lookup("F1"); !ok {
 		t.Fatal("F1 missing")
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("bogus lookup succeeded")
-	}
-	failed, err := RunAll(io.Discard, Config{Quick: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failed) != 0 {
-		t.Fatalf("failed checks: %+v", failed)
-	}
-}
-
-// TestRunAllParallel runs the whole suite over a worker pool: every
-// check must still pass (experiments must stay independent of each
-// other), every experiment must be stamped with a wall-clock duration,
-// and rendering must come out in ID order despite out-of-order
-// completion.
-func TestRunAllParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite run")
-	}
-	results, err := RunExperiments(Experiments(), Config{Quick: true, Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(Experiments()) {
-		t.Fatalf("results = %d, want %d", len(results), len(Experiments()))
-	}
-	for i, res := range results {
-		if want := Experiments()[i].ID; res.ID != want {
-			t.Fatalf("result %d is %s, want %s (ID order)", i, res.ID, want)
-		}
-		if res.WallNanos <= 0 {
-			t.Errorf("%s missing wall-clock stamp", res.ID)
-		}
-		for _, c := range res.Failed() {
-			t.Errorf("%s check %s failed under parallel run: %s", res.ID, c.Name, c.Detail)
-		}
 	}
 }
 

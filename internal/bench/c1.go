@@ -50,7 +50,6 @@ func runC1(cfg Config) (*Result, error) {
 		{"experiments (bench)", []string{"internal/bench"}, false},
 	}
 	var tcb, total int
-	counts := make(map[string]int)
 	for _, g := range groups {
 		var n int
 		for _, p := range g.pkgs {
@@ -60,7 +59,6 @@ func runC1(cfg Config) (*Result, error) {
 			}
 			n += c
 		}
-		counts[g.name] = n
 		total += n
 		if g.tcb {
 			tcb += n
@@ -77,12 +75,7 @@ func runC1(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func boolYes(v bool) string {
-	if v {
-		return "yes"
-	}
-	return "no"
-}
+func boolYes(v bool) string { return boolCellWord(v, "yes", "no") }
 
 // repoRoot locates the repository root from this source file's path.
 func repoRoot() (string, error) {

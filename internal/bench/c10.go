@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"errors"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -49,17 +48,11 @@ func runC10(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var node cap.NodeID
-		for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
-			if n.Resource.Kind == cap.ResMemory {
-				node = n.ID
-			}
-		}
 		region := phys.MakeRegion(256*phys.PageSize, 2*phys.PageSize)
 		if err := w.mon.CopyInto(core.InitialDomain, region.Start, secret); err != nil {
 			return nil, err
 		}
-		if _, err := w.mon.Grant(core.InitialDomain, node, enclave, cap.MemResource(region), cap.MemRW|cap.RightShare, cap.CleanObfuscate); err != nil {
+		if _, err := w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), enclave, cap.MemResource(region), cap.MemRW|cap.RightShare, cap.CleanObfuscate); err != nil {
 			return nil, err
 		}
 		return &setup{w: w, region: region, enclave: enclave}, nil
@@ -106,17 +99,11 @@ func runC10(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var node cap.NodeID
-	for _, n := range enc.w.mon.OwnerNodes(core.InitialDomain) {
-		if n.Resource.Kind == cap.ResMemory {
-			node = n.ID
-		}
-	}
 	region2 := phys.MakeRegion(512*phys.PageSize, 2*phys.PageSize)
 	if err := enc.w.mon.CopyInto(core.InitialDomain, region2.Start, secret); err != nil {
 		return nil, err
 	}
-	if _, err := enc.w.mon.Grant(core.InitialDomain, node, enclave2, cap.MemResource(region2), cap.MemRW, cap.CleanObfuscate); err != nil {
+	if _, err := enc.w.mon.Grant(core.InitialDomain, enc.w.cl.HeapNode(), enclave2, cap.MemResource(region2), cap.MemRW, cap.CleanObfuscate); err != nil {
 		return nil, err
 	}
 	dump2, err := rawDump(enc.w, region2)
@@ -144,16 +131,12 @@ func runC10(cfg Config) (*Result, error) {
 	if err := enc.w.mon.KillDomain(core.InitialDomain, enclave2); err != nil {
 		return nil, err
 	}
-	if _, ok := enc.w.mon.DomainKeyID(enclave2); ok {
-		return nil, errKeySurvived
-	}
-	res.row("domain teardown", "secret zeroed only", "zeroed + key crypto-erased")
-	res.check("crypto-erase", true, "dead domain's key dropped from the engine")
+	_, alive := enc.w.mon.DomainKeyID(enclave2)
+	res.row("domain teardown", "secret zeroed only", boolCellWord(!alive, "zeroed + key crypto-erased", "KEY SURVIVED"))
+	res.check("crypto-erase", !alive, "dead domain's key dropped from the engine")
 	res.note("keying policy derives from the reference-count map: exclusive (refs=1) regions use the owner's key")
 	return res, nil
 }
-
-var errKeySurvived = errors.New("bench: dead domain's key survived")
 
 func rawDump(w *world, r phys.Region) ([]byte, error) {
 	if w.mach.Crypto == nil {

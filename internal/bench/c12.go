@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/attest"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -33,73 +34,29 @@ func runC12(cfg Config) (*Result, error) {
 		ID: "C12", Title: "Cross-machine attested channels",
 		Columns: []string{"event", "outcome"},
 	}
-	build := func(identity []byte) (*core.Monitor, *tpm.TPM, *libtyche.Domain, *image.Image, error) {
-		mach, err := hw.NewMachine(hw.Config{
-			MemBytes: 16 << 20, NumCores: 2, IOMMUAllowByDefault: true,
-			Devices: []hw.DeviceConfig{{Name: "rnic0", Class: hw.DevNIC}},
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		rot, err := tpm.New(nil)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		mon, err := core.Boot(core.BootConfig{Machine: mach, TPM: rot, Identity: identity})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		cl := libtyche.New(mon, core.InitialDomain)
-		if err := cl.AutoHeap(dom0ReservePages); err != nil {
-			return nil, nil, nil, nil, err
-		}
-		img := haltImage("rdma-endpoint").WithBSS(".rdma", 2*phys.PageSize)
-		opts := libtyche.DefaultLoadOptions()
-		opts.Cores = []phys.CoreID{1}
-		opts.Devices = []phys.DeviceID{0}
-		dom, err := cl.NewEnclave(img, opts)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return mon, rot, dom, img, nil
-	}
-	endpoint := func(mon *core.Monitor, rot *tpm.TPM, dom *libtyche.Domain,
-		peerRot *tpm.TPM, peerMon *core.Monitor, peerImg *image.Image, peerDom *libtyche.Domain) (*dist.Endpoint, error) {
-		buf, _ := dom.SegmentRegion(".rdma")
-		meas, err := peerImg.Measurement(peerDom.Base())
-		if err != nil {
-			return nil, err
-		}
-		return &dist.Endpoint{
-			Monitor: mon, TPM: rot, Domain: dom.ID(), Buffer: buf, NIC: 0,
-			PeerVerifier:    attest.NewVerifier(peerRot.EndorsementKey(), peerMon.Identity()),
-			PeerMeasurement: &meas,
-		}, nil
-	}
-
-	monA, rotA, domA, imgA, err := build(nil)
+	a, err := newRDMANode("rdma-endpoint", 2, core.BootConfig{})
 	if err != nil {
 		return nil, err
 	}
-	monB, rotB, domB, imgB, err := build(nil)
+	b, err := newRDMANode("rdma-endpoint", 2, core.BootConfig{})
 	if err != nil {
 		return nil, err
 	}
 	wire := &dist.Wire{}
-	epA, err := endpoint(monA, rotA, domA, rotB, monB, imgB, domB)
+	epA, err := a.endpoint(b)
 	if err != nil {
 		return nil, err
 	}
-	epB, err := endpoint(monB, rotB, domB, rotA, monA, imgA, domA)
+	epB, err := b.endpoint(a)
 	if err != nil {
 		return nil, err
 	}
 	conn, err := dist.Connect(epA, epB, wire)
+	res.row("mutual attestation (quote+report+measurement+key binding), both directions", boolCell(err == nil))
+	res.check("honest-connect", err == nil, "two independently rooted machines established the channel: %v", err)
 	if err != nil {
-		return nil, err
+		return res, nil // no channel to probe; the FAIL above is the outcome
 	}
-	res.row("mutual attestation (quote+report+measurement+key binding), both directions", "ok")
-	res.check("honest-connect", true, "two independently rooted machines established the channel")
 
 	payload := []byte("cross-machine TEE payload: hosts and wire see ciphertext only")
 	got, err := conn.Send(epA, payload)
@@ -116,27 +73,27 @@ func runC12(cfg Config) (*Result, error) {
 	res.check("wire-sees-ciphertext", !wire.WireCarried(payload),
 		"the adversary's tap never saw plaintext across %d frames", len(wire.Taps))
 
-	_, hostAErr := monA.CopyFrom(core.InitialDomain, epA.Buffer.Start, 8)
-	_, hostBErr := monB.CopyFrom(core.InitialDomain, epB.Buffer.Start, 8)
+	_, hostAErr := a.mon.CopyFrom(core.InitialDomain, epA.Buffer.Start, 8)
+	_, hostBErr := b.mon.CopyFrom(core.InitialDomain, epB.Buffer.Start, 8)
 	res.row("host OS probes on both registered buffers", boolCell(hostAErr == nil || hostBErr == nil))
 	res.check("hosts-off-the-path", hostAErr != nil && hostBErr != nil,
 		"neither provider OS can read the endpoints' buffers")
 
 	// Attack 1: impostor machine with a different monitor.
-	monC, rotC, domC, imgC, err := build([]byte("trojaned monitor build"))
+	c, err := newRDMANode("rdma-endpoint", 2, core.BootConfig{Identity: []byte("trojaned monitor build")})
 	if err != nil {
 		return nil, err
 	}
-	epCtoA, err := endpoint(monC, rotC, domC, rotA, monA, imgA, domA)
+	epCtoA, err := c.endpoint(a)
 	if err != nil {
 		return nil, err
 	}
-	epAtoC, err := endpoint(monA, rotA, domA, rotC, monC, imgC, domC)
+	epAtoC, err := a.endpoint(c)
 	if err != nil {
 		return nil, err
 	}
 	// A insists on the *trusted* monitor identity for its peer.
-	epAtoC.PeerVerifier = attest.NewVerifier(rotC.EndorsementKey(), core.DefaultIdentity)
+	epAtoC.PeerVerifier = attest.NewVerifier(c.rot.EndorsementKey(), core.DefaultIdentity)
 	_, impostorErr := dist.Connect(epAtoC, epCtoA, wire)
 	res.row("impostor machine (unknown monitor) connects", boolCell(impostorErr == nil))
 	res.check("impostor-rejected", errors.Is(impostorErr, dist.ErrPeerUntrusted), "%v", impostorErr)
@@ -148,7 +105,7 @@ func runC12(cfg Config) (*Result, error) {
 	res.row("peer with unexpected enclave measurement", boolCell(measErr == nil))
 	res.check("measurement-pinned", errors.Is(measErr, dist.ErrPeerUntrusted), "%v", measErr)
 	// Restore for the remaining attacks.
-	measOK, err := imgB.Measurement(domB.Base())
+	measOK, err := b.img.Measurement(b.dom.Base())
 	if err != nil {
 		return nil, err
 	}
@@ -177,4 +134,62 @@ func runC12(cfg Config) (*Result, error) {
 	res.check("replay-detected", errors.Is(replayErr, dist.ErrTampered), "%v", replayErr)
 	res.note("session keys derive from X25519 public keys bound into each enclave's signed report data")
 	return res, nil
+}
+
+// rdmaNode is one independently rooted machine (its own TPM, monitor
+// and dom0) hosting a sealed enclave that owns the machine's NIC and a
+// registered .rdma buffer: one end of a dist channel (C12, C21).
+type rdmaNode struct {
+	mon *core.Monitor
+	rot *tpm.TPM
+	cl  *libtyche.Client
+	dom *libtyche.Domain
+	img *image.Image
+}
+
+// newRDMANode boots the machine under boot (Machine and TPM are filled
+// in here) and loads the endpoint enclave with a bufPages-page buffer.
+func newRDMANode(name string, bufPages uint64, boot core.BootConfig) (*rdmaNode, error) {
+	mach, err := hw.NewMachine(hw.Config{
+		MemBytes: 16 << 20, NumCores: 2, IOMMUAllowByDefault: true,
+		Devices: []hw.DeviceConfig{{Name: "rnic0", Class: hw.DevNIC}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := &rdmaNode{}
+	if n.rot, err = tpm.New(nil); err != nil {
+		return nil, err
+	}
+	boot.Machine, boot.TPM = mach, n.rot
+	if n.mon, err = core.Boot(boot); err != nil {
+		return nil, err
+	}
+	n.cl = libtyche.New(n.mon, core.InitialDomain)
+	if err := n.cl.AutoHeap(dom0ReservePages); err != nil {
+		return nil, err
+	}
+	n.img = haltImage(name).WithBSS(".rdma", bufPages*phys.PageSize)
+	opts := loadOn(1)
+	opts.Devices = []phys.DeviceID{0}
+	n.dom, err = n.cl.NewEnclave(n.img, opts)
+	return n, err
+}
+
+// endpoint is n's side of a channel to peer: it pins the peer's TPM,
+// monitor identity and enclave measurement.
+func (n *rdmaNode) endpoint(peer *rdmaNode) (*dist.Endpoint, error) {
+	buf, ok := n.dom.SegmentRegion(".rdma")
+	if !ok {
+		return nil, fmt.Errorf("no .rdma segment in domain %d", n.dom.ID())
+	}
+	meas, err := peer.img.Measurement(peer.dom.Base())
+	if err != nil {
+		return nil, err
+	}
+	return &dist.Endpoint{
+		Monitor: n.mon, TPM: n.rot, Domain: n.dom.ID(), Buffer: buf, NIC: 0,
+		PeerVerifier:    attest.NewVerifier(peer.rot.EndorsementKey(), peer.mon.Identity()),
+		PeerMeasurement: &meas,
+	}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -43,10 +42,8 @@ func runC13(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{0}
+	opts := loadOn(0)
 	opts.FastPathCore = 0
-	opts.Seal = false
 	dom, err := w.cl.Load(addImage("c13", 1), opts)
 	if err != nil {
 		return nil, err
@@ -103,12 +100,6 @@ func runC13(cfg Config) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		var heapNode cap.NodeID
-		for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
-			if n.Resource.Kind == cap.ResMemory {
-				heapNode = n.ID
-			}
-		}
 		target := phys.MakeRegion(2<<20, phys.PageSize)
 		// Victim domain: loads from target in an infinite loop.
 		vImg, err := buildAt(w.cl, "tlb-victim", func(base phys.Addr) *hw.Asm {
@@ -122,14 +113,11 @@ func runC13(cfg Config) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		vOpts := libtyche.DefaultLoadOptions()
-		vOpts.Cores = []phys.CoreID{1}
-		vOpts.Seal = false
-		victim, err := w.cl.Load(vImg, vOpts)
+		victim, err := w.cl.Load(vImg, loadOn(1))
 		if err != nil {
 			return 0, err
 		}
-		share, err := w.mon.Share(core.InitialDomain, heapNode, victim.ID(), cap.MemResource(target), cap.RightRead, policy)
+		share, err := w.mon.Share(core.InitialDomain, w.cl.HeapNode(), victim.ID(), cap.MemResource(target), cap.RightRead, policy)
 		if err != nil {
 			return 0, err
 		}

@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -161,7 +160,7 @@ func vmfuncChecksum(cfg Config, n uint64, reps int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := dom0MemNodeB(w)
+	node := w.cl.HeapNode()
 	coreNode := dom0CoreNodeB(w, 0)
 	buf := phys.MakeRegion(2<<20+0x4000, ((n+phys.PageSize-1)/phys.PageSize)*phys.PageSize)
 	// The compartment sees the packet buffer and the trampoline; its
@@ -219,14 +218,11 @@ func mediatedChecksum(cfg Config, n uint64, reps int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{0}
-	opts.Seal = false
-	dom, err := w.cl.Load(img, opts)
+	dom, err := w.cl.Load(img, loadOn(0))
 	if err != nil {
 		return 0, err
 	}
-	node := dom0MemNodeB(w)
+	node := w.cl.HeapNode()
 	if _, err := w.mon.Share(core.InitialDomain, node, dom.ID(), cap.MemResource(buf), cap.RightRead, cap.CleanNone); err != nil {
 		return 0, err
 	}
@@ -282,16 +278,6 @@ func sgxChecksum(cfg Config, n uint64, reps int) (uint64, error) {
 		total += mach.Clock.Cycles() - before
 	}
 	return total / uint64(reps), nil
-}
-
-// dom0MemNodeB finds dom0's root memory capability.
-func dom0MemNodeB(w *world) cap.NodeID {
-	for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
-		if n.Resource.Kind == cap.ResMemory {
-			return n.ID
-		}
-	}
-	return 0
 }
 
 // dom0CoreNodeB finds dom0's capability for a core.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -29,13 +28,11 @@ func init() {
 // domains. Afterwards every invariant the paper's verifiers rely on
 // must still hold: every scratch page is exclusive again (refcount 1),
 // the monitor counted exactly W*iters revocations (no lost or phantom
-// ops), and the capability generation advanced monotonically. The sweep
-// over W shows guest execution parallelising while monitor entries
-// serialise.
+// ops), and the capability generation advanced monotonically.
 func runC15(cfg Config) (*Result, error) {
 	res := &Result{
 		ID: "C15", Title: "SMP capability contention",
-		Columns: []string{"workers", "iters/worker", "wall us", "cycles", "vmexits", "revokes", "cycles/op"},
+		Columns: []string{"workers", "iters/worker", "cycles", "vmexits", "revokes", "cycles/op"},
 	}
 	sweep := []int{1, 2, 4}
 	iters := 64
@@ -52,149 +49,79 @@ func runC15(cfg Config) (*Result, error) {
 }
 
 // ringRun captures one execution of the share+revoke ring workload —
-// the contention kernel shared by C15 (invariant checks under load)
-// and C17 (tracing overhead on the identical workload).
+// the contention kernel shared by C15 (invariant checks under load),
+// C17 (tracing on the identical workload) and C18 (entry scalability).
 type ringRun struct {
-	w         *world
-	wall      time.Duration
-	cycles    uint64 // simulated cycles consumed by the concurrent phase
+	*pinnedRun
 	vmexits   uint64
 	revokes   uint64
 	genBefore uint64
 	genAfter  uint64
 	ops       uint64 // share+revoke pairs issued
-	complete  bool   // every worker halted cleanly with its loop drained
-	detail    string // failure detail when a check below goes red
-	scratches []phys.Region
-	// lockWait/lockAcqs are the revocation-mutex acquisition totals over the
-	// concurrent phase only (C18 turns them into a contention share).
-	lockWait time.Duration
-	lockAcqs uint64
 }
 
-// runShareRevokeRing boots a world with one worker domain per core and
-// drives the C15 guest loop concurrently to completion. tweak, when
-// non-nil, runs right after world construction — C17 uses it to
+// ringProg is the worker image: share-scratch-then-revoke in a loop.
+// All configuration arrives in registers: r6 = scratch capability node,
+// r7 = destination domain, r8/r9 = scratch start/size, r10 = iteration
+// count, r11 = rights | cleanup<<16.
+func ringProg(phys.Addr) *hw.Asm {
+	a := hw.NewAsm()
+	a.Movi(12, 1)
+	a.Label("loop")
+	a.Mov(1, 6)
+	a.Mov(2, 7)
+	a.Mov(3, 8)
+	a.Mov(4, 9)
+	a.Mov(5, 11)
+	a.Movi(0, uint32(core.CallShare))
+	a.Vmcall()
+	a.Jnz(0, "fail")
+	// r1 now holds the derived node; revoke it straight away.
+	a.Movi(0, uint32(core.CallRevoke))
+	a.Vmcall()
+	a.Jnz(0, "fail")
+	endPinnedLoop(a, "loop")
+	return a
+}
+
+// runShareRevokeRing drives the C15 guest loop on one worker per core:
+// each worker shares its private scratch page to the next worker in
+// the ring (dom0 when alone) and revokes the share, iters times. tweak,
+// when non-nil, runs right after world construction — C17 uses it to
 // install tracers of different configurations on an otherwise
 // identical workload.
 func runShareRevokeRing(cfg Config, workers, iters int, tweak func(*world) error) (*ringRun, error) {
-	opts := defaultWorldOpts()
-	opts.cores = workers + 1 // dom0 idles on core 0
-	w, err := newWorld(cfg, opts)
+	r := &ringRun{ops: uint64(workers * iters)}
+	p, err := runPinned(cfg, pinnedSpec{
+		name: "worker", workers: workers, budget: 100_000, tweak: tweak,
+		worker: func(*world, int) (pinnedWorker, error) {
+			return pinnedWorker{gen: ringProg, extras: []func(*image.Image){
+				func(img *image.Image) { img.WithBSS(".scratch", phys.PageSize) },
+			}}, nil
+		},
+		regs: func(i int, doms []*libtyche.Domain) [hw.NumRegs]uint64 {
+			dst := core.InitialDomain
+			if workers > 1 {
+				dst = doms[(i+1)%workers].ID()
+			}
+			scratch, _ := doms[i].SegmentRegion(".scratch")
+			node, _ := doms[i].SegmentNode(".scratch")
+			return [hw.NumRegs]uint64{
+				6: uint64(node), 7: uint64(dst),
+				8: uint64(scratch.Start), 9: scratch.Size(),
+				10: uint64(iters),
+				11: uint64(cap.MemRW) | uint64(cap.CleanFlushTLB)<<16,
+			}
+		},
+		armed: func(w *world) { r.genBefore = w.mon.CapGeneration() },
+	})
 	if err != nil {
 		return nil, err
 	}
-	if tweak != nil {
-		if err := tweak(w); err != nil {
-			return nil, err
-		}
-	}
-	// Identical worker images: share-scratch-then-revoke in a loop. All
-	// configuration arrives in registers, poked after Launch (which
-	// zeroes them) exactly like libtyche's Invoke argument passing.
-	prog := func(base phys.Addr) *hw.Asm {
-		a := hw.NewAsm()
-		a.Movi(12, 1)
-		a.Label("loop")
-		a.Mov(1, 6)  // scratch capability node
-		a.Mov(2, 7)  // destination domain
-		a.Mov(3, 8)  // scratch start
-		a.Mov(4, 9)  // scratch size
-		a.Mov(5, 11) // rights | cleanup<<16
-		a.Movi(0, uint32(core.CallShare))
-		a.Vmcall()
-		a.Jnz(0, "fail")
-		// r1 now holds the derived node; revoke it straight away.
-		a.Movi(0, uint32(core.CallRevoke))
-		a.Vmcall()
-		a.Jnz(0, "fail")
-		a.Sub(10, 10, 12)
-		a.Jnz(10, "loop")
-		a.Hlt()
-		a.Label("fail")
-		a.Movi(15, 0xdead)
-		a.Hlt()
-		return a
-	}
-	type worker struct {
-		dom     *libtyche.Domain
-		core    phys.CoreID
-		scratch phys.Region
-		node    cap.NodeID
-	}
-	var ws []*worker
-	for i := 0; i < workers; i++ {
-		img, err := buildAt(w.cl, fmt.Sprintf("worker%d", i), prog,
-			func(img *image.Image) { img.WithBSS(".scratch", phys.PageSize) })
-		if err != nil {
-			return nil, err
-		}
-		coreID := phys.CoreID(i + 1)
-		lo := libtyche.DefaultLoadOptions()
-		lo.Cores = []phys.CoreID{coreID}
-		lo.Seal = false // workers receive shares while running
-		dom, err := w.cl.Load(img, lo)
-		if err != nil {
-			return nil, err
-		}
-		scratch, ok := dom.SegmentRegion(".scratch")
-		if !ok {
-			return nil, fmt.Errorf("c15: worker %d has no scratch segment", i)
-		}
-		node, ok := dom.SegmentNode(".scratch")
-		if !ok {
-			return nil, fmt.Errorf("c15: worker %d has no scratch node", i)
-		}
-		ws = append(ws, &worker{dom: dom, core: coreID, scratch: scratch, node: node})
-	}
-	r := &ringRun{w: w, ops: uint64(workers * iters), genBefore: w.mon.CapGeneration()}
-	statsBefore := w.mon.Stats()
-	cyclesBefore := w.mach.Clock.Cycles()
-	var cores []phys.CoreID
-	for i, wk := range ws {
-		if err := wk.dom.Launch(wk.core); err != nil {
-			return nil, err
-		}
-		// Boot arguments, poked into the zeroed register file before the
-		// core starts running.
-		dst := core.InitialDomain
-		if workers > 1 {
-			dst = ws[(i+1)%workers].dom.ID()
-		}
-		c := w.mach.Core(wk.core)
-		c.Regs[6] = uint64(wk.node)
-		c.Regs[7] = uint64(dst)
-		c.Regs[8] = uint64(wk.scratch.Start)
-		c.Regs[9] = wk.scratch.Size()
-		c.Regs[10] = uint64(iters)
-		c.Regs[11] = uint64(cap.MemRW) | uint64(cap.CleanFlushTLB)<<16
-		cores = append(cores, wk.core)
-	}
-	waitBefore, acqBefore := w.mon.LockWait()
-	start := time.Now()
-	runs, err := w.mon.RunCores(100_000, cores...)
-	r.wall = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	waitAfter, acqAfter := w.mon.LockWait()
-	r.lockWait, r.lockAcqs = waitAfter-waitBefore, acqAfter-acqBefore
-	r.cycles = w.mach.Clock.Cycles() - cyclesBefore
-	statsAfter := w.mon.Stats()
-	r.genAfter = w.mon.CapGeneration()
-	r.vmexits = statsAfter.VMExits - statsBefore.VMExits
-	r.revokes = statsAfter.Revocations - statsBefore.Revocations
-
-	r.complete = true
-	for _, wk := range ws {
-		r.scratches = append(r.scratches, wk.scratch)
-		run, ok := runs[wk.core]
-		c := w.mach.Core(wk.core)
-		if !ok || run.Trap.Kind != hw.TrapHalt || c.Regs[10] != 0 || c.Regs[15] == 0xdead {
-			r.complete = false
-			r.detail = fmt.Sprintf("core %v: trap=%v r10=%d r15=%#x", wk.core, run.Trap, c.Regs[10], c.Regs[15])
-		}
-	}
+	r.pinnedRun = p
+	r.genAfter = p.w.mon.CapGeneration()
+	r.vmexits = p.after.VMExits - p.before.VMExits
+	r.revokes = p.after.Revocations - p.before.Revocations
 	return r, nil
 }
 
@@ -204,10 +131,8 @@ func c15Round(cfg Config, res *Result, workers, iters int) error {
 		return err
 	}
 	tag := fmt.Sprintf("w%d", workers)
-	res.row(fmt.Sprintf("%d", workers), fmt.Sprintf("%d", iters),
-		fmt.Sprintf("%d", r.wall.Microseconds()), fmtU(r.cycles),
+	res.row(fmt.Sprintf("%d", workers), fmt.Sprintf("%d", iters), fmtU(r.cycles),
 		fmtU(r.vmexits), fmtU(r.revokes), fmtU(r.cycles/(2*r.ops)))
-	res.metric(tag+"_wall_ns", float64(r.wall.Nanoseconds()))
 	res.metric(tag+"_cycles", float64(r.cycles))
 	res.metric(tag+"_vmexits", float64(r.vmexits))
 	res.metric(tag+"_revocations", float64(r.revokes))
@@ -220,8 +145,8 @@ func c15Round(cfg Config, res *Result, workers, iters int) error {
 	exclusive := true
 	detail := ""
 	for _, rc := range r.w.mon.RefCounts() {
-		for _, scratch := range r.scratches {
-			if rc.Region.Overlaps(scratch) && rc.Count != 1 {
+		for _, dom := range r.doms {
+			if scratch, _ := dom.SegmentRegion(".scratch"); rc.Region.Overlaps(scratch) && rc.Count != 1 {
 				exclusive = false
 				detail = fmt.Sprintf("%v refcount %d", rc.Region, rc.Count)
 			}

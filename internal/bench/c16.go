@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/fault"
@@ -37,7 +37,7 @@ func init() {
 func runC16(cfg Config) (*Result, error) {
 	res := &Result{
 		ID: "C16", Title: "Kill-and-reclaim latency",
-		Columns: []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed", "wall us"},
+		Columns: []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed"},
 	}
 	sizeSweep := []uint64{16, 64, 256}
 	coreSweep := []int{1, 2, 4}
@@ -120,11 +120,10 @@ func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo := libtyche.DefaultLoadOptions()
 	if run {
-		lo.Cores = []phys.CoreID{1}
+		return w.cl.Load(img, loadOn(1))
 	}
-	return w.cl.Load(img, lo)
+	return w.cl.Load(img, loadOn())
 }
 
 // c16Kill measures one ForceKill on an idle machine, so the cycle delta
@@ -140,7 +139,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 		return 0, err
 	}
 	for i := 0; i < bystanders; i++ {
-		if _, err := w.cl.Load(haltImage(fmt.Sprintf("bystander%d", i)), libtyche.DefaultLoadOptions()); err != nil {
+		if _, err := w.cl.Load(haltImage(fmt.Sprintf("bystander%d", i)), loadOn()); err != nil {
 			return 0, err
 		}
 	}
@@ -153,9 +152,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 		return 0, fmt.Errorf("c16: victim has no data segment")
 	}
 	before := w.mon.Stats()
-	start := time.Now()
 	kc, err := cycles(w.mach, func() error { return w.mon.ForceKill(dom.ID()) })
-	wall := time.Since(start)
 	if err != nil {
 		return 0, err
 	}
@@ -167,8 +164,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 		tag += fmt.Sprintf("_d%d", bystanders)
 	}
 	res.row(fmtU(pages), fmt.Sprintf("%d", cores), fmt.Sprintf("%d", bystanders), fmtU(kc),
-		fmt.Sprintf("%.0f", float64(kc)/float64(pages)), fmtU(scrubbed),
-		fmt.Sprintf("%d", wall.Microseconds()))
+		fmt.Sprintf("%.0f", float64(kc)/float64(pages)), fmtU(scrubbed))
 	res.metric(tag+"_kill_cycles", float64(kc))
 	res.metric(tag+"_scrubbed_pages", float64(scrubbed))
 
@@ -179,12 +175,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 	if err != nil {
 		return 0, err
 	}
-	zero := true
-	for _, b := range buf {
-		if b != 0 {
-			zero = false
-		}
-	}
+	zero := !slices.ContainsFunc(buf, func(b byte) bool { return b != 0 })
 	res.check(tag+"-memory-scrubbed", zero, "first reclaimed page reads as zero")
 	clean := true
 	for _, rc := range w.mon.RefCounts() {
@@ -240,16 +231,13 @@ func c16EndToEnd(cfg Config, res *Result) error {
 	}
 	in := fault.NewInjector(sched...)
 	in.Arm(w.mach, w.rot)
-	start := time.Now()
 	runs, err := w.mon.RunCores(100_000, 0, 1)
-	wall := time.Since(start)
 	if err != nil {
 		return err
 	}
 	st := w.mon.Stats()
-	res.metric("e2e_wall_ns", float64(wall.Nanoseconds()))
 	res.metric("e2e_pages_scrubbed", float64(st.PagesScrubbed))
-	res.note("end-to-end: schedule mc1@500, containment in %v wall", wall)
+	res.note("end-to-end: schedule mc1@500")
 
 	res.check("e2e-fault-fired", in.Exhausted(),
 		"injected schedule fired: %v", in.Fired())

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -24,13 +23,11 @@ func init() {
 // plus core's round-barrier engine) under oversubscription: N compute
 // tenants scheduled over M cores, N ≫ M, swept across both axes.
 //
-// Throughput is measured in iterations per simulated kilocycle — the
-// cycle domain, not wall clock — so the numbers are bit-stable and the
-// tracer can stay attached to the measured run itself (tracing costs
-// host time only, never simulated cycles; C18 keeps timed runs untraced
-// because its metric is wall clock). Each sweep point also reports the
-// p99 transition-to-dispatch latency from the scheduler's per-dispatch
-// queue-latency samples.
+// Throughput is measured in iterations per simulated kilocycle, so the
+// numbers are bit-stable and the tracer can stay attached to the
+// measured run itself (tracing costs host time only, never simulated
+// cycles). Each sweep point also reports the p99 transition-to-dispatch
+// latency from the scheduler's per-dispatch queue-latency samples.
 //
 // Four scenario checks ride on top of the sweep:
 //
@@ -50,7 +47,7 @@ func init() {
 func runC19(cfg Config) (*Result, error) {
 	res := &Result{
 		ID: "C19", Title: "Multi-tenant oversubscription throughput (scheduled domains over shared cores)",
-		Columns: []string{"domains", "cores", "mode", "cycles", "wall us", "iters", "it/kcyc", "p99 disp", "disp", "preempt", "steal", "maxq"},
+		Columns: []string{"domains", "cores", "mode", "cycles", "iters", "it/kcyc", "p99 disp", "disp", "preempt", "steal", "maxq"},
 	}
 	domSweep := []int{4, 8, 16, 32, 64}
 	coreSweep := []int{1, 2, 4, 8}
@@ -65,7 +62,7 @@ func runC19(cfg Config) (*Result, error) {
 	addRow := func(domains, workers int, mode string, p *c19Point) {
 		tput := float64(p.iters) / float64(p.cycles) * 1000
 		res.row(fmt.Sprintf("%d", domains), fmt.Sprintf("%d", workers), mode,
-			fmtU(p.cycles), fmt.Sprintf("%d", p.wall.Microseconds()), fmtU(p.iters),
+			fmtU(p.cycles), fmtU(p.iters),
 			fmt.Sprintf("%.2f", tput), fmtU(p.p99),
 			fmtU(p.ctr.Dispatches), fmtU(p.ctr.Preemptions), fmtU(p.ctr.Steals), fmtU(p.ctr.MaxQueueDepth))
 	}
@@ -78,7 +75,6 @@ func runC19(cfg Config) (*Result, error) {
 		res.metric(tag+"_preemptions", float64(p.ctr.Preemptions))
 		res.metric(tag+"_steals", float64(p.ctr.Steals))
 		res.metric(tag+"_max_queue_depth", float64(p.ctr.MaxQueueDepth))
-		res.metric(tag+"_wall_ns", float64(p.wall.Nanoseconds()))
 	}
 
 	// Dedicated-core baseline: one tenant per core, no scheduler.
@@ -96,7 +92,7 @@ func runC19(cfg Config) (*Result, error) {
 	for _, d := range domSweep {
 		for _, w := range coreSweep {
 			tag := fmt.Sprintf("d%d_c%d", d, w)
-			p, err := runC19Oversub(cfg, d, w, iters, quantum)
+			p, err := runC19Sched(cfg, d, w, iters, quantum, false)
 			if err != nil {
 				return nil, fmt.Errorf("c19 %s: %w", tag, err)
 			}
@@ -127,7 +123,7 @@ func runC19(cfg Config) (*Result, error) {
 
 	// Determinism: rebuild the gate configuration from the same seed;
 	// the schedule must replay bit for bit.
-	replay, err := runC19Oversub(cfg, 16, 4, iters, quantum)
+	replay, err := runC19Sched(cfg, 16, 4, iters, quantum, false)
 	if err != nil {
 		return nil, fmt.Errorf("c19 replay: %w", err)
 	}
@@ -142,7 +138,7 @@ func runC19(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		yields = 16
 	}
-	ym, err := runC19YieldMix(cfg, 8, 2, yields, quantum)
+	ym, err := runC19Sched(cfg, 8, 2, yields, quantum, true)
 	if err != nil {
 		return nil, fmt.Errorf("c19 yield mix: %w", err)
 	}
@@ -169,7 +165,6 @@ func runC19(cfg Config) (*Result, error) {
 // c19Point is one measured scheduling run.
 type c19Point struct {
 	w        *world
-	wall     time.Duration
 	cycles   uint64
 	iters    uint64 // total tenant loop iterations completed
 	p99      uint64 // p99 transition-to-dispatch latency, cycles
@@ -182,30 +177,23 @@ type c19Point struct {
 // computeTenant builds the tenant workload: a pure compute loop of
 // `iters` iterations ending in HLT. The count is baked into the text
 // with MOVI — a scheduled dispatch launches with zeroed registers, so
-// inputs cannot be poked in afterwards as C18 does.
-func computeTenant(iters uint32) func(base phys.Addr) *hw.Asm {
-	return func(base phys.Addr) *hw.Asm {
-		a := hw.NewAsm()
-		a.Movi(10, iters)
-		a.Movi(12, 1)
-		a.Label("loop")
-		a.Sub(10, 10, 12)
-		a.Jnz(10, "loop")
-		a.Hlt()
-		return a
-	}
+// inputs cannot be poked in afterwards as the pinned-worker runs do.
+func computeTenant(iters uint32) func(phys.Addr) *hw.Asm {
+	return tenantLoop(iters, false)
 }
 
-// yieldTenant is computeTenant with a cooperative CallYield ending
-// every iteration's slice.
-func yieldTenant(iters uint32) func(base phys.Addr) *hw.Asm {
-	return func(base phys.Addr) *hw.Asm {
+// tenantLoop is the tenant program; with yield, a cooperative CallYield
+// ends every iteration's slice.
+func tenantLoop(iters uint32, yield bool) func(phys.Addr) *hw.Asm {
+	return func(phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		a.Movi(10, iters)
 		a.Movi(12, 1)
 		a.Label("loop")
-		a.Movi(0, uint32(core.CallYield))
-		a.Vmcall()
+		if yield {
+			a.Movi(0, uint32(core.CallYield))
+			a.Vmcall()
+		}
 		a.Sub(10, 10, 12)
 		a.Jnz(10, "loop")
 		a.Hlt()
@@ -218,14 +206,11 @@ func yieldTenant(iters uint32) func(base phys.Addr) *hw.Asm {
 func loadTenants(w *world, n int, cores []phys.CoreID, gen func(base phys.Addr) *hw.Asm) ([]*libtyche.Domain, error) {
 	var doms []*libtyche.Domain
 	for i := 0; i < n; i++ {
-		lo := libtyche.DefaultLoadOptions()
-		lo.Cores = cores
-		lo.Seal = false
 		img, err := buildAt(w.cl, fmt.Sprintf("tenant%d", i), gen)
 		if err != nil {
 			return nil, err
 		}
-		d, err := w.cl.Load(img, lo)
+		d, err := w.cl.Load(img, loadOn(cores...))
 		if err != nil {
 			return nil, err
 		}
@@ -237,33 +222,35 @@ func loadTenants(w *world, n int, cores []phys.CoreID, gen func(base phys.Addr) 
 	return doms, nil
 }
 
-func workerCores(n int) []phys.CoreID {
-	out := make([]phys.CoreID, n)
-	for i := range out {
-		out[i] = phys.CoreID(i + 1) // dom0 idles on core 0
-	}
-	return out
-}
-
-func runC19Oversub(cfg Config, domains, workers, iters, quantum int) (*c19Point, error) {
+// schedWorld boots a world whose `workers` cores (dom0 idles on core
+// 0) run under the seeded work-stealing scheduler policy.
+func schedWorld(cfg Config, workers, quantum int) (*world, []phys.CoreID, error) {
 	opts := defaultWorldOpts()
 	opts.cores = workers + 1
 	w, err := newWorld(cfg, opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Steal: true, Seed: cfg.Seed})
+	return w, workerCores(workers), nil
+}
+
+// runC19Sched schedules `domains` tenants of `iters` iterations
+// (yielding each one, or pure compute) over `workers` cores and runs
+// them to completion.
+func runC19Sched(cfg Config, domains, workers, iters, quantum int, yield bool) (*c19Point, error) {
+	w, cores, err := schedWorld(cfg, workers, quantum)
+	if err != nil {
 		return nil, err
 	}
-	cores := workerCores(workers)
-	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Steal: true, Seed: cfg.Seed})
-	if _, err := loadTenants(w, domains, cores, computeTenant(uint32(iters))); err != nil {
+	if _, err := loadTenants(w, domains, cores, tenantLoop(uint32(iters), yield)); err != nil {
 		return nil, err
 	}
 	p := &c19Point{w: w, iters: uint64(domains) * uint64(iters)}
 	before := w.mach.Clock.Cycles()
-	start := time.Now()
 	if _, err := w.mon.RunCores(8_000_000, cores...); err != nil {
 		return nil, err
 	}
-	p.wall = time.Since(start)
 	p.cycles = w.mach.Clock.Cycles() - before
 	q := w.mon.Scheduler()
 	p.ctr = q.Counters()
@@ -277,78 +264,20 @@ func runC19Oversub(cfg Config, domains, workers, iters, quantum int) (*c19Point,
 	return p, nil
 }
 
+// runC19Dedicated is the no-scheduler baseline: one compute tenant per
+// dedicated core, plain RunCores.
 func runC19Dedicated(cfg Config, domains, iters int) (*c19Point, error) {
-	opts := defaultWorldOpts()
-	opts.cores = domains + 1
-	w, err := newWorld(cfg, opts)
+	p, err := runPinned(cfg, pinnedSpec{
+		name: "tenant", workers: domains, budget: 8_000_000,
+		worker: func(*world, int) (pinnedWorker, error) {
+			return pinnedWorker{gen: computeTenant(uint32(iters))}, nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	var cores []phys.CoreID
-	var doms []*libtyche.Domain
-	for i := 0; i < domains; i++ {
-		coreID := phys.CoreID(i + 1)
-		lo := libtyche.DefaultLoadOptions()
-		lo.Cores = []phys.CoreID{coreID}
-		lo.Seal = false
-		img, err := buildAt(w.cl, fmt.Sprintf("tenant%d", i), computeTenant(uint32(iters)))
-		if err != nil {
-			return nil, err
-		}
-		d, err := w.cl.Load(img, lo)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(coreID); err != nil {
-			return nil, err
-		}
-		cores = append(cores, coreID)
-		doms = append(doms, d)
-	}
-	p := &c19Point{w: w, iters: uint64(domains) * uint64(iters)}
-	before := w.mach.Clock.Cycles()
-	start := time.Now()
-	runs, err := w.mon.RunCores(8_000_000, cores...)
-	if err != nil {
-		return nil, err
-	}
-	p.wall = time.Since(start)
-	p.cycles = w.mach.Clock.Cycles() - before
-	p.complete = true
-	for _, c := range cores {
-		if run, ok := runs[c]; !ok || run.Trap.Kind != hw.TrapHalt {
-			p.complete = false
-			p.detail = fmt.Sprintf(" (core %v: %+v)", c, runs[c])
-		}
-	}
-	return p, nil
-}
-
-func runC19YieldMix(cfg Config, domains, workers, yields, quantum int) (*c19Point, error) {
-	opts := defaultWorldOpts()
-	opts.cores = workers + 1
-	w, err := newWorld(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	cores := workerCores(workers)
-	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Steal: true, Seed: cfg.Seed})
-	if _, err := loadTenants(w, domains, cores, yieldTenant(uint32(yields))); err != nil {
-		return nil, err
-	}
-	p := &c19Point{w: w, iters: uint64(domains) * uint64(yields)}
-	start := time.Now()
-	if _, err := w.mon.RunCores(8_000_000, cores...); err != nil {
-		return nil, err
-	}
-	p.wall = time.Since(start)
-	p.ctr = w.mon.Scheduler().Counters()
-	st := w.mon.Stats()
-	p.complete = st.SchedCompleted == uint64(domains)
-	if !p.complete {
-		p.detail = fmt.Sprintf(" (completed %d of %d)", st.SchedCompleted, domains)
-	}
-	return p, nil
+	return &c19Point{w: p.w, cycles: p.cycles, iters: uint64(domains) * uint64(iters),
+		complete: p.complete, detail: p.detail}, nil
 }
 
 // c19Kill is the containment scenario's outcome.
@@ -361,14 +290,10 @@ type c19Kill struct {
 }
 
 func runC19Kill(cfg Config, iters, quantum int) (*c19Kill, error) {
-	opts := defaultWorldOpts()
-	opts.cores = 3
-	w, err := newWorld(cfg, opts)
+	w, cores, err := schedWorld(cfg, 2, quantum)
 	if err != nil {
 		return nil, err
 	}
-	cores := workerCores(2)
-	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Steal: true, Seed: cfg.Seed})
 	// The victim spins effectively forever and is queued twice (two
 	// vCPUs); three finite tenants ride alongside.
 	victims, err := loadTenants(w, 1, cores, computeTenant(2_000_000_000))

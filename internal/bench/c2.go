@@ -4,7 +4,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/baseline"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/oskit"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -38,47 +37,34 @@ func runC2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{0}
+	opts := loadOn(0)
 	opts.FastPathCore = 0
 	comp, err := w.cl.Load(addImage("c2-comp", 1), opts)
 	if err != nil {
 		return nil, err
 	}
 	// Fast switches: bounce dom0 <-> comp.
-	fast, err := cycles(w.mach, func() error {
-		for i := 0; i < iters; i++ {
-			if err := w.mon.FastSwitch(0, comp.ID()); err != nil {
-				return err
-			}
-			if err := w.mon.FastSwitch(0, core.InitialDomain); err != nil {
-				return err
-			}
+	fastPair, err := cyclesPer(w.mach, iters, func() error {
+		if err := w.mon.FastSwitch(0, comp.ID()); err != nil {
+			return err
 		}
-		return nil
+		return w.mon.FastSwitch(0, core.InitialDomain)
 	})
 	if err != nil {
 		return nil, err
 	}
-	fastPer := fast / uint64(2*iters)
+	fastPer := fastPair / 2
 
 	// Mediated call + return round trip (two exit+entry pairs plus the
 	// domain's work; we use an empty service so the monitor path
 	// dominates).
-	cpu := w.mach.Core(0)
-	callRT, err := cycles(w.mach, func() error {
-		for i := 0; i < iters; i++ {
-			if _, err := comp.Invoke(0, 10000, 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	callPer, err := cyclesPer(w.mach, iters, func() error {
+		_, err := comp.Invoke(0, 10000, 1)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	_ = cpu
-	callPer := callRT / uint64(iters)
 
 	// --- Tyche pmp: mediated transition with PMP reprogramming.
 	pmpCfg := cfg
@@ -87,24 +73,17 @@ func runC2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pmpOpts := libtyche.DefaultLoadOptions()
-	pmpOpts.Cores = []phys.CoreID{0}
-	pmpComp, err := wp.cl.Load(addImage("c2-pmp", 1), pmpOpts)
+	pmpComp, err := wp.cl.Load(addImage("c2-pmp", 1), loadOn(0))
 	if err != nil {
 		return nil, err
 	}
-	pmpRT, err := cycles(wp.mach, func() error {
-		for i := 0; i < iters; i++ {
-			if _, err := pmpComp.Invoke(0, 10000, 1); err != nil {
-				return err
-			}
-		}
-		return nil
+	pmpPer, err := cyclesPer(wp.mach, iters, func() error {
+		_, err := pmpComp.Invoke(0, 10000, 1)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	pmpPer := pmpRT / uint64(iters)
 
 	// --- OS process context switch (per switch, via yielding pair).
 	wos, err := newWorld(cfg, defaultWorldOpts())
@@ -115,7 +94,6 @@ func runC2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	yielders := iters
 	spin := func(base phys.Addr) []byte {
 		a := hw.NewAsm()
 		a.Label("top")
@@ -129,21 +107,15 @@ func runC2(cfg Config) (*Result, error) {
 	if _, err := osk.Spawn("y2", spin, 1, 0); err != nil {
 		return nil, err
 	}
-	ctxCycles, err := cycles(wos.mach, func() error {
-		for i := 0; i < yielders; i++ {
-			if _, _, err := osk.Schedule(0, 1000); err != nil {
-				return err
-			}
-		}
-		return nil
+	ctxPer, err := cyclesPer(wos.mach, iters, func() error {
+		_, _, err := osk.Schedule(0, 1000)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctxPer := ctxCycles / uint64(yielders)
 
 	// --- Syscall round trip inside one domain.
-	sysIters := iters
 	if err := wos.mon.SetSyscallHandler(core.InitialDomain, core.InitialDomain, func(c *hw.Core) error { return nil }); err != nil {
 		return nil, err
 	}
@@ -162,7 +134,7 @@ func runC2(cfg Config) (*Result, error) {
 	}
 	kernelCtx.OSFilter = nil
 	sysTotal := uint64(0)
-	for i := 0; i < sysIters/8; i++ {
+	for i := 0; i < iters/8; i++ {
 		wos.mach.Core(0).PC = sysBase
 		wos.mach.Core(0).ClearHalt()
 		c, err := cycles(wos.mach, func() error {
@@ -174,7 +146,7 @@ func runC2(cfg Config) (*Result, error) {
 		}
 		sysTotal += c
 	}
-	sysPer := sysTotal / uint64(sysIters/8*8)
+	sysPer := sysTotal / uint64(iters/8*8)
 
 	// --- SGX EENTER/EEXIT round trip.
 	sgxMach, err := hw.NewMachine(hw.Config{MemBytes: 8 << 20, NumCores: 1, IOMMUAllowByDefault: true})
@@ -190,17 +162,11 @@ func runC2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sgxCycles, err := cycles(sgxMach, func() error {
-		for i := 0; i < iters; i++ {
-			encl.EEnter(sgxMach.Cores[0])
-			encl.EExit(sgxMach.Cores[0])
-		}
+	sgxPer, _ := cyclesPer(sgxMach, iters, func() error {
+		encl.EEnter(sgxMach.Cores[0])
+		encl.EExit(sgxMach.Cores[0])
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sgxPer := sgxCycles / uint64(iters)
 
 	rows := []struct {
 		name, sys string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -55,14 +54,15 @@ const c20K = 16
 // batch-of-1 within 5% of sync, and the cached switch >= 5x cheaper
 // than the slow path with pinned hit/miss counts.
 //
-// Timed runs are untraced; every configuration is re-run with the
-// cycle-stamped tracer and online invariant checker attached, which
-// also supplies the shootdown-round counts and the per-op spans the
-// p99 gate reads (KOpBegin/KOpEnd bracket each capability operation).
+// Every configuration runs once, with the cycle-stamped tracer and
+// online invariant checker attached (a no-op under notrace; C17 gates
+// that tracing moves no simulated cycle): the same run supplies the
+// cycles, the shootdown-round counts and the per-op spans the p99 gate
+// reads (KOpBegin/KOpEnd bracket each capability operation).
 func runC20(cfg Config) (*Result, error) {
 	res := &Result{
 		ID: "C20", Title: "Batched ABI throughput (ring storm / batch-of-1 / transition cache)",
-		Columns: []string{"arm", "workers", "wall us", "cycles", "ops", "cyc/op", "traps", "shootdowns", "p99 cyc"},
+		Columns: []string{"arm", "workers", "cycles", "ops", "cyc/op", "traps", "shootdowns", "p99 cyc"},
 	}
 
 	sweep := []int{1, 2, 4}
@@ -71,17 +71,15 @@ func runC20(cfg Config) (*Result, error) {
 		sweep = []int{1, 2}
 		iters = 4
 	}
-	timed := cfg
-	timed.Trace = false
-	valid := cfg
-	valid.Trace = true
+	cfg.Trace = true
 
 	for _, workers := range sweep {
 		var perOp [2]float64 // [sync, batched] cycles per op
 		for ai, arm := range []string{"sync", "batched"} {
 			batched := arm == "batched"
 			tag := fmt.Sprintf("%s_w%d", arm, workers)
-			p, err := runC20Storm(timed, workers, iters, batched, nil)
+			spans := newOpSpans()
+			p, err := runC20Storm(cfg, workers, iters, batched, spans)
 			if err != nil {
 				return nil, fmt.Errorf("c20 %s: %w", tag, err)
 			}
@@ -89,18 +87,12 @@ func runC20(cfg Config) (*Result, error) {
 			res.check(tag+"-complete", p.complete,
 				"all %d workers drained %d iterations of %d ops%s", workers, iters, 2*c20K, p.detail)
 
-			// Traced validation: same configuration, full-history audit,
-			// plus the shootdown-round and p99 evidence.
+			// The full-history audit, plus the shootdown-round and p99
+			// evidence.
 			var sd, p99c uint64
 			if trace.Compiled {
-				spans := newOpSpans()
-				v, err := runC20Storm(valid, workers, iters, batched, spans)
-				if err != nil {
-					return nil, fmt.Errorf("c20 %s (traced): %w", tag, err)
-				}
-				res.check(tag+"-traced-complete", v.complete, "traced validation run complete%s", v.detail)
-				v.w.traceClean(res, tag)
-				sd = v.shootdowns
+				p.w.traceClean(res, tag)
+				sd = p.shootdowns
 				p99c = spans.p99()
 				wantSD := uint64(workers * iters)
 				if !batched {
@@ -110,10 +102,8 @@ func runC20(cfg Config) (*Result, error) {
 					"traced cross-core shootdown rounds: %d, want %d (%s)", sd, wantSD,
 					map[bool]string{true: "one per revocation batch", false: "one per revocation"}[batched])
 			}
-			res.row(arm, fmt.Sprintf("%d", workers),
-				fmt.Sprintf("%d", p.wall.Microseconds()), fmtU(p.cycles), fmtU(p.ops),
+			res.row(arm, fmt.Sprintf("%d", workers), fmtU(p.cycles), fmtU(p.ops),
 				fmt.Sprintf("%.0f", perOp[ai]), fmtU(p.traps), fmtU(sd), fmtU(p99c))
-			res.metric(tag+"_wall_ns", float64(p.wall.Nanoseconds()))
 			res.metric(tag+"_cycles", float64(p.cycles))
 			res.metric(tag+"_ops", float64(p.ops))
 			res.metric(tag+"_cycles_per_op", perOp[ai])
@@ -121,11 +111,6 @@ func runC20(cfg Config) (*Result, error) {
 			if trace.Compiled {
 				res.metric(tag+"_shootdown_rounds", float64(sd))
 				res.metric(tag+"_p99_cycles", float64(p99c))
-				if batched {
-					res.metric(fmt.Sprintf("w%d_p99_batched", workers), float64(p99c))
-				} else {
-					res.metric(fmt.Sprintf("w%d_p99_sync", workers), float64(p99c))
-				}
 			}
 		}
 		speedup := perOp[0] / perOp[1]
@@ -143,8 +128,8 @@ func runC20(cfg Config) (*Result, error) {
 	// get 2x headroom for that cross-core noise.
 	if trace.Compiled {
 		for _, workers := range sweep {
-			s := res.Metrics[fmt.Sprintf("w%d_p99_sync", workers)]
-			b := res.Metrics[fmt.Sprintf("w%d_p99_batched", workers)]
+			s := res.Metrics[fmt.Sprintf("sync_w%d_p99_cycles", workers)]
+			b := res.Metrics[fmt.Sprintf("batched_w%d_p99_cycles", workers)]
 			slack := 1.0
 			if workers > 1 {
 				slack = 2.0
@@ -156,24 +141,21 @@ func runC20(cfg Config) (*Result, error) {
 		res.note("notrace build: shootdown-round, p99, and trace-oracle checks skipped (tracing compiled out)")
 	}
 
-	// Simulated cycles are deterministic: two identical unbatched runs
-	// must produce bit-identical histories (batching stays opt-in and
-	// perturbs nothing it does not touch).
-	d1, err := runC20Storm(timed, 1, iters, false, nil)
+	// Simulated cycles are deterministic: a second unbatched
+	// single-worker run must reproduce the sweep's cycle history bit for
+	// bit (batching stays opt-in and perturbs nothing it does not touch).
+	again, err := runC20Storm(cfg, 1, iters, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	d2, err := runC20Storm(timed, 1, iters, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.check("sync-deterministic", d1.cycles == d2.cycles,
-		"unbatched cycle history bit-identical across runs: %d vs %d cycles", d1.cycles, d2.cycles)
+	first := uint64(res.Metrics["sync_w1_cycles"])
+	res.check("sync-deterministic", first == again.cycles,
+		"unbatched cycle history bit-identical across runs: %d vs %d cycles", first, again.cycles)
 
-	if err := runC20BatchOfOne(timed, res); err != nil {
+	if err := runC20BatchOfOne(cfg, res); err != nil {
 		return nil, err
 	}
-	if err := runC20TransCache(timed, res); err != nil {
+	if err := runC20TransCache(cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -181,149 +163,97 @@ func runC20(cfg Config) (*Result, error) {
 
 // c20Run is one execution of the share/revoke storm.
 type c20Run struct {
-	w          *world
-	wall       time.Duration
-	cycles     uint64
+	*pinnedRun
 	ops        uint64 // shares + revokes executed
 	traps      uint64 // VMExits taken during the run
 	shootdowns uint64 // cross-core rounds (traced runs)
-	complete   bool
-	detail     string
 }
 
-// runC20Storm boots a world with `workers` guest domains (one per core,
-// dom0 idling on core 0), each owning a K-page shareable region plus —
-// in the batched arm — a K-entry submission ring, and runs them to
-// completion. Every worker executes `iters` iterations of: share its K
-// pages to dom0 with TLB-flush cleanup, then revoke all K delegations.
+// runC20Storm runs `workers` guest domains (one per core, dom0 idling
+// on core 0), each owning a K-page shareable region plus — in the
+// batched arm — a K-entry submission ring, to completion. Every worker
+// executes `iters` iterations of: share its K pages to its sink with
+// TLB-flush cleanup, then revoke all K delegations.
 func runC20Storm(cfg Config, workers, iters int, batched bool, spans *opSpans) (*c20Run, error) {
-	opts := defaultWorldOpts()
-	opts.cores = workers + 1 // dom0 idles on core 0
-	w, err := newWorld(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
 	pgs := uint64(phys.PageSize)
 	rightsWord := uint32(cap.MemRW) | uint32(cap.CleanFlushTLB)<<16
 	ringPages := (core.RingBytes(c20K) + pgs - 1) / pgs
 
-	type workerDom struct {
-		dom  *libtyche.Domain
-		sink *libtyche.Domain
-		node cap.NodeID
-		core phys.CoreID
-	}
-	var ws []*workerDom
-	for i := 0; i < workers; i++ {
-		coreID := phys.CoreID(i + 1)
-		// Delegations resynchronise both endpoints' address-translation
-		// state, a cost proportional to the pages they own. Sharing into
-		// a minimal sink domain (instead of page-rich dom0) keeps that
-		// resync term small and identical across arms, so the A/B
-		// isolates what batching actually changes: traps and shootdowns.
-		loSink := libtyche.DefaultLoadOptions()
-		loSink.Seal = false
-		sink, err := w.cl.Load(haltImage(fmt.Sprintf("sink%d", i)), loSink)
-		if err != nil {
-			return nil, err
-		}
-		// Allocate the worker's regions first so their addresses are
-		// assembly-time constants for the generated program.
-		shareRg, err := w.cl.Alloc(c20K)
-		if err != nil {
-			return nil, err
-		}
-		ringRg, err := w.cl.Alloc(ringPages)
-		if err != nil {
-			return nil, err
-		}
-		var gen func(base phys.Addr) *hw.Asm
-		if batched {
-			gen = func(base phys.Addr) *hw.Asm {
-				return c20BatchedProg(ringRg.Start, shareRg.Start, rightsWord)
-			}
-		} else {
-			gen = func(base phys.Addr) *hw.Asm {
-				return c20SyncProg(shareRg.Start, rightsWord)
-			}
-		}
-		img, err := buildAt(w.cl, fmt.Sprintf("w%d", i), gen)
-		if err != nil {
-			return nil, err
-		}
-		lo := libtyche.DefaultLoadOptions()
-		lo.Cores = []phys.CoreID{coreID}
-		lo.Seal = false
-		dom, err := w.cl.Load(img, lo)
-		if err != nil {
-			return nil, err
-		}
-		// The shareable region transfers to the worker with delegation
-		// rights: the worker re-shares it to dom0 from guest code.
-		node, err := w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), dom.ID(),
-			cap.MemResource(shareRg), cap.MemRW|cap.RightShare, cap.CleanNone)
-		if err != nil {
-			return nil, err
-		}
-		// The ring footprint only needs to be guest-readable/writable.
-		if _, err := w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), dom.ID(),
-			cap.MemResource(ringRg), cap.MemRW, cap.CleanNone); err != nil {
-			return nil, err
-		}
-		ws = append(ws, &workerDom{dom: dom, sink: sink, node: node, core: coreID})
-	}
-
-	r := &c20Run{w: w, ops: uint64(workers * iters * 2 * c20K)}
-	var cores []phys.CoreID
-	for _, wd := range ws {
-		if err := wd.dom.Launch(wd.core); err != nil {
-			return nil, err
-		}
-		c := w.mach.Core(wd.core)
-		c.Regs[6] = uint64(wd.node)
-		c.Regs[7] = uint64(wd.sink.ID())
-		c.Regs[10] = uint64(iters)
-		cores = append(cores, wd.core)
-	}
-	if spans != nil && w.ck != nil {
-		// Attach after setup so the span population is exactly the
-		// measured window's operations.
-		w.mach.Tracer().Attach(spans)
-	}
+	sinks := make([]core.DomainID, workers)
+	nodes := make([]cap.NodeID, workers)
 	var sdBefore uint64
-	if w.ck != nil {
-		sdBefore = w.ck.Counts().Shootdowns
-	}
-	statsBefore := w.mon.Stats()
-	cyclesBefore := w.mach.Clock.Cycles()
-	start := time.Now()
-	runs, err := w.mon.RunCores(1_000_000, cores...)
-	r.wall = time.Since(start)
+	p, err := runPinned(cfg, pinnedSpec{
+		name: "w", workers: workers, budget: 1_000_000,
+		worker: func(w *world, i int) (pinnedWorker, error) {
+			// Delegations resynchronise both endpoints' address-translation
+			// state, a cost proportional to the pages they own. Sharing into
+			// a minimal sink domain (instead of page-rich dom0) keeps that
+			// resync term small and identical across arms, so the A/B
+			// isolates what batching actually changes: traps and shootdowns.
+			sink, err := w.cl.Load(haltImage(fmt.Sprintf("sink%d", i)), loadOn())
+			if err != nil {
+				return pinnedWorker{}, err
+			}
+			sinks[i] = sink.ID()
+			// Allocate the worker's regions first so their addresses are
+			// assembly-time constants for the generated program.
+			shareRg, err := w.cl.Alloc(c20K)
+			if err != nil {
+				return pinnedWorker{}, err
+			}
+			ringRg, err := w.cl.Alloc(ringPages)
+			if err != nil {
+				return pinnedWorker{}, err
+			}
+			gen := func(phys.Addr) *hw.Asm { return c20SyncProg(shareRg.Start, rightsWord) }
+			if batched {
+				gen = func(phys.Addr) *hw.Asm { return c20BatchedProg(ringRg.Start, shareRg.Start, rightsWord) }
+			}
+			grants := func(dom *libtyche.Domain) error {
+				// The shareable region transfers to the worker with
+				// delegation rights: the worker re-shares it from guest code.
+				// The ring footprint only needs to be guest-readable/writable.
+				node, err := w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), dom.ID(),
+					cap.MemResource(shareRg), cap.MemRW|cap.RightShare, cap.CleanNone)
+				if err != nil {
+					return err
+				}
+				nodes[i] = node
+				_, err = w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), dom.ID(),
+					cap.MemResource(ringRg), cap.MemRW, cap.CleanNone)
+				return err
+			}
+			return pinnedWorker{gen: gen, grants: grants}, nil
+		},
+		regs: func(i int, _ []*libtyche.Domain) [hw.NumRegs]uint64 {
+			return [hw.NumRegs]uint64{6: uint64(nodes[i]), 7: uint64(sinks[i]), 10: uint64(iters)}
+		},
+		armed: func(w *world) {
+			if w.ck == nil {
+				return
+			}
+			// Attach after setup so the span population is exactly the
+			// measured window's operations.
+			if spans != nil {
+				w.mach.Tracer().Attach(spans)
+			}
+			sdBefore = w.ck.Counts().Shootdowns
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	r.cycles = w.mach.Clock.Cycles() - cyclesBefore
-	st := w.mon.Stats()
+	r := &c20Run{pinnedRun: p, ops: uint64(workers * iters * 2 * c20K)}
+	st, statsBefore := p.after, p.before
 	r.traps = st.VMExits - statsBefore.VMExits
-	if w.ck != nil {
-		r.shootdowns = w.ck.Counts().Shootdowns - sdBefore
-	}
-
-	r.complete = true
-	for _, wd := range ws {
-		run, ok := runs[wd.core]
-		c := w.mach.Core(wd.core)
-		if !ok || run.Trap.Kind != hw.TrapHalt || c.Regs[10] != 0 || c.Regs[15] == 0xdead {
-			r.complete = false
-			r.detail = fmt.Sprintf(" (core %v: trap=%v r10=%d r15=%#x)", wd.core, run.Trap, c.Regs[10], c.Regs[15])
-		}
+	if p.w.ck != nil {
+		r.shootdowns = p.w.ck.Counts().Shootdowns - sdBefore
 	}
 	// Exact operation accounting — none lost, none duplicated, and the
 	// ring counters move only when the ring path ran.
 	wantRevokes := uint64(workers * iters * c20K)
 	if got := st.Revocations - statsBefore.Revocations; got != wantRevokes {
-		r.complete = false
-		r.detail = fmt.Sprintf(" (revocations %d, want %d)", got, wantRevokes)
+		r.fail("revocations %d, want %d", got, wantRevokes)
 	}
 	flushes := st.RingFlushes - statsBefore.RingFlushes
 	ringOps := st.RingOps - statsBefore.RingOps
@@ -332,13 +262,11 @@ func runC20Storm(cfg Config, workers, iters int, batched bool, spans *opSpans) (
 	if batched {
 		if flushes != uint64(workers*iters*2) || ringOps != r.ops ||
 			rounds != uint64(workers*iters) || coalesced != wantRevokes {
-			r.complete = false
-			r.detail = fmt.Sprintf(" (ring flushes=%d ops=%d rounds=%d coalesced=%d, want %d/%d/%d/%d)",
+			r.fail("ring flushes=%d ops=%d rounds=%d coalesced=%d, want %d/%d/%d/%d",
 				flushes, ringOps, rounds, coalesced, workers*iters*2, r.ops, workers*iters, wantRevokes)
 		}
 	} else if flushes != 0 || ringOps != 0 {
-		r.complete = false
-		r.detail = fmt.Sprintf(" (sync arm moved ring counters: flushes=%d ops=%d)", flushes, ringOps)
+		r.fail("sync arm moved ring counters: flushes=%d ops=%d", flushes, ringOps)
 	}
 	return r, nil
 }
@@ -368,12 +296,7 @@ func c20SyncProg(shareBase phys.Addr, rightsWord uint32) *hw.Asm {
 		a.Vmcall()
 		a.Jnz(0, "fail")
 	}
-	a.Sub(10, 10, 12)
-	a.Jnz(10, "outer")
-	a.Hlt()
-	a.Label("fail")
-	a.Movi(15, 0xdead)
-	a.Hlt()
+	endPinnedLoop(a, "outer")
 	return a
 }
 
@@ -432,12 +355,7 @@ func c20BatchedProg(ringBase, shareBase phys.Addr, rightsWord uint32) *hw.Asm {
 	a.Movi(0, uint32(core.CallRingFlush))
 	a.Vmcall()
 	a.Jnz(0, "fail")
-	a.Sub(10, 10, 12)
-	a.Jnz(10, "outer")
-	a.Hlt()
-	a.Label("fail")
-	a.Movi(15, 0xdead)
-	a.Hlt()
+	endPinnedLoop(a, "outer")
 	return a
 }
 
@@ -450,9 +368,7 @@ func runC20BatchOfOne(cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	lo := libtyche.DefaultLoadOptions()
-	lo.Seal = false
-	peer, err := w.cl.Load(haltImage("b1-peer"), lo)
+	peer, err := w.cl.Load(haltImage("b1-peer"), loadOn())
 	if err != nil {
 		return err
 	}
@@ -525,10 +441,7 @@ func runC20TransCache(cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	lo := libtyche.DefaultLoadOptions()
-	lo.Cores = []phys.CoreID{0}
-	lo.Seal = false
-	svc, err := w.cl.Load(addImage("tc-svc", 0), lo)
+	svc, err := w.cl.Load(addImage("tc-svc", 0), loadOn(0))
 	if err != nil {
 		return err
 	}

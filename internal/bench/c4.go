@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/image"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -92,9 +91,7 @@ func runC4(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{1}
-	tEncl, err := w.cl.NewEnclave(img, opts)
+	tEncl, err := w.cl.NewEnclave(img, loadOn(1))
 	if err != nil {
 		return nil, err
 	}
@@ -139,9 +136,7 @@ func runC4(cfg Config) (*Result, error) {
 		limit = 24
 	}
 	for i := 0; i < limit; i++ {
-		opts := libtyche.DefaultLoadOptions()
-		opts.Cores = []phys.CoreID{1}
-		e, err := w2.cl.NewEnclave(addImage(fmt.Sprintf("e%d", i), 1).WithBSS(".pad", (enclavePages-1)*phys.PageSize), opts)
+		e, err := w2.cl.NewEnclave(addImage(fmt.Sprintf("e%d", i), 1).WithBSS(".pad", (enclavePages-1)*phys.PageSize), loadOn(1))
 		if err != nil {
 			break
 		}
@@ -161,10 +156,7 @@ func runC4(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	outerImg := addImage("outer", 1).WithHeap(".heap", 64*phys.PageSize)
-	o3 := libtyche.DefaultLoadOptions()
-	o3.Cores = []phys.CoreID{1}
-	o3.Seal = false
-	outer, err := w3.cl.Load(outerImg, o3)
+	outer, err := w3.cl.Load(outerImg, loadOn(1))
 	if err != nil {
 		return nil, err
 	}
@@ -177,10 +169,7 @@ func runC4(cfg Config) (*Result, error) {
 	if err := oc.SetHeap(heapNode, heapRegion); err != nil {
 		return nil, err
 	}
-	innerOpts := libtyche.DefaultLoadOptions()
-	innerOpts.Cores = []phys.CoreID{1}
-	innerOpts.Seal = false
-	inner, innerErr := oc.Load(addImage("inner", 2), innerOpts)
+	inner, innerErr := oc.Load(addImage("inner", 2), loadOn(1))
 	tycheNest := innerErr == nil
 	res.row("enclave spawns nested enclave", boolCell(sgxNest), boolCell(tycheNest))
 	res.check("nesting", !sgxNest && tycheNest,

@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -53,18 +53,12 @@ func runC6(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var heapNode cap.NodeID
-			for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
-				if n.Resource.Kind == cap.ResMemory {
-					heapNode = n.ID
-				}
-			}
 			victim, err := w.mon.CreateDomain(core.InitialDomain, "victim")
 			if err != nil {
 				return nil, err
 			}
 			r := phys.MakeRegion(phys.Addr(2<<20), kib*1024)
-			node, err := w.mon.Grant(core.InitialDomain, heapNode, victim, cap.MemResource(r), cap.MemRW, pol.c)
+			node, err := w.mon.Grant(core.InitialDomain, w.cl.HeapNode(), victim, cap.MemResource(r), cap.MemRW, pol.c)
 			if err != nil {
 				return nil, err
 			}
@@ -145,12 +139,6 @@ func primeProbeTrial(cfg Config, pol cap.Cleanup, bit int) (int, error) {
 	probeRegion := phys.MakeRegion(2<<20, phys.PageSize)
 	addrA := probeRegion.Start + 16*hw.CacheLineSize
 	addrB := addrA + hw.CacheLineSize
-	var heapNode cap.NodeID
-	for _, n := range w.mon.OwnerNodes(core.InitialDomain) {
-		if n.Resource.Kind == cap.ResMemory {
-			heapNode = n.ID
-		}
-	}
 	// Victim: enclave whose code loads addrA or addrB per its secret.
 	target := addrA
 	if bit == 1 {
@@ -166,14 +154,11 @@ func primeProbeTrial(cfg Config, pol cap.Cleanup, bit int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{1}
-	opts.Seal = false
-	victim, err := w.cl.Load(victimImg, opts)
+	victim, err := w.cl.Load(victimImg, loadOn(1))
 	if err != nil {
 		return 0, err
 	}
-	shared, err := w.mon.Share(core.InitialDomain, heapNode, victim.ID(), cap.MemResource(probeRegion), cap.RightRead, pol)
+	shared, err := w.mon.Share(core.InitialDomain, w.cl.HeapNode(), victim.ID(), cap.MemResource(probeRegion), cap.RightRead, pol)
 	if err != nil {
 		return 0, err
 	}
@@ -210,19 +195,7 @@ func primeProbeTrial(cfg Config, pol cap.Cleanup, bit int) (int, error) {
 }
 
 func spread(vals []uint64) float64 {
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo == 0 {
-		lo = 1
-	}
-	return float64(hi) / float64(lo)
+	return float64(slices.Max(vals)) / float64(max(slices.Min(vals), 1))
 }
 
 func last(vals []uint64) uint64 { return vals[len(vals)-1] }

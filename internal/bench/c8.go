@@ -4,7 +4,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/baseline"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/oskit"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -74,9 +73,7 @@ func runC8(cfg Config) (*Result, error) {
 	}
 	// The sensitive component is an enclave with the same secret.
 	img := haltImage("vault").WithData(".secret", []byte("tych-secret"))
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{1}
-	vault, err := osk.Client().NewEnclave(img, opts)
+	vault, err := osk.Client().NewEnclave(img, loadOn(1))
 	if err != nil {
 		return nil, err
 	}

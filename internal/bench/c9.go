@@ -57,13 +57,10 @@ func runC9(cfg Config) (*Result, error) {
 	for lvl := 1; lvl <= depth; lvl++ {
 		parent := chain[lvl-1].client
 		img := addImage(fmt.Sprintf("nest-%d", lvl), uint32(lvl)).WithHeap(".heap", heapPages*phys.PageSize)
-		opts := libtyche.DefaultLoadOptions()
-		opts.Cores = []phys.CoreID{1}
-		opts.Seal = false
 		var dom *libtyche.Domain
 		c, err := cycles(w.mach, func() error {
 			var err error
-			dom, err = parent.Load(img, opts)
+			dom, err = parent.Load(img, loadOn(1))
 			return err
 		})
 		if err != nil {

@@ -51,8 +51,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 	// heap it will carve its children from, sharing cores 1-2 and
 	// granting the GPU (device 0).
 	vmImg := haltImage("saas-vm").WithHeap(".heap", 1024*phys.PageSize)
-	vmOpts := libtyche.DefaultLoadOptions()
-	vmOpts.Cores = []phys.CoreID{saasCore, 2}
+	vmOpts := loadOn(saasCore, 2)
 	vmOpts.Devices = []phys.DeviceID{0}
 	vmOpts.Seal = true
 	vm, err := w.cl.Load(vmImg, vmOpts)
@@ -75,10 +74,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 		return nil, err
 	}
 	d.cryptoImg = cryptoImg
-	cryptoOpts := libtyche.DefaultLoadOptions()
-	cryptoOpts.Cores = []phys.CoreID{saasCore}
-	cryptoOpts.Seal = false // mailbox + channel arrive before sealing
-	crypto, err := d.vmClient.Load(cryptoImg, cryptoOpts)
+	crypto, err := d.vmClient.Load(cryptoImg, loadOn(saasCore))
 	if err != nil {
 		return nil, fmt.Errorf("loading crypto engine: %w", err)
 	}
@@ -116,10 +112,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 		return nil, err
 	}
 	d.appImg = appImg
-	appOpts := libtyche.DefaultLoadOptions()
-	appOpts.Cores = []phys.CoreID{saasCore}
-	appOpts.Seal = false
-	app, err := d.vmClient.Load(appImg, appOpts)
+	app, err := d.vmClient.Load(appImg, loadOn(saasCore))
 	if err != nil {
 		return nil, fmt.Errorf("loading saas app: %w", err)
 	}
@@ -131,10 +124,8 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 	// with DMA rights — the device can then reach exactly the domain's
 	// memory (framebuffer + the buffer the app shares with it).
 	d.gpuImg = haltImage("gpu-domain").WithBSS(".fb", 4*phys.PageSize)
-	gpuOpts := libtyche.DefaultLoadOptions()
-	gpuOpts.Cores = nil // an I/O domain runs on the device, not a core
-	gpuOpts.Seal = false
-	gpuDom, err := d.vmClient.NewKernelCompartment(d.gpuImg, []phys.DeviceID{0}, gpuOpts)
+	// No cores: an I/O domain runs on the device.
+	gpuDom, err := d.vmClient.NewKernelCompartment(d.gpuImg, []phys.DeviceID{0}, loadOn())
 	if err != nil {
 		return nil, fmt.Errorf("loading gpu domain: %w", err)
 	}

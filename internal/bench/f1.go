@@ -5,8 +5,6 @@ import (
 
 	"github.com/tyche-sim/tyche/internal/attest"
 	"github.com/tyche-sim/tyche/internal/core"
-	"github.com/tyche-sim/tyche/internal/libtyche"
-	"github.com/tyche-sim/tyche/internal/phys"
 )
 
 func init() {
@@ -36,9 +34,7 @@ func runF1(cfg Config) (*Result, error) {
 	// Legislative: an unprivileged domain (not the monitor, not the OS
 	// kernel) defines the isolation policy by loading an enclave.
 	img := addImage("f1-enclave", 1)
-	opts := libtyche.DefaultLoadOptions()
-	opts.Cores = []phys.CoreID{1}
-	enc, err := w.cl.NewEnclave(img, opts)
+	enc, err := w.cl.NewEnclave(img, loadOn(1))
 	if err != nil {
 		return nil, err
 	}

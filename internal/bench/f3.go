@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/oskit"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -59,7 +58,7 @@ func runF3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	driverImg := haltImage("nic-driver").WithBSS(".dmapool", 4*phys.PageSize)
-	driver, err := os.Client().NewKernelCompartment(driverImg, []phys.DeviceID{1}, libtyche.DefaultLoadOptions())
+	driver, err := os.Client().NewKernelCompartment(driverImg, []phys.DeviceID{1}, loadOn())
 	if err != nil {
 		return nil, err
 	}

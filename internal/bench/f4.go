@@ -36,20 +36,27 @@ func runF4(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	roles := map[phys.Region]string{}
-	if r, ok := d.crypto.SegmentRegion(".text"); ok {
-		roles[r] = "crypto engine text (confidential)"
+	// Ordered: a refcount run that merges adjacent segments (the crypto
+	// engine's text and key page) takes the first role it overlaps.
+	type role struct {
+		region phys.Region
+		name   string
 	}
-	roles[d.keySeg] = "crypto engine key page (confidential)"
-	roles[d.chanSeg] = "app<->crypto shared buffer"
-	roles[d.gpuBuf] = "app<->gpu shared buffer"
-	roles[d.fbSeg] = "gpu framebuffer (confidential)"
-	roles[d.mailbox.Region()] = "dom0<->crypto mailbox"
+	var roles []role
+	if r, ok := d.crypto.SegmentRegion(".text"); ok {
+		roles = append(roles, role{r, "crypto engine text (confidential)"})
+	}
+	roles = append(roles,
+		role{d.keySeg, "crypto engine key page (confidential)"},
+		role{d.chanSeg, "app<->crypto shared buffer"},
+		role{d.gpuBuf, "app<->gpu shared buffer"},
+		role{d.fbSeg, "gpu framebuffer (confidential)"},
+		role{d.mailbox.Region(), "dom0<->crypto mailbox"})
 
 	roleOf := func(r phys.Region) string {
-		for k, v := range roles {
-			if k.Overlaps(r) {
-				return v
+		for _, ro := range roles {
+			if ro.region.Overlaps(r) {
+				return ro.name
 			}
 		}
 		return ""
