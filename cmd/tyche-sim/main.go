@@ -103,9 +103,6 @@ func run(backend string, memMiB uint64, cores int, emit string, faultSeed int64,
 	var tracer *trace.Tracer
 	var checker *check.Checker
 	if tracePath != "" {
-		if !trace.Compiled {
-			return fmt.Errorf("this binary was built with the notrace tag; -trace is unavailable")
-		}
 		mach := p.Monitor.Machine()
 		tracer = mach.NewTracer(1 << 15)
 		checker = check.New()
@@ -327,10 +324,6 @@ func fleetDemo(n int, backend core.BackendKind) error {
 	audits, err := f.Audit()
 	if err != nil {
 		return err
-	}
-	if !trace.Compiled {
-		fmt.Println("  runtime verification compiled out (notrace build)")
-		return nil
 	}
 	clean := 0
 	for _, a := range audits {

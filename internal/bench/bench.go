@@ -39,15 +39,14 @@ type Config struct {
 	// checker on every experiment world. Experiments with explicit
 	// oracle checks (C15) append exact count reconciliation; the
 	// harness additionally appends one trace-oracle check per
-	// experiment asserting no world saw a violation. No-op under the
-	// notrace build tag.
+	// experiment asserting no world saw a violation.
 	Trace bool
 	// Verify > 0 attaches the always-on runtime-verification service
 	// (internal/rv: sharded incremental checker merged at the monitor's
 	// quiescent points) to every experiment world. 1 is exact mode;
 	// N > 1 samples the high-rate event kinds 1-in-N (safety-critical
 	// kinds stay exact). Composes with Trace — both sinks then feed off
-	// one tracer. No-op under the notrace build tag.
+	// one tracer.
 	Verify int
 
 	// audit, when non-nil, collects every traced world so the harness
@@ -397,7 +396,7 @@ func newWorld(cfg Config, o worldOpts) (*world, error) {
 	}
 	var ck *check.Checker
 	var rvs *rv.Service
-	if (cfg.Trace || cfg.Verify > 0) && trace.Compiled {
+	if cfg.Trace || cfg.Verify > 0 {
 		// One tracer feeds every attached oracle, installed before dom0's
 		// first op so checker counts and monitor statistics tally the
 		// same history from zero. Sinks attach before SetTracer so all of

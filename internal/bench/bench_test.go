@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/core"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // TestExperimentsPassAllChecks runs every registered experiment once, in
@@ -126,9 +125,6 @@ func TestRegistry(t *testing.T) {
 // experiment world is audited by the online invariant checker even
 // when the experiment carries no trace checks of its own.
 func TestTracedRunAppendsOracleChecks(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("built with notrace")
-	}
 	e, ok := Lookup("C6")
 	if !ok {
 		t.Fatal("C6 not registered")

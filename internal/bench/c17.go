@@ -40,12 +40,6 @@ func runC17(cfg Config) (*Result, error) {
 		ID: "C17", Title: "Tracing overhead (off / ring / ring+check)",
 		Columns: []string{"workers", "mode", "cycles", "events", "dropped", "checker"},
 	}
-	if !trace.Compiled {
-		res.row("-", "notrace", "0", "0", "0", "-")
-		res.note("tracing compiled out (notrace build tag); there is nothing to perturb the machine")
-		res.check("modes-run", true, "skipped under notrace")
-		return res, nil
-	}
 	iters := 64
 	if cfg.Quick {
 		iters = 24

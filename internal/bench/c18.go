@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 func init() {
@@ -32,9 +31,9 @@ func init() {
 //	          top-level lock, and never waits on another core.
 //
 // Each sweep point runs once, with the cycle-stamped tracer and online
-// invariant checker attached from boot (a no-op under notrace; C17
-// gates that tracing moves no simulated cycle), and reports simulated
-// cycles, completed op pairs and revocation-mutex acquisitions. What is
+// invariant checker attached from boot (C17 gates that tracing moves no
+// simulated cycle), and reports simulated cycles, completed op pairs
+// and revocation-mutex acquisitions. What is
 // gated is that mediation stays exact at every width: every worker
 // drains, transitions and revocations are counted exactly, destructive
 // entries all pass through the one instrumented lock, and the full
@@ -98,9 +97,6 @@ func runC18(cfg Config) (*Result, error) {
 			}
 			p.w.traceClean(res, tag)
 		}
-	}
-	if !trace.Compiled {
-		res.note("notrace build: per-point trace audit skipped (tracing compiled out)")
 	}
 	return res, nil
 }

@@ -55,8 +55,8 @@ const c20K = 16
 // than the slow path with pinned hit/miss counts.
 //
 // Every configuration runs once, with the cycle-stamped tracer and
-// online invariant checker attached (a no-op under notrace; C17 gates
-// that tracing moves no simulated cycle): the same run supplies the
+// online invariant checker attached (C17 gates that tracing moves no
+// simulated cycle): the same run supplies the
 // cycles, the shootdown-round counts and the per-op spans the p99 gate
 // reads (KOpBegin/KOpEnd bracket each capability operation).
 func runC20(cfg Config) (*Result, error) {
@@ -89,29 +89,23 @@ func runC20(cfg Config) (*Result, error) {
 
 			// The full-history audit, plus the shootdown-round and p99
 			// evidence.
-			var sd, p99c uint64
-			if trace.Compiled {
-				p.w.traceClean(res, tag)
-				sd = p.shootdowns
-				p99c = spans.p99()
-				wantSD := uint64(workers * iters)
-				if !batched {
-					wantSD = uint64(workers * iters * c20K)
-				}
-				res.check(tag+"-shootdown-rounds", sd == wantSD,
-					"traced cross-core shootdown rounds: %d, want %d (%s)", sd, wantSD,
-					map[bool]string{true: "one per revocation batch", false: "one per revocation"}[batched])
+			p.w.traceClean(res, tag)
+			sd, p99c := p.shootdowns, spans.p99()
+			wantSD := uint64(workers * iters)
+			if !batched {
+				wantSD = uint64(workers * iters * c20K)
 			}
+			res.check(tag+"-shootdown-rounds", sd == wantSD,
+				"traced cross-core shootdown rounds: %d, want %d (%s)", sd, wantSD,
+				map[bool]string{true: "one per revocation batch", false: "one per revocation"}[batched])
 			res.row(arm, fmt.Sprintf("%d", workers), fmtU(p.cycles), fmtU(p.ops),
 				fmt.Sprintf("%.0f", perOp[ai]), fmtU(p.traps), fmtU(sd), fmtU(p99c))
 			res.metric(tag+"_cycles", float64(p.cycles))
 			res.metric(tag+"_ops", float64(p.ops))
 			res.metric(tag+"_cycles_per_op", perOp[ai])
 			res.metric(tag+"_traps", float64(p.traps))
-			if trace.Compiled {
-				res.metric(tag+"_shootdown_rounds", float64(sd))
-				res.metric(tag+"_p99_cycles", float64(p99c))
-			}
+			res.metric(tag+"_shootdown_rounds", float64(sd))
+			res.metric(tag+"_p99_cycles", float64(p99c))
 		}
 		speedup := perOp[0] / perOp[1]
 		res.metric(fmt.Sprintf("w%d_batch_speedup_cycles", workers), speedup)
@@ -126,19 +120,15 @@ func runC20(cfg Config) (*Result, error) {
 	// both arms but interleaving-dependent, so the single-worker point
 	// (fully deterministic) carries the strict gate and wider points
 	// get 2x headroom for that cross-core noise.
-	if trace.Compiled {
-		for _, workers := range sweep {
-			s := res.Metrics[fmt.Sprintf("sync_w%d_p99_cycles", workers)]
-			b := res.Metrics[fmt.Sprintf("batched_w%d_p99_cycles", workers)]
-			slack := 1.0
-			if workers > 1 {
-				slack = 2.0
-			}
-			res.check(fmt.Sprintf("w%d-p99-no-worse", workers), b <= s*slack && s > 0,
-				"per-op span p99: batched %.0f cyc vs sync %.0f cyc (tolerance %.0fx)", b, s, slack)
+	for _, workers := range sweep {
+		s := res.Metrics[fmt.Sprintf("sync_w%d_p99_cycles", workers)]
+		b := res.Metrics[fmt.Sprintf("batched_w%d_p99_cycles", workers)]
+		slack := 1.0
+		if workers > 1 {
+			slack = 2.0
 		}
-	} else {
-		res.note("notrace build: shootdown-round, p99, and trace-oracle checks skipped (tracing compiled out)")
+		res.check(fmt.Sprintf("w%d-p99-no-worse", workers), b <= s*slack && s > 0,
+			"per-op span p99: batched %.0f cyc vs sync %.0f cyc (tolerance %.0fx)", b, s, slack)
 	}
 
 	// Simulated cycles are deterministic: a second unbatched

@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 func init() {
@@ -48,42 +47,38 @@ func runC22(cfg Config) (*Result, error) {
 	cfg.Trace = true
 
 	// Mixed revocation workload — thread-count identity.
-	if trace.Compiled {
-		host := runtime.GOMAXPROCS(0)
-		mixed := map[int]*c22MixedRun{}
-		for _, threads := range []int{1, 4} {
-			tag := fmt.Sprintf("mixed_t%d", threads)
-			runtime.GOMAXPROCS(threads)
-			r, err := runC22Mixed(cfg)
-			runtime.GOMAXPROCS(host)
-			if err != nil {
-				return nil, fmt.Errorf("c22 %s: %w", tag, err)
-			}
-			r.w.traceClean(res, tag)
-			res.metric(tag+"_cycles", float64(r.cycles))
-			res.metric(tag+"_revocations", float64(r.revocations))
-			wantOps := r.drainRounds * c22MixedTenants * c22MixedPerRound
-			res.check(tag+"-complete", r.ringOps == wantOps,
-				"%d drain rounds retired %d descriptors (want %d tenants x %d each = %d)",
-				r.drainRounds, r.ringOps, c22MixedTenants, c22MixedPerRound, wantOps)
-			res.check(tag+"-coalesces", r.shootdownRounds == r.drainRounds,
-				"%d drain rounds retired %d shootdown rounds (cross-ring coalescing: exactly one each)",
-				r.drainRounds, r.shootdownRounds)
-			res.row("mixed", fmt.Sprintf("%d", threads), fmtU(r.cycles), fmtU(r.ringOps), "-")
-			mixed[threads] = r
+	host := runtime.GOMAXPROCS(0)
+	mixed := map[int]*c22MixedRun{}
+	for _, threads := range []int{1, 4} {
+		tag := fmt.Sprintf("mixed_t%d", threads)
+		runtime.GOMAXPROCS(threads)
+		r, err := runC22Mixed(cfg)
+		runtime.GOMAXPROCS(host)
+		if err != nil {
+			return nil, fmt.Errorf("c22 %s: %w", tag, err)
 		}
-		one, four := mixed[1], mixed[4]
-		res.check("mixed-verdict-identity", one.verdict == four.verdict,
-			"checker verdicts at 1 vs 4 threads: %q vs %q (must be byte-identical)", one.verdict, four.verdict)
-		res.check("mixed-semantics-identical",
-			one.ringOps == four.ringOps && one.revocations == four.revocations && one.kills == four.kills,
-			"semantic counters at 1 thread ops=%d revs=%d kills=%d vs 4 threads ops=%d revs=%d kills=%d",
-			one.ringOps, one.revocations, one.kills, four.ringOps, four.revocations, four.kills)
-		res.check("mixed-cycle-identity", one.cycles == four.cycles,
-			"mixed cycle history at 1 thread %d vs 4 threads %d (must be identical)", one.cycles, four.cycles)
-	} else {
-		res.note("notrace build: mixed thread-count-identity phase skipped (tracing compiled out)")
+		r.w.traceClean(res, tag)
+		res.metric(tag+"_cycles", float64(r.cycles))
+		res.metric(tag+"_revocations", float64(r.revocations))
+		wantOps := r.drainRounds * c22MixedTenants * c22MixedPerRound
+		res.check(tag+"-complete", r.ringOps == wantOps,
+			"%d drain rounds retired %d descriptors (want %d tenants x %d each = %d)",
+			r.drainRounds, r.ringOps, c22MixedTenants, c22MixedPerRound, wantOps)
+		res.check(tag+"-coalesces", r.shootdownRounds == r.drainRounds,
+			"%d drain rounds retired %d shootdown rounds (cross-ring coalescing: exactly one each)",
+			r.drainRounds, r.shootdownRounds)
+		res.row("mixed", fmt.Sprintf("%d", threads), fmtU(r.cycles), fmtU(r.ringOps), "-")
+		mixed[threads] = r
 	}
+	one, four := mixed[1], mixed[4]
+	res.check("mixed-verdict-identity", one.verdict == four.verdict,
+		"checker verdicts at 1 vs 4 threads: %q vs %q (must be byte-identical)", one.verdict, four.verdict)
+	res.check("mixed-semantics-identical",
+		one.ringOps == four.ringOps && one.revocations == four.revocations && one.kills == four.kills,
+		"semantic counters at 1 thread ops=%d revs=%d kills=%d vs 4 threads ops=%d revs=%d kills=%d",
+		one.ringOps, one.revocations, one.kills, four.ringOps, four.revocations, four.kills)
+	res.check("mixed-cycle-identity", one.cycles == four.cycles,
+		"mixed cycle history at 1 thread %d vs 4 threads %d (must be identical)", one.cycles, four.cycles)
 
 	// Kill storm — shared grace periods.
 	s, err := runC22Storm(cfg)

@@ -8,7 +8,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/dist"
 	"github.com/tyche-sim/tyche/internal/fault"
 	"github.com/tyche-sim/tyche/internal/fleet"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 func init() {
@@ -185,26 +184,23 @@ func runC23(cfg Config) (*Result, error) {
 	c23Audit(res, "churn", fc, -1)
 
 	// Phase D: fleet-wide verification localizes a seeded violation.
-	if trace.Compiled {
-		fv, err := newC23Fleet(cfg, 3, spin)
-		if err != nil {
-			return nil, fmt.Errorf("c23 verify: %w", err)
-		}
-		if err := fv.Deploy(fleet.ServiceSpec{Name: "audit", Delta: 1}, 2); err != nil {
-			return nil, fmt.Errorf("c23 verify deploy: %w", err)
-		}
-		if _, err := fv.Serve([]string{"audit"}, 100, 2); err != nil {
-			return nil, fmt.Errorf("c23 verify serve: %w", err)
-		}
-		const seeded = 1
-		if err := fv.SeedViolation(seeded); err != nil {
-			return nil, fmt.Errorf("c23 verify seed: %w", err)
-		}
-		c23Audit(res, "verify", fv, seeded)
-		res.row("verify", "3", "100", fmt.Sprintf("violation seeded on node %d", seeded))
-	} else {
-		res.note("notrace build: fleet verification phase skipped (tracing compiled out)")
+	fv, err := newC23Fleet(cfg, 3, spin)
+	if err != nil {
+		return nil, fmt.Errorf("c23 verify: %w", err)
 	}
+	if err := fv.Deploy(fleet.ServiceSpec{Name: "audit", Delta: 1}, 2); err != nil {
+		return nil, fmt.Errorf("c23 verify deploy: %w", err)
+	}
+	if _, err := fv.Serve([]string{"audit"}, 100, 2); err != nil {
+		return nil, fmt.Errorf("c23 verify serve: %w", err)
+	}
+	const seeded = 1
+	if err := fv.SeedViolation(seeded); err != nil {
+		return nil, fmt.Errorf("c23 verify seed: %w", err)
+	}
+	c23Audit(res, "verify", fv, seeded)
+	res.row("verify", "3", "100", fmt.Sprintf("violation seeded on node %d", seeded))
+
 	return res, nil
 }
 
@@ -232,15 +228,11 @@ var (
 // c23Audit folds a fleet's final verification audit into checks. With
 // seeded >= 0 that node must be flagged (self-verdict and fleet-level
 // chain audit both reporting the violation) while every other node
-// stays clean; with seeded < 0 all nodes must be clean. No-op under
-// the notrace build tag.
+// stays clean; with seeded < 0 all nodes must be clean.
 func c23Audit(res *Result, tag string, f *fleet.Fleet, seeded int) {
 	audits, err := f.Audit()
 	if err != nil {
 		res.check(tag+"-audit", false, "fleet audit: %v", err)
-		return
-	}
-	if !trace.Compiled {
 		return
 	}
 	clean, detail := true, fmt.Sprintf("%d nodes, all verdicts clean, digests aggregated", len(audits))

@@ -29,7 +29,8 @@ const (
 	// callee's result.
 	CallReturn uint64 = 3
 	// CallLog appends r1 to the domain's log buffer (the simulated
-	// console; examples and tests read it back).
+	// console; examples and tests read it back). Denied once the log
+	// holds MaxDomainLog words.
 	CallLog uint64 = 4
 	// CallFastSwitch performs a pre-registered fast switch to the
 	// domain named by r1.
@@ -81,110 +82,129 @@ const (
 	StatusDenied uint64 = 2
 )
 
+// MaxDomainLog bounds a domain's log buffer, in words. CallLog is the
+// one verb that grows monitor memory on a guest's say-so — a word per
+// trap, up to MaxRingEntries words per doorbell — so it is bounded:
+// past the bound the call is denied and the log keeps its first
+// MaxDomainLog words. The longest log any test, example or experiment
+// wrote when the bound was set is 9 words; one full ring of them
+// (32 KiB a domain) is a generous console and a harmless ceiling.
+const MaxDomainLog = MaxRingEntries
+
 // handleVMCall services one guest hypercall on core. It runs with no
 // monitor lock held — RunCore dispatches traps lock-free and every
-// operation takes exactly the locks it needs: read-only calls (SelfID,
-// EnumerateLen, Log) touch only lock-free state or the domain's own
-// mutex, transfers and delegations pin an epoch, and revocation takes
-// revMu. It returns stop=true when the run loop should hand control
-// back to the embedder (CallYield; errors also stop it).
-func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool, err error) {
+// operation takes exactly the entry it needs. What is decoded here is
+// what only a trap can do: the transfer verbs (a direct switch — a
+// request executes one CallReturn and must not pay a call layer), the
+// ring doorbell and registration, the yield, and CallRevoke as a full
+// synchronous Revoke (a destructive entry). Every other verb is
+// execVerb's, run under one pinned reader entry. It returns stop=true
+// when the run loop should hand control back to the embedder
+// (CallYield).
+func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool) {
 	cur := DomainID(c.Context().Owner)
 	call := c.Regs[0]
 	m.emitCore(core, trace.KVMCall, cur, call, 0, 0, 0)
 	switch call {
-	case CallSelfID:
-		c.Regs[0] = StatusOK
-		c.Regs[1] = uint64(cur)
 	case CallDomainCall:
-		target := DomainID(c.Regs[1])
-		if err := m.Call(core, target); err != nil {
+		// On success execution continues in the target; its return will
+		// land after the caller's VMCALL with r0/r1 set by Return.
+		if err := m.Call(core, DomainID(c.Regs[1])); err != nil {
 			c.Regs[0] = StatusDenied
-			return false, nil
 		}
-		// Execution continues in the target; its return will land after
-		// the caller's VMCALL with r0/r1 set by Return.
 	case CallReturn:
 		ret := c.Regs[1]
 		if err := m.Return(core); err != nil {
 			c.Regs[0] = StatusDenied
-			return false, nil
+			return false
 		}
 		c.Regs[0] = StatusOK
 		c.Regs[1] = ret
-	case CallLog:
-		if d, ok := m.tab.Load().doms[cur]; ok {
-			d.mu.Lock()
-			d.logbuf = append(d.logbuf, c.Regs[1])
-			d.mu.Unlock()
-		}
-		c.Regs[0] = StatusOK
 	case CallFastSwitch:
-		target := DomainID(c.Regs[1])
-		if err := m.FastSwitch(core, target); err != nil {
+		if err := m.FastSwitch(core, DomainID(c.Regs[1])); err != nil {
 			c.Regs[0] = StatusDenied
-			return false, nil
 		}
-	case CallEnumerateLen:
-		c.Regs[0] = StatusOK
-		c.Regs[1] = uint64(len(m.enumerate(cap.OwnerID(cur))))
-	case CallShare, CallGrant:
-		node := cap.NodeID(c.Regs[1])
-		dst := DomainID(c.Regs[2])
-		sub := cap.MemResource(phys.MakeRegion(phys.Addr(c.Regs[3]), c.Regs[4]))
-		rights := cap.Rights(c.Regs[5] & 0xffff)
-		cleanup := cap.Cleanup(c.Regs[5] >> 16)
-		id, err := m.delegate(cur, node, dst, sub, rights, cleanup, call == CallGrant)
-		if err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
-		c.Regs[1] = uint64(id)
-	case CallRevoke:
-		if err := m.Revoke(cur, cap.NodeID(c.Regs[1])); err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
-	case CallSealSelf:
-		if _, err := m.Seal(cur, cur); err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
 	case CallYield:
 		c.Regs[0] = StatusOK
-		return true, nil
+		return true
+	case CallRevoke:
+		c.Regs[0] = statusOf(m.Revoke(cur, cap.NodeID(c.Regs[1])))
 	case CallRingSetup:
-		if err := m.RingSetup(cur, phys.Addr(c.Regs[1]), c.Regs[2]); err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
+		c.Regs[0] = statusOf(m.RingSetup(cur, phys.Addr(c.Regs[1]), c.Regs[2]))
 	case CallRingFlush:
 		n, err := m.ringFlush(cur, int32(core))
 		c.Regs[1] = n
-		if err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
-	case CallAttest:
-		// Attest pins an epoch around the report commit; ringExec's
-		// attestLocked variant is only safe inside the monitor entry of
-		// a ring drain, and handleVMCall holds none here.
-		var nonce [8]byte
-		binary.LittleEndian.PutUint64(nonce[:], c.Regs[1])
-		rep, err := m.Attest(cur, nonce[:])
-		if err != nil {
-			c.Regs[0] = StatusDenied
-			return false, nil
-		}
-		c.Regs[0] = StatusOK
-		c.Regs[1] = binary.LittleEndian.Uint64(rep.Measurement[:8])
+		c.Regs[0] = statusOf(err)
 	default:
-		c.Regs[0] = StatusBadCall
+		p := m.renter()
+		status, result, yields := m.execVerb(cur, call, c.Regs[1], c.Regs[2], c.Regs[3], c.Regs[4], c.Regs[5])
+		m.rexit(p)
+		c.Regs[0] = status
+		if yields {
+			c.Regs[1] = result
+		}
 	}
-	return false, nil
+	return false
+}
+
+// statusOf maps an API result onto the guest's status word.
+func statusOf(err error) uint64 {
+	if err != nil {
+		return StatusDenied
+	}
+	return StatusOK
+}
+
+// execVerb is the one body of every guest verb that is neither a
+// control transfer nor path-specific, run with the caller's monitor
+// entry already held: the trap path's reader pin, or the drain round's
+// destructive entry (ring.go). It returns the status, and the verb's
+// value when yields — a trap leaves r1 alone otherwise, a completion
+// carries 0. Verbs it does not know, which is also every verb only one
+// path may issue, are StatusBadCall.
+func (m *Monitor) execVerb(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (status, result uint64, yields bool) {
+	switch verb {
+	case CallSelfID:
+		return StatusOK, uint64(owner), true
+	case CallLog:
+		if d, ok := m.tab.Load().doms[owner]; ok {
+			d.mu.Lock()
+			full := len(d.logbuf) >= MaxDomainLog
+			if !full {
+				d.logbuf = append(d.logbuf, a1)
+			}
+			d.mu.Unlock()
+			if full {
+				m.stats.deniedOps.Add(1)
+				return StatusDenied, 0, false
+			}
+		}
+		return StatusOK, 0, false
+	case CallEnumerateLen:
+		return StatusOK, uint64(len(m.enumerate(cap.OwnerID(owner)))), true
+	case CallShare, CallGrant:
+		sub := cap.MemResource(phys.MakeRegion(phys.Addr(a3), a4))
+		id, err := m.delegate(owner, cap.NodeID(a1), DomainID(a2), sub,
+			cap.Rights(a5&0xffff), cap.Cleanup(a5>>16), verb == CallGrant)
+		if err != nil {
+			return StatusDenied, 0, false
+		}
+		return StatusOK, uint64(id), true
+	case CallSealSelf:
+		_, err := m.seal(owner, owner)
+		return statusOf(err), 0, false
+	case CallAttest:
+		var nonce [8]byte
+		binary.LittleEndian.PutUint64(nonce[:], a1)
+		rep, d, err := m.buildReport(owner, nonce[:])
+		if err == nil {
+			rep, err = m.commitReport(rep, d)
+		}
+		if err != nil {
+			return StatusDenied, 0, false
+		}
+		return StatusOK, binary.LittleEndian.Uint64(rep.Measurement[:8]), true
+	default:
+		return StatusBadCall, 0, false
+	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -239,5 +239,87 @@ func TestNestedMediatedCalls(t *testing.T) {
 	}
 	if m.Stats().Transitions < 4 {
 		t.Fatalf("transitions = %d", m.Stats().Transitions)
+	}
+}
+
+// TestCallLogBounded: CallLog is the one verb that grows monitor memory
+// on a guest's say-so, so the log stops at MaxDomainLog words. Filled
+// and then overrun by trap and by ring: the overrunning call is denied
+// and counted, and nothing else moves — the log keeps its first
+// MaxDomainLog words, the capability tree and every other counter stay
+// put.
+func TestCallLogBounded(t *testing.T) {
+	const ringPage = 200
+	fill := map[string]func(t *testing.T, m *Monitor, n int) (status, r1 uint64){
+		// n traps logging n, n-1, ..., 1; the last call's r0/r1 are
+		// left in the registers.
+		"trap": func(t *testing.T, m *Monitor, n int) (uint64, uint64) {
+			a := hw.NewAsm()
+			a.Movi(6, uint32(n))
+			a.Label("loop")
+			a.Mov(1, 6).Movi(0, uint32(CallLog)).Vmcall()
+			a.Mov(7, 0) // the status, before the next iteration clobbers r0
+			a.Movi(5, 1).Sub(6, 6, 5).Jnz(6, "loop")
+			a.Hlt()
+			if err := m.CopyInto(InitialDomain, 4*pg, a.MustAssemble(4*pg)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetEntry(InitialDomain, InitialDomain, 4*pg); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Launch(InitialDomain, 0); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := m.RunCore(0, 10*MaxDomainLog); err != nil || res.Trap.Kind != hw.TrapHalt {
+				t.Fatalf("run = %v, %v", res.Trap, err)
+			}
+			c := m.Machine().Core(0)
+			return c.Regs[7], c.Regs[1]
+		},
+		// One doorbell over n descriptors logging n, n-1, ..., 1; the
+		// last completion is returned.
+		"ring": func(t *testing.T, m *Monitor, n int) (uint64, uint64) {
+			base := ringAt(t, m, InitialDomain, ringPage, MaxRingEntries)
+			for i := n; i > 0; i-- {
+				enqueue(t, m, base, MaxRingEntries, CallLog, uint64(i))
+			}
+			if got, err := m.RingFlush(InitialDomain); err != nil || got != uint64(n) {
+				t.Fatalf("flush = %d, %v, want %d", got, err, n)
+			}
+			return completion(t, m, base, MaxRingEntries, uint64(n-1))
+		},
+	}
+	for path, logN := range fill {
+		t.Run(path, func(t *testing.T) {
+			m := bootWorld(t, BackendVTX)
+			if status, _ := logN(t, m, MaxDomainLog); status != StatusOK {
+				t.Fatalf("word %d of %d: status %d, want OK", MaxDomainLog, MaxDomainLog, status)
+			}
+			d, _ := m.Domain(InitialDomain)
+			full := d.Log()
+			if len(full) != MaxDomainLog || full[0] != MaxDomainLog || full[MaxDomainLog-1] != 1 {
+				t.Fatalf("log holds %d words [%d..%d], want %d [%d..1]",
+					len(full), full[0], full[len(full)-1], MaxDomainLog, MaxDomainLog)
+			}
+			tree, before := m.LineageTree(), m.Stats()
+
+			status, r1 := logN(t, m, 1)
+			if status != StatusDenied {
+				t.Fatalf("word %d: status %d, want denied", MaxDomainLog+1, status)
+			}
+			if want := map[string]uint64{"trap": 1, "ring": 0}[path]; r1 != want {
+				t.Fatalf("denied log left r1/result = %d, want %d (a trap leaves r1 alone, a completion carries 0)", r1, want)
+			}
+			if !slices.Equal(d.Log(), full) {
+				t.Fatal("the overrunning word changed the log")
+			}
+			after := m.Stats()
+			if after.DeniedOps != before.DeniedOps+1 {
+				t.Fatalf("DeniedOps %d -> %d, want +1", before.DeniedOps, after.DeniedOps)
+			}
+			if after.CapOps != before.CapOps || after.Revocations != before.Revocations || m.LineageTree() != tree {
+				t.Fatal("a denied log moved capability state")
+			}
+		})
 	}
 }

@@ -131,17 +131,6 @@ func (m *Monitor) Attest(id DomainID, nonce []byte) (*Report, error) {
 	return m.commitReport(r, d)
 }
 
-// attestLocked is Attest with a monitor entry already held (the ring
-// drain executes attest descriptors inside its destructive-family
-// entry, whose locks are not reentrant).
-func (m *Monitor) attestLocked(id DomainID, nonce []byte) (*Report, error) {
-	r, d, err := m.buildReport(id, nonce)
-	if err != nil {
-		return nil, err
-	}
-	return m.commitReport(r, d)
-}
-
 // buildReport assembles and signs the report lock-free.
 func (m *Monitor) buildReport(id DomainID, nonce []byte) (*Report, *Domain, error) {
 	d, err := m.liveDomain(id)
@@ -169,7 +158,7 @@ func (m *Monitor) buildReport(id DomainID, nonce []byte) (*Report, *Domain, erro
 }
 
 // commitReport re-checks liveness and announces the report (monitor
-// lock held, shared or exclusive).
+// entry held: Attest's pin, or the guest verb's entry — execVerb).
 func (m *Monitor) commitReport(r *Report, d *Domain) (*Report, error) {
 	if d.State() == StateDead {
 		return nil, fmt.Errorf("%w: %d", ErrDead, d.id)

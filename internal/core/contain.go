@@ -32,27 +32,44 @@ import (
 // that detect a wedged domain out-of-band. The initial domain is not
 // force-killable — it is the platform's root workload; faults on it
 // park the faulting core instead (see containFault).
-func (m *Monitor) ForceKill(id DomainID) error {
+func (m *Monitor) ForceKill(id DomainID) error { return m.forceKill(id, false) }
+
+// forceKill is the single-victim monitor-authority kill: ForceKill, or
+// with depart the migration-departure DepartKill.
+func (m *Monitor) forceKill(id DomainID, depart bool) error {
 	m.denter()
 	defer m.dexit()
-	d, err := m.liveDomain(id)
+	t, err := m.forcePublish(id, depart)
 	if err != nil {
 		return err
 	}
-	if id == InitialDomain {
-		return m.deny("the initial domain cannot be force-killed")
+	m.ep.synchronize()
+	return m.destroyReclaim(t, true)
+}
+
+// forcePublish validates a monitor-authority kill of id and publishes
+// the death (destructive-family entry held).
+func (m *Monitor) forcePublish(id DomainID, depart bool) (destroyTicket, error) {
+	d, err := m.liveDomain(id)
+	if err == nil && id == InitialDomain {
+		err = m.deny("the initial domain cannot be force-killed or depart")
+	}
+	if err != nil {
+		return destroyTicket{}, err
 	}
 	m.stats.forcedKills.Add(1)
 	m.emit(trace.KForceKill, id, 0, 0, 0, 0)
-	return m.destroyDomain(d, true)
+	t := m.destroyPublish(d)
+	t.depart = depart
+	return t, nil
 }
 
 // ForceKillAll force-kills a batch of domains under ONE destructive-
 // family entry with ONE shared grace period covering every death — the
 // kill-storm path. Each victim is validated and its death published in
 // argument order; a single epoch synchronization then covers all the
-// publishes (the grace combiner counts the elided waits in
-// EpochStats), and the irreversible reclaims — detach, cleanups,
+// publishes (the grace combiner counts the folded-in requests in
+// EpochStats.CombinedSyncs), and the irreversible reclaims — detach, cleanups,
 // forced scrub, resync, key erase — run sequentially in the same
 // order. Victims that fail validation (dead, unknown, or the initial
 // domain) are skipped; the first such error is returned alongside the
@@ -62,32 +79,22 @@ func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 	defer m.dexit()
 	var (
 		ticks    []destroyTicket
-		pub      uint64
 		firstErr error
 	)
 	for _, id := range ids {
-		d, err := m.liveDomain(id)
-		if err == nil && id == InitialDomain {
-			err = m.deny("the initial domain cannot be force-killed")
-		}
+		t, err := m.forcePublish(id, false)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		m.stats.forcedKills.Add(1)
-		m.emit(trace.KForceKill, id, 0, 0, 0, 0)
-		t := m.destroyPublish(d)
-		if t.pub > pub {
-			pub = t.pub
-		}
 		ticks = append(ticks, t)
 	}
 	if len(ticks) == 0 {
 		return 0, firstErr
 	}
-	m.ep.synchronizeShared(pub, len(ticks))
+	m.ep.synchronizeShared(len(ticks))
 	for _, t := range ticks {
 		if err := m.destroyReclaim(t, true); err != nil && firstErr == nil {
 			firstErr = err
@@ -107,31 +114,14 @@ func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 // and shot down before the KKill closes the destruction (the
 // migratebug mutation elides the erase and both checkers must flag
 // it — see TestMigrateMutationOracle).
-func (m *Monitor) DepartKill(id DomainID) error {
-	m.denter()
-	defer m.dexit()
-	d, err := m.liveDomain(id)
-	if err != nil {
-		return err
-	}
-	if id == InitialDomain {
-		return m.deny("the initial domain cannot depart")
-	}
-	m.stats.forcedKills.Add(1)
-	m.emit(trace.KForceKill, id, 0, 0, 0, 0)
-	t := m.destroyPublish(d)
-	t.depart = true
-	m.ep.synchronize()
-	return m.destroyReclaim(t, true)
-}
+func (m *Monitor) DepartKill(id DomainID) error { return m.forceKill(id, true) }
 
 // destroyTicket is a published-but-not-reclaimed domain death: the
-// handle destroyPublish returns and destroyReclaim consumes, with the
-// epoch ticket the grace period must cover in between.
+// handle destroyPublish returns and destroyReclaim consumes, with a
+// grace period in between.
 type destroyTicket struct {
 	d   *Domain
 	tok uint64
-	pub uint64
 	// depart marks a migration-departure kill (DepartKill): the path the
 	// migratebug mutation elides the crypto-erase on.
 	depart bool
@@ -178,11 +168,11 @@ func (m *Monitor) destroyPublish(d *Domain) destroyTicket {
 	// Publish: every entry from here on fails the liveness check. The
 	// store is absorbing — a concurrent seal cannot resurrect the state.
 	d.setState(StateDead)
-	return destroyTicket{d: d, tok: tok, pub: m.ep.publishTicket()}
+	return destroyTicket{d: d, tok: tok}
 }
 
 // destroyReclaim runs the irreversible tail of a kill. The caller must
-// have waited out a grace period covering t.pub since destroyPublish:
+// have waited out a grace period since destroyPublish:
 // no delegation can still add to the victim's subtree, no copy or
 // dispatch relies on its memory, and every trace event such entries
 // emit has its sequence number — before the KKill below.

@@ -122,7 +122,7 @@ func (m *Monitor) drainRound(core int32, rings []*domainRing) (uint64, error) {
 	}
 	var err error
 	if len(dets) > 0 {
-		m.ep.synchronizeShared(m.ep.publishTicket(), len(dets))
+		m.ep.synchronizeShared(len(dets))
 		err = m.retire(true, dets...)
 		m.noteDrainError(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // drainWorld builds a fleet of ring-owning tenants with identical
@@ -114,12 +113,10 @@ func TestDrainHostThreadDifferential(t *testing.T) {
 			}
 			out = fmt.Sprintf("cycles=%d\nstats=%+v\nepoch-syncs=%d\ncompletions=%v\npending=%v\n%s",
 				m.Machine().Clock.Cycles(), st, m.EpochStats().Syncs, comps, pending, m.LineageTree())
-			if trace.Compiled {
-				err := assertCheckersAgree(t, ck, sh)
-				out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
-				if err != nil {
-					t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
-				}
+			err := assertCheckersAgree(t, ck, sh)
+			out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
+			if err != nil {
+				t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
 			}
 		})
 		return out
@@ -207,10 +204,8 @@ func TestDrainShardsAreOverlapComponents(t *testing.T) {
 				t.Errorf("tenant %d completion = (%d, %d), want (%d, %d)", i, st, res, StatusOK, doms[i])
 			}
 		}
-		if trace.Compiled {
-			if err := assertCheckersAgree(t, ck, sh); err != nil {
-				t.Fatalf("chained drain flagged: %v", err)
-			}
+		if err := assertCheckersAgree(t, ck, sh); err != nil {
+			t.Fatalf("chained drain flagged: %v", err)
 		}
 	})
 }
@@ -355,9 +350,6 @@ func TestRingRoundWindow(t *testing.T) {
 // same cycle charges — in particular a two-capability subtree still
 // retires two uncoalesced shootdown rounds inside its one op frame.
 func TestSyncRevokeGolden(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	for _, tc := range []struct {
 		kind          BackendKind
 		share, revoke uint64
@@ -474,10 +466,8 @@ func TestRevokeStormWhileDraining(t *testing.T) {
 	if es.CombinedSyncs < 1 {
 		t.Fatalf("kill storm combined no grace periods: %+v", es)
 	}
-	if trace.Compiled {
-		if err := assertCheckersAgree(t, ck, sh); err != nil {
-			t.Fatalf("storm trace flagged: %v", err)
-		}
+	if err := assertCheckersAgree(t, ck, sh); err != nil {
+		t.Fatalf("storm trace flagged: %v", err)
 	}
 }
 

@@ -87,17 +87,10 @@ type epochEngine struct {
 	deferMu sync.Mutex
 	deferq  []deferredBatch
 
-	// graceDone is the highest epoch T for which a grace period has
-	// fully completed: every reader pinned at an epoch < T has exited.
-	// synchronizeAt elides its wait when a later grace already covers
-	// the caller's publish — the grace-combiner fast path.
-	graceDone atomic.Uint64
-
 	// Observability counters (EpochStats).
 	pins      atomic.Uint64
 	syncs     atomic.Uint64
 	combined  atomic.Uint64
-	elided    atomic.Uint64
 	advances  atomic.Uint64
 	deferred  atomic.Uint64
 	reclaimed atomic.Uint64
@@ -158,11 +151,11 @@ func (e *epochEngine) pinned() int {
 // With the epochbug build tag the wait is compiled out — the seeded
 // premature-reclaim bug the trace checker must catch (the PR-3
 // tracebug pattern applied to reclamation).
-func (e *epochEngine) synchronize() uint64 {
+func (e *epochEngine) synchronize() {
 	target := e.global.Add(1)
 	e.syncs.Add(1)
 	if EpochBugArmed {
-		return target
+		return
 	}
 	for i := range e.slots {
 		for {
@@ -173,58 +166,17 @@ func (e *epochEngine) synchronize() uint64 {
 			runtime.Gosched()
 		}
 	}
-	e.graceAdvance(target)
 	e.collect()
-	return target
 }
 
-// graceAdvance records that a grace period up to (excluding) target has
-// completed. Monotone max — concurrent recorders cannot move it back.
-func (e *epochEngine) graceAdvance(target uint64) {
-	for {
-		cur := e.graceDone.Load()
-		if cur >= target || e.graceDone.CompareAndSwap(cur, target) {
-			return
-		}
-	}
-}
-
-// publishTicket returns the epoch ticket for a publish step that just
-// happened (caller holds revMu): the grace period that retires the
-// publish must start strictly after this epoch. Capture the ticket
-// AFTER the publish — the publish is then ordered before any epoch a
-// pre-publish reader could still be pinned at.
-func (e *epochEngine) publishTicket() uint64 { return e.global.Load() }
-
-// synchronizeAt is the grace combiner: it guarantees a full grace
-// period has elapsed since the publish that captured ticket pub, but
-// runs a new synchronize only when no already-completed grace covers
-// it. A grace with graceDone > pub began (global.Add advanced past
-// pub) after the publish was visible and observed every older reader
-// exit — exactly what the caller needs — so its wait is shared rather
-// than repeated. In a serial publish→sync sequence pub equals the
-// current epoch and the elision can never fire; it pays off when a
-// batch entry point (kill storm, drain round) publishes many
-// detaches before the first wait.
-func (e *epochEngine) synchronizeAt(pub uint64) {
-	if e.graceDone.Load() > pub {
-		e.elided.Add(1)
-		return
-	}
+// synchronizeShared is the grace combiner: one grace period for a
+// batch of n publishes (a kill storm, a drain round), the n-1 folded-in
+// requests accounted as combined syncs. Every caller holds revMu from
+// its first publish to this wait, so no grace can have completed in
+// between and the wait is never skipped.
+func (e *epochEngine) synchronizeShared(n int) {
 	e.synchronize()
-}
-
-// synchronizeShared is synchronizeAt for a batch of n publishes that
-// share one grace period: one wait covers all of them, and the n-1
-// folded-in requests are accounted as combined syncs.
-func (e *epochEngine) synchronizeShared(pub uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	e.synchronizeAt(pub)
-	if n > 1 {
-		e.combined.Add(uint64(n - 1))
-	}
+	e.combined.Add(uint64(n - 1))
 }
 
 // quiesce stamps core as being at a quiescent point — outside any
@@ -323,7 +275,7 @@ type EpochStats struct {
 	Pinned        int    // reader slots currently occupied
 	Syncs         uint64 // grace periods (synchronize calls)
 	CombinedSyncs uint64 // grace requests folded into a shared wait
-	ElidedSyncs   uint64 // waits skipped because a later grace covered them
+	ElidedSyncs   uint64 // always 0: no wait is ever skipped (kept for benchmark/harness.go)
 	Advances      uint64 // per-core quiescent-point stamps
 	Deferred      uint64 // frees handed to the deferred lists
 	Reclaimed     uint64 // frees that have run
@@ -341,7 +293,6 @@ func (m *Monitor) EpochStats() EpochStats {
 		Pinned:        m.ep.pinned(),
 		Syncs:         m.ep.syncs.Load(),
 		CombinedSyncs: m.ep.combined.Load(),
-		ElidedSyncs:   m.ep.elided.Load(),
 		Advances:      m.ep.advances.Load(),
 		Deferred:      m.ep.deferred.Load(),
 		Reclaimed:     reclaimed,

@@ -30,7 +30,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/sched"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // TestEpochEngineDeferGating: a deferred free must not run while any
@@ -211,9 +210,6 @@ func TestEpochReclaimAfterRevoke(t *testing.T) {
 //     entry then emits KShare for a domain the trace already killed —
 //     a dead-domain-silence violation the checker must catch.
 func TestEpochMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, EpochBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)

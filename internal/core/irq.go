@@ -23,12 +23,9 @@ type IRQHandler func(c *hw.Core, irq hw.IRQ) error
 func (m *Monitor) SetIRQHandler(caller, id DomainID, h IRQHandler) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "install IRQ handlers for")
 	if err != nil {
 		return err
-	}
-	if caller != id && caller != d.creator {
-		return m.deny("domain %d may not install IRQ handlers for domain %d", caller, id)
 	}
 	d.mu.Lock()
 	d.irq = h

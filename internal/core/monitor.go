@@ -338,7 +338,7 @@ type Monitor struct {
 	// trace properties resolve without ever serialising the emit path.
 	checkpoint atomic.Pointer[func()]
 
-	// hookDelegatePreEmit, when non-nil, runs inside delegateLocked
+	// hookDelegatePreEmit, when non-nil, runs inside delegate
 	// after the capability mutation and before the trace emit. Test-only
 	// (never set outside _test files): the epoch mutation test parks a
 	// delegation here to hold its pin open across a concurrent kill.
@@ -458,7 +458,8 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 	if err := m.bk.InstallDomain(owner); err != nil {
 		return nil, err
 	}
-	if err := m.syncAllDevices(); err != nil {
+	// Every device's IOMMU context, programmed for the first time.
+	if err := m.syncDevicesFor(m.mach.DeviceIDs()); err != nil {
 		return nil, err
 	}
 	if err := m.syncEncryption(); err != nil {
@@ -536,11 +537,6 @@ func (m *Monitor) AttestationKey() ed25519.PublicKey {
 // Domain returns the domain record for id. Lock-free: the record comes
 // from the published domain table.
 func (m *Monitor) Domain(id DomainID) (*Domain, error) {
-	return m.domain(id)
-}
-
-// domain looks id up in the published table (lock-free).
-func (m *Monitor) domain(id DomainID) (*Domain, error) {
 	d, ok := m.tab.Load().doms[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
@@ -567,7 +563,7 @@ func (m *Monitor) Domains() []DomainID {
 // the kill's irreversible effects (scrub, reclaim, KKill) wait for
 // them to finish — the operation linearizes before the kill.
 func (m *Monitor) liveDomain(id DomainID) (*Domain, error) {
-	d, err := m.domain(id)
+	d, err := m.Domain(id)
 	if err != nil {
 		return nil, err
 	}
@@ -580,6 +576,20 @@ func (m *Monitor) liveDomain(id DomainID) (*Domain, error) {
 func (m *Monitor) deny(format string, args ...any) error {
 	m.stats.deniedOps.Add(1)
 	return fmt.Errorf("%w: %s", ErrDenied, fmt.Sprintf(format, args...))
+}
+
+// domainFor resolves id for an operation only the domain itself or its
+// creator may perform: it is live, and caller is one of the two (what
+// names the operation in the denial).
+func (m *Monitor) domainFor(caller, id DomainID, what string) (*Domain, error) {
+	d, err := m.liveDomain(id)
+	if err != nil {
+		return nil, err
+	}
+	if caller != id && caller != d.creator {
+		return nil, m.deny("domain %d may not %s domain %d", caller, what, id)
+	}
+	return d, nil
 }
 
 // CreateDomain creates a new, empty trust domain. Any live domain may
@@ -629,34 +639,30 @@ func (m *Monitor) nodeOwnedBy(node cap.NodeID, owner DomainID) error {
 
 // Share derives a shared child capability from caller's node for dst.
 func (m *Monitor) Share(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup) (cap.NodeID, error) {
+	p := m.renter()
+	defer m.rexit(p)
 	return m.delegate(caller, node, dst, sub, rights, cleanup, false)
 }
 
 // Grant transfers exclusive, revocable control of the sub-resource from
 // caller's node to dst.
 func (m *Monitor) Grant(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup) (cap.NodeID, error) {
+	p := m.renter()
+	defer m.rexit(p)
 	return m.delegate(caller, node, dst, sub, rights, cleanup, true)
 }
 
-// delegate validates and performs one Share or Grant. It is an epoch-
-// pinned reader entry: the capability space provides its own per-owner
-// locking for the mutation, and hardware resync is serialised per
-// affected domain. Two delegations between disjoint domain pairs run
-// fully in parallel. A kill racing the delegation either loses the
-// liveness check (it published death first) or waits out the pin in
-// its grace period — in which case the delegated capability is part of
-// the subtree its DetachOwner then revokes.
+// delegate validates and performs one Share or Grant with a monitor
+// entry already held: a pinned reader entry from Share, Grant and the
+// trap path, the destructive entry inside a drain round. The capability
+// space provides its own per-owner locking for the mutation, and
+// hardware resync is serialised per affected domain, so two delegations
+// between disjoint domain pairs run fully in parallel. A kill racing
+// the delegation either loses the liveness check (it published death
+// first) or waits out the entry in its grace period — in which case the
+// delegated capability is part of the subtree its DetachOwner then
+// revokes.
 func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup, grant bool) (cap.NodeID, error) {
-	p := m.renter()
-	defer m.rexit(p)
-	return m.delegateLocked(caller, node, dst, sub, rights, cleanup, grant)
-}
-
-// delegateLocked is delegate with a monitor entry already held (a
-// pinned reader entry from the public wrappers, the destructive entry
-// on the ring drain path — the locks are not reentrant, so batch
-// execution needs this entry point).
-func (m *Monitor) delegateLocked(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup, grant bool) (cap.NodeID, error) {
 	op := trace.OpShare
 	if grant {
 		op = trace.OpGrant
@@ -697,7 +703,7 @@ func (m *Monitor) delegateLocked(caller DomainID, node cap.NodeID, dst DomainID,
 		addr, size = uint64(sub.Mem.Start), sub.Mem.Size()
 	}
 	m.emit(kind, caller, uint64(dst), uint64(id), addr, size)
-	cd, _ := m.domain(caller)
+	cd, _ := m.Domain(caller)
 	if err := m.syncAfterChange(cd, dd, sub); err != nil {
 		return 0, err
 	}
@@ -940,30 +946,15 @@ func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, owners ...cap.OwnerID) er
 	return nil
 }
 
-// syncAllDevices programs every device's IOMMU context at boot.
-func (m *Monitor) syncAllDevices() error {
-	m.hwMu.Lock()
-	defer m.hwMu.Unlock()
-	for _, d := range m.mach.DeviceIDs() {
-		if err := m.bk.SyncDevice(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SetEntry fixes the domain's entry point (§3.1: "domains have a fixed
 // entry point"). Only the domain itself or its creator may configure it,
 // and only before sealing.
 func (m *Monitor) SetEntry(caller, id DomainID, entry phys.Addr) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
-	}
-	if caller != id && caller != d.creator {
-		return m.deny("domain %d may not configure domain %d", caller, id)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -986,12 +977,9 @@ func (m *Monitor) SetEntry(caller, id DomainID, entry phys.Addr) error {
 func (m *Monitor) SetEntryRing(caller, id DomainID, ring hw.Ring) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
-	}
-	if caller != id && caller != d.creator {
-		return m.deny("domain %d may not configure domain %d", caller, id)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1008,12 +996,9 @@ func (m *Monitor) SetEntryRing(caller, id DomainID, ring hw.Ring) error {
 func (m *Monitor) AddMeasuredRegion(caller, id DomainID, r phys.Region) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
-	}
-	if caller != id && caller != d.creator {
-		return m.deny("domain %d may not configure domain %d", caller, id)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1040,17 +1025,15 @@ func (m *Monitor) Seal(caller, id DomainID) (tpm.Digest, error) {
 	return m.seal(caller, id)
 }
 
-// seal is Seal with a monitor entry already held (the ring drain path).
+// seal is Seal with a monitor entry already held (Seal's pin, the
+// guest's CallSealSelf on either path).
 // The domain mutex serialises it against concurrent configuration of
 // the same domain; the capability space orders the seal against
 // in-flight delegations to the domain on its owner shard.
 func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "seal")
 	if err != nil {
 		return tpm.Digest{}, err
-	}
-	if caller != id && caller != d.creator {
-		return tpm.Digest{}, m.deny("domain %d may not seal domain %d", caller, id)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1083,12 +1066,9 @@ func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 func (m *Monitor) KillDomain(caller, id DomainID) error {
 	m.denter()
 	defer m.dexit()
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "kill")
 	if err != nil {
 		return err
-	}
-	if caller != d.creator && caller != id {
-		return m.deny("domain %d may not kill domain %d", caller, id)
 	}
 	if id == InitialDomain {
 		return m.deny("the initial domain cannot be killed")
@@ -1254,12 +1234,9 @@ func (m *Monitor) SetReportData(caller, id DomainID, data tpm.Digest) error {
 func (m *Monitor) SetSyscallHandler(caller, id DomainID, h SyscallHandler) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	d, err := m.domainFor(caller, id, "install handlers for")
 	if err != nil {
 		return err
-	}
-	if caller != id && caller != d.creator {
-		return m.deny("domain %d may not install handlers for domain %d", caller, id)
 	}
 	d.mu.Lock()
 	d.syscall = h
@@ -1274,12 +1251,8 @@ func (m *Monitor) SetSyscallHandler(caller, id DomainID, h SyscallHandler) error
 func (m *Monitor) DomainContext(caller, id DomainID, core phys.CoreID) (*hw.Context, error) {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
-	if err != nil {
+	if _, err := m.domainFor(caller, id, "access the context of"); err != nil {
 		return nil, err
-	}
-	if caller != id && caller != d.creator {
-		return nil, m.deny("domain %d may not access domain %d's context", caller, id)
 	}
 	return m.bk.Context(cap.OwnerID(id), core)
 }

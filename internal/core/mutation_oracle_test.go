@@ -21,9 +21,6 @@ import (
 // proves the sharded rewrite didn't weaken any invariant.
 func attachDualCheckers(tb testing.TB, m *Monitor) (*check.Checker, *check.Sharded) {
 	tb.Helper()
-	if !trace.Compiled {
-		return nil, nil
-	}
 	tr := m.Machine().NewTracer(trace.DefaultRingEntries)
 	ck := check.New()
 	tr.Attach(ck)
@@ -93,9 +90,6 @@ func assertCheckersAgree(tb testing.TB, ck *check.Checker, sh *check.Sharded) er
 // destruction. Both checkers must flag the scrub-before-kill property;
 // in normal builds the identical run must be clean.
 func TestScrubMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, ScrubBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
@@ -133,9 +127,6 @@ func TestScrubMutationOracle(t *testing.T) {
 // must flag the cross-ring coalescing property (6); in normal builds
 // the identical run must be clean.
 func TestDrainMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, DrainBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
@@ -184,9 +175,6 @@ func TestDrainMutationOracle(t *testing.T) {
 // TLB). Both checkers must flag the shootdown-round-completeness
 // property when the enclosing operation retires short one ack.
 func TestAckMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, hw.AckBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
@@ -226,9 +214,6 @@ func TestAckMutationOracle(t *testing.T) {
 // scrub-before-kill property; in normal builds the identical departure
 // must be clean and the plaintext gone.
 func TestMigrateMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, MigrateBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)

@@ -63,7 +63,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"slices"
 	"sync/atomic"
 
@@ -250,7 +249,7 @@ func (m *Monitor) DrainRings() uint64 {
 	slices.SortFunc(rings, func(a, b *domainRing) int { return cmp.Compare(a.owner, b.owner) })
 	// Dead or vanished owners drop out before the round.
 	rings = slices.DeleteFunc(rings, func(r *domainRing) bool {
-		d, err := m.domain(r.owner)
+		d, err := m.Domain(r.owner)
 		dead := err != nil || d.State() == StateDead
 		if dead {
 			m.ringDrop(r.owner)
@@ -379,62 +378,25 @@ func (m *Monitor) ringRevalidate(r *domainRing) error {
 // and cannot be deferred into a drain; ring management itself doesn't
 // nest. An ineligible or unknown verb fails its own completion with
 // StatusBadCall without poisoning the rest of the batch, exactly as a
-// denied op fails only itself. Every verb executes in full except
-// CallRevoke, whose completion is decided by its publish: the grace
-// period and the irreversible tail retire with the round, so inside
-// one batch a revoked grant's parent regains access when the round
-// retires, not between two descriptors.
+// denied op fails only itself. Every verb is execVerb's (abi.go), in
+// full, except CallRevoke, whose completion is decided by its publish:
+// the grace period and the irreversible tail retire with the round, so
+// inside one batch a revoked grant's parent regains access when the
+// round retires, not between two descriptors.
 func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (status, result uint64) {
-	owner := r.owner
-	switch verb {
-	case CallSelfID:
-		return StatusOK, uint64(owner)
-	case CallLog:
-		if d, ok := m.tab.Load().doms[owner]; ok {
-			d.mu.Lock()
-			d.logbuf = append(d.logbuf, a1)
-			d.mu.Unlock()
-		}
-		return StatusOK, 0
-	case CallEnumerateLen:
-		return StatusOK, uint64(len(m.enumerate(cap.OwnerID(owner))))
-	case CallShare, CallGrant:
-		node := cap.NodeID(a1)
-		dst := DomainID(a2)
-		sub := cap.MemResource(phys.MakeRegion(phys.Addr(a3), a4))
-		rights := cap.Rights(a5 & 0xffff)
-		cleanup := cap.Cleanup(a5 >> 16)
-		id, err := m.delegateLocked(owner, node, dst, sub, rights, cleanup, verb == CallGrant)
-		if err != nil {
-			return StatusDenied, 0
-		}
-		return StatusOK, uint64(id)
-	case CallRevoke:
-		tok := m.opTok.Add(1)
-		m.emit(trace.KOpBegin, owner, trace.OpRevoke, tok, 0, 0)
-		det, err := m.revokePublish(owner, cap.NodeID(a1))
-		m.emit(trace.KOpEnd, owner, trace.OpRevoke, tok, 0, 0)
-		if err != nil {
-			return StatusDenied, 0
-		}
-		r.pend = append(r.pend, det)
-		return StatusOK, 0
-	case CallSealSelf:
-		if _, err := m.seal(owner, owner); err != nil {
-			return StatusDenied, 0
-		}
-		return StatusOK, 0
-	case CallAttest:
-		var nonce [8]byte
-		binary.LittleEndian.PutUint64(nonce[:], a1)
-		rep, err := m.attestLocked(owner, nonce[:])
-		if err != nil {
-			return StatusDenied, 0
-		}
-		return StatusOK, binary.LittleEndian.Uint64(rep.Measurement[:8])
-	default:
-		return StatusBadCall, 0
+	if verb != CallRevoke {
+		status, result, _ = m.execVerb(r.owner, verb, a1, a2, a3, a4, a5)
+		return status, result
 	}
+	tok := m.opTok.Add(1)
+	m.emit(trace.KOpBegin, r.owner, trace.OpRevoke, tok, 0, 0)
+	det, err := m.revokePublish(r.owner, cap.NodeID(a1))
+	m.emit(trace.KOpEnd, r.owner, trace.OpRevoke, tok, 0, 0)
+	if err != nil {
+		return StatusDenied, 0
+	}
+	r.pend = append(r.pend, det)
+	return StatusOK, 0
 }
 
 // ringTeardownLocked removes a dying domain's ring (destructive-family

@@ -285,9 +285,6 @@ func TestRingTailOverrun(t *testing.T) {
 func TestRingCoalescedShootdowns(t *testing.T) {
 	const K = 8
 	m, ck := bootTracedWorld(t, BackendVTX)
-	if ck == nil {
-		t.Skip("shootdown counting requires the traced build")
-	}
 	node := dom0MemNode(t, m)
 	worker, err := m.CreateDomain(InitialDomain, "worker")
 	if err != nil {
@@ -485,9 +482,6 @@ func TestRingTeardownSkipsScrubAfterGrantAway(t *testing.T) {
 // path — the coalescer must not perturb the degenerate case the cycle
 // bit-identity gate cares about.
 func TestRingBatchOfOneShootdownParity(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	m, ck := bootTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	worker, err := m.CreateDomain(InitialDomain, "worker")

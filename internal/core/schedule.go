@@ -73,19 +73,33 @@ func (m *Monitor) Schedule(id DomainID) error {
 	if _, ok := d.Entry(); !ok {
 		return fmt.Errorf("%w: domain %d", ErrNoEntry, id)
 	}
+	return m.arrive(schedStaged{id: id})
+}
+
+// arrive adds one vCPU in arrival order: onto the run queue if it
+// exists, else staged — the queue materialises at the first scheduled
+// RunCores, once the core set is known.
+func (m *Monitor) arrive(st schedStaged) error {
 	m.schedMu.Lock()
 	defer m.schedMu.Unlock()
 	if m.schedPol == nil {
 		return fmt.Errorf("core: no scheduling policy installed (SetSchedPolicy)")
 	}
 	if m.runq != nil {
-		m.runq.Add(uint64(id), m.mach.Clock.Cycles())
-		return nil
+		m.enqueue(st, m.mach.Clock.Cycles())
+	} else {
+		m.schedSet = append(m.schedSet, st)
 	}
-	// The run queue materialises at the first scheduled RunCores, once
-	// the core set is known; until then arrivals are staged in order.
-	m.schedSet = append(m.schedSet, schedStaged{id: id})
 	return nil
+}
+
+// enqueue puts one arrival on the run queue (schedMu held).
+func (m *Monitor) enqueue(st schedStaged, now uint64) {
+	if st.resumed {
+		m.runq.AddResumed(uint64(st.id), st.regs, st.pc, st.ring, now)
+	} else {
+		m.runq.Add(uint64(st.id), now)
+	}
 }
 
 // ScheduleResumed enqueues a vCPU restored from a migration snapshot
@@ -97,17 +111,7 @@ func (m *Monitor) ScheduleResumed(id DomainID, regs [hw.NumRegs]uint64, pc phys.
 	if _, err := m.liveDomain(id); err != nil {
 		return err
 	}
-	m.schedMu.Lock()
-	defer m.schedMu.Unlock()
-	if m.schedPol == nil {
-		return fmt.Errorf("core: no scheduling policy installed (SetSchedPolicy)")
-	}
-	if m.runq != nil {
-		m.runq.AddResumed(uint64(id), regs, pc, ring, m.mach.Clock.Cycles())
-		return nil
-	}
-	m.schedSet = append(m.schedSet, schedStaged{id: id, resumed: true, regs: regs, pc: pc, ring: ring})
-	return nil
+	return m.arrive(schedStaged{id: id, resumed: true, regs: regs, pc: pc, ring: ring})
 }
 
 // Scheduler returns the monitor's live run queue (nil when the
@@ -138,11 +142,7 @@ func (m *Monitor) schedQueue(cores []phys.CoreID) *sched.Scheduler {
 		m.runq = sched.New(*m.schedPol, cores)
 		now := m.mach.Clock.Cycles()
 		for _, st := range m.schedSet {
-			if st.resumed {
-				m.runq.AddResumed(uint64(st.id), st.regs, st.pc, st.ring, now)
-			} else {
-				m.runq.Add(uint64(st.id), now)
-			}
+			m.enqueue(st, now)
 		}
 		m.schedSet = nil
 	}
@@ -215,7 +215,7 @@ func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID
 					m.stats.schedPurged.Add(1)
 					continue
 				}
-				slice := q.Quantum(v)
+				slice := q.Quantum()
 				if slice > remaining[c] {
 					slice = remaining[c]
 				}
@@ -381,11 +381,7 @@ func (m *Monitor) resumeVCPU(v *sched.VCPU, core phys.CoreID) (bool, error) {
 	if !m.space.OwnerHasCore(cap.OwnerID(id), core) {
 		return false, nil
 	}
-	c := m.mach.Core(core)
-	if c == nil {
-		return false, fmt.Errorf("core: no core %v", core)
-	}
-	sc := m.sched[core]
+	c, sc := m.mach.Core(core), m.sched[core] // the capability names a machine core, as in Launch
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if err := m.bk.Transition(c, cap.OwnerID(id), false); err != nil {

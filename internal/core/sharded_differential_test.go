@@ -162,9 +162,6 @@ func diffInject(t *testing.T, m *Monitor, cores int) {
 // TestShardedDifferentialWorkloads runs every workload shape at every
 // core count and pins serial-vs-sharded replay equivalence.
 func TestShardedDifferentialWorkloads(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, false) // any armed mutation dirties the workloads
 	workloads := []struct {
 		name string

@@ -9,8 +9,8 @@ import (
 // the corresponding Stats counter is updated, so event-derived counts
 // (trace/check.Counts) and Monitor.Stats() are two independent tallies
 // of the same history — the checker cross-validates them. Emission
-// compiles out under the notrace build tag and costs one atomic load
-// when no tracer is installed (see hw.Machine.Trace).
+// costs one atomic load when no tracer is installed (see
+// hw.Machine.Trace).
 //
 // Ordering: emit sites in reader entries run concurrently; when a
 // checker is attached the sink mutex serialises events in real-time

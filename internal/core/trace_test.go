@@ -16,14 +16,9 @@ import (
 )
 
 // attachChecker installs a tracer with an online invariant checker on
-// an already-booted monitor and returns the checker. Under the notrace
-// build tag it returns nil and every trace assertion degrades to a
-// no-op, so the suites still run.
+// an already-booted monitor and returns the checker.
 func attachChecker(tb testing.TB, m *Monitor) *check.Checker {
 	tb.Helper()
-	if !trace.Compiled {
-		return nil
-	}
 	tr := m.Machine().NewTracer(trace.DefaultRingEntries)
 	ck := check.New()
 	tr.Attach(ck)
@@ -46,9 +41,6 @@ func bootTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Checker)
 // $TYCHE_TRACE_DIR (the nightly fuzz job uploads it as an artifact).
 func assertTraceClean(tb testing.TB, m *Monitor, ck *check.Checker) {
 	tb.Helper()
-	if ck == nil {
-		return // notrace build
-	}
 	if err := ck.Err(); err != nil {
 		dumpFailingTrace(tb, m)
 		tb.Fatalf("trace checker: %v", err)
@@ -158,14 +150,12 @@ func TestTracedAPIWorkloadChecksClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertTraceClean(t, m, ck)
-			if trace.Compiled {
-				c := ck.Counts()
-				if c.ForcedKills != 1 || c.Revocations < 1 || c.CapOps < 5 || c.PagesScrubbed < 1 {
-					t.Fatalf("workload undercounted: %+v", c)
-				}
-				if kind == BackendVTX && c.Shootdowns == 0 {
-					t.Fatal("CleanFlushTLB revoke produced no shootdown event")
-				}
+			c := ck.Counts()
+			if c.ForcedKills != 1 || c.Revocations < 1 || c.CapOps < 5 || c.PagesScrubbed < 1 {
+				t.Fatalf("workload undercounted: %+v", c)
+			}
+			if kind == BackendVTX && c.Shootdowns == 0 {
+				t.Fatal("CleanFlushTLB revoke produced no shootdown event")
 			}
 		})
 	}
@@ -239,9 +229,6 @@ func goldenFaultRun(t *testing.T, cores int) string {
 // usable bug report. Runs under -race and -shuffle like everything
 // else; the sequential driving makes the event order deterministic.
 func TestGoldenTraceDeterminism(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	first := goldenFaultRun(t, 2)
 	if strings.TrimSpace(first) == "" {
 		t.Fatal("golden run produced an empty trace")
@@ -260,9 +247,6 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 // flag the very first revocation. In normal builds the same run is
 // clean — proof the oracle has teeth and no false positives.
 func TestShootdownMutationOracle(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	skipUnlessOnlyMutation(t, hw.ShootdownBugArmed)
 	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)

@@ -3,8 +3,11 @@ package core
 import (
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
+	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // tcWorld boots a world with dom0 current on core 0 and a callable
@@ -216,5 +219,169 @@ func TestTransitionCacheDeadTarget(t *testing.T) {
 	}
 	if err := m.Call(0, enclave); err == nil {
 		t.Fatal("call into a dead domain succeeded via the cache")
+	}
+}
+
+// TestTransitionCacheWidensVMFUNCList pins why the cache stays opt-in.
+// A fill registers the pair with the backend, and vtx.RegisterFastPair
+// puts both contexts into the core's *guest-level* VMFUNC list. So with
+// the cache off a hostile guest that VMFUNCs to every domain ID in the
+// machine faults on every index, but with the cache on, after ONE
+// mediated Call, the caller's VMFUNC to that callee — and only that one
+// — switches views with no trap and no KTransition: the caller can
+// re-enter a domain it once called without the monitor. ROADMAP item 6
+// owns the isolation argument that would let the cache become the
+// default; this is the fact it has to start from.
+func TestTransitionCacheWidensVMFUNCList(t *testing.T) {
+	m, enclave, node := tcWorld(t, BackendVTX)
+	bystander, err := m.CreateDomain(InitialDomain, "bystander")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probe page is executable in the callee's view too, so a VMFUNC
+	// that does switch lands on the HLT behind it instead of a fetch
+	// fault that would mask the switch.
+	probe := phys.Addr(90 * pg)
+	if _, err := m.Share(InitialDomain, node, enclave, memRes(90, 1), cap.MemRX, cap.CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	tr := m.Machine().NewTracer(trace.DefaultRingEntries)
+	m.Machine().SetTracer(tr)
+	transitions := func() (n int) {
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.KTransition {
+				n++
+			}
+		}
+		return n
+	}
+	// vmfunc runs "r14 = idx; VMFUNC; HLT" as dom0 on core 0 and reports
+	// the trap that ended it, the domain then installed, and what the
+	// monitor saw of it.
+	vmfunc := func(idx uint64) (trap hw.Trap, in DomainID, exits uint64, trans int) {
+		t.Helper()
+		a := hw.NewAsm()
+		a.Movi(14, uint32(idx)).Vmfunc().Hlt()
+		if err := m.CopyInto(InitialDomain, probe, a.MustAssemble(probe)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetEntry(InitialDomain, InitialDomain, probe); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Launch(InitialDomain, 0); err != nil {
+			t.Fatal(err)
+		}
+		exits0, trans0 := m.Stats().VMExits, transitions()
+		res, err := m.RunCore(0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Trap, res.Domain, m.Stats().VMExits - exits0, transitions() - trans0
+	}
+	everyID := []DomainID{MonitorDomain, InitialDomain, enclave, bystander, 777}
+
+	// Cache off (the default): a mediated call registers nothing, and
+	// every index faults.
+	callRet := func() {
+		t.Helper()
+		if err := m.Call(0, enclave); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Return(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	callRet()
+	for _, id := range everyID {
+		if trap, _, _, _ := vmfunc(uint64(id)); trap.Kind != hw.TrapFault {
+			t.Fatalf("cache off: VMFUNC to %d ended in %v, want a fault", id, trap)
+		}
+	}
+
+	// Cache on, one mediated call: the pair — and nothing else — is now
+	// reachable from guest code.
+	m.SetTransitionCache(true)
+	if err := m.Launch(InitialDomain, 0); err != nil {
+		t.Fatal(err)
+	}
+	callRet()
+	for _, id := range everyID {
+		trap, in, exits, trans := vmfunc(uint64(id))
+		if id != enclave && id != InitialDomain {
+			if trap.Kind != hw.TrapFault {
+				t.Fatalf("cache on: VMFUNC to %d ended in %v, want a fault", id, trap)
+			}
+			continue
+		}
+		// The callee's index switches views; the caller's own is a switch
+		// to the view it is already in.
+		if trap.Kind != hw.TrapHalt || in != id {
+			t.Fatalf("cache on: VMFUNC to %d ended in %v inside domain %d, want halt inside %d", id, trap, in, id)
+		}
+		if exits != 0 || trans != 0 {
+			t.Fatalf("cache on: VMFUNC to %d took %d monitor exits and %d KTransitions, want none", id, exits, trans)
+		}
+	}
+}
+
+// dropFast refuses the next n fast transitions, as a backend that has
+// dropped the pair would.
+type dropFast struct {
+	backend.Backend
+	n int
+}
+
+func (b *dropFast) Transition(c *hw.Core, to cap.OwnerID, fast bool) error {
+	if fast && b.n > 0 {
+		b.n--
+		return backend.ErrNoFastPath
+	}
+	return b.Backend.Transition(c, to, fast)
+}
+
+// TestTransitionCacheDroppedPairFallsBack: a cache hit only vouches for
+// the validation; if the backend no longer has the pair, the same
+// transfer goes through on the full round trip as one counted miss —
+// for a call and for a return — and a call refills, so the next pair of
+// switches hits again.
+func TestTransitionCacheDroppedPairFallsBack(t *testing.T) {
+	m, enclave, _ := tcWorld(t, BackendVTX)
+	cost := m.Machine().Cost
+	m.SetTransitionCache(true)
+	bk := &dropFast{Backend: m.bk}
+	m.bk = bk
+	timed := func(fn func() error) uint64 {
+		t.Helper()
+		before := m.Machine().Clock.Cycles()
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Machine().Clock.Cycles() - before
+	}
+	call := func() error { return m.Call(0, enclave) }
+	ret := func() error { return m.Return(0) }
+	timed(call) // fill
+	timed(ret)
+	for _, sw := range []struct {
+		name string
+		fn   func() error
+	}{{"call", call}, {"return", ret}} {
+		before := m.Stats()
+		bk.n = 1
+		if c := timed(sw.fn); c != cost.VMExit+cost.VMEntry {
+			t.Fatalf("dropped %s cost %d cycles, want the full round trip %d", sw.name, c, cost.VMExit+cost.VMEntry)
+		}
+		after := m.Stats()
+		if after.TransCacheMisses != before.TransCacheMisses+1 || after.TransCacheHits != before.TransCacheHits ||
+			after.Transitions != before.Transitions+1 {
+			t.Fatalf("dropped %s: %+v -> %+v, want one transition, one miss, no hit", sw.name, before, after)
+		}
+	}
+	before := m.Stats()
+	if c := timed(call) + timed(ret); c != 2*cost.VMFunc {
+		t.Fatalf("pair after the fallback cost %d cycles, want 2 x VMFunc (%d)", c, 2*cost.VMFunc)
+	}
+	if after := m.Stats(); after.TransCacheHits != before.TransCacheHits+2 {
+		t.Fatalf("pair after the fallback: hits %d -> %d, want +2", before.TransCacheHits, after.TransCacheHits)
 	}
 }

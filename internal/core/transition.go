@@ -50,36 +50,46 @@ func (m *Monitor) currentDomain(core phys.CoreID, sc *coreSched) (DomainID, bool
 	return sc.cur, sc.hasCur
 }
 
+// validateEntry establishes afresh what entering id on core requires —
+// the domain is live, has an entry point, and may run on the core — and
+// returns the entry point and ring: the facts the transition cache
+// remembers (transcache.go), unstamped.
+func (m *Monitor) validateEntry(id DomainID, core phys.CoreID) (tcEntry, error) {
+	d, err := m.liveDomain(id)
+	if err != nil {
+		return tcEntry{}, err
+	}
+	entry, entrySet := d.Entry()
+	if !entrySet {
+		return tcEntry{}, fmt.Errorf("%w: domain %d", ErrNoEntry, id)
+	}
+	v := tcEntry{entry: entry, ring: d.EntryRing()}
+	if !m.space.OwnerHasCore(cap.OwnerID(id), core) {
+		return tcEntry{}, m.deny("domain %d may not run on %v", id, core)
+	}
+	return v, nil
+}
+
 // Launch starts the initial domain (or any domain with an entry point)
 // on a core with an empty call stack — boot-time scheduling.
 func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 	p := m.renter()
 	defer m.rexit(p)
-	d, err := m.liveDomain(id)
+	v, err := m.validateEntry(id, core)
 	if err != nil {
 		return err
 	}
-	entry, entrySet := d.Entry()
-	if !entrySet {
-		return fmt.Errorf("%w: domain %d", ErrNoEntry, id)
-	}
-	ring := d.EntryRing()
-	if !m.space.OwnerHasCore(cap.OwnerID(id), core) {
-		return m.deny("domain %d may not run on %v", id, core)
-	}
-	c := m.mach.Core(core)
-	if c == nil {
-		return fmt.Errorf("core: no core %v", core)
-	}
-	sc := m.sched[core]
+	// A validated core capability names a machine core: only Boot mints
+	// core roots, one per core.
+	c, sc := m.mach.Core(core), m.sched[core]
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if err := m.bk.Transition(c, cap.OwnerID(id), false); err != nil {
 		return err
 	}
-	c.PC = entry
+	c.PC = v.entry
 	c.Regs = [hw.NumRegs]uint64{}
-	c.Ring = ring
+	c.Ring = v.ring
 	sc.cur, sc.hasCur = id, true
 	sc.frames = sc.frames[:0]
 	m.stats.transitions.Add(1)
@@ -90,84 +100,99 @@ func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 // Call transfers control on core from the current domain to target,
 // entering at target's fixed entry point with argument registers
 // r0..r5 copied from the caller. The transfer is validated: the target
-// must be live, runnable on the core, and have an entry point.
+// must be live, runnable on the core, and have an entry point. With
+// the transition cache on (transcache.go) those facts may come from the
+// core's cache instead of a fresh validation; either way this is the
+// one body that performs the transfer. The target's record is read
+// under the core lock (coreSched.mu → Domain.mu, the documented order).
 func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 	p := m.renter()
 	defer m.rexit(p)
-	return m.call(core, target)
-}
-
-// call is Call with a pinned reader entry held (the guest ABI path).
-// The target's entry point is snapshotted under the domain mutex before
-// the core lock is taken (Domain.mu is below coreSched.mu in the lock
-// order only conceptually — they are never nested here).
-func (m *Monitor) call(core phys.CoreID, target DomainID) error {
-	if m.tcOn.Load() {
-		if done, err := m.cachedCall(core, target); done {
+	sc, ok := m.sched[core]
+	if !ok {
+		return fmt.Errorf("core: no core %v", core)
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	cur, running := m.currentDomain(core, sc)
+	cached := m.tcOn.Load()
+	var (
+		v   tcEntry
+		hit bool
+		err error
+	)
+	if cached && running {
+		v, hit = m.tcLookup(sc, cur, target, true)
+	}
+	if !hit {
+		if v, err = m.validateEntry(target, core); err != nil {
 			return err
 		}
 	}
-	td, err := m.liveDomain(target)
-	if err != nil {
-		return err
-	}
-	entry, entrySet := td.Entry()
-	if !entrySet {
-		return fmt.Errorf("%w: domain %d", ErrNoEntry, target)
-	}
-	ring := td.EntryRing()
-	if !m.space.OwnerHasCore(cap.OwnerID(target), core) {
-		return m.deny("domain %d may not run on %v", target, core)
-	}
-	sc := m.sched[core]
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	cur, ok := m.currentDomain(core, sc)
-	if !ok {
+	if !running {
 		return fmt.Errorf("%w: %v", ErrNotRunning, core)
 	}
 	c := m.mach.Core(core)
 	// Save the caller's register state into its context.
 	curCtx, err := m.bk.Context(cap.OwnerID(cur), core)
 	if err != nil {
+		if hit {
+			m.stats.tcMisses.Add(1)
+		}
 		return err
 	}
 	c.SaveInto(curCtx)
 	// Enter the target: argument registers carry over.
 	var args [6]uint64
 	copy(args[:], c.Regs[:6])
-	if err := m.bk.Transition(c, cap.OwnerID(target), false); err != nil {
+	if hit, err = m.switchTo(c, target, hit); err != nil {
 		return err
 	}
 	c.Regs = [hw.NumRegs]uint64{}
 	copy(c.Regs[:6], args[:])
-	c.PC = entry
-	c.Ring = ring
+	c.PC = v.entry
+	c.Ring = v.ring
 	sc.frames = append(sc.frames, cur)
 	sc.cur, sc.hasCur = target, true
 	m.stats.transitions.Add(1)
+	if hit {
+		m.stats.tcHits.Add(1)
+	}
 	m.emitCore(core, trace.KTransition, target, uint64(cur), 0, 0, trace.TransCall)
-	m.tcFill(sc, core, cur, target, td, entry, ring)
+	if cached && !hit {
+		m.tcFill(sc, core, cur, target, v)
+	}
 	return nil
+}
+
+// switchTo installs domain to on c: on the backend's fast path when the
+// transition cache vouched for the pair (hit), else — or when the
+// backend has since dropped the pair, a counted miss that charges
+// nothing — through the full exit/entry round trip. It reports whether
+// the fast path was taken.
+func (m *Monitor) switchTo(c *hw.Core, to DomainID, hit bool) (bool, error) {
+	if hit {
+		if m.bk.Transition(c, cap.OwnerID(to), true) == nil {
+			return true, nil
+		}
+		m.stats.tcMisses.Add(1)
+	}
+	return false, m.bk.Transition(c, cap.OwnerID(to), false)
 }
 
 // Return unwinds one mediated call: control goes back to the caller
 // domain, which resumes after its call site. Registers r0 and r1 of the
-// returning domain are delivered to the caller as return values.
+// returning domain are delivered to the caller as return values. The
+// frame is popped before the caller's liveness is established: a caller
+// that died while the callee ran leaves the core with nowhere to return
+// to, cache or no cache.
 func (m *Monitor) Return(core phys.CoreID) error {
 	p := m.renter()
 	defer m.rexit(p)
-	return m.ret(core)
-}
-
-// ret is Return with a pinned reader entry held (the guest ABI path).
-func (m *Monitor) ret(core phys.CoreID) error {
-	if m.tcOn.Load() {
-		if done, err := m.cachedReturn(core); done {
-			return err
-		}
+	sc, ok := m.sched[core]
+	if !ok {
+		return fmt.Errorf("core: no core %v", core)
 	}
-	sc := m.sched[core]
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if len(sc.frames) == 0 {
@@ -177,16 +202,23 @@ func (m *Monitor) ret(core phys.CoreID) error {
 	sc.frames = sc.frames[:len(sc.frames)-1]
 	c := m.mach.Core(core)
 	ret0, ret1 := c.Regs[0], c.Regs[1]
-	if _, err := m.liveDomain(caller); err != nil {
-		// The caller died while the callee ran; the core has nowhere to
-		// return to.
-		return err
+	hit := false
+	if m.tcOn.Load() {
+		_, hit = m.tcLookup(sc, sc.cur, caller, false)
+	}
+	if !hit {
+		if _, err := m.liveDomain(caller); err != nil {
+			return err
+		}
 	}
 	callerCtx, err := m.bk.Context(cap.OwnerID(caller), core)
 	if err != nil {
+		if hit {
+			m.stats.tcMisses.Add(1)
+		}
 		return err
 	}
-	if err := m.bk.Transition(c, cap.OwnerID(caller), false); err != nil {
+	if hit, err = m.switchTo(c, caller, hit); err != nil {
 		return err
 	}
 	c.RestoreFrom(callerCtx)
@@ -194,6 +226,9 @@ func (m *Monitor) ret(core phys.CoreID) error {
 	returning := sc.cur
 	sc.cur, sc.hasCur = caller, true
 	m.stats.transitions.Add(1)
+	if hit {
+		m.stats.tcHits.Add(1)
+	}
 	m.emitCore(core, trace.KTransition, caller, uint64(returning), 0, 0, trace.TransReturn)
 	return nil
 }
@@ -230,11 +265,6 @@ func (m *Monitor) RegisterFastPath(caller DomainID, a, b DomainID, core phys.Cor
 func (m *Monitor) FastSwitch(core phys.CoreID, target DomainID) error {
 	p := m.renter()
 	defer m.rexit(p)
-	return m.fastSwitch(core, target)
-}
-
-// fastSwitch is FastSwitch with a pinned reader entry held.
-func (m *Monitor) fastSwitch(core phys.CoreID, target DomainID) error {
 	td, err := m.liveDomain(target)
 	if err != nil {
 		return err
@@ -243,7 +273,10 @@ func (m *Monitor) fastSwitch(core phys.CoreID, target DomainID) error {
 	if !entrySet {
 		return fmt.Errorf("%w: domain %d", ErrNoEntry, target)
 	}
-	sc := m.sched[core]
+	sc, ok := m.sched[core]
+	if !ok {
+		return fmt.Errorf("core: no core %v", core)
+	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if _, ok := m.currentDomain(core, sc); !ok {
@@ -346,11 +379,8 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 		case hw.TrapVMCall:
 			m.mach.Clock.Advance(m.mach.Cost.VMExit)
 			m.stats.vmExits.Add(1)
-			stop, err := m.handleVMCall(c, core)
+			stop := m.handleVMCall(c, core)
 			m.mach.Clock.Advance(m.mach.Cost.VMEntry)
-			if err != nil {
-				return RunResult{Steps: total, Trap: trap, Domain: cur()}, err
-			}
 			if stop {
 				// The only stopping VMCall is CallYield: a cooperative
 				// hand-back to the embedding scheduler (the multi-tenant

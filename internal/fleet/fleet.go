@@ -45,7 +45,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/rv"
 	"github.com/tyche-sim/tyche/internal/tpm"
-	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
@@ -58,6 +57,10 @@ var ErrNoCapacity = errors.New("fleet: no live node can host service")
 // agentCore is the core every node's fleet agent enclave runs on; the
 // remaining cores serve tenants.
 const agentCore = phys.CoreID(1)
+
+// agentBufPages sizes the agent enclave's registered RDMA buffer:
+// digests with full audit streams must fit in one frame.
+const agentBufPages = 256
 
 // Config sizes a fleet. Zero values take the documented defaults.
 type Config struct {
@@ -75,10 +78,6 @@ type Config struct {
 	// SampleN is the nodes' runtime-verification sampling regime
 	// (<=1 exact).
 	SampleN int
-	// AgentBufPages is the agent enclave's registered RDMA buffer size
-	// (default 256 pages — digests with full audit streams must fit in
-	// one frame).
-	AgentBufPages uint64
 	// Spin adds a per-request busy loop of this many iterations to
 	// every service image (default 200), so serving throughput is
 	// dominated by simulated core execution rather than host-side
@@ -99,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Backend == "" {
 		c.Backend = core.BackendVTX
 	}
-	if c.AgentBufPages == 0 {
-		c.AgentBufPages = 256
-	}
 	if c.Spin == 0 {
 		c.Spin = 200
 	}
@@ -121,8 +117,8 @@ type Node struct {
 	// runs over.
 	Agent    *libtyche.Domain
 	AgentImg *image.Image
-	// SVC is the node's always-on runtime verification (nil under the
-	// notrace build tag).
+	// SVC is the node's always-on runtime verification (nil when the
+	// fleet was built with Verify off).
 	SVC *rv.Service
 	// Inj is the node's armed fault injector (nil until ArmKill).
 	Inj *fault.Injector
@@ -255,7 +251,7 @@ func (f *Fleet) bootNode(index int, name string, cores int, memBytes uint64, ver
 		return nil, err
 	}
 	n := &Node{Index: index, Name: name, Mach: mach, TPM: rot, Mon: mon}
-	if verified && trace.Compiled {
+	if verified {
 		svc, err := rv.Attach(mach, mon, rv.Options{
 			Node:    name,
 			SampleN: f.cfg.SampleN,
@@ -287,7 +283,7 @@ func (f *Fleet) bootNode(index int, name string, cores int, memBytes uint64, ver
 	// against it, never against the host.
 	prog := hw.NewAsm()
 	prog.Hlt()
-	img := image.NewProgram("fleet-agent", prog.MustAssemble(0)).WithBSS(".rdma", f.cfg.AgentBufPages*pg)
+	img := image.NewProgram("fleet-agent", prog.MustAssemble(0)).WithBSS(".rdma", agentBufPages*pg)
 	opts := libtyche.DefaultLoadOptions()
 	opts.Cores = []phys.CoreID{agentCore}
 	opts.Devices = []phys.DeviceID{0}

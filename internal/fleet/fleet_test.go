@@ -9,7 +9,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/dist"
 	"github.com/tyche-sim/tyche/internal/fault"
-	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 func newTestFleet(t *testing.T, nodes int) *Fleet {
@@ -34,9 +33,6 @@ func auditClean(t *testing.T, f *Fleet) {
 	audits, err := f.Audit()
 	if err != nil {
 		t.Fatalf("audit: %v", err)
-	}
-	if !trace.Compiled {
-		return
 	}
 	for _, a := range audits {
 		if a.SelfErr != nil {
@@ -290,9 +286,6 @@ func TestFleetServeDuringMigration(t *testing.T) {
 // TestFleetVerifierFlagsSeededNode seeds a violation on exactly one
 // node and requires the fleet verifier to localize it there.
 func TestFleetVerifierFlagsSeededNode(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out")
-	}
 	f := newTestFleet(t, 3)
 	if err := f.Deploy(ServiceSpec{Name: "alpha", Delta: 1}, 2); err != nil {
 		t.Fatal(err)

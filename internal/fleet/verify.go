@@ -25,11 +25,8 @@ type NodeAudit struct {
 // Audit finalizes fleet-wide runtime verification: every node ships
 // its final digest interval (unsent violations ride along), then the
 // control plane finalizes each node's chain and reports per-node
-// verdicts. Returns nil, nil when the build carries no tracing.
+// verdicts.
 func (f *Fleet) Audit() ([]NodeAudit, error) {
-	if !trace.Compiled {
-		return nil, nil
-	}
 	var out []NodeAudit
 	for i, n := range f.Nodes {
 		if n.SVC == nil {
@@ -48,12 +45,8 @@ func (f *Fleet) Audit() ([]NodeAudit, error) {
 // scratch domain takes an exclusive grant, the monitor kills it, and
 // then the node's "hardware" emits a share by the dead domain — the
 // same single-node seeding C21 uses, here to prove the fleet verifier
-// localizes the fault to exactly one node's digest chain. No-op
-// without tracing.
+// localizes the fault to exactly one node's digest chain.
 func (f *Fleet) SeedViolation(i int) error {
-	if !trace.Compiled {
-		return nil
-	}
 	n := f.Nodes[i]
 	scratch, err := n.Mon.CreateDomain(core.InitialDomain, "seeded-violation")
 	if err != nil {

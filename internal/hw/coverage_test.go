@@ -140,9 +140,6 @@ func TestEPTEmptyAndPMPEntries(t *testing.T) {
 	if len(entries) != 4 || !entries[1].Used() || entries[0].Used() {
 		t.Fatalf("entries = %+v", entries)
 	}
-	if p.NAPOTOnly() {
-		t.Fatal("default should be TOR")
-	}
 	if err := p.ClearEntry(9); err == nil {
 		t.Fatal("out of range clear accepted")
 	}

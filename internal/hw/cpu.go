@@ -734,9 +734,6 @@ func (c *Core) Run(maxInstrs int) (int, Trap) {
 // traceTrap emits the guest-exit event for a trap ending a Run. Budget
 // exhaustion (TrapNone) is not a trap and is not traced.
 func (c *Core) traceTrap(t Trap) {
-	if !trace.Compiled {
-		return
-	}
 	tr := c.mach.tracer.Load()
 	if tr == nil {
 		return

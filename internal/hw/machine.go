@@ -19,17 +19,11 @@ type Config struct {
 	// PMPEntries is the per-core PMP register count (0 selects
 	// DefaultPMPEntries).
 	PMPEntries int
-	// TLBEntries is the per-core TLB capacity (0 selects the default).
-	TLBEntries int
-	// CacheLines is the per-core data-cache capacity (0 = default).
-	CacheLines int
 	// IOMMUAllowByDefault boots the IOMMU into the permissive commodity
 	// default; the monitor flips it off when it takes ownership.
 	IOMMUAllowByDefault bool
 	// Devices lists the PCI devices present at boot.
 	Devices []DeviceConfig
-	// Cost overrides the default cycle cost model when non-nil.
-	Cost *CostModel
 	// MemoryEncryption fits the machine with an MKTME engine (the §4.2
 	// physical-attack-resistance extension).
 	MemoryEncryption bool
@@ -116,9 +110,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Clock:   &Clock{},
 		Cost:    DefaultCostModel(),
 	}
-	if cfg.Cost != nil {
-		m.Cost = *cfg.Cost
-	}
 	if cfg.MemoryEncryption {
 		m.Crypto = NewMKTME(nil)
 	}
@@ -131,8 +122,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 			id:      phys.CoreID(i),
 			mach:    m,
 			PMPUnit: NewPMP(pmpN),
-			tlb:     NewTLB(cfg.TLBEntries),
-			cache:   NewCache(cfg.CacheLines),
+			tlb:     NewTLB(DefaultTLBEntries),
+			cache:   NewCache(DefaultCacheLines),
 		}
 		// Guest execution charges the core's own clock shard; the
 		// machine clock aggregates shards so totals stay global.

@@ -43,10 +43,6 @@ type PMP struct {
 	mu      sync.RWMutex
 	entries []PMPEntry
 	gen     atomic.Uint64
-	// napotOnly restricts ranges to naturally-aligned power-of-two
-	// regions (NAPOT encoding), the stricter hardware mode. When false,
-	// TOR (top-of-range) encoding permits arbitrary page-aligned ranges.
-	napotOnly bool
 }
 
 // NewPMP returns a PMP unit with n entries (n must be positive) using
@@ -57,13 +53,6 @@ func NewPMP(n int) *PMP {
 	}
 	return &PMP{entries: make([]PMPEntry, n)}
 }
-
-// SetNAPOTOnly switches the unit to NAPOT-only encoding, where every
-// programmed region must be a naturally aligned power-of-two size.
-func (p *PMP) SetNAPOTOnly(v bool) { p.napotOnly = v }
-
-// NAPOTOnly reports whether the unit accepts only NAPOT regions.
-func (p *PMP) NAPOTOnly() bool { return p.napotOnly }
 
 // NumEntries returns the total entry budget.
 func (p *PMP) NumEntries() int { return len(p.entries) }
@@ -92,7 +81,7 @@ func IsNAPOT(r phys.Region) bool {
 }
 
 // Program writes entry i. Fails if i is out of range, the entry is
-// locked, the region is invalid, or NAPOT-only mode rejects the shape.
+// locked or the region is invalid.
 func (p *PMP) Program(i int, r phys.Region, perm Perm) error {
 	if i < 0 || i >= len(p.entries) {
 		return fmt.Errorf("hw: pmp entry %d out of range (have %d)", i, len(p.entries))
@@ -104,9 +93,6 @@ func (p *PMP) Program(i int, r phys.Region, perm Perm) error {
 	defer p.mu.Unlock()
 	if p.entries[i].Locked {
 		return fmt.Errorf("hw: pmp entry %d is locked", i)
-	}
-	if p.napotOnly && !IsNAPOT(r) {
-		return fmt.Errorf("hw: pmp entry %d: region %v not NAPOT-encodable", i, r)
 	}
 	p.entries[i] = PMPEntry{Region: r, Perm: perm, used: true}
 	p.gen.Add(1)
@@ -172,9 +158,6 @@ func (p *PMP) Replace(from int, segs []EPTMapping) (cleared int, err error) {
 		}
 		if p.entries[from+i].Locked {
 			return 0, fmt.Errorf("hw: pmp entry %d is locked", from+i)
-		}
-		if p.napotOnly && !IsNAPOT(s.Region) {
-			return 0, fmt.Errorf("hw: pmp entry %d: region %v not NAPOT-encodable", from+i, s.Region)
 		}
 	}
 	for i := range p.entries {

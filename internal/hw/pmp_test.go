@@ -122,8 +122,8 @@ func TestTOREncodeDecode(t *testing.T) {
 }
 
 // Register-file behaviour around the shapes the backends rely on:
-// lowest-index-wins priority for overlapping entries, NAPOT-only mode
-// rejections, locked-entry protection through ClearAll.
+// lowest-index-wins priority for overlapping entries, locked-entry
+// protection through ClearAll.
 func TestPMPRegisterFileEdgeCases(t *testing.T) {
 	t.Run("overlap-lowest-index-wins", func(t *testing.T) {
 		p := NewPMP(4)
@@ -161,24 +161,6 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 		}
 		if got := p.Lookup(0x1000); got != PermNone {
 			t.Fatalf("Lookup on empty file = %v", got)
-		}
-	})
-
-	t.Run("napot-only-rejects-tor-shapes", func(t *testing.T) {
-		p := NewPMP(4)
-		p.SetNAPOTOnly(true)
-		bad := []phys.Region{
-			phys.MakeRegion(0x1000, 0x2000), // misaligned base
-			phys.MakeRegion(0x0, 3*0x1000),  // non-pow2 size
-			phys.MakeRegion(2048, 4096),     // sub-size alignment
-		}
-		for _, r := range bad {
-			if err := p.Program(0, r, PermR); err == nil {
-				t.Fatalf("NAPOT-only accepted %v", r)
-			}
-		}
-		if err := p.Program(0, phys.MakeRegion(0x4000, 0x1000), PermR); err != nil {
-			t.Fatalf("NAPOT-only rejected a NAPOT region: %v", err)
 		}
 	})
 

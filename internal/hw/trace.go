@@ -8,9 +8,8 @@ import (
 // Event tracing hookup. The machine owns the tracer the same way it
 // owns the fault injector: an atomic pointer installed at run time, nil
 // by default. Emit sites throughout hw, core, and the backends call
-// Machine.Trace, which is a constant-false branch under the notrace
-// build tag and a single atomic load + nil check when tracing is
-// compiled in but disabled — the C17 experiment bounds that cost.
+// Machine.Trace, a single atomic load and a nil check while no tracer
+// is installed.
 
 // SetTracer installs (or, with nil, removes) the machine's event
 // tracer. Installing emits the KBoot event that opens the trace and
@@ -25,12 +24,7 @@ func (m *Machine) SetTracer(t *trace.Tracer) {
 }
 
 // Tracer returns the installed tracer, or nil.
-func (m *Machine) Tracer() *trace.Tracer {
-	if !trace.Compiled {
-		return nil
-	}
-	return m.tracer.Load()
-}
+func (m *Machine) Tracer() *trace.Tracer { return m.tracer.Load() }
 
 // NewTracer builds a tracer sized for this machine whose timestamps
 // read the machine's aggregate cycle clock. It is not installed;
@@ -39,12 +33,8 @@ func (m *Machine) NewTracer(perRing int) *trace.Tracer {
 	return trace.New(len(m.Cores), perRing, m.Clock.Cycles)
 }
 
-// Trace emits one event if a tracer is installed. Compiles to nothing
-// under the notrace build tag.
+// Trace emits one event if a tracer is installed.
 func (m *Machine) Trace(core int32, k trace.Kind, domain, aux, node, addr, size uint64) {
-	if !trace.Compiled {
-		return
-	}
 	if t := m.tracer.Load(); t != nil {
 		t.Emit(core, k, domain, aux, node, addr, size)
 	}

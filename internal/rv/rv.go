@@ -24,7 +24,6 @@
 package rv
 
 import (
-	"errors"
 	"sync"
 
 	"github.com/tyche-sim/tyche/internal/core"
@@ -32,10 +31,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
-
-// ErrNotCompiled reports that the tracer is compiled out (notrace
-// build tag), so runtime verification cannot attach.
-var ErrNotCompiled = errors.New("rv: tracing compiled out (notrace build)")
 
 // Options configures Attach.
 type Options struct {
@@ -45,9 +40,6 @@ type Options struct {
 	// (trace.Sampleable); safety-critical kinds stay exact. <= 1 is
 	// exact mode, where event counts still reconcile with Stats().
 	SampleN int
-	// PerRing is the tracer ring capacity (trace.DefaultRingEntries
-	// when 0). Ignored when Tracer is given.
-	PerRing int
 	// Tracer, when non-nil, augments an existing (not yet installed)
 	// tracer instead of building one: Attach adds the shard sink and
 	// sampling, and the CALLER installs the tracer afterwards with
@@ -79,17 +71,16 @@ type Service struct {
 // Attach wires runtime verification onto the machine/monitor pair and
 // returns the running service. The sharded checker observes the trace
 // from KBoot on; the monitor's checkpoint hook is claimed for the
-// service's merge step.
+// service's merge step. Attach cannot fail — every build carries the
+// tracer — and the error, always nil, is what is left of the signature
+// its callers compile against.
 func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error) {
-	if !trace.Compiled {
-		return nil, ErrNotCompiled
-	}
 	if opts.Node == "" {
 		opts.Node = "node"
 	}
 	tr := opts.Tracer
 	if tr == nil {
-		tr = mach.NewTracer(opts.PerRing)
+		tr = mach.NewTracer(trace.DefaultRingEntries)
 	}
 	sh := check.NewSharded(tr)
 	tr.AttachSharded(sh)

@@ -31,24 +31,9 @@ func bootPair(t *testing.T) (*hw.Machine, *core.Monitor) {
 	return mach, mon
 }
 
-// TestAttachNotCompiled pins the notrace behaviour: the service must
-// refuse to attach rather than silently verify nothing.
-func TestAttachNotCompiled(t *testing.T) {
-	if trace.Compiled {
-		t.Skip("tracing compiled in")
-	}
-	mach, mon := bootPair(t)
-	if _, err := Attach(mach, mon, Options{}); err != ErrNotCompiled {
-		t.Fatalf("Attach under notrace = %v, want ErrNotCompiled", err)
-	}
-}
-
 // TestServiceCleanRun wires the full pipeline — service, digest chain,
 // remote verifier — over a clean kill-with-scrub history.
 func TestServiceCleanRun(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	mach, mon := bootPair(t)
 	ver := check.NewRemoteVerifier("clean-node")
 	svc, err := Attach(mach, mon, Options{
@@ -89,9 +74,6 @@ func TestServiceCleanRun(t *testing.T) {
 // must flag itself AND the shipped digests must carry the verdict to
 // the remote verifier, whose independent replay agrees (no divergence).
 func TestServiceReportsSeededViolation(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	mach, mon := bootPair(t)
 	ver := check.NewRemoteVerifier("bad-node")
 	svc, err := Attach(mach, mon, Options{
@@ -133,9 +115,6 @@ func TestServiceReportsSeededViolation(t *testing.T) {
 // TestServiceSampledMode pins the sampling plumbing: Attach installs
 // the 1-in-N regime on the tracer and the service reports it.
 func TestServiceSampledMode(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	mach, mon := bootPair(t)
 	svc, err := Attach(mach, mon, Options{Node: "sampled-node", SampleN: 4})
 	if err != nil {
@@ -162,9 +141,6 @@ func TestServiceSampledMode(t *testing.T) {
 // TestShipErrorLatched pins transport-failure reporting: a Ship error
 // must surface through Err, not vanish.
 func TestShipErrorLatched(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	mach, mon := bootPair(t)
 	svc, err := Attach(mach, mon, Options{
 		Node: "cut-node",
@@ -191,9 +167,6 @@ func TestShipErrorLatched(t *testing.T) {
 // the shipped digests must carry the drain-frame tally to the remote
 // verifier so it reconciles like every other structural count.
 func TestServiceParallelDrain(t *testing.T) {
-	if !trace.Compiled {
-		t.Skip("tracing compiled out (notrace)")
-	}
 	mach, mon := bootPair(t)
 	ver := check.NewRemoteVerifier("drain-node")
 	svc, err := Attach(mach, mon, Options{

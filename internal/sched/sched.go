@@ -1,7 +1,7 @@
 // Package sched is the monitor's preemptive multi-tenant scheduler:
 // it time-multiplexes N trust domains over M simulated cores (N ≫ M)
-// with per-core run queues of runnable vCPU contexts, weighted
-// round-robin quantum budgets, cooperative yield, and work stealing
+// with per-core run queues of runnable vCPU contexts, round-robin
+// quantum budgets, cooperative yield, and work stealing
 // between idle cores.
 //
 // The package owns only the queueing *policy*; the mechanism (arming
@@ -40,8 +40,7 @@ const DefaultQuantum = 256
 // call) is a usable round-robin policy.
 type Policy struct {
 	// Quantum is the base time slice in retired instructions
-	// (DefaultQuantum when 0). A domain's slice is Quantum times its
-	// weight.
+	// (DefaultQuantum when 0).
 	Quantum int
 	// Seed offsets the initial round-robin placement cursor, so
 	// distinct seeds produce distinct (but each fully deterministic)
@@ -50,9 +49,6 @@ type Policy struct {
 	// Steal lets an idle core pull queued vCPUs from the deepest
 	// queue of its siblings.
 	Steal bool
-	// Weights maps a domain ID to its round-robin weight (default 1):
-	// weight w receives a w-times-longer quantum per dispatch.
-	Weights map[uint64]int
 }
 
 func (p Policy) quantum() int {
@@ -366,15 +362,8 @@ func (v *VCPU) references(domain uint64) bool {
 	return false
 }
 
-// Quantum returns the vCPU's time slice in instructions: the policy
-// quantum scaled by the domain's weight.
-func (s *Scheduler) Quantum(v *VCPU) int {
-	w := s.pol.Weights[v.Domain]
-	if w <= 0 {
-		w = 1
-	}
-	return s.pol.quantum() * w
-}
+// Quantum returns a vCPU's time slice in instructions.
+func (s *Scheduler) Quantum() int { return s.pol.quantum() }
 
 // Pending returns the number of queued (runnable, undispatched)
 // vCPUs.

@@ -111,9 +111,9 @@ func TestWorkStealing(t *testing.T) {
 // the dead domain.
 func TestPurgeDomain(t *testing.T) {
 	s := New(Policy{}, cores(0))
-	s.Add(9, 0) // becomes the frame holder below
-	s.Add(8, 0) // the survivor
-	s.Add(7, 0) // runs the doomed domain directly
+	s.Add(9, 0)       // becomes the frame holder below
+	s.Add(8, 0)       // the survivor
+	s.Add(7, 0)       // runs the doomed domain directly
 	v, _ := s.Next(0) // pops domain 9
 	// Simulate a mediated call chain: domain 9 called into 7 and was
 	// preempted with 7's frame on its stack.
@@ -133,16 +133,13 @@ func TestPurgeDomain(t *testing.T) {
 	}
 }
 
-// Weighted round-robin: the quantum scales with the domain weight.
-func TestWeightedQuantum(t *testing.T) {
-	s := New(Policy{Quantum: 100, Weights: map[uint64]int{7: 3}}, cores(0))
-	if q := s.Quantum(&VCPU{Domain: 7}); q != 300 {
-		t.Fatalf("weighted quantum = %d, want 300", q)
+// The quantum is the policy's, or the default for a zero policy.
+func TestPolicyQuantum(t *testing.T) {
+	s := New(Policy{Quantum: 100}, cores(0))
+	if q := s.Quantum(); q != 100 {
+		t.Fatalf("policy quantum = %d, want 100", q)
 	}
-	if q := s.Quantum(&VCPU{Domain: 8}); q != 100 {
-		t.Fatalf("default-weight quantum = %d, want 100", q)
-	}
-	if q := New(Policy{}, cores(0)).Quantum(&VCPU{Domain: 1}); q != DefaultQuantum {
+	if q := New(Policy{}, cores(0)).Quantum(); q != DefaultQuantum {
 		t.Fatalf("zero-policy quantum = %d, want %d", q, DefaultQuantum)
 	}
 }

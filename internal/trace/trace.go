@@ -16,11 +16,10 @@
 //
 // Cost model. Tracing is off by default: the machine holds an atomic
 // tracer pointer and every emit site is a nil-check branch, so the
-// disabled path costs one atomic load (the C17 experiment measures it
-// at noise level on the C15 contention workload). The `notrace` build
-// tag additionally compiles every emit site out entirely (Compiled
-// becomes a false constant and the branches are dead-code eliminated).
-// Enabled, an emit is an allocation plus an atomic slot store — no
+// disabled path costs one atomic load and a branch — in every build:
+// there is one, and the binary that is tested is the binary that can be
+// verified (benchmark/ prices both states as trace.emit_ns and
+// bench.trace_overhead_pct). Enabled, an emit is an allocation plus an atomic slot store — no
 // locks unless a Sink is attached, in which case emission serialises on
 // the sink mutex so checkers observe one linearisation of the run.
 package trace
