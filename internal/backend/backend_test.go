@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/backend"
@@ -368,6 +369,96 @@ func TestPMPSyncReprogramsRunningCore(t *testing.T) {
 	}
 	if !core.Context().Filter.Check(phys.Addr(8*pg), hw.PermR) {
 		t.Fatal("remaining access lost")
+	}
+}
+
+// TestBackendContextStable: a (domain, core) has one context — the same
+// pointer on every call, and across first calls racing from several
+// goroutines while another domain is installed and removed beside them,
+// which republishes the table the readers walk without a lock. Once the
+// domain is removed it is unknown, and the core it died on, still
+// holding that context, is denied everything.
+func TestBackendContextStable(t *testing.T) {
+	backends := map[string]func(*hw.Machine, *cap.Space) backend.Backend{
+		"vtx": func(m *hw.Machine, s *cap.Space) backend.Backend { return vtx.New(m, s) },
+		"pmp": func(m *hw.Machine, s *cap.Space) backend.Backend {
+			bk, err := pmpbk.New(m, s, phys.Region{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bk
+		},
+	}
+	for name, mk := range backends {
+		t.Run(name, func(t *testing.T) {
+			m, s := newWorld(t, 8)
+			bk := mk(m, s)
+			if _, err := s.CreateRoot(1, mem(0, 16), cap.MemFull, cap.CleanNone); err != nil {
+				t.Fatal(err)
+			}
+			if err := bk.InstallDomain(1); err != nil {
+				t.Fatal(err)
+			}
+			const readers = 4
+			var got [readers][2]*hw.Context
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						for c := range got[g] {
+							ctx, err := bk.Context(1, phys.CoreID(c))
+							if err != nil || ctx == nil || (got[g][c] != nil && got[g][c] != ctx) {
+								t.Errorf("Context(1, %d) = %p, %v after %p", c, ctx, err, got[g][c])
+								return
+							}
+							got[g][c] = ctx
+						}
+					}
+				}(g)
+			}
+			for i := 0; i < 50; i++ {
+				if err := bk.InstallDomain(2); err != nil {
+					t.Fatal(err)
+				}
+				if err := bk.RemoveDomain(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wg.Wait()
+			for g := 1; g < readers; g++ {
+				if got[g] != got[0] {
+					t.Fatalf("reader %d saw contexts %v, reader 0 %v", g, got[g], got[0])
+				}
+			}
+			if got[0][0] == got[0][1] || got[0][0].ASID != got[0][1].ASID || got[0][0].Owner != 1 {
+				t.Fatalf("contexts %+v, %+v: want one per core, one ASID, owner 1", got[0][0], got[0][1])
+			}
+			if _, err := bk.Context(1, phys.CoreID(len(m.Cores))); err == nil {
+				t.Fatal("context on a core the machine does not have")
+			}
+
+			core := m.Cores[0]
+			if err := bk.Transition(core, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			if core.Context() != got[0][0] || !core.Context().Filter.Check(0, hw.PermR) {
+				t.Fatal("transition did not install the domain's context with its memory")
+			}
+			if err := bk.RemoveDomain(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bk.Context(1, 0); !errors.Is(err, backend.ErrUnknownDomain) {
+				t.Fatalf("context of removed domain: %v", err)
+			}
+			if err := bk.RemoveDomain(1); !errors.Is(err, backend.ErrUnknownDomain) {
+				t.Fatalf("second removal: %v", err)
+			}
+			if core.Context() != got[0][0] || core.Context().Filter.Check(0, hw.PermR) {
+				t.Fatal("the core the domain died on must keep its context and be denied")
+			}
+		})
 	}
 }
 

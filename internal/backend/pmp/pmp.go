@@ -21,50 +21,33 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-type domainState struct {
-	owner cap.OwnerID
-	asid  uint64
-
-	// mu guards segs (rewritten by SyncDomain while transitions on other
-	// cores program them into PMP files) and the lazily-populated
-	// per-core context cache.
+// segments is a domain's validated layout. mu guards segs, which
+// SyncDomain rewrites while transitions on other cores program them
+// into PMP files.
+type segments struct {
 	mu   sync.Mutex
 	segs []backend.Segment
-	ctxs map[phys.CoreID]*hw.Context
 }
 
-// Backend is the machine-mode PMP enforcement backend.
-//
-// Concurrency contract: under the epoch scheme no monitor entry
-// excludes another, so InstallDomain can race RemoveDomain at this
-// layer. The domains map and nextASID carry their
-// own RWMutex (domMu); per-domain mutable state carries the
-// domainState mutex. A domainState pointer read under domMu.RLock
-// stays valid after the unlock — removal only deletes the map entry,
-// and the dead domain's PMP files have been cleared, so a racing
-// reader's view degrades to deny-all.
+// Backend is the machine-mode PMP enforcement backend. Domains live in
+// the shared lock-free table (backend.Domains carries the concurrency
+// contract); a removed domain's PMP files have been cleared, so a
+// reader racing the removal sees deny-all.
 type Backend struct {
-	mach  *hw.Machine
-	space *cap.Space
-
-	domMu    sync.RWMutex
-	domains  map[cap.OwnerID]*domainState
-	nextASID uint64
+	mach     *hw.Machine
+	space    *cap.Space
+	doms     *backend.Domains[*segments]
 	reserved int // entries locked for monitor self-protection per core
 }
-
-// Option configures the backend.
-type Option func(*Backend)
 
 // New returns a PMP backend over mach and space. If monitorRegion is
 // non-empty, entry 0 of every core is programmed to deny it and locked —
 // machine-mode self-protection, as Keystone's security monitor does.
 func New(mach *hw.Machine, space *cap.Space, monitorRegion phys.Region) (*Backend, error) {
 	b := &Backend{
-		mach:     mach,
-		space:    space,
-		domains:  make(map[cap.OwnerID]*domainState),
-		nextASID: 1,
+		mach:  mach,
+		space: space,
+		doms:  backend.NewDomains[*segments](len(mach.Cores)),
 	}
 	if !monitorRegion.Empty() {
 		for _, c := range mach.Cores {
@@ -93,40 +76,19 @@ func (b *Backend) Budget() int {
 	return b.mach.Cores[0].PMPUnit.NumEntries() - b.reserved
 }
 
-// InstallDomain implements backend.Backend. The map insert holds domMu
-// exclusively; the initial sync runs after the unlock (SyncDomain
-// re-enters through state(), and the RWMutex is not reentrant).
+// InstallDomain implements backend.Backend.
 func (b *Backend) InstallDomain(owner cap.OwnerID) error {
-	b.domMu.Lock()
-	if _, ok := b.domains[owner]; ok {
-		b.domMu.Unlock()
-		return fmt.Errorf("pmp: domain %d already installed", owner)
+	if err := b.doms.Install(owner, &segments{}); err != nil {
+		return err
 	}
-	b.domains[owner] = &domainState{
-		owner: owner,
-		asid:  b.nextASID,
-		ctxs:  make(map[phys.CoreID]*hw.Context),
-	}
-	b.nextASID++
-	b.domMu.Unlock()
 	return b.SyncDomain(owner)
-}
-
-func (b *Backend) state(owner cap.OwnerID) (*domainState, error) {
-	b.domMu.RLock()
-	st, ok := b.domains[owner]
-	b.domMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", backend.ErrUnknownDomain, owner)
-	}
-	return st, nil
 }
 
 // SyncDomain implements backend.Backend: recompute the domain's segment
 // layout and validate it against the PMP budget. The hardware itself is
 // reprogrammed lazily at transition time (PMP is per-core state).
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
@@ -134,42 +96,40 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	if need, avail := len(segs), b.Budget(); need > avail {
 		return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.segs = segs
+	d.State.mu.Lock()
+	defer d.State.mu.Unlock()
+	d.State.segs = segs
 	// Cores currently running this domain must be reprogrammed now:
 	// access may have been revoked.
 	for _, c := range b.mach.Cores {
 		if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
-			if _, ok := st.ctxs[c.ID()]; ok {
-				b.program(c, st)
-			}
+			b.program(c, d)
 		}
 	}
 	return nil
 }
 
 // program writes the domain's segments into the core's PMP file
-// (st.mu held), replacing the previous contents in one step: a core
-// running the domain on another host thread must never fetch from a
-// cleared or half-written file.
-func (b *Backend) program(core *hw.Core, st *domainState) {
+// (d.State.mu held), replacing the previous contents in one step: a
+// core running the domain on another host thread must never fetch from
+// a cleared or half-written file.
+func (b *Backend) program(core *hw.Core, d *backend.Domain[*segments]) {
 	// Budget was validated at sync time; a failure here is a
 	// programming bug, not a runtime condition.
-	cleared, err := core.PMPUnit.Replace(b.reserved, st.segs)
+	cleared, err := core.PMPUnit.Replace(b.reserved, d.State.segs)
 	if err != nil {
 		panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
 	}
 	b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
-	for i, s := range st.segs {
+	for i, s := range d.State.segs {
 		b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
-		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(st.owner), uint64(b.reserved+i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(d.Owner), uint64(b.reserved+i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
 	}
 }
 
 // RemoveDomain implements backend.Backend.
 func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
-	if _, err := b.state(owner); err != nil {
+	if _, err := b.doms.Get(owner); err != nil {
 		return err
 	}
 	// Scrub the register files of cores the domain died on: PMP state
@@ -181,9 +141,7 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 			b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
 		}
 	}
-	b.domMu.Lock()
-	delete(b.domains, owner)
-	b.domMu.Unlock()
+	b.doms.Remove(owner)
 	return nil
 }
 
@@ -191,26 +149,15 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 // core's PMP unit itself: whatever is programmed on the core at access
 // time decides, exactly like the hardware.
 func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, error) {
-	st, err := b.state(owner)
+	d, err := b.doms.Get(owner)
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ctx, ok := st.ctxs[core]
-	if !ok {
-		c := b.mach.Core(core)
-		if c == nil {
-			return nil, fmt.Errorf("pmp: no core %v", core)
-		}
-		ctx = &hw.Context{
-			Owner:  uint64(owner),
-			Filter: c.PMPUnit,
-			ASID:   st.asid,
-		}
-		st.ctxs[core] = ctx
+	c := b.mach.Core(core)
+	if c == nil {
+		return nil, fmt.Errorf("pmp: no core %v", core)
 	}
-	return ctx, nil
+	return d.Context(core, c.PMPUnit, false)
 }
 
 // Transition implements backend.Backend: a machine-mode trap that
@@ -220,19 +167,19 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	if fast {
 		return fmt.Errorf("%w: pmp backend has no VMFUNC analogue", backend.ErrNoFastPath)
 	}
-	st, err := b.state(to)
+	d, err := b.doms.Get(to)
 	if err != nil {
 		return err
 	}
-	ctx, err := b.Context(to, core.ID())
+	ctx, err := d.Context(core.ID(), core.PMPUnit, false)
 	if err != nil {
 		return err
 	}
 	cost := b.mach.Cost
 	b.mach.Clock.Advance(cost.MTrap)
-	st.mu.Lock()
-	b.program(core, st)
-	st.mu.Unlock()
+	d.State.mu.Lock()
+	b.program(core, d)
+	d.State.mu.Unlock()
 	b.mach.Clock.Advance(cost.MRet)
 	core.InstallContext(ctx) // PMP is untagged: full TLB flush
 	return nil

@@ -18,36 +18,16 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-type domainState struct {
-	ept  *hw.EPT
-	asid uint64
-
-	// mu guards the lazily-populated per-core context cache: cores take
-	// concurrent transitions into the same domain from the monitor's
-	// reader entries. ept and asid are immutable after InstallDomain (the
-	// EPT object synchronises its own contents).
-	mu   sync.Mutex
-	ctxs map[phys.CoreID]*hw.Context
-}
-
-// Backend is the VT-x enforcement backend.
-//
-// Concurrency contract: under the epoch scheme no monitor entry
-// excludes another, so domain creation can race destruction at this
-// layer. The domains map and nextASID carry their
-// own RWMutex (domMu); fastPairs is registered and consulted on the
-// shared path, so it carries another; per-domain context caches are
-// guarded by the domainState mutex. A domainState pointer read under
-// domMu.RLock stays valid after the unlock — RemoveDomain empties the
-// EPT rather than freeing it, so a racing reader's view degrades to
-// deny-all, never to a dangling table.
+// Backend is the VT-x enforcement backend. A domain's state is its EPT,
+// kept in the shared lock-free domain table (backend.Domains carries
+// the concurrency contract); RemoveDomain empties the EPT rather than
+// freeing it, so a core that died holding one of the domain's contexts
+// sees deny-all, never a dangling table. fastPairs is registered and
+// consulted on the shared path, so it carries a lock of its own.
 type Backend struct {
 	mach  *hw.Machine
 	space *cap.Space
-
-	domMu    sync.RWMutex
-	domains  map[cap.OwnerID]*domainState
-	nextASID uint64
+	doms  *backend.Domains[*hw.EPT]
 
 	pairMu    sync.RWMutex
 	fastPairs map[fastKey]bool
@@ -70,54 +50,32 @@ func New(mach *hw.Machine, space *cap.Space) *Backend {
 	return &Backend{
 		mach:      mach,
 		space:     space,
-		domains:   make(map[cap.OwnerID]*domainState),
+		doms:      backend.NewDomains[*hw.EPT](len(mach.Cores)),
 		fastPairs: make(map[fastKey]bool),
-		nextASID:  1,
 	}
 }
 
 // Name implements backend.Backend.
 func (b *Backend) Name() string { return "vtx" }
 
-// InstallDomain implements backend.Backend. The map insert holds domMu
-// exclusively; the initial sync runs after the unlock (SyncDomain
-// re-enters through state(), and the RWMutex is not reentrant).
+// InstallDomain implements backend.Backend.
 func (b *Backend) InstallDomain(owner cap.OwnerID) error {
-	b.domMu.Lock()
-	if _, ok := b.domains[owner]; ok {
-		b.domMu.Unlock()
-		return fmt.Errorf("vtx: domain %d already installed", owner)
+	if err := b.doms.Install(owner, hw.NewEPT()); err != nil {
+		return err
 	}
-	b.domains[owner] = &domainState{
-		ept:  hw.NewEPT(),
-		asid: b.nextASID,
-		ctxs: make(map[phys.CoreID]*hw.Context),
-	}
-	b.nextASID++
-	b.domMu.Unlock()
 	return b.SyncDomain(owner)
-}
-
-func (b *Backend) state(owner cap.OwnerID) (*domainState, error) {
-	b.domMu.RLock()
-	st, ok := b.domains[owner]
-	b.domMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", backend.ErrUnknownDomain, owner)
-	}
-	return st, nil
 }
 
 // SyncDomain implements backend.Backend: rebuild the domain's EPT from
 // its current effective capabilities and publish it in one step, so a
 // core running the domain never sees a partly programmed table.
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
 	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
-	if err := st.ept.Replace(segs); err != nil {
+	if err := d.State.Replace(segs); err != nil {
 		return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
 	}
 	var pages uint64
@@ -131,18 +89,16 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 
 // RemoveDomain implements backend.Backend.
 func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
-	st, err := b.state(owner)
+	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
 	// Empty the EPT before dropping the state: a core that still has
 	// one of the domain's contexts installed (it died mid-run) keeps a
 	// pointer to this table, and an empty table denies every access.
-	st.ept.Clear()
+	d.State.Clear()
 	b.mach.Trace(trace.GlobalCore, trace.KEPTClear, uint64(owner), 0, 0, 0, 0)
-	b.domMu.Lock()
-	delete(b.domains, owner)
-	b.domMu.Unlock()
+	b.doms.Remove(owner)
 	b.pairMu.Lock()
 	for k := range b.fastPairs {
 		if k.a == owner || k.b == owner {
@@ -158,23 +114,11 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 
 // Context implements backend.Backend.
 func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, error) {
-	st, err := b.state(owner)
+	d, err := b.doms.Get(owner)
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ctx, ok := st.ctxs[core]
-	if !ok {
-		ctx = &hw.Context{
-			Owner:   uint64(owner),
-			Filter:  st.ept,
-			UsesEPT: true,
-			ASID:    st.asid,
-		}
-		st.ctxs[core] = ctx
-	}
-	return ctx, nil
+	return d.Context(core, d.State, true)
 }
 
 // Transition implements backend.Backend. The slow path models a full
@@ -213,26 +157,20 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 // can switch without any monitor involvement — the Hodor pattern §4.1
 // cites for its 100-cycle figure.
 func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
-	if _, err := b.state(a); err != nil {
+	ctxA, err := b.Context(a, core)
+	if err != nil {
 		return err
 	}
-	if _, err := b.state(bID); err != nil {
+	ctxB, err := b.Context(bID, core)
+	if err != nil {
 		return err
 	}
 	b.pairMu.Lock()
 	b.fastPairs[canonPair(core, a, bID)] = true
 	b.pairMu.Unlock()
-	cpu := b.mach.Core(core)
-	if cpu == nil {
-		return fmt.Errorf("vtx: no core %v", core)
-	}
-	for _, owner := range []cap.OwnerID{a, bID} {
-		ctx, err := b.Context(owner, core)
-		if err != nil {
-			return err
-		}
-		cpu.SetVMFuncEntry(uint64(owner), ctx)
-	}
+	cpu := b.mach.Cores[core] // Context checked the index
+	cpu.SetVMFuncEntry(uint64(a), ctxA)
+	cpu.SetVMFuncEntry(uint64(bID), ctxB)
 	return nil
 }
 

@@ -189,11 +189,12 @@ func (s *Space) lockOwners(owners ...OwnerID) func() {
 	}
 }
 
-// rlockOwner read-locks one owner's shard.
-func (s *Space) rlockOwner(o OwnerID) func() {
+// rlockOwner read-locks one owner's shard and returns it to RUnlock: an
+// unlock func would be a heap object per call, on the request path.
+func (s *Space) rlockOwner(o OwnerID) *sync.RWMutex {
 	sh := &s.shards[shardFor(o)]
 	sh.RLock()
-	return sh.RUnlock
+	return sh
 }
 
 // rlockAll read-locks every shard in ascending order — the sweep lock
@@ -473,7 +474,7 @@ func (s *Space) Node(id NodeID) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	defer s.rlockOwner(n.owner)()
+	defer s.rlockOwner(n.owner).RUnlock()
 	return s.info(n), nil
 }
 
@@ -518,7 +519,7 @@ func (s *Space) info(n *node) Info {
 func (s *Space) OwnerNodes(owner OwnerID) []Info {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var out []Info
 	for _, n := range s.ownedBy(owner) {
 		out = append(out, s.info(n))
@@ -560,7 +561,7 @@ func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.rlockOwner(n.owner)()
+	defer s.rlockOwner(n.owner).RUnlock()
 	return s.effectiveRegions(n), nil
 }
 
@@ -580,7 +581,7 @@ func regionCovered(want phys.Region, regs []phys.Region) bool {
 func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var regs []phys.Region
 	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind == ResMemory && n.rights.Has(want) {
@@ -604,7 +605,7 @@ type MemoryGrant struct {
 func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	nodes := s.ownedBy(owner)
 	var out []MemoryGrant
 	for i, n := range nodes {
@@ -626,7 +627,7 @@ func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var out []phys.CoreID
 	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind == ResCore && n.rights.Has(RightRun) && !grantedAway(n) {
@@ -653,7 +654,7 @@ func grantedAway(n *node) bool {
 func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			return true
@@ -678,7 +679,7 @@ func (s *Space) OwnerDMADevices(owner OwnerID) []phys.DeviceID {
 func (s *Space) ownerDevices(owner OwnerID, want Rights) []phys.DeviceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	var out []phys.DeviceID
 	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
@@ -704,7 +705,7 @@ func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
 func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner)()
+	defer s.rlockOwner(owner).RUnlock()
 	for _, n := range s.ownedBy(owner) {
 		if n.res.Kind != ResMemory || !n.rights.Has(want) || !n.res.Mem.Contains(a) {
 			continue

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/dist"
 	"github.com/tyche-sim/tyche/internal/fault"
+	"github.com/tyche-sim/tyche/internal/image"
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 func newTestFleet(t *testing.T, nodes int) *Fleet {
@@ -171,6 +174,63 @@ func TestFleetMigrationAbortsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditClean(t, f)
+}
+
+// TestFleetMigrateConnectsBeforeFreeze: the channel handshake runs
+// before the placement is frozen, so one that fails — here the source
+// expects a different agent on the target than the one that answers —
+// returns at once with the placement never deregistered. The request
+// held in flight across the call is what tells "never frozen" from
+// "frozen and re-registered": a freeze would have to drain it first.
+func TestFleetMigrateConnectsBeforeFreeze(t *testing.T) {
+	f := newTestFleet(t, 2)
+	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 1); err != nil {
+		t.Fatal(err)
+	}
+	pl := f.LB().Placements("idx")[0]
+	from, to := pl.Node, 1-pl.Node
+	f.Nodes[to].AgentImg = image.NewProgram("impostor", []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if !pl.tryAcquire() {
+		t.Fatal("placement not routable")
+	}
+	err := f.Migrate("idx", from, to, nil)
+	pl.release()
+	if err == nil || !strings.Contains(err.Error(), "connect") {
+		t.Fatalf("migrate to an impostor agent: err = %v, want a connect failure", err)
+	}
+	if after := f.LB().Placements("idx"); len(after) != 1 || after[0] != pl {
+		t.Fatalf("placements after failed connect: %+v", after)
+	}
+	if bs := f.Blackouts(); len(bs) != 0 {
+		t.Fatalf("failed connect recorded blackouts %v", bs)
+	}
+	if _, err := f.Serve([]string{"idx"}, 40, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeOneAllocations pins the heap objects of one routed request —
+// pick, core hand-off, Call, RunCore, reply check — with runtime
+// verification attached: none, once the trace rings have grown.
+func TestServeOneAllocations(t *testing.T) {
+	f := newTestFleet(t, 2)
+	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 2); err != nil {
+		t.Fatal(err)
+	}
+	var retries atomic.Uint64
+	arg := uint32(0)
+	request := func() {
+		arg++
+		if err := f.serveOne("idx", arg, &retries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*trace.DefaultRingEntries; i++ {
+		request()
+	}
+	if allocs := testing.AllocsPerRun(200, request); allocs != 0 {
+		t.Fatalf("one served request allocates %.0f objects, pinned at 0", allocs)
+	}
 }
 
 func TestFleetKillDuringServing(t *testing.T) {

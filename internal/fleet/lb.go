@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,9 @@ type timeoutError string
 func (e timeoutError) Error() string { return string(e) }
 
 // LoadBalancer routes requests round-robin over a service's live
-// placements.
+// placements. A replica list in reps is never edited once stored:
+// Register, Deregister and DeregisterNode store a fresh slice, so Pick
+// walks the list it read under mu after the unlock, without a copy.
 type LoadBalancer struct {
 	mu   sync.Mutex
 	reps map[string][]*Placement
@@ -78,7 +81,7 @@ func (lb *LoadBalancer) Register(p *Placement) {
 	p.live.Store(true)
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	lb.reps[p.Service] = append(lb.reps[p.Service], p)
+	lb.reps[p.Service] = append(slices.Clip(lb.reps[p.Service]), p)
 }
 
 // Deregister freezes one placement (routing stops immediately; the
@@ -123,13 +126,10 @@ func (lb *LoadBalancer) DeregisterNode(node int) []*Placement {
 // request completes.
 func (lb *LoadBalancer) Pick(service string) *Placement {
 	lb.mu.Lock()
-	list := append([]*Placement(nil), lb.reps[service]...)
+	list := lb.reps[service]
 	start := lb.rr[service]
 	lb.rr[service] = start + 1
 	lb.mu.Unlock()
-	if len(list) == 0 {
-		return nil
-	}
 	for i := range list {
 		p := list[(start+uint64(i))%uint64(len(list))]
 		if p.tryAcquire() {

@@ -15,15 +15,18 @@ import (
 // enclaves, carried on `wire` (pass an armed wire to exercise link
 // faults; pass nil for a clean link).
 //
-// Protocol, in blackout order:
+// Protocol; the blackout is steps 1 to 5:
 //
+//  0. Connect: open the node-to-node attested channel while the source
+//     still serves. The handshake reads nothing the freeze protects,
+//     and a failed one returns with the placement never deregistered.
 //  1. Freeze: deregister the placement and drain in-flight requests.
 //  2. Snapshot: capture the quiescent domain (memory, capability
 //     shape, entry config, parked vCPUs) under an epoch pin.
-//  3. Ship: serialize and send over the node-to-node attested channel.
-//     The payload is sealed to the channel (AEAD + transcript MAC), so
-//     a tampered frame surfaces as dist.ErrTampered and a dropped one
-//     as dist.ErrLinkLost before any target state exists.
+//  3. Ship: serialize and send over the channel. The payload is sealed
+//     to it (AEAD + transcript MAC), so a tampered frame surfaces as
+//     dist.ErrTampered and a dropped one as dist.ErrLinkLost before
+//     any target state exists.
 //  4. Restore + re-attest: rebuild on the target at the same base; the
 //     ordinary Seal path must reproduce the snapshot measurement, and
 //     the control plane re-runs the full attestation chain against the
@@ -33,9 +36,10 @@ import (
 //     scrub + MKTME key erase). The domain's plaintext never outlives
 //     its departure.
 //
-// Every failure before step 5 aborts cleanly: the source placement is
-// re-registered untouched, and a failed restore leaves no half-state
-// on the target (RestoreDomain force-kills its partial domain).
+// Every failure between steps 1 and 5 aborts cleanly: the source
+// placement is re-registered untouched, and a failed restore leaves no
+// half-state on the target (RestoreDomain force-kills its partial
+// domain).
 func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	src, dst := f.Nodes[from], f.Nodes[to]
 	if dst.Failed() {
@@ -57,18 +61,37 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	if pl == nil {
 		return fmt.Errorf("fleet: %q has no placement on %s", service, src.Name)
 	}
+	fail := func(stage string, err error) error {
+		return fmt.Errorf("fleet: migrate %q %s->%s: %s: %w", service, src.Name, dst.Name, stage, err)
+	}
+
+	// Step 0: a fresh node-to-node attested channel, outside the blackout.
+	if wire == nil {
+		wire = &dist.Wire{}
+	}
+	epSrc, err := f.endpoint(src, dst)
+	if err != nil {
+		return fail("endpoint", err)
+	}
+	epDst, err := f.endpoint(dst, src)
+	if err != nil {
+		return fail("endpoint", err)
+	}
+	conn, err := dist.Connect(epSrc, epDst, wire)
+	if err != nil {
+		return fail("connect", err)
+	}
 
 	// Step 1: freeze. Blackout starts the moment routing stops.
 	f.lb.Deregister(pl)
 	start := time.Now()
-	if err := pl.Drain(); err != nil {
-		f.lb.Register(pl)
-		return fmt.Errorf("fleet: migrate %q: %w", service, err)
-	}
 	abort := func(stage string, err error) error {
 		// Source untouched: re-register and report.
 		f.lb.Register(pl)
-		return fmt.Errorf("fleet: migrate %q %s->%s: %s: %w", service, src.Name, dst.Name, stage, err)
+		return fail(stage, err)
+	}
+	if err := pl.Drain(); err != nil {
+		return abort("drain", err)
 	}
 
 	// Step 2: snapshot the quiescent source.
@@ -81,22 +104,7 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 		return abort("encode", err)
 	}
 
-	// Step 3: ship over a fresh node-to-node attested channel.
-	if wire == nil {
-		wire = &dist.Wire{}
-	}
-	epSrc, err := f.endpoint(src, dst)
-	if err != nil {
-		return abort("endpoint", err)
-	}
-	epDst, err := f.endpoint(dst, src)
-	if err != nil {
-		return abort("endpoint", err)
-	}
-	conn, err := dist.Connect(epSrc, epDst, wire)
-	if err != nil {
-		return abort("connect", err)
-	}
+	// Step 3: ship over the channel.
 	got, err := conn.Send(epSrc, payload)
 	if err != nil {
 		// Lost or tampered in flight: nothing arrived, nothing was

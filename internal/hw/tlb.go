@@ -23,11 +23,15 @@ const DefaultTLBEntries = 64
 // modelled vulnerability the failure-injection tests exercise. The
 // monitor's flush-on-revoke cleanup is what closes the window.
 //
-// Storage is a fixed slot array with clock-hand (second-chance)
+// Storage is one fixed slot array with clock-hand (second-chance)
 // eviction: a lookup sets the slot's reference bit, and the hand sweeps
-// past referenced slots once before reclaiming them. This replaces the
-// earlier slice-based FIFO, whose eviction shifted a queue on every
-// fill (see BenchmarkTLBInsertEvict).
+// past referenced slots once before reclaiming them. There is no index
+// beside the array: slots fill from the hand upward, hi bounds the used
+// prefix, and lookups and flushes touch slots[:hi] only — so a context
+// switch that flushes the three or four entries a request cached pays
+// for those, not for the capacity (BenchmarkTLBFlush), and a scan of a
+// full 64-entry array costs what the map probe it replaced did
+// (BenchmarkTLBLookupHit, BenchmarkTLBInsertEvict).
 //
 // The TLB belongs to one core but is mutated cross-core by the
 // monitor's cleanup shootdowns (backend.RunCleanups flushes every
@@ -41,11 +45,10 @@ type TLB struct {
 	// only while the core is quiescent.
 	Strict bool
 
-	mu      sync.Mutex
-	entries map[tlbKey]int // key -> slot index
-	slots   []tlbSlot
-	hand    int
-	used    int
+	mu    sync.Mutex
+	slots []tlbSlot
+	hi    int // every slot at or above hi is free; only Flush lowers it
+	hand  int
 
 	hits, misses, flushes atomic.Uint64
 }
@@ -57,8 +60,8 @@ type tlbKey struct {
 
 type tlbSlot struct {
 	key  tlbKey
-	perm Perm
 	gen  uint64
+	perm Perm
 	used bool
 	ref  bool
 }
@@ -68,30 +71,29 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		capacity = DefaultTLBEntries
 	}
-	return &TLB{
-		entries: make(map[tlbKey]int, capacity),
-		slots:   make([]tlbSlot, capacity),
+	return &TLB{slots: make([]tlbSlot, capacity)}
+}
+
+// find returns the slot caching k, or nil (t.mu held).
+func (t *TLB) find(k tlbKey) *tlbSlot {
+	for i := range t.slots[:t.hi] {
+		if s := &t.slots[i]; s.key == k && s.used {
+			return s
+		}
 	}
+	return nil
 }
 
 // Lookup consults the TLB for page pg of address space asid against
 // filter generation gen. It returns the cached permission and whether it
 // was a hit. In non-strict mode a stale entry is still returned as a hit.
 func (t *TLB) Lookup(asid, pg uint64, gen uint64) (Perm, bool) {
-	k := tlbKey{asid, pg}
 	t.mu.Lock()
-	i, ok := t.entries[k]
-	if !ok {
-		t.mu.Unlock()
-		t.misses.Add(1)
-		return 0, false
+	s := t.find(tlbKey{asid, pg})
+	if s != nil && t.Strict && s.gen != gen {
+		*s, s = tlbSlot{}, nil
 	}
-	s := &t.slots[i]
-	if t.Strict && s.gen != gen {
-		delete(t.entries, k)
-		s.used = false
-		s.ref = false
-		t.used--
+	if s == nil {
 		t.mu.Unlock()
 		t.misses.Add(1)
 		return 0, false
@@ -113,47 +115,35 @@ func (t *TLB) Insert(asid, pg uint64, perm Perm, gen uint64) {
 	k := tlbKey{asid, pg}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.entries[k]; ok {
-		t.slots[i] = tlbSlot{key: k, perm: perm, gen: gen, used: true, ref: true}
-		return
+	s := t.find(k)
+	if s == nil {
+		s = t.reclaim()
 	}
-	i := t.reclaim()
-	t.slots[i] = tlbSlot{key: k, perm: perm, gen: gen, used: true, ref: true}
-	t.entries[k] = i
-	t.used++
+	*s = tlbSlot{key: k, perm: perm, gen: gen, used: true, ref: true}
 }
 
-// reclaim returns a free slot index, evicting via the clock hand when
-// the array is full: referenced slots get a second chance (ref cleared,
+// reclaim returns a free slot, evicting via the clock hand when the
+// array is full: referenced slots get a second chance (ref cleared,
 // hand moves on), unreferenced ones are reclaimed.
-func (t *TLB) reclaim() int {
+func (t *TLB) reclaim() *tlbSlot {
 	for {
-		s := &t.slots[t.hand]
 		i := t.hand
-		t.hand = (t.hand + 1) % len(t.slots)
-		if !s.used {
-			return i
-		}
-		if s.ref {
+		s := &t.slots[i]
+		t.hand = (i + 1) % len(t.slots)
+		if s.used && s.ref {
 			s.ref = false
 			continue
 		}
-		delete(t.entries, s.key)
-		s.used = false
-		t.used--
-		return i
+		t.hi = max(t.hi, i+1)
+		return s
 	}
 }
 
 // Flush invalidates every entry on the core.
 func (t *TLB) Flush() {
 	t.mu.Lock()
-	clear(t.entries)
-	for i := range t.slots {
-		t.slots[i] = tlbSlot{}
-	}
-	t.hand = 0
-	t.used = 0
+	clear(t.slots[:t.hi])
+	t.hi, t.hand = 0, 0
 	t.mu.Unlock()
 	t.flushes.Add(1)
 }
@@ -161,12 +151,11 @@ func (t *TLB) Flush() {
 // FlushRegion invalidates entries covering r in every address space —
 // the shootdown a revocation triggers.
 func (t *TLB) FlushRegion(r phys.Region) {
+	first, end := r.Start.Page(), r.End.Page()
 	t.mu.Lock()
-	for k, i := range t.entries {
-		if k.page >= r.Start.Page() && k.page < r.End.Page() {
-			delete(t.entries, k)
-			t.slots[i] = tlbSlot{}
-			t.used--
+	for i := range t.slots[:t.hi] {
+		if s := &t.slots[i]; s.used && s.key.page >= first && s.key.page < end {
+			*s = tlbSlot{}
 		}
 	}
 	t.mu.Unlock()
@@ -185,5 +174,11 @@ func (t *TLB) Stats() (hits, misses, flushes uint64) {
 func (t *TLB) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	n := 0
+	for i := range t.slots[:t.hi] {
+		if t.slots[i].used {
+			n++
+		}
+	}
+	return n
 }

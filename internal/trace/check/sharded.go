@@ -211,7 +211,6 @@ func (s *Sharded) ShardEvent(si int, ev trace.Event) {
 	sh.mu.Unlock()
 }
 
-
 // MergeReport describes one merge attempt.
 type MergeReport struct {
 	// Merged is true when the structural resolution ran (the stability

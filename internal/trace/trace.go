@@ -4,8 +4,8 @@
 // transitions, capability mutations, traps, shootdowns, revocations,
 // filter edits — is observable at one choke point. This package records
 // that history: each emit point appends one fixed-shape Event to a
-// per-core lock-free ring buffer, stamped with the sharded cycle clock
-// and a global sequence number.
+// per-core ring buffer, stamped with the sharded cycle clock and a
+// global sequence number.
 //
 // "Runtime Verification for Trustworthy Computing" (PAPERS.md) argues
 // that a minimal monitor's real value is that its state machine can be
@@ -19,9 +19,12 @@
 // disabled path costs one atomic load and a branch — in every build:
 // there is one, and the binary that is tested is the binary that can be
 // verified (benchmark/ prices both states as trace.emit_ns and
-// bench.trace_overhead_pct). Enabled, an emit is an allocation plus an atomic slot store — no
-// locks unless a Sink is attached, in which case emission serialises on
-// the sink mutex so checkers observe one linearisation of the run.
+// bench.trace_overhead_pct). Enabled, an emit builds the event on the
+// stack and copies it into its ring under that ring's lock — nothing is
+// allocated once the ring has grown to its capacity, and no lock is
+// shared between cores unless a Sink is attached, in which case
+// emission serialises on the sink mutex so checkers observe one
+// linearisation of the run.
 package trace
 
 import (
@@ -228,22 +231,37 @@ type ShardSink interface {
 // shardHolder boxes the interface so it can live in an atomic.Pointer.
 type shardHolder struct{ s ShardSink }
 
-// ring is one bounded event buffer. Appends reserve a slot with an
-// atomic fetch-add and publish the event with an atomic pointer store,
-// so concurrent emitters never lock; the oldest events are overwritten
-// once the ring wraps.
+// ring is one bounded event buffer holding Event values: an emission
+// copies into a slot and allocates nothing once the ring has grown to
+// its capacity. Until then slots grows as a slice does, so building a
+// tracer costs nothing and a ring that sees few events stays small. mu
+// orders emitters into the ring and lets a reader copy whole events out
+// while they run; on a core's own ring it is uncontended. The oldest
+// events are overwritten once the ring wraps.
 type ring struct {
-	slots []atomic.Pointer[Event]
-	pos   atomic.Uint64
+	mu    sync.Mutex
+	slots []Event
+	max   int    // capacity: len(slots) never exceeds it
+	pos   uint64 // events appended so far
 	// tick counts sample-eligible emission attempts on this ring; the
 	// 1-in-N sampler keys off it so sampling is deterministic per ring,
 	// independent of cross-ring interleaving.
 	tick atomic.Uint64
 }
 
-func (r *ring) append(ev *Event) {
-	i := r.pos.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(ev)
+// append stamps ev with the next global sequence number and stores it.
+// Stamping inside the ring's critical section is what makes Seq rise
+// strictly along a ring.
+func (r *ring) append(ev *Event, seq *atomic.Uint64) {
+	r.mu.Lock()
+	ev.Seq = seq.Add(1)
+	if len(r.slots) < r.max {
+		r.slots = append(r.slots, *ev)
+	} else {
+		r.slots[r.pos%uint64(r.max)] = *ev
+	}
+	r.pos++
+	r.mu.Unlock()
 }
 
 // DefaultRingEntries is the per-ring capacity when New is given 0.
@@ -284,8 +302,7 @@ func New(cores, perRing int, cycles func() uint64) *Tracer {
 	}
 	t := &Tracer{cycles: cycles}
 	for i := 0; i < cores+1; i++ {
-		r := &ring{slots: make([]atomic.Pointer[Event], perRing)}
-		t.rings = append(t.rings, r)
+		t.rings = append(t.rings, &ring{max: perRing})
 	}
 	return t
 }
@@ -358,34 +375,31 @@ func (t *Tracer) Emit(core int32, k Kind, domain, aux, node, addr, size uint64) 
 			return
 		}
 	}
-	ev := &Event{
+	ev := Event{
 		Core: core, Kind: k,
 		Domain: domain, Aux: aux, Node: node, Addr: addr, Size: size,
 	}
 	if t.cycles != nil {
 		ev.Cycle = t.cycles()
 	}
-	sh := t.sharded.Load()
-	if t.hasSinks.Load() {
-		// Sink mode: sequence assignment, ring store, and delivery all
-		// happen under one mutex so every sink sees emission order and
-		// Seq agree exactly.
+	// Sink mode: sequence assignment, ring store, and delivery all
+	// happen under one mutex so every sink sees emission order and Seq
+	// agree exactly.
+	serial := t.hasSinks.Load()
+	if serial {
 		t.mu.Lock()
-		ev.Seq = t.seq.Add(1)
-		t.rings[ri].append(ev)
-		for _, s := range t.sinks {
-			s.Event(*ev)
-		}
-		if sh != nil {
-			sh.s.ShardEvent(ri, *ev)
-		}
-		t.mu.Unlock()
-		return
 	}
-	ev.Seq = t.seq.Add(1)
-	t.rings[ri].append(ev)
-	if sh != nil {
-		sh.s.ShardEvent(ri, *ev)
+	t.rings[ri].append(&ev, &t.seq)
+	if serial {
+		for _, s := range t.sinks {
+			s.Event(ev)
+		}
+	}
+	if sh := t.sharded.Load(); sh != nil {
+		sh.s.ShardEvent(ri, ev)
+	}
+	if serial {
+		t.mu.Unlock()
 	}
 }
 
@@ -397,25 +411,23 @@ func (t *Tracer) Len() uint64 { return t.seq.Load() }
 func (t *Tracer) Dropped() uint64 {
 	var dropped uint64
 	for _, r := range t.rings {
-		if pos, n := r.pos.Load(), uint64(len(r.slots)); pos > n {
-			dropped += pos - n
-		}
+		r.mu.Lock()
+		dropped += r.pos - uint64(len(r.slots)) // all but the last max
+		r.mu.Unlock()
 	}
 	return dropped
 }
 
 // Events snapshots every buffered event across all rings, sorted by
-// sequence number. Concurrent emission may overwrite slots mid-read;
-// the snapshot is whatever the rings held, each event internally
-// consistent (events are published whole via pointer stores).
+// sequence number. Each ring is copied under its own lock, so with
+// emitters running every event is whole and a ring's events are the
+// last it took; rings are read one after another, not at one instant.
 func (t *Tracer) Events() []Event {
 	var out []Event
 	for _, r := range t.rings {
-		for i := range r.slots {
-			if ev := r.slots[i].Load(); ev != nil {
-				out = append(out, *ev)
-			}
-		}
+		r.mu.Lock()
+		out = append(out, r.slots...)
+		r.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -55,8 +56,8 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmitIsRaceFree hammers the lock-free append path from
-// many goroutines; the -race runs of CI are the real assertion.
+// TestConcurrentEmitIsRaceFree hammers the append path, one ring per
+// goroutine; the -race runs of CI are the real assertion.
 func TestConcurrentEmitIsRaceFree(t *testing.T) {
 	const goroutines, per = 8, 2000
 	tr := New(goroutines, 64, nil)
@@ -87,6 +88,109 @@ func TestConcurrentEmitIsRaceFree(t *testing.T) {
 	<-done
 	if got := tr.Len(); got != goroutines*per {
 		t.Fatalf("emitted %d, want %d", got, goroutines*per)
+	}
+}
+
+// pattern fills an event's payload from (emitter, index), so a reader
+// can tell an emitted event from a torn or invented one.
+func pattern(g, i uint64) (domain, aux, node, addr, size uint64) {
+	return g, i, g<<32 | i, ^(g<<32 | i), (g + 1) * (i + 1)
+}
+
+// TestEventsDuringEmit: four emitters wrap one 64-slot ring many times
+// while a reader loops on Events(). Every snapshot must hold whole,
+// emitted events; since all of them land in the one ring and Seq is
+// assigned inside its critical section, a snapshot is also a run of
+// consecutive sequence numbers with each emitter's events in order.
+func TestEventsDuringEmit(t *testing.T) {
+	const emitters, per, slots = 4, 2000, 64
+	tr := New(0, slots, nil)
+	var wg sync.WaitGroup
+	for g := uint64(0); g < emitters; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < per; i++ {
+				d, a, n, ad, sz := pattern(g, i)
+				tr.Emit(GlobalCore, KShare, d, a, n, ad, sz)
+			}
+		}(g)
+	}
+	check := func(evs []Event) {
+		var next [emitters]uint64
+		for i, ev := range evs {
+			if i > 0 && ev.Seq != evs[i-1].Seq+1 {
+				t.Errorf("seq %d follows %d in one ring's snapshot", ev.Seq, evs[i-1].Seq)
+				return
+			}
+			d, a, n, ad, sz := pattern(ev.Domain, ev.Aux)
+			want := Event{Seq: ev.Seq, Core: GlobalCore, Kind: KShare, Domain: d, Aux: a, Node: n, Addr: ad, Size: sz}
+			if ev != want || ev.Domain >= emitters || ev.Aux >= per {
+				t.Errorf("event %v was never emitted", ev)
+				return
+			}
+			if ev.Aux < next[ev.Domain] {
+				t.Errorf("emitter %d: index %d after %d", ev.Domain, ev.Aux, next[ev.Domain]-1)
+				return
+			}
+			next[ev.Domain] = ev.Aux + 1
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tr.Len() < emitters*per && !t.Failed() {
+			check(tr.Events())
+		}
+	}()
+	wg.Wait()
+	<-done
+	evs := tr.Events()
+	check(evs)
+	if len(evs) != slots || evs[slots-1].Seq != emitters*per {
+		t.Fatalf("final snapshot: %d events ending at seq %d, want %d ending at %d",
+			len(evs), evs[len(evs)-1].Seq, slots, emitters*per)
+	}
+	if got := tr.Dropped(); got != emitters*per-slots {
+		t.Fatalf("dropped = %d, want %d", got, emitters*per-slots)
+	}
+}
+
+// countShards is the cheapest ShardSink: what Emit costs with one
+// attached is Emit's own cost.
+type countShards struct{ n [4]atomic.Uint64 }
+
+func (c *countShards) ShardEvent(shard int, _ Event) { c.n[shard].Add(1) }
+
+// TestEmitAllocatesNothing pins the emit path into a grown ring at zero
+// heap objects with a cycle source and a sharded sink attached,
+// sampling off and on.
+func TestEmitAllocatesNothing(t *testing.T) {
+	var cyc atomic.Uint64
+	tr := New(3, 64, func() uint64 { return cyc.Add(7) })
+	tr.AttachSharded(&countShards{})
+	for i := 0; i < 64; i++ { // grow both rings to their capacity
+		tr.Emit(1, KSeal, 0, 0, 0, 0, 0)
+		tr.Emit(GlobalCore, KSeal, 0, 0, 0, 0, 0)
+	}
+	for _, n := range []int{0, 4} {
+		tr.SetSampling(n)
+		if got := testing.AllocsPerRun(1000, func() {
+			tr.Emit(1, KTransition, 2, 1, 0, 0, TransCall)
+			tr.Emit(GlobalCore, KShare, 2, 3, 9, 0x4000, 0x1000)
+		}); got != 0 {
+			t.Errorf("sampling %d: %v allocations per two emits, want 0", n, got)
+		}
+	}
+}
+
+func BenchmarkTracerEmit(b *testing.B) {
+	var cyc atomic.Uint64
+	tr := New(3, 0, func() uint64 { return cyc.Add(7) })
+	tr.AttachSharded(&countShards{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(1, KTransition, 2, 1, 0, 0, TransCall)
 	}
 }
 
