@@ -447,20 +447,14 @@ func schedDemo(p *tyche.Platform, domains int) error {
 		}
 	}
 	for i := 0; i < domains; i++ {
-		gen := prog(i%2 == 0)
-		probe := tyche.NewProgram("tenant", gen(0).MustAssemble(0))
-		base, err := p.Dom0.Heap().Peek(probe.TotalPages())
-		if err != nil {
-			return err
-		}
-		code, err := gen(base.Start).Assemble(base.Start)
+		img, err := p.Dom0.BuildAt(fmt.Sprintf("tenant%d", i), prog(i%2 == 0))
 		if err != nil {
 			return err
 		}
 		lo := tyche.DefaultLoadOptions()
 		lo.Cores = workers
 		lo.Seal = false
-		dom, err := p.Dom0.Load(tyche.NewProgram(fmt.Sprintf("tenant%d", i), code), lo)
+		dom, err := p.Dom0.Load(img, lo)
 		if err != nil {
 			return err
 		}
@@ -517,18 +511,11 @@ func faultDemo(p *tyche.Platform, seed int64, spec string) error {
 		a.Jmp("loop")
 		return a
 	}
-	probe := tyche.NewProgram("victim", prog(0).MustAssemble(0))
-	probe.WithBSS(".data", phys.PageSize)
-	base, err := p.Dom0.Heap().Peek(probe.TotalPages())
+	img, err := p.Dom0.BuildAt("victim", prog,
+		func(img *tyche.Image) { img.WithBSS(".data", phys.PageSize) })
 	if err != nil {
 		return err
 	}
-	code, err := prog(base.Start).Assemble(base.Start)
-	if err != nil {
-		return err
-	}
-	img := tyche.NewProgram("victim", code)
-	img.WithBSS(".data", phys.PageSize)
 	lo := tyche.DefaultLoadOptions()
 	lo.Cores = []tyche.CoreID{1}
 	dom, err := p.Dom0.Load(img, lo)

@@ -68,16 +68,12 @@ func run() error {
 		a.Hlt()
 		return a
 	}
-	// Assemble against the engine's final load address (deterministic
-	// first-fit allocation: peek, then load).
-	probe := tyche.NewProgram("crypto-engine", engineProgram(0).MustAssemble(0))
-	probe.WithBSS(".key", tyche.PageSize)
-	engineBase, err := p.Dom0.Heap().Peek(probe.TotalPages())
+	// Assembled against the engine's final load address.
+	engineImg, err := p.Dom0.BuildAt("crypto-engine", engineProgram,
+		func(img *tyche.Image) { img.WithBSS(".key", tyche.PageSize) })
 	if err != nil {
 		return err
 	}
-	engineImg := tyche.NewProgram("crypto-engine", engineProgram(engineBase.Start).MustAssemble(engineBase.Start))
-	engineImg.WithBSS(".key", tyche.PageSize)
 
 	engineOpts := tyche.DefaultLoadOptions()
 	engineOpts.Cores = []tyche.CoreID{0}
@@ -97,21 +93,20 @@ func run() error {
 
 	// SaaS app: its code calls the engine with the shared buffer's
 	// address in r2, then halts.
-	appProbe := tyche.NewProgram("saas-app", tyche.NewAsm().Hlt().MustAssemble(0))
-	appProbe.WithBSS(".chan", tyche.PageSize)
-	appBase, err := p.Dom0.Heap().Peek(appProbe.TotalPages())
+	appImg, err := p.Dom0.BuildAt("saas-app", func(base tyche.Addr) *tyche.Asm {
+		a := tyche.NewAsm()
+		a.Movi(0, 2) // monitor call: call domain
+		a.Movi(1, uint32(engine.ID()))
+		a.Movi(2, uint32(base+tyche.PageSize)) // .chan, one page above the text
+		a.Vmcall()
+		a.Hlt()
+		return a
+	}, func(img *tyche.Image) {
+		img.WithBSS(".chan", tyche.PageSize) // confidential: only the app, until it shares
+	})
 	if err != nil {
 		return err
 	}
-	chanBase := appBase.Start + tyche.PageSize
-	appAsm := tyche.NewAsm()
-	appAsm.Movi(0, 2) // monitor call: call domain
-	appAsm.Movi(1, uint32(engine.ID()))
-	appAsm.Movi(2, uint32(chanBase))
-	appAsm.Vmcall()
-	appAsm.Hlt()
-	appImg := tyche.NewProgram("saas-app", appAsm.MustAssemble(appBase.Start))
-	appImg.WithBSS(".chan", tyche.PageSize) // confidential: only the app, until it shares
 
 	appOpts := tyche.DefaultLoadOptions()
 	appOpts.Cores = []tyche.CoreID{0}

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
-	"github.com/tyche-sim/tyche/internal/image"
-	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
 )
@@ -181,87 +178,4 @@ func TestSGXEnclaveSemantics(t *testing.T) {
 	if err := e.Destroy(); err == nil {
 		t.Fatal("double destroy")
 	}
-}
-
-func TestVMOnlyRestrictions(t *testing.T) {
-	m := bareMachine(t)
-	rot, err := tpm.New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := core.Boot(core.BootConfig{Machine: m, TPM: rot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := libtyche.New(mon, core.InitialDomain)
-	if err := client.AutoHeap(16); err != nil {
-		t.Fatal(err)
-	}
-	v := NewVMOnly(client)
-
-	prog := hw.NewAsm()
-	prog.Hlt()
-	img := image.NewProgram("guest", prog.MustAssemble(0)).WithBSS(".bss", 2*pg)
-
-	if _, err := v.CreateVM(img, nil); !errors.Is(err, ErrVMOnlyNoCores) {
-		t.Fatalf("no cores: %v", err)
-	}
-	vm1, err := v.CreateVM(img, []phys.CoreID{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Footprint padded to VM granularity.
-	var vmPages uint64
-	for _, rec := range mustEnum(t, mon, vm1.ID()) {
-		if rec.Resource.Kind == 0 { // memory
-			vmPages += rec.Resource.Mem.Pages()
-		}
-	}
-	if vmPages < DefaultVMMinPages {
-		t.Fatalf("VM footprint %d pages < floor %d", vmPages, DefaultVMMinPages)
-	}
-	// No nesting: a client acting as the VM cannot create VMs.
-	vGuest := NewVMOnly(libtyche.New(mon, vm1.ID()))
-	if _, err := vGuest.CreateVM(img, []phys.CoreID{0}); !errors.Is(err, ErrVMOnlyNoNesting) {
-		t.Fatalf("nesting: %v", err)
-	}
-	// No sharing.
-	if err := v.OpenChannel(vm1, 1); !errors.Is(err, ErrVMOnlyNoSharing) {
-		t.Fatalf("sharing: %v", err)
-	}
-	// Bounce copy between two VMs costs VM exits + copies.
-	vm2, err := v.CreateVM(img, []phys.CoreID{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.CopyInto(vm1.ID(), mustSeg(t, vm1), []byte("x")); err == nil {
-		// staging write path sanity only; ignore result
-		_ = err
-	}
-	cost, err := v.BounceCopy(vm1, vm2, 0, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minCost := 2 * (m.Cost.VMExit + m.Cost.VMEntry)
-	if cost < minCost {
-		t.Fatalf("bounce cost = %d, want >= %d", cost, minCost)
-	}
-}
-
-func mustEnum(t *testing.T, mon *core.Monitor, id core.DomainID) []core.ResourceRecord {
-	t.Helper()
-	recs, err := mon.Enumerate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return recs
-}
-
-func mustSeg(t *testing.T, d *libtyche.Domain) phys.Addr {
-	t.Helper()
-	r, ok := d.SegmentRegion(".bss")
-	if !ok {
-		t.Fatal("no .bss")
-	}
-	return r.Start
 }

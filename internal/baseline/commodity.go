@@ -7,9 +7,6 @@
 //   - SGX: an SGX-like enclave substrate — enclaves tied to a process,
 //     one ELRANGE each, implicit access to all process memory, a finite
 //     EPC, and no nesting (the §4.2 comparison target).
-//   - VMOnly: a confidential-VM-only security monitor — isolation exists
-//     solely at virtual-machine granularity (the "tied to existing
-//     system abstractions" point of §2.2/§3.5).
 package baseline
 
 import (

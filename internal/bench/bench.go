@@ -478,32 +478,6 @@ func haltImage(name string) *image.Image {
 	return image.NewProgram(name, a.MustAssemble(0))
 }
 
-// buildAt constructs an image whose text is assembled against its final
-// load address (for programs with absolute jump targets): gen receives
-// the text base, extras mutate the image (adding segments), and the
-// returned image must be loaded immediately (it is assembled against
-// the next allocation the client's heap will hand out).
-func buildAt(cl *libtyche.Client, name string, gen func(base phys.Addr) *hw.Asm, extras ...func(*image.Image)) (*image.Image, error) {
-	// Pass 1: size the image with a dummy base.
-	probe := image.NewProgram(name, gen(0).MustAssemble(0))
-	for _, ex := range extras {
-		ex(probe)
-	}
-	base, err := cl.Heap().Peek(probe.TotalPages())
-	if err != nil {
-		return nil, err
-	}
-	code, err := gen(base.Start).Assemble(base.Start)
-	if err != nil {
-		return nil, err
-	}
-	img := image.NewProgram(name, code)
-	for _, ex := range extras {
-		ex(img)
-	}
-	return img, nil
-}
-
 // pinnedSpec describes a worker-per-core run: `workers` guest domains,
 // worker i pinned to core i+1 (dom0 idles on core 0), all driven to
 // completion concurrently by one RunCores. The capability ring (C15,
@@ -577,7 +551,7 @@ func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		img, err := buildAt(w.cl, fmt.Sprintf("%s%d", spec.name, i), wk.gen, wk.extras...)
+		img, err := w.cl.BuildAt(fmt.Sprintf("%s%d", spec.name, i), wk.gen, wk.extras...)
 		if err != nil {
 			return nil, err
 		}

@@ -102,7 +102,7 @@ func runC13(cfg Config) (*Result, error) {
 		}
 		target := phys.MakeRegion(2<<20, phys.PageSize)
 		// Victim domain: loads from target in an infinite loop.
-		vImg, err := buildAt(w.cl, "tlb-victim", func(base phys.Addr) *hw.Asm {
+		vImg, err := w.cl.BuildAt("tlb-victim", func(base phys.Addr) *hw.Asm {
 			a := hw.NewAsm()
 			a.Movi(1, uint32(target.Start))
 			a.Label("loop")

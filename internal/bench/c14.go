@@ -205,7 +205,7 @@ func mediatedChecksum(cfg Config, n uint64, reps int) (uint64, error) {
 		return 0, err
 	}
 	buf := phys.MakeRegion(2<<20+0x4000, ((n+phys.PageSize-1)/phys.PageSize)*phys.PageSize)
-	img, err := buildAt(w.cl, "cs-enclave", func(base phys.Addr) *hw.Asm {
+	img, err := w.cl.BuildAt("cs-enclave", func(base phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		// args r2 (buf) r3 (len) arrive from the caller.
 		checksumBody(a)

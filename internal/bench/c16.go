@@ -115,7 +115,7 @@ func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, error) {
 		a.Jmp("loop")
 		return a
 	}
-	img, err := buildAt(w.cl, "victim", prog,
+	img, err := w.cl.BuildAt("victim", prog,
 		func(img *image.Image) { img.WithBSS(".data", (pages-1)*phys.PageSize) })
 	if err != nil {
 		return nil, err

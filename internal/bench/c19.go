@@ -206,7 +206,7 @@ func tenantLoop(iters uint32, yield bool) func(phys.Addr) *hw.Asm {
 func loadTenants(w *world, n int, cores []phys.CoreID, gen func(base phys.Addr) *hw.Asm) ([]*libtyche.Domain, error) {
 	var doms []*libtyche.Domain
 	for i := 0; i < n; i++ {
-		img, err := buildAt(w.cl, fmt.Sprintf("tenant%d", i), gen)
+		img, err := w.cl.BuildAt(fmt.Sprintf("tenant%d", i), gen)
 		if err != nil {
 			return nil, err
 		}

@@ -79,7 +79,7 @@ func runC4(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	leakT := w.mon.MonitorRegion().Start - 64*phys.PageSize // some dom0 page
-	img, err := buildAt(w.cl, "buggy", func(base phys.Addr) *hw.Asm {
+	img, err := w.cl.BuildAt("buggy", func(base phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		a.Movi(1, uint32(base+phys.PageSize)) // its own secret page
 		a.Ld(2, 1, 0)

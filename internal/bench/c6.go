@@ -144,7 +144,7 @@ func primeProbeTrial(cfg Config, pol cap.Cleanup, bit int) (int, error) {
 	if bit == 1 {
 		target = addrB
 	}
-	victimImg, err := buildAt(w.cl, "victim", func(base phys.Addr) *hw.Asm {
+	victimImg, err := w.cl.BuildAt("victim", func(base phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		a.Movi(1, uint32(target))
 		a.Ld(2, 1, 0)

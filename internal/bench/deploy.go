@@ -68,7 +68,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 
 	// 2. Crypto engine enclave: .text (XOR service) + .key page. The
 	// key page sits one page after the text by construction.
-	cryptoImg, err := buildAt(d.vmClient, "crypto-engine", cryptoEngineProgram,
+	cryptoImg, err := d.vmClient.BuildAt("crypto-engine", cryptoEngineProgram,
 		func(img *image.Image) { img.WithBSS(".key", phys.PageSize) })
 	if err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 	// 4. SaaS application enclave: its code calls the crypto engine
 	// with the shared buffer's address in r2; segments .chan (to share
 	// with crypto) and .gpubuf (to share with the GPU domain).
-	appImg, err := buildAt(d.vmClient, "saas-app",
+	appImg, err := d.vmClient.BuildAt("saas-app",
 		func(base phys.Addr) *hw.Asm {
 			chanBase := base + phys.PageSize // .text is one page
 			a := hw.NewAsm()
@@ -156,7 +156,7 @@ func buildSaaS(w *world) (*saasDeployment, error) {
 // the length-prefixed buffer at [r2] with the 32-byte key in the .key
 // segment (text base + one page), in place, and return the byte count.
 // Layout dependency: .text is the first (single-page) segment and .key
-// the second — buildAt and the image builders guarantee it.
+// the second — BuildAt and the image builders guarantee it.
 func cryptoEngineProgram(base phys.Addr) *hw.Asm {
 	keyBase := base + phys.PageSize
 	a := hw.NewAsm()

@@ -2,17 +2,14 @@ package cap
 
 import "slices"
 
-// Two-phase revocation for the monitor's epoch-based reclamation scheme.
-//
-// The classic Revoke/RevokeOwner unlink a subtree and hand back cleanup
-// actions in one exclusive critical section — correct, but it forces
-// the caller to hold everything else out while the irreversible effects
-// (scrub, shootdown, hardware resync) run. The epoch scheme splits the
-// operation into the RCU phases:
+// Revocation, in the three RCU phases the monitor's epoch-based
+// reclamation runs with grace periods in between. It is the only
+// revocation there is: Revoke and RevokeOwner (space.go) are the same
+// three phases run back to back.
 //
 //   - Detach / DetachOwner — the *publish*: the subtree's nodes leave
-//     the lock-free index (the owners lose access and every query stops
-//     seeing them), but the lineage links stay in place. In particular a
+//     the index (the owners lose access and every query stops seeing
+//     them), but the lineage links stay in place. In particular a
 //     granted child keeps hanging off its parent, so the parent's
 //     effective regions still exclude the granted range: the grant
 //     suspension persists and the parent cannot re-delegate the region
@@ -28,8 +25,8 @@ import "slices"
 //     can be recycled. Until then a reader that picked up a node pointer
 //     before the detach can still walk immutable identity fields safely.
 //
-// All three run under the structural writer lock and are short; the
-// monitor serialises them per destructive operation with its own revMu.
+// All three hold Space.mu exclusively and are short; the monitor
+// serialises them per destructive operation with its own revMu.
 
 // Detached holds a detached-but-not-yet-released set of capability
 // subtrees: the output of Detach/DetachOwner, consumed by Release and
@@ -42,8 +39,7 @@ type Detached struct {
 }
 
 // Actions returns the cleanup actions for the detached subtrees in
-// execution order (children first), exactly as Revoke would have
-// returned them.
+// execution order (children first), which is what Revoke returns.
 func (d *Detached) Actions() []CleanupAction {
 	if d == nil {
 		return nil
@@ -67,8 +63,7 @@ func (d *Detached) NumNodes() int {
 // restores. Their hardware must be resynchronised after Release just
 // like the detached owners': the capability space says they have the
 // granted-back regions again, but their filters were programmed while
-// the suspension was in force. Captured at detach time, under the
-// structural lock.
+// the suspension was in force. Captured at detach time.
 func (d *Detached) ParentOwners() []OwnerID {
 	if d == nil || len(d.parents) == 0 {
 		return nil
@@ -80,7 +75,7 @@ func (d *Detached) ParentOwners() []OwnerID {
 
 // detachSubtree walks children-first, removing every node from the
 // index and marking it detached, without touching any lineage link.
-// Caller holds the structural writer lock.
+// Caller holds mu exclusively.
 func (s *Space) detachSubtree(n *node, det *Detached) {
 	for _, c := range n.children {
 		if c.detached {
@@ -96,10 +91,10 @@ func (s *Space) detachSubtree(n *node, det *Detached) {
 	})
 }
 
-// Detach is the publish step of a two-phase Revoke: the capability and
-// its entire derivation subtree vanish from the index (one generation
-// bump, same as Revoke), but stay linked to the lineage forest so grant
-// suspensions persist until Release.
+// Detach is the publish step of a revocation: the capability and its
+// entire derivation subtree vanish from the index (one generation bump),
+// but stay linked to the lineage forest so grant suspensions persist
+// until Release.
 func (s *Space) Detach(id NodeID) (*Detached, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,7 +113,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	return det, nil
 }
 
-// DetachOwner is the publish step of a two-phase RevokeOwner: every
+// DetachOwner is the publish step of an owner's teardown: every
 // capability owned by owner (and everything derived from those) leaves
 // the index; the owner's seal flag is cleared. Used when a domain is
 // killed.
@@ -127,9 +122,6 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	defer s.mu.Unlock()
 	det := &Detached{}
 	for _, n := range s.ownerTops(owner) {
-		if _, ok := s.nodes.Load(n.id); !ok {
-			continue // already detached via an earlier top's subtree
-		}
 		s.detachSubtree(n, det)
 		det.tops = append(det.tops, n)
 		if n.parent != nil && !n.parent.detached {
@@ -139,7 +131,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	if len(det.actions) > 0 {
 		s.mutate()
 	}
-	s.sealed.Delete(owner)
+	delete(s.sealed, owner)
 	s.limbo.Add(int64(len(det.all)))
 	return det
 }

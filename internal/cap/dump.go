@@ -13,14 +13,12 @@ import (
 func (s *Space) TreeString() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
 	var roots []*node
-	s.nodes.Range(func(_, v any) bool {
-		if n := v.(*node); n.parent == nil {
+	for _, n := range s.nodes {
+		if n.parent == nil {
 			roots = append(roots, n)
 		}
-		return true
-	})
+	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].id < roots[j].id })
 	var b strings.Builder
 	for _, r := range roots {
@@ -32,7 +30,7 @@ func (s *Space) TreeString() string {
 func (s *Space) writeNode(b *strings.Builder, n *node, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	sealed := ""
-	if s.isSealed(n.owner) {
+	if s.sealed[n.owner] {
 		sealed = " (sealed)"
 	}
 	fmt.Fprintf(b, "n%d d%d%s %s %v [%v]", n.id, n.owner, sealed, n.kind, n.res, n.rights)

@@ -213,28 +213,28 @@ func modelInvariants(s *Space) error {
 }
 
 // ownedMatchesIndex checks that the per-owner lists the access check
-// walks hold exactly the indexed nodes, each under its owner and its
-// owner's shard, in insertion (ascending ID) order, with no empty list.
+// walks hold exactly the indexed nodes, each under its owner, in
+// insertion (ascending ID) order, with no empty list.
 func ownedMatchesIndex(s *Space) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	listed := 0
-	for i := range s.owned {
-		for o, l := range s.owned[i] {
-			if shardFor(o) != i || len(l) == 0 {
-				return fmt.Errorf("owner %d: list of %d nodes in shard %d", o, len(l), i)
-			}
-			for k, n := range l {
-				if got, err := s.get(n.id); err != nil || got != n || n.owner != o {
-					return fmt.Errorf("owner %d lists node %d, which the index does not hold for it", o, n.id)
-				}
-				if k > 0 && l[k-1].id >= n.id {
-					return fmt.Errorf("owner %d: node %d listed after %d", o, n.id, l[k-1].id)
-				}
-			}
-			listed += len(l)
+	for o, l := range s.owned {
+		if len(l) == 0 {
+			return fmt.Errorf("owner %d: empty list", o)
 		}
+		for k, n := range l {
+			if got, err := s.get(n.id); err != nil || got != n || n.owner != o {
+				return fmt.Errorf("owner %d lists node %d, which the index does not hold for it", o, n.id)
+			}
+			if k > 0 && l[k-1].id >= n.id {
+				return fmt.Errorf("owner %d: node %d listed after %d", o, n.id, l[k-1].id)
+			}
+		}
+		listed += len(l)
 	}
-	if listed != s.NumNodes() {
-		return fmt.Errorf("%d nodes listed by owner, %d indexed", listed, s.NumNodes())
+	if listed != len(s.nodes) || listed != s.NumNodes() {
+		return fmt.Errorf("%d nodes listed by owner, %d indexed, %d counted", listed, len(s.nodes), s.NumNodes())
 	}
 	return nil
 }
@@ -243,12 +243,11 @@ func ownedMatchesIndex(s *Space) error {
 // range the whole node index, keep owner's nodes, sort them by ID.
 func sweepOwned(s *Space, owner OwnerID) []*node {
 	var out []*node
-	s.nodes.Range(func(_, v any) bool {
-		if n := v.(*node); n.owner == owner {
+	for _, n := range s.nodes {
+		if n.owner == owner {
 			out = append(out, n)
 		}
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }

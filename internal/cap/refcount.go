@@ -35,24 +35,14 @@ func (rc RegionCount) String() string {
 func (s *Space) RefCounts() []RegionCount {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
-	return s.refCounts()
-}
-
-// refCounts requires the sweep lock (all shards) or the structural
-// writer lock.
-func (s *Space) refCounts() []RegionCount {
 	// Per-owner union of effective coverage (a single owner holding two
 	// overlapping capabilities still counts once).
 	perOwner := make(map[OwnerID][]phys.Region)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind != ResMemory {
-			return true
+	for _, n := range s.nodes {
+		if n.res.Kind == ResMemory {
+			perOwner[n.owner] = append(perOwner[n.owner], s.effectiveRegions(n)...)
 		}
-		perOwner[n.owner] = append(perOwner[n.owner], s.effectiveRegions(n)...)
-		return true
-	})
+	}
 	type event struct {
 		at    phys.Addr
 		owner OwnerID
@@ -122,12 +112,10 @@ func sameOwners(a, b []OwnerID) bool {
 func (s *Space) RefCountAt(a phys.Addr) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
 	owners := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
+	for _, n := range s.nodes {
 		if n.res.Kind != ResMemory || owners[n.owner] || !n.res.Mem.Contains(a) {
-			return true
+			continue
 		}
 		for _, r := range s.effectiveRegions(n) {
 			if r.Contains(a) {
@@ -135,8 +123,7 @@ func (s *Space) RefCountAt(a phys.Addr) int {
 				break
 			}
 		}
-		return true
-	})
+	}
 	return len(owners)
 }
 
@@ -158,15 +145,12 @@ func (s *Space) RegionRefCount(r phys.Region) int {
 func (s *Space) CoreRefCount(core phys.CoreID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
 	owners := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
+	for _, n := range s.nodes {
 		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			owners[n.owner] = true
 		}
-		return true
-	})
+	}
 	return len(owners)
 }
 
@@ -194,18 +178,12 @@ func (s *Space) DeviceUsers(dev phys.DeviceID) []OwnerID {
 func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
 	set := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		n := v.(*node)
-		if n.res.Kind != ResDevice || n.res.Device != dev || !n.rights.Has(want) {
-			return true
-		}
-		if !grantedAway(n) {
+	for _, n := range s.nodes {
+		if n.res.Kind == ResDevice && n.res.Device == dev && n.rights.Has(want) && !grantedAway(n) {
 			set[n.owner] = true
 		}
-		return true
-	})
+	}
 	out := make([]OwnerID, 0, len(set))
 	for o := range set {
 		out = append(out, o)

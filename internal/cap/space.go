@@ -54,11 +54,10 @@ var (
 )
 
 type node struct {
-	// id, owner, res, rights, cleanup, kind, and parent are immutable
-	// after creation; children is guarded by the owner's shard lock.
-	// detached marks a node removed from the index by a two-phase
-	// revocation but not yet released (detach.go); it is written only
-	// under the structural writer lock.
+	// owner, res, rights, cleanup and kind are immutable and id is set
+	// once, by insert; parent and children are written only with Space.mu
+	// held exclusively. So is detached, which marks a node a revocation
+	// has removed from the index but not yet released (detach.go).
 	id       NodeID
 	owner    OwnerID
 	res      Resource
@@ -96,58 +95,37 @@ func (a CleanupAction) String() string {
 	return fmt.Sprintf("cleanup{%v %v owner=%d %v}", a.Cleanup, a.Resource, a.Owner, a.Node)
 }
 
-// numShards is the owner-shard count; shardFor masks with it, so it
-// must stay a power of two.
-const numShards = 16
-
 // Space is the system-wide capability state: every capability of every
 // trust domain lives in one lineage forest rooted at the boot-time
 // capabilities.
 //
-// Space is safe for concurrent use. The locking is layered:
-//
-//   - A structural RWMutex (mu) is held exclusively only by the revoke
-//     family (Revoke, RevokeOwner) — the operations that unlink nodes
-//     and therefore cannot tolerate any concurrent reader of the
-//     lineage forest. Every other operation holds it shared.
-//   - Owner shards: owners hash onto numShards RWMutexes. A node's
-//     mutable state (its children list) and an owner's seal flag are
-//     guarded by the owner's shard. Delegations lock the source and
-//     destination owners' shards; cross-owner operations always
-//     acquire multiple shards in ascending shard-index order, so
-//     concurrent Share/Grant between disjoint owner pairs proceed in
-//     parallel without deadlock.
-//   - Global sweeps (reference counts, device holders, owner
-//     enumeration, tree dumps) hold every shard shared, which excludes
-//     in-flight delegations and yields a consistent snapshot without the
-//     writer lock.
-//
-// Identity lookups go through a lock-free node index (sync.Map);
-// generation, op, and node counters are atomics. The lock order is
-// mu before shards, shards in ascending index; no Space lock is ever
-// held across a call out of the package.
+// Space is safe for concurrent use under one RWMutex. The operations
+// that change the forest, the index or a seal flag — CreateRoot, Share,
+// Grant, Seal and the detach family (Detach, DetachOwner, Release,
+// Reclaim, and Revoke/RevokeOwner composed from them) — hold it
+// exclusively; every query, Sealed included, holds it shared. The
+// generation, op, node and limbo counters are atomics because the
+// monitor reads them without the lock. No Space lock is ever held
+// across a call out of the package.
 //
 // Which structure answers which question: a question about one owner —
 // its memory grants, cores, devices, nodes, an access check, the tops of
-// its teardown — walks that owner's own list (owned) under that owner's
-// shard, so it costs what the owner holds, in ascending-ID order with no
-// sort. A question about every owner (the sweeps above) ranges the index
-// under all shards and costs what the machine holds. sync.Map iterates
-// in an order drawn from a per-map random seed, so nothing that stops
-// early or must be ordered may range it.
+// its teardown — walks owned[owner], so it costs what the owner holds,
+// in ascending-ID order with no sort. A question about every owner
+// (reference counts, device holders, tree dumps) ranges nodes and costs
+// what the machine holds; who the owners are is the keys of owned. Go
+// randomises map iteration, so nothing that stops early or must be
+// ordered ranges a map.
 type Space struct {
-	mu     sync.RWMutex // structural: exclusive for revoke paths only
-	shards [numShards]sync.RWMutex
+	mu sync.RWMutex
 
-	nodes  sync.Map // NodeID -> *node
-	sealed sync.Map // OwnerID -> bool
-	// owned[shardFor(o)][o] lists o's indexed nodes in insertion order,
-	// which is ascending ID order: an ID is drawn with the owner's shard
-	// held exclusively. Guarded like the seal flag by the owner's shard;
-	// the revoke family edits it under the exclusive structural lock.
-	owned [numShards]map[OwnerID][]*node
+	nodes  map[NodeID]*node
+	sealed map[OwnerID]bool
+	// owned[o] lists o's indexed nodes in insertion order, which is
+	// ascending ID order: an ID is drawn with mu held exclusively.
+	owned  map[OwnerID][]*node
+	nextID NodeID
 
-	nextID   atomic.Uint64
 	gen      atomic.Uint64
 	ops      atomic.Uint64
 	numNodes atomic.Int64
@@ -156,57 +134,11 @@ type Space struct {
 
 // NewSpace returns an empty capability space.
 func NewSpace() *Space {
-	s := &Space{}
-	for i := range s.owned {
-		s.owned[i] = make(map[OwnerID][]*node)
-	}
-	s.nextID.Store(1)
-	return s
-}
-
-func shardFor(o OwnerID) int { return int(o) & (numShards - 1) }
-
-// lockOwners write-locks the shards of the given owners in ascending
-// shard order (deduplicated) and returns the unlock function. Callers
-// must hold mu (shared or exclusive is irrelevant — shard locks nest
-// inside mu).
-func (s *Space) lockOwners(owners ...OwnerID) func() {
-	var mask uint
-	for _, o := range owners {
-		mask |= 1 << uint(shardFor(o))
-	}
-	for i := 0; i < numShards; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s.shards[i].Lock()
-		}
-	}
-	return func() {
-		for i := numShards - 1; i >= 0; i-- {
-			if mask&(1<<uint(i)) != 0 {
-				s.shards[i].Unlock()
-			}
-		}
-	}
-}
-
-// rlockOwner read-locks one owner's shard and returns it to RUnlock: an
-// unlock func would be a heap object per call, on the request path.
-func (s *Space) rlockOwner(o OwnerID) *sync.RWMutex {
-	sh := &s.shards[shardFor(o)]
-	sh.RLock()
-	return sh
-}
-
-// rlockAll read-locks every shard in ascending order — the sweep lock
-// for queries touching nodes of arbitrary owners.
-func (s *Space) rlockAll() func() {
-	for i := range s.shards {
-		s.shards[i].RLock()
-	}
-	return func() {
-		for i := numShards - 1; i >= 0; i-- {
-			s.shards[i].RUnlock()
-		}
+	return &Space{
+		nodes:  make(map[NodeID]*node),
+		sealed: make(map[OwnerID]bool),
+		owned:  make(map[OwnerID][]*node),
+		nextID: 1,
 	}
 }
 
@@ -222,39 +154,32 @@ func (s *Space) NumNodes() int { return int(s.numNodes.Load()) }
 
 func (s *Space) mutate() { s.gen.Add(1); s.ops.Add(1) }
 
-func (s *Space) isSealed(o OwnerID) bool {
-	v, ok := s.sealed.Load(o)
-	return ok && v.(bool)
-}
-
-// insert indexes n. Caller holds n.owner's shard exclusively.
-func (s *Space) insert(n *node) {
-	s.nodes.Store(n.id, n)
-	own := s.owned[shardFor(n.owner)]
-	own[n.owner] = append(own[n.owner], n)
+// insert gives n the next ID, indexes it and counts the mutation. Caller
+// holds mu exclusively.
+func (s *Space) insert(n *node) NodeID {
+	n.id = s.nextID
+	s.nextID++
+	s.nodes[n.id] = n
+	s.owned[n.owner] = append(s.owned[n.owner], n)
 	s.numNodes.Add(1)
+	s.mutate()
+	return n.id
 }
 
-// remove unindexes n. Caller holds the structural writer lock.
+// remove unindexes n. Caller holds mu exclusively.
 func (s *Space) remove(n *node) {
-	s.nodes.Delete(n.id)
-	own := s.owned[shardFor(n.owner)]
-	l := own[n.owner]
+	delete(s.nodes, n.id)
+	l := s.owned[n.owner]
 	if i := slices.Index(l, n); i >= 0 {
 		l = slices.Delete(l, i, i+1)
 	}
 	if len(l) == 0 {
-		delete(own, n.owner)
+		delete(s.owned, n.owner)
 	} else {
-		own[n.owner] = l
+		s.owned[n.owner] = l
 	}
 	s.numNodes.Add(-1)
 }
-
-// ownedBy returns owner's indexed nodes in ascending ID order. The caller
-// holds the owner's shard (or the structural writer lock) and neither
-// keeps nor edits the slice.
-func (s *Space) ownedBy(owner OwnerID) []*node { return s.owned[shardFor(owner)][owner] }
 
 // CreateRoot mints a root capability for owner. Only the monitor calls
 // this, at boot, to hand the initial domain the machine's resources.
@@ -265,43 +190,31 @@ func (s *Space) CreateRoot(owner OwnerID, res Resource, rights Rights, cleanup C
 	if !rights.Subset(res.ValidRights()) {
 		return 0, fmt.Errorf("%w: rights %v not valid for %v", ErrInvalid, rights, res.Kind)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	unlock := s.lockOwners(owner)
-	defer unlock()
-	if s.isSealed(owner) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed[owner] {
 		return 0, fmt.Errorf("%w: owner %d cannot receive new capabilities", ErrSealed, owner)
 	}
-	n := &node{id: NodeID(s.nextID.Add(1) - 1), owner: owner, res: res, rights: rights, cleanup: cleanup, kind: KindRoot}
-	s.insert(n)
-	s.mutate()
-	return n.id, nil
+	return s.insert(&node{owner: owner, res: res, rights: rights, cleanup: cleanup, kind: KindRoot}), nil
 }
 
-// get looks a node up in the index. Safe without shard locks: node
-// identity fields are immutable, and unlinking only happens under the
-// exclusive structural lock.
+// get looks a node up in the index. Caller holds mu.
 func (s *Space) get(id NodeID) (*node, error) {
-	v, ok := s.nodes.Load(id)
+	n, ok := s.nodes[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d", ErrNotFound, id)
 	}
-	return v.(*node), nil
+	return n, nil
 }
 
 // derive validates and creates a child capability of kind k.
 func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights, cleanup Cleanup, k NodeKind) (NodeID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	parent, err := s.get(id)
 	if err != nil {
 		return 0, err
 	}
-	// Lock the delegation's two owners — parent's (its children list and
-	// effective regions) and the receiver's (its seal flag) — in shard
-	// order.
-	unlock := s.lockOwners(parent.owner, newOwner)
-	defer unlock()
 	need := RightShare
 	if k == KindGranted {
 		need = RightGrant
@@ -315,7 +228,7 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 	// because it raises the region's reference count — this is what lets
 	// sealed Tyche-enclaves spawn nested enclaves and share pages with
 	// them (§4.2).
-	if s.isSealed(newOwner) {
+	if s.sealed[newOwner] {
 		return 0, fmt.Errorf("%w: owner %d cannot receive new capabilities", ErrSealed, newOwner)
 	}
 	if err := sub.Validate(); err != nil {
@@ -339,14 +252,9 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 		// re-granting an already-granted core/device is invalid.
 		return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
 	}
-	n := &node{
-		id: NodeID(s.nextID.Add(1) - 1), owner: newOwner, res: sub, rights: rights,
-		cleanup: cleanup, kind: k, parent: parent,
-	}
+	n := &node{owner: newOwner, res: sub, rights: rights, cleanup: cleanup, kind: k, parent: parent}
 	parent.children = append(parent.children, n)
-	s.insert(n)
-	s.mutate()
-	return n.id, nil
+	return s.insert(n), nil
 }
 
 // Share derives a child capability for newOwner over sub, keeping the
@@ -366,71 +274,36 @@ func (s *Space) Grant(id NodeID, newOwner OwnerID, sub Resource, rights Rights, 
 // children first, returning the cleanup actions in execution order.
 // Because lineage is a tree (every share/grant mints a fresh node),
 // revocation terminates even when domains have shared a region back and
-// forth in a cycle.
-//
-// Revocation takes the structural lock exclusively: subtree unlinking
-// crosses owner shards arbitrarily, so it is the one operation that
-// falls back to the global writer lock.
+// forth in a cycle. It is the three phases of detach.go run back to
+// back, for a caller with no grace period to wait out between them.
 func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, err := s.get(id)
+	det, err := s.Detach(id)
 	if err != nil {
 		return nil, err
 	}
-	var actions []CleanupAction
-	s.revokeSubtree(n, &actions)
-	if n.parent != nil {
-		n.parent.children = removeChild(n.parent.children, n)
-	}
-	s.mutate()
-	return actions, nil
-}
-
-func (s *Space) revokeSubtree(n *node, actions *[]CleanupAction) {
-	for _, c := range n.children {
-		if c.detached {
-			continue // in limbo: already counted by its Detach
-		}
-		s.revokeSubtree(c, actions)
-	}
-	n.children = nil
-	s.remove(n)
-	*actions = append(*actions, CleanupAction{
-		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
-	})
+	return s.finish(det), nil
 }
 
 // RevokeOwner tears down every capability owned by owner (and therefore
-// everything ever derived from those capabilities). Used when a domain
-// is killed. Like Revoke, it holds the structural lock exclusively.
+// everything ever derived from those capabilities) and clears its seal
+// flag: DetachOwner, then Release and Reclaim at once.
 func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var actions []CleanupAction
-	for _, n := range s.ownerTops(owner) {
-		if _, ok := s.nodes.Load(n.id); !ok {
-			continue // already revoked via an earlier top's subtree
-		}
-		s.revokeSubtree(n, &actions)
-		if n.parent != nil {
-			n.parent.children = removeChild(n.parent.children, n)
-		}
-	}
-	if len(actions) > 0 {
-		s.mutate()
-	}
-	s.sealed.Delete(owner)
-	return actions
+	return s.finish(s.DetachOwner(owner))
+}
+
+func (s *Space) finish(det *Detached) []CleanupAction {
+	s.Release(det)
+	s.Reclaim(det)
+	return det.Actions()
 }
 
 // ownerTops returns, in ID order, owner's nodes that have no ancestor of
 // the same owner: revoking their subtrees reaches every node owner
 // holds. A fresh slice — the teardown edits the list it was read from.
-// Caller holds the structural writer lock.
+// Caller holds mu.
 func (s *Space) ownerTops(owner OwnerID) []*node {
 	var tops []*node
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		anc := n.parent
 		for anc != nil && anc.owner != owner {
 			anc = anc.parent
@@ -455,16 +328,18 @@ func removeChild(children []*node, target *node) []*node {
 // capabilities (§3.1: "domains can be sealed, so that their resources
 // cannot be extended").
 func (s *Space) Seal(owner OwnerID) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	unlock := s.lockOwners(owner)
-	defer unlock()
-	s.sealed.Store(owner, true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealed[owner] = true
 	s.mutate()
 }
 
 // Sealed reports whether owner is sealed.
-func (s *Space) Sealed(owner OwnerID) bool { return s.isSealed(owner) }
+func (s *Space) Sealed(owner OwnerID) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.sealed[owner]
+}
 
 // Node returns a snapshot of the capability id.
 func (s *Space) Node(id NodeID) (Info, error) {
@@ -474,14 +349,12 @@ func (s *Space) Node(id NodeID) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	defer s.rlockOwner(n.owner).RUnlock()
 	return s.info(n), nil
 }
 
 // NodeOwners returns the owner of capability id and, unless it is a
 // root, the owner of the capability it was derived from: the two
-// parties entitled to revoke it. Both are fixed at creation, so unlike
-// Node this takes no shard lock and snapshots no children.
+// parties entitled to revoke it. Unlike Node it snapshots no children.
 func (s *Space) NodeOwners(id NodeID) (owner, parent OwnerID, derived bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -495,7 +368,7 @@ func (s *Space) NodeOwners(id NodeID) (owner, parent OwnerID, derived bool, err 
 	return n.owner, n.parent.owner, true, nil
 }
 
-// info snapshots a node; the caller holds the node's owner shard.
+// info snapshots a node; the caller holds mu.
 func (s *Space) info(n *node) Info {
 	inf := Info{
 		ID: n.id, Owner: n.owner, Resource: n.res, Rights: n.rights,
@@ -519,9 +392,8 @@ func (s *Space) info(n *node) Info {
 func (s *Space) OwnerNodes(owner OwnerID) []Info {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
 	var out []Info
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		out = append(out, s.info(n))
 	}
 	return out
@@ -529,7 +401,7 @@ func (s *Space) OwnerNodes(owner OwnerID) []Info {
 
 // effectiveRegions returns the memory the node actually confers access
 // to: its region minus every active granted-out child region. The
-// caller holds the node's owner shard (or the structural writer lock).
+// caller holds mu.
 func (s *Space) effectiveRegions(n *node) []phys.Region {
 	if n.res.Kind != ResMemory {
 		return nil
@@ -561,7 +433,6 @@ func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.rlockOwner(n.owner).RUnlock()
 	return s.effectiveRegions(n), nil
 }
 
@@ -581,9 +452,8 @@ func regionCovered(want phys.Region, regs []phys.Region) bool {
 func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
 	var regs []phys.Region
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResMemory && n.rights.Has(want) {
 			regs = append(regs, s.effectiveRegions(n)...)
 		}
@@ -605,8 +475,7 @@ type MemoryGrant struct {
 func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
-	nodes := s.ownedBy(owner)
+	nodes := s.owned[owner]
 	var out []MemoryGrant
 	for i, n := range nodes {
 		if n.res.Kind != ResMemory {
@@ -627,9 +496,8 @@ func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
 	var out []phys.CoreID
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResCore && n.rights.Has(RightRun) && !grantedAway(n) {
 			out = append(out, n.res.Core)
 		}
@@ -639,8 +507,7 @@ func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 }
 
 // grantedAway reports whether n's core or device — delegated whole or
-// not at all — is granted to a child. Requires n's owner shard (or the
-// structural writer lock).
+// not at all — is granted to a child. Caller holds mu.
 func grantedAway(n *node) bool {
 	for _, c := range n.children {
 		if c.kind == KindGranted && c.res.Kind == n.res.Kind && c.res.Core == n.res.Core && c.res.Device == n.res.Device {
@@ -654,8 +521,7 @@ func grantedAway(n *node) bool {
 func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			return true
 		}
@@ -679,9 +545,8 @@ func (s *Space) OwnerDMADevices(owner OwnerID) []phys.DeviceID {
 func (s *Space) ownerDevices(owner OwnerID, want Rights) []phys.DeviceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
 	var out []phys.DeviceID
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
 			out = append(out, n.res.Device)
 		}
@@ -705,8 +570,7 @@ func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
 func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockOwner(owner).RUnlock()
-	for _, n := range s.ownedBy(owner) {
+	for _, n := range s.owned[owner] {
 		if n.res.Kind != ResMemory || !n.rights.Has(want) || !n.res.Mem.Contains(a) {
 			continue
 		}
@@ -723,16 +587,10 @@ func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 func (s *Space) Owners() []OwnerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	defer s.rlockAll()()
-	set := make(map[OwnerID]bool)
-	s.nodes.Range(func(_, v any) bool {
-		set[v.(*node).owner] = true
-		return true
-	})
-	out := make([]OwnerID, 0, len(set))
-	for o := range set {
+	out := make([]OwnerID, 0, len(s.owned)) // owned holds no empty list
+	for o := range s.owned {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

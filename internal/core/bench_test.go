@@ -67,7 +67,7 @@ func TestStatsAllocationFree(t *testing.T) {
 // operation reads what the tenant and the child hold from their own
 // lists, in order; when those queries swept the node index, their sets,
 // sorts and child snapshots made the pair 139 objects. Counted on
-// go1.24, whose sync.Map (the node index) allocates one node per insert.
+// go1.24.
 func TestShareRevokeAllocations(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)

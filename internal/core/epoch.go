@@ -9,9 +9,9 @@ package core
 //   - Publish. The destructive operation makes its change visible with
 //     one serialized step that readers tolerate at either side of: the
 //     domain's atomic death state, or the capability space's subtree
-//     detach (cap.Space.Detach/DetachOwner, a short structural-lock
-//     section that unlinks the subtree from the lock-free index while
-//     leaving the parent's grant suspension in place).
+//     detach (cap.Space.Detach/DetachOwner, a short exclusive section
+//     that takes the subtree out of the index while leaving the
+//     parent's grant suspension in place).
 //   - Quiesce. synchronize() advances the global epoch and waits until
 //     every reader that entered before the publish has exited. Readers
 //     declare themselves with pin/unpin (one CAS each) around their

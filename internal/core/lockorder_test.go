@@ -22,7 +22,7 @@ import (
 //   - six Go-level workers, each looping a Grant→sub-Share→Revoke→
 //     Revoke chain between randomly paired domains (seeded rand, so a
 //     failure replays) — reader pins, revMu, per-domain locks and
-//     capability shard locks in every pairing order;
+//     the capability-space lock in every pairing order;
 //   - guest VMCall share/revoke rings on two cores — the same paths
 //     entered from RunCore with no Go-level locks held;
 //   - a reader thread hammering the lock-free snapshot paths (Stats,

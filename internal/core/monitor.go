@@ -240,11 +240,11 @@ type coreSched struct {
 //     (coreSched.mu) guard one core's call stack and serialise
 //     transitions on that core; hwMu serialises whole-machine hardware
 //     resync (device filters, encryption keying); the capability space
-//     shards its own locks per owner (see cap.Space).
+//     has one lock of its own (see cap.Space).
 //
 // Lock order (documented, enforced by construction): revMu / tabMu →
 // coreSched.mu → Domain.mu (two domains in ascending DomainID) → hwMu →
-// capability-space locks / hardware-object locks. Locks are only ever
+// the capability-space lock / hardware-object locks. Locks are only ever
 // taken left-to-right; cap and hw locks are leaves, never held across
 // calls back into the monitor. ep.synchronize is called while holding
 // only revMu, before any leaf lock, so a pinned reader can always
@@ -722,7 +722,7 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 // grace, and the same retire over everything it published:
 //
 //	publish  — revokePublish: Detach removes the subtree from the
-//	           capability index in one short structural critical
+//	           capability index in one short exclusive critical
 //	           section. New readers stop seeing the capabilities; grant
 //	           suspensions persist, so the parents cannot re-delegate
 //	           the regions yet.
@@ -917,9 +917,9 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 // syncDevicesFor reprograms the IOMMU context of every device in devs
 // and of every device one of owners holds live DMA rights on, in machine
 // device order. The question goes to each owner — a walk of what it
-// holds under its own shard — not to each device, which would sweep the
-// whole capability index under every shard once per machine device on
-// every memory delegation. No snapshot across owners is needed: a
+// holds — not to each device, which would sweep the whole capability
+// index once per machine device on every memory delegation. No snapshot
+// across owners, held over the per-owner calls, is needed: a
 // device's holder set changes only through a delegation or revocation
 // of the device itself, which runs its own SyncDevice after it commits,
 // and every SyncDevice reads the space at rebuild time under hwMu — so
@@ -1029,7 +1029,7 @@ func (m *Monitor) Seal(caller, id DomainID) (tpm.Digest, error) {
 // guest's CallSealSelf on either path).
 // The domain mutex serialises it against concurrent configuration of
 // the same domain; the capability space orders the seal against
-// in-flight delegations to the domain on its owner shard.
+// in-flight delegations to the domain under its own lock.
 func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 	d, err := m.domainFor(caller, id, "seal")
 	if err != nil {

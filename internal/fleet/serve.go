@@ -29,12 +29,6 @@ type leakError struct{ msg string }
 
 func (e *leakError) Error() string { return e.msg }
 
-// IsLeak reports whether err is a cross-tenant leak verdict.
-func IsLeak(err error) bool {
-	_, ok := err.(*leakError)
-	return ok
-}
-
 // errLatch keeps the first fatal serving error.
 type errLatch struct {
 	mu  sync.Mutex

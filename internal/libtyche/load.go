@@ -154,6 +154,38 @@ func (d *Domain) Invoke(c phys.CoreID, budget int, args ...uint64) (uint64, erro
 	return cpu.Regs[1], nil
 }
 
+// BuildAt constructs an image whose text is assembled against its final
+// load address (for programs with absolute jump targets): gen receives
+// the text base, extras mutate the image (adding segments), and the
+// returned image must be loaded immediately (it is assembled against
+// the next allocation the client's heap will hand out).
+func (c *Client) BuildAt(name string, gen func(base phys.Addr) *hw.Asm, extras ...func(*image.Image)) (*image.Image, error) {
+	if c.heap == nil {
+		return nil, ErrNoHeap
+	}
+	build := func(base phys.Addr) (*image.Image, error) {
+		code, err := gen(base).Assemble(base)
+		if err != nil {
+			return nil, err
+		}
+		img := image.NewProgram(name, code)
+		for _, ex := range extras {
+			ex(img)
+		}
+		return img, nil
+	}
+	// Pass 1: size the image with a dummy base.
+	probe, err := build(0)
+	if err != nil {
+		return nil, err
+	}
+	at, err := c.heap.Peek(probe.TotalPages())
+	if err != nil {
+		return nil, err
+	}
+	return build(at.Start)
+}
+
 // Load builds a trust domain from an image: allocates memory from the
 // client's heap, writes segment contents, delegates each segment per
 // its manifest policy (confidential → grant, shared → share), wires
