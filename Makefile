@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench experiments examples clean
+.PHONY: all build vet test race cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -24,6 +24,10 @@ cover:
 # Micro-benchmarks + every experiment as testing.B benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The control plane's validate -> derive -> publish path, layer by layer.
+bench-control:
+	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem ./internal/backend ./internal/core
 
 # Regenerate every paper figure/claim table; exits non-zero if any
 # shape check fails.

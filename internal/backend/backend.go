@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -105,35 +106,70 @@ func RightsToPerm(r cap.Rights) hw.Perm {
 // hw.EPT.Replace as it is.
 type Segment = hw.EPTMapping
 
+// scratch is the buffers one derivation runs in. They come from a pool,
+// not from the domain: rebuilds of one domain are serialised by the
+// monitor's Domain.mu, but InstallDomain, RestoreDomain and the device
+// path are not.
+type scratch struct {
+	grants []cap.MemoryGrant
+	events []sweepEvent
+	segs   []Segment
+}
+
+type sweepEvent struct {
+	at    phys.Addr
+	perm  hw.Perm
+	delta int // +1 opens a grant, -1 closes one
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// WithSegments is the one derivation both backends and the device path
+// program from: the effective memory grants of owners, with the rights
+// in strip removed, flattened and handed to use. segs is pooled scratch,
+// valid only until use returns: use copies what it keeps (hw.EPT.Replace
+// and the pmp layout both do) and retains no part of it.
+func WithSegments(space *cap.Space, strip cap.Rights, use func(segs []Segment) error, owners ...cap.OwnerID) error {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.grants = sc.grants[:0]
+	for _, o := range owners {
+		sc.grants = space.AppendOwnerMemoryGrants(sc.grants, o)
+	}
+	for i := range sc.grants {
+		sc.grants[i].Rights &^= strip
+	}
+	return use(sc.flatten(sc.grants))
+}
+
 // FlattenGrants folds a domain's per-capability memory grants into
 // minimal disjoint segments, OR-ing permissions where capabilities
-// overlap and merging adjacent equal-permission runs.
+// overlap and merging adjacent equal-permission runs. The result is the
+// caller's.
 func FlattenGrants(grants []cap.MemoryGrant) []Segment {
-	if len(grants) == 0 {
-		return nil
-	}
-	type ev struct {
-		at    phys.Addr
-		perm  hw.Perm
-		delta int // +1 opens a grant, -1 closes one
-	}
-	events := make([]ev, 0, 2*len(grants))
+	var sc scratch
+	return sc.flatten(grants)
+}
+
+// flatten sweeps grants into sc.segs, reusing sc's buffers.
+func (sc *scratch) flatten(grants []cap.MemoryGrant) []Segment {
+	events := sc.events[:0]
 	for _, g := range grants {
 		p := RightsToPerm(g.Rights)
 		if p == hw.PermNone || g.Region.Empty() {
 			continue
 		}
-		events = append(events, ev{g.Region.Start, p, +1}, ev{g.Region.End, p, -1})
+		events = append(events, sweepEvent{g.Region.Start, p, +1}, sweepEvent{g.Region.End, p, -1})
 	}
 	// Sweep with permission multiset; close before open at equal points.
-	slices.SortFunc(events, func(a, b ev) int {
+	slices.SortFunc(events, func(a, b sweepEvent) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.delta, b.delta)
 	})
 	var counts [hw.PermRWX + 1]int // open grants per permission value
-	var out []Segment
+	out := sc.segs[:0]
 	var prev phys.Addr
 	cur := hw.PermNone
 	for _, e := range events {
@@ -155,5 +191,6 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 			}
 		}
 	}
+	sc.events, sc.segs = events, out
 	return out
 }

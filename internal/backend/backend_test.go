@@ -702,7 +702,7 @@ func TestDifferentialBackends(t *testing.T) {
 // region, has granted four scattered pages to a second domain (so its
 // own view is five segments) and shares the device with it — two DMA
 // holders, as in the benchmark's cap_sync world.
-func resyncWorld(b *testing.B) (*hw.Machine, *cap.Space) {
+func resyncWorld(b testing.TB) (*hw.Machine, *cap.Space) {
 	b.Helper()
 	m, err := hw.NewMachine(hw.Config{
 		MemBytes: 16 << 20, NumCores: 2,

@@ -15,17 +15,10 @@ import (
 // narrow I/O domain (Figure 2's GPU pattern). Both backends program the
 // result into the machine's IOMMU.
 func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
-	// One flatten over every holder's grants: FlattenGrants ORs
-	// overlapping permissions, which is the union across holders.
-	var grants []cap.MemoryGrant
-	for _, owner := range space.DeviceDMAHolders(dev) {
-		for _, g := range space.OwnerMemoryGrants(owner) {
-			g.Rights &^= cap.RightExec
-			grants = append(grants, g)
-		}
-	}
+	// One flatten over every holder's grants: the sweep ORs overlapping
+	// permissions, which is the union across holders.
 	filter := hw.NewEPT()
-	if err := filter.Replace(FlattenGrants(grants)); err != nil {
+	if err := WithSegments(space, cap.RightExec, filter.Replace, space.DeviceDMAHolders(dev)...); err != nil {
 		return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	return filter, nil

@@ -92,21 +92,22 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	if err != nil {
 		return err
 	}
-	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
-	if need, avail := len(segs), b.Budget(); need > avail {
-		return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
-	}
-	d.State.mu.Lock()
-	defer d.State.mu.Unlock()
-	d.State.segs = segs
-	// Cores currently running this domain must be reprogrammed now:
-	// access may have been revoked.
-	for _, c := range b.mach.Cores {
-		if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
-			b.program(c, d)
+	return backend.WithSegments(b.space, 0, func(segs []backend.Segment) error {
+		if need, avail := len(segs), b.Budget(); need > avail {
+			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
 		}
-	}
-	return nil
+		d.State.mu.Lock()
+		defer d.State.mu.Unlock()
+		d.State.segs = append(d.State.segs[:0], segs...) // segs is scratch
+		// Cores currently running this domain must be reprogrammed now:
+		// access may have been revoked.
+		for _, c := range b.mach.Cores {
+			if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
+				b.program(c, d)
+			}
+		}
+		return nil
+	}, owner)
 }
 
 // program writes the domain's segments into the core's PMP file

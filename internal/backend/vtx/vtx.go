@@ -74,17 +74,18 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	if err != nil {
 		return err
 	}
-	segs := backend.FlattenGrants(b.space.OwnerMemoryGrants(owner))
-	if err := d.State.Replace(segs); err != nil {
-		return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
-	}
-	var pages uint64
-	for _, s := range segs {
-		pages += s.Region.Pages()
-		b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
-	}
-	b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
-	return nil
+	return backend.WithSegments(b.space, 0, func(segs []backend.Segment) error {
+		if err := d.State.Replace(segs); err != nil {
+			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
+		}
+		var pages uint64
+		for _, s := range segs {
+			pages += s.Region.Pages()
+			b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+		}
+		b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
+		return nil
+	}, owner)
 }
 
 // RemoveDomain implements backend.Backend.

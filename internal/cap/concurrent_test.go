@@ -196,7 +196,7 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 			s.OwnerMemory(o, RightWrite)
 			s.OwnerCores(o)
 			s.OwnerDevices(o)
-			s.OwnerDMADevices(o)
+			s.AppendOwnerDMADevices(nil, o)
 			s.OwnerHasCore(o, 0)
 			s.OwnerHasDevice(o, 1)
 			s.Sealed(o)

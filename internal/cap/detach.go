@@ -63,14 +63,13 @@ func (d *Detached) NumNodes() int {
 // restores. Their hardware must be resynchronised after Release just
 // like the detached owners': the capability space says they have the
 // granted-back regions again, but their filters were programmed while
-// the suspension was in force. Captured at detach time.
+// the suspension was in force. Captured, sorted, at detach time; like
+// Actions, the slice is the record's own and read-only to the caller.
 func (d *Detached) ParentOwners() []OwnerID {
-	if d == nil || len(d.parents) == 0 {
+	if d == nil {
 		return nil
 	}
-	out := slices.Clone(d.parents)
-	slices.Sort(out)
-	return slices.Compact(out)
+	return d.parents
 }
 
 // detachSubtree walks children-first, removing every node from the
@@ -128,6 +127,8 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 			det.parents = append(det.parents, n.parent.owner)
 		}
 	}
+	slices.Sort(det.parents)
+	det.parents = slices.Compact(det.parents)
 	if len(det.actions) > 0 {
 		s.mutate()
 	}

@@ -209,6 +209,9 @@ func modelInvariants(s *Space) error {
 	if err := ownedMatchesIndex(s); err != nil {
 		return err
 	}
+	if err := carveMatchesReference(s); err != nil {
+		return err
+	}
 	return ownerQueriesMatchSweep(s)
 }
 
@@ -261,23 +264,8 @@ func sortedSet[T ~int | ~uint64](vs []T) []T {
 
 // ownerQueriesMatchSweep compares every query that walks an owner's own
 // list with its brute-force reference over a sweep of the index, for
-// every owner holding a capability and for one holding none. The
-// reference always normalizes effective regions; the list walk skips
-// that for a node with no granted memory child.
+// every owner holding a capability and for one holding none.
 func ownerQueriesMatchSweep(s *Space) error {
-	eff := func(n *node) []phys.Region {
-		regs := []phys.Region{n.res.Mem}
-		for _, c := range n.children {
-			if c.kind == KindGranted && c.res.Kind == ResMemory {
-				var next []phys.Region
-				for _, r := range regs {
-					next = append(next, r.Subtract(c.res.Mem)...)
-				}
-				regs = next
-			}
-		}
-		return phys.NormalizeRegions(regs)
-	}
 	live := func(n *node) bool { // a core or device not granted away
 		for _, c := range n.children {
 			if c.kind == KindGranted && c.res.Kind == n.res.Kind {
@@ -307,7 +295,7 @@ func ownerQueriesMatchSweep(s *Space) error {
 			}
 			switch n.res.Kind {
 			case ResMemory:
-				for _, r := range eff(n) {
+				for _, r := range refEffectiveRegions(n) {
 					grants = append(grants, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
 					all = append(all, r)
 					if n.rights.Has(RightWrite) {
@@ -338,7 +326,7 @@ func ownerQueriesMatchSweep(s *Space) error {
 			{"OwnerMemory(write)", s.OwnerMemory(o, RightWrite), phys.NormalizeRegions(rw)},
 			{"OwnerCores", s.OwnerCores(o), cores},
 			{"OwnerDevices", s.OwnerDevices(o), use},
-			{"OwnerDMADevices", s.OwnerDMADevices(o), dma},
+			{"AppendOwnerDMADevices", s.AppendOwnerDMADevices(nil, o), dma},
 			{"ownerTops", s.ownerTops(o), tops},
 		} {
 			// Every answer is a slice; an empty one may be nil or not.

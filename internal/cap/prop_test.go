@@ -185,6 +185,11 @@ func (h *propHarness) checkInvariants() {
 	if err := ownerQueriesMatchSweep(s); err != nil {
 		t.Fatalf("I5 violated: %v", err)
 	}
+	// I6: the in-place carve and the checks built on it agree with
+	// Subtract + Normalize.
+	if err := carveMatchesReference(s); err != nil {
+		t.Fatalf("I6 violated: %v", err)
+	}
 }
 
 func TestCapabilityInvariantsRandomOps(t *testing.T) {

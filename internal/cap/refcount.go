@@ -40,7 +40,7 @@ func (s *Space) RefCounts() []RegionCount {
 	perOwner := make(map[OwnerID][]phys.Region)
 	for _, n := range s.nodes {
 		if n.res.Kind == ResMemory {
-			perOwner[n.owner] = append(perOwner[n.owner], s.effectiveRegions(n)...)
+			perOwner[n.owner] = appendEffective(perOwner[n.owner], n)
 		}
 	}
 	type event struct {
@@ -114,14 +114,8 @@ func (s *Space) RefCountAt(a phys.Addr) int {
 	defer s.mu.RUnlock()
 	owners := make(map[OwnerID]bool)
 	for _, n := range s.nodes {
-		if n.res.Kind != ResMemory || owners[n.owner] || !n.res.Mem.Contains(a) {
-			continue
-		}
-		for _, r := range s.effectiveRegions(n) {
-			if r.Contains(a) {
-				owners[n.owner] = true
-				break
-			}
+		if effectiveEnd(n, a) > a {
+			owners[n.owner] = true
 		}
 	}
 	return len(owners)

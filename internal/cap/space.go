@@ -244,7 +244,10 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 	// region: what the parent granted away is not the parent's to
 	// delegate again until revoked.
 	if sub.Kind == ResMemory {
-		if !regionCovered(sub.Mem, s.effectiveRegions(parent)) {
+		// parent.res contains sub (checked above), so sub is covered
+		// exactly when the effective piece holding its first byte runs
+		// to its end: no granted child overlaps it.
+		if effectiveEnd(parent, sub.Mem.Start) < sub.Mem.End {
 			return 0, fmt.Errorf("%w: %v already granted away from %v", ErrSubresource, sub.Mem, parent.res)
 		}
 	} else if k == KindGranted && grantedAway(parent) {
@@ -399,30 +402,75 @@ func (s *Space) OwnerNodes(owner OwnerID) []Info {
 	return out
 }
 
-// effectiveRegions returns the memory the node actually confers access
-// to: its region minus every active granted-out child region. The
-// caller holds mu.
-func (s *Space) effectiveRegions(n *node) []phys.Region {
+// appendEffective appends the memory n actually confers access to — its
+// region minus every granted-out child region, detached ones included
+// until Release unlinks them — and returns the extended slice. The carve
+// runs in place on the appended tail: it starts as one region, and
+// subtracting from a sorted, disjoint, non-adjacent list leaves it
+// sorted, disjoint and non-adjacent, so there is nothing to sort or
+// merge afterwards. The caller holds mu.
+func appendEffective(dst []phys.Region, n *node) []phys.Region {
 	if n.res.Kind != ResMemory {
-		return nil
+		return dst
 	}
-	regs := []phys.Region{n.res.Mem}
-	carved := false
+	base := len(dst)
+	dst = append(dst, n.res.Mem)
+	for _, c := range n.children {
+		if c.kind == KindGranted && c.res.Kind == ResMemory {
+			dst = carve(dst, base, c.res.Mem)
+		}
+	}
+	return dst
+}
+
+// carve subtracts cut from the sorted disjoint regions regs[base:].
+func carve(regs []phys.Region, base int, cut phys.Region) []phys.Region {
+	w := base
+	for i := base; i < len(regs); i++ {
+		r := regs[i]
+		left, right := r.Start < cut.Start, cut.End < r.End
+		switch {
+		case !r.Overlaps(cut):
+		case left && right:
+			// cut lies strictly inside r, so it touches no other piece
+			// and nothing before r was dropped (w == i): split and stop.
+			regs[i].End = cut.Start
+			return slices.Insert(regs, i+1, phys.Region{Start: cut.End, End: r.End})
+		case left:
+			r.End = cut.Start
+		case right:
+			r.Start = cut.End
+		default:
+			continue // r lies inside cut
+		}
+		regs[w] = r
+		w++
+	}
+	return regs[:w]
+}
+
+// effectiveEnd returns the end of n's effective piece holding a — n's
+// region up to the first granted-out child past a — or a itself when n
+// confers no access there. It answers the yes/no questions (an access
+// check, derive's "not granted away") without materialising regions.
+// The caller holds mu.
+func effectiveEnd(n *node, a phys.Addr) phys.Addr {
+	if n.res.Kind != ResMemory || !n.res.Mem.Contains(a) {
+		return a
+	}
+	end := n.res.Mem.End
 	for _, c := range n.children {
 		if c.kind != KindGranted || c.res.Kind != ResMemory {
 			continue
 		}
-		carved = true
-		var next []phys.Region
-		for _, r := range regs {
-			next = append(next, r.Subtract(c.res.Mem)...)
+		if c.res.Mem.Contains(a) {
+			return a
 		}
-		regs = next
+		if a < c.res.Mem.Start && c.res.Mem.Start < end {
+			end = c.res.Mem.Start
+		}
 	}
-	if !carved {
-		return regs // one validated, non-empty region is already normal
-	}
-	return phys.NormalizeRegions(regs)
+	return end
 }
 
 // EffectiveRegions returns the node's effective memory regions.
@@ -433,18 +481,7 @@ func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.effectiveRegions(n), nil
-}
-
-// regionCovered reports whether want lies entirely within the union of
-// regs (regs must be normalized).
-func regionCovered(want phys.Region, regs []phys.Region) bool {
-	for _, r := range regs {
-		if r.ContainsRegion(want) {
-			return true
-		}
-	}
-	return false
+	return appendEffective(nil, n), nil
 }
 
 // OwnerMemory returns the union of owner's effective memory regions that
@@ -454,8 +491,8 @@ func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 	defer s.mu.RUnlock()
 	var regs []phys.Region
 	for _, n := range s.owned[owner] {
-		if n.res.Kind == ResMemory && n.rights.Has(want) {
-			regs = append(regs, s.effectiveRegions(n)...)
+		if n.rights.Has(want) {
+			regs = appendEffective(regs, n)
 		}
 	}
 	return phys.NormalizeRegions(regs)
@@ -473,22 +510,21 @@ type MemoryGrant struct {
 // OwnerMemoryGrants returns owner's effective per-capability memory
 // access, ordered by node ID.
 func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
+	return s.AppendOwnerMemoryGrants(nil, owner)
+}
+
+// AppendOwnerMemoryGrants appends OwnerMemoryGrants(owner) to dst, for a
+// caller that rebuilds a filter into a buffer it reuses.
+func (s *Space) AppendOwnerMemoryGrants(dst []MemoryGrant, owner OwnerID) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	nodes := s.owned[owner]
-	var out []MemoryGrant
-	for i, n := range nodes {
-		if n.res.Kind != ResMemory {
-			continue
-		}
-		if out == nil {
-			out = make([]MemoryGrant, 0, len(nodes)-i) // one region per node unless a grant splits it
-		}
-		for _, r := range s.effectiveRegions(n) {
-			out = append(out, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
+	var buf [8]phys.Region // a node's pieces: one unless grants split it
+	for _, n := range s.owned[owner] {
+		for _, r := range appendEffective(buf[:0], n) {
+			dst = append(dst, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
 		}
 	}
-	return out
+	return dst
 }
 
 // OwnerCores returns the cores owner may run on (holding RightRun),
@@ -532,27 +568,27 @@ func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
 // OwnerDevices returns the devices owner may use, minus devices granted
 // away, sorted.
 func (s *Space) OwnerDevices(owner OwnerID) []phys.DeviceID {
-	return s.ownerDevices(owner, RightUse)
+	return s.appendOwnerDevices(nil, owner, RightUse)
 }
 
-// OwnerDMADevices returns the devices owner holds live (not
+// AppendOwnerDMADevices appends to dst the devices owner holds live (not
 // granted-away) DMA rights on, sorted: the inverse of DeviceDMAHolders,
 // answered from the owner's own list.
-func (s *Space) OwnerDMADevices(owner OwnerID) []phys.DeviceID {
-	return s.ownerDevices(owner, RightDMA)
+func (s *Space) AppendOwnerDMADevices(dst []phys.DeviceID, owner OwnerID) []phys.DeviceID {
+	return s.appendOwnerDevices(dst, owner, RightDMA)
 }
 
-func (s *Space) ownerDevices(owner OwnerID, want Rights) []phys.DeviceID {
+func (s *Space) appendOwnerDevices(dst []phys.DeviceID, owner OwnerID, want Rights) []phys.DeviceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []phys.DeviceID
+	base := len(dst)
 	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
-			out = append(out, n.res.Device)
+			dst = append(dst, n.res.Device)
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(dst[base:])
+	return dst[:base+len(slices.Compact(dst[base:]))]
 }
 
 // OwnerHasDevice reports whether owner holds RightUse on dev.
@@ -566,21 +602,42 @@ func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
 }
 
 // CheckMemAccess reports whether owner has effective access with rights
-// want at address a.
+// want at address a: some node with the rights contains a and no granted
+// child of it does.
 func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, n := range s.owned[owner] {
-		if n.res.Kind != ResMemory || !n.rights.Has(want) || !n.res.Mem.Contains(a) {
-			continue
+	return s.coveredUntil(owner, a, want) > a
+}
+
+// CheckMemRange is CheckMemAccess for every page of r under one lock
+// hold, with the same per-page meaning: different pages may be covered
+// by different nodes. It returns the first address owner lacks want at,
+// and whether there is none.
+func (s *Space) CheckMemRange(owner OwnerID, r phys.Region, want Rights) (phys.Addr, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for at := r.Start; at < r.End; {
+		end := s.coveredUntil(owner, at, want)
+		if end <= at {
+			return at, false
 		}
-		for _, r := range s.effectiveRegions(n) {
-			if r.Contains(a) {
-				return true
-			}
+		at = end
+	}
+	return 0, true
+}
+
+// coveredUntil returns how far owner's access with rights want runs
+// unbroken from a through any one node — a itself if it has none there.
+// The caller holds mu.
+func (s *Space) coveredUntil(owner OwnerID, a phys.Addr, want Rights) phys.Addr {
+	end := a
+	for _, n := range s.owned[owner] {
+		if n.rights.Has(want) {
+			end = max(end, effectiveEnd(n, a))
 		}
 	}
-	return false
+	return end
 }
 
 // Owners returns every owner holding at least one capability, sorted.

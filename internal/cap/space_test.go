@@ -422,7 +422,7 @@ func TestOwnerDMADevicesInvertsDeviceDMAHolders(t *testing.T) {
 	} {
 		step.do()
 		for o := OwnerID(1); o <= 4; o++ {
-			got := s.OwnerDMADevices(o)
+			got := s.AppendOwnerDMADevices(nil, o)
 			if !reflect.DeepEqual(got, step.want[o]) {
 				t.Errorf("%s: owner %d holds DMA on %v, want %v", step.name, o, got, step.want[o])
 			}

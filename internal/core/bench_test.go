@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -60,19 +61,17 @@ func TestStatsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestShareRevokeAllocations pins the allocations of one synchronous
-// Share + Revoke pair on the shape the benchmark's cap_sync world has: a
-// tenant delegating pages of a 256-page heap to its child, with a few
-// hundred other capabilities in the space. The resync after each
-// operation reads what the tenant and the child hold from their own
-// lists, in order; when those queries swept the node index, their sets,
-// sorts and child snapshots made the pair 139 objects. Counted on
-// go1.24.
-func TestShareRevokeAllocations(t *testing.T) {
-	m := bootWorld(t, BackendVTX)
+// capSyncWorld is the shape the benchmark's cap_sync and cap_ring worlds
+// have: a tenant delegating pages of a 256-page heap to its child, with
+// eight pages of the heap already shared, four more granted away around
+// the ring footprint (so the heap node's effective region is carved),
+// and a few hundred other capabilities in the space.
+func capSyncWorld(t testing.TB) (m *Monitor, tenant, child DomainID, heap cap.NodeID) {
+	t.Helper()
+	m = bootWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
-	tenant, _ := m.CreateDomain(InitialDomain, "tenant")
-	child, _ := m.CreateDomain(tenant, "child")
+	tenant, _ = m.CreateDomain(InitialDomain, "tenant")
+	child, _ = m.CreateDomain(tenant, "child")
 	heap, err := m.Grant(InitialDomain, node, tenant, memRes(256, 256), cap.MemFull, cap.CleanZero)
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +81,49 @@ func TestShareRevokeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, p := range []uint64{270, 278, 290, 400} {
+		if _, err := m.Grant(tenant, heap, child, memRes(p, 1), cap.MemRW, cap.CleanZero); err != nil {
+			t.Fatal(err)
+		}
+	}
 	bystander, _ := m.CreateDomain(InitialDomain, "bystander")
 	for i := uint64(0); i < 300; i++ {
 		if _, err := m.Share(InitialDomain, node, bystander, memRes(600+i, 1), cap.MemRW, cap.CleanNone); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const pinned = 63
+	return m, tenant, child, heap
+}
+
+// poolKeepsItems reports whether a sync.Pool hands back what it was just
+// given: under the race detector Put drops a quarter of its arguments on
+// purpose, and the backends' pooled scratch is reallocated at random.
+func poolKeepsItems() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestShareRevokeAllocations pins the allocations of one synchronous
+// Share + Revoke pair on capSyncWorld. What is left is what the pair
+// keeps or hands on: the capability node and its list entries, the
+// Detached record, the deferred Reclaim, the epoch and shootdown
+// bookkeeping. The four filter rebuilds allocate nothing — the sharer's
+// and the revoker's views do not change, and the child's two new tables
+// are the 2 + 2 on top. When every rebuild materialised regions, grants,
+// sweep events and a table, the pair was 63 objects; when the queries
+// behind them swept the node index, 139. Counted on go1.24.
+func TestShareRevokeAllocations(t *testing.T) {
+	m, tenant, child, heap := capSyncWorld(t)
+	pinned := 16.0
+	if !poolKeepsItems() {
+		pinned = 63
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		id, err := m.Share(tenant, heap, child, memRes(300, 1), cap.MemRW, cap.CleanZero|cap.CleanFlushTLB)
 		if err == nil {
@@ -99,9 +134,56 @@ func TestShareRevokeAllocations(t *testing.T) {
 		}
 	})
 	if allocs > pinned {
-		t.Fatalf("a Share + Revoke pair allocates %.0f objects, pinned at %d", allocs, pinned)
+		t.Fatalf("a Share + Revoke pair allocates %.0f objects, pinned at %.0f", allocs, pinned)
 	}
-	t.Logf("a Share + Revoke pair allocates %.0f objects (pinned at %d)", allocs, pinned)
+	t.Logf("a Share + Revoke pair allocates %.0f objects (pinned at %.0f)", allocs, pinned)
+}
+
+// BenchmarkShareRevokeRound is one cap_sync op: eight Shares of heap
+// pages from the tenant to its child, then the eight Revokes, through
+// the synchronous API.
+func BenchmarkShareRevokeRound(b *testing.B) {
+	m, tenant, child, heap := capSyncWorld(b)
+	var nodes [8]cap.NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range nodes {
+			id, err := m.Share(tenant, heap, child, memRes(300+uint64(8*i+k)%64, 1), cap.MemRW, cap.CleanZero|cap.CleanFlushTLB)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes[k] = id
+		}
+		for _, id := range nodes {
+			if err := m.Revoke(tenant, id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCheckRange is what the ring drain pays after every
+// descriptor that moved the capability generation: the tenant's
+// read+write access over its ring's four pages, which lie in the heap
+// node between granted-away children, validated again.
+func BenchmarkCheckRange(b *testing.B) {
+	m, tenant, _, _ := capSyncWorld(b)
+	if err := m.RingSetup(tenant, phys.Addr(280*pg), 200); err != nil {
+		b.Fatal(err)
+	}
+	r, _ := m.ringOf(tenant)
+	if last := r.region.End - 1; last.Page() != 283 {
+		b.Fatalf("ring footprint is %v", r.region)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.capGen-- // the space moved since the last validation
+		if err := m.ringRevalidate(r); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestRequestAllocations pins the allocations of one request on the

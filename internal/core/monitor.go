@@ -844,9 +844,15 @@ func (m *Monitor) endShootdownBatch() {
 // it can only have changed if the holder set did — a device capability
 // was among those revoked — or if a current holder is one of the
 // affected owners.
+//
+// A rebuild that fails (a PMP layout over budget) must not strand the
+// owners after it on filters that still map what they lost: every
+// owner, then the devices, then the encryption keying are resynchronised
+// regardless, and the first error is returned.
 func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
-	var owners []cap.OwnerID
-	var devs []phys.DeviceID
+	var ownerBuf [8]cap.OwnerID // a revocation rarely touches more
+	var devBuf [4]phys.DeviceID
+	owners, devs := ownerBuf[:0], devBuf[:0]
 	for _, det := range dets {
 		owners = append(owners, det.ParentOwners()...)
 		for _, a := range det.Actions() {
@@ -859,20 +865,24 @@ func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
 	slices.Sort(owners)
 	owners = slices.Compact(owners)
 	tab := m.tab.Load()
+	var firstErr error
 	for _, o := range owners {
 		if d, ok := tab.doms[DomainID(o)]; ok && d.State() != StateDead {
 			d.mu.Lock()
 			err := m.bk.SyncDomain(o)
 			d.mu.Unlock()
-			if err != nil {
-				return err
+			if firstErr == nil {
+				firstErr = err
 			}
 		}
 	}
-	if err := m.syncDevicesFor(devs, owners...); err != nil {
-		return err
+	if err := m.syncDevicesFor(devs, owners...); firstErr == nil {
+		firstErr = err
 	}
-	return m.syncEncryption()
+	if err := m.syncEncryption(); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
 }
 
 // syncAfterChange refreshes hardware state after a delegation (pinned
@@ -886,11 +896,10 @@ func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
 // this entry's epoch pin, so a rebuild never reprograms a filter from
 // state that is mid-reclaim.
 func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
-	doms := []*Domain{a, b}
-	if a == b {
-		doms = doms[:1]
-	}
-	for _, d := range doms {
+	for i, d := range [2]*Domain{a, b} {
+		if i == 1 && a == b {
+			break
+		}
 		d.mu.Lock()
 		err := m.bk.SyncDomain(cap.OwnerID(d.id))
 		d.mu.Unlock()
@@ -926,24 +935,26 @@ func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
 // a holder this walk misses by racing such an operation is picked up by
 // that operation's rebuild, which also sees the mutation synced here.
 func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, owners ...cap.OwnerID) error {
-	held := slices.Clip(devs) // appends copy, never write into the caller's array
+	var buf [4]phys.DeviceID
+	held := append(buf[:0], devs...)
 	for _, o := range owners {
-		held = append(held, m.space.OwnerDMADevices(o)...)
+		held = m.space.AppendOwnerDMADevices(held, o)
 	}
 	if len(held) == 0 {
 		return nil
 	}
 	m.hwMu.Lock()
 	defer m.hwMu.Unlock()
+	var firstErr error
 	for _, dev := range m.mach.DeviceIDs() {
 		if !slices.Contains(held, dev) {
 			continue
 		}
-		if err := m.bk.SyncDevice(dev); err != nil {
-			return err
+		if err := m.bk.SyncDevice(dev); firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	return firstErr
 }
 
 // SetEntry fixes the domain's entry point (§3.1: "domains have a fixed
@@ -1197,14 +1208,12 @@ func (m *Monitor) checkRange(id DomainID, a phys.Addr, n uint64, want cap.Rights
 		return nil
 	}
 	first := a.PageAlign()
-	last := (a + phys.Addr(n) - 1).PageAlign()
-	for p := first; ; p += phys.PageSize {
-		if !m.space.CheckMemAccess(cap.OwnerID(id), p, want) {
-			return m.deny("domain %d lacks %v at %v", id, want, p)
-		}
-		if p == last {
-			break
-		}
+	r := phys.Region{Start: first, End: (a + phys.Addr(n) - 1).PageAlign() + phys.PageSize}
+	if r.Empty() { // the range wraps the address space
+		return m.deny("domain %d lacks %v at %v", id, want, first)
+	}
+	if p, ok := m.space.CheckMemRange(cap.OwnerID(id), r, want); !ok {
+		return m.deny("domain %d lacks %v at %v", id, want, p)
 	}
 	return nil
 }

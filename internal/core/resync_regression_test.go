@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -379,5 +380,55 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 		if ref := sweep(step.devs, step.owners...); !slices.Equal(rec.devs, ref) {
 			t.Errorf("%s: resynchronised devices %v, the holder sweep says %v", step.name, rec.devs, ref)
 		}
+	}
+}
+
+// TestFailedRebuildDoesNotStrandLaterOwners: a revocation resynchronises
+// every affected owner even when one rebuild fails. dom0 shares a
+// 40-page bridge to d1, d1 forwards one page of it to d3, and dom0 also
+// shares d1 sixteen isolated single pages inside the bridge — one
+// merged segment while the bridge exists, sixteen once it is revoked,
+// one more than the PMP budget. Revoking the bridge therefore fails
+// d1's rebuild; resyncAfterRevocation used to return there, before
+// reaching d3, whose installed layout kept the forwarded page the
+// capability space no longer gives it. (d1 itself stays on its last
+// layout that fit: validate-then-commit is ROADMAP item 1.)
+func TestFailedRebuildDoesNotStrandLaterOwners(t *testing.T) {
+	m := bootWorld(t, BackendPMP)
+	node := dom0MemNode(t, m)
+	d1, err := m.CreateDomain(InitialDomain, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := m.CreateDomain(InitialDomain, "d3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge, err := m.Share(InitialDomain, node, d1, memRes(100, 40), cap.MemRW|cap.RightShare, cap.CleanNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Share(d1, bridge, d3, memRes(101, 1), cap.MemRW, cap.CleanNone); err != nil {
+		t.Fatal(err)
+	}
+	for p := uint64(100); p <= 130; p += 2 {
+		if _, err := m.Share(InitialDomain, node, d1, memRes(p, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var exhausted *backend.PMPExhaustedError
+	if err := m.Revoke(InitialDomain, bridge); !errors.As(err, &exhausted) || exhausted.Owner != cap.OwnerID(d1) {
+		t.Fatalf("revoking the bridge: %v, want d1's layout over the PMP budget", err)
+	}
+	forwarded := phys.Addr(101 * pg)
+	if m.CheckAccess(d3, forwarded, cap.RightRead) {
+		t.Fatal("d3 keeps capability access to the revoked page")
+	}
+	core := m.Machine().Cores[1]
+	if err := m.bk.Transition(core, cap.OwnerID(d3), false); err != nil {
+		t.Fatal(err)
+	}
+	if core.PMPUnit.Check(forwarded, hw.PermR) {
+		t.Fatal("d3's programmed PMP file still maps the page its revoked capability covered")
 	}
 }

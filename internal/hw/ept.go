@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +26,11 @@ import (
 //   - a writer builds the next table off to the side, publishes it with
 //     one pointer store, and only then bumps the generation once. A
 //     reader therefore sees the old filter or the new one, never a
-//     half-built one, and a new generation implies the new table.
+//     half-built one, and a new generation implies the new table;
+//   - a Replace whose table equals the published one stores nothing:
+//     same filter, same pointer, generation still moves — a resync is a
+//     resync to everything keyed on the generation (TLB tags, contexts),
+//     whether or not it changed the filter.
 //
 // Writers (copy-on-write splices for Map/Unmap, whole-table Replace and
 // Clear) are serialised by wmu; readers never take it.
@@ -137,9 +142,11 @@ func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 // non-empty, sorted by address and disjoint; otherwise Replace returns an
 // error and leaves the table and the generation unchanged. PermNone runs
 // are dropped and adjacent equal-permission runs merged. The table keeps
-// its own copy of runs.
+// its own copy of runs, made only when they differ from the published
+// table; the generation is bumped either way.
 func (e *EPT) Replace(runs []EPTMapping) error {
-	next := make([]EPTMapping, 0, len(runs))
+	var buf [32]EPTMapping // larger tables spill to the heap
+	next := buf[:0]
 	var end phys.Addr
 	for _, m := range runs {
 		if err := m.Region.Validate(); err != nil {
@@ -155,7 +162,11 @@ func (e *EPT) Replace(runs []EPTMapping) error {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	e.publish(next)
+	if slices.Equal(next, e.runs()) {
+		e.gen.Add(1)
+		return nil
+	}
+	e.publish(slices.Clone(next))
 	return nil
 }
 

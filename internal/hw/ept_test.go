@@ -282,3 +282,68 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestEPTReplaceEqualTable: same filter, same pointer, generation still
+// moves — and a table a reader already holds never changes, whether the
+// next Replace equals it or not. The runs are handed over unmerged and
+// from a buffer that is then overwritten, as the backends' pooled
+// scratch is.
+func TestEPTReplaceEqualTable(t *testing.T) {
+	page := func(pg uint64, n uint64, p Perm) EPTMapping {
+		return EPTMapping{Region: phys.MakeRegion(phys.Addr(pg<<phys.PageShift), n*phys.PageSize), Perm: p}
+	}
+	scratch := []EPTMapping{page(4, 1, PermRX), page(8, 4, PermRW), page(12, 4, PermRW), page(30, 1, PermNone)}
+	want := []EPTMapping{page(4, 1, PermRX), page(8, 8, PermRW)}
+	e := NewEPT()
+	if err := e.Replace(scratch); err != nil {
+		t.Fatal(err)
+	}
+	held, gen := e.tab.Load(), e.Generation()
+	if err := e.Replace(scratch); err != nil {
+		t.Fatal(err)
+	}
+	if e.tab.Load() != held {
+		t.Error("an equal Replace published a new table")
+	}
+	if e.Generation() != gen+1 {
+		t.Errorf("an equal Replace moved the generation from %d to %d, want one bump", gen, e.Generation())
+	}
+	if err := e.Replace(nil); err != nil {
+		t.Fatal(err)
+	}
+	empty := e.tab.Load()
+	if err := e.Replace(scratch[3:]); err != nil { // only a PermNone run: still empty
+		t.Fatal(err)
+	}
+	if e.tab.Load() != empty || e.Generation() != gen+3 || e.Mappings() != nil {
+		t.Errorf("an empty Replace of an empty table: pointer moved %v, generation %d (want %d), mappings %v",
+			e.tab.Load() != empty, e.Generation(), gen+3, e.Mappings())
+	}
+	if err := e.Replace(scratch); err != nil {
+		t.Fatal(err)
+	}
+	if e.tab.Load() == held {
+		t.Error("an unequal Replace reused a table it had retired")
+	}
+	for i := range scratch {
+		scratch[i] = page(100, 1, PermRWX) // the caller's buffer is the caller's again
+	}
+	if got := e.Mappings(); !reflect.DeepEqual(got, want) {
+		t.Errorf("table follows the caller's buffer: %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(*held, want) {
+		t.Errorf("the table a reader held across the Replaces changed: %v, want %v", *held, want)
+	}
+	big := make([]EPTMapping, 100) // past the stack buffer
+	for i := range big {
+		big[i] = page(uint64(2*i), 1, PermR)
+	}
+	for range 2 {
+		if err := e.Replace(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Mappings(); !reflect.DeepEqual(got, big) {
+		t.Errorf("a %d-run table came back as %d runs", len(big), len(got))
+	}
+}

@@ -12,8 +12,9 @@
 package phys
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageSize is the granularity of memory access control, matching the 4KiB
@@ -144,26 +145,24 @@ func (r Region) Subtract(o Region) []Region {
 }
 
 // NormalizeRegions sorts regions by start address and merges adjacent or
-// overlapping ones, dropping empties. It does not mutate its argument.
+// overlapping ones, dropping empties. It does not mutate its argument:
+// the copy it sorts is the buffer it merges into and returns.
 func NormalizeRegions(regs []Region) []Region {
-	cp := make([]Region, 0, len(regs))
-	for _, r := range regs {
-		if !r.Empty() {
-			cp = append(cp, r)
-		}
-	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Start < cp[j].Start })
-	var out []Region
-	for _, r := range cp {
-		if n := len(out); n > 0 && r.Start <= out[n-1].End {
-			if r.End > out[n-1].End {
-				out[n-1].End = r.End
-			}
+	out := slices.DeleteFunc(slices.Clone(regs), Region.Empty)
+	slices.SortFunc(out, func(a, b Region) int { return cmp.Compare(a.Start, b.Start) })
+	n := 0 // out[:n] is merged; the merge never writes past what it has read
+	for _, r := range out {
+		if n > 0 && r.Start <= out[n-1].End {
+			out[n-1].End = max(out[n-1].End, r.End)
 			continue
 		}
-		out = append(out, r)
+		out[n] = r
+		n++
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return out[:n]
 }
 
 // CoverageSize returns the total bytes covered by the normalized union of
