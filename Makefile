@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-control experiments examples clean
+.PHONY: all build vet test race mutation epoch cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -17,6 +17,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The six mutation oracles — the only build tags there are. Each build
+# carries one seeded bug; both trace checkers must flag it with the same
+# verdict.
+mutation:
+	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug; do \
+		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
+	done
+
+# The linearizability storm and the pin-slot exhaustion test under the
+# race detector, at 1, 2 and 4 host threads.
+epoch:
+	for threads in 1 2 4; do \
+		GOMAXPROCS=$$threads $(GO) test -race -count=20 -run 'TestEpochLinearizableRevokeStorm|TestEpochPinSlotsExhausted' ./internal/core || exit 1; \
+	done
 
 cover:
 	$(GO) test -cover ./...

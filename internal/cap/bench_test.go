@@ -68,14 +68,13 @@ func (w *benchWorld) share(tb testing.TB, i int) NodeID {
 	return id
 }
 
-// shareDetach is one delegation and its three-phase revocation.
+// shareDetach is one delegation and its two-phase revocation.
 func (w *benchWorld) shareDetach(tb testing.TB, i int) {
 	det, err := w.s.Detach(w.share(tb, i))
 	if err != nil {
 		tb.Error(err)
 	}
 	w.s.Release(det)
-	w.s.Reclaim(det)
 }
 
 // read is the three queries the monitor makes on its hot paths: the core
@@ -107,9 +106,7 @@ func BenchmarkSpaceParallelShare(b *testing.B) {
 		for n := 1; pb.Next(); n++ {
 			w.share(b, i)
 			if n%32 == 0 {
-				det := w.s.DetachOwner(w.b(i))
-				w.s.Release(det)
-				w.s.Reclaim(det)
+				w.s.RevokeOwner(w.b(i))
 			}
 		}
 	})

@@ -110,7 +110,6 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 			if !s.CheckMemAccess(a, at(2), RightRead) {
 				fail("Release did not restore the grantor's access")
 			}
-			s.Reclaim(det)
 		}
 		det := s.DetachOwner(b)
 		if want := 2 - (round+1)%2; det.NumNodes() != want || !reflect.DeepEqual(det.ParentOwners(), []OwnerID{a}) {
@@ -119,7 +118,7 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 		if s.Sealed(b) || s.CheckMemAccess(b, at(0), RightRead) || len(s.OwnerNodes(b)) != 0 {
 			fail("a detached owner is still sealed or still holds something")
 		}
-		s.finish(det)
+		s.Release(det)
 		if _, err := s.Node(sh); !errors.Is(err, ErrNotFound) {
 			fail("shared node survived its owner: %v", err)
 		}
@@ -147,7 +146,7 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 			if round%3 == 0 {
 				s.Seal(3)
 			}
-			s.finish(s.DetachOwner(3))
+			s.RevokeOwner(3)
 		}
 		// Cores and devices are delegated whole: sharing always works,
 		// only one grant at a time does.

@@ -2,10 +2,9 @@ package cap
 
 import "slices"
 
-// Revocation, in the three RCU phases the monitor's epoch-based
-// reclamation runs with grace periods in between. It is the only
-// revocation there is: Revoke and RevokeOwner (space.go) are the same
-// three phases run back to back.
+// Revocation, in the two phases the monitor runs with its grace period
+// and scrub in between. It is the only revocation there is: Revoke and
+// RevokeOwner (space.go) are the same two phases run back to back.
 //
 //   - Detach / DetachOwner — the *publish*: the subtree's nodes leave
 //     the index (the owners lose access and every query stops seeing
@@ -16,24 +15,22 @@ import "slices"
 //     while the old owner's copy is being scrubbed.
 //   - Release — after the grace period and the scrub: unlink the
 //     detached tops from their live parents, restoring the parents'
-//     effective access. The caller resynchronises the affected owners'
-//     hardware immediately after, so Release itself does not bump the
-//     generation — the interim staleness is in the safe (more
-//     restrictive) direction.
-//   - Reclaim — after a second grace period (the monitor's deferred-free
-//     list): sever the internal links of the limbo nodes so the records
-//     can be recycled. Until then a reader that picked up a node pointer
-//     before the detach can still walk immutable identity fields safely.
+//     effective access. Nothing references the subtrees after that (no
+//     *node leaves Space.mu), so the collector takes them. The caller
+//     resynchronises the affected owners' hardware immediately after,
+//     so Release itself does not bump the generation — the interim
+//     staleness is in the safe (more restrictive) direction. A Detached
+//     that is never released (its cleanups failed) keeps its parents
+//     suspended: fail closed.
 //
-// All three hold Space.mu exclusively and are short; the monitor
-// serialises them per destructive operation with its own revMu.
+// Both hold Space.mu exclusively and are short; the monitor serialises
+// them per destructive operation with its own revMu.
 
 // Detached holds a detached-but-not-yet-released set of capability
-// subtrees: the output of Detach/DetachOwner, consumed by Release and
-// Reclaim in that order.
+// subtrees: the output of Detach/DetachOwner, consumed by Release.
+// actions holds one entry per detached node.
 type Detached struct {
-	tops    []*node
-	all     []*node
+	tops    []*node // nil once released
 	actions []CleanupAction
 	parents []OwnerID
 }
@@ -47,16 +44,9 @@ func (d *Detached) Actions() []CleanupAction {
 	return d.actions
 }
 
-// Empty reports whether the detach found nothing to revoke.
-func (d *Detached) Empty() bool { return d == nil || len(d.all) == 0 }
-
-// NumNodes returns how many capability records the detach put in limbo.
-func (d *Detached) NumNodes() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.all)
-}
+// NumNodes returns how many capability records the detach took out of
+// the index.
+func (d *Detached) NumNodes() int { return len(d.Actions()) }
 
 // ParentOwners returns the distinct owners of the surviving parents the
 // detached tops hang off — the grantors whose suspended access Release
@@ -84,7 +74,6 @@ func (s *Space) detachSubtree(n *node, det *Detached) {
 	}
 	n.detached = true
 	s.remove(n)
-	det.all = append(det.all, n)
 	det.actions = append(det.actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
 	})
@@ -107,7 +96,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	if n.parent != nil && !n.parent.detached {
 		det.parents = append(det.parents, n.parent.owner)
 	}
-	s.limbo.Add(int64(len(det.all)))
+	s.limbo.Add(int64(len(det.actions)))
 	s.mutate()
 	return det, nil
 }
@@ -133,19 +122,21 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 		s.mutate()
 	}
 	delete(s.sealed, owner)
-	s.limbo.Add(int64(len(det.all)))
+	s.limbo.Add(int64(len(det.actions)))
 	return det
 }
 
 // Release unlinks the detached tops from their surviving parents,
 // restoring the parents' effective access to anything the detached
-// subtrees had been granted. Called after the grace period and after
-// the revoked state has been scrubbed. Release does not bump the
-// generation: it only widens access back toward the parents, and the
-// monitor resynchronises the affected owners' hardware immediately
-// after, so any interim staleness is in the restrictive direction.
+// subtrees had been granted, and with that drops the last reference to
+// the subtrees. Called after the grace period and after the revoked
+// state has been scrubbed; a second call is a no-op. Release does not
+// bump the generation: it only widens access back toward the parents,
+// and the monitor resynchronises the affected owners' hardware
+// immediately after, so any interim staleness is in the restrictive
+// direction.
 func (s *Space) Release(det *Detached) {
-	if det.Empty() {
+	if det == nil || det.tops == nil {
 		return
 	}
 	s.mu.Lock()
@@ -155,26 +146,15 @@ func (s *Space) Release(det *Detached) {
 			n.parent.children = removeChild(n.parent.children, n)
 		}
 	}
+	s.limbo.Add(-int64(len(det.actions)))
+	det.tops = nil
 }
 
-// Reclaim severs the limbo nodes' internal links so the records can be
-// collected. Must run only after every reader that could have picked up
-// a node pointer before the detach has quiesced — the monitor calls it
-// from its epoch deferred-free list.
-func (s *Space) Reclaim(det *Detached) {
-	if det.Empty() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range det.all {
-		n.children = nil
-		n.parent = nil
-	}
-	s.limbo.Add(-int64(len(det.all)))
-	det.tops, det.all = nil, nil
-}
+// Reclaim does nothing: Release frees everything a revocation holds.
+// Kept for benchmark/ until ROADMAP's benchmark queue (iv).
+func (s *Space) Reclaim(*Detached) {}
 
-// LimboNodes returns how many detached capability records await
-// Reclaim — the epoch engine's reclamation backlog.
+// LimboNodes returns how many capability records are detached and not
+// yet released: 0 whenever no revocation is in flight. Kept for
+// benchmark/ until ROADMAP's benchmark queue (iv).
 func (s *Space) LimboNodes() int { return int(s.limbo.Load()) }

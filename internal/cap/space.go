@@ -101,12 +101,12 @@ func (a CleanupAction) String() string {
 //
 // Space is safe for concurrent use under one RWMutex. The operations
 // that change the forest, the index or a seal flag — CreateRoot, Share,
-// Grant, Seal and the detach family (Detach, DetachOwner, Release,
-// Reclaim, and Revoke/RevokeOwner composed from them) — hold it
-// exclusively; every query, Sealed included, holds it shared. The
-// generation, op, node and limbo counters are atomics because the
-// monitor reads them without the lock. No Space lock is ever held
-// across a call out of the package.
+// Grant, Seal and the detach family (Detach, DetachOwner, Release, and
+// Revoke/RevokeOwner composed from them) — hold it exclusively; every
+// query, Sealed included, holds it shared. The generation, op, node and
+// limbo counters are atomics because the monitor reads them without
+// the lock. No Space lock is ever held across a call out of the
+// package.
 //
 // Which structure answers which question: a question about one owner —
 // its memory grants, cores, devices, nodes, an access check, the tops of
@@ -129,7 +129,7 @@ type Space struct {
 	gen      atomic.Uint64
 	ops      atomic.Uint64
 	numNodes atomic.Int64
-	limbo    atomic.Int64 // detached, not yet reclaimed (detach.go)
+	limbo    atomic.Int64 // detached, not yet released (detach.go)
 }
 
 // NewSpace returns an empty capability space.
@@ -277,26 +277,23 @@ func (s *Space) Grant(id NodeID, newOwner OwnerID, sub Resource, rights Rights, 
 // children first, returning the cleanup actions in execution order.
 // Because lineage is a tree (every share/grant mints a fresh node),
 // revocation terminates even when domains have shared a region back and
-// forth in a cycle. It is the three phases of detach.go run back to
+// forth in a cycle. It is the two phases of detach.go run back to
 // back, for a caller with no grace period to wait out between them.
 func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
 	det, err := s.Detach(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.finish(det), nil
+	s.Release(det)
+	return det.Actions(), nil
 }
 
 // RevokeOwner tears down every capability owned by owner (and therefore
 // everything ever derived from those capabilities) and clears its seal
-// flag: DetachOwner, then Release and Reclaim at once.
+// flag: DetachOwner, then Release at once.
 func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
-	return s.finish(s.DetachOwner(owner))
-}
-
-func (s *Space) finish(det *Detached) []CleanupAction {
+	det := s.DetachOwner(owner)
 	s.Release(det)
-	s.Reclaim(det)
 	return det.Actions()
 }
 

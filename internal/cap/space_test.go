@@ -417,7 +417,7 @@ func TestOwnerDMADevicesInvertsDeviceDMAHolders(t *testing.T) {
 			}
 		}, holds{1: {0}, 2: {1}}},
 		{"release: 2 has the gpu back", func() { s.Release(det) }, holds{1: {0}, 2: {0, 1}}},
-		{"reclaim changes nothing", func() { s.Reclaim(det) }, holds{1: {0}, 2: {0, 1}}},
+		{"a second release changes nothing", func() { s.Release(det) }, holds{1: {0}, 2: {0, 1}}},
 		{"2 is torn down: the nic returns to 1", func() { s.RevokeOwner(2) }, holds{1: {0, 1}}},
 	} {
 		step.do()

@@ -112,15 +112,15 @@ func poolKeepsItems() bool {
 // TestShareRevokeAllocations pins the allocations of one synchronous
 // Share + Revoke pair on capSyncWorld. What is left is what the pair
 // keeps or hands on: the capability node and its list entries, the
-// Detached record, the deferred Reclaim, the epoch and shootdown
-// bookkeeping. The four filter rebuilds allocate nothing — the sharer's
+// Detached record and its action list, the shootdown bookkeeping. The
+// four filter rebuilds allocate nothing — the sharer's
 // and the revoker's views do not change, and the child's two new tables
 // are the 2 + 2 on top. When every rebuild materialised regions, grants,
 // sweep events and a table, the pair was 63 objects; when the queries
 // behind them swept the node index, 139. Counted on go1.24.
 func TestShareRevokeAllocations(t *testing.T) {
 	m, tenant, child, heap := capSyncWorld(t)
-	pinned := 16.0
+	pinned := 9.0
 	if !poolKeepsItems() {
 		pinned = 63
 	}

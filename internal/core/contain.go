@@ -233,16 +233,15 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 		}
 	}
 	// Scrub done: release the detached subtrees (parents regain access
-	// to granted-back regions), resynchronise the survivors' hardware,
-	// and queue the limbo records for reclamation after the next grace
-	// period.
+	// to granted-back regions) and resynchronise the survivors'
+	// hardware. Past this point the kill runs to its end whatever a
+	// step returns — a survivor whose rebuild fails must not leave the
+	// victim's backend state, key and schedule entries behind — and the
+	// first error is returned.
 	m.space.Release(det)
-	if err := m.resyncAfterRevocation(det); err != nil {
-		return err
-	}
-	m.ep.deferFree(func() { m.space.Reclaim(det) })
-	if err := m.bk.RemoveDomain(owner); err != nil {
-		return err
+	firstErr := m.resyncAfterRevocation(det)
+	if err := m.bk.RemoveDomain(owner); firstErr == nil {
+		firstErr = err
 	}
 	if !elide {
 		m.cryptoErase(d.id)
@@ -264,7 +263,7 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 	// over KTransition checks it).
 	m.schedPurge(d.id)
 	m.emit(trace.KKill, d.id, 0, 0, 0, 0)
-	return nil
+	return firstErr
 }
 
 // containFault handles a machine check taken on core while victim ran

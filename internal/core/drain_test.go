@@ -396,8 +396,8 @@ func TestSyncRevokeGolden(t *testing.T) {
 			if c1-c0 != tc.share || c2-c1 != tc.revoke {
 				t.Errorf("cycles: shares %d revoke %d, want %d and %d", c1-c0, c2-c1, tc.share, tc.revoke)
 			}
-			if es := m.EpochStats(); es.Syncs != 1 || es.Deferred != 1 {
-				t.Errorf("epoch: %d grace periods, %d deferred frees; want 1 and 1", es.Syncs, es.Deferred)
+			if es, limbo := m.EpochStats(), m.space.LimboNodes(); es.Syncs != 1 || limbo != 0 {
+				t.Errorf("epoch: %d grace periods, %d records in limbo; want 1 and 0", es.Syncs, limbo)
 			}
 			assertTraceClean(t, m, ck)
 		})

@@ -1,10 +1,10 @@
 package core
 
-// Epoch-based reclamation (EBR) for the monitor's destructive family.
+// Epoch-based reclamation (EBR) for the monitor's destructive family:
+// readers pin, writers publish and wait, then reclaim.
 //
 // Revoke, KillDomain, ForceKill, containFault, and the ring drains
-// never stall a reader: they follow the classic RCU discipline —
-// publish, quiesce, reclaim:
+// never stall a reader:
 //
 //   - Publish. The destructive operation makes its change visible with
 //     one serialized step that readers tolerate at either side of: the
@@ -12,21 +12,18 @@ package core
 //     detach (cap.Space.Detach/DetachOwner, a short exclusive section
 //     that takes the subtree out of the index while leaving the
 //     parent's grant suspension in place).
-//   - Quiesce. synchronize() advances the global epoch and waits until
+//   - Wait. synchronize() advances the global epoch and waits until
 //     every reader that entered before the publish has exited. Readers
 //     declare themselves with pin/unpin (one CAS each) around their
 //     monitor entry; they never block and never see the writer.
-//   - Reclaim. Only after quiescence do the irreversible effects run:
-//     cleanups, hardware resync, memory scrub, TLB shootdown, and —
-//     through the deferred-free lists — recycling of the detached
-//     capability records (cap.Space.Release + ReclaimOldest).
+//   - Reclaim. Only after that grace period do the irreversible effects
+//     run: cleanups, memory scrub, TLB shootdown, cap.Space.Release
+//     (which drops the last reference to the detached capability
+//     records) and the hardware resync.
 //
-// The engine is wait-free for readers and carries a QSBR side channel:
-// per-core epoch counters stamped at the scheduler's round barriers and
-// at ring drains (the points where a core is provably outside any
-// monitor entry). Deferred frees run only when both gates are open —
-// no pin from an older epoch, and every online core stamped since the
-// free was deferred.
+// Reader pins are the only gate. Nothing is deferred past the
+// destructive entry that published it: when the entry returns, the
+// revocation is complete.
 //
 // Simulated time is never touched: pins, epochs, and waits are host-
 // side atomics and spins, so cycle histories stay bit-identical at any
@@ -34,11 +31,8 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/tyche-sim/tyche/internal/phys"
 )
 
 // epochSlots is the reader-slot count (power of two). Pins probe from a
@@ -46,9 +40,6 @@ import (
 // number of simultaneous monitor entries; probing wraps and retries
 // under oversubscription.
 const epochSlots = 128
-
-// epochMaxCores bounds the per-core QSBR counter array.
-const epochMaxCores = 256
 
 // epochPin is a reader's handle: the index of the slot it occupies.
 type epochPin int32
@@ -60,14 +51,6 @@ type epochSlot struct {
 	_    [7]uint64 // pad to a cache line: slots are CASed independently
 }
 
-// deferredBatch is one entry of the deferred-free list: fn must not run
-// until every reader pinned at or before epoch has exited and every
-// online core has stamped a newer epoch.
-type deferredBatch struct {
-	epoch uint64
-	fn    func()
-}
-
 // epochEngine is the monitor's EBR instance.
 type epochEngine struct {
 	// global is the current epoch; synchronize is the only advancer.
@@ -76,24 +59,10 @@ type epochEngine struct {
 	slots  [epochSlots]epochSlot
 	rr     atomic.Uint32
 
-	// cores[i] is the epoch core i last stamped at a quiescent point
-	// (round barrier, ring drain, run-loop boundary); online[i] gates
-	// whether the core participates in deferred-free collection. Cores
-	// that never run guest code stay offline and never block reclaim.
-	cores  [epochMaxCores]atomic.Uint64
-	online [epochMaxCores]atomic.Bool
-
-	// deferMu guards the FIFO deferred-free list.
-	deferMu sync.Mutex
-	deferq  []deferredBatch
-
 	// Observability counters (EpochStats).
-	pins      atomic.Uint64
-	syncs     atomic.Uint64
-	combined  atomic.Uint64
-	advances  atomic.Uint64
-	deferred  atomic.Uint64
-	reclaimed atomic.Uint64
+	pins     atomic.Uint64
+	syncs    atomic.Uint64
+	combined atomic.Uint64
 }
 
 func (e *epochEngine) init() {
@@ -166,7 +135,6 @@ func (e *epochEngine) synchronize() {
 			runtime.Gosched()
 		}
 	}
-	e.collect()
 }
 
 // synchronizeShared is the grace combiner: one grace period for a
@@ -179,95 +147,6 @@ func (e *epochEngine) synchronizeShared(n int) {
 	e.combined.Add(uint64(n - 1))
 }
 
-// quiesce stamps core as being at a quiescent point — outside any
-// monitor entry — and tries to collect deferred frees. Called at
-// scheduler round barriers, at ring drains, and at run-loop
-// boundaries.
-func (e *epochEngine) quiesce(core phys.CoreID) {
-	if int(core) >= 0 && int(core) < epochMaxCores {
-		e.cores[core].Store(e.global.Load())
-		e.advances.Add(1)
-	}
-	e.collect()
-}
-
-// setOnline marks a core as participating (or not) in the QSBR gate.
-// RunCore brackets guest execution with it.
-func (e *epochEngine) setOnline(core phys.CoreID, on bool) {
-	if int(core) < 0 || int(core) >= epochMaxCores {
-		return
-	}
-	if on {
-		e.cores[core].Store(e.global.Load())
-	}
-	e.online[core].Store(on)
-}
-
-// deferFree queues fn to run after the current epoch's readers have
-// drained and every online core has stamped a newer epoch. FIFO order
-// is preserved. With epochbug armed the deferral is skipped — fn runs
-// immediately, before any grace period.
-func (e *epochEngine) deferFree(fn func()) {
-	e.deferred.Add(1)
-	if EpochBugArmed {
-		e.reclaimed.Add(1)
-		fn()
-		return
-	}
-	e.deferMu.Lock()
-	e.deferq = append(e.deferq, deferredBatch{epoch: e.global.Load(), fn: fn})
-	e.deferMu.Unlock()
-}
-
-// minObserved returns the oldest epoch any active reader or online core
-// may still be at.
-func (e *epochEngine) minObserved() uint64 {
-	min := e.global.Load()
-	for i := range e.slots {
-		if w := e.slots[i].word.Load(); w != 0 {
-			if ep := w >> 1; ep < min {
-				min = ep
-			}
-		}
-	}
-	for i := range e.online {
-		if e.online[i].Load() {
-			if ep := e.cores[i].Load(); ep < min {
-				min = ep
-			}
-		}
-	}
-	return min
-}
-
-// collect runs every deferred free whose grace period has elapsed:
-// recorded at an epoch strictly older than anything still observed.
-func (e *epochEngine) collect() {
-	if e.deferred.Load() == e.reclaimed.Load() {
-		return
-	}
-	min := e.minObserved()
-	var run []deferredBatch
-	e.deferMu.Lock()
-	n := 0
-	for _, b := range e.deferq {
-		if b.epoch < min {
-			n++
-		} else {
-			break // FIFO: later batches have equal or newer epochs
-		}
-	}
-	if n > 0 {
-		run = append(run, e.deferq[:n]...)
-		e.deferq = append(e.deferq[:0], e.deferq[n:]...)
-	}
-	e.deferMu.Unlock()
-	for _, b := range run {
-		b.fn()
-		e.reclaimed.Add(1)
-	}
-}
-
 // EpochStats is an observability snapshot of the reclamation engine.
 type EpochStats struct {
 	Epoch         uint64 // current global epoch
@@ -275,27 +154,17 @@ type EpochStats struct {
 	Pinned        int    // reader slots currently occupied
 	Syncs         uint64 // grace periods (synchronize calls)
 	CombinedSyncs uint64 // grace requests folded into a shared wait
-	ElidedSyncs   uint64 // always 0: no wait is ever skipped (kept for benchmark/harness.go)
-	Advances      uint64 // per-core quiescent-point stamps
-	Deferred      uint64 // frees handed to the deferred lists
-	Reclaimed     uint64 // frees that have run
+	ElidedSyncs   uint64 // always 0: no wait is ever skipped (kept for benchmark/ until queue (iv))
 }
 
 // EpochStats returns the monitor's epoch-reclamation counters.
 func (m *Monitor) EpochStats() EpochStats {
-	// A free is counted deferred before it can be reclaimed, so reading
-	// Reclaimed first keeps Reclaimed <= Deferred in a snapshot taken
-	// while a revocation storm runs.
-	reclaimed := m.ep.reclaimed.Load()
 	return EpochStats{
 		Epoch:         m.ep.global.Load(),
 		Pins:          m.ep.pins.Load(),
 		Pinned:        m.ep.pinned(),
 		Syncs:         m.ep.syncs.Load(),
 		CombinedSyncs: m.ep.combined.Load(),
-		Advances:      m.ep.advances.Load(),
-		Deferred:      m.ep.deferred.Load(),
-		Reclaimed:     reclaimed,
 	}
 }
 

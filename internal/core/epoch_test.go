@@ -3,12 +3,12 @@ package core
 // Tests for the epoch-based reclamation engine (epoch.go) and its
 // integration with the destructive family. Three layers:
 //
-//   - Engine-level unit tests: deferred frees never run before
-//     quiescence, FIFO order holds, the QSBR core gate participates,
-//     and synchronize genuinely waits for pinned readers.
-//   - Monitor-level tests: the per-core counters advance at the
-//     scheduler's round barriers and at ring-drain doorbells, and limbo
-//     capability records drain back to zero after revocations.
+//   - Engine-level unit tests: synchronize genuinely waits for pinned
+//     readers, and for exactly those pinned before it began — also when
+//     every one of the 128 slots is held.
+//   - Monitor-level tests: every destructive entry completes its
+//     revocation before it returns — no capability record is left
+//     detached-and-unreleased, with no further grace period needed.
 //   - The mutation oracle: with the epochbug build tag the grace period
 //     is compiled out, and the trace checker must flag the resulting
 //     premature reclaim (a reader's event landing after its domain's
@@ -21,74 +21,17 @@ package core
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/fault"
+	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 )
-
-// TestEpochEngineDeferGating: a deferred free must not run while any
-// reader is pinned at or before the epoch it was recorded in, and
-// batches run in FIFO order once quiescence opens.
-func TestEpochEngineDeferGating(t *testing.T) {
-	if EpochBugArmed {
-		t.Skip("epochbug build compiles the grace period out by design")
-	}
-	var e epochEngine
-	e.init()
-
-	p := e.pin()
-	var order []int
-	e.deferFree(func() { order = append(order, 1) })
-	e.deferFree(func() { order = append(order, 2) })
-
-	// A quiescent stamp from an offline core must not reclaim anything
-	// while the pin is held.
-	e.quiesce(0)
-	if got := e.reclaimed.Load(); got != 0 {
-		t.Fatalf("reclaimed %d frees under an active pin", got)
-	}
-	e.unpin(p)
-	e.synchronize()
-	if got := e.reclaimed.Load(); got != 2 {
-		t.Fatalf("reclaimed = %d after quiescence, want 2", got)
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("deferred frees ran out of FIFO order: %v", order)
-	}
-}
-
-// TestEpochEngineCoreGating: an online core that has not stamped a
-// quiescent point since the free was deferred blocks reclamation — the
-// QSBR side channel is a real gate, not advisory.
-func TestEpochEngineCoreGating(t *testing.T) {
-	if EpochBugArmed {
-		t.Skip("epochbug build compiles the grace period out by design")
-	}
-	var e epochEngine
-	e.init()
-	e.setOnline(3, true)
-
-	ran := atomic.Bool{}
-	e.deferFree(func() { ran.Store(true) })
-	// No pins, but core 3 is online and stamped at the deferral epoch:
-	// two grace periods must still not reclaim.
-	e.synchronize()
-	e.synchronize()
-	if ran.Load() {
-		t.Fatal("deferred free ran before the online core quiesced")
-	}
-	e.quiesce(3)
-	if !ran.Load() {
-		t.Fatal("deferred free did not run after the last core quiesced")
-	}
-	e.setOnline(3, false)
-}
 
 // TestEpochSynchronizeWaitsForReader: synchronize must not return while
 // a reader pinned before it remains pinned.
@@ -118,81 +61,193 @@ func TestEpochSynchronizeWaitsForReader(t *testing.T) {
 	}
 }
 
-// TestEpochQuiescentPointsAdvance: the per-core QSBR counters are
-// stamped at the two places the tentpole names — the multi-tenant
-// scheduler's round barriers and the ring-drain doorbell
-// (CallRingFlush) — so deferred reclamation makes progress even when no
-// further revocation ever calls synchronize.
-func TestEpochQuiescentPointsAdvance(t *testing.T) {
-	m := bootWorld(t, BackendVTX)
-
-	// Ring-drain doorbell: an on-core flush stamps the executing core.
-	base := phys.Addr(8 * pg)
-	if err := m.RingSetup(InitialDomain, base, 8); err != nil {
-		t.Fatal(err)
+// TestEpochPinSlotsExhausted: the one limit the gate has. With all 128
+// slots held a further pin waits — it does not return, fail or steal a
+// slot — until one unpin; and a synchronize begun while all 128 are
+// held waits for exactly those, not for pins taken after it began.
+func TestEpochPinSlotsExhausted(t *testing.T) {
+	if EpochBugArmed {
+		t.Skip("epochbug build compiles the grace period out by design")
 	}
-	before := m.EpochStats().Advances
-	if _, err := m.ringFlush(InitialDomain, 0); err != nil {
-		t.Fatal(err)
+	var e epochEngine
+	e.init()
+	var held [epochSlots]epochPin
+	for i := range held {
+		held[i] = e.pin()
 	}
-	if got := m.EpochStats().Advances; got <= before {
-		t.Fatalf("ring-drain doorbell did not stamp a quiescent point (advances %d -> %d)", before, got)
+	if got := e.pinned(); got != epochSlots {
+		t.Fatalf("%d slots occupied after %d pins", got, epochSlots)
 	}
-
-	// Scheduler round barriers: a short multi-tenant run stamps every
-	// participating core at least once per round.
-	m.SetSchedPolicy(&sched.Policy{Quantum: 16})
-	id := loadTenant(t, m, "epoch-tenant", 64, 8, true, []phys.CoreID{0, 1})
-	if err := m.Schedule(id); err != nil {
-		t.Fatal(err)
+	synced := make(chan struct{})
+	go func() {
+		e.synchronize()
+		close(synced)
+	}()
+	// The synchronize has begun once the epoch moved; the pin that
+	// starts now is one it must not wait for.
+	for e.global.Load() == 1 {
+		runtime.Gosched()
 	}
-	before = m.EpochStats().Advances
-	if _, err := m.RunCores(100_000); err != nil {
-		t.Fatal(err)
+	extra := make(chan epochPin)
+	go func() { extra <- e.pin() }()
+	select {
+	case p := <-extra:
+		t.Fatalf("pin %d returned slot %d with every slot held", epochSlots+1, p)
+	case <-synced:
+		t.Fatal("synchronize returned with every slot held")
+	case <-time.After(20 * time.Millisecond):
 	}
-	if got := m.EpochStats().Advances; got <= before {
-		t.Fatalf("scheduled round barriers did not stamp quiescent points (advances %d -> %d)", before, got)
+	if got := e.pinned(); got != epochSlots {
+		t.Fatalf("%d slots occupied while the extra pin waits", got)
+	}
+	// One unpin: the waiting pin lands in the slot freed for it, and is
+	// still held when the last pre-existing pin goes.
+	e.unpin(held[0])
+	var late epochPin
+	select {
+	case late = <-extra:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting pin did not get the freed slot")
+	}
+	if late != held[0] {
+		t.Fatalf("the waiting pin took slot %d, only slot %d was free", late, held[0])
+	}
+	for _, p := range held[1 : epochSlots-1] {
+		e.unpin(p)
+	}
+	select {
+	case <-synced:
+		t.Fatal("synchronize returned before the last pre-existing pin was released")
+	case <-time.After(20 * time.Millisecond):
+	}
+	e.unpin(held[epochSlots-1])
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("synchronize waited for a pin taken after it began")
+	}
+	e.unpin(late)
+	if got := e.pinned(); got != 0 {
+		t.Fatalf("%d slots still occupied at the end", got)
 	}
 }
 
-// TestEpochReclaimAfterRevoke: detached capability records sit in limbo
-// until a full grace period elapses, then every deferred free runs —
-// nothing leaks and nothing reclaims early.
+// TestEpochReclaimAfterRevoke: a destructive entry finishes what it
+// publishes. When it returns — after its one grace period, with no
+// further synchronize — no capability record is detached and
+// unreleased, and the index is back at what it held before the victim
+// was built.
 func TestEpochReclaimAfterRevoke(t *testing.T) {
-	if EpochBugArmed {
-		t.Skip("epochbug reclaims immediately by design")
+	// tenant is a fresh domain holding one flush-on-revoke page of
+	// dom0's.
+	tenant := func(t *testing.T, m *Monitor, page uint64) (DomainID, cap.NodeID) {
+		t.Helper()
+		dom, err := m.CreateDomain(InitialDomain, "limbo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := m.Share(InitialDomain, dom0MemNode(t, m), dom, memRes(page, 1), cap.MemRW, cap.CleanFlushTLB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dom, id
 	}
-	m := bootWorld(t, BackendVTX)
-	node := dom0MemNode(t, m)
-	dom, err := m.CreateDomain(InitialDomain, "limbo")
-	if err != nil {
-		t.Fatal(err)
+	// queued puts two such revocations on a ring of dom0's.
+	queued := func(t *testing.T, m *Monitor) {
+		t.Helper()
+		base := ringAt(t, m, InitialDomain, 8, 8)
+		for _, page := range []uint64{160, 162} {
+			_, id := tenant(t, m, page)
+			enqueue(t, m, base, 8, CallRevoke, uint64(id))
+		}
 	}
-	id, err := m.Share(InitialDomain, node, dom, memRes(160, 1), cap.MemRW, cap.CleanFlushTLB)
-	if err != nil {
-		t.Fatal(err)
+	kill := func(fn func(*Monitor, DomainID) error) func(*testing.T, *Monitor) func() error {
+		return func(t *testing.T, m *Monitor) func() error {
+			dom, _ := tenant(t, m, 160)
+			return func() error { return fn(m, dom) }
+		}
 	}
-	if err := m.Revoke(InitialDomain, id); err != nil {
-		t.Fatal(err)
-	}
-	// The revoke deferred its subtree's reclamation at the post-sync
-	// epoch: it cannot have run inside its own grace period.
-	if got := m.space.LimboNodes(); got == 0 {
-		t.Fatal("revoked subtree reclaimed inside its own operation")
-	}
-	st := m.EpochStats()
-	if st.Deferred == 0 || st.Reclaimed >= st.Deferred {
-		t.Fatalf("epoch stats inconsistent after revoke: %+v", st)
-	}
-	// Two explicit grace periods retire the pending batch.
-	m.ep.synchronize()
-	m.ep.synchronize()
-	if got := m.space.LimboNodes(); got != 0 {
-		t.Fatalf("%d capability records still in limbo after quiescence", got)
-	}
-	st = m.EpochStats()
-	if st.Reclaimed != st.Deferred {
-		t.Fatalf("reclaimed %d of %d deferred frees after quiescence", st.Reclaimed, st.Deferred)
+	for _, tc := range []struct {
+		name string
+		// arm builds what the entry destroys and returns the entry.
+		arm func(t *testing.T, m *Monitor) func() error
+	}{
+		{"Revoke", func(t *testing.T, m *Monitor) func() error {
+			_, id := tenant(t, m, 160)
+			return func() error { return m.Revoke(InitialDomain, id) }
+		}},
+		{"KillDomain", kill(func(m *Monitor, d DomainID) error { return m.KillDomain(InitialDomain, d) })},
+		{"ForceKill", kill((*Monitor).ForceKill)},
+		{"DepartKill", kill((*Monitor).DepartKill)},
+		{"ForceKillAll", func(t *testing.T, m *Monitor) func() error {
+			a, _ := tenant(t, m, 160)
+			b, _ := tenant(t, m, 162)
+			return func() error {
+				n, err := m.ForceKillAll(a, b)
+				if n != 2 {
+					return fmt.Errorf("ForceKillAll killed %d of 2 (%v)", n, err)
+				}
+				return err
+			}
+		}},
+		{"RingFlush", func(t *testing.T, m *Monitor) func() error {
+			queued(t, m)
+			return func() error {
+				n, err := m.RingFlush(InitialDomain)
+				if n != 2 {
+					return fmt.Errorf("RingFlush ran %d of 2 descriptors (%v)", n, err)
+				}
+				return err
+			}
+		}},
+		{"DrainRings", func(t *testing.T, m *Monitor) func() error {
+			queued(t, m)
+			return func() error {
+				if n := m.DrainRings(); n != 2 {
+					return fmt.Errorf("DrainRings ran %d of 2 descriptors", n)
+				}
+				return nil
+			}
+		}},
+		{"machine check", func(t *testing.T, m *Monitor) func() error {
+			victim := buildVictim(t, m)
+			if err := m.Launch(victim, 1); err != nil {
+				t.Fatal(err)
+			}
+			sched, err := fault.ParseSchedule("mc1@100")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.NewInjector(sched...).Arm(m.Machine(), nil)
+			return func() error {
+				res, err := m.RunCores(100_000, 1)
+				if err == nil && res[1].Trap.Kind != hw.TrapMachineCheck {
+					err = fmt.Errorf("victim trap = %v, want machine-check", res[1].Trap)
+				}
+				return err
+			}
+		}},
+	} {
+		for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+			t.Run(tc.name+"/"+string(kind), func(t *testing.T) {
+				m := bootWorld(t, kind)
+				baseline := m.space.NumNodes()
+				entry := tc.arm(t, m)
+				if m.space.NumNodes() <= baseline {
+					t.Fatal("nothing was built for the entry to revoke")
+				}
+				syncs := m.EpochStats().Syncs
+				if err := entry(); err != nil {
+					t.Fatal(err)
+				}
+				if limbo, nodes := m.space.LimboNodes(), m.space.NumNodes(); limbo != 0 || nodes != baseline {
+					t.Fatalf("on return %d records in limbo and %d indexed, want 0 and %d", limbo, nodes, baseline)
+				}
+				if got := m.EpochStats().Syncs - syncs; got != 1 {
+					t.Fatalf("the entry waited out %d grace periods, want 1", got)
+				}
+			})
+		}
 	}
 }
 
@@ -319,7 +374,7 @@ func TestEpochLinearizableRevokeStorm(t *testing.T) {
 		rwg.Add(1)
 		go func(r int) {
 			defer rwg.Done()
-			var lastRevs uint64
+			var lastRevs, lastEpoch uint64
 			for n := 0; ; n++ {
 				select {
 				case <-stop:
@@ -341,10 +396,11 @@ func TestEpochLinearizableRevokeStorm(t *testing.T) {
 				}
 				lastRevs = st.Revocations
 				es := m.EpochStats()
-				if es.Reclaimed > es.Deferred {
-					readerErr <- fmt.Errorf("reclaimed %d > deferred %d", es.Reclaimed, es.Deferred)
+				if es.Epoch < lastEpoch {
+					readerErr <- fmt.Errorf("epoch went backwards: %d -> %d", lastEpoch, es.Epoch)
 					return
 				}
+				lastEpoch = es.Epoch
 				if _, err := m.Enumerate(InitialDomain); err != nil {
 					readerErr <- fmt.Errorf("enumerate dom0: %v", err)
 					return
@@ -428,10 +484,8 @@ func TestEpochLinearizableRevokeStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesce twice: everything the storm deferred must reclaim, and
-	// the hammered regions must be exclusive to dom0 again.
-	m.ep.synchronize()
-	m.ep.synchronize()
+	// Every entry has returned: nothing the storm detached is still
+	// unreleased, and the hammered regions are exclusive to dom0 again.
 	if got := m.space.LimboNodes(); got != 0 {
 		t.Fatalf("%d capability records leaked in limbo after the storm", got)
 	}

@@ -314,6 +314,10 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 		}
 	}
 	checkIsolationInvariants(tb, m, domains)
+	// Every destructive entry finishes what it publishes.
+	if limbo := m.space.LimboNodes(); limbo != 0 {
+		tb.Fatalf("%d capability records detached and never released", limbo)
+	}
 }
 
 // FuzzMonitorAPI is the native fuzz entry point. Seed corpus lives in

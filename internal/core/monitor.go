@@ -230,8 +230,9 @@ type coreSched struct {
 //     (denter/dexit) and follows the RCU discipline: publish the removal
 //     (capability-subtree detach, atomic death state), synchronize
 //     (wait for every pre-publish pin to drop), then run the
-//     irreversible effects (cleanups, scrub, shootdown, hardware
-//     resync, deferred record reclaim). Revocation therefore runs
+//     irreversible effects (cleanups, scrub, shootdown, release of
+//     the detached records, hardware resync) — all of it inside the
+//     entry, nothing deferred past dexit. Revocation therefore runs
 //     concurrently with lock-free readers; only its publish steps are
 //     serialized. Domain creation serialises on tabMu, the only other
 //     writer of the published table.
@@ -269,7 +270,7 @@ type Monitor struct {
 	// published domain table besides boot.
 	tabMu sync.Mutex
 	// ep is the epoch-based reclamation engine (epoch.go): readers pin,
-	// destructive operations synchronize and defer frees.
+	// destructive operations publish, synchronize and then reclaim.
 	ep epochEngine
 
 	mach  *hw.Machine
@@ -731,8 +732,8 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 //	           no check-then-act entry still relies on revoked state.
 //	reclaim  — retire: cleanups (zero/flush + shootdowns) scrub the
 //	           revoked state, Release hands the parents their access
-//	           back, the detached records go to the deferred-free list,
-//	           and affected hardware is resynchronised.
+//	           back and drops the detached records, and affected
+//	           hardware is resynchronised.
 //
 // The KOpBegin/KOpEnd frame brackets all of it, so the trace checker's
 // shootdown-ack-inside-frame and scrub ordering invariants hold.
@@ -812,7 +813,6 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 			continue
 		}
 		m.space.Release(det)
-		m.ep.deferFree(func() { m.space.Reclaim(det) })
 	}
 	if coalesce {
 		m.endShootdownBatch()

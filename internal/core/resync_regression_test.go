@@ -11,6 +11,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // requireFilterMatchesSpace asserts that a domain's per-core hardware
@@ -430,5 +431,95 @@ func TestFailedRebuildDoesNotStrandLaterOwners(t *testing.T) {
 	}
 	if core.PMPUnit.Check(forwarded, hw.PermR) {
 		t.Fatal("d3's programmed PMP file still maps the page its revoked capability covered")
+	}
+}
+
+// TestKillCompletesPastFailedSurvivorRebuild: a kill runs to its end
+// even when a survivor's rebuild fails. The layout is the one above
+// with the bridge routed through a victim: dom0 shares the 40-page
+// bridge to the victim, the victim forwards it to d1, and dom0 shares
+// d1 the sixteen isolated pages directly. Killing the victim takes the
+// bridge with it and d1's rebuild goes one entry over the PMP budget;
+// destroyReclaim used to return there — the victim's backend state,
+// key and schedule entries left in place, no KKill, and a second kill
+// refused because the domain was already dead.
+func TestKillCompletesPastFailedSurvivorRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(m *Monitor, victim DomainID) error
+	}{
+		{"KillDomain", func(m *Monitor, v DomainID) error { return m.KillDomain(InitialDomain, v) }},
+		{"ForceKill", (*Monitor).ForceKill},
+		{"DepartKill", (*Monitor).DepartKill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mach, err := hw.NewMachine(hw.Config{
+				MemBytes: 8 << 20, NumCores: 2, PMPEntries: 16,
+				IOMMUAllowByDefault: true, MemoryEncryption: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rot, err := tpm.New(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Boot(BootConfig{Machine: mach, TPM: rot, Backend: BackendPMP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, sh := attachDualCheckers(t, m)
+			node := dom0MemNode(t, m)
+			victim, err := m.CreateDomain(InitialDomain, "victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d1, err := m.CreateDomain(InitialDomain, "d1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bridge, err := m.Share(InitialDomain, node, victim, memRes(100, 40), cap.MemRW|cap.RightShare, cap.CleanNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Share(victim, bridge, d1, memRes(100, 40), cap.MemRW, cap.CleanNone); err != nil {
+				t.Fatal(err)
+			}
+			for p := uint64(100); p <= 130; p += 2 {
+				if _, err := m.Share(InitialDomain, node, d1, memRes(p, 1), cap.MemRW, cap.CleanNone); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// An exclusive page keys the victim's memory: the key the kill
+			// must erase.
+			if _, err := m.Grant(InitialDomain, node, victim, memRes(200, 1), cap.MemRW, cap.CleanNone); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.DomainKeyID(victim); !ok {
+				t.Fatal("the victim has no memory key to erase")
+			}
+			var exhausted *backend.PMPExhaustedError
+			if err := tc.kill(m, victim); !errors.As(err, &exhausted) || exhausted.Owner != cap.OwnerID(d1) {
+				t.Fatalf("killing the victim: %v, want d1's layout over the PMP budget", err)
+			}
+			killed := slices.ContainsFunc(m.Machine().Tracer().Events(), func(ev trace.Event) bool {
+				return ev.Kind == trace.KKill && ev.Domain == uint64(victim)
+			})
+			if !killed {
+				t.Error("no KKill closes the victim's destruction")
+			}
+			if _, err := m.bk.Context(cap.OwnerID(victim), 0); !errors.Is(err, backend.ErrUnknownDomain) {
+				t.Errorf("the backend still answers for the victim: %v", err)
+			}
+			if _, ok := m.DomainKeyID(victim); ok {
+				t.Error("the victim's memory key survived the kill")
+			}
+			if limbo := m.space.LimboNodes(); limbo != 0 {
+				t.Errorf("%d capability records left in limbo", limbo)
+			}
+			if err := assertCheckersAgree(t, ck, sh); err != nil {
+				t.Errorf("the completed kill is flagged: %v", err)
+			}
+		})
 	}
 }

@@ -58,8 +58,7 @@ package core
 // monitor (round retires, revocation cleanups, kill scrubs) runs under
 // revMu, so arming the machine-level accumulator there is sound.
 // Pinned readers keep flowing during a drain. ringMu is a leaf guarding
-// only the registry map. A doorbell is also a quiescent point for the
-// epoch engine's per-core counters.
+// only the registry map.
 
 import (
 	"cmp"
@@ -214,11 +213,6 @@ func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
 	n, err := m.drainRound(core, one[:])
 	if r.err != nil {
 		err = r.err
-	}
-	// The doorbell is a quiescent point: the flushing guest is by
-	// definition outside any other monitor entry on its core.
-	if core >= 0 {
-		m.ep.quiesce(phys.CoreID(core))
 	}
 	// Ring-drain doorbells double as runtime-verification merge points:
 	// the drained batch's trace frame is complete here. Other cores may

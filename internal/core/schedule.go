@@ -302,13 +302,6 @@ func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID
 				// mode.
 			}
 		}
-		// The round barrier is the engine's natural quiescent point:
-		// every core is outside any monitor entry, so stamp the epoch
-		// counters (advancing deferred reclamation) before the ring
-		// drain. Host-side atomics only — the cycle clock is untouched.
-		for _, c := range cores {
-			m.ep.quiesce(c)
-		}
 		// Round-barrier ring drain: every core is quiescent and the
 		// cycle clock is at a sequential point, so batched work lands at
 		// a deterministic place in the schedule. Guarded by one atomic

@@ -323,9 +323,7 @@ type RunResult struct {
 // is always lock-free, and each trap handler takes exactly the locks
 // its operation needs (pinned reader entries for most; the destructive
 // entry for fault containment). Cores running independent workloads
-// therefore do not serialise on monitor entries at all. The run loop
-// is a quiescent point for the epoch engine: the core stamps its epoch
-// counter between traps, which is what lets deferred frees retire.
+// therefore do not serialise on monitor entries at all.
 func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 	c := m.mach.Core(core)
 	if c == nil {
@@ -335,8 +333,6 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 	if _, ok := m.Current(core); !ok {
 		return RunResult{}, fmt.Errorf("%w: %v", ErrNotRunning, core)
 	}
-	m.ep.setOnline(core, true)
-	defer m.ep.setOnline(core, false)
 	// The installed context decides attribution: guest VMFUNC switches
 	// change the running domain without informing the monitor.
 	cur := func() DomainID {
@@ -349,9 +345,6 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 	}
 	total := 0
 	for total < budget {
-		// Between traps the core holds no monitor entry: a quiescent
-		// point for epoch-based reclamation.
-		m.ep.quiesce(core)
 		// Route pending device interrupts before resuming guest code:
 		// IRQs raised by drivers or handlers during the previous trap
 		// window are delivered at the next entry, like real injection.
