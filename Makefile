@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race mutation epoch cover bench bench-control experiments examples clean
+.PHONY: all build vet test race mutation epoch drain cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -31,6 +31,16 @@ mutation:
 epoch:
 	for threads in 1 2 4; do \
 		GOMAXPROCS=$$threads $(GO) test -race -count=20 -run 'TestEpochLinearizableRevokeStorm|TestEpochPinSlotsExhausted' ./internal/core || exit 1; \
+	done
+
+# The drain round against everything that races it — readers on other
+# cores, revoke and kill storms, filter resyncs, running interpreters and
+# trace emitters — under the race detector, at 1, 2 and 4 host threads.
+drain:
+	for threads in 1 2 4; do \
+		GOMAXPROCS=$$threads $(GO) test -race -count=1 -run 'Drain|Ring|Epoch|Revoke|ResyncNeverPublishesPartialFilter' ./internal/core ./internal/rv || exit 1; \
+		GOMAXPROCS=$$threads $(GO) test -race -count 5 -run 'RunObservesPublishedWrites|FlushDuringRun|RunPublishesCounters' ./internal/hw || exit 1; \
+		GOMAXPROCS=$$threads $(GO) test -race -count 20 -run 'EventsDuringEmit|BackendContextStable' ./internal/trace ./internal/backend || exit 1; \
 	done
 
 cover:

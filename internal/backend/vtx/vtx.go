@@ -9,7 +9,6 @@ package vtx
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -22,36 +21,20 @@ import (
 // kept in the shared lock-free domain table (backend.Domains carries
 // the concurrency contract); RemoveDomain empties the EPT rather than
 // freeing it, so a core that died holding one of the domain's contexts
-// sees deny-all, never a dangling table. fastPairs is registered and
-// consulted on the shared path, so it carries a lock of its own.
+// sees deny-all, never a dangling table. The registered fast pairs live
+// in each core's VMFUNC lists (hw.Core) and nowhere else.
 type Backend struct {
 	mach  *hw.Machine
 	space *cap.Space
 	doms  *backend.Domains[*hw.EPT]
-
-	pairMu    sync.RWMutex
-	fastPairs map[fastKey]bool
-}
-
-type fastKey struct {
-	core phys.CoreID
-	a, b cap.OwnerID
-}
-
-func canonPair(core phys.CoreID, a, b cap.OwnerID) fastKey {
-	if a > b {
-		a, b = b, a
-	}
-	return fastKey{core, a, b}
 }
 
 // New returns a VT-x backend over mach and space.
 func New(mach *hw.Machine, space *cap.Space) *Backend {
 	return &Backend{
-		mach:      mach,
-		space:     space,
-		doms:      backend.NewDomains[*hw.EPT](len(mach.Cores)),
-		fastPairs: make(map[fastKey]bool),
+		mach:  mach,
+		space: space,
+		doms:  backend.NewDomains[*hw.EPT](len(mach.Cores)),
 	}
 }
 
@@ -100,13 +83,6 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 	d.State.Clear()
 	b.mach.Trace(trace.GlobalCore, trace.KEPTClear, uint64(owner), 0, 0, 0, 0)
 	b.doms.Remove(owner)
-	b.pairMu.Lock()
-	for k := range b.fastPairs {
-		if k.a == owner || k.b == owner {
-			delete(b.fastPairs, k)
-		}
-	}
-	b.pairMu.Unlock()
 	for _, cpu := range b.mach.Cores {
 		cpu.ClearVMFuncEntry(uint64(owner))
 	}
@@ -124,39 +100,39 @@ func (b *Backend) Context(owner cap.OwnerID, core phys.CoreID) (*hw.Context, err
 
 // Transition implements backend.Backend. The slow path models a full
 // VM exit + entry; the fast path models VMFUNC(0) switching the EPT
-// pointer from the core's pre-registered list without exiting.
+// pointer from the installed domain's pre-registered list without
+// exiting — the lookup the guest instruction makes.
 func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
-	ctx, err := b.Context(to, core.ID())
-	if err != nil {
-		return err
-	}
 	cost := b.mach.Cost
 	if fast {
-		var from cap.OwnerID
-		if cur := core.Context(); cur != nil {
-			from = cap.OwnerID(cur.Owner)
-		}
-		b.pairMu.RLock()
-		ok := b.fastPairs[canonPair(core.ID(), from, to)]
-		b.pairMu.RUnlock()
+		ctx, ok := core.VMFuncEntry(uint64(to))
 		if !ok {
+			var from uint64
+			if cur := core.Context(); cur != nil {
+				from = cur.Owner
+			}
 			return fmt.Errorf("%w: %d->%d on %v", backend.ErrNoFastPath, from, to, core.ID())
 		}
 		b.mach.Clock.Advance(cost.VMFunc)
 		core.SwitchContextTagged(ctx)
 		return nil
 	}
+	ctx, err := b.Context(to, core.ID())
+	if err != nil {
+		return err
+	}
 	b.mach.Clock.Advance(cost.VMExit + cost.VMEntry)
 	core.InstallContext(ctx)
 	return nil
 }
 
-// RegisterFastPair implements backend.Backend. Besides authorising
-// monitor-driven fast transitions, it installs both domains' contexts
-// into the core's VMFUNC list (indexed by domain ID), enabling the
-// *guest-level* VMFUNC instruction: code on a page mapped in both views
-// can switch without any monitor involvement — the Hodor pattern §4.1
-// cites for its 100-cycle figure.
+// RegisterFastPair implements backend.Backend: each domain's context
+// goes into the other's VMFUNC list on the core (indexed by domain ID),
+// which authorises monitor-driven fast transitions between the two and
+// enables the *guest-level* VMFUNC instruction: code on a page mapped
+// in both views can switch without any monitor involvement — the Hodor
+// pattern §4.1 cites for its 100-cycle figure. Neither domain gains a
+// way into any other pair's views.
 func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
 	ctxA, err := b.Context(a, core)
 	if err != nil {
@@ -166,12 +142,9 @@ func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
 	if err != nil {
 		return err
 	}
-	b.pairMu.Lock()
-	b.fastPairs[canonPair(core, a, bID)] = true
-	b.pairMu.Unlock()
 	cpu := b.mach.Cores[core] // Context checked the index
-	cpu.SetVMFuncEntry(uint64(a), ctxA)
-	cpu.SetVMFuncEntry(uint64(bID), ctxB)
+	cpu.SetVMFuncEntry(uint64(bID), uint64(a), ctxA)
+	cpu.SetVMFuncEntry(uint64(a), uint64(bID), ctxB)
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C20",
-		Title: "Batched ABI fast path: submission rings, coalesced shootdowns, transition cache",
+		Title: "Batched ABI fast path: submission rings, coalesced shootdowns",
 		Paper: "§3 every operation is mediated; mediation cost must not scale with operation count",
 		Run:   runC20,
 	})
@@ -28,7 +28,7 @@ func init() {
 const c20K = 16
 
 // runC20 measures the asynchronous batched ABI against the trap-per-op
-// baseline on the same capability workload, in three phases:
+// baseline on the same capability workload, in two phases:
 //
 //	storm    — W guest workers, one per core, each looping K=16
 //	           share-to-sink + K revoke operations. The sync arm pays
@@ -42,17 +42,12 @@ const c20K = 16
 //	           the same operation done synchronously: batching is pure
 //	           amortisation, so the degenerate batch must cost what the
 //	           sync path costs (the opt-in is free when unused).
-//	transcache — repeat mediated call/return switches with the
-//	           pre-validated transition cache off vs on: a hit skips
-//	           revalidation and pays the VMFUNC tariff (~100 cycles)
-//	           instead of the exit/entry round trip.
 //
 // Gates (the tentpole's acceptance criteria): batched per-op cost >= 5x
 // cheaper than sync on the storm, batched p99 per-op service span no
 // worse than sync (throughput not bought with tail latency), exactly
-// one shootdown round per revocation batch from trace counts, the
-// batch-of-1 within 5% of sync, and the cached switch >= 5x cheaper
-// than the slow path with pinned hit/miss counts.
+// one shootdown round per revocation batch from trace counts, and the
+// batch-of-1 within 5% of sync.
 //
 // Every configuration runs once, with the cycle-stamped tracer and
 // online invariant checker attached (C17 gates that tracing moves no
@@ -61,7 +56,7 @@ const c20K = 16
 // reads (KOpBegin/KOpEnd bracket each capability operation).
 func runC20(cfg Config) (*Result, error) {
 	res := &Result{
-		ID: "C20", Title: "Batched ABI throughput (ring storm / batch-of-1 / transition cache)",
+		ID: "C20", Title: "Batched ABI throughput (ring storm / batch-of-1)",
 		Columns: []string{"arm", "workers", "cycles", "ops", "cyc/op", "traps", "shootdowns", "p99 cyc"},
 	}
 
@@ -143,9 +138,6 @@ func runC20(cfg Config) (*Result, error) {
 		"unbatched cycle history bit-identical across runs: %d vs %d cycles", first, again.cycles)
 
 	if err := runC20BatchOfOne(cfg, res); err != nil {
-		return nil, err
-	}
-	if err := runC20TransCache(cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -419,71 +411,6 @@ func runC20BatchOfOne(cfg Config, res *Result) error {
 	res.metric("b1_batched_cycles_per_op", b)
 	res.check("batch1-parity", dev <= 0.05,
 		"batch-of-1 revocation %.0f cyc vs sync %.0f cyc: %.1f%% apart (gate: <= 5%%)", b, s, dev*100)
-	return nil
-}
-
-// runC20TransCache measures the pre-validated transition cache on a
-// mediated call/return pair: uncached every switch revalidates and pays
-// the exit/entry round trip; cached (and with the world quiet, so no
-// generation has moved) it pays the VMFUNC tariff.
-func runC20TransCache(cfg Config, res *Result) error {
-	w, err := newWorld(cfg, defaultWorldOpts())
-	if err != nil {
-		return err
-	}
-	svc, err := w.cl.Load(addImage("tc-svc", 0), loadOn(0))
-	if err != nil {
-		return err
-	}
-	const M = 32
-	pairs := func(n int) (uint64, error) {
-		return cycles(w.mach, func() error {
-			for i := 0; i < n; i++ {
-				if err := w.mon.Call(0, svc.ID()); err != nil {
-					return err
-				}
-				if err := w.mon.Return(0); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	uncached, err := pairs(M)
-	if err != nil {
-		return err
-	}
-	w.mon.SetTransitionCache(true)
-	defer w.mon.SetTransitionCache(false)
-	if _, err := pairs(1); err != nil { // warm: miss + fill
-		return err
-	}
-	stBefore := w.mon.Stats()
-	cached, err := pairs(M)
-	if err != nil {
-		return err
-	}
-	st := w.mon.Stats()
-	hits := st.TransCacheHits - stBefore.TransCacheHits
-	misses := st.TransCacheMisses - stBefore.TransCacheMisses
-	cost := w.mach.Cost
-
-	up := float64(uncached) / M
-	cp := float64(cached) / M
-	ratio := up / cp
-	res.row("transcache", "-", "-", fmtU(cached), fmtU(2*M),
-		fmt.Sprintf("%.0f vs %.0f", cp, up), "0", "-", "-")
-	res.metric("tc_uncached_cycles_per_pair", up)
-	res.metric("tc_cached_cycles_per_pair", cp)
-	res.metric("tc_speedup", ratio)
-	res.metric("tc_hits", float64(hits))
-	res.metric("tc_misses", float64(misses))
-	res.check("transcache-5x", ratio >= 5,
-		"cached call/return pair %.0f cyc vs uncached %.0f cyc: %.1fx (gate: >= 5x)", cp, up, ratio)
-	res.check("transcache-vmfunc-cost", cached <= uint64(M)*(2*cost.VMFunc+8),
-		"cached pair costs %d cyc over %d pairs, VMFUNC tariff is %d/switch", cached, M, cost.VMFunc)
-	res.check("transcache-pinned-hits", hits == 2*M && misses == 0,
-		"quiet-world hit/miss: %d/%d, want %d/0 (every switch after the fill is a hit)", hits, misses, 2*M)
 	return nil
 }
 

@@ -86,13 +86,6 @@ type Domain struct {
 	creator DomainID
 	state   atomic.Int32 // DomainState; zero value is StateActive
 
-	// cfgGen counts configuration changes the transition cache depends
-	// on (entry point, entry ring, sealing) — mutations that do NOT
-	// bump the capability-space generation. A cached switch is valid
-	// only while both generations match what was seen at cache fill
-	// (transcache.go).
-	cfgGen atomic.Uint64
-
 	// mu guards the mutable fields below. The monitor also holds it
 	// while rebuilding this domain's hardware state (backend SyncDomain)
 	// so rebuilds for one domain are serialised.
@@ -150,10 +143,6 @@ func (d *Domain) setState(s DomainState) {
 		}
 	}
 }
-
-// bumpCfgGen invalidates any cached pre-validated transitions into
-// this domain (called under d.mu by every entry/ring/seal mutation).
-func (d *Domain) bumpCfgGen() { d.cfgGen.Add(1) }
 
 // Entry returns the fixed entry point (valid once set).
 func (d *Domain) Entry() (phys.Addr, bool) {

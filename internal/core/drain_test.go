@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // drainWorld builds a fleet of ring-owning tenants with identical
@@ -74,140 +76,121 @@ func rawEnqueue(t testing.TB, m *Monitor, base phys.Addr, entries uint64, desc .
 	}
 }
 
-// atHostThreads runs fn with GOMAXPROCS set to n and restores it. The
-// drain round derives its fan-out from GOMAXPROCS, so this is the only
-// way a test (or anything else) chooses it.
-func atHostThreads(n int, fn func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-	fn()
-}
-
-// TestDrainHostThreadDifferential drives the identical multi-ring
-// drain at 1, 2 and 4 host threads — inline on the caller, and fanned
-// out over 2 and 4 workers. Nothing observable may depend on the
-// fan-out: cycle total, Stats(), every completion, the capability
-// forest and both checkers' verdict bytes must be identical, and two
-// runs at 4 threads must agree with each other.
-func TestDrainHostThreadDifferential(t *testing.T) {
-	const tenants = 4
+// TestDrainRoundDeterministic drives the identical multi-ring round —
+// every tenant's batch revokes, enumerates and delegates — twice at 1
+// host thread and twice at 4. A round is its rings in owner order on
+// one goroutine, so nothing may differ: cycle total, Stats(), every
+// completion, the capability forest with its node IDs (fresh IDs are
+// handed out in (owner, descriptor) order) and both checkers' verdict
+// bytes.
+func TestDrainRoundDeterministic(t *testing.T) {
+	const tenants, perRing = 4, 5
 	run := func(threads int) string {
-		var out string
-		atHostThreads(threads, func() {
-			m, ck, sh := bootDualTracedWorld(t, BackendVTX)
-			doms, bases := drainWorld(t, m, tenants)
-			if n := m.DrainRings(); n != tenants*4 {
-				t.Fatalf("threads=%d executed %d descriptors, want %d", threads, n, tenants*4)
-			}
-			var comps, pending []uint64
-			for i, base := range bases {
-				for slot := uint64(0); slot < 4; slot++ {
-					status, result := completion(t, m, base, 16, slot)
-					comps = append(comps, status, result)
-				}
-				pending = append(pending, m.RingPending(doms[i]))
-			}
-			st := m.Stats()
-			if st.RingShootdowns != 1 || st.RingOpsCoalesced != tenants*2 {
-				t.Fatalf("threads=%d: %d shootdown rounds coalescing %d requests, want 1 round of %d",
-					threads, st.RingShootdowns, st.RingOpsCoalesced, tenants*2)
-			}
-			out = fmt.Sprintf("cycles=%d\nstats=%+v\nepoch-syncs=%d\ncompletions=%v\npending=%v\n%s",
-				m.Machine().Clock.Cycles(), st, m.EpochStats().Syncs, comps, pending, m.LineageTree())
-			err := assertCheckersAgree(t, ck, sh)
-			out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+		m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+		sink, err := m.CreateDomain(InitialDomain, "sink")
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms, bases := drainWorld(t, m, tenants)
+		node := dom0MemNode(t, m)
+		for i, dom := range doms {
+			page := 700 + uint64(i)*4 + 2
+			id, err := m.Share(InitialDomain, node, dom, memRes(page, 1), cap.MemRW|cap.RightShare, cap.CleanNone)
 			if err != nil {
-				t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
+				t.Fatal(err)
 			}
-		})
+			rawEnqueue(t, m, bases[i], 16, CallShare, uint64(id), uint64(sink), page*pg, pg, uint64(cap.MemRW))
+		}
+		if n := m.DrainRings(); n != tenants*perRing {
+			t.Fatalf("threads=%d executed %d descriptors, want %d", threads, n, tenants*perRing)
+		}
+		var comps, pending []uint64
+		for i, base := range bases {
+			for slot := uint64(0); slot < perRing; slot++ {
+				status, result := completion(t, m, base, 16, slot)
+				if status != StatusOK {
+					t.Fatalf("threads=%d: tenant %d completion %d status = %d, want OK", threads, i, slot, status)
+				}
+				comps = append(comps, status, result)
+			}
+			pending = append(pending, m.RingPending(doms[i]))
+		}
+		st := m.Stats()
+		if st.RingShootdowns != 1 || st.RingOpsCoalesced != tenants*2 {
+			t.Fatalf("threads=%d: %d shootdown rounds coalescing %d requests, want 1 round of %d",
+				threads, st.RingShootdowns, st.RingOpsCoalesced, tenants*2)
+		}
+		out := fmt.Sprintf("cycles=%d\nstats=%+v\nepoch-syncs=%d\ncompletions=%v\npending=%v\n%s",
+			m.Machine().Clock.Cycles(), st, m.EpochStats().Syncs, comps, pending, m.LineageTree())
+		err = assertCheckersAgree(t, ck, sh)
+		out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
+		if err != nil {
+			t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
+		}
 		return out
 	}
-	one := run(1)
-	for _, threads := range []int{2, 4, 4} {
-		if got := run(threads); got != one {
-			t.Fatalf("outcome at %d host threads diverged from 1:\n--- 1 thread\n%s\n--- %d threads\n%s", threads, one, threads, got)
+	first := run(1)
+	for _, threads := range []int{1, 4, 4} {
+		if got := run(threads); got != first {
+			t.Fatalf("round at %d host threads diverged from the first run:\n--- first\n%s\n--- this\n%s", threads, first, got)
 		}
 	}
 }
 
-// TestDrainShardsAreOverlapComponents pins the round's partition: a
-// ring that overlaps two rings already in different shards joins them
-// into one — placed with just the first, it would share memory with a
-// ring on another worker — and the chained world drains clean with the
-// fan-out live (run under -race in CI).
+// TestDrainShardsAreOverlapComponents: rings whose footprints overlap,
+// directly and through a third ring, drain clean in one round, and the
+// round takes its rings in ascending owner order whatever order they
+// registered in.
 func TestDrainShardsAreOverlapComponents(t *testing.T) {
-	ringsAt := func(spans ...[2]uint64) []*domainRing {
-		var rings []*domainRing
-		for i, s := range spans {
-			rings = append(rings, &domainRing{owner: DomainID(i + 2), region: phys.MakeRegion(phys.Addr(s[0]), s[1]-s[0])})
+	// Tenants 0 and 1 hold disjoint rings in one shared slab, tenant 2's
+	// ring footprint spans both, and a fourth tenant's ring sits
+	// elsewhere.
+	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	node := dom0MemNode(t, m)
+	const entries = 16 // RingBytes(16) = 1344
+	offs := []uint64{0, 2048, 1024, 8 * pg}
+	var doms []DomainID
+	for _, off := range offs {
+		dom, err := m.CreateDomain(InitialDomain, "tenant")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return rings
-	}
-	shape := func(shards [][]*domainRing) string {
-		var out []string
-		for _, sh := range shards {
-			var ids []string
-			for _, r := range sh {
-				ids = append(ids, fmt.Sprint(r.owner))
-			}
-			out = append(out, strings.Join(ids, "+"))
+		if _, err := m.Share(InitialDomain, node, dom, memRes(600+off/pg, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
 		}
-		return strings.Join(out, " ")
+		doms = append(doms, dom)
 	}
-	for _, tc := range []struct {
-		name  string
-		spans [][2]uint64
-		want  string
-	}{
-		{"disjoint", [][2]uint64{{0, 10}, {10, 20}, {20, 30}}, "2 3 4"},
-		{"chain-closes-late", [][2]uint64{{0, 10}, {20, 30}, {5, 25}}, "2+3+4"},
-		{"two-components", [][2]uint64{{0, 10}, {20, 30}, {5, 12}, {25, 40}, {50, 60}}, "2+4 3+5 6"},
-		{"bridge-merges-components", [][2]uint64{{0, 10}, {20, 30}, {5, 12}, {25, 40}, {11, 21}}, "2+3+4+5+6"},
-	} {
-		if got := shape(overlapShards(ringsAt(tc.spans...))); got != tc.want {
-			t.Errorf("%s: shards %q, want %q", tc.name, got, tc.want)
+	// Registration order is not owner order: setup zeroes the header,
+	// so the overlapping ring goes first and the others land on top.
+	for _, i := range []int{2, 0, 1, 3} {
+		base := phys.Addr(600*pg + offs[i])
+		if err := m.RingSetup(doms[i], base, entries); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// The chain end to end: tenants 1 and 2 hold disjoint rings in one
-	// shared slab, tenant 3's ring footprint spans both, and a fourth
-	// tenant's ring elsewhere keeps the round fanned out.
-	atHostThreads(4, func() {
-		m, ck, sh := bootDualTracedWorld(t, BackendVTX)
-		node := dom0MemNode(t, m)
-		const entries = 16 // RingBytes(16) = 1344
-		offs := []uint64{0, 2048, 1024, 8 * pg}
-		var doms []DomainID
-		for _, off := range offs {
-			dom, err := m.CreateDomain(InitialDomain, "tenant")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Share(InitialDomain, node, dom, memRes(600+off/pg, 1), cap.MemRW, cap.CleanNone); err != nil {
-				t.Fatal(err)
-			}
-			doms = append(doms, dom)
+	for _, i := range []int{3, 1, 0} {
+		rawEnqueue(t, m, phys.Addr(600*pg+offs[i]), entries, CallSelfID)
+	}
+	seq0 := len(m.Machine().Tracer().Events())
+	m.DrainRings()
+	for _, i := range []int{0, 1, 3} {
+		if st, res := completion(t, m, phys.Addr(600*pg+offs[i]), entries, 0); st != StatusOK || res != uint64(doms[i]) {
+			t.Errorf("tenant %d completion = (%d, %d), want (%d, %d)", i, st, res, StatusOK, doms[i])
 		}
-		// Registration order is not owner order: setup zeroes the header,
-		// so the overlapping ring goes first and the others land on top.
-		for _, i := range []int{2, 0, 1, 3} {
-			base := phys.Addr(600*pg + offs[i])
-			if err := m.RingSetup(doms[i], base, entries); err != nil {
-				t.Fatal(err)
-			}
+	}
+	var batches []uint64
+	for _, ev := range m.Machine().Tracer().Events()[seq0:] {
+		if ev.Kind == trace.KBatchBegin {
+			batches = append(batches, ev.Domain)
 		}
-		for _, i := range []int{0, 1, 3} {
-			rawEnqueue(t, m, phys.Addr(600*pg+offs[i]), entries, CallSelfID)
-		}
-		m.DrainRings()
-		for _, i := range []int{0, 1, 3} {
-			if st, res := completion(t, m, phys.Addr(600*pg+offs[i]), entries, 0); st != StatusOK || res != uint64(doms[i]) {
-				t.Errorf("tenant %d completion = (%d, %d), want (%d, %d)", i, st, res, StatusOK, doms[i])
-			}
-		}
-		if err := assertCheckersAgree(t, ck, sh); err != nil {
-			t.Fatalf("chained drain flagged: %v", err)
-		}
-	})
+	}
+	if want := []uint64{uint64(doms[0]), uint64(doms[1]), uint64(doms[3])}; !slices.Equal(batches, want) {
+		t.Errorf("batches drained for owners %v, want ascending %v", batches, want)
+	}
+	if err := assertCheckersAgree(t, ck, sh); err != nil {
+		t.Fatalf("chained drain flagged: %v", err)
+	}
 }
 
 // failingBackend fails the calls a round's retire step makes.
@@ -404,8 +387,8 @@ func TestSyncRevokeGolden(t *testing.T) {
 	}
 }
 
-// TestRevokeStormWhileDraining races drain rounds (fanned out wherever
-// the host has the threads) against public-API revocations, a
+// TestRevokeStormWhileDraining races drain rounds against public-API
+// revocations, a
 // ForceKillAll storm over ring-owning tenants, guest-side descriptor
 // enqueues, and pinned readers — the revocation-storm-while-draining
 // scenario, run under -race at 1, 2 and 4 host threads in CI.
@@ -473,8 +456,7 @@ func TestRevokeStormWhileDraining(t *testing.T) {
 
 // TestDrainHotPathAllocs pins the doorbell round's hot path (flush of
 // one pending descriptor, no tracer) at zero heap allocations per
-// operation — a single-ring round runs inline and allocates nothing —
-// the batched-ABI latency budget the benchmarks gate in CI.
+// operation — the batched-ABI latency budget the benchmarks gate in CI.
 func TestDrainHotPathAllocs(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
 	const entries = 1
@@ -503,56 +485,53 @@ func TestDrainHotPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDrainRingsParallel measures a full barrier drain over an
-// 8-tenant fleet at 1 and 4 host threads, and the single-ring doorbell
-// hot path (perring, which must report 0 allocs/op).
-func BenchmarkDrainRingsParallel(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("rings8/t%d", threads), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
-			m := bootWorld(b, BackendVTX)
-			node := dom0MemNode(b, m)
-			const tenants, entries = 8, 64
-			bases := make([]phys.Addr, tenants)
-			for i := 0; i < tenants; i++ {
-				dom, err := m.CreateDomain(InitialDomain, "tenant")
-				if err != nil {
+// BenchmarkDrainRings measures a full barrier drain over an 8-tenant
+// fleet (rings8), and the single-ring doorbell hot path (perring, which
+// must report 0 allocs/op).
+func BenchmarkDrainRings(b *testing.B) {
+	b.Run("rings8", func(b *testing.B) {
+		m := bootWorld(b, BackendVTX)
+		node := dom0MemNode(b, m)
+		const tenants, entries = 8, 64
+		bases := make([]phys.Addr, tenants)
+		for i := 0; i < tenants; i++ {
+			dom, err := m.CreateDomain(InitialDomain, "tenant")
+			if err != nil {
+				b.Fatal(err)
+			}
+			// 64 entries → RingBytes just over a page: grant two.
+			page := uint64(600 + i*2)
+			if _, err := m.Grant(InitialDomain, node, dom, memRes(page, 2), cap.MemRW, cap.CleanNone); err != nil {
+				b.Fatal(err)
+			}
+			bases[i] = phys.Addr(page * pg)
+			if err := m.RingSetup(dom, bases[i], entries); err != nil {
+				b.Fatal(err)
+			}
+			// Descriptor slots hold CallSelfID once; iterations only
+			// republish tails.
+			for s := uint64(0); s < entries; s++ {
+				if err := m.Machine().Mem.Write64(bases[i]+phys.Addr(RingSQOff(entries, s)), CallSelfID); err != nil {
 					b.Fatal(err)
-				}
-				// 64 entries → RingBytes just over a page: grant two.
-				page := uint64(600 + i*2)
-				if _, err := m.Grant(InitialDomain, node, dom, memRes(page, 2), cap.MemRW, cap.CleanNone); err != nil {
-					b.Fatal(err)
-				}
-				bases[i] = phys.Addr(page * pg)
-				if err := m.RingSetup(dom, bases[i], entries); err != nil {
-					b.Fatal(err)
-				}
-				// Descriptor slots hold CallSelfID once; iterations only
-				// republish tails.
-				for s := uint64(0); s < entries; s++ {
-					if err := m.Machine().Mem.Write64(bases[i]+phys.Addr(RingSQOff(entries, s)), CallSelfID); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
-			mem := m.Machine().Mem
-			tail := uint64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tail += 16
-				for _, base := range bases {
-					if err := mem.Write64(base+RingOffSQTail, tail); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if n := m.DrainRings(); n != tenants*16 {
-					b.Fatalf("drained %d, want %d", n, tenants*16)
+		}
+		mem := m.Machine().Mem
+		tail := uint64(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tail += 16
+			for _, base := range bases {
+				if err := mem.Write64(base+RingOffSQTail, tail); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+			if n := m.DrainRings(); n != tenants*16 {
+				b.Fatalf("drained %d, want %d", n, tenants*16)
+			}
+		}
+	})
 	b.Run("perring", func(b *testing.B) {
 		m := bootWorld(b, BackendVTX)
 		const entries = 1

@@ -239,8 +239,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			}
 		case 20:
 			// Create+share+revoke churn: a subtree is born and torn down
-			// inside one op, so limbo records and the transition cache
-			// see maximum turnover.
+			// inside one op, so limbo records see maximum turnover.
 			if d, err := m.CreateDomain(randDomain(), "churn"); err == nil {
 				domains = append(domains, d)
 				if id, err := m.Share(InitialDomain, randNode(), d, randRegion(), cap.MemRW|cap.RightShare, cap.CleanFlushTLB); err == nil {

@@ -96,9 +96,9 @@ type Stats struct {
 	RingOpsCoalesced uint64 // logical shootdowns absorbed into those rounds
 	RingDrainErrors  uint64 // drain failures a round could not hand to a caller
 
-	// Pre-validated transition cache (transcache.go; opt-in).
-	TransCacheHits   uint64 // switches that skipped full validation
-	TransCacheMisses uint64 // cached-mode switches that took the slow path
+	// Always zero; kept for benchmark/ until ROADMAP's benchmark queue (iv).
+	TransCacheHits   uint64
+	TransCacheMisses uint64
 
 	// Attested live migration (migrate.go).
 	MigrationsOut uint64 // domain snapshots captured for departure
@@ -139,9 +139,6 @@ type statCounters struct {
 	ringOpsCoalesced atomic.Uint64
 	ringDrainErrors  atomic.Uint64
 
-	tcHits   atomic.Uint64
-	tcMisses atomic.Uint64
-
 	migrationsOut atomic.Uint64
 	migrationsIn  atomic.Uint64
 }
@@ -177,9 +174,6 @@ func (s *statCounters) snapshot() Stats {
 		RingOpsCoalesced: s.ringOpsCoalesced.Load(),
 		RingDrainErrors:  s.ringDrainErrors.Load(),
 
-		TransCacheHits:   s.tcHits.Load(),
-		TransCacheMisses: s.tcMisses.Load(),
-
 		MigrationsOut: s.migrationsOut.Load(),
 		MigrationsIn:  s.migrationsIn.Load(),
 	}
@@ -204,11 +198,6 @@ type coreSched struct {
 	frames []DomainID
 	cur    DomainID
 	hasCur bool
-
-	// tcache holds this core's pre-validated transitions (transcache.go),
-	// consulted only when the monitor's tcOn switch is set. Guarded by mu
-	// like the rest of the per-core state; nil until the first fill.
-	tcache map[tcKey]tcEntry
 }
 
 // Monitor is the isolation monitor instance controlling one machine.
@@ -320,11 +309,6 @@ type Monitor struct {
 	ringMu    sync.Mutex
 	rings     map[DomainID]*domainRing
 	ringCount atomic.Int64
-
-	// tcOn enables the pre-validated transition cache (transcache.go).
-	// Strictly opt-in: default-off keeps every transition byte-for-byte
-	// on the pre-cache path.
-	tcOn atomic.Bool
 
 	// drainErrMu/firstDrainErr latch the first drain failure a round
 	// could not hand to a caller, so tests and embedders can observe
@@ -977,7 +961,6 @@ func (m *Monitor) SetEntry(caller, id DomainID, entry phys.Addr) error {
 	}
 	d.entry = entry
 	d.entrySet = true
-	d.bumpCfgGen()
 	return nil
 }
 
@@ -998,7 +981,6 @@ func (m *Monitor) SetEntryRing(caller, id DomainID, ring hw.Ring) error {
 		return fmt.Errorf("%w: %d", ErrSealedState, id)
 	}
 	d.entryRing = ring
-	d.bumpCfgGen()
 	return nil
 }
 
@@ -1064,7 +1046,6 @@ func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 	}
 	d.measurement = ComputeMeasurement(d.entry, contents)
 	d.setState(StateSealed)
-	d.bumpCfgGen()
 	m.space.Seal(cap.OwnerID(id))
 	m.stats.capOps.Add(1)
 	m.emit(trace.KSeal, id, uint64(caller), 0, 0, 0)

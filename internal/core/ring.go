@@ -40,8 +40,7 @@ package core
 // Trust and validation. Ring setup capability-checks the whole
 // footprint for read+write from a reader entry and records the
 // capability-space generation; a drain revalidates only when the
-// generation moved — the "pre-validated" discipline the transition
-// cache also uses. Because a batch can itself revoke the ring's
+// generation moved. Because a batch can itself revoke the ring's
 // backing memory (or grant it away), the drain rechecks after every
 // executed descriptor that bumped the generation, and aborts the batch
 // (dropping the registration and the remaining descriptors) the moment
@@ -120,12 +119,9 @@ type domainRing struct {
 	// access validation of the ring footprint.
 	capGen uint64
 
-	// The ring's part of the round in flight (drain.go), written by the
-	// one host thread draining it and read by the round's coordinator
-	// after the join: descriptors executed, the drain's own failure, and
-	// the revocations its CallRevoke descriptors published, awaiting the
-	// round's retire.
-	n    uint64
+	// The ring's part of the round in flight (drain.go): the drain's own
+	// failure, and the revocations its CallRevoke descriptors published,
+	// awaiting the round's retire.
 	err  error
 	pend []*cap.Detached
 }
@@ -267,9 +263,7 @@ func (m *Monitor) DrainRings() uint64 {
 // drainRing reads every pending descriptor out of r and executes it as
 // one batch, bracketed by KBatchBegin/KBatchEnd trace events — the only
 // function that reads submission descriptors. It runs inside a round
-// (drain.go), possibly on a host thread of its own: everything it
-// touches is ring-local (one thread per ring), atomic, or internally
-// synchronised. Revocations only publish here; the round retires them,
+// (drain.go). Revocations only publish here; the round retires them,
 // and owns the one shootdown batch. Returns the number of descriptors
 // executed.
 func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {

@@ -15,7 +15,10 @@ import (
 // domains (§3.1). A mediated Call saves the caller's cpu state, checks
 // the target may run on the core, and enters the target at its fixed
 // entry point; Return unwinds. FastSwitch is the VMFUNC path: a
-// pre-authorised filter swap without a monitor exit.
+// pre-authorised filter swap without a monitor exit. A transition is
+// mediated unless RegisterFastPath registered its two endpoints as a
+// pair: the pair is per core, dies with either endpoint, and is the
+// only thing that ever enters a VMFUNC list.
 //
 // Concurrency: transitions are epoch-pinned reader entries (epoch.go)
 // — they run concurrently with transitions on other cores, with
@@ -50,24 +53,22 @@ func (m *Monitor) currentDomain(core phys.CoreID, sc *coreSched) (DomainID, bool
 	return sc.cur, sc.hasCur
 }
 
-// validateEntry establishes afresh what entering id on core requires —
-// the domain is live, has an entry point, and may run on the core — and
-// returns the entry point and ring: the facts the transition cache
-// remembers (transcache.go), unstamped.
-func (m *Monitor) validateEntry(id DomainID, core phys.CoreID) (tcEntry, error) {
+// validateEntry establishes what entering id on core requires — the
+// domain is live, has an entry point, and may run on the core — and
+// returns the entry point and the ring it is entered in.
+func (m *Monitor) validateEntry(id DomainID, core phys.CoreID) (phys.Addr, hw.Ring, error) {
 	d, err := m.liveDomain(id)
 	if err != nil {
-		return tcEntry{}, err
+		return 0, 0, err
 	}
 	entry, entrySet := d.Entry()
 	if !entrySet {
-		return tcEntry{}, fmt.Errorf("%w: domain %d", ErrNoEntry, id)
+		return 0, 0, fmt.Errorf("%w: domain %d", ErrNoEntry, id)
 	}
-	v := tcEntry{entry: entry, ring: d.EntryRing()}
 	if !m.space.OwnerHasCore(cap.OwnerID(id), core) {
-		return tcEntry{}, m.deny("domain %d may not run on %v", id, core)
+		return 0, 0, m.deny("domain %d may not run on %v", id, core)
 	}
-	return v, nil
+	return entry, d.EntryRing(), nil
 }
 
 // Launch starts the initial domain (or any domain with an entry point)
@@ -75,7 +76,7 @@ func (m *Monitor) validateEntry(id DomainID, core phys.CoreID) (tcEntry, error) 
 func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 	p := m.renter()
 	defer m.rexit(p)
-	v, err := m.validateEntry(id, core)
+	entry, ring, err := m.validateEntry(id, core)
 	if err != nil {
 		return err
 	}
@@ -87,9 +88,9 @@ func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 	if err := m.bk.Transition(c, cap.OwnerID(id), false); err != nil {
 		return err
 	}
-	c.PC = v.entry
+	c.PC = entry
 	c.Regs = [hw.NumRegs]uint64{}
-	c.Ring = v.ring
+	c.Ring = ring
 	sc.cur, sc.hasCur = id, true
 	sc.frames = sc.frames[:0]
 	m.stats.transitions.Add(1)
@@ -100,11 +101,9 @@ func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 // Call transfers control on core from the current domain to target,
 // entering at target's fixed entry point with argument registers
 // r0..r5 copied from the caller. The transfer is validated: the target
-// must be live, runnable on the core, and have an entry point. With
-// the transition cache on (transcache.go) those facts may come from the
-// core's cache instead of a fresh validation; either way this is the
-// one body that performs the transfer. The target's record is read
-// under the core lock (coreSched.mu → Domain.mu, the documented order).
+// must be live, runnable on the core, and have an entry point. The
+// target's record is read under the core lock (coreSched.mu →
+// Domain.mu, the documented order).
 func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 	p := m.renter()
 	defer m.rexit(p)
@@ -114,21 +113,11 @@ func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	entry, ring, err := m.validateEntry(target, core)
+	if err != nil {
+		return err
+	}
 	cur, running := m.currentDomain(core, sc)
-	cached := m.tcOn.Load()
-	var (
-		v   tcEntry
-		hit bool
-		err error
-	)
-	if cached && running {
-		v, hit = m.tcLookup(sc, cur, target, true)
-	}
-	if !hit {
-		if v, err = m.validateEntry(target, core); err != nil {
-			return err
-		}
-	}
 	if !running {
 		return fmt.Errorf("%w: %v", ErrNotRunning, core)
 	}
@@ -136,48 +125,24 @@ func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 	// Save the caller's register state into its context.
 	curCtx, err := m.bk.Context(cap.OwnerID(cur), core)
 	if err != nil {
-		if hit {
-			m.stats.tcMisses.Add(1)
-		}
 		return err
 	}
 	c.SaveInto(curCtx)
 	// Enter the target: argument registers carry over.
 	var args [6]uint64
 	copy(args[:], c.Regs[:6])
-	if hit, err = m.switchTo(c, target, hit); err != nil {
+	if err := m.bk.Transition(c, cap.OwnerID(target), false); err != nil {
 		return err
 	}
 	c.Regs = [hw.NumRegs]uint64{}
 	copy(c.Regs[:6], args[:])
-	c.PC = v.entry
-	c.Ring = v.ring
+	c.PC = entry
+	c.Ring = ring
 	sc.frames = append(sc.frames, cur)
 	sc.cur, sc.hasCur = target, true
 	m.stats.transitions.Add(1)
-	if hit {
-		m.stats.tcHits.Add(1)
-	}
 	m.emitCore(core, trace.KTransition, target, uint64(cur), 0, 0, trace.TransCall)
-	if cached && !hit {
-		m.tcFill(sc, core, cur, target, v)
-	}
 	return nil
-}
-
-// switchTo installs domain to on c: on the backend's fast path when the
-// transition cache vouched for the pair (hit), else — or when the
-// backend has since dropped the pair, a counted miss that charges
-// nothing — through the full exit/entry round trip. It reports whether
-// the fast path was taken.
-func (m *Monitor) switchTo(c *hw.Core, to DomainID, hit bool) (bool, error) {
-	if hit {
-		if m.bk.Transition(c, cap.OwnerID(to), true) == nil {
-			return true, nil
-		}
-		m.stats.tcMisses.Add(1)
-	}
-	return false, m.bk.Transition(c, cap.OwnerID(to), false)
 }
 
 // Return unwinds one mediated call: control goes back to the caller
@@ -185,7 +150,7 @@ func (m *Monitor) switchTo(c *hw.Core, to DomainID, hit bool) (bool, error) {
 // returning domain are delivered to the caller as return values. The
 // frame is popped before the caller's liveness is established: a caller
 // that died while the callee ran leaves the core with nowhere to return
-// to, cache or no cache.
+// to.
 func (m *Monitor) Return(core phys.CoreID) error {
 	p := m.renter()
 	defer m.rexit(p)
@@ -202,33 +167,21 @@ func (m *Monitor) Return(core phys.CoreID) error {
 	sc.frames = sc.frames[:len(sc.frames)-1]
 	c := m.mach.Core(core)
 	ret0, ret1 := c.Regs[0], c.Regs[1]
-	hit := false
-	if m.tcOn.Load() {
-		_, hit = m.tcLookup(sc, sc.cur, caller, false)
-	}
-	if !hit {
-		if _, err := m.liveDomain(caller); err != nil {
-			return err
-		}
+	returning, _ := m.currentDomain(core, sc)
+	if _, err := m.liveDomain(caller); err != nil {
+		return err
 	}
 	callerCtx, err := m.bk.Context(cap.OwnerID(caller), core)
 	if err != nil {
-		if hit {
-			m.stats.tcMisses.Add(1)
-		}
 		return err
 	}
-	if hit, err = m.switchTo(c, caller, hit); err != nil {
+	if err := m.bk.Transition(c, cap.OwnerID(caller), false); err != nil {
 		return err
 	}
 	c.RestoreFrom(callerCtx)
 	c.Regs[0], c.Regs[1] = ret0, ret1
-	returning := sc.cur
 	sc.cur, sc.hasCur = caller, true
 	m.stats.transitions.Add(1)
-	if hit {
-		m.stats.tcHits.Add(1)
-	}
 	m.emitCore(core, trace.KTransition, caller, uint64(returning), 0, 0, trace.TransReturn)
 	return nil
 }
@@ -279,14 +232,14 @@ func (m *Monitor) FastSwitch(core phys.CoreID, target DomainID) error {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if _, ok := m.currentDomain(core, sc); !ok {
+	from, running := m.currentDomain(core, sc)
+	if !running {
 		return fmt.Errorf("%w: %v", ErrNotRunning, core)
 	}
 	c := m.mach.Core(core)
 	if err := m.bk.Transition(c, cap.OwnerID(target), true); err != nil {
 		return err
 	}
-	from := sc.cur
 	c.PC = entry
 	sc.cur, sc.hasCur = target, true
 	m.stats.fastSwitches.Add(1)

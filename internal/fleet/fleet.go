@@ -75,9 +75,6 @@ type Config struct {
 	Backend core.BackendKind
 	// Seed parameterizes everything derived (nonces, fault schedules).
 	Seed int64
-	// SampleN is the nodes' runtime-verification sampling regime
-	// (<=1 exact).
-	SampleN int
 	// Spin adds a per-request busy loop of this many iterations to
 	// every service image (default 200), so serving throughput is
 	// dominated by simulated core execution rather than host-side
@@ -253,9 +250,8 @@ func (f *Fleet) bootNode(index int, name string, cores int, memBytes uint64, ver
 	n := &Node{Index: index, Name: name, Mach: mach, TPM: rot, Mon: mon}
 	if verified {
 		svc, err := rv.Attach(mach, mon, rv.Options{
-			Node:    name,
-			SampleN: f.cfg.SampleN,
-			Ship:    func(raw []byte) error { return f.shipDigest(n, raw) },
+			Node: name,
+			Ship: func(raw []byte) error { return f.shipDigest(n, raw) },
 		})
 		if err != nil {
 			return nil, err

@@ -168,11 +168,12 @@ type Core struct {
 	// Only the driving goroutine touches it (hits/misses included).
 	mru mruSet
 
-	// vmfunc is the core's pre-registered fast-switch list (the VMFUNC
-	// EPTP list): guest code may switch only to contexts the monitor
-	// installed here. The backend edits it cross-core on domain removal.
+	// vmfunc is the core's pre-registered fast-switch lists (the VMFUNC
+	// EPTP list, one per domain): guest code may switch only to a
+	// context the monitor installed here for the domain it runs in. The
+	// backend edits it cross-core on domain removal.
 	vmfuncMu sync.Mutex
-	vmfunc   map[uint64]*Context
+	vmfunc   map[vmfuncKey]*Context
 
 	timer      int
 	timerArmed bool
@@ -293,30 +294,45 @@ func (c *Core) InstallContext(ctx *Context) {
 // monitor re-entering a domain) clears the halt latch.
 func (c *Core) ClearHalt() { c.halted.Store(false) }
 
-// SetVMFuncEntry installs ctx at index idx of the core's VMFUNC list.
-// Only the monitor's backend calls this; guest code can then switch to
-// the view without an exit.
-func (c *Core) SetVMFuncEntry(idx uint64, ctx *Context) {
+// vmfuncKey names index idx of the VMFUNC list in force while domain
+// from is installed.
+type vmfuncKey struct{ from, idx uint64 }
+
+// SetVMFuncEntry installs ctx at index idx of domain from's VMFUNC
+// list. Only the monitor's backend calls this; code running in from
+// can then switch to the view without an exit.
+func (c *Core) SetVMFuncEntry(from, idx uint64, ctx *Context) {
 	c.vmfuncMu.Lock()
 	defer c.vmfuncMu.Unlock()
 	if c.vmfunc == nil {
-		c.vmfunc = make(map[uint64]*Context)
+		c.vmfunc = make(map[vmfuncKey]*Context)
 	}
-	c.vmfunc[idx] = ctx
+	c.vmfunc[vmfuncKey{from, idx}] = ctx
 }
 
-// ClearVMFuncEntry removes index idx from the VMFUNC list.
-func (c *Core) ClearVMFuncEntry(idx uint64) {
+// ClearVMFuncEntry removes owner from the VMFUNC lists: its own list
+// and its index in every other domain's.
+func (c *Core) ClearVMFuncEntry(owner uint64) {
 	c.vmfuncMu.Lock()
 	defer c.vmfuncMu.Unlock()
-	delete(c.vmfunc, idx)
+	for k := range c.vmfunc {
+		if k.from == owner || k.idx == owner {
+			delete(c.vmfunc, k)
+		}
+	}
 }
 
-// vmfuncEntry looks up index idx of the VMFUNC list.
-func (c *Core) vmfuncEntry(idx uint64) (*Context, bool) {
+// VMFuncEntry looks up index idx of the installed domain's VMFUNC list:
+// what the guest instruction and the backend's monitor-driven fast
+// switch both consult, so the two obey one relation.
+func (c *Core) VMFuncEntry(idx uint64) (*Context, bool) {
+	cur := c.ctx.Load()
+	if cur == nil {
+		return nil, false
+	}
 	c.vmfuncMu.Lock()
 	defer c.vmfuncMu.Unlock()
-	ctx, ok := c.vmfunc[idx]
+	ctx, ok := c.vmfunc[vmfuncKey{cur.Owner, idx}]
 	return ctx, ok
 }
 
@@ -678,7 +694,7 @@ func (c *Core) exec(ins Instr, t *Trap) bool {
 		// The guest-level fast switch: no exit, tagged TLB survives.
 		// An index outside the monitor-installed list vm-exits on real
 		// hardware; we model it as a fault the run loop reports.
-		target, ok := c.vmfuncEntry(r[14])
+		target, ok := c.VMFuncEntry(r[14])
 		if !ok {
 			c.faults.Add(1)
 			*t = Trap{Kind: TrapFault, Addr: c.PC, Want: PermX, PC: c.PC,

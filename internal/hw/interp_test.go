@@ -163,7 +163,7 @@ func newFzMachine(t testing.TB, cached bool) *fzMachine {
 	}
 	c := m.Cores[0]
 	c.InstallContext(&Context{Owner: 1, Filter: e, OSFilter: os, Entry: fzCode, UsesEPT: true, ASID: 1})
-	c.SetVMFuncEntry(0, &Context{Owner: 1, Filter: e, Entry: fzCode, UsesEPT: true, ASID: 2})
+	c.SetVMFuncEntry(1, 0, &Context{Owner: 1, Filter: e, Entry: fzCode, UsesEPT: true, ASID: 2})
 	c.PC = fzCode
 	c.Regs = [NumRegs]uint64{0, uint64(fzCode), uint64(fzData), uint64(fzCode + phys.PageSize - 4),
 		uint64(fzCode9), ^uint64(7), 6, 7, 8, uint64(fzROCode), uint64(fzHole), 11, 12, 13, 0, 15}

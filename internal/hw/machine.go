@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -176,40 +175,4 @@ func (m *Machine) CoreIDs() []phys.CoreID {
 		ids[i] = phys.CoreID(i)
 	}
 	return ids
-}
-
-// CoreRun reports one core's outcome from Machine.RunAll.
-type CoreRun struct {
-	Core phys.CoreID
-	// Steps is the number of instructions the core retired.
-	Steps int
-	// Trap is why the core stopped (TrapNone when the budget ran out).
-	Trap Trap
-}
-
-// RunAll runs every core that has an installed context concurrently,
-// one goroutine per core, each for up to maxInstrs instructions or
-// until its first trap. It returns per-core results in core-ID order.
-// This is raw SMP guest execution — traps are reported, not handled;
-// the monitor's RunCores drives trap dispatch on top of it.
-func (m *Machine) RunAll(maxInstrs int) []CoreRun {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var out []CoreRun
-	for _, c := range m.Cores {
-		if c.Context() == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(c *Core) {
-			defer wg.Done()
-			steps, trap := c.Run(maxInstrs)
-			mu.Lock()
-			out = append(out, CoreRun{Core: c.ID(), Steps: steps, Trap: trap})
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool { return out[i].Core < out[j].Core })
-	return out
 }

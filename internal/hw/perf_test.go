@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -100,9 +101,9 @@ func BenchmarkEPTLookup(b *testing.B) {
 	}
 }
 
-// TestMachineRunAll exercises the SMP engine: every core executes its
-// own sum loop concurrently, and per-core results, registers, and the
-// aggregated machine clock must all come out right.
+// TestMachineRunAll runs all four cores at once, one goroutine each:
+// every core executes its own sum loop, and per-core traps, registers,
+// and the aggregated machine clock must all come out right.
 func TestMachineRunAll(t *testing.T) {
 	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 4})
 	if err != nil {
@@ -127,16 +128,19 @@ func TestMachineRunAll(t *testing.T) {
 		c.InstallContext(&Context{Owner: uint64(i + 1), Filter: AllowAll{}, Entry: base})
 		c.PC = base
 	}
-	runs := m.RunAll(10000)
-	if len(runs) != 4 {
-		t.Fatalf("got %d core runs, want 4", len(runs))
+	traps := make([]Trap, len(m.Cores))
+	var wg sync.WaitGroup
+	for i, c := range m.Cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, traps[i] = c.Run(10000)
+		}()
 	}
-	for i, r := range runs {
-		if r.Core != phys.CoreID(i) {
-			t.Fatalf("run %d is core %v, want ID order", i, r.Core)
-		}
-		if r.Trap.Kind != TrapHalt {
-			t.Fatalf("core %d trap = %v, want halt", i, r.Trap)
+	wg.Wait()
+	for i, trap := range traps {
+		if trap.Kind != TrapHalt {
+			t.Fatalf("core %d trap = %v, want halt", i, trap)
 		}
 		n := uint64(10 * (i + 1))
 		want := n * (n - 1) / 2
@@ -161,28 +165,6 @@ func TestMachineRunAll(t *testing.T) {
 		if c.Cycles() != 0 {
 			t.Fatalf("core %d shard after reset = %d", i, c.Cycles())
 		}
-	}
-}
-
-// TestMachineRunAllSkipsIdleCores checks that cores without an
-// installed context are left out of the result set.
-func TestMachineRunAllSkipsIdleCores(t *testing.T) {
-	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := phys.Addr(0x1000)
-	a := NewAsm()
-	a.Hlt()
-	code := a.MustAssemble(base)
-	if err := m.Mem.WriteAt(base, code); err != nil {
-		t.Fatal(err)
-	}
-	m.Cores[1].InstallContext(&Context{Owner: 1, Filter: AllowAll{}, Entry: base})
-	m.Cores[1].PC = base
-	runs := m.RunAll(10)
-	if len(runs) != 1 || runs[0].Core != 1 || runs[0].Trap.Kind != TrapHalt {
-		t.Fatalf("runs = %+v, want core 1 halting alone", runs)
 	}
 }
 
