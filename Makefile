@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race mutation epoch drain cover bench bench-control experiments examples clean
+.PHONY: all build vet test race mutation epoch drain migrate cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -42,6 +42,16 @@ drain:
 		GOMAXPROCS=$$threads $(GO) test -race -count 5 -run 'RunObservesPublishedWrites|FlushDuringRun|RunPublishesCounters' ./internal/hw || exit 1; \
 		GOMAXPROCS=$$threads $(GO) test -race -count 20 -run 'EventsDuringEmit|BackendContextStable' ./internal/trace ./internal/backend || exit 1; \
 	done
+
+# The migration path — kept node-pair channels, per-node attestation
+# sessions, the channel transport under them — under the race detector,
+# ten times at 1, 2 and 4 host threads; then one hop and one send with
+# their allocations (handshakes/hop must read 0).
+migrate:
+	for threads in 1 2 4; do \
+		GOMAXPROCS=$$threads $(GO) test -race -count=10 ./internal/fleet ./internal/dist ./internal/attest || exit 1; \
+	done
+	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
 
 cover:
 	$(GO) test -cover ./...

@@ -85,6 +85,7 @@ func run() error {
 	fmt.Println("machine B:", bob.p)
 
 	wire := &tyche.RemoteWire{}
+	wire.Tap()
 	epA, err := alice.endpoint(bob)
 	if err != nil {
 		return err

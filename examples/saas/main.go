@@ -287,6 +287,7 @@ func fleetCoda() error {
 		}
 	}
 	wire := &dist.Wire{}
+	wire.Tap()
 	if err := f.Migrate("saas", pl.Node, to, wire); err != nil {
 		return err
 	}

@@ -77,6 +77,11 @@ func (v *Verifier) VerifyBoot(q *tpm.Quote, nonce []byte) (ed25519.PublicKey, er
 
 // Session is an established verification session: a monitor key proven
 // by VerifyBoot, against which domain reports are checked (tier two).
+// The monitor draws that key once, when it boots, so a session holds for
+// as long as the machine it proved keeps running: a verifier runs tier
+// one per machine and tier two per report, each report under a nonce of
+// its own. Nothing in a session changes after NewSession; goroutines may
+// share one.
 type Session struct {
 	MonitorKey ed25519.PublicKey
 }

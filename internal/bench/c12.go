@@ -43,6 +43,7 @@ func runC12(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	wire := &dist.Wire{}
+	wire.Tap()
 	epA, err := a.endpoint(b)
 	if err != nil {
 		return nil, err

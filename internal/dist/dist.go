@@ -8,12 +8,26 @@
 // wire: each side first verifies the other's full chain (TPM quote →
 // monitor identity → domain report → measurement policy), then runs an
 // X25519 handshake whose public keys are bound to the attested reports
-// (report data), and derives AES-CTR + HMAC-SHA256 session keys. Data
-// moves RDMA-style: the sending domain's NIC DMA-reads the ciphertext
-// from the domain's registered buffer and the receiving NIC DMA-writes
-// into the peer's — every bus access IOMMU-checked, so only domains
-// holding their NIC and buffer can use the path, and neither provider
-// OS ever observes plaintext.
+// (report data), and derives AES-CTR + HMAC-SHA256 session keys. Each
+// verifier draws the nonce its peer's quote and report must carry, so
+// evidence recorded from one handshake is refused by every other — one
+// handshake may vouch for a channel that is kept for a long time.
+//
+// Each direction of a channel has its own cipher key, MAC key and
+// sequence counter, derived from the ECDH secret under a direction
+// label: the counter is the CTR IV, so two directions under one key
+// would encrypt their first frames with one keystream, and a frame
+// captured one way would authenticate the other way.
+//
+// Data moves RDMA-style: the sending domain's NIC DMA-reads the
+// ciphertext from the domain's registered buffer and the receiving NIC
+// DMA-writes into the peer's — every bus access IOMMU-checked, so only
+// domains holding their NIC and buffer can use the path, and neither
+// provider OS ever observes plaintext.
+//
+// The Wire between the machines belongs to the adversary: Sniff shows
+// it every frame, Corrupt lets it rewrite one, Arm schedules link
+// faults. A wire nobody sniffs keeps no frame once it is delivered.
 package dist
 
 import (
@@ -27,6 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"github.com/tyche-sim/tyche/internal/attest"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -43,7 +58,10 @@ var (
 	// ErrLinkLost means the frame never arrived (dropped or delayed in
 	// flight). Unlike ErrTampered it is not an integrity failure: the
 	// sender's sequence number is not consumed, so the caller may retry
-	// the same payload over the same channel.
+	// the same payload over the same channel. Only the same payload: the
+	// lost frame reached the wire, and a different plaintext under its
+	// sequence number would reuse its keystream. A caller whose next
+	// payload differs opens a new channel instead.
 	ErrLinkLost = errors.New("dist: frame lost in flight")
 )
 
@@ -74,8 +92,11 @@ type Endpoint struct {
 // reorder) in the internal/fault grammar.
 type Wire struct {
 	frames [][]byte
-	// Taps receives a copy of every frame (the adversary's monitor
-	// port).
+	// Sniff, when set, is shown every frame entering the wire (the
+	// adversary's monitor port). The slice is the sender's and is valid
+	// for the call only.
+	Sniff func([]byte)
+	// Taps is what Tap's sniffer recorded: a copy of every frame since.
 	Taps [][]byte
 	// Corrupt, when set, may rewrite a frame in flight.
 	Corrupt func([]byte) []byte
@@ -146,9 +167,19 @@ func (w *Wire) linkFault() (fault.Kind, bool) {
 	return fired.f.Kind, true
 }
 
+// Tap installs the recording sniffer: from here on Taps keeps a copy of
+// every frame and WireCarried searches them.
+func (w *Wire) Tap() {
+	w.Sniff = func(frame []byte) {
+		w.Taps = append(w.Taps, append([]byte(nil), frame...))
+	}
+}
+
 func (w *Wire) push(frame []byte) {
+	if w.Sniff != nil {
+		w.Sniff(frame)
+	}
 	cp := append([]byte(nil), frame...)
-	w.Taps = append(w.Taps, append([]byte(nil), cp...))
 	if w.Corrupt != nil {
 		cp = w.Corrupt(cp)
 	}
@@ -187,18 +218,40 @@ func (w *Wire) pop() ([]byte, bool) {
 		return nil, false
 	}
 	f := w.frames[0]
+	w.frames[0] = nil // the queue's backing array must not keep a delivered frame
 	w.frames = w.frames[1:]
 	return f, true
 }
 
-// Conn is an established attested channel.
+// Conn is an established attested channel. It is not safe for
+// concurrent use: one transfer at a time, in either direction.
 type Conn struct {
 	a, b *Endpoint
 	wire *Wire
 
-	sendKey [32]byte // AES-CTR key material + HMAC key derived per dir
-	seqAB   uint64
-	seqBA   uint64
+	ab, ba half // a→b and b→a
+}
+
+// half is one direction of a channel. Sender and receiver of that
+// direction share it here as they share the derived keys in the field.
+type half struct {
+	block cipher.Block // AES-128-CTR, IV = seq
+	mac   hash.Hash    // HMAC-SHA256 over header and ciphertext
+	seq   uint64
+}
+
+// newHalf derives one direction's keys from the ECDH secret:
+// HMAC-SHA256(secret, label), first half the cipher key, second half
+// the MAC key.
+func newHalf(secret []byte, label string) (half, error) {
+	kdf := hmac.New(sha256.New, secret)
+	kdf.Write([]byte(label))
+	key := kdf.Sum(nil)
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		return half{}, err
+	}
+	return half{block: block, mac: hmac.New(sha256.New, key[16:])}, nil
 }
 
 // handshakeEvidence is what each side sends during setup: its boot
@@ -210,8 +263,22 @@ type handshakeEvidence struct {
 	Pub    []byte
 }
 
-// gatherEvidence produces an endpoint's evidence for the given nonces.
-func (e *Endpoint) gatherEvidence(bootNonce, domNonce []byte) (*handshakeEvidence, error) {
+// newChallenge draws the nonce a verifier demands of its peer.
+func newChallenge() ([]byte, error) {
+	c := make([]byte, 32)
+	if _, err := rand.Read(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// gatherEvidence produces an endpoint's evidence — boot quote and domain
+// report alike — for the challenge its peer drew. Binding the key sets
+// the domain's report data and the report then reads it back, so two
+// handshakes of one domain must not interleave there: like a transfer,
+// the two steps hold the NIC's queue, which every channel of the domain
+// shares.
+func (e *Endpoint) gatherEvidence(challenge []byte) (*handshakeEvidence, error) {
 	x := ecdh.X25519()
 	priv, err := x.GenerateKey(rand.Reader)
 	if err != nil {
@@ -219,27 +286,31 @@ func (e *Endpoint) gatherEvidence(bootNonce, domNonce []byte) (*handshakeEvidenc
 	}
 	e.priv = priv
 	pub := priv.PublicKey().Bytes()
+	nic := e.Monitor.Machine().Device(e.NIC)
+	nic.Acquire()
+	defer nic.Release()
 	if err := e.Monitor.SetReportData(e.Domain, e.Domain, tpm.Measure(pub)); err != nil {
 		return nil, err
 	}
-	quote, err := e.Monitor.BootQuote(bootNonce)
+	quote, err := e.Monitor.BootQuote(challenge)
 	if err != nil {
 		return nil, err
 	}
-	report, err := e.Monitor.Attest(e.Domain, domNonce)
+	report, err := e.Monitor.Attest(e.Domain, challenge)
 	if err != nil {
 		return nil, err
 	}
 	return &handshakeEvidence{Quote: quote, Report: report, Pub: pub}, nil
 }
 
-// verifyPeer applies the endpoint's policy to the peer's evidence.
-func (e *Endpoint) verifyPeer(ev *handshakeEvidence, bootNonce, domNonce []byte) error {
-	sess, err := e.PeerVerifier.NewSession(ev.Quote, bootNonce)
+// verifyPeer applies the endpoint's policy to the peer's evidence, which
+// must answer the challenge this endpoint drew.
+func (e *Endpoint) verifyPeer(ev *handshakeEvidence, challenge []byte) error {
+	sess, err := e.PeerVerifier.NewSession(ev.Quote, challenge)
 	if err != nil {
 		return fmt.Errorf("%w: boot: %v", ErrPeerUntrusted, err)
 	}
-	if err := sess.VerifyDomain(ev.Report, domNonce); err != nil {
+	if err := sess.VerifyDomain(ev.Report, challenge); err != nil {
 		return fmt.Errorf("%w: report: %v", ErrPeerUntrusted, err)
 	}
 	if err := attest.RequireSealed(ev.Report); err != nil {
@@ -257,24 +328,31 @@ func (e *Endpoint) verifyPeer(ev *handshakeEvidence, bootNonce, domNonce []byte)
 }
 
 // Connect establishes an attested channel between a and b over wire:
-// mutual attestation, bound X25519 handshake, session key derivation.
+// mutual attestation under fresh challenges, bound X25519 handshake,
+// per-direction session key derivation.
 func Connect(a, b *Endpoint, wire *Wire) (*Conn, error) {
-	bootNonce := []byte("dist-boot")
-	domNonce := []byte("dist-domain")
-	evA, err := a.gatherEvidence(bootNonce, domNonce)
+	fromA, err := newChallenge()
 	if err != nil {
 		return nil, err
 	}
-	evB, err := b.gatherEvidence(bootNonce, domNonce)
+	fromB, err := newChallenge()
+	if err != nil {
+		return nil, err
+	}
+	evA, err := a.gatherEvidence(fromB)
+	if err != nil {
+		return nil, err
+	}
+	evB, err := b.gatherEvidence(fromA)
 	if err != nil {
 		return nil, err
 	}
 	// Evidence crosses the untrusted wire (it is public; tampering
 	// breaks signatures and is caught by verification).
-	if err := a.verifyPeer(evB, bootNonce, domNonce); err != nil {
+	if err := a.verifyPeer(evB, fromA); err != nil {
 		return nil, err
 	}
-	if err := b.verifyPeer(evA, bootNonce, domNonce); err != nil {
+	if err := b.verifyPeer(evA, fromB); err != nil {
 		return nil, err
 	}
 	x := ecdh.X25519()
@@ -282,61 +360,69 @@ func Connect(a, b *Endpoint, wire *Wire) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	secretA, err := a.priv.ECDH(pubB)
+	secret, err := a.priv.ECDH(pubB)
 	if err != nil {
 		return nil, err
 	}
 	conn := &Conn{a: a, b: b, wire: wire}
-	conn.sendKey = sha256.Sum256(secretA)
+	if conn.ab, err = newHalf(secret, "tyche-dist a->b"); err != nil {
+		return nil, err
+	}
+	if conn.ba, err = newHalf(secret, "tyche-dist b->a"); err != nil {
+		return nil, err
+	}
 	return conn, nil
 }
 
-// frame layout: 8-byte seq | 8-byte length | ciphertext | 32-byte tag.
-func (c *Conn) seal(seq uint64, plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(c.sendKey[:16])
-	if err != nil {
-		return nil, err
-	}
-	var iv [16]byte
+// Frame layout: 8-byte seq | 8-byte length | ciphertext | 32-byte tag.
+const (
+	frameHeader = 16
+	frameTag    = sha256.Size
+)
+
+func (h *half) keystream(seq uint64) cipher.Stream {
+	var iv [aes.BlockSize]byte
 	binary.LittleEndian.PutUint64(iv[:8], seq)
-	ct := make([]byte, len(plaintext))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(ct, plaintext)
-	frame := make([]byte, 16, 16+len(ct)+32)
-	binary.LittleEndian.PutUint64(frame[:8], seq)
-	binary.LittleEndian.PutUint64(frame[8:16], uint64(len(ct)))
-	frame = append(frame, ct...)
-	mac := hmac.New(sha256.New, c.sendKey[16:])
-	mac.Write(frame)
-	return mac.Sum(frame), nil
+	return cipher.NewCTR(h.block, iv[:])
 }
 
-func (c *Conn) open(frame []byte, wantSeq uint64) ([]byte, error) {
-	if len(frame) < 48 {
+// seal builds the frame for plaintext under the direction's current
+// sequence number, in one buffer.
+func (h *half) seal(plaintext []byte) []byte {
+	n := len(plaintext)
+	frame := make([]byte, frameHeader+n, frameHeader+n+frameTag)
+	binary.LittleEndian.PutUint64(frame[:8], h.seq)
+	binary.LittleEndian.PutUint64(frame[8:frameHeader], uint64(n))
+	h.keystream(h.seq).XORKeyStream(frame[frameHeader:], plaintext)
+	h.mac.Reset()
+	h.mac.Write(frame)
+	return h.mac.Sum(frame)
+}
+
+// open authenticates frame against the direction's keys and current
+// sequence number and decrypts it in place; the plaintext it returns
+// aliases frame.
+func (h *half) open(frame []byte) ([]byte, error) {
+	if len(frame) < frameHeader+frameTag {
 		return nil, ErrTampered
 	}
-	body, tag := frame[:len(frame)-32], frame[len(frame)-32:]
-	mac := hmac.New(sha256.New, c.sendKey[16:])
-	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), tag) {
+	body, tag := frame[:len(frame)-frameTag], frame[len(frame)-frameTag:]
+	var sum [frameTag]byte
+	h.mac.Reset()
+	h.mac.Write(body)
+	if !hmac.Equal(h.mac.Sum(sum[:0]), tag) {
 		return nil, ErrTampered
 	}
 	seq := binary.LittleEndian.Uint64(body[:8])
-	if seq != wantSeq {
-		return nil, fmt.Errorf("%w: replayed or reordered (seq %d, want %d)", ErrTampered, seq, wantSeq)
+	if seq != h.seq {
+		return nil, fmt.Errorf("%w: replayed or reordered (seq %d, want %d)", ErrTampered, seq, h.seq)
 	}
-	n := binary.LittleEndian.Uint64(body[8:16])
-	if n != uint64(len(body)-16) {
+	ct := body[frameHeader:]
+	if binary.LittleEndian.Uint64(body[8:frameHeader]) != uint64(len(ct)) {
 		return nil, ErrTampered
 	}
-	block, err := aes.NewCipher(c.sendKey[:16])
-	if err != nil {
-		return nil, err
-	}
-	var iv [16]byte
-	binary.LittleEndian.PutUint64(iv[:8], seq)
-	pt := make([]byte, n)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(pt, body[16:])
-	return pt, nil
+	h.keystream(seq).XORKeyStream(ct, ct)
+	return ct, nil
 }
 
 // Send moves plaintext from endpoint `from`'s buffer to the peer's,
@@ -345,29 +431,33 @@ func (c *Conn) open(frame []byte, wantSeq uint64) ([]byte, error) {
 // DMA-writes it into the peer buffer, and the receiving domain opens
 // it. Returns the plaintext as observed by the receiver.
 func (c *Conn) Send(from *Endpoint, plaintext []byte) ([]byte, error) {
-	to := c.b
-	var seq *uint64
+	return c.SendOver(c.wire, from, plaintext)
+}
+
+// SendOver is Send with the frame routed over wire instead of the wire
+// the channel was connected over: the channel is its keys and sequence
+// counters, and which link carries a frame is the network's choice. A
+// fault armed on wire hits this frame and no other.
+func (c *Conn) SendOver(wire *Wire, from *Endpoint, plaintext []byte) ([]byte, error) {
+	var to *Endpoint
+	var h *half
 	switch from {
 	case c.a:
-		to, seq = c.b, &c.seqAB
+		to, h = c.b, &c.ab
 	case c.b:
-		to, seq = c.a, &c.seqBA
+		to, h = c.a, &c.ba
 	default:
 		return nil, fmt.Errorf("dist: endpoint not part of this connection")
 	}
-	frame, err := c.seal(*seq, plaintext)
-	if err != nil {
-		return nil, err
-	}
+	frame := h.seal(plaintext)
 	if uint64(len(frame)) > from.Buffer.Size() || uint64(len(frame)) > to.Buffer.Size() {
 		return nil, ErrTooLarge
 	}
-	out, err := from.transmit(frame)
-	if err != nil {
+	if err := from.transmit(frame); err != nil {
 		return nil, err
 	}
-	c.wire.push(out)
-	rx, ok := c.wire.pop()
+	wire.push(frame)
+	rx, ok := wire.pop()
 	if !ok {
 		return nil, ErrLinkLost
 	}
@@ -375,33 +465,33 @@ func (c *Conn) Send(from *Endpoint, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := c.open(got, *seq)
+	pt, err := h.open(got)
 	if err != nil {
 		return nil, err
 	}
-	*seq++
+	h.seq++
 	return pt, nil
 }
 
 // transmit stages frame in the endpoint's registered buffer (the sending
 // domain writes it — capability-checked) and has the NIC DMA-read it
-// back out (IOMMU-checked). Every channel of a node runs over the same
-// buffer and NIC, so the two steps hold the NIC's queue: a frame staged
-// by another channel cannot land between them. transmit and receive
-// never hold two NICs at once, so concurrent transfers in opposite
-// directions cannot deadlock.
-func (e *Endpoint) transmit(frame []byte) ([]byte, error) {
+// back out (IOMMU-checked) over frame, which then holds what the NIC put
+// on the wire. Every channel of a node runs over the same buffer and
+// NIC, so the two steps hold the NIC's queue: a frame staged by another
+// channel cannot land between them. transmit and receive never hold two
+// NICs at once, so concurrent transfers in opposite directions cannot
+// deadlock.
+func (e *Endpoint) transmit(frame []byte) error {
 	nic := e.Monitor.Machine().Device(e.NIC)
 	nic.Acquire()
 	defer nic.Release()
 	if err := e.Monitor.CopyInto(e.Domain, e.Buffer.Start, frame); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, len(frame))
-	if err := nic.DMARead(e.Buffer.Start, out); err != nil {
-		return nil, fmt.Errorf("dist: tx dma: %w", err)
+	if err := nic.DMARead(e.Buffer.Start, frame); err != nil {
+		return fmt.Errorf("dist: tx dma: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // receive has the NIC DMA-write rx into the endpoint's registered
@@ -418,8 +508,8 @@ func (e *Endpoint) receive(rx []byte) ([]byte, error) {
 	return e.Monitor.CopyFrom(e.Domain, e.Buffer.Start, uint64(len(rx)))
 }
 
-// WireCarried reports whether the adversary's tap ever saw `needle` in
-// the clear.
+// WireCarried reports whether the adversary's tap (see Tap) ever saw
+// `needle` in the clear.
 func (w *Wire) WireCarried(needle []byte) bool {
 	for _, f := range w.Taps {
 		if bytes.Contains(f, needle) {

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/attest"
@@ -94,6 +96,7 @@ func TestAttestedChannelEndToEnd(t *testing.T) {
 	ma := buildMachine(t, nil)
 	mb := buildMachine(t, nil)
 	wire := &Wire{}
+	wire.Tap()
 	a := ma.endpoint(t, mb)
 	b := mb.endpoint(t, ma)
 	conn, err := Connect(a, b, wire)
@@ -189,6 +192,7 @@ func TestReplayRejected(t *testing.T) {
 	ma := buildMachine(t, nil)
 	mb := buildMachine(t, nil)
 	wire := &Wire{}
+	wire.Tap()
 	a := ma.endpoint(t, mb)
 	b := mb.endpoint(t, ma)
 	conn, err := Connect(a, b, wire)
@@ -405,5 +409,158 @@ func TestChannelsSharingOneNIC(t *testing.T) {
 	nic := ma.mon.Machine().Device(0)
 	if got := nic.DMACount(); got != 2*rounds {
 		t.Errorf("machine A's NIC counted %d DMAs, want %d", got, 2*rounds)
+	}
+}
+
+// connected is two machines with an open channel between them.
+func connected(t testing.TB) (conn *Conn, a, b *Endpoint, wire *Wire) {
+	t.Helper()
+	ma := buildMachine(t, nil)
+	mb := buildMachine(t, nil)
+	wire = &Wire{}
+	a, b = ma.endpoint(t, mb), mb.endpoint(t, ma)
+	conn, err := Connect(a, b, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, a, b, wire
+}
+
+func xor(x, y []byte) []byte {
+	out := make([]byte, len(x))
+	subtle.XORBytes(out, x, y)
+	return out
+}
+
+// TestDirectionsShareNoKeys: both directions start at sequence number 0
+// and the sequence number is the CTR IV, so under one cipher key the two
+// first frames would be one keystream over two plaintexts (their XOR
+// leaks the plaintexts' XOR), and under one MAC key a frame captured one
+// way would be accepted the other way.
+func TestDirectionsShareNoKeys(t *testing.T) {
+	conn, a, b, wire := connected(t)
+	wire.Tap()
+	there := []byte("first frame from A to B, sequence number 0")
+	back := []byte("first frame from B to A, sequence number 0")
+	back = append(back, make([]byte, len(there)-len(back))...)
+	if _, err := conn.Send(a, there); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Send(b, back); err != nil {
+		t.Fatal(err)
+	}
+	body := func(frame []byte) []byte { return frame[frameHeader : len(frame)-frameTag] }
+	if bytes.Equal(xor(body(wire.Taps[0]), body(wire.Taps[1])), xor(there, back)) {
+		t.Fatal("the first frames of the two directions were encrypted under one keystream")
+	}
+	// A's second frame carries sequence number 1, which is what B→A
+	// expects next: replayed into that direction it must not verify.
+	if _, err := conn.Send(a, []byte("second frame from A to B")); err != nil {
+		t.Fatal(err)
+	}
+	captured := wire.Taps[2]
+	wire.Corrupt = func([]byte) []byte { return append([]byte(nil), captured...) }
+	if got, err := conn.Send(b, []byte("second frame from B to A")); !errors.Is(err, ErrTampered) {
+		t.Fatalf("A→B frame replayed into B→A: delivered %q, err = %v, want ErrTampered", got, err)
+	}
+}
+
+// TestReconnectDerivesFreshKeys: a second handshake between the same two
+// endpoints shares no key with the first — the same plaintext under the
+// same sequence number leaves as a different frame.
+func TestReconnectDerivesFreshKeys(t *testing.T) {
+	conn, a, b, wire := connected(t)
+	wire.Tap()
+	msg := []byte("same plaintext, same sequence number")
+	if _, err := conn.Send(a, msg); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Connect(a, b, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := again.Send(a, msg); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(wire.Taps[0], wire.Taps[1]) {
+		t.Fatal("two handshakes derived the same keys")
+	}
+}
+
+// TestHandshakeEvidenceNotReplayable: a verifier draws the nonce its
+// peer must quote, so evidence that answered one handshake's challenge
+// is refused by the next.
+func TestHandshakeEvidenceNotReplayable(t *testing.T) {
+	ma := buildMachine(t, nil)
+	mb := buildMachine(t, nil)
+	a, b := ma.endpoint(t, mb), mb.endpoint(t, ma)
+	first, err := newChallenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := b.gatherEvidence(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.verifyPeer(recorded, first); err != nil {
+		t.Fatalf("evidence refused by the handshake it answers: %v", err)
+	}
+	next, err := newChallenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.verifyPeer(recorded, next); !errors.Is(err, ErrPeerUntrusted) {
+		t.Fatalf("recorded evidence presented to a later handshake: err = %v, want ErrPeerUntrusted", err)
+	}
+}
+
+// TestUntappedWireRetainsNothing: the tap is the adversary's to install;
+// a wire without one holds a frame from push to pop and no longer.
+func TestUntappedWireRetainsNothing(t *testing.T) {
+	conn, a, _, wire := connected(t)
+	for i := 0; i < 64; i++ {
+		if _, err := conn.Send(a, bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(wire.Taps) + len(wire.frames) + len(wire.held); n != 0 {
+		t.Fatalf("an untapped wire retains %d frames after 64 deliveries", n)
+	}
+}
+
+// sendPayload is a migration snapshot's order of magnitude and fills the
+// test machines' two-page registered buffer.
+const sendPayload = 8000
+
+// TestSendAllocationBudget pins Send's copy chain: the sealed frame, the
+// wire's copy and the receiving domain's read are three buffers of about
+// the payload's size; a fourth is the margin for everything small.
+func TestSendAllocationBudget(t *testing.T) {
+	conn, a, _, _ := connected(t)
+	msg := make([]byte, sendPayload)
+	const sends = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sends; i++ {
+		if _, err := conn.Send(a, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / sends; got > 4*sendPayload {
+		t.Fatalf("one Send of %d bytes allocates %d bytes, budget %d", sendPayload, got, 4*sendPayload)
+	}
+}
+
+func BenchmarkSend(b *testing.B) {
+	conn, a, _, _ := connected(b)
+	msg := make([]byte, sendPayload)
+	b.SetBytes(sendPayload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Send(a, msg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

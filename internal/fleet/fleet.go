@@ -6,15 +6,16 @@
 //   - Placement: a domain image is admitted onto a node as a
 //     core.DomainSnapshot restore, attested against its expected
 //     measurement (the control plane verifies the node's TPM-rooted
-//     chain before trusting the report), and registered with the load
-//     balancer.
+//     chain once, on the node's first placement, and every report
+//     against the monitor key that chain proved), and registered with
+//     the load balancer.
 //   - Attested live migration: a running domain's complete isolation
 //     state — memory, capability shape, entry configuration, queued
-//     vCPU contexts — crosses between nodes over a dist.Conn attested
-//     channel, is re-attested on arrival, and departs the source with
-//     a forced crypto-erase (core.Monitor.DepartKill). Blackout time —
-//     load-balancer freeze to re-registration — is measured per
-//     migration.
+//     vCPU contexts — crosses between nodes over the dist.Conn attested
+//     channel the two nodes' agents keep between them, is re-attested
+//     on arrival, and departs the source with a forced crypto-erase
+//     (core.Monitor.DepartKill). Blackout time — load-balancer freeze
+//     to re-registration — is measured per migration.
 //   - Fleet-wide runtime verification: every node's rv.Service ships
 //     its hash-chained trace digests over its own attested channel to
 //     a per-node check.RemoteVerifier on the control-plane machine;
@@ -124,9 +125,10 @@ type Node struct {
 	cores   chan phys.CoreID
 
 	mu      sync.Mutex
-	conn    *dist.Conn     // digest channel to the control plane
-	ep      *dist.Endpoint // this node's side of the digest channel
-	pending [][]byte       // digests buffered before the channel existed
+	conn    *dist.Conn      // digest channel to the control plane
+	ep      *dist.Endpoint  // this node's side of the digest channel
+	pending [][]byte        // digests buffered before the channel existed
+	sess    *attest.Session // the monitor key this node's TPM proved (session)
 
 	failed atomic.Bool
 }
@@ -138,6 +140,12 @@ func (n *Node) Workers() []phys.CoreID {
 
 // Failed reports whether the control plane declared the node dead.
 func (n *Node) Failed() bool { return n.failed.Load() }
+
+// alive reports whether domain id still exists on the node.
+func (n *Node) alive(id core.DomainID) bool {
+	d, err := n.Mon.Domain(id)
+	return err == nil && d.State() != core.StateDead
+}
 
 // acquireCore blocks until a serving core is free.
 func (n *Node) acquireCore() phys.CoreID { return <-n.cores }
@@ -182,6 +190,11 @@ type Fleet struct {
 	nonceMu sync.Mutex
 	nonce   uint64
 
+	// pairs holds the kept node-to-node migration channels by
+	// (lower, higher) node index (migrate.go).
+	pairMu sync.Mutex
+	pairs  map[[2]int]*pairChannel
+
 	blackMu   sync.Mutex
 	blackouts []uint64 // nanoseconds per completed migration
 
@@ -197,7 +210,12 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.CoresPerNode < 2 {
 		return nil, fmt.Errorf("fleet: need at least 2 cores per node (agent + worker)")
 	}
-	f := &Fleet{cfg: cfg, lb: NewLoadBalancer(), tmpls: make(map[string]*template)}
+	f := &Fleet{
+		cfg:   cfg,
+		lb:    NewLoadBalancer(),
+		tmpls: make(map[string]*template),
+		pairs: make(map[[2]int]*pairChannel),
+	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := f.bootNode(i, fmt.Sprintf("node%d", i), cfg.CoresPerNode, cfg.MemBytes, true)
 		if err != nil {
@@ -556,20 +574,41 @@ func (f *Fleet) placeOn(n *Node, tmpl *template) (*Placement, error) {
 	return pl, nil
 }
 
-// attestPlacement verifies the full chain for a freshly admitted
-// domain: TPM-quoted boot, monitor identity, signed domain report,
-// sealed state, expected measurement.
-func (f *Fleet) attestPlacement(n *Node, id core.DomainID, want tpm.Digest) error {
+// session returns the node's attestation session, running tier one of
+// §3.4 on first use: a TPM quote under a fresh nonce proves the machine
+// booted a trusted monitor and binds that monitor's attestation key. The
+// key is fixed at boot, so the proof is kept for as long as the node is
+// (FailNode drops it).
+func (f *Fleet) session(n *Node) (*attest.Session, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.sess != nil {
+		return n.sess, nil
+	}
 	nonce := f.nextNonce()
-	ver := attest.NewVerifier(n.TPM.EndorsementKey(), n.Mon.Identity())
 	q, err := n.Mon.BootQuote(nonce)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sess, err := ver.NewSession(q, nonce)
+	sess, err := attest.NewVerifier(n.TPM.EndorsementKey(), n.Mon.Identity()).NewSession(q, nonce)
+	if err != nil {
+		return nil, err
+	}
+	n.sess = sess
+	return sess, nil
+}
+
+// attestPlacement verifies a freshly admitted domain: a report fresh for
+// a nonce never used before, signed by the monitor key the node's TPM
+// proved (tier two against the kept session — the first placement on a
+// node pays tier one), of a sealed domain with the expected
+// measurement.
+func (f *Fleet) attestPlacement(n *Node, id core.DomainID, want tpm.Digest) error {
+	sess, err := f.session(n)
 	if err != nil {
 		return err
 	}
+	nonce := f.nextNonce()
 	rep, err := n.Mon.Attest(id, nonce)
 	if err != nil {
 		return err
@@ -600,7 +639,8 @@ func (f *Fleet) ArmKill(i int, afterAccesses uint64) {
 	n.Inj.Arm(n.Mach, n.TPM)
 }
 
-// FailNode is the control plane's node-death protocol: stop routing,
+// FailNode is the control plane's node-death protocol: forget the
+// node's migration channels and attestation session, stop routing,
 // drain in-flight requests, destroy the node's remaining tenant
 // plaintext (forced scrub), and re-place every lost service at the
 // same base on surviving nodes. Idempotent; safe from serving workers.
@@ -609,6 +649,10 @@ func (f *Fleet) FailNode(i int) {
 	if !n.failed.CompareAndSwap(false, true) {
 		return
 	}
+	f.dropChannels(i)
+	n.mu.Lock()
+	n.sess = nil
+	n.mu.Unlock()
 	lost := f.lb.DeregisterNode(i)
 	for _, pl := range lost {
 		if err := pl.Drain(); err != nil {
@@ -619,7 +663,7 @@ func (f *Fleet) FailNode(i int) {
 	// checks already killed (and scrubbed) the ones caught running.
 	var alive []core.DomainID
 	for _, pl := range lost {
-		if d, err := n.Mon.Domain(pl.Dom); err == nil && d.State() != core.StateDead {
+		if n.alive(pl.Dom) {
 			alive = append(alive, pl.Dom)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-func newTestFleet(t *testing.T, nodes int) *Fleet {
+func newTestFleet(t testing.TB, nodes int) *Fleet {
 	t.Helper()
 	f, err := New(Config{
 		Nodes:        nodes,
