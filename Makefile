@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race mutation epoch drain migrate cover bench bench-control experiments examples clean
+.PHONY: all build vet test race mutation rv epoch drain migrate cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -25,6 +25,19 @@ mutation:
 	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug; do \
 		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
 	done
+
+# Runtime verification: the trace, checker and rv packages under the
+# race detector, the sharded differential suite, the six mutation
+# oracles, the shard hot path pinned at zero allocations, a 30 s fuzz
+# smoke of both checkers, and the service wired into the experiment
+# harness (-verify).
+rv:
+	$(GO) test -race ./internal/trace/... ./internal/rv
+	$(GO) test -race -run 'Sharded' ./internal/core
+	$(MAKE) mutation
+	$(GO) test -run='^$$' -bench 'ShardedEvent' -benchmem ./internal/trace/check | grep -E 'BenchmarkShardedEvent.*\b0 allocs/op'
+	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/trace/check
+	$(GO) run ./cmd/tyche-bench -quick -verify -experiment C15
 
 # The linearizability storm and the pin-slot exhaustion test under the
 # race detector, at 1, 2 and 4 host threads.

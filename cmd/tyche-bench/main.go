@@ -8,7 +8,7 @@
 //	tyche-bench                  # run everything
 //	tyche-bench -backend pmp -experiment F4
 //	tyche-bench -traced -experiment C15
-//	tyche-bench -verify 16 -experiment C21
+//	tyche-bench -verify -experiment C15
 //	tyche-bench -traced -parallel 4 -out BENCH.json   # the committed record
 //
 // Results carry counts, simulated cycles and verdicts only, so the same
@@ -50,7 +50,7 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "experiments to run concurrently")
 		out        = flag.String("out", "", "write machine-readable results (BENCH.json) to this file")
 		traced     = flag.Bool("traced", false, "run every experiment with the cycle-stamped tracer and online invariant checker attached")
-		verify     = flag.Int("verify", 0, "attach the always-on runtime-verification service to every experiment world: 1 = exact sharded checking, N>1 = 1-in-N sampling of high-rate events (0 disables)")
+		verify     = flag.Bool("verify", false, "attach the always-on runtime-verification service (sharded checker) to every experiment world")
 	)
 	flag.Parse()
 

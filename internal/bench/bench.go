@@ -41,13 +41,11 @@ type Config struct {
 	// harness additionally appends one trace-oracle check per
 	// experiment asserting no world saw a violation.
 	Trace bool
-	// Verify > 0 attaches the always-on runtime-verification service
+	// Verify attaches the always-on runtime-verification service
 	// (internal/rv: sharded incremental checker merged at the monitor's
-	// quiescent points) to every experiment world. 1 is exact mode;
-	// N > 1 samples the high-rate event kinds 1-in-N (safety-critical
-	// kinds stay exact). Composes with Trace — both sinks then feed off
-	// one tracer.
-	Verify int
+	// quiescent points) to every experiment world. Composes with Trace —
+	// both sinks then feed off one tracer.
+	Verify bool
 
 	// audit, when non-nil, collects every traced world so the harness
 	// can render the checker's verdict even for experiments without
@@ -249,7 +247,7 @@ func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, erro
 			defer wg.Done()
 			for j := range jobs {
 				run := cfg
-				if cfg.Trace || cfg.Verify > 0 {
+				if cfg.Trace || cfg.Verify {
 					run.audit = &traceAudit{}
 				}
 				res, err := exps[j].Run(run)
@@ -289,7 +287,7 @@ type world struct {
 	cl   *libtyche.Client
 	ck   *check.Checker
 	// rvs is the always-on runtime-verification service (Config.Verify);
-	// nil when verification is off or tracing is compiled out.
+	// nil when verification is off.
 	rvs *rv.Service
 }
 
@@ -308,16 +306,11 @@ func (w *world) traceClean(res *Result, tag string) {
 	}
 	if w.rvs != nil {
 		err := w.rvs.Err()
-		mode := "exact"
-		if n := w.rvs.Tracer().SampleN(); n > 1 {
-			mode = fmt.Sprintf("sampled 1-in-%d", n)
-		}
 		res.check(tag+"-rv-clean", err == nil,
-			"sharded runtime verifier (%s) over the full run: %v", mode, err)
-		// Count reconciliation needs every event: skip it in sampled mode
-		// (tallies are deliberately inexact there) and when the tracer was
-		// detached mid-run.
-		if !w.rvs.Sampled() && w.mach.Tracer() == w.rvs.Tracer() {
+			"sharded runtime verifier over the full run: %v", err)
+		// Count reconciliation needs every event: skip it when the tracer
+		// was detached mid-run.
+		if w.mach.Tracer() == w.rvs.Tracer() {
 			st := w.mon.Stats()
 			c := w.rvs.Checker().Counts()
 			res.check(tag+"-rv-counts", countsMatch(c, st),
@@ -396,7 +389,7 @@ func newWorld(cfg Config, o worldOpts) (*world, error) {
 	}
 	var ck *check.Checker
 	var rvs *rv.Service
-	if cfg.Trace || cfg.Verify > 0 {
+	if cfg.Trace || cfg.Verify {
 		// One tracer feeds every attached oracle, installed before dom0's
 		// first op so checker counts and monitor statistics tally the
 		// same history from zero. Sinks attach before SetTracer so all of
@@ -406,12 +399,8 @@ func newWorld(cfg Config, o worldOpts) (*world, error) {
 			ck = check.New()
 			tr.Attach(ck)
 		}
-		if cfg.Verify > 0 {
-			svc, err := rv.Attach(mach, mon, rv.Options{
-				Node:    "bench",
-				SampleN: cfg.Verify,
-				Tracer:  tr,
-			})
+		if cfg.Verify {
+			svc, err := rv.Attach(mach, mon, rv.Options{Node: "bench", Tracer: tr})
 			if err != nil {
 				return nil, err
 			}

@@ -28,13 +28,12 @@ func init() {
 // in three phases:
 //
 //	A — transparency: the C19-style oversubscribed scheduler workload
-//	    at 8-core full load, run untraced, with exact sharded
-//	    verification, and with 1-in-16 sampled verification, twice
-//	    each. Gates: bit-identical simulated cycle histories with
-//	    checking on and off (verification must never advance the
-//	    clocks it audits), clean verdicts, and exact-mode tallies that
-//	    reconcile with the monitor's statistics. What checking costs
-//	    the host (rv.op_share_pct, bench.trace_overhead_pct) is
+//	    at 8-core full load, run untraced and with sharded
+//	    verification, twice each. Gates: bit-identical simulated cycle
+//	    histories with checking on and off (verification must never
+//	    advance the clocks it audits), a clean verdict, and tallies
+//	    that reconcile with the monitor's statistics. What checking
+//	    costs the host (rv.op_share_pct, bench.trace_overhead_pct) is
 //	    benchmark/'s question.
 //	B — correctness: the run's own trace replayed through BOTH checker
 //	    implementations, clean and with a seeded dead-domain violation;
@@ -65,33 +64,32 @@ type c21Run struct {
 	cycles  uint64 // first run; the second must agree
 	drifted bool   // the second run's cycles differed
 	events  uint64 // tracer emissions (last run)
-	skipped uint64 // sampled-out emissions (last run)
 	verdict error  // rv verdict (nil when clean or mode off)
-	inexact bool   // exact-mode tallies failed to reconcile with Stats()
+	inexact bool   // tallies failed to reconcile with Stats()
 }
 
 // runC21Overhead is phase A: the 16-domain / 8-worker-core scheduler
-// workload under three verification modes, each run twice — the second
+// workload with verification off and on, each run twice — the second
 // run is the stability witness for the first.
 func runC21Overhead(cfg Config, res *Result) error {
-	const domains, workers, sampleRate, trials = 16, 8, 16, 2
+	const domains, workers, trials = 16, 8, 2
 	iters, quantum := 60_000, 8192
 	if cfg.Quick {
 		iters = 6_000
 	}
 
-	runOnce := func(sampleN int, out *c21Run, first bool) error {
+	runOnce := func(verify bool, out *c21Run, first bool) error {
 		local := cfg
-		local.Trace, local.Verify, local.audit = false, 0, nil
+		local.Trace, local.Verify, local.audit = false, false, nil
 		w, cores, err := schedWorld(local, workers, quantum)
 		if err != nil {
 			return err
 		}
 		var svc *rv.Service
 		var base core.Stats
-		if sampleN > 0 {
+		if verify {
 			base = w.mon.Stats()
-			if svc, err = rv.Attach(w.mach, w.mon, rv.Options{Node: "bench", SampleN: sampleN}); err != nil {
+			if svc, err = rv.Attach(w.mach, w.mon, rv.Options{Node: "bench"}); err != nil {
 				return err
 			}
 		}
@@ -116,47 +114,36 @@ func runC21Overhead(cfg Config, res *Result) error {
 				out.verdict = err
 			}
 			out.events = svc.Tracer().Len()
-			out.skipped = svc.Tracer().SampledOut()
-			if sampleN == 1 {
-				// Exact mode: event-derived tallies must reconcile with
-				// the monitor's statistics over the attached window.
-				if !countsMatchSince(svc.Checker().Counts(), w.mon.Stats(), base) {
-					out.inexact = true
-				}
-			}
+			// Event-derived tallies must reconcile with the monitor's
+			// statistics over the attached window.
+			out.inexact = !countsMatchSince(svc.Checker().Counts(), w.mon.Stats(), base)
 		}
 		return nil
 	}
 
-	off, exact, sampled := &c21Run{}, &c21Run{}, &c21Run{}
+	off, exact := &c21Run{}, &c21Run{}
 	for t := 0; t < trials; t++ {
-		for _, m := range []struct {
-			sampleN int
-			out     *c21Run
-		}{{0, off}, {1, exact}, {sampleRate, sampled}} {
-			if err := runOnce(m.sampleN, m.out, t == 0); err != nil {
-				return fmt.Errorf("sampling 1-in-%d, run %d: %w", m.sampleN, t, err)
-			}
+		if err := runOnce(false, off, t == 0); err != nil {
+			return fmt.Errorf("off, run %d: %w", t, err)
+		}
+		if err := runOnce(true, exact, t == 0); err != nil {
+			return fmt.Errorf("verify, run %d: %w", t, err)
 		}
 	}
 
 	res.row("A", "off", fmt.Sprintf("cycles %s", fmtU(off.cycles)))
 	res.row("A", "verify exact", fmt.Sprintf("cycles %s, %s events", fmtU(exact.cycles), fmtU(exact.events)))
-	res.row("A", fmt.Sprintf("verify 1-in-%d", sampleRate), fmt.Sprintf("cycles %s, %s events (%s sampled out)",
-		fmtU(sampled.cycles), fmtU(sampled.events), fmtU(sampled.skipped)))
 	res.metric("a_cycles", float64(off.cycles))
 	res.metric("a_events", float64(exact.events))
-	res.metric("a_sampled_out", float64(sampled.skipped))
 
 	res.check("a-cycles-identical",
-		!off.drifted && !exact.drifted && !sampled.drifted &&
-			off.cycles == exact.cycles && exact.cycles == sampled.cycles,
-		"verification advances no simulated clocks: off=%d exact=%d sampled=%d over %d runs each",
-		off.cycles, exact.cycles, sampled.cycles, trials)
-	res.check("a-verifier-clean", exact.verdict == nil && sampled.verdict == nil,
-		"both verification modes report the workload clean: exact %v, sampled %v", exact.verdict, sampled.verdict)
+		!off.drifted && !exact.drifted && off.cycles == exact.cycles,
+		"verification advances no simulated clocks: off=%d exact=%d over %d runs each",
+		off.cycles, exact.cycles, trials)
+	res.check("a-verifier-clean", exact.verdict == nil,
+		"verification reports the workload clean: %v", exact.verdict)
 	res.check("a-counts-exact", !exact.inexact,
-		"exact-mode event tallies reconcile with the Stats() delta over the attached window")
+		"event tallies reconcile with the Stats() delta over the attached window")
 	res.note("phase A: %d domains over %d worker cores, %d iterations each, quantum %d, %d runs per mode",
 		domains, workers, iters, quantum, trials)
 	return nil
@@ -186,7 +173,7 @@ func checkersAgree(serial *check.Checker, sh *check.Sharded) bool {
 // implementations, clean and with a seeded dead-domain violation.
 func runC21Differential(cfg Config, res *Result) error {
 	local := cfg
-	local.Trace, local.Verify, local.audit = false, 0, nil
+	local.Trace, local.Verify, local.audit = false, false, nil
 	w, err := newWorld(local, defaultWorldOpts())
 	if err != nil {
 		return err

@@ -115,8 +115,8 @@ type Node struct {
 	// runs over.
 	Agent    *libtyche.Domain
 	AgentImg *image.Image
-	// SVC is the node's always-on runtime verification (nil when the
-	// fleet was built with Verify off).
+	// SVC is the node's always-on runtime verification (nil only on
+	// the control-plane machine, which runs none).
 	SVC *rv.Service
 	// Inj is the node's armed fault injector (nil until ArmKill).
 	Inj *fault.Injector
@@ -124,11 +124,10 @@ type Node struct {
 	workers []phys.CoreID
 	cores   chan phys.CoreID
 
-	mu      sync.Mutex
-	conn    *dist.Conn      // digest channel to the control plane
-	ep      *dist.Endpoint  // this node's side of the digest channel
-	pending [][]byte        // digests buffered before the channel existed
-	sess    *attest.Session // the monitor key this node's TPM proved (session)
+	mu   sync.Mutex
+	conn *dist.Conn      // digest channel to the control plane
+	ep   *dist.Endpoint  // this node's side of the digest channel
+	sess *attest.Session // the monitor key this node's TPM proved (session)
 
 	failed atomic.Bool
 }
@@ -349,8 +348,8 @@ func (f *Fleet) endpoint(n, peer *Node) (*dist.Endpoint, error) {
 	}, nil
 }
 
-// openDigestChannel connects node n's agent to the control plane and
-// flushes any digests buffered during bring-up, in chain order.
+// openDigestChannel connects node n's agent to the control plane.
+// Bring-up reaches no checkpoint, so no digest precedes the channel.
 func (f *Fleet) openDigestChannel(n *Node) error {
 	if n.SVC == nil {
 		return nil
@@ -369,30 +368,21 @@ func (f *Fleet) openDigestChannel(n *Node) error {
 	}
 	n.mu.Lock()
 	n.conn, n.ep = conn, epN
-	pending := n.pending
-	n.pending = nil
 	n.mu.Unlock()
-	for _, raw := range pending {
-		if err := f.shipDigest(n, raw); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // shipDigest is every node's rv Ship hook: send the digest over the
 // node's attested channel and feed the control-plane verifier with
-// what actually arrived. Digests emitted before the channel exists are
-// buffered in order.
+// what actually arrived. A digest with no channel to cross is an error,
+// which the node's service latches.
 func (f *Fleet) shipDigest(n *Node, raw []byte) error {
 	n.mu.Lock()
-	if n.conn == nil {
-		n.pending = append(n.pending, append([]byte(nil), raw...))
-		n.mu.Unlock()
-		return nil
-	}
 	conn, ep := n.conn, n.ep
 	n.mu.Unlock()
+	if conn == nil {
+		return fmt.Errorf("fleet: %s has no digest channel", n.Name)
+	}
 	f.cpMu.Lock()
 	defer f.cpMu.Unlock()
 	got, err := conn.Send(ep, raw)

@@ -382,3 +382,17 @@ func TestFleetVerifierFlagsSeededNode(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestWithoutChannelFailsClosed: a digest with no channel to
+// cross is refused rather than held, and the node's service latches
+// the refusal as its verdict.
+func TestDigestWithoutChannelFailsClosed(t *testing.T) {
+	f := newTestFleet(t, 1)
+	n := f.Nodes[0]
+	n.mu.Lock()
+	n.conn = nil
+	n.mu.Unlock()
+	if err := n.SVC.Finalize(); err == nil || !strings.Contains(err.Error(), "no digest channel") {
+		t.Fatalf("Finalize = %v, want the refused digest latched", err)
+	}
+}

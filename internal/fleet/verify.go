@@ -23,9 +23,9 @@ type NodeAudit struct {
 }
 
 // Audit finalizes fleet-wide runtime verification: every node ships
-// its final digest interval (unsent violations ride along), then the
-// control plane finalizes each node's chain and reports per-node
-// verdicts.
+// its final digest interval (the end-of-trace verdicts ride in it),
+// then the control plane finalizes each node's chain and reports
+// per-node verdicts.
 func (f *Fleet) Audit() ([]NodeAudit, error) {
 	var out []NodeAudit
 	for i, n := range f.Nodes {

@@ -1,26 +1,28 @@
 // Package rv is the always-on runtime-verification service: the glue
 // that turns the sharded incremental trace checker (trace/check) into
 // a live production monitor-of-the-monitor. Attach wires one machine
-// up end to end — tracer, per-ring shard delivery, optional 1-in-N
-// sampling, the monitor's quiescent-point checkpoint hook — and, when
-// a Ship function is given, emits one hash-chained trace digest per
-// stable merge for a remote verifier (check.RemoteVerifier) on the far
-// side of an attested channel (internal/dist).
+// up end to end — tracer, per-ring shard delivery, the monitor's
+// quiescent-point checkpoint hook — and, when a Ship function is given,
+// emits one hash-chained trace digest per stable merge for a remote
+// verifier (check.RemoteVerifier) on the far side of an attested
+// channel (internal/dist). Every violation the node records travels in
+// exactly one digest: the one for the merge that found or collected
+// it, or the final one Finalize ships.
 //
 // Cost model: the hot emit path gains one per-ring shard delivery
-// (shard-local mutex, zero allocations for the sample-eligible kinds);
-// cross-core property resolution happens only at quiescent points. No
-// simulated cycles are ever consumed, so cycle histories are
-// bit-identical with the service on or off — the C21 experiment gates
-// both that and the <5% wall-clock overhead at 8-core full load.
+// (shard-local mutex, zero allocations for the local kinds); cross-core
+// property resolution happens only at quiescent points. Checking
+// consumes no simulated cycles, so cycle histories are bit-identical
+// with the service on or off — the C21 experiment gates exactly that.
+// A Ship transport that moves the digest through a simulated device
+// (dist's NIC DMA) charges that machine for the bytes it moves.
 //
 // Ring drains are covered without special cases: every drain is a
 // round (core/drain.go), which emits one KDrainBegin/KDrainEnd frame
 // whose single coalesced shootdown round the checker audits
 // (trace/check property 6), the drain doorbell remains the service's
-// merge point, and the shipped digests carry the drain-frame tally so
-// the remote verifier cross-checks it like every other structural
-// count.
+// merge point, and the frames ride the digests' audit stream, so the
+// remote verifier's replay audits property 6 again on its own engine.
 package rv
 
 import (
@@ -36,14 +38,10 @@ import (
 type Options struct {
 	// Node names this machine in digests (defaults to "node").
 	Node string
-	// SampleN > 1 samples the high-rate event kinds 1-in-N
-	// (trace.Sampleable); safety-critical kinds stay exact. <= 1 is
-	// exact mode, where event counts still reconcile with Stats().
-	SampleN int
 	// Tracer, when non-nil, augments an existing (not yet installed)
-	// tracer instead of building one: Attach adds the shard sink and
-	// sampling, and the CALLER installs the tracer afterwards with
-	// SetTracer. When nil, Attach builds and installs its own.
+	// tracer instead of building one: Attach adds the shard sink, and
+	// the CALLER installs the tracer afterwards with SetTracer. When
+	// nil, Attach builds and installs its own.
 	Tracer *trace.Tracer
 	// Ship, when non-nil, transports each interval's encoded digest
 	// (e.g. over a dist.Conn). Called synchronously from the monitor's
@@ -61,11 +59,7 @@ type Service struct {
 	ship    func([]byte) error
 	shipErr error
 	shipped uint64
-	// sent tallies violation messages already carried by a shipped
-	// digest, so the final digest can report exactly the remainder
-	// (eager shard-local detections surface only at End).
-	sent  map[string]int
-	final bool
+	final   bool
 }
 
 // Attach wires runtime verification onto the machine/monitor pair and
@@ -84,15 +78,11 @@ func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error)
 	}
 	sh := check.NewSharded(tr)
 	tr.AttachSharded(sh)
-	if opts.SampleN > 1 {
-		tr.SetSampling(opts.SampleN)
-	}
 	svc := &Service{
 		tr:   tr,
 		sh:   sh,
-		db:   check.NewDigestBuilder(opts.Node, opts.SampleN),
+		db:   check.NewDigestBuilder(opts.Node),
 		ship: opts.Ship,
-		sent: make(map[string]int),
 	}
 	mon.SetCheckpoint(svc.checkpoint)
 	if opts.Tracer == nil {
@@ -102,32 +92,28 @@ func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error)
 }
 
 // checkpoint is the monitor's quiescent-point hook: merge the shards
-// and, in shipping mode, emit the interval's digest.
+// and, in shipping mode, emit the interval's digest. Merging under mu
+// keeps the chain in merge order when checkpoints race.
 func (s *Service) checkpoint() {
-	rep := s.sh.Merge()
-	if !rep.Merged {
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rep := s.sh.Merge(); rep.Merged {
+		s.digestLocked(rep, false)
 	}
-	s.digest(rep, false)
 }
 
-// digest builds and ships one digest for a stable merge. Empty
+// digestLocked builds and ships one digest for a stable merge. Empty
 // non-final intervals (no structural events, no new violations) are
 // skipped so checkpoint-dense runs don't flood the channel.
-func (s *Service) digest(rep check.MergeReport, isFinal bool) {
+func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
 	if s.ship == nil {
 		return
 	}
 	if len(rep.Events) == 0 && len(rep.NewViolations) == 0 && !isFinal {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, raw, err := s.db.Build(rep, s.sh.Counts(), s.sh.ShardStats(), s.tr.SampledOut())
+	raw, err := s.db.Build(rep)
 	if err == nil {
-		for _, v := range rep.NewViolations {
-			s.sent[v.Msg]++
-		}
 		err = s.ship(raw)
 		s.shipped++
 	}
@@ -136,59 +122,34 @@ func (s *Service) digest(rep check.MergeReport, isFinal bool) {
 	}
 }
 
-// Finalize closes the service once the run is quiescent: a last merge,
-// the checker's end-of-trace validation, and — in shipping mode — a
-// final digest carrying the structural tail plus every violation not
-// yet reported (eager shard-local detections surface here). Idempotent;
-// returns Err.
+// Finalize closes the service once the run is quiescent: the checker's
+// End — a last merge, the kill reconciliation, end-of-trace validation
+// — and, in shipping mode, a final digest carrying End's report.
+// Idempotent; returns the verdict: invariant violations, or else a
+// latched digest-shipping error.
 func (s *Service) Finalize() error {
 	s.mu.Lock()
-	if s.final {
-		s.mu.Unlock()
-		return s.Err()
+	if !s.final {
+		s.final = true
+		s.digestLocked(s.sh.End(), true)
 	}
-	s.final = true
+	shipErr := s.shipErr
 	s.mu.Unlock()
-
-	rep := s.sh.Merge()
-	s.sh.End()
-	final := check.MergeReport{Merged: true, Events: rep.Events, Seen: s.sh.Seen()}
-	s.mu.Lock()
-	unsent := make(map[string]int, len(s.sent))
-	for msg, n := range s.sent {
-		unsent[msg] = -n
-	}
-	s.mu.Unlock()
-	for _, v := range s.sh.Violations() {
-		unsent[v.Msg]++
-		if unsent[v.Msg] > 0 {
-			final.NewViolations = append(final.NewViolations, v)
-		}
-	}
-	s.digest(final, true)
-	return s.Err()
-}
-
-// Err finalises the checker and reports the verdict: invariant
-// violations, or a latched digest-shipping error.
-func (s *Service) Err() error {
 	if err := s.sh.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shipErr
+	return shipErr
 }
+
+// Err is Finalize: the verdict exists only once the service is closed,
+// and closing it ships the final digest.
+func (s *Service) Err() error { return s.Finalize() }
 
 // Checker exposes the sharded checker (counts, merge stats, verdicts).
 func (s *Service) Checker() *check.Sharded { return s.sh }
 
 // Tracer exposes the service's tracer.
 func (s *Service) Tracer() *trace.Tracer { return s.tr }
-
-// Sampled reports whether the service runs in sampled (inexact-tally)
-// mode.
-func (s *Service) Sampled() bool { return s.tr.SampleN() > 1 }
 
 // Shipped returns how many digests have been emitted.
 func (s *Service) Shipped() uint64 {

@@ -65,9 +65,6 @@ func TestServiceCleanRun(t *testing.T) {
 	if ver.Digests() != svc.Shipped() {
 		t.Fatalf("verifier consumed %d digests, node shipped %d", ver.Digests(), svc.Shipped())
 	}
-	if svc.Sampled() {
-		t.Fatal("exact-mode service reports sampled")
-	}
 }
 
 // TestServiceReportsSeededViolation seeds a dead-domain use; the node
@@ -112,32 +109,6 @@ func TestServiceReportsSeededViolation(t *testing.T) {
 	}
 }
 
-// TestServiceSampledMode pins the sampling plumbing: Attach installs
-// the 1-in-N regime on the tracer and the service reports it.
-func TestServiceSampledMode(t *testing.T) {
-	mach, mon := bootPair(t)
-	svc, err := Attach(mach, mon, Options{Node: "sampled-node", SampleN: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !svc.Sampled() {
-		t.Fatal("SampleN=4 service not in sampled mode")
-	}
-	if got := svc.Tracer().SampleN(); got != 4 {
-		t.Fatalf("tracer SampleN = %d, want 4", got)
-	}
-	d, err := mon.CreateDomain(core.InitialDomain, "tenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.ForceKill(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Finalize(); err != nil {
-		t.Fatalf("sampled clean run flagged: %v", err)
-	}
-}
-
 // TestShipErrorLatched pins transport-failure reporting: a Ship error
 // must surface through Err, not vanish.
 func TestShipErrorLatched(t *testing.T) {
@@ -162,10 +133,9 @@ func TestShipErrorLatched(t *testing.T) {
 }
 
 // TestServiceParallelDrain audits the drain round end to end: a
-// two-ring round (fanned out when the host has the threads) plus a
-// shared-grace kill storm must verify clean on-node, and
-// the shipped digests must carry the drain-frame tally to the remote
-// verifier so it reconciles like every other structural count.
+// two-ring round plus a shared-grace kill storm must verify clean
+// on-node, and the drain frames must reach the remote verifier in the
+// digests' audit stream and replay clean there.
 func TestServiceParallelDrain(t *testing.T) {
 	mach, mon := bootPair(t)
 	ver := check.NewRemoteVerifier("drain-node")
@@ -253,3 +223,122 @@ var errShipCut = &shipCutError{}
 type shipCutError struct{}
 
 func (*shipCutError) Error() string { return "digest channel cut" }
+
+// checkpoint fires the monitor's quiescent-point hook: a RunCores round
+// over no cores.
+func checkpoint(t *testing.T, mon *core.Monitor) {
+	t.Helper()
+	if _, err := mon.RunCores(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// killedDomain creates a domain and kills it.
+func killedDomain(t *testing.T, mon *core.Monitor) core.DomainID {
+	t.Helper()
+	d, err := mon.CreateDomain(core.InitialDomain, "victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.ForceKill(d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestServiceReportsEagerViolationInInterval: a dead-domain transition
+// the shard flags on delivery reaches the remote verifier with the next
+// checkpoint's digest, not only when the node finalises.
+func TestServiceReportsEagerViolationInInterval(t *testing.T) {
+	mach, mon := bootPair(t)
+	ver := check.NewRemoteVerifier("eager-node")
+	svc, err := Attach(mach, mon, Options{
+		Node: "eager-node",
+		Ship: func(raw []byte) error { return ver.Consume(raw) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := killedDomain(t, mon)
+	checkpoint(t, mon)
+	if flags := ver.Flags(); len(flags) != 0 {
+		t.Fatalf("clean interval flagged: %q", flags)
+	}
+	mach.Trace(0, trace.KTransition, uint64(d), 0, 0, 0, trace.TransCall)
+	checkpoint(t, mon)
+	flags := ver.Flags()
+	if len(flags) != 1 || !strings.Contains(flags[0], "reported violation: dead domain") {
+		t.Fatalf("flags after the next checkpoint = %q, want the dead transition reported", flags)
+	}
+	if err := svc.Finalize(); err == nil {
+		t.Fatal("dead transition accepted")
+	}
+	if flags := ver.Finalize(); len(flags) != 1 {
+		t.Fatalf("flags after Finalize = %q, want the one report", flags)
+	}
+}
+
+// TestServiceShipsEveryViolationOnce: every violation the node records —
+// one the engine resolves at a merge, one a shard flags on delivery,
+// one only the end of the trace reveals — is carried by exactly one
+// shipped digest, the first two by their interval's.
+func TestServiceShipsEveryViolationOnce(t *testing.T) {
+	mach, mon := bootPair(t)
+	ver := check.NewRemoteVerifier("busy-node")
+	shipped := map[string]int{}
+	svc, err := Attach(mach, mon, Options{
+		Node: "busy-node",
+		Ship: func(raw []byte) error {
+			d, err := check.DecodeDigest(raw)
+			if err != nil {
+				return err
+			}
+			for _, msg := range d.Violations {
+				shipped[msg]++
+			}
+			return ver.Consume(raw)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := killedDomain(t, mon)
+	checkpoint(t, mon)
+	mach.Trace(0, trace.KTransition, uint64(d), 0, 0, 0, trace.TransCall)     // eager
+	mach.Trace(trace.GlobalCore, trace.KShare, uint64(d), 0, 1, 0x1000, 4096) // engine
+	checkpoint(t, mon)
+	if len(shipped) != 2 {
+		t.Fatalf("interval digests carried %v, want the transition and the share", shipped)
+	}
+	mach.Trace(trace.GlobalCore, trace.KOpBegin, 0, trace.OpRevoke, 1<<40, 0, 0) // never closed
+	checkpoint(t, mon)
+	if svc.Finalize() == nil {
+		t.Fatal("violating run accepted")
+	}
+	recorded := map[string]int{}
+	for _, v := range svc.Checker().Violations() {
+		recorded[v.Msg]++
+	}
+	for _, want := range []string{"successful transition", "successful share", "still open at end of trace"} {
+		found := false
+		for msg := range recorded {
+			found = found || strings.Contains(msg, want)
+		}
+		if !found {
+			t.Fatalf("run recorded no %q violation: %v", want, recorded)
+		}
+	}
+	if len(shipped) != len(recorded) {
+		t.Fatalf("shipped %v, recorded %v", shipped, recorded)
+	}
+	for msg, n := range recorded {
+		if shipped[msg] != n {
+			t.Fatalf("%q: recorded %d times, shipped %d", msg, n, shipped[msg])
+		}
+	}
+	for _, f := range ver.Finalize() {
+		if !strings.Contains(f, "reported violation") {
+			t.Fatalf("verifier disagreed with an honestly-reporting node: %q", f)
+		}
+	}
+}

@@ -68,8 +68,7 @@ func (v Violation) String() string {
 
 // Counts are monitor statistics derived purely from the event stream.
 // With a tracer installed at boot they must equal the corresponding
-// Monitor.Stats() fields (unless sampling is on, in which case the
-// sample-eligible tallies are lower bounds).
+// Monitor.Stats() fields.
 type Counts struct {
 	VMCalls       uint64
 	Transitions   uint64 // launch/call/return (not fast switches)

@@ -1,23 +1,30 @@
 package check
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // Trace digests: the fleet-facing output of the sharded checker. Each
-// stable merge becomes one Digest — shard counts, the interval's
-// violation verdicts, and the exact (never-sampled) structural events
-// as an audit stream — hash-chained to its predecessor and shipped
-// over an attested channel (internal/dist) to a RemoteVerifier. The
-// verifier re-derives the chain, replays the audit stream through its
+// stable merge becomes one Digest — the interval's violation verdicts
+// and its exact structural events as an audit stream — hash-chained to
+// its predecessor and shipped over an attested channel (internal/dist)
+// to a RemoteVerifier. The verifier checks the hash over the bytes that
+// arrived, re-derives the chain, replays the audit stream through its
 // own serial engine, and flags both reported violations and
 // divergence: a node whose checker says "clean" while the replay finds
 // a violation is lying or broken, and either way untrusted.
+//
+// Wire encoding: the body's SHA-256 as lowercase hex, then the body —
+// the Digest's JSON, marshalled once. The hash covers every body byte
+// as shipped, so no re-encoding on either side can make two different
+// byte strings verify as one digest.
 
 // MaxAuditEvents bounds one digest's audit stream. Intervals that
 // resolve more structural events than this report the overflow in
@@ -26,96 +33,86 @@ import (
 // truncated stream.
 const MaxAuditEvents = 4096
 
+// hashLen is the length of the hex hash that prefixes a digest body.
+const hashLen = 2 * sha256.Size
+
+// ErrDigestHash reports a digest whose hash does not match its body.
+var ErrDigestHash = errors.New("check: digest hash does not match its body")
+
 // Digest is one interval's attestable summary of a node's trace.
 type Digest struct {
 	// Node names the emitting machine in the fleet.
 	Node string `json:"node"`
 	// Interval is this digest's position in the node's chain (0-based).
 	Interval uint64 `json:"interval"`
-	// Seen is the node's cumulative delivered-event count.
-	Seen uint64 `json:"seen"`
-	// SampleN / SampledOut describe the sampling regime (exact = 0/1).
-	SampleN    int    `json:"sample_n,omitempty"`
-	SampledOut uint64 `json:"sampled_out,omitempty"`
-	// Counts is the node's cumulative event-derived tally.
-	Counts Counts `json:"counts"`
-	// Shards is the per-shard local bookkeeping snapshot.
-	Shards []ShardStat `json:"shards,omitempty"`
-	// Violations are the interval's new violation messages.
+	// Violations are the messages of the violations no earlier digest
+	// carried.
 	Violations []string `json:"violations,omitempty"`
 	// Audit is the interval's structural event stream (seq order).
 	Audit []trace.Event `json:"audit,omitempty"`
 	// AuditDropped counts audit events elided past MaxAuditEvents.
 	AuditDropped uint64 `json:"audit_dropped,omitempty"`
-	// PrevHash chains to the previous digest ("" for interval 0);
-	// Hash is this digest's own hash (computed with Hash empty).
+	// PrevHash chains to the previous digest's hash ("" for interval 0).
 	PrevHash string `json:"prev_hash"`
-	Hash     string `json:"hash"`
 }
 
-// digestHash computes the canonical hash: SHA-256 over the JSON
-// encoding with the Hash field cleared.
-func digestHash(d Digest) (string, error) {
-	d.Hash = ""
-	b, err := json.Marshal(d)
-	if err != nil {
-		return "", err
+// DecodeDigest checks a digest's hash over its body exactly as the
+// bytes arrived and only then decodes the body. A hash that does not
+// match is ErrDigestHash.
+func DecodeDigest(raw []byte) (Digest, error) {
+	var d Digest
+	if len(raw) < hashLen {
+		return d, ErrDigestHash
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var want [hashLen]byte
+	sum := sha256.Sum256(raw[hashLen:])
+	hex.Encode(want[:], sum[:])
+	if !bytes.Equal(raw[:hashLen], want[:]) {
+		return d, ErrDigestHash
+	}
+	err := json.Unmarshal(raw[hashLen:], &d)
+	return d, err
 }
 
 // DigestBuilder turns a node's merge reports into its hash chain.
 type DigestBuilder struct {
 	node     string
-	sampleN  int
 	interval uint64
 	prevHash string
 }
 
-// NewDigestBuilder starts a chain for the named node. sampleN records
-// the sampling regime the node runs under (<=1 = exact).
-func NewDigestBuilder(node string, sampleN int) *DigestBuilder {
-	return &DigestBuilder{node: node, sampleN: sampleN}
+// NewDigestBuilder starts a chain for the named node.
+func NewDigestBuilder(node string) *DigestBuilder {
+	return &DigestBuilder{node: node}
 }
 
-// Build produces the next digest in the chain from one stable merge.
-// counts and sampledOut are the node's cumulative views at the merge
-// point. Returns the digest and its wire encoding.
-func (b *DigestBuilder) Build(rep MergeReport, counts Counts, shards []ShardStat, sampledOut uint64) (*Digest, []byte, error) {
-	d := &Digest{
+// Build produces the wire encoding of the next digest in the chain
+// from one stable merge.
+func (b *DigestBuilder) Build(rep MergeReport) ([]byte, error) {
+	d := Digest{
 		Node:     b.node,
 		Interval: b.interval,
-		Seen:     rep.Seen,
-		Counts:   counts,
-		Shards:   shards,
+		Audit:    rep.Events,
 		PrevHash: b.prevHash,
-	}
-	if b.sampleN > 1 {
-		d.SampleN = b.sampleN
-		d.SampledOut = sampledOut
 	}
 	for _, v := range rep.NewViolations {
 		d.Violations = append(d.Violations, v.Msg)
 	}
-	audit := rep.Events
-	if len(audit) > MaxAuditEvents {
-		d.AuditDropped = uint64(len(audit) - MaxAuditEvents)
-		audit = audit[:MaxAuditEvents]
+	if len(d.Audit) > MaxAuditEvents {
+		d.AuditDropped = uint64(len(d.Audit) - MaxAuditEvents)
+		d.Audit = d.Audit[:MaxAuditEvents]
 	}
-	d.Audit = append([]trace.Event(nil), audit...)
-	h, err := digestHash(*d)
+	body, err := json.Marshal(d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	d.Hash = h
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return nil, nil, err
-	}
+	raw := make([]byte, hashLen+len(body))
+	sum := sha256.Sum256(body)
+	hex.Encode(raw, sum[:])
+	copy(raw[hashLen:], body)
 	b.interval++
-	b.prevHash = h
-	return d, raw, nil
+	b.prevHash = string(raw[:hashLen])
+	return raw, nil
 }
 
 // RemoteVerifier consumes a node's digest chain on another machine:
@@ -146,28 +143,24 @@ func (v *RemoteVerifier) flag(format string, args ...any) {
 
 // Consume verifies one received digest (its wire encoding, exactly as
 // the node shipped it). A returned error means the chain itself is
-// unusable — undecodable, mis-hashed, or discontinuous; verdict flags
+// unusable — mis-hashed, undecodable, or discontinuous; verdict flags
 // accumulate in Flags either way.
 func (v *RemoteVerifier) Consume(raw []byte) error {
-	var d Digest
-	if err := json.Unmarshal(raw, &d); err != nil {
+	d, err := DecodeDigest(raw)
+	if errors.Is(err, ErrDigestHash) {
+		v.flag("node %s: digest %d hash mismatch (tampered or corrupt)", v.node, v.next)
+		return fmt.Errorf("check: digest %d from %s fails its hash", v.next, v.node)
+	}
+	if err != nil {
 		v.flag("node %s: undecodable digest: %v", v.node, err)
 		return fmt.Errorf("check: undecodable digest from %s: %w", v.node, err)
 	}
-	h, err := digestHash(d)
-	if err != nil {
-		return err
-	}
-	if h != d.Hash {
-		v.flag("node %s: digest %d hash mismatch (tampered or corrupt)", v.node, d.Interval)
-		return fmt.Errorf("check: digest %d from %s fails its hash", d.Interval, v.node)
-	}
-	if d.Interval != v.next || d.PrevHash != v.prevHash {
-		v.flag("node %s: digest chain broken at interval %d (want %d, prev %.8s vs %.8s)",
-			v.node, d.Interval, v.next, d.PrevHash, v.prevHash)
+	if d.Node != v.node || d.Interval != v.next || d.PrevHash != v.prevHash {
+		v.flag("node %s: digest chain broken at interval %d of %q (want %d, prev %.8s vs %.8s)",
+			v.node, d.Interval, d.Node, v.next, d.PrevHash, v.prevHash)
 		return fmt.Errorf("check: digest chain from %s broken at interval %d", v.node, d.Interval)
 	}
-	v.prevHash = d.Hash
+	v.prevHash = string(raw[:hashLen])
 	v.next++
 	v.digests++
 	if d.AuditDropped > 0 {

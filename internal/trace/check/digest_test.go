@@ -13,7 +13,7 @@ import (
 func buildCleanIntervals(t *testing.T) [][]byte {
 	t.Helper()
 	sh := NewShardedN(2)
-	db := NewDigestBuilder("node-a", 0)
+	db := NewDigestBuilder("node-a")
 	var wires [][]byte
 	seq := uint64(0)
 	emit := func(k trace.Kind, dom, aux, node, addr, size uint64) {
@@ -26,7 +26,7 @@ func buildCleanIntervals(t *testing.T) [][]byte {
 		if !rep.Merged {
 			t.Fatal("merge deferred in synchronous test")
 		}
-		_, raw, err := db.Build(rep, sh.Counts(), sh.ShardStats(), 0)
+		raw, err := db.Build(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,23 +65,45 @@ func TestDigestChainCleanVerifies(t *testing.T) {
 	}
 }
 
-// TestDigestTamperDetected: any byte flip in the wire encoding fails
-// the digest's own hash.
+// TestDigestTamperDetected: a byte flipped in the audit stream or in
+// the hash fails the digest's own hash.
 func TestDigestTamperDetected(t *testing.T) {
 	wires := buildCleanIntervals(t)
-	tampered := append([]byte(nil), wires[0]...)
-	// Flip a byte inside the JSON payload (past the opening brace).
-	i := strings.Index(string(tampered), `"seen"`)
-	if i < 0 {
-		t.Fatal("no seen field in wire encoding")
+	at := strings.Index(string(wires[0]), `"Seq":`) + len(`"Seq":`)
+	if at < len(`"Seq":`) {
+		t.Fatal("no audit event in wire encoding")
 	}
-	tampered[i+1] ^= 0x01
+	for name, i := range map[string]int{"audit": at, "hash": 0} {
+		tampered := append([]byte(nil), wires[0]...)
+		tampered[i] ^= 0x01
+		rv := NewRemoteVerifier("node-a")
+		if err := rv.Consume(tampered); err == nil {
+			t.Fatalf("%s: tampered digest accepted", name)
+		}
+		if flags := rv.Flags(); len(flags) != 1 || !strings.Contains(flags[0], "hash mismatch") {
+			t.Fatalf("%s: flags = %q, want one hash mismatch", name, flags)
+		}
+	}
+}
+
+// TestDigestRejectsReencodedBytes: bytes that decode to the same
+// digest but are not the bytes the node hashed — a key in another case,
+// extra whitespace — are refused, because the hash covers the body as
+// it arrived, not a re-encoding of what it decodes to.
+func TestDigestRejectsReencodedBytes(t *testing.T) {
+	wires := buildCleanIntervals(t)
+	s := string(wires[0])
+	if !strings.Contains(s, `"interval"`) {
+		t.Fatal("no interval key in wire encoding")
+	}
+	s = strings.Replace(s, `"interval"`, `"INTERVAL"`, 1)
+	s = strings.Replace(s, "{", "{ ", 1)
 	rv := NewRemoteVerifier("node-a")
-	if err := rv.Consume(tampered); err == nil {
-		t.Fatal("tampered digest accepted")
+	if err := rv.Consume([]byte(s)); err == nil {
+		t.Fatal("re-encoded digest accepted")
 	}
-	if flags := rv.Flags(); len(flags) == 0 {
-		t.Fatal("tampering raised no flag")
+	if flags := rv.Flags(); len(flags) != 1 || !strings.Contains(flags[0], "hash mismatch") {
+		t.Fatalf("flags = %q, want one hash mismatch", flags)
 	}
 }
 
@@ -103,7 +125,7 @@ func TestDigestChainGapDetected(t *testing.T) {
 // flag (replay agrees).
 func TestRemoteVerifierFlagsReportedViolation(t *testing.T) {
 	sh := NewShardedN(2)
-	db := NewDigestBuilder("node-b", 0)
+	db := NewDigestBuilder("node-b")
 	seq := uint64(0)
 	emit := func(k trace.Kind, dom, aux, node, addr, size uint64) {
 		seq++
@@ -117,7 +139,7 @@ func TestRemoteVerifierFlagsReportedViolation(t *testing.T) {
 	if len(rep.NewViolations) == 0 {
 		t.Fatal("merge missed the dead-domain share")
 	}
-	_, raw, err := db.Build(rep, sh.Counts(), sh.ShardStats(), 0)
+	raw, err := db.Build(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,20 +157,19 @@ func TestRemoteVerifierFlagsReportedViolation(t *testing.T) {
 // contains a violation the node did NOT report (a lying or broken
 // checker) must be flagged as divergence by the verifier's replay.
 func TestRemoteVerifierFlagsDivergence(t *testing.T) {
-	db := NewDigestBuilder("node-c", 0)
+	db := NewDigestBuilder("node-c")
 	// Hand-craft the lying merge report: the audit stream shows a share
 	// by a killed domain, but NewViolations claims the interval was
 	// clean.
 	rep := MergeReport{
 		Merged: true,
-		Seen:   3,
 		Events: []trace.Event{
 			{Seq: 1, Core: -1, Kind: trace.KBoot, Size: 2},
 			{Seq: 2, Core: -1, Kind: trace.KKill, Domain: 5},
 			{Seq: 3, Core: -1, Kind: trace.KShare, Domain: 5, Node: 7, Addr: 0x1000, Size: 4096},
 		},
 	}
-	_, raw, err := db.Build(rep, Counts{}, nil, 0)
+	raw, err := db.Build(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +196,16 @@ func TestRemoteVerifierFlagsDivergence(t *testing.T) {
 // digest reports the overflow and the verifier stops judging
 // divergence (but keeps chain and verdict checking).
 func TestDigestAuditTruncationDisablesReplay(t *testing.T) {
-	db := NewDigestBuilder("node-d", 0)
+	db := NewDigestBuilder("node-d")
 	evs := make([]trace.Event, MaxAuditEvents+10)
 	for i := range evs {
 		evs[i] = trace.Event{Seq: uint64(i + 1), Core: -1, Kind: trace.KShare, Domain: 1, Node: 7}
 	}
-	d, raw, err := db.Build(MergeReport{Merged: true, Seen: uint64(len(evs)), Events: evs}, Counts{}, nil, 0)
+	raw, err := db.Build(MergeReport{Merged: true, Events: evs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecodeDigest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

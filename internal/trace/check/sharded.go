@@ -10,20 +10,25 @@ import (
 
 // Sharded is the production-rate form of the invariant checker: a
 // trace.ShardSink whose per-ring shard checkers evaluate everything
-// they can locally — event tallies, the high-rate dead-domain check
-// over transitions, op-balance bookkeeping — and buffer the low-rate
-// structural events (ops, capability mutations, shootdowns and their
-// acks, scrubs, kills, batch brackets) for a merge step. The merge,
-// run at the monitor's quiescent points (scheduler round barriers,
-// ring-drain doorbells, run completion), feeds the buffered events in
-// global sequence order through the same engine the serial Checker
-// uses, so the two reject identical traces with identical messages —
-// the differential and mutation suites pin exactly that.
+// they can locally — event tallies and the high-rate dead-domain check
+// over transitions — and buffer the low-rate structural events (ops,
+// capability mutations, shootdowns and their acks, scrubs, kills,
+// batch brackets) for a merge step. The merge, run at the monitor's
+// quiescent points (scheduler round barriers, ring-drain doorbells,
+// run completion), feeds the buffered events in global sequence order
+// through the same engine the serial Checker uses, so the two reject
+// identical traces with identical messages — the differential and
+// mutation suites pin exactly that.
 //
 // The hot emit path never serialises: a shard consumes its own ring's
 // events under its own mutex (per-core rings have a single emitter;
-// only the global ring sees concurrent delivery), and the sample-
-// eligible kinds are handled entirely locally with zero allocations.
+// only the global ring sees concurrent delivery), and the local kinds
+// are handled entirely locally with zero allocations.
+//
+// One violation channel: every violation — the engine's, the shards'
+// eager dead-transition detections, End's reconciliation and
+// end-of-trace ones — appears in the NewViolations of exactly one
+// MergeReport: the next stable merge, or the report End returns.
 //
 // Merge soundness: the merge may only resolve structural properties
 // once every assigned sequence number has been delivered to a shard —
@@ -36,25 +41,33 @@ import (
 // S != L the merge defers — buffered events simply wait for the next
 // quiescent point.
 type Sharded struct {
-	tr *trace.Tracer // nil for replay: every merge is stable
+	tr     *trace.Tracer // nil for replay: every merge is stable
+	shards []*shard      // one per ring, sized at construction
 
-	growMu sync.Mutex
-	shards atomic.Pointer[[]*shard]
-
-	// deadSeq maps domain -> Seq of its KKill, published copy-on-write
-	// the moment the kill is *delivered* (before any merge), so shard-
-	// local transition checks catch dead-domain use eagerly.
-	deadMu  sync.Mutex
-	deadSeq atomic.Pointer[map[uint64]uint64]
+	// killLog is every KKill in delivery order, appended the moment the
+	// kill is delivered (before any merge); kills is its published
+	// length. A shard catches up on the log under its own lock before a
+	// transition check, so a kill costs one append however many came
+	// before it, and shard-local checks still catch dead-domain use
+	// eagerly. killMu nests inside a shard's mu, never around one.
+	killMu  sync.Mutex
+	killLog []kill
+	kills   atomic.Int64
 
 	// mergeMu serialises merges and owns everything below.
-	mergeMu  sync.Mutex
-	eng      *engine
-	pending  []trace.Event
+	mergeMu sync.Mutex
+	eng     *engine
+	pending []trace.Event
+	// eager holds shard-local detections a deferred merge collected;
+	// the next stable merge reports them.
+	eager    []Violation
 	ended    bool
 	merges   uint64
 	deferred uint64
 }
+
+// kill is one delivered KKill.
+type kill struct{ domain, seq uint64 }
 
 // shardUse is a domain's most recent locally-evaluated successful use.
 type shardUse struct {
@@ -66,26 +79,25 @@ type shardUse struct {
 // shards never contend with each other or with the merge outside the
 // brief buffer handoff.
 type shard struct {
-	mu       sync.Mutex
-	seen     uint64
-	counts   Counts
-	opBegins uint64 // local op-balance bookkeeping (digest signal)
-	opEnds   uint64
-	buf      []trace.Event
-	lastUse  map[uint64]shardUse
-	viols    []Violation
+	mu      sync.Mutex
+	seen    uint64
+	counts  Counts
+	buf     []trace.Event
+	lastUse map[uint64]shardUse
+	// dead maps domain -> Seq of its first delivered KKill, caught up
+	// from the kill log through entry killsSeen.
+	dead      map[uint64]uint64
+	killsSeen int
+	// viols are eager detections no merge has collected yet.
+	viols []Violation
 }
 
 // NewSharded returns a sharded checker for the tracer's rings. Attach
 // it with tr.AttachSharded BEFORE the tracer is installed on the
 // machine so the shard space observes the trace from KBoot.
 func NewSharded(tr *trace.Tracer) *Sharded {
-	n := 1
-	if tr != nil {
-		n = tr.Rings()
-	}
-	s := &Sharded{tr: tr, eng: newEngine()}
-	s.initShards(n)
+	s := NewShardedN(tr.Rings())
+	s.tr = tr
 	return s
 }
 
@@ -93,73 +105,46 @@ func NewSharded(tr *trace.Tracer) *Sharded {
 // no tracer attached (for replays and fuzzing): every merge is stable
 // by construction because the caller feeds events synchronously.
 func NewShardedN(rings int) *Sharded {
-	if rings < 1 {
-		rings = 1
+	s := &Sharded{eng: newEngine(), shards: make([]*shard, max(rings, 1))}
+	for i := range s.shards {
+		s.shards[i] = &shard{lastUse: make(map[uint64]shardUse), dead: make(map[uint64]uint64)}
 	}
-	s := &Sharded{eng: newEngine()}
-	s.initShards(rings)
 	return s
 }
 
-func (s *Sharded) initShards(n int) {
-	sl := make([]*shard, n)
-	for i := range sl {
-		sl[i] = &shard{lastUse: make(map[uint64]shardUse)}
-	}
-	s.shards.Store(&sl)
-}
-
-func (s *Sharded) shard(i int) *shard {
-	if i < 0 {
-		i = 0
-	}
-	sl := *s.shards.Load()
-	if i < len(sl) {
-		return sl[i]
-	}
-	s.growMu.Lock()
-	defer s.growMu.Unlock()
-	sl = *s.shards.Load()
-	if i < len(sl) {
-		return sl[i]
-	}
-	grown := make([]*shard, i+1)
-	copy(grown, sl)
-	for j := len(sl); j <= i; j++ {
-		grown[j] = &shard{lastUse: make(map[uint64]shardUse)}
-	}
-	s.shards.Store(&grown)
-	return grown[i]
-}
-
-// publishDead records a kill's sequence number for the eager shard-
-// local dead checks. Kills are rare; copy-on-write keeps the read side
-// a single atomic load.
+// publishDead appends a kill to the log the shards catch up on.
 func (s *Sharded) publishDead(domain, seq uint64) {
-	s.deadMu.Lock()
-	defer s.deadMu.Unlock()
-	old := s.deadSeq.Load()
-	var m map[uint64]uint64
-	if old == nil {
-		m = make(map[uint64]uint64, 1)
-	} else {
-		m = make(map[uint64]uint64, len(*old)+1)
-		for k, v := range *old {
-			m[k] = v
-		}
-	}
-	if _, ok := m[domain]; !ok {
-		m[domain] = seq
-	}
-	s.deadSeq.Store(&m)
+	s.killMu.Lock()
+	s.killLog = append(s.killLog, kill{domain, seq})
+	s.kills.Store(int64(len(s.killLog)))
+	s.killMu.Unlock()
 }
 
-// ShardEvent consumes one event from ring `shard` (trace.ShardSink).
-// The sample-eligible kinds are fully evaluated here — allocation-free
-// — and never reach the merge; everything else is buffered for
-// seq-ordered structural resolution.
+// killSeq returns the Seq of domain's kill as far as delivery has
+// published it, first folding any kills sh has not seen into its map.
+// sh.mu must be held.
+func (s *Sharded) killSeq(sh *shard, domain uint64) (uint64, bool) {
+	if n := int(s.kills.Load()); n > sh.killsSeen {
+		s.killMu.Lock()
+		for _, k := range s.killLog[sh.killsSeen:n] {
+			if _, ok := sh.dead[k.domain]; !ok {
+				sh.dead[k.domain] = k.seq
+			}
+		}
+		s.killMu.Unlock()
+		sh.killsSeen = n
+	}
+	ks, ok := sh.dead[domain]
+	return ks, ok
+}
+
+// ShardEvent consumes one event from ring `si` (trace.ShardSink), an
+// index below the ring count the checker was built for. The local
+// kinds are fully evaluated here — allocation-free — and never reach
+// the merge; everything else is buffered for seq-ordered structural
+// resolution.
 func (s *Sharded) ShardEvent(si int, ev trace.Event) {
-	sh := s.shard(si)
+	sh := s.shards[si]
 	sh.mu.Lock()
 	sh.seen++
 	switch ev.Kind {
@@ -172,20 +157,15 @@ func (s *Sharded) ShardEvent(si int, ev trace.Event) {
 			sh.counts.Transitions++
 		}
 		// Eager dead-domain silence over the one high-rate kind the
-		// property covers. The published kill map can lag delivery by a
-		// racing in-flight emission, so End() reconciles each domain's
-		// last use against the kill sequence as the completeness
-		// backstop; `flagged` keeps the two layers from double-reporting
-		// the same event.
+		// property covers. The kill log can lag delivery by a racing
+		// in-flight emission, so End() reconciles each domain's last use
+		// against the kill sequence as the completeness backstop;
+		// `flagged` keeps the two layers from double-reporting the same
+		// event.
 		use := shardUse{ev: ev}
-		if dm := s.deadSeq.Load(); dm != nil {
-			if ks, ok := (*dm)[ev.Domain]; ok && ks < ev.Seq {
-				sh.viols = append(sh.viols, Violation{
-					Event: ev,
-					Msg:   deadUseMsg(ev),
-				})
-				use.flagged = true
-			}
+		if ks, ok := s.killSeq(sh, ev.Domain); ok && ks < ev.Seq {
+			sh.viols = append(sh.viols, Violation{Event: ev, Msg: deadUseMsg(ev)})
+			use.flagged = true
 		}
 		sh.lastUse[ev.Domain] = use
 	case trace.KIRQRoute:
@@ -198,12 +178,7 @@ func (s *Sharded) ShardEvent(si int, ev trace.Event) {
 		// Structural: op frames, capability mutations, shootdown
 		// rounds, scrubs, kills, batches, filter writes — buffered for
 		// the seq-ordered merge.
-		switch ev.Kind {
-		case trace.KOpBegin, trace.KBatchBegin:
-			sh.opBegins++
-		case trace.KOpEnd, trace.KBatchEnd:
-			sh.opEnds++
-		case trace.KKill:
+		if ev.Kind == trace.KKill {
 			s.publishDead(ev.Domain, ev.Seq)
 		}
 		sh.buf = append(sh.buf, ev)
@@ -217,22 +192,18 @@ type MergeReport struct {
 	// gate passed); false means the buffered events were carried to the
 	// next quiescent point.
 	Merged bool
-	// Pending is how many structural events are carried when deferred.
-	Pending int
 	// Events are the structural events resolved by this merge, in
 	// sequence order — the digest's audit stream.
 	Events []trace.Event
-	// NewViolations are the violations this merge's resolution added.
+	// NewViolations are the violations no earlier report carried.
 	NewViolations []Violation
-	// Seen is the total delivered event count at the merge point.
-	Seen uint64
 }
 
-// Merge drains every shard's structural buffer and, if the stability
-// gate passes (see the type comment), resolves the buffered events
-// through the engine in sequence order. Safe to call from any
-// goroutine; the monitor calls it at quiescent points via its
-// checkpoint hook.
+// Merge drains every shard's structural buffer and eager detections
+// and, if the stability gate passes (see the type comment), resolves
+// the buffered events through the engine in sequence order. Safe to
+// call from any goroutine; the monitor calls it at quiescent points
+// via its checkpoint hook.
 func (s *Sharded) Merge() MergeReport {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
@@ -244,71 +215,82 @@ func (s *Sharded) Merge() MergeReport {
 
 func (s *Sharded) mergeLocked(force bool) MergeReport {
 	var delivered uint64
-	for _, sh := range *s.shards.Load() {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		s.pending = append(s.pending, sh.buf...)
 		sh.buf = sh.buf[:0]
+		s.eager = append(s.eager, sh.viols...)
+		sh.viols = sh.viols[:0]
 		delivered += sh.seen
 		sh.mu.Unlock()
 	}
 	// Stability gate: S (read first) == L proves full delivery.
 	if !force && s.tr != nil && delivered != s.tr.Len() {
 		s.deferred++
-		return MergeReport{Pending: len(s.pending), Seen: delivered}
+		return MergeReport{}
 	}
 	sort.SliceStable(s.pending, func(i, j int) bool {
 		return s.pending[i].Seq < s.pending[j].Seq
 	})
+	// The engine's list is the one record: eager detections join it
+	// here, ahead of what this merge's resolution adds.
 	vBefore := len(s.eng.violations)
+	s.eng.violations = append(s.eng.violations, s.eager...)
+	s.eager = s.eager[:0]
 	for _, ev := range s.pending {
 		s.eng.step(ev)
 	}
 	rep := MergeReport{
-		Merged: true,
-		Events: append([]trace.Event(nil), s.pending...),
-		Seen:   delivered,
-	}
-	if n := len(s.eng.violations); n > vBefore {
-		rep.NewViolations = append([]Violation(nil), s.eng.violations[vBefore:]...)
+		Merged:        true,
+		Events:        append([]trace.Event(nil), s.pending...),
+		NewViolations: s.violationsSince(vBefore),
 	}
 	s.pending = s.pending[:0]
 	s.merges++
 	return rep
 }
 
+// violationsSince copies the engine's violations from index i on.
+func (s *Sharded) violationsSince(i int) []Violation {
+	if i == len(s.eng.violations) {
+		return nil
+	}
+	return append([]Violation(nil), s.eng.violations[i:]...)
+}
+
 // End closes the check: a final (unconditional) merge, the lastUse-vs-
-// kill reconciliation, and the engine's end-of-trace validation. The
-// caller guarantees quiescence — no emissions may be in flight.
-// Idempotent.
-func (s *Sharded) End() {
+// kill reconciliation, and the engine's end-of-trace validation. It
+// returns one report carrying all three: the final merge's events and
+// every violation no earlier report carried. The caller guarantees
+// quiescence — no emissions may be in flight. Idempotent: later calls
+// return an empty report.
+func (s *Sharded) End() MergeReport {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	if s.ended {
-		return
+		return MergeReport{}
 	}
 	s.ended = true
-	s.mergeLocked(true)
-	if dm := s.deadSeq.Load(); dm != nil {
-		for _, sh := range *s.shards.Load() {
-			sh.mu.Lock()
-			doms := make([]uint64, 0, len(sh.lastUse))
-			for dom := range sh.lastUse {
-				doms = append(doms, dom)
-			}
-			sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
-			for _, dom := range doms {
-				use := sh.lastUse[dom]
-				if ks, ok := (*dm)[dom]; ok && ks < use.ev.Seq && !use.flagged {
-					sh.viols = append(sh.viols, Violation{
-						Event: use.ev,
-						Msg:   deadUseMsg(use.ev),
-					})
-				}
-			}
-			sh.mu.Unlock()
+	rep := s.mergeLocked(true)
+	vBefore := len(s.eng.violations)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		doms := make([]uint64, 0, len(sh.lastUse))
+		for dom := range sh.lastUse {
+			doms = append(doms, dom)
 		}
+		sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
+		for _, dom := range doms {
+			use := sh.lastUse[dom]
+			if ks, ok := s.killSeq(sh, dom); ok && ks < use.ev.Seq && !use.flagged {
+				s.eng.violate(use.ev, "%s", deadUseMsg(use.ev))
+			}
+		}
+		sh.mu.Unlock()
 	}
 	s.eng.end()
+	rep.NewViolations = append(rep.NewViolations, s.violationsSince(vBefore)...)
+	return rep
 }
 
 // Merges returns how many stable merges have resolved structural
@@ -326,14 +308,14 @@ func (s *Sharded) Deferred() uint64 {
 	return s.deferred
 }
 
-// Violations returns every failure recorded so far: the merge engine's
-// in resolution order, then the shard-local eager detections in shard
-// order — deterministic for a deterministic delivery order.
+// Violations returns every failure recorded so far: the reported ones
+// in report order, then eager detections no stable merge has carried
+// yet — deterministic for a deterministic delivery order.
 func (s *Sharded) Violations() []Violation {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
-	out := append([]Violation(nil), s.eng.violations...)
-	for _, sh := range *s.shards.Load() {
+	out := append(append([]Violation(nil), s.eng.violations...), s.eager...)
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		out = append(out, sh.viols...)
 		sh.mu.Unlock()
@@ -356,43 +338,12 @@ func (s *Sharded) Counts() Counts {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	c := s.eng.counts
-	for _, sh := range *s.shards.Load() {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		c.add(sh.counts)
 		sh.mu.Unlock()
 	}
 	return c
-}
-
-// Seen returns how many events the shards have consumed (delivered
-// events, whether or not yet merged).
-func (s *Sharded) Seen() uint64 {
-	var n uint64
-	for _, sh := range *s.shards.Load() {
-		sh.mu.Lock()
-		n += sh.seen
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// ShardStat is one shard's local bookkeeping snapshot.
-type ShardStat struct {
-	Seen     uint64
-	OpBegins uint64
-	OpEnds   uint64
-}
-
-// ShardStats snapshots per-shard local bookkeeping (digest material).
-func (s *Sharded) ShardStats() []ShardStat {
-	sl := *s.shards.Load()
-	out := make([]ShardStat, len(sl))
-	for i, sh := range sl {
-		sh.mu.Lock()
-		out[i] = ShardStat{Seen: sh.seen, OpBegins: sh.opBegins, OpEnds: sh.opEnds}
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // replayMergeEvery is how often ReplaySharded interposes a merge, so

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -299,7 +300,7 @@ func TestShardEventLocalPathAllocFree(t *testing.T) {
 }
 
 // BenchmarkShardedEvent measures the sharded checker's hot delivery
-// path for the sample-eligible kinds. CI parses the report and fails
+// path for the local kinds. CI parses the report and fails
 // if allocs/op is nonzero.
 func BenchmarkShardedEvent(b *testing.B) {
 	sh := NewShardedN(3)
@@ -328,5 +329,95 @@ func BenchmarkSerialCheckerEvent(b *testing.B) {
 		seq++
 		ev.Seq = seq
 		c.Event(ev)
+	}
+}
+
+// TestShardedKillCostFlat: delivering a kill costs the same however many
+// kills came before it. Each kill is followed by a transition on a core
+// ring, so a shard catches up on the kill log as it goes; merges run
+// between the measured windows, never inside them.
+func TestShardedKillCostFlat(t *testing.T) {
+	sh := NewShardedN(3)
+	sh.ShardEvent(0, trace.Event{Seq: 1, Core: -1, Kind: trace.KBoot, Size: 2})
+	seq := uint64(1)
+	deliver := func(kills int) {
+		for i := 0; i < kills; i++ {
+			seq++
+			sh.ShardEvent(0, trace.Event{Seq: seq, Core: -1, Kind: trace.KKill, Domain: seq})
+			seq++
+			sh.ShardEvent(1, trace.Event{Seq: seq, Core: 0, Kind: trace.KTransition, Domain: 1})
+		}
+	}
+	bytesPerKill := func(kills int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		deliver(kills)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(kills)
+	}
+	upTo := func(n int) {
+		for delivered := int(seq) / 2; delivered < n; delivered += 100 {
+			deliver(min(100, n-delivered))
+			sh.Merge()
+		}
+	}
+	upTo(100)
+	early := bytesPerKill(100)
+	sh.Merge()
+	upTo(10_000)
+	late := bytesPerKill(100)
+	t.Logf("bytes per kill: %.0f at kills 100-200, %.0f at kills 10000-10100", early, late)
+	if late > 2*early {
+		t.Fatalf("kills 10000-10100 cost %.0f B each, kills 100-200 %.0f B: a kill's cost grows with the kills before it", late, early)
+	}
+	if err := sh.Err(); err != nil {
+		t.Fatalf("clean kill stream flagged: %v", err)
+	}
+}
+
+// TestShardedReportsEachViolationOnce: an eager detection collected by
+// a merge the stability gate deferred rides in the next stable merge's
+// report, End's report carries only what no merge did, and the reports
+// together hold every recorded violation exactly once.
+func TestShardedReportsEachViolationOnce(t *testing.T) {
+	tr := trace.New(2, 0, nil)
+	sh := NewSharded(tr)
+	tr.AttachSharded(sh)
+	tr.Emit(trace.GlobalCore, trace.KBoot, 0, 0, 0, 0, 2)
+	tr.Emit(trace.GlobalCore, trace.KKill, 7, 0, 0, 0, 0)
+	tr.Emit(0, trace.KTransition, 7, 0, 0, 0, trace.TransCall) // eager
+	// An emission the shards have not seen yet holds the gate shut.
+	tr.AttachSharded(nil)
+	tr.Emit(trace.GlobalCore, trace.KShare, 7, 0, 1, 0x1000, 4096) // engine
+	tr.AttachSharded(sh)
+
+	var reported []Violation
+	if rep := sh.Merge(); rep.Merged || len(rep.NewViolations) != 0 {
+		t.Fatalf("gated merge reported %+v", rep)
+	}
+	evs := tr.Events()
+	sh.ShardEvent(0, evs[len(evs)-1])
+	rep := sh.Merge()
+	if !rep.Merged || len(rep.NewViolations) != 2 {
+		t.Fatalf("catch-up merge reported %d violations, want the eager and the engine one", len(rep.NewViolations))
+	}
+	reported = append(reported, rep.NewViolations...)
+	tr.Emit(trace.GlobalCore, trace.KOpBegin, 0, trace.OpRevoke, 9, 0, 0) // never closed
+	end := sh.End()
+	if len(end.NewViolations) != 1 || len(end.Events) != 1 {
+		t.Fatalf("End reported %d violations over %d events, want the open op over 1", len(end.NewViolations), len(end.Events))
+	}
+	reported = append(reported, end.NewViolations...)
+	if again := sh.End(); again.Merged || len(again.NewViolations) != 0 {
+		t.Fatalf("second End reported %+v", again)
+	}
+	a, b := msgsOf(reported), msgsOf(sh.Violations())
+	if len(a) != len(b) {
+		t.Fatalf("reported %q, recorded %q", a, b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("reported %q, recorded %q", a, b)
+		}
 	}
 }

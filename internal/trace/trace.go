@@ -71,8 +71,10 @@ const (
 	KTransition
 	// KOpBegin/KOpEnd bracket one monitor operation that may shoot down
 	// TLBs (delegation, revocation, destruction): Domain = caller or
-	// victim, Aux = OpShare..OpKill. Ops never interleave — the monitor
-	// lock serialises them — but they may nest (a kill revokes).
+	// victim, Aux = OpShare..OpKill, Node = frame token. Delegations run
+	// concurrently from reader entries, so frames may interleave — the
+	// token pairs each end with its begin — and they may nest (a kill
+	// revokes).
 	KOpBegin
 	KOpEnd
 	// KShare/KGrant are successful delegations: Domain = caller,
@@ -127,8 +129,8 @@ const (
 	// executed, Node = the matching begin token.
 	KBatchEnd
 	// KDrainBegin opens one drain round: its rings drain inside the
-	// frame, concurrently where the host has the threads (each still
-	// bracketed by its own KBatchBegin/KBatchEnd), and the round's
+	// frame one after another on the caller's goroutine (each bracketed
+	// by its own KBatchBegin/KBatchEnd), and the round's
 	// deferred revocation shootdowns coalesce into at most one
 	// cross-ring KShootdown before the frame closes. Domain = 0
 	// (monitor context), Aux = rings in the round, Node = frame token.
@@ -243,10 +245,6 @@ type ring struct {
 	slots []Event
 	max   int    // capacity: len(slots) never exceeds it
 	pos   uint64 // events appended so far
-	// tick counts sample-eligible emission attempts on this ring; the
-	// 1-in-N sampler keys off it so sampling is deterministic per ring,
-	// independent of cross-ring interleaving.
-	tick atomic.Uint64
 }
 
 // append stamps ev with the next global sequence number and stores it.
@@ -275,13 +273,6 @@ type Tracer struct {
 	rings  []*ring // rings[0] = global, rings[c+1] = core c
 
 	seq atomic.Uint64
-
-	// sampleN, when > 1, keeps only every Nth sample-eligible event
-	// per ring (see Sampleable); sampledOut counts the drops. Safety-
-	// critical kinds are never sampled, so the checker's invariants
-	// stay sound — only the high-rate tallies become estimates.
-	sampleN    atomic.Int64
-	sampledOut atomic.Uint64
 
 	// sharded is the per-ring sink (at most one), delivered to without
 	// the sink mutex when no serial sinks are attached.
@@ -334,46 +325,11 @@ func (t *Tracer) AttachSharded(s ShardSink) {
 // space a ShardSink must cover.
 func (t *Tracer) Rings() int { return len(t.rings) }
 
-// SetSampling sets 1-in-N sampling of the sample-eligible event kinds
-// (Sampleable): per ring, only every Nth such emission is recorded;
-// the rest are dropped before allocation or sequence assignment.
-// n <= 1 disables sampling. Never-sampled kinds (ops, capability
-// mutations, shootdowns, scrubs, kills, batches) stay exact, so every
-// checker safety property remains sound under sampling; only the
-// high-rate tallies (VMCalls, Transitions, IRQ counts) become
-// estimates and stop reconciling exactly against Monitor.Stats().
-func (t *Tracer) SetSampling(n int) { t.sampleN.Store(int64(n)) }
-
-// SampleN returns the sampling divisor (<= 1 when sampling is off).
-func (t *Tracer) SampleN() int { return int(t.sampleN.Load()) }
-
-// SampledOut returns how many events sampling has dropped.
-func (t *Tracer) SampledOut() uint64 { return t.sampledOut.Load() }
-
-// Sampleable reports whether 1-in-N sampling may drop events of kind
-// k. Only the high-rate per-core kinds with no structural role in the
-// checker's temporal properties qualify; everything on a kill, scrub,
-// shootdown, capability or batch path is exact by construction.
-func Sampleable(k Kind) bool {
-	switch k {
-	case KVMCall, KTransition, KTrap, KIRQRaise, KIRQLost, KIRQSpurious,
-		KIRQRoute, KIRQDrop:
-		return true
-	}
-	return false
-}
-
 // Emit records one event. core is the emitting core or GlobalCore.
 func (t *Tracer) Emit(core int32, k Kind, domain, aux, node, addr, size uint64) {
 	ri := 0
 	if n := int(core) + 1; n >= 1 && n < len(t.rings) {
 		ri = n
-	}
-	if n := t.sampleN.Load(); n > 1 && Sampleable(k) {
-		if t.rings[ri].tick.Add(1)%uint64(n) != 0 {
-			t.sampledOut.Add(1)
-			return
-		}
 	}
 	ev := Event{
 		Core: core, Kind: k,

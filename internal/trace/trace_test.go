@@ -163,8 +163,7 @@ type countShards struct{ n [4]atomic.Uint64 }
 func (c *countShards) ShardEvent(shard int, _ Event) { c.n[shard].Add(1) }
 
 // TestEmitAllocatesNothing pins the emit path into a grown ring at zero
-// heap objects with a cycle source and a sharded sink attached,
-// sampling off and on.
+// heap objects with a cycle source and a sharded sink attached.
 func TestEmitAllocatesNothing(t *testing.T) {
 	var cyc atomic.Uint64
 	tr := New(3, 64, func() uint64 { return cyc.Add(7) })
@@ -173,14 +172,11 @@ func TestEmitAllocatesNothing(t *testing.T) {
 		tr.Emit(1, KSeal, 0, 0, 0, 0, 0)
 		tr.Emit(GlobalCore, KSeal, 0, 0, 0, 0, 0)
 	}
-	for _, n := range []int{0, 4} {
-		tr.SetSampling(n)
-		if got := testing.AllocsPerRun(1000, func() {
-			tr.Emit(1, KTransition, 2, 1, 0, 0, TransCall)
-			tr.Emit(GlobalCore, KShare, 2, 3, 9, 0x4000, 0x1000)
-		}); got != 0 {
-			t.Errorf("sampling %d: %v allocations per two emits, want 0", n, got)
-		}
+	if got := testing.AllocsPerRun(1000, func() {
+		tr.Emit(1, KTransition, 2, 1, 0, 0, TransCall)
+		tr.Emit(GlobalCore, KShare, 2, 3, 9, 0x4000, 0x1000)
+	}); got != 0 {
+		t.Errorf("%v allocations per two emits, want 0", got)
 	}
 }
 
