@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race mutation rv epoch drain migrate cover bench bench-control experiments examples clean
+.PHONY: all build vet test race mutation rv epoch drain migrate fuzz cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -65,6 +65,14 @@ migrate:
 		GOMAXPROCS=$$threads $(GO) test -race -count=10 ./internal/fleet ./internal/dist ./internal/attest || exit 1; \
 	done
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
+
+# The byte strings that cross a trust boundary, fuzzed 15 s each:
+# snapshot bytes into RestoreDomain, digest bodies through the decoder
+# and the remote verifier, and altered frames into a channel's open.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDomain$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime 15s ./internal/trace/check
+	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime 15s ./internal/dist
 
 cover:
 	$(GO) test -cover ./...

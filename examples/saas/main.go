@@ -260,8 +260,8 @@ func run() error {
 // control plane, served behind a load balancer, then live-migrated
 // between nodes over an attested channel. A wire tap proves the
 // migrating domain's state never crossed the provider's network in
-// the clear: the snapshot's own field names are absent from every
-// frame the wire carried.
+// the clear: the tenant's code, which the snapshot carries byte for
+// byte, is absent from every frame the wire carried.
 func fleetCoda() error {
 	fmt.Println("\n--- fleet: the same story across a simulated datacenter ---")
 	f, err := fleet.New(fleet.Config{Nodes: 3, CoresPerNode: 3, MemBytes: 16 << 20, Spin: 25})
@@ -286,17 +286,21 @@ func fleetCoda() error {
 			break
 		}
 	}
+	// The snapshot carries the tenant's code as raw bytes: had it
+	// crossed unsealed, the code would be on the wire.
+	code, err := f.Nodes[pl.Node].Mach.Mem.View(tyche.MakeRegion(pl.Base, 32))
+	if err != nil {
+		return err
+	}
 	wire := &dist.Wire{}
 	wire.Tap()
 	if err := f.Migrate("saas", pl.Node, to, wire); err != nil {
 		return err
 	}
-	// The plaintext snapshot is JSON; if it had crossed unsealed, its
-	// field names would be on the wire.
 	if len(wire.Taps) == 0 {
 		return fmt.Errorf("BUG: migration crossed no tapped frame")
 	}
-	if wire.WireCarried([]byte(`"Measurement"`)) {
+	if wire.WireCarried(code) {
 		return fmt.Errorf("BUG: migration snapshot crossed the provider's network in the clear")
 	}
 	fmt.Printf("live-migrated saas node%d -> node%d: blackout %v, snapshot sealed on the wire (provider saw only ciphertext)\n",

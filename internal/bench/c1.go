@@ -40,7 +40,7 @@ func runC1(cfg Config) (*Result, error) {
 		tcb  bool
 	}{
 		{"capability engine", []string{"internal/cap", "internal/phys"}, true},
-		{"monitor core", []string{"internal/core"}, true},
+		{"monitor core", []string{"internal/core", "internal/codec"}, true},
 		{"enforcement backends", []string{"internal/backend"}, true},
 		{"attestation verifier", []string{"internal/attest", "internal/tpm"}, false},
 		{"hardware substrate (simulator)", []string{"internal/hw"}, false},

@@ -236,7 +236,7 @@ func runC21Differential(cfg Config, res *Result) error {
 // channel, seeds a violation, and the verifier machine must catch it.
 func runC21Remote(cfg Config, res *Result) error {
 	// Digests carry the interval's full structural audit stream, so the
-	// registered buffers are sized well past one interval's JSON.
+	// registered buffers are sized well past one interval's encoding.
 	a, err := newRDMANode("c21-verifier", 32, core.BootConfig{Backend: cfg.Backend})
 	if err != nil {
 		return err

@@ -167,7 +167,7 @@ func (m *Monitor) execVerb(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (sta
 	case CallSelfID:
 		return StatusOK, uint64(owner), true
 	case CallLog:
-		if d, ok := m.tab.Load().doms[owner]; ok {
+		if d, ok := m.tab.Load().get(owner); ok {
 			d.mu.Lock()
 			full := len(d.logbuf) >= MaxDomainLog
 			if !full {

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -32,19 +31,16 @@ type MeasuredRegion struct {
 // offline to be compared with the attestation provided by Tyche")
 // reproduces it exactly.
 func ComputeMeasurement(entry phys.Addr, regions []MeasuredRegion) tpm.Digest {
-	h := sha256.New()
-	h.Write([]byte("tyche-domain-measurement-v1"))
-	binary.Write(h, binary.LittleEndian, uint64(entry))
-	binary.Write(h, binary.LittleEndian, uint64(len(regions)))
+	var w codec.Writer
+	w.Raw([]byte("tyche-domain-measurement-v1"))
+	w.U64(uint64(entry))
+	w.U64(uint64(len(regions)))
 	for _, r := range regions {
-		binary.Write(h, binary.LittleEndian, uint64(r.Region.Start))
-		binary.Write(h, binary.LittleEndian, uint64(r.Region.End))
-		binary.Write(h, binary.LittleEndian, uint64(len(r.Content)))
-		h.Write(r.Content)
+		w.U64(uint64(r.Region.Start))
+		w.U64(uint64(r.Region.End))
+		w.Blob(r.Content)
 	}
-	var d tpm.Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	return sha256.Sum256(w.Buf)
 }
 
 // ResourceRecord is one entry of a domain's attested resource
@@ -78,36 +74,27 @@ type Report struct {
 
 // reportMessage builds the canonical byte string that is signed.
 func reportMessage(r *Report) []byte {
-	var b bytes.Buffer
-	b.WriteString("tyche-domain-report-v1")
-	binary.Write(&b, binary.LittleEndian, uint64(r.Domain))
-	writeBytes(&b, []byte(r.Name))
-	writeBytes(&b, r.Nonce)
-	if r.Sealed {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
-	}
-	binary.Write(&b, binary.LittleEndian, uint64(r.Entry))
-	b.Write(r.Measurement[:])
-	b.Write(r.ReportData[:])
-	binary.Write(&b, binary.LittleEndian, uint64(len(r.Resources)))
+	var w codec.Writer
+	w.Raw([]byte("tyche-domain-report-v1"))
+	w.U64(uint64(r.Domain))
+	w.Str(r.Name)
+	w.Blob(r.Nonce)
+	w.Bool(r.Sealed)
+	w.U64(uint64(r.Entry))
+	w.Raw(r.Measurement[:])
+	w.Raw(r.ReportData[:])
+	w.U64(uint64(len(r.Resources)))
 	for _, rec := range r.Resources {
-		binary.Write(&b, binary.LittleEndian, uint32(rec.Resource.Kind))
-		binary.Write(&b, binary.LittleEndian, uint64(rec.Resource.Mem.Start))
-		binary.Write(&b, binary.LittleEndian, uint64(rec.Resource.Mem.End))
-		binary.Write(&b, binary.LittleEndian, int64(rec.Resource.Core))
-		binary.Write(&b, binary.LittleEndian, int64(rec.Resource.Device))
-		binary.Write(&b, binary.LittleEndian, uint32(rec.Rights))
-		binary.Write(&b, binary.LittleEndian, uint64(rec.RefCount))
+		w.U32(uint32(rec.Resource.Kind))
+		w.U64(uint64(rec.Resource.Mem.Start))
+		w.U64(uint64(rec.Resource.Mem.End))
+		w.U64(uint64(rec.Resource.Core))
+		w.U64(uint64(rec.Resource.Device))
+		w.U32(uint32(rec.Rights))
+		w.U64(uint64(rec.RefCount))
 	}
-	writeBytes(&b, r.MonitorKey)
-	return b.Bytes()
-}
-
-func writeBytes(b *bytes.Buffer, p []byte) {
-	binary.Write(b, binary.LittleEndian, uint64(len(p)))
-	b.Write(p)
+	w.Blob(r.MonitorKey)
+	return w.Buf
 }
 
 // Attest produces a signed report for the domain, fresh for the given

@@ -282,7 +282,7 @@ func (m *Monitor) containFault(core phys.CoreID, victim DomainID) error {
 		sc.mu.Unlock()
 	}
 	m.stats.coresParked.Add(1)
-	d, ok := m.tab.Load().doms[victim]
+	d, ok := m.tab.Load().get(victim)
 	if !ok || d.State() == StateDead {
 		// Nothing live was running (the fault hit a half-torn-down
 		// domain); parking the core is the whole containment.

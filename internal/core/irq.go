@@ -55,7 +55,7 @@ func (m *Monitor) routeIRQs(c *hw.Core) error {
 		var handler IRQHandler
 		tab := m.tab.Load()
 		for _, owner := range m.space.DeviceUsers(irq.Device) {
-			d, ok := tab.doms[DomainID(owner)]
+			d, ok := tab.get(DomainID(owner))
 			if !ok || d.State() == StateDead {
 				continue
 			}

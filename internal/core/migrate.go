@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
@@ -73,10 +74,11 @@ type MeasuredSpan struct {
 	Size   uint64
 }
 
-// DomainSnapshot is a domain's complete migratable state. It is
-// JSON-serializable: the fleet ships it over an attested channel. Base
-// and Entry are absolute physical addresses — restore happens at the
-// same base (see the package comment on migrate.go).
+// DomainSnapshot is a domain's complete migratable state. The fleet
+// ships its Encode bytes over an attested channel and rebuilds it with
+// DecodeSnapshot. Base and Entry are absolute physical addresses —
+// restore happens at the same base (see the package comment on
+// migrate.go).
 type DomainSnapshot struct {
 	Name      string
 	Base      uint64
@@ -94,6 +96,82 @@ type DomainSnapshot struct {
 	// destination shares the same count from its own core set.
 	Cores int
 	VCPUs []VCPUSnapshot
+}
+
+// snapshotVersion leads a snapshot's encoding; the sizes are a region's
+// encoding without its contents and a vCPU's.
+const (
+	snapshotVersion = 1
+	regionHeader    = 8 + 8 + 2 + 8
+	vcpuSize        = 1 + 8*hw.NumRegs + 8 + 1
+)
+
+// Encode returns the snapshot's canonical encoding (package codec),
+// region contents as raw bytes.
+func (s *DomainSnapshot) Encode() []byte {
+	size := 256 + len(s.VCPUs)*vcpuSize
+	for _, r := range s.Regions {
+		size += regionHeader + len(r.Data)
+	}
+	w := codec.Writer{Buf: make([]byte, 0, size)}
+	w.U8(snapshotVersion)
+	w.Str(s.Name)
+	w.U64(s.Base)
+	w.U64(s.Span)
+	w.U64(s.Entry)
+	w.Bool(s.EntrySet)
+	w.U8(uint8(s.EntryRing))
+	w.Bool(s.Sealed)
+	w.Raw(s.Measurement[:])
+	w.U64(uint64(len(s.Measured)))
+	for _, m := range s.Measured {
+		w.U64(m.Offset)
+		w.U64(m.Size)
+	}
+	w.U64(uint64(len(s.Regions)))
+	for _, r := range s.Regions {
+		w.U64(r.Offset)
+		w.U64(r.Size)
+		w.U16(uint16(r.Rights))
+		w.Blob(r.Data)
+	}
+	w.U64(uint64(s.Cores))
+	w.U64(uint64(len(s.VCPUs)))
+	for _, v := range s.VCPUs {
+		w.Bool(v.Started)
+		for _, reg := range v.Regs {
+			w.U64(reg)
+		}
+		w.U64(v.PC)
+		w.U8(uint8(v.Ring))
+	}
+	return w.Buf
+}
+
+// DecodeSnapshot decodes Encode's bytes, refusing any other byte string
+// with one of package codec's errors. Region contents alias b.
+func DecodeSnapshot(b []byte) (*DomainSnapshot, error) {
+	r := codec.NewReader(b, snapshotVersion)
+	s := &DomainSnapshot{Name: r.Str(), Base: r.U64(), Span: r.U64(), Entry: r.U64(),
+		EntrySet: r.Bool(), EntryRing: hw.Ring(r.U8()), Sealed: r.Bool()}
+	r.Raw(s.Measurement[:])
+	s.Measured = codec.List(r, 16, func() MeasuredSpan { return MeasuredSpan{Offset: r.U64(), Size: r.U64()} })
+	s.Regions = codec.List(r, regionHeader, func() RegionSnapshot {
+		return RegionSnapshot{Offset: r.U64(), Size: r.U64(), Rights: cap.Rights(r.U16()), Data: r.Blob()}
+	})
+	s.Cores = int(r.U64())
+	s.VCPUs = codec.List(r, vcpuSize, func() (v VCPUSnapshot) {
+		v.Started = r.Bool()
+		for i := range v.Regs {
+			v.Regs[i] = r.U64()
+		}
+		v.PC, v.Ring = r.U64(), hw.Ring(r.U8())
+		return v
+	})
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	return s, nil
 }
 
 // SnapshotDomain captures a quiescent domain's migratable state with

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/sched"
@@ -24,7 +29,7 @@ func serviceImage(delta uint32) []byte {
 
 // loadTestTenant builds a sealed service tenant at basePage on m and
 // returns its ID and seal measurement.
-func loadTestTenant(t *testing.T, m *Monitor, basePage uint64, delta uint32) DomainID {
+func loadTestTenant(t testing.TB, m *Monitor, basePage uint64, delta uint32) DomainID {
 	t.Helper()
 	id, err := m.CreateDomain(InitialDomain, "tenant")
 	if err != nil {
@@ -275,4 +280,91 @@ func TestMigrateSchedulerState(t *testing.T) {
 	}
 	assertTraceClean(t, mA, ckA)
 	assertTraceClean(t, mB, ckB)
+}
+
+// sourceSnapshot captures the standard sealed service tenant from a
+// fresh world.
+func sourceSnapshot(tb testing.TB) *DomainSnapshot {
+	tb.Helper()
+	m := bootWorld(tb, BackendVTX)
+	snap, err := m.SnapshotDomain(loadTestTenant(tb, m, 200, 5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// TestSnapshotEncodingCanonical: a snapshot survives its encoding
+// exactly, and every other byte string — a bool byte of 2, an unknown
+// version, a length past the end, a trailing byte — is refused with the
+// codec's typed error.
+func TestSnapshotEncodingCanonical(t *testing.T) {
+	snap := sourceSnapshot(t)
+	snap.VCPUs = []VCPUSnapshot{{Started: true, Regs: [hw.NumRegs]uint64{1, 2, 3}, PC: snap.Base + 8, Ring: 3}}
+	raw := snap.Encode()
+	got, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("decoded snapshot differs:\n got %+v\nwant %+v", got, snap)
+	}
+	if !bytes.Equal(got.Encode(), raw) {
+		t.Fatal("re-encoding a decoded snapshot changed its bytes")
+	}
+	// EntrySet follows the version, the name and Base, Span, Entry.
+	entrySet := 1 + 8 + len(snap.Name) + 3*8
+	if raw[entrySet] != 1 {
+		t.Fatalf("EntrySet byte at %d = %d, want 1", entrySet, raw[entrySet])
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), raw...)) }
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"bool byte 2", edit(func(b []byte) []byte { b[entrySet] = 2; return b }), codec.ErrBool},
+		{"version 2", edit(func(b []byte) []byte { b[0] = 2; return b }), codec.ErrVersion},
+		{"over-long length", edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[1:], uint64(len(b))); return b }), codec.ErrLength},
+		{"truncated", raw[:len(raw)-1], codec.ErrLength},
+		{"trailing byte", append(append([]byte(nil), raw...), 0), codec.ErrTrailing},
+	} {
+		if _, err := DecodeSnapshot(c.raw); !errors.Is(err, c.want) {
+			t.Errorf("%s: DecodeSnapshot = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzRestoreDomain feeds snapshot bytes from the wire through
+// DecodeSnapshot into RestoreDomain. Neither may panic; a refused
+// restore leaves no new domain live and the trace clean, and an
+// accepted sealed one reproduces the shipped measurement.
+func FuzzRestoreDomain(f *testing.F) {
+	snap := sourceSnapshot(f)
+	f.Add(snap.Encode())
+	snap.Regions[0].Data[0] ^= 0xff // fails re-attestation
+	f.Add(snap.Encode())
+	snap.Regions[0].Data[0] ^= 0xff
+	snap.Sealed, snap.Measurement = false, [32]byte{}
+	snap.VCPUs = []VCPUSnapshot{{}, {Started: true, PC: snap.Entry}}
+	f.Add(snap.Encode())
+	snap.Regions[0].Offset = 1 // unaligned
+	f.Add(snap.Encode())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		snap, err := DecodeSnapshot(raw)
+		if err != nil {
+			return
+		}
+		m, ck := bootTracedWorld(t, BackendVTX)
+		before := m.Domains()
+		id, err := m.RestoreDomain(InitialDomain, dom0MemNode(t, m), []phys.CoreID{1}, snap)
+		if err != nil {
+			if after := m.Domains(); !slices.Equal(after, before) {
+				t.Fatalf("refused restore (%v) left domains %v, want %v", err, after, before)
+			}
+		} else if d, err := m.Domain(id); err != nil || (snap.Sealed && d.Measurement() != snap.Measurement) {
+			t.Fatalf("restored domain %d: %v, measurement mismatch", id, err)
+		}
+		assertTraceClean(t, m, ck)
+	})
 }

@@ -179,15 +179,20 @@ func (s *statCounters) snapshot() Stats {
 	}
 }
 
-// domainTable is the immutable, atomically-published domain index. The
-// read path (lookup, liveness via the domain's atomic state, Domains(),
-// VMCall dispatch) loads the current table with one atomic pointer read
-// and touches no lock. Only domain creation publishes a new table, under
-// tabMu; domains are never removed from the table — death is a state
-// transition, observed through Domain.State.
-type domainTable struct {
-	doms   map[DomainID]*Domain
-	nextID DomainID
+// domainTable is the atomically-published domain index: entry i is
+// domain InitialDomain+i. IDs are dense and domains never leave it —
+// death is a state transition, observed through Domain.State. Readers
+// load it with one atomic pointer read and no lock; CreateDomain, under
+// tabMu, appends past every published length (so under no reader) and
+// publishes the longer slice.
+type domainTable []*Domain
+
+// get returns domain id, or false if it was never created.
+func (t domainTable) get(id DomainID) (*Domain, bool) {
+	if i := uint64(id - InitialDomain); i < uint64(len(t)) {
+		return t[i], true
+	}
+	return nil, false
 }
 
 // coreSched is one core's scheduling state: the mediated call stack and
@@ -422,10 +427,7 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 
 	// Initial domain: everything else.
 	init := &Domain{id: InitialDomain, name: "dom0", creator: MonitorDomain}
-	m.tab.Store(&domainTable{
-		doms:   map[DomainID]*Domain{InitialDomain: init},
-		nextID: InitialDomain + 1,
-	})
+	m.tab.Store(&domainTable{init})
 	owner := cap.OwnerID(InitialDomain)
 	if _, err := m.space.CreateRoot(owner, cap.MemResource(phys.Region{Start: 0, End: monRegion.Start}), cap.MemFull, cap.CleanNone); err != nil {
 		return nil, err
@@ -522,7 +524,7 @@ func (m *Monitor) AttestationKey() ed25519.PublicKey {
 // Domain returns the domain record for id. Lock-free: the record comes
 // from the published domain table.
 func (m *Monitor) Domain(id DomainID) (*Domain, error) {
-	d, ok := m.tab.Load().doms[id]
+	d, ok := m.tab.Load().get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
 	}
@@ -532,11 +534,10 @@ func (m *Monitor) Domain(id DomainID) (*Domain, error) {
 // Domains returns the IDs of all non-dead domains in ascending order,
 // read from the published snapshot without taking any lock.
 func (m *Monitor) Domains() []DomainID {
-	tab := m.tab.Load()
 	var out []DomainID
-	for id := InitialDomain; id < tab.nextID; id++ {
-		if d, ok := tab.doms[id]; ok && d.State() != StateDead {
-			out = append(out, id)
+	for _, d := range *m.tab.Load() {
+		if d.State() != StateDead {
+			out = append(out, d.id)
 		}
 	}
 	return out
@@ -582,9 +583,10 @@ func (m *Monitor) domainFor(caller, id DomainID, what string) (*Domain, error) {
 // "software running in any trust domain can access the isolation
 // monitor API").
 //
-// Creation publishes a new domain table under tabMu — it stalls
-// neither readers nor the destructive family. The epoch pin orders the
-// KCreate emit before any concurrent kill of the creator retires.
+// Creation appends to the domain table under tabMu — it stalls neither
+// readers nor the destructive family, and costs the same however many
+// domains came before. The epoch pin orders the KCreate emit before any
+// concurrent kill of the creator retires.
 func (m *Monitor) CreateDomain(caller DomainID, name string) (DomainID, error) {
 	p := m.renter()
 	defer m.rexit(p)
@@ -593,18 +595,14 @@ func (m *Monitor) CreateDomain(caller DomainID, name string) (DomainID, error) {
 	if _, err := m.liveDomain(caller); err != nil {
 		return 0, err
 	}
-	old := m.tab.Load()
-	id := old.nextID
+	tab := *m.tab.Load()
+	id := InitialDomain + DomainID(len(tab))
 	d := &Domain{id: id, name: name, creator: caller}
 	if err := m.bk.InstallDomain(cap.OwnerID(id)); err != nil {
 		return 0, err
 	}
-	doms := make(map[DomainID]*Domain, len(old.doms)+1)
-	for k, v := range old.doms {
-		doms[k] = v
-	}
-	doms[id] = d
-	m.tab.Store(&domainTable{doms: doms, nextID: id + 1})
+	tab = append(tab, d)
+	m.tab.Store(&tab)
 	m.emit(trace.KCreate, id, uint64(caller), 0, 0, 0)
 	return id, nil
 }
@@ -851,7 +849,7 @@ func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
 	tab := m.tab.Load()
 	var firstErr error
 	for _, o := range owners {
-		if d, ok := tab.doms[DomainID(o)]; ok && d.State() != StateDead {
+		if d, ok := tab.get(DomainID(o)); ok && d.State() != StateDead {
 			d.mu.Lock()
 			err := m.bk.SyncDomain(o)
 			d.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -644,5 +645,53 @@ func TestDeviceDelegationConfinesDMA(t *testing.T) {
 	// DMA anywhere else (e.g. dom0 kernel memory): denied.
 	if err := gpu.DMAWrite(phys.Addr(4*pg), []byte{1}); err == nil {
 		t.Fatal("DMA attack out of the I/O domain succeeded")
+	}
+}
+
+// TestCreateDomainCostFlat: the domain table keeps every domain ever
+// created, so creation must not copy it. With each domain killed right
+// away (the backend's live table stays small), the bytes one
+// CreateDomain allocates at the 10,000th create stay within 2× of the
+// 100th, and a dead ID still reads as dead rather than unknown.
+func TestCreateDomainCostFlat(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	// churn creates and kills n domains and returns the bytes the
+	// creates allocated (when timed).
+	churn := func(n int, timed bool) (allocated uint64) {
+		var before, after runtime.MemStats
+		for ; n > 0; n-- {
+			if timed {
+				runtime.ReadMemStats(&before)
+			}
+			id, err := m.CreateDomain(InitialDomain, "churn")
+			if timed {
+				runtime.ReadMemStats(&after)
+				allocated += after.TotalAlloc - before.TotalAlloc
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.KillDomain(InitialDomain, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return allocated
+	}
+	churn(100, false)
+	early := float64(churn(1_000, true)) / 1_000
+	churn(8_900, false)
+	late := float64(churn(1_000, true)) / 1_000
+	t.Logf("bytes per CreateDomain: %.0f at creates 100-1,100, %.0f at creates 10,000-11,000", early, late)
+	if late > 2*early {
+		t.Errorf("creates 10,000-11,000 cost %.0f B each, creates 100-1,100 %.0f B: a create's cost grows with the domains before it", late, early)
+	}
+	if _, err := m.liveDomain(InitialDomain + 1); !errors.Is(err, ErrDead) {
+		t.Fatalf("dead domain: %v, want ErrDead", err)
+	}
+	if _, err := m.liveDomain(InitialDomain + 11_001); !errors.Is(err, ErrNoSuchDomain) {
+		t.Fatalf("never-created domain: %v, want ErrNoSuchDomain", err)
+	}
+	if got := m.Domains(); len(got) != 1 || got[0] != InitialDomain {
+		t.Fatalf("live domains = %v, want dom0 only", got)
 	}
 }

@@ -339,7 +339,7 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 			m.stats.syscalls.Add(1)
 			id := cur()
 			var handler SyscallHandler
-			if d, ok := m.tab.Load().doms[id]; ok {
+			if d, ok := m.tab.Load().get(id); ok {
 				d.mu.Lock()
 				handler = d.syscall
 				d.mu.Unlock()

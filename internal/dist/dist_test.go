@@ -564,3 +564,44 @@ func BenchmarkSend(b *testing.B) {
 		}
 	}
 }
+
+// FuzzDistFrame drives half.open with frames derived from a genuine
+// one: the fuzz input is XORed over the sealed frame (and any excess
+// appended). open never panics; the genuine frame opens to its
+// plaintext and every other byte string is ErrTampered.
+func FuzzDistFrame(f *testing.F) {
+	f.Add([]byte("snapshot"), []byte{})
+	f.Add([]byte("snapshot"), []byte{0: 1})                // sequence number
+	f.Add([]byte("snapshot"), append(make([]byte, 20), 1)) // ciphertext
+	f.Add([]byte{}, make([]byte, frameHeader+frameTag+1))  // one byte longer
+	f.Add([]byte("x"), []byte{8: 0xff})                    // length field
+	f.Fuzz(func(t *testing.T, plaintext, edit []byte) {
+		h, err := newHalf([]byte("fuzz secret"), "tyche-dist a->b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := h.seal(plaintext)
+		frame := append([]byte(nil), sealed...)
+		for i, b := range edit {
+			if i < len(frame) {
+				frame[i] ^= b
+			} else {
+				frame = append(frame, b)
+			}
+		}
+		// open decrypts in place, so compare first.
+		genuine := bytes.Equal(frame, sealed)
+		got, err := h.open(frame)
+		if genuine {
+			if err != nil || !bytes.Equal(got, plaintext) {
+				t.Fatalf("genuine frame: %q, %v; want %q", got, err, plaintext)
+			}
+		} else if !errors.Is(err, ErrTampered) {
+			t.Fatalf("altered frame: %v, want ErrTampered", err)
+		}
+		genuine = bytes.Equal(edit, sealed)
+		if _, err := h.open(edit); !genuine && !errors.Is(err, ErrTampered) {
+			t.Fatalf("arbitrary frame: %v, want ErrTampered", err)
+		}
+	})
+}

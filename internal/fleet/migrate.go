@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -182,13 +181,8 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	if err != nil {
 		return abort("snapshot", err)
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return abort("encode", err)
-	}
-
 	// Step 3: ship over the channel.
-	got, err := conn.SendOver(wire, epSrc, payload)
+	got, err := conn.SendOver(wire, epSrc, snap.Encode())
 	if err != nil {
 		// Lost or tampered in flight: nothing arrived, nothing was
 		// restored; the source keeps serving. The frame's sequence
@@ -198,11 +192,11 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	}
 
 	// Step 4: restore from the received bytes and re-attest.
-	var arrived core.DomainSnapshot
-	if err := json.Unmarshal(got, &arrived); err != nil {
+	arrived, err := core.DecodeSnapshot(got)
+	if err != nil {
 		return abort("decode", err)
 	}
-	newID, err := dst.Mon.RestoreDomain(core.InitialDomain, dst.CL.HeapNode(), dst.workers, &arrived)
+	newID, err := dst.Mon.RestoreDomain(core.InitialDomain, dst.CL.HeapNode(), dst.workers, arrived)
 	if err != nil {
 		return abort("restore", err)
 	}

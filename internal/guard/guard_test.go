@@ -1,0 +1,56 @@
+// Package guard holds the repository's structural rules as tests: each
+// one parses the tree and fails on a violation, so `go test ./...`
+// enforces a rule that would otherwise be a grep in CI.
+package guard
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// jsonAllowed are the only non-test files under internal/ that may
+// import encoding/json: the Chrome trace format and the on-disk evidence
+// bundle, both read by people and other tools. Every byte string that
+// crosses a trust boundary uses internal/codec instead.
+var jsonAllowed = map[string]bool{
+	"trace/chrome.go":  true,
+	"attest/bundle.go": true,
+}
+
+// TestOnlyAllowedFilesImportJSON parses the imports of every non-test
+// Go file under internal/.
+func TestOnlyAllowedFilesImportJSON(t *testing.T) {
+	root := ".."
+	seen := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		seen++
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/json" && !jsonAllowed[filepath.ToSlash(rel)] {
+				t.Errorf("internal/%s imports encoding/json; trust-boundary encodings use internal/codec", filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen < 50 {
+		t.Fatalf("parsed only %d files under internal/: wrong root?", seen)
+	}
+}

@@ -112,11 +112,8 @@ func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
 	if len(rep.Events) == 0 && len(rep.NewViolations) == 0 && !isFinal {
 		return
 	}
-	raw, err := s.db.Build(rep)
-	if err == nil {
-		err = s.ship(raw)
-		s.shipped++
-	}
+	err := s.ship(s.db.Build(rep))
+	s.shipped++
 	if err != nil && s.shipErr == nil {
 		s.shipErr = err
 	}

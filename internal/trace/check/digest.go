@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
@@ -22,9 +22,10 @@ import (
 // a violation is lying or broken, and either way untrusted.
 //
 // Wire encoding: the body's SHA-256 as lowercase hex, then the body —
-// the Digest's JSON, marshalled once. The hash covers every body byte
-// as shipped, so no re-encoding on either side can make two different
-// byte strings verify as one digest.
+// the Digest in package codec's canonical encoding, audit events as
+// fixed-width records. The hash covers every body byte as shipped, and
+// the decoder accepts exactly one body per digest, so no two byte
+// strings verify as one digest.
 
 // MaxAuditEvents bounds one digest's audit stream. Intervals that
 // resolve more structural events than this report the overflow in
@@ -42,36 +43,81 @@ var ErrDigestHash = errors.New("check: digest hash does not match its body")
 // Digest is one interval's attestable summary of a node's trace.
 type Digest struct {
 	// Node names the emitting machine in the fleet.
-	Node string `json:"node"`
+	Node string
 	// Interval is this digest's position in the node's chain (0-based).
-	Interval uint64 `json:"interval"`
+	Interval uint64
 	// Violations are the messages of the violations no earlier digest
 	// carried.
-	Violations []string `json:"violations,omitempty"`
+	Violations []string
 	// Audit is the interval's structural event stream (seq order).
-	Audit []trace.Event `json:"audit,omitempty"`
+	Audit []trace.Event
 	// AuditDropped counts audit events elided past MaxAuditEvents.
-	AuditDropped uint64 `json:"audit_dropped,omitempty"`
+	AuditDropped uint64
 	// PrevHash chains to the previous digest's hash ("" for interval 0).
-	PrevHash string `json:"prev_hash"`
+	PrevHash string
+}
+
+// digestVersion leads a digest body.
+const digestVersion = 1
+
+// eventSize is one fixed-width audit record, trace.Event's nine fields.
+const eventSize = 8 + 8 + 4 + 1 + 5*8
+
+// encode returns the digest's wire encoding: the body's hash, then the
+// body.
+func (d *Digest) encode() []byte {
+	w := codec.Writer{Buf: make([]byte, hashLen, hashLen+256+len(d.Audit)*eventSize)}
+	w.U8(digestVersion)
+	w.Str(d.Node)
+	w.U64(d.Interval)
+	w.U64(uint64(len(d.Violations)))
+	for _, v := range d.Violations {
+		w.Str(v)
+	}
+	w.U64(uint64(len(d.Audit)))
+	for _, e := range d.Audit {
+		w.U64(e.Seq)
+		w.U64(e.Cycle)
+		w.U32(uint32(e.Core))
+		w.U8(uint8(e.Kind))
+		w.U64(e.Domain)
+		w.U64(e.Aux)
+		w.U64(e.Node)
+		w.U64(e.Addr)
+		w.U64(e.Size)
+	}
+	w.U64(d.AuditDropped)
+	w.Str(d.PrevHash)
+	sum := sha256.Sum256(w.Buf[hashLen:])
+	hex.Encode(w.Buf, sum[:])
+	return w.Buf
 }
 
 // DecodeDigest checks a digest's hash over its body exactly as the
 // bytes arrived and only then decodes the body. A hash that does not
-// match is ErrDigestHash.
+// match is ErrDigestHash; a body that is not encode's is one of package
+// codec's errors.
 func DecodeDigest(raw []byte) (Digest, error) {
-	var d Digest
 	if len(raw) < hashLen {
-		return d, ErrDigestHash
+		return Digest{}, ErrDigestHash
 	}
 	var want [hashLen]byte
 	sum := sha256.Sum256(raw[hashLen:])
 	hex.Encode(want[:], sum[:])
 	if !bytes.Equal(raw[:hashLen], want[:]) {
-		return d, ErrDigestHash
+		return Digest{}, ErrDigestHash
 	}
-	err := json.Unmarshal(raw[hashLen:], &d)
-	return d, err
+	r := codec.NewReader(raw[hashLen:], digestVersion)
+	d := Digest{Node: r.Str(), Interval: r.U64(), Violations: codec.List(r, 8, r.Str)}
+	d.Audit = codec.List(r, eventSize, func() trace.Event {
+		return trace.Event{Seq: r.U64(), Cycle: r.U64(), Core: int32(r.U32()), Kind: trace.Kind(r.U8()),
+			Domain: r.U64(), Aux: r.U64(), Node: r.U64(), Addr: r.U64(), Size: r.U64()}
+	})
+	d.AuditDropped, d.PrevHash = r.U64(), r.Str()
+	if err := r.Close(); err != nil {
+		return Digest{}, fmt.Errorf("check: digest: %w", err)
+	}
+	return d, nil
 }
 
 // DigestBuilder turns a node's merge reports into its hash chain.
@@ -88,7 +134,7 @@ func NewDigestBuilder(node string) *DigestBuilder {
 
 // Build produces the wire encoding of the next digest in the chain
 // from one stable merge.
-func (b *DigestBuilder) Build(rep MergeReport) ([]byte, error) {
+func (b *DigestBuilder) Build(rep MergeReport) []byte {
 	d := Digest{
 		Node:     b.node,
 		Interval: b.interval,
@@ -102,17 +148,10 @@ func (b *DigestBuilder) Build(rep MergeReport) ([]byte, error) {
 		d.AuditDropped = uint64(len(d.Audit) - MaxAuditEvents)
 		d.Audit = d.Audit[:MaxAuditEvents]
 	}
-	body, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]byte, hashLen+len(body))
-	sum := sha256.Sum256(body)
-	hex.Encode(raw, sum[:])
-	copy(raw[hashLen:], body)
+	raw := d.encode()
 	b.interval++
 	b.prevHash = string(raw[:hashLen])
-	return raw, nil
+	return raw
 }
 
 // RemoteVerifier consumes a node's digest chain on another machine:

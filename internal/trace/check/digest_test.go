@@ -1,16 +1,23 @@
 package check
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // buildCleanIntervals produces a two-interval clean digest chain the
 // way a node would: a sharded checker consumes events, each stable
 // merge becomes one digest.
-func buildCleanIntervals(t *testing.T) [][]byte {
+func buildCleanIntervals(t testing.TB) [][]byte {
 	t.Helper()
 	sh := NewShardedN(2)
 	db := NewDigestBuilder("node-a")
@@ -26,11 +33,7 @@ func buildCleanIntervals(t *testing.T) [][]byte {
 		if !rep.Merged {
 			t.Fatal("merge deferred in synchronous test")
 		}
-		raw, err := db.Build(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wires = append(wires, raw)
+		wires = append(wires, db.Build(rep))
 	}
 	emit(trace.KBoot, 0, 0, 0, 0, 2)
 	emit(trace.KOpBegin, 1, trace.OpShare, 1, 0, 0)
@@ -65,13 +68,22 @@ func TestDigestChainCleanVerifies(t *testing.T) {
 	}
 }
 
-// TestDigestTamperDetected: a byte flipped in the audit stream or in
+// TestDigestTamperDetected: a byte flipped in an audit record or in
 // the hash fails the digest's own hash.
 func TestDigestTamperDetected(t *testing.T) {
 	wires := buildCleanIntervals(t)
-	at := strings.Index(string(wires[0]), `"Seq":`) + len(`"Seq":`)
-	if at < len(`"Seq":`) {
-		t.Fatal("no audit event in wire encoding")
+	d, err := DecodeDigest(wires[0])
+	if err != nil || len(d.Audit) == 0 {
+		t.Fatalf("clean digest: %v, %d audit events", err, len(d.Audit))
+	}
+	// The first audit record follows the version, node, interval,
+	// violations and audit count.
+	at := hashLen + 1 + 8 + len(d.Node) + 8 + 8 + 8
+	for _, v := range d.Violations {
+		at += 8 + len(v)
+	}
+	if got := binary.LittleEndian.Uint64(wires[0][at:]); got != d.Audit[0].Seq {
+		t.Fatalf("audit record offset %d reads seq %d, want %d", at, got, d.Audit[0].Seq)
 	}
 	for name, i := range map[string]int{"audit": at, "hash": 0} {
 		tampered := append([]byte(nil), wires[0]...)
@@ -86,24 +98,38 @@ func TestDigestTamperDetected(t *testing.T) {
 	}
 }
 
-// TestDigestRejectsReencodedBytes: bytes that decode to the same
-// digest but are not the bytes the node hashed — a key in another case,
-// extra whitespace — are refused, because the hash covers the body as
-// it arrived, not a re-encoding of what it decodes to.
+// rehash gives body a correct hash prefix: the hash then vouches only
+// for the bytes, so what refuses them is the decoder.
+func rehash(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append([]byte(hex.EncodeToString(sum[:])), body...)
+}
+
+// TestDigestRejectsReencodedBytes: a body that is not the one canonical
+// encoding of a digest is refused with the codec's typed error even when
+// its hash is correct, so no two byte strings verify as one digest.
 func TestDigestRejectsReencodedBytes(t *testing.T) {
-	wires := buildCleanIntervals(t)
-	s := string(wires[0])
-	if !strings.Contains(s, `"interval"`) {
-		t.Fatal("no interval key in wire encoding")
+	body := buildCleanIntervals(t)[0][hashLen:]
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), body...)) }
+	for _, c := range []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"trailing byte", append(append([]byte(nil), body...), 0), codec.ErrTrailing},
+		{"over-long length", edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[1:], uint64(len(b))); return b }), codec.ErrLength},
+		{"version 2", edit(func(b []byte) []byte { b[0] = 2; return b }), codec.ErrVersion},
+	} {
+		rv := NewRemoteVerifier("node-a")
+		if err := rv.Consume(rehash(c.body)); !errors.Is(err, c.want) {
+			t.Errorf("%s: Consume = %v, want %v", c.name, err, c.want)
+		}
+		if flags := rv.Flags(); len(flags) != 1 || !strings.Contains(flags[0], "undecodable") {
+			t.Errorf("%s: flags = %q, want one undecodable digest", c.name, flags)
+		}
 	}
-	s = strings.Replace(s, `"interval"`, `"INTERVAL"`, 1)
-	s = strings.Replace(s, "{", "{ ", 1)
-	rv := NewRemoteVerifier("node-a")
-	if err := rv.Consume([]byte(s)); err == nil {
-		t.Fatal("re-encoded digest accepted")
-	}
-	if flags := rv.Flags(); len(flags) != 1 || !strings.Contains(flags[0], "hash mismatch") {
-		t.Fatalf("flags = %q, want one hash mismatch", flags)
+	if err := NewRemoteVerifier("node-a").Consume(rehash(body)); err != nil {
+		t.Fatalf("the canonical body itself: %v", err)
 	}
 }
 
@@ -139,10 +165,7 @@ func TestRemoteVerifierFlagsReportedViolation(t *testing.T) {
 	if len(rep.NewViolations) == 0 {
 		t.Fatal("merge missed the dead-domain share")
 	}
-	raw, err := db.Build(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := db.Build(rep)
 	rv := NewRemoteVerifier("node-b")
 	if err := rv.Consume(raw); err != nil {
 		t.Fatal(err)
@@ -169,10 +192,7 @@ func TestRemoteVerifierFlagsDivergence(t *testing.T) {
 			{Seq: 3, Core: -1, Kind: trace.KShare, Domain: 5, Node: 7, Addr: 0x1000, Size: 4096},
 		},
 	}
-	raw, err := db.Build(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := db.Build(rep)
 	rv := NewRemoteVerifier("node-c")
 	if err := rv.Consume(raw); err != nil {
 		t.Fatal(err)
@@ -201,10 +221,7 @@ func TestDigestAuditTruncationDisablesReplay(t *testing.T) {
 	for i := range evs {
 		evs[i] = trace.Event{Seq: uint64(i + 1), Core: -1, Kind: trace.KShare, Domain: 1, Node: 7}
 	}
-	raw, err := db.Build(MergeReport{Merged: true, Events: evs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := db.Build(MergeReport{Merged: true, Events: evs})
 	d, err := DecodeDigest(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -229,4 +246,36 @@ func TestDigestAuditTruncationDisablesReplay(t *testing.T) {
 	if !foundTrunc {
 		t.Fatalf("truncation not flagged: %q", flags)
 	}
+}
+
+// FuzzDigestDecode treats its input as a digest body and gives it a
+// correct hash, so what stands between hostile bytes and the verifier is
+// the decoder: a body it accepts re-encodes to the same bytes, those
+// bytes decode to the same digest, and RemoteVerifier.Consume takes any
+// byte string — hashed or not — without panicking.
+func FuzzDigestDecode(f *testing.F) {
+	for _, raw := range buildCleanIntervals(f) {
+		f.Add(raw[hashLen:])
+	}
+	lying := Digest{Node: "node-c", Interval: 0, Violations: []string{"dead domain 5 used"},
+		Audit: []trace.Event{{Seq: 2, Core: -1, Kind: trace.KKill, Domain: 5}}, AuditDropped: 3}
+	f.Add(lying.encode()[hashLen:])
+	f.Add([]byte{digestVersion})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw := rehash(body)
+		if d, err := DecodeDigest(raw); err == nil {
+			again := d.encode()
+			if !bytes.Equal(again, raw) {
+				t.Fatalf("accepted body re-encodes differently:\n got %x\nwant %x", again, raw)
+			}
+			if d2, err := DecodeDigest(again); err != nil || !reflect.DeepEqual(d2, d) {
+				t.Fatalf("re-encoded digest decodes to %+v, %v; want %+v", d2, err, d)
+			}
+		}
+		for _, in := range [][]byte{raw, body} {
+			v := NewRemoteVerifier("node-a")
+			_ = v.Consume(in)
+			v.Finalize()
+		}
+	})
 }
