@@ -41,7 +41,7 @@ type benchOutput struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment ID (F1-F4, C1-C23); empty runs all")
+		experiment = flag.String("experiment", "", "experiment ID (F1-F4, C1-C16, C19-C23); empty runs all")
 		backend    = flag.String("backend", "vtx", "enforcement backend: vtx or pmp")
 		quick      = flag.Bool("quick", false, "smaller sweeps")
 		seed       = flag.Int64("seed", 1, "workload seed")

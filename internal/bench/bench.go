@@ -36,9 +36,9 @@ type Config struct {
 	// Seed drives randomized workloads deterministically.
 	Seed int64
 	// Trace installs a cycle-stamped tracer with the online invariant
-	// checker on every experiment world. Experiments with explicit
-	// oracle checks (C15) append exact count reconciliation; the
-	// harness additionally appends one trace-oracle check per
+	// checker on every experiment world. Experiments that audit their
+	// own worlds (world.traceClean) append exact count reconciliation;
+	// the harness additionally appends one trace-oracle check per
 	// experiment asserting no world saw a violation.
 	Trace bool
 	// Verify attaches the always-on runtime-verification service
@@ -59,9 +59,7 @@ type Config struct {
 type verdicter interface{ Err() error }
 
 // traceAudit accumulates the checkers of the traced worlds one
-// experiment boots. It holds the checkers themselves, not the worlds:
-// C17 legitimately detaches and replaces a world's tracer mid-run, and
-// the verdict wanted here is each checker's over whatever it saw.
+// experiment boots.
 type traceAudit struct {
 	mu  sync.Mutex
 	cks []verdicter
@@ -308,14 +306,10 @@ func (w *world) traceClean(res *Result, tag string) {
 		err := w.rvs.Err()
 		res.check(tag+"-rv-clean", err == nil,
 			"sharded runtime verifier over the full run: %v", err)
-		// Count reconciliation needs every event: skip it when the tracer
-		// was detached mid-run.
-		if w.mach.Tracer() == w.rvs.Tracer() {
-			st := w.mon.Stats()
-			c := w.rvs.Checker().Counts()
-			res.check(tag+"-rv-counts", countsMatch(c, st),
-				"shard-derived counts match Stats(): trace %+v vs stats %+v", c, st)
-		}
+		st := w.mon.Stats()
+		c := w.rvs.Checker().Counts()
+		res.check(tag+"-rv-counts", countsMatch(c, st),
+			"shard-derived counts match Stats(): trace %+v vs stats %+v", c, st)
 	}
 }
 
@@ -469,17 +463,14 @@ func haltImage(name string) *image.Image {
 
 // pinnedSpec describes a worker-per-core run: `workers` guest domains,
 // worker i pinned to core i+1 (dom0 idles on core 0), all driven to
-// completion concurrently by one RunCores. The capability ring (C15,
-// C17, C18), the transition storm (C18), the batched-ABI storm (C20)
-// and the dedicated-core baseline (C19) are this run with different
-// programs. The func fields other than worker may be nil.
+// completion concurrently by one RunCores. The capability ring and the
+// transition storm (C15), the batched-ABI storm (C20) and the
+// dedicated-core baseline (C19) are this run with different programs.
+// The func fields other than worker may be nil.
 type pinnedSpec struct {
 	name    string // image name prefix
 	workers int
 	budget  int // RunCores instruction budget per core
-	// tweak runs right after the world boots, before any worker loads
-	// (C17 swaps tracers there).
-	tweak func(*world) error
 	// worker describes worker i. It may load helper domains and allocate
 	// regions first, so their addresses are assembly-time constants.
 	worker func(w *world, i int) (pinnedWorker, error)
@@ -528,11 +519,6 @@ func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
 	w, err := newWorld(cfg, opts)
 	if err != nil {
 		return nil, err
-	}
-	if spec.tweak != nil {
-		if err := spec.tweak(w); err != nil {
-			return nil, err
-		}
 	}
 	p := &pinnedRun{w: w, complete: true}
 	for i := 0; i < spec.workers; i++ {

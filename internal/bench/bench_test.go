@@ -48,9 +48,7 @@ func TestExperimentsPassAllChecks(t *testing.T) {
 // between two same-seed runs, with the reason (EXPERIMENTS.md repeats
 // the table). Everything else must reproduce byte for byte.
 var hostDependent = map[string]string{
-	"C15": "w>1: cores run as host goroutines against one cycle clock, so grace-period and shootdown waits — and the cycle total — follow the interleaving (w1 is bit-stable)",
-	"C17": "the C15 workload: w4 cycle totals and event counts follow the interleaving (w1 carries the cycles-identical gate)",
-	"C18": "the C15 workload and the transition storm at w>1: cycle totals follow the interleaving",
+	"C15": "w>1: cores run as host goroutines against one cycle clock, so the capring's grace-period and shootdown waits — and the capring's and the transition storm's cycle totals — follow the interleaving (w1 is bit-stable)",
 	"C20": "w>1: per-op spans are read off the shared clock, so concurrent cores' progress bleeds into the p99 (cycle totals, traps and rounds are stable)",
 	"C23": "fleet.Serve fans requests over host goroutines: how many are in flight on the killed node, and so retried, varies (ROADMAP item 4)",
 }
@@ -87,10 +85,11 @@ func TestResultsAreHostIndependent(t *testing.T) {
 }
 
 // TestExperimentsOnPMPBackend re-runs the backend-sensitive scenario
-// experiments on the PMP backend (C18 because its lock-scalability
-// workloads must hold regardless of the enforcement mechanism).
+// experiments on the PMP backend (C15 because its refcount, op-count
+// and lock-acquisition gates must hold regardless of the enforcement
+// mechanism).
 func TestExperimentsOnPMPBackend(t *testing.T) {
-	for _, id := range []string{"F1", "F4", "C18"} {
+	for _, id := range []string{"F1", "F4", "C15"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
@@ -108,8 +107,8 @@ func TestExperimentsOnPMPBackend(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if n := len(Experiments()); n != 27 {
-		t.Fatalf("registered experiments = %d, want 27 (F1-F4, C1-C23)", n)
+	if n := len(Experiments()); n != 25 {
+		t.Fatalf("registered experiments = %d, want 25 (F1-F4, C1-C16, C19-C23)", n)
 	}
 	if _, ok := Lookup("F1"); !ok {
 		t.Fatal("F1 missing")

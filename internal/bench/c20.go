@@ -50,7 +50,7 @@ const c20K = 16
 // batch-of-1 within 5% of sync.
 //
 // Every configuration runs once, with the cycle-stamped tracer and
-// online invariant checker attached (C17 gates that tracing moves no
+// online invariant checker attached (C21 gates that tracing moves no
 // simulated cycle): the same run supplies the
 // cycles, the shootdown-round counts and the per-op spans the p99 gate
 // reads (KOpBegin/KOpEnd bracket each capability operation).

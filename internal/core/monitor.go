@@ -479,9 +479,9 @@ func (m *Monitor) Stats() Stats { return m.stats.snapshot() }
 // LockWait returns the cumulative wall time destructive-family entries
 // spent blocked on revMu — the one top-level lock a monitor entry can
 // wait on; reader entries pin an epoch and block on nothing — and the
-// number of revMu acquisitions: the contention signal C18 reports as
-// wait share. The accounting is wall-clock only and never advances
-// simulated cycles.
+// number of revMu acquisitions, which C15 gates exactly (one per
+// revocation, none for readers). The accounting is wall-clock only
+// and never advances simulated cycles.
 func (m *Monitor) LockWait() (time.Duration, uint64) {
 	return time.Duration(m.revWaitNs.Load()), m.revAcqs.Load()
 }

@@ -208,8 +208,8 @@ func TestRevocationNarrowsDeviceFilter(t *testing.T) {
 // EPT unmapped and remapped, a PMP file cleared and reprogrammed entry by
 // entry — has a deny-all window in between, which a reader on another
 // thread hits within a few hundred rounds (the fleet's fault(0x4000 --x
-// at pc=0x4000), C18's fault(0x10000 --x) on the PMP backend). Needs two
-// host threads to bite; run under -race as well.
+// at pc=0x4000), the C15 capring's fault(0x10000 --x) on the PMP
+// backend). Needs two host threads to bite; run under -race as well.
 func TestResyncNeverPublishesPartialFilter(t *testing.T) {
 	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
 		t.Run(string(kind), func(t *testing.T) {
