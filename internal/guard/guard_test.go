@@ -4,6 +4,7 @@
 package guard
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -53,4 +54,21 @@ func TestOnlyAllowedFilesImportJSON(t *testing.T) {
 	if seen < 50 {
 		t.Fatalf("parsed only %d files under internal/: wrong root?", seen)
 	}
+}
+
+// TestTLBHasNoMap parses internal/hw/tlb.go: the TLB is one slot array
+// scanned up to its high-water mark, and no index may grow back beside
+// it (ARCHITECTURE §1).
+func TestTLBHasNoMap(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join("..", "hw", "tlb.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if m, ok := n.(*ast.MapType); ok {
+			t.Errorf("internal/hw/tlb.go:%d: map type; the TLB is one slot array", fset.Position(m.Pos()).Line)
+		}
+		return true
+	})
 }

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -30,21 +31,28 @@ const DefaultCacheLines = 512
 // a flush lands before or after it, set by set, as on hardware.
 type Cache struct {
 	lines []atomic.Uint64 // resident line tag per set, 0 = empty (tag is addr/64+1)
+	mask  uint64          // len(lines)-1: the set of a line is its low bits
 
 	hits, misses, flushedLines atomic.Uint64
 }
 
-// NewCache returns a cache with n line slots.
+// NewCache returns a cache with n line slots; n <= 0 selects
+// DefaultCacheLines. n must be a power of two, so that the set index is
+// a mask rather than a divide on every access; NewCache panics
+// otherwise.
 func NewCache(n int) *Cache {
 	if n <= 0 {
 		n = DefaultCacheLines
 	}
-	return &Cache{lines: make([]atomic.Uint64, n)}
+	if n&(n-1) != 0 {
+		panic(fmt.Sprintf("hw: cache of %d lines: the line count must be a power of two", n))
+	}
+	return &Cache{lines: make([]atomic.Uint64, n), mask: uint64(n - 1)}
 }
 
 func (c *Cache) slot(a phys.Addr) (set *atomic.Uint64, tag uint64) {
 	line := uint64(a) / CacheLineSize
-	return &c.lines[line%uint64(len(c.lines))], line + 1
+	return &c.lines[line&c.mask], line + 1
 }
 
 // touch makes a's line resident, returning true if it already was. The

@@ -118,9 +118,11 @@ type Context struct {
 // the MRU translation cache, the decoded-page cache, the timer, the
 // pending counters) belongs to the goroutine driving the core and is
 // plain memory: a retired instruction touches nothing another goroutine
-// writes except through one atomic load each of the installed context,
-// the filter generation, the TLB flush count, the data-cache set and
-// the fetched page's write version. State that other cores or the
+// writes except through one atomic load each of the stall and halt
+// latches, the installed context, the fault injector, the filter
+// generation, the TLB flush count, the data-cache set and the fetched
+// page's write version — what the fast exit (hot) re-checks on every
+// fetch that stays on its page. State that other cores or the
 // monitor touch while this core runs (installed context, halt latch,
 // VMFUNC list, TLB, cache sets, published counters) is atomic or
 // internally locked.
@@ -199,22 +201,32 @@ type mruEntry struct {
 // mruSet is the core's MRUWays-way translation cache. Replacement is
 // round-robin: the cost model charges identically for every way, so a
 // cheaper policy with the same hit set beats LRU bookkeeping here.
+//
+// At most one valid way matches any key. A fill follows a lookup that
+// missed (asid, page, gen) at flush count f, and it stores f or a later
+// count, which no earlier fill can have stored. So the order in which
+// lookup probes the ways changes no hit or miss count, and it probes
+// last — the way of the last hit or fill, the only one Core.hot
+// checks — first.
 type mruSet struct {
 	ways [MRUWays]mruEntry
 	next int
+	last int
 	// hits and misses tally front-side lookups (a miss that then hits
 	// the TLB still counts as an mru miss). Plain fields: only the
 	// goroutine driving the core writes them; read them quiescent.
 	hits, misses uint64
 }
 
-// lookup scans the ways for a valid translation of (asid, page) under
-// the current generation and flush epoch.
+// lookup finds a valid translation of (asid, page) under the current
+// generation and flush epoch, trying the last way used first.
 func (s *mruSet) lookup(asid, page, gen, flush uint64) (Perm, bool) {
-	for i := range s.ways {
-		e := &s.ways[i]
-		if e.ok && e.asid == asid && e.page == page && e.gen == gen && e.flush == flush {
+	// Probe last, then every way in order (last again, at no cost to the
+	// counts); small enough to inline into access.
+	for i, k := s.last, 0; k <= MRUWays; i, k = k, k+1 {
+		if e := &s.ways[i]; e.ok && e.asid == asid && e.page == page && e.gen == gen && e.flush == flush {
 			s.hits++
+			s.last = i
 			return e.perm, true
 		}
 	}
@@ -225,6 +237,7 @@ func (s *mruSet) lookup(asid, page, gen, flush uint64) (Perm, bool) {
 // insert fills the next way round-robin.
 func (s *mruSet) insert(asid, page, gen, flush uint64, perm Perm) {
 	s.ways[s.next] = mruEntry{ok: true, asid: asid, page: page, gen: gen, flush: flush, perm: perm}
+	s.last = s.next
 	s.next = (s.next + 1) % MRUWays
 }
 
@@ -395,16 +408,93 @@ const instrsPerPage = phys.PageSize / InstrSize
 // page, so a store invalidates with one bitmap reset rather than paying
 // for a page of decodes.
 //
-// The cache holds bytes, never rights: access still checks and charges
-// every fetch, so a slot needs no ASID, generation or flush keying. Its
-// content depends only on writes to the page, and every write bumps the
-// version (see PhysMem). The zero value is a valid slot: page 0 at
-// version 0 with no word filled.
+// The cache holds bytes, never rights: every fetch is still checked and
+// charged (by hot or access), so a slot needs no ASID, generation or
+// flush keying. Its content depends only on writes to the page, and
+// every write bumps the version (see PhysMem). vers points at that
+// counter, so a hit loads it without going through the machine. A new
+// slot's vers is nil, but the slot has no valid bit until fill keys it.
 type decodedPage struct {
 	page  uint64
 	ver   uint64
+	vers  *atomic.Uint64
 	valid [instrsPerPage / 64]uint64
 	ins   [instrsPerPage]Instr
+}
+
+// word returns the decoded instruction at the aligned address pc if the
+// slot holds it at the page's current write version, or nil.
+func (s *decodedPage) word(pc phys.Addr) *Instr {
+	i := uint64(pc) % phys.PageSize / InstrSize
+	if s == nil || s.page != pc.Page() || s.valid[i/64]&(1<<(i%64)) == 0 || s.ver != s.vers.Load() {
+		return nil
+	}
+	return &s.ins[i]
+}
+
+// hot is the interpreter's fast exit: the whole of access(PC, X) and
+// fetch for an instruction fetch that stays where the previous access
+// left the core. It applies when
+//
+//   - the core is neither stalled nor halted and PC is aligned;
+//   - PC's decoded slot holds the word at the page's current version;
+//   - the MRU way of the last hit or fill translates PC's page for the
+//     installed context's ASID under the filter's current generation
+//     and the TLB's current flush count, and allows X;
+//   - no fault injector is installed; and
+//   - the first-level filter does not apply (ring 0, or no OSFilter).
+//
+// Then it charges and counts what access would — a TLB hit served by
+// the MRU way, and the data-cache touch — and returns the instruction.
+// Otherwise it returns nil having consulted, counted and charged
+// nothing, and the caller takes step, whose access and fetch handle
+// every case.
+//
+// The checks run cheapest and likeliest to fail first: a fetch that has
+// just left its page, or follows a load or store to another page, finds
+// the last way on the wrong page and falls through after a few loads.
+func (c *Core) hot() *Instr {
+	pc := c.PC
+	pg := pc.Page()
+	w := &c.mru.ways[c.mru.last]
+	if w.page != pg || !w.ok || w.perm&PermX == 0 || pc%InstrSize != 0 {
+		return nil
+	}
+	if c.stalled.Load() || c.halted.Load() {
+		return nil
+	}
+	ins := c.decoded[pg%decodedSlots].word(pc)
+	if ins == nil {
+		return nil
+	}
+	ctx := c.ctx.Load()
+	if ctx == nil || w.asid != ctx.ASID {
+		return nil
+	}
+	if c.Ring != RingKernel && ctx.OSFilter != nil {
+		return nil
+	}
+	if c.mach.fault.Load() != nil || w.flush != c.tlb.FlushCount() {
+		return nil
+	}
+	if w.gen != ctx.Filter.Generation() {
+		return nil
+	}
+	c.mru.hits++
+	cost := &c.mach.Cost
+	p := &c.pend
+	p.tlbHits++
+	// One addition to p.cycles, not access's two: consecutive fetches
+	// chain through it, so each extra read-modify-write lengthens every
+	// instruction.
+	if c.cache.touch(pc) {
+		p.cacheHits++
+		p.cycles += cost.TLBHit + cost.MemHit
+	} else {
+		p.cacheMisses++
+		p.cycles += cost.TLBHit + cost.MemMiss
+	}
+	return ins
 }
 
 // access checks and charges one guest memory access of size bytes at a.
@@ -492,11 +582,8 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 // stores, which the profile showed costing more than the lookup.
 func (c *Core) fetch(ins *Instr, t *Trap) bool {
 	if c.PC%InstrSize == 0 {
-		pg := c.PC.Page()
-		i := uint64(c.PC) % phys.PageSize / InstrSize
-		if s := c.decoded[pg%decodedSlots]; s != nil && s.page == pg &&
-			s.valid[i/64]&(1<<(i%64)) != 0 && s.ver == c.mach.Mem.pageVersion(pg) {
-			*ins = s.ins[i]
+		if w := c.decoded[c.PC.Page()%decodedSlots].word(c.PC); w != nil {
+			*ins = *w
 			return true
 		}
 	}
@@ -529,8 +616,8 @@ func (c *Core) fill(out *Instr, t *Trap) bool {
 		s = new(decodedPage)
 		c.decoded[pg%decodedSlots] = s
 	}
-	if s.page != pg || s.ver != ver {
-		s.page, s.ver = pg, ver
+	if s.vers == nil || s.page != pg || s.ver != ver {
+		s.page, s.ver, s.vers = pg, ver, c.mach.Mem.version(pg)
 		s.valid = [len(s.valid)]uint64{}
 	}
 	i := uint64(pc) % phys.PageSize / InstrSize
@@ -552,7 +639,11 @@ func illegalInfo(word [InstrSize]byte) string {
 // execution may continue.
 func (c *Core) Step() Trap {
 	var t Trap
-	c.step(&t)
+	if ins := c.hot(); ins != nil {
+		c.exec(ins, &t)
+	} else {
+		c.step(&t)
+	}
 	c.publish()
 	return t
 }
@@ -578,11 +669,13 @@ func (c *Core) step(t *Trap) bool {
 	if !c.fetch(&ins, t) {
 		return false
 	}
-	return c.exec(ins, t)
+	return c.exec(&ins, t)
 }
 
 // exec executes the instruction fetched from PC, with step's contract.
-func (c *Core) exec(ins Instr, t *Trap) bool {
+// It takes the instruction by pointer, for the reason fetch returns it
+// through one; the fast exit passes its decoded slot's word directly.
+func (c *Core) exec(ins *Instr, t *Trap) bool {
 	cost := &c.mach.Cost
 	p := &c.pend
 	next := c.PC + InstrSize
@@ -731,12 +824,18 @@ func (c *Core) exec(ins Instr, t *Trap) bool {
 // raised a retiring trap — VMCALL, SYSCALL, HLT, timer — counts;
 // faulting instructions do not retire) and the trap (TrapNone when the
 // budget ran out). The core's counters are published once, when Run
-// returns and before the trap is traced.
+// returns and before the trap is traced. Each fetch tries the fast exit
+// (hot) here rather than inside step, so the common instruction costs
+// one call before exec, not three.
 func (c *Core) Run(maxInstrs int) (int, Trap) {
 	var t Trap
 	running := true
 	for running && int(c.pend.instrs) < maxInstrs {
-		running = c.step(&t)
+		if ins := c.hot(); ins != nil {
+			running = c.exec(ins, &t)
+		} else {
+			running = c.step(&t)
+		}
 	}
 	n := int(c.pend.instrs)
 	c.publish()

@@ -246,6 +246,17 @@ func TestCachePrimeProbe(t *testing.T) {
 	}
 }
 
+// TestNewCacheRejectsNonPowerOfTwo: the set index is a mask, so a line
+// count that is not a power of two would leave sets unreachable.
+func TestNewCacheRejectsNonPowerOfTwo(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCache(3) did not panic")
+		}
+	}()
+	NewCache(3)
+}
+
 func TestInstrEncodeDecodeRoundTrip(t *testing.T) {
 	all := []Instr{
 		{Op: OpHlt},
@@ -581,5 +592,21 @@ func TestMachineLookups(t *testing.T) {
 	}
 	if m.DeviceByName("nope") != nil {
 		t.Fatal("unknown device should be nil")
+	}
+}
+
+// TestDeviceByNameLowestID: names need not be unique, and the lookup
+// must not depend on map iteration order — with two nic0s it is always
+// the one with ID 0.
+func TestDeviceByNameLowestID(t *testing.T) {
+	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 1,
+		Devices: []DeviceConfig{{Name: "nic0", Class: DevNIC}, {Name: "nic0", Class: DevNIC}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if d := m.DeviceByName("nic0"); d == nil || d.ID != 0 {
+			t.Fatalf("lookup %d returned %v, want the nic0 with ID 0", i, d)
+		}
 	}
 }

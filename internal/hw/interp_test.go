@@ -39,7 +39,7 @@ func refStep(c *Core) Trap {
 	if err != nil {
 		return Trap{Kind: TrapIllegal, PC: c.PC, Info: err.Error()}
 	}
-	c.exec(ins, &t)
+	c.exec(&ins, &t)
 	return t
 }
 
@@ -99,23 +99,29 @@ const (
 	fzMaxProg = 32                           // instruction words in the initial program
 )
 
-// fzInjector fires one fault action after a number of accesses.
+// fzInjector fires one fault action after a number of accesses. It is
+// installed on its machine only while armed, and removes itself when it
+// fires, so that between injections the core can take the fast exit,
+// which applies only with no injector installed.
 type fzInjector struct {
+	m     *Machine
 	after int
 	act   FaultAction
 }
 
+// arm installs the injector to fire act after that many accesses.
+func (f *fzInjector) arm(after int, act FaultAction) {
+	f.after, f.act = after, act
+	f.m.SetFaultInjector(f)
+}
+
 func (f *fzInjector) OnAccess(phys.CoreID, phys.Addr, Perm) FaultAction {
-	if f.act == FaultNone {
-		return FaultNone
-	}
 	if f.after > 0 {
 		f.after--
 		return FaultNone
 	}
-	act := f.act
-	f.act = FaultNone
-	return act
+	f.m.SetFaultInjector(nil)
+	return f.act
 }
 func (f *fzInjector) OnRaiseIRQ(phys.DeviceID, uint32) bool { return false }
 func (f *fzInjector) TakeSpuriousIRQ() (IRQ, bool)          { return IRQ{}, false }
@@ -167,8 +173,7 @@ func newFzMachine(t testing.TB, cached bool) *fzMachine {
 	c.PC = fzCode
 	c.Regs = [NumRegs]uint64{0, uint64(fzCode), uint64(fzData), uint64(fzCode + phys.PageSize - 4),
 		uint64(fzCode9), ^uint64(7), 6, 7, 8, uint64(fzROCode), uint64(fzHole), 11, 12, 13, 0, 15}
-	f := &fzMachine{m: m, c: c, ept: e, inj: &fzInjector{}}
-	m.SetFaultInjector(f.inj)
+	f := &fzMachine{m: m, c: c, ept: e, inj: &fzInjector{m: m}}
 	if cached {
 		f.step, f.run = (*Core).Step, (*Core).Run
 	} else {
@@ -214,7 +219,7 @@ const (
 	fzDMAWrite        // the same through the device
 	fzReload          // Mem.Zero(code page), then arg%8 new words at its start (scrub, then reuse)
 	fzToggleX         // revoke or restore X on the code page (a generation bump)
-	fzInject          // arm the injector: arg&1 stall or abort, after arg>>1&7 accesses
+	fzInject          // install the injector: arg&1 stall or abort, after arg>>1&7 accesses
 	fzSetPC           // clear halt and stall; PC = fzTargets[arg%len] + arg2
 	fzFlush           // arg%3: TLB flush, TLB region flush of the code page, cache flush
 	fzTimer           // ArmTimer(arg%16)
@@ -258,11 +263,12 @@ func (f *fzMachine) apply(t testing.TB, ev byte, arg, arg2 byte, word []byte, re
 		must(f.ept.Map(code, p))
 		return Trap{}, 0, fmt.Sprintf("code page now %v", p)
 	case fzInject:
-		f.inj.after, f.inj.act = int(arg>>1&7), FaultAbort
+		act := FaultAbort
 		if arg&1 != 0 {
-			f.inj.act = FaultStall
+			act = FaultStall
 		}
-		return Trap{}, 0, fmt.Sprintf("inject %v after %d", f.inj.act, f.inj.after)
+		f.inj.arm(int(arg>>1&7), act)
+		return Trap{}, 0, fmt.Sprintf("inject %v after %d", act, arg>>1&7)
 	case fzSetPC:
 		c.ClearHalt()
 		c.ClearStall()
@@ -367,6 +373,7 @@ func fzSeeds() [][]byte {
 		movi(8, uint32(movi42)), {Op: OpOr, Rd: 6, Rs1: 6, Rs2: 8},
 	}
 	at := func(i int) uint32 { return code + uint32(i)*InstrSize }
+	spin := []Instr{nop, nop, jmp(at(0))}
 	return [][]byte{
 		// A loop, then budgeted runs: the plain cached path.
 		fzSeed([]Instr{movi(6, 0), movi(7, 5), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(2)}, hlt},
@@ -408,6 +415,34 @@ func fzSeeds() [][]byte {
 			append([]byte{fzDMAWrite, 0}, fzEnc(nop)...), steps(5),
 			[]byte{fzSetPC, 1, 0}, append([]byte{fzReload, 1}, fzEnc(jmp(uint32(fzCode9)))...), steps(2),
 			[]byte{fzSetPC, 0, 0}, steps(4)),
+
+		// The fast exit. Each seed gets a loop hot — every fetch then
+		// takes it — and breaks one of its preconditions between two
+		// fetches.
+		// Loads and stores to four pages besides the code page: the
+		// round-robin fill evicts the code page's MRU way every iteration.
+		fzSeed([]Instr{{Op: OpLd, Rd: 8, Rs1: 2}, {Op: OpSt, Rs1: 4, Rs2: 8, Imm: 16}, {Op: OpLd, Rd: 8, Rs1: 0},
+			movi(11, 6*phys.PageSize), {Op: OpSt, Rs1: 11, Rs2: 8}, jmp(at(0))},
+			steps(14), []byte{fzRun, 40}, steps(6)),
+		// A generation bump with no flush: the way goes stale, the TLB
+		// entry does not (non-strict), so access executes from it.
+		fzSeed(spin, steps(8), []byte{fzToggleX}, steps(3), []byte{fzRun, 9}, []byte{fzToggleX}, steps(3), []byte{fzRun, 9}),
+		// Each flush kind: TLB, TLB region, cache (a miss on the exit).
+		fzSeed(spin, steps(8), []byte{fzFlush, 0}, steps(3), []byte{fzFlush, 1}, steps(3), []byte{fzFlush, 2}, steps(3),
+			[]byte{fzRun, 9}),
+		// Into ring 3, where the first-level filter applies, and back.
+		fzSeed(spin, steps(8), []byte{fzRing}, steps(3), []byte{fzRun, 9}, []byte{fzRing}, steps(3), []byte{fzRun, 9}),
+		// An injected abort mid-loop, then a stall, then both cleared.
+		fzSeed(spin, steps(8), []byte{fzInject, 2 << 1}, []byte{fzRun, 9}, steps(2), []byte{fzInject, 1<<1 | 1}, steps(3),
+			[]byte{fzSetPC, 0, 0}, steps(4), []byte{fzRun, 9}),
+		// A vmfunc to the view tagged ASID 2, then a fetch of a word
+		// already decoded under ASID 1: the last way has the wrong tag.
+		fzSeed([]Instr{nop, nop, {Op: OpVmfunc}, nop, hlt},
+			[]byte{fzSetPC, 0, 3 * InstrSize}, steps(1), []byte{fzSetPC, 0, 2 * InstrSize}, steps(3)),
+		// A store into the loop's own page, to a word it never executes:
+		// the next fetch finds the page's version moved.
+		fzSeed([]Instr{{Op: OpSt, Rs1: 1, Rs2: 0, Imm: 20 * InstrSize}, nop, jmp(at(0))},
+			steps(9), []byte{fzRun, 30}, steps(3)),
 	}
 }
 
@@ -717,38 +752,101 @@ func TestRunPublishesCounters(t *testing.T) {
 	}
 }
 
-// guestExecutionLoop is the 2,003-instruction counting loop of the
-// repository's BenchmarkGuestExecution with a load and a store added to
-// every iteration, so that both the fetch and the data path are pinned.
-func guestExecutionLoop() *Asm {
-	a := NewAsm()
-	a.Movi(1, 0).Movi(2, 500)
-	a.Label("loop").Ld(3, 4, 0).St(4, 8, 3).Addi(1, 1, 1).Jlt(1, 2, "loop").Hlt()
-	return a
+// runLoop is one shape of guest code the interpreter's allocation pin
+// and BenchmarkRun execute: 2,003 instructions from base to a hlt.
+type runLoop struct {
+	name string
+	base phys.Addr
+	prog *Asm
 }
 
-// TestRunAllocatesNothing pins the interpreter's hot path at zero heap
-// allocations: fetch, decode, translate, load, store, retire.
-func TestRunAllocatesNothing(t *testing.T) {
-	m := testMachine(t)
-	if err := m.Mem.WriteAt(fzCode, guestExecutionLoop().MustAssemble(fzCode)); err != nil {
-		t.Fatal(err)
+// loopInstrs is what each runLoop retires, its hlt included.
+const loopInstrs = 2003
+
+// runLoops returns the three shapes:
+//
+//   - alu is the repository's BenchmarkGuestExecution loop, two ALU
+//     instructions an iteration: every fetch takes the fast exit;
+//   - ldst adds a load and a store to the data page, so every fetch
+//     after one of them finds the MRU way of the data page and falls
+//     through to access;
+//   - crosspage straddles two code pages, two instructions on each, so
+//     the first fetch on each page falls through and the second takes
+//     the exit.
+func runLoops() []runLoop {
+	alu := NewAsm()
+	alu.Movi(1, 0).Movi(2, 1000)
+	alu.Label("loop").Addi(1, 1, 1).Jlt(1, 2, "loop").Hlt()
+	ldst := NewAsm()
+	ldst.Movi(1, 0).Movi(2, 500)
+	ldst.Label("loop").Ld(3, 4, 0).St(4, 8, 3).Addi(1, 1, 1).Jlt(1, 2, "loop").Hlt()
+	cross := NewAsm()
+	cross.Movi(1, 0).Movi(2, 500)
+	cross.Label("loop").Addi(1, 1, 1).Nop().Nop().Jlt(1, 2, "loop").Hlt()
+	return []runLoop{
+		{"alu", fzCode, alu},
+		{"ldst", fzCode, ldst},
+		// Two words of prologue and two of the loop end page 5.
+		{"crosspage", 6*phys.PageSize - 4*InstrSize, cross},
+	}
+}
+
+// loopCore loads l on a bare machine (no monitor; one EPT granting rwx
+// on the first 16 pages) and returns a function that runs it from the
+// top on core 0.
+func loopCore(tb testing.TB, l runLoop) func() (int, Trap) {
+	tb.Helper()
+	m := testMachine(tb)
+	if err := m.Mem.WriteAt(l.base, l.prog.MustAssemble(l.base)); err != nil {
+		tb.Fatal(err)
 	}
 	e := NewEPT()
 	if err := e.Map(phys.MakeRegion(0, 16*phys.PageSize), PermRWX); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := m.Cores[0]
-	c.InstallContext(&Context{Owner: 1, Filter: e, Entry: fzCode, UsesEPT: true})
+	c.InstallContext(&Context{Owner: 1, Filter: e, Entry: l.base, UsesEPT: true})
 	c.Regs[4] = uint64(fzData)
-	run := func() {
-		c.PC = fzCode
+	return func() (int, Trap) {
+		c.PC = l.base
 		c.ClearHalt()
-		if n, trap := c.Run(1 << 20); n != 2003 || trap.Kind != TrapHalt {
-			t.Fatalf("retired %d, trap %v", n, trap)
-		}
+		return c.Run(1 << 20)
 	}
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("Core.Run allocates %.0f objects per 2,003 instructions, want 0", allocs)
+}
+
+// TestRunAllocatesNothing pins the interpreter's hot path at zero heap
+// allocations: fetch, decode, translate, load, store, retire — through
+// the fast exit, through access, and alternating between the two.
+func TestRunAllocatesNothing(t *testing.T) {
+	for _, l := range runLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			run := loopCore(t, l)
+			allocs := testing.AllocsPerRun(20, func() {
+				if n, trap := run(); n != loopInstrs || trap.Kind != TrapHalt {
+					t.Fatalf("retired %d, trap %v", n, trap)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Core.Run allocates %.0f objects per %d instructions, want 0", allocs, loopInstrs)
+			}
+		})
+	}
+}
+
+// BenchmarkRun measures the interpreter alone, in host nanoseconds per
+// retired instruction, on each of the three loop shapes.
+func BenchmarkRun(b *testing.B) {
+	for _, l := range runLoops() {
+		b.Run(l.name, func(b *testing.B) {
+			run := loopCore(b, l)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, trap := run(); n != loopInstrs || trap.Kind != TrapHalt {
+					b.Fatalf("retired %d, trap %v", n, trap)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*loopInstrs), "ns/instr")
+		})
 	}
 }

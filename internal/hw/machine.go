@@ -147,10 +147,12 @@ func (m *Machine) Core(id phys.CoreID) *Core {
 // Device returns the device with the given ID, or nil.
 func (m *Machine) Device(id phys.DeviceID) *Device { return m.Devices[id] }
 
-// DeviceByName returns the first device with the given name, or nil.
+// DeviceByName returns the device with the lowest ID among those with
+// the given name, or nil. Names need not be unique, so it walks the IDs
+// in order rather than ranging over the map.
 func (m *Machine) DeviceByName(name string) *Device {
-	for _, d := range m.Devices {
-		if d.Name == name {
+	for i := 0; i < len(m.Devices); i++ {
+		if d := m.Devices[phys.DeviceID(i)]; d != nil && d.Name == name {
 			return d
 		}
 	}

@@ -81,8 +81,8 @@ func (m *PhysMem) bump(a phys.Addr, n uint64) {
 	}
 }
 
-// pageVersion returns the current write version of page pg.
-func (m *PhysMem) pageVersion(pg uint64) uint64 { return m.vers[pg].Load() }
+// version returns page pg's write-version counter.
+func (m *PhysMem) version(pg uint64) *atomic.Uint64 { return &m.vers[pg] }
 
 // fetchWord reads the 8-byte instruction word at a together with the
 // write version of a's page, both under one hold of the read lock, so
