@@ -463,7 +463,7 @@ func haltImage(name string) *image.Image {
 
 // pinnedSpec describes a worker-per-core run: `workers` guest domains,
 // worker i pinned to core i+1 (dom0 idles on core 0), all driven to
-// completion concurrently by one RunCores. The capability ring and the
+// completion, interleaved, by one RunCores. The capability ring and the
 // transition storm (C15), the batched-ABI storm (C20) and the
 // dedicated-core baseline (C19) are this run with different programs.
 // The func fields other than worker may be nil.

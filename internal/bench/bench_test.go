@@ -48,8 +48,6 @@ func TestExperimentsPassAllChecks(t *testing.T) {
 // between two same-seed runs, with the reason (EXPERIMENTS.md repeats
 // the table). Everything else must reproduce byte for byte.
 var hostDependent = map[string]string{
-	"C15": "w>1: cores run as host goroutines against one cycle clock, so the capring's grace-period and shootdown waits — and the capring's and the transition storm's cycle totals — follow the interleaving (w1 is bit-stable)",
-	"C20": "w>1: per-op spans are read off the shared clock, so concurrent cores' progress bleeds into the p99 (cycle totals, traps and rounds are stable)",
 	"C23": "fleet.Serve fans requests over host goroutines: how many are in flight on the killed node, and so retried, varies (ROADMAP item 4)",
 }
 

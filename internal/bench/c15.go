@@ -14,15 +14,17 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C15",
-		Title: "SMP contention: concurrent capability ops and transitions stay exact over 1-8 cores",
+		Title: "SMP exactness under interleaving: capability ops and transitions from 1-8 cores stay exact",
 		Paper: "§3.2 exact system-wide reference counts; §3 the monitor mediates every operation, at every width",
 		Run:   runC15,
 	})
 }
 
-// runC15 is the multi-core contention experiment. W worker domains, one
-// per core, run *concurrently* (Monitor.RunCores, a goroutine per core)
-// under two workloads at opposite ends of the monitor's entry
+// runC15 is the multi-core interleaving experiment. W worker domains,
+// one per core, run side by side under Monitor.RunCores, which steps the
+// cores in turn a quantum at a time, so each worker's monitor entries
+// land between the others' — in an order fixed by the run, not by the
+// host. Two workloads sit at opposite ends of the monitor's entry
 // discipline:
 //
 //	capring — each worker shares its private scratch page to the next
@@ -43,11 +45,11 @@ func init() {
 // generation and takes the revocation mutex exactly once per
 // revocation; the storm counts exactly two transitions per iteration
 // and takes the mutex zero times; and the full history audits clean.
-// Wall-clock scaling with host threads is not claimed; the host-time
-// cost of the lock is core.lock_wait_pct in benchmark/.
+// Every figure, the w>1 cycle totals included, is a function of the
+// seed. Wall-clock scaling with host threads is not claimed.
 func runC15(cfg Config) (*Result, error) {
 	res := &Result{
-		ID: "C15", Title: "SMP contention (capring / transition storm)",
+		ID: "C15", Title: "SMP interleaving (capring / transition storm)",
 		Columns: []string{"workload", "workers", "ops", "cycles", "cyc/op", "vmexits", "lock acqs"},
 	}
 	sweep, iters := []int{1, 2, 4, 8}, 48

@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// TestC15ContentionSweep is the CI entry point for the lock-contention
-// job (`go test -run '^TestC15ContentionSweep$' -mutexprofile ...`): it
-// runs the full C15 sweep so the mutex profile captures the monitor's
-// contention behaviour under both workloads at every core count, and
-// requires every shape check to pass.
+// TestC15ContentionSweep runs the full C15 sweep — both workloads at 1,
+// 2, 4 and 8 cores, where the quick sweep of TestExperimentsPassAllChecks
+// stops at 1 and 4 — and requires every shape check to pass.
 func TestC15ContentionSweep(t *testing.T) {
 	e, ok := Lookup("C15")
 	if !ok {

@@ -111,10 +111,10 @@ func runC20(cfg Config) (*Result, error) {
 	// The p99 half of the throughput gate: the batched arm's per-op
 	// service span must not regress past the sync arm's. Spans are
 	// measured on the aggregate cycle clock, so with multiple workers
-	// the concurrent cores' progress bleeds into each span — real in
-	// both arms but interleaving-dependent, so the single-worker point
-	// (fully deterministic) carries the strict gate and wider points
-	// get 2x headroom for that cross-core noise.
+	// the other cores' turns that land inside a span count in it — in
+	// both arms, at points the run's fixed interleaving decides — so the
+	// single-worker point carries the strict gate and wider points get
+	// 2x headroom for that cross-core share.
 	for _, workers := range sweep {
 		s := res.Metrics[fmt.Sprintf("sync_w%d_p99_cycles", workers)]
 		b := res.Metrics[fmt.Sprintf("batched_w%d_p99_cycles", workers)]

@@ -1,19 +1,27 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/tpm"
+	"github.com/tyche-sim/tyche/internal/sched"
+	"github.com/tyche-sim/tyche/internal/trace"
+	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
 // Concurrency stress tests for the SMP monitor: many threads (Go-level
-// API) and many cores (guest VMCall ABI) hammering one capability space
-// at once. Run them under -race; the CI race job does.
+// API, and RunCore from one goroutine per core) hammering one
+// capability space at once. Run them under -race; the CI race job does.
+// RunCores itself steps its cores on one goroutine, and the last test
+// pins that its results do not depend on the host.
 
 // TestConcurrentAPICapabilityOps has K goroutines share+revoke disjoint
 // regions of dom0 memory through the Go-level API while a reader
@@ -106,33 +114,44 @@ func TestConcurrentAPICapabilityOps(t *testing.T) {
 	assertTraceClean(t, m, ck)
 }
 
-// TestConcurrentGuestVMCallStress is the guest-ABI version: four cores
-// run domains concurrently (Monitor.RunCores), each looping CallShare
-// of its private scratch page to the next domain in the ring followed
-// by CallRevoke — monitor entries from four cores race on one space.
-// Afterwards refcount and generation invariants must hold exactly.
-func TestConcurrentGuestVMCallStress(t *testing.T) {
-	const cores = 4
-	iters := 32
-	if testing.Short() {
-		iters = 8
+// runCoresConcurrently drives each listed core's RunCore from its own
+// goroutine: the host concurrency between cores that RunCores, which
+// steps its cores in turn on the caller's goroutine, never creates.
+func runCoresConcurrently(m *Monitor, budget int, cores ...phys.CoreID) (map[phys.CoreID]RunResult, error) {
+	results := make(map[phys.CoreID]RunResult, len(cores))
+	errs := make([]error, len(cores))
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for i, c := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := m.RunCore(c, budget)
+			mu.Lock()
+			results[c] = res
+			mu.Unlock()
+			errs[i] = err
+		}()
 	}
-	mach, err := hw.NewMachine(hw.Config{
-		MemBytes: 8 << 20, NumCores: cores, PMPEntries: 16,
-		IOMMUAllowByDefault: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rot, err := tpm.New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Boot(BootConfig{Machine: mach, TPM: rot, Backend: BackendVTX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := attachChecker(t, m)
+	wg.Wait()
+	return results, errors.Join(errs...)
+}
+
+// ringWorker is one domain of a vmcallRing world.
+type ringWorker struct {
+	dom     DomainID
+	scratch phys.Region
+	node    cap.NodeID
+}
+
+// vmcallRing boots a traced machine whose every core is launched into
+// its own domain looping iters times: CallShare of its private scratch
+// page to the next domain in the ring, then CallRevoke.
+func vmcallRing(t *testing.T, cores, iters int) (*Monitor, *check.Checker, []ringWorker) {
+	t.Helper()
+	m, ck := bootCoresWorld(t, cores)
 	node := dom0MemNode(t, m)
 	coreNodes := map[phys.CoreID]cap.NodeID{}
 	for _, n := range m.OwnerNodes(InitialDomain) {
@@ -165,12 +184,7 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 		return a.MustAssemble(base)
 	}
 
-	type worker struct {
-		dom     DomainID
-		scratch phys.Region
-		node    cap.NodeID
-	}
-	var ws [cores]worker
+	ws := make([]ringWorker, cores)
 	for i := 0; i < cores; i++ {
 		dom, err := m.CreateDomain(InitialDomain, fmt.Sprintf("stress%d", i))
 		if err != nil {
@@ -195,15 +209,13 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 		if err := m.SetEntry(InitialDomain, dom, codeAt); err != nil {
 			t.Fatal(err)
 		}
-		ws[i] = worker{dom: dom, scratch: scratch, node: sn}
+		ws[i] = ringWorker{dom: dom, scratch: scratch, node: sn}
 	}
-	statsBefore := m.Stats()
-	genBefore := m.CapGeneration()
 	for i := 0; i < cores; i++ {
 		if err := m.Launch(ws[i].dom, phys.CoreID(i)); err != nil {
 			t.Fatal(err)
 		}
-		c := mach.Core(phys.CoreID(i))
+		c := m.Machine().Core(phys.CoreID(i))
 		c.Regs[6] = uint64(ws[i].node)
 		c.Regs[7] = uint64(ws[(i+1)%cores].dom)
 		c.Regs[8] = uint64(ws[i].scratch.Start)
@@ -211,16 +223,29 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 		c.Regs[10] = uint64(iters)
 		c.Regs[11] = uint64(cap.MemRW) | uint64(cap.CleanFlushTLB)<<16
 	}
-	runs, err := m.RunCores(100_000)
+	return m, ck, ws
+}
+
+// TestConcurrentGuestVMCallStress is the guest-ABI version: four cores,
+// each driven by its own goroutine, run vmcallRing's share+revoke loop —
+// monitor entries from four host threads race on one space. Afterwards
+// refcount and generation invariants must hold exactly.
+func TestConcurrentGuestVMCallStress(t *testing.T) {
+	const cores = 4
+	iters := 32
+	if testing.Short() {
+		iters = 8
+	}
+	m, ck, ws := vmcallRing(t, cores, iters)
+	statsBefore := m.Stats()
+	genBefore := m.CapGeneration()
+	runs, err := runCoresConcurrently(m, 100_000, 0, 1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != cores {
-		t.Fatalf("ran %d cores, want %d", len(runs), cores)
-	}
 	for i := 0; i < cores; i++ {
 		run := runs[phys.CoreID(i)]
-		c := mach.Core(phys.CoreID(i))
+		c := m.Machine().Core(phys.CoreID(i))
 		if run.Trap.Kind != hw.TrapHalt || c.Regs[10] != 0 || c.Regs[15] == 0xdead {
 			t.Fatalf("core %d: trap=%v r0=%d r10=%d r15=%#x", i, run.Trap, c.Regs[0], c.Regs[10], c.Regs[15])
 		}
@@ -244,4 +269,83 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 		}
 	}
 	assertTraceClean(t, m, ck)
+}
+
+// TestRunCoresReproducible: RunCores steps its cores on the caller's
+// goroutine in a fixed interleaving, so a run is a function of its
+// inputs. A 4-core share+revoke ring in dedicated mode and six tenants
+// scheduled over two cores each run twice at GOMAXPROCS 1 and 4, and
+// every run matches the first in cycles, Stats(), per-core results,
+// schedule hash and trace event stream.
+func TestRunCoresReproducible(t *testing.T) {
+	type fingerprint struct {
+		cycles uint64
+		stats  Stats
+		runs   map[phys.CoreID]RunResult
+		hash   uint64
+		events []trace.Event
+	}
+	finish := func(t *testing.T, m *Monitor, runs map[phys.CoreID]RunResult, err error) fingerprint {
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hash uint64
+		if q := m.Scheduler(); q != nil {
+			hash = q.Hash()
+		}
+		return fingerprint{m.Machine().Clock.Cycles(), m.Stats(), runs, hash, m.Machine().Tracer().Events()}
+	}
+	workloads := []struct {
+		name string
+		run  func(*testing.T) fingerprint
+	}{
+		{"dedicated-ring", func(t *testing.T) fingerprint {
+			m, ck, _ := vmcallRing(t, 4, 16)
+			runs, err := m.RunCores(100_000)
+			assertTraceClean(t, m, ck)
+			return finish(t, m, runs, err)
+		}},
+		{"scheduled", func(t *testing.T) fingerprint {
+			m, ck := bootCoresWorld(t, 2)
+			cores := []phys.CoreID{0, 1}
+			m.SetSchedPolicy(&sched.Policy{Quantum: 32, Steal: true, Seed: 1})
+			for i := 0; i < 6; i++ {
+				if err := m.Schedule(loadTenant(t, m, "tenant", uint64(64+i), 40, i%2 == 0, cores)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runs, err := m.RunCores(100_000)
+			assertTraceClean(t, m, ck)
+			return finish(t, m, runs, err)
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			var first *fingerprint
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				for i := 0; i < 2; i++ {
+					got := w.run(t)
+					if first == nil {
+						first = &got
+						continue
+					}
+					switch {
+					case got.cycles != first.cycles:
+						t.Fatalf("GOMAXPROCS=%d run %d: cycles %d, want %d", procs, i, got.cycles, first.cycles)
+					case got.stats != first.stats:
+						t.Fatalf("GOMAXPROCS=%d run %d: stats %+v, want %+v", procs, i, got.stats, first.stats)
+					case !reflect.DeepEqual(got.runs, first.runs):
+						t.Fatalf("GOMAXPROCS=%d run %d: results %+v, want %+v", procs, i, got.runs, first.runs)
+					case got.hash != first.hash:
+						t.Fatalf("GOMAXPROCS=%d run %d: schedule hash %#x, want %#x", procs, i, got.hash, first.hash)
+					case !slices.Equal(got.events, first.events):
+						t.Fatalf("GOMAXPROCS=%d run %d: trace of %d events differs from the first run's %d",
+							procs, i, len(got.events), len(first.events))
+					}
+				}
+			}
+		})
+	}
 }

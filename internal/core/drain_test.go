@@ -11,6 +11,7 @@ import (
 
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
@@ -193,10 +194,19 @@ func TestDrainShardsAreOverlapComponents(t *testing.T) {
 	}
 }
 
-// failingBackend fails the calls a round's retire step makes.
+// failingBackend fails the calls a round's retire step makes, and
+// transitions into one owner.
 type failingBackend struct {
 	backend.Backend
-	cleanups, sync error
+	cleanups, sync, transition error
+	refuse                     cap.OwnerID // the owner transition fails for
+}
+
+func (b *failingBackend) Transition(c *hw.Core, to cap.OwnerID, fast bool) error {
+	if b.transition != nil && to == b.refuse {
+		return b.transition
+	}
+	return b.Backend.Transition(c, to, fast)
 }
 
 func (b *failingBackend) ExecuteCleanups(acts []cap.CleanupAction) error {

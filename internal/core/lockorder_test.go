@@ -23,8 +23,9 @@ import (
 //     Revoke chain between randomly paired domains (seeded rand, so a
 //     failure replays) — reader pins, revMu, per-domain locks and
 //     the capability-space lock in every pairing order;
-//   - guest VMCall share/revoke rings on two cores — the same paths
-//     entered from RunCore with no Go-level locks held;
+//   - four cores, each driven by its own goroutine: the survivor, the
+//     victim and guest VMCall share/revoke rings on two cores — the
+//     same paths entered from RunCore with no Go-level locks held;
 //   - a reader thread hammering the lock-free snapshot paths (Stats,
 //     Domains, RefCounts, LineageTree, Attest);
 //   - a fault injector that machine-checks the victim's core mid-run,
@@ -232,7 +233,7 @@ func TestLockOrderStress(t *testing.T) {
 		}
 	}()
 
-	results, err := m.RunCores(400_000)
+	results, err := runCoresConcurrently(m, 400_000, 0, 1, 2, 3)
 	wg.Wait()
 	close(stop)
 	rwg.Wait()

@@ -1,35 +1,27 @@
 package core
 
-// The multi-tenant scheduling engine: time-multiplexes N scheduled
-// domains over M cores (N ≫ M) by driving the internal/sched run
-// queues from Monitor.RunCores. Dedicated-core mode stays the
-// default; installing a sched.Policy and scheduling at least one
-// domain opts a monitor in.
+// The run engine, Monitor.RunCores: rounds of dispatch, run and
+// barrier on the caller's goroutine, each phase in ascending core
+// order. Dedicated mode, the default, runs each core's installed domain
+// for one round; installing a sched.Policy and scheduling a domain
+// makes the rounds time-multiplex N vCPUs over M cores (N ≫ M) from
+// internal/sched's run queues. Queue decisions, cycle-clock reads and
+// the interleaving of cores are all fixed by the round, so a run's
+// history — dispatch Records, cycles, trace — is a pure function of
+// (seed, arrival order, guest code) at any host thread count. Cores
+// run concurrently only where a caller makes them: RunCore is safe to
+// call from several goroutines (fleet.Serve, embedders and tests do).
 //
-// The engine is bulk-synchronous: each round has a sequential
-// dispatch phase (ascending core order: pop, validate, transition,
-// arm the preemption timer), a parallel run phase (one goroutine per
-// dispatched core, exactly the SMP engine), and a sequential barrier
-// phase (ascending core order: save or retire each vCPU, requeue).
-// Every queue decision and every cycle-clock read happens at a
-// sequential point with all cores quiescent, so the schedule — the
-// scheduler's dispatch Record sequence — is a pure function of
-// (seed, arrival order, cycle counts): bit-identical across runs,
-// across hosts, and under the race detector. The golden-trace and
-// cycle bit-identity gates from earlier PRs survive untouched because
-// nothing here consults wall time.
-//
-// Lock order: the engine's sequential phases run with no monitor
-// locks and take coreSched.mu inside dispatch (a pinned reader entry),
-// exactly like Launch; schedMu and the Scheduler's own mutex are leaves
-// (destruction purges the queue under revMu, giving
-// revMu → schedMu → sched's mutex — never the reverse).
+// Lock order: the engine runs with no monitor locks and takes
+// coreSched.mu inside dispatch (a pinned reader entry), exactly like
+// Launch; schedMu and the Scheduler's own mutex are leaves (destruction
+// purges the queue under revMu, giving revMu → schedMu → sched's mutex
+// — never the reverse).
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -51,7 +43,8 @@ type schedStaged struct {
 }
 
 // SetSchedPolicy installs (or, with nil, removes) the multi-tenant
-// scheduling policy. Installing a policy discards any previous run
+// scheduling policy: the queue policy RunCores dispatches from once a
+// domain is scheduled. Installing a policy discards any previous run
 // queue; domains scheduled afterwards form a fresh arrival order.
 func (m *Monitor) SetSchedPolicy(pol *sched.Policy) {
 	m.schedMu.Lock()
@@ -124,21 +117,13 @@ func (m *Monitor) Scheduler() *sched.Scheduler {
 	return m.runq
 }
 
-// schedEnabled reports whether RunCores must route to the scheduling
-// engine: a policy is installed and at least one vCPU has ever been
-// scheduled.
-func (m *Monitor) schedEnabled() bool {
+// runQueue returns the persistent run queue, creating it over the
+// given cores once a policy is installed and a vCPU scheduled, and
+// replaying the staged arrival order. It returns nil in dedicated mode.
+func (m *Monitor) runQueue(cores []phys.CoreID) *sched.Scheduler {
 	m.schedMu.Lock()
 	defer m.schedMu.Unlock()
-	return m.schedPol != nil && (m.runq != nil || len(m.schedSet) > 0)
-}
-
-// schedQueue returns the persistent run queue, creating it over the
-// given cores on first use and replaying the staged arrival order.
-func (m *Monitor) schedQueue(cores []phys.CoreID) *sched.Scheduler {
-	m.schedMu.Lock()
-	defer m.schedMu.Unlock()
-	if m.runq == nil {
+	if m.runq == nil && m.schedPol != nil && len(m.schedSet) > 0 {
 		m.runq = sched.New(*m.schedPol, cores)
 		now := m.mach.Clock.Cycles()
 		for _, st := range m.schedSet {
@@ -166,140 +151,88 @@ func (m *Monitor) schedPurge(id DomainID) {
 	}
 }
 
-// runScheduled is the oversubscribed RunCores: rounds of sequential
-// dispatch, parallel execution, sequential barrier, until the queues
-// drain or every core's budget is spent. With no cores listed it
-// schedules over every core in the machine.
-func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID]RunResult, error) {
-	if len(cores) == 0 {
+// RunCores drives the given cores on the caller's goroutine, each with
+// its own instruction budget, and returns per-core results and the
+// first error any core hit; a failing core does not stop the others.
+// With no cores listed it runs every core with a domain installed (in
+// scheduled mode, every core). Each round:
+//
+//   - Dispatch: dedicated mode runs each core's installed domain, for
+//     one round; scheduled mode (SetSchedPolicy + Schedule) pops each
+//     core's run queue while the core has budget left.
+//   - Run (runRound): the cores take turns, at most
+//     sched.DefaultQuantum instructions each, until each has trapped,
+//     failed or spent its budget.
+//   - Barrier: a scheduled round requeues or retires each vCPU and
+//     drains the submission rings; every round fires the checkpoint.
+func (m *Monitor) RunCores(budget int, cores ...phys.CoreID) (map[phys.CoreID]RunResult, error) {
+	listed := len(cores) > 0
+	if !listed {
 		cores = m.mach.CoreIDs()
 	}
-	cores = append([]phys.CoreID(nil), cores...)
-	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
-	q := m.schedQueue(cores)
-
-	remaining := make(map[phys.CoreID]int, len(cores))
+	cores = slices.Clone(cores)
+	slices.Sort(cores)
+	cores = slices.Compact(cores)
+	q := m.runQueue(cores)
 	results := make(map[phys.CoreID]RunResult, len(cores))
-	for _, c := range cores {
-		remaining[c] = budget
-		results[c] = RunResult{Trap: hw.Trap{Kind: hw.TrapNone}}
-	}
-
-	type outcome struct {
-		v   *sched.VCPU
-		res RunResult
-		err error
+	remaining := make([]int, len(cores)) // budget left, by position in cores
+	for i, c := range cores {
+		remaining[i] = budget
+		if listed || q != nil { // an idle unlisted core has no entry
+			results[c] = RunResult{}
+		}
 	}
 	var firstErr error
-	for firstErr == nil {
-		// Dispatch phase: ascending core order, cores quiescent. A vCPU
-		// whose domain died between enqueue and dispatch is dropped here
-		// (purge already removed queued ones; this catches kills that
-		// landed while the vCPU was popped on a previous round's core).
-		running := make(map[phys.CoreID]*sched.VCPU, len(cores))
-		for _, c := range cores {
-			if remaining[c] <= 0 {
-				continue
-			}
-			for {
-				v, ok := q.Next(c)
-				if !ok {
-					break
+	fail := func(c phys.CoreID, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("core %v: %w", c, err)
+		}
+	}
+	// Up to eight cores, a round's runs stay off the heap: fleet.Pulse
+	// runs one round per node per serving wave.
+	var buf [8]coreRun
+	round := buf[:0]
+	for {
+		round = round[:0]
+		for i, c := range cores {
+			var v *sched.VCPU
+			if q != nil {
+				var err error
+				if remaining[i] > 0 {
+					v, err = m.dispatchNext(q, c, remaining[i])
 				}
-				live, err := m.dispatchVCPU(v, c)
 				if err != nil {
-					firstErr = fmt.Errorf("core %v: %w", c, err)
-					break
+					fail(c, err)
+					break // the cores dispatched so far still run
 				}
-				if !live {
-					m.stats.schedPurged.Add(1)
+				if v == nil {
 					continue
 				}
-				slice := q.Quantum()
-				if slice > remaining[c] {
-					slice = remaining[c]
-				}
-				m.mach.Core(c).ArmTimer(slice)
-				q.Dispatched(v, c, m.mach.Clock.Cycles())
-				m.stats.schedDispatches.Add(1)
-				if v.Stolen {
-					m.stats.schedSteals.Add(1)
-				}
-				running[c] = v
-				break
+			}
+			// Only an idle core the caller did not list fails to start.
+			if r, err := m.startRun(c, remaining[i]); err == nil {
+				r.vcpu = v
+				round = append(round, r)
+			} else if listed {
+				fail(c, err)
 			}
 		}
-		if len(running) == 0 || firstErr != nil {
+		if q != nil && len(round) == 0 {
 			break
 		}
-
-		// Run phase: the SMP engine proper — one goroutine per
-		// dispatched core, no scheduler state touched.
-		outs := make(map[phys.CoreID]*outcome, len(running))
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
-		for c, v := range running {
-			wg.Add(1)
-			go func(c phys.CoreID, v *sched.VCPU) {
-				defer wg.Done()
-				res, err := m.RunCore(c, remaining[c])
-				mu.Lock()
-				outs[c] = &outcome{v: v, res: res, err: err}
-				mu.Unlock()
-			}(c, v)
-		}
-		wg.Wait()
-
-		// Barrier phase: ascending core order again — requeue order is
-		// part of the schedule and must not depend on goroutine timing.
-		for _, c := range cores {
-			o := outs[c]
-			if o == nil {
-				continue
-			}
+		runRound(round)
+		for j := range round {
+			r, c := &round[j], round[j].id
 			agg := results[c]
-			agg.Steps += o.res.Steps
-			agg.Trap = o.res.Trap
-			agg.Domain = o.res.Domain
-			agg.Yielded = o.res.Yielded
+			agg.Steps += r.res.Steps
+			agg.Trap, agg.Domain, agg.Yielded = r.res.Trap, r.res.Domain, r.res.Yielded
 			results[c] = agg
-			remaining[c] -= o.res.Steps
-			if o.err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core %v: %w", c, o.err)
-				}
-				continue
-			}
-			now := m.mach.Clock.Cycles()
-			switch {
-			case o.res.Yielded:
-				m.saveVCPU(o.v, c)
-				q.Requeue(o.v, now, true)
-				m.stats.schedYields.Add(1)
-			case o.res.Trap.Kind == hw.TrapTimer:
-				m.saveVCPU(o.v, c)
-				q.Requeue(o.v, now, false)
-				m.stats.schedPreemptions.Add(1)
-			case o.res.Trap.Kind == hw.TrapNone:
-				// Core budget exhausted mid-slice: park the vCPU back on
-				// the queue (another core may steal it) and retire the
-				// core from further dispatch rounds.
-				m.saveVCPU(o.v, c)
-				q.Requeue(o.v, now, false)
-				remaining[c] = 0
-			case o.res.Trap.Kind == hw.TrapHalt:
-				// Ran to completion (halt with an empty call stack).
-				m.stats.schedCompleted.Add(1)
-			case o.res.Trap.Kind == hw.TrapMachineCheck:
-				// Containment already destroyed the victim (purging its
-				// queued siblings) and parked the core.
-				remaining[c] = 0
-			default:
-				// Fault/illegal: the vCPU is wedged; drop it. Policy
-				// beyond that belongs to the embedder, as in dedicated
-				// mode.
+			i, _ := slices.BinarySearch(cores, c)
+			remaining[i] -= r.res.Steps
+			if r.err != nil {
+				fail(c, r.err)
+			} else if q != nil && m.settle(q, r.vcpu, c, r.res) {
+				remaining[i] = 0
 			}
 		}
 		// Round-barrier ring drain: every core is quiescent and the
@@ -307,7 +240,7 @@ func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID
 		// a deterministic place in the schedule. Guarded by one atomic
 		// load — runs with no rings registered take this branch never
 		// and stay cycle-identical to pre-ring builds.
-		if firstErr == nil && m.ringCount.Load() > 0 {
+		if q != nil && firstErr == nil && m.ringCount.Load() > 0 {
 			if n := m.DrainRings(); n > 0 {
 				q.RecordBarrierDrain(n)
 			}
@@ -317,38 +250,105 @@ func (m *Monitor) runScheduled(budget int, cores []phys.CoreID) (map[phys.CoreID
 		// cross-core trace properties are settled. Host-side only — an
 		// uninstalled hook is one atomic load.
 		m.runCheckpoint()
+		if q == nil || firstErr != nil {
+			break
+		}
 	}
-	// Leave no stale one-shot timers armed across engine invocations.
-	for _, c := range cores {
-		m.mach.Core(c).ArmTimer(0)
-	}
-	if s := q.Counters().MaxQueueDepth; s > m.stats.schedMaxQueue.Load() {
-		m.stats.schedMaxQueue.Store(s)
+	if q != nil {
+		// Leave no stale one-shot timers armed across engine invocations.
+		for _, c := range cores {
+			m.mach.Core(c).ArmTimer(0)
+		}
+		if s := q.Counters().MaxQueueDepth; s > m.stats.schedMaxQueue.Load() {
+			m.stats.schedMaxQueue.Store(s)
+		}
 	}
 	return results, firstErr
 }
 
-// dispatchVCPU installs v on core: the first dispatch launches the
-// domain at its entry point; later ones restore the vCPU's saved
-// state. Returns live=false (no error) when the vCPU's domain died or
-// lost its core capability — the caller drops the vCPU, which is the
-// containment contract for anything a purge could not catch.
-func (m *Monitor) dispatchVCPU(v *sched.VCPU, core phys.CoreID) (live bool, err error) {
-	if !v.Started {
-		err := m.Launch(DomainID(v.Domain), core)
-		switch {
-		case err == nil:
-			v.Started = true
-			v.Running = v.Domain
-			return true, nil
-		case errors.Is(err, ErrDead), errors.Is(err, ErrNoSuchDomain),
-			errors.Is(err, ErrDenied), errors.Is(err, ErrNoEntry):
-			return false, nil
-		default:
-			return false, err
+// runRound is a round's run phase: the cores take turns in the round's
+// (ascending) order, at most sched.DefaultQuantum instructions a turn,
+// until every one has stopped. What one core's monitor entries see of
+// another's is then a function of the round, not of host scheduling.
+func runRound(round []coreRun) {
+	for running := len(round); running > 0; {
+		running = 0
+		for i := range round {
+			if r := &round[i]; !r.done && !r.step(sched.DefaultQuantum) {
+				running++
+			}
 		}
 	}
-	return m.resumeVCPU(v, core)
+}
+
+// dispatchNext pops core c's run queue until a vCPU lands on c, arms
+// c's timer with the vCPU's slice and records the dispatch; nil means
+// the queue is empty. The first dispatch of a vCPU launches its domain
+// at the entry point, later ones restore its saved state. A vCPU whose
+// domain died or lost the core is dropped — the containment contract
+// for anything a purge could not catch. On a dispatch error the vCPU
+// goes back on its queue and stays out of the record.
+func (m *Monitor) dispatchNext(q *sched.Scheduler, c phys.CoreID, budget int) (*sched.VCPU, error) {
+	for {
+		v, ok := q.Next(c)
+		if !ok {
+			return nil, nil
+		}
+		live, err := true, error(nil)
+		if v.Started {
+			live, err = m.resumeVCPU(v, c)
+		} else if err = m.Launch(DomainID(v.Domain), c); err == nil {
+			v.Started, v.Running = true, v.Domain
+		} else if errors.Is(err, ErrDead) || errors.Is(err, ErrNoSuchDomain) ||
+			errors.Is(err, ErrDenied) || errors.Is(err, ErrNoEntry) {
+			live, err = false, nil
+		}
+		if err != nil {
+			q.Requeue(v, m.mach.Clock.Cycles(), false)
+			return nil, err
+		}
+		if !live {
+			m.stats.schedPurged.Add(1)
+			continue
+		}
+		m.mach.Core(c).ArmTimer(min(q.Quantum(), budget))
+		q.Dispatched(v, c, m.mach.Clock.Cycles())
+		m.stats.schedDispatches.Add(1)
+		if v.Stolen {
+			m.stats.schedSteals.Add(1)
+		}
+		return v, nil
+	}
+}
+
+// settle is the barrier's decision for a vCPU that ran on core c
+// without error: requeue it or retire it. It reports whether the core
+// sits out the run's further rounds.
+func (m *Monitor) settle(q *sched.Scheduler, v *sched.VCPU, c phys.CoreID, res RunResult) (coreDone bool) {
+	switch {
+	case res.Yielded:
+		m.stats.schedYields.Add(1)
+	case res.Trap.Kind == hw.TrapTimer:
+		m.stats.schedPreemptions.Add(1)
+	case res.Trap.Kind == hw.TrapNone:
+		// Core budget spent mid-slice: the vCPU goes back on the queue
+		// (another core may steal it) and the core retires.
+		coreDone = true
+	case res.Trap.Kind == hw.TrapHalt:
+		m.stats.schedCompleted.Add(1) // ran to completion
+		return false
+	case res.Trap.Kind == hw.TrapMachineCheck:
+		// Containment already destroyed the victim (purging its queued
+		// siblings) and parked the core.
+		return true
+	default:
+		// Fault/illegal: the vCPU is wedged; drop it. Policy beyond that
+		// belongs to the embedder, as in dedicated mode.
+		return false
+	}
+	m.saveVCPU(v, c)
+	q.Requeue(v, m.mach.Clock.Cycles(), res.Yielded)
+	return coreDone
 }
 
 // resumeVCPU performs the TransDispatch transition: validated like

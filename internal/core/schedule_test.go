@@ -208,6 +208,48 @@ func TestScheduledKillPurge(t *testing.T) {
 	assertTraceClean(t, m, ck)
 }
 
+// A dispatch that fails loses no vCPU: the vCPUs dispatched before it
+// in the round still run, the failing vCPU goes back on its queue, the
+// error is returned, and the record lists only dispatches that ran.
+func TestScheduledDispatchErrorLosesNoVCPU(t *testing.T) {
+	m, ck := bootCoresWorld(t, 2)
+	cores := []phys.CoreID{0, 1}
+	m.SetSchedPolicy(&sched.Policy{})
+	a := loadTenant(t, m, "a", 64, 5, false, cores) // placed on core 0
+	b := loadTenant(t, m, "b", 65, 5, false, cores) // placed on core 1
+	for _, id := range []DomainID{a, b} {
+		if err := m.Schedule(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := errors.New("transition refused")
+	good := m.bk
+	m.bk = &failingBackend{Backend: good, transition: refused, refuse: cap.OwnerID(b)}
+	res, err := m.RunCores(10_000)
+	if !errors.Is(err, refused) {
+		t.Fatalf("RunCores = %v, want the refused dispatch", err)
+	}
+	if res[0].Trap.Kind != hw.TrapHalt || m.Stats().SchedCompleted != 1 {
+		t.Fatalf("a did not run in the failing round: core 0 %+v, stats %+v", res[0], m.Stats())
+	}
+	for _, r := range m.Scheduler().Records() {
+		if r.Domain == uint64(b) {
+			t.Fatalf("record lists b's dispatch, which never ran: %+v", r)
+		}
+	}
+	if n := m.Scheduler().Pending(); n != 1 {
+		t.Fatalf("%d vCPUs queued after the failed dispatch, want b's", n)
+	}
+	m.bk = good
+	if _, err := m.RunCores(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.SchedCompleted != 2 || st.SchedDispatches != 2 {
+		t.Fatalf("after the retry: %d completed of %d dispatched, want 2 of 2", st.SchedCompleted, st.SchedDispatches)
+	}
+	assertTraceClean(t, m, ck)
+}
+
 // Schedule validation and the policy lifecycle.
 func TestScheduleValidation(t *testing.T) {
 	m, _ := bootCoresWorld(t, 2)

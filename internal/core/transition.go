@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
@@ -276,84 +276,129 @@ type RunResult struct {
 // is always lock-free, and each trap handler takes exactly the locks
 // its operation needs (pinned reader entries for most; the destructive
 // entry for fault containment). Cores running independent workloads
-// therefore do not serialise on monitor entries at all.
+// therefore do not serialise on monitor entries at all, and RunCore is
+// safe to call for different cores from different goroutines.
 func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
+	r, err := m.startRun(core, budget)
+	if err != nil {
+		return RunResult{}, err
+	}
+	r.step(budget) // a slice as long as the budget runs to the end
+	return r.res, r.err
+}
+
+// coreRun is one core's RunCore in progress. RunCores interleaves
+// several on one goroutine by calling step with a quantum; a run cut
+// into slices retires the same instructions, handles the same traps and
+// polls the interrupt controller at the same points as the uncut run.
+type coreRun struct {
+	m      *Monitor
+	id     phys.CoreID
+	c      *hw.Core
+	sc     *coreSched
+	budget int
+	res    RunResult
+	err    error
+	done   bool
+	mid    bool        // the last slice ended inside a Run: resume without an IRQ poll
+	vcpu   *sched.VCPU // the vCPU the run serves, in RunCores' scheduled mode
+}
+
+// startRun begins a run on a core with a domain installed.
+func (m *Monitor) startRun(core phys.CoreID, budget int) (coreRun, error) {
 	c := m.mach.Core(core)
 	if c == nil {
-		return RunResult{}, fmt.Errorf("core: no core %v", core)
+		return coreRun{}, fmt.Errorf("core: no core %v", core)
 	}
-	sc := m.sched[core]
 	if _, ok := m.Current(core); !ok {
-		return RunResult{}, fmt.Errorf("%w: %v", ErrNotRunning, core)
+		return coreRun{}, fmt.Errorf("%w: %v", ErrNotRunning, core)
 	}
-	// The installed context decides attribution: guest VMFUNC switches
-	// change the running domain without informing the monitor.
-	cur := func() DomainID {
-		if ctx := c.Context(); ctx != nil {
-			return DomainID(ctx.Owner)
-		}
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return sc.cur
+	return coreRun{m: m, id: core, c: c, sc: m.sched[core], budget: budget}, nil
+}
+
+// cur is the domain running on the core. The installed context decides
+// attribution: guest VMFUNC switches change the running domain without
+// informing the monitor.
+func (r *coreRun) cur() DomainID {
+	if ctx := r.c.Context(); ctx != nil {
+		return DomainID(ctx.Owner)
 	}
-	total := 0
-	for total < budget {
+	r.sc.mu.Lock()
+	defer r.sc.mu.Unlock()
+	return r.sc.cur
+}
+
+// stop ends the run with its final trap, attribution and error.
+func (r *coreRun) stop(trap hw.Trap, dom DomainID, err error) bool {
+	r.res.Trap, r.res.Domain, r.err, r.done = trap, dom, err, true
+	return true
+}
+
+// step runs the core for at most n more instructions and reports
+// whether the run is over: a trap RunCore stops at, an error, or the
+// budget spent.
+func (r *coreRun) step(n int) bool {
+	m, c, core := r.m, r.c, r.id
+	limit := min(r.res.Steps+n, r.budget)
+	for r.res.Steps < limit {
 		// Route pending device interrupts before resuming guest code:
 		// IRQs raised by drivers or handlers during the previous trap
 		// window are delivered at the next entry, like real injection.
-		if err := m.routeIRQs(c); err != nil {
-			return RunResult{Steps: total, Domain: cur()}, err
+		if r.mid {
+			r.mid = false
+		} else if err := m.routeIRQs(c); err != nil {
+			return r.stop(hw.Trap{}, r.cur(), err)
 		}
-		n, trap := c.Run(budget - total)
-		total += n
+		k, trap := c.Run(limit - r.res.Steps)
+		r.res.Steps += k
+		dom := r.cur() // the domain the trap came from
+		var err error
 		switch trap.Kind {
-		case hw.TrapNone, hw.TrapTimer:
-			// Budget exhausted or the preemption timer fired: hand
-			// control back to the embedding scheduler.
-			return RunResult{Steps: total, Trap: trap, Domain: cur()}, nil
-		case hw.TrapHalt:
-			sc.mu.Lock()
-			depth := len(sc.frames)
-			sc.mu.Unlock()
-			if depth > 0 {
-				if err := m.Return(core); err != nil {
-					return RunResult{Steps: total, Trap: trap, Domain: cur()}, err
-				}
-				continue
+		case hw.TrapNone:
+			if r.mid = r.res.Steps < r.budget; r.mid {
+				return false // the slice is spent, not the run
 			}
-			return RunResult{Steps: total, Trap: trap, Domain: cur()}, nil
+		case hw.TrapHalt:
+			r.sc.mu.Lock()
+			depth := len(r.sc.frames)
+			r.sc.mu.Unlock()
+			if depth > 0 {
+				if err = m.Return(core); err == nil {
+					continue
+				}
+			}
 		case hw.TrapVMCall:
 			m.mach.Clock.Advance(m.mach.Cost.VMExit)
 			m.stats.vmExits.Add(1)
 			stop := m.handleVMCall(c, core)
 			m.mach.Clock.Advance(m.mach.Cost.VMEntry)
-			if stop {
-				// The only stopping VMCall is CallYield: a cooperative
-				// hand-back to the embedding scheduler (the multi-tenant
-				// engine requeues the vCPU; dedicated-mode embedders see
-				// Yielded and decide themselves).
-				return RunResult{Steps: total, Trap: trap, Domain: cur(), Yielded: true}, nil
+			if !stop {
+				continue
 			}
+			// The only stopping VMCall is CallYield: a cooperative
+			// hand-back to the embedding scheduler (the multi-tenant
+			// engine requeues the vCPU; dedicated-mode embedders see
+			// Yielded and decide themselves).
+			r.res.Yielded = true
 		case hw.TrapSyscall:
 			m.mach.Clock.Advance(m.mach.Cost.Syscall)
 			m.stats.syscalls.Add(1)
-			id := cur()
 			var handler SyscallHandler
-			if d, ok := m.tab.Load().get(id); ok {
+			if d, ok := m.tab.Load().get(dom); ok {
 				d.mu.Lock()
 				handler = d.syscall
 				d.mu.Unlock()
 			}
 			if handler == nil {
-				return RunResult{Steps: total, Trap: trap, Domain: id},
-					fmt.Errorf("core: domain %d has no syscall handler", id)
+				err = fmt.Errorf("core: domain %d has no syscall handler", dom)
+				break
 			}
 			// The handler is the domain's Go-level kernel: it re-enters
 			// the monitor through the public API, so it runs unlocked.
-			if err := handler(c); err != nil {
-				return RunResult{Steps: total, Trap: trap, Domain: id}, err
+			if err = handler(c); err == nil {
+				m.mach.Clock.Advance(m.mach.Cost.Sysret)
+				continue
 			}
-			m.mach.Clock.Advance(m.mach.Cost.Sysret)
 		case hw.TrapMachineCheck:
 			// A hardware fault killed whatever ran here. Contain it:
 			// destroy the victim domain (scrubbed), park the core, and
@@ -365,63 +410,17 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 			// cannot self-deadlock.
 			m.mach.Clock.Advance(m.mach.Cost.VMExit)
 			m.stats.vmExits.Add(1)
-			victim := cur()
 			m.denter()
-			cErr := m.containFault(core, victim)
+			err = m.containFault(core, dom)
 			m.dexit()
-			return RunResult{Steps: total, Trap: trap, Domain: victim}, cErr
-		default: // fault, illegal
-			return RunResult{Steps: total, Trap: trap, Domain: cur()}, nil
 		}
+		// The budget ran out, the preemption timer fired, a fault or an
+		// illegal instruction, or a trap above that did not continue:
+		// hand control back to the embedding scheduler.
+		return r.stop(trap, dom, err)
 	}
-	return RunResult{Steps: total, Trap: hw.Trap{Kind: hw.TrapNone}, Domain: cur()}, nil
-}
-
-// RunCores drives the given cores concurrently, one goroutine per core,
-// each with its own instruction budget — the SMP execution engine. With
-// no cores listed it runs every core that has a domain installed. It
-// returns per-core results and the first error any core hit; the other
-// cores still run to completion (a failing core does not stop the
-// machine, matching hardware).
-//
-// With a scheduling policy installed and domains scheduled
-// (SetSchedPolicy + Schedule), RunCores instead drives the preemptive
-// multi-tenant engine (schedule.go), time-multiplexing the scheduled
-// vCPUs over the cores; with no cores listed the scheduled engine uses
-// every core in the machine.
-func (m *Monitor) RunCores(budget int, cores ...phys.CoreID) (map[phys.CoreID]RunResult, error) {
-	if m.schedEnabled() {
-		return m.runScheduled(budget, cores)
+	if r.res.Steps < r.budget {
+		return false
 	}
-	if len(cores) == 0 {
-		for _, id := range m.mach.CoreIDs() {
-			if _, ok := m.Current(id); ok {
-				cores = append(cores, id)
-			}
-		}
-	}
-	results := make(map[phys.CoreID]RunResult, len(cores))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, id := range cores {
-		wg.Add(1)
-		go func(id phys.CoreID) {
-			defer wg.Done()
-			res, err := m.RunCore(id, budget)
-			mu.Lock()
-			defer mu.Unlock()
-			results[id] = res
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("core %v: %w", id, err)
-			}
-		}(id)
-	}
-	wg.Wait()
-	// Dedicated-mode quiescent point: every driven core has retired, so
-	// the runtime-verification service can merge its shard checkers.
-	m.runCheckpoint()
-	return results, firstErr
+	return r.stop(hw.Trap{Kind: hw.TrapNone}, r.cur(), nil)
 }
