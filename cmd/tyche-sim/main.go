@@ -427,7 +427,7 @@ func schedDemo(p *tyche.Platform, domains int) error {
 		workers = append(workers, tyche.CoreID(i))
 	}
 	const seed = 1
-	p.Monitor.SetSchedPolicy(&sched.Policy{Quantum: 4096, Steal: true, Seed: seed})
+	p.Monitor.SetSchedPolicy(&sched.Policy{Quantum: 4096, Seed: seed})
 	fmt.Printf("\nSCHEDULING DEMO  %d tenant domains over %d worker core(s), quantum 4096, seed %d\n",
 		domains, len(workers), seed)
 	prog := func(yield bool) func(base phys.Addr) *tyche.Asm {

@@ -223,7 +223,7 @@ func schedWorld(cfg Config, workers, quantum int) (*world, []phys.CoreID, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Steal: true, Seed: cfg.Seed})
+	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Seed: cfg.Seed})
 	return w, workerCores(workers), nil
 }
 

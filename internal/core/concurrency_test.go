@@ -308,7 +308,7 @@ func TestRunCoresReproducible(t *testing.T) {
 		{"scheduled", func(t *testing.T) fingerprint {
 			m, ck := bootCoresWorld(t, 2)
 			cores := []phys.CoreID{0, 1}
-			m.SetSchedPolicy(&sched.Policy{Quantum: 32, Steal: true, Seed: 1})
+			m.SetSchedPolicy(&sched.Policy{Quantum: 32, Seed: 1})
 			for i := 0; i < 6; i++ {
 				if err := m.Schedule(loadTenant(t, m, "tenant", uint64(64+i), 40, i%2 == 0, cores)); err != nil {
 					t.Fatal(err)

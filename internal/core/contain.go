@@ -9,12 +9,14 @@ package core
 // engine's cascading revocation and adds a forced scrub: containment
 // cannot trust the cleanup policies a crashed domain chose for itself.
 //
-// Every destruction path is a destructive-family entry (revMu,
-// epoch.go) and follows the epoch discipline: publish the
-// death (atomic state store), synchronize (wait out every reader that
-// validated liveness before the publish), then run the irreversible
-// teardown — detach, cleanups, scrub, shootdown, backend removal,
-// reclaim. Readers emit their trace events before unpinning and KKill
+// Every kill — KillDomain, ForceKill, ForceKillAll, DepartKill and
+// containFault — is a destructive-family entry (revMu, epoch.go) and
+// follows the epoch discipline: publish the death (atomic state store),
+// then one reclaim step: synchronize (wait out every reader that
+// validated liveness before the publish), then the irreversible
+// teardown — detach, forced scrub, the revocation's own retire
+// (cleanups, release, resync), backend removal, key erase. Readers emit
+// their trace events before unpinning and KKill
 // is emitted after the grace period, so the scrub-before-kill and
 // dead-domain-silence trace invariants hold.
 
@@ -32,36 +34,9 @@ import (
 // that detect a wedged domain out-of-band. The initial domain is not
 // force-killable — it is the platform's root workload; faults on it
 // park the faulting core instead (see containFault).
-func (m *Monitor) ForceKill(id DomainID) error { return m.forceKill(id, false) }
-
-// forceKill is the single-victim monitor-authority kill: ForceKill, or
-// with depart the migration-departure DepartKill.
-func (m *Monitor) forceKill(id DomainID, depart bool) error {
-	m.denter()
-	defer m.dexit()
-	t, err := m.forcePublish(id, depart)
-	if err != nil {
-		return err
-	}
-	m.ep.synchronize()
-	return m.destroyReclaim(t, true)
-}
-
-// forcePublish validates a monitor-authority kill of id and publishes
-// the death (destructive-family entry held).
-func (m *Monitor) forcePublish(id DomainID, depart bool) (destroyTicket, error) {
-	d, err := m.liveDomain(id)
-	if err == nil && id == InitialDomain {
-		err = m.deny("the initial domain cannot be force-killed or depart")
-	}
-	if err != nil {
-		return destroyTicket{}, err
-	}
-	m.stats.forcedKills.Add(1)
-	m.emit(trace.KForceKill, id, 0, 0, 0, 0)
-	t := m.destroyPublish(d)
-	t.depart = depart
-	return t, nil
+func (m *Monitor) ForceKill(id DomainID) error {
+	_, err := m.forceDestroy(false, id)
+	return err
 }
 
 // ForceKillAll force-kills a batch of domains under ONE destructive-
@@ -69,38 +44,13 @@ func (m *Monitor) forcePublish(id DomainID, depart bool) (destroyTicket, error) 
 // kill-storm path. Each victim is validated and its death published in
 // argument order; a single epoch synchronization then covers all the
 // publishes (the grace combiner counts the folded-in requests in
-// EpochStats.CombinedSyncs), and the irreversible reclaims — detach, cleanups,
-// forced scrub, resync, key erase — run sequentially in the same
-// order. Victims that fail validation (dead, unknown, or the initial
-// domain) are skipped; the first such error is returned alongside the
-// number actually killed.
+// EpochStats.CombinedSyncs), and the irreversible reclaims — detach,
+// forced scrub, cleanups, resync, key erase — run sequentially in the
+// same order. Victims that fail validation (dead, unknown, or the
+// initial domain) are skipped; the first such error is returned
+// alongside the number actually killed.
 func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
-	m.denter()
-	defer m.dexit()
-	var (
-		ticks    []destroyTicket
-		firstErr error
-	)
-	for _, id := range ids {
-		t, err := m.forcePublish(id, false)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ticks = append(ticks, t)
-	}
-	if len(ticks) == 0 {
-		return 0, firstErr
-	}
-	m.ep.synchronizeShared(len(ticks))
-	for _, t := range ticks {
-		if err := m.destroyReclaim(t, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return len(ticks), firstErr
+	return m.forceDestroy(false, ids...)
 }
 
 // DepartKill destroys a domain on migration departure: the source-side
@@ -114,7 +64,48 @@ func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 // and shot down before the KKill closes the destruction (the
 // migratebug mutation elides the erase and both checkers must flag
 // it — see TestMigrateMutationOracle).
-func (m *Monitor) DepartKill(id DomainID) error { return m.forceKill(id, true) }
+func (m *Monitor) DepartKill(id DomainID) error {
+	_, err := m.forceDestroy(true, id)
+	return err
+}
+
+// forceDestroy is the one monitor-authority kill driver behind
+// ForceKill, ForceKillAll and DepartKill (with depart): it validates and
+// publishes each victim in order, then runs the shared reclaim step.
+func (m *Monitor) forceDestroy(depart bool, ids ...DomainID) (int, error) {
+	m.denter()
+	defer m.dexit()
+	var buf [1]destroyTicket // the single-victim kills
+	ticks := buf[:0]
+	var firstErr error
+	for _, id := range ids {
+		d, err := m.liveDomain(id)
+		if err == nil && id == InitialDomain {
+			err = m.deny("the initial domain cannot be force-killed or depart")
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		ticks = append(ticks, m.forcePublish(d, depart))
+	}
+	if err := m.reclaim(ticks...); firstErr == nil {
+		firstErr = err
+	}
+	return len(ticks), firstErr
+}
+
+// forcePublish publishes a monitor-authority kill of d: counted, traced
+// as KForceKill, and reclaimed with the forced scrub.
+func (m *Monitor) forcePublish(d *Domain, depart bool) destroyTicket {
+	m.stats.forcedKills.Add(1)
+	m.emit(trace.KForceKill, d.id, 0, 0, 0, 0)
+	t := m.destroyPublish(d)
+	t.scrub, t.depart = true, depart
+	return t
+}
 
 // destroyTicket is a published-but-not-reclaimed domain death: the
 // handle destroyPublish returns and destroyReclaim consumes, with a
@@ -122,29 +113,30 @@ func (m *Monitor) DepartKill(id DomainID) error { return m.forceKill(id, true) }
 type destroyTicket struct {
 	d   *Domain
 	tok uint64
+	// scrub marks a monitor-authority kill: the domain's exclusive
+	// memory is zeroed and shot down whatever its cleanup policies say.
+	scrub bool
 	// depart marks a migration-departure kill (DepartKill): the path the
 	// migratebug mutation elides the crypto-erase on.
 	depart bool
 }
 
-// destroyDomain is the shared kill path (destructive-family entry
-// held). It is the epoch scheme's publish → quiesce → reclaim sequence
-// end to end: publish death, wait the grace period out, then detach the
-// domain's entire capability subtree with cleanups, resynchronise every
-// surviving owner's hardware state, remove the backend state (which
-// leaves any still-installed context of the victim denying all
-// accesses), drop the encryption key, and clear scheduling state. With
-// scrub set, the domain's exclusively-held memory is additionally
-// zeroed and shot down from every TLB regardless of cleanup policies.
-//
-// The publish and reclaim halves are split so ForceKillAll can publish
-// a whole storm of deaths and cover them with ONE shared grace period
-// (the grace combiner); this single-victim path quiesces in between,
-// exactly as before the split.
-func (m *Monitor) destroyDomain(d *Domain, scrub bool) error {
-	t := m.destroyPublish(d)
-	m.ep.synchronize()
-	return m.destroyReclaim(t, scrub)
+// reclaim is every kill's reclaim step (destructive-family entry held):
+// ONE grace period covering all the published deaths — a single kill or
+// a storm — then each victim's irreversible tail in publish order. It
+// returns the first error; every tail runs regardless.
+func (m *Monitor) reclaim(ticks ...destroyTicket) error {
+	if len(ticks) == 0 {
+		return nil
+	}
+	m.ep.synchronize(len(ticks))
+	var firstErr error
+	for _, t := range ticks {
+		if err := m.destroyReclaim(t); firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // destroyPublish runs the reversible-at-no-point prefix of a kill: the
@@ -176,12 +168,12 @@ func (m *Monitor) destroyPublish(d *Domain) destroyTicket {
 // no delegation can still add to the victim's subtree, no copy or
 // dispatch relies on its memory, and every trace event such entries
 // emit has its sequence number — before the KKill below.
-func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
+func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	d := t.d
 	defer m.emit(trace.KOpEnd, d.id, trace.OpKill, t.tok, 0, 0)
 	owner := cap.OwnerID(d.id)
 	var scrubRegions []phys.Region
-	if scrub {
+	if t.scrub {
 		// Exclusive regions are computed post-quiesce (no delegation in
 		// flight can change them now) and before the detach destroys the
 		// ownership records. Shared regions are left intact — a surviving
@@ -202,9 +194,6 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 	det := m.space.DetachOwner(owner)
 	m.stats.revocations.Add(1)
 	m.emit(trace.KRevoke, d.id, 1, 0, 0, 0)
-	if err := m.bk.ExecuteCleanups(det.Actions()); err != nil {
-		return err
-	}
 	// Forced scrub, region by region in plan order: zero, charge, shoot
 	// down, KScrub — every KScrub precedes the KKill. Serial on purpose:
 	// physical memory holds its exclusive lock for a whole clear, so
@@ -232,14 +221,13 @@ func (m *Monitor) destroyReclaim(t destroyTicket, scrub bool) error {
 			m.emit(trace.KScrub, d.id, 0, 0, uint64(r.Start), r.Size())
 		}
 	}
-	// Scrub done: release the detached subtrees (parents regain access
-	// to granted-back regions) and resynchronise the survivors'
-	// hardware. Past this point the kill runs to its end whatever a
-	// step returns — a survivor whose rebuild fails must not leave the
-	// victim's backend state, key and schedule entries behind — and the
-	// first error is returned.
-	m.space.Release(det)
-	firstErr := m.resyncAfterRevocation(det)
+	// Scrub done: the detached subtree retires as a revocation's does —
+	// cleanups, release (parents regain granted-back regions), resync of
+	// the surviving owners. Past this point the kill runs to its end
+	// whatever a step returns — a failed cleanup or survivor rebuild must
+	// not leave the victim's backend state, key and schedule entries
+	// behind — and the first error is returned.
+	firstErr := m.retire(false, det)
 	if err := m.bk.RemoveDomain(owner); firstErr == nil {
 		firstErr = err
 	}
@@ -291,7 +279,5 @@ func (m *Monitor) containFault(core phys.CoreID, victim DomainID) error {
 	if victim == InitialDomain {
 		return nil
 	}
-	m.stats.forcedKills.Add(1)
-	m.emit(trace.KForceKill, victim, 0, 0, 0, 0)
-	return m.destroyDomain(d, true)
+	return m.reclaim(m.forcePublish(d, false))
 }

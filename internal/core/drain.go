@@ -20,7 +20,7 @@ package core
 //	  schedule, so a round is reproducible down to the capability node
 //	  IDs it hands out: (owner, descriptor) order.
 //	Retire: ONE shared grace period covers every publish of the round
-//	  (epoch.synchronizeShared — the grace combiner), then
+//	  (epoch.synchronize — the grace combiner), then
 //	  Monitor.retire runs the deferred tails with the machine's
 //	  shootdown accumulator armed and one hardware resync, so the whole
 //	  round retires at most one cross-core shootdown round
@@ -84,7 +84,7 @@ func (m *Monitor) drainRound(core int32, rings []*domainRing) (uint64, error) {
 	}
 	var err error
 	if len(dets) > 0 {
-		m.ep.synchronizeShared(len(dets))
+		m.ep.synchronize(len(dets))
 		err = m.retire(true, dets...)
 		m.noteDrainError(err)
 	}

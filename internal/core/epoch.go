@@ -12,8 +12,9 @@ package core
 //     detach (cap.Space.Detach/DetachOwner, a short exclusive section
 //     that takes the subtree out of the index while leaving the
 //     parent's grant suspension in place).
-//   - Wait. synchronize() advances the global epoch and waits until
-//     every reader that entered before the publish has exited. Readers
+//   - Wait. synchronize advances the global epoch and waits until
+//     every reader that entered before the publishes has exited, one
+//     wait for any number of them. Readers
 //     declare themselves with pin/unpin (one CAS each) around their
 //     monitor entry; they never block and never see the writer.
 //   - Reclaim. Only after that grace period do the irreversible effects
@@ -111,18 +112,23 @@ func (e *epochEngine) pinned() int {
 
 // synchronize advances the global epoch and waits until every reader
 // pinned at an older epoch has exited — the grace period. On return,
-// every monitor entry that began before the caller's publish step has
+// every monitor entry that began before the caller's publishes has
 // completed; entries that begin afterwards observe the published state.
-// Callers (the destructive family) hold revMu, so at most one
-// synchronize runs at a time; they must hold no leaf lock a pinned
-// reader could block on.
+// It is the one grace entry of the destructive family: one wait covers
+// the n publishes the caller stacked up (a revocation, a kill storm, a
+// drain round), and the n-1 folded-in requests are counted as combined
+// syncs. Callers hold revMu from their first publish to this wait, so at
+// most one synchronize runs at a time and no grace can have completed
+// in between; they must hold no leaf lock a pinned reader could block
+// on.
 //
 // With the epochbug build tag the wait is compiled out — the seeded
 // premature-reclaim bug the trace checker must catch (the PR-3
 // tracebug pattern applied to reclamation).
-func (e *epochEngine) synchronize() {
+func (e *epochEngine) synchronize(n int) {
 	target := e.global.Add(1)
 	e.syncs.Add(1)
+	e.combined.Add(uint64(n - 1))
 	if EpochBugArmed {
 		return
 	}
@@ -135,16 +141,6 @@ func (e *epochEngine) synchronize() {
 			runtime.Gosched()
 		}
 	}
-}
-
-// synchronizeShared is the grace combiner: one grace period for a
-// batch of n publishes (a kill storm, a drain round), the n-1 folded-in
-// requests accounted as combined syncs. Every caller holds revMu from
-// its first publish to this wait, so no grace can have completed in
-// between and the wait is never skipped.
-func (e *epochEngine) synchronizeShared(n int) {
-	e.synchronize()
-	e.combined.Add(uint64(n - 1))
 }
 
 // EpochStats is an observability snapshot of the reclamation engine.

@@ -45,7 +45,7 @@ func TestEpochSynchronizeWaitsForReader(t *testing.T) {
 	p := e.pin()
 	done := make(chan struct{})
 	go func() {
-		e.synchronize()
+		e.synchronize(1)
 		close(done)
 	}()
 	select {
@@ -80,7 +80,7 @@ func TestEpochPinSlotsExhausted(t *testing.T) {
 	}
 	synced := make(chan struct{})
 	go func() {
-		e.synchronize()
+		e.synchronize(1)
 		close(synced)
 	}()
 	// The synchronize has begun once the epoch moved; the pin that

@@ -154,7 +154,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			// Each step is allowed to fail (the page may be gone, the
 			// domain sealed or dead) — the stream just moves on.
 			if !schedOn {
-				m.SetSchedPolicy(&sched.Policy{Quantum: 16, Steal: true, Seed: 1})
+				m.SetSchedPolicy(&sched.Policy{Quantum: 16, Seed: 1})
 				schedOn = true
 			}
 			d := randDomain()

@@ -4,7 +4,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -53,11 +52,6 @@ type BootConfig struct {
 	// Identity is the monitor binary measured into the TPM
 	// (DefaultIdentity if nil).
 	Identity []byte
-	// MonitorReserve is the self-protected memory size at the top of
-	// RAM (DefaultMonitorReserve if zero).
-	MonitorReserve uint64
-	// Rand seeds the attestation key (crypto/rand if nil).
-	Rand io.Reader
 }
 
 // Stats counts monitor-visible events for the experiment harness.
@@ -361,15 +355,11 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 	if identity == nil {
 		identity = DefaultIdentity
 	}
-	reserve := cfg.MonitorReserve
-	if reserve == 0 {
-		reserve = DefaultMonitorReserve
-	}
-	if reserve%phys.PageSize != 0 || reserve >= cfg.Machine.Mem.Size() {
-		return nil, fmt.Errorf("core: invalid monitor reserve %#x", reserve)
+	if cfg.Machine.Mem.Size() <= DefaultMonitorReserve {
+		return nil, fmt.Errorf("core: %#x bytes of memory leave nothing beside the monitor's %#x", cfg.Machine.Mem.Size(), DefaultMonitorReserve)
 	}
 	memTop := phys.Addr(cfg.Machine.Mem.Size())
-	monRegion := phys.Region{Start: memTop - phys.Addr(reserve), End: memTop}
+	monRegion := phys.Region{Start: memTop - DefaultMonitorReserve, End: memTop}
 
 	m := &Monitor{
 		mach:      cfg.Machine,
@@ -396,7 +386,7 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 
 	// The monitor's attestation key: generated at boot, bound to the
 	// measured boot via TPM quotes (see BootQuote).
-	pub, priv, err := ed25519.GenerateKey(cfg.Rand)
+	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating attestation key: %w", err)
 	}
@@ -445,11 +435,9 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 	if err := m.bk.InstallDomain(owner); err != nil {
 		return nil, err
 	}
-	// Every device's IOMMU context, programmed for the first time.
-	if err := m.syncDevicesFor(m.mach.DeviceIDs()); err != nil {
-		return nil, err
-	}
-	if err := m.syncEncryption(); err != nil {
+	// Every device's IOMMU context, programmed for the first time, and
+	// the encryption keying.
+	if err := m.resync(nil, m.mach.DeviceIDs()); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -686,8 +674,19 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 		addr, size = uint64(sub.Mem.Start), sub.Mem.Size()
 	}
 	m.emit(kind, caller, uint64(dst), uint64(id), addr, size)
+	// Both endpoints are rebuilt whatever their state: a grantor whose
+	// death a racing kill publishes mid-grant must not keep hardware
+	// access to what the tree just gave away.
 	cd, _ := m.Domain(caller)
-	if err := m.syncAfterChange(cd, dd, sub); err != nil {
+	doms := []*Domain{cd, dd}
+	if cd == dd {
+		doms = doms[:1]
+	}
+	var devs []phys.DeviceID
+	if sub.Kind == cap.ResDevice {
+		devs = []phys.DeviceID{sub.Device}
+	}
+	if err := m.resync(doms, devs); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -702,7 +701,9 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 // Revocation never stops the world; it follows the epoch discipline,
 // and these three steps are its only implementation — a ring drain
 // round (drain.go) runs the same publish per descriptor, one shared
-// grace, and the same retire over everything it published:
+// grace, and the same retire over everything it published, and a kill
+// (contain.go) retires the victim's detached subtree through the same
+// retire after its forced scrub:
 //
 //	publish  — revokePublish: Detach removes the subtree from the
 //	           capability index in one short exclusive critical
@@ -729,7 +730,7 @@ func (m *Monitor) Revoke(caller DomainID, node cap.NodeID) error {
 	if err != nil {
 		return err
 	}
-	m.ep.synchronize()
+	m.ep.synchronize(1)
 	return m.retire(false, det)
 }
 
@@ -763,13 +764,13 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 
 // retire runs the irreversible tail of published revocations, in
 // order (destructive-family entry held; the caller has waited out a
-// grace period covering every publish). With coalesce the shootdowns
-// the cleanups request retire as at most one cross-core round — the
-// drain round's form, counted in the ring statistics; the synchronous
-// Revoke runs them as they come. A subtree whose cleanups fail is
-// never released (its parents stay suspended: fail closed); the rest
-// still retire, every affected owner is still resynchronised, and the
-// first error is returned.
+// grace period covering every publish). It is the one tail of Revoke,
+// a drain round and a kill. With coalesce the shootdowns the cleanups
+// request retire as at most one cross-core round — the drain round's
+// form, counted in the ring statistics; otherwise they run as they
+// come. A subtree whose cleanups fail is never released (its parents
+// stay suspended: fail closed); the rest still retire, every affected
+// live owner is still resynchronised, and the first error is returned.
 func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 	if coalesce {
 		m.mach.BeginShootdownBatch()
@@ -799,7 +800,32 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 	if coalesce {
 		m.endShootdownBatch()
 	}
-	if err := m.resyncAfterRevocation(dets...); firstErr == nil {
+
+	// The owners whose access the detaches changed — the owners of the
+	// detached capabilities and the grantors Release handed access back
+	// to — less the dead, and the devices whose capabilities were among
+	// those revoked.
+	var ownerBuf [8]cap.OwnerID // a revocation rarely touches more
+	var domBuf [8]*Domain
+	var devBuf [4]phys.DeviceID
+	owners, doms, devs := ownerBuf[:0], domBuf[:0], devBuf[:0]
+	for _, det := range dets {
+		owners = append(owners, det.ParentOwners()...)
+		for _, a := range det.Actions() {
+			owners = append(owners, a.Owner)
+			if a.Resource.Kind == cap.ResDevice {
+				devs = append(devs, a.Resource.Device)
+			}
+		}
+	}
+	slices.Sort(owners)
+	tab := m.tab.Load()
+	for _, o := range slices.Compact(owners) {
+		if d, ok := tab.get(DomainID(o)); ok && d.State() != StateDead {
+			doms = append(doms, d)
+		}
+	}
+	if err := m.resync(doms, devs); firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -813,128 +839,62 @@ func (m *Monitor) endShootdownBatch() {
 	m.stats.ringOpsCoalesced.Add(uint64(coalesced))
 }
 
-// resyncAfterRevocation reprograms hardware state for every owner whose
-// access the detaches changed: the owners of the detached capabilities
-// and the grantors Release handed access back to. Destructive-family
-// entry held — readers keep flowing — so each per-domain filter
-// rebuild takes Domain.mu, exactly like the delegation path's
-// syncAfterChange, keeping rebuilds for one domain serialised against
-// concurrent delegations.
+// resync reprograms the hardware a capability change can have affected,
+// in three steps: the filter of every domain in doms, the IOMMU context
+// of every device in devs or held with DMA rights by one of doms (in
+// machine device order), then the encryption keying. It is the one
+// resync of delegation, revocation, kill and boot; each caller decides
+// which domains to list. A failed step (a PMP layout over budget) must
+// not strand the ones after it on filters that still map what their
+// owners lost, so every step runs regardless and the first error is
+// returned.
 //
-// Device filters are resynchronised as narrowly as on the delegation
-// path. A device's filter is the union of its DMA holders' memory, so
-// it can only have changed if the holder set did — a device capability
-// was among those revoked — or if a current holder is one of the
-// affected owners.
+// Each domain's rebuild takes Domain.mu — one at a time, never as a held
+// pair, so rings of delegating domains cannot convoy — which serialises
+// rebuilds of one domain across concurrent delegations and
+// revocations. Every rebuild reads the capability space at rebuild
+// time, so the last one to run sees (at least) every mutation committed
+// before it, and a revocation's scrub and release wait out the pins of
+// in-flight delegations, so no rebuild reprograms a filter from state
+// that is mid-reclaim.
 //
-// A rebuild that fails (a PMP layout over budget) must not strand the
-// owners after it on filters that still map what they lost: every
-// owner, then the devices, then the encryption keying are resynchronised
-// regardless, and the first error is returned.
-func (m *Monitor) resyncAfterRevocation(dets ...*cap.Detached) error {
-	var ownerBuf [8]cap.OwnerID // a revocation rarely touches more
-	var devBuf [4]phys.DeviceID
-	owners, devs := ownerBuf[:0], devBuf[:0]
-	for _, det := range dets {
-		owners = append(owners, det.ParentOwners()...)
-		for _, a := range det.Actions() {
-			owners = append(owners, a.Owner)
-			if a.Resource.Kind == cap.ResDevice {
-				devs = append(devs, a.Resource.Device)
-			}
-		}
-	}
-	slices.Sort(owners)
-	owners = slices.Compact(owners)
-	tab := m.tab.Load()
+// The device question goes to each domain — a walk of what it holds —
+// not to each device, which would sweep the whole capability index once
+// per machine device. A device's filter is the union of its DMA holders'
+// memory, so it can only have changed if its holder set did (the caller
+// lists it in devs) or if a holder is among doms. No snapshot across
+// domains is needed: a device's holder set changes only through a
+// delegation or revocation of the device itself, which resyncs it after
+// it commits, under hwMu, reading the space at rebuild time.
+func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID) error {
 	var firstErr error
-	for _, o := range owners {
-		if d, ok := tab.get(DomainID(o)); ok && d.State() != StateDead {
-			d.mu.Lock()
-			err := m.bk.SyncDomain(o)
-			d.mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if err := m.syncDevicesFor(devs, owners...); firstErr == nil {
-		firstErr = err
-	}
-	if err := m.syncEncryption(); firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// syncAfterChange refreshes hardware state after a delegation (pinned
-// reader entry held). Domain filter rebuilds are serialised per domain
-// by Domain.mu — taken one at a time, never as a held pair, so rings of
-// delegating domains cannot convoy. Concurrent delegations touching the
-// same domain are safe: each rebuild reads the capability space at
-// rebuild time, so the last one to run sees (at least) all mutations
-// committed before it. Revocations take Domain.mu for their rebuilds
-// too (resyncAfterRevocation), and their scrub/reclaim effects wait out
-// this entry's epoch pin, so a rebuild never reprograms a filter from
-// state that is mid-reclaim.
-func (m *Monitor) syncAfterChange(a, b *Domain, res cap.Resource) error {
-	for i, d := range [2]*Domain{a, b} {
-		if i == 1 && a == b {
-			break
-		}
+	for _, d := range doms {
 		d.mu.Lock()
 		err := m.bk.SyncDomain(cap.OwnerID(d.id))
 		d.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if res.Kind == cap.ResDevice {
-		m.hwMu.Lock()
-		defer m.hwMu.Unlock()
-		return m.bk.SyncDevice(res.Device)
-	}
-	// Memory movements can change what DMA-holding domains may reach,
-	// and which regions are exclusive (encryption keying). Only devices
-	// whose DMA holders include an affected domain can have changed —
-	// scoped, so delegations between device-less domains skip the
-	// global hardware lock entirely.
-	if err := m.syncDevicesFor(nil, cap.OwnerID(a.id), cap.OwnerID(b.id)); err != nil {
-		return err
-	}
-	return m.syncEncryption()
-}
-
-// syncDevicesFor reprograms the IOMMU context of every device in devs
-// and of every device one of owners holds live DMA rights on, in machine
-// device order. The question goes to each owner — a walk of what it
-// holds — not to each device, which would sweep the whole capability
-// index once per machine device on every memory delegation. No snapshot
-// across owners, held over the per-owner calls, is needed: a
-// device's holder set changes only through a delegation or revocation
-// of the device itself, which runs its own SyncDevice after it commits,
-// and every SyncDevice reads the space at rebuild time under hwMu — so
-// a holder this walk misses by racing such an operation is picked up by
-// that operation's rebuild, which also sees the mutation synced here.
-func (m *Monitor) syncDevicesFor(devs []phys.DeviceID, owners ...cap.OwnerID) error {
-	var buf [4]phys.DeviceID
-	held := append(buf[:0], devs...)
-	for _, o := range owners {
-		held = m.space.AppendOwnerDMADevices(held, o)
-	}
-	if len(held) == 0 {
-		return nil
-	}
-	m.hwMu.Lock()
-	defer m.hwMu.Unlock()
-	var firstErr error
-	for _, dev := range m.mach.DeviceIDs() {
-		if !slices.Contains(held, dev) {
-			continue
-		}
-		if err := m.bk.SyncDevice(dev); firstErr == nil {
+		if firstErr == nil {
 			firstErr = err
 		}
+	}
+	var buf [4]phys.DeviceID
+	held := append(buf[:0], devs...)
+	for _, d := range doms {
+		held = m.space.AppendOwnerDMADevices(held, cap.OwnerID(d.id))
+	}
+	if len(held) > 0 {
+		m.hwMu.Lock()
+		for _, dev := range m.mach.DeviceIDs() {
+			if !slices.Contains(held, dev) {
+				continue
+			}
+			if err := m.bk.SyncDevice(dev); firstErr == nil {
+				firstErr = err
+			}
+		}
+		m.hwMu.Unlock()
+	}
+	if err := m.syncEncryption(); firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -1063,7 +1023,7 @@ func (m *Monitor) KillDomain(caller, id DomainID) error {
 	if id == InitialDomain {
 		return m.deny("the initial domain cannot be killed")
 	}
-	return m.destroyDomain(d, false)
+	return m.reclaim(m.destroyPublish(d))
 }
 
 // Enumerate returns the domain's resources as the attestation would

@@ -84,11 +84,12 @@ func TestBootValidation(t *testing.T) {
 	if _, err := Boot(BootConfig{}); err == nil {
 		t.Fatal("boot without machine/TPM must fail")
 	}
-	mach, _ := hw.NewMachine(hw.Config{MemBytes: 1 << 20, NumCores: 1})
+	small, _ := hw.NewMachine(hw.Config{MemBytes: DefaultMonitorReserve, NumCores: 1})
 	rot, _ := tpm.New(nil)
-	if _, err := Boot(BootConfig{Machine: mach, TPM: rot, MonitorReserve: 2 << 20}); err == nil {
-		t.Fatal("reserve larger than memory must fail")
+	if _, err := Boot(BootConfig{Machine: small, TPM: rot}); err == nil {
+		t.Fatal("a machine no larger than the monitor's reserve must fail")
 	}
+	mach, _ := hw.NewMachine(hw.Config{MemBytes: 2 * DefaultMonitorReserve, NumCores: 1})
 	if _, err := Boot(BootConfig{Machine: mach, TPM: rot, Backend: "weird"}); err == nil {
 		t.Fatal("unknown backend must fail")
 	}

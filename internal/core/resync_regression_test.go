@@ -434,6 +434,46 @@ func TestFailedRebuildDoesNotStrandLaterOwners(t *testing.T) {
 	}
 }
 
+// TestFailedGrantDoesNotStrandDeviceFilter: a delegation resynchronises
+// every affected filter even when one rebuild fails. dom0 holds gpu0
+// with DMA rights and grants a child alternating single pages until its
+// own layout goes over the PMP budget. The refused grant still moved
+// the page in the tree, to the child alone, but dom0's rebuild failed
+// first and the delegation used to return there — before gpu0, whose
+// filter is dom0's memory, so the device kept DMA access to a page the
+// child holds exclusively. (dom0 itself stays on its last layout that
+// fit: validate-then-commit is ROADMAP item 1.)
+func TestFailedGrantDoesNotStrandDeviceFilter(t *testing.T) {
+	m := bootWorld(t, BackendPMP)
+	node := dom0MemNode(t, m)
+	child, err := m.CreateDomain(InitialDomain, "child")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exhausted *backend.PMPExhaustedError
+	page := uint64(200)
+	for ; ; page += 2 {
+		_, err := m.Grant(InitialDomain, node, child, memRes(page, 1), cap.MemRW, cap.CleanNone)
+		if errors.As(err, &exhausted) {
+			break
+		}
+		if err != nil || page > 300 {
+			t.Fatalf("grant of page %d: %v, want dom0's layout over the PMP budget", page, err)
+		}
+	}
+	if exhausted.Owner != cap.OwnerID(InitialDomain) {
+		t.Fatalf("the refused grant names owner %d's layout, want dom0's", exhausted.Owner)
+	}
+	addr := phys.Addr(page * pg)
+	if !m.CheckAccess(child, addr, cap.RightRead) || m.CheckAccess(InitialDomain, addr, cap.RightRead) {
+		t.Fatal("the refused grant did not leave the page with the child alone")
+	}
+	requireDeviceFilterCurrent(t, m, 0, "after the refused grant")
+	if err := m.Machine().Device(0).DMARead(addr, make([]byte, 1)); err == nil {
+		t.Fatalf("gpu0 can DMA-read page %d, which the child holds exclusively", page)
+	}
+}
+
 // TestKillCompletesPastFailedSurvivorRebuild: a kill runs to its end
 // even when a survivor's rebuild fails. The layout is the one above
 // with the bridge routed through a victim: dom0 shares the 40-page
@@ -516,6 +556,78 @@ func TestKillCompletesPastFailedSurvivorRebuild(t *testing.T) {
 			}
 			if limbo := m.space.LimboNodes(); limbo != 0 {
 				t.Errorf("%d capability records left in limbo", limbo)
+			}
+			if err := assertCheckersAgree(t, ck, sh); err != nil {
+				t.Errorf("the completed kill is flagged: %v", err)
+			}
+		})
+	}
+}
+
+// TestKillCompletesPastFailedCleanup: a kill whose subtree's cleanups
+// fail still runs to its end, exactly as a revocation's retire does.
+// The victim holds a zero-on-revoke grant and the backend refuses every
+// cleanup. The kill used to return at the refusal — no KKill, the
+// victim's backend state, key and schedule entries left in place, and a
+// second kill refused because the domain was already dead. Now it
+// returns the refusal after finishing; the failing subtree stays
+// unreleased, so dom0's grant stays suspended (fail closed).
+func TestKillCompletesPastFailedCleanup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(m *Monitor, victim DomainID) error
+	}{
+		{"KillDomain", func(m *Monitor, v DomainID) error { return m.KillDomain(InitialDomain, v) }},
+		{"ForceKill", (*Monitor).ForceKill},
+		{"DepartKill", (*Monitor).DepartKill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mach, err := hw.NewMachine(hw.Config{
+				MemBytes: 8 << 20, NumCores: 2,
+				IOMMUAllowByDefault: true, MemoryEncryption: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rot, err := tpm.New(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Boot(BootConfig{Machine: mach, TPM: rot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, sh := attachDualCheckers(t, m)
+			victim, err := m.CreateDomain(InitialDomain, "victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			granted := phys.Addr(200 * pg)
+			if _, err := m.Grant(InitialDomain, dom0MemNode(t, m), victim, memRes(200, 1), cap.MemRW, cap.CleanZero); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.DomainKeyID(victim); !ok {
+				t.Fatal("the victim has no memory key to erase")
+			}
+			boom := errors.New("cleanup refused")
+			m.bk = &failingBackend{Backend: m.bk, cleanups: boom}
+			if err := tc.kill(m, victim); !errors.Is(err, boom) {
+				t.Fatalf("killing the victim: %v, want the cleanup refusal", err)
+			}
+			killed := slices.ContainsFunc(m.Machine().Tracer().Events(), func(ev trace.Event) bool {
+				return ev.Kind == trace.KKill && ev.Domain == uint64(victim)
+			})
+			if !killed {
+				t.Error("no KKill closes the victim's destruction")
+			}
+			if _, err := m.bk.Context(cap.OwnerID(victim), 0); !errors.Is(err, backend.ErrUnknownDomain) {
+				t.Errorf("the backend still answers for the victim: %v", err)
+			}
+			if _, ok := m.DomainKeyID(victim); ok {
+				t.Error("the victim's memory key survived the kill")
+			}
+			if m.CheckAccess(InitialDomain, granted, cap.RightRead) {
+				t.Error("dom0 regained a page whose cleanup never ran")
 			}
 			if err := assertCheckersAgree(t, ck, sh); err != nil {
 				t.Errorf("the completed kill is flagged: %v", err)

@@ -388,7 +388,7 @@ func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (stat
 }
 
 // ringTeardownLocked removes a dying domain's ring (destructive-family
-// entry held, called from destroyDomain BEFORE the death publish and
+// entry held, called from destroyPublish BEFORE the death publish and
 // the detach destroy the domain's capabilities). The pending
 // descriptors are never executed — dead-domain silence extends to
 // queued work — and the header is

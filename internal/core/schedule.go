@@ -135,7 +135,7 @@ func (m *Monitor) runQueue(cores []phys.CoreID) *sched.Scheduler {
 }
 
 // schedPurge drops every queued vCPU of a dying domain from the run
-// queue. Called by destroyDomain after the death publish and grace
+// queue. Called by destroyReclaim after the death publish and grace
 // period: any dispatch that validated liveness before the publish has
 // retired, and later ones fail the liveness check — so a ForceKilled
 // domain is never dispatched again.

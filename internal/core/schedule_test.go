@@ -86,7 +86,7 @@ func loadTenant(t testing.TB, m *Monitor, name string, page uint64, iters int, y
 func TestScheduledOversubscription(t *testing.T) {
 	m, ck := bootCoresWorld(t, 2)
 	cores := []phys.CoreID{0, 1}
-	m.SetSchedPolicy(&sched.Policy{Quantum: 32, Steal: true, Seed: 1})
+	m.SetSchedPolicy(&sched.Policy{Quantum: 32, Seed: 1})
 	var tenants []DomainID
 	for i := 0; i < 6; i++ {
 		id := loadTenant(t, m, "tenant", uint64(64+i), 40, i%2 == 0, cores)
@@ -138,7 +138,7 @@ func TestScheduledDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, []sched.Record) {
 		m, _ := bootCoresWorld(t, 4)
 		cores := []phys.CoreID{0, 1, 2, 3}
-		m.SetSchedPolicy(&sched.Policy{Quantum: 24, Steal: true, Seed: 42})
+		m.SetSchedPolicy(&sched.Policy{Quantum: 24, Seed: 42})
 		for i := 0; i < 10; i++ {
 			id := loadTenant(t, m, "d", uint64(80+i), 30, i%3 == 0, cores)
 			if err := m.Schedule(id); err != nil {
@@ -169,7 +169,7 @@ func TestScheduledDeterminism(t *testing.T) {
 func TestScheduledKillPurge(t *testing.T) {
 	m, ck := bootCoresWorld(t, 2)
 	cores := []phys.CoreID{0, 1}
-	m.SetSchedPolicy(&sched.Policy{Quantum: 16, Steal: true, Seed: 3})
+	m.SetSchedPolicy(&sched.Policy{Quantum: 16, Seed: 3})
 	// The victim never terminates on its own; two vCPUs keep it queued.
 	victim := loadTenant(t, m, "victim", 70, 1<<30, false, cores)
 	other := loadTenant(t, m, "other", 71, 2000, false, cores)

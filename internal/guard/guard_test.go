@@ -8,7 +8,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,18 +26,26 @@ type goFile struct {
 
 // parseTree parses every Go file under the given paths (relative to the
 // repository root, walked recursively), _test.go files only when tests
-// is set. Build tags are ignored: a rule holds in every build.
+// is set. Build tags are ignored: a rule holds in every build. Hidden
+// directories and nested modules (benchmark/) are not part of this
+// module and are skipped.
 func parseTree(t *testing.T, tests bool, paths ...string) []goFile {
 	t.Helper()
 	root := filepath.Join("..", "..")
 	var out []goFile
 	for _, p := range paths {
-		err := filepath.WalkDir(filepath.Join(root, p), func(path string, d fs.DirEntry, err error) error {
+		start := filepath.Join(root, p)
+		err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && path != start {
+				if _, statErr := os.Stat(filepath.Join(path, "go.mod")); statErr == nil || strings.HasPrefix(d.Name(), ".") {
+					return filepath.SkipDir
+				}
+			}
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 				return err
 			}
 			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, path, nil, 0)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				return err
 			}
@@ -203,4 +213,94 @@ func TestCoreStartsNoGoroutine(t *testing.T) {
 			t.Errorf("%s: sync.WaitGroup in internal/core", g.at(n))
 		}
 	})
+}
+
+// gone matches the names of deleted designs, none of which may come
+// back under any name: the A/B scaffolding (the big lock, its build, the
+// reclaim and scrub fan-outs, the parallel ring drains), the tracer's
+// compile-out tag, the cached transfer bodies, the fine-grained lock
+// helpers of the capability space, the QSBR side channel, the
+// transition cache, trace sampling, the digest's shard stats, and the
+// destructive tail's second bodies (the delegation-only resync, the
+// single-victim kill paths and the second grace entry).
+var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
+	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
+	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
+	`SetSampling|SampleN|Sampleable|SampledOut|ShardStat|` +
+	`syncAfterChange|destroyDomain|forceKill|synchronizeShared`)
+
+// TestDeletedNamesStayGone parses every Go file of the module, tests
+// included: no identifier may match gone, nor trace.Compiled be named,
+// nor a //go:build line name a deleted tag.
+func TestDeletedNamesStayGone(t *testing.T) {
+	files := parseTree(t, true, ".")
+	for _, g := range files {
+		for _, cg := range g.f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, "//go:build") && gone.MatchString(c.Text) {
+					t.Errorf("%s: %s names a deleted build", g.at(c), c.Text)
+				}
+			}
+		}
+	}
+	inspect(files, func(g goFile, n ast.Node) {
+		if id, ok := n.(*ast.Ident); ok && gone.MatchString(id.Name) {
+			t.Errorf("%s: %s is a deleted design's name", g.at(n), id.Name)
+		}
+		if selector(n) == "trace.Compiled" {
+			t.Errorf("%s: trace.Compiled is a deleted design's name", g.at(n))
+		}
+	})
+}
+
+// callers returns the functions of files (by name, with the position of
+// the first match) whose bodies contain a node match accepts.
+func callers(files []goFile, match func(ast.Node) bool) map[string]string {
+	out := map[string]string{}
+	for _, g := range files {
+		for _, decl := range g.f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if _, seen := out[fn.Name.Name]; !seen && n != nil && match(n) {
+					out[fn.Name.Name] = g.at(n)
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// calls matches a method call by name, on any receiver.
+func calls(method string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		s, ok := c.Fun.(*ast.SelectorExpr)
+		return ok && s.Sel.Name == method
+	}
+}
+
+// TestOneDestructiveTail: each step of the destructive tail has one
+// body (ARCHITECTURE §7). In internal/core one function rebuilds domain
+// filters (the one resync every delegation, revocation, kill and boot
+// goes through) and one runs cleanups (the one retire of Revoke, a
+// drain round and a kill); in internal/hw one function runs the
+// cross-core shootdown round.
+func TestOneDestructiveTail(t *testing.T) {
+	core := parseTree(t, false, "internal/core")
+	for _, method := range []string{"SyncDomain", "ExecuteCleanups"} {
+		if fns := callers(core, calls(method)); len(fns) != 1 {
+			t.Errorf("internal/core calls .%s( from %d functions %v, want exactly 1", method, len(fns), fns)
+		}
+	}
+	emits := callers(parseTree(t, false, "internal/hw"), func(n ast.Node) bool { return selector(n) == "trace.KShootdown" })
+	if len(emits) != 1 {
+		t.Errorf("internal/hw emits trace.KShootdown from %d functions %v, want exactly 1", len(emits), emits)
+	}
 }

@@ -5,11 +5,16 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-// Event tracing hookup. The machine owns the tracer the same way it
-// owns the fault injector: an atomic pointer installed at run time, nil
-// by default. Emit sites throughout hw, core, and the backends call
-// Machine.Trace, a single atomic load and a nil check while no tracer
-// is installed.
+// Event tracing hookup and the cross-core shootdown round. The machine
+// owns the tracer the same way it owns the fault injector: an atomic
+// pointer installed at run time, nil by default. Emit sites throughout
+// hw, core, and the backends call Machine.Trace, a single atomic load
+// and a nil check while no tracer is installed.
+//
+// Every shootdown — one region, a full flush, or a coalesced batch —
+// runs as one shootdownRound, the only emitter of KShootdown and the
+// only home of the tracebug and ackbug mutation hooks, so the checkers'
+// shootdown properties audit one body.
 
 // SetTracer installs (or, with nil, removes) the machine's event
 // tracer. Installing emits the KBoot event that opens the trace and
@@ -50,10 +55,7 @@ type shootdownBatch struct {
 
 // ShootdownRegion invalidates a physical region from every core's TLB —
 // the cross-core shootdown a revocation or a scrub triggers on real
-// hardware via IPIs. Each core's flush costs CostModel.TLBFlush cycles
-// and acknowledges with one trace event; the enclosing monitor
-// operation must not return before every core has acked (the trace
-// checker enforces this). While a shootdown batch is armed
+// hardware via IPIs. While a shootdown batch is armed
 // (BeginShootdownBatch) the request is only recorded; the coalesced
 // round runs at EndShootdownBatch.
 func (m *Machine) ShootdownRegion(r phys.Region) {
@@ -62,22 +64,7 @@ func (m *Machine) ShootdownRegion(r phys.Region) {
 		b.ops++
 		return
 	}
-	m.Trace(trace.GlobalCore, trace.KShootdown, 0, 0, 0, uint64(r.Start), r.Size())
-	for i, c := range m.Cores {
-		if shootdownSkipLast && i == len(m.Cores)-1 {
-			// Seeded mutation (tracebug build tag): the last core keeps
-			// its stale translations and never acks.
-			continue
-		}
-		c.tlb.FlushRegion(r)
-		m.Clock.Advance(m.Cost.TLBFlush)
-		if ackDropOne && i == 0 && m.ackSwallowed.CompareAndSwap(false, true) {
-			// Seeded mutation (ackbug build tag): the flush ran but the
-			// acknowledgement is lost — the round completes short.
-			continue
-		}
-		m.Trace(trace.GlobalCore, trace.KShootdownAck, 0, uint64(i), 0, uint64(r.Start), r.Size())
-	}
+	m.shootdownRound([]phys.Region{r}, false)
 }
 
 // ShootdownAll flushes every core's entire TLB (the shootdown for
@@ -88,18 +75,7 @@ func (m *Machine) ShootdownAll() {
 		b.ops++
 		return
 	}
-	m.Trace(trace.GlobalCore, trace.KShootdown, 0, 0, 0, 0, 0)
-	for i, c := range m.Cores {
-		if shootdownSkipLast && i == len(m.Cores)-1 {
-			continue
-		}
-		c.tlb.Flush()
-		m.Clock.Advance(m.Cost.TLBFlush)
-		if ackDropOne && i == 0 && m.ackSwallowed.CompareAndSwap(false, true) {
-			continue // Seeded mutation (ackbug): ack lost, flush done.
-		}
-		m.Trace(trace.GlobalCore, trace.KShootdownAck, 0, uint64(i), 0, 0, 0)
-	}
+	m.shootdownRound(nil, true)
 }
 
 // BeginShootdownBatch arms shootdown coalescing: until the matching
@@ -116,14 +92,12 @@ func (m *Machine) BeginShootdownBatch() {
 }
 
 // EndShootdownBatch disarms coalescing and, if anything was recorded,
-// performs ONE cross-core round: a single KShootdown, each core
-// invalidating every accumulated region (or its whole TLB if any full
-// flush was requested) for a single per-core IPI+flush charge and one
-// ack — the io_uring-style amortisation of revocation cost. A batch
-// that recorded exactly one region-shootdown is indistinguishable in
-// events and cycles from the unbatched ShootdownRegion, which is what
-// keeps batch-of-1 latency identical to the synchronous path. Returns
-// the number of rounds performed (0 or 1) and the number of logical
+// performs ONE cross-core round over every accumulated region (or a
+// full flush if any was requested) — the io_uring-style amortisation of
+// revocation cost. It is the same round an unbatched request runs, so a
+// batch that recorded exactly one region-shootdown is indistinguishable
+// from the unbatched ShootdownRegion in events and cycles. Returns the
+// number of rounds performed (0 or 1) and the number of logical
 // shootdown requests coalesced into it.
 func (m *Machine) EndShootdownBatch() (rounds, coalesced int) {
 	b := m.sdBatch
@@ -131,17 +105,30 @@ func (m *Machine) EndShootdownBatch() (rounds, coalesced int) {
 	if b == nil || b.ops == 0 {
 		return 0, 0
 	}
-	regions := phys.NormalizeRegions(b.regions)
+	m.shootdownRound(phys.NormalizeRegions(b.regions), b.full)
+	return 1, b.ops
+}
+
+// shootdownRound is the one cross-core shootdown round: a single
+// KShootdown, then each core invalidates regions (its whole TLB when
+// full) for one per-core IPI+flush charge of CostModel.TLBFlush and acks
+// with one KShootdownAck. The event names the region when there is
+// exactly one and no full flush, else 0/0. The enclosing monitor
+// operation must not return before every core has acked (the trace
+// checker enforces this).
+func (m *Machine) shootdownRound(regions []phys.Region, full bool) {
 	var addr, size uint64
-	if !b.full && len(regions) == 1 {
+	if !full && len(regions) == 1 {
 		addr, size = uint64(regions[0].Start), regions[0].Size()
 	}
 	m.Trace(trace.GlobalCore, trace.KShootdown, 0, 0, 0, addr, size)
 	for i, c := range m.Cores {
 		if shootdownSkipLast && i == len(m.Cores)-1 {
+			// Seeded mutation (tracebug build tag): the last core keeps
+			// its stale translations and never acks.
 			continue
 		}
-		if b.full {
+		if full {
 			c.tlb.Flush()
 		} else {
 			for _, r := range regions {
@@ -150,9 +137,10 @@ func (m *Machine) EndShootdownBatch() (rounds, coalesced int) {
 		}
 		m.Clock.Advance(m.Cost.TLBFlush)
 		if ackDropOne && i == 0 && m.ackSwallowed.CompareAndSwap(false, true) {
-			continue // Seeded mutation (ackbug): ack lost, flush done.
+			// Seeded mutation (ackbug build tag): the flush ran but the
+			// acknowledgement is lost — the round completes short.
+			continue
 		}
 		m.Trace(trace.GlobalCore, trace.KShootdownAck, 0, uint64(i), 0, addr, size)
 	}
-	return 1, b.ops
 }

@@ -46,9 +46,6 @@ type Policy struct {
 	// distinct seeds produce distinct (but each fully deterministic)
 	// schedules from the same arrival order.
 	Seed int64
-	// Steal lets an idle core pull queued vCPUs from the deepest
-	// queue of its siblings.
-	Steal bool
 }
 
 func (p Policy) quantum() int {
@@ -245,13 +242,12 @@ func (s *Scheduler) push(core phys.CoreID, v *VCPU) {
 	}
 }
 
-// Next pops the head of core's run queue. With an empty queue and
-// stealing enabled it takes the *tail* of the deepest sibling queue
-// (ties break toward the lowest core ID), re-homing the vCPU — the
-// deterministic work-stealing rule. Next only dequeues; the engine
-// confirms the dispatch with Dispatched once the transition lands, so
-// a vCPU dropped at dispatch (its domain died) never enters the
-// schedule record.
+// Next pops the head of core's run queue. With an empty queue it takes
+// the *tail* of the deepest sibling queue (ties break toward the lowest
+// core ID), re-homing the vCPU — the deterministic work-stealing rule.
+// Next only dequeues; the engine confirms the dispatch with Dispatched
+// once the transition lands, so a vCPU dropped at dispatch (its domain
+// died) never enters the schedule record.
 func (s *Scheduler) Next(core phys.CoreID) (*VCPU, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -260,9 +256,6 @@ func (s *Scheduler) Next(core phys.CoreID) (*VCPU, bool) {
 		s.queues[core] = q[1:]
 		v.Stolen = false
 		return v, true
-	}
-	if !s.pol.Steal {
-		return nil, false
 	}
 	var victim phys.CoreID
 	depth := 0

@@ -78,7 +78,7 @@ func TestCoreOrderCanonical(t *testing.T) {
 // The steal rule: an idle core takes the tail of the deepest sibling
 // queue, ties toward the lowest core ID, re-homing the vCPU.
 func TestWorkStealing(t *testing.T) {
-	s := New(Policy{Steal: true}, cores(0, 1, 2))
+	s := New(Policy{}, cores(0, 1, 2))
 	// Seed 0: placement cursor starts at core 0. Arrivals 1..5 land
 	// 0,1,2,0,1 — core 0 and 1 have 2, core 2 has 1 after its own pop.
 	for d := uint64(1); d <= 5; d++ {
@@ -98,12 +98,6 @@ func TestWorkStealing(t *testing.T) {
 	}
 	if s.Depth(0) != 1 || s.Depth(1) != 2 {
 		t.Fatalf("queue depths after steal: core0=%d core1=%d", s.Depth(0), s.Depth(1))
-	}
-	// Stealing disabled: an idle core stays idle.
-	s2 := New(Policy{}, cores(0, 1))
-	s2.Add(1, 0) // lands on core 0
-	if _, ok := s2.Next(1); ok {
-		t.Fatal("core 1 must not steal with Policy.Steal unset")
 	}
 }
 
@@ -148,7 +142,7 @@ func TestPolicyQuantum(t *testing.T) {
 // any dispatch-level divergence.
 func TestScheduleHash(t *testing.T) {
 	run := func(cycle uint64) *Scheduler {
-		s := New(Policy{Steal: true}, cores(0, 1))
+		s := New(Policy{}, cores(0, 1))
 		for d := uint64(1); d <= 4; d++ {
 			s.Add(d, 0)
 		}

@@ -215,10 +215,11 @@ type Options struct {
 	Devices []DeviceSpec
 	// MonitorIdentity overrides the measured monitor binary.
 	MonitorIdentity []byte
-	// Dom0ReservePages keeps low pages out of dom0's heap for its own
-	// text (default 16). dom0's idle text is placed at page 4.
-	Dom0ReservePages uint64
 }
+
+// dom0ReservePages keeps low pages out of dom0's heap for its own text;
+// dom0's idle text is placed at page 4.
+const dom0ReservePages = 16
 
 // Platform is a booted machine: hardware, TPM, monitor, and a dom0
 // client ready to create domains. Dom0 idles on core 0.
@@ -255,9 +256,6 @@ func NewPlatform(o Options) (*Platform, error) {
 	if o.Devices == nil {
 		o.Devices = []DeviceSpec{{Name: "gpu0", Class: "accelerator"}, {Name: "nic0", Class: "nic"}}
 	}
-	if o.Dom0ReservePages == 0 {
-		o.Dom0ReservePages = 16
-	}
 	devs := make([]hw.DeviceConfig, len(o.Devices))
 	for i, d := range o.Devices {
 		devs[i] = hw.DeviceConfig{Name: d.Name, Class: classOf(d.Class)}
@@ -286,7 +284,7 @@ func NewPlatform(o Options) (*Platform, error) {
 		return nil, err
 	}
 	cl := libtyche.New(mon, core.InitialDomain)
-	if err := cl.AutoHeap(o.Dom0ReservePages); err != nil {
+	if err := cl.AutoHeap(dom0ReservePages); err != nil {
 		return nil, err
 	}
 	// Minimal dom0 "kernel": an idle loop at page 4, launched on core 0
