@@ -27,17 +27,15 @@ mutation:
 	done
 
 # Runtime verification: the trace, checker and rv packages under the
-# race detector, the sharded differential suite, the six mutation
-# oracles, the shard hot path pinned at zero allocations, a 30 s fuzz
-# smoke of both checkers, and the service wired into the experiment
-# harness (-verify).
+# race detector (the shard hot path's zero allocations are a test there,
+# TestShardEventLocalPathAllocFree), the sharded differential suite, the
+# six mutation oracles and a 30 s fuzz smoke of both checkers. The rv
+# service on real worlds is C21 phase A, C23 and internal/rv's tests.
 rv:
 	$(GO) test -race ./internal/trace/... ./internal/rv
 	$(GO) test -race -run 'Sharded' ./internal/core
 	$(MAKE) mutation
-	$(GO) test -run='^$$' -bench 'ShardedEvent' -benchmem ./internal/trace/check | grep -E 'BenchmarkShardedEvent.*\b0 allocs/op'
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/trace/check
-	$(GO) run ./cmd/tyche-bench -quick -verify -experiment C15
 
 # The linearizability storm and the pin-slot exhaustion test under the
 # race detector, at 1, 2 and 4 host threads.
@@ -77,7 +75,8 @@ fuzz:
 cover:
 	$(GO) test -cover ./...
 
-# Micro-benchmarks + every experiment as testing.B benches.
+# Micro-benchmarks + every experiment as a testing.B sub-benchmark
+# (BenchmarkExperiments).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -12,45 +12,29 @@ import (
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
-// Every figure/claim experiment is exposed as a benchmark: one
-// iteration regenerates the experiment's full table and re-evaluates
-// its shape checks (see EXPERIMENTS.md). Run a single one with e.g.
+// BenchmarkExperiments exposes every registered experiment as a
+// sub-benchmark: one iteration regenerates the experiment's full table
+// and re-evaluates its gate table (see EXPERIMENTS.md). Run a single one
+// with e.g.
 //
-//	go test -bench=BenchmarkExperimentF2 -benchmem
-func runExperiment(b *testing.B, id string) {
-	e, ok := bench.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(bench.Config{Quick: true, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if failed := res.Failed(); len(failed) != 0 {
-			b.Fatalf("%s shape checks failed: %+v", id, failed)
-		}
-		res.Render(io.Discard)
+//	go test -run '^$' -bench 'BenchmarkExperiments/F2$' -benchmem
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(bench.Config{Quick: true, Seed: int64(i + 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if failed := res.Failed(); len(failed) != 0 {
+					b.Fatalf("%s shape checks failed: %+v", e.ID, failed)
+				}
+				res.Render(io.Discard)
+			}
+		})
 	}
 }
-
-func BenchmarkExperimentF1(b *testing.B)  { runExperiment(b, "F1") }
-func BenchmarkExperimentF2(b *testing.B)  { runExperiment(b, "F2") }
-func BenchmarkExperimentF3(b *testing.B)  { runExperiment(b, "F3") }
-func BenchmarkExperimentF4(b *testing.B)  { runExperiment(b, "F4") }
-func BenchmarkExperimentC1(b *testing.B)  { runExperiment(b, "C1") }
-func BenchmarkExperimentC2(b *testing.B)  { runExperiment(b, "C2") }
-func BenchmarkExperimentC3(b *testing.B)  { runExperiment(b, "C3") }
-func BenchmarkExperimentC4(b *testing.B)  { runExperiment(b, "C4") }
-func BenchmarkExperimentC5(b *testing.B)  { runExperiment(b, "C5") }
-func BenchmarkExperimentC6(b *testing.B)  { runExperiment(b, "C6") }
-func BenchmarkExperimentC7(b *testing.B)  { runExperiment(b, "C7") }
-func BenchmarkExperimentC8(b *testing.B)  { runExperiment(b, "C8") }
-func BenchmarkExperimentC9(b *testing.B)  { runExperiment(b, "C9") }
-func BenchmarkExperimentC10(b *testing.B) { runExperiment(b, "C10") }
-func BenchmarkExperimentC11(b *testing.B) { runExperiment(b, "C11") }
-func BenchmarkExperimentC12(b *testing.B) { runExperiment(b, "C12") }
 
 // --- Micro-benchmarks for the headline mechanisms. Each reports the
 // simulated hardware cost in cycles/op alongside Go wall time.
@@ -315,6 +299,3 @@ func BenchmarkGuestExecution(b *testing.B) {
 		b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instr/s")
 	}
 }
-
-func BenchmarkExperimentC13(b *testing.B) { runExperiment(b, "C13") }
-func BenchmarkExperimentC14(b *testing.B) { runExperiment(b, "C14") }

@@ -3,23 +3,23 @@
 //
 // Usage:
 //
-//	tyche-bench -list
+//	tyche-bench -list            # every experiment and its gate table
 //	tyche-bench -experiment F2
 //	tyche-bench                  # run everything
 //	tyche-bench -backend pmp -experiment F4
-//	tyche-bench -traced -experiment C15
-//	tyche-bench -verify -experiment C15
-//	tyche-bench -traced -parallel 4 -out BENCH.json   # the committed record
+//	tyche-bench -parallel 4 -out BENCH.json   # the committed record
 //
+// Every experiment world carries the online invariant checker from boot.
 // Results carry counts, simulated cycles and verdicts only, so the same
 // seed reproduces the same record on any host (EXPERIMENTS.md lists the
-// few multi-core rows that follow the host's thread interleaving); the
-// elapsed time goes to stderr. The process exits non-zero if any
-// experiment's shape checks fail.
+// one experiment that follows the host's thread interleaving); the
+// elapsed time goes to stderr. The process exits 1 if any experiment's
+// shape checks fail, 2 on an unknown -experiment or -backend.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,25 +45,22 @@ func main() {
 		backend    = flag.String("backend", "vtx", "enforcement backend: vtx or pmp")
 		quick      = flag.Bool("quick", false, "smaller sweeps")
 		seed       = flag.Int64("seed", 1, "workload seed")
-		list       = flag.Bool("list", false, "list experiments and exit")
+		list       = flag.Bool("list", false, "list experiments with their gate tables and exit")
 		asJSON     = flag.Bool("json", false, "emit results as JSON to stdout (for CI)")
 		parallel   = flag.Int("parallel", 1, "experiments to run concurrently")
 		out        = flag.String("out", "", "write machine-readable results (BENCH.json) to this file")
-		traced     = flag.Bool("traced", false, "run every experiment with the cycle-stamped tracer and online invariant checker attached")
-		verify     = flag.Bool("verify", false, "attach the always-on runtime-verification service (sharded checker) to every experiment world")
 	)
 	flag.Parse()
 
 	if *list {
-		fmt.Printf("%-4s %-70s %s\n", "ID", "TITLE", "PAPER ARTEFACT")
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-4s %-70s %s\n", e.ID, e.Title, e.Paper)
+			fmt.Printf("%-4s %-70s %s\n\n", e.ID, e.Title, e.Paper)
+			e.WriteGates(os.Stdout, nil)
+			fmt.Println()
 		}
 		return
 	}
 	cfg := bench.Config{
-		Trace:   *traced,
-		Verify:  *verify,
 		Backend: core.BackendKind(*backend),
 		Quick:   *quick,
 		Seed:    *seed,
@@ -82,6 +79,9 @@ func main() {
 	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tyche-bench: %v\n", err)
+		if errors.Is(err, bench.ErrUnknownBackend) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	failed := 0

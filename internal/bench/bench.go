@@ -4,14 +4,20 @@
 // and the quantitative content lives in prose claims, so each figure is
 // reproduced as a checked executable scenario and each claim as a
 // parameter-sweep measurement. Every experiment prints a table and
-// returns machine-checkable shape assertions; EXPERIMENTS.md records
-// paper-vs-measured from exactly this output.
+// reports named metrics; its gates are a table of rows next to its
+// registration, and one evaluator turns those rows and the metrics into
+// its checks. EXPERIMENTS.md's gate blocks are rendered from the same
+// rows over BENCH.json, and a test holds the two byte-equal.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -20,79 +26,31 @@ import (
 	"github.com/tyche-sim/tyche/internal/image"
 	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/rv"
 	"github.com/tyche-sim/tyche/internal/tpm"
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
-// Config tunes an experiment run.
+// Config tunes an experiment run. Every world an experiment boots
+// carries the cycle-stamped tracer and the serial online invariant
+// checker from boot; there is no other run mode.
 type Config struct {
 	// Backend selects the enforcement backend where the experiment does
-	// not itself sweep backends (vtx default).
+	// not itself sweep backends: vtx (the default when empty) or pmp.
 	Backend core.BackendKind
 	// Quick shrinks sweeps for use under `go test`.
 	Quick bool
 	// Seed drives randomized workloads deterministically.
 	Seed int64
-	// Trace installs a cycle-stamped tracer with the online invariant
-	// checker on every experiment world. Experiments that audit their
-	// own worlds (world.traceClean) append exact count reconciliation;
-	// the harness additionally appends one trace-oracle check per
-	// experiment asserting no world saw a violation.
-	Trace bool
-	// Verify attaches the always-on runtime-verification service
-	// (internal/rv: sharded incremental checker merged at the monitor's
-	// quiescent points) to every experiment world. Composes with Trace —
-	// both sinks then feed off one tracer.
-	Verify bool
 
-	// audit, when non-nil, collects every traced world so the harness
-	// can render the checker's verdict even for experiments without
-	// explicit trace checks. Wired by RunExperiments.
-	audit *traceAudit
+	// log collects the checker of every world the run boots; the
+	// registered Run sets it.
+	log *worldLog
 }
 
-// verdicter is any attached trace oracle the audit can finalise: the
-// serial online checker and the sharded runtime-verification service
-// both satisfy it.
-type verdicter interface{ Err() error }
-
-// traceAudit accumulates the checkers of the traced worlds one
-// experiment boots.
-type traceAudit struct {
-	mu  sync.Mutex
-	cks []verdicter
-}
-
-func (a *traceAudit) add(ck verdicter) {
-	a.mu.Lock()
-	a.cks = append(a.cks, ck)
-	a.mu.Unlock()
-}
-
-// appendCheck adds one harness-level check over every traced world the
-// experiment booted. Exact count reconciliation stays with the
-// experiments' own traceClean calls; an invariant violation in any
-// world fails the experiment here regardless of whether it audits
-// itself.
-func (a *traceAudit) appendCheck(res *Result) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cks) == 0 {
-		return
-	}
-	ok := true
-	detail := fmt.Sprintf("%d traced world(s)", len(a.cks))
-	for i, ck := range a.cks {
-		if err := ck.Err(); err != nil {
-			ok = false
-			detail = fmt.Sprintf("world %d: %v", i, err)
-			break
-		}
-	}
-	res.check("trace-oracle", ok, "online invariant checker clean across %s", detail)
-}
+// ErrUnknownBackend is RunExperiments' refusal of a Config.Backend other
+// than vtx or pmp.
+var ErrUnknownBackend = errors.New("bench: unknown backend")
 
 // Check is one shape assertion an experiment evaluated: the property
 // that must hold for the reproduction to count (who wins, where the
@@ -111,9 +69,12 @@ type Result struct {
 	Rows    [][]string
 	Notes   []string
 	Checks  []Check
-	// Metrics carries machine-readable scalars (cycle counts, hit
-	// rates) for BENCH.json; experiments fill it via metric().
+	// Metrics carries the named scalars (cycle counts, counts, 0/1
+	// outcomes) the gate rows read, for BENCH.json too.
 	Metrics map[string]float64 `json:",omitempty"`
+	// Sweeps names the tags of each sweep the run reported, in run
+	// order; a gate row naming "{sweep}" is evaluated at each of them.
+	Sweeps map[string][]string `json:",omitempty"`
 }
 
 // Failed returns the failed checks.
@@ -127,21 +88,38 @@ func (r *Result) Failed() []Check {
 	return out
 }
 
-func (r *Result) check(name string, ok bool, format string, args ...any) {
-	r.Checks = append(r.Checks, Check{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
-}
-
 func (r *Result) row(cells ...string) { r.Rows = append(r.Rows, cells) }
 
-func (r *Result) metric(name string, v float64) {
-	if r.Metrics == nil {
-		r.Metrics = make(map[string]float64)
+func (r *Result) metric(name string, v float64) { r.Metrics[name] = v }
+
+// sweep records that the run measured point tag of the named sweep.
+func (r *Result) sweep(name, tag string) { r.Sweeps[name] = append(r.Sweeps[name], tag) }
+
+// incomplete reports tag's unmet completion conditions: their count for
+// the "-complete" row to read, their reasons as notes.
+func (r *Result) incomplete(tag string, why []string) {
+	r.metric(tag+"_incomplete", float64(len(why)))
+	for _, s := range why {
+		r.note("%s: %s", tag, s)
 	}
-	r.Metrics[name] = v
 }
 
 func (r *Result) note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// bit is a 0/1 metric value.
+func bit(ok bool) float64 { return count(ok) }
+
+// count is how many of oks hold.
+func count(oks ...bool) float64 {
+	n := 0.0
+	for _, ok := range oks {
+		if ok {
+			n++
+		}
+	}
+	return n
 }
 
 // Render pretty-prints the result to w.
@@ -182,13 +160,146 @@ func (r *Result) Render(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	for _, c := range r.Checks {
-		status := "PASS"
-		if !c.OK {
-			status = "FAIL"
-		}
-		fmt.Fprintf(w, "  check [%s] %s: %s\n", status, c.Name, c.Detail)
+		fmt.Fprintf(w, "  check [%s] %s: %s\n", boolCellWord(c.OK, "PASS", "FAIL"), c.Name, c.Detail)
 	}
 	fmt.Fprintln(w)
+}
+
+// --- gate tables -----------------------------------------------------
+
+// Gate is one row of an experiment's gate table: the check it produces,
+// the value it reads — a metric, or "a / b", the ratio of two — the
+// bound that value must satisfy, and the claim it tests. Consecutive
+// rows with one check name are one check, holding when every row holds.
+// "{sweep}" in a check name makes one check per tag the run reported for
+// that sweep, the value read at each; "{sweep}" in the value alone makes
+// the row hold only if it holds at every tag.
+type Gate struct {
+	Check string
+	Value string
+	Bound Bound
+	Claim string
+}
+
+// Bound is a gate's relation and bound: how it reads, and the values it
+// admits.
+type Bound struct {
+	text  string
+	admit func(float64) bool
+}
+
+func eq(b float64) Bound { return Bound{"== " + fmtNum(b), func(v float64) bool { return v == b }} }
+func le(b float64) Bound { return Bound{"<= " + fmtNum(b), func(v float64) bool { return v <= b }} }
+func ge(b float64) Bound { return Bound{">= " + fmtNum(b), func(v float64) bool { return v >= b }} }
+func lt(b float64) Bound { return Bound{"< " + fmtNum(b), func(v float64) bool { return v < b }} }
+func gt(b float64) Bound { return Bound{"> " + fmtNum(b), func(v float64) bool { return v > b }} }
+
+func within(lo, hi float64) Bound {
+	return Bound{fmt.Sprintf("in [%s, %s]", fmtNum(lo), fmtNum(hi)), func(v float64) bool { return v >= lo && v <= hi }}
+}
+
+func (b Bound) String() string { return b.text }
+
+// fmtNum prints a metric or a bound: integers exactly, other values to
+// four significant digits (one decimal from 1000 up).
+func fmtNum(v float64) string {
+	switch {
+	case v == math.Trunc(v) && math.Abs(v) < 1e15:
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	case math.Abs(v) >= 1000:
+		return strconv.FormatFloat(v, 'f', 1, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
+// sweepOf is the sweep a check name or value names as "{sweep}", or "".
+func sweepOf(s string) string {
+	_, rest, ok := strings.Cut(s, "{")
+	name, _, _ := strings.Cut(rest, "}")
+	if !ok {
+		return ""
+	}
+	return name
+}
+
+// value reads the row's value at a sweep tag: the metric, or the ratio,
+// with the expression as read. ok is false when a metric is missing or
+// a divisor is zero.
+func (g Gate) value(m map[string]float64, tag string) (v float64, expr string, ok bool) {
+	sw := sweepOf(g.Value)
+	at := strings.ReplaceAll(g.Value, "{"+sw+"}", tag)
+	an, bn, ratio := strings.Cut(at, " / ")
+	a, okA := m[an]
+	b, okB := m[bn]
+	switch {
+	case !ratio && !okA:
+		return 0, an + " not reported", false
+	case !ratio:
+		return a, an + " = " + fmtNum(a), true
+	case !okA || !okB:
+		return 0, at + " not reported", false
+	case b == 0:
+		return 0, at + " = " + fmtNum(a) + " / 0", false
+	}
+	return a / b, fmt.Sprintf("%s = %s / %s = %s", at, fmtNum(a), fmtNum(b), fmtNum(a/b)), true
+}
+
+// read reads the row at tag ("" outside a per-tag check): at that tag,
+// or, for a value naming a sweep the check name does not, at every tag
+// of it. ok is false if any value could not be read.
+func (g Gate) read(r *Result, tag string) (vals []float64, expr string, ok bool) {
+	sw := sweepOf(g.Value)
+	if sw == "" || tag != "" {
+		v, expr, ok := g.value(r.Metrics, tag)
+		return []float64{v}, expr, ok
+	}
+	tags, ok := r.Sweeps[sw]
+	strs := make([]string, len(tags))
+	for i, t := range tags {
+		v, _, okT := g.value(r.Metrics, t)
+		vals, strs[i], ok = append(vals, v), fmtNum(v), ok && okT
+	}
+	return vals, fmt.Sprintf("%s = [%s] over %s", g.Value, strings.Join(strs, " "), sw), ok
+}
+
+// holds evaluates the row at tag: every value it reads admitted.
+func (g Gate) holds(r *Result, tag string) (bool, string) {
+	vals, expr, ok := g.read(r, tag)
+	for _, v := range vals {
+		ok = ok && g.Bound.admit(v)
+	}
+	return ok, expr + ", want " + g.Bound.text
+}
+
+// recorded summarises the row's value in rec for the docs: the value,
+// or its range over the sweep's tags.
+func (g Gate) recorded(rec *Result) string {
+	if rec == nil {
+		return ""
+	}
+	vals, _, ok := g.read(rec, "")
+	if !ok || len(vals) == 0 {
+		return "missing"
+	}
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	switch {
+	case len(vals) == 1:
+		return fmtNum(lo)
+	case lo == hi:
+		return fmt.Sprintf("%s (all %d)", fmtNum(lo), len(vals))
+	}
+	return fmt.Sprintf("%s to %s (%d)", fmtNum(lo), fmtNum(hi), len(vals))
+}
+
+// oracleGate is the harness's row, on the table of every experiment
+// whose run booted a world.
+var oracleGate = Gate{"trace-oracle", "oracle_violations", eq(0), "every world of the run audits clean under the online invariant checker"}
+
+// traceGates are the rows of the experiments that audit their worlds
+// one by one (world.audit) under the "traced" sweep.
+var traceGates = []Gate{
+	{"{traced}-trace-clean", "{traced}_trace_violations", eq(0), "the world's full history satisfies every checked invariant"},
+	{"{traced}-trace-counts", "{traced}_trace_count_mismatches", eq(0), "event-derived counts equal Stats() exactly"},
 }
 
 // Experiment is one registered experiment.
@@ -197,12 +308,92 @@ type Experiment struct {
 	Title string
 	// Paper names the paper artefact this regenerates.
 	Paper string
-	Run   func(cfg Config) (*Result, error)
+	// Run runs the experiment and evaluates its gate table.
+	Run func(cfg Config) (*Result, error)
+	// Gates is the experiment's gate table.
+	Gates []Gate
+}
+
+// table is e's gate table over a result's metrics: the experiment's
+// rows, plus the harness's trace-oracle row when the run booted a world.
+func (e Experiment) table(m map[string]float64) []Gate {
+	if _, ok := m["oracle_violations"]; ok {
+		return append(e.Gates[:len(e.Gates):len(e.Gates)], oracleGate)
+	}
+	return e.Gates
+}
+
+// evaluate is where every Check comes from: it sets res.Checks to e's
+// gate table evaluated over res's metrics and sweeps.
+func (e Experiment) evaluate(res *Result) {
+	res.Checks = nil
+	rows := e.table(res.Metrics)
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].Check == rows[i].Check {
+			j++
+		}
+		name, group := rows[i].Check, rows[i:j]
+		i = j
+		sw := sweepOf(name)
+		tags, reported := res.Sweeps[sw]
+		switch {
+		case sw == "":
+			tags = []string{""}
+		case !reported:
+			res.Checks = append(res.Checks, Check{Name: name, Detail: "sweep " + sw + " not reported"})
+		}
+		for _, tag := range tags {
+			c := Check{Name: strings.ReplaceAll(name, "{"+sw+"}", tag), OK: true}
+			var details []string
+			for _, g := range group {
+				ok, detail := g.holds(res, tag)
+				c.OK = c.OK && ok
+				details = append(details, detail)
+			}
+			c.Detail = strings.Join(details, "; ")
+			res.Checks = append(res.Checks, c)
+		}
+	}
+}
+
+// WriteGates writes e's gate table as the markdown block EXPERIMENTS.md
+// keeps for it, each row's value as recorded in rec (e's result from
+// BENCH.json) and rec's pass count; with rec nil the recorded column is
+// empty and the count omitted.
+func (e Experiment) WriteGates(w io.Writer, rec *Result) {
+	var m map[string]float64
+	if rec != nil {
+		m = rec.Metrics
+	}
+	fmt.Fprintln(w, "| check | value | gate | recorded | claim |")
+	fmt.Fprintln(w, "|---|---|---|---|---|")
+	for _, g := range e.table(m) {
+		fmt.Fprintf(w, "| `%s` | `%s` | %s | %s | %s |\n", g.Check, g.Value, g.Bound, g.recorded(rec), g.Claim)
+	}
+	if rec != nil {
+		fmt.Fprintf(w, "\n%d/%d checks pass in `BENCH.json`.\n", len(rec.Checks)-len(rec.Failed()), len(rec.Checks))
+	}
 }
 
 var registry []Experiment
 
-func register(e Experiment) { registry = append(registry, e) }
+// register adds e, whose Run fills a fresh Result with run — under a
+// fresh world log — then adds the harness metric and evaluates e's gate
+// table.
+func register(e Experiment, run func(Config, *Result) error) {
+	e.Run = func(cfg Config) (*Result, error) {
+		cfg.log = &worldLog{}
+		res := &Result{ID: e.ID, Title: e.Title, Metrics: map[string]float64{}, Sweeps: map[string][]string{}}
+		if err := run(cfg, res); err != nil {
+			return nil, err
+		}
+		cfg.log.report(res)
+		e.evaluate(res)
+		return res, nil
+	}
+	registry = append(registry, e)
+}
 
 // Experiments returns all registered experiments in ID order.
 func Experiments() []Experiment {
@@ -226,15 +417,16 @@ func Lookup(id string) (Experiment, bool) {
 // goroutines and returns their results in input order. Experiments are
 // independent (each boots its own machines) and compare only counts,
 // simulated cycles and verdicts, so the pool size changes how long the
-// batch takes and nothing in the results. The first experiment error
+// batch takes and nothing in the results. A backend other than vtx or
+// pmp is refused before anything runs; the first experiment error
 // aborts the batch.
 func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, error) {
-	if workers < 1 {
-		workers = 1
+	switch cfg.Backend {
+	case "", core.BackendVTX, core.BackendPMP:
+	default:
+		return nil, fmt.Errorf("%w %q (vtx or pmp)", ErrUnknownBackend, cfg.Backend)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+	workers = max(1, min(workers, len(exps)))
 	results := make([]*Result, len(exps))
 	errs := make([]error, len(exps))
 	jobs := make(chan int)
@@ -244,19 +436,7 @@ func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, erro
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				run := cfg
-				if cfg.Trace || cfg.Verify {
-					run.audit = &traceAudit{}
-				}
-				res, err := exps[j].Run(run)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				if run.audit != nil {
-					run.audit.appendCheck(res)
-				}
-				results[j] = res
+				results[j], errs[j] = exps[j].Run(cfg)
 			}
 		}()
 	}
@@ -276,60 +456,64 @@ func RunExperiments(exps []Experiment, cfg Config, workers int) ([]*Result, erro
 // --- shared world construction --------------------------------------
 
 // world bundles a booted machine+monitor with a dom0 client idling on
-// core 0. With Config.Trace set, ck is the online invariant checker
-// fed by the machine's tracer from the moment of boot (nil otherwise).
+// core 0, and ck, the online invariant checker its tracer has fed since
+// boot (nil only on a bare world).
 type world struct {
 	mach *hw.Machine
 	rot  *tpm.TPM
 	mon  *core.Monitor
 	cl   *libtyche.Client
 	ck   *check.Checker
-	// rvs is the always-on runtime-verification service (Config.Verify);
-	// nil when verification is off.
-	rvs *rv.Service
 }
 
-// traceClean appends the checker-oracle checks to res when the world
-// is traced: no invariant violations, and event-derived counters
-// reconciling exactly with the monitor's statistics.
-func (w *world) traceClean(res *Result, tag string) {
-	if w.ck != nil {
-		err := w.ck.Err()
-		res.check(tag+"-trace-clean", err == nil, "online invariant checker over the full run: %v", err)
-		st := w.mon.Stats()
-		c := w.ck.Counts()
-		ok := countsMatch(c, st)
-		res.check(tag+"-trace-counts", ok,
-			"event-derived counts match Stats(): trace %+v vs stats %+v", c, st)
+// worldLog is the checker of every world one run booted.
+type worldLog struct{ cks []*check.Checker }
+
+// report adds the metric the trace-oracle row reads, the violations
+// over every world the run booted; a run that booted none reports
+// nothing and gets no trace-oracle check.
+func (l *worldLog) report(res *Result) {
+	if len(l.cks) == 0 {
+		return
 	}
-	if w.rvs != nil {
-		err := w.rvs.Err()
-		res.check(tag+"-rv-clean", err == nil,
-			"sharded runtime verifier over the full run: %v", err)
-		st := w.mon.Stats()
-		c := w.rvs.Checker().Counts()
-		res.check(tag+"-rv-counts", countsMatch(c, st),
-			"shard-derived counts match Stats(): trace %+v vs stats %+v", c, st)
+	n := 0
+	for _, ck := range l.cks {
+		ck.End()
+		n += len(ck.Violations())
 	}
+	res.metric("oracle_violations", float64(n))
 }
 
-// countsMatch is the harness-level count reconciliation both trace
-// oracles share.
-func countsMatch(c check.Counts, st core.Stats) bool {
-	return c.Transitions == st.Transitions && c.FastSwitches == st.FastSwitches &&
-		c.CapOps == st.CapOps && c.Revocations == st.Revocations &&
-		c.ForcedKills == st.ForcedKills && c.PagesScrubbed == st.PagesScrubbed &&
-		c.VMCalls+c.MachineChecks == st.VMExits &&
-		c.Batches == st.RingFlushes && c.BatchedOps == st.RingOps
+// audit reports what traceGates read for this world under tag: the
+// checker's violations over the full run and how many event-derived
+// counts differ from Stats().
+func (w *world) audit(res *Result, tag string) {
+	w.ck.End()
+	res.sweep("traced", tag)
+	res.metric(tag+"_trace_violations", float64(len(w.ck.Violations())))
+	res.metric(tag+"_trace_count_mismatches", float64(countMismatches(w.ck.Counts(), w.mon.Stats(), core.Stats{})))
 }
 
-// countsMatchSince reconciles a checker attached mid-run against the
-// statistics delta since its attach point.
-func countsMatchSince(c check.Counts, st, base core.Stats) bool {
-	return c.Transitions == st.Transitions-base.Transitions &&
-		c.Revocations == st.Revocations-base.Revocations &&
-		c.CapOps == st.CapOps-base.CapOps &&
-		c.VMCalls+c.MachineChecks == st.VMExits-base.VMExits
+// countMismatches is how many event-derived tallies differ from the
+// Stats() delta st - base (base zero: the whole history).
+func countMismatches(c check.Counts, st, base core.Stats) int {
+	n := 0
+	for _, p := range [][2]uint64{
+		{c.Transitions, st.Transitions - base.Transitions},
+		{c.FastSwitches, st.FastSwitches - base.FastSwitches},
+		{c.CapOps, st.CapOps - base.CapOps},
+		{c.Revocations, st.Revocations - base.Revocations},
+		{c.ForcedKills, st.ForcedKills - base.ForcedKills},
+		{c.PagesScrubbed, st.PagesScrubbed - base.PagesScrubbed},
+		{c.VMCalls + c.MachineChecks, st.VMExits - base.VMExits},
+		{c.Batches, st.RingFlushes - base.RingFlushes},
+		{c.BatchedOps, st.RingOps - base.RingOps},
+	} {
+		if p[0] != p[1] {
+			n++
+		}
+	}
+	return n
 }
 
 type worldOpts struct {
@@ -338,6 +522,9 @@ type worldOpts struct {
 	pmpEntries int
 	devices    []hw.DeviceConfig
 	encryption bool
+	// bare boots without the online checker, for C21 phase A, which
+	// installs its own observers; every other world carries it.
+	bare bool
 }
 
 func defaultWorldOpts() worldOpts {
@@ -357,6 +544,10 @@ const dom0ReservePages = 16
 // dom0Entry is where the idle kernel text lives.
 const dom0Entry = phys.Addr(4 * phys.PageSize)
 
+// newWorld boots an experiment world. The checker attaches before
+// SetTracer, so it sees KBoot, and the tracer is installed before dom0's
+// first op, so checker counts and monitor statistics tally the same
+// history from zero.
 func newWorld(cfg Config, o worldOpts) (*world, error) {
 	mach, err := hw.NewMachine(hw.Config{
 		MemBytes:            o.memBytes,
@@ -381,39 +572,17 @@ func newWorld(cfg Config, o worldOpts) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ck *check.Checker
-	var rvs *rv.Service
-	if cfg.Trace || cfg.Verify {
-		// One tracer feeds every attached oracle, installed before dom0's
-		// first op so checker counts and monitor statistics tally the
-		// same history from zero. Sinks attach before SetTracer so all of
-		// them observe KBoot.
+	w := &world{mach: mach, rot: rot, mon: mon, cl: libtyche.New(mon, core.InitialDomain)}
+	if !o.bare {
 		tr := mach.NewTracer(trace.DefaultRingEntries)
-		if cfg.Trace {
-			ck = check.New()
-			tr.Attach(ck)
-		}
-		if cfg.Verify {
-			svc, err := rv.Attach(mach, mon, rv.Options{Node: "bench", Tracer: tr})
-			if err != nil {
-				return nil, err
-			}
-			rvs = svc
-		}
+		w.ck = check.New()
+		tr.Attach(w.ck)
 		mach.SetTracer(tr)
-	}
-	w := &world{mach: mach, rot: rot, mon: mon, ck: ck, rvs: rvs}
-	if cfg.audit != nil {
-		if ck != nil {
-			cfg.audit.add(ck)
-		}
-		if rvs != nil {
-			cfg.audit.add(rvs)
+		if cfg.log != nil {
+			cfg.log.cks = append(cfg.log.cks, w.ck)
 		}
 	}
-	cl := libtyche.New(mon, core.InitialDomain)
-	w.cl = cl
-	if err := cl.AutoHeap(dom0ReservePages); err != nil {
+	if err := w.cl.AutoHeap(dom0ReservePages); err != nil {
 		return nil, err
 	}
 	idle := hw.NewAsm()
@@ -500,17 +669,15 @@ type pinnedRun struct {
 	before, after core.Stats
 	cycles        uint64
 	lockAcqs      uint64 // revocation-mutex acquisitions
-	// complete: every worker halted with its loop counter (r10) drained
-	// and no failure marker in r15. Callers clear it, with a detail,
-	// when their own exact accounting does not add up.
-	complete bool
-	detail   string
+	// unmet lists why the run is incomplete: a worker that did not halt
+	// with its loop counter (r10) drained and no failure marker in r15,
+	// or a caller's exact accounting that did not add up.
+	unmet []string
 }
 
-// fail marks the run incomplete with the given reason.
+// fail records one unmet completion condition.
 func (p *pinnedRun) fail(format string, args ...any) {
-	p.complete = false
-	p.detail = " (" + fmt.Sprintf(format, args...) + ")"
+	p.unmet = append(p.unmet, fmt.Sprintf(format, args...))
 }
 
 func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
@@ -520,7 +687,7 @@ func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pinnedRun{w: w, complete: true}
+	p := &pinnedRun{w: w}
 	for i := 0; i < spec.workers; i++ {
 		wk, err := spec.worker(w, i)
 		if err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -116,17 +117,17 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestTracedRunAppendsOracleChecks runs a world-booting experiment with
-// Config.Trace through the harness and requires the harness-level
-// trace-oracle check to appear and pass: with -traced, every
-// experiment world is audited by the online invariant checker even
-// when the experiment carries no trace checks of its own.
+// TestTracedRunAppendsOracleChecks runs a world-booting experiment
+// through the harness and requires the harness-level trace-oracle check
+// to appear and pass: every experiment world is audited by the online
+// invariant checker even when the experiment carries no trace checks of
+// its own.
 func TestTracedRunAppendsOracleChecks(t *testing.T) {
 	e, ok := Lookup("C6")
 	if !ok {
 		t.Fatal("C6 not registered")
 	}
-	results, err := RunExperiments([]Experiment{e}, Config{Quick: true, Seed: 1, Trace: true}, 1)
+	results, err := RunExperiments([]Experiment{e}, Config{Quick: true, Seed: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +142,20 @@ func TestTracedRunAppendsOracleChecks(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no trace-oracle check appended; checks: %+v", results[0].Checks)
+	}
+}
+
+// TestUnknownBackendRejected: a backend other than vtx or pmp is refused
+// before any experiment runs, including C3, which boots no world.
+func TestUnknownBackendRejected(t *testing.T) {
+	e, ok := Lookup("C3")
+	if !ok {
+		t.Fatal("C3 not registered")
+	}
+	for _, backend := range []core.BackendKind{"foo", "PMP"} {
+		res, err := RunExperiments([]Experiment{e}, Config{Quick: true, Seed: 1, Backend: backend}, 1)
+		if !errors.Is(err, ErrUnknownBackend) || res != nil {
+			t.Errorf("backend %q: results %v, err %v; want ErrUnknownBackend and no results", backend, res, err)
+		}
 	}
 }

@@ -14,8 +14,12 @@ func init() {
 		ID:    "C1",
 		Title: "Monitor TCB size: thousands of lines, not millions",
 		Paper: "§4 '<10K LOC', §3.5 'orders of magnitude smaller'",
-		Run:   runC1,
-	})
+		Gates: []Gate{
+			{"tcb-under-10k", "tcb_lines", gt(0), "the audit counted the TCB"},
+			{"tcb-under-10k", "tcb_lines", lt(10000), "§4: Tyche is <10K LOC"},
+			{"tcb-minority", "tcb_lines / total_lines", lt(0.5), "§3.5: a monitor is a small part of the system it hosts"},
+		},
+	}, runC1)
 }
 
 // runC1 counts the repository's non-test Go lines per subsystem and
@@ -25,14 +29,11 @@ func init() {
 // "an isolation monitor or microkernel is expected to be orders of
 // magnitude smaller, e.g., thousands of lines of code instead of
 // millions, than a typical monolithic kernel or hypervisor" (§3.5).
-func runC1(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C1", Title: "Monitor TCB size",
-		Columns: []string{"subsystem", "packages", "LoC", "in TCB"},
-	}
+func runC1(cfg Config, res *Result) error {
+	res.Columns = []string{"subsystem", "packages", "LoC", "in TCB"}
 	root, err := repoRoot()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	groups := []struct {
 		name string
@@ -55,7 +56,7 @@ func runC1(cfg Config) (*Result, error) {
 		for _, p := range g.pkgs {
 			c, err := countGoLines(filepath.Join(root, p))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			n += c
 		}
@@ -67,12 +68,11 @@ func runC1(cfg Config) (*Result, error) {
 	}
 	res.row("TOTAL", "", fmt.Sprintf("%d", total), "")
 	res.row("TCB (trusted by verifiers)", "", fmt.Sprintf("%d", tcb), "yes")
-
-	res.check("tcb-under-10k", tcb > 0 && tcb < 10000, "TCB = %d lines (< 10000)", tcb)
-	res.check("tcb-minority", tcb*2 < total, "TCB is %d of %d total lines (< 1/2)", tcb, total)
+	res.metric("tcb_lines", float64(tcb))
+	res.metric("total_lines", float64(total))
 	res.note("non-test .go lines; the TCB is what a verifier must trust after attestation")
 	res.note("the hardware substrate replaces silicon, not monitor code; Linux-class kernels it hosts are millions of lines")
-	return res, nil
+	return nil
 }
 
 func boolYes(v bool) string { return boolCellWord(v, "yes", "no") }

@@ -14,8 +14,12 @@ func init() {
 		ID:    "C13",
 		Title: "Ablations: tagged TLBs and the revocation shootdown",
 		Paper: "design choices behind §4.1's fast transitions and §3.2's guaranteed cleanups",
-		Run:   runC13,
-	})
+		Gates: []Gate{
+			{"tagging-keeps-tlb-warm", "cold_probe_cycles / warm_probe_cycles", gt(1), "ASID tags keep translations across the fast path"},
+			{"stale-tlb-window-exists", "stale_access_survives", eq(1), "without a shootdown the revoked mapping stays usable"},
+			{"shootdown-closes-window", "flushed_access_faults", eq(1), "§3.2: the shootdown is part of the guaranteed cleanup"},
+		},
+	}, runC13)
 }
 
 // runC13 ablates two design choices the headline numbers depend on.
@@ -31,29 +35,26 @@ func init() {
 // attack: it SUCCEEDS with CleanNone and is closed by CleanFlushTLB.
 // This is why the monitor treats the flush as part of the guaranteed
 // cleanup, not an optimization.
-func runC13(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C13", Title: "Ablations",
-		Columns: []string{"ablation", "variant", "result"},
-	}
+func runC13(cfg Config, res *Result) error {
+	res.Columns = []string{"ablation", "variant", "result"}
 
 	// ---------- (a) tagged-TLB benefit ----------
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	opts := loadOn(0)
 	opts.FastPathCore = 0
 	dom, err := w.cl.Load(addImage("c13", 1), opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// A one-load probe program in dom0.
 	probeAddr := phys.Addr(8 * phys.PageSize)
 	probe := hw.NewAsm()
 	probe.Movi(1, uint32(probeAddr)).Ld(2, 1, 0).Hlt()
 	if err := w.mon.CopyInto(core.InitialDomain, probeAddr, probe.MustAssemble(probeAddr)); err != nil {
-		return nil, err
+		return err
 	}
 	cpu := w.mach.Core(0)
 	runProbe := func() (uint64, error) {
@@ -66,33 +67,33 @@ func runC13(cfg Config) (*Result, error) {
 	}
 	// Warm the TLB, bounce through the fast path, and re-probe.
 	if _, err := runProbe(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := w.mon.FastSwitch(0, dom.ID()); err != nil {
-		return nil, err
+		return err
 	}
 	if err := w.mon.FastSwitch(0, core.InitialDomain); err != nil {
-		return nil, err
+		return err
 	}
 	warm, err := runProbe()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Now bounce through full transitions (untagged path: flush).
 	if err := w.mon.Call(0, dom.ID()); err != nil {
-		return nil, err
+		return err
 	}
 	if err := w.mon.Return(0); err != nil {
-		return nil, err
+		return err
 	}
 	cold, err := runProbe()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.row("TLB after domain round trip", "tagged (VMFUNC path)", fmt.Sprintf("%d cycles/probe (warm)", warm))
 	res.row("TLB after domain round trip", "untagged (exit path flushes)", fmt.Sprintf("%d cycles/probe (cold)", cold))
-	res.check("tagging-keeps-tlb-warm", warm < cold,
-		"probe after fast path %d cycles vs %d after flushing transition", warm, cold)
+	res.metric("warm_probe_cycles", float64(warm))
+	res.metric("cold_probe_cycles", float64(cold))
 
 	// ---------- (b) revocation shootdown ----------
 	attack := func(policy cap.Cleanup) (hw.TrapKind, error) {
@@ -143,20 +144,18 @@ func runC13(cfg Config) (*Result, error) {
 	}
 	noFlush, err := attack(cap.CleanNone)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	withFlush, err := attack(cap.CleanFlushTLB)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.row("access revoked memory via stale TLB", "no shootdown (CleanNone)",
 		boolCellWord(noFlush == hw.TrapNone, "ACCESS STILL SUCCEEDS", noFlush.String()))
 	res.row("access revoked memory via stale TLB", "shootdown (CleanFlushTLB)",
 		boolCellWord(withFlush == hw.TrapFault, "faults immediately", withFlush.String()))
-	res.check("stale-tlb-window-exists", noFlush == hw.TrapNone,
-		"without a shootdown the revoked mapping remains usable (the hazard)")
-	res.check("shootdown-closes-window", withFlush == hw.TrapFault,
-		"CleanFlushTLB makes the next access fault")
+	res.metric("stale_access_survives", bit(noFlush == hw.TrapNone))
+	res.metric("flushed_access_faults", bit(withFlush == hw.TrapFault))
 	res.note("the monitor therefore couples revocation to TLB shootdown; 'fast' transitions rely on tags, not on skipping coherence")
-	return res, nil
+	return nil
 }

@@ -15,8 +15,16 @@ func init() {
 		ID:    "C14",
 		Title: "Data-plane isolation overhead: per-call cost amortization",
 		Paper: "§4.1's VMFUNC motivation (Hodor-style data-plane libraries) vs exit-based and SGX isolation",
-		Run:   runC14,
-	})
+		Gates: []Gate{
+			{"ordering-at-small-buffers", "{smallest}_vmfunc_cycles / {smallest}_inline_cycles", gt(1), "at 64-byte calls: inline < vmfunc"},
+			{"ordering-at-small-buffers", "{smallest}_mediated_cycles / {smallest}_vmfunc_cycles", gt(1), "< mediated"},
+			{"ordering-at-small-buffers", "{smallest}_sgx_cycles / {smallest}_mediated_cycles", gt(1), "< sgx"},
+			{"vmfunc-amortizes", "{largest}_vmfunc_cycles / {largest}_inline_cycles", lt(1.02), "§4.1: VMFUNC makes data-plane isolation near-free at KiB buffers"},
+			{"mediation-needs-amortization", "{smallest}_mediated_cycles / {smallest}_inline_cycles", gt(2), "an exit-based crossing more than doubles a small call"},
+			{"mediation-needs-amortization", "{largest}_mediated_cycles / {largest}_inline_cycles", lt(1.25), "and amortises only over large buffers"},
+			{"sgx-worst-everywhere", "{sizes}_sgx_cycles / {sizes}_mediated_cycles", gt(1), "SGX world switches cost most at every size"},
+		},
+	}, runC14)
 }
 
 // runC14 measures what isolating a per-packet data-plane function costs
@@ -27,11 +35,8 @@ func init() {
 // much larger buffers to amortize; SGX world switches are the most
 // expensive everywhere. This is the quantitative argument behind §4.1's
 // interest in VMFUNC transitions.
-func runC14(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C14", Title: "Data-plane amortization",
-		Columns: []string{"bytes/call", "inline", "vmfunc comp.", "overhead", "mediated enclave", "overhead", "sgx ecall", "overhead"},
-	}
+func runC14(cfg Config, res *Result) error {
+	res.Columns = []string{"bytes/call", "inline", "vmfunc comp.", "overhead", "mediated enclave", "overhead", "sgx ecall", "overhead"}
 	sizes := []uint64{64, 1024, 16384}
 	if cfg.Quick {
 		sizes = []uint64{64, 1024, 8192}
@@ -39,48 +44,40 @@ func runC14(cfg Config) (*Result, error) {
 	reps := 6
 
 	type point struct{ inline, vmfunc, mediated, sgx uint64 }
-	var points []point
-	for _, n := range sizes {
+	for i, n := range sizes {
 		p := point{}
 		var err error
 		if p.inline, err = inlineChecksum(cfg, n, reps); err != nil {
-			return nil, fmt.Errorf("inline %d: %w", n, err)
+			return fmt.Errorf("inline %d: %w", n, err)
 		}
 		if p.vmfunc, err = vmfuncChecksum(cfg, n, reps); err != nil {
-			return nil, fmt.Errorf("vmfunc %d: %w", n, err)
+			return fmt.Errorf("vmfunc %d: %w", n, err)
 		}
 		if p.mediated, err = mediatedChecksum(cfg, n, reps); err != nil {
-			return nil, fmt.Errorf("mediated %d: %w", n, err)
+			return fmt.Errorf("mediated %d: %w", n, err)
 		}
 		if p.sgx, err = sgxChecksum(cfg, n, reps); err != nil {
-			return nil, fmt.Errorf("sgx %d: %w", n, err)
+			return fmt.Errorf("sgx %d: %w", n, err)
 		}
-		points = append(points, p)
 		res.row(fmtU(n), fmtU(p.inline),
 			fmtU(p.vmfunc), pct(p.vmfunc, p.inline),
 			fmtU(p.mediated), pct(p.mediated, p.inline),
 			fmtU(p.sgx), pct(p.sgx, p.inline))
+		tag := fmt.Sprintf("b%d", n)
+		res.sweep("sizes", tag)
+		switch i {
+		case 0:
+			res.sweep("smallest", tag)
+		case len(sizes) - 1:
+			res.sweep("largest", tag)
+		}
+		res.metric(tag+"_inline_cycles", float64(p.inline))
+		res.metric(tag+"_vmfunc_cycles", float64(p.vmfunc))
+		res.metric(tag+"_mediated_cycles", float64(p.mediated))
+		res.metric(tag+"_sgx_cycles", float64(p.sgx))
 	}
-
-	last := points[len(points)-1]
-	first := points[0]
-	res.check("ordering-at-small-buffers",
-		first.inline < first.vmfunc && first.vmfunc < first.mediated && first.mediated < first.sgx,
-		"64B: inline %d < vmfunc %d < mediated %d < sgx %d",
-		first.inline, first.vmfunc, first.mediated, first.sgx)
-	vmOver := float64(last.vmfunc-last.inline) / float64(last.inline)
-	res.check("vmfunc-amortizes", vmOver < 0.02,
-		"vmfunc overhead %.2f%% at %d bytes (near-free data-plane isolation)", vmOver*100, sizes[len(sizes)-1])
-	medOverSmall := float64(first.mediated-first.inline) / float64(first.inline)
-	medOverBig := float64(last.mediated-last.inline) / float64(last.inline)
-	res.check("mediation-needs-amortization", medOverSmall > 1.0 && medOverBig < 0.25,
-		"mediated overhead %.0f%% at %dB falling to %.1f%% at %dB",
-		medOverSmall*100, sizes[0], medOverBig*100, sizes[len(sizes)-1])
-	res.check("sgx-worst-everywhere",
-		first.sgx > first.mediated && last.sgx > last.mediated,
-		"sgx stays the most expensive mechanism at every size")
 	res.note("workload: byte checksum, %d reps/point; cycles are per call including the crossing", reps)
-	return res, nil
+	return nil
 }
 
 func pct(v, base uint64) string {
@@ -116,13 +113,10 @@ func timeRuns(w *world, entry phys.Addr, reps int, budget int) (uint64, error) {
 		cpu.ClearHalt()
 		c, err := cycles(w.mach, func() error {
 			res, err := w.mon.RunCore(0, budget)
-			if err != nil {
-				return err
+			if err == nil && res.Trap.Kind != hw.TrapHalt {
+				err = fmt.Errorf("run ended with %v", res.Trap)
 			}
-			if res.Trap.Kind != hw.TrapHalt {
-				return fmt.Errorf("run ended with %v", res.Trap)
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return 0, err

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/tyche-sim/tyche/internal/core"
@@ -17,8 +19,21 @@ func init() {
 		ID:    "C16",
 		Title: "Fault containment: kill-and-reclaim latency vs domain size and core count",
 		Paper: "§3 revocation over the lineage forest; §5 'reduced TCB' — a crashed domain must be destroyable without trusting it",
-		Run:   runC16,
-	})
+		Gates: []Gate{
+			{"{kills}-scrub-exact", "{kills}_scrubbed_pages / {kills}_pages", eq(1), "§3.2: a kill scrubs every page the domain held exclusively"},
+			{"{kills}-memory-scrubbed", "{kills}_nonzero_reclaimed_bytes", eq(0), "reclaimed memory reads as zero"},
+			{"{kills}-refcounts-consistent", "{kills}_refcount_mismatches", eq(0), "§3.2: refcounts stay exact after a kill"},
+			{"latency-scales-with-size", "size_kill_growth", gt(1), "kill cycles grow with domain size (the scrub)"},
+			{"shootdown-scales-with-cores", "cores_kill_growth", gt(1), "kill cycles grow with core count (the TLB shootdown)"},
+			{"latency-flat-vs-domains", "kill_cycles_vs_domains_ratio", le(1.1), "a kill never walks the bystanders"},
+			{"e2e-fault-fired", "e2e_faults_pending", eq(0), "the injected machine check fired"},
+			{"e2e-victim-killed", "e2e_victim_machine_checks", eq(1), "§5: a crashed domain is destroyable without trusting it"},
+			{"e2e-victim-killed", "e2e_forced_kills", eq(1), ""},
+			{"e2e-survivor-completed", "e2e_survivor_halted", eq(1), "the survivor on another core finishes"},
+			{"e2e-survivor-completed", "e2e_survivor_result", eq(45), "with the right answer"},
+			{"e2e-victim-gone", "e2e_victim_enumerated", eq(0), "the dead domain is no longer enumerated"},
+		},
+	}, runC16)
 }
 
 // runC16 measures the monitor's containment path: force-killing a
@@ -34,11 +49,8 @@ func init() {
 // round injects a deterministic machine check under a running victim
 // and checks that a concurrent survivor finishes its workload untouched
 // — containment, not just teardown.
-func runC16(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C16", Title: "Kill-and-reclaim latency",
-		Columns: []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed"},
-	}
+func runC16(cfg Config, res *Result) error {
+	res.Columns = []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed"}
 	sizeSweep := []uint64{16, 64, 256}
 	coreSweep := []int{1, 2, 4}
 	domSweep := []int{0, 8, 32}
@@ -52,31 +64,22 @@ func runC16(cfg Config) (*Result, error) {
 	for _, pages := range sizeSweep {
 		kc, err := c16Kill(cfg, res, pages, 2, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sizeCycles = append(sizeCycles, kc)
 	}
-	grows := true
-	for i := 1; i < len(sizeCycles); i++ {
-		if sizeCycles[i] <= sizeCycles[i-1] {
-			grows = false
-		}
-	}
-	res.check("latency-scales-with-size", grows,
-		"kill cycles grow with domain size: %v", sizeCycles)
+	res.metric("size_kill_growth", minGrowth(sizeCycles))
 
 	// Axis 2: core count at a fixed 64-page domain (TLB shootdown cost).
 	var coreCycles []uint64
 	for _, cores := range coreSweep {
 		kc, err := c16Kill(cfg, res, 64, cores, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		coreCycles = append(coreCycles, kc)
 	}
-	res.check("shootdown-scales-with-cores",
-		coreCycles[len(coreCycles)-1] > coreCycles[0],
-		"kill cycles grow with core count (TLB shootdown): %v", coreCycles)
+	res.metric("cores_kill_growth", minGrowth(coreCycles))
 
 	// Axis 3: live-domain count at a fixed 64-page victim on 2 cores.
 	// Containment touches the victim's subtree and nothing else, so the
@@ -85,28 +88,34 @@ func runC16(cfg Config) (*Result, error) {
 	for _, n := range domSweep {
 		kc, err := c16Kill(cfg, res, 64, 2, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		domCycles = append(domCycles, kc)
 	}
-	base, crowded := domCycles[0], domCycles[len(domCycles)-1]
-	res.metric("kill_cycles_vs_domains_ratio", float64(crowded)/float64(base))
-	res.check("latency-flat-vs-domains",
-		crowded <= base+base/10,
-		"kill cycles flat as live domains grow %v -> %v: %v (crowded/empty %.2fx, allowed 1.10x)",
-		domSweep[0], domSweep[len(domSweep)-1], domCycles, float64(crowded)/float64(base))
+	res.metric("kill_cycles_vs_domains_ratio", float64(last(domCycles))/float64(domCycles[0]))
 
 	// End to end: inject a machine check under a running victim while a
 	// survivor computes on another core.
 	if err := c16EndToEnd(cfg, res); err != nil {
-		return nil, err
+		return err
 	}
-	return res, nil
+	return nil
+}
+
+// minGrowth is the smallest ratio between consecutive points of a
+// sweep: above 1 when every point costs more than the one before.
+func minGrowth(vals []uint64) float64 {
+	g := math.Inf(1)
+	for i := 1; i < len(vals); i++ {
+		g = min(g, float64(vals[i])/float64(vals[i-1]))
+	}
+	return g
 }
 
 // c16Victim builds and loads a domain with one code page and a
-// (pages-1)-page exclusive data segment, pinned to core 1 when present.
-func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, error) {
+// (pages-1)-page exclusive data segment, pinned to core 1 when run, and
+// returns it with that segment.
+func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, phys.Region, error) {
 	prog := func(base phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		a.Movi(2, 0xAB)
@@ -117,13 +126,19 @@ func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, error) {
 	}
 	img, err := w.cl.BuildAt("victim", prog,
 		func(img *image.Image) { img.WithBSS(".data", (pages-1)*phys.PageSize) })
-	if err != nil {
-		return nil, err
-	}
+	lo := loadOn()
 	if run {
-		return w.cl.Load(img, loadOn(1))
+		lo = loadOn(1)
 	}
-	return w.cl.Load(img, loadOn())
+	dom, err := w.cl.Load(img, lo)
+	if err != nil {
+		return nil, phys.Region{}, err
+	}
+	data, ok := dom.SegmentRegion(".data")
+	if !ok {
+		return nil, phys.Region{}, fmt.Errorf("c16: victim has no data segment")
+	}
+	return dom, data, nil
 }
 
 // c16Kill measures one ForceKill on an idle machine, so the cycle delta
@@ -143,13 +158,9 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 			return 0, err
 		}
 	}
-	dom, err := c16Victim(w, pages, false)
+	dom, data, err := c16Victim(w, pages, false)
 	if err != nil {
 		return 0, err
-	}
-	data, ok := dom.SegmentRegion(".data")
-	if !ok {
-		return 0, fmt.Errorf("c16: victim has no data segment")
 	}
 	before := w.mon.Stats()
 	kc, err := cycles(w.mach, func() error { return w.mon.ForceKill(dom.ID()) })
@@ -165,25 +176,22 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 	}
 	res.row(fmtU(pages), fmt.Sprintf("%d", cores), fmt.Sprintf("%d", bystanders), fmtU(kc),
 		fmt.Sprintf("%.0f", float64(kc)/float64(pages)), fmtU(scrubbed))
+	res.sweep("kills", tag)
 	res.metric(tag+"_kill_cycles", float64(kc))
 	res.metric(tag+"_scrubbed_pages", float64(scrubbed))
-
-	res.check(tag+"-scrub-exact", scrubbed == pages,
-		"containment scrubbed %d pages for a %d-page domain", scrubbed, pages)
+	res.metric(tag+"_pages", float64(pages))
 	// The memory reverted to dom0 and reads as zero.
 	buf, err := w.mon.CopyFrom(core.InitialDomain, data.Start, phys.PageSize)
 	if err != nil {
 		return 0, err
 	}
-	zero := !slices.ContainsFunc(buf, func(b byte) bool { return b != 0 })
-	res.check(tag+"-memory-scrubbed", zero, "first reclaimed page reads as zero")
-	clean := true
+	nonzero := len(buf) - bytes.Count(buf, []byte{0})
+	res.metric(tag+"_nonzero_reclaimed_bytes", float64(nonzero))
+	mismatches := 0
 	for _, rc := range w.mon.RefCounts() {
-		if rc.Count != len(rc.Owners) {
-			clean = false
-		}
+		mismatches += int(bit(rc.Count != len(rc.Owners)))
 	}
-	res.check(tag+"-refcounts-consistent", clean, "refcount audit after kill")
+	res.metric(tag+"_refcount_mismatches", float64(mismatches))
 	return kc, nil
 }
 
@@ -197,13 +205,9 @@ func c16EndToEnd(cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	dom, err := c16Victim(w, 16, true)
+	dom, data, err := c16Victim(w, 16, true)
 	if err != nil {
 		return err
-	}
-	data, ok := dom.SegmentRegion(".data")
-	if !ok {
-		return fmt.Errorf("c16: victim has no data segment")
 	}
 	// Survivor workload for dom0 on core 0: sum 0..9 into r1.
 	a := hw.NewAsm()
@@ -237,22 +241,12 @@ func c16EndToEnd(cfg Config, res *Result) error {
 	}
 	st := w.mon.Stats()
 	res.metric("e2e_pages_scrubbed", float64(st.PagesScrubbed))
-	res.note("end-to-end: schedule mc1@500")
-
-	res.check("e2e-fault-fired", in.Exhausted(),
-		"injected schedule fired: %v", in.Fired())
-	res.check("e2e-victim-killed",
-		runs[1].Trap.Kind == hw.TrapMachineCheck && st.ForcedKills == 1,
-		"victim trapped with %v, forced kills %d", runs[1].Trap, st.ForcedKills)
-	res.check("e2e-survivor-completed",
-		runs[0].Trap.Kind == hw.TrapHalt && w.mach.Core(0).Regs[1] == 45,
-		"survivor trap %v, result %d (want 45)", runs[0].Trap, w.mach.Core(0).Regs[1])
-	dead := true
-	for _, id := range w.mon.Domains() {
-		if id == dom.ID() {
-			dead = false
-		}
-	}
-	res.check("e2e-victim-gone", dead, "dead domain no longer enumerated")
+	res.note("end-to-end: schedule mc1@500, fired %v; victim trap %v, survivor trap %v", in.Fired(), runs[1].Trap, runs[0].Trap)
+	res.metric("e2e_faults_pending", bit(!in.Exhausted()))
+	res.metric("e2e_victim_machine_checks", bit(runs[1].Trap.Kind == hw.TrapMachineCheck))
+	res.metric("e2e_forced_kills", float64(st.ForcedKills))
+	res.metric("e2e_survivor_halted", bit(runs[0].Trap.Kind == hw.TrapHalt))
+	res.metric("e2e_survivor_result", float64(w.mach.Core(0).Regs[1]))
+	res.metric("e2e_victim_enumerated", bit(slices.Contains(w.mon.Domains(), dom.ID())))
 	return nil
 }

@@ -13,8 +13,16 @@ func init() {
 		ID:    "C2",
 		Title: "Domain transition mechanisms: VMFUNC vs exits vs context switches vs SGX",
 		Paper: "§4.1 'fast (100 cycles) domain transitions using VMFUNC'",
-		Run:   runC2,
-	})
+		Gates: []Gate{
+			{"vmfunc-about-100-cycles", "fast_switch_cycles", within(80, 200), "§4.1: fast (100 cycles) domain transitions using VMFUNC"},
+			{"vmfunc-10x-under-exits", "mediated_vtx_cycles / fast_switch_cycles", ge(10), "the fast path is an order of magnitude under exit-based transitions"},
+			{"fast-beats-process-switch", "ctx_switch_cycles / fast_switch_cycles", ge(5), "compartment crossings no longer cost a process switch"},
+			{"mediated-same-order-as-ctxswitch", "mediated_vtx_cycles / ctx_switch_cycles", lt(10), "a mediated call costs the order of a context switch"},
+			{"sgx-most-expensive", "sgx_cycles / mediated_vtx_cycles", gt(1), "SGX world switches cost most"},
+			{"sgx-most-expensive", "sgx_cycles / ctx_switch_cycles", gt(1), ""},
+			{"sgx-most-expensive", "sgx_cycles / mediated_pmp_cycles", gt(1), ""},
+		},
+	}, runC2)
 }
 
 // runC2 measures the cycle cost of every control-transfer mechanism in
@@ -22,11 +30,8 @@ func init() {
 // cycles and at least an order of magnitude below exit-based
 // transitions, which in turn beat OS process context switches and SGX
 // world switches.
-func runC2(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C2", Title: "Transition mechanisms",
-		Columns: []string{"mechanism", "system", "cycles/transition", "vs VMFUNC"},
-	}
+func runC2(cfg Config, res *Result) error {
+	res.Columns = []string{"mechanism", "system", "cycles/transition", "vs VMFUNC"}
 	iters := 200
 	if cfg.Quick {
 		iters = 50
@@ -35,13 +40,13 @@ func runC2(cfg Config) (*Result, error) {
 	// --- Tyche vtx: fast switch and mediated call/return.
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	opts := loadOn(0)
 	opts.FastPathCore = 0
 	comp, err := w.cl.Load(addImage("c2-comp", 1), opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Fast switches: bounce dom0 <-> comp.
 	fastPair, err := cyclesPer(w.mach, iters, func() error {
@@ -51,7 +56,7 @@ func runC2(cfg Config) (*Result, error) {
 		return w.mon.FastSwitch(0, core.InitialDomain)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fastPer := fastPair / 2
 
@@ -63,7 +68,7 @@ func runC2(cfg Config) (*Result, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// --- Tyche pmp: mediated transition with PMP reprogramming.
@@ -71,28 +76,28 @@ func runC2(cfg Config) (*Result, error) {
 	pmpCfg.Backend = core.BackendPMP
 	wp, err := newWorld(pmpCfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pmpComp, err := wp.cl.Load(addImage("c2-pmp", 1), loadOn(0))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pmpPer, err := cyclesPer(wp.mach, iters, func() error {
 		_, err := pmpComp.Invoke(0, 10000, 1)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// --- OS process context switch (per switch, via yielding pair).
 	wos, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	osk, err := oskit.New(wos.mon, core.InitialDomain, dom0ReservePages)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	spin := func(base phys.Addr) []byte {
 		a := hw.NewAsm()
@@ -102,22 +107,22 @@ func runC2(cfg Config) (*Result, error) {
 		return a.MustAssemble(base)
 	}
 	if _, err := osk.Spawn("y1", spin, 1, 0); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := osk.Spawn("y2", spin, 1, 0); err != nil {
-		return nil, err
+		return err
 	}
 	ctxPer, err := cyclesPer(wos.mach, iters, func() error {
 		_, _, err := osk.Schedule(0, 1000)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// --- Syscall round trip inside one domain.
 	if err := wos.mon.SetSyscallHandler(core.InitialDomain, core.InitialDomain, func(c *hw.Core) error { return nil }); err != nil {
-		return nil, err
+		return err
 	}
 	sysProg := hw.NewAsm()
 	for i := 0; i < 8; i++ {
@@ -126,11 +131,11 @@ func runC2(cfg Config) (*Result, error) {
 	sysProg.Hlt()
 	sysBase := phys.Addr(8 * phys.PageSize)
 	if err := wos.mon.CopyInto(core.InitialDomain, sysBase, sysProg.MustAssemble(sysBase)); err != nil {
-		return nil, err
+		return err
 	}
 	kernelCtx, err := wos.mon.DomainContext(core.InitialDomain, core.InitialDomain, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	kernelCtx.OSFilter = nil
 	sysTotal := uint64(0)
@@ -142,7 +147,7 @@ func runC2(cfg Config) (*Result, error) {
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sysTotal += c
 	}
@@ -151,16 +156,16 @@ func runC2(cfg Config) (*Result, error) {
 	// --- SGX EENTER/EEXIT round trip.
 	sgxMach, err := hw.NewMachine(hw.Config{MemBytes: 8 << 20, NumCores: 1, IOMMUAllowByDefault: true})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sgx := baseline.NewSGX(sgxMach, 0)
 	proc, err := sgx.NewProcess(phys.MakeRegion(0x100000, 64*phys.PageSize))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	encl, err := proc.CreateEnclave(phys.MakeRegion(0x100000, 4*phys.PageSize), 0x100000, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sgxPer, _ := cyclesPer(sgxMach, iters, func() error {
 		encl.EEnter(sgxMach.Cores[0])
@@ -169,30 +174,20 @@ func runC2(cfg Config) (*Result, error) {
 	})
 
 	rows := []struct {
-		name, sys string
-		per       uint64
+		name, sys, metric string
+		per               uint64
 	}{
-		{"VMFUNC fast switch", "tyche/vtx", fastPer},
-		{"syscall round trip (ring3->0->3)", "oskit in-domain", sysPer},
-		{"mediated call+return (VM exits)", "tyche/vtx", callPer},
-		{"mediated call+return (PMP reprogram)", "tyche/pmp", pmpPer},
-		{"process context switch", "oskit scheduler", ctxPer},
-		{"EENTER+EEXIT round trip", "sgx baseline", sgxPer},
+		{"VMFUNC fast switch", "tyche/vtx", "fast_switch", fastPer},
+		{"syscall round trip (ring3->0->3)", "oskit in-domain", "syscall", sysPer},
+		{"mediated call+return (VM exits)", "tyche/vtx", "mediated_vtx", callPer},
+		{"mediated call+return (PMP reprogram)", "tyche/pmp", "mediated_pmp", pmpPer},
+		{"process context switch", "oskit scheduler", "ctx_switch", ctxPer},
+		{"EENTER+EEXIT round trip", "sgx baseline", "sgx", sgxPer},
 	}
 	for _, r := range rows {
 		res.row(r.name, r.sys, fmtU(r.per), fmtRatio(r.per, fastPer))
+		res.metric(r.metric+"_cycles", float64(r.per))
 	}
-
-	res.check("vmfunc-about-100-cycles", fastPer >= 80 && fastPer <= 200,
-		"fast switch = %d cycles (paper: ~100)", fastPer)
-	res.check("vmfunc-10x-under-exits", fastPer*10 <= callPer,
-		"fast %d vs mediated %d", fastPer, callPer)
-	res.check("fast-beats-process-switch", fastPer*5 <= ctxPer,
-		"fast %d vs process switch %d: compartment crossings no longer cost a process switch", fastPer, ctxPer)
-	res.check("mediated-same-order-as-ctxswitch", callPer < 10*ctxPer,
-		"mediated %d vs process switch %d (within one order of magnitude)", callPer, ctxPer)
-	res.check("sgx-most-expensive", sgxPer > callPer && sgxPer > ctxPer && sgxPer > pmpPer,
-		"sgx %d vs mediated %d vs pmp %d vs ctx %d", sgxPer, callPer, pmpPer, ctxPer)
 	res.note("mediated call+return includes two exit/entry pairs plus service code; iters=%d", iters)
-	return res, nil
+	return nil
 }

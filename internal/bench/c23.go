@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/tyche-sim/tyche/internal/dist"
@@ -15,46 +16,49 @@ func init() {
 		ID:    "C23",
 		Title: "Datacenter fleet: serving scaling, attested live migration, kill churn, fleet-wide verification",
 		Paper: "§5 the monitor as the unit a confidential cloud is built from (journal version: managing trust in the cloud)",
-		Run:   runC23,
-	})
+		Gates: []Gate{
+			{"{scale}-complete", "{scale}_requests / {scale}_offered", eq(1), "every request is served with its tenant's transform"},
+			{"{scale}-complete", "{scale}_node_kills", eq(0), "and no node fails"},
+			{"{audited}-audit-clean", "{audited}_unclean_nodes", eq(0), "every innocent node's verdict and digest chain stay clean"},
+			{"migrate-blackouts", "blackout_count / migrate_hops", eq(1), "every live migration records its blackout"},
+			{"migrate-drop-aborts", "migrate_drop_link_lost", eq(1), "a dropped migration frame aborts with ErrLinkLost"},
+			{"migrate-drop-aborts", "migrate_dropped_frames", eq(1), "after exactly one drop"},
+			{"migrate-tamper-aborts", "migrate_tamper_rejected", eq(1), "a tampered payload aborts with ErrTampered"},
+			{"migrate-abort-clean", "migrate_source_kept", eq(1), "aborted migrations leave the source serving"},
+			{"migrate-abort-clean", "migrate_target_domains_added", eq(0), "and no half-state on the target"},
+			{"churn-drains", "churn_requests / churn_offered", eq(1), "every request completes despite a node kill"},
+			{"churn-kill-fired", "churn_node_kills", eq(1), "the armed machine check kills one node"},
+			{"churn-kill-fired", "churn_victim_failed", eq(1), "the one it was armed on"},
+			{"churn-replaced", "churn_unreplaced_services", eq(0), "every service keeps live replicas, none on the dead node"},
+			{"churn-replaced", "churn_control_plane_errors", eq(0), "with no control-plane error"},
+			{"verify-audit-flagged", "verify_seeded_flagged", eq(1), "the seeded node is flagged by its own verifier and the fleet's chain audit"},
+		},
+	}, runC23)
 }
 
 // runC23 exercises the internal/fleet control plane in four phases:
 //
 //	scale   — identical confidential-SaaS fleets of 2, 4, and 8 nodes
-//	          serve the same load-balanced request stream. Gates: every
-//	          request completes with the correct per-tenant transform
-//	          and every node audits clean at every fleet size. Serving
-//	          throughput against machine count is not claimed here — a
+//	          serve the same load-balanced request stream. Serving
+//	          throughput against machine count is not claimed: a
 //	          fleet's nodes execute on host threads, and no host this
 //	          repository has run on has shown the speedup;
 //	          fleet.scaling_2c in benchmark/ is the host figure.
 //	migrate — a service is live-migrated around a 3-node fleet over
-//	          attested dist.Conn channels. Gates: every migration
-//	          records its blackout (its length is host time:
-//	          fleet.blackout_p99_us in benchmark/); a deterministically
-//	          dropped migration frame aborts with ErrLinkLost and a
-//	          tampered payload with ErrTampered, both leaving the
-//	          source serving and the target without half-state.
-//	churn   — a node is killed by the fault injector mid-serving.
-//	          Gates: every in-flight and subsequent request completes
-//	          with the correct per-tenant transform (a wrong reply
-//	          fails the serve loop as a cross-tenant leak), the dead
-//	          node's domains re-place onto survivors, and every node's
-//	          runtime-verification verdict stays clean.
+//	          attested dist.Conn channels (a blackout's length is host
+//	          time: fleet.blackout_p99_us in benchmark/), then one
+//	          migration loses a frame and one is tampered with.
+//	churn   — a node is killed by the fault injector mid-serving; a
+//	          wrong reply fails the serve loop as a cross-tenant leak.
 //	verify  — fleet-wide RV aggregation: per-node hash-chained digests
-//	          ship to control-plane RemoteVerifiers; a violation seeded
-//	          on exactly one node must be flagged there — and only
-//	          there — by the fleet-level audit.
+//	          ship to control-plane RemoteVerifiers, and a violation is
+//	          seeded on exactly one node.
 //
-// Fleet nodes attach the always-on rv.Service unconditionally (that is
-// the subsystem under test), so Config.Trace/Verify do not change what
-// this experiment verifies.
-func runC23(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C23", Title: "Datacenter fleet (scaling / live migration / kill churn / fleet verification)",
-		Columns: []string{"phase", "nodes", "requests", "detail"},
-	}
+// Fleet nodes attach the always-on rv.Service (that is the subsystem
+// under test) and boot no bench world, so this experiment carries no
+// trace-oracle row.
+func runC23(cfg Config, res *Result) error {
+	res.Columns = []string{"phase", "nodes", "requests", "detail"}
 
 	// Phase A: the same request stream over growing fleets.
 	scaleReqs := 12000
@@ -65,25 +69,28 @@ func runC23(cfg Config) (*Result, error) {
 	for _, nodes := range []int{2, 4, 8} {
 		f, err := newC23Fleet(cfg, nodes, spin)
 		if err != nil {
-			return nil, fmt.Errorf("c23 scale n%d: %w", nodes, err)
+			return fmt.Errorf("c23 scale n%d: %w", nodes, err)
 		}
 		// Every node hosts a replica of both tenants, so capacity — not
 		// placement — is what changes across the sweep.
 		for s, spec := range c23Services {
 			if err := f.Deploy(spec, nodes); err != nil {
-				return nil, fmt.Errorf("c23 scale n%d deploy %d: %w", nodes, s, err)
+				return fmt.Errorf("c23 scale n%d deploy %d: %w", nodes, s, err)
 			}
 		}
 		stats, err := f.Serve(c23ServiceNames, scaleReqs, 2*nodes)
 		if err != nil {
-			return nil, fmt.Errorf("c23 scale n%d serve: %w", nodes, err)
+			return fmt.Errorf("c23 scale n%d serve: %w", nodes, err)
 		}
 		tag := fmt.Sprintf("scale_n%d", nodes)
 		res.row("scale", fmt.Sprintf("%d", nodes), fmtU(stats.Requests), "-")
+		res.sweep("scale", tag)
 		res.metric(tag+"_requests", float64(stats.Requests))
-		res.check(tag+"-complete", stats.Requests == uint64(scaleReqs) && stats.NodeKills == 0,
-			"%d/%d requests served with correct per-tenant transforms, no node failures", stats.Requests, scaleReqs)
-		c23Audit(res, tag, f, -1)
+		res.metric(tag+"_offered", float64(scaleReqs))
+		res.metric(tag+"_node_kills", float64(stats.NodeKills))
+		if err := c23Audit(res, tag, f, -1); err != nil {
+			return err
+		}
 	}
 	// Phase B: attested live migration and fault-injected aborts.
 	hops := 12
@@ -92,23 +99,22 @@ func runC23(cfg Config) (*Result, error) {
 	}
 	fm, err := newC23Fleet(cfg, 3, spin)
 	if err != nil {
-		return nil, fmt.Errorf("c23 migrate: %w", err)
+		return fmt.Errorf("c23 migrate: %w", err)
 	}
 	if err := fm.Deploy(fleet.ServiceSpec{Name: "pay", Delta: 777}, 1); err != nil {
-		return nil, fmt.Errorf("c23 migrate deploy: %w", err)
+		return fmt.Errorf("c23 migrate deploy: %w", err)
 	}
 	if _, err := fm.Serve([]string{"pay"}, 100, 2); err != nil {
-		return nil, fmt.Errorf("c23 migrate warmup: %w", err)
+		return fmt.Errorf("c23 migrate warmup: %w", err)
 	}
 	for hop := 0; hop < hops; hop++ {
 		pl := fm.LB().Placements("pay")[0]
 		if err := fm.Migrate("pay", pl.Node, (pl.Node+1)%3, nil); err != nil {
-			return nil, fmt.Errorf("c23 migrate hop %d: %w", hop, err)
+			return fmt.Errorf("c23 migrate hop %d: %w", hop, err)
 		}
 	}
 	res.metric("blackout_count", float64(len(fm.Blackouts())))
-	res.check("migrate-blackouts", len(fm.Blackouts()) == hops,
-		"every migration's blackout measured: %d/%d", len(fm.Blackouts()), hops)
+	res.metric("migrate_hops", float64(hops))
 	res.row("migrate", "3", fmtU(uint64(hops)), fmt.Sprintf("%d blackouts recorded", len(fm.Blackouts())))
 
 	// Fault-injected aborts on the same fleet: a dropped frame and a
@@ -119,22 +125,22 @@ func runC23(cfg Config) (*Result, error) {
 	wire := &dist.Wire{}
 	wire.Arm([]fault.Fault{{Kind: fault.LinkDrop}})
 	errDrop := fm.Migrate("pay", pl.Node, to, wire)
-	res.check("migrate-drop-aborts", errors.Is(errDrop, dist.ErrLinkLost) && wire.Dropped == 1,
-		"dropped migration frame aborts with ErrLinkLost (got %v, %d dropped)", errDrop, wire.Dropped)
+	res.metric("migrate_drop_link_lost", bit(errors.Is(errDrop, dist.ErrLinkLost)))
+	res.metric("migrate_dropped_frames", float64(wire.Dropped))
 	wire = &dist.Wire{}
 	wire.Corrupt = func(frame []byte) []byte { frame[len(frame)/2] ^= 0x01; return frame }
 	errTamper := fm.Migrate("pay", pl.Node, to, wire)
-	res.check("migrate-tamper-aborts", errors.Is(errTamper, dist.ErrTampered),
-		"tampered migration payload rejected end-to-end with ErrTampered (got %v)", errTamper)
+	res.metric("migrate_tamper_rejected", bit(errors.Is(errTamper, dist.ErrTampered)))
+	res.note("aborted migrations: drop %v; tamper %v", errDrop, errTamper)
 	after := fm.LB().Placements("pay")
-	res.check("migrate-abort-clean",
-		len(after) == 1 && after[0].Node == pl.Node && after[0].Dom == pl.Dom &&
-			len(fm.Nodes[to].Mon.Domains()) == targetDomains,
-		"aborted migrations left the source serving and no half-state on the target")
+	res.metric("migrate_source_kept", bit(len(after) == 1 && after[0].Node == pl.Node && after[0].Dom == pl.Dom))
+	res.metric("migrate_target_domains_added", float64(len(fm.Nodes[to].Mon.Domains())-targetDomains))
 	if _, err := fm.Serve([]string{"pay"}, 100, 2); err != nil {
-		return nil, fmt.Errorf("c23 migrate post-abort serve: %w", err)
+		return fmt.Errorf("c23 migrate post-abort serve: %w", err)
 	}
-	c23Audit(res, "migrate", fm, -1)
+	if err := c23Audit(res, "migrate", fm, -1); err != nil {
+		return err
+	}
 
 	// Phase C: node kill mid-serving.
 	churnReqs := 20000
@@ -143,11 +149,11 @@ func runC23(cfg Config) (*Result, error) {
 	}
 	fc, err := newC23Fleet(cfg, 4, spin)
 	if err != nil {
-		return nil, fmt.Errorf("c23 churn: %w", err)
+		return fmt.Errorf("c23 churn: %w", err)
 	}
 	for _, spec := range c23Services {
 		if err := fc.Deploy(spec, 2); err != nil {
-			return nil, fmt.Errorf("c23 churn deploy: %w", err)
+			return fmt.Errorf("c23 churn deploy: %w", err)
 		}
 	}
 	victim := -1
@@ -160,48 +166,46 @@ func runC23(cfg Config) (*Result, error) {
 	fc.ArmKill(victim, 2000)
 	stats, err := fc.Serve(c23ServiceNames, churnReqs, 4)
 	if err != nil {
-		return nil, fmt.Errorf("c23 churn serve: %w", err)
+		return fmt.Errorf("c23 churn serve: %w", err)
 	}
 	res.metric("churn_requests", float64(stats.Requests))
 	res.metric("churn_retries", float64(stats.Retries))
 	res.metric("churn_node_kills", float64(stats.NodeKills))
-	res.check("churn-drains", stats.Requests == uint64(churnReqs),
-		"%d/%d requests completed with correct per-tenant transforms despite the kill (%d retried)",
-		stats.Requests, churnReqs, stats.Retries)
-	res.check("churn-kill-fired", stats.NodeKills == 1 && fc.Nodes[victim].Failed(),
-		"the armed machine-check killed node %d mid-serving (kills=%d)", victim, stats.NodeKills)
-	replaced := true
-	detail := "every service has live replicas, none routed to the dead node"
+	res.metric("churn_offered", float64(churnReqs))
+	res.metric("churn_victim_failed", bit(fc.Nodes[victim].Failed()))
+	unreplaced := 0
 	for _, svc := range c23ServiceNames {
 		hosts := fc.LB().ReplicaNodes(svc)
-		if len(hosts) == 0 || hosts[victim] {
-			replaced, detail = false, fmt.Sprintf("%s: hosts=%v (victim %d)", svc, hosts, victim)
-		}
+		unreplaced += int(bit(len(hosts) == 0 || hosts[victim]))
 	}
-	res.check("churn-replaced", replaced && fc.Err() == nil, "%s (control-plane err: %v)", detail, fc.Err())
+	res.metric("churn_unreplaced_services", float64(unreplaced))
+	res.metric("churn_control_plane_errors", bit(fc.Err() != nil))
 	res.row("churn", "4", fmtU(stats.Requests),
 		fmt.Sprintf("%d retried, %d node killed", stats.Retries, stats.NodeKills))
-	c23Audit(res, "churn", fc, -1)
+	if err := c23Audit(res, "churn", fc, -1); err != nil {
+		return err
+	}
 
 	// Phase D: fleet-wide verification localizes a seeded violation.
 	fv, err := newC23Fleet(cfg, 3, spin)
 	if err != nil {
-		return nil, fmt.Errorf("c23 verify: %w", err)
+		return fmt.Errorf("c23 verify: %w", err)
 	}
 	if err := fv.Deploy(fleet.ServiceSpec{Name: "audit", Delta: 1}, 2); err != nil {
-		return nil, fmt.Errorf("c23 verify deploy: %w", err)
+		return fmt.Errorf("c23 verify deploy: %w", err)
 	}
 	if _, err := fv.Serve([]string{"audit"}, 100, 2); err != nil {
-		return nil, fmt.Errorf("c23 verify serve: %w", err)
+		return fmt.Errorf("c23 verify serve: %w", err)
 	}
 	const seeded = 1
 	if err := fv.SeedViolation(seeded); err != nil {
-		return nil, fmt.Errorf("c23 verify seed: %w", err)
+		return fmt.Errorf("c23 verify seed: %w", err)
 	}
-	c23Audit(res, "verify", fv, seeded)
+	if err := c23Audit(res, "verify", fv, seeded); err != nil {
+		return err
+	}
 	res.row("verify", "3", "100", fmt.Sprintf("violation seeded on node %d", seeded))
-
-	return res, nil
+	return nil
 }
 
 // newC23Fleet boots a fleet sized for the benchmark: 3 cores per node
@@ -225,40 +229,30 @@ var (
 	c23ServiceNames = []string{"alpha", "beta"}
 )
 
-// c23Audit folds a fleet's final verification audit into checks. With
-// seeded >= 0 that node must be flagged (self-verdict and fleet-level
-// chain audit both reporting the violation) while every other node
-// stays clean; with seeded < 0 all nodes must be clean.
-func c23Audit(res *Result, tag string, f *fleet.Fleet, seeded int) {
+// c23Audit reports a fleet's final verification audit under tag: how
+// many nodes other than seeded are not clean (a self-verdict, a flag or
+// fewer than two digests), and with seeded >= 0 whether that node is
+// flagged by both its self-verdict and the fleet-level chain audit. An
+// audit that cannot run is an experiment error.
+func c23Audit(res *Result, tag string, f *fleet.Fleet, seeded int) error {
 	audits, err := f.Audit()
 	if err != nil {
-		res.check(tag+"-audit", false, "fleet audit: %v", err)
-		return
+		return fmt.Errorf("c23 %s audit: %w", tag, err)
 	}
-	clean, detail := true, fmt.Sprintf("%d nodes, all verdicts clean, digests aggregated", len(audits))
-	flagged := false
-	var flaggedDetail string
-	for i, a := range audits {
+	unclean := 0
+	for _, a := range audits {
 		if seeded >= 0 && a.Node == f.Nodes[seeded].Name {
 			selfHit := a.SelfErr != nil && strings.Contains(a.SelfErr.Error(), "dead domain")
-			fleetHit := false
-			for _, flag := range a.Flags {
-				if strings.Contains(flag, "dead domain") {
-					fleetHit = true
-				}
-			}
-			flagged = selfHit && fleetHit
-			flaggedDetail = fmt.Sprintf("node %d self=%v flags=%v", i, a.SelfErr, a.Flags)
+			fleetHit := slices.ContainsFunc(a.Flags, func(s string) bool { return strings.Contains(s, "dead domain") })
+			res.metric(tag+"_seeded_flagged", bit(selfHit && fleetHit))
 			continue
 		}
 		if a.SelfErr != nil || len(a.Flags) != 0 || a.Digests < 2 {
-			clean = false
-			detail = fmt.Sprintf("%s: self=%v flags=%v digests=%d", a.Node, a.SelfErr, a.Flags, a.Digests)
+			unclean++
+			res.note("%s: %s self=%v flags=%v digests=%d", tag, a.Node, a.SelfErr, a.Flags, a.Digests)
 		}
 	}
-	res.check(tag+"-audit-clean", clean, "%s", detail)
-	if seeded >= 0 {
-		res.check(tag+"-audit-flagged", flagged,
-			"seeded node flagged by both its own verifier and the fleet-level chain audit: %s", flaggedDetail)
-	}
+	res.sweep("audited", tag)
+	res.metric(tag+"_unclean_nodes", float64(unclean))
+	return nil
 }

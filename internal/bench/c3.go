@@ -12,8 +12,11 @@ func init() {
 		ID:    "C3",
 		Title: "Capability operations and cascading revocation",
 		Paper: "§4.1 grant/share/revoke over a lineage tree, 'cascading revocations, even in the presence of circular sharing'",
-		Run:   runC3,
-	})
+		Gates: []Gate{
+			{"cascade-linear", "{cascade}_revoked / {cascade}_nodes", eq(1), "§4.1: a cascade visits each derived node exactly once, every shape and size"},
+			{"cycles-terminate", "{mesh}_revoked / {mesh}_nodes", eq(1), "§4.1: cascading revocations, even in the presence of circular sharing"},
+		},
+	}, runC3)
 }
 
 // runC3 exercises the capability engine itself: revocation cascades
@@ -23,31 +26,29 @@ func init() {
 // terminates on cyclic sharing graphs. What an operation costs the
 // host (cap.share_ns, cap.detach_ns, core.share_us) is benchmark/'s
 // question.
-func runC3(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C3", Title: "Capability engine",
-		Columns: []string{"operation", "shape", "nodes", "nodes revoked"},
-	}
+func runC3(cfg Config, res *Result) error {
+	res.Columns = []string{"operation", "shape", "nodes", "nodes revoked"}
 	sizes := []int{4, 16, 64, 256}
 	if cfg.Quick {
 		sizes = []int{4, 16, 64}
 	}
-	linear, terminate := true, true
 	for _, n := range sizes {
 		for _, shape := range []string{"chain", "star", "cycle-mesh"} {
 			revoked, err := cascade(shape, n)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res.row("revoke cascade", shape, fmtU(uint64(n)), fmtU(uint64(revoked)))
-			linear = linear && revoked == n
-			terminate = terminate && (shape != "cycle-mesh" || revoked == n)
+			tag := fmt.Sprintf("%s_n%d", shape, n)
+			res.sweep("cascade", tag)
+			if shape == "cycle-mesh" {
+				res.sweep("mesh", tag)
+			}
+			res.metric(tag+"_nodes", float64(n))
+			res.metric(tag+"_revoked", float64(revoked))
 		}
 	}
-	res.check("cascade-linear", linear,
-		"a cascade over n derived nodes visits each exactly once, at every shape and size %v", sizes)
-	res.check("cycles-terminate", terminate, "circular-sharing meshes revoked to completion at every size")
-	return res, nil
+	return nil
 }
 
 // cascade builds a derivation graph of n nodes in the given shape,

@@ -15,8 +15,17 @@ func init() {
 		ID:    "C4",
 		Title: "Tyche enclaves vs SGX: explicit sharing, layout freedom, nesting",
 		Paper: "§4.2 'Tyche-enclaves present notable improvements over SGX ones'",
-		Run:   runC4,
-	})
+		Gates: []Gate{
+			{"explicit-sharing-stops-leak", "sgx_leaked", eq(1), "§4.2: SGX enclaves reach untrusted memory implicitly"},
+			{"explicit-sharing-stops-leak", "tyche_leaked", eq(0), "§4.2: Tyche enclaves share only explicitly"},
+			{"enclave-count-crossover", "sgx_max_enclaves / tyche_max_enclaves", lt(1), "§4.2: enclave count bounded by memory, not an EPC"},
+			{"nesting", "sgx_nested", eq(0), "SGX enclaves cannot nest"},
+			{"nesting", "tyche_nested", eq(1), "§4.2: Tyche enclaves nest"},
+			{"enclave-sharing", "sgx_shared", eq(0), "SGX enclaves cannot share EPC pages"},
+			{"enclave-sharing", "tyche_shared", eq(1), "§4.2: enclave-to-enclave sharing"},
+			{"enclave-sharing", "channel_refcount", eq(2), "the shared page is visible as refcount 2"},
+		},
+	}, runC4)
 }
 
 // runC4 reproduces the three §4.2 comparisons head to head:
@@ -26,22 +35,19 @@ func init() {
 // and the EPC while Tyche enclaves scale with physical memory; (c)
 // nesting and enclave-to-enclave sharing: impossible on SGX, native on
 // Tyche.
-func runC4(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C4", Title: "Enclave model comparison",
-		Columns: []string{"property", "sgx", "tyche"},
-	}
+func runC4(cfg Config, res *Result) error {
+	res.Columns = []string{"property", "sgx", "tyche"}
 
 	// ---------- (a) accidental leakage ----------
 	sgxMach, err := hw.NewMachine(hw.Config{MemBytes: 16 << 20, NumCores: 1, IOMMUAllowByDefault: true})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sgx := baseline.NewSGX(sgxMach, 0)
 	procMem := phys.MakeRegion(1<<20, 256*phys.PageSize)
 	proc, err := sgx.NewProcess(procMem)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	el := phys.MakeRegion(procMem.Start, 4*phys.PageSize)
 	secretAddr := el.Start + 2*phys.PageSize
@@ -54,20 +60,20 @@ func runC4(cfg Config) (*Result, error) {
 	buggy.St(3, 0, 2)
 	buggy.Hlt()
 	if err := sgxMach.Mem.WriteAt(el.Start, buggy.MustAssemble(el.Start)); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sgxMach.Mem.Write64(secretAddr, 0x5ec2e7); err != nil {
-		return nil, err
+		return err
 	}
 	encl, err := proc.CreateEnclave(el, el.Start, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	encl.EEnter(sgxMach.Cores[0])
 	_, sgxTrap := sgxMach.Cores[0].Run(100)
 	leaked, err := sgxMach.Mem.Read64(leakTarget)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sgxLeaks := sgxTrap.Kind == hw.TrapHalt && leaked == 0x5ec2e7
 
@@ -76,7 +82,7 @@ func runC4(cfg Config) (*Result, error) {
 	// shared.
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	leakT := w.mon.MonitorRegion().Start - 64*phys.PageSize // some dom0 page
 	img, err := w.cl.BuildAt("buggy", func(base phys.Addr) *hw.Asm {
@@ -89,23 +95,23 @@ func runC4(cfg Config) (*Result, error) {
 		return a
 	}, func(img *image.Image) { img.WithBSS(".secret", phys.PageSize) })
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tEncl, err := w.cl.NewEnclave(img, loadOn(1))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := tEncl.Launch(1); err != nil {
-		return nil, err
+		return err
 	}
 	tRes, err := w.mon.RunCore(1, 100)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tycheLeaks := tRes.Trap.Kind == hw.TrapHalt
 	res.row("buggy enclave writes secret to untrusted memory", leakWord(sgxLeaks), leakWord(tycheLeaks))
-	res.check("explicit-sharing-stops-leak", sgxLeaks && !tycheLeaks,
-		"sgx: secret escaped to untrusted memory; tyche: %v at %v", tRes.Trap.Kind, tRes.Trap.Addr)
+	res.metric("sgx_leaked", bit(sgxLeaks))
+	res.metric("tyche_leaked", bit(tycheLeaks))
 
 	// ---------- (b) enclave count & layout ----------
 	// How many 8-page enclaves fit? SGX: bounded by min(process
@@ -116,7 +122,7 @@ func runC4(cfg Config) (*Result, error) {
 	sgx2 := baseline.NewSGX(sgxMach2, epc)
 	proc2, err := sgx2.NewProcess(phys.MakeRegion(1<<20, 512*phys.PageSize))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sgxMax := 0
 	for i := 0; ; i++ {
@@ -128,7 +134,7 @@ func runC4(cfg Config) (*Result, error) {
 	}
 	w2, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tycheMax := 0
 	limit := 64
@@ -136,53 +142,51 @@ func runC4(cfg Config) (*Result, error) {
 		limit = 24
 	}
 	for i := 0; i < limit; i++ {
-		e, err := w2.cl.NewEnclave(addImage(fmt.Sprintf("e%d", i), 1).WithBSS(".pad", (enclavePages-1)*phys.PageSize), loadOn(1))
-		if err != nil {
+		if _, err := w2.cl.NewEnclave(addImage(fmt.Sprintf("e%d", i), 1).WithBSS(".pad", (enclavePages-1)*phys.PageSize), loadOn(1)); err != nil {
 			break
 		}
-		_ = e
 		tycheMax++
 	}
 	res.row(fmt.Sprintf("max %d-page enclaves (EPC=%d pages)", enclavePages, epc),
 		fmtU(uint64(sgxMax)), fmt.Sprintf(">=%d (stopped at sweep limit)", tycheMax))
-	res.check("enclave-count-crossover", sgxMax < tycheMax,
-		"sgx capped at %d by the EPC; tyche reached the sweep limit %d", sgxMax, tycheMax)
+	res.metric("sgx_max_enclaves", float64(sgxMax))
+	res.metric("tyche_max_enclaves", float64(tycheMax))
 
 	// ---------- (c) nesting & enclave-to-enclave sharing ----------
 	_, nestErr := proc2.CreateEnclave(phys.MakeRegion(1<<20+400*phys.PageSize, 8*phys.PageSize), 0, true)
 	sgxNest := nestErr == nil
 	w3, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	outerImg := addImage("outer", 1).WithHeap(".heap", 64*phys.PageSize)
 	outer, err := w3.cl.Load(outerImg, loadOn(1))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := outer.Seal(); err != nil {
-		return nil, err
+		return err
 	}
 	oc := outer.Client()
 	heapNode, _ := outer.SegmentNode(".heap")
 	heapRegion, _ := outer.SegmentRegion(".heap")
 	if err := oc.SetHeap(heapNode, heapRegion); err != nil {
-		return nil, err
+		return err
 	}
 	inner, innerErr := oc.Load(addImage("inner", 2), loadOn(1))
 	tycheNest := innerErr == nil
 	res.row("enclave spawns nested enclave", boolCell(sgxNest), boolCell(tycheNest))
-	res.check("nesting", !sgxNest && tycheNest,
-		"sgx: %v; tyche nested load: %v", nestErr, innerErr)
+	res.metric("sgx_nested", bit(sgxNest))
+	res.metric("tyche_nested", bit(tycheNest))
 	if !tycheNest {
-		return res, nil
+		return nil
 	}
 
 	// Enclave-to-enclave page sharing: a secure channel between outer
 	// and inner (outer shares an exclusively-owned page, §4.2).
 	chanRegion, err := oc.Alloc(1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, shareErr := w3.mon.Share(outer.ID(), heapNode, inner.ID(), cap.MemResource(chanRegion), cap.MemRW, cap.CleanZero)
 	sgxShareErr := encl.ShareEPC(nil, phys.Region{})
@@ -193,14 +197,10 @@ func runC4(cfg Config) (*Result, error) {
 			refs = rc.Count
 		}
 	}
-	res.check("enclave-sharing", sgxShareErr != nil && shareErr == nil && refs == 2,
-		"sgx: %v; tyche: %v<->%v channel at %v, refcount %d", sgxShareErr, outer.ID(), inner.ID(), chanRegion, refs)
-	return res, nil
+	res.metric("sgx_shared", bit(sgxShareErr == nil))
+	res.metric("tyche_shared", bit(shareErr == nil))
+	res.metric("channel_refcount", float64(refs))
+	return nil
 }
 
-func leakWord(leaked bool) string {
-	if leaked {
-		return "SECRET LEAKED"
-	}
-	return "write faults"
-}
+func leakWord(leaked bool) string { return boolCellWord(leaked, "SECRET LEAKED", "write faults") }

@@ -15,8 +15,13 @@ func init() {
 		ID:    "C5",
 		Title: "PMP segment pressure: fixed entries force careful layout",
 		Paper: "§4 'PMP only supports a fixed number of segments, which requires a careful memory layout of trust domains and validation by the monitor'",
-		Run:   runC5,
-	})
+		Gates: []Gate{
+			{"pmp-budget-enforced", "pmp_first_rejected_segments", within(1, 18), "§4: PMP only supports a fixed number of segments ... validation by the monitor"},
+			{"vtx-unbounded", "vtx_rejected_layouts", eq(0), "EPT has no segment budget"},
+			{"pmp-transition-grows", "pmp_last_cycles / pmp_first_cycles", gt(1), "PMP transitions reprogram every entry"},
+			{"vtx-transition-flat", "vtx_last_cycles / vtx_first_cycles", le(1.1), "EPT transitions switch one pointer"},
+		},
+	}, runC5)
 }
 
 // runC5 sweeps the number of disjoint memory segments a domain holds
@@ -25,17 +30,13 @@ func init() {
 // entry budget and then rejects with a layout-validation error; PMP
 // transition cost grows with the segment count while EPT transitions
 // stay flat.
-func runC5(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C5", Title: "PMP segment pressure",
-		Columns: []string{"segments", "pmp(16 entries)", "pmp cycles/transition", "vtx", "vtx cycles/transition"},
-	}
+func runC5(cfg Config, res *Result) error {
+	res.Columns = []string{"segments", "pmp(16 entries)", "pmp cycles/transition", "vtx", "vtx cycles/transition"}
 	maxSegs := 24
 	if cfg.Quick {
 		maxSegs = 20
 	}
-	var pmpFailAt int
-	var vtxFailed error
+	var pmpFailAt, vtxRejected int
 	var firstPMP, lastPMP, firstVTX, lastVTX uint64
 
 	for segs := 2; segs <= maxSegs; segs += 2 {
@@ -44,16 +45,15 @@ func runC5(cfg Config) (*Result, error) {
 		vtxCell, vtxCycles := "ok", fmtU(vtxCost)
 		if vtxErr != nil {
 			vtxCell, vtxCycles = "REJECTED", "-"
-			if vtxFailed == nil {
-				vtxFailed = fmt.Errorf("%d segments: %w", segs, vtxErr)
-			}
+			vtxRejected++
+			res.note("vtx rejected %d segments: %v", segs, vtxErr)
 		}
 		pmpCell := "ok"
 		pmpCycles := fmtU(pmpCost)
 		if pmpErr != nil {
 			var exhausted *backend.PMPExhaustedError
 			if !errors.As(pmpErr, &exhausted) {
-				return nil, fmt.Errorf("pmp with %d segments: %w", segs, pmpErr)
+				return fmt.Errorf("pmp with %d segments: %w", segs, pmpErr)
 			}
 			pmpCell = fmt.Sprintf("REJECTED (needs %d > %d)", exhausted.Needed, exhausted.Available)
 			pmpCycles = "-"
@@ -74,19 +74,14 @@ func runC5(cfg Config) (*Result, error) {
 		}
 		res.row(fmtU(uint64(segs)), pmpCell, pmpCycles, vtxCell, vtxCycles)
 	}
-	pmpGrew := lastPMP > firstPMP
-	vtxFlat := lastVTX <= firstVTX+firstVTX/10
-
-	res.check("pmp-budget-enforced", pmpFailAt > 0 && pmpFailAt <= 18,
-		"monitor rejected layouts needing more than the budget (first failure at %d segments)", pmpFailAt)
-	res.check("vtx-unbounded", vtxFailed == nil,
-		"EPT backend accepted every layout up to %d segments (first rejection: %v)", maxSegs, vtxFailed)
-	res.check("pmp-transition-grows", pmpGrew,
-		"PMP transition cost grew %d -> %d cycles with layout size", firstPMP, lastPMP)
-	res.check("vtx-transition-flat", vtxFlat,
-		"EPT transition cost flat: %d -> %d cycles", firstVTX, lastVTX)
+	res.metric("pmp_first_rejected_segments", float64(pmpFailAt))
+	res.metric("vtx_rejected_layouts", float64(vtxRejected))
+	res.metric("pmp_first_cycles", float64(firstPMP))
+	res.metric("pmp_last_cycles", float64(lastPMP))
+	res.metric("vtx_first_cycles", float64(firstVTX))
+	res.metric("vtx_last_cycles", float64(lastVTX))
 	res.note("the domain's own footprint contributes segments beyond the added buffers; dom0's budget also shrinks as grants fragment it")
-	return res, nil
+	return nil
 }
 
 // segmentedDomainCost builds a domain whose flattened layout has
@@ -110,15 +105,13 @@ func segmentedDomainCost(cfg Config, kind core.BackendKind, segs int) (uint64, e
 	base := w.mon.MonitorRegion().Start - phys.Addr(4<<20)
 	for i := 0; ; i++ {
 		grants := w.cl.Monitor().OwnerNodes(dom.ID())
-		flat := 0
 		var memGrants []cap.MemoryGrant
 		for _, g := range grants {
 			if g.Resource.Kind == cap.ResMemory {
 				memGrants = append(memGrants, cap.MemoryGrant{Region: g.Resource.Mem, Rights: g.Rights, Node: g.ID})
 			}
 		}
-		flat = len(backend.FlattenGrants(memGrants))
-		if flat >= segs {
+		if len(backend.FlattenGrants(memGrants)) >= segs {
 			break
 		}
 		if err := shareUnmergeable(w, dom.ID(), base, i); err != nil {

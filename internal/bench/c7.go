@@ -13,8 +13,11 @@ func init() {
 		ID:    "C7",
 		Title: "Two-tier attestation: cost vs resource-enumeration size",
 		Paper: "§3.4 two-tier protocol; reports enumerate resources and reference counts",
-		Run:   runC7,
-	})
+		Gates: []Gate{
+			{"attest-at-most-linear", "{shares}_records_added / {shares}_shares", eq(1), "§3.4: reports enumerate resources: one fixed-size record per unmergeable share"},
+			{"verify-succeeds-at-scale", "reports_verified / reports", eq(1), "every honest report verifies under the session key"},
+		},
+	}, runC7)
 }
 
 // runC7 sweeps the number of resources a domain holds and attests it
@@ -26,46 +29,42 @@ func init() {
 // signing and verifying cost the host (core.attest_us,
 // attest.verify_domain_us, core.boot_quote_us) is benchmark/'s
 // question.
-func runC7(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C7", Title: "Attestation scaling",
-		Columns: []string{"shares", "resources", "record bytes", "verified"},
-	}
+func runC7(cfg Config, res *Result) error {
+	res.Columns = []string{"shares", "resources", "record bytes", "verified"}
 	sizes := []int{1, 8, 32, 128}
 	if cfg.Quick {
 		sizes = []int{1, 8, 32}
 	}
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	verifier := attest.NewVerifier(w.rot.EndorsementKey(), core.DefaultIdentity)
 	bootNonce := []byte("c7-boot")
 	quote, err := w.mon.BootQuote(bootNonce)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sess, err := verifier.NewSession(quote, bootNonce)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	linear := true
 	var verified, reports int
 	base := phys.Addr(4 << 20)
 	for _, n := range sizes {
 		dom, err := w.cl.Load(addImage("c7", 1), loadOn(1))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nonce := []byte("c7")
 		bare, err := dom.Attest(nonce)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Grow the enumeration with shares that cannot merge.
 		for i := 0; i < n; i++ {
 			if err := shareUnmergeable(w, dom.ID(), base, i); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		iters := 20
@@ -77,7 +76,7 @@ func runC7(cfg Config) (*Result, error) {
 		for i := 0; i < iters; i++ {
 			rep, err = dom.Attest(nonce)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if sess.VerifyDomain(rep, nonce) == nil {
 				ok++
@@ -85,26 +84,24 @@ func runC7(cfg Config) (*Result, error) {
 		}
 		verified += ok
 		reports += iters
-		if len(rep.Resources) != len(bare.Resources)+n {
-			linear = false
-		}
+		tag := fmt.Sprintf("s%d", n)
+		res.sweep("shares", tag)
+		res.metric(tag+"_shares", float64(n))
+		res.metric(tag+"_records_added", float64(len(rep.Resources)-len(bare.Resources)))
 		res.row(fmtU(uint64(n)), fmtU(uint64(len(rep.Resources))),
 			fmtU(uint64(reportRecordBytes*len(rep.Resources))),
 			fmt.Sprintf("%d/%d", ok, iters))
 		// Teardown: give the next round a clean slate.
 		if err := w.mon.KillDomain(core.InitialDomain, dom.ID()); err != nil {
-			return nil, err
+			return err
 		}
 		base += phys.Addr(uint64(2*n+2) * phys.PageSize)
 	}
 
-	res.check("attest-at-most-linear", linear,
-		"every report enumerates exactly one record per unmergeable share over sizes %v; the signed payload is a fixed header plus %d bytes per record",
-		sizes, reportRecordBytes)
-	res.check("verify-succeeds-at-scale", verified == reports,
-		"%d/%d reports verified under the session key", verified, reports)
-	res.note("tier-one boot verification is paid once per session: one quote, %d reports", reports)
-	return res, nil
+	res.metric("reports_verified", float64(verified))
+	res.metric("reports", float64(reports))
+	res.note("tier-one boot verification is paid once per session: one quote, %d reports; %d signed bytes per record", reports, reportRecordBytes)
+	return nil
 }
 
 // reportRecordBytes is what one enumerated resource adds to the signed

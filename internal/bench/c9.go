@@ -14,8 +14,14 @@ func init() {
 		ID:    "C9",
 		Title: "Recursive nesting: domains all the way down",
 		Paper: "§3.5 'supports arbitrary nesting'; §4.2 nested enclaves",
-		Run:   runC9,
-	})
+		Gates: []Gate{
+			{"all-levels-created", "levels_created / depth", eq(1), "§3.5: supports arbitrary nesting (SGX and a VM-only monitor stop at 1)"},
+			{"all-levels-created", "levels_isolated / depth", eq(1), "every level is isolated from all its ancestors"},
+			{"creation-cost-flat", "create_last_cycles / create_first_cycles", lt(4), "creation cost does not grow with depth"},
+			{"invoke-depth-independent", "invoke_last_cycles / invoke_first_cycles", le(2), "the monitor transfers directly: no per-level hop"},
+			{"teardown-cascades", "levels_reaching_deepest_after_kill", eq(0), "killing level 1 revokes every nested level"},
+		},
+	}, runC9)
 }
 
 // runC9 builds a chain of nested enclaves, each spawned by its parent
@@ -24,25 +30,22 @@ func init() {
 // depth 1, the VM-only monitor at depth 1), per-level creation cost
 // stays flat (no blow-up with depth), each level is isolated from every
 // ancestor, and tearing down level 1 cascades to the deepest level.
-func runC9(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "C9", Title: "Nesting depth sweep",
-		Columns: []string{"depth", "create cycles", "invoke cycles", "isolated from ancestors"},
-	}
+func runC9(cfg Config, res *Result) error {
+	res.Columns = []string{"depth", "create cycles", "invoke cycles", "isolated from ancestors"}
 	depth := 6
 	if cfg.Quick {
 		depth = 4
 	}
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// dom0 hosts the invocations on core 1.
 	if err := w.mon.Launch(core.InitialDomain, 1); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := w.mon.RunCore(1, 10); err != nil {
-		return nil, err
+		return err
 	}
 
 	type level struct {
@@ -51,6 +54,7 @@ func runC9(cfg Config) (*Result, error) {
 	}
 	chain := []level{{dom: nil, client: w.cl}}
 	var createCosts, invokeCosts []uint64
+	isolatedLevels := 0
 	// Heap sizes shrink by a constant amount per level: each child's
 	// heap must fit inside the parent's.
 	heapPages := uint64(16 * depth)
@@ -64,16 +68,16 @@ func runC9(cfg Config) (*Result, error) {
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("nesting level %d: %w", lvl, err)
+			return fmt.Errorf("nesting level %d: %w", lvl, err)
 		}
 		if _, err := dom.Seal(); err != nil {
-			return nil, err
+			return err
 		}
 		client := dom.Client()
 		heapNode, _ := dom.SegmentNode(".heap")
 		heapRegion, _ := dom.SegmentRegion(".heap")
 		if err := client.SetHeap(heapNode, heapRegion); err != nil {
-			return nil, err
+			return err
 		}
 		// Invoke through the monitor from dom0's context.
 		ic, err := cycles(w.mach, func() error {
@@ -87,7 +91,7 @@ func runC9(cfg Config) (*Result, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Isolation: no ancestor (including dom0) can read this level's
 		// text.
@@ -107,36 +111,25 @@ func runC9(cfg Config) (*Result, error) {
 		invokeCosts = append(invokeCosts, ic)
 		heapPages -= 16
 		res.row(fmtU(uint64(lvl)), fmtU(c), fmtU(ic), boolYes(isolated))
-		if !isolated {
-			res.check("isolation-at-depth", false, "level %d readable by an ancestor", lvl)
-		}
+		isolatedLevels += int(bit(isolated))
 	}
-	res.check("all-levels-created", len(chain) == depth+1,
-		"nested enclaves to depth %d (sgx: depth 1; vm-only monitor: depth 1)", depth)
-	// Per-level creation cost flat-ish: last within 4x of first.
-	flat := createCosts[len(createCosts)-1] < 4*createCosts[0]
-	res.check("creation-cost-flat", flat,
-		"create cost %d -> %d cycles across depth (no super-linear growth)",
-		createCosts[0], createCosts[len(createCosts)-1])
-	// Invoke cost independent of depth (the monitor mediates directly,
-	// no per-level hop).
-	inv := invokeCosts[len(invokeCosts)-1] < 2*invokeCosts[0]+w.mach.Cost.VMExit
-	res.check("invoke-depth-independent", inv,
-		"invoke cost %d -> %d cycles (transition cost does not stack with depth)",
-		invokeCosts[0], invokeCosts[len(invokeCosts)-1])
+	res.metric("depth", float64(depth))
+	res.metric("levels_created", float64(len(chain)-1))
+	res.metric("levels_isolated", float64(isolatedLevels))
+	res.metric("create_first_cycles", float64(createCosts[0]))
+	res.metric("create_last_cycles", float64(last(createCosts)))
+	res.metric("invoke_first_cycles", float64(invokeCosts[0]))
+	res.metric("invoke_last_cycles", float64(last(invokeCosts)))
 
 	// Teardown cascade: killing level 1 must destroy the whole chain.
 	deepText, _ := chain[depth].dom.SegmentRegion(".text")
 	if err := chain[1].dom.Kill(); err != nil {
-		return nil, err
+		return err
 	}
-	gone := true
+	reaching := 0
 	for lvl := 1; lvl <= depth; lvl++ {
-		if w.mon.CheckAccess(chain[lvl].dom.ID(), deepText.Start, cap.RightsNone) {
-			gone = false
-		}
+		reaching += int(bit(w.mon.CheckAccess(chain[lvl].dom.ID(), deepText.Start, cap.RightsNone)))
 	}
-	res.check("teardown-cascades", gone,
-		"killing level 1 revoked every nested level's access (cascading revocation)")
-	return res, nil
+	res.metric("levels_reaching_deepest_after_kill", float64(reaching))
+	return nil
 }

@@ -12,22 +12,24 @@ func init() {
 		ID:    "F1",
 		Title: "Separation of powers: boot → measure → legislate → enforce → attest → verify",
 		Paper: "Figure 1",
-		Run:   runF1,
-	})
+		Gates: []Gate{
+			{"honest-chain-accepted", "policy_violations", eq(0), "Figure 1: the judiciary accepts the honest two-tier chain"},
+			{"unknown-monitor-rejected", "untrusted_monitor_rejected", eq(1), "an unknown monitor measurement is rejected"},
+			{"tampered-report-rejected", "tampered_report_rejected", eq(1), "a tampered report is rejected"},
+			{"invalid-policy-rejected", "foreign_capability_rejected", eq(1), "the executive refuses a capability the caller does not own"},
+		},
+	}, runF1)
 }
 
 // runF1 walks the full Figure-1 loop once and records which branch of
 // the separation of powers performed each step, checking that the
 // judiciary (remote verifier) accepts the honest run and rejects a
 // tampered one.
-func runF1(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "F1", Title: "Separation of powers",
-		Columns: []string{"step", "power", "actor", "outcome"},
-	}
+func runF1(cfg Config, res *Result) error {
+	res.Columns = []string{"step", "power", "actor", "outcome"}
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.row("measured boot (firmware+monitor PCRs)", "judiciary", "TPM", "ok")
 
@@ -36,7 +38,7 @@ func runF1(cfg Config) (*Result, error) {
 	img := addImage("f1-enclave", 1)
 	enc, err := w.cl.NewEnclave(img, loadOn(1))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.row("define enclave policy (grant+seal)", "legislative", "dom0 software", "ok")
 	res.row("program EPT/PMP + mediate transfers", "executive", "isolation monitor", "ok")
@@ -47,54 +49,54 @@ func runF1(cfg Config) (*Result, error) {
 	bootNonce := []byte("f1-boot")
 	quote, err := w.mon.BootQuote(bootNonce)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sess, err := verifier.NewSession(quote, bootNonce)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.row("verify boot quote (tier 1)", "judiciary", "remote verifier", "ok")
 
 	nonce := []byte("f1-domain")
 	rep, err := enc.Attest(nonce)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sess.VerifyDomain(rep, nonce); err != nil {
-		return nil, err
+		return err
 	}
 	wantMeas, err := img.Measurement(enc.Base())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	policyErr := errors.Join(
-		attest.RequireSealed(rep),
-		attest.RequireMeasurement(rep, wantMeas),
-		attest.RequireExclusiveMemory(rep),
+	violations := count(
+		attest.RequireSealed(rep) != nil,
+		attest.RequireMeasurement(rep, wantMeas) != nil,
+		attest.RequireExclusiveMemory(rep) != nil,
 	)
-	res.row("verify domain report + policy (tier 2)", "judiciary", "remote verifier", boolCell(policyErr == nil))
-	res.check("honest-chain-accepted", policyErr == nil, "two-tier attestation verified: %v", policyErr)
+	res.row("verify domain report + policy (tier 2)", "judiciary", "remote verifier", boolCell(violations == 0))
+	res.metric("policy_violations", violations)
 
 	// Negative control 1: a different (untrusted) monitor identity.
 	evilVerifier := attest.NewVerifier(w.rot.EndorsementKey(), []byte("trojaned monitor"))
 	_, evilErr := evilVerifier.VerifyBoot(quote, bootNonce)
 	res.row("reject unknown monitor measurement", "judiciary", "remote verifier", boolCell(evilErr != nil))
-	res.check("unknown-monitor-rejected", errors.Is(evilErr, attest.ErrUntrustedMonitor), "%v", evilErr)
+	res.metric("untrusted_monitor_rejected", bit(errors.Is(evilErr, attest.ErrUntrustedMonitor)))
 
 	// Negative control 2: tampered report.
 	tampered := *rep
 	tampered.Sealed = false
 	tErr := sess.VerifyDomain(&tampered, nonce)
 	res.row("reject tampered report", "judiciary", "remote verifier", boolCell(tErr != nil))
-	res.check("tampered-report-rejected", tErr != nil, "%v", tErr)
+	res.metric("tampered_report_rejected", bit(tErr != nil))
 
 	// Negative control 3: the executive refuses an invalid policy (a
 	// domain delegating a capability it does not own).
 	_, stealErr := w.mon.Share(enc.ID(), 1 /* dom0's root node */, enc.ID(),
 		rep.Resources[0].Resource, 0, 0)
 	res.row("reject invalid policy (foreign capability)", "executive", "isolation monitor", boolCell(stealErr != nil))
-	res.check("invalid-policy-rejected", stealErr != nil, "%v", stealErr)
+	res.metric("foreign_capability_rejected", bit(stealErr != nil))
 
 	res.note("backend=%s; the monitor never defines policy, only validates and enforces it", w.mon.Backend())
-	return res, nil
+	return nil
 }

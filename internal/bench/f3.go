@@ -16,8 +16,13 @@ func init() {
 		ID:    "F3",
 		Title: "Trust domains orthogonal to system abstractions",
 		Paper: "Figure 3",
-		Run:   runF3,
-	})
+		Gates: []Gate{
+			{"hypervisor-vs-enclave", "dom0_reads_enclave", eq(0), "Figure 3: the most privileged software cannot read an enclave"},
+			{"vm-vs-nested-enclave", "vm_reads_enclave", eq(0), "nesting cuts both ways: a VM cannot read the enclave it spawned"},
+			{"kernel-vs-driver", "dom0_reads_driver", eq(0), "a driver compartment is a domain inside the kernel's box"},
+			{"kernel-vs-process", "dom0_reads_process", eq(1), "plain processes stay inside dom0's domain: the OS keeps its abstraction"},
+		},
+	}, runF3)
 }
 
 // runF3 builds Figure 3's deployment — hypervisor, SaaS VM, processes,
@@ -26,41 +31,37 @@ func init() {
 // component) and the SaaS VM are separate domains; the OS's processes
 // are *not* domains (the OS keeps that abstraction); and the driver
 // compartment is a domain inside the kernel's box.
-func runF3(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "F3", Title: "Trust domains vs system abstractions",
-		Columns: []string{"component", "system abstraction", "trust domain", "mem(KiB)", "cores", "devices", "state"},
-	}
+func runF3(cfg Config, res *Result) error {
+	res.Columns = []string{"component", "system abstraction", "trust domain", "mem(KiB)", "cores", "devices", "state"}
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d, err := buildSaaS(w)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The provider also runs a commodity OS in dom0 with two plain
 	// processes (no trust domain of their own), plus a NIC driver
 	// compartment (a trust domain inside the kernel's box).
 	os, err := oskit.NewWithClient(w.mon, w.cl)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mkProc := func(name string) (oskit.Pid, error) {
 		return os.Spawn(name, procExit0, 1, 1)
 	}
 	p1, err := mkProc("web")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p2, err := mkProc("db")
-	if err != nil {
-		return nil, err
+	if _, err := mkProc("db"); err != nil {
+		return err
 	}
 	driverImg := haltImage("nic-driver").WithBSS(".dmapool", 4*phys.PageSize)
 	driver, err := os.Client().NewKernelCompartment(driverImg, []phys.DeviceID{1}, loadOn())
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	type comp struct {
@@ -84,11 +85,11 @@ func runF3(cfg Config) (*Result, error) {
 		}
 		dom, err := w.mon.Domain(c.dom)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		recs, err := w.mon.Enumerate(c.dom)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var memKiB uint64
 		var cores, devs []string
@@ -110,23 +111,18 @@ func runF3(cfg Config) (*Result, error) {
 	// boundaries.
 	// (a) The hypervisor (most privileged) cannot read the enclave.
 	text, _ := d.crypto.SegmentRegion(".text")
-	hv := w.mon.CheckAccess(core.InitialDomain, text.Start, cap.RightRead)
-	res.check("hypervisor-vs-enclave", !hv, "dom0 (hypervisor) has no access to the crypto engine")
+	res.metric("dom0_reads_enclave", bit(w.mon.CheckAccess(core.InitialDomain, text.Start, cap.RightRead)))
 	// (b) The VM cannot read its own child enclave either (nesting cuts
 	// both ways).
-	vmRead := w.mon.CheckAccess(d.vm.ID(), text.Start, cap.RightRead)
-	res.check("vm-vs-nested-enclave", !vmRead, "the SaaS VM cannot read the enclave it spawned")
+	res.metric("vm_reads_enclave", bit(w.mon.CheckAccess(d.vm.ID(), text.Start, cap.RightRead)))
 	// (c) The driver compartment is isolated from the kernel that
 	// created it, while plain processes are not monitor-isolated.
 	pool, _ := driver.SegmentRegion(".dmapool")
-	kd := w.mon.CheckAccess(core.InitialDomain, pool.Start, cap.RightRead)
-	res.check("kernel-vs-driver", !kd, "dom0 kernel cannot touch the driver compartment")
+	res.metric("dom0_reads_driver", bit(w.mon.CheckAccess(core.InitialDomain, pool.Start, cap.RightRead)))
 	proc1, _ := os.Process(p1)
-	kp := w.mon.CheckAccess(core.InitialDomain, proc1.DataRegion().Start, cap.RightRead)
-	res.check("kernel-vs-process", kp, "plain processes stay inside dom0's domain (OS abstraction preserved)")
-	_ = p2
+	res.metric("dom0_reads_process", bit(w.mon.CheckAccess(core.InitialDomain, proc1.DataRegion().Start, cap.RightRead)))
 	res.note("trust domains colour the deployment independently of the hypervisor/VM/process boxes")
-	return res, nil
+	return nil
 }
 
 func orDash(s string) string {

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -13,8 +13,15 @@ func init() {
 		ID:    "F4",
 		Title: "Physical memory view: domain-to-region mappings and reference counts",
 		Paper: "Figure 4",
-		Run:   runF4,
-	})
+		Gates: []Gate{
+			{"shared-region-{shared}-refs-2", "shared_region_{shared}_refs_min", eq(2), "Figure 4: an explicitly shared buffer has reference count 2"},
+			{"shared-region-{shared}-refs-2", "shared_region_{shared}_refs_max", eq(2), "over every run it spans"},
+			{"exclusive-region-{exclusive}-refs-1", "exclusive_region_{exclusive}_refs_min", eq(1), "Figure 4: a confidential region has reference count 1"},
+			{"exclusive-region-{exclusive}-refs-1", "exclusive_region_{exclusive}_refs_max", eq(1), "over every run it spans"},
+			{"max-refcount-2", "max_refcount", eq(2), "no region of this deployment is shared more widely"},
+			{"full-coverage", "covered_bytes / memory_bytes", eq(1), "every byte of RAM has an owner"},
+		},
+	}, runF4)
 }
 
 // runF4 rebuilds the Figure 2/3 deployment and dumps the monitor's
@@ -22,18 +29,15 @@ func init() {
 // physical memory ... with domain-to-regions mappings and regions
 // reference counts". The checks pin the figure's pattern: confidential
 // regions at refcount 1, the explicitly shared buffers at exactly 2.
-func runF4(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "F4", Title: "Memory reference-count view",
-		Columns: []string{"region", "KiB", "refs", "domains", "role"},
-	}
+func runF4(cfg Config, res *Result) error {
+	res.Columns = []string{"region", "KiB", "refs", "domains", "role"}
 	w, err := newWorld(cfg, defaultWorldOpts())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d, err := buildSaaS(w)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Ordered: a refcount run that merges adjacent segments (the crypto
@@ -72,42 +76,37 @@ func runF4(cfg Config) (*Result, error) {
 			strings.Join(owners, ","), roleOf(rc.Region))
 	}
 
-	// Figure-4 pattern checks.
-	expect2 := []phys.Region{d.chanSeg, d.gpuBuf, d.mailbox.Region()}
-	for i, r := range expect2 {
-		got := w.mon.RefCounts()
-		ok := regionCountIs(got, r, 2)
-		res.check(fmt.Sprintf("shared-region-%d-refs-2", i), ok, "%v must have refcount exactly 2", r)
-	}
-	expect1 := []phys.Region{d.keySeg, d.fbSeg}
-	for i, r := range expect1 {
-		ok := regionCountIs(counts, r, 1)
-		res.check(fmt.Sprintf("exclusive-region-%d-refs-1", i), ok, "%v must have refcount exactly 1", r)
+	// Figure-4 pattern: the reference counts of the runs each named
+	// region spans.
+	for sw, regions := range map[string][]phys.Region{
+		"shared":    {d.chanSeg, d.gpuBuf, d.mailbox.Region()},
+		"exclusive": {d.keySeg, d.fbSeg},
+	} {
+		for i, r := range regions {
+			tag := fmt.Sprintf("%d", i)
+			res.sweep(sw, tag)
+			lo, hi := math.MaxInt, 0
+			for _, rc := range counts {
+				if rc.Region.Overlaps(r) {
+					lo, hi = min(lo, rc.Count), max(hi, rc.Count)
+				}
+			}
+			res.metric(sw+"_region_"+tag+"_refs_min", float64(lo))
+			res.metric(sw+"_region_"+tag+"_refs_max", float64(hi))
+		}
 	}
 	// No region anywhere exceeds 2 in this deployment, and every byte of
-	// RAM below the monitor region is owned by someone (no limbo).
-	max := 0
+	// RAM is accounted for: the domains below the monitor region, and the
+	// monitor's own reserved region (owner d0).
+	maxRefs := 0
 	var covered uint64
 	for _, rc := range counts {
-		if rc.Count > max {
-			max = rc.Count
-		}
+		maxRefs = max(maxRefs, rc.Count)
 		covered += rc.Region.Size()
 	}
-	res.check("max-refcount-2", max == 2, "max refcount = %d", max)
-	// Every byte of RAM is accounted for: the domains below the monitor
-	// region, and the monitor's own reserved region (owner d0).
-	total := w.mach.Mem.Size()
-	res.check("full-coverage", covered == total, "covered %d of %d bytes", covered, total)
+	res.metric("max_refcount", float64(maxRefs))
+	res.metric("covered_bytes", float64(covered))
+	res.metric("memory_bytes", float64(w.mach.Mem.Size()))
 	res.note("backend=%s; refcounts are computed live from the capability space", w.mon.Backend())
-	return res, nil
-}
-
-func regionCountIs(counts []cap.RegionCount, r phys.Region, want int) bool {
-	for _, rc := range counts {
-		if rc.Region.Overlaps(r) && rc.Count != want {
-			return false
-		}
-	}
-	return true
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,18 +221,29 @@ func TestCoreStartsNoGoroutine(t *testing.T) {
 // reclaim and scrub fan-outs, the parallel ring drains), the tracer's
 // compile-out tag, the cached transfer bodies, the fine-grained lock
 // helpers of the capability space, the QSBR side channel, the
-// transition cache, trace sampling, the digest's shard stats, and the
+// transition cache, trace sampling, the digest's shard stats, the
 // destructive tail's second bodies (the delegation-only resync, the
-// single-victim kill paths and the second grace entry).
+// single-victim kill paths and the second grace entry), and the bench
+// harness's opt-in trace audit.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
 	`SetSampling|SampleN|Sampleable|SampledOut|ShardStat|` +
-	`syncAfterChange|destroyDomain|forceKill|synchronizeShared`)
+	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit`)
+
+// goneFields are deleted fields of the bench Config: every experiment
+// world carries the online checker, so there is no switch to turn it
+// (or the rv service) on.
+var goneFields = map[string]bool{"Trace": true, "Verify": true}
+
+// goneFlags are deleted command-line flags: tyche-bench's -traced and
+// -verify went with those fields.
+var goneFlags = map[string]bool{`"traced"`: true, `"verify"`: true}
 
 // TestDeletedNamesStayGone parses every Go file of the module, tests
 // included: no identifier may match gone, nor trace.Compiled be named,
-// nor a //go:build line name a deleted tag.
+// nor a //go:build line name a deleted tag, nor the bench Config declare
+// a gone field, nor a flag package call name a gone flag.
 func TestDeletedNamesStayGone(t *testing.T) {
 	files := parseTree(t, true, ".")
 	for _, g := range files {
@@ -250,7 +262,59 @@ func TestDeletedNamesStayGone(t *testing.T) {
 		if selector(n) == "trace.Compiled" {
 			t.Errorf("%s: trace.Compiled is a deleted design's name", g.at(n))
 		}
+		if ts, ok := n.(*ast.TypeSpec); ok && g.f.Name.Name == "bench" && ts.Name.Name == "Config" {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if goneFields[name.Name] {
+							t.Errorf("%s: bench.Config.%s is a deleted option", g.at(name), name.Name)
+						}
+					}
+				}
+			}
+		}
+		if c, ok := n.(*ast.CallExpr); ok && strings.HasPrefix(selector(c.Fun), "flag.") {
+			for _, arg := range c.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && goneFlags[lit.Value] {
+					t.Errorf("%s: the %s flag is a deleted option", g.at(lit), lit.Value)
+				}
+			}
+		}
 	})
+}
+
+// writesChecks matches a write to a Result's Checks: an assignment to
+// x.Checks or x.Checks[i], an append to x.Checks, or a Checks field in a
+// composite literal.
+func writesChecks(n ast.Node) bool {
+	isChecks := func(e ast.Expr) bool {
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ix.X
+		}
+		s, ok := e.(*ast.SelectorExpr)
+		return ok && s.Sel.Name == "Checks"
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		return slices.ContainsFunc(n.Lhs, isChecks)
+	case *ast.CallExpr:
+		id, ok := n.Fun.(*ast.Ident)
+		return ok && id.Name == "append" && len(n.Args) > 0 && isChecks(n.Args[0])
+	case *ast.KeyValueExpr:
+		id, ok := n.Key.(*ast.Ident)
+		return ok && id.Name == "Checks"
+	}
+	return false
+}
+
+// TestOnlyTheEvaluatorWritesChecks: in internal/bench every Check comes
+// from one evaluator applied to an experiment's gate table and its
+// result's metrics, the same rows EXPERIMENTS.md's gate blocks render.
+func TestOnlyTheEvaluatorWritesChecks(t *testing.T) {
+	fns := callers(parseTree(t, false, "internal/bench"), writesChecks)
+	if _, ok := fns["evaluate"]; !ok || len(fns) != 1 {
+		t.Errorf("internal/bench writes Result.Checks from %v, want only evaluate", fns)
+	}
 }
 
 // callers returns the functions of files (by name, with the position of

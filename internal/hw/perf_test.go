@@ -66,30 +66,40 @@ func BenchmarkCoreAccessMRU(b *testing.B) {
 	}
 }
 
+// eptLookupRuns are the table sizes an EPT lookup is measured and
+// pinned at: the sizes the monitor publishes (a domain's flattened view
+// is a handful of runs) and well past them.
+var eptLookupRuns = []int{1, 8, 64}
+
+// eptRunPages is the size of each run of eptWithRuns' table.
+const eptRunPages = 4
+
+// eptWithRuns publishes a table of n runs whose alternating permissions
+// keep neighbours from merging.
+func eptWithRuns(tb testing.TB, n int) *EPT {
+	runs := make([]EPTMapping, n)
+	for i := range runs {
+		runs[i] = EPTMapping{
+			Region: phys.MakeRegion(phys.Addr(i*eptRunPages)<<phys.PageShift, eptRunPages*phys.PageSize),
+			Perm:   [2]Perm{PermRW, PermRX}[i%2],
+		}
+	}
+	e := NewEPT()
+	if err := e.Replace(runs); err != nil {
+		tb.Fatal(err)
+	}
+	if got := len(e.Mappings()); got != n {
+		tb.Fatalf("table has %d runs, want %d", got, n)
+	}
+	return e
+}
+
 // BenchmarkEPTLookup measures what a TLB miss pays in the EPT: one
-// pointer load and a binary search, no lock and no allocation, at the
-// table sizes the monitor publishes (a domain's flattened view is a
-// handful of runs) and well past them. CI pins every size at 0 allocs/op.
+// pointer load and a binary search, no lock and no allocation.
 func BenchmarkEPTLookup(b *testing.B) {
-	for _, n := range []int{1, 8, 64} {
+	for _, n := range eptLookupRuns {
 		b.Run(fmt.Sprintf("runs=%d", n), func(b *testing.B) {
-			const runPages = 4
-			runs := make([]EPTMapping, n)
-			for i := range runs {
-				// Alternating permissions keep neighbours from merging.
-				runs[i] = EPTMapping{
-					Region: phys.MakeRegion(phys.Addr(i*runPages)<<phys.PageShift, runPages*phys.PageSize),
-					Perm:   [2]Perm{PermRW, PermRX}[i%2],
-				}
-			}
-			e := NewEPT()
-			if err := e.Replace(runs); err != nil {
-				b.Fatal(err)
-			}
-			if got := len(e.Mappings()); got != n {
-				b.Fatalf("table has %d runs, want %d", got, n)
-			}
-			pages := uint64(n * runPages)
+			e, pages := eptWithRuns(b, n), uint64(n*eptRunPages)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -98,6 +108,24 @@ func BenchmarkEPTLookup(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEPTLookupAllocatesNothing pins the TLB-miss path at zero
+// allocations at every measured table size.
+func TestEPTLookupAllocatesNothing(t *testing.T) {
+	for _, n := range eptLookupRuns {
+		e, pages := eptWithRuns(t, n), uint64(n*eptRunPages)
+		i := uint64(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			if e.Lookup(phys.Addr(i*7%pages<<phys.PageShift)) == PermNone {
+				t.Fatal("mapped page denied")
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("runs=%d: Lookup allocates %.1f times per call, want 0", n, allocs)
+		}
 	}
 }
 

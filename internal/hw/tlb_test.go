@@ -229,22 +229,41 @@ func FuzzTLBOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) { runTLBScript(t, script) })
 }
 
-// BenchmarkTLBFlush fills n entries and flushes them: sparse4 is the
-// context switch after a short request, full64 the worst case.
+// tlbFlushCases are the fills a context switch flushes: sparse4 after a
+// short request, full64 the worst case.
+var tlbFlushCases = []struct {
+	name string
+	n    uint64
+}{{"sparse4", 4}, {"full64", DefaultTLBEntries}}
+
+// fillAndFlush inserts n entries and flushes them.
+func fillAndFlush(tlb *TLB, n uint64) {
+	for pg := uint64(0); pg < n; pg++ {
+		tlb.Insert(1, pg, PermRW, 1)
+	}
+	tlb.Flush()
+}
+
+// BenchmarkTLBFlush fills n entries and flushes them.
 func BenchmarkTLBFlush(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		n    uint64
-	}{{"sparse4", 4}, {"full64", DefaultTLBEntries}} {
+	for _, bc := range tlbFlushCases {
 		b.Run(bc.name, func(b *testing.B) {
 			tlb := NewTLB(DefaultTLBEntries)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for pg := uint64(0); pg < bc.n; pg++ {
-					tlb.Insert(1, pg, PermRW, 1)
-				}
-				tlb.Flush()
+				fillAndFlush(tlb, bc.n)
 			}
 		})
+	}
+}
+
+// TestTLBFlushAllocatesNothing: what both context switches do to the TLB
+// allocates nothing, sparse or full.
+func TestTLBFlushAllocatesNothing(t *testing.T) {
+	for _, bc := range tlbFlushCases {
+		tlb := NewTLB(DefaultTLBEntries)
+		if allocs := testing.AllocsPerRun(100, func() { fillAndFlush(tlb, bc.n) }); allocs != 0 {
+			t.Errorf("%s: insert+Flush allocates %.1f times per run, want 0", bc.name, allocs)
+		}
 	}
 }
