@@ -27,10 +27,11 @@ mutation:
 	done
 
 # Runtime verification: the trace, checker and rv packages under the
-# race detector (the shard hot path's zero allocations are a test there,
-# TestShardEventLocalPathAllocFree), the sharded differential suite, the
-# six mutation oracles and a 30 s fuzz smoke of both checkers. The rv
-# service on real worlds is C21 phase A, C23 and internal/rv's tests.
+# race detector (the shard hot path, engine.step and a steady-state
+# merge allocating nothing are tests there), the sharded differential
+# suite, the six mutation oracles and a 30 s fuzz smoke of both checkers
+# and of the engine against its allocating twin. The rv service on real
+# worlds is C21 phase A, C23 and internal/rv's tests.
 rv:
 	$(GO) test -race ./internal/trace/... ./internal/rv
 	$(GO) test -race -run 'Sharded' ./internal/core
@@ -57,7 +58,9 @@ drain:
 # The migration path — kept node-pair channels, per-node attestation
 # sessions, the channel transport under them — under the race detector,
 # ten times at 1, 2 and 4 host threads; then one hop and one send with
-# their allocations (handshakes/hop must read 0).
+# their allocations, for the record. A kept-channel hop taking 0
+# handshakes is asserted by TestFleetMigrationChannelLifecycle (steadyHop
+# requires 0 TPM quotes), not read off the benchmark line.
 migrate:
 	for threads in 1 2 4; do \
 		GOMAXPROCS=$$threads $(GO) test -race -count=10 ./internal/fleet ./internal/dist ./internal/attest || exit 1; \

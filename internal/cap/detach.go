@@ -28,11 +28,24 @@ import "slices"
 
 // Detached holds a detached-but-not-yet-released set of capability
 // subtrees: the output of Detach/DetachOwner, consumed by Release.
-// actions holds one entry per detached node.
+// actions holds one entry per detached node. The three lists start in
+// one-entry buffers inside the record, so the record of a one-node
+// revoke is one object; a bigger detach grows past them.
 type Detached struct {
 	tops    []*node // nil once released
 	actions []CleanupAction
 	parents []OwnerID
+
+	topBuf    [1]*node
+	actionBuf [1]CleanupAction
+	parentBuf [1]OwnerID
+}
+
+// newDetached returns an empty record whose lists use its own buffers.
+func newDetached() *Detached {
+	det := &Detached{}
+	det.tops, det.actions, det.parents = det.topBuf[:0], det.actionBuf[:0], det.parentBuf[:0]
+	return det
 }
 
 // Actions returns the cleanup actions for the detached subtrees in
@@ -90,7 +103,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	if err != nil {
 		return nil, err
 	}
-	det := &Detached{}
+	det := newDetached()
 	s.detachSubtree(n, det)
 	det.tops = append(det.tops, n)
 	if n.parent != nil && !n.parent.detached {
@@ -108,7 +121,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	det := &Detached{}
+	det := newDetached()
 	for _, n := range s.ownerTops(owner) {
 		s.detachSubtree(n, det)
 		det.tops = append(det.tops, n)
@@ -147,6 +160,7 @@ func (s *Space) Release(det *Detached) {
 		}
 	}
 	s.limbo.Add(-int64(len(det.actions)))
+	clear(det.tops) // the inline buffer must not keep the subtree alive
 	det.tops = nil
 }
 

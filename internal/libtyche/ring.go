@@ -22,6 +22,11 @@ import (
 // backpressure, not failure.
 var ErrRingFull = errors.New("libtyche: submission ring full")
 
+// ErrCQOverrun reports a completion tail more than the ring's capacity
+// ahead of what Reap has consumed. The tail word lives in guest memory,
+// so anything in the domain can write it; Reap consumes nothing then.
+var ErrCQOverrun = errors.New("libtyche: completion tail overruns the ring")
+
 // Completion is one completion-queue entry: the status and r1 result
 // the verb would have returned synchronously.
 type Completion struct {
@@ -107,24 +112,46 @@ func (r *Ring) Flush() (uint64, error) {
 }
 
 // Reap collects the completions posted since the last Reap, in
-// submission order.
+// submission order. It trusts the completion tail only as far as the
+// monitor's own flush does (core/ring.go): a tail more than the ring's
+// capacity ahead returns ErrCQOverrun. The pending span takes one
+// capability-checked read, or two when it wraps past the last slot,
+// and Reap moves its cursor only once they have succeeded, so a failed
+// Reap loses nothing.
 func (r *Ring) Reap() ([]Completion, error) {
 	cqTail, err := r.word(core.RingOffCQTail)
 	if err != nil {
 		return nil, err
 	}
-	var out []Completion
-	for ; r.cqHead != cqTail; r.cqHead++ {
-		off := core.RingCQOff(r.entries, r.cqHead)
-		b, err := r.cl.Read(r.base+phys.Addr(off), core.RingCQBytes)
+	pending := cqTail - r.cqHead
+	if pending == 0 {
+		return nil, nil
+	}
+	if pending > r.entries {
+		return nil, fmt.Errorf("%w: tail %d is %d entries past head %d, capacity %d",
+			ErrCQOverrun, cqTail, pending, r.cqHead, r.entries)
+	}
+	first := min(pending, r.entries-r.cqHead%r.entries)
+	b, err := r.cl.Read(r.base+phys.Addr(core.RingCQOff(r.entries, r.cqHead)), first*core.RingCQBytes)
+	if err != nil {
+		return nil, err
+	}
+	if rest := pending - first; rest > 0 {
+		wrapped, err := r.cl.Read(r.base+phys.Addr(core.RingCQOff(r.entries, 0)), rest*core.RingCQBytes)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Completion{
-			Status: binary.LittleEndian.Uint64(b[0:8]),
-			Result: binary.LittleEndian.Uint64(b[8:16]),
-		})
+		b = append(b, wrapped...)
 	}
+	out := make([]Completion, pending)
+	for i := range out {
+		e := b[i*core.RingCQBytes:]
+		out[i] = Completion{
+			Status: binary.LittleEndian.Uint64(e[0:8]),
+			Result: binary.LittleEndian.Uint64(e[8:16]),
+		}
+	}
+	r.cqHead = cqTail
 	return out, nil
 }
 

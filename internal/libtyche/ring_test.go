@@ -1,6 +1,7 @@
 package libtyche
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -137,5 +138,62 @@ func TestRingBatchedShareGrant(t *testing.T) {
 	}
 	if c.mon.CheckAccess(worker, region.Start, cap.RightRead) {
 		t.Fatal("revoke of ring-minted node did not stick")
+	}
+}
+
+// TestRingReapRefusesOverrunTail: the completion tail is a word of guest
+// memory, so the domain itself can overrun it. Reap then refuses with
+// ErrCQOverrun and consumes nothing; once the word is sane again the
+// same completions come back, including a span that wraps past the last
+// slot (two reads).
+func TestRingReapRefusesOverrunTail(t *testing.T) {
+	c := world(t, core.BackendVTX)
+	const entries = 4
+	r, err := c.NewRing(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func() {
+		t.Helper()
+		for _, verb := range []uint64{core.CallLog, core.CallSelfID, core.CallEnumerateLen} {
+			if err := r.Enqueue(verb, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := r.Flush(); err != nil || n != 3 {
+			t.Fatalf("Flush = %d, %v", n, err)
+		}
+	}
+	setTail := func(v uint64) {
+		t.Helper()
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], v)
+		if err := c.Write(r.Base()+core.RingOffCQTail, w[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	if cs, err := r.Reap(); err != nil || len(cs) != 3 {
+		t.Fatalf("first Reap = %v, %v", cs, err)
+	}
+	// Slots 3, 0, 1: the span wraps. Then an overrun tail, a far
+	// overrun and one behind the cursor.
+	batch()
+	for _, tail := range []uint64{3 + 3 + entries + 1, 1 << 63, 2} {
+		setTail(tail)
+		if cs, err := r.Reap(); !errors.Is(err, ErrCQOverrun) || cs != nil {
+			t.Fatalf("Reap with tail %d = %v, %v; want ErrCQOverrun", tail, cs, err)
+		}
+	}
+	setTail(6)
+	cs, err := r.Reap()
+	if err != nil || len(cs) != 3 {
+		t.Fatalf("Reap after the overruns = %v, %v; want the batch's 3 completions", cs, err)
+	}
+	if cs[0].Status != core.StatusOK || cs[1].Result != uint64(core.InitialDomain) || cs[2].Result == 0 {
+		t.Fatalf("wrapped completions = %+v, want log, selfid, enumerate in order", cs)
+	}
+	if again, err := r.Reap(); err != nil || len(again) != 0 {
+		t.Fatalf("Reap after consuming = %v, %v", again, err)
 	}
 }

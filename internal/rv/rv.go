@@ -9,9 +9,14 @@
 // exactly one digest: the one for the merge that found or collected
 // it, or the final one Finalize ships.
 //
-// Cost model: the hot emit path gains one per-ring shard delivery
-// (shard-local mutex, zero allocations for the local kinds); cross-core
-// property resolution happens only at quiescent points. Checking
+// Cost model: the hot emit path gains one per-ring shard delivery under
+// a shard-local mutex; cross-core property resolution happens only at
+// quiescent points. In steady state checking allocates nothing for any
+// event kind: a shard appends to a reused buffer, the merge sorts that
+// stream in one buffer it lends to the digest, and the engine recycles
+// its frames and shootdown records. What allocates is what the checker
+// keeps — a killed domain's dead-set entry, a new domain's first scrub
+// plan, violations — and, in shipping mode, each digest's bytes. Checking
 // consumes no simulated cycles, so cycle histories are bit-identical
 // with the service on or off — the C21 experiment gates exactly that.
 // A Ship transport that moves the digest through a simulated device

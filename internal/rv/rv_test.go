@@ -2,6 +2,7 @@ package rv
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -341,4 +342,80 @@ func TestServiceShipsEveryViolationOnce(t *testing.T) {
 			t.Fatalf("verifier disagreed with an honestly-reporting node: %q", f)
 		}
 	}
+}
+
+// TestCheckedShareRevokeAllocations: runtime verification adds no
+// allocation to a Share + Revoke pair, counting the merge that resolves
+// the pair's events — the pair allocates as much on a machine with the
+// service attached as on one without. The engine recycles its frames
+// and shootdown records, the shards and the merge reuse their buffers,
+// and the trace rings are small enough to reach capacity in the
+// warm-up.
+func TestCheckedShareRevokeAllocations(t *testing.T) {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		if p.Put(new(int)); p.Get() == nil {
+			t.Skip("sync.Pool drops items (race detector): the backends' scratch reallocates at random")
+		}
+	}
+	pair := func(attach bool) float64 {
+		mach, mon := bootPair(t)
+		merge := func() {}
+		if attach {
+			tr := mach.NewTracer(64)
+			svc, err := Attach(mach, mon, Options{Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach.SetTracer(tr)
+			merge = svc.checkpoint
+			defer func() {
+				if err := svc.Finalize(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+		}
+		var memNode cap.NodeID
+		for _, n := range mon.OwnerNodes(core.InitialDomain) {
+			if n.Resource.Kind == cap.ResMemory {
+				memNode = n.ID
+			}
+		}
+		page := func(p uint64) cap.Resource {
+			return cap.MemResource(phys.MakeRegion(phys.Addr(p*phys.PageSize), phys.PageSize))
+		}
+		tenant, err := mon.CreateDomain(core.InitialDomain, "tenant")
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := mon.CreateDomain(tenant, "child")
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := mon.Grant(core.InitialDomain, memNode, tenant,
+			cap.MemResource(phys.MakeRegion(phys.Addr(256*phys.PageSize), 64*phys.PageSize)), cap.MemFull, cap.CleanZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			id, err := mon.Share(tenant, heap, child, page(300), cap.MemRW, cap.CleanZero|cap.CleanFlushTLB)
+			if err == nil {
+				err = mon.Revoke(tenant, id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			merge()
+		}
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		return testing.AllocsPerRun(100, round)
+	}
+	bare, checked := pair(false), pair(true)
+	if checked != bare {
+		t.Fatalf("a Share + Revoke pair allocates %.0f objects checked, %.0f unchecked: the checker adds %.0f",
+			checked, bare, checked-bare)
+	}
+	t.Logf("a Share + Revoke pair allocates %.0f objects, checked or not", bare)
 }

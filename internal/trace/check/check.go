@@ -48,8 +48,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -108,7 +109,9 @@ func (c *Counts) add(o Counts) {
 	c.Drains += o.Drains
 }
 
-// shootdown is one in-flight cross-core TLB shootdown.
+// shootdown is one in-flight cross-core TLB shootdown. acks is the set
+// of cores that acknowledged it; a core ID outside [0, cores) counts
+// like any other.
 type shootdown struct {
 	ev   trace.Event
 	acks map[uint64]bool
@@ -132,6 +135,12 @@ type region struct{ addr, size uint64 }
 // a mutex; the Sharded checker feeds it the seq-ordered merge stream.
 // Keeping a single engine is what makes the two checkers agree on
 // violation messages byte for byte.
+//
+// A closed frame and the shootdown records it owned go back to free
+// lists (acks cleared, not remade), so once the engine has seen the
+// deepest nesting and the most cores a stream uses, only what it keeps
+// allocates: a kill's dead-set entry, a domain's first scrub plan, and
+// violations.
 type engine struct {
 	cores      int
 	dead       map[uint64]bool
@@ -142,6 +151,9 @@ type engine struct {
 	counts     Counts
 	violations []Violation
 	seen       uint64
+
+	freeFrames []*frame
+	freeRounds []*shootdown
 }
 
 func newEngine() *engine {
@@ -191,15 +203,15 @@ func (c *engine) step(ev trace.Event) {
 		c.cores = int(ev.Size)
 
 	case trace.KOpBegin:
-		c.frames = append(c.frames, &frame{ev: ev})
+		c.open(ev, false, false)
 
 	case trace.KBatchBegin:
 		c.counts.Batches++
-		c.frames = append(c.frames, &frame{ev: ev, batch: true})
+		c.open(ev, true, false)
 
 	case trace.KDrainBegin:
 		c.counts.Drains++
-		c.frames = append(c.frames, &frame{ev: ev, drain: true})
+		c.open(ev, false, true)
 
 	case trace.KDrainEnd:
 		idx := -1
@@ -213,8 +225,7 @@ func (c *engine) step(ev trace.Event) {
 			c.violate(ev, "drain round end token %d matches no open drain round", ev.Node)
 			break
 		}
-		f := c.frames[idx]
-		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
+		f := c.pop(idx)
 		// Property 6: one coalesced cross-ring shootdown round per
 		// drain round, no matter how many rings deferred
 		// revocation shootdowns into it.
@@ -222,15 +233,7 @@ func (c *engine) step(ev trace.Event) {
 			c.violate(ev, "drain round performed %d shootdown rounds (cross-ring coalescing requires at most 1)",
 				len(f.shootdown))
 		}
-		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
-				c.violate(ev, "drain shootdown [%#x,+%d) acked by %d/%d cores when round completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.retire(f, ev, "drain ", "round")
 
 	case trace.KBatchEnd:
 		c.counts.BatchedOps += ev.Aux
@@ -245,31 +248,24 @@ func (c *engine) step(ev trace.Event) {
 			c.violate(ev, "batch end token %d matches no open batch", ev.Node)
 			break
 		}
-		f := c.frames[idx]
-		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
+		f := c.pop(idx)
 		// Property 5: one coalesced shootdown round per drained batch.
 		if len(f.shootdown) > 1 {
 			c.violate(ev, "batch performed %d shootdown rounds (coalescing requires at most 1)",
 				len(f.shootdown))
 		}
-		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
-				c.violate(ev, "batch shootdown [%#x,+%d) acked by %d/%d cores when batch completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.retire(f, ev, "batch ", "batch")
 
 	case trace.KOpEnd:
 		if len(c.frames) == 0 {
 			c.violate(ev, "operation end with no open operation")
 			break
 		}
-		// Frames carry a token in Node so concurrent operations (the
-		// fine-grained monitor runs delegations in parallel) match their
-		// own begin exactly. Token 0 is the legacy form: strict LIFO.
+		// Frames carry a token in Node so interleaved operations match
+		// their own begin exactly: a delegation is a reader entry (an
+		// epoch pin, no lock), so callers on several host threads
+		// interleave its frame with others, and a kill nests revocations.
+		// Token 0 is the legacy form: strict LIFO.
 		idx := len(c.frames) - 1
 		if ev.Node != 0 {
 			idx = -1
@@ -284,26 +280,17 @@ func (c *engine) step(ev trace.Event) {
 				break
 			}
 		}
-		f := c.frames[idx]
-		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
+		f := c.pop(idx)
 		if f.ev.Aux != ev.Aux {
 			c.violate(ev, "operation end %d does not match open operation %d", ev.Aux, f.ev.Aux)
 		}
 		// Property 2: every shootdown this operation started must have
 		// been acknowledged by all cores before the operation returns.
-		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
-				c.violate(ev, "shootdown [%#x,+%d) acked by %d/%d cores when operation completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.retire(f, ev, "", "operation")
 
 	case trace.KShootdown:
 		c.counts.Shootdowns++
-		sd := &shootdown{ev: ev, acks: make(map[uint64]bool)}
+		sd := c.round(ev)
 		c.last = sd
 		if f := c.roundOwner(); f != nil {
 			f.shootdown = append(f.shootdown, sd)
@@ -383,13 +370,66 @@ func (c *engine) step(ev trace.Event) {
 	}
 }
 
+// open pushes a frame for ev, reusing a closed one when there is one.
+func (c *engine) open(ev trace.Event, batch, drain bool) {
+	var f *frame
+	if n := len(c.freeFrames); n > 0 {
+		f, c.freeFrames = c.freeFrames[n-1], c.freeFrames[:n-1]
+	} else {
+		f = new(frame)
+	}
+	f.ev, f.batch, f.drain = ev, batch, drain
+	c.frames = append(c.frames, f)
+}
+
+// pop takes frame idx off the open stack.
+func (c *engine) pop(idx int) *frame {
+	f := c.frames[idx]
+	c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
+	return f
+}
+
+// retire closes f at ev: every shootdown round f owned must have been
+// acknowledged by all cores (the violation reads "<what>shootdown ...
+// when <when> completed"). Then f and its rounds go back to the free
+// lists.
+func (c *engine) retire(f *frame, ev trace.Event, what, when string) {
+	for _, sd := range f.shootdown {
+		if len(sd.acks) != c.cores {
+			c.violate(ev, "%sshootdown [%#x,+%d) acked by %d/%d cores when %s completed",
+				what, sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores, when)
+		}
+		if c.last == sd {
+			c.last = nil
+		}
+		clear(sd.acks)
+		c.freeRounds = append(c.freeRounds, sd)
+	}
+	f.shootdown = f.shootdown[:0]
+	c.freeFrames = append(c.freeFrames, f)
+}
+
+// round returns a shootdown record for ev with no acks, reusing a
+// retired one when there is one.
+func (c *engine) round(ev trace.Event) *shootdown {
+	n := len(c.freeRounds)
+	if n == 0 {
+		return &shootdown{ev: ev, acks: make(map[uint64]bool)}
+	}
+	sd := c.freeRounds[n-1]
+	c.freeRounds = c.freeRounds[:n-1]
+	sd.ev = ev
+	return sd
+}
+
 // roundOwner returns the innermost open frame that can own a shootdown
 // round: a ring-drain batch, a drain round, or a destructive
-// (revoke/kill) operation. Delegation frames never start rounds —
-// under the fine-grained monitor they run concurrently with the
-// destructive family, so attributing a round to whichever frame opened
-// last would blame an innocent share/grant for an ack protocol it does
-// not take part in.
+// (revoke/kill) operation. Delegation frames never start rounds — a
+// delegation is a reader entry, so when several host threads drive the
+// monitor its frame can be open while a destructive operation on
+// another thread starts a round, and attributing the round to whichever
+// frame opened last would blame an innocent share/grant for an ack
+// protocol it does not take part in.
 func (c *engine) roundOwner() *frame {
 	for i := len(c.frames) - 1; i >= 0; i-- {
 		f := c.frames[i]
@@ -461,13 +501,16 @@ func New() *Checker {
 // traces with duplicate sequence numbers replay deterministically.
 func Replay(events []trace.Event) *Checker {
 	evs := append([]trace.Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	slices.SortStableFunc(evs, bySeq)
 	c := New()
 	for _, ev := range evs {
 		c.Event(ev)
 	}
 	return c
 }
+
+// bySeq orders events by sequence number.
+func bySeq(a, b trace.Event) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // Event consumes one trace event (trace.Sink).
 func (c *Checker) Event(ev trace.Event) {

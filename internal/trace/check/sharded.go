@@ -1,7 +1,7 @@
 package check
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,10 +20,14 @@ import (
 // identical traces with identical messages — the differential and
 // mutation suites pin exactly that.
 //
-// The hot emit path never serialises: a shard consumes its own ring's
-// events under its own mutex (per-core rings have a single emitter;
-// only the global ring sees concurrent delivery), and the local kinds
-// are handled entirely locally with zero allocations.
+// A shard consumes its own ring's events under its own mutex, and the
+// local kinds are handled entirely locally with zero allocations. A
+// machine's cores run on one goroutine, so the shards rarely see
+// concurrent delivery; the concurrent emitters are callers driving the
+// monitor from several host threads (fleet.Serve's workers, stress
+// tests). The merge, too, allocates nothing in steady
+// state: it sorts and lends one buffer, and the engine recycles its
+// frames and shootdown records.
 //
 // One violation channel: every violation — the engine's, the shards'
 // eager dead-transition detections, End's reconciliation and
@@ -193,7 +197,10 @@ type MergeReport struct {
 	// next quiescent point.
 	Merged bool
 	// Events are the structural events resolved by this merge, in
-	// sequence order — the digest's audit stream.
+	// sequence order — the digest's audit stream. The slice is lent:
+	// it is the merge's own buffer, valid until the next Merge or End on
+	// the same checker, which refill it. A caller that keeps the events
+	// past that copies them.
 	Events []trace.Event
 	// NewViolations are the violations no earlier report carried.
 	NewViolations []Violation
@@ -229,9 +236,7 @@ func (s *Sharded) mergeLocked(force bool) MergeReport {
 		s.deferred++
 		return MergeReport{}
 	}
-	sort.SliceStable(s.pending, func(i, j int) bool {
-		return s.pending[i].Seq < s.pending[j].Seq
-	})
+	slices.SortFunc(s.pending, bySeq) // Seq is unique: no stability needed
 	// The engine's list is the one record: eager detections join it
 	// here, ahead of what this merge's resolution adds.
 	vBefore := len(s.eng.violations)
@@ -242,10 +247,10 @@ func (s *Sharded) mergeLocked(force bool) MergeReport {
 	}
 	rep := MergeReport{
 		Merged:        true,
-		Events:        append([]trace.Event(nil), s.pending...),
+		Events:        s.pending,
 		NewViolations: s.violationsSince(vBefore),
 	}
-	s.pending = s.pending[:0]
+	s.pending = s.pending[:0] // the next merge refills the lent buffer
 	s.merges++
 	return rep
 }
@@ -279,7 +284,7 @@ func (s *Sharded) End() MergeReport {
 		for dom := range sh.lastUse {
 			doms = append(doms, dom)
 		}
-		sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
+		slices.Sort(doms)
 		for _, dom := range doms {
 			use := sh.lastUse[dom]
 			if ks, ok := s.killSeq(sh, dom); ok && ks < use.ev.Seq && !use.flagged {
@@ -356,7 +361,7 @@ const replayMergeEvery = 256
 // suite compares its verdicts against the serial Replay's.
 func ReplaySharded(events []trace.Event) *Sharded {
 	evs := append([]trace.Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	slices.SortStableFunc(evs, bySeq)
 	rings := 1
 	for _, ev := range evs {
 		if n := int(ev.Core) + 2; n > rings {
