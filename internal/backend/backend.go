@@ -111,9 +111,10 @@ type Segment = hw.EPTMapping
 // monitor's Domain.mu, but InstallDomain, RestoreDomain and the device
 // path are not.
 type scratch struct {
-	grants []cap.MemoryGrant
-	events []sweepEvent
-	segs   []Segment
+	grants  []cap.MemoryGrant
+	events  []sweepEvent
+	segs    []Segment
+	changed []Segment
 }
 
 type sweepEvent struct {
@@ -128,8 +129,11 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // program from: the effective memory grants of owners, with the rights
 // in strip removed, flattened and handed to use. segs is pooled scratch,
 // valid only until use returns: use copies what it keeps (hw.EPT.Replace
-// and the pmp layout both do) and retains no part of it.
-func WithSegments(space *cap.Space, strip cap.Rights, use func(segs []Segment) error, owners ...cap.OwnerID) error {
+// and the pmp layout both do) and retains no part of it. changed is a
+// second pooled buffer for what the rebuild writes (hw.EPT.Replace's
+// changed extents): the slice use leaves in it keeps its storage for
+// the next derivation.
+func WithSegments(space *cap.Space, strip cap.Rights, use func(segs []Segment, changed *[]Segment) error, owners ...cap.OwnerID) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.grants = sc.grants[:0]
@@ -139,7 +143,7 @@ func WithSegments(space *cap.Space, strip cap.Rights, use func(segs []Segment) e
 	for i := range sc.grants {
 		sc.grants[i].Rights &^= strip
 	}
-	return use(sc.flatten(sc.grants))
+	return use(sc.flatten(sc.grants), &sc.changed)
 }
 
 // FlattenGrants folds a domain's per-capability memory grants into

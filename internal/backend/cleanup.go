@@ -18,7 +18,11 @@ func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
 	// One flatten over every holder's grants: the sweep ORs overlapping
 	// permissions, which is the union across holders.
 	filter := hw.NewEPT()
-	if err := WithSegments(space, cap.RightExec, filter.Replace, space.DeviceDMAHolders(dev)...); err != nil {
+	program := func(segs []Segment, changed *[]Segment) (err error) {
+		*changed, err = filter.Replace(segs, *changed)
+		return err
+	}
+	if err := WithSegments(space, cap.RightExec, program, space.DeviceDMAHolders(dev)...); err != nil {
 		return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	return filter, nil

@@ -96,7 +96,7 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				model := pageModel(s.OwnerMemoryGrants(o), 0)
-				if err := backend.WithSegments(s, 0, func(segs []backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
+				if err := backend.WithSegments(s, 0, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
 					t.Errorf("seed %d owner %d: %v", seed, o, err)
 				}
 				if err := checkSegments(backend.FlattenGrants(s.OwnerMemoryGrants(o)), model); err != nil {

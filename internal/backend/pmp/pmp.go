@@ -50,14 +50,14 @@ func New(mach *hw.Machine, space *cap.Space, monitorRegion phys.Region) (*Backen
 		doms:  backend.NewDomains[*segments](len(mach.Cores)),
 	}
 	if !monitorRegion.Empty() {
+		guard := []backend.Segment{{Region: monitorRegion, Perm: hw.PermNone}}
 		for _, c := range mach.Cores {
-			if err := c.PMPUnit.Program(0, monitorRegion, hw.PermNone); err != nil {
+			if err := b.program(c, 0, 0, guard); err != nil {
 				return nil, fmt.Errorf("pmp: reserving monitor entry: %w", err)
 			}
 			if err := c.PMPUnit.Lock(0); err != nil {
 				return nil, fmt.Errorf("pmp: locking monitor entry: %w", err)
 			}
-			mach.Clock.Advance(mach.Cost.PMPWrite)
 		}
 		b.reserved = 1
 	}
@@ -92,7 +92,7 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, func(segs []backend.Segment) error {
+	return backend.WithSegments(b.space, 0, func(segs []backend.Segment, _ *[]backend.Segment) error {
 		if need, avail := len(segs), b.Budget(); need > avail {
 			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
 		}
@@ -103,29 +103,37 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 		// access may have been revoked.
 		for _, c := range b.mach.Cores {
 			if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
-				b.program(c, d)
+				if err := b.program(c, owner, b.reserved, d.State.segs); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}, owner)
 }
 
-// program writes the domain's segments into the core's PMP file
-// (d.State.mu held), replacing the previous contents in one step: a
-// core running the domain on another host thread must never fetch from
-// a cleared or half-written file.
-func (b *Backend) program(core *hw.Core, d *backend.Domain[*segments]) {
-	// Budget was validated at sync time; a failure here is a
-	// programming bug, not a runtime condition.
-	cleared, err := core.PMPUnit.Replace(b.reserved, d.State.segs)
+// program makes segs the core's unlocked PMP contents from entry from,
+// in one step: a core running the domain on another host thread must
+// never fetch from a cleared or half-written file. It is the one place
+// a PMP write is paid for: PMPWrite and one pmp-write event per entry
+// whose contents changed (a deprogrammed entry is traced with no
+// region). A domain's layout was validated against the budget at sync
+// time, so an error here is a programming bug.
+func (b *Backend) program(core *hw.Core, owner cap.OwnerID, from int, segs []backend.Segment) error {
+	var buf [hw.DefaultPMPEntries]int
+	wrote, err := core.PMPUnit.Replace(from, segs, buf[:0])
 	if err != nil {
-		panic(fmt.Sprintf("pmp: validated layout failed to program: %v", err))
+		return fmt.Errorf("pmp: programming %v for domain %d: %w", core.ID(), owner, err)
 	}
-	b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
-	for i, s := range d.State.segs {
-		b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
-		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(d.Owner), uint64(b.reserved+i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+	b.mach.Clock.Advance(uint64(len(wrote)) * b.mach.Cost.PMPWrite)
+	for _, i := range wrote {
+		var s backend.Segment
+		if k := i - from; k >= 0 && k < len(segs) {
+			s = segs[k]
+		}
+		b.mach.Trace(int32(core.ID()), trace.KPMPWrite, uint64(owner), uint64(i), uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
 	}
+	return nil
 }
 
 // RemoveDomain implements backend.Backend.
@@ -138,8 +146,9 @@ func (b *Backend) RemoveDomain(owner cap.OwnerID) error {
 	// locked monitor guard) deny every access.
 	for _, c := range b.mach.Cores {
 		if ctx := c.Context(); ctx != nil && ctx.Owner == uint64(owner) {
-			cleared := c.PMPUnit.ClearAll()
-			b.mach.Clock.Advance(uint64(cleared) * b.mach.Cost.PMPWrite)
+			if err := b.program(c, owner, b.reserved, nil); err != nil {
+				return err
+			}
 		}
 	}
 	b.doms.Remove(owner)
@@ -179,8 +188,11 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	cost := b.mach.Cost
 	b.mach.Clock.Advance(cost.MTrap)
 	d.State.mu.Lock()
-	b.program(core, d)
+	err = b.program(core, to, b.reserved, d.State.segs)
 	d.State.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	b.mach.Clock.Advance(cost.MRet)
 	core.InstallContext(ctx) // PMP is untagged: full TLB flush
 	return nil

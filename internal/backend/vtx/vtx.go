@@ -51,20 +51,23 @@ func (b *Backend) InstallDomain(owner cap.OwnerID) error {
 
 // SyncDomain implements backend.Backend: rebuild the domain's EPT from
 // its current effective capabilities and publish it in one step, so a
-// core running the domain never sees a partly programmed table.
+// core running the domain never sees a partly programmed table. Only
+// what the rebuild changed is paid for: EPTUpdatePage per changed page
+// and one ept-map per changed extent (PermNone for one unmapped), so a
+// view that did not change costs nothing and emits nothing.
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, func(segs []backend.Segment) error {
-		if err := d.State.Replace(segs); err != nil {
+	return backend.WithSegments(b.space, 0, func(segs []backend.Segment, changed *[]backend.Segment) (err error) {
+		if *changed, err = d.State.Replace(segs, *changed); err != nil {
 			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
 		}
 		var pages uint64
-		for _, s := range segs {
-			pages += s.Region.Pages()
-			b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(s.Perm), uint64(s.Region.Start), s.Region.Size())
+		for _, c := range *changed {
+			pages += c.Region.Pages()
+			b.mach.Trace(trace.GlobalCore, trace.KEPTMap, uint64(owner), 0, uint64(c.Perm), uint64(c.Region.Start), c.Region.Size())
 		}
 		b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
 		return nil

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -15,6 +17,7 @@ func init() {
 		Gates: []Gate{
 			{"cascade-linear", "{cascade}_revoked / {cascade}_nodes", eq(1), "§4.1: a cascade visits each derived node exactly once, every shape and size"},
 			{"cycles-terminate", "{mesh}_revoked / {mesh}_nodes", eq(1), "§4.1: cascading revocations, even in the presence of circular sharing"},
+			{"share-cost-independent-of-holding", "share_cost_spread_cycles", eq(0), "a Share pays for the page it maps, not for what the grantee already holds"},
 		},
 	}, runC3)
 }
@@ -23,11 +26,13 @@ func init() {
 // over derivation trees of growing size (chains, stars, and
 // circular-sharing meshes). Shape: a cascade visits every derived node
 // exactly once — its work is linear in the subtree it removes — and
-// terminates on cyclic sharing graphs. What an operation costs the
-// host (cap.share_ns, cap.detach_ns, core.share_us) is benchmark/'s
-// question.
+// terminates on cyclic sharing graphs. Then, through the monitor, a
+// one-page Share into a domain already holding 1, 16 or 256 pages: its
+// simulated cost must not depend on what the grantee holds. What an
+// operation costs the host (cap.share_ns, cap.detach_ns,
+// core.share_us) is benchmark/'s question.
 func runC3(cfg Config, res *Result) error {
-	res.Columns = []string{"operation", "shape", "nodes", "nodes revoked"}
+	res.Columns = []string{"operation", "shape", "nodes", "nodes revoked", "cycles"}
 	sizes := []int{4, 16, 64, 256}
 	if cfg.Quick {
 		sizes = []int{4, 16, 64}
@@ -38,7 +43,7 @@ func runC3(cfg Config, res *Result) error {
 			if err != nil {
 				return err
 			}
-			res.row("revoke cascade", shape, fmtU(uint64(n)), fmtU(uint64(revoked)))
+			res.row("revoke cascade", shape, fmtU(uint64(n)), fmtU(uint64(revoked)), "-")
 			tag := fmt.Sprintf("%s_n%d", shape, n)
 			res.sweep("cascade", tag)
 			if shape == "cycle-mesh" {
@@ -48,7 +53,39 @@ func runC3(cfg Config, res *Result) error {
 			res.metric(tag+"_revoked", float64(revoked))
 		}
 	}
+	var costs []uint64
+	for _, held := range []uint64{1, 16, 256} {
+		c, err := shareIntoHolding(cfg, held)
+		if err != nil {
+			return err
+		}
+		res.row("share 1 page", fmt.Sprintf("grantee holds %d", held), "1", "-", fmtU(c))
+		res.metric(fmt.Sprintf("share_held%d_cycles", held), float64(c))
+		costs = append(costs, c)
+	}
+	res.metric("share_cost_spread_cycles", float64(slices.Max(costs)-slices.Min(costs)))
 	return nil
+}
+
+// shareIntoHolding returns the simulated cycles of one one-page Share
+// from dom0 into a domain that already holds held pages elsewhere.
+func shareIntoHolding(cfg Config, held uint64) (uint64, error) {
+	w, err := newWorld(cfg, defaultWorldOpts())
+	if err != nil {
+		return 0, err
+	}
+	child, err := w.mon.CreateDomain(core.InitialDomain, "grantee")
+	if err != nil {
+		return 0, err
+	}
+	heap := w.cl.HeapNode()
+	if _, err := w.mon.Share(core.InitialDomain, heap, child, cap.MemResource(phys.MakeRegion(2<<20, held*phys.PageSize)), cap.MemRW, cap.CleanNone); err != nil {
+		return 0, err
+	}
+	return cycles(w.mach, func() error {
+		_, err := w.mon.Share(core.InitialDomain, heap, child, cap.MemResource(phys.MakeRegion(1<<20, phys.PageSize)), cap.MemRW, cap.CleanNone)
+		return err
+	})
 }
 
 // cascade builds a derivation graph of n nodes in the given shape,

@@ -635,3 +635,61 @@ func TestKillCompletesPastFailedCleanup(t *testing.T) {
 		})
 	}
 }
+
+// TestShareCostIndependentOfHolding: a resync pays for the pages its
+// rebuild changed, not for what the domain holds. A one-page Share costs
+// EPTUpdatePage once — the grantee's new page; the sharer's view does not
+// change and costs 0 — whether the grantee already holds 1 page or 256.
+func TestShareCostIndependentOfHolding(t *testing.T) {
+	shareCost := func(held uint64) uint64 {
+		m, _ := bootTracedWorld(t, BackendVTX)
+		node := dom0MemNode(t, m)
+		child, err := m.CreateDomain(InitialDomain, "child")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Share(InitialDomain, node, child, memRes(400, held), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		tr := m.Machine().Tracer()
+		seq0, c0 := len(tr.Events()), m.Machine().Clock.Cycles()
+		if _, err := m.Share(InitialDomain, node, child, memRes(300, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		var maps []trace.Event
+		for _, ev := range tr.Events()[seq0:] {
+			if ev.Kind == trace.KEPTMap {
+				ev.Seq, ev.Cycle = 0, 0
+				maps = append(maps, ev)
+			}
+		}
+		want := trace.Event{Core: trace.GlobalCore, Kind: trace.KEPTMap, Domain: uint64(child), Node: uint64(hw.PermRW), Addr: 300 * pg, Size: pg}
+		if len(maps) != 1 || maps[0] != want {
+			t.Errorf("holding %d pages: ept-map events %v, want one for the new page %v", held, maps, want)
+		}
+		return m.Machine().Clock.Cycles() - c0
+	}
+	want := hw.DefaultCostModel().EPTUpdatePage
+	for _, held := range []uint64{1, 256} {
+		if got := shareCost(held); got != want {
+			t.Errorf("a one-page Share into a domain holding %d pages costs %d cycles, want %d", held, got, want)
+		}
+	}
+}
+
+// TestUnchangedResyncIsFree: rebuilding a view that did not change
+// charges nothing and emits nothing.
+func TestUnchangedResyncIsFree(t *testing.T) {
+	m, _ := bootTracedWorld(t, BackendVTX)
+	tr := m.Machine().Tracer()
+	seq0, c0 := len(tr.Events()), m.Machine().Clock.Cycles()
+	if err := m.bk.SyncDomain(cap.OwnerID(InitialDomain)); err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Machine().Clock.Cycles() - c0; c != 0 {
+		t.Errorf("a resync of an unchanged view charged %d cycles", c)
+	}
+	if evs := tr.Events()[seq0:]; len(evs) != 0 {
+		t.Errorf("a resync of an unchanged view emitted %v", evs)
+	}
+}

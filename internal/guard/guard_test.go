@@ -368,3 +368,86 @@ func TestOneDestructiveTail(t *testing.T) {
 		t.Errorf("internal/hw emits trace.KShootdown from %d functions %v, want exactly 1", len(emits), emits)
 	}
 }
+
+// filterWrites are the charges and trace kinds of a filter write. Each
+// is paid or emitted in exactly one function, the one that knows what
+// the write changed (ARCHITECTURE §2): vtx's SyncDomain charges and
+// traces each changed EPT extent, pmp's program each changed entry.
+var filterWrites = []struct {
+	name  string
+	match func(ast.Node) bool
+}{
+	{"Cost.EPTUpdatePage", passes("Advance", "EPTUpdatePage")},
+	{"Cost.PMPWrite", passes("Advance", "PMPWrite")},
+	{"trace.KEPTMap", passes("Trace", "KEPTMap")},
+	{"trace.KPMPWrite", passes("Trace", "KPMPWrite")},
+}
+
+// passes matches a call to a method or function named fn one of whose
+// arguments names a field or package member sel.
+func passes(fn, sel string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		switch f := c.Fun.(type) {
+		case *ast.SelectorExpr:
+			ok = f.Sel.Name == fn
+		case *ast.Ident:
+			ok = f.Name == fn
+		}
+		found := false
+		for _, a := range c.Args {
+			ast.Inspect(a, func(n ast.Node) bool {
+				if s, isSel := n.(*ast.SelectorExpr); isSel && s.Sel.Name == sel {
+					found = true
+				}
+				return !found
+			})
+		}
+		return ok && found
+	}
+}
+
+// sites returns the functions of files, by file and name, whose bodies
+// contain a node match accepts.
+func sites(files []goFile, match func(ast.Node) bool) []string {
+	var out []string
+	for _, g := range files {
+		for fn, at := range callers([]goFile{g}, match) {
+			out = append(out, g.rel+":"+fn+" ("+at+")")
+		}
+	}
+	return out
+}
+
+// TestOneFilterWriteSite: every EPT page and PMP entry a resync writes is
+// charged and traced where the write's diff is known, and nowhere else,
+// so a second charge site cannot bill unchanged pages again.
+func TestOneFilterWriteSite(t *testing.T) {
+	files := parseTree(t, false, ".")
+	for _, w := range filterWrites {
+		if got := sites(files, w.match); len(got) != 1 {
+			t.Errorf("%s is charged or emitted from %d functions %v, want exactly 1", w.name, len(got), got)
+		}
+	}
+	// The rule sees a planted second site.
+	fset := token.NewFileSet()
+	planted, err := parser.ParseFile(fset, "planted.go", `package p
+func refresh(b *B, pages uint64) {
+	b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
+	b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
+	b.mach.Trace(0, trace.KEPTMap, 1, 0, 7, 0, 4096)
+	b.mach.Trace(0, trace.KPMPWrite, 1, 0, 7, 0, 4096)
+}`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPlant := append(files, goFile{"planted.go", fset, planted})
+	for _, w := range filterWrites {
+		if got := sites(withPlant, w.match); len(got) != 2 {
+			t.Errorf("%s with a planted second site: found %v, want 2 sites", w.name, got)
+		}
+	}
+}

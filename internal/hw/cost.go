@@ -52,9 +52,13 @@ type CostModel struct {
 	MTrap uint64
 	// MRet is the return from machine mode.
 	MRet uint64
-	// PMPWrite is reprogramming a single PMP entry.
+	// PMPWrite is charged per PMP entry a reprogramming writes: one
+	// whose contents change, including one deprogrammed. An entry left
+	// as it was costs nothing.
 	PMPWrite uint64
-	// EPTUpdatePage is updating one page's second-level mapping.
+	// EPTUpdatePage is charged per page whose second-level permission
+	// a rebuild changes, mapped or unmapped. A page left as it was
+	// costs nothing.
 	EPTUpdatePage uint64
 	// TLBFlush is a full TLB invalidation on one core.
 	TLBFlush uint64

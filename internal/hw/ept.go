@@ -27,10 +27,13 @@ import (
 //     one pointer store, and only then bumps the generation once. A
 //     reader therefore sees the old filter or the new one, never a
 //     half-built one, and a new generation implies the new table;
-//   - a Replace whose table equals the published one stores nothing:
-//     same filter, same pointer, generation still moves — a resync is a
-//     resync to everything keyed on the generation (TLB tags, contexts),
-//     whether or not it changed the filter.
+//   - a Replace diffs the next table against the published one and
+//     reports the changed extents, which are all a resync pays for and
+//     traces; one whose table equals the published one stores nothing
+//     and reports nothing: same filter, same pointer, generation still
+//     moves — a resync is a resync to everything keyed on the
+//     generation (TLB tags, contexts), whether or not it changed the
+//     filter.
 //
 // Writers (copy-on-write splices for Map/Unmap, whole-table Replace and
 // Clear) are serialised by wmu; readers never take it.
@@ -141,19 +144,25 @@ func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 // observe a mix of the old and the new filter. runs must be page-aligned,
 // non-empty, sorted by address and disjoint; otherwise Replace returns an
 // error and leaves the table and the generation unchanged. PermNone runs
-// are dropped and adjacent equal-permission runs merged. The table keeps
-// its own copy of runs, made only when they differ from the published
-// table; the generation is bumped either way.
-func (e *EPT) Replace(runs []EPTMapping) error {
-	var buf [32]EPTMapping // larger tables spill to the heap
-	next := buf[:0]
+// are dropped and adjacent equal-permission runs merged.
+//
+// Replace sweeps the new table against the published one and returns
+// what the rebuild writes: every maximal extent of pages whose
+// permission differs, with its new permission (PermNone for pages no
+// longer mapped), in address order. The extents reuse buf's storage, so
+// a caller that keeps buf allocates nothing for them. The table keeps
+// its own copy of runs, made only when some extent changed; the
+// generation is bumped either way.
+func (e *EPT) Replace(runs, buf []EPTMapping) (changed []EPTMapping, err error) {
+	var stack [32]EPTMapping // larger tables spill to the heap
+	next := stack[:0]
 	var end phys.Addr
 	for _, m := range runs {
 		if err := m.Region.Validate(); err != nil {
-			return fmt.Errorf("hw: ept replace: %w", err)
+			return buf[:0], fmt.Errorf("hw: ept replace: %w", err)
 		}
 		if m.Region.Start < end {
-			return fmt.Errorf("hw: ept replace: run %v unsorted or overlapping (previous run ends at %v)", m.Region, end)
+			return buf[:0], fmt.Errorf("hw: ept replace: run %v unsorted or overlapping (previous run ends at %v)", m.Region, end)
 		}
 		end = m.Region.End
 		if m.Perm != PermNone {
@@ -162,12 +171,60 @@ func (e *EPT) Replace(runs []EPTMapping) error {
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if slices.Equal(next, e.runs()) {
+	changed = diffRuns(e.runs(), next, buf[:0])
+	if len(changed) == 0 {
 		e.gen.Add(1)
-		return nil
+		return changed, nil
 	}
 	e.publish(slices.Clone(next))
-	return nil
+	return changed, nil
+}
+
+// diffRuns appends to out the extents where two canonical tables
+// disagree, each with b's permission, merged into maximal runs. It
+// walks both tables once: between two consecutive run boundaries of
+// either table, each has one permission. A run both tables hold alike,
+// with nothing of either before it, is stepped over whole.
+func diffRuns(a, b, out []EPTMapping) []EPTMapping {
+	var at phys.Addr
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if i < len(a) && j < len(b) && a[i] == b[j] && at <= a[i].Region.Start {
+			at = a[i].Region.End
+			i++
+			j++
+			continue
+		}
+		if i < len(a) && a[i].Region.End <= at {
+			i++
+			continue
+		}
+		if j < len(b) && b[j].Region.End <= at {
+			j++
+			continue
+		}
+		pa, ea := stretch(a, i, at)
+		pb, eb := stretch(b, j, at)
+		until := min(ea, eb)
+		if pa != pb {
+			out = appendRun(out, EPTMapping{Region: phys.Region{Start: at, End: until}, Perm: pb})
+		}
+		at = until
+	}
+	return out
+}
+
+// stretch returns the permission runs gives address at, where runs[i]
+// is the first run ending after at, and the address that permission
+// lasts until.
+func stretch(runs []EPTMapping, i int, at phys.Addr) (Perm, phys.Addr) {
+	switch {
+	case i == len(runs):
+		return PermNone, ^phys.Addr(0)
+	case at < runs[i].Region.Start:
+		return PermNone, runs[i].Region.Start
+	}
+	return runs[i].Perm, runs[i].Region.End
 }
 
 // Clear removes every mapping.

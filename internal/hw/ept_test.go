@@ -3,6 +3,7 @@ package hw
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,6 +33,26 @@ func (m *eptModel) mapRegion(r phys.Region, p Perm) {
 }
 
 func (m *eptModel) clear() { m.pages = make(map[uint64]Perm) }
+
+// diff is what a Replace from the table before to the model's table
+// writes, page by page: each page whose permission differs, with its new
+// permission, runs of equal new permission merged.
+func (m *eptModel) diff(before map[uint64]Perm) []EPTMapping {
+	var out []EPTMapping
+	for pg := uint64(0); pg < eptModelPages; pg++ {
+		p := m.pages[pg]
+		if p == before[pg] {
+			continue
+		}
+		start := phys.Addr(pg << phys.PageShift)
+		if n := len(out); n > 0 && out[n-1].Region.End == start && out[n-1].Perm == p {
+			out[n-1].Region.End += phys.PageSize
+			continue
+		}
+		out = append(out, EPTMapping{Region: phys.Region{Start: start, End: start + phys.PageSize}, Perm: p})
+	}
+	return out
+}
 
 func (m *eptModel) mappings() []EPTMapping {
 	if len(m.pages) == 0 {
@@ -125,7 +146,9 @@ func compareEPT(t *testing.T, e *EPT, m *eptModel, step int) {
 }
 
 // runEPTOps decodes data as a sequence of Map/Unmap/Replace/Clear calls
-// and plays it against the table and the model. Four bytes per call:
+// and plays it against the table and the model; a Replace must also
+// report exactly the model's page-by-page difference, and one that
+// reports nothing must keep the published table. Four bytes per call:
 // opcode, start page, page count, flags (bits 0-2 the permission). A
 // Replace takes that as its first run, offset off the page grid if flag
 // bit 3 is set, and reads up to two more (start, count, permission)
@@ -134,6 +157,7 @@ func compareEPT(t *testing.T, e *EPT, m *eptModel, step int) {
 func runEPTOps(t *testing.T, data []byte) {
 	t.Helper()
 	e, m := NewEPT(), newEPTModel()
+	var buf []EPTMapping // Replace's extents, storage reused across calls
 	region := func(start, count byte) phys.Region {
 		s := uint64(start) % eptModelPages
 		n := uint64(count) % (eptModelPages - s + 1)
@@ -174,10 +198,18 @@ func runEPTOps(t *testing.T, data []byte) {
 				runs = append(runs, EPTMapping{Region: region(data[0], data[1]), Perm: Perm(data[2]) & PermRWX})
 				data = data[3:]
 			}
-			err := e.Replace(runs)
+			before, held := m.pages, e.tab.Load() // an accepted replace gives the model a new map
+			ext, err := e.Replace(runs, buf)
+			buf = ext
 			changed = m.replace(runs)
 			if (err == nil) != changed {
 				t.Fatalf("step %d: Replace(%v) error = %v, model accepted = %v", step, runs, err, changed)
+			}
+			if want := m.diff(before); changed && !slices.Equal(ext, want) {
+				t.Fatalf("step %d: Replace(%v) reported %v, page-by-page difference %v", step, runs, ext, want)
+			}
+			if len(ext) == 0 && e.tab.Load() != held {
+				t.Fatalf("step %d: Replace(%v) reported no change but published a new table", step, runs)
 			}
 		}
 		if want := gen + 1; changed && e.Generation() != want {
@@ -206,6 +238,7 @@ func FuzzEPTExtents(f *testing.F) {
 	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x11, 1, 4, 2})              // replace with unsorted runs: rejected
 	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x09})                       // replace with an unaligned run: rejected
 	f.Add([]byte{0, 1, 3, 2, 2, 0, 0, 0, 3, 0, 0, 1, 0, 47, 1, 4}) // clear, replace with an empty run, map the last page
+	f.Add([]byte{3, 2, 8, 3, 3, 2, 8, 3, 3, 2, 8, 7, 3, 2, 4, 3})  // replace, the same again, widen the run, shrink it
 	f.Fuzz(func(t *testing.T, data []byte) { runEPTOps(t, data) })
 }
 
@@ -215,7 +248,7 @@ func TestEPTReplaceRejectsMalformed(t *testing.T) {
 	}
 	e := NewEPT()
 	good := []EPTMapping{run(0x1000, 0x3000, PermRX), run(0x8000, 0x9000, PermRW)}
-	if err := e.Replace(good); err != nil {
+	if _, err := e.Replace(good, nil); err != nil {
 		t.Fatal(err)
 	}
 	gen := e.Generation()
@@ -226,7 +259,7 @@ func TestEPTReplaceRejectsMalformed(t *testing.T) {
 		"empty":          {run(0x2000, 0x2000, PermR)},
 		"bad after good": {run(0x1000, 0x2000, PermR), run(0x1800, 0x3000, PermR)},
 	} {
-		if err := e.Replace(bad); err == nil {
+		if _, err := e.Replace(bad, nil); err == nil {
 			t.Errorf("%s: Replace(%v) accepted", name, bad)
 		}
 		if got := e.Mappings(); !reflect.DeepEqual(got, good) {
@@ -257,7 +290,7 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 		{page(0, 2, PermR), page(2, 4, PermRWX), page(20, 2, PermRW)},
 	}
 	e := NewEPT()
-	if err := e.Replace(layouts[0]); err != nil {
+	if _, err := e.Replace(layouts[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
@@ -266,7 +299,7 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; !stop.Load(); i++ {
-			if err := e.Replace(layouts[i%2]); err != nil {
+			if _, err := e.Replace(layouts[i%2], nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -283,9 +316,9 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEPTReplaceEqualTable: same filter, same pointer, generation still
-// moves — and a table a reader already holds never changes, whether the
-// next Replace equals it or not. The runs are handed over unmerged and
+// TestEPTReplaceEqualTable: same filter, same pointer, nothing reported,
+// generation still moves — and a table a reader already holds never
+// changes, whether the next Replace equals it or not. The runs are handed over unmerged and
 // from a buffer that is then overwritten, as the backends' pooled
 // scratch is.
 func TestEPTReplaceEqualTable(t *testing.T) {
@@ -295,12 +328,12 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	scratch := []EPTMapping{page(4, 1, PermRX), page(8, 4, PermRW), page(12, 4, PermRW), page(30, 1, PermNone)}
 	want := []EPTMapping{page(4, 1, PermRX), page(8, 8, PermRW)}
 	e := NewEPT()
-	if err := e.Replace(scratch); err != nil {
-		t.Fatal(err)
+	if ext, err := e.Replace(scratch, nil); err != nil || !slices.Equal(ext, want) {
+		t.Fatalf("first Replace reported %v, err %v; want %v", ext, err, want)
 	}
 	held, gen := e.tab.Load(), e.Generation()
-	if err := e.Replace(scratch); err != nil {
-		t.Fatal(err)
+	if ext, err := e.Replace(scratch, nil); err != nil || len(ext) != 0 {
+		t.Fatalf("an equal Replace reported %v, err %v; want nothing", ext, err)
 	}
 	if e.tab.Load() != held {
 		t.Error("an equal Replace published a new table")
@@ -308,18 +341,19 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	if e.Generation() != gen+1 {
 		t.Errorf("an equal Replace moved the generation from %d to %d, want one bump", gen, e.Generation())
 	}
-	if err := e.Replace(nil); err != nil {
-		t.Fatal(err)
+	unmapped := []EPTMapping{page(4, 1, PermNone), page(8, 8, PermNone)}
+	if ext, err := e.Replace(nil, nil); err != nil || !slices.Equal(ext, unmapped) {
+		t.Fatalf("emptying Replace reported %v, err %v; want %v", ext, err, unmapped)
 	}
 	empty := e.tab.Load()
-	if err := e.Replace(scratch[3:]); err != nil { // only a PermNone run: still empty
-		t.Fatal(err)
+	if ext, err := e.Replace(scratch[3:], nil); err != nil || len(ext) != 0 { // only a PermNone run: still empty
+		t.Fatalf("an empty Replace of an empty table reported %v, err %v", ext, err)
 	}
 	if e.tab.Load() != empty || e.Generation() != gen+3 || e.Mappings() != nil {
 		t.Errorf("an empty Replace of an empty table: pointer moved %v, generation %d (want %d), mappings %v",
 			e.tab.Load() != empty, e.Generation(), gen+3, e.Mappings())
 	}
-	if err := e.Replace(scratch); err != nil {
+	if _, err := e.Replace(scratch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.tab.Load() == held {
@@ -339,7 +373,7 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 		big[i] = page(uint64(2*i), 1, PermR)
 	}
 	for range 2 {
-		if err := e.Replace(big); err != nil {
+		if _, err := e.Replace(big, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -166,8 +166,8 @@ func TestPMPLocking(t *testing.T) {
 	if err := p.ClearEntry(0); err == nil {
 		t.Fatal("clearing locked entry must fail")
 	}
-	if n := p.ClearAll(); n != 0 {
-		t.Fatalf("ClearAll removed %d locked entries", n)
+	if wrote, err := p.Replace(0, nil, nil); err != nil || len(wrote) != 0 {
+		t.Fatalf("emptying Replace wrote locked entries %v (err %v)", wrote, err)
 	}
 }
 

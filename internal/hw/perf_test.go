@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,7 +86,7 @@ func eptWithRuns(tb testing.TB, n int) *EPT {
 		}
 	}
 	e := NewEPT()
-	if err := e.Replace(runs); err != nil {
+	if _, err := e.Replace(runs, nil); err != nil {
 		tb.Fatal(err)
 	}
 	if got := len(e.Mappings()); got != n {
@@ -126,6 +127,34 @@ func TestEPTLookupAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("runs=%d: Lookup allocates %.1f times per call, want 0", n, allocs)
 		}
+	}
+}
+
+// TestEPTReplaceUnchangedAllocatesNothing: a resync whose view did not
+// change sweeps the table and allocates nothing — no copy, no extents.
+// A changed one allocates the published copy and its header, and its
+// extents reuse the caller's buffer.
+func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
+	e := eptWithRuns(t, 16)
+	runs := e.Mappings()
+	buf := make([]EPTMapping, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		if ext, err := e.Replace(runs, buf); err != nil || len(ext) != 0 {
+			t.Fatalf("unchanged Replace reported %v, err %v", ext, err)
+		}
+	}); n != 0 {
+		t.Errorf("Replace of an unchanged table allocates %.1f times, want 0", n)
+	}
+	flip := slices.Clone(runs)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		flip[i%len(flip)].Perm ^= PermX
+		i++
+		if ext, err := e.Replace(flip, buf); err != nil || len(ext) != 1 {
+			t.Fatalf("one-run Replace reported %v, err %v", ext, err)
+		}
+	}); n > 2 {
+		t.Errorf("Replace of a changed table allocates %.1f times, want at most 2 (the table and its header)", n)
 	}
 }
 

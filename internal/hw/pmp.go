@@ -129,50 +129,53 @@ func (p *PMP) Lock(i int) error {
 	return nil
 }
 
-// ClearAll deprograms every unlocked entry. Returns the number of
-// entries cleared (callers charge PMPWrite cost per entry).
-func (p *PMP) ClearAll() int {
-	cleared, _ := p.Replace(0, nil)
-	return cleared
-}
-
 // Replace makes segs the unit's whole unlocked contents in one step:
-// every unlocked entry is deprogrammed and segs are written to
-// consecutive entries from index from, under one write lock and one
+// segs go to consecutive entries from index from and every other
+// unlocked entry is deprogrammed, under one write lock and one
 // generation bump. A core checking accesses against the unit on another
 // host thread therefore sees the old register file or the new one, never
-// a cleared or half-written one. Returns how many entries it
-// deprogrammed (callers charge PMPWrite per entry cleared and written).
-// If a target entry is out of range or locked, or a region is invalid or
-// not encodable, Replace returns an error and leaves the file and the
-// generation unchanged.
-func (p *PMP) Replace(from int, segs []EPTMapping) (cleared int, err error) {
+// a cleared or half-written one. Only entries whose contents differ are
+// written; their indexes are returned in ascending order, reusing buf's
+// storage (callers charge PMPWrite per entry written). The generation
+// moves when the file held an unlocked entry or segs is non-empty,
+// whether or not any entry differs. If a target entry is out of range or
+// locked, or a region is invalid or not encodable, Replace returns an
+// error and leaves the file and the generation unchanged.
+func (p *PMP) Replace(from int, segs []EPTMapping, buf []int) (wrote []int, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if from < 0 || from+len(segs) > len(p.entries) {
-		return 0, fmt.Errorf("hw: pmp entries %d..%d out of range (have %d)", from, from+len(segs)-1, len(p.entries))
+		return buf[:0], fmt.Errorf("hw: pmp entries %d..%d out of range (have %d)", from, from+len(segs)-1, len(p.entries))
 	}
 	for i, s := range segs {
 		if err := s.Region.Validate(); err != nil {
-			return 0, fmt.Errorf("hw: pmp replace: %w", err)
+			return buf[:0], fmt.Errorf("hw: pmp replace: %w", err)
 		}
 		if p.entries[from+i].Locked {
-			return 0, fmt.Errorf("hw: pmp entry %d is locked", from+i)
+			return buf[:0], fmt.Errorf("hw: pmp entry %d is locked", from+i)
 		}
 	}
+	bump := len(segs) > 0
+	wrote = buf[:0]
 	for i := range p.entries {
-		if p.entries[i].used && !p.entries[i].Locked {
-			p.entries[i] = PMPEntry{}
-			cleared++
+		e := &p.entries[i]
+		if e.Locked {
+			continue
+		}
+		bump = bump || e.used
+		want := PMPEntry{}
+		if k := i - from; k >= 0 && k < len(segs) {
+			want = PMPEntry{Region: segs[k].Region, Perm: segs[k].Perm, used: true}
+		}
+		if *e != want {
+			*e = want
+			wrote = append(wrote, i)
 		}
 	}
-	for i, s := range segs {
-		p.entries[from+i] = PMPEntry{Region: s.Region, Perm: s.Perm, used: true}
-	}
-	if cleared > 0 || len(segs) > 0 {
+	if bump {
 		p.gen.Add(1)
 	}
-	return cleared, nil
+	return wrote, nil
 }
 
 // Check implements AccessFilter: the lowest-indexed matching entry

@@ -123,7 +123,7 @@ func TestTOREncodeDecode(t *testing.T) {
 
 // Register-file behaviour around the shapes the backends rely on:
 // lowest-index-wins priority for overlapping entries, locked-entry
-// protection through ClearAll.
+// protection through an emptying Replace.
 func TestPMPRegisterFileEdgeCases(t *testing.T) {
 	t.Run("overlap-lowest-index-wins", func(t *testing.T) {
 		p := NewPMP(4)
@@ -190,8 +190,8 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 		if err := p.Program(1, phys.MakeRegion(0x1000, 0x1000), PermR); err != nil {
 			t.Fatal(err)
 		}
-		if n := p.ClearAll(); n != 1 {
-			t.Fatalf("ClearAll cleared %d entries, want 1 (locked survives)", n)
+		if wrote, err := p.Replace(0, nil, nil); err != nil || len(wrote) != 1 {
+			t.Fatalf("emptying Replace wrote entries %v (err %v), want only entry 1 (locked survives)", wrote, err)
 		}
 		if p.Check(0, PermNone) != false && p.Lookup(0) != PermNone {
 			t.Fatal("locked deny entry vanished")
@@ -238,11 +238,26 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 		{seg(4, 1, PermRX), seg(8, 8, PermRW)},
 		{seg(0, 2, PermR), seg(2, 4, PermRWX), seg(20, 2, PermRW)},
 	}
-	if cleared, err := p.Replace(1, layouts[0]); err != nil || cleared != 0 {
-		t.Fatalf("first Replace cleared %d entries, err %v", cleared, err)
+	// Only entries whose contents differ are written; the generation
+	// moves on every Replace of a file with unlocked contents.
+	for i, step := range []struct {
+		segs []EPTMapping
+		want []int
+	}{
+		{layouts[0], []int{1, 2}},
+		{layouts[1], []int{1, 2, 3}},
+		{layouts[1], nil},
+		{[]EPTMapping{seg(0, 2, PermR), seg(2, 4, PermRX), seg(20, 2, PermRW)}, []int{2}},
+		{layouts[0][:1], []int{1, 2, 3}},
+	} {
+		gen := p.Generation()
+		wrote, err := p.Replace(1, step.segs, nil)
+		if err != nil || !slices.Equal(wrote, step.want) || p.Generation() != gen+1 {
+			t.Fatalf("Replace %d wrote %v (want %v), generation %d -> %d, err %v", i, wrote, step.want, gen, p.Generation(), err)
+		}
 	}
-	if cleared, err := p.Replace(1, layouts[1]); err != nil || cleared != 2 {
-		t.Fatalf("second Replace cleared %d entries (want the first layout's 2), err %v", cleared, err)
+	if _, err := p.Replace(1, layouts[1], nil); err != nil {
+		t.Fatal(err)
 	}
 	before, gen := p.Entries(), p.Generation()
 	for name, bad := range map[string]struct {
@@ -253,7 +268,7 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 		"past the last entry":   {2, layouts[1]},
 		"an empty region":       {1, []EPTMapping{seg(4, 0, PermR)}},
 	} {
-		if _, err := p.Replace(bad.from, bad.segs); err == nil {
+		if _, err := p.Replace(bad.from, bad.segs, nil); err == nil {
 			t.Errorf("Replace %s succeeded", name)
 		}
 		if got := p.Entries(); !slices.Equal(got, before) || p.Generation() != gen {
@@ -267,7 +282,7 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
-			if _, err := p.Replace(1, layouts[i%2]); err != nil {
+			if _, err := p.Replace(1, layouts[i%2], nil); err != nil {
 				t.Error(err)
 				return
 			}

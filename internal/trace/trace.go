@@ -109,13 +109,19 @@ const (
 	// KKill closes a domain destruction — the domain is dead, its state
 	// removed: Domain = victim.
 	KKill
-	// KEPTMap is the vtx backend programming one EPT segment:
-	// Domain = owner, Addr/Size = region, Node = permission bits.
+	// KEPTMap is the vtx backend rewriting one changed EPT extent — a
+	// maximal run of pages whose permission a rebuild changed, one event
+	// per extent, none for a view that did not change: Domain = owner,
+	// Addr/Size = region, Node = the new permission bits (0 for pages
+	// unmapped).
 	KEPTMap
 	// KEPTClear is the vtx backend emptying a domain's EPT.
 	KEPTClear
-	// KPMPWrite is the pmp backend programming one PMP entry:
-	// Core = target core, Domain = owner, Addr/Size, Node = perm bits.
+	// KPMPWrite is the pmp backend writing one PMP entry whose contents
+	// changed, one event per entry written, none for an entry left as it
+	// was: Core = target core, Domain = owner (0 for the monitor's own
+	// guard entry), Aux = entry index, Addr/Size and Node = perm bits of
+	// the new contents (all 0 for an entry deprogrammed).
 	KPMPWrite
 	// KAttest is an attestation report being produced: Domain = subject.
 	KAttest
@@ -235,8 +241,11 @@ type shardHolder struct{ s ShardSink }
 
 // ring is one bounded event buffer holding Event values: an emission
 // copies into a slot and allocates nothing once the ring has grown to
-// its capacity. Until then slots grows as a slice does, so building a
-// tracer costs nothing and a ring that sees few events stays small. mu
+// its capacity. Until it holds ringEager events slots grows as a slice
+// does, so building a tracer costs nothing and a ring that sees few
+// events stays small; its next growth takes the whole capacity in one
+// step, so a busy ring stops making garbage after a handful of
+// doublings rather than at every one of them up to its capacity. mu
 // orders emitters into the ring and lets a reader copy whole events out
 // while they run; on a core's own ring it is uncontended. The oldest
 // events are overwritten once the ring wraps.
@@ -253,7 +262,10 @@ type ring struct {
 func (r *ring) append(ev *Event, seq *atomic.Uint64) {
 	r.mu.Lock()
 	ev.Seq = seq.Add(1)
-	if len(r.slots) < r.max {
+	if n := len(r.slots); n < r.max {
+		if n == cap(r.slots) && n >= ringEager {
+			r.slots = append(make([]Event, 0, r.max), r.slots...)
+		}
 		r.slots = append(r.slots, *ev)
 	} else {
 		r.slots[r.pos%uint64(r.max)] = *ev
@@ -264,6 +276,10 @@ func (r *ring) append(ev *Event, seq *atomic.Uint64) {
 
 // DefaultRingEntries is the per-ring capacity when New is given 0.
 const DefaultRingEntries = 4096
+
+// ringEager is the length from which a growing ring allocates its whole
+// capacity at once.
+const ringEager = 256
 
 // Tracer records events into one ring per core plus one for global
 // (monitor/device) context. It is safe for concurrent use by every

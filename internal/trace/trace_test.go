@@ -56,6 +56,42 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	}
 }
 
+// TestRingGrowthAllocations: a ring grows by doubling up to ringEager
+// events and then takes its whole capacity in one step, so filling a
+// default ring and wrapping it allocates at most 10 times (9 doublings
+// to 256, then one), and what it keeps is what it always kept.
+func TestRingGrowthAllocations(t *testing.T) {
+	const emits = 5000
+	var tr *Tracer
+	setup := testing.AllocsPerRun(1, func() { tr = New(1, 0, nil) })
+	allocs := testing.AllocsPerRun(1, func() {
+		tr = New(1, 0, nil)
+		for i := 0; i < emits; i++ {
+			tr.Emit(0, KVMCall, uint64(i), 0, 0, 0, 0)
+		}
+	}) - setup
+	if allocs > 10 {
+		t.Errorf("%d emits into one ring allocate %v times, want at most 10", emits, allocs)
+	}
+	evs := tr.Events()
+	if len(evs) != DefaultRingEntries || tr.Dropped() != emits-DefaultRingEntries {
+		t.Fatalf("ring kept %d events and dropped %d, want %d and %d", len(evs), tr.Dropped(), DefaultRingEntries, emits-DefaultRingEntries)
+	}
+	for i, ev := range evs {
+		if want := uint64(emits - DefaultRingEntries + i); ev.Domain != want || ev.Seq != want+1 {
+			t.Fatalf("slot %d holds domain %d seq %d, want %d and %d", i, ev.Domain, ev.Seq, want, want+1)
+		}
+	}
+	// A ring that sees few events stays small.
+	small := New(1, 0, nil)
+	for i := 0; i < 3; i++ {
+		small.Emit(0, KVMCall, 0, 0, 0, 0, 0)
+	}
+	if c := cap(small.rings[1].slots); c >= ringEager {
+		t.Errorf("a ring holding 3 events has capacity %d", c)
+	}
+}
+
 // TestConcurrentEmitIsRaceFree hammers the append path, one ring per
 // goroutine; the -race runs of CI are the real assertion.
 func TestConcurrentEmitIsRaceFree(t *testing.T) {
