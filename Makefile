@@ -68,10 +68,12 @@ migrate:
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
 
 # The byte strings that cross a trust boundary, fuzzed 15 s each:
-# snapshot bytes into RestoreDomain, digest bodies through the decoder
-# and the remote verifier, and altered frames into a channel's open.
+# snapshot bytes into RestoreDomain, image manifests into the loader's
+# decoder, digest bodies through the decoder and the remote verifier,
+# and altered frames into a channel's open.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDomain$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzImageManifest$$' -fuzztime 15s ./internal/image
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime 15s ./internal/trace/check
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime 15s ./internal/dist
 

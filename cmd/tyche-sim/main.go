@@ -427,7 +427,7 @@ func schedDemo(p *tyche.Platform, domains int) error {
 		workers = append(workers, tyche.CoreID(i))
 	}
 	const seed = 1
-	p.Monitor.SetSchedPolicy(&sched.Policy{Quantum: 4096, Seed: seed})
+	q := sched.New(p.Monitor, sched.Policy{Quantum: 4096, Seed: seed}, workers)
 	fmt.Printf("\nSCHEDULING DEMO  %d tenant domains over %d worker core(s), quantum 4096, seed %d\n",
 		domains, len(workers), seed)
 	prog := func(yield bool) func(base phys.Addr) *tyche.Asm {
@@ -458,23 +458,22 @@ func schedDemo(p *tyche.Platform, domains int) error {
 		if err != nil {
 			return err
 		}
-		if err := p.Monitor.Schedule(dom.ID()); err != nil {
+		if err := q.Add(dom.ID()); err != nil {
 			return err
 		}
 	}
-	if _, err := p.Monitor.RunCores(8_000_000, workers...); err != nil {
+	if _, err := q.Run(8_000_000); err != nil {
 		return err
 	}
-	st := p.Monitor.Stats()
-	q := p.Monitor.Scheduler()
-	fmt.Printf("  completed=%d dispatches=%d preemptions=%d yields=%d steals=%d purged=%d max_queue=%d\n",
-		st.SchedCompleted, st.SchedDispatches, st.SchedPreemptions, st.SchedYields,
-		st.SchedSteals, st.SchedPurged, st.SchedMaxQueue)
+	st := q.Counters()
+	fmt.Printf("  completed=%d dispatches=%d preemptions=%d yields=%d steals=%d dropped=%d max_queue=%d\n",
+		st.Completed, st.Dispatches, st.Preemptions, st.Yields,
+		st.Steals, st.Dropped, st.MaxQueueDepth)
 	fmt.Printf("  p99 transition-to-dispatch latency %d cycles over %d dispatch records\n",
 		q.LatencyP99(), len(q.Records()))
 	fmt.Printf("  schedule hash %#x (deterministic: same seed and arrival order replay this exact schedule)\n", q.Hash())
-	if st.SchedCompleted != uint64(domains) {
-		return fmt.Errorf("only %d of %d tenants completed", st.SchedCompleted, domains)
+	if st.Completed != uint64(domains) {
+		return fmt.Errorf("only %d of %d tenants completed", st.Completed, domains)
 	}
 	return nil
 }

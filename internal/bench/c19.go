@@ -14,7 +14,7 @@ func init() {
 	register(Experiment{
 		ID:    "C19",
 		Title: "Multi-tenant oversubscription: N domains time-multiplexed over M cores",
-		Paper: "§3 domains as the only abstraction: tenants share cores under monitor scheduling, no OS above the monitor",
+		Paper: "§3 domains as the only abstraction: management code schedules tenants over monitor-enforced cores, no OS above the monitor",
 		Gates: append([]Gate{
 			{"dedicated-complete", "dedicated4_incomplete", eq(0), "4 dedicated tenants halt cleanly"},
 			{"{points}-complete", "{points}_incomplete", eq(0), "every tenant runs to completion at every point"},
@@ -23,16 +23,17 @@ func init() {
 			{"oversub-latency-sampled", "d16_c4_p99_dispatch_cycles", gt(0), "the scheduler samples transition-to-dispatch latency"},
 			{"yield-mix", "yieldmix_incomplete", eq(0), "cooperative tenants complete"},
 			{"yield-mix", "yieldmix_yields / yieldmix_yield_calls", eq(1), "every CallYield is counted exactly once"},
-			{"kill-purged", "kill_purged_vcpus", ge(2), "ForceKill purges the victim's queued vCPUs"},
+			{"kill-purged", "kill_purged_vcpus", ge(2), "the monitor drops the killed victim's queued vCPUs at dispatch"},
 			{"kill-no-dispatch", "kill_victim_dispatches", eq(0), "a killed domain is never dispatched again"},
 			{"kill-survivors", "kill_survivors_completed", eq(3), "the surviving tenants complete"},
 		}, traceGates...),
 	}, runC19)
 }
 
-// runC19 measures the preemptive multi-tenant scheduler (internal/sched
-// plus core's round-barrier engine) under oversubscription: N compute
-// tenants scheduled over M cores, N ≫ M, swept across both axes.
+// runC19 measures the preemptive multi-tenant scheduler (internal/sched,
+// management code driving the monitor's vCPU mechanism) under
+// oversubscription: N compute tenants scheduled over M cores, N ≫ M,
+// swept across both axes.
 //
 // Throughput is measured in iterations per simulated kilocycle, so the
 // numbers are bit-stable and the tracer can stay attached to the
@@ -42,14 +43,15 @@ func init() {
 //
 // Three scenarios ride on top of the sweep: the dedicated baseline the
 // 16/4 point is gated against (4 tenants on 4 dedicated cores, plain
-// RunCores, no policy); a yield mix of cooperative tenants ending every
-// slice with CallYield; and a kill purge, where a never-terminating
-// tenant queued twice is ForceKilled mid-run (its dispatch records are
-// checked here, its dead-domain silence by the trace oracle).
+// RunCores, no scheduler); a yield mix of cooperative tenants ending
+// every slice with CallYield; and a kill, where a never-terminating
+// tenant queued twice is ForceKilled mid-run (its queued vCPUs are
+// dropped at dispatch and its dispatch records checked here, its
+// dead-domain silence by the trace oracle).
 //
 // The 16/4 point's schedule hash is a note, so the Result pins it: two
 // same-seed runs must replay it bit for bit (TestResultsAreHostIndependent;
-// core's TestScheduledDeterminism pins the same at the monitor).
+// sched's TestScheduledDeterminism pins the same on a small world).
 func runC19(cfg Config, res *Result) error {
 	res.Columns = []string{"domains", "cores", "mode", "cycles", "iters", "it/kcyc", "p99 disp", "disp", "preempt", "steal", "maxq"}
 	domSweep := []int{4, 8, 16, 32, 64}
@@ -172,19 +174,19 @@ func tenantLoop(iters uint32, yield bool) func(phys.Addr) *hw.Asm {
 }
 
 // loadTenants loads n copies of gen into a fresh world, shared over the
-// given worker cores, and schedules each one.
-func loadTenants(w *world, n int, cores []phys.CoreID, gen func(base phys.Addr) *hw.Asm) ([]*libtyche.Domain, error) {
+// scheduler's cores, and adds a vCPU for each one.
+func loadTenants(w *world, q *sched.Scheduler, n int, gen func(base phys.Addr) *hw.Asm) ([]*libtyche.Domain, error) {
 	var doms []*libtyche.Domain
 	for i := 0; i < n; i++ {
 		img, err := w.cl.BuildAt(fmt.Sprintf("tenant%d", i), gen)
 		if err != nil {
 			return nil, err
 		}
-		d, err := w.cl.Load(img, loadOn(cores...))
+		d, err := w.cl.Load(img, loadOn(q.Cores()...))
 		if err != nil {
 			return nil, err
 		}
-		if err := w.mon.Schedule(d.ID()); err != nil {
+		if err := q.Add(d.ID()); err != nil {
 			return nil, err
 		}
 		doms = append(doms, d)
@@ -193,41 +195,39 @@ func loadTenants(w *world, n int, cores []phys.CoreID, gen func(base phys.Addr) 
 }
 
 // schedWorld boots a world whose `workers` cores (dom0 idles on core
-// 0) run under the seeded work-stealing scheduler policy.
-func schedWorld(cfg Config, workers, quantum int) (*world, []phys.CoreID, error) {
+// 0) the seeded work-stealing scheduler manages.
+func schedWorld(cfg Config, workers, quantum int) (*world, *sched.Scheduler, error) {
 	opts := defaultWorldOpts()
 	opts.cores = workers + 1
 	w, err := newWorld(cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Seed: cfg.Seed})
-	return w, workerCores(workers), nil
+	return w, sched.New(w.mon, sched.Policy{Quantum: quantum, Seed: cfg.Seed}, workerCores(workers)), nil
 }
 
 // runC19Sched schedules `domains` tenants of `iters` iterations
 // (yielding each one, or pure compute) over `workers` cores and runs
 // them to completion.
 func runC19Sched(cfg Config, domains, workers, iters, quantum int, yield bool) (*c19Point, error) {
-	w, cores, err := schedWorld(cfg, workers, quantum)
+	w, q, err := schedWorld(cfg, workers, quantum)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := loadTenants(w, domains, cores, tenantLoop(uint32(iters), yield)); err != nil {
+	if _, err := loadTenants(w, q, domains, tenantLoop(uint32(iters), yield)); err != nil {
 		return nil, err
 	}
 	p := &c19Point{w: w, iters: uint64(domains) * uint64(iters)}
 	before := w.mach.Clock.Cycles()
-	if _, err := w.mon.RunCores(8_000_000, cores...); err != nil {
+	if _, err := q.Run(8_000_000); err != nil {
 		return nil, err
 	}
 	p.cycles = w.mach.Clock.Cycles() - before
-	q := w.mon.Scheduler()
 	p.ctr = q.Counters()
 	p.p99 = q.LatencyP99()
 	p.hash = q.Hash()
-	if st := w.mon.Stats(); st.SchedCompleted != uint64(domains) {
-		p.unmet = append(p.unmet, fmt.Sprintf("completed %d of %d, pending %d", st.SchedCompleted, domains, q.Pending()))
+	if p.ctr.Completed != uint64(domains) {
+		p.unmet = append(p.unmet, fmt.Sprintf("completed %d of %d, pending %d", p.ctr.Completed, domains, q.Pending()))
 	}
 	return p, nil
 }
@@ -251,40 +251,42 @@ func runC19Dedicated(cfg Config, domains, iters int) (*c19Point, error) {
 // effectively forever, queued twice (two vCPUs), is ForceKilled while
 // three finite tenants ride alongside.
 func runC19Kill(cfg Config, res *Result, iters, quantum int) error {
-	w, cores, err := schedWorld(cfg, 2, quantum)
+	w, q, err := schedWorld(cfg, 2, quantum)
 	if err != nil {
 		return err
 	}
-	victims, err := loadTenants(w, 1, cores, computeTenant(2_000_000_000))
+	victims, err := loadTenants(w, q, 1, computeTenant(2_000_000_000))
 	if err != nil {
 		return err
 	}
 	victim := victims[0]
-	if err := w.mon.Schedule(victim.ID()); err != nil { // second vCPU
+	if err := q.Add(victim.ID()); err != nil { // second vCPU
 		return err
 	}
-	if _, err := loadTenants(w, 3, cores, computeTenant(uint32(iters))); err != nil {
+	if _, err := loadTenants(w, q, 3, computeTenant(uint32(iters))); err != nil {
 		return err
 	}
 	// First slice: everyone gets dispatched, nobody finishes; the
 	// budget expires with both victim vCPUs requeued.
-	if _, err := w.mon.RunCores(2*quantum, cores...); err != nil {
+	if _, err := q.Run(2 * quantum); err != nil {
 		return err
 	}
-	preKill := len(w.mon.Scheduler().Records())
+	preKill := len(q.Records())
 	if err := w.mon.ForceKill(victim.ID()); err != nil {
 		return err
 	}
-	res.metric("kill_purged_vcpus", float64(w.mon.Stats().SchedPurged))
-	if _, err := w.mon.RunCores(8_000_000, cores...); err != nil {
+	// The kill touched no queue: the victim's vCPUs are dropped when
+	// their dispatch comes up.
+	if _, err := q.Run(8_000_000); err != nil {
 		return err
 	}
+	res.metric("kill_purged_vcpus", float64(q.Counters().Dropped))
 	after := 0
-	for _, r := range w.mon.Scheduler().Records()[preKill:] {
-		after += int(bit(r.Domain == uint64(victim.ID())))
+	for _, r := range q.Records()[preKill:] {
+		after += int(bit(r.Domain == victim.ID()))
 	}
 	res.metric("kill_victim_dispatches", float64(after))
-	res.metric("kill_survivors_completed", float64(w.mon.Stats().SchedCompleted))
+	res.metric("kill_survivors_completed", float64(q.Counters().Completed))
 	w.audit(res, "kill")
 	return nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -10,6 +9,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/libtyche"
 	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
@@ -388,14 +388,5 @@ func (s *opSpans) Event(ev trace.Event) {
 func (s *opSpans) p99() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.spans) == 0 {
-		return 0
-	}
-	sorted := append([]uint64(nil), s.spans...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (len(sorted)*99 + 99) / 100
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
+	return sched.Percentile(s.spans, 99)
 }

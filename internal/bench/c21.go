@@ -87,8 +87,7 @@ func runC21Observers(cfg Config, res *Result) error {
 		if err != nil {
 			return err
 		}
-		w.mon.SetSchedPolicy(&sched.Policy{Quantum: quantum, Seed: cfg.Seed})
-		cores := workerCores(workers)
+		q := sched.New(w.mon, sched.Policy{Quantum: quantum, Seed: cfg.Seed}, workerCores(workers))
 		base := w.mon.Stats()
 		var tr *trace.Tracer
 		var ck *check.Checker
@@ -107,16 +106,16 @@ func runC21Observers(cfg Config, res *Result) error {
 			}
 			tr = svc.Tracer()
 		}
-		if _, err := loadTenants(w, domains, cores, computeTenant(uint32(iters))); err != nil {
+		if _, err := loadTenants(w, q, domains, computeTenant(uint32(iters))); err != nil {
 			return err
 		}
 		before := w.mach.Clock.Cycles()
-		if _, err := w.mon.RunCores(16_000_000, cores...); err != nil {
+		if _, err := q.Run(16_000_000); err != nil {
 			return err
 		}
 		cycles := w.mach.Clock.Cycles() - before
-		if st := w.mon.Stats(); st.SchedCompleted != uint64(domains) {
-			return fmt.Errorf("%s: only %d of %d tenants completed", mode, st.SchedCompleted, domains)
+		if n := q.Counters().Completed; n != uint64(domains) {
+			return fmt.Errorf("%s: only %d of %d tenants completed", mode, n, domains)
 		}
 
 		detail := fmt.Sprintf("cycles %s", fmtU(cycles))

@@ -53,9 +53,8 @@ const (
 	CallSealSelf uint64 = 10
 	// CallYield cooperatively ends the calling domain's time slice:
 	// the run loop hands control back to the embedding scheduler
-	// (RunResult.Yielded). Under the multi-tenant engine the vCPU is
-	// requeued behind its siblings; execution resumes after the VMCALL
-	// at the next dispatch.
+	// (RunResult.Yielded), which may requeue the vCPU behind its
+	// siblings; execution resumes after the VMCALL at the next dispatch.
 	CallYield uint64 = 11
 	// CallRingSetup registers the caller's submission/completion ring:
 	// r1 = base address, r2 = capacity in entries (see ring.go for the

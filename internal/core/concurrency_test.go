@@ -12,7 +12,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
@@ -271,29 +270,26 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 	assertTraceClean(t, m, ck)
 }
 
-// TestRunCoresReproducible: RunCores steps its cores on the caller's
-// goroutine in a fixed interleaving, so a run is a function of its
-// inputs. A 4-core share+revoke ring in dedicated mode and six tenants
-// scheduled over two cores each run twice at GOMAXPROCS 1 and 4, and
-// every run matches the first in cycles, Stats(), per-core results,
-// schedule hash and trace event stream.
+// TestRunCoresReproducible: RunCores and RunSlices step their cores on
+// the caller's goroutine in a fixed interleaving, so a run is a
+// function of its inputs. A 4-core share+revoke ring in dedicated mode
+// and six tenants time-multiplexed over two cores through the vCPU
+// mechanism each run twice at GOMAXPROCS 1 and 4, and every run matches
+// the first in cycles, Stats(), per-core results and trace event
+// stream. (internal/sched's TestManagerReproducible adds the schedule
+// hash of the real manager.)
 func TestRunCoresReproducible(t *testing.T) {
 	type fingerprint struct {
 		cycles uint64
 		stats  Stats
 		runs   map[phys.CoreID]RunResult
-		hash   uint64
 		events []trace.Event
 	}
 	finish := func(t *testing.T, m *Monitor, runs map[phys.CoreID]RunResult, err error) fingerprint {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hash uint64
-		if q := m.Scheduler(); q != nil {
-			hash = q.Hash()
-		}
-		return fingerprint{m.Machine().Clock.Cycles(), m.Stats(), runs, hash, m.Machine().Tracer().Events()}
+		return fingerprint{m.Machine().Clock.Cycles(), m.Stats(), runs, m.Machine().Tracer().Events()}
 	}
 	workloads := []struct {
 		name string
@@ -308,15 +304,16 @@ func TestRunCoresReproducible(t *testing.T) {
 		{"scheduled", func(t *testing.T) fingerprint {
 			m, ck := bootCoresWorld(t, 2)
 			cores := []phys.CoreID{0, 1}
-			m.SetSchedPolicy(&sched.Policy{Quantum: 32, Seed: 1})
+			var vs []VCPU
 			for i := 0; i < 6; i++ {
-				if err := m.Schedule(loadTenant(t, m, "tenant", uint64(64+i), 40, i%2 == 0, cores)); err != nil {
-					t.Fatal(err)
-				}
+				vs = append(vs, vcpusFor(t, m, loadTenant(t, m, "tenant", uint64(64+i), 40, i%2 == 0, cores))...)
 			}
-			runs, err := m.RunCores(100_000)
+			left, err := runVCPUs(m, cores, vs, 32, 10_000)
+			if len(left) > 0 {
+				t.Fatalf("%d vCPUs left unfinished", len(left))
+			}
 			assertTraceClean(t, m, ck)
-			return finish(t, m, runs, err)
+			return finish(t, m, nil, err)
 		}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -338,8 +335,6 @@ func TestRunCoresReproducible(t *testing.T) {
 						t.Fatalf("GOMAXPROCS=%d run %d: stats %+v, want %+v", procs, i, got.stats, first.stats)
 					case !reflect.DeepEqual(got.runs, first.runs):
 						t.Fatalf("GOMAXPROCS=%d run %d: results %+v, want %+v", procs, i, got.runs, first.runs)
-					case got.hash != first.hash:
-						t.Fatalf("GOMAXPROCS=%d run %d: schedule hash %#x, want %#x", procs, i, got.hash, first.hash)
 					case !slices.Equal(got.events, first.events):
 						t.Fatalf("GOMAXPROCS=%d run %d: trace of %d events differs from the first run's %d",
 							procs, i, len(got.events), len(first.events))

@@ -243,13 +243,15 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 		}
 		sc.mu.Unlock()
 	}
-	// Purge the dead domain's queued vCPUs from the multi-tenant run
-	// queue. Any dispatch that validated liveness before the death
-	// publish has retired inside the grace period above; dispatches
-	// after it fail the liveness check — so a killed domain is never
-	// dispatched again (the trace oracle's dead-domain-silence property
-	// over KTransition checks it).
-	m.schedPurge(d.id)
+	// The dead domain's vCPU contexts go with it. Any dispatch that
+	// validated liveness before the death publish has retired inside
+	// the grace period above; later ones see the death and drop the
+	// vCPU — so a killed domain is never dispatched again (the trace
+	// oracle's dead-domain-silence property over KTransition checks it).
+	d.mu.Lock()
+	m.vcpus.Add(-int64(len(d.vcpus)))
+	d.vcpus = nil
+	d.mu.Unlock()
 	m.emit(trace.KKill, d.id, 0, 0, 0, 0)
 	return firstErr
 }
@@ -266,7 +268,7 @@ func (m *Monitor) containFault(core phys.CoreID, victim DomainID) error {
 	if sc, ok := m.sched[core]; ok {
 		sc.mu.Lock()
 		sc.frames = nil
-		sc.cur, sc.hasCur = 0, false
+		sc.cur, sc.hasCur, sc.vcpu = 0, false, VCPU{}
 		sc.mu.Unlock()
 	}
 	m.stats.coresParked.Add(1)

@@ -113,6 +113,10 @@ type Domain struct {
 	// logbuf collects values written via the guest LOG hypercall; tests
 	// and examples read it as the domain's "console".
 	logbuf []uint64
+
+	// vcpus are the domain's vCPU contexts (vcpu.go), indexed by
+	// VCPU.Index; they die with the domain.
+	vcpus []*vcpu
 }
 
 // ID returns the domain's identity.

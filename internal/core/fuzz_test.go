@@ -10,7 +10,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 )
 
 // The monitor API fuzzer drives a sequence of monitor calls decoded
@@ -29,8 +28,8 @@ import (
 // one opcode byte plus operand bytes, all drawn modulo the live object
 // sets so every input decodes to something executable. Invariants are
 // re-checked after every op. Ops 12-15 exercise the
-// multi-tenant scheduler (exec shares, core delegation, CallYield
-// tenants, scheduled run bursts); ops 16-18 the batched ABI (ring
+// vCPU mechanism (exec shares, core delegation, CallYield tenants given
+// a vCPU, bursts of dispatch/run/preempt rounds); ops 16-18 the batched ABI (ring
 // setup, raw descriptor enqueue, doorbell flush); ops 19-21 are the
 // revoke-heavy mix for the epoch-reclamation scheme (revoke bursts,
 // create+share+revoke churn, revocations interleaved with ring
@@ -91,7 +90,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 		base    phys.Addr
 		entries uint64
 	}{}
-	schedOn := false
+	var vcpus []VCPU // created and still waiting, in FIFO order
 	// The migration peer (op 23): a second in-process monitor playing
 	// the destination node, booted on first use.
 	var peer *Monitor
@@ -149,14 +148,11 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				}
 			}
 		case 14:
-			// Plant a yielding tenant and schedule it: copy a CallYield
-			// loop into a page, grant it RWX, set the entry, enqueue.
-			// Each step is allowed to fail (the page may be gone, the
-			// domain sealed or dead) — the stream just moves on.
-			if !schedOn {
-				m.SetSchedPolicy(&sched.Policy{Quantum: 16, Seed: 1})
-				schedOn = true
-			}
+			// Plant a yielding tenant and give it a vCPU: copy a
+			// CallYield loop into a page, grant it RWX, set the entry,
+			// create the vCPU. Each step is allowed to fail (the page may
+			// be gone, the domain sealed or dead) — the stream just moves
+			// on.
 			d := randDomain()
 			page := uint64(600 + pick(128))
 			base := phys.Addr(page * pg)
@@ -174,13 +170,15 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				nodes = append(nodes, id)
 			}
 			_ = m.SetEntry(InitialDomain, d, base)
-			_ = m.Schedule(d)
-		case 15:
-			// A scheduled run burst: time-multiplex whatever tenants the
-			// stream managed to enqueue over both cores.
-			if schedOn {
-				_, _ = m.RunCores(256)
+			if v, err := m.CreateVCPU(d); err == nil {
+				vcpus = append(vcpus, v)
 			}
+		case 15:
+			// A burst of mechanism rounds: dispatch, run and preempt
+			// whatever vCPUs the stream created over both cores. Kills in
+			// between leave saved vCPUs of dead domains behind; their
+			// dispatch must drop them.
+			vcpus, _ = runVCPUs(m, []phys.CoreID{0, 1}, vcpus, 16, 16)
 		case 16:
 			// Batched ABI: register a ring wherever the stream points —
 			// unowned memory, overlapping an earlier ring, zero or

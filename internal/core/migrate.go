@@ -3,13 +3,12 @@ package core
 // Attested live migration, monitor side. A domain's complete isolation
 // state — exclusive memory contents, capability shape (regions +
 // rights, cores), entry configuration, measured regions, seal-time
-// measurement, and any queued vCPU contexts from the multi-tenant
-// scheduler — is captured into a DomainSnapshot on the source machine
-// and rebuilt by RestoreDomain on the destination, which re-derives
-// the measurement through the ordinary Seal path and refuses the
-// restore if it does not reproduce the snapshot's digest
-// (re-attestation on arrival: the measurement is recomputed from the
-// restored bytes, never trusted from the wire). The fleet control
+// measurement, and its vCPUs waiting for a dispatch — is captured into
+// a DomainSnapshot on the source machine and rebuilt by RestoreDomain
+// on the destination, which re-derives the measurement through the
+// ordinary Seal path and refuses the restore if it does not reproduce
+// the snapshot's digest (re-attestation on arrival: the measurement is
+// recomputed from the restored bytes, never trusted from the wire). The fleet control
 // plane (internal/fleet) ships snapshots over dist.Conn attested
 // channels and completes the departure with DepartKill — a forced
 // scrub + key erase of the source copy, so exactly one plaintext
@@ -26,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/codec"
@@ -57,10 +57,10 @@ type RegionSnapshot struct {
 	Data   []byte
 }
 
-// VCPUSnapshot is one queued vCPU context from the multi-tenant
-// scheduler. Started vCPUs carry saved architectural state and resume
-// via TransDispatch on the destination; unstarted ones re-enter at the
-// entry point like any fresh Schedule.
+// VCPUSnapshot is one vCPU waiting for a dispatch. Started vCPUs carry
+// saved architectural state and resume via TransDispatch on the
+// destination; unstarted ones enter at the entry point like any fresh
+// CreateVCPU.
 type VCPUSnapshot struct {
 	Started bool
 	Regs    [hw.NumRegs]uint64
@@ -272,30 +272,32 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 	}
 	d.mu.Unlock()
 
-	// Queued vCPU contexts: capture is only sound while no dispatch is
-	// in flight (the fleet freezes serving before snapshotting). vCPUs
-	// carrying mediated-call frames cannot migrate — the saved stack
-	// references domains that stay behind.
-	if q := m.Scheduler(); q != nil {
-		for _, v := range q.DomainVCPUs(uint64(id)) {
-			if len(v.Frames) > 0 || v.Running != v.Domain {
-				return nil, fmt.Errorf("%w: queued vCPU of domain %d holds a mediated call stack", ErrNotMigratable, id)
+	// The domain's waiting vCPUs travel with it. Capture is only sound
+	// while no dispatch is in flight (the fleet freezes serving before
+	// snapshotting). A vCPU that would run or unwind into a domain that
+	// stays behind cannot migrate, nor can the domain while another
+	// domain's vCPU would run or unwind into it.
+	for _, o := range *m.tab.Load() {
+		if m.vcpus.Load() == 0 {
+			break // no live domain has a vCPU
+		}
+		if o.State() == StateDead {
+			continue
+		}
+		o.mu.Lock()
+		for _, v := range o.vcpus {
+			if v.state != vcpuFresh && v.state != vcpuSaved ||
+				o.id != id && v.running != id && !slices.Contains(v.frames, id) {
+				continue
 			}
-			snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{
-				Started: v.Started,
-				Regs:    v.Regs,
-				PC:      uint64(v.PC),
-				Ring:    v.Ring,
-			})
+			if o.id != id || v.running != id || len(v.frames) > 0 {
+				o.mu.Unlock()
+				return nil, fmt.Errorf("%w: a waiting vCPU of domain %d holds a mediated call stack", ErrNotMigratable, id)
+			}
+			snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{Started: v.state == vcpuSaved, Regs: v.regs, PC: uint64(v.pc), Ring: v.ring})
 		}
+		o.mu.Unlock()
 	}
-	m.schedMu.Lock()
-	for _, st := range m.schedSet {
-		if st.id == id {
-			snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{Started: st.resumed, Regs: st.regs, PC: uint64(st.pc), Ring: st.ring})
-		}
-	}
-	m.schedMu.Unlock()
 
 	m.stats.migrationsOut.Add(1)
 	return snap, nil
@@ -377,16 +379,20 @@ func (m *Monitor) RestoreDomain(caller DomainID, node cap.NodeID, cores []phys.C
 			return id, fmt.Errorf("%w: measurement %x != snapshot %x", ErrReattest, got[:4], snap.Measurement[:4])
 		}
 	}
+	// The vCPUs are recreated here, the snapshot's i-th as VCPU{id, i},
+	// for the target's manager to enqueue.
 	for _, vs := range snap.VCPUs {
-		var err error
-		if vs.Started {
-			err = m.ScheduleResumed(id, vs.Regs, phys.Addr(vs.PC), vs.Ring)
-		} else {
-			err = m.Schedule(id)
+		if !vs.Started {
+			if _, err := m.CreateVCPU(id); err != nil {
+				return id, err
+			}
+			continue
 		}
+		d, err := m.liveDomain(id)
 		if err != nil {
 			return id, err
 		}
+		m.addVCPU(d, &vcpu{state: vcpuSaved, running: id, regs: vs.Regs, pc: phys.Addr(vs.PC), ring: vs.Ring})
 	}
 	m.stats.migrationsIn.Add(1)
 	return id, nil

@@ -12,7 +12,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 )
 
 // serviceImage assembles the standard service payload: return r2+delta
@@ -195,9 +194,10 @@ func TestSnapshotRejectsUnmigratable(t *testing.T) {
 	assertTraceClean(t, mB, ckB)
 }
 
-// TestMigrateSchedulerState migrates a mid-run scheduled tenant: the
-// queued vCPU's saved registers and PC cross with the snapshot and the
-// destination resumes it to completion via TransDispatch.
+// TestMigrateSchedulerState migrates a tenant whose vCPU was preempted
+// mid-run: the saved registers and PC cross with the snapshot, the
+// destination recreates the vCPU and resumes it to completion via
+// TransDispatch.
 func TestMigrateSchedulerState(t *testing.T) {
 	mA, ckA := bootTracedWorld(t, BackendVTX)
 	mB, ckB := bootTracedWorld(t, BackendVTX)
@@ -206,7 +206,7 @@ func TestMigrateSchedulerState(t *testing.T) {
 
 	// A yielding countdown loop: far more slices than the source budget
 	// covers, so the vCPU is preempted mid-run (saved state in the
-	// queue) when the snapshot is taken. Jumps resolve to absolute
+	// in the monitor) when the snapshot is taken. Jumps resolve to absolute
 	// addresses, so the same-base restore contract is load-bearing here.
 	yieldLoop := func() []byte {
 		a := hw.NewAsm()
@@ -244,14 +244,11 @@ func TestMigrateSchedulerState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mA.SetSchedPolicy(&sched.Policy{Quantum: 32, Seed: 1})
-	if err := mA.Schedule(id); err != nil {
-		t.Fatal(err)
-	}
 	// Run a couple of slices — not enough to finish — so the vCPU is
-	// requeued Started with saved state.
-	if _, err := mA.RunCores(70, 1); err != nil {
-		t.Fatal(err)
+	// saved mid-run.
+	left, err := runVCPUs(mA, []phys.CoreID{1}, vcpusFor(t, mA, id), 32, 2)
+	if err != nil || len(left) != 1 {
+		t.Fatalf("source slices: %d vCPUs left, %v", len(left), err)
 	}
 	snap, err := mA.SnapshotDomain(id)
 	if err != nil {
@@ -264,16 +261,17 @@ func TestMigrateSchedulerState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mB.SetSchedPolicy(&sched.Policy{Quantum: 32, Seed: 1})
 	restored, err := mB.RestoreDomain(InitialDomain, dom0MemNode(t, mB), []phys.CoreID{1}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mB.RunCores(10_000, 1); err != nil {
-		t.Fatal(err)
+	// The snapshot's vCPU is VCPU{restored, 0} on the target, and it
+	// resumes where the source left it.
+	if left, err := runVCPUs(mB, []phys.CoreID{1}, []VCPU{{restored, 0}}, 32, 10_000); err != nil || len(left) > 0 {
+		t.Fatalf("restored vCPU did not run to completion: %d left, %v", len(left), err)
 	}
-	if st := mB.Stats(); st.SchedCompleted != 1 {
-		t.Fatalf("restored vCPU did not run to completion: %+v", st)
+	if r := mB.Machine().Core(1).Regs[10]; r != 0 {
+		t.Fatalf("restored countdown ended at %d, want 0", r)
 	}
 	if d, _ := mB.Domain(restored); d.State() == StateDead {
 		t.Fatal("restored domain died")

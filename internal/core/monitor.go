@@ -15,7 +15,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/tpm"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
@@ -73,16 +72,6 @@ type Stats struct {
 	PagesScrubbed uint64 // pages zeroed while reclaiming dead domains
 	CoresParked   uint64 // cores taken out of scheduling after a fault
 
-	// Multi-tenant scheduling (schedule.go; all zero in dedicated-core
-	// mode).
-	SchedDispatches  uint64 // vCPU dispatches by the scheduling engine
-	SchedPreemptions uint64 // time slices ended by the preemption timer
-	SchedYields      uint64 // time slices ended by CallYield
-	SchedSteals      uint64 // dispatches that crossed cores (work stealing)
-	SchedPurged      uint64 // vCPUs dropped because their domain died
-	SchedCompleted   uint64 // vCPUs that ran to completion (halt)
-	SchedMaxQueue    uint64 // deepest any single run queue ever got
-
 	// Batched ABI rings (ring.go; all zero until a ring is set up).
 	RingOps          uint64 // descriptors executed via submission rings
 	RingFlushes      uint64 // non-empty ring drains (batches)
@@ -119,14 +108,6 @@ type statCounters struct {
 	pagesScrubbed atomic.Uint64
 	coresParked   atomic.Uint64
 
-	schedDispatches  atomic.Uint64
-	schedPreemptions atomic.Uint64
-	schedYields      atomic.Uint64
-	schedSteals      atomic.Uint64
-	schedPurged      atomic.Uint64
-	schedCompleted   atomic.Uint64
-	schedMaxQueue    atomic.Uint64
-
 	ringOps          atomic.Uint64
 	ringFlushes      atomic.Uint64
 	ringShootdowns   atomic.Uint64
@@ -153,14 +134,6 @@ func (s *statCounters) snapshot() Stats {
 		ForcedKills:   s.forcedKills.Load(),
 		PagesScrubbed: s.pagesScrubbed.Load(),
 		CoresParked:   s.coresParked.Load(),
-
-		SchedDispatches:  s.schedDispatches.Load(),
-		SchedPreemptions: s.schedPreemptions.Load(),
-		SchedYields:      s.schedYields.Load(),
-		SchedSteals:      s.schedSteals.Load(),
-		SchedPurged:      s.schedPurged.Load(),
-		SchedCompleted:   s.schedCompleted.Load(),
-		SchedMaxQueue:    s.schedMaxQueue.Load(),
 
 		RingOps:          s.ringOps.Load(),
 		RingFlushes:      s.ringFlushes.Load(),
@@ -197,6 +170,7 @@ type coreSched struct {
 	frames []DomainID
 	cur    DomainID
 	hasCur bool
+	vcpu   VCPU // the vCPU last dispatched here (none after Launch)
 }
 
 // Monitor is the isolation monitor instance controlling one machine.
@@ -282,27 +256,18 @@ type Monitor struct {
 	// sched holds per-core scheduling state; the map itself is built at
 	// boot and never mutated, so indexing it is lock-free.
 	sched map[phys.CoreID]*coreSched
+	// vcpus counts the vCPUs of live domains (vcpu.go).
+	vcpus atomic.Int64
 
 	// memKeys maps domains to their MKTME keys (empty when the machine
 	// has no engine), guarded by keyMu.
 	keyMu   sync.Mutex
 	memKeys map[DomainID]hw.KeyID
 
-	// schedMu guards the opt-in multi-tenant scheduling state below
-	// (schedule.go): the installed policy, domains scheduled before the
-	// run queue exists, and the persistent run queue itself. It nests
-	// under any monitor lock state (destruction purges the queue while
-	// holding revMu) and never holds another monitor lock; the
-	// Scheduler's own mutex is a leaf below it.
-	schedMu  sync.Mutex
-	schedPol *sched.Policy
-	schedSet []schedStaged
-	runq     *sched.Scheduler
-
 	// ringMu guards the submission-ring registry (ring.go), a leaf:
 	// setup registers from a reader entry, drains and teardown walk it
 	// from destructive entries. ringCount mirrors
-	// len(rings) so the scheduler's round barrier can skip the drain
+	// len(rings) so DrainRings at a round barrier can skip the drain
 	// entirely — one atomic load — when no domain ever set a ring up,
 	// keeping unbatched runs cycle-identical to pre-ring builds.
 	ringMu    sync.Mutex
@@ -316,8 +281,9 @@ type Monitor struct {
 	firstDrainErr error
 
 	// checkpoint, when installed (SetCheckpoint), runs at the monitor's
-	// quiescent points: scheduler round barriers, ring-drain doorbells,
-	// and RunCores completion. The runtime-verification service
+	// quiescent points: round barriers (RunCores completion, and
+	// Checkpoint calls of management code driving its own rounds) and
+	// ring-drain doorbells. The runtime-verification service
 	// (internal/rv) registers its shard-merge step here so cross-core
 	// trace properties resolve without ever serialising the emit path.
 	checkpoint atomic.Pointer[func()]
@@ -475,10 +441,9 @@ func (m *Monitor) LockWait() (time.Duration, uint64) {
 }
 
 // SetCheckpoint installs fn (nil removes it) to run at the monitor's
-// quiescent points: every scheduler round barrier, every ring-drain
-// doorbell, and RunCores completion. It is the hook the runtime-
-// verification service (internal/rv) uses to merge its shard checkers
-// where cross-core state is naturally settled. fn must be fast, must
+// quiescent points: every round barrier and every ring-drain doorbell.
+// It is the hook the runtime-verification service (internal/rv) uses to
+// merge its shard checkers where cross-core state is naturally settled. fn must be fast, must
 // not call back into the monitor, and must never advance simulated
 // cycles — checkpoints are host-side work, invisible to the cycle
 // clock, which is what keeps cycle histories bit-identical with
@@ -491,9 +456,10 @@ func (m *Monitor) SetCheckpoint(fn func()) {
 	m.checkpoint.Store(&fn)
 }
 
-// runCheckpoint fires the installed checkpoint hook, if any: one
-// atomic load on the (default) uninstalled path.
-func (m *Monitor) runCheckpoint() {
+// Checkpoint fires the installed checkpoint hook, if any: one atomic
+// load on the (default) uninstalled path. RunCores fires it at the end
+// of its round; a caller driving RunSlices fires it at its barriers.
+func (m *Monitor) Checkpoint() {
 	if f := m.checkpoint.Load(); f != nil {
 		(*f)()
 	}

@@ -5,7 +5,7 @@ package core
 // its own memory with plain stores — no trap per operation — and the
 // monitor drains the ring in one batch, either when the guest rings
 // the doorbell (CallRingFlush, one trap amortised over the whole
-// batch) or at the multi-tenant scheduler's round barriers, where all
+// batch) or at a scheduler's round barriers (DrainRings), where all
 // cores are quiescent anyway. The HotOS paper's pitch is that trust
 // management must be cheap enough to use everywhere; the journal
 // version (arXiv 2507.12364) makes low-cost composable monitor calls
@@ -214,16 +214,16 @@ func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
 	// the drained batch's trace frame is complete here. Other cores may
 	// still be emitting — the shard merge's stability gate defers
 	// cross-core resolution in that case.
-	m.runCheckpoint()
+	m.Checkpoint()
 	return n, err
 }
 
 // DrainRings drains every registered ring as one round (one
 // destructive-family section) and returns the total descriptors
-// executed. The multi-tenant engine calls it at every round barrier;
-// dedicated-mode embedders may call it directly. With no rings
-// registered it is one atomic load and returns immediately — unbatched
-// runs never take a lock here.
+// executed. Management code driving its own rounds (internal/sched)
+// calls it at every round barrier; embedders may call it directly. With
+// no rings registered it is one atomic load and returns immediately —
+// unbatched runs never take a lock here.
 func (m *Monitor) DrainRings() uint64 {
 	if m.ringCount.Load() == 0 {
 		return 0

@@ -8,13 +8,12 @@ import (
 	"github.com/tyche-sim/tyche/internal/fault"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
 // Differential suite for the sharded checker: real workloads — fault
-// containment, raw SMP, the multi-tenant scheduler, submission rings —
+// containment, raw SMP, time-multiplexed vCPUs, submission rings —
 // captured at 1/2/4/8 cores and replayed through BOTH checker
 // implementations. Verdicts, violation messages, and event-derived
 // counts must be identical; the serial Replay is the reference
@@ -101,22 +100,19 @@ func diffSMP(t *testing.T, m *Monitor, cores int) {
 	}
 }
 
-// diffSched: the multi-tenant scheduler oversubscribed with yielding
-// tenants — round barriers, purges, vmcalls.
+// diffSched: vCPUs oversubscribed with yielding tenants through the
+// dispatch/preempt mechanism — round barriers, resumes, vmcalls.
 func diffSched(t *testing.T, m *Monitor, cores int) {
-	m.SetSchedPolicy(&sched.Policy{Quantum: 64})
 	all := make([]phys.CoreID, cores)
 	for c := range all {
 		all[c] = phys.CoreID(c)
 	}
+	var vs []VCPU
 	for i := 0; i < cores+2; i++ {
-		id := loadTenant(t, m, fmt.Sprintf("tenant%d", i), uint64(80+i), 8, true, all)
-		if err := m.Schedule(id); err != nil {
-			t.Fatal(err)
-		}
+		vs = append(vs, vcpusFor(t, m, loadTenant(t, m, fmt.Sprintf("tenant%d", i), uint64(80+i), 8, true, all))...)
 	}
-	if _, err := m.RunCores(2_000_000, all...); err != nil {
-		t.Fatal(err)
+	if left, err := runVCPUs(m, all, vs, 64, 10_000); err != nil || len(left) > 0 {
+		t.Fatalf("%d vCPUs left: %v", len(left), err)
 	}
 }
 

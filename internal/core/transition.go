@@ -7,7 +7,6 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
-	"github.com/tyche-sim/tyche/internal/sched"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
@@ -74,6 +73,12 @@ func (m *Monitor) validateEntry(id DomainID, core phys.CoreID) (phys.Addr, hw.Ri
 // Launch starts the initial domain (or any domain with an entry point)
 // on a core with an empty call stack — boot-time scheduling.
 func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
+	return m.launch(id, core, VCPU{})
+}
+
+// launch is Launch on behalf of vCPU v (none for the zero VCPU): the
+// core remembers which vCPU it runs, the only one PreemptVCPU saves.
+func (m *Monitor) launch(id DomainID, core phys.CoreID, v VCPU) error {
 	p := m.renter()
 	defer m.rexit(p)
 	entry, ring, err := m.validateEntry(id, core)
@@ -91,7 +96,7 @@ func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 	c.PC = entry
 	c.Regs = [hw.NumRegs]uint64{}
 	c.Ring = ring
-	sc.cur, sc.hasCur = id, true
+	sc.cur, sc.hasCur, sc.vcpu = id, true, v
 	sc.frames = sc.frames[:0]
 	m.stats.transitions.Add(1)
 	m.emitCore(core, trace.KTransition, id, 0, 0, 0, trace.TransLaunch)
@@ -287,7 +292,7 @@ func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 	return r.res, r.err
 }
 
-// coreRun is one core's RunCore in progress. RunCores interleaves
+// coreRun is one core's RunCore in progress. RunSlices interleaves
 // several on one goroutine by calling step with a quantum; a run cut
 // into slices retires the same instructions, handles the same traps and
 // polls the interrupt controller at the same points as the uncut run.
@@ -300,8 +305,7 @@ type coreRun struct {
 	res    RunResult
 	err    error
 	done   bool
-	mid    bool        // the last slice ended inside a Run: resume without an IRQ poll
-	vcpu   *sched.VCPU // the vCPU the run serves, in RunCores' scheduled mode
+	mid    bool // the last slice ended inside a Run: resume without an IRQ poll
 }
 
 // startRun begins a run on a core with a domain installed.
@@ -376,9 +380,7 @@ func (r *coreRun) step(n int) bool {
 				continue
 			}
 			// The only stopping VMCall is CallYield: a cooperative
-			// hand-back to the embedding scheduler (the multi-tenant
-			// engine requeues the vCPU; dedicated-mode embedders see
-			// Yielded and decide themselves).
+			// hand-back to the embedding scheduler, which sees Yielded.
 			r.res.Yielded = true
 		case hw.TrapSyscall:
 			m.mach.Clock.Advance(m.mach.Cost.Syscall)

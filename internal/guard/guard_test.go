@@ -223,13 +223,15 @@ func TestCoreStartsNoGoroutine(t *testing.T) {
 // helpers of the capability space, the QSBR side channel, the
 // transition cache, trace sampling, the digest's shard stats, the
 // destructive tail's second bodies (the delegation-only resync, the
-// single-victim kill paths and the second grace entry), and the bench
-// harness's opt-in trace audit.
+// single-victim kill paths and the second grace entry), the bench
+// harness's opt-in trace audit, and the monitor's run queue (its policy
+// switch, the resumed-arrival path and the kill-time purge).
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
 	`SetSampling|SampleN|Sampleable|SampledOut|ShardStat|` +
-	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit`)
+	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit|` +
+	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it
@@ -433,21 +435,137 @@ func TestOneFilterWriteSite(t *testing.T) {
 		}
 	}
 	// The rule sees a planted second site.
-	fset := token.NewFileSet()
-	planted, err := parser.ParseFile(fset, "planted.go", `package p
+	withPlant := append(files, plant(t, "planted.go", `package p
 func refresh(b *B, pages uint64) {
 	b.mach.Clock.Advance(pages * b.mach.Cost.EPTUpdatePage)
 	b.mach.Clock.Advance(b.mach.Cost.PMPWrite)
 	b.mach.Trace(0, trace.KEPTMap, 1, 0, 7, 0, 4096)
 	b.mach.Trace(0, trace.KPMPWrite, 1, 0, 7, 0, 4096)
-}`, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPlant := append(files, goFile{"planted.go", fset, planted})
+}`))
 	for _, w := range filterWrites {
 		if got := sites(withPlant, w.match); len(got) != 2 {
 			t.Errorf("%s with a planted second site: found %v, want 2 sites", w.name, got)
 		}
+	}
+}
+
+// module is this module's import path prefix.
+const module = "github.com/tyche-sim/tyche/"
+
+// tcbAllowed are the packages of this module the monitor may link: the
+// ones C1 counts as its TCB (capability engine, backends, codec, trace)
+// and the simulated hardware it counts out (hw, tpm). Management code —
+// the scheduler, libraries, the fleet — is not among them.
+var tcbAllowed = map[string]bool{
+	"internal/core": true, "internal/cap": true, "internal/phys": true, "internal/codec": true,
+	"internal/backend": true, "internal/backend/pmp": true, "internal/backend/vtx": true,
+	"internal/trace": true, "internal/hw": true, "internal/tpm": true,
+}
+
+// linked returns the packages of this module that files import,
+// transitively (each package's non-test files, build tags ignored),
+// with the importing file of each.
+func linked(t *testing.T, files []goFile) map[string]string {
+	out := map[string]string{}
+	for todo := files; len(todo) > 0; {
+		g := todo[0]
+		todo = todo[1:]
+		for _, imp := range g.f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			dep, ok := strings.CutPrefix(path, module)
+			if !ok || out[dep] != "" {
+				continue
+			}
+			out[dep] = g.rel
+			for _, f := range parseTree(t, false, dep) {
+				if filepath.Dir(f.rel) == dep { // the package, not its subpackages
+					todo = append(todo, f)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// plant parses src as a file at rel.
+func plant(t *testing.T, rel, src string) goFile {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, rel, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goFile{rel, fset, f}
+}
+
+// TestMonitorLinksOnlyItsTCB: everything internal/core links, directly
+// or not, is on the allowlist, so C1's import-closure count is the
+// monitor's whole TCB and a scheduler, library or fleet package cannot
+// creep back in. The rule sees a planted import of internal/sched.
+func TestMonitorLinksOnlyItsTCB(t *testing.T) {
+	core := parseTree(t, false, "internal/core")
+	check := func(files []goFile) (bad []string) {
+		for dep, by := range linked(t, files) {
+			if !tcbAllowed[dep] {
+				bad = append(bad, dep+" (via "+by+")")
+			}
+		}
+		return bad
+	}
+	if bad := check(core); len(bad) > 0 {
+		t.Errorf("internal/core links packages outside its TCB: %v", bad)
+	}
+	planted := plant(t, "internal/core/planted.go", `package core
+import _ "`+module+`internal/sched"`)
+	if bad := check(append(core, planted)); len(bad) == 0 {
+		t.Error("a planted import of internal/sched in internal/core went unnoticed")
+	}
+}
+
+// TestSchedulerImportsNoHardware: internal/sched is management code over
+// the monitor's vCPU handles; saved registers stay in the monitor, so
+// the scheduler never needs the hardware model. The rule sees a planted
+// import of internal/hw.
+func TestSchedulerImportsNoHardware(t *testing.T) {
+	hwPath := module + "internal/hw"
+	check := func(files []goFile) (bad []string) {
+		for _, g := range files {
+			if g.imports(hwPath) {
+				bad = append(bad, g.rel)
+			}
+		}
+		return bad
+	}
+	files := parseTree(t, false, "internal/sched")
+	if bad := check(files); len(bad) > 0 {
+		t.Errorf("internal/sched imports internal/hw: %v", bad)
+	}
+	planted := plant(t, "internal/sched/planted.go", `package sched
+import _ "`+hwPath+`"`)
+	if bad := check(append(files, planted)); len(bad) != 1 {
+		t.Error("a planted import of internal/hw in internal/sched went unnoticed")
+	}
+}
+
+// TestOnlyCodecDecodes: under internal/, bytes are decoded by package
+// codec's Reader, which refuses every encoding a Writer could not have
+// produced; binary.Read has no such rule, so no other file calls it.
+// The rule sees a planted call.
+func TestOnlyCodecDecodes(t *testing.T) {
+	check := func(files []goFile) (bad []string) {
+		inspect(files, func(g goFile, n ast.Node) {
+			if selector(n) == "binary.Read" && !strings.HasPrefix(g.rel, "internal/codec/") {
+				bad = append(bad, g.at(n))
+			}
+		})
+		return bad
+	}
+	files := parseTree(t, false, "internal")
+	if bad := check(files); len(bad) > 0 {
+		t.Errorf("binary.Read outside internal/codec: %v", bad)
+	}
+	planted := plant(t, "internal/image/planted.go", `package image
+func read(r io.Reader, v *uint32) error { return binary.Read(r, binary.LittleEndian, v) }`)
+	if bad := check(append(files, planted)); len(bad) != 1 {
+		t.Error("a planted binary.Read in internal/image went unnoticed")
 	}
 }

@@ -13,22 +13,25 @@ package image
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/cap"
+	"github.com/tyche-sim/tyche/internal/codec"
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
 )
 
-// Magic identifies serialized images ("TYCI" little-endian + version).
+// Magic identifies serialized images ("TYCI" little-endian), after the
+// format version.
 const Magic = uint32(0x49435954)
 
-// FormatVersion is the serialization version.
-const FormatVersion = uint32(1)
+// FormatVersion is the serialization version, the encoding's first
+// byte. Version 1 began with the magic, so its images fail with
+// codec.ErrVersion.
+const FormatVersion = 2
 
 // Segment is one loadable unit with its isolation policy.
 type Segment struct {
@@ -218,136 +221,55 @@ func (img *Image) Measurement(base phys.Addr) (tpm.Digest, error) {
 	return core.ComputeMeasurement(entry, regions), nil
 }
 
-// Encode serializes the image.
+// Encode serializes the image (package codec): the format version, the
+// magic, the header, then the segments.
 func (img *Image) Encode() ([]byte, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	binary.Write(&b, binary.LittleEndian, Magic)
-	binary.Write(&b, binary.LittleEndian, FormatVersion)
-	writeString(&b, img.Name)
-	writeString(&b, img.EntrySegment)
-	binary.Write(&b, binary.LittleEndian, img.EntryOffset)
-	binary.Write(&b, binary.LittleEndian, uint32(len(img.Segments)))
+	w := codec.Writer{}
+	w.U8(FormatVersion)
+	w.U32(Magic)
+	w.Str(img.Name)
+	w.Str(img.EntrySegment)
+	w.U64(img.EntryOffset)
+	w.U64(uint64(len(img.Segments)))
 	for i := range img.Segments {
 		s := &img.Segments[i]
-		writeString(&b, s.Name)
-		writeBytes(&b, s.Data)
-		binary.Write(&b, binary.LittleEndian, s.Size)
-		binary.Write(&b, binary.LittleEndian, uint32(s.Rights))
-		binary.Write(&b, binary.LittleEndian, uint32(s.Ring))
-		writeBool(&b, s.Confidential)
-		writeBool(&b, s.Measured)
+		w.Str(s.Name)
+		w.Blob(s.Data)
+		w.U64(s.Size)
+		w.U16(uint16(s.Rights))
+		w.U8(uint8(s.Ring))
+		w.Bool(s.Confidential)
+		w.Bool(s.Measured)
 	}
-	return b.Bytes(), nil
+	return w.Buf, nil
 }
 
-// Decode parses a serialized image.
+// segmentMin is the smallest encoding of a segment.
+const segmentMin = 8 + 8 + 8 + 2 + 1 + 1 + 1
+
+// Decode parses Encode's bytes, refusing any other byte string — another
+// format version, a length past the end, a bool byte other than 0 or 1,
+// trailing bytes — with one of package codec's errors, and an invalid
+// image with Validate's. Segment contents are copied out of data.
 func Decode(data []byte) (*Image, error) {
-	r := bytes.NewReader(data)
-	var magic, version uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("image: truncated header: %w", err)
+	r := codec.NewReader(data, FormatVersion)
+	magic := r.U32()
+	img := &Image{Name: r.Str(), EntrySegment: r.Str(), EntryOffset: r.U64()}
+	img.Segments = codec.List(r, segmentMin, func() Segment {
+		return Segment{Name: r.Str(), Data: bytes.Clone(r.Blob()), Size: r.U64(), Rights: cap.Rights(r.U16()),
+			Ring: hw.Ring(r.U8()), Confidential: r.Bool(), Measured: r.Bool()}
+	})
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("image: %w", err)
 	}
 	if magic != Magic {
 		return nil, fmt.Errorf("image: bad magic %#x", magic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != FormatVersion {
-		return nil, fmt.Errorf("image: unsupported version %d", version)
-	}
-	img := &Image{}
-	var err error
-	if img.Name, err = readString(r); err != nil {
-		return nil, err
-	}
-	if img.EntrySegment, err = readString(r); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &img.EntryOffset); err != nil {
-		return nil, err
-	}
-	var nseg uint32
-	if err := binary.Read(r, binary.LittleEndian, &nseg); err != nil {
-		return nil, err
-	}
-	const maxSegments = 1 << 12
-	if nseg > maxSegments {
-		return nil, fmt.Errorf("image: implausible segment count %d", nseg)
-	}
-	for i := uint32(0); i < nseg; i++ {
-		var s Segment
-		if s.Name, err = readString(r); err != nil {
-			return nil, err
-		}
-		if s.Data, err = readBytes(r); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, binary.LittleEndian, &s.Size); err != nil {
-			return nil, err
-		}
-		var rights, ring uint32
-		if err := binary.Read(r, binary.LittleEndian, &rights); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, binary.LittleEndian, &ring); err != nil {
-			return nil, err
-		}
-		s.Rights = cap.Rights(rights)
-		s.Ring = hw.Ring(ring)
-		if s.Confidential, err = readBool(r); err != nil {
-			return nil, err
-		}
-		if s.Measured, err = readBool(r); err != nil {
-			return nil, err
-		}
-		img.Segments = append(img.Segments, s)
 	}
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
 	return img, nil
-}
-
-func writeString(b *bytes.Buffer, s string) { writeBytes(b, []byte(s)) }
-
-func writeBytes(b *bytes.Buffer, p []byte) {
-	binary.Write(b, binary.LittleEndian, uint64(len(p)))
-	b.Write(p)
-}
-
-func writeBool(b *bytes.Buffer, v bool) {
-	if v {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
-	}
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	p, err := readBytes(r)
-	return string(p), err
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("image: truncated field (%d bytes claimed, %d remain)", n, r.Len())
-	}
-	p := make([]byte, n)
-	if _, err := r.Read(p); err != nil && n > 0 {
-		return nil, err
-	}
-	return p, nil
-}
-
-func readBool(r *bytes.Reader) (bool, error) {
-	b, err := r.ReadByte()
-	return b != 0, err
 }

@@ -1,34 +1,30 @@
-// Package sched is the monitor's preemptive multi-tenant scheduler:
-// it time-multiplexes N trust domains over M simulated cores (N ≫ M)
-// with per-core run queues of runnable vCPU contexts, round-robin
-// quantum budgets, cooperative yield, and work stealing
-// between idle cores.
+// Package sched is management code: a preemptive multi-tenant scheduler
+// that time-multiplexes N trust domains over M simulated cores (N ≫ M)
+// with per-core run queues, round-robin quantum budgets, cooperative
+// yield, and work stealing between idle cores.
 //
-// The package owns only the queueing *policy*; the mechanism (arming
-// the hw preemption timer, performing the monitor-mediated dispatch
-// transition, saving and restoring architectural state) lives in
-// internal/core's scheduling engine, which drives a Scheduler from
-// sequential decision points. That split keeps the determinism
-// contract auditable in one place: every method here is a pure
-// function of the scheduler's own state plus its explicit arguments
+// The monitor does not schedule (ARCHITECTURE §9). It keeps the
+// mechanism — create a vCPU, dispatch it onto a core, arm the
+// preemption timer, save a preempted vCPU — and this package drives it
+// from whoever holds the cores, queueing only vCPU handles: a queued
+// vCPU's registers never leave the monitor. Every decision here is a
+// pure function of the scheduler's own state plus its explicit inputs
 // (seed, arrival order, cycle counts) — no wall clock, no global
 // randomness, no map iteration in any decision path — so an identical
-// sequence of calls replays an identical schedule, bit for bit, on
-// any host and under the race detector.
+// sequence of calls replays an identical schedule, bit for bit, on any
+// host and under the race detector.
 //
-// Locking: a Scheduler carries one mutex and is a leaf in the
-// monitor's documented lock hierarchy (below revMu and coreSched.mu;
-// see docs/ARCHITECTURE.md §9). No method calls out of the package
-// while holding it.
+// A Scheduler has one owner and no lock: it is driven from its Run
+// loop's sequential decision points.
 package sched
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	"sort"
-	"sync"
+	"slices"
 
-	"github.com/tyche-sim/tyche/internal/hw"
+	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -36,8 +32,8 @@ import (
 // policy does not set one.
 const DefaultQuantum = 256
 
-// Policy configures the scheduler. The zero value (plus one Schedule
-// call) is a usable round-robin policy.
+// Policy configures the scheduler. The zero value is a usable
+// round-robin policy.
 type Policy struct {
 	// Quantum is the base time slice in retired instructions
 	// (DefaultQuantum when 0).
@@ -55,37 +51,14 @@ func (p Policy) quantum() int {
 	return p.Quantum
 }
 
-// VCPU is one runnable virtual CPU of a scheduled domain. The vCPU
-// carries its own saved architectural state between dispatches, so
-// two vCPUs of the same domain never collide in the backend's
-// per-(domain, core) context and a stolen vCPU needs no context
-// migration — the engine restores the register file on whichever
-// core dispatches it next.
-type VCPU struct {
-	// Domain is the domain this vCPU was scheduled for.
-	Domain uint64
-	// Running is the domain currently executing on the vCPU — it
-	// differs from Domain while a mediated call chain is in flight.
-	Running uint64
-	// Frames is the saved mediated-call stack (caller domain IDs).
-	Frames []uint64
-
-	// Saved architectural state (valid once Started).
-	Regs [hw.NumRegs]uint64
-	PC   phys.Addr
-	Ring hw.Ring
-
-	// Home is the core whose queue currently holds the vCPU.
-	Home phys.CoreID
-	// Started reports whether the vCPU has been dispatched at least
-	// once (first dispatch is a Launch at the domain's entry point;
-	// later ones restore the saved state).
-	Started bool
-	// Stolen marks a vCPU whose last dequeue crossed cores.
-	Stolen bool
-
-	seq      uint64 // arrival order (1-based)
-	enqueued uint64 // cycle stamp of the last enqueue
+// queued is one queued vCPU: the monitor's handle plus its place in
+// the queues.
+type queued struct {
+	id       core.VCPU
+	home     phys.CoreID // the core whose queue holds it
+	stolen   bool        // its last dequeue crossed cores
+	seq      uint64      // arrival order (1-based)
+	enqueued uint64      // cycle stamp of the last enqueue
 }
 
 // Record is one dispatch decision, the unit of the determinism
@@ -94,33 +67,33 @@ type VCPU struct {
 type Record struct {
 	Seq    uint64 // 1-based dispatch number
 	Core   phys.CoreID
-	Domain uint64 // the vCPU's Running domain at dispatch
-	VCPU   uint64 // the vCPU's arrival number
+	Domain core.DomainID // the domain the dispatch entered
+	VCPU   uint64        // the vCPU's arrival number
 	Steal  bool
 	Cycle  uint64 // aggregate cycle clock at the decision point
 }
 
-// Counters are the scheduler's own event tallies (the monitor mirrors
-// them into Stats()).
+// Counters are the scheduler's event tallies.
 type Counters struct {
 	Dispatches    uint64
-	Preemptions   uint64 // requeues caused by the preemption timer
+	Preemptions   uint64 // requeues of a vCPU cut off by the preemption timer or the core's budget
 	Yields        uint64 // requeues caused by CallYield
 	Steals        uint64 // dispatches that crossed cores
-	Purged        uint64 // queued vCPUs removed because their domain died
+	Dropped       uint64 // vCPUs the monitor refused to dispatch: their domain, a saved caller or the core is gone
+	Completed     uint64 // vCPUs that halted: ran to completion
 	MaxQueueDepth uint64 // deepest any single run queue ever got
 	BarrierDrains uint64 // round barriers that drained submission rings
 	DrainedOps    uint64 // ring descriptors executed at those barriers
 }
 
-// Scheduler is the shared run-queue state. Safe for concurrent use;
-// in the monitor it is driven only from sequential decision points,
-// which is what makes the schedule replayable.
+// Scheduler is one manager's run queues over a fixed set of cores of
+// one monitor.
 type Scheduler struct {
-	mu     sync.Mutex
+	mon    *core.Monitor
 	pol    Policy
 	cores  []phys.CoreID
-	queues map[phys.CoreID][]*VCPU
+	queues map[phys.CoreID][]*queued
+	ran    bool // a Run has started: arrivals are stamped as they come
 
 	place    int // rotating placement cursor (seeded)
 	arrivals uint64
@@ -129,23 +102,18 @@ type Scheduler struct {
 	lats     []uint64 // per-dispatch queue latency samples, in cycles
 }
 
-// New returns a scheduler over the given cores (deduplicated, sorted
-// ascending — decision order never depends on caller order). The
-// policy seed positions the initial placement cursor.
-func New(pol Policy, cores []phys.CoreID) *Scheduler {
-	set := map[phys.CoreID]bool{}
-	var cs []phys.CoreID
-	for _, c := range cores {
-		if !set[c] {
-			set[c] = true
-			cs = append(cs, c)
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+// New returns a scheduler over the monitor's given cores (deduplicated,
+// sorted ascending — decision order never depends on caller order).
+// The policy seed positions the initial placement cursor.
+func New(m *core.Monitor, pol Policy, cores []phys.CoreID) *Scheduler {
+	cs := slices.Clone(cores)
+	slices.Sort(cs)
+	cs = slices.Compact(cs)
 	s := &Scheduler{
+		mon:    m,
 		pol:    pol,
 		cores:  cs,
-		queues: make(map[phys.CoreID][]*VCPU, len(cs)),
+		queues: make(map[phys.CoreID][]*queued, len(cs)),
 	}
 	if n := len(cs); n > 0 {
 		seed := pol.Seed % int64(n)
@@ -158,109 +126,70 @@ func New(pol Policy, cores []phys.CoreID) *Scheduler {
 }
 
 // Cores returns the scheduled cores in decision (ascending) order.
-func (s *Scheduler) Cores() []phys.CoreID {
-	return append([]phys.CoreID(nil), s.cores...)
+func (s *Scheduler) Cores() []phys.CoreID { return slices.Clone(s.cores) }
+
+// Add creates one vCPU for the domain on the monitor and queues it. A
+// domain may be added more than once — each call adds an independent
+// vCPU. Arrival order is call order, part of the determinism contract.
+func (s *Scheduler) Add(id core.DomainID) error {
+	v, err := s.mon.CreateVCPU(id)
+	if err != nil {
+		return err
+	}
+	s.enqueue(v)
+	return nil
 }
 
-// Add enqueues a fresh vCPU for the domain, placed round-robin from
-// the seeded cursor; now is the current cycle count. Arrival order is
-// call order. Returns the vCPU's arrival number.
-func (s *Scheduler) Add(domain uint64, now uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Adopt queues the n vCPUs RestoreDomain recreated for a migrated
+// domain (its snapshot's VCPUs), each a new arrival here.
+func (s *Scheduler) Adopt(id core.DomainID, n int) {
+	for i := range n {
+		s.enqueue(core.VCPU{Domain: id, Index: i})
+	}
+}
+
+// enqueue places one arrival round-robin from the seeded cursor. Before
+// the first Run the vCPUs arrive together when it starts.
+func (s *Scheduler) enqueue(id core.VCPU) {
 	home := s.cores[s.place%len(s.cores)]
 	s.place++
 	s.arrivals++
-	v := &VCPU{
-		Domain:   domain,
-		Running:  domain,
-		Home:     home,
-		seq:      s.arrivals,
-		enqueued: now,
+	v := &queued{id: id, seq: s.arrivals}
+	if s.ran {
+		v.enqueued = s.now()
 	}
 	s.push(home, v)
-	return v.seq
 }
 
-// AddResumed enqueues a vCPU restored from a snapshot (live
-// migration): the saved architectural state arrives with the vCPU, so
-// its next dispatch is a TransDispatch resume, not an entry-point
-// launch. Placement follows the same seeded round-robin cursor as Add
-// and the arrival joins the same order — a restored vCPU is a new
-// arrival on this scheduler, part of this run's determinism contract
-// like any other. Returns the vCPU's arrival number.
-func (s *Scheduler) AddResumed(domain uint64, regs [hw.NumRegs]uint64, pc phys.Addr, ring hw.Ring, now uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	home := s.cores[s.place%len(s.cores)]
-	s.place++
-	s.arrivals++
-	v := &VCPU{
-		Domain:   domain,
-		Running:  domain,
-		Regs:     regs,
-		PC:       pc,
-		Ring:     ring,
-		Home:     home,
-		Started:  true,
-		seq:      s.arrivals,
-		enqueued: now,
-	}
-	s.push(home, v)
-	return v.seq
-}
-
-// DomainVCPUs returns snapshot copies of every *queued* vCPU whose
-// Running domain is the given domain — the migration path's view of
-// the domain's runnable contexts. Copies, not aliases: the caller
-// serialises against dispatch (all cores quiescent) before trusting
-// the saved state, and the scheduler's own records never escape.
-func (s *Scheduler) DomainVCPUs(domain uint64) []VCPU {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []VCPU
-	for _, c := range s.cores {
-		for _, v := range s.queues[c] {
-			if v.Running != domain && v.Domain != domain {
-				continue
-			}
-			cp := *v
-			cp.Frames = append([]uint64(nil), v.Frames...)
-			out = append(out, cp)
-		}
-	}
-	return out
-}
+// now is the monitor's cycle clock.
+func (s *Scheduler) now() uint64 { return s.mon.Machine().Clock.Cycles() }
 
 // push appends v to core's queue and maintains the depth high-water
-// mark. Caller holds s.mu.
-func (s *Scheduler) push(core phys.CoreID, v *VCPU) {
-	v.Home = core
-	s.queues[core] = append(s.queues[core], v)
-	if d := uint64(len(s.queues[core])); d > s.ctr.MaxQueueDepth {
+// mark.
+func (s *Scheduler) push(c phys.CoreID, v *queued) {
+	v.home = c
+	s.queues[c] = append(s.queues[c], v)
+	if d := uint64(len(s.queues[c])); d > s.ctr.MaxQueueDepth {
 		s.ctr.MaxQueueDepth = d
 	}
 }
 
-// Next pops the head of core's run queue. With an empty queue it takes
+// next pops the head of core's run queue. With an empty queue it takes
 // the *tail* of the deepest sibling queue (ties break toward the lowest
 // core ID), re-homing the vCPU — the deterministic work-stealing rule.
-// Next only dequeues; the engine confirms the dispatch with Dispatched
-// once the transition lands, so a vCPU dropped at dispatch (its domain
-// died) never enters the schedule record.
-func (s *Scheduler) Next(core phys.CoreID) (*VCPU, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.queues[core]; len(q) > 0 {
+// next only dequeues; dispatched records the dispatch once the monitor
+// has made it, so a vCPU dropped at dispatch never enters the record.
+func (s *Scheduler) next(at phys.CoreID) (*queued, bool) {
+	if q := s.queues[at]; len(q) > 0 {
 		v := q[0]
-		s.queues[core] = q[1:]
-		v.Stolen = false
+		s.queues[at] = q[1:]
+		v.stolen = false
 		return v, true
 	}
 	var victim phys.CoreID
 	depth := 0
 	for _, c := range s.cores { // ascending: ties pick the lowest ID
-		if c == core {
+		if c == at {
 			continue
 		}
 		if d := len(s.queues[c]); d > depth {
@@ -274,19 +203,17 @@ func (s *Scheduler) Next(core phys.CoreID) (*VCPU, bool) {
 	q := s.queues[victim]
 	v := q[len(q)-1]
 	s.queues[victim] = q[:len(q)-1]
-	v.Home = core
-	v.Stolen = true
+	v.home = at
+	v.stolen = true
 	return v, true
 }
 
-// Dispatched commits a dequeue as a dispatch: records it, samples the
-// queue latency, and tallies the counters. now is the cycle count at
-// the decision point.
-func (s *Scheduler) Dispatched(v *VCPU, core phys.CoreID, now uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// dispatched commits a dequeue as a dispatch that entered domain:
+// records it, samples the queue latency, and tallies the counters. now
+// is the cycle count at the decision point.
+func (s *Scheduler) dispatched(v *queued, c phys.CoreID, domain core.DomainID, now uint64) {
 	s.ctr.Dispatches++
-	if v.Stolen {
+	if v.stolen {
 		s.ctr.Steals++
 	}
 	if now >= v.enqueued {
@@ -294,75 +221,180 @@ func (s *Scheduler) Dispatched(v *VCPU, core phys.CoreID, now uint64) {
 	}
 	s.recs = append(s.recs, Record{
 		Seq:    s.ctr.Dispatches,
-		Core:   core,
-		Domain: v.Running,
+		Core:   c,
+		Domain: domain,
 		VCPU:   v.seq,
-		Steal:  v.Stolen,
+		Steal:  v.stolen,
 		Cycle:  now,
 	})
 }
 
-// Requeue returns a preempted (yielded = false) or yielding
-// (yielded = true) vCPU to the back of its home queue.
-func (s *Scheduler) Requeue(v *VCPU, now uint64, yielded bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if yielded {
-		s.ctr.Yields++
-	} else {
-		s.ctr.Preemptions++
+// Run drives the queued vCPUs over the scheduler's cores, each core with
+// its own instruction budget, until every queue is empty or every core
+// has spent its budget, and returns per-core results and the first
+// error. Each round:
+//
+//   - Dispatch: each core with budget left pops its queue until the
+//     monitor dispatches a vCPU there, and arms the core's timer with
+//     the slice.
+//   - Run: the monitor's RunSlices, each core bounded by its budget.
+//   - Barrier: each vCPU is requeued (preempted, yielded, or cut by the
+//     budget, which retires the core) or retired, the submission rings
+//     drain, and the checkpoint fires.
+func (s *Scheduler) Run(budget int) (map[phys.CoreID]core.RunResult, error) {
+	m := s.mon
+	if !s.ran {
+		s.ran = true
+		now := s.now()
+		for _, c := range s.cores {
+			for _, v := range s.queues[c] {
+				v.enqueued = now
+			}
+		}
 	}
-	v.enqueued = now
-	s.push(v.Home, v)
-}
-
-// PurgeDomain removes every queued vCPU whose Running domain (or any
-// saved call frame) is the dead domain, returning how many were
-// purged. The monitor's destruction path calls this after the kill's
-// grace period, so a killed domain can never be dispatched again — the
-// trace oracle's dead-domain-silence property checks exactly that.
-func (s *Scheduler) PurgeDomain(domain uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	purged := 0
-	for _, c := range s.cores {
-		q := s.queues[c]
-		kept := q[:0]
-		for _, v := range q {
-			if v.references(domain) {
-				purged++
+	results := make(map[phys.CoreID]core.RunResult, len(s.cores))
+	remaining := make([]int, len(s.cores)) // budget left, by position in cores
+	for i, c := range s.cores {
+		remaining[i] = budget
+		results[c] = core.RunResult{}
+	}
+	var firstErr error
+	fail := func(c phys.CoreID, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("core %v: %w", c, err)
+		}
+	}
+	var round []core.Slice
+	var on []*queued // the vCPU of each slice
+	for {
+		round, on = round[:0], on[:0]
+		for i, c := range s.cores {
+			if remaining[i] <= 0 {
 				continue
 			}
-			kept = append(kept, v)
+			v, err := s.dispatch(c, remaining[i])
+			if err != nil {
+				fail(c, err)
+				break // the cores dispatched so far still run
+			}
+			if v != nil {
+				round = append(round, core.Slice{Core: c, Budget: remaining[i]})
+				on = append(on, v)
+			}
 		}
-		s.queues[c] = kept
+		if len(round) == 0 {
+			break
+		}
+		m.RunSlices(round)
+		for j, sl := range round {
+			c := sl.Core
+			agg := results[c]
+			agg.Steps += sl.Result.Steps
+			agg.Trap, agg.Domain, agg.Yielded = sl.Result.Trap, sl.Result.Domain, sl.Result.Yielded
+			results[c] = agg
+			i, _ := slices.BinarySearch(s.cores, c)
+			remaining[i] -= sl.Result.Steps
+			if sl.Err != nil {
+				fail(c, sl.Err)
+			} else if done, err := s.settle(on[j], c, sl.Result); err != nil {
+				fail(c, err)
+			} else if done {
+				remaining[i] = 0
+			}
+		}
+		// Round-barrier ring drain: every core is quiescent and the
+		// cycle clock is at a sequential point, so batched work lands at
+		// a deterministic place in the schedule. With no rings
+		// registered it is one atomic load.
+		if firstErr == nil {
+			if n := m.DrainRings(); n > 0 {
+				s.ctr.BarrierDrains++
+				s.ctr.DrainedOps += n
+			}
+		}
+		m.Checkpoint()
+		if firstErr != nil {
+			break
+		}
 	}
-	s.ctr.Purged += uint64(purged)
-	return purged
+	// Leave no stale one-shot timers armed past the run (a core the
+	// machine lacks has none).
+	for _, c := range s.cores {
+		_ = m.ArmTimer(c, 0)
+	}
+	return results, firstErr
 }
 
-// references reports whether the vCPU would run or unwind into the
-// domain.
-func (v *VCPU) references(domain uint64) bool {
-	if v.Domain == domain || v.Running == domain {
-		return true
-	}
-	for _, f := range v.Frames {
-		if f == domain {
-			return true
+// dispatch pops core c's queue until the monitor dispatches a vCPU
+// there, arms c's timer with the vCPU's slice and records the dispatch;
+// nil means the queue is empty. A vCPU the monitor drops (its domain
+// or a saved caller died, or the core is gone) leaves the queue for
+// good. On a dispatch error the vCPU goes back on its queue and stays
+// out of the record.
+func (s *Scheduler) dispatch(c phys.CoreID, budget int) (*queued, error) {
+	for {
+		v, ok := s.next(c)
+		if !ok {
+			return nil, nil
 		}
+		live, err := s.mon.DispatchVCPU(v.id, c)
+		if err != nil {
+			s.requeue(v, s.now())
+			return nil, err
+		}
+		if !live {
+			s.ctr.Dropped++
+			continue
+		}
+		_ = s.mon.ArmTimer(c, min(s.pol.quantum(), budget)) // c exists: the dispatch landed there
+		dom, _ := s.mon.Current(c)
+		s.dispatched(v, c, dom, s.now())
+		return v, nil
 	}
-	return false
+}
+
+// settle is the barrier's decision for a vCPU that ran on core c
+// without error: requeue it or retire it. It reports whether the core
+// sits out the run's further rounds.
+func (s *Scheduler) settle(v *queued, c phys.CoreID, res core.RunResult) (coreDone bool, err error) {
+	switch res.Stop() {
+	case core.StopYield:
+		s.ctr.Yields++
+	case core.StopTimer:
+		s.ctr.Preemptions++
+	case core.StopBudget:
+		// Core budget spent mid-slice: the vCPU goes back on the queue
+		// (another core may steal it) and the core retires.
+		s.ctr.Preemptions++
+		coreDone = true
+	case core.StopHalt:
+		s.ctr.Completed++ // ran to completion
+		return false, nil
+	case core.StopContained:
+		// Containment already destroyed the victim and parked the core.
+		return true, nil
+	default:
+		// Fault/illegal: the vCPU is wedged; drop it.
+		return false, nil
+	}
+	if err := s.mon.PreemptVCPU(v.id, c); err != nil {
+		return coreDone, err
+	}
+	s.requeue(v, s.now())
+	return coreDone, nil
+}
+
+// requeue puts v back at the tail of its home queue at cycle now.
+func (s *Scheduler) requeue(v *queued, now uint64) {
+	v.enqueued = now
+	s.push(v.home, v)
 }
 
 // Quantum returns a vCPU's time slice in instructions.
 func (s *Scheduler) Quantum() int { return s.pol.quantum() }
 
-// Pending returns the number of queued (runnable, undispatched)
-// vCPUs.
+// Pending returns the number of queued vCPUs.
 func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, c := range s.cores {
 		n += len(s.queues[c])
@@ -371,51 +403,25 @@ func (s *Scheduler) Pending() int {
 }
 
 // Depth returns core's current queue depth.
-func (s *Scheduler) Depth(core phys.CoreID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[core])
-}
+func (s *Scheduler) Depth(c phys.CoreID) int { return len(s.queues[c]) }
 
 // Counters returns the event tallies so far.
-func (s *Scheduler) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctr
-}
-
-// RecordBarrierDrain tallies one round-barrier ring drain that executed
-// ops submission descriptors. The monitor's scheduling engine calls it
-// from the barrier phase, where all cores are quiescent — the drain is
-// part of the deterministic schedule, so its tally lives here with the
-// other schedule-shaped counters.
-func (s *Scheduler) RecordBarrierDrain(ops uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ctr.BarrierDrains++
-	s.ctr.DrainedOps += ops
-}
+func (s *Scheduler) Counters() Counters { return s.ctr }
 
 // Records returns the dispatch schedule so far.
-func (s *Scheduler) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Record(nil), s.recs...)
-}
+func (s *Scheduler) Records() []Record { return slices.Clone(s.recs) }
 
 // Hash folds the dispatch schedule into one FNV-1a value — two runs
 // scheduled identically (same seed, arrival order, cycle counts)
 // produce equal hashes; any divergence in core assignment, order,
 // stealing, or timing changes it.
 func (s *Scheduler) Hash() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	h := fnv.New64a()
 	var buf [8 * 5]byte
 	for _, r := range s.recs {
 		binary.LittleEndian.PutUint64(buf[0:], r.Seq)
 		binary.LittleEndian.PutUint64(buf[8:], uint64(r.Core))
-		binary.LittleEndian.PutUint64(buf[16:], r.Domain)
+		binary.LittleEndian.PutUint64(buf[16:], uint64(r.Domain))
 		binary.LittleEndian.PutUint64(buf[24:], r.VCPU)
 		c := r.Cycle << 1
 		if r.Steal {
@@ -429,31 +435,20 @@ func (s *Scheduler) Hash() uint64 {
 
 // Latencies returns the per-dispatch queue latency samples (cycles
 // between enqueue and the dispatch decision).
-func (s *Scheduler) Latencies() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]uint64(nil), s.lats...)
-}
+func (s *Scheduler) Latencies() []uint64 { return slices.Clone(s.lats) }
 
 // LatencyP99 returns the 99th-percentile transition-to-dispatch
 // latency in cycles (0 with no samples).
-func (s *Scheduler) LatencyP99() uint64 {
-	return Percentile(s.Latencies(), 99)
-}
+func (s *Scheduler) LatencyP99() uint64 { return Percentile(s.lats, 99) }
 
 // Percentile returns the p-th percentile (nearest-rank) of samples.
 func Percentile(samples []uint64, p int) uint64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	sorted := append([]uint64(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	rank := (len(sorted)*p + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
+	rank = max(1, min(rank, len(sorted)))
 	return sorted[rank-1]
 }

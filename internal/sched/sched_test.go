@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
@@ -14,6 +15,10 @@ func cores(ids ...int) []phys.CoreID {
 	return out
 }
 
+// add queues a vCPU handle for domain d with no monitor behind it: the
+// queue rules alone.
+func add(s *Scheduler, d uint64) { s.enqueue(core.VCPU{Domain: core.DomainID(d)}) }
+
 // Placement must be a pure function of (seed, arrival order): the
 // same adds land on the same queues, and a different seed rotates the
 // cursor but stays deterministic.
@@ -22,18 +27,18 @@ func TestPlacementDeterministic(t *testing.T) {
 	// slot held — the shape (three per core) is seed-invariant, the
 	// domain→core assignment is what the cursor rotates.
 	build := func(seed int64) []uint64 {
-		s := New(Policy{Seed: seed}, cores(0, 1, 2, 3))
+		s := New(nil, Policy{Seed: seed}, cores(0, 1, 2, 3))
 		var doms []uint64
 		for d := uint64(10); d < 22; d++ {
-			s.Add(d, 0)
+			add(s, d)
 		}
 		for _, c := range s.Cores() {
 			for {
-				v, ok := s.Next(c)
+				v, ok := s.next(c)
 				if !ok {
 					break
 				}
-				doms = append(doms, v.Domain)
+				doms = append(doms, uint64(v.id.Domain))
 			}
 		}
 		return doms
@@ -62,7 +67,7 @@ func TestPlacementDeterministic(t *testing.T) {
 // New must sort and deduplicate the core set so decision order never
 // depends on how the caller listed the cores.
 func TestCoreOrderCanonical(t *testing.T) {
-	s := New(Policy{}, cores(3, 1, 1, 0, 2, 3))
+	s := New(nil, Policy{}, cores(3, 1, 1, 0, 2, 3))
 	got := s.Cores()
 	want := cores(0, 1, 2, 3)
 	if len(got) != len(want) {
@@ -78,22 +83,22 @@ func TestCoreOrderCanonical(t *testing.T) {
 // The steal rule: an idle core takes the tail of the deepest sibling
 // queue, ties toward the lowest core ID, re-homing the vCPU.
 func TestWorkStealing(t *testing.T) {
-	s := New(Policy{}, cores(0, 1, 2))
+	s := New(nil, Policy{}, cores(0, 1, 2))
 	// Seed 0: placement cursor starts at core 0. Arrivals 1..5 land
 	// 0,1,2,0,1 — core 0 and 1 have 2, core 2 has 1 after its own pop.
 	for d := uint64(1); d <= 5; d++ {
-		s.Add(d, 0)
+		add(s, d)
 	}
-	if v, ok := s.Next(2); !ok || v.Domain != 3 || v.Stolen {
+	if v, ok := s.next(2); !ok || v.id.Domain != 3 || v.stolen {
 		t.Fatalf("core 2 should pop its own vCPU (domain 3), got %+v ok=%v", v, ok)
 	}
 	// Core 2 is now empty; cores 0 and 1 both hold 2 — the tie must
 	// break to core 0, and the steal takes its *tail* (domain 4).
-	v, ok := s.Next(2)
-	if !ok || !v.Stolen {
+	v, ok := s.next(2)
+	if !ok || !v.stolen {
 		t.Fatalf("core 2 should steal, got %+v ok=%v", v, ok)
 	}
-	if v.Domain != 4 || v.Home != 2 {
+	if v.id.Domain != 4 || v.home != 2 {
 		t.Fatalf("steal should take core 0's tail (domain 4) and re-home: %+v", v)
 	}
 	if s.Depth(0) != 1 || s.Depth(1) != 2 {
@@ -101,39 +106,13 @@ func TestWorkStealing(t *testing.T) {
 	}
 }
 
-// PurgeDomain removes every queued vCPU running — or unwinding into —
-// the dead domain.
-func TestPurgeDomain(t *testing.T) {
-	s := New(Policy{}, cores(0))
-	s.Add(9, 0)       // becomes the frame holder below
-	s.Add(8, 0)       // the survivor
-	s.Add(7, 0)       // runs the doomed domain directly
-	v, _ := s.Next(0) // pops domain 9
-	// Simulate a mediated call chain: domain 9 called into 7 and was
-	// preempted with 7's frame on its stack.
-	v.Frames = []uint64{7}
-	s.Requeue(v, 10, false)
-	if n := s.PurgeDomain(7); n != 2 {
-		t.Fatalf("purge removed %d vCPUs, want 2 (the direct one and the frame holder)", n)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d after purge, want 1", s.Pending())
-	}
-	if got, ok := s.Next(0); !ok || got.Domain != 8 {
-		t.Fatalf("survivor should be domain 8, got %+v ok=%v", got, ok)
-	}
-	if c := s.Counters(); c.Purged != 2 {
-		t.Fatalf("Counters().Purged = %d, want 2", c.Purged)
-	}
-}
-
 // The quantum is the policy's, or the default for a zero policy.
 func TestPolicyQuantum(t *testing.T) {
-	s := New(Policy{Quantum: 100}, cores(0))
+	s := New(nil, Policy{Quantum: 100}, cores(0))
 	if q := s.Quantum(); q != 100 {
 		t.Fatalf("policy quantum = %d, want 100", q)
 	}
-	if q := New(Policy{}, cores(0)).Quantum(); q != DefaultQuantum {
+	if q := New(nil, Policy{}, cores(0)).Quantum(); q != DefaultQuantum {
 		t.Fatalf("zero-policy quantum = %d, want %d", q, DefaultQuantum)
 	}
 }
@@ -142,17 +121,17 @@ func TestPolicyQuantum(t *testing.T) {
 // any dispatch-level divergence.
 func TestScheduleHash(t *testing.T) {
 	run := func(cycle uint64) *Scheduler {
-		s := New(Policy{}, cores(0, 1))
+		s := New(nil, Policy{}, cores(0, 1))
 		for d := uint64(1); d <= 4; d++ {
-			s.Add(d, 0)
+			add(s, d)
 		}
 		now := cycle
 		for {
 			idle := true
 			for _, c := range s.Cores() {
-				if v, ok := s.Next(c); ok {
+				if v, ok := s.next(c); ok {
 					idle = false
-					s.Dispatched(v, c, now)
+					s.dispatched(v, c, v.id.Domain, now)
 					now += 100
 				}
 			}
@@ -176,16 +155,17 @@ func TestScheduleHash(t *testing.T) {
 
 // Counters and latency sampling through a dispatch/requeue cycle.
 func TestCountersAndLatency(t *testing.T) {
-	s := New(Policy{}, cores(0))
-	s.Add(1, 100)
-	v, _ := s.Next(0)
-	s.Dispatched(v, 0, 150)
-	s.Requeue(v, 160, true) // yield
-	v2, _ := s.Next(0)
-	s.Dispatched(v2, 0, 200)
-	s.Requeue(v2, 210, false) // preemption
+	s := New(nil, Policy{}, cores(0))
+	add(s, 1)
+	v, _ := s.next(0)
+	v.enqueued = 100
+	s.dispatched(v, 0, 1, 150)
+	s.requeue(v, 160)
+	v2, _ := s.next(0)
+	s.dispatched(v2, 0, 1, 200)
+	s.requeue(v2, 210)
 	c := s.Counters()
-	if c.Dispatches != 2 || c.Yields != 1 || c.Preemptions != 1 {
+	if c.Dispatches != 2 || c.Steals != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 	if c.MaxQueueDepth != 1 {
