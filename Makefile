@@ -18,18 +18,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The six mutation oracles — the only build tags there are. Each build
+# The seven mutation oracles — the only build tags there are. Each build
 # carries one seeded bug; both trace checkers must flag it with the same
-# verdict.
+# verdict (rangebug's left-out core the stale-translation oracle too).
 mutation:
-	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug; do \
+	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug rangebug; do \
 		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
 	done
 
 # Runtime verification: the trace, checker and rv packages under the
 # race detector (the shard hot path, engine.step and a steady-state
 # merge allocating nothing are tests there), the sharded differential
-# suite, the six mutation oracles and a 30 s fuzz smoke of both checkers
+# suite, the seven mutation oracles and a 30 s fuzz smoke of both checkers
 # and of the engine against its allocating twin. The rv service on real
 # worlds is C21 phase A, C23 and internal/rv's tests.
 rv:
@@ -68,11 +68,13 @@ migrate:
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
 
 # The byte strings that cross a trust boundary, fuzzed 15 s each:
-# snapshot bytes into RestoreDomain, image manifests into the loader's
-# decoder, digest bodies through the decoder and the remote verifier,
-# and altered frames into a channel's open.
+# snapshot bytes into RestoreDomain, descriptors a guest writes into its
+# ring, image manifests into the loader's decoder, digest bodies through
+# the decoder and the remote verifier, and altered frames into a
+# channel's open.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDomain$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRingDescriptor$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzImageManifest$$' -fuzztime 15s ./internal/image
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime 15s ./internal/trace/check
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime 15s ./internal/dist

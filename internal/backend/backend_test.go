@@ -469,8 +469,12 @@ func TestRunCleanups(t *testing.T) {
 	if err := m.Mem.WriteAt(r.Start, []byte{0xaa, 0xbb}); err != nil {
 		t.Fatal(err)
 	}
-	core := m.Cores[0]
+	// Core 0 ran the owner, so the shootdown targets it; core 1 never
+	// did, so its translation (another domain's) is left alone.
+	core, other := m.Cores[0], m.Cores[1]
+	core.InstallContext(&hw.Context{Owner: 2, ASID: 1, Filter: hw.AllowAll{}})
 	core.TLBUnit().Insert(1, r.Start.Page(), hw.PermRW, 0)
+	other.TLBUnit().Insert(3, r.Start.Page(), hw.PermRW, 0)
 	core.CacheUnit().Touch(r.Start)
 	acts := []cap.CleanupAction{{
 		Owner:    2,
@@ -490,6 +494,9 @@ func TestRunCleanups(t *testing.T) {
 	}
 	if _, hit := core.TLBUnit().Lookup(1, r.Start.Page(), 0); hit {
 		t.Fatal("TLB entry survived the shootdown")
+	}
+	if _, hit := other.TLBUnit().Lookup(3, r.Start.Page(), 0); !hit {
+		t.Fatal("the shootdown interrupted a core never resident for the owner")
 	}
 	if core.CacheUnit().Resident() != 0 {
 		t.Fatal("cache not flushed")

@@ -32,9 +32,11 @@ func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
 // guaranteed "clean-up" operations of §3.2. Both backends share this
 // logic — zeroing and flushes are architecture-neutral in the model.
 //
-// Cleanups are deliberately conservative: cache and TLB flushes hit
-// every core (a shootdown), because the capability model does not track
-// which cores may hold stale state.
+// Cache flushes hit every core. A TLB flush is a shootdown round for
+// the owner of the revoked capability — the domain that lost access —
+// so it interrupts only the cores that loaded one of that owner's
+// contexts since their last whole flush: no other core can hold a
+// translation of what it lost.
 func RunCleanups(m *hw.Machine, acts []cap.CleanupAction) error {
 	for _, a := range acts {
 		if a.Cleanup == cap.CleanNone {
@@ -56,9 +58,9 @@ func RunCleanups(m *hw.Machine, acts []cap.CleanupAction) error {
 		}
 		if a.Cleanup&cap.CleanFlushTLB != 0 {
 			if a.Resource.Kind == cap.ResMemory {
-				m.ShootdownRegion(a.Resource.Mem)
+				m.ShootdownRegion(a.Resource.Mem, uint64(a.Owner))
 			} else {
-				m.ShootdownAll()
+				m.ShootdownAll(uint64(a.Owner))
 			}
 		}
 	}

@@ -24,7 +24,8 @@ func init() {
 			{"{kills}-memory-scrubbed", "{kills}_nonzero_reclaimed_bytes", eq(0), "reclaimed memory reads as zero"},
 			{"{kills}-refcounts-consistent", "{kills}_refcount_mismatches", eq(0), "§3.2: refcounts stay exact after a kill"},
 			{"latency-scales-with-size", "size_kill_growth", gt(1), "kill cycles grow with domain size (the scrub)"},
-			{"shootdown-scales-with-cores", "cores_kill_growth", gt(1), "kill cycles grow with core count (the TLB shootdown)"},
+			{"shootdown-pays-resident-cores", "cores_kill_cycles_per_ack", eq(200), "a victim resident on every core: each extra core costs one TLBFlush per round, exactly"},
+			{"idle-cores-not-interrupted", "idle_kill_acks", eq(0), "a kill interrupts no core the victim never ran on"},
 			{"latency-flat-vs-domains", "kill_cycles_vs_domains_ratio", le(1.1), "a kill never walks the bystanders"},
 			{"e2e-fault-fired", "e2e_faults_pending", eq(0), "the injected machine check fired"},
 			{"e2e-victim-killed", "e2e_victim_machine_checks", eq(1), "§5: a crashed domain is destroyable without trusting it"},
@@ -38,10 +39,11 @@ func init() {
 
 // runC16 measures the monitor's containment path: force-killing a
 // domain revokes its capability subtree, scrubs its exclusive memory,
-// shoots down every core's TLB, and removes the backend state. The
-// latency is dominated by the scrub (linear in domain size) and the
-// per-core TLB shootdown (linear in core count); the sweep exposes both
-// axes. A third axis holds the victim fixed and grows the population of
+// shoots down the TLBs of the cores the domain ran on, and removes the
+// backend state. The latency is dominated by the scrub (linear in
+// domain size) and the per-core TLB shootdown (linear in the cores the
+// victim is resident on — launched on every core of the core axis, on
+// none elsewhere); the sweep exposes both axes. A third axis holds the victim fixed and grows the population of
 // unrelated live domains: epoch-based revocation detaches only the
 // victim's subtree and defers node frees to the grace period, so kill
 // latency must stay flat as the rest of the machine fills up — the
@@ -50,7 +52,7 @@ func init() {
 // and checks that a concurrent survivor finishes its workload untouched
 // — containment, not just teardown.
 func runC16(cfg Config, res *Result) error {
-	res.Columns = []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed"}
+	res.Columns = []string{"domain pages", "cores", "bystanders", "kill cycles", "cycles/page", "scrubbed", "acks"}
 	sizeSweep := []uint64{16, 64, 256}
 	coreSweep := []int{1, 2, 4}
 	domSweep := []int{0, 8, 32}
@@ -61,37 +63,44 @@ func runC16(cfg Config, res *Result) error {
 	}
 	// Axis 1: domain size at a fixed 2-core machine.
 	var sizeCycles []uint64
+	var idleAcks uint64
 	for _, pages := range sizeSweep {
-		kc, err := c16Kill(cfg, res, pages, 2, 0)
+		kc, acks, err := c16Kill(cfg, res, pages, 2, 0, false)
 		if err != nil {
 			return err
 		}
 		sizeCycles = append(sizeCycles, kc)
+		idleAcks += acks
 	}
 	res.metric("size_kill_growth", minGrowth(sizeCycles))
 
-	// Axis 2: core count at a fixed 64-page domain (TLB shootdown cost).
-	var coreCycles []uint64
+	// Axis 2: core count at a fixed 64-page domain launched on every
+	// core, so each of its rounds targets them all: the kill's growth
+	// over the sweep is TLBFlush per extra ack, nothing else.
+	var coreCycles, coreAcks []uint64
 	for _, cores := range coreSweep {
-		kc, err := c16Kill(cfg, res, 64, cores, 0)
+		kc, acks, err := c16Kill(cfg, res, 64, cores, 0, true)
 		if err != nil {
 			return err
 		}
-		coreCycles = append(coreCycles, kc)
+		coreCycles, coreAcks = append(coreCycles, kc), append(coreAcks, acks)
 	}
-	res.metric("cores_kill_growth", minGrowth(coreCycles))
+	res.metric("cores_kill_cycles_per_ack",
+		float64(last(coreCycles)-coreCycles[0])/float64(last(coreAcks)-coreAcks[0]))
 
 	// Axis 3: live-domain count at a fixed 64-page victim on 2 cores.
 	// Containment touches the victim's subtree and nothing else, so the
 	// kill must cost the same on a crowded machine as on an empty one.
 	var domCycles []uint64
 	for _, n := range domSweep {
-		kc, err := c16Kill(cfg, res, 64, 2, n)
+		kc, acks, err := c16Kill(cfg, res, 64, 2, n, false)
 		if err != nil {
 			return err
 		}
 		domCycles = append(domCycles, kc)
+		idleAcks += acks
 	}
+	res.metric("idle_kill_acks", float64(idleAcks))
 	res.metric("kill_cycles_vs_domains_ratio", float64(last(domCycles))/float64(domCycles[0]))
 
 	// End to end: inject a machine check under a running victim while a
@@ -113,9 +122,9 @@ func minGrowth(vals []uint64) float64 {
 }
 
 // c16Victim builds and loads a domain with one code page and a
-// (pages-1)-page exclusive data segment, pinned to core 1 when run, and
-// returns it with that segment.
-func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, phys.Region, error) {
+// (pages-1)-page exclusive data segment, runnable on cores, and returns
+// it with that segment.
+func c16Victim(w *world, pages uint64, cores ...phys.CoreID) (*libtyche.Domain, phys.Region, error) {
 	prog := func(base phys.Addr) *hw.Asm {
 		a := hw.NewAsm()
 		a.Movi(2, 0xAB)
@@ -126,11 +135,7 @@ func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, phys.Region,
 	}
 	img, err := w.cl.BuildAt("victim", prog,
 		func(img *image.Image) { img.WithBSS(".data", (pages-1)*phys.PageSize) })
-	lo := loadOn()
-	if run {
-		lo = loadOn(1)
-	}
-	dom, err := w.cl.Load(img, lo)
+	dom, err := w.cl.Load(img, loadOn(cores...))
 	if err != nil {
 		return nil, phys.Region{}, err
 	}
@@ -145,37 +150,56 @@ func c16Victim(w *world, pages uint64, run bool) (*libtyche.Domain, phys.Region,
 // is exactly the containment path: revocation, scrub, shootdown,
 // backend removal. bystanders unrelated live domains are loaded before
 // the victim so the domain-count axis can show the kill never walks
-// them.
-func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (uint64, error) {
+// them. A resident victim is launched on every core first. It returns
+// the kill's cycles and its shootdown acks — the TLB flushes it made
+// summed over cores.
+func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int, resident bool) (kc, acks uint64, err error) {
 	opts := defaultWorldOpts()
 	opts.cores = cores
 	w, err := newWorld(cfg, opts)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for i := 0; i < bystanders; i++ {
 		if _, err := w.cl.Load(haltImage(fmt.Sprintf("bystander%d", i)), loadOn()); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	dom, data, err := c16Victim(w, pages, false)
-	if err != nil {
-		return 0, err
+	var on []phys.CoreID
+	if resident {
+		on = w.mach.CoreIDs()
 	}
-	before := w.mon.Stats()
-	kc, err := cycles(w.mach, func() error { return w.mon.ForceKill(dom.ID()) })
+	dom, data, err := c16Victim(w, pages, on...)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
+	}
+	for _, c := range on {
+		if err := dom.Launch(c); err != nil {
+			return 0, 0, err
+		}
+	}
+	flushes := func() (n uint64) {
+		for _, c := range w.mach.Cores {
+			_, _, f := c.TLBUnit().Stats()
+			n += f
+		}
+		return n
+	}
+	before, flushed := w.mon.Stats(), flushes()
+	kc, err = cycles(w.mach, func() error { return w.mon.ForceKill(dom.ID()) })
+	if err != nil {
+		return 0, 0, err
 	}
 	after := w.mon.Stats()
 	scrubbed := after.PagesScrubbed - before.PagesScrubbed
+	acks = flushes() - flushed
 
 	tag := fmt.Sprintf("p%d_c%d", pages, cores)
 	if bystanders > 0 {
 		tag += fmt.Sprintf("_d%d", bystanders)
 	}
 	res.row(fmtU(pages), fmt.Sprintf("%d", cores), fmt.Sprintf("%d", bystanders), fmtU(kc),
-		fmt.Sprintf("%.0f", float64(kc)/float64(pages)), fmtU(scrubbed))
+		fmt.Sprintf("%.0f", float64(kc)/float64(pages)), fmtU(scrubbed), fmtU(acks))
 	res.sweep("kills", tag)
 	res.metric(tag+"_kill_cycles", float64(kc))
 	res.metric(tag+"_scrubbed_pages", float64(scrubbed))
@@ -183,7 +207,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 	// The memory reverted to dom0 and reads as zero.
 	buf, err := w.mon.CopyFrom(core.InitialDomain, data.Start, phys.PageSize)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	nonzero := len(buf) - bytes.Count(buf, []byte{0})
 	res.metric(tag+"_nonzero_reclaimed_bytes", float64(nonzero))
@@ -192,7 +216,7 @@ func c16Kill(cfg Config, res *Result, pages uint64, cores int, bystanders int) (
 		mismatches += int(bit(rc.Count != len(rc.Owners)))
 	}
 	res.metric(tag+"_refcount_mismatches", float64(mismatches))
-	return kc, nil
+	return kc, acks, nil
 }
 
 // c16EndToEnd reproduces the containment scenario the fault tests pin
@@ -205,7 +229,7 @@ func c16EndToEnd(cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	dom, data, err := c16Victim(w, 16, true)
+	dom, data, err := c16Victim(w, 16, 1)
 	if err != nil {
 		return err
 	}

@@ -21,6 +21,8 @@ package core
 // dead-domain-silence trace invariants hold.
 
 import (
+	"slices"
+
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -192,6 +194,15 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	// derived ones) leave the index, while grant suspensions persist so
 	// parents cannot re-delegate regions that are about to be scrubbed.
 	det := m.space.DetachOwner(owner)
+	// The scrub's rounds invalidate for the victim and every owner in
+	// its detached subtree: the domains that lose the regions.
+	var domBuf [8]uint64
+	doms := append(domBuf[:0], uint64(owner))
+	for _, a := range det.Actions() {
+		doms = append(doms, uint64(a.Owner))
+	}
+	slices.Sort(doms)
+	doms = slices.Compact(doms)
 	m.stats.revocations.Add(1)
 	m.emit(trace.KRevoke, d.id, 1, 0, 0, 0)
 	// Forced scrub, region by region in plan order: zero, charge, shoot
@@ -216,7 +227,9 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 				return err
 			}
 			m.mach.Clock.Advance(r.Size() / hw.CacheLineSize * m.mach.Cost.ZeroLine)
-			m.mach.ShootdownRegion(r)
+			m.lockCores()
+			m.mach.ShootdownRegion(r, doms...)
+			m.unlockCores()
 			m.stats.pagesScrubbed.Add(r.Pages())
 			m.emit(trace.KScrub, d.id, 0, 0, uint64(r.Start), r.Size())
 		}

@@ -340,28 +340,31 @@ func TestRingRoundWindow(t *testing.T) {
 // TestSyncRevokeGolden pins the synchronous Share+Revoke, derived by
 // hand from the cost model: the event kinds in order and the cycle
 // charges — in particular a two-capability subtree still retires two
-// uncoalesced shootdown rounds inside its one op frame, and a resync
-// pays only for the pages its rebuild changed.
+// uncoalesced shootdown rounds inside its one op frame, a round pays
+// only for the cores resident for its domain, and a resync pays only
+// for the pages its rebuild changed.
 //
 // vtx: the shares give child 2 pages and grand 1, and neither sharer's
 // view changes, so they cost (2 + 1) pages × EPTUpdatePage 7 = 21 and
 // emit one ept-map each. The revoke zeroes 2 pages (2 × 64 lines ×
-// ZeroLine 3 = 384), runs 2 shootdown rounds over 2 cores (2 × 2 ×
-// TLBFlush 200 = 800) and unmaps child's 2 pages and grand's 1 (3 × 7 = 21):
-// 1,205, with one ept-map per unmapped extent; dom0's view is unchanged.
+// ZeroLine 3 = 384), runs 2 shootdown rounds — one for grand, one for
+// child — that target no core, since neither ever ran on one (0 acks,
+// 0 × TLBFlush), and unmaps child's 2 pages and grand's 1 (3 × 7 =
+// 21): 405, with one ept-map per unmapped extent; dom0's view is
+// unchanged.
 // pmp: a layout is programmed into a core only when the domain runs
 // there, and no core runs these, so the shares cost 0 and the revoke
-// only its zeroing and rounds: 384 + 800 = 1,184.
+// only its zeroing: 384, its two rounds again targeting no core.
 func TestSyncRevokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		kind          BackendKind
 		share, revoke uint64
 		events        string
 	}{
-		{BackendVTX, 21, 1205, "op-begin share ept-map op-end op-begin share ept-map op-end " +
-			"op-begin revoke shootdown shootdown-ack shootdown-ack shootdown shootdown-ack shootdown-ack ept-map ept-map op-end"},
-		{BackendPMP, 0, 1184, "op-begin share op-end op-begin share op-end " +
-			"op-begin revoke shootdown shootdown-ack shootdown-ack shootdown shootdown-ack shootdown-ack op-end"},
+		{BackendVTX, 21, 405, "op-begin share ept-map op-end op-begin share ept-map op-end " +
+			"op-begin revoke shootdown shootdown ept-map ept-map op-end"},
+		{BackendPMP, 0, 384, "op-begin share op-end op-begin share op-end " +
+			"op-begin revoke shootdown shootdown op-end"},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			m, ck := bootTracedWorld(t, tc.kind)

@@ -10,6 +10,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // The monitor API fuzzer drives a sequence of monitor calls decoded
@@ -29,14 +30,16 @@ import (
 // sets so every input decodes to something executable. Invariants are
 // re-checked after every op. Ops 12-15 exercise the
 // vCPU mechanism (exec shares, core delegation, CallYield tenants given
-// a vCPU, bursts of dispatch/run/preempt rounds); ops 16-18 the batched ABI (ring
+// a vCPU whose code page is granted with a TLB-flushing cleanup, bursts
+// of dispatch/run/preempt rounds); ops 16-18 the batched ABI (ring
 // setup, raw descriptor enqueue, doorbell flush); ops 19-21 are the
 // revoke-heavy mix for the epoch-reclamation scheme (revoke bursts,
 // create+share+revoke churn, revocations interleaved with ring
 // drains); op 22 bursts concurrent doorbell flushes from every
 // ring-owning domain; op 23 runs the migration pipeline (snapshot →
 // transfer → restore on a lazily-booted second monitor, sometimes
-// followed by the departure kill). Widening the opcode space shifts how pre-existing corpus
+// followed by the departure kill); op 24 fast-switches a core from the
+// domain installed there to dom0. Widening the opcode space shifts how pre-existing corpus
 // entries decode, which is fine — every decode is a valid program.
 func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 	domains := []DomainID{InitialDomain}
@@ -95,7 +98,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 	// the destination node, booted on first use.
 	var peer *Monitor
 	for pos < len(data) {
-		switch next() % 24 {
+		switch next() % 25 {
 		case 0:
 			if len(domains) < 32 {
 				if id, err := m.CreateDomain(randDomain(), "fuzz"); err == nil {
@@ -166,7 +169,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			a.Jnz(10, "loop")
 			a.Hlt()
 			_ = m.CopyInto(InitialDomain, base, a.MustAssemble(base))
-			if id, err := m.Grant(InitialDomain, randNode(), d, cap.MemResource(phys.MakeRegion(base, pg)), cap.MemRWX, cap.CleanNone); err == nil {
+			if id, err := m.Grant(InitialDomain, randNode(), d, cap.MemResource(phys.MakeRegion(base, pg)), cap.MemRWX, cap.CleanFlushTLB); err == nil {
 				nodes = append(nodes, id)
 			}
 			_ = m.SetEntry(InitialDomain, d, base)
@@ -304,6 +307,20 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			if id, err := peer.RestoreDomain(InitialDomain, dom0MemNode(tb, peer), nil, snap); err == nil && next()%2 == 0 {
 				_ = peer.ForceKill(id)
 			}
+		case 24:
+			// Fast switch away: pair the domain installed on a core with
+			// dom0 and switch to dom0 over VMFUNC (vtx only), so the core
+			// stays resident for the domain it left — a core a later
+			// revocation of that domain's memory must interrupt.
+			c := phys.CoreID(pick(2))
+			cur, ok := m.Current(c)
+			if !ok || cur == InitialDomain {
+				break
+			}
+			_ = m.SetEntry(InitialDomain, InitialDomain, fastSwitchEntry*pg)
+			if m.RegisterFastPath(cur, cur, InitialDomain, c) == nil {
+				_ = m.FastSwitch(c, InitialDomain)
+			}
 		}
 		checkIsolationInvariants(tb, m, domains)
 	}
@@ -313,6 +330,21 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 	}
 }
 
+// fastSwitchEntry is the page op 24 points dom0's entry at: below the
+// tenants op 14 plants.
+const fastSwitchEntry = 599
+
+// fastSwitchSeed is a program that dispatches a vCPU, fast-switches
+// its core away from it and then revokes its code page: create domain 2
+// (op 0); share core 0 with it (op 13; node index 4, after dom0's four
+// roots); plant it as a yielding tenant on page 610, its code granted
+// from dom0's memory root with a TLB-flushing cleanup (op 14; node
+// index 5); run its vCPU on core 0 until it halts (op 15); fast-switch
+// core 0 to dom0 (op 24); dom0 revokes the grant (op 6). The revoke's
+// round must interrupt core 0, which still holds the tenant's
+// translation of the page.
+var fastSwitchSeed = []byte{0, 0, 13, 0, 1, 14, 1, 10, 1, 0, 15, 24, 0, 6, 0, 5}
+
 // FuzzMonitorAPI is the native fuzz entry point. Seed corpus lives in
 // testdata/fuzz/FuzzMonitorAPI; CI runs a short -fuzz smoke on top of
 // the corpus replay that ordinary `go test` already performs. Every
@@ -321,6 +353,7 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 // $TYCHE_TRACE_DIR for the nightly job to upload.
 func FuzzMonitorAPI(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
+	f.Add(fastSwitchSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			t.Skip("bounded input size")
@@ -329,6 +362,31 @@ func FuzzMonitorAPI(f *testing.F) {
 		driveMonitorOps(t, m, data)
 		assertTraceClean(t, m, ck)
 	})
+}
+
+// TestFastSwitchSeed: fastSwitchSeed does what it says — one fast
+// switch, and a revocation round that targets core 0 and empties it of
+// the tenant's translation — so the stale-translation oracle it feeds
+// is exercised, not skipped.
+func TestFastSwitchSeed(t *testing.T) {
+	m, ck := bootTracedWorld(t, BackendVTX)
+	driveMonitorOps(t, m, fastSwitchSeed)
+	assertTraceClean(t, m, ck)
+	if n := m.Stats().FastSwitches; n != 1 {
+		t.Fatalf("%d fast switches, want 1", n)
+	}
+	var targeted bool
+	for _, ev := range m.Machine().Tracer().Events() {
+		targeted = targeted || ev.Kind == trace.KShootdown && ev.Domain == 2 && ev.Aux&1 != 0
+	}
+	if !targeted {
+		t.Fatal("no round for the tenant targeted core 0")
+	}
+	for _, tr := range m.Machine().Core(0).AppendTranslations(nil) {
+		if tr.Page == 610 {
+			t.Fatalf("core 0 still caches the revoked page: %+v", tr)
+		}
+	}
 }
 
 // TestMonitorAPIFuzz keeps long pseudo-random op streams in the plain
@@ -374,6 +432,95 @@ func checkIsolationInvariants(t testing.TB, m *Monitor, domains []DomainID) {
 			t.Fatalf("refcount %d != owners %v", rc.Count, rc.Owners)
 		}
 	}
+	if err := checkStaleTranslations(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cachedAt names one translation cache entry: a core, an ASID, a page.
+type cachedAt struct {
+	core       phys.CoreID
+	asid, page uint64
+}
+
+// flushPromise is what a check learned about a translation while its
+// domain still had the access it caches: the owner, and a capability
+// of the owner's covering the page whose revocation must flush TLBs
+// (0 when none does — then a stale copy is the delegator's choice, the
+// window C13 measures).
+type flushPromise struct {
+	owner DomainID
+	node  cap.NodeID
+}
+
+// staleMemos holds each monitor's promises from its previous check.
+var staleMemos sync.Map // *Monitor -> map[cachedAt]flushPromise
+
+// checkStaleTranslations is the stale-translation oracle: no valid TLB
+// slot or MRU way on any core grants its domain more than the
+// capability space grants it now, unless the access was lost without a
+// flush being owed — the capability behind it did not ask for one, or
+// it still exists (its owner granted the page away, which suspends
+// without a cleanup). A translation is judged by what the previous
+// check saw: that its domain then held the page under a capability
+// whose revocation flushes. It is independent of the shootdown rounds,
+// so a round that leaves out a resident core fails here (rangebug).
+func checkStaleTranslations(m *Monitor) error {
+	owners := map[uint64]DomainID{} // ASID -> live domain
+	for _, id := range m.Domains() {
+		if ctx, err := m.bk.Context(cap.OwnerID(id), 0); err == nil {
+			owners[ctx.ASID] = id
+		}
+	}
+	prev, _ := staleMemos.Load(m)
+	old, _ := prev.(map[cachedAt]flushPromise)
+	seen := map[cachedAt]flushPromise{}
+	defer staleMemos.Store(m, seen)
+	var trs []hw.Translation
+	for _, c := range m.Machine().Cores {
+		trs = c.AppendTranslations(trs[:0])
+		ctx := c.Context()
+		for _, tr := range trs {
+			if tr.MRU && (ctx == nil || tr.ASID != ctx.ASID || tr.Gen != ctx.Filter.Generation()) {
+				continue // a way that can never hit again
+			}
+			at := cachedAt{c.ID(), tr.ASID, tr.Page}
+			p, known := old[at]
+			if id, ok := owners[tr.ASID]; ok {
+				p.owner, known = id, true
+			}
+			if !known {
+				continue // a domain that died before any check saw it
+			}
+			a := phys.Addr(tr.Page) * pg
+			var holds hw.Perm
+			for _, r := range []struct {
+				p hw.Perm
+				r cap.Rights
+			}{{hw.PermR, cap.RightRead}, {hw.PermW, cap.RightWrite}, {hw.PermX, cap.RightExec}} {
+				if m.space.CheckMemAccess(cap.OwnerID(p.owner), a, r.r) {
+					holds |= r.p
+				}
+			}
+			if tr.Perm&^holds == 0 {
+				p.node = 0
+				for _, n := range m.space.OwnerNodes(cap.OwnerID(p.owner)) {
+					if n.Resource.Kind == cap.ResMemory && n.Resource.Mem.Contains(a) && n.Cleanup&cap.CleanFlushTLB != 0 {
+						p.node = n.ID
+						break
+					}
+				}
+				seen[at] = p
+				continue
+			}
+			if _, err := m.space.Node(p.node); p.node != 0 && err != nil {
+				return fmt.Errorf("%v still translates page %d for domain %d with %v, but it holds %v: capability %d, revoked, owed a TLB flush",
+					c.ID(), tr.Page, p.owner, tr.Perm, holds, p.node)
+			}
+			seen[at] = p
+		}
+	}
+	return nil
 }
 
 // checkFiltersSampled compares read rights at every 37th page of the

@@ -206,8 +206,10 @@ type coreSched struct {
 //     has one lock of its own (see cap.Space).
 //
 // Lock order (documented, enforced by construction): revMu / tabMu →
-// coreSched.mu → Domain.mu (two domains in ascending DomainID) → hwMu →
-// the capability-space lock / hardware-object locks. Locks are only ever
+// coreSched.mu (a destructive entry holds every core's, in core order,
+// around its shootdowns) → Domain.mu (two domains in ascending
+// DomainID) → hwMu → the capability-space lock / hardware-object
+// locks. Locks are only ever
 // taken left-to-right; cap and hw locks are leaves, never held across
 // calls back into the monitor. ep.synchronize is called while holding
 // only revMu, before any leaf lock, so a pinned reader can always
@@ -738,6 +740,7 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 // stay suspended: fail closed); the rest still retire, every affected
 // live owner is still resynchronised, and the first error is returned.
 func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
+	m.lockCores()
 	if coalesce {
 		m.mach.BeginShootdownBatch()
 	}
@@ -766,6 +769,7 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 	if coalesce {
 		m.endShootdownBatch()
 	}
+	m.unlockCores()
 
 	// The owners whose access the detaches changed — the owners of the
 	// detached capabilities and the grantors Release handed access back
@@ -795,6 +799,26 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 		firstErr = err
 	}
 	return firstErr
+}
+
+// lockCores takes every core's scheduling lock, in core order, for the
+// span of the cleanups that shoot down TLBs (destructive-family entry
+// held). A round targets the cores resident for its domains, and a
+// mediated transition changes a core's residency and emits its
+// KTransition under that core's lock — so with every lock held, each
+// transition lands on the same side of the round in the hardware and
+// in the trace, and the checker's residency is the hardware's.
+func (m *Monitor) lockCores() {
+	for i := range m.mach.Cores {
+		m.sched[phys.CoreID(i)].mu.Lock()
+	}
+}
+
+// unlockCores releases what lockCores took.
+func (m *Monitor) unlockCores() {
+	for i := range m.mach.Cores {
+		m.sched[phys.CoreID(i)].mu.Unlock()
+	}
 }
 
 // endShootdownBatch retires the armed shootdown accumulator and counts

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -47,9 +48,139 @@ func bootDualTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Chec
 // all four oracles; the three foreign ones skip here.
 func skipUnlessOnlyMutation(t *testing.T, own bool) {
 	t.Helper()
-	anyArmed := hw.ShootdownBugArmed || hw.AckBugArmed || ScrubBugArmed || EpochBugArmed || DrainBugArmed || MigrateBugArmed
+	anyArmed := hw.ShootdownBugArmed || hw.AckBugArmed || hw.RangeBugArmed || ScrubBugArmed || EpochBugArmed || DrainBugArmed || MigrateBugArmed
 	if anyArmed && !own {
 		t.Skip("a different seeded mutation is armed")
+	}
+}
+
+// launchOn makes core resident for dom, so the shootdown rounds for
+// what dom loses must target it: dom gets an executable page (shared
+// with no cleanup), the right to run on core and its entry there, and
+// is launched on core.
+func launchOn(tb testing.TB, m *Monitor, dom DomainID, core phys.CoreID, page uint64) {
+	tb.Helper()
+	if _, err := m.Share(InitialDomain, dom0MemNode(tb, m), dom, memRes(page, 1), cap.MemRWX, cap.CleanNone); err != nil {
+		tb.Fatal(err)
+	}
+	for _, n := range m.OwnerNodes(InitialDomain) {
+		if n.Resource.Kind == cap.ResCore && n.Resource.Core == core {
+			if _, err := m.Share(InitialDomain, n.ID, dom, cap.CoreResource(core), cap.RightRun, cap.CleanNone); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := m.SetEntry(InitialDomain, dom, phys.Addr(page*pg)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.Launch(dom, core); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// residentTenant builds the world the targeting rule is about: a tenant
+// whose code page dom0 granted with a TLB-flushing cleanup runs on core
+// 1, caching a translation of the page. With fast (vtx only) dom0 is
+// launched there and fast-switches into the tenant, which runs and
+// fast-switches back — so core 1 became resident for the tenant by a
+// tagged switch alone, and keeps its translation and that residency
+// while dom0 is installed; without, the tenant is launched and stays
+// installed. It returns the tenant and the grant.
+func residentTenant(tb testing.TB, m *Monitor, fast bool) (DomainID, cap.NodeID) {
+	tb.Helper()
+	dom, err := m.CreateDomain(InitialDomain, "tenant")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const code = 300
+	a := hw.NewAsm()
+	a.Label("spin")
+	a.Jmp("spin")
+	if err := m.CopyInto(InitialDomain, code*pg, a.MustAssemble(code*pg)); err != nil {
+		tb.Fatal(err)
+	}
+	grant, err := m.Grant(InitialDomain, dom0MemNode(tb, m), dom, memRes(code, 1), cap.MemRWX, cap.CleanFlushTLB)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, n := range m.OwnerNodes(InitialDomain) {
+		if n.Resource.Kind == cap.ResCore && n.Resource.Core == 1 {
+			if _, err := m.Share(InitialDomain, n.ID, dom, cap.CoreResource(1), cap.RightRun, cap.CleanNone); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := m.SetEntry(InitialDomain, dom, code*pg); err != nil {
+		tb.Fatal(err)
+	}
+	switch {
+	case fast:
+		if err := m.SetEntry(InitialDomain, InitialDomain, 301*pg); err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.RegisterFastPath(InitialDomain, dom, InitialDomain, 1); err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.Launch(InitialDomain, 1); err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.FastSwitch(1, dom); err != nil {
+			tb.Fatal(err)
+		}
+	default:
+		if err := m.Launch(dom, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if res, err := m.RunCore(1, 8); err != nil || res.Trap.Kind != hw.TrapNone {
+		tb.Fatalf("tenant run = %+v, %v", res, err)
+	}
+	if fast {
+		if err := m.FastSwitch(1, InitialDomain); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return dom, grant
+}
+
+// TestRangeMutationOracle: under the rangebug build tag every shootdown
+// round leaves out the highest core resident for its domains. Here that
+// is core 1, which ran the tenant — on vtx entered and left by fast
+// switches: the revoke of the tenant's code page must target it. Both
+// checkers must flag the left-out core with one message, and the
+// stale-translation oracle must find the translation core 1 kept; in
+// normal builds the same run is clean on both counts, on both backends.
+func TestRangeMutationOracle(t *testing.T) {
+	skipUnlessOnlyMutation(t, hw.RangeBugArmed)
+	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+		t.Run(string(kind), func(t *testing.T) {
+			m, ck, sh := bootDualTracedWorld(t, kind)
+			dom, grant := residentTenant(t, m, kind == BackendVTX)
+			if err := checkStaleTranslations(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Revoke(InitialDomain, grant); err != nil {
+				t.Fatal(err)
+			}
+			stale := checkStaleTranslations(m)
+			err := assertCheckersAgree(t, ck, sh)
+			if hw.RangeBugArmed {
+				want := fmt.Sprintf("left out core 1, resident for domain %d", dom)
+				if err == nil || len(ck.Violations()) != 1 || !strings.Contains(err.Error(), want) {
+					t.Fatalf("seeded left-out core (rangebug): want one violation %q, got %v", want, err)
+				}
+				if stale == nil {
+					t.Fatal("seeded left-out core (rangebug) kept no stale translation the oracle sees")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("clean revoke flagged: %v", err)
+			}
+			if stale != nil {
+				t.Fatal(stale)
+			}
+		})
 	}
 }
 
@@ -169,8 +300,8 @@ func TestDrainMutationOracle(t *testing.T) {
 	}
 }
 
-// TestAckMutationOracle: under the ackbug build tag exactly one
-// shootdown round loses core 0's acknowledgement (the flush itself
+// TestAckMutationOracle: under the ackbug build tag the first
+// shootdown round that targets core 0 loses its acknowledgement (the flush itself
 // still runs — a completion-protocol bug, unlike tracebug's stale
 // TLB). Both checkers must flag the shootdown-round-completeness
 // property when the enclosing operation retires short one ack.
@@ -182,12 +313,14 @@ func TestAckMutationOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	launchOn(t, m, dom, 0, 141)
 	id, err := m.Share(InitialDomain, node, dom, memRes(140, 1), cap.MemRW, cap.CleanFlushTLB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// CleanFlushTLB makes the revoke run the machine's first cross-core
-	// shootdown round — the one the armed mutation robs of an ack.
+	// shootdown round, which targets core 0 (resident for dom) — the
+	// one the armed mutation robs of an ack.
 	if err := m.Revoke(InitialDomain, id); err != nil {
 		t.Fatal(err)
 	}

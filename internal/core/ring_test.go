@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -522,4 +523,94 @@ func TestRingBatchOfOneShootdownParity(t *testing.T) {
 			sds[1].Addr, sds[1].Size, sds[0].Addr, sds[0].Size)
 	}
 	assertTraceClean(t, m, ck)
+}
+
+// FuzzRingDescriptor writes fuzzed descriptors into a registered ring
+// in guest memory — hostile bytes that never cross a wire — and drains
+// them one doorbell each. Each descriptor is 8 bytes: verb, node,
+// destination, start page (two bytes), pages, rights, cleanup, drawn
+// into ranges where some land on real capabilities and domains. The
+// drain must not panic; a flush fails only with the monitor's typed
+// errors; every completion carries one of the ABI's status codes; and a
+// descriptor the monitor rejects leaves the capability tree and the
+// reference counts exactly as they were. The world is traced and must
+// audit clean.
+func FuzzRingDescriptor(f *testing.F) {
+	// A share of the tenant's heap (node 7) to its peer (domain 3), its
+	// revocation (the share is node 8), then garbage; a grant that
+	// overruns the heap, then a verb the ring may not carry.
+	f.Add([]byte{byte(CallShare), 7, 3, 0x90, 0, 1, byte(cap.MemRW), 0, byte(CallRevoke), 8, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{byte(CallGrant), 7, 3, 0xa8, 0, 7, byte(cap.MemRW), byte(cap.CleanObfuscate), byte(CallRingFlush), 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 8*64 {
+			t.Skip("bounded input size")
+		}
+		m, ck := bootTracedWorld(t, BackendVTX)
+		node := dom0MemNode(t, m)
+		tenant, err := m.CreateDomain(InitialDomain, "tenant")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.CreateDomain(InitialDomain, "peer"); err != nil {
+			t.Fatal(err)
+		}
+		// The ring's pages, and a re-delegable heap for the descriptors
+		// to name.
+		if _, err := m.Grant(InitialDomain, node, tenant, memRes(400, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Grant(InitialDomain, node, tenant, memRes(0x90, 32), cap.MemRW|cap.RightShare, cap.CleanFlushTLB); err != nil {
+			t.Fatal(err)
+		}
+		const entries = 4
+		base := ringAt(t, m, tenant, 400, entries)
+		mem := m.Machine().Mem
+		for i := uint64(0); len(data) >= 8; i, data = i+1, data[8:] {
+			b := data[:8]
+			desc := [6]uint64{
+				uint64(b[0] % 16),
+				uint64(b[1] % 24),
+				uint64(b[2] % 5),
+				(uint64(b[3]) | uint64(b[4]%2)<<8) * pg,
+				uint64(b[5]%8) * pg,
+				uint64(b[6]) | uint64(b[7]%16)<<16,
+			}
+			tree, refs := m.space.TreeString(), m.RefCounts()
+			off := base + phys.Addr(RingSQOff(entries, i))
+			for w, v := range desc {
+				if err := mem.Write64(off+phys.Addr(8*w), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := mem.Write64(base+RingOffSQTail, i+1); err != nil {
+				t.Fatal(err)
+			}
+			n, err := m.RingFlush(tenant)
+			if err != nil && !errors.Is(err, ErrDenied) {
+				t.Fatalf("descriptor %v: untyped flush error %v", desc, err)
+			}
+			if _, ok := m.ringOf(tenant); !ok {
+				break // the batch revoked or gave away its own ring
+			}
+			if n != 1 {
+				t.Fatalf("descriptor %v: flush executed %d descriptors, %v", desc, n, err)
+			}
+			status, _ := completion(t, m, base, entries, i)
+			switch status {
+			case StatusOK:
+			case StatusDenied, StatusBadCall:
+				if m.space.TreeString() != tree || !slices.EqualFunc(m.RefCounts(), refs, sameCount) {
+					t.Fatalf("descriptor %v rejected with status %d but changed the capability state", desc, status)
+				}
+			default:
+				t.Fatalf("descriptor %v completed with unknown status %d", desc, status)
+			}
+		}
+		assertTraceClean(t, m, ck)
+	})
+}
+
+// sameCount reports whether two refcount records are equal.
+func sameCount(a, b cap.RegionCount) bool {
+	return a.Region == b.Region && a.Count == b.Count && slices.Equal(a.Owners, b.Owners)
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/fault"
 	"github.com/tyche-sim/tyche/internal/hw"
+	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/tpm"
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
@@ -220,7 +221,7 @@ func goldenFaultRun(t *testing.T, cores int) string {
 		t.Fatal(err)
 	}
 	assertTraceClean(t, m, ck)
-	return trace.Normalize(tr.Events(), cores)
+	return trace.Normalize(tr.Events())
 }
 
 // TestGoldenTraceDeterminism: the same (seed, schedule) pair must
@@ -243,8 +244,9 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 
 // TestShootdownMutationOracle is the mutation test for the checker
 // itself: under the tracebug build tag the hardware "forgets" to flush
-// (and ack) the last core on every TLB shootdown, and the checker must
-// flag the very first revocation. In normal builds the same run is
+// (and ack) the last core on every TLB shootdown that targets it, and
+// the checker must flag the very first revocation of what a domain
+// running there loses. In normal builds the same run is
 // clean — proof the oracle has teeth and no false positives.
 func TestShootdownMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, hw.ShootdownBugArmed)
@@ -254,6 +256,8 @@ func TestShootdownMutationOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The last core runs dom, so the revoke's round targets it.
+	launchOn(t, m, dom, phys.CoreID(len(m.Machine().Cores)-1), 131)
 	id, err := m.Share(InitialDomain, node, dom, memRes(130, 1), cap.MemRW, cap.CleanFlushTLB)
 	if err != nil {
 		t.Fatal(err)

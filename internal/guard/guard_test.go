@@ -449,6 +449,50 @@ func refresh(b *B, pages uint64) {
 	}
 }
 
+// shootdownAcks are what a shootdown round pays and emits for each core
+// it targets: one IPI+flush charge and one ack. Both belong to the one
+// function that knows which cores the round targets (hw's
+// shootdownRound), so no second site can interrupt, bill or ack a core
+// the round left alone.
+var shootdownAcks = []struct {
+	name  string
+	match func(ast.Node) bool
+}{
+	{"Cost.TLBFlush", passes("Advance", "TLBFlush")},
+	{"trace.KShootdownAck", passes("Trace", "KShootdownAck")},
+}
+
+// TestOneShootdownAckSite: the per-core charge and ack of a shootdown
+// round each have one site in the monitor and the machine it drives
+// (internal/hw, internal/core, internal/backend). The commodity-OS
+// models (internal/baseline, internal/oskit) charge TLBFlush for their
+// own kernel's context switch, which flushes an untagged TLB and is no
+// shootdown, so they are outside the rule.
+func TestOneShootdownAckSite(t *testing.T) {
+	var files []goFile
+	for _, dir := range []string{"internal/hw", "internal/core", "internal/backend"} {
+		files = append(files, parseTree(t, false, dir)...)
+	}
+	for _, w := range shootdownAcks {
+		if got := sites(files, w.match); len(got) != 1 {
+			t.Errorf("%s is charged or emitted from %d functions %v, want exactly 1", w.name, len(got), got)
+		}
+	}
+	// The rule sees a planted second site.
+	withPlant := append(files, plant(t, "internal/core/planted.go", `package core
+func broadcast(m *Monitor) {
+	for i := range m.mach.Cores {
+		m.mach.Clock.Advance(m.mach.Cost.TLBFlush)
+		m.mach.Trace(-1, trace.KShootdownAck, 0, uint64(i), 0, 0, 0)
+	}
+}`))
+	for _, w := range shootdownAcks {
+		if got := sites(withPlant, w.match); len(got) != 2 {
+			t.Errorf("%s with a planted second site: found %v, want 2 sites", w.name, got)
+		}
+	}
+}
+
 // module is this module's import path prefix.
 const module = "github.com/tyche-sim/tyche/"
 

@@ -3,8 +3,9 @@
 package hw
 
 // AckBugArmed reports whether this binary carries the seeded
-// lost-acknowledgement bug (the ackbug build tag): exactly one
-// cross-core TLB shootdown drops core 0's acknowledgement — the flush
+// lost-acknowledgement bug (the ackbug build tag): the first
+// cross-core TLB shootdown that targets core 0 drops its
+// acknowledgement — the flush
 // itself still runs, so only the completion protocol is broken. The
 // mutation test proves both the serial and sharded trace checkers
 // flag the operation completing with a missing ack (shootdown-
@@ -12,6 +13,7 @@ package hw
 // tracebug's genuinely-stale-TLB bug.
 const AckBugArmed = false
 
-// ackDropOne makes the next shootdown round swallow core 0's ack.
+// ackDropOne makes the next shootdown round that targets core 0
+// swallow its ack.
 // Constant-false in normal builds so the branch folds away.
 const ackDropOne = false

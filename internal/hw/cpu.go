@@ -142,6 +142,7 @@ type Core struct {
 	PMPUnit *PMP
 
 	ctx     atomic.Pointer[Context]
+	res     residency
 	tlb     *TLB
 	cache   *Cache
 	halted  atomic.Bool
@@ -248,6 +249,33 @@ func (s *mruSet) invalidate() {
 	}
 }
 
+// Translation is one translation a core has cached, for audits.
+type Translation struct {
+	ASID, Page uint64
+	Perm       Perm
+	// Gen is the filter generation the translation was filled under.
+	Gen uint64
+	// MRU marks a way of the front-side cache rather than a TLB slot.
+	MRU bool
+}
+
+// AppendTranslations appends every translation the core can still use
+// without a walk: each valid TLB slot, and each MRU way the TLB has not
+// been flushed under since it was filled (a way is still only used
+// while its ASID is installed and its generation current). Call it
+// only while the core is quiescent: the MRU belongs to the goroutine
+// driving the core.
+func (c *Core) AppendTranslations(dst []Translation) []Translation {
+	dst = c.tlb.appendSlots(dst)
+	flush := c.tlb.FlushCount()
+	for _, w := range c.mru.ways {
+		if w.ok && w.flush == flush {
+			dst = append(dst, Translation{ASID: w.asid, Page: w.page, Perm: w.perm, Gen: w.gen, MRU: true})
+		}
+	}
+	return dst
+}
+
 // MRUStats returns the front-side translation cache's hit and miss
 // counts. Read it only while the core is quiescent (the counters belong
 // to the driving goroutine).
@@ -294,10 +322,14 @@ func (c *Core) ClearStall() { c.stalled.Store(false) }
 func (c *Core) Cycles() uint64 { return c.clk.Cycles() }
 
 // InstallContext binds ctx to the core, flushing the TLB (a full
-// context switch on untagged hardware invalidates cached translations).
+// context switch on untagged hardware invalidates cached translations),
+// so the core is resident for ctx's owner alone.
 func (c *Core) InstallContext(ctx *Context) {
 	c.ctx.Store(ctx)
+	c.res.mu.Lock()
 	c.tlb.Flush()
+	c.res.reset(ctx)
+	c.res.mu.Unlock()
 	c.mru.invalidate()
 	c.halted.Store(false)
 }
@@ -350,10 +382,97 @@ func (c *Core) VMFuncEntry(idx uint64) (*Context, bool) {
 }
 
 // SwitchContextTagged binds ctx to the core without flushing the TLB,
-// relying on ASID tagging for correctness — the VMFUNC fast path.
+// relying on ASID tagging for correctness — the VMFUNC fast path. The
+// translations of the contexts loaded before stay, so the core becomes
+// resident for ctx's owner as well. The context is stored first: a
+// whole flush racing the switch then either sees ctx installed or
+// leaves the owner it adds here in place.
 func (c *Core) SwitchContextTagged(ctx *Context) {
 	c.ctx.Store(ctx)
+	c.res.mu.Lock()
+	c.res.add(ctx.Owner)
+	c.res.mu.Unlock()
 	c.halted.Store(false)
+}
+
+// residentFor reports whether the core may cache a translation of any
+// of domains: whether it loaded a context of one of them since its TLB
+// was last flushed whole.
+func (c *Core) residentFor(domains ...uint64) bool {
+	c.res.mu.Lock()
+	defer c.res.mu.Unlock()
+	for _, d := range domains {
+		if c.res.holds(d) {
+			return true
+		}
+	}
+	return false
+}
+
+// invalidate is one targeted core's part of a shootdown round: drop
+// its translations of regions, or its whole TLB when full — after which
+// it is resident only for the context it still has installed.
+func (c *Core) invalidate(regions []phys.Region, full bool) {
+	if !full {
+		for _, r := range regions {
+			c.tlb.FlushRegion(r)
+		}
+		return
+	}
+	c.res.mu.Lock()
+	c.tlb.Flush()
+	c.res.reset(c.ctx.Load())
+	c.res.mu.Unlock()
+}
+
+// residentSlots is how many domains a core's residency record names
+// before it overflows.
+const residentSlots = 8
+
+// residency is the set of domains whose contexts a core has loaded
+// since its TLB was last flushed whole. A TLB slot or MRU way can only
+// hold a translation of one of them, so a shootdown round for other
+// domains need not interrupt the core. The record is a fixed array:
+// once more than residentSlots domains share a TLB it overflows and the
+// core counts as resident for every domain, which is safe. mu guards
+// it and orders a whole flush with the reset that follows it.
+type residency struct {
+	mu   sync.Mutex
+	n    int // domains recorded; above residentSlots the record overflowed
+	doms [residentSlots]uint64
+}
+
+// reset records ctx's owner alone (nothing when no context is
+// installed).
+func (r *residency) reset(ctx *Context) {
+	r.n = 0
+	if ctx != nil {
+		r.doms[0], r.n = ctx.Owner, 1
+	}
+}
+
+// add records d unless it is already there.
+func (r *residency) add(d uint64) {
+	if r.holds(d) {
+		return
+	}
+	if r.n < residentSlots {
+		r.doms[r.n] = d
+	}
+	r.n = min(r.n+1, residentSlots+1)
+}
+
+// holds reports whether the record names d (always, once overflowed).
+func (r *residency) holds(d uint64) bool {
+	if r.n > residentSlots {
+		return true
+	}
+	for _, x := range r.doms[:r.n] {
+		if x == d {
+			return true
+		}
+	}
+	return false
 }
 
 // SaveInto snapshots the core's register state into ctx.

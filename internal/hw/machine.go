@@ -28,6 +28,10 @@ type Config struct {
 	MemoryEncryption bool
 }
 
+// maxCores bounds a machine's core count: a shootdown round names the
+// cores it targets as one 64-bit mask.
+const maxCores = 64
+
 // DeviceConfig describes one device to instantiate.
 type DeviceConfig struct {
 	Name  string
@@ -95,8 +99,8 @@ type Machine struct {
 
 // NewMachine builds a machine from cfg.
 func NewMachine(cfg Config) (*Machine, error) {
-	if cfg.NumCores < 1 {
-		return nil, fmt.Errorf("hw: machine needs at least one core, got %d", cfg.NumCores)
+	if cfg.NumCores < 1 || cfg.NumCores > maxCores {
+		return nil, fmt.Errorf("hw: machine needs 1 to %d cores, got %d", maxCores, cfg.NumCores)
 	}
 	mem, err := NewPhysMem(cfg.MemBytes)
 	if err != nil {

@@ -7,7 +7,7 @@ package hw
 // decide whether the trace checker must flag the run.
 const ShootdownBugArmed = false
 
-// shootdownSkipLast makes ShootdownRegion/ShootdownAll skip the last
+// shootdownSkipLast makes a round that targets the last core skip that
 // core's flush and ack — a real stale-TLB bug the trace checker must
 // catch. Constant-false in normal builds so the branch folds away.
 const shootdownSkipLast = false

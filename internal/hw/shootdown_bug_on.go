@@ -2,8 +2,9 @@
 
 package hw
 
-// Seeded mutation build: TLB shootdowns silently skip the last core,
-// leaving it with stale translations and one missing acknowledgement.
+// Seeded mutation build: a TLB shootdown that targets the last core
+// silently skips it, leaving it with stale translations and one missing
+// acknowledgement.
 // This exists to prove the trace invariant checker is not vacuous — see
 // TestShootdownMutationOracle. Never ship with this tag.
 

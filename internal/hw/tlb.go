@@ -34,8 +34,9 @@ const DefaultTLBEntries = 64
 // (BenchmarkTLBLookupHit, BenchmarkTLBInsertEvict).
 //
 // The TLB belongs to one core but is mutated cross-core by the
-// monitor's cleanup shootdowns (backend.RunCleanups flushes every
-// core's TLB), so all operations take an internal mutex; statistics
+// monitor's cleanup shootdowns (backend.RunCleanups flushes the TLB of
+// every core resident for the domain that lost access), so all
+// operations take an internal mutex; statistics
 // counters are atomic so they can be read while the core runs. The
 // owning core reaches the TLB only when its MRU translation cache
 // misses; hits the MRU serves are counted by the core and added to
@@ -168,6 +169,18 @@ func (t *TLB) FlushRegion(r phys.Region) {
 // core's Run or Step returns, so while it is inside a Run hits lags.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits.Load(), t.misses.Load(), t.flushes.Load()
+}
+
+// appendSlots appends a Translation for every valid slot.
+func (t *TLB) appendSlots(dst []Translation) []Translation {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.slots[:t.hi] {
+		if s.used {
+			dst = append(dst, Translation{ASID: s.key.asid, Page: s.key.page, Perm: s.perm, Gen: s.gen})
+		}
+	}
+	return dst
 }
 
 // Len returns the number of cached entries.

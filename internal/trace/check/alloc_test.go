@@ -11,13 +11,25 @@ func ev(k trace.Kind, dom, aux, node, addr, size uint64) trace.Event {
 	return trace.Event{Core: trace.GlobalCore, Kind: k, Domain: dom, Aux: aux, Node: node, Addr: addr, Size: size}
 }
 
-// revokeRound is a clean revocation on a two-core machine: the op
-// bracket, the revoke, and one shootdown round acked by both cores.
+// onCore is ev emitted by a core.
+func onCore(core int32, k trace.Kind, dom, aux, node, addr, size uint64) trace.Event {
+	e := ev(k, dom, aux, node, addr, size)
+	e.Core = core
+	return e
+}
+
+// revokeRound is a clean revocation on a two-core machine: core 0
+// enters domain 2 and core 1 fast-switches to domain 3, then the op
+// bracket, the revoke, and one shootdown round for both domains that
+// targets both cores and is acked by both.
 func revokeRound(tok uint64) []trace.Event {
 	return []trace.Event{
+		onCore(0, trace.KTransition, 2, 1, 0, 0, trace.TransCall),
+		onCore(1, trace.KTransition, 3, 1, 0, 0, trace.TransFast),
 		ev(trace.KOpBegin, 1, trace.OpRevoke, tok, 0, 0),
 		ev(trace.KRevoke, 1, 0, 7, 0, 0),
-		ev(trace.KShootdown, 0, 0, 0, 0x1000, 4096),
+		ev(trace.KShootdown, 2, 3, 0, 0x1000, 4096),
+		ev(trace.KShootdownFor, 3, 0, 0, 0x1000, 4096),
 		ev(trace.KShootdownAck, 0, 0, 0, 0x1000, 4096),
 		ev(trace.KShootdownAck, 0, 1, 0, 0x1000, 4096),
 		ev(trace.KOpEnd, 1, trace.OpRevoke, tok, 0, 0),
@@ -34,7 +46,7 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 	drain = append(drain, ev(trace.KDrainBegin, 0, 1, 20, 0, 0), ev(trace.KBatchBegin, 1, 2, 21, 0, 0))
 	drain = append(drain, revokeRound(22)...)
 	drain = append(drain, ev(trace.KBatchEnd, 1, 1, 21, 0, 0),
-		ev(trace.KShootdown, 0, 0, 0, 0x2000, 4096),
+		ev(trace.KShootdown, 0, 3, 0, 0x2000, 4096),
 		ev(trace.KShootdownAck, 0, 0, 0, 0x2000, 4096),
 		ev(trace.KShootdownAck, 0, 1, 0, 0x2000, 4096),
 		ev(trace.KDrainEnd, 0, 1, 20, 0, 0))
@@ -114,19 +126,28 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 }
 
 // TestMergeAllocatesNothing: a steady-state merge — shards hand over a
-// revocation's structural events, the merge sorts them, steps the
-// engine and lends its buffer as the report's audit stream — allocates
-// nothing.
+// revocation's structural events and its cores' residency steps, the
+// merge sorts the events, replays the steps, steps the engine and lends
+// its buffer as the report's audit stream — allocates nothing.
 func TestMergeAllocatesNothing(t *testing.T) {
 	sh := NewShardedN(3)
 	seq := uint64(1)
 	sh.ShardEvent(0, trace.Event{Seq: seq, Core: trace.GlobalCore, Kind: trace.KBoot, Size: 2})
-	round := revokeRound(1)
+	round, structural := revokeRound(1), 0
+	for _, e := range round {
+		if e.Kind != trace.KTransition {
+			structural++
+		}
+	}
 	deliver := func() {
 		for i, e := range round {
 			seq++
 			e.Seq = seq
-			sh.ShardEvent(i%2, e) // two shards: the merge interleaves them
+			si := i % 2 // two shards: the merge interleaves them
+			if e.Kind == trace.KTransition {
+				si = int(e.Core) + 1
+			}
+			sh.ShardEvent(si, e)
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -135,8 +156,8 @@ func TestMergeAllocatesNothing(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		deliver()
-		if rep := sh.Merge(); !rep.Merged || len(rep.Events) != len(round) {
-			t.Fatalf("merge = %+v, want %d events", rep, len(round))
+		if rep := sh.Merge(); !rep.Merged || len(rep.Events) != structural {
+			t.Fatalf("merge = %+v, want %d events", rep, structural)
 		}
 	})
 	if allocs != 0 {

@@ -14,10 +14,19 @@
 //     operation by or for that domain — no transitions into it, no
 //     delegations from it, no capability mutations, and no enforcement
 //     filter (EPT/PMP) programmed for it.
-//  2. Shootdown acknowledgement: every TLB shootdown started inside a
-//     monitor operation is acknowledged by all cores before the
-//     operation completes (KOpEnd) — a revocation or kill must not
-//     return while any core can still hit stale translations.
+//  2. Shootdown targeting and acknowledgement: a TLB shootdown round
+//     targets every core that may cache a translation of a domain it
+//     invalidates for, and every targeted core acknowledges it before
+//     the monitor operation that started it completes (KOpEnd) — a
+//     revocation or kill must not return while any core can still hit
+//     stale translations. A core may cache a domain's translations
+//     once a KTransition on it enters the domain: a fast switch
+//     (TransFast) adds the domain to what the core is resident for,
+//     every other transition replaces that set with the domain (the
+//     context install flushes the TLB), and acknowledging a whole-TLB
+//     round empties it. Three cases fail: a resident core the round
+//     does not target, a targeted core that never acks, and an ack
+//     from a core the round did not target.
 //  3. Scrub before kill completes: every exclusively-held region a
 //     kill plans to reclaim (KScrubPlan) is zeroed and shot down
 //     (KScrub) before the destruction closes (KKill) — memory is never
@@ -50,6 +59,7 @@ package check
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -109,12 +119,28 @@ func (c *Counts) add(o Counts) {
 	c.Drains += o.Drains
 }
 
-// shootdown is one in-flight cross-core TLB shootdown. acks is the set
-// of cores that acknowledged it; a core ID outside [0, cores) counts
-// like any other.
+// shootdown is one in-flight cross-core TLB shootdown; ev.Aux is the
+// mask of the cores it targets. acks is the set of cores that
+// acknowledged it; a core ID outside [0, cores) counts like any other.
 type shootdown struct {
 	ev   trace.Event
 	acks map[uint64]bool
+}
+
+// targets reports whether the round targets core.
+func (sd *shootdown) targets(core uint64) bool {
+	return core < 64 && sd.ev.Aux&(1<<core) != 0
+}
+
+// acked counts the targeted cores that acknowledged the round, and
+// returns it with the number it targets.
+func (sd *shootdown) acked() (acked, targeted int) {
+	for core := range sd.acks {
+		if sd.targets(core) {
+			acked++
+		}
+	}
+	return acked, bits.OnesCount64(sd.ev.Aux)
 }
 
 // frame is one open monitor operation (KOpBegin..KOpEnd), ring drain
@@ -142,7 +168,10 @@ type region struct{ addr, size uint64 }
 // allocates: a kill's dead-set entry, a domain's first scrub plan, and
 // violations.
 type engine struct {
-	cores      int
+	cores int
+	// resident is, per core, the domains whose translations the core
+	// may cache (property 2), from its KTransitions.
+	resident   [][]uint64
 	dead       map[uint64]bool
 	frames     []*frame
 	last       *shootdown // most recent shootdown awaiting acks
@@ -201,6 +230,13 @@ func (c *engine) step(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KBoot:
 		c.cores = int(ev.Size)
+		for i := range c.resident {
+			c.resident[i] = c.resident[i][:0]
+		}
+		for len(c.resident) < c.cores {
+			c.resident = append(c.resident, nil)
+		}
+		c.resident = c.resident[:c.cores]
 
 	case trace.KOpBegin:
 		c.open(ev, false, false)
@@ -285,7 +321,8 @@ func (c *engine) step(ev trace.Event) {
 			c.violate(ev, "operation end %d does not match open operation %d", ev.Aux, f.ev.Aux)
 		}
 		// Property 2: every shootdown this operation started must have
-		// been acknowledged by all cores before the operation returns.
+		// been acknowledged by every core it targeted before the
+		// operation returns.
 		c.retire(f, ev, "", "operation")
 
 	case trace.KShootdown:
@@ -299,16 +336,31 @@ func (c *engine) step(ev trace.Event) {
 			// it, so require full acknowledgement by End().
 			c.violateLater(sd)
 		}
+		c.require(ev)
+
+	case trace.KShootdownFor:
+		if c.last == nil {
+			c.violate(ev, "shootdown for domain %d with no shootdown in flight", ev.Domain)
+			break
+		}
+		c.require(ev)
 
 	case trace.KShootdownAck:
 		if c.last == nil {
 			c.violate(ev, "shootdown ack from core %d with no shootdown in flight", ev.Aux)
 			break
 		}
+		if !c.last.targets(ev.Aux) {
+			c.violate(ev, "core %d acknowledged a shootdown that did not target it", ev.Aux)
+		}
 		if c.last.acks[ev.Aux] {
 			c.violate(ev, "core %d acknowledged the same shootdown twice", ev.Aux)
 		}
 		c.last.acks[ev.Aux] = true
+		if c.last.ev.Node == 1 && ev.Aux < uint64(len(c.resident)) {
+			// The core flushed its whole TLB.
+			c.resident[ev.Aux] = c.resident[ev.Aux][:0]
+		}
 
 	case trace.KScrubPlan:
 		c.scrubPlans[ev.Domain] = append(c.scrubPlans[ev.Domain],
@@ -347,6 +399,7 @@ func (c *engine) step(ev trace.Event) {
 		} else {
 			c.counts.Transitions++
 		}
+		c.reside(ev.Core, ev.Domain, ev.Size)
 	case trace.KShare, trace.KGrant, trace.KSeal:
 		c.counts.CapOps++
 	case trace.KRevoke:
@@ -370,6 +423,32 @@ func (c *engine) step(ev trace.Event) {
 	}
 }
 
+// reside applies one KTransition on core to its residency: a fast
+// switch adds dom, every other kind replaces the set with it.
+func (c *engine) reside(core int32, dom, kind uint64) {
+	if core < 0 || int(core) >= len(c.resident) {
+		return
+	}
+	set := c.resident[core]
+	if kind != trace.TransFast {
+		set = set[:0]
+	} else if slices.Contains(set, dom) {
+		return
+	}
+	c.resident[core] = append(set, dom)
+}
+
+// require checks that the round in flight targets every core resident
+// for ev.Domain (ev is its KShootdown or a KShootdownFor).
+func (c *engine) require(ev trace.Event) {
+	for core, set := range c.resident {
+		if slices.Contains(set, ev.Domain) && !c.last.targets(uint64(core)) {
+			c.violate(ev, "shootdown [%#x,+%d) left out core %d, resident for domain %d",
+				ev.Addr, ev.Size, core, ev.Domain)
+		}
+	}
+}
+
 // open pushes a frame for ev, reusing a closed one when there is one.
 func (c *engine) open(ev trace.Event, batch, drain bool) {
 	var f *frame
@@ -390,14 +469,14 @@ func (c *engine) pop(idx int) *frame {
 }
 
 // retire closes f at ev: every shootdown round f owned must have been
-// acknowledged by all cores (the violation reads "<what>shootdown ...
-// when <when> completed"). Then f and its rounds go back to the free
-// lists.
+// acknowledged by every core it targeted (the violation reads
+// "<what>shootdown ... when <when> completed"). Then f and its rounds
+// go back to the free lists.
 func (c *engine) retire(f *frame, ev trace.Event, what, when string) {
 	for _, sd := range f.shootdown {
-		if len(sd.acks) != c.cores {
+		if acked, targeted := sd.acked(); acked != targeted {
 			c.violate(ev, "%sshootdown [%#x,+%d) acked by %d/%d cores when %s completed",
-				what, sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores, when)
+				what, sd.ev.Addr, sd.ev.Size, acked, targeted, when)
 		}
 		if c.last == sd {
 			c.last = nil
@@ -458,9 +537,9 @@ func (c *engine) end() {
 	}
 	c.frames = nil
 	for _, sd := range c.orphans {
-		if len(sd.acks) != c.cores {
+		if acked, targeted := sd.acked(); acked != targeted {
 			c.violate(sd.ev, "shootdown outside any operation acked by %d/%d cores",
-				len(sd.acks), c.cores)
+				acked, targeted)
 		}
 	}
 	c.orphans = nil

@@ -28,6 +28,12 @@ func (f *feeder) emit(k trace.Kind, dom, aux, node, addr, size uint64) {
 	})
 }
 
+// enter emits a transition on core into dom.
+func (f *feeder) enter(core int32, dom, kind uint64) {
+	f.seq++
+	f.c.Event(trace.Event{Seq: f.seq, Core: core, Kind: trace.KTransition, Domain: dom, Size: kind})
+}
+
 func wantClean(t *testing.T, f *feeder) {
 	t.Helper()
 	if err := f.c.Err(); err != nil {
@@ -50,7 +56,7 @@ func TestCleanRevokeStream(t *testing.T) {
 	f := newFeeder(2)
 	f.emit(trace.KOpBegin, 1, trace.OpRevoke, 0, 0, 0)
 	f.emit(trace.KRevoke, 1, 0, 7, 0, 0)
-	f.emit(trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	f.emit(trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	f.emit(trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	f.emit(trace.KShootdownAck, 0, 1, 0, 0x1000, 4096)
 	f.emit(trace.KOpEnd, 1, trace.OpRevoke, 0, 0, 0)
@@ -63,7 +69,7 @@ func TestCleanRevokeStream(t *testing.T) {
 func TestMissingShootdownAckFlagged(t *testing.T) {
 	f := newFeeder(2)
 	f.emit(trace.KOpBegin, 1, trace.OpRevoke, 0, 0, 0)
-	f.emit(trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	f.emit(trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	f.emit(trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	// Core 1 never acks.
 	f.emit(trace.KOpEnd, 1, trace.OpRevoke, 0, 0, 0)
@@ -94,7 +100,7 @@ func TestScrubbedKillClean(t *testing.T) {
 	f.emit(trace.KOpBegin, 5, trace.OpKill, 0, 0, 0)
 	f.emit(trace.KScrubPlan, 5, 0, 0, 0x4000, 2*phys.PageSize)
 	f.emit(trace.KRevoke, 5, 1, 0, 0, 0)
-	f.emit(trace.KShootdown, 0, 0, 0, 0x4000, 2*phys.PageSize)
+	f.emit(trace.KShootdown, 0, 1, 0, 0x4000, 2*phys.PageSize)
 	f.emit(trace.KShootdownAck, 0, 0, 0, 0x4000, 2*phys.PageSize)
 	f.emit(trace.KScrub, 5, 0, 0, 0x4000, 2*phys.PageSize)
 	f.emit(trace.KKill, 5, 0, 0, 0, 0)
@@ -127,7 +133,7 @@ func TestUnbalancedOpFlagged(t *testing.T) {
 
 func TestOrphanShootdownNeedsFullAcks(t *testing.T) {
 	f := newFeeder(2)
-	f.emit(trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	f.emit(trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	f.emit(trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	wantViolation(t, f, "outside any operation")
 }
@@ -138,7 +144,7 @@ func TestReplayMatchesOnline(t *testing.T) {
 	tr.Attach(online)
 	tr.Emit(trace.GlobalCore, trace.KBoot, 0, 0, 0, 0, 2)
 	tr.Emit(trace.GlobalCore, trace.KOpBegin, 1, trace.OpRevoke, 0, 0, 0)
-	tr.Emit(trace.GlobalCore, trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	tr.Emit(trace.GlobalCore, trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	tr.Emit(trace.GlobalCore, trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	tr.Emit(trace.GlobalCore, trace.KOpEnd, 1, trace.OpRevoke, 0, 0, 0)
 	replayed := Replay(tr.Events())
@@ -152,4 +158,60 @@ func TestReplayMatchesOnline(t *testing.T) {
 	if online.Counts() != replayed.Counts() {
 		t.Fatalf("counts diverge: online %+v, replay %+v", online.Counts(), replayed.Counts())
 	}
+}
+
+// TestShootdownTargetsResidency: a round must target every core a
+// transition left resident for one of its domains — a fast switch adds
+// to what the core holds, any other transition replaces it, and a
+// whole-TLB round the core acks empties it.
+func TestShootdownTargetsResidency(t *testing.T) {
+	revoke := func(f *feeder, tok, dom, targets, full uint64, acks ...uint64) {
+		f.emit(trace.KOpBegin, 1, trace.OpRevoke, tok, 0, 0)
+		f.emit(trace.KShootdown, dom, targets, full, 0x1000, 4096)
+		for _, c := range acks {
+			f.emit(trace.KShootdownAck, 0, c, 0, 0x1000, 4096)
+		}
+		f.emit(trace.KOpEnd, 1, trace.OpRevoke, tok, 0, 0)
+	}
+	t.Run("fast switch keeps the core resident", func(t *testing.T) {
+		f := newFeeder(2)
+		f.enter(1, 5, trace.TransLaunch)
+		f.enter(1, 6, trace.TransFast)
+		revoke(f, 1, 5, 0, 0)
+		wantViolation(t, f, "left out core 1, resident for domain 5")
+	})
+	t.Run("install replaces residency", func(t *testing.T) {
+		f := newFeeder(2)
+		f.enter(1, 5, trace.TransLaunch)
+		f.enter(1, 6, trace.TransCall)
+		revoke(f, 1, 5, 0, 0)
+		wantClean(t, f)
+	})
+	t.Run("whole flush empties residency", func(t *testing.T) {
+		f := newFeeder(2)
+		f.enter(0, 5, trace.TransLaunch)
+		revoke(f, 1, 7, 1, 1, 0)
+		revoke(f, 2, 5, 0, 0)
+		wantClean(t, f)
+	})
+	t.Run("further domains", func(t *testing.T) {
+		f := newFeeder(2)
+		f.enter(0, 5, trace.TransLaunch)
+		f.emit(trace.KOpBegin, 1, trace.OpKill, 1, 0, 0)
+		f.emit(trace.KShootdown, 7, 0, 0, 0x1000, 4096)
+		f.emit(trace.KShootdownFor, 5, 0, 0, 0x1000, 4096)
+		f.emit(trace.KOpEnd, 1, trace.OpKill, 1, 0, 0)
+		wantViolation(t, f, "left out core 0, resident for domain 5")
+	})
+	t.Run("ack from an untargeted core", func(t *testing.T) {
+		f := newFeeder(2)
+		revoke(f, 1, 5, 1, 0, 0, 1)
+		wantViolation(t, f, "core 1 acknowledged a shootdown that did not target it")
+	})
+	t.Run("targeted core never acks", func(t *testing.T) {
+		f := newFeeder(2)
+		f.enter(1, 5, trace.TransLaunch)
+		revoke(f, 1, 5, 2, 0)
+		wantViolation(t, f, "acked by 0/1 cores")
+	})
 }

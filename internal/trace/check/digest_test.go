@@ -42,7 +42,7 @@ func buildCleanIntervals(t testing.TB) [][]byte {
 	ship()
 	emit(trace.KOpBegin, 1, trace.OpRevoke, 2, 0, 0)
 	emit(trace.KRevoke, 1, 0, 7, 0, 0)
-	emit(trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	emit(trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	emit(trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	emit(trace.KShootdownAck, 0, 1, 0, 0x1000, 4096)
 	emit(trace.KOpEnd, 1, trace.OpRevoke, 2, 0, 0)

@@ -10,12 +10,12 @@ import (
 
 // fuzzRecordSize is the fixed-width wire format FuzzTraceReplay decodes:
 // one event per 8 bytes — kind, core, domain, aux, node, addr-page,
-// size-pages (a KBoot's core count), seq-jitter.
+// size-pages (a KBoot's core count, a KTransition's kind), seq-jitter.
 const fuzzRecordSize = 8
 
 // fuzzKinds is how many event kinds the decoder draws from: every kind
 // there is (TestFuzzDecoderCoversEveryKind fails when one is added).
-const fuzzKinds = uint64(trace.KDrainEnd) + 1
+const fuzzKinds = uint64(trace.KShootdownFor) + 1
 
 // decodeFuzzEvents turns raw fuzz input into an adversarial event
 // stream: arbitrary kinds on arbitrary cores, acks for shootdowns that
@@ -41,8 +41,12 @@ func decodeFuzzEvents(data []byte) []trace.Event {
 			Addr:   uint64(b[5]) << 12,
 			Size:   uint64(b[6]%5) << 12,
 		})
-		if evs[i].Kind == trace.KBoot {
+		switch evs[i].Kind {
+		case trace.KBoot:
 			// A core count the acks (Aux < 8) can complete.
+			evs[i].Size = uint64(b[6] % 5)
+		case trace.KTransition:
+			// A transition kind, fast switches included.
 			evs[i].Size = uint64(b[6] % 5)
 		}
 		// Swap adjacent seqs so the stream is delivered out of order.
@@ -73,7 +77,7 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add(fuzzSeed(
 		[8]byte{kb, 0, 0, 0, 0, 0, 2, 0},
 		[8]byte{byte(trace.KOpBegin), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
-		[8]byte{byte(trace.KShootdown), 0, 0, 0, 0, 1, 1, 0},
+		[8]byte{byte(trace.KShootdown), 0, 0, 3, 0, 1, 1, 0},
 		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 1, 1, 0},
 		[8]byte{byte(trace.KShootdownAck), 0, 0, 1, 0, 1, 1, 0},
 		[8]byte{byte(trace.KOpEnd), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
@@ -110,15 +114,34 @@ func FuzzTraceReplay(f *testing.F) {
 		[8]byte{byte(trace.KRevoke), 1, 1, 0, 4, 0, 0, 0},
 		[8]byte{byte(trace.KOpEnd), 1, 1, byte(trace.OpRevoke), 3, 0, 0, 0},
 		[8]byte{byte(trace.KBatchEnd), 1, 1, 1, 2, 0, 0, 0},
-		[8]byte{byte(trace.KShootdown), 0, 0, 0, 0, 2, 1, 0},
+		[8]byte{byte(trace.KShootdown), 0, 0, 3, 0, 2, 1, 0},
 		[8]byte{byte(trace.KShootdownAck), 1, 0, 0, 0, 2, 1, 0},
 		[8]byte{byte(trace.KShootdownAck), 2, 0, 1, 0, 2, 1, 0},
 		[8]byte{byte(trace.KDrainEnd), 0, 0, 1, 1, 0, 0, 0},
 		[8]byte{byte(trace.KDrainBegin), 0, 0, 1, 5, 0, 0, 0},
-		[8]byte{byte(trace.KShootdown), 0, 0, 0, 0, 3, 1, 0},
+		[8]byte{byte(trace.KShootdown), 0, 0, 3, 0, 3, 1, 0},
 		[8]byte{byte(trace.KShootdownAck), 1, 0, 0, 0, 3, 1, 1},
 		[8]byte{byte(trace.KShootdown), 0, 0, 0, 0, 4, 1, 0},
 		[8]byte{byte(trace.KDrainEnd), 0, 0, 1, 5, 0, 0, 0},
+	))
+	// Residency (property 2): core 1 enters domain 2 and fast-switches
+	// to 3; a round for 2 and 3 that targets only core 0 leaves core 1
+	// out twice, and core 0 acks a whole flush it was never resident
+	// for; a later round for 3 acked by a core it did not target.
+	f.Add(fuzzSeed(
+		[8]byte{kb, 0, 0, 0, 0, 0, 2, 0},
+		[8]byte{byte(trace.KTransition), 2, 2, 0, 0, 0, 0, 0},
+		[8]byte{byte(trace.KTransition), 2, 3, 1, 0, 0, byte(trace.TransFast), 0},
+		[8]byte{byte(trace.KOpBegin), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
+		[8]byte{byte(trace.KShootdown), 0, 2, 1, 1, 0, 0, 0},
+		[8]byte{byte(trace.KShootdownFor), 0, 3, 0, 0, 0, 0, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 0, 0, 0},
+		[8]byte{byte(trace.KOpEnd), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
+		[8]byte{byte(trace.KOpBegin), 0, 1, byte(trace.OpRevoke), 2, 0, 0, 0},
+		[8]byte{byte(trace.KShootdown), 0, 3, 2, 0, 1, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 1, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 1, 0, 1, 1, 0},
+		[8]byte{byte(trace.KOpEnd), 0, 1, byte(trace.OpRevoke), 2, 0, 0, 0},
 	))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,14 @@ import (
 // they can locally — event tallies and the high-rate dead-domain check
 // over transitions — and buffer the low-rate structural events (ops,
 // capability mutations, shootdowns and their acks, scrubs, kills,
-// batch brackets) for a merge step. The merge, run at the monitor's
+// batch brackets) for a merge step. A shard also logs each transition's
+// residency step (sequence number, domain, kind; the core is the
+// shard's) apart from the structural buffer: the merge replays a core's
+// log up to each round event's sequence number, so the engine sees the
+// residency the serial checker sees, without sorting transitions or
+// shipping them in the audit stream. A step no round can observe is
+// overwritten, so a core that makes many transitions between rounds
+// keeps a log of one. The merge, run at the monitor's
 // quiescent points (scheduler round barriers, ring-drain doorbells,
 // run completion), feeds the buffered events in global sequence order
 // through the same engine the serial Checker uses, so the two reject
@@ -62,6 +70,13 @@ type Sharded struct {
 	mergeMu sync.Mutex
 	eng     *engine
 	pending []trace.Event
+	// steps holds each shard's residency log since the last stable
+	// merge, and stepped how far of it the merge in progress applied.
+	steps   [][]resideStep
+	stepped []int
+	// observed counts the delivered events that read or reset
+	// residency: round events and KBoot.
+	observed atomic.Int64
 	// eager holds shard-local detections a deferred merge collected;
 	// the next stable merge reports them.
 	eager    []Violation
@@ -72,6 +87,12 @@ type Sharded struct {
 
 // kill is one delivered KKill.
 type kill struct{ domain, seq uint64 }
+
+// resideStep is the residency content of one KTransition; its core is
+// the shard's (ring c+1 is core c).
+type resideStep struct {
+	seq, dom, kind uint64
+}
 
 // shardUse is a domain's most recent locally-evaluated successful use.
 type shardUse struct {
@@ -88,6 +109,12 @@ type shard struct {
 	counts  Counts
 	buf     []trace.Event
 	lastUse map[uint64]shardUse
+	// steps is the residency log; steps[since:] were delivered after
+	// the observed count read observedAt, so no round can have read
+	// them.
+	steps      []resideStep
+	since      int
+	observedAt int64
 	// dead maps domain -> Seq of its first delivered KKill, caught up
 	// from the kill log through entry killsSeen.
 	dead      map[uint64]uint64
@@ -109,7 +136,8 @@ func NewSharded(tr *trace.Tracer) *Sharded {
 // no tracer attached (for replays and fuzzing): every merge is stable
 // by construction because the caller feeds events synchronously.
 func NewShardedN(rings int) *Sharded {
-	s := &Sharded{eng: newEngine(), shards: make([]*shard, max(rings, 1))}
+	n := max(rings, 1)
+	s := &Sharded{eng: newEngine(), shards: make([]*shard, n), steps: make([][]resideStep, n), stepped: make([]int, n)}
 	for i := range s.shards {
 		s.shards[i] = &shard{lastUse: make(map[uint64]shardUse), dead: make(map[uint64]uint64)}
 	}
@@ -172,6 +200,7 @@ func (s *Sharded) ShardEvent(si int, ev trace.Event) {
 			use.flagged = true
 		}
 		sh.lastUse[ev.Domain] = use
+		sh.logStep(s.observed.Load(), resideStep{seq: ev.Seq, dom: ev.Domain, kind: ev.Size})
 	case trace.KIRQRoute:
 		sh.counts.IRQsRouted++
 	case trace.KIRQDrop:
@@ -182,12 +211,35 @@ func (s *Sharded) ShardEvent(si int, ev trace.Event) {
 		// Structural: op frames, capability mutations, shootdown
 		// rounds, scrubs, kills, batches, filter writes — buffered for
 		// the seq-ordered merge.
-		if ev.Kind == trace.KKill {
+		switch ev.Kind {
+		case trace.KKill:
 			s.publishDead(ev.Domain, ev.Seq)
+		case trace.KBoot, trace.KShootdown, trace.KShootdownFor, trace.KShootdownAck:
+			s.observed.Add(1)
 		}
 		sh.buf = append(sh.buf, ev)
 	}
 	sh.mu.Unlock()
+}
+
+// logStep appends st to the shard's residency log (sh.mu held), given
+// the observed count at its delivery. While the count has not moved
+// since the last step, no round event was delivered in between — and
+// the monitor emits a round's events holding every core's lock and a
+// transition under its core's, with delivery inside the emit, so none
+// has a sequence number in between either (a replay delivers in
+// sequence order). Then a replacing step overwrites the steps since
+// the count last moved, and a fast switch to a domain already among
+// them adds nothing.
+func (sh *shard) logStep(observed int64, st resideStep) {
+	if observed != sh.observedAt {
+		sh.observedAt, sh.since = observed, len(sh.steps)
+	} else if st.kind != trace.TransFast {
+		sh.steps = sh.steps[:sh.since]
+	} else if slices.ContainsFunc(sh.steps[sh.since:], func(x resideStep) bool { return x.dom == st.dom }) {
+		return
+	}
+	sh.steps = append(sh.steps, st)
 }
 
 // MergeReport describes one merge attempt.
@@ -222,10 +274,12 @@ func (s *Sharded) Merge() MergeReport {
 
 func (s *Sharded) mergeLocked(force bool) MergeReport {
 	var delivered uint64
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		sh.mu.Lock()
 		s.pending = append(s.pending, sh.buf...)
 		sh.buf = sh.buf[:0]
+		s.steps[i] = append(s.steps[i], sh.steps...)
+		sh.steps, sh.since = sh.steps[:0], 0
 		s.eager = append(s.eager, sh.viols...)
 		sh.viols = sh.viols[:0]
 		delivered += sh.seen
@@ -243,7 +297,15 @@ func (s *Sharded) mergeLocked(force bool) MergeReport {
 	s.eng.violations = append(s.eng.violations, s.eager...)
 	s.eager = s.eager[:0]
 	for _, ev := range s.pending {
+		switch ev.Kind {
+		case trace.KBoot, trace.KShootdown, trace.KShootdownFor, trace.KShootdownAck:
+			s.reside(ev.Seq)
+		}
 		s.eng.step(ev)
+	}
+	s.reside(math.MaxUint64)
+	for i := range s.steps {
+		s.steps[i], s.stepped[i] = s.steps[i][:0], 0
 	}
 	rep := MergeReport{
 		Merged:        true,
@@ -253,6 +315,19 @@ func (s *Sharded) mergeLocked(force bool) MergeReport {
 	s.pending = s.pending[:0] // the next merge refills the lent buffer
 	s.merges++
 	return rep
+}
+
+// reside applies every logged residency step before seq to the engine.
+// A core's steps all come from its own ring, in sequence order; the
+// global ring's are no core's.
+func (s *Sharded) reside(seq uint64) {
+	for i, log := range s.steps {
+		j := s.stepped[i]
+		for ; j < len(log) && log[j].seq < seq; j++ {
+			s.eng.reside(int32(i)-1, log[j].dom, log[j].kind)
+		}
+		s.stepped[i] = j
+	}
 }
 
 // violationsSince copies the engine's violations from index i on.

@@ -3,6 +3,7 @@ package check
 import (
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -81,7 +82,7 @@ func TestShardedCleanStreamAgrees(t *testing.T) {
 	f.emitOn(1, trace.KIRQRoute, 1, 3, 0, 0, 0)
 	f.emitOn(-1, trace.KOpBegin, 1, trace.OpRevoke, 1, 0, 0)
 	f.emitOn(-1, trace.KRevoke, 1, 0, 7, 0, 0)
-	f.emitOn(-1, trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	f.emitOn(-1, trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	f.emitOn(-1, trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	f.emitOn(-1, trace.KShootdownAck, 0, 1, 0, 0x1000, 4096)
 	f.emitOn(-1, trace.KOpEnd, 1, trace.OpRevoke, 1, 0, 0)
@@ -101,7 +102,7 @@ func TestShardedCleanStreamAgrees(t *testing.T) {
 func TestShardedMissingAckAgrees(t *testing.T) {
 	f := newSFeeder(2)
 	f.emitOn(-1, trace.KOpBegin, 1, trace.OpRevoke, 1, 0, 0)
-	f.emitOn(-1, trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	f.emitOn(-1, trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	f.emitOn(-1, trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	f.emitOn(-1, trace.KOpEnd, 1, trace.OpRevoke, 1, 0, 0)
 	if err := f.agree(t); err == nil {
@@ -208,7 +209,7 @@ func TestShardedViaTracerSinkMode(t *testing.T) {
 	if rep := sh.Merge(); !rep.Merged {
 		t.Fatal("quiescent merge deferred with no emission in flight")
 	}
-	tr.Emit(trace.GlobalCore, trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	tr.Emit(trace.GlobalCore, trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	tr.Emit(trace.GlobalCore, trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	tr.Emit(trace.GlobalCore, trace.KOpEnd, 1, trace.OpRevoke, 1, 0, 0)
 
@@ -239,7 +240,7 @@ func TestReplayShardedMatchesReplay(t *testing.T) {
 		add(int32(i%2), trace.KTransition, 1, 0, 0, 0, trace.TransFast)
 	}
 	add(-1, trace.KOpBegin, 1, trace.OpRevoke, 1, 0, 0)
-	add(-1, trace.KShootdown, 0, 0, 0, 0x1000, 4096)
+	add(-1, trace.KShootdown, 0, 3, 0, 0x1000, 4096)
 	add(-1, trace.KShootdownAck, 0, 0, 0, 0x1000, 4096)
 	add(-1, trace.KOpEnd, 1, trace.OpRevoke, 1, 0, 0) // missing one ack
 	add(-1, trace.KKill, 1, 0, 0, 0, 0)
@@ -419,5 +420,34 @@ func TestShardedReportsEachViolationOnce(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("reported %q, recorded %q", a, b)
 		}
+	}
+}
+
+// TestShardedResidencyLogOverwrites: a core that makes many transitions
+// between rounds keeps a residency log of one step per domain it
+// fast-switched to since its last replacing transition, and the
+// verdicts still agree with the serial checker's — a round after the
+// churn must target the core for what it last entered, not for what it
+// left before the round.
+func TestShardedResidencyLogOverwrites(t *testing.T) {
+	f := newSFeeder(2)
+	for i := 0; i < 1000; i++ {
+		f.emitOn(1, trace.KTransition, 5, 1, 0, 0, trace.TransCall)
+		f.emitOn(1, trace.KTransition, 1, 5, 0, 0, trace.TransReturn)
+	}
+	f.emitOn(1, trace.KTransition, 6, 1, 0, 0, trace.TransFast)
+	f.emitOn(1, trace.KTransition, 6, 1, 0, 0, trace.TransFast)
+	if n := len(f.sh.shards[2].steps); n != 2 {
+		t.Fatalf("core 1's log holds %d steps after 2001 transitions and no round, want 2", n)
+	}
+	// Domain 5 is no longer resident; 1 and 6 are.
+	f.emitOn(-1, trace.KOpBegin, 1, trace.OpRevoke, 1, 0, 0)
+	f.emitOn(-1, trace.KShootdown, 5, 0, 0, 0x1000, 4096)
+	f.emitOn(-1, trace.KShootdownFor, 6, 0, 0, 0x1000, 4096)
+	f.emitOn(-1, trace.KOpEnd, 1, trace.OpRevoke, 1, 0, 0)
+	err := f.agree(t)
+	if err == nil || !strings.Contains(err.Error(), "left out core 1, resident for domain 6") ||
+		strings.Contains(err.Error(), "domain 5") {
+		t.Fatalf("want core 1 left out for domain 6 only, got %v", err)
 	}
 }

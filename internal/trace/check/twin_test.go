@@ -9,13 +9,15 @@ import (
 
 // twinEngine is the property engine as it was before frames, shootdown
 // records and ack sets were recycled: a fresh frame per bracket, a fresh
-// record and ack map per round. It exists only as an oracle. Both
+// record and ack map per round, a fresh residency set per replacing
+// transition. It exists only as an oracle. Both
 // product checkers drive the one engine, so a recycling bug would make
 // them agree on the same wrong answer; FuzzTraceReplay compares the
 // engine with this twin instead. Keep it as it is: it is not meant to
 // follow the engine's code, only its verdicts.
 type twinEngine struct {
 	cores      int
+	resident   map[int32]map[uint64]bool
 	dead       map[uint64]bool
 	frames     []*twinFrame
 	last       *twinShootdown
@@ -69,6 +71,7 @@ func (c *twinEngine) step(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KBoot:
 		c.cores = int(ev.Size)
+		c.resident = map[int32]map[uint64]bool{}
 
 	case trace.KOpBegin:
 		c.frames = append(c.frames, &twinFrame{ev: ev})
@@ -100,9 +103,9 @@ func (c *twinEngine) step(ev trace.Event) {
 				len(f.shootdown))
 		}
 		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
+			if acked, targeted := sd.acked(); acked != targeted {
 				c.violate(ev, "drain shootdown [%#x,+%d) acked by %d/%d cores when round completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
+					sd.ev.Addr, sd.ev.Size, acked, targeted)
 			}
 			if c.last == sd {
 				c.last = nil
@@ -129,9 +132,9 @@ func (c *twinEngine) step(ev trace.Event) {
 				len(f.shootdown))
 		}
 		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
+			if acked, targeted := sd.acked(); acked != targeted {
 				c.violate(ev, "batch shootdown [%#x,+%d) acked by %d/%d cores when batch completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
+					sd.ev.Addr, sd.ev.Size, acked, targeted)
 			}
 			if c.last == sd {
 				c.last = nil
@@ -163,9 +166,9 @@ func (c *twinEngine) step(ev trace.Event) {
 			c.violate(ev, "operation end %d does not match open operation %d", ev.Aux, f.ev.Aux)
 		}
 		for _, sd := range f.shootdown {
-			if len(sd.acks) != c.cores {
+			if acked, targeted := sd.acked(); acked != targeted {
 				c.violate(ev, "shootdown [%#x,+%d) acked by %d/%d cores when operation completed",
-					sd.ev.Addr, sd.ev.Size, len(sd.acks), c.cores)
+					sd.ev.Addr, sd.ev.Size, acked, targeted)
 			}
 			if c.last == sd {
 				c.last = nil
@@ -181,16 +184,30 @@ func (c *twinEngine) step(ev trace.Event) {
 		} else {
 			c.orphans = append(c.orphans, sd)
 		}
+		c.require(ev)
+
+	case trace.KShootdownFor:
+		if c.last == nil {
+			c.violate(ev, "shootdown for domain %d with no shootdown in flight", ev.Domain)
+			break
+		}
+		c.require(ev)
 
 	case trace.KShootdownAck:
 		if c.last == nil {
 			c.violate(ev, "shootdown ack from core %d with no shootdown in flight", ev.Aux)
 			break
 		}
+		if !c.last.targeted(ev.Aux) {
+			c.violate(ev, "core %d acknowledged a shootdown that did not target it", ev.Aux)
+		}
 		if c.last.acks[ev.Aux] {
 			c.violate(ev, "core %d acknowledged the same shootdown twice", ev.Aux)
 		}
 		c.last.acks[ev.Aux] = true
+		if c.last.ev.Node == 1 && ev.Aux < uint64(c.cores) {
+			delete(c.resident, int32(ev.Aux))
+		}
 
 	case trace.KScrubPlan:
 		c.scrubPlans[ev.Domain] = append(c.scrubPlans[ev.Domain],
@@ -227,6 +244,12 @@ func (c *twinEngine) step(ev trace.Event) {
 		} else {
 			c.counts.Transitions++
 		}
+		if ev.Core >= 0 && int(ev.Core) < c.cores {
+			if ev.Size != trace.TransFast || c.resident[ev.Core] == nil {
+				c.resident[ev.Core] = map[uint64]bool{}
+			}
+			c.resident[ev.Core][ev.Domain] = true
+		}
 	case trace.KShare, trace.KGrant, trace.KSeal:
 		c.counts.CapOps++
 	case trace.KRevoke:
@@ -245,6 +268,35 @@ func (c *twinEngine) step(ev trace.Event) {
 		c.counts.IRQsDropped++
 	case trace.KAttest:
 		c.counts.Attests++
+	}
+}
+
+// targeted reports whether the round's core mask names core.
+func (sd *twinShootdown) targeted(core uint64) bool {
+	return core < 64 && sd.ev.Aux>>core&1 == 1
+}
+
+// acked counts the targeted cores that acked and the cores targeted.
+func (sd *twinShootdown) acked() (acked, targeted int) {
+	for core := uint64(0); core < 64; core++ {
+		if sd.targeted(core) {
+			targeted++
+			if sd.acks[core] {
+				acked++
+			}
+		}
+	}
+	return acked, targeted
+}
+
+// require flags each core resident for ev.Domain that the round in
+// flight does not target, in core order.
+func (c *twinEngine) require(ev trace.Event) {
+	for core := 0; core < c.cores; core++ {
+		if c.resident[int32(core)][ev.Domain] && !c.last.targeted(uint64(core)) {
+			c.violate(ev, "shootdown [%#x,+%d) left out core %d, resident for domain %d",
+				ev.Addr, ev.Size, core, ev.Domain)
+		}
 	}
 }
 
@@ -268,9 +320,9 @@ func (c *twinEngine) end() {
 	}
 	c.frames = nil
 	for _, sd := range c.orphans {
-		if len(sd.acks) != c.cores {
+		if acked, targeted := sd.acked(); acked != targeted {
 			c.violate(sd.ev, "shootdown outside any operation acked by %d/%d cores",
-				len(sd.acks), c.cores)
+				acked, targeted)
 		}
 	}
 	c.orphans = nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -10,13 +11,15 @@ import (
 // golden-trace comparison across runs, schedulers, and machine shapes:
 // events are ordered by sequence number, cycle stamps and sequence
 // numbers are dropped (they vary with core count and interleaving),
-// the boot core count is elided, each shootdown's per-core acks
-// fold into a single "acks=all" (or "acks=<n>/<cores>") suffix, and
-// capability-node IDs (whose absolute values depend on how many core
-// nodes boot allocated) are renumbered by first appearance — so the
-// same logical run normalises identically on 2 or 8 cores. cores is
-// the machine core count the trace was taken on.
-func Normalize(events []Event, cores int) string {
+// the boot core count is elided, each shootdown round prints as one
+// line — its further domains (KShootdownFor) listed after the first and
+// its per-core acks folded into a single "acks=all" (or
+// "acks=<n>/<targeted>") suffix — and capability-node IDs (whose
+// absolute values depend on how many core nodes boot allocated) are
+// renumbered by first appearance. A round targets the cores resident
+// for its domains, not every core, so the same logical run normalises
+// identically on 2 or 8 cores.
+func Normalize(events []Event) string {
 	evs := append([]Event(nil), events...)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 
@@ -53,16 +56,18 @@ func Normalize(events []Event, cores int) string {
 	var b strings.Builder
 	pendingAcks := -1 // acks seen for the last shootdown, -1 = none open
 	var pending Event
+	var doms []string // the open round's domains
 	flush := func() {
 		if pendingAcks < 0 {
 			return
 		}
-		suffix := fmt.Sprintf("acks=%d/%d", pendingAcks, cores)
-		if pendingAcks == cores {
+		targeted := bits.OnesCount64(pending.Aux)
+		suffix := fmt.Sprintf("acks=%d/%d", pendingAcks, targeted)
+		if pendingAcks == targeted {
 			suffix = "acks=all"
 		}
-		fmt.Fprintf(&b, "%s addr=%#x size=%d %s\n",
-			pending.Kind, pending.Addr, pending.Size, suffix)
+		fmt.Fprintf(&b, "%s dom=%s targets=%#x full=%d addr=%#x size=%d %s\n",
+			pending.Kind, strings.Join(doms, ","), pending.Aux, pending.Node, pending.Addr, pending.Size, suffix)
 		pendingAcks = -1
 	}
 	for _, ev := range evs {
@@ -70,7 +75,13 @@ func Normalize(events []Event, cores int) string {
 		case KShootdown:
 			flush()
 			pending, pendingAcks = ev, 0
+			doms = append(doms[:0], fmt.Sprint(ev.Domain))
 			continue
+		case KShootdownFor:
+			if pendingAcks >= 0 {
+				doms = append(doms, fmt.Sprint(ev.Domain))
+				continue
+			}
 		case KShootdownAck:
 			if pendingAcks >= 0 {
 				pendingAcks++

@@ -89,10 +89,16 @@ const (
 	KSeal
 	// KCreate is domain creation: Domain = new ID, Aux = creator.
 	KCreate
-	// KShootdown is a cross-core TLB shootdown starting:
-	// Addr/Size = region (0/0 = full flush).
+	// KShootdown is a cross-core TLB shootdown round starting: Domain =
+	// the first domain it invalidates for, Aux = the cores it targets
+	// (bit c = core c: those resident for one of its domains), Node = 1
+	// when targeted cores flush their whole TLB, Addr/Size = the region
+	// when there is exactly one and Node = 0, else 0/0. A round for
+	// several domains names each further one in a KShootdownFor right
+	// after it.
 	KShootdown
-	// KShootdownAck is one core completing its flush: Aux = core.
+	// KShootdownAck is one targeted core completing its flush:
+	// Aux = core, Addr/Size as its round's.
 	KShootdownAck
 	// KForceKill is a destruction with monitor authority:
 	// Domain = victim.
@@ -144,6 +150,9 @@ const (
 	// KDrainEnd closes the round: Aux = descriptors executed
 	// across all rings, Node = the matching begin token.
 	KDrainEnd
+	// KShootdownFor names one further domain the open shootdown round
+	// invalidates for: Domain = domain, Addr/Size as its round's.
+	KShootdownFor
 
 	numKinds
 )
@@ -161,6 +170,7 @@ var kindNames = [...]string{
 	KPMPWrite: "pmp-write", KAttest: "attest",
 	KBatchBegin: "batch-begin", KBatchEnd: "batch-end",
 	KDrainBegin: "drain-begin", KDrainEnd: "drain-end",
+	KShootdownFor: "shootdown-for",
 }
 
 func (k Kind) String() string {

@@ -289,30 +289,33 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestNormalizeFoldsAcks(t *testing.T) {
+	// One round for domains 5 and 6 targeting cores 0 and 1: the same
+	// logical run on a 2- and an 8-core machine.
 	mk := func(cores int) []Event {
 		tr := New(cores, 0, nil)
 		tr.Emit(GlobalCore, KBoot, 0, 0, 0, 0, uint64(cores))
 		tr.Emit(GlobalCore, KOpBegin, 1, OpRevoke, 0, 0, 0)
-		tr.Emit(GlobalCore, KShootdown, 0, 0, 0, 0x2000, 4096)
-		for c := 0; c < cores; c++ {
+		tr.Emit(GlobalCore, KShootdown, 5, 0b11, 0, 0x2000, 4096)
+		tr.Emit(GlobalCore, KShootdownFor, 6, 0, 0, 0x2000, 4096)
+		for c := 0; c < 2; c++ {
 			tr.Emit(GlobalCore, KShootdownAck, 0, uint64(c), 0, 0x2000, 4096)
 		}
 		tr.Emit(GlobalCore, KOpEnd, 1, OpRevoke, 0, 0, 0)
 		return tr.Events()
 	}
-	a := Normalize(mk(2), 2)
-	b := Normalize(mk(8), 8)
+	a := Normalize(mk(2))
+	b := Normalize(mk(8))
 	if a != b {
 		t.Fatalf("normalized traces differ across core counts:\n--- 2 cores\n%s--- 8 cores\n%s", a, b)
 	}
-	if !strings.Contains(a, "acks=all") {
-		t.Fatalf("expected folded acks, got:\n%s", a)
+	if !strings.Contains(a, "shootdown dom=5,6 targets=0x3 full=0 addr=0x2000 size=4096 acks=all") {
+		t.Fatalf("expected one folded round line, got:\n%s", a)
 	}
 	// A partial acknowledgement must stay visible.
 	tr := New(2, 0, nil)
-	tr.Emit(GlobalCore, KShootdown, 0, 0, 0, 0x2000, 4096)
+	tr.Emit(GlobalCore, KShootdown, 5, 0b11, 0, 0x2000, 4096)
 	tr.Emit(GlobalCore, KShootdownAck, 0, 0, 0, 0x2000, 4096)
-	if n := Normalize(tr.Events(), 2); !strings.Contains(n, "acks=1/2") {
+	if n := Normalize(tr.Events()); !strings.Contains(n, "acks=1/2") {
 		t.Fatalf("partial acks not visible:\n%s", n)
 	}
 }
@@ -327,7 +330,7 @@ func TestNormalizeCanonicalisesNodeIDs(t *testing.T) {
 		tr.Emit(GlobalCore, KRevoke, 1, 0, base, 0, 0)
 		return tr.Events()
 	}
-	a, b := Normalize(mk(10), 1), Normalize(mk(42), 1)
+	a, b := Normalize(mk(10)), Normalize(mk(42))
 	if a != b {
 		t.Fatalf("node IDs not canonicalised:\n--- base 10\n%s--- base 42\n%s", a, b)
 	}
@@ -337,7 +340,7 @@ func TestNormalizeCanonicalisesNodeIDs(t *testing.T) {
 	// A trap's Node field is a PC, not a node ID — it must stay literal.
 	tr := New(1, 0, nil)
 	tr.Emit(0, KTrap, 1, 2, 0x4000, 0, 0)
-	if n := Normalize(tr.Events(), 1); !strings.Contains(n, "node=16384") {
+	if n := Normalize(tr.Events()); !strings.Contains(n, "node=16384") {
 		t.Fatalf("trap PC was rewritten:\n%s", n)
 	}
 }
