@@ -283,7 +283,7 @@ func fleetDemo(n int, backend core.BackendKind) error {
 				svc, f.Nodes[pl.Node].Name, pl.Dom)
 		}
 	}
-	stats, err := f.Serve([]string{"alpha", "beta"}, 400, 4)
+	stats, err := f.Serve([]string{"alpha", "beta"}, 400, 1)
 	if err != nil {
 		return err
 	}
@@ -314,7 +314,7 @@ func fleetDemo(n int, backend core.BackendKind) error {
 		}
 	}
 	f.ArmKill(victim, 2000)
-	stats, err = f.Serve([]string{"alpha", "beta"}, 400, 4)
+	stats, err = f.Serve([]string{"alpha", "beta"}, 400, 1)
 	if err != nil {
 		return err
 	}

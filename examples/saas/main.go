@@ -271,7 +271,7 @@ func fleetCoda() error {
 	if err := f.Deploy(fleet.ServiceSpec{Name: "saas", Delta: 42}, 2); err != nil {
 		return err
 	}
-	stats, err := f.Serve([]string{"saas"}, 200, 2)
+	stats, err := f.Serve([]string{"saas"}, 200, 1)
 	if err != nil {
 		return err
 	}
@@ -305,7 +305,7 @@ func fleetCoda() error {
 	}
 	fmt.Printf("live-migrated saas node%d -> node%d: blackout %v, snapshot sealed on the wire (provider saw only ciphertext)\n",
 		pl.Node, to, time.Duration(f.Blackouts()[0]))
-	if _, err := f.Serve([]string{"saas"}, 200, 2); err != nil {
+	if _, err := f.Serve([]string{"saas"}, 200, 1); err != nil {
 		return err
 	}
 	audits, err := f.Audit()

@@ -45,22 +45,13 @@ func TestExperimentsPassAllChecks(t *testing.T) {
 	}
 }
 
-// hostDependent names the experiments whose results legitimately differ
-// between two same-seed runs, with the reason (EXPERIMENTS.md repeats
-// the table). Everything else must reproduce byte for byte.
-var hostDependent = map[string]string{
-	"C23": "fleet.Serve fans requests over host goroutines: how many are in flight on the killed node, and so retried, varies (ROADMAP item 4)",
-}
-
 // TestResultsAreHostIndependent is the reproducibility contract: an
 // experiment's Result is a pure function of (seed, build tags), so two
-// runs with one seed must marshal to the same bytes.
+// runs with one seed must marshal to the same bytes. No experiment is
+// exempt.
 func TestResultsAreHostIndependent(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
-			if why, ok := hostDependent[e.ID]; ok {
-				t.Skip(why)
-			}
 			var out [2][]byte
 			for i := range out {
 				res, err := e.Run(Config{Quick: true, Seed: 1})

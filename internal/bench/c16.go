@@ -135,6 +135,9 @@ func c16Victim(w *world, pages uint64, cores ...phys.CoreID) (*libtyche.Domain, 
 	}
 	img, err := w.cl.BuildAt("victim", prog,
 		func(img *image.Image) { img.WithBSS(".data", (pages-1)*phys.PageSize) })
+	if err != nil {
+		return nil, phys.Region{}, err
+	}
 	dom, err := w.cl.Load(img, loadOn(cores...))
 	if err != nil {
 		return nil, phys.Region{}, err

@@ -118,7 +118,7 @@ func (w *hopWorld) abortedHop(t *testing.T, to int, wire *dist.Wire, want error)
 	if got := len(w.f.Nodes[to].Mon.Domains()); got != targetDomains {
 		t.Fatalf("target grew %d domains during the aborted hop", got-targetDomains)
 	}
-	if _, err := w.f.Serve([]string{"pay"}, 20, 2); err != nil {
+	if _, err := w.f.Serve([]string{"pay"}, 20, 1); err != nil {
 		t.Fatal(err)
 	}
 	if w.channel(from, to) != nil {
@@ -186,7 +186,7 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			for _, to := range []int{1, 2, 0, 2, 1, 0} {
 				w.steadyHop(t, to)
 			}
-			if _, err := w.f.Serve([]string{"pay"}, 40, 2); err != nil {
+			if _, err := w.f.Serve([]string{"pay"}, 40, 1); err != nil {
 				t.Fatal(err)
 			}
 			auditClean(t, w.f)
@@ -260,7 +260,7 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			if got := w.f.LB().Placements("idx")[0].Node; w.at(t) != idx || got != pay {
 				t.Errorf("after the swap pay is on node%d and idx on node%d, want node%d and node%d", w.at(t), got, idx, pay)
 			}
-			if _, err := w.f.Serve([]string{"pay", "idx"}, 80, 2); err != nil {
+			if _, err := w.f.Serve([]string{"pay", "idx"}, 80, 1); err != nil {
 				t.Fatal(err)
 			}
 			auditClean(t, w.f)
@@ -281,7 +281,7 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			if got := w.quotes.Load() - quotes; got != 5 {
 				t.Errorf("two first hops into node2 took %d TPM quotes, want 5 (two handshakes, one session)", got)
 			}
-			if _, err := w.f.Serve([]string{"pay", "idx"}, 80, 2); err != nil {
+			if _, err := w.f.Serve([]string{"pay", "idx"}, 80, 1); err != nil {
 				t.Fatal(err)
 			}
 			auditClean(t, w.f)

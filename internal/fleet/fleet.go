@@ -122,7 +122,7 @@ type Node struct {
 	Inj *fault.Injector
 
 	workers []phys.CoreID
-	cores   chan phys.CoreID
+	next    int // index into workers of the core the next request takes
 
 	mu   sync.Mutex
 	conn *dist.Conn      // digest channel to the control plane
@@ -146,10 +146,13 @@ func (n *Node) alive(id core.DomainID) bool {
 	return err == nil && d.State() != core.StateDead
 }
 
-// acquireCore blocks until a serving core is free.
-func (n *Node) acquireCore() phys.CoreID { return <-n.cores }
-
-func (n *Node) releaseCore(c phys.CoreID) { n.cores <- c }
+// nextCore returns the worker core the node's next request runs on:
+// the workers in rotation. Only Serve's thread calls it.
+func (n *Node) nextCore() phys.CoreID {
+	c := n.workers[n.next]
+	n.next = (n.next + 1) % len(n.workers)
+	return c
+}
 
 // ServiceSpec declares a deployable service. Delta is the service's
 // response transform (reply = request + Delta); unique deltas per
@@ -318,10 +321,6 @@ func (f *Fleet) bootNode(index int, name string, cores int, memBytes uint64, ver
 			return nil, err
 		}
 	}
-	n.cores = make(chan phys.CoreID, len(n.workers))
-	for _, c := range n.workers {
-		n.cores <- c
-	}
 	return n, nil
 }
 
@@ -394,24 +393,16 @@ func (f *Fleet) shipDigest(n *Node, raw []byte) error {
 
 // Pulse drives every live node to a quiescent point (a short dedicated
 // RunCores round over its worker cores), firing the monitors'
-// checkpoints so pending digest intervals ship. Callers must not hold
-// serving cores.
+// checkpoints so pending digest intervals ship. Pulse and Serve are one
+// thread's calls: Serve pulses between its waves, and a caller pulses
+// between its Serve calls, never beside one.
 func (f *Fleet) Pulse() {
 	for _, n := range f.Nodes {
 		if n.Failed() {
 			continue
 		}
-		// Take every serving core so no request is in flight during the
-		// round.
-		held := make([]phys.CoreID, 0, len(n.workers))
-		for range n.workers {
-			held = append(held, n.acquireCore())
-		}
 		if _, err := n.Mon.RunCores(5, n.workers...); err != nil {
 			f.latch(fmt.Errorf("fleet: pulse %s: %w", n.Name, err))
-		}
-		for _, c := range held {
-			n.releaseCore(c)
 		}
 	}
 }
@@ -633,7 +624,9 @@ func (f *Fleet) ArmKill(i int, afterAccesses uint64) {
 // node's migration channels and attestation session, stop routing,
 // drain in-flight requests, destroy the node's remaining tenant
 // plaintext (forced scrub), and re-place every lost service at the
-// same base on surviving nodes. Idempotent; safe from serving workers.
+// same base on surviving nodes. Idempotent; safe from Serve's thread
+// (which calls it when a request dies on a machine check) and from a
+// caller beside Serve.
 func (f *Fleet) FailNode(i int) {
 	n := f.Nodes[i]
 	if !n.failed.CompareAndSwap(false, true) {

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/core"
@@ -64,7 +66,15 @@ func TestFleetPlacementAndServing(t *testing.T) {
 			t.Fatalf("%s on %d nodes, want 2", svc, n)
 		}
 	}
-	stats, err := f.Serve([]string{"alpha", "beta"}, 400, 4)
+	// No service named: an error, and nothing runs or pulses.
+	before := f.Nodes[0].Mon.Stats()
+	if stats, err := f.Serve(nil, 10, 1); err == nil || stats != (ServeStats{}) {
+		t.Fatalf("Serve with no services = %+v, %v; want an error", stats, err)
+	}
+	if after := f.Nodes[0].Mon.Stats(); after != before {
+		t.Fatalf("Serve with no services changed node0: %+v -> %+v", before, after)
+	}
+	stats, err := f.Serve([]string{"alpha", "beta"}, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestFleetLiveMigration(t *testing.T) {
 	if err := f.Deploy(ServiceSpec{Name: "pay", Delta: 777}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Serve([]string{"pay"}, 50, 2); err != nil {
+	if _, err := f.Serve([]string{"pay"}, 50, 1); err != nil {
 		t.Fatal(err)
 	}
 	pl := f.LB().Placements("pay")[0]
@@ -115,7 +125,7 @@ func TestFleetLiveMigration(t *testing.T) {
 		t.Fatalf("blackout not recorded: %v", f.Blackouts())
 	}
 	// The moved instance serves with the same transform.
-	if _, err := f.Serve([]string{"pay"}, 50, 2); err != nil {
+	if _, err := f.Serve([]string{"pay"}, 50, 1); err != nil {
 		t.Fatal(err)
 	}
 	auditClean(t, f)
@@ -165,7 +175,7 @@ func TestFleetMigrationAbortsCleanly(t *testing.T) {
 	if got := len(f.Nodes[to].Mon.Domains()); got != targetDomains {
 		t.Fatalf("target grew %d domains during aborted migrations", got-targetDomains)
 	}
-	if _, err := f.Serve([]string{"idx"}, 40, 2); err != nil {
+	if _, err := f.Serve([]string{"idx"}, 40, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,20 +214,20 @@ func TestFleetMigrateConnectsBeforeFreeze(t *testing.T) {
 	if bs := f.Blackouts(); len(bs) != 0 {
 		t.Fatalf("failed connect recorded blackouts %v", bs)
 	}
-	if _, err := f.Serve([]string{"idx"}, 40, 2); err != nil {
+	if _, err := f.Serve([]string{"idx"}, 40, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestServeOneAllocations pins the heap objects of one routed request —
-// pick, core hand-off, Call, RunCore, reply check — with runtime
+// pick, core rotation, Call, RunCore, reply check — with runtime
 // verification attached: none, once the trace rings have grown.
 func TestServeOneAllocations(t *testing.T) {
 	f := newTestFleet(t, 2)
 	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 2); err != nil {
 		t.Fatal(err)
 	}
-	var retries atomic.Uint64
+	var retries uint64
 	arg := uint32(0)
 	request := func() {
 		arg++
@@ -250,7 +260,7 @@ func TestFleetKillDuringServing(t *testing.T) {
 		}
 	}
 	f.ArmKill(victim, 2000)
-	stats, err := f.Serve([]string{"alpha", "beta"}, 600, 4)
+	stats, err := f.Serve([]string{"alpha", "beta"}, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +307,7 @@ func TestFleetServeDuringMigration(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		stats, serveErr = f.Serve([]string{"alpha", "beta"}, 400, 4)
+		stats, serveErr = f.Serve([]string{"alpha", "beta"}, 400, 1)
 	}()
 	// Chase "alpha" around the fleet while requests are in flight.
 	migrations := 0
@@ -350,7 +360,7 @@ func TestFleetVerifierFlagsSeededNode(t *testing.T) {
 	if err := f.Deploy(ServiceSpec{Name: "alpha", Delta: 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Serve([]string{"alpha"}, 80, 2); err != nil {
+	if _, err := f.Serve([]string{"alpha"}, 80, 1); err != nil {
 		t.Fatal(err)
 	}
 	const seeded = 1
@@ -394,5 +404,99 @@ func TestDigestWithoutChannelFailsClosed(t *testing.T) {
 	n.mu.Unlock()
 	if err := n.SVC.Finalize(); err == nil || !strings.Contains(err.Error(), "no digest channel") {
 		t.Fatalf("Finalize = %v, want the refused digest latched", err)
+	}
+}
+
+// fleetRun is what one seeded fleet run leaves behind: everything a
+// second run from the same seed must reproduce exactly.
+type fleetRun struct {
+	Serve      [2]ServeStats
+	Placements []string // service@node:domain, in load-balancer order
+	Nodes      []core.Stats
+	Blackouts  int
+	Digests    []uint64 // per node, consumed by the control plane
+	Heads      []string // per node, the hash of its last digest
+}
+
+// reproRun boots a 4-node fleet, arms a machine check on a node that
+// hosts replicas, serves through the kill, live-migrates "alpha" to a
+// surviving node that does not host it, serves again and audits.
+func reproRun(t *testing.T) fleetRun {
+	t.Helper()
+	f := newTestFleet(t, 4)
+	for _, spec := range []ServiceSpec{{Name: "alpha", Delta: 5}, {Name: "beta", Delta: 600}} {
+		if err := f.Deploy(spec, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := -1
+	for i := range f.Nodes {
+		if f.LB().NodeCount(i) > 0 {
+			victim = i
+			break
+		}
+	}
+	f.ArmKill(victim, 2000)
+	services := []string{"alpha", "beta"}
+	var r fleetRun
+	var err error
+	if r.Serve[0], err = f.Serve(services, 600, 4); err != nil {
+		t.Fatal(err)
+	}
+	if r.Serve[0].NodeKills != 1 {
+		t.Fatalf("node kills = %d, want the armed node dead", r.Serve[0].NodeKills)
+	}
+	pl := f.LB().Placements("alpha")[0]
+	hosts := f.LB().ReplicaNodes("alpha")
+	to := -1
+	for i, n := range f.Nodes {
+		if !hosts[i] && !n.Failed() {
+			to = i
+			break
+		}
+	}
+	if err := f.Migrate("alpha", pl.Node, to, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.Serve[1], err = f.Serve(services, 600, 4); err != nil {
+		t.Fatal(err)
+	}
+	auditClean(t, f)
+	for _, svc := range services {
+		for _, p := range f.LB().Placements(svc) {
+			r.Placements = append(r.Placements, fmt.Sprintf("%s@%d:%d", svc, p.Node, p.Dom))
+		}
+	}
+	for i, n := range f.Nodes {
+		r.Nodes = append(r.Nodes, n.Mon.Stats())
+		r.Digests = append(r.Digests, f.vers[i].Digests())
+		r.Heads = append(r.Heads, f.vers[i].Head())
+	}
+	r.Blackouts = len(f.Blackouts())
+	return r
+}
+
+// TestServeReproducible: Serve runs every request on its caller's
+// goroutine in a fixed order, so a fleet is a function of its seed —
+// through a node kill mid-serving and a live migration, at any host
+// thread count: two runs each at the ambient GOMAXPROCS, 1 and 4 must
+// all agree. Serve ignores its workers argument; asking for four shows
+// no caller can get a host-thread fan-out back.
+func TestServeReproducible(t *testing.T) {
+	ambient := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(ambient)
+	var first *fleetRun
+	for _, procs := range []int{ambient, 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			got := reproRun(t)
+			if first == nil {
+				first = &got
+				continue
+			}
+			if !reflect.DeepEqual(got, *first) {
+				t.Fatalf("GOMAXPROCS=%d run %d differs from the first run:\n got %+v\nwant %+v", procs, run, got, *first)
+			}
+		}
 	}
 }

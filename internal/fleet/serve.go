@@ -1,10 +1,9 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -29,26 +28,6 @@ type leakError struct{ msg string }
 
 func (e *leakError) Error() string { return e.msg }
 
-// errLatch keeps the first fatal serving error.
-type errLatch struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (l *errLatch) set(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-}
-
-func (l *errLatch) get() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 var errNodeFault = &nodeFaultError{}
 
 type nodeFaultError struct{}
@@ -56,7 +35,7 @@ type nodeFaultError struct{}
 func (e *nodeFaultError) Error() string { return "fleet: node machine check" }
 
 // invoke runs one request on a placement: a mediated Call into the
-// tenant on a held worker core, reply in Regs[1]. Machine checks — and
+// tenant on worker core c, reply in Regs[1]. Machine checks — and
 // any error on a node whose injector has started firing — surface as
 // errNodeFault so the serving loop can fail the node instead of
 // aborting the run.
@@ -92,46 +71,40 @@ func (f *Fleet) invoke(n *Node, pl *Placement, c phys.CoreID, arg uint32) (uint3
 }
 
 // Serve pushes `requests` requests round-robin over `services`,
-// load-balanced across the fleet, with `workers` host-side goroutines
-// (default min(8, GOMAXPROCS)). Requests are issued in waves; between
-// waves every live node is pulsed to a quiescent point so runtime-
-// verification digests ship mid-serving, not only at the end.
+// load-balanced across the fleet, one after another on the caller's
+// goroutine: each takes its node's next worker core in rotation, so a
+// fleet's history is a function of its seed and the calls made on it.
+// Requests are issued in waves; between waves every live node is pulsed
+// to a quiescent point so runtime-verification digests ship
+// mid-serving, not only at the end. Serve and Pulse are one thread's
+// calls; Migrate, FailNode and Audit may run beside them. workers is
+// unused: it is kept only for callers that still pass it (ROADMAP
+// benchmark queue (iv)).
 //
 // When a request dies on a machine check the control plane runs the
 // node-death protocol (drain, crypto-erase, re-place) and the request
 // retries on a surviving replica. Every reply is checked against the
 // service transform; a mismatch is a cross-tenant leak and aborts.
 func (f *Fleet) Serve(services []string, requests int, workers int) (ServeStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
 	var stats ServeStats
-	var retries atomic.Uint64
-	fatal := &errLatch{}
+	if len(services) == 0 {
+		return stats, errors.New("fleet: serve: no services named")
+	}
 	const waves = 4
 	perWave := (requests + waves - 1) / waves
-	done := 0
-	for w := 0; w < waves && done < requests; w++ {
-		n := perWave
-		if done+n > requests {
-			n = requests - done
-		}
-		f.serveWave(services, done, n, workers, &retries, fatal)
-		if err := fatal.get(); err != nil {
+	for i := 0; i < requests; i++ {
+		if err := f.serveOne(services[i%len(services)], uint32(i)&0xffff, &stats.Retries); err != nil {
 			return stats, err
 		}
-		done += n
-		stats.Requests += uint64(n)
-		// Quiescent pulse: checkpoints fire, digest intervals ship.
-		f.Pulse()
-		if err := f.Err(); err != nil {
-			return stats, err
+		stats.Requests++
+		if stats.Requests%uint64(perWave) == 0 || i == requests-1 {
+			// Quiescent pulse: checkpoints fire, digest intervals ship.
+			f.Pulse()
+			if err := f.Err(); err != nil {
+				return stats, err
+			}
 		}
 	}
-	stats.Retries = retries.Load()
 	for _, n := range f.Nodes {
 		if n.Failed() {
 			stats.NodeKills++
@@ -140,38 +113,13 @@ func (f *Fleet) Serve(services []string, requests int, workers int) (ServeStats,
 	return stats, nil
 }
 
-func (f *Fleet) serveWave(services []string, offset, count, workers int, retries *atomic.Uint64, fatal *errLatch) {
-	reqs := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range reqs {
-				if fatal.get() != nil {
-					continue
-				}
-				svc := services[i%len(services)]
-				arg := uint32(i) & 0xffff
-				if err := f.serveOne(svc, arg, retries); err != nil {
-					fatal.set(err)
-				}
-			}
-		}()
-	}
-	for i := offset; i < offset+count; i++ {
-		reqs <- i
-	}
-	close(reqs)
-	wg.Wait()
-}
-
 // serveOne routes and executes a single request, retrying across the
-// fleet until a correct reply lands or no replica remains.
-func (f *Fleet) serveOne(service string, arg uint32, retries *atomic.Uint64) error {
+// fleet until a correct reply lands or no replica remains; each retry
+// adds one to *retries.
+func (f *Fleet) serveOne(service string, arg uint32, retries *uint64) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			retries.Add(1)
+			*retries++
 		}
 		if attempt > 64 {
 			return fmt.Errorf("fleet: request to %q starved after %d attempts", service, attempt)
@@ -185,9 +133,7 @@ func (f *Fleet) serveOne(service string, arg uint32, retries *atomic.Uint64) err
 			continue
 		}
 		n := f.Nodes[pl.Node]
-		c := n.acquireCore()
-		got, err := f.invoke(n, pl, c, arg)
-		n.releaseCore(c)
+		got, err := f.invoke(n, pl, n.nextCore(), arg)
 		pl.release()
 		if err == errNodeFault {
 			// The injector took the node down mid-request: run the

@@ -202,18 +202,32 @@ func TestOneCarveOneDerivation(t *testing.T) {
 }
 
 // TestCoreStartsNoGoroutine: RunCores steps every core on its caller's
-// goroutine, so internal/core starts no goroutine and waits for none.
-// Cores run concurrently only where a caller drives RunCore from
-// several goroutines.
+// goroutine, and fleet.Serve runs every request on its caller's
+// goroutine, so neither internal/core nor internal/fleet starts a
+// goroutine or waits for one. Cores run concurrently only where a
+// caller drives RunCore from several goroutines. The rule sees a
+// planted goroutine and a planted WaitGroup in internal/fleet.
 func TestCoreStartsNoGoroutine(t *testing.T) {
-	inspect(parseTree(t, false, "internal/core"), func(g goFile, n ast.Node) {
-		if _, ok := n.(*ast.GoStmt); ok {
-			t.Errorf("%s: go statement in internal/core", g.at(n))
-		}
-		if selector(n) == "sync.WaitGroup" {
-			t.Errorf("%s: sync.WaitGroup in internal/core", g.at(n))
-		}
-	})
+	check := func(files []goFile) (bad []string) {
+		inspect(files, func(g goFile, n ast.Node) {
+			if _, ok := n.(*ast.GoStmt); ok {
+				bad = append(bad, g.at(n)+": go statement")
+			}
+			if selector(n) == "sync.WaitGroup" {
+				bad = append(bad, g.at(n)+": sync.WaitGroup")
+			}
+		})
+		return bad
+	}
+	files := parseTree(t, false, "internal/core", "internal/fleet")
+	for _, b := range check(files) {
+		t.Errorf("%s in a package that runs on its caller's goroutine", b)
+	}
+	planted := plant(t, "internal/fleet/planted.go", `package fleet
+func fanOut(work func()) { var wg sync.WaitGroup; wg.Add(1); go func() { defer wg.Done(); work() }(); wg.Wait() }`)
+	if bad := check(append(files, planted)); len(bad) != 2 {
+		t.Errorf("a planted goroutine and WaitGroup in internal/fleet: found %v, want 2", bad)
+	}
 }
 
 // gone matches the names of deleted designs, none of which may come
@@ -224,14 +238,17 @@ func TestCoreStartsNoGoroutine(t *testing.T) {
 // transition cache, trace sampling, the digest's shard stats, the
 // destructive tail's second bodies (the delegation-only resync, the
 // single-victim kill paths and the second grace entry), the bench
-// harness's opt-in trace audit, and the monitor's run queue (its policy
-// switch, the resumed-arrival path and the kill-time purge).
+// harness's opt-in trace audit, the monitor's run queue (its policy
+// switch, the resumed-arrival path and the kill-time purge), and the
+// fleet's serving fan-out (the wave goroutines, their error latch and
+// the node core channel).
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
 	`SetSampling|SampleN|Sampleable|SampledOut|ShardStat|` +
 	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit|` +
-	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged`)
+	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged|` +
+	`serveWave|errLatch|acquireCore|releaseCore`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it

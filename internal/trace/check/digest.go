@@ -252,3 +252,7 @@ func (v *RemoteVerifier) Flags() []string {
 
 // Digests returns how many chain-valid digests were consumed.
 func (v *RemoteVerifier) Digests() uint64 { return v.digests }
+
+// Head returns the hash of the last chain-valid digest consumed ("" before
+// the first): two runs that shipped the same chain end on the same head.
+func (v *RemoteVerifier) Head() string { return v.prevHash }

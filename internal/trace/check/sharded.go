@@ -32,8 +32,8 @@ import (
 // local kinds are handled entirely locally with zero allocations. A
 // machine's cores run on one goroutine, so the shards rarely see
 // concurrent delivery; the concurrent emitters are callers driving the
-// monitor from several host threads (fleet.Serve's workers, stress
-// tests). The merge, too, allocates nothing in steady
+// monitor from several host threads (a fleet caller running Migrate or
+// FailNode beside fleet.Serve, stress tests). The merge, too, allocates nothing in steady
 // state: it sorts and lends one buffer, and the engine recycles its
 // frames and shootdown records.
 //
