@@ -19,22 +19,28 @@ race:
 	$(GO) test -race ./...
 
 # The seven mutation oracles — the only build tags there are. Each build
-# carries one seeded bug; both trace checkers must flag it with the same
-# verdict (rangebug's left-out core the stale-translation oracle too).
+# carries one seeded bug; the online checker and check.Replay of the
+# trace must flag it with the same verdict (rangebug's left-out core the
+# stale-translation oracle too).
 mutation:
 	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug rangebug; do \
 		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
 	done
 
 # Runtime verification: the trace, checker and rv packages under the
-# race detector (the shard hot path, engine.step and a steady-state
-# merge allocating nothing are tests there), the sharded differential
-# suite, the seven mutation oracles and a 30 s fuzz smoke of both checkers
-# and of the engine against its allocating twin. The rv service on real
-# worlds is C21 phase A, C23 and internal/rv's tests.
+# race detector (emit, engine.step and a steady-state merge allocating
+# nothing are tests there), merges racing four emitters ten times at 1,
+# 2 and 4 host threads, the online check against its replay on real
+# workloads, the seven mutation oracles and a 30 s fuzz smoke of the
+# online check against Replay and of the engine against its allocating
+# twin. The rv service on real worlds is C21 phase A, C23 and
+# internal/rv's tests.
 rv:
 	$(GO) test -race ./internal/trace/... ./internal/rv
-	$(GO) test -race -run 'Sharded' ./internal/core
+	for threads in 1 2 4; do \
+		GOMAXPROCS=$$threads $(GO) test -race -count=10 -run '^TestMergeDuringConcurrentEmit$$' ./internal/trace/check || exit 1; \
+	done
+	$(GO) test -race -run '^TestOnlineCheckMatchesReplay$$' ./internal/core
 	$(MAKE) mutation
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/trace/check
 

@@ -32,7 +32,7 @@ import (
 )
 
 // Config tunes an experiment run. Every world an experiment boots
-// carries the cycle-stamped tracer and the serial online invariant
+// carries the cycle-stamped tracer and the online invariant
 // checker from boot; there is no other run mode.
 type Config struct {
 	// Backend selects the enforcement backend where the experiment does

@@ -16,7 +16,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C21",
-		Title: "Always-on runtime verification: sharded checking at production rates, audited across machines",
+		Title: "Always-on runtime verification: online checking at production rates, audited across machines",
 		Paper: "trust without hierarchy needs evidence: the monitor's invariants are checked live on every machine and re-checked by its peers",
 		Gates: []Gate{
 			{"a-{checking}-clean", "a_{checking}_violations", eq(0), "the checking observer finds the workload clean"},
@@ -40,11 +40,12 @@ func init() {
 //	    at 8-core full load, run once under each observer mode:
 //	      off        — no tracer installed: every emit site is one
 //	                   atomic nil-load and branch;
-//	      ring       — per-core lock-free ring buffers recording every
+//	      ring       — per-core ring buffers recording every
 //	                   event;
-//	      ring+check — ring plus the serial online invariant checker as
+//	      ring+check — ring plus the online invariant checker as
 //	                   a sink;
-//	      rv         — the sharded runtime-verification service.
+//	      rv         — the runtime-verification service: the same
+//	                   checker, merged at every checkpoint.
 //	    Every experiment that reads cycles from a traced world leans on
 //	    the bit-identical cycles gated here. What observing costs the
 //	    host (trace.emit_ns, rv.op_share_pct, bench.trace_overhead_pct)
@@ -53,10 +54,10 @@ func init() {
 //	    over the attested dist channel; the verifier machine replays the
 //	    audit stream and flags a violation seeded on the remote node.
 //
-// Serial-vs-sharded checker agreement (phase B in EXPERIMENTS.md's
-// record) and the channel's rejection of an altered frame are not
-// repeated here: core's TestShardedDifferentialWorkloads and dist's
-// TestWireTamperDetected pin them on the same or wider inputs.
+// The online check's agreement with its replay (phase B in
+// EXPERIMENTS.md's record) and the channel's rejection of an altered
+// frame are not repeated here: core's TestOnlineCheckMatchesReplay and
+// dist's TestWireTamperDetected pin them on the same or wider inputs.
 func runC21(cfg Config, res *Result) error {
 	res.Columns = []string{"phase", "event", "detail"}
 	if err := runC21Observers(cfg, res); err != nil {

@@ -64,8 +64,8 @@ func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 // confidential workload exist at once. The scrub-before-kill trace
 // invariant audits exactly that: every planned region must be scrubbed
 // and shot down before the KKill closes the destruction (the
-// migratebug mutation elides the erase and both checkers must flag
-// it — see TestMigrateMutationOracle).
+// migratebug mutation elides the erase and the checker, online and
+// replayed, must flag it — see TestMigrateMutationOracle).
 func (m *Monitor) DepartKill(id DomainID) error {
 	_, err := m.forceDestroy(true, id)
 	return err

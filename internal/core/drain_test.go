@@ -82,13 +82,13 @@ func rawEnqueue(t testing.TB, m *Monitor, base phys.Addr, entries uint64, desc .
 // host thread and twice at 4. A round is its rings in owner order on
 // one goroutine, so nothing may differ: cycle total, Stats(), every
 // completion, the capability forest with its node IDs (fresh IDs are
-// handed out in (owner, descriptor) order) and both checkers' verdict
+// handed out in (owner, descriptor) order) and the checker's verdict
 // bytes.
 func TestDrainRoundDeterministic(t *testing.T) {
 	const tenants, perRing = 4, 5
 	run := func(threads int) string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
-		m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+		m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 		sink, err := m.CreateDomain(InitialDomain, "sink")
 		if err != nil {
 			t.Fatal(err)
@@ -124,8 +124,8 @@ func TestDrainRoundDeterministic(t *testing.T) {
 		}
 		out := fmt.Sprintf("cycles=%d\nstats=%+v\nepoch-syncs=%d\ncompletions=%v\npending=%v\n%s",
 			m.Machine().Clock.Cycles(), st, m.EpochStats().Syncs, comps, pending, m.LineageTree())
-		err = assertCheckersAgree(t, ck, sh)
-		out += fmt.Sprintf("verdict=%v|%v|%v", err, ck.Violations(), sh.Violations())
+		err = assertCheckersAgree(t, ck, tr)
+		out += fmt.Sprintf("verdict=%v|%v", err, ck.Violations())
 		if err != nil {
 			t.Fatalf("threads=%d: drain trace flagged: %v", threads, err)
 		}
@@ -147,7 +147,7 @@ func TestDrainShardsAreOverlapComponents(t *testing.T) {
 	// Tenants 0 and 1 hold disjoint rings in one shared slab, tenant 2's
 	// ring footprint spans both, and a fourth tenant's ring sits
 	// elsewhere.
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	const entries = 16 // RingBytes(16) = 1344
 	offs := []uint64{0, 2048, 1024, 8 * pg}
@@ -189,7 +189,7 @@ func TestDrainShardsAreOverlapComponents(t *testing.T) {
 	if want := []uint64{uint64(doms[0]), uint64(doms[1]), uint64(doms[3])}; !slices.Equal(batches, want) {
 		t.Errorf("batches drained for owners %v, want ascending %v", batches, want)
 	}
-	if err := assertCheckersAgree(t, ck, sh); err != nil {
+	if err := assertCheckersAgree(t, ck, tr); err != nil {
 		t.Fatalf("chained drain flagged: %v", err)
 	}
 }
@@ -415,10 +415,10 @@ func TestSyncRevokeGolden(t *testing.T) {
 // ForceKillAll storm over ring-owning tenants, guest-side descriptor
 // enqueues, and pinned readers — the revocation-storm-while-draining
 // scenario, run under -race at 1, 2 and 4 host threads in CI.
-// Trace-oracle gated: when tracing is compiled in, both checkers must
-// find the interleaved trace clean.
+// Trace-oracle gated: the online checker and the replay of the trace
+// must both find the interleaved trace clean.
 func TestRevokeStormWhileDraining(t *testing.T) {
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	const tenants = 6
 	doms, bases := drainWorld(t, m, tenants)
 	node := dom0MemNode(t, m)
@@ -472,7 +472,7 @@ func TestRevokeStormWhileDraining(t *testing.T) {
 	if es.CombinedSyncs < 1 {
 		t.Fatalf("kill storm combined no grace periods: %+v", es)
 	}
-	if err := assertCheckersAgree(t, ck, sh); err != nil {
+	if err := assertCheckersAgree(t, ck, tr); err != nil {
 		t.Fatalf("storm trace flagged: %v", err)
 	}
 }

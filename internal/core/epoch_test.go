@@ -266,7 +266,7 @@ func TestEpochReclaimAfterRevoke(t *testing.T) {
 //     a dead-domain-silence violation the checker must catch.
 func TestEpochMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, EpochBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	victim, err := m.CreateDomain(InitialDomain, "victim")
 	if err != nil {
@@ -307,7 +307,7 @@ func TestEpochMutationOracle(t *testing.T) {
 	}
 	m.hookDelegatePreEmit = nil
 
-	err = assertCheckersAgree(t, ck, sh)
+	err = assertCheckersAgree(t, ck, tr)
 	if EpochBugArmed {
 		if err == nil {
 			t.Fatal("seeded premature reclaim (epochbug) not flagged by the checker")

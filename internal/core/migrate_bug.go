@@ -8,7 +8,7 @@ package core
 // its scrub plan but elides the zeroing, the TLB shootdowns, and the
 // encryption-key drop, so a "departed" confidential workload leaves a
 // readable plaintext copy behind on the source machine. The mutation
-// test proves both the serial and the sharded trace checkers flag the
+// test proves the trace checker, online and replayed, flags the
 // unscrubbed regions (scrub-before-kill property), which is what
 // licenses trusting the migration departure path.
 const MigrateBugArmed = false

@@ -286,8 +286,8 @@ type Monitor struct {
 	// quiescent points: round barriers (RunCores completion, and
 	// Checkpoint calls of management code driving its own rounds) and
 	// ring-drain doorbells. The runtime-verification service
-	// (internal/rv) registers its shard-merge step here so cross-core
-	// trace properties resolve without ever serialising the emit path.
+	// (internal/rv) registers its checker's merge here: each merge
+	// closes one interval of the node's digest chain.
 	checkpoint atomic.Pointer[func()]
 
 	// hookDelegatePreEmit, when non-nil, runs inside delegate
@@ -445,7 +445,7 @@ func (m *Monitor) LockWait() (time.Duration, uint64) {
 // SetCheckpoint installs fn (nil removes it) to run at the monitor's
 // quiescent points: every round barrier and every ring-drain doorbell.
 // It is the hook the runtime-verification service (internal/rv) uses to
-// merge its shard checkers where cross-core state is naturally settled. fn must be fast, must
+// merge its checker, closing one digest interval. fn must be fast, must
 // not call back into the monitor, and must never advance simulated
 // cycles — checkpoints are host-side work, invisible to the cycle
 // clock, which is what keeps cycle histories bit-identical with

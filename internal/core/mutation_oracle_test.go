@@ -14,30 +14,30 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
-// attachDualCheckers installs one tracer feeding BOTH the serial
-// checker (ordinary sink) and the sharded incremental checker
-// (per-ring shard sink) on an already-booted monitor. Every mutation
-// oracle runs through this so a seeded bug must be rejected by both
-// checkers with the same violation messages — the agreement is what
-// proves the sharded rewrite didn't weaken any invariant.
-func attachDualCheckers(tb testing.TB, m *Monitor) (*check.Checker, *check.Sharded) {
+// attachDualCheckers installs one tracer on an already-booted monitor
+// with the online checker attached as its sink, and returns both: every
+// mutation oracle checks the run twice — online, as runtime
+// verification does, and by check.Replay of the tracer's events, the
+// offline form of the same engine — so a seeded bug must be rejected
+// both ways with the same violation messages. (FuzzTraceReplay's
+// allocating twin is the oracle a bug in the shared engine cannot
+// fool.)
+func attachDualCheckers(tb testing.TB, m *Monitor) (*check.Checker, *trace.Tracer) {
 	tb.Helper()
 	tr := m.Machine().NewTracer(trace.DefaultRingEntries)
 	ck := check.New()
 	tr.Attach(ck)
-	sh := check.NewSharded(tr)
-	tr.AttachSharded(sh)
-	// SetTracer emits KBoot, so both sinks must be attached first.
+	// SetTracer emits KBoot, so the sink must be attached first.
 	m.Machine().SetTracer(tr)
-	return ck, sh
+	return ck, tr
 }
 
-// bootDualTracedWorld is bootWorld plus both checkers attached.
-func bootDualTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Checker, *check.Sharded) {
+// bootDualTracedWorld is bootWorld plus the online checker attached.
+func bootDualTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Checker, *trace.Tracer) {
 	tb.Helper()
 	m := bootWorld(tb, kind)
-	ck, sh := attachDualCheckers(tb, m)
-	return m, ck, sh
+	ck, tr := attachDualCheckers(tb, m)
+	return m, ck, tr
 }
 
 // skipUnlessOnlyMutation skips the calling oracle when a *different*
@@ -146,15 +146,16 @@ func residentTenant(tb testing.TB, m *Monitor, fast bool) (DomainID, cap.NodeID)
 // TestRangeMutationOracle: under the rangebug build tag every shootdown
 // round leaves out the highest core resident for its domains. Here that
 // is core 1, which ran the tenant — on vtx entered and left by fast
-// switches: the revoke of the tenant's code page must target it. Both
-// checkers must flag the left-out core with one message, and the
-// stale-translation oracle must find the translation core 1 kept; in
-// normal builds the same run is clean on both counts, on both backends.
+// switches: the revoke of the tenant's code page must target it. The
+// check, online and replayed, must flag the left-out core with one
+// message, and the stale-translation oracle must find the translation
+// core 1 kept; in normal builds the same run is clean on both counts,
+// on both backends.
 func TestRangeMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, hw.RangeBugArmed)
 	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
 		t.Run(string(kind), func(t *testing.T) {
-			m, ck, sh := bootDualTracedWorld(t, kind)
+			m, ck, tr := bootDualTracedWorld(t, kind)
 			dom, grant := residentTenant(t, m, kind == BackendVTX)
 			if err := checkStaleTranslations(m); err != nil {
 				t.Fatal(err)
@@ -163,7 +164,7 @@ func TestRangeMutationOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			stale := checkStaleTranslations(m)
-			err := assertCheckersAgree(t, ck, sh)
+			err := assertCheckersAgree(t, ck, tr)
 			if hw.RangeBugArmed {
 				want := fmt.Sprintf("left out core 1, resident for domain %d", dom)
 				if err == nil || len(ck.Violations()) != 1 || !strings.Contains(err.Error(), want) {
@@ -194,35 +195,41 @@ func violationMsgs(vs []check.Violation) []string {
 	return msgs
 }
 
-// assertCheckersAgree finalises both checkers and requires that they
-// reached the same verdict with the same violation-message multiset.
-// Returns the (shared) error for the caller's armed/clean gate.
-func assertCheckersAgree(tb testing.TB, ck *check.Checker, sh *check.Sharded) error {
+// assertCheckersAgree finalises the online checker, replays the
+// tracer's events, and requires that both reached the same verdict with
+// the same violation-message multiset. Returns the (shared) error for
+// the caller's armed/clean gate.
+func assertCheckersAgree(tb testing.TB, ck *check.Checker, tr *trace.Tracer) error {
 	tb.Helper()
-	serialErr, shardErr := ck.Err(), sh.Err()
-	if (serialErr == nil) != (shardErr == nil) {
-		tb.Fatalf("checkers disagree on verdict:\n  serial:  %v\n  sharded: %v", serialErr, shardErr)
+	if n := tr.Dropped(); n != 0 {
+		tb.Fatalf("the trace rings overwrote %d events: the replay would judge a truncated trace", n)
 	}
-	a, b := violationMsgs(ck.Violations()), violationMsgs(sh.Violations())
+	replay := check.Replay(tr.Events())
+	onlineErr, replayErr := ck.Err(), replay.Err()
+	if (onlineErr == nil) != (replayErr == nil) {
+		tb.Fatalf("checkers disagree on verdict:\n  online: %v\n  replay: %v", onlineErr, replayErr)
+	}
+	a, b := violationMsgs(ck.Violations()), violationMsgs(replay.Violations())
 	if len(a) != len(b) {
-		tb.Fatalf("violation counts differ: serial %d %q, sharded %d %q", len(a), a, len(b), b)
+		tb.Fatalf("violation counts differ: online %d %q, replay %d %q", len(a), a, len(b), b)
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			tb.Fatalf("violation message %d differs:\n  serial:  %s\n  sharded: %s", i, a[i], b[i])
+			tb.Fatalf("violation message %d differs:\n  online: %s\n  replay: %s", i, a[i], b[i])
 		}
 	}
-	return serialErr
+	return onlineErr
 }
 
 // TestScrubMutationOracle: under the scrubbug build tag the kill path
 // skips zeroing (and shooting down) the first planned exclusive
 // region, so a KScrubPlan is left unmatched when KKill closes the
-// destruction. Both checkers must flag the scrub-before-kill property;
-// in normal builds the identical run must be clean.
+// destruction. Online and replayed, the check must flag the
+// scrub-before-kill property; in normal builds the identical run must
+// be clean.
 func TestScrubMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, ScrubBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "victim")
 	if err != nil {
@@ -236,7 +243,7 @@ func TestScrubMutationOracle(t *testing.T) {
 	if err := m.ForceKill(dom); err != nil {
 		t.Fatal(err)
 	}
-	err = assertCheckersAgree(t, ck, sh)
+	err = assertCheckersAgree(t, ck, tr)
 	if ScrubBugArmed {
 		if err == nil {
 			t.Fatal("seeded skipped scrub (scrubbug) not flagged by the checkers")
@@ -254,12 +261,12 @@ func TestScrubMutationOracle(t *testing.T) {
 // TestDrainMutationOracle: under the drainbug build tag the retire
 // step runs a drain round's first revocation's flush cleanups OUTSIDE
 // the round's shootdown accumulator, so extra unbatched shootdown
-// rounds retire inside the KDrainBegin/KDrainEnd frame. Both checkers
-// must flag the cross-ring coalescing property (6); in normal builds
-// the identical run must be clean.
+// rounds retire inside the KDrainBegin/KDrainEnd frame. Online and
+// replayed, the check must flag the cross-ring coalescing property
+// (6); in normal builds the identical run must be clean.
 func TestDrainMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, DrainBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	// Two ring-owning tenants, each with two revocable flush-on-revoke
 	// shares: the round defers four revocations, whose shootdowns must
@@ -285,7 +292,7 @@ func TestDrainMutationOracle(t *testing.T) {
 	if n := m.DrainRings(); n != 4 {
 		t.Fatalf("round executed %d descriptors, want 4", n)
 	}
-	err := assertCheckersAgree(t, ck, sh)
+	err := assertCheckersAgree(t, ck, tr)
 	if DrainBugArmed {
 		if err == nil {
 			t.Fatal("seeded uncoalesced drain shootdowns (drainbug) not flagged by the checkers")
@@ -303,11 +310,12 @@ func TestDrainMutationOracle(t *testing.T) {
 // TestAckMutationOracle: under the ackbug build tag the first
 // shootdown round that targets core 0 loses its acknowledgement (the flush itself
 // still runs — a completion-protocol bug, unlike tracebug's stale
-// TLB). Both checkers must flag the shootdown-round-completeness
-// property when the enclosing operation retires short one ack.
+// TLB). Online and replayed, the check must flag the
+// shootdown-round-completeness property when the enclosing operation
+// retires short one ack.
 func TestAckMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, hw.AckBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "target")
 	if err != nil {
@@ -324,7 +332,7 @@ func TestAckMutationOracle(t *testing.T) {
 	if err := m.Revoke(InitialDomain, id); err != nil {
 		t.Fatal(err)
 	}
-	err = assertCheckersAgree(t, ck, sh)
+	err = assertCheckersAgree(t, ck, tr)
 	if hw.AckBugArmed {
 		if err == nil {
 			t.Fatal("seeded lost ack (ackbug) not flagged by the checkers")
@@ -343,12 +351,12 @@ func TestAckMutationOracle(t *testing.T) {
 // migration departure path (DepartKill) elides the source-side
 // crypto-erase — the exclusive regions are announced for scrubbing but
 // neither zeroed, shot down, nor key-erased, so the departed tenant's
-// plaintext outlives the migration. Both checkers must flag the
-// scrub-before-kill property; in normal builds the identical departure
-// must be clean and the plaintext gone.
+// plaintext outlives the migration. Online and replayed, the check
+// must flag the scrub-before-kill property; in normal builds the
+// identical departure must be clean and the plaintext gone.
 func TestMigrateMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, MigrateBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "departing")
 	if err != nil {
@@ -372,7 +380,7 @@ func TestMigrateMutationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaked := bytes.Contains(view, secret)
-	err = assertCheckersAgree(t, ck, sh)
+	err = assertCheckersAgree(t, ck, tr)
 	if MigrateBugArmed {
 		if err == nil {
 			t.Fatal("seeded elided departure erase (migratebug) not flagged by the checkers")

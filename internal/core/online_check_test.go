@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -12,12 +13,15 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
-// Differential suite for the sharded checker: real workloads — fault
-// containment, raw SMP, time-multiplexed vCPUs, submission rings —
-// captured at 1/2/4/8 cores and replayed through BOTH checker
-// implementations. Verdicts, violation messages, and event-derived
-// counts must be identical; the serial Replay is the reference
-// semantics the sharded rewrite must preserve.
+// Online checking against its replay: real workloads — fault
+// containment, raw SMP, time-multiplexed vCPUs, submission rings, a
+// seeded violation — at 1/2/4/8 cores, checked online by the checker
+// attached at boot and merged at every checkpoint, as runtime
+// verification runs it, and again by check.Replay of the captured
+// trace. Both must reach the same verdict with the same violations in
+// the same order and the same event-derived counts, and the merge
+// reports together must carry every structural event of the trace
+// exactly once, in Seq order.
 
 // diffVictim builds a sealed enclave with an endless store loop over
 // patterned exclusive data, pinned to the given core (buildVictim with
@@ -142,8 +146,8 @@ func diffRing(t *testing.T, m *Monitor, cores int) {
 }
 
 // diffInject: a seeded dead-domain violation emitted straight into the
-// trace (the hardware "speaks" for a killed domain) — both checkers
-// must reject, with the same message.
+// trace (the hardware "speaks" for a killed domain) — online and
+// replayed, the check must reject it with the same message.
 func diffInject(t *testing.T, m *Monitor, cores int) {
 	worker, err := m.CreateDomain(InitialDomain, "worker")
 	if err != nil {
@@ -155,9 +159,20 @@ func diffInject(t *testing.T, m *Monitor, cores int) {
 	m.Machine().Trace(trace.GlobalCore, trace.KShare, uint64(worker), 0, 99, 0x1000, 4096)
 }
 
-// TestShardedDifferentialWorkloads runs every workload shape at every
-// core count and pins serial-vs-sharded replay equivalence.
-func TestShardedDifferentialWorkloads(t *testing.T) {
+// audited reports whether events of kind k ride a merge report's audit
+// stream: every kind but VMCalls, transitions, traps and interrupts.
+func audited(k trace.Kind) bool {
+	switch k {
+	case trace.KVMCall, trace.KTransition, trace.KTrap, trace.KIRQRaise,
+		trace.KIRQLost, trace.KIRQSpurious, trace.KIRQRoute, trace.KIRQDrop:
+		return false
+	}
+	return true
+}
+
+// TestOnlineCheckMatchesReplay runs every workload shape at every core
+// count and pins the online check to its replay.
+func TestOnlineCheckMatchesReplay(t *testing.T) {
 	skipUnlessOnlyMutation(t, false) // any armed mutation dirties the workloads
 	workloads := []struct {
 		name string
@@ -173,35 +188,54 @@ func TestShardedDifferentialWorkloads(t *testing.T) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%dcore", w.name, cores), func(t *testing.T) {
-				m, tr, _ := tracedWorldN(t, cores)
+				m, tr, ck := tracedWorldN(t, cores)
+				var reports []check.MergeReport
+				collect := func(rep check.MergeReport) {
+					rep.Events = slices.Clone(rep.Events) // lent until the next merge
+					reports = append(reports, rep)
+				}
+				m.SetCheckpoint(func() { collect(ck.Merge()) })
 				w.run(t, m, cores)
+				collect(ck.End())
 				evs := tr.Events()
-				if len(evs) == 0 {
-					t.Fatal("workload produced no events")
+				if len(evs) == 0 || tr.Dropped() != 0 {
+					t.Fatalf("workload left %d events, %d overwritten", len(evs), tr.Dropped())
 				}
-				serial := check.Replay(evs)
-				sh := check.ReplaySharded(evs)
-				serialErr, shErr := serial.Err(), sh.Err()
-				if (serialErr == nil) != (shErr == nil) {
-					t.Fatalf("verdicts differ:\n  serial:  %v\n  sharded: %v", serialErr, shErr)
+
+				replay := check.Replay(evs)
+				onlineErr, replayErr := ck.Err(), replay.Err()
+				if (onlineErr == nil) != (replayErr == nil) {
+					t.Fatalf("verdicts differ:\n  online: %v\n  replay: %v", onlineErr, replayErr)
 				}
-				if w.want && serialErr == nil {
+				if w.want && onlineErr == nil {
 					t.Fatal("seeded violation not flagged")
 				}
-				if !w.want && serialErr != nil {
-					t.Fatalf("clean workload flagged: %v", serialErr)
+				if !w.want && onlineErr != nil {
+					t.Fatalf("clean workload flagged: %v", onlineErr)
 				}
-				a, b := violationMsgs(serial.Violations()), violationMsgs(sh.Violations())
-				if len(a) != len(b) {
-					t.Fatalf("violation multisets differ:\n  serial:  %q\n  sharded: %q", a, b)
+				if a, b := ck.Violations(), replay.Violations(); !slices.Equal(a, b) {
+					t.Fatalf("violations differ:\n  online: %v\n  replay: %v", a, b)
 				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("violation %d differs:\n  serial:  %s\n  sharded: %s", i, a[i], b[i])
+				if co, cr := ck.Counts(), replay.Counts(); co != cr {
+					t.Fatalf("counts differ:\n  online: %+v\n  replay: %+v", co, cr)
+				}
+
+				var events []trace.Event
+				var reported []check.Violation
+				for _, rep := range reports {
+					if rep.Dropped != 0 {
+						t.Fatalf("a merge dropped %d audit events", rep.Dropped)
 					}
+					events = append(events, rep.Events...)
+					reported = append(reported, rep.NewViolations...)
 				}
-				if cs, cq := serial.Counts(), sh.Counts(); cs != cq {
-					t.Fatalf("counts differ:\n  serial:  %+v\n  sharded: %+v", cs, cq)
+				want := slices.DeleteFunc(evs, func(e trace.Event) bool { return !audited(e.Kind) })
+				if !slices.Equal(events, want) {
+					t.Fatalf("%d merge reports carried %d events, want the trace's %d structural ones, each once, in Seq order",
+						len(reports), len(events), len(want))
+				}
+				if !slices.Equal(reported, ck.Violations()) {
+					t.Fatalf("merge reports carried %v, the checker recorded %v", reported, ck.Violations())
 				}
 			})
 		}

@@ -508,7 +508,7 @@ func TestKillCompletesPastFailedSurvivorRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ck, sh := attachDualCheckers(t, m)
+			ck, tr := attachDualCheckers(t, m)
 			node := dom0MemNode(t, m)
 			victim, err := m.CreateDomain(InitialDomain, "victim")
 			if err != nil {
@@ -557,7 +557,7 @@ func TestKillCompletesPastFailedSurvivorRebuild(t *testing.T) {
 			if limbo := m.space.LimboNodes(); limbo != 0 {
 				t.Errorf("%d capability records left in limbo", limbo)
 			}
-			if err := assertCheckersAgree(t, ck, sh); err != nil {
+			if err := assertCheckersAgree(t, ck, tr); err != nil {
 				t.Errorf("the completed kill is flagged: %v", err)
 			}
 		})
@@ -597,7 +597,7 @@ func TestKillCompletesPastFailedCleanup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ck, sh := attachDualCheckers(t, m)
+			ck, tr := attachDualCheckers(t, m)
 			victim, err := m.CreateDomain(InitialDomain, "victim")
 			if err != nil {
 				t.Fatal(err)
@@ -629,7 +629,7 @@ func TestKillCompletesPastFailedCleanup(t *testing.T) {
 			if m.CheckAccess(InitialDomain, granted, cap.RightRead) {
 				t.Error("dom0 regained a page whose cleanup never ran")
 			}
-			if err := assertCheckersAgree(t, ck, sh); err != nil {
+			if err := assertCheckersAgree(t, ck, tr); err != nil {
 				t.Errorf("the completed kill is flagged: %v", err)
 			}
 		})

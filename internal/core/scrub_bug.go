@@ -6,8 +6,8 @@ package core
 // scrub-skip bug (the scrubbug build tag): destroyReclaim plans every
 // exclusive region for scrubbing but silently skips the first one's
 // zero+shootdown, so a kill completes with reusable secrets still in
-// memory. The mutation test proves both the serial and sharded trace
-// checkers flag the unscrubbed region (scrub-before-kill property),
+// memory. The mutation test proves the trace checker, online and
+// replayed, flags the unscrubbed region (scrub-before-kill property),
 // which is what licenses trusting the reclaim path.
 const ScrubBugArmed = false
 

@@ -250,7 +250,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 // clean — proof the oracle has teeth and no false positives.
 func TestShootdownMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, hw.ShootdownBugArmed)
-	m, ck, sh := bootDualTracedWorld(t, BackendVTX)
+	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "target")
 	if err != nil {
@@ -265,7 +265,7 @@ func TestShootdownMutationOracle(t *testing.T) {
 	if err := m.Revoke(InitialDomain, id); err != nil {
 		t.Fatal(err)
 	}
-	err = assertCheckersAgree(t, ck, sh)
+	err = assertCheckersAgree(t, ck, tr)
 	if hw.ShootdownBugArmed {
 		if err == nil {
 			t.Fatal("seeded shootdown bug (tracebug) not flagged by the checker")

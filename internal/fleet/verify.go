@@ -11,7 +11,7 @@ import (
 // NodeAudit is one node's fleet-verification verdict.
 type NodeAudit struct {
 	Node string
-	// SelfErr is the node's own sharded checker verdict (nil = clean).
+	// SelfErr is the node's own online checker verdict (nil = clean).
 	SelfErr error
 	// Digests counts hash-chained digests the control plane consumed
 	// from this node.

@@ -239,16 +239,20 @@ func fanOut(work func()) { var wg sync.WaitGroup; wg.Add(1); go func() { defer w
 // destructive tail's second bodies (the delegation-only resync, the
 // single-victim kill paths and the second grace entry), the bench
 // harness's opt-in trace audit, the monitor's run queue (its policy
-// switch, the resumed-arrival path and the kill-time purge), and the
+// switch, the resumed-arrival path and the kill-time purge), the
 // fleet's serving fan-out (the wave goroutines, their error latch and
-// the node core channel).
+// the node core channel), and the sharded checker — its type, the
+// per-ring sink and its method, its fixed-shard constructor and replay,
+// matched as whole names so that NewSharded and AttachSharded, the
+// leftovers benchmark/ compiles against, stay allowed.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
 	`SetSampling|SampleN|Sampleable|SampledOut|ShardStat|` +
 	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit|` +
 	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged|` +
-	`serveWave|errLatch|acquireCore|releaseCore`)
+	`serveWave|errLatch|acquireCore|releaseCore|` +
+	`^(?:Sharded|ShardSink|ShardEvent|NewShardedN|ReplaySharded)$`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it
@@ -628,5 +632,49 @@ func TestOnlyCodecDecodes(t *testing.T) {
 func read(r io.Reader, v *uint32) error { return binary.Read(r, binary.LittleEndian, v) }`)
 	if bad := check(append(files, planted)); len(bad) != 1 {
 		t.Error("a planted binary.Read in internal/image went unnoticed")
+	}
+}
+
+// TestTraceHasOneSink: package trace declares exactly one interface a
+// tracer delivers events through — an interface with a method that
+// takes an Event — so online checking has one delivery path, under the
+// sink mutex in Seq order. The rule sees a planted per-ring sink.
+func TestTraceHasOneSink(t *testing.T) {
+	check := func(files []goFile) (sinks []string) {
+		inspect(files, func(g goFile, n ast.Node) {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return
+			}
+			it, ok := ts.Type.(*ast.InterfaceType)
+			if !ok {
+				return
+			}
+			for _, m := range it.Methods.List {
+				fn, ok := m.Type.(*ast.FuncType)
+				if ok && slices.ContainsFunc(fn.Params.List, func(p *ast.Field) bool {
+					id, ok := p.Type.(*ast.Ident)
+					return ok && id.Name == "Event"
+				}) {
+					sinks = append(sinks, ts.Name.Name)
+					return
+				}
+			}
+		})
+		return sinks
+	}
+	var files []goFile
+	for _, g := range parseTree(t, false, "internal/trace") {
+		if filepath.Dir(g.rel) == "internal/trace" { // the package, not trace/check
+			files = append(files, g)
+		}
+	}
+	if sinks := check(files); !slices.Equal(sinks, []string{"Sink"}) {
+		t.Errorf("package trace declares sink interfaces %v, want exactly [Sink]", sinks)
+	}
+	planted := plant(t, "internal/trace/planted.go", `package trace
+type ShardSink interface { ShardEvent(shard int, ev Event) }`)
+	if sinks := check(append(files, planted)); len(sinks) != 2 {
+		t.Errorf("a planted per-ring sink in package trace: found %v, want 2 sink interfaces", sinks)
 	}
 }

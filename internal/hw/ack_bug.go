@@ -7,7 +7,7 @@ package hw
 // cross-core TLB shootdown that targets core 0 drops its
 // acknowledgement — the flush
 // itself still runs, so only the completion protocol is broken. The
-// mutation test proves both the serial and sharded trace checkers
+// mutation test proves the trace checker, online and replayed, must
 // flag the operation completing with a missing ack (shootdown-
 // acknowledgement property), distinguishing a reporting bug from
 // tracebug's genuinely-stale-TLB bug.

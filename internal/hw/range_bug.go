@@ -7,7 +7,7 @@ package hw
 // targets any core leaves out the highest core resident for the
 // round's domains — it neither flushes nor is named in the round — so
 // that core keeps translations of memory its domain lost. The mutation
-// test proves both trace checkers flag the resident core the round
+// test proves the trace checker, online and replayed, flags the core
 // left out, and the stale-translation oracle finds what it kept.
 const RangeBugArmed = false
 

@@ -1,26 +1,27 @@
 // Package rv is the always-on runtime-verification service: the glue
-// that turns the sharded incremental trace checker (trace/check) into
-// a live production monitor-of-the-monitor. Attach wires one machine
-// up end to end — tracer, per-ring shard delivery, the monitor's
+// that turns the online trace checker (trace/check) into a live
+// production monitor-of-the-monitor. Attach wires one machine up end to
+// end — tracer, the checker attached as its sink, the monitor's
 // quiescent-point checkpoint hook — and, when a Ship function is given,
-// emits one hash-chained trace digest per stable merge for a remote
-// verifier (check.RemoteVerifier) on the far side of an attested
-// channel (internal/dist). Every violation the node records travels in
-// exactly one digest: the one for the merge that found or collected
-// it, or the final one Finalize ships.
+// emits one hash-chained trace digest per merge for a remote verifier
+// (check.RemoteVerifier) on the far side of an attested channel
+// (internal/dist). Every violation the node records travels in exactly
+// one digest: the one for the merge that follows it, or the final one
+// Finalize ships.
 //
-// Cost model: the hot emit path gains one per-ring shard delivery under
-// a shard-local mutex; cross-core property resolution happens only at
-// quiescent points. In steady state checking allocates nothing for any
-// event kind: a shard appends to a reused buffer, the merge sorts that
-// stream in one buffer it lends to the digest, and the engine recycles
-// its frames and shootdown records. What allocates is what the checker
-// keeps — a killed domain's dead-set entry, a new domain's first scrub
-// plan, violations — and, in shipping mode, each digest's bytes. Checking
-// consumes no simulated cycles, so cycle histories are bit-identical
-// with the service on or off — the C21 experiment gates exactly that.
-// A Ship transport that moves the digest through a simulated device
-// (dist's NIC DMA) charges that machine for the bytes it moves.
+// Cost model: with the service attached every emit takes the tracer's
+// sink mutex and, under it, the checker's mutex to step its engine;
+// a checkpoint copies the interval's structural events into the one
+// buffer it lends the digest. In steady state checking allocates
+// nothing for any event kind: the checker appends to a reused buffer,
+// and the engine recycles its frames and shootdown records. What
+// allocates is what the checker keeps — a killed domain's dead-set
+// entry, a new domain's first scrub plan, violations — and, in shipping
+// mode, each digest's bytes. Checking consumes no simulated cycles, so
+// cycle histories are bit-identical with the service on or off — the
+// C21 experiment gates exactly that. A Ship transport that moves the
+// digest through a simulated device (dist's NIC DMA) charges that
+// machine for the bytes it moves.
 //
 // Ring drains are covered without special cases: every drain is a
 // round (core/drain.go), which emits one KDrainBegin/KDrainEnd frame
@@ -44,9 +45,9 @@ type Options struct {
 	// Node names this machine in digests (defaults to "node").
 	Node string
 	// Tracer, when non-nil, augments an existing (not yet installed)
-	// tracer instead of building one: Attach adds the shard sink, and
-	// the CALLER installs the tracer afterwards with SetTracer. When
-	// nil, Attach builds and installs its own.
+	// tracer instead of building one: Attach adds the checker as a
+	// sink, and the CALLER installs the tracer afterwards with
+	// SetTracer. When nil, Attach builds and installs its own.
 	Tracer *trace.Tracer
 	// Ship, when non-nil, transports each interval's encoded digest
 	// (e.g. over a dist.Conn). Called synchronously from the monitor's
@@ -57,7 +58,7 @@ type Options struct {
 // Service is one machine's attached runtime verification.
 type Service struct {
 	tr *trace.Tracer
-	sh *check.Sharded
+	ck *check.Checker
 
 	mu      sync.Mutex
 	db      *check.DigestBuilder
@@ -68,8 +69,8 @@ type Service struct {
 }
 
 // Attach wires runtime verification onto the machine/monitor pair and
-// returns the running service. The sharded checker observes the trace
-// from KBoot on; the monitor's checkpoint hook is claimed for the
+// returns the running service. The checker observes the trace from
+// KBoot on; the monitor's checkpoint hook is claimed for the
 // service's merge step. Attach cannot fail — every build carries the
 // tracer — and the error, always nil, is what is left of the signature
 // its callers compile against.
@@ -81,11 +82,11 @@ func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error)
 	if tr == nil {
 		tr = mach.NewTracer(trace.DefaultRingEntries)
 	}
-	sh := check.NewSharded(tr)
-	tr.AttachSharded(sh)
+	ck := check.New()
+	tr.Attach(ck)
 	svc := &Service{
 		tr:   tr,
-		sh:   sh,
+		ck:   ck,
 		db:   check.NewDigestBuilder(opts.Node),
 		ship: opts.Ship,
 	}
@@ -96,18 +97,16 @@ func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error)
 	return svc, nil
 }
 
-// checkpoint is the monitor's quiescent-point hook: merge the shards
+// checkpoint is the monitor's quiescent-point hook: merge the checker
 // and, in shipping mode, emit the interval's digest. Merging under mu
 // keeps the chain in merge order when checkpoints race.
 func (s *Service) checkpoint() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rep := s.sh.Merge(); rep.Merged {
-		s.digestLocked(rep, false)
-	}
+	s.digestLocked(s.ck.Merge(), false)
 }
 
-// digestLocked builds and ships one digest for a stable merge. Empty
+// digestLocked builds and ships one digest for a merge. Empty
 // non-final intervals (no structural events, no new violations) are
 // skipped so checkpoint-dense runs don't flood the channel.
 func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
@@ -125,19 +124,19 @@ func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
 }
 
 // Finalize closes the service once the run is quiescent: the checker's
-// End — a last merge, the kill reconciliation, end-of-trace validation
-// — and, in shipping mode, a final digest carrying End's report.
-// Idempotent; returns the verdict: invariant violations, or else a
-// latched digest-shipping error.
+// End — end-of-trace validation and a last merge — and, in shipping
+// mode, a final digest carrying End's report. Idempotent; returns the
+// verdict: invariant violations, or else a latched digest-shipping
+// error.
 func (s *Service) Finalize() error {
 	s.mu.Lock()
 	if !s.final {
 		s.final = true
-		s.digestLocked(s.sh.End(), true)
+		s.digestLocked(s.ck.End(), true)
 	}
 	shipErr := s.shipErr
 	s.mu.Unlock()
-	if err := s.sh.Err(); err != nil {
+	if err := s.ck.Err(); err != nil {
 		return err
 	}
 	return shipErr
@@ -147,8 +146,8 @@ func (s *Service) Finalize() error {
 // and closing it ships the final digest.
 func (s *Service) Err() error { return s.Finalize() }
 
-// Checker exposes the sharded checker (counts, merge stats, verdicts).
-func (s *Service) Checker() *check.Sharded { return s.sh }
+// Checker exposes the checker (counts, verdicts).
+func (s *Service) Checker() *check.Checker { return s.ck }
 
 // Tracer exposes the service's tracer.
 func (s *Service) Tracer() *trace.Tracer { return s.tr }

@@ -248,8 +248,8 @@ func killedDomain(t *testing.T, mon *core.Monitor) core.DomainID {
 }
 
 // TestServiceReportsEagerViolationInInterval: a dead-domain transition
-// the shard flags on delivery reaches the remote verifier with the next
-// checkpoint's digest, not only when the node finalises.
+// the checker flags on delivery reaches the remote verifier with the
+// next checkpoint's digest, not only when the node finalises.
 func TestServiceReportsEagerViolationInInterval(t *testing.T) {
 	mach, mon := bootPair(t)
 	ver := check.NewRemoteVerifier("eager-node")
@@ -280,7 +280,7 @@ func TestServiceReportsEagerViolationInInterval(t *testing.T) {
 }
 
 // TestServiceShipsEveryViolationOnce: every violation the node records —
-// one the engine resolves at a merge, one a shard flags on delivery,
+// a dead-domain transition and a dead-domain share flagged on delivery,
 // one only the end of the trace reveals — is carried by exactly one
 // shipped digest, the first two by their interval's.
 func TestServiceShipsEveryViolationOnce(t *testing.T) {
@@ -305,8 +305,8 @@ func TestServiceShipsEveryViolationOnce(t *testing.T) {
 	}
 	d := killedDomain(t, mon)
 	checkpoint(t, mon)
-	mach.Trace(0, trace.KTransition, uint64(d), 0, 0, 0, trace.TransCall)     // eager
-	mach.Trace(trace.GlobalCore, trace.KShare, uint64(d), 0, 1, 0x1000, 4096) // engine
+	mach.Trace(0, trace.KTransition, uint64(d), 0, 0, 0, trace.TransCall)     // not audited
+	mach.Trace(trace.GlobalCore, trace.KShare, uint64(d), 0, 1, 0x1000, 4096) // audited
 	checkpoint(t, mon)
 	if len(shipped) != 2 {
 		t.Fatalf("interval digests carried %v, want the transition and the share", shipped)
@@ -348,7 +348,7 @@ func TestServiceShipsEveryViolationOnce(t *testing.T) {
 // allocation to a Share + Revoke pair, counting the merge that resolves
 // the pair's events — the pair allocates as much on a machine with the
 // service attached as on one without. The engine recycles its frames
-// and shootdown records, the shards and the merge reuse their buffers,
+// and shootdown records, the checker and the merge reuse their buffers,
 // and the trace rings are small enough to reach capacity in the
 // warm-up.
 func TestCheckedShareRevokeAllocations(t *testing.T) {

@@ -125,14 +125,14 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMergeAllocatesNothing: a steady-state merge — shards hand over a
-// revocation's structural events and its cores' residency steps, the
-// merge sorts the events, replays the steps, steps the engine and lends
-// its buffer as the report's audit stream — allocates nothing.
+// TestMergeAllocatesNothing: a steady-state merge — the checker copies
+// a revocation's structural events into the buffer it lends as the
+// report's audit stream — allocates nothing, and neither does consuming
+// the events that fill it.
 func TestMergeAllocatesNothing(t *testing.T) {
-	sh := NewShardedN(3)
+	ck := New()
 	seq := uint64(1)
-	sh.ShardEvent(0, trace.Event{Seq: seq, Core: trace.GlobalCore, Kind: trace.KBoot, Size: 2})
+	ck.Event(trace.Event{Seq: seq, Core: trace.GlobalCore, Kind: trace.KBoot, Size: 2})
 	round, structural := revokeRound(1), 0
 	for _, e := range round {
 		if e.Kind != trace.KTransition {
@@ -140,30 +140,26 @@ func TestMergeAllocatesNothing(t *testing.T) {
 		}
 	}
 	deliver := func() {
-		for i, e := range round {
+		for _, e := range round {
 			seq++
 			e.Seq = seq
-			si := i % 2 // two shards: the merge interleaves them
-			if e.Kind == trace.KTransition {
-				si = int(e.Core) + 1
-			}
-			sh.ShardEvent(si, e)
+			ck.Event(e)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		deliver()
-		sh.Merge()
+		ck.Merge()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		deliver()
-		if rep := sh.Merge(); !rep.Merged || len(rep.Events) != structural {
+		if rep := ck.Merge(); len(rep.Events) != structural || rep.Dropped != 0 {
 			t.Fatalf("merge = %+v, want %d events", rep, structural)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("a steady-state merge allocates %.2f objects, want 0", allocs)
 	}
-	if err := sh.Err(); err != nil {
+	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,11 +1,13 @@
 // Package check is an online invariant checker over the monitor's
-// event trace. It attaches to a trace.Tracer as a Sink — validating
-// the stream as it is produced, inline in any test or benchmark — or
-// replays a previously captured trace. The serial Checker in this file
-// is the reference implementation; Sharded (sharded.go) is the
-// production-rate online form, which evaluates the same properties via
-// per-ring shard checkers merged at quiescent points and is
-// differentially tested against Replay.
+// event trace. One engine evaluates the properties below, and one
+// Checker wraps it: attached to a trace.Tracer as a Sink it validates
+// the stream as it is produced — the tracer delivers every event under
+// its sink mutex, in Seq order, whatever the number of emitting host
+// threads — and Replay feeds it a previously captured trace instead.
+// Online, Merge closes an interval at the monitor's quiescent points:
+// it hands over the interval's structural events (the audit stream a
+// trace digest ships, see digest.go) and the violations no earlier
+// interval reported.
 //
 // The temporal safety properties it enforces:
 //
@@ -99,26 +101,6 @@ type Counts struct {
 	Drains        uint64 // drain rounds (KDrainBegin)
 }
 
-// add accumulates o into c (used when merging shard-local tallies).
-func (c *Counts) add(o Counts) {
-	c.VMCalls += o.VMCalls
-	c.Transitions += o.Transitions
-	c.FastSwitches += o.FastSwitches
-	c.CapOps += o.CapOps
-	c.Revocations += o.Revocations
-	c.ForcedKills += o.ForcedKills
-	c.MachineChecks += o.MachineChecks
-	c.CoresParked += o.CoresParked
-	c.PagesScrubbed += o.PagesScrubbed
-	c.Shootdowns += o.Shootdowns
-	c.IRQsRouted += o.IRQsRouted
-	c.IRQsDropped += o.IRQsDropped
-	c.Attests += o.Attests
-	c.Batches += o.Batches
-	c.BatchedOps += o.BatchedOps
-	c.Drains += o.Drains
-}
-
 // shootdown is one in-flight cross-core TLB shootdown; ev.Aux is the
 // mask of the cores it targets. acks is the set of cores that
 // acknowledged it; a core ID outside [0, cores) counts like any other.
@@ -157,10 +139,9 @@ type frame struct {
 type region struct{ addr, size uint64 }
 
 // engine is the property state machine itself, with no locking: one
-// instance per linearised event stream. The serial Checker wraps it in
-// a mutex; the Sharded checker feeds it the seq-ordered merge stream.
-// Keeping a single engine is what makes the two checkers agree on
-// violation messages byte for byte.
+// instance per linearised event stream. The Checker wraps it in a
+// mutex, and a RemoteVerifier replays a node's audit stream through its
+// own.
 //
 // A closed frame and the shootdown records it owned go back to free
 // lists (acks cleared, not remade), so once the engine has seen the
@@ -179,7 +160,6 @@ type engine struct {
 	scrubPlans map[uint64][]region
 	counts     Counts
 	violations []Violation
-	seen       uint64
 
 	freeFrames []*frame
 	freeRounds []*shootdown
@@ -192,13 +172,6 @@ func newEngine() *engine {
 	}
 }
 
-// deadUseMsg formats the dead-domain-silence violation. Both the
-// serial engine and the sharded checker's eager shard-local path go
-// through this one formatter, so their messages agree byte for byte.
-func deadUseMsg(ev trace.Event) string {
-	return fmt.Sprintf("dead domain %d used in successful %s", ev.Domain, ev.Kind)
-}
-
 func (c *engine) violate(ev trace.Event, format string, args ...any) {
 	c.violations = append(c.violations, Violation{
 		Event: ev,
@@ -208,8 +181,6 @@ func (c *engine) violate(ev trace.Event, format string, args ...any) {
 
 // step consumes one event of the linearised stream.
 func (c *engine) step(ev trace.Event) {
-	c.seen++
-
 	// Property 1: dead-domain silence. Only kinds emitted on a
 	// *successful* monitor-mediated operation participate — raw
 	// hardware events (traps, IRQ raises) and VMCall entries can race
@@ -219,7 +190,7 @@ func (c *engine) step(ev trace.Event) {
 		trace.KSeal, trace.KEPTMap, trace.KPMPWrite, trace.KAttest,
 		trace.KBatchBegin, trace.KBatchEnd:
 		if c.dead[ev.Domain] {
-			c.violate(ev, "%s", deadUseMsg(ev))
+			c.violate(ev, "dead domain %d used in successful %s", ev.Domain, ev.Kind)
 		}
 	case trace.KCreate:
 		if c.dead[ev.Aux] {
@@ -562,11 +533,21 @@ func violationsErr(vs []Violation) error {
 }
 
 // Checker validates the event stream online. It implements trace.Sink;
-// all methods are safe for concurrent use. This is the serial
-// reference checker: one mutex, one linearised stream.
+// all methods are safe for concurrent use, so Merge and End may run on
+// any goroutine while the tracer delivers events.
 type Checker struct {
 	mu sync.Mutex
 	e  *engine
+	// audit holds the structural events consumed since the last merge,
+	// at most MaxAuditEvents of them; dropped counts the ones past the
+	// cap, so a checker that is never merged stays bounded.
+	audit   []trace.Event
+	dropped uint64
+	// lent is the buffer the last report's Events alias.
+	lent []trace.Event
+	// reported is how many of the engine's violations a report carried.
+	reported int
+	ended    bool
 }
 
 // New returns an empty checker. The machine core count is learned from
@@ -574,6 +555,10 @@ type Checker struct {
 func New() *Checker {
 	return &Checker{e: newEngine()}
 }
+
+// NewSharded is New, kept for benchmark/, which still compiles against
+// the name.
+func NewSharded(*trace.Tracer) *Checker { return New() }
 
 // Replay runs a captured trace (any order; sorted by Seq first) through
 // a fresh checker and returns it. The sort is stable so synthetic
@@ -591,20 +576,69 @@ func Replay(events []trace.Event) *Checker {
 // bySeq orders events by sequence number.
 func bySeq(a, b trace.Event) int { return cmp.Compare(a.Seq, b.Seq) }
 
+// structural reports whether events of kind k join the audit stream:
+// every kind but the high-rate ones — VMCalls, transitions, traps and
+// interrupts.
+func structural(k trace.Kind) bool {
+	switch k {
+	case trace.KVMCall, trace.KTransition, trace.KTrap, trace.KIRQRaise,
+		trace.KIRQLost, trace.KIRQSpurious, trace.KIRQRoute, trace.KIRQDrop:
+		return false
+	}
+	return true
+}
+
 // Event consumes one trace event (trace.Sink).
 func (c *Checker) Event(ev trace.Event) {
 	c.mu.Lock()
 	c.e.step(ev)
+	if structural(ev.Kind) {
+		if len(c.audit) < MaxAuditEvents {
+			c.audit = append(c.audit, ev)
+		} else {
+			c.dropped++
+		}
+	}
 	c.mu.Unlock()
 }
 
-// End closes the check: open operations and unacknowledged orphan
-// shootdowns become violations. Call once the run is quiescent (tests
-// call it via Err).
-func (c *Checker) End() {
+// Merge closes the interval since the last merge: it reports the
+// interval's structural events, how many of them the cap dropped, and
+// the violations no earlier report carried. The events are copied into
+// the one buffer the report lends. After End it returns an empty report.
+func (c *Checker) Merge() MergeReport {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ended {
+		return MergeReport{}
+	}
+	return c.mergeLocked()
+}
+
+// mergeLocked is Merge with c.mu held.
+func (c *Checker) mergeLocked() MergeReport {
+	c.lent = append(c.lent[:0], c.audit...)
+	rep := MergeReport{Events: c.lent, Dropped: c.dropped}
+	if vs := c.e.violations[c.reported:]; len(vs) > 0 {
+		rep.NewViolations = slices.Clone(vs)
+	}
+	c.audit, c.dropped, c.reported = c.audit[:0], 0, len(c.e.violations)
+	return rep
+}
+
+// End closes the check: open operations and unacknowledged orphan
+// shootdowns become violations, and a final merge reports the last
+// interval with them. Call once the run is quiescent. Idempotent:
+// later calls return an empty report.
+func (c *Checker) End() MergeReport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ended {
+		return MergeReport{}
+	}
+	c.ended = true
 	c.e.end()
-	c.mu.Unlock()
+	return c.mergeLocked()
 }
 
 // Violations returns every failure recorded so far.
@@ -626,11 +660,4 @@ func (c *Checker) Counts() Counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.e.counts
-}
-
-// Seen returns how many events the checker has consumed.
-func (c *Checker) Seen() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.e.seen
 }

@@ -11,13 +11,13 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-// Trace digests: the fleet-facing output of the sharded checker. Each
-// stable merge becomes one Digest — the interval's violation verdicts
+// Trace digests: the fleet-facing output of the online checker. Each
+// merge becomes one Digest — the interval's violation verdicts
 // and its exact structural events as an audit stream — hash-chained to
 // its predecessor and shipped over an attested channel (internal/dist)
 // to a RemoteVerifier. The verifier checks the hash over the bytes that
 // arrived, re-derives the chain, replays the audit stream through its
-// own serial engine, and flags both reported violations and
+// own engine, and flags both reported violations and
 // divergence: a node whose checker says "clean" while the replay finds
 // a violation is lying or broken, and either way untrusted.
 //
@@ -27,8 +27,9 @@ import (
 // the decoder accepts exactly one body per digest, so no two byte
 // strings verify as one digest.
 
-// MaxAuditEvents bounds one digest's audit stream. Intervals that
-// resolve more structural events than this report the overflow in
+// MaxAuditEvents bounds one digest's audit stream: a Checker keeps at
+// most this many structural events between merges and only counts the
+// rest (MergeReport.Dropped). A digest reports the overflow in
 // AuditDropped — the verifier then skips divergence replay for the
 // chain (reported verdicts still count) instead of silently judging a
 // truncated stream.
@@ -120,6 +121,23 @@ func DecodeDigest(raw []byte) (Digest, error) {
 	return d, nil
 }
 
+// MergeReport is one interval of a Checker's online check, as Merge or
+// End hands it over.
+type MergeReport struct {
+	// Events are the interval's structural events in sequence order,
+	// at most MaxAuditEvents of them — the digest's audit stream. The
+	// slice is lent: it is the checker's
+	// own buffer, valid until the next Merge or End on the same checker,
+	// which refill it. A caller that keeps the events past that copies
+	// them.
+	Events []trace.Event
+	// Dropped counts the interval's structural events past
+	// MaxAuditEvents, which Events does not hold.
+	Dropped uint64
+	// NewViolations are the violations no earlier report carried.
+	NewViolations []Violation
+}
+
 // DigestBuilder turns a node's merge reports into its hash chain.
 type DigestBuilder struct {
 	node     string
@@ -133,20 +151,17 @@ func NewDigestBuilder(node string) *DigestBuilder {
 }
 
 // Build produces the wire encoding of the next digest in the chain
-// from one stable merge.
+// from one merge report.
 func (b *DigestBuilder) Build(rep MergeReport) []byte {
 	d := Digest{
-		Node:     b.node,
-		Interval: b.interval,
-		Audit:    rep.Events,
-		PrevHash: b.prevHash,
+		Node:         b.node,
+		Interval:     b.interval,
+		Audit:        rep.Events,
+		AuditDropped: rep.Dropped,
+		PrevHash:     b.prevHash,
 	}
 	for _, v := range rep.NewViolations {
 		d.Violations = append(d.Violations, v.Msg)
-	}
-	if len(d.Audit) > MaxAuditEvents {
-		d.AuditDropped = uint64(len(d.Audit) - MaxAuditEvents)
-		d.Audit = d.Audit[:MaxAuditEvents]
 	}
 	raw := d.encode()
 	b.interval++
@@ -157,7 +172,7 @@ func (b *DigestBuilder) Build(rep MergeReport) []byte {
 // RemoteVerifier consumes a node's digest chain on another machine:
 // it checks chain integrity (hashes, links, interval continuity),
 // records the node's own verdicts, and independently replays the audit
-// stream through a serial engine to catch divergence. Not safe for
+// stream through its own engine to catch divergence. Not safe for
 // concurrent use; one verifier per watched node.
 type RemoteVerifier struct {
 	node      string

@@ -15,25 +15,21 @@ import (
 )
 
 // buildCleanIntervals produces a two-interval clean digest chain the
-// way a node would: a sharded checker consumes events, each stable
-// merge becomes one digest.
+// way a node would: a checker consumes events, each merge becomes one
+// digest.
 func buildCleanIntervals(t testing.TB) [][]byte {
 	t.Helper()
-	sh := NewShardedN(2)
+	ck := New()
 	db := NewDigestBuilder("node-a")
 	var wires [][]byte
 	seq := uint64(0)
 	emit := func(k trace.Kind, dom, aux, node, addr, size uint64) {
 		seq++
-		sh.ShardEvent(0, trace.Event{Seq: seq, Core: -1, Kind: k,
+		ck.Event(trace.Event{Seq: seq, Core: -1, Kind: k,
 			Domain: dom, Aux: aux, Node: node, Addr: addr, Size: size})
 	}
 	ship := func() {
-		rep := sh.Merge()
-		if !rep.Merged {
-			t.Fatal("merge deferred in synchronous test")
-		}
-		wires = append(wires, db.Build(rep))
+		wires = append(wires, db.Build(ck.Merge()))
 	}
 	emit(trace.KBoot, 0, 0, 0, 0, 2)
 	emit(trace.KOpBegin, 1, trace.OpShare, 1, 0, 0)
@@ -150,18 +146,18 @@ func TestDigestChainGapDetected(t *testing.T) {
 // reports a violation gets it surfaced as a flag, with no divergence
 // flag (replay agrees).
 func TestRemoteVerifierFlagsReportedViolation(t *testing.T) {
-	sh := NewShardedN(2)
+	ck := New()
 	db := NewDigestBuilder("node-b")
 	seq := uint64(0)
 	emit := func(k trace.Kind, dom, aux, node, addr, size uint64) {
 		seq++
-		sh.ShardEvent(0, trace.Event{Seq: seq, Core: -1, Kind: k,
+		ck.Event(trace.Event{Seq: seq, Core: -1, Kind: k,
 			Domain: dom, Aux: aux, Node: node, Addr: addr, Size: size})
 	}
 	emit(trace.KBoot, 0, 0, 0, 0, 2)
 	emit(trace.KKill, 5, 0, 0, 0, 0)
 	emit(trace.KShare, 5, 0, 7, 0x1000, 4096) // dead-domain use
-	rep := sh.Merge()
+	rep := ck.Merge()
 	if len(rep.NewViolations) == 0 {
 		t.Fatal("merge missed the dead-domain share")
 	}
@@ -185,7 +181,6 @@ func TestRemoteVerifierFlagsDivergence(t *testing.T) {
 	// by a killed domain, but NewViolations claims the interval was
 	// clean.
 	rep := MergeReport{
-		Merged: true,
 		Events: []trace.Event{
 			{Seq: 1, Core: -1, Kind: trace.KBoot, Size: 2},
 			{Seq: 2, Core: -1, Kind: trace.KKill, Domain: 5},
@@ -212,16 +207,17 @@ func TestRemoteVerifierFlagsDivergence(t *testing.T) {
 	}
 }
 
-// TestDigestAuditTruncationDisablesReplay: past MaxAuditEvents the
-// digest reports the overflow and the verifier stops judging
-// divergence (but keeps chain and verdict checking).
+// TestDigestAuditTruncationDisablesReplay: an interval whose report
+// dropped audit events past MaxAuditEvents says so in its digest, and
+// the verifier stops judging divergence (but keeps chain and verdict
+// checking).
 func TestDigestAuditTruncationDisablesReplay(t *testing.T) {
 	db := NewDigestBuilder("node-d")
-	evs := make([]trace.Event, MaxAuditEvents+10)
+	evs := make([]trace.Event, MaxAuditEvents)
 	for i := range evs {
 		evs[i] = trace.Event{Seq: uint64(i + 1), Core: -1, Kind: trace.KShare, Domain: 1, Node: 7}
 	}
-	raw := db.Build(MergeReport{Merged: true, Events: evs})
+	raw := db.Build(MergeReport{Events: evs, Dropped: 10})
 	d, err := DecodeDigest(raw)
 	if err != nil {
 		t.Fatal(err)

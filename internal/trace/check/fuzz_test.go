@@ -58,6 +58,9 @@ func decodeFuzzEvents(data []byte) []trace.Event {
 	return evs
 }
 
+// fuzzMergeEvery is how often FuzzTraceReplay's online pass merges.
+const fuzzMergeEvery = 7
+
 // fuzzSeed assembles one record.
 func fuzzSeed(recs ...[fuzzRecordSize]byte) []byte {
 	var out []byte
@@ -67,10 +70,12 @@ func fuzzSeed(recs ...[fuzzRecordSize]byte) []byte {
 	return out
 }
 
-// FuzzTraceReplay feeds adversarial streams through BOTH checkers:
-// neither may panic, each must be deterministic across two runs of the
-// same input, and the two must agree on verdict, violation multiset,
-// and counts — the fuzz-driven form of the differential suite.
+// FuzzTraceReplay feeds adversarial streams through the checker: it
+// may not panic and must be deterministic across two runs of the same
+// input; fed online with a merge every few events it must report every
+// violation and every structural event exactly once, in order, and
+// reach Replay's verdict; and the engine must agree with its allocating
+// twin on every violation and on the counts.
 func FuzzTraceReplay(f *testing.F) {
 	kb := byte(trace.KBoot)
 	// Clean op-bracketed revoke with a full shootdown round (2 cores).
@@ -148,43 +153,49 @@ func FuzzTraceReplay(f *testing.F) {
 		evs := decodeFuzzEvents(data)
 
 		serial1, serial2 := Replay(evs), Replay(evs)
-		sh1, sh2 := ReplaySharded(evs), ReplaySharded(evs)
-		serialErr, shErr := serial1.Err(), sh1.Err()
+		serialErr := serial1.Err()
 
 		// Determinism: the same input replays to the same verdict.
-		if (serial2.Err() == nil) != (serialErr == nil) {
-			t.Fatal("serial replay nondeterministic")
-		}
-		if (sh2.Err() == nil) != (shErr == nil) {
-			t.Fatal("sharded replay nondeterministic")
-		}
-		m1, m2 := msgsOf(serial1.Violations()), msgsOf(serial2.Violations())
-		s1, s2 := msgsOf(sh1.Violations()), msgsOf(sh2.Violations())
-		if len(m1) != len(m2) || len(s1) != len(s2) {
-			t.Fatalf("nondeterministic violation counts: serial %d/%d, sharded %d/%d",
-				len(m1), len(m2), len(s1), len(s2))
+		if (serial2.Err() == nil) != (serialErr == nil) || !slices.Equal(serial1.Violations(), serial2.Violations()) {
+			t.Fatal("replay nondeterministic")
 		}
 
-		// Differential: sharded and serial agree byte for byte.
-		if (serialErr == nil) != (shErr == nil) {
-			t.Fatalf("checkers disagree on verdict:\n  serial:  %v\n  sharded: %v", serialErr, shErr)
+		sorted := slices.Clone(evs)
+		slices.SortStableFunc(sorted, bySeq)
+
+		// Online: merged every few events, the checker's reports carry
+		// each violation and each structural event exactly once, in
+		// order, and end on Replay's verdict.
+		online := New()
+		var reported []Violation
+		var audited []trace.Event
+		var dropped uint64
+		collect := func(rep MergeReport) {
+			reported = append(reported, rep.NewViolations...)
+			audited = append(audited, rep.Events...)
+			dropped += rep.Dropped
 		}
-		if len(m1) != len(s1) {
-			t.Fatalf("violation multisets differ:\n  serial:  %q\n  sharded: %q", m1, s1)
-		}
-		for i := range m1 {
-			if m1[i] != s1[i] {
-				t.Fatalf("violation %d differs:\n  serial:  %s\n  sharded: %s", i, m1[i], s1[i])
+		for i, ev := range sorted {
+			online.Event(ev)
+			if i%fuzzMergeEvery == 0 {
+				collect(online.Merge())
 			}
 		}
-		if serial1.Counts() != sh1.Counts() {
-			t.Fatalf("counts differ:\n  serial:  %+v\n  sharded: %+v", serial1.Counts(), sh1.Counts())
+		collect(online.End())
+		if !slices.Equal(reported, serial1.Violations()) {
+			t.Fatalf("online reports differ from replay:\n  online: %v\n  replay: %v", reported, serial1.Violations())
+		}
+		want := slices.DeleteFunc(slices.Clone(sorted), func(e trace.Event) bool { return !structural(e.Kind) })
+		if dropped != 0 || !slices.Equal(audited, want) {
+			t.Fatalf("online reports audited %d events (%d dropped), want the %d structural ones in order",
+				len(audited), dropped, len(want))
+		}
+		if online.Counts() != serial1.Counts() {
+			t.Fatalf("counts differ:\n  online: %+v\n  replay: %+v", online.Counts(), serial1.Counts())
 		}
 
 		// Oracle: the engine agrees with its allocating twin on every
 		// violation, in order, and on the counts.
-		sorted := slices.Clone(evs)
-		slices.SortStableFunc(sorted, bySeq)
 		twin := replayTwin(sorted)
 		got := serial1.Violations()
 		if len(got) != len(twin.violations) {

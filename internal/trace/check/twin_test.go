@@ -10,10 +10,10 @@ import (
 // twinEngine is the property engine as it was before frames, shootdown
 // records and ack sets were recycled: a fresh frame per bracket, a fresh
 // record and ack map per round, a fresh residency set per replacing
-// transition. It exists only as an oracle. Both
-// product checkers drive the one engine, so a recycling bug would make
-// them agree on the same wrong answer; FuzzTraceReplay compares the
-// engine with this twin instead. Keep it as it is: it is not meant to
+// transition. It exists only as an oracle. The online checker and
+// Replay drive the one engine, so a recycling bug would make them agree
+// on the same wrong answer; FuzzTraceReplay compares the engine with
+// this twin instead. Keep it as it is: it is not meant to
 // follow the engine's code, only its verdicts.
 type twinEngine struct {
 	cores      int
@@ -60,7 +60,7 @@ func (c *twinEngine) step(ev trace.Event) {
 		trace.KSeal, trace.KEPTMap, trace.KPMPWrite, trace.KAttest,
 		trace.KBatchBegin, trace.KBatchEnd:
 		if c.dead[ev.Domain] {
-			c.violate(ev, "%s", deadUseMsg(ev))
+			c.violate(ev, "dead domain %d used in successful %s", ev.Domain, ev.Kind)
 		}
 	case trace.KCreate:
 		if c.dead[ev.Aux] {

@@ -20,11 +20,15 @@
 // there is one, and the binary that is tested is the binary that can be
 // verified (benchmark/ prices both states as trace.emit_ns and
 // bench.trace_overhead_pct). Enabled, an emit builds the event on the
-// stack and copies it into its ring under that ring's lock — nothing is
-// allocated once the ring has grown to its capacity, and no lock is
-// shared between cores unless a Sink is attached, in which case
-// emission serialises on the sink mutex so checkers observe one
-// linearisation of the run.
+// stack and, under the tracer's one mutex — the sink mutex — draws its
+// sequence number, copies it into its ring and hands it to every
+// attached Sink; nothing is allocated once the ring has grown to its
+// capacity. So with runtime verification attached (internal/rv attaches
+// its checker as a Sink) every emit takes the sink mutex and steps the
+// checker under it, and sinks observe one linearisation of the run, in
+// Seq order, however many host threads emit. A machine's cores run on
+// one goroutine, so the mutex is contended only by callers that drive a
+// monitor from several threads.
 package trace
 
 import (
@@ -228,26 +232,12 @@ func (e Event) String() string {
 }
 
 // Sink receives every event at emission time, serialised under the
-// tracer's sink mutex — one linearisation of the run, suitable for
-// online checking. Sinks must not call back into the Tracer.
+// tracer's sink mutex and in Seq order however many host threads emit —
+// one linearisation of the run, suitable for online checking. Sinks
+// must not call back into the Tracer.
 type Sink interface {
 	Event(Event)
 }
-
-// ShardSink receives events per ring, WITHOUT the tracer-wide sink
-// mutex: shard is the ring index the event landed in (0 = global
-// context, c+1 = core c). Calls for different shards run concurrently;
-// calls for the same shard may too (the global ring takes emissions
-// from every core), so implementations synchronise per shard — which
-// is exactly what keeps the hot emit path unserialised. A ShardSink
-// may read Tracer.Len but must not otherwise call back into the
-// Tracer.
-type ShardSink interface {
-	ShardEvent(shard int, ev Event)
-}
-
-// shardHolder boxes the interface so it can live in an atomic.Pointer.
-type shardHolder struct{ s ShardSink }
 
 // ring is one bounded event buffer holding Event values: an emission
 // copies into a slot and allocates nothing once the ring has grown to
@@ -255,23 +245,17 @@ type shardHolder struct{ s ShardSink }
 // does, so building a tracer costs nothing and a ring that sees few
 // events stays small; its next growth takes the whole capacity in one
 // step, so a busy ring stops making garbage after a handful of
-// doublings rather than at every one of them up to its capacity. mu
-// orders emitters into the ring and lets a reader copy whole events out
-// while they run; on a core's own ring it is uncontended. The oldest
-// events are overwritten once the ring wraps.
+// doublings rather than at every one of them up to its capacity. The
+// oldest events are overwritten once the ring wraps. The tracer's mutex
+// guards it.
 type ring struct {
-	mu    sync.Mutex
 	slots []Event
 	max   int    // capacity: len(slots) never exceeds it
 	pos   uint64 // events appended so far
 }
 
-// append stamps ev with the next global sequence number and stores it.
-// Stamping inside the ring's critical section is what makes Seq rise
-// strictly along a ring.
-func (r *ring) append(ev *Event, seq *atomic.Uint64) {
-	r.mu.Lock()
-	ev.Seq = seq.Add(1)
+// append stores ev.
+func (r *ring) append(ev *Event) {
 	if n := len(r.slots); n < r.max {
 		if n == cap(r.slots) && n >= ringEager {
 			r.slots = append(make([]Event, 0, r.max), r.slots...)
@@ -281,7 +265,6 @@ func (r *ring) append(ev *Event, seq *atomic.Uint64) {
 		r.slots[r.pos%uint64(r.max)] = *ev
 	}
 	r.pos++
-	r.mu.Unlock()
 }
 
 // DefaultRingEntries is the per-ring capacity when New is given 0.
@@ -298,15 +281,15 @@ type Tracer struct {
 	cycles func() uint64
 	rings  []*ring // rings[0] = global, rings[c+1] = core c
 
+	// seq is the last sequence number drawn. Only an emitter holding mu
+	// writes it; Len reads it without the lock.
 	seq atomic.Uint64
 
-	// sharded is the per-ring sink (at most one), delivered to without
-	// the sink mutex when no serial sinks are attached.
-	sharded atomic.Pointer[shardHolder]
-
-	hasSinks atomic.Bool
-	mu       sync.Mutex
-	sinks    []Sink
+	// mu orders emitters: sequence number, ring store and delivery to
+	// the sinks happen under it, so Seq rises along every ring and every
+	// sink sees emission order and Seq agree exactly.
+	mu    sync.Mutex
+	sinks []Sink
 }
 
 // New returns a tracer for a machine with the given core count.
@@ -324,32 +307,17 @@ func New(cores, perRing int, cycles func() uint64) *Tracer {
 	return t
 }
 
-// Attach registers a sink. From now on emission serialises on the sink
-// mutex so the sink observes a single total order.
+// Attach registers a sink: it receives every event emitted from now
+// on, in Seq order.
 func (t *Tracer) Attach(s Sink) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sinks = append(t.sinks, s)
-	t.hasSinks.Store(true)
 }
 
-// AttachSharded registers the per-ring sink (replacing any previous
-// one). Unlike Attach, this does NOT put emission under the sink
-// mutex: each event is handed to the ShardSink right after its ring
-// store, concurrently across rings. When serial sinks are also
-// attached, delivery happens inside the sink mutex after them, so
-// both views agree on Seq order.
-func (t *Tracer) AttachSharded(s ShardSink) {
-	if s == nil {
-		t.sharded.Store(nil)
-		return
-	}
-	t.sharded.Store(&shardHolder{s: s})
-}
-
-// Rings returns the ring count (1 global + one per core) — the shard
-// space a ShardSink must cover.
-func (t *Tracer) Rings() int { return len(t.rings) }
+// AttachSharded is Attach, kept for benchmark/, which still compiles
+// against the name.
+func (t *Tracer) AttachSharded(s Sink) { t.Attach(s) }
 
 // Emit records one event. core is the emitting core or GlobalCore.
 func (t *Tracer) Emit(core int32, k Kind, domain, aux, node, addr, size uint64) {
@@ -364,25 +332,14 @@ func (t *Tracer) Emit(core int32, k Kind, domain, aux, node, addr, size uint64) 
 	if t.cycles != nil {
 		ev.Cycle = t.cycles()
 	}
-	// Sink mode: sequence assignment, ring store, and delivery all
-	// happen under one mutex so every sink sees emission order and Seq
-	// agree exactly.
-	serial := t.hasSinks.Load()
-	if serial {
-		t.mu.Lock()
+	t.mu.Lock()
+	ev.Seq = t.seq.Load() + 1
+	t.seq.Store(ev.Seq)
+	t.rings[ri].append(&ev)
+	for _, s := range t.sinks {
+		s.Event(ev)
 	}
-	t.rings[ri].append(&ev, &t.seq)
-	if serial {
-		for _, s := range t.sinks {
-			s.Event(ev)
-		}
-	}
-	if sh := t.sharded.Load(); sh != nil {
-		sh.s.ShardEvent(ri, ev)
-	}
-	if serial {
-		t.mu.Unlock()
-	}
+	t.mu.Unlock()
 }
 
 // Len returns the number of events emitted so far (including any the
@@ -391,26 +348,26 @@ func (t *Tracer) Len() uint64 { return t.seq.Load() }
 
 // Dropped returns how many events have been overwritten by ring wrap.
 func (t *Tracer) Dropped() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var dropped uint64
 	for _, r := range t.rings {
-		r.mu.Lock()
 		dropped += r.pos - uint64(len(r.slots)) // all but the last max
-		r.mu.Unlock()
 	}
 	return dropped
 }
 
 // Events snapshots every buffered event across all rings, sorted by
-// sequence number. Each ring is copied under its own lock, so with
-// emitters running every event is whole and a ring's events are the
-// last it took; rings are read one after another, not at one instant.
+// sequence number. The rings are copied under the tracer's mutex, so
+// with emitters running the snapshot is whole: every event up to one
+// sequence number that the rings still hold.
 func (t *Tracer) Events() []Event {
 	var out []Event
+	t.mu.Lock()
 	for _, r := range t.rings {
-		r.mu.Lock()
 		out = append(out, r.slots...)
-		r.mu.Unlock()
 	}
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -192,18 +192,18 @@ func TestEventsDuringEmit(t *testing.T) {
 	}
 }
 
-// countShards is the cheapest ShardSink: what Emit costs with one
-// attached is Emit's own cost.
-type countShards struct{ n [4]atomic.Uint64 }
+// countSink is the cheapest Sink: what Emit costs with one attached is
+// Emit's own cost, its sink mutex included.
+type countSink struct{ n uint64 }
 
-func (c *countShards) ShardEvent(shard int, _ Event) { c.n[shard].Add(1) }
+func (c *countSink) Event(Event) { c.n++ }
 
 // TestEmitAllocatesNothing pins the emit path into a grown ring at zero
-// heap objects with a cycle source and a sharded sink attached.
+// heap objects with a cycle source and a sink attached.
 func TestEmitAllocatesNothing(t *testing.T) {
 	var cyc atomic.Uint64
 	tr := New(3, 64, func() uint64 { return cyc.Add(7) })
-	tr.AttachSharded(&countShards{})
+	tr.Attach(&countSink{})
 	for i := 0; i < 64; i++ { // grow both rings to their capacity
 		tr.Emit(1, KSeal, 0, 0, 0, 0, 0)
 		tr.Emit(GlobalCore, KSeal, 0, 0, 0, 0, 0)
@@ -219,7 +219,7 @@ func TestEmitAllocatesNothing(t *testing.T) {
 func BenchmarkTracerEmit(b *testing.B) {
 	var cyc atomic.Uint64
 	tr := New(3, 0, func() uint64 { return cyc.Add(7) })
-	tr.AttachSharded(&countShards{})
+	tr.Attach(&countSink{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(1, KTransition, 2, 1, 0, 0, TransCall)
