@@ -2,7 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race mutation rv epoch drain migrate fuzz cover bench bench-control experiments examples clean
+.PHONY: all build vet test race verify benchmark-check ci-test race-engine bench-smoke shuffle fuzz-smoke \
+	bench-threads experiments-quick ci-race scheduler batched ci-epoch mutation rv epoch drain migrate fleet \
+	fuzz cover bench bench-control experiments examples clean
 
 all: build vet test
 
@@ -17,6 +19,105 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# What a change must pass before it goes in: the module builds, vets,
+# is gofmt-clean and passes its tests (internal/guard's structural rules
+# among them), and so does benchmark/.
+verify: build vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	$(GO) test ./...
+	$(MAKE) benchmark-check
+
+# benchmark/ is its own module and the referee of every performance
+# claim: a change that breaks what it compiles against must fail here,
+# not there. Its tests run five workloads at small scale against their
+# output oracles, and the metric-spec check; a change that moves the
+# trace counts or simulated cycles it reads must keep them green.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# CI's main job: verify, then the heavier recipes. (The static rules
+# are internal/guard's tests, run by every `go test` below.)
+ci-test: verify race-engine bench-smoke shuffle fuzz-smoke fuzz bench-threads experiments-quick examples
+
+# The package with the lock and the two that share the derivation's
+# scratch pool across goroutines, under the race detector at each thread
+# count. (The allocation pins are tests: TestSyncDomainAllocationPins,
+# TestCapAllocationPins, TestShareRevokeAllocations.)
+race-engine:
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -race -count=3 ./internal/backend ./internal/cap ./internal/core || exit 1; done
+
+# The parallel benchmarks and the control plane's validate -> derive ->
+# publish microbenchmarks, kept running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench SpaceParallel -benchtime 1x ./internal/cap
+	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchtime 1x ./internal/backend ./internal/core
+
+# Shuffled execution order keeps tests honest about hidden inter-test
+# state; the seed is printed on failure for replay.
+shuffle:
+	$(GO) test -shuffle=on ./...
+
+# Short fuzz smokes beyond the seed corpora the plain test run replays:
+# the monitor API (every fuzz world carries the online checker as its
+# oracle); the EPT's extent table against its per-page model; the
+# interpreter's decoded-page cache and fast exit against the uncached
+# fetch (random programs that store into their own code, with writes,
+# DMA, scrubs, revocations, flushes, ring switches and injected faults
+# between steps); the slot-array TLB against the map-backed TLB it
+# replaced (that no index grows back beside the array is internal/guard's
+# TestTLBHasNoMap).
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzMonitorAPI -fuzztime=30s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzEPTExtents -fuzztime=15s ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzStepDifferential -fuzztime=15s ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzTLBOps -fuzztime=15s ./internal/hw
+
+# internal/bench compares counts, simulated cycles and verdicts — never
+# host time (that is benchmark/'s job) — so its tests must be green at
+# any host thread count.
+bench-threads:
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 ./internal/bench || exit 1; done
+
+# Every paper table and figure regenerates with all shape checks passing
+# (the tool exits non-zero otherwise). Experiments run over a worker
+# pool, which enforces exactly what a serial run does, and every
+# experiment world carries the cycle-stamped tracer and checker.
+experiments-quick:
+	$(GO) run ./cmd/tyche-bench -quick -parallel 4 -out $${TMPDIR:-/tmp}/BENCH.json
+
+# The whole module under the race detector: cores driven from their own
+# goroutines (the concurrency tests), migrations beside fleet.Serve,
+# cross-core shootdowns, the parallel bench harness. -short trims the
+# heaviest sweeps.
+ci-race: vet
+	$(GO) test -race -short ./...
+
+# The scheduler under the race detector: management code driving a real
+# monitor (internal/sched's tests, the oversubscription, determinism,
+# kill, dispatch-error, reproducibility and migration ones among them),
+# then the monitor's vCPU mechanism it calls, then the interactive demo.
+# (C19's gates run in ci-test's pooled sweep.)
+scheduler:
+	$(GO) test -race ./internal/sched
+	$(GO) test -race -run 'VCPU|Schedul|Timer|Yield|RunCores' ./internal/core ./internal/hw
+	$(GO) run ./cmd/tyche-sim -cores 4 -domains 10
+
+# The asynchronous batched ABI under the race detector: concurrent ring
+# registration, drain and teardown and coalesced shootdown rounds, from
+# the core monitor and the libtyche guest-side ring API (C20's gates run
+# in ci-test's pooled sweep); the -batched demo keeps the interactive
+# path honest.
+batched:
+	$(GO) test -race -run 'Ring' ./internal/core ./internal/libtyche
+	$(GO) run ./cmd/tyche-sim -batched
+
+# Epoch-based reclamation: the engine's unit tests under the race
+# detector, then `make epoch`. (The epochbug oracle runs with the other
+# mutation oracles in `make rv`.)
+ci-epoch:
+	$(GO) test -race -run 'Epoch' -v ./internal/core
+	$(MAKE) epoch
 
 # The seven mutation oracles — the only build tags there are. Each build
 # carries one seeded bug; the online checker and check.Replay of the
@@ -72,6 +173,30 @@ migrate:
 		GOMAXPROCS=$$threads $(GO) test -race -count=10 ./internal/fleet ./internal/dist ./internal/attest || exit 1; \
 	done
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
+
+# The simulated datacenter fleet. fleet.Serve runs every request on its
+# caller's goroutine, so a fleet replays from its seed:
+# TestServeReproducible (a kill mid-serving and a migration between two
+# serves) and C23's whole Result must come out identical at 1, 2 and 4
+# host threads. Race legs run the serve-during-migration stress (Migrate
+# on its own goroutine beside Serve: the load balancer, the placement
+# drain and the node-death protocol) and the kill-during-serving test.
+# The hardware-filter legs pin what once failed on any host with two
+# threads: a filter resync publishes the new extent table in one step (a
+# core on another thread never reads a deny-all dom0 filter), and
+# channels sharing one node NIC do not interleave. The -fleet demo keeps
+# the interactive path honest. (C23's migration-abort, kill-churn and
+# fleet-verification gates run in ci-test's pooled sweep.)
+fleet:
+	$(GO) test -race -run 'TestFleet' -v ./internal/fleet
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestServeReproducible' ./internal/fleet || exit 1; done
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestResultsAreHostIndependent/C23' ./internal/bench || exit 1; done
+	$(GO) test -race -count 3 -run 'TestFleetServeDuringMigration|TestFleetKillDuringServing' ./internal/fleet
+	GOMAXPROCS=2 $(GO) test -count 20 -run 'TestFleetServeDuringMigration' ./internal/fleet
+	GOMAXPROCS=2 $(GO) test -race -count 5 -run 'TestFleetServeDuringMigration' ./internal/fleet
+	$(GO) test -race -count 5 -run 'EPTReplaceIsOnePublish|ResyncNeverPublishesPartialFilter|ChannelsSharingOneNIC' ./internal/hw ./internal/core ./internal/dist
+	$(GO) test -race -run 'Migrate|Depart|Snapshot|Restore' ./internal/core ./internal/dist
+	$(GO) run ./cmd/tyche-sim -fleet 4
 
 # The byte strings that cross a trust boundary, fuzzed 15 s each:
 # snapshot bytes into RestoreDomain, descriptors a guest writes into its

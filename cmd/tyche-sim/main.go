@@ -92,6 +92,14 @@ func main() {
 }
 
 func run(backend string, memMiB uint64, cores int, emit string, faultSeed int64, faultSpec string, domains int, batched bool, tracePath string) error {
+	// tyche.Options reads zero as "the default machine", so refuse it
+	// here rather than boot one the flags did not ask for.
+	if cores < 1 {
+		return fmt.Errorf("-cores %d: the machine needs at least one core", cores)
+	}
+	if memMiB < 1 {
+		return fmt.Errorf("-mem %d: the machine needs at least 1 MiB", memMiB)
+	}
 	p, err := tyche.NewPlatform(tyche.Options{
 		MemBytes: memMiB << 20,
 		Cores:    cores,

@@ -156,17 +156,6 @@ func RequireExclusiveMemory(r *core.Report, allowShared ...phys.Region) error {
 	return nil
 }
 
-// SharedRegions returns the attested memory regions with refcount > 1.
-func SharedRegions(r *core.Report) []phys.Region {
-	var out []phys.Region
-	for _, rec := range r.Resources {
-		if rec.Resource.Kind == cap.ResMemory && rec.RefCount > 1 {
-			out = append(out, rec.Resource.Mem)
-		}
-	}
-	return phys.NormalizeRegions(out)
-}
-
 // RequireSharedOnlyWith demands that every shared region of r also
 // appears in (at least) one of the peers' enumerations, with refcount
 // exactly 1+len matching peers... conservatively: refcount 2 and peer

@@ -214,3 +214,14 @@ func TestControlledSharingPolicies(t *testing.T) {
 		t.Fatalf("unsealed accepted: %v", err)
 	}
 }
+
+// SharedRegions returns the attested memory regions with refcount > 1.
+func SharedRegions(r *core.Report) []phys.Region {
+	var out []phys.Region
+	for _, rec := range r.Resources {
+		if rec.Resource.Kind == cap.ResMemory && rec.RefCount > 1 {
+			out = append(out, rec.Resource.Mem)
+		}
+	}
+	return phys.NormalizeRegions(out)
+}

@@ -85,8 +85,8 @@ func (e *PMPExhaustedError) Error() string {
 		e.Owner, e.Needed, e.Available)
 }
 
-// RightsToPerm maps capability memory rights onto hardware permissions.
-func RightsToPerm(r cap.Rights) hw.Perm {
+// rightsToPerm maps capability memory rights onto hardware permissions.
+func rightsToPerm(r cap.Rights) hw.Perm {
 	var p hw.Perm
 	if r.Has(cap.RightRead) {
 		p |= hw.PermR
@@ -159,7 +159,7 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 func (sc *scratch) flatten(grants []cap.MemoryGrant) []Segment {
 	events := sc.events[:0]
 	for _, g := range grants {
-		p := RightsToPerm(g.Rights)
+		p := rightsToPerm(g.Rights)
 		if p == hw.PermNone || g.Region.Empty() {
 			continue
 		}

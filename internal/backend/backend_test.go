@@ -227,22 +227,22 @@ func TestVTXFastSwitchKeepsTLB(t *testing.T) {
 	if _, trap := core.Run(10); trap.Kind != hw.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
-	if core.TLBUnit().Len() == 0 {
+	warm := len(core.AppendTranslations(nil))
+	if warm == 0 {
 		t.Fatal("expected warm TLB")
 	}
-	warm := core.TLBUnit().Len()
 	if err := bk.Transition(core, 2, true); err != nil {
 		t.Fatal(err)
 	}
-	if core.TLBUnit().Len() != warm {
+	if len(core.AppendTranslations(nil)) != warm {
 		t.Fatal("fast switch must not flush the tagged TLB")
 	}
 	// Slow transition flushes.
 	if err := bk.Transition(core, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if core.TLBUnit().Len() != 0 {
-		t.Fatal("slow transition must flush the TLB")
+	if trs := core.AppendTranslations(nil); len(trs) != 0 {
+		t.Fatalf("slow transition must flush the TLB, kept %v", trs)
 	}
 }
 
@@ -475,7 +475,15 @@ func TestRunCleanups(t *testing.T) {
 	core.InstallContext(&hw.Context{Owner: 2, ASID: 1, Filter: hw.AllowAll{}})
 	core.TLBUnit().Insert(1, r.Start.Page(), hw.PermRW, 0)
 	other.TLBUnit().Insert(3, r.Start.Page(), hw.PermRW, 0)
-	core.CacheUnit().Touch(r.Start)
+	// Warm the data cache with a guest load of the region.
+	code := hw.NewAsm().Movi(1, uint32(r.Start)).Ld(2, 1, 0).Hlt().MustAssemble(8 * pg)
+	if err := m.Mem.WriteAt(8*pg, code); err != nil {
+		t.Fatal(err)
+	}
+	core.PC = 8 * pg
+	if _, trap := core.Run(10); trap.Kind != hw.TrapHalt || !core.CacheUnit().Probe(r.Start) {
+		t.Fatalf("warming load: trap %v", trap)
+	}
 	acts := []cap.CleanupAction{{
 		Owner:    2,
 		Resource: cap.MemResource(r),
@@ -498,7 +506,7 @@ func TestRunCleanups(t *testing.T) {
 	if _, hit := other.TLBUnit().Lookup(3, r.Start.Page(), 0); !hit {
 		t.Fatal("the shootdown interrupted a core never resident for the owner")
 	}
-	if core.CacheUnit().Resident() != 0 {
+	if core.CacheUnit().Probe(r.Start) || core.CacheUnit().Flush() != 0 {
 		t.Fatal("cache not flushed")
 	}
 	// CleanNone does nothing.
@@ -807,8 +815,12 @@ func BenchmarkBuildDeviceFilter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if f.MappedPages() != 4032 {
-			b.Fatalf("filter covers %d pages", f.MappedPages())
+		var pages uint64
+		for _, m := range f.Mappings() {
+			pages += m.Region.Pages()
+		}
+		if pages != 4032 {
+			b.Fatalf("filter covers %d pages", pages)
 		}
 	}
 }

@@ -70,13 +70,15 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 		}
 		for i := 0; i < 4+rng.Intn(12); i++ {
 			start := uint64(rng.Intn(derivePages - 8))
-			id, err := s.Share(root, 2, mem(start, uint64(1+rng.Intn(8))), rights[rng.Intn(len(rights))]|cap.RightGrant, cap.CleanNone)
+			res := mem(start, uint64(1+rng.Intn(8)))
+			r := rights[rng.Intn(len(rights))] | cap.RightGrant
+			id, err := s.Share(root, 2, res, r, cap.CleanNone)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, _ := s.Node(id); rng.Intn(3) == 0 { // carve the share from inside
-				sub := phys.MakeRegion(n.Resource.Mem.Start+phys.Addr(rng.Intn(int(n.Resource.Mem.Pages())))*pg, pg)
-				if _, err := s.Grant(id, 3, cap.MemResource(sub), n.Rights&^cap.RightGrant, cap.CleanNone); err != nil {
+			if rng.Intn(3) == 0 { // carve the share from inside
+				sub := phys.MakeRegion(res.Mem.Start+phys.Addr(rng.Intn(int(res.Mem.Pages())))*pg, pg)
+				if _, err := s.Grant(id, 3, cap.MemResource(sub), r&^cap.RightGrant, cap.CleanNone); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -231,6 +231,3 @@ func (c *Commodity) KernelRead(a phys.Addr, n uint64) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// Alloc exposes the OS allocator (for workload setup).
-func (c *Commodity) Alloc(pages uint64) (phys.Region, error) { return c.alloc.Alloc(pages) }

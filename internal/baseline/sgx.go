@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -58,9 +57,6 @@ func NewSGX(mach *hw.Machine, epcPages uint64) *SGX {
 	}
 	return &SGX{mach: mach, epcBudget: epcPages, nextID: 1}
 }
-
-// EPCFree returns the remaining EPC pages.
-func (s *SGX) EPCFree() uint64 { return s.epcBudget - s.epcUsed }
 
 // SGXProcess is a host process that can hold enclaves.
 type SGXProcess struct {
@@ -160,23 +156,6 @@ func (p *SGXProcess) CreateEnclave(elrange phys.Region, entry phys.Addr, fromEnc
 	return e, nil
 }
 
-// Destroy releases the enclave's EPC pages and restores host access.
-func (e *SGXEnclave) Destroy() error {
-	p := e.proc
-	for i, cand := range p.Enclaves {
-		if cand == e {
-			p.Enclaves = append(p.Enclaves[:i], p.Enclaves[i+1:]...)
-			p.sgx.epcUsed -= e.ELRange.Pages()
-			// EREMOVE scrubs EPC pages.
-			if err := p.sgx.mach.Mem.Zero(e.ELRange); err != nil {
-				return err
-			}
-			return p.hostEPT.Map(e.ELRange, hw.PermRWX)
-		}
-	}
-	return fmt.Errorf("sgx: enclave already destroyed")
-}
-
 // EEnter switches the core into the enclave (expensive world switch).
 func (e *SGXEnclave) EEnter(core *hw.Core) {
 	e.proc.sgx.mach.Clock.Advance(SGXEEnterCost)
@@ -189,9 +168,6 @@ func (e *SGXEnclave) EExit(core *hw.Core) {
 	e.proc.sgx.mach.Clock.Advance(SGXEExitCost)
 	core.InstallContext(e.proc.hostCtx)
 }
-
-// HostContext returns the process's (non-enclave) execution context.
-func (p *SGXProcess) HostContext() *hw.Context { return p.hostCtx }
 
 // ShareEPC models an attempt to map one enclave's protected page into
 // another enclave: impossible on SGX.

@@ -106,7 +106,7 @@ func BenchmarkSpaceParallelShare(b *testing.B) {
 		for n := 1; pb.Next(); n++ {
 			w.share(b, i)
 			if n%32 == 0 {
-				w.s.RevokeOwner(w.b(i))
+				w.s.Release(w.s.DetachOwner(w.b(i)))
 			}
 		}
 	})

@@ -3,8 +3,8 @@ package cap
 import "slices"
 
 // Revocation, in the two phases the monitor runs with its grace period
-// and scrub in between. It is the only revocation there is: Revoke and
-// RevokeOwner (space.go) are the same two phases run back to back.
+// and scrub in between. It is the only revocation there is: Revoke
+// (space.go) is the same two phases run back to back.
 //
 //   - Detach / DetachOwner — the *publish*: the subtree's nodes leave
 //     the index (the owners lose access and every query stops seeing
@@ -56,10 +56,6 @@ func (d *Detached) Actions() []CleanupAction {
 	}
 	return d.actions
 }
-
-// NumNodes returns how many capability records the detach took out of
-// the index.
-func (d *Detached) NumNodes() int { return len(d.Actions()) }
 
 // ParentOwners returns the distinct owners of the surviving parents the
 // detached tops hang off — the grantors whose suspended access Release

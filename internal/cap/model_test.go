@@ -79,7 +79,7 @@ func modelAlphabet() []modelOp {
 			return nil
 		}},
 		{"revoke-owner-2", func(s *Space, nodes *[]NodeID) error {
-			s.RevokeOwner(2)
+			s.Release(s.DetachOwner(2))
 			return nil
 		}},
 		{"seal-3", func(s *Space, nodes *[]NodeID) error {

@@ -46,7 +46,7 @@ func (h *propHarness) randomOp() {
 			h.compactIDs()
 		}
 	case 9: // revoke a random owner entirely
-		h.s.RevokeOwner(OwnerID(h.rng.Intn(6) + 1))
+		h.s.Release(h.s.DetachOwner(OwnerID(h.rng.Intn(6) + 1)))
 		h.compactIDs()
 	}
 }
@@ -185,8 +185,8 @@ func (h *propHarness) checkInvariants() {
 	if err := ownerQueriesMatchSweep(s); err != nil {
 		t.Fatalf("I5 violated: %v", err)
 	}
-	// I6: the in-place carve and the checks built on it agree with
-	// Subtract + Normalize.
+	// I6: the in-place carve and the checks built on it agree with the
+	// page-by-page reference.
 	if err := carveMatchesReference(s); err != nil {
 		t.Fatalf("I6 violated: %v", err)
 	}
@@ -323,7 +323,7 @@ func diffStates(t *testing.T, label string, before, after capState) {
 }
 
 // TestRevokeOwnerMidGrantNeutrality is the containment path's core
-// property (Monitor.destroyDomain calls RevokeOwner on the victim):
+// property (a kill detaches the victim's capabilities and releases them):
 // killing an owner at an *arbitrary point* of an in-flight
 // grant-and-reshare sequence restores the surviving owners' view
 // exactly — no leaked refcount from a half-built chain, no double-free
@@ -407,7 +407,7 @@ func TestRevokeOwnerMidGrantNeutrality(t *testing.T) {
 		}
 
 		// The fault: the monitor kills the victim mid-chain.
-		s.RevokeOwner(victim)
+		s.Release(s.DetachOwner(victim))
 		// Anything the victim re-shared dies with its lineage; the
 		// accomplice's derived-only access must be gone too.
 		after := captureState(s, survivors)
@@ -418,8 +418,10 @@ func TestRevokeOwnerMidGrantNeutrality(t *testing.T) {
 			}
 		}
 		// Double-kill is a no-op: no action emitted, nothing changes.
-		if acts := s.RevokeOwner(victim); len(acts) != 0 {
-			t.Fatalf("seed %d: second RevokeOwner emitted %d cleanups", seed, len(acts))
+		det := s.DetachOwner(victim)
+		s.Release(det)
+		if acts := det.Actions(); len(acts) != 0 {
+			t.Fatalf("seed %d: second teardown emitted %d cleanups", seed, len(acts))
 		}
 		diffStates(t, "double kill", after, captureState(s, survivors))
 		// Full refcount audit after the cascade.

@@ -107,33 +107,6 @@ func sameOwners(a, b []OwnerID) bool {
 	return true
 }
 
-// RefCountAt returns the number of distinct owners with effective access
-// at address a.
-func (s *Space) RefCountAt(a phys.Addr) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	owners := make(map[OwnerID]bool)
-	for _, n := range s.nodes {
-		if effectiveEnd(n, a) > a {
-			owners[n.owner] = true
-		}
-	}
-	return len(owners)
-}
-
-// RegionRefCount returns the maximum reference count over any byte of r
-// (the conservative value a verifier uses: exclusive ownership requires
-// the max to be 1).
-func (s *Space) RegionRefCount(r phys.Region) int {
-	max := 0
-	for _, rc := range s.RefCounts() {
-		if rc.Region.Overlaps(r) && rc.Count > max {
-			max = rc.Count
-		}
-	}
-	return max
-}
-
 // CoreRefCount returns the number of distinct owners holding RightRun on
 // core.
 func (s *Space) CoreRefCount(core phys.CoreID) int {

@@ -102,11 +102,10 @@ func (a CleanupAction) String() string {
 // Space is safe for concurrent use under one RWMutex. The operations
 // that change the forest, the index or a seal flag — CreateRoot, Share,
 // Grant, Seal and the detach family (Detach, DetachOwner, Release, and
-// Revoke/RevokeOwner composed from them) — hold it exclusively; every
-// query, Sealed included, holds it shared. The generation, op, node and
-// limbo counters are atomics because the monitor reads them without
-// the lock. No Space lock is ever held across a call out of the
-// package.
+// Revoke composed from them) — hold it exclusively; every query holds
+// it shared. The generation, node and limbo counters are atomics
+// because the monitor reads them without the lock. No Space lock is
+// ever held across a call out of the package.
 //
 // Which structure answers which question: a question about one owner —
 // its memory grants, cores, devices, nodes, an access check, the tops of
@@ -127,7 +126,6 @@ type Space struct {
 	nextID NodeID
 
 	gen      atomic.Uint64
-	ops      atomic.Uint64
 	numNodes atomic.Int64
 	limbo    atomic.Int64 // detached, not yet released (detach.go)
 }
@@ -146,13 +144,10 @@ func NewSpace() *Space {
 // staleness of derived hardware state.
 func (s *Space) Generation() uint64 { return s.gen.Load() }
 
-// Ops returns the number of mutating operations performed.
-func (s *Space) Ops() uint64 { return s.ops.Load() }
-
 // NumNodes returns the number of live capability nodes.
 func (s *Space) NumNodes() int { return int(s.numNodes.Load()) }
 
-func (s *Space) mutate() { s.gen.Add(1); s.ops.Add(1) }
+func (s *Space) mutate() { s.gen.Add(1) }
 
 // insert gives n the next ID, indexes it and counts the mutation. Caller
 // holds mu exclusively.
@@ -288,15 +283,6 @@ func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
 	return det.Actions(), nil
 }
 
-// RevokeOwner tears down every capability owned by owner (and therefore
-// everything ever derived from those capabilities) and clears its seal
-// flag: DetachOwner, then Release at once.
-func (s *Space) RevokeOwner(owner OwnerID) []CleanupAction {
-	det := s.DetachOwner(owner)
-	s.Release(det)
-	return det.Actions()
-}
-
 // ownerTops returns, in ID order, owner's nodes that have no ancestor of
 // the same owner: revoking their subtrees reaches every node owner
 // holds. A fresh slice — the teardown edits the list it was read from.
@@ -332,24 +318,6 @@ func (s *Space) Seal(owner OwnerID) {
 	defer s.mu.Unlock()
 	s.sealed[owner] = true
 	s.mutate()
-}
-
-// Sealed reports whether owner is sealed.
-func (s *Space) Sealed(owner OwnerID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sealed[owner]
-}
-
-// Node returns a snapshot of the capability id.
-func (s *Space) Node(id NodeID) (Info, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, err := s.get(id)
-	if err != nil {
-		return Info{}, err
-	}
-	return s.info(n), nil
 }
 
 // NodeOwners returns the owner of capability id and, unless it is a
@@ -470,31 +438,6 @@ func effectiveEnd(n *node, a phys.Addr) phys.Addr {
 	return end
 }
 
-// EffectiveRegions returns the node's effective memory regions.
-func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, err := s.get(id)
-	if err != nil {
-		return nil, err
-	}
-	return appendEffective(nil, n), nil
-}
-
-// OwnerMemory returns the union of owner's effective memory regions that
-// carry at least the rights in want (normalized).
-func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var regs []phys.Region
-	for _, n := range s.owned[owner] {
-		if n.rights.Has(want) {
-			regs = appendEffective(regs, n)
-		}
-	}
-	return phys.NormalizeRegions(regs)
-}
-
 // MemoryGrants enumerates owner's effective memory access as
 // (region, rights) pairs per capability, for backend programming. The
 // backend resolves overlaps by OR-ing permissions.
@@ -588,16 +531,6 @@ func (s *Space) appendOwnerDevices(dst []phys.DeviceID, owner OwnerID, want Righ
 	return dst[:base+len(slices.Compact(dst[base:]))]
 }
 
-// OwnerHasDevice reports whether owner holds RightUse on dev.
-func (s *Space) OwnerHasDevice(owner OwnerID, dev phys.DeviceID) bool {
-	for _, d := range s.OwnerDevices(owner) {
-		if d == dev {
-			return true
-		}
-	}
-	return false
-}
-
 // CheckMemAccess reports whether owner has effective access with rights
 // want at address a: some node with the rights contains a and no granted
 // child of it does.
@@ -635,16 +568,4 @@ func (s *Space) coveredUntil(owner OwnerID, a phys.Addr, want Rights) phys.Addr 
 		}
 	}
 	return end
-}
-
-// Owners returns every owner holding at least one capability, sorted.
-func (s *Space) Owners() []OwnerID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]OwnerID, 0, len(s.owned)) // owned holds no empty list
-	for o := range s.owned {
-		out = append(out, o)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -119,14 +119,8 @@ type Domain struct {
 	vcpus []*vcpu
 }
 
-// ID returns the domain's identity.
-func (d *Domain) ID() DomainID { return d.id }
-
 // Name returns the human-readable name (not part of the TCB).
 func (d *Domain) Name() string { return d.name }
-
-// Creator returns the domain that created this one.
-func (d *Domain) Creator() DomainID { return d.creator }
 
 // State returns the lifecycle state (atomic, lock-free).
 func (d *Domain) State() DomainState { return DomainState(d.state.Load()) }
@@ -160,21 +154,6 @@ func (d *Domain) EntryRing() hw.Ring {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.entryRing
-}
-
-// Measurement returns the measurement computed at seal time; the zero
-// digest before sealing.
-func (d *Domain) Measurement() tpm.Digest {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.measurement
-}
-
-// ReportData returns the domain-chosen report data.
-func (d *Domain) ReportData() tpm.Digest {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.reportData
 }
 
 // Log returns the values the domain logged via the LOG hypercall.

@@ -204,8 +204,8 @@ func TestCoreStallContainment(t *testing.T) {
 	// The core is poisoned until the embedder resets it; after the
 	// reset it schedules normally again.
 	core1 := m.Machine().Core(1)
-	if !core1.Stalled() {
-		t.Fatal("core 1 should be stalled")
+	if _, trap := core1.Run(1); trap.Kind != hw.TrapMachineCheck {
+		t.Fatalf("core 1 should be stalled, stepped with %v", trap)
 	}
 	core1.ClearStall()
 	if err := m.Launch(InitialDomain, 1); err != nil {

@@ -513,7 +513,7 @@ func checkStaleTranslations(m *Monitor) error {
 				seen[at] = p
 				continue
 			}
-			if _, err := m.space.Node(p.node); p.node != 0 && err != nil {
+			if _, _, _, err := m.space.NodeOwners(p.node); p.node != 0 && err != nil {
 				return fmt.Errorf("%v still translates page %d for domain %d with %v, but it holds %v: capability %d, revoked, owed a TLB flush",
 					c.ID(), tr.Page, p.owner, tr.Perm, holds, p.node)
 			}

@@ -74,9 +74,6 @@ func (m *Monitor) cryptoErase(id DomainID) {
 	}
 }
 
-// MemoryEncryptionActive reports whether the platform encrypts memory.
-func (m *Monitor) MemoryEncryptionActive() bool { return m.mach.Crypto != nil }
-
 // DomainKeyID exposes the key a domain's exclusive memory is encrypted
 // under (diagnostics; key material never leaves the engine). Takes only
 // the leaf key-table lock, never the monitor lock.

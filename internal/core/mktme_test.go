@@ -32,7 +32,7 @@ func bootEncrypted(t testing.TB) *Monitor {
 
 func TestEncryptionKeysFollowExclusivity(t *testing.T) {
 	m := bootEncrypted(t)
-	if !m.MemoryEncryptionActive() {
+	if m.Machine().Crypto == nil {
 		t.Fatal("encryption not active")
 	}
 	eng := m.Machine().Crypto
@@ -111,7 +111,7 @@ func TestEncryptionKeysFollowExclusivity(t *testing.T) {
 
 func TestEncryptionAbsentIsNoop(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
-	if m.MemoryEncryptionActive() {
+	if m.Machine().Crypto != nil {
 		t.Fatal("encryption active without engine")
 	}
 	if _, ok := m.DomainKeyID(InitialDomain); ok {

@@ -415,23 +415,3 @@ func (m *Monitor) ringTeardownLocked(id DomainID) {
 		_ = mem.Write64(r.base+phys.Addr(off), 0)
 	}
 }
-
-// RingPending returns how many descriptors are enqueued but not yet
-// drained on the domain's ring (0 with no ring) — a test and
-// diagnostics hook.
-func (m *Monitor) RingPending(id DomainID) uint64 {
-	// Look the ring up only after entering as a reader: a concurrent
-	// RingSetup replaces the registration, and mixing the new ring's
-	// tail with the old ring's head yields a garbage count.
-	p := m.renter()
-	defer m.rexit(p)
-	r, ok := m.ringOf(id)
-	if !ok {
-		return 0
-	}
-	tail, err := m.mach.Mem.Read64(r.base + RingOffSQTail)
-	if err != nil {
-		return 0
-	}
-	return tail - r.head.Load()
-}

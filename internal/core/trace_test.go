@@ -14,6 +14,7 @@ import (
 	"github.com/tyche-sim/tyche/internal/tpm"
 	"github.com/tyche-sim/tyche/internal/trace"
 	"github.com/tyche-sim/tyche/internal/trace/check"
+	"github.com/tyche-sim/tyche/internal/trace/tracetest"
 )
 
 // attachChecker installs a tracer with an online invariant checker on
@@ -221,7 +222,7 @@ func goldenFaultRun(t *testing.T, cores int) string {
 		t.Fatal(err)
 	}
 	assertTraceClean(t, m, ck)
-	return trace.Normalize(tr.Events())
+	return tracetest.Normalize(tr.Events())
 }
 
 // TestGoldenTraceDeterminism: the same (seed, schedule) pair must

@@ -312,9 +312,13 @@ func TestLinkReorderRejected(t *testing.T) {
 // TestLinkFaultsDeterministic: the same armed schedule applied to the
 // same frame stream produces the same deliveries, byte for byte.
 func TestLinkFaultsDeterministic(t *testing.T) {
+	faults, err := fault.ParseSchedule("reorder@3,reorder@0,dup@0,dup@3,drop@2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() ([][]byte, [3]uint64) {
 		w := &Wire{}
-		w.Arm(fault.FromSeedLinks(1234, 5))
+		w.Arm(faults)
 		for i := byte(0); i < 8; i++ {
 			w.push([]byte{i, i, i})
 		}

@@ -149,17 +149,6 @@ func NewInjector(faults ...Fault) *Injector {
 	return in
 }
 
-// Schedule returns the armed schedule in arming order.
-func (in *Injector) Schedule() []Fault {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]Fault, len(in.armed))
-	for i, af := range in.armed {
-		out[i] = af.f
-	}
-	return out
-}
-
 // Fired returns every firing so far, in firing order.
 func (in *Injector) Fired() []Firing {
 	in.mu.Lock()
@@ -183,7 +172,7 @@ func (in *Injector) Exhausted() bool {
 func (in *Injector) Arm(m *hw.Machine, t *tpm.TPM) {
 	m.SetFaultInjector(in)
 	if t != nil {
-		t.SetQuoteHook(in.QuoteHook())
+		t.SetQuoteHook(in.quoteHook())
 	}
 }
 
@@ -254,9 +243,9 @@ func (in *Injector) TakeSpuriousIRQ() (hw.IRQ, bool) {
 	return hw.IRQ{}, false
 }
 
-// QuoteHook returns the function to install via tpm.SetQuoteHook: each
+// quoteHook returns the function to install via tpm.SetQuoteHook: each
 // quote attempt counts as one matching event per armed QuoteFail fault.
-func (in *Injector) QuoteHook() func() error {
+func (in *Injector) quoteHook() func() error {
 	return func() error {
 		in.mu.Lock()
 		defer in.mu.Unlock()

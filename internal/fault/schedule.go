@@ -61,8 +61,8 @@ func FormatSchedule(faults []Fault) string {
 	return strings.Join(specs, ",")
 }
 
-// ParseFault parses one spec in schedule grammar.
-func ParseFault(spec string) (Fault, error) {
+// parseFault parses one spec in schedule grammar.
+func parseFault(spec string) (Fault, error) {
 	bad := func(why string) (Fault, error) {
 		return Fault{}, fmt.Errorf("fault: bad spec %q: %s", spec, why)
 	}
@@ -161,7 +161,7 @@ func ParseSchedule(s string) ([]Fault, error) {
 	}
 	var out []Fault
 	for _, spec := range strings.Split(s, ",") {
-		f, err := ParseFault(strings.TrimSpace(spec))
+		f, err := parseFault(strings.TrimSpace(spec))
 		if err != nil {
 			return nil, err
 		}
@@ -203,22 +203,6 @@ func FromSeed(seed int64, cores, devices, n int) []Fault {
 			f.Count = uint64(1 + rng.Intn(2))
 		}
 		out = append(out, f)
-	}
-	return out
-}
-
-// FromSeedLinks derives a schedule of n link faults deterministically
-// from seed, for arming a dist.Wire. Offsets stay small so even a
-// short migration exchange (a handful of frames) hits the schedule.
-func FromSeedLinks(seed int64, n int) []Fault {
-	rng := rand.New(rand.NewSource(seed))
-	kinds := []Kind{LinkDrop, LinkDup, LinkReorder}
-	out := make([]Fault, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Fault{
-			Kind:  kinds[rng.Intn(len(kinds))],
-			After: uint64(rng.Intn(4)),
-		})
 	}
 	return out
 }

@@ -504,19 +504,19 @@ func (f *Fleet) Deploy(spec ServiceSpec, replicas int) error {
 	f.tmpls[spec.Name] = tmpl
 	f.baseMu.Unlock()
 	for i := 0; i < replicas; i++ {
-		if _, err := f.Place(spec.Name); err != nil {
+		if _, err := f.place(spec.Name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Place admits one replica of a deployed service onto the live node
+// place admits one replica of a deployed service onto the live node
 // with the fewest placements that does not already host it: restore
 // from the golden snapshot at the service's fleet-global base, attest
 // the restored domain against the expected measurement, register with
 // the load balancer.
-func (f *Fleet) Place(name string) (*Placement, error) {
+func (f *Fleet) place(name string) (*Placement, error) {
 	f.baseMu.Lock()
 	tmpl := f.tmpls[name]
 	f.baseMu.Unlock()
@@ -656,7 +656,7 @@ func (f *Fleet) FailNode(i int) {
 		}
 	}
 	for _, pl := range lost {
-		if _, err := f.Place(pl.Service); err != nil {
+		if _, err := f.place(pl.Service); err != nil {
 			// Every survivor already hosting the service is capacity
 			// loss, not a failure.
 			if !errors.Is(err, ErrNoCapacity) {

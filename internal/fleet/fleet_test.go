@@ -121,7 +121,7 @@ func TestFleetLiveMigration(t *testing.T) {
 	if s.MigrationsOut != 1 || s.MigrationsIn != 2 {
 		t.Fatalf("migration counters out=%d in=%d, want 1/2", s.MigrationsOut, s.MigrationsIn)
 	}
-	if len(f.Blackouts()) != 1 || f.BlackoutP99() == 0 {
+	if bs := f.Blackouts(); len(bs) != 1 || bs[0] == 0 {
 		t.Fatalf("blackout not recorded: %v", f.Blackouts())
 	}
 	// The moved instance serves with the same transform.
@@ -499,4 +499,15 @@ func TestServeReproducible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Stats aggregates migration counters fleet-wide.
+func (f *Fleet) Stats() core.Stats {
+	var out core.Stats
+	for _, n := range f.Nodes {
+		s := n.Mon.Stats()
+		out.MigrationsIn += s.MigrationsIn
+		out.MigrationsOut += s.MigrationsOut
+	}
+	return out
 }

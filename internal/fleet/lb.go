@@ -40,9 +40,6 @@ func (p *Placement) tryAcquire() bool {
 
 func (p *Placement) release() { p.inflight.Add(-1) }
 
-// Inflight returns the instantaneous in-flight request count.
-func (p *Placement) Inflight() int64 { return p.inflight.Load() }
-
 // Drain blocks until every in-flight request against this (already
 // deregistered) placement has completed.
 func (p *Placement) Drain() error {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/dist"
-	"github.com/tyche-sim/tyche/internal/sched"
 )
 
 // pairChannel is the attested channel two nodes' agents keep between
@@ -229,14 +228,4 @@ func (f *Fleet) Blackouts() []uint64 {
 	f.blackMu.Lock()
 	defer f.blackMu.Unlock()
 	return append([]uint64(nil), f.blackouts...)
-}
-
-// BlackoutP99 returns the 99th-percentile blackout in nanoseconds
-// (0 when no migration completed).
-func (f *Fleet) BlackoutP99() uint64 {
-	bs := f.Blackouts()
-	if len(bs) == 0 {
-		return 0
-	}
-	return sched.Percentile(bs, 99)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -161,26 +160,4 @@ func (f *Fleet) allDead() bool {
 		}
 	}
 	return true
-}
-
-// LiveNodes counts nodes not declared dead.
-func (f *Fleet) LiveNodes() int {
-	live := 0
-	for _, n := range f.Nodes {
-		if !n.Failed() {
-			live++
-		}
-	}
-	return live
-}
-
-// Stats aggregates migration counters fleet-wide.
-func (f *Fleet) Stats() core.Stats {
-	var out core.Stats
-	for _, n := range f.Nodes {
-		s := n.Mon.Stats()
-		out.MigrationsIn += s.MigrationsIn
-		out.MigrationsOut += s.MigrationsOut
-	}
-	return out
 }

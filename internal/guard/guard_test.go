@@ -244,7 +244,11 @@ func fanOut(work func()) { var wg sync.WaitGroup; wg.Add(1); go func() { defer w
 // the node core channel), and the sharded checker — its type, the
 // per-ring sink and its method, its fixed-shard constructor and replay,
 // matched as whole names so that NewSharded and AttachSharded, the
-// leftovers benchmark/ compiles against, stay allowed.
+// leftovers benchmark/ compiles against, stay allowed; and, as whole
+// names too, the exported entry points only tests reached (the owner
+// teardown beside DetachOwner, the refcount and device queries beside
+// RefCounts and OwnerDevices, the PMP writes beside Replace, the op
+// counter beside Generation) and those nothing called at all.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
@@ -252,7 +256,9 @@ var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShard
 	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit|` +
 	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged|` +
 	`serveWave|errLatch|acquireCore|releaseCore|` +
-	`^(?:Sharded|ShardSink|ShardEvent|NewShardedN|ReplaySharded)$`)
+	`^(?:Sharded|ShardSink|ShardEvent|NewShardedN|ReplaySharded)$|` +
+	`^(?:RevokeOwner|RegionRefCount|OwnerHasDevice|Ops|Program|ClearEntry|MemoryEncryptionActive|BlackoutP99)$|` +
+	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it
@@ -278,9 +284,17 @@ func TestDeletedNamesStayGone(t *testing.T) {
 			}
 		}
 	}
+	isGone := map[string]bool{} // the regexp runs once per distinct name
 	inspect(files, func(g goFile, n ast.Node) {
-		if id, ok := n.(*ast.Ident); ok && gone.MatchString(id.Name) {
-			t.Errorf("%s: %s is a deleted design's name", g.at(n), id.Name)
+		if id, ok := n.(*ast.Ident); ok {
+			bad, seen := isGone[id.Name]
+			if !seen {
+				bad = gone.MatchString(id.Name)
+				isGone[id.Name] = bad
+			}
+			if bad {
+				t.Errorf("%s: %s is a deleted design's name", g.at(n), id.Name)
+			}
 		}
 		if selector(n) == "trace.Compiled" {
 			t.Errorf("%s: trace.Compiled is a deleted design's name", g.at(n))

@@ -156,9 +156,6 @@ func (a *Asm) Syscall() *Asm { return a.emit(Instr{Op: OpSyscall}) }
 // VMFUNC on a trampoline page mapped in both domains.
 func (a *Asm) Vmfunc() *Asm { return a.emit(Instr{Op: OpVmfunc}) }
 
-// Len returns the size in bytes of the program assembled so far.
-func (a *Asm) Len() int { return len(a.instrs) * InstrSize }
-
 // Assemble resolves labels against load address base and returns the
 // encoded program bytes.
 func (a *Asm) Assemble(base phys.Addr) ([]byte, error) {

@@ -66,33 +66,11 @@ func (c *Cache) touch(a phys.Addr) bool {
 	return false
 }
 
-// Touch records an access to a, returning true on hit.
-func (c *Cache) Touch(a phys.Addr) bool {
-	hit := c.touch(a)
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return hit
-}
-
 // Probe reports whether a is resident without refilling on miss: the
 // attacker's measurement primitive.
 func (c *Cache) Probe(a phys.Addr) bool {
 	set, tag := c.slot(a)
 	return set.Load() == tag
-}
-
-// Resident returns the number of occupied line slots.
-func (c *Cache) Resident() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Load() != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Flush invalidates the whole cache and returns the number of lines it
@@ -106,11 +84,4 @@ func (c *Cache) Flush() uint64 {
 	}
 	c.flushedLines.Add(n)
 	return n
-}
-
-// Stats returns hit/miss/flushed-line counters. The owning core adds
-// its accesses when its Run or Step returns, so while it is inside a
-// Run hits and misses lag.
-func (c *Cache) Stats() (hits, misses, flushed uint64) {
-	return c.hits.Load(), c.misses.Load(), c.flushedLines.Load()
 }

@@ -129,14 +129,6 @@ func (c *Clock) Cycles() uint64 {
 	return total
 }
 
-// Reset zeroes the clock and all its shards.
-func (c *Clock) Reset() {
-	c.cycles.Store(0)
-	for _, s := range c.shards {
-		s.cycles.Store(0)
-	}
-}
-
 // AddShard registers s so its cycles count toward c's total. Only the
 // machine constructor calls this; shards must not be added while cores
 // run.

@@ -133,14 +133,14 @@ func TestEPTEmptyAndPMPEntries(t *testing.T) {
 		t.Fatal("empty EPT has mappings")
 	}
 	p := NewPMP(4)
-	if err := p.Program(1, phys.MakeRegion(0, phys.PageSize), PermR); err != nil {
+	if _, err := p.Replace(1, []EPTMapping{{Region: phys.MakeRegion(0, phys.PageSize), Perm: PermR}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	entries := p.Entries()
 	if len(entries) != 4 || !entries[1].Used() || entries[0].Used() {
 		t.Fatalf("entries = %+v", entries)
 	}
-	if err := p.ClearEntry(9); err == nil {
+	if _, err := p.Replace(9, nil, nil); err == nil {
 		t.Fatal("out of range clear accepted")
 	}
 	if err := p.Lock(9); err == nil {
@@ -208,8 +208,8 @@ func TestCacheStatsAndMKTMEBounds(t *testing.T) {
 func TestAsmLenAndMustAssemblePanics(t *testing.T) {
 	a := NewAsm()
 	a.Nop().Nop()
-	if a.Len() != 2*InstrSize {
-		t.Fatalf("len = %d", a.Len())
+	if code := a.MustAssemble(0); len(code) != 2*InstrSize {
+		t.Fatalf("len = %d", len(code))
 	}
 	bad := NewAsm()
 	bad.Jmp("nowhere")

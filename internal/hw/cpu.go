@@ -301,16 +301,6 @@ func (c *Core) CacheUnit() *Cache { return c.cache }
 // the core is inside a Run, it lags by what that Run has retired so far.
 func (c *Core) InstrCount() uint64 { return c.instrs.Load() }
 
-// FaultCount returns the number of access faults taken.
-func (c *Core) FaultCount() uint64 { return c.faults.Load() }
-
-// Halted reports whether the core executed HLT and was not resumed.
-func (c *Core) Halted() bool { return c.halted.Load() }
-
-// Stalled reports whether the core took an injected hard stall. A
-// stalled core raises TrapMachineCheck on every step until ClearStall.
-func (c *Core) Stalled() bool { return c.stalled.Load() }
-
 // ClearStall un-poisons a stalled core — the model of a firmware-level
 // core reset. The monitor only does this once the crashed domain's
 // state is fully contained.
@@ -751,20 +741,6 @@ func (c *Core) fill(out *Instr, t *Trap) bool {
 func illegalInfo(word [InstrSize]byte) string {
 	_, err := Decode(word[:])
 	return err.Error()
-}
-
-// Step executes a single instruction. It returns a trap describing any
-// exit event; Trap.Kind==TrapNone means the instruction retired and
-// execution may continue.
-func (c *Core) Step() Trap {
-	var t Trap
-	if ins := c.hot(); ins != nil {
-		c.exec(ins, &t)
-	} else {
-		c.step(&t)
-	}
-	c.publish()
-	return t
 }
 
 // step executes one instruction without publishing the pending

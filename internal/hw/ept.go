@@ -234,15 +234,6 @@ func (e *EPT) Clear() {
 	e.publish(nil)
 }
 
-// MappedPages returns the number of pages with any permission.
-func (e *EPT) MappedPages() int {
-	var n uint64
-	for _, m := range e.runs() {
-		n += m.Region.Pages()
-	}
-	return int(n)
-}
-
 // Mappings returns the EPT contents as maximal runs of identically
 // permissioned pages, in address order. Used for attestation enumeration
 // and debugging dumps.

@@ -119,10 +119,10 @@ func TestEPTRejectsUnaligned(t *testing.T) {
 func TestPMPProgramAndPriority(t *testing.T) {
 	p := NewPMP(4)
 	// Entry 0 (highest priority) denies a window inside entry 1's grant.
-	if err := p.Program(0, phys.MakeRegion(0x2000, phys.PageSize), PermNone); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Program(1, phys.MakeRegion(0x0, 16*phys.PageSize), PermRWX); err != nil {
+	if _, err := p.Replace(0, []EPTMapping{
+		{Region: phys.MakeRegion(0x2000, phys.PageSize), Perm: PermNone},
+		{Region: phys.MakeRegion(0x0, 16*phys.PageSize), Perm: PermRWX},
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.Check(0x2800, PermR) {
@@ -138,14 +138,17 @@ func TestPMPProgramAndPriority(t *testing.T) {
 
 func TestPMPExhaustion(t *testing.T) {
 	p := NewPMP(2)
-	if err := p.Program(0, phys.MakeRegion(0, phys.PageSize), PermR); err != nil {
+	page := func(a phys.Addr) EPTMapping {
+		return EPTMapping{Region: phys.MakeRegion(a, phys.PageSize), Perm: PermR}
+	}
+	if _, err := p.Replace(0, []EPTMapping{page(0), page(0x1000)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Program(1, phys.MakeRegion(0x1000, phys.PageSize), PermR); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Program(2, phys.MakeRegion(0x2000, phys.PageSize), PermR); err == nil {
+	if _, err := p.Replace(0, []EPTMapping{page(0), page(0x1000), page(0x2000)}, nil); err == nil {
 		t.Fatal("expected out-of-range entry to fail")
+	}
+	if !p.Check(0x1000, PermR) {
+		t.Fatal("a refused Replace changed the register file")
 	}
 }
 
@@ -154,20 +157,20 @@ func TestPMPLocking(t *testing.T) {
 	if err := p.Lock(0); err == nil {
 		t.Fatal("locking unprogrammed entry must fail")
 	}
-	if err := p.Program(0, phys.MakeRegion(0, phys.PageSize), PermRWX); err != nil {
+	if _, err := p.Replace(0, []EPTMapping{{Region: phys.MakeRegion(0, phys.PageSize), Perm: PermRWX}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Lock(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Program(0, phys.MakeRegion(0x1000, phys.PageSize), PermR); err == nil {
+	if _, err := p.Replace(0, []EPTMapping{{Region: phys.MakeRegion(0x1000, phys.PageSize), Perm: PermR}}, nil); err == nil {
 		t.Fatal("reprogramming locked entry must fail")
-	}
-	if err := p.ClearEntry(0); err == nil {
-		t.Fatal("clearing locked entry must fail")
 	}
 	if wrote, err := p.Replace(0, nil, nil); err != nil || len(wrote) != 0 {
 		t.Fatalf("emptying Replace wrote locked entries %v (err %v)", wrote, err)
+	}
+	if !p.Check(0, PermRWX) {
+		t.Fatal("clearing the file cleared the locked entry")
 	}
 }
 

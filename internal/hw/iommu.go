@@ -42,13 +42,6 @@ func (iu *IOMMU) Attach(dev phys.DeviceID, f AccessFilter) {
 	iu.ctx[dev] = f
 }
 
-// Detach removes dev's context entry.
-func (iu *IOMMU) Detach(dev phys.DeviceID) {
-	iu.mu.Lock()
-	defer iu.mu.Unlock()
-	delete(iu.ctx, dev)
-}
-
 // ContextOf returns dev's filter, or nil if none installed.
 func (iu *IOMMU) ContextOf(dev phys.DeviceID) AccessFilter {
 	iu.mu.RLock()
@@ -76,11 +69,6 @@ func (iu *IOMMU) Check(dev phys.DeviceID, a phys.Addr, want Perm) bool {
 		return false
 	}
 	return true
-}
-
-// Stats returns check/denial counters.
-func (iu *IOMMU) Stats() (checks, denials uint64) {
-	return iu.checks.Load(), iu.denials.Load()
 }
 
 // DMAFaultError reports a DMA access denied by the IOMMU.

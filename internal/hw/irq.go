@@ -75,9 +75,6 @@ func (c *Core) ArmTimer(n int) {
 	c.timerArmed = true
 }
 
-// TimerArmed reports whether the timer is running.
-func (c *Core) TimerArmed() bool { return c.timerArmed }
-
 // tickTimer advances the timer by one instruction and reports expiry.
 func (c *Core) tickTimer() bool {
 	if !c.timerArmed {

@@ -38,20 +38,6 @@ type DeviceConfig struct {
 	Class DeviceClass
 }
 
-// DefaultConfig returns a small but representative machine: 16 MiB of
-// memory, 4 cores, an accelerator and a NIC.
-func DefaultConfig() Config {
-	return Config{
-		MemBytes:            16 << 20,
-		NumCores:            4,
-		IOMMUAllowByDefault: true,
-		Devices: []DeviceConfig{
-			{Name: "gpu0", Class: DevAccelerator},
-			{Name: "nic0", Class: DevNIC},
-		},
-	}
-}
-
 // Machine is the simulated commodity machine: memory, cores, devices,
 // IOMMU, and the shared cycle clock.
 type Machine struct {
@@ -150,18 +136,6 @@ func (m *Machine) Core(id phys.CoreID) *Core {
 
 // Device returns the device with the given ID, or nil.
 func (m *Machine) Device(id phys.DeviceID) *Device { return m.Devices[id] }
-
-// DeviceByName returns the device with the lowest ID among those with
-// the given name, or nil. Names need not be unique, so it walks the IDs
-// in order rather than ranging over the map.
-func (m *Machine) DeviceByName(name string) *Device {
-	for i := 0; i < len(m.Devices); i++ {
-		if d := m.Devices[phys.DeviceID(i)]; d != nil && d.Name == name {
-			return d
-		}
-	}
-	return nil
-}
 
 // DeviceIDs returns all device IDs in ascending order.
 func (m *Machine) DeviceIDs() []phys.DeviceID {

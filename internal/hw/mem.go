@@ -58,11 +58,6 @@ func NewPhysMem(size uint64) (*PhysMem, error) {
 // Size returns the total bytes of physical memory.
 func (m *PhysMem) Size() uint64 { return uint64(len(m.data)) }
 
-// Bounds returns the region covering all of physical memory.
-func (m *PhysMem) Bounds() phys.Region {
-	return phys.Region{Start: 0, End: phys.Addr(len(m.data))}
-}
-
 func (m *PhysMem) check(a phys.Addr, n uint64) error {
 	if uint64(a) >= uint64(len(m.data)) || uint64(len(m.data))-uint64(a) < n {
 		return fmt.Errorf("hw: physical access %v+%d out of bounds (mem %#x)", a, n, len(m.data))

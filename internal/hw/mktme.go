@@ -102,9 +102,6 @@ func (m *MKTME) SetRegionKey(r phys.Region, id KeyID) error {
 // KeyOf returns the key tagging the page containing a.
 func (m *MKTME) KeyOf(a phys.Addr) KeyID { return m.pageKey[a.Page()] }
 
-// EncryptedPages returns how many pages carry a non-plaintext key.
-func (m *MKTME) EncryptedPages() int { return len(m.pageKey) }
-
 // keystream fills out with the AES-CTR keystream for the 16-byte block
 // at addr (block-aligned).
 func (m *MKTME) keystream(block cipher.Block, addr uint64, out *[16]byte) {

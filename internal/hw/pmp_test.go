@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -129,10 +131,10 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 		p := NewPMP(4)
 		// Entry 1 denies a page; entry 2 allows a superset. The deny
 		// must win for the overlapped page, the allow elsewhere.
-		if err := p.Program(1, phys.MakeRegion(0x2000, 0x1000), PermNone); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Program(2, phys.MakeRegion(0x0, 0x8000), PermR|PermW); err != nil {
+		if _, err := p.Replace(1, []EPTMapping{
+			{Region: phys.MakeRegion(0x2000, 0x1000), Perm: PermNone},
+			{Region: phys.MakeRegion(0x0, 0x8000), Perm: PermR | PermW},
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Check(0x2800, PermR) {
@@ -143,10 +145,10 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 		}
 		// Reversed priority: allow first, deny second — allow wins.
 		q := NewPMP(4)
-		if err := q.Program(0, phys.MakeRegion(0x2000, 0x1000), PermR); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Program(1, phys.MakeRegion(0x2000, 0x1000), PermNone); err != nil {
+		if _, err := q.Replace(0, []EPTMapping{
+			{Region: phys.MakeRegion(0x2000, 0x1000), Perm: PermR},
+			{Region: phys.MakeRegion(0x2000, 0x1000), Perm: PermNone},
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !q.Check(0x2000, PermR) {
@@ -166,28 +168,28 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 
 	t.Run("bounds-and-locks", func(t *testing.T) {
 		p := NewPMP(2)
-		if err := p.Program(2, phys.MakeRegion(0, 0x1000), PermR); err == nil {
+		seg := func(start phys.Addr, perm Perm) []EPTMapping {
+			return []EPTMapping{{Region: phys.MakeRegion(start, 0x1000), Perm: perm}}
+		}
+		if _, err := p.Replace(2, seg(0, PermR), nil); err == nil {
 			t.Fatal("out-of-range program succeeded")
 		}
-		if err := p.Program(-1, phys.MakeRegion(0, 0x1000), PermR); err == nil {
+		if _, err := p.Replace(-1, seg(0, PermR), nil); err == nil {
 			t.Fatal("negative-index program succeeded")
 		}
 		if err := p.Lock(0); err == nil {
 			t.Fatal("locked an unprogrammed entry")
 		}
-		if err := p.Program(0, phys.MakeRegion(0, 0x1000), PermNone); err != nil {
+		if _, err := p.Replace(0, seg(0, PermNone), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Lock(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Program(0, phys.MakeRegion(0, 0x1000), PermR); err == nil {
+		if _, err := p.Replace(0, seg(0, PermR), nil); err == nil {
 			t.Fatal("reprogrammed a locked entry")
 		}
-		if err := p.ClearEntry(0); err == nil {
-			t.Fatal("cleared a locked entry")
-		}
-		if err := p.Program(1, phys.MakeRegion(0x1000, 0x1000), PermR); err != nil {
+		if _, err := p.Replace(1, seg(0x1000, PermR), nil); err != nil {
 			t.Fatal(err)
 		}
 		if wrote, err := p.Replace(0, nil, nil); err != nil || len(wrote) != 1 {
@@ -204,14 +206,14 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 	t.Run("generation-advances", func(t *testing.T) {
 		p := NewPMP(2)
 		g0 := p.Generation()
-		if err := p.Program(0, phys.MakeRegion(0, 0x1000), PermR); err != nil {
+		if _, err := p.Replace(0, []EPTMapping{{Region: phys.MakeRegion(0, 0x1000), Perm: PermR}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Generation() <= g0 {
 			t.Fatal("generation did not advance on program")
 		}
 		g1 := p.Generation()
-		if err := p.ClearEntry(0); err != nil {
+		if _, err := p.Replace(0, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Generation() <= g1 {
@@ -228,7 +230,7 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 		return EPTMapping{Region: phys.MakeRegion(phys.Addr(pg<<phys.PageShift), n*phys.PageSize), Perm: perm}
 	}
 	p := NewPMP(4)
-	if err := p.Program(0, phys.MakeRegion(0x100000, 0x1000), PermNone); err != nil {
+	if _, err := p.Replace(0, []EPTMapping{{Region: phys.MakeRegion(0x100000, 0x1000), Perm: PermNone}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Lock(0); err != nil {
@@ -300,4 +302,78 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 	if !p.Entries()[0].Locked {
 		t.Fatal("the locked entry did not survive")
 	}
+}
+
+// IsNAPOT reports whether r is a naturally aligned power-of-two-sized
+// region, i.e. encodable in a single NAPOT PMP entry.
+func IsNAPOT(r phys.Region) bool {
+	size := r.Size()
+	if size == 0 || bits.OnesCount64(size) != 1 {
+		return false
+	}
+	return uint64(r.Start)%size == 0
+}
+
+// --- pmpaddr register encodings ---------------------------------------
+//
+// Real RISC-V PMP entries are programmed through pmpaddr CSRs holding
+// physical address bits [55:2]. Two range encodings matter here:
+//
+//   NAPOT: a naturally aligned power-of-two region of size 2^(z+3)
+//   bytes is encoded in one register as (base>>2) | (2^z - 1) — the
+//   size is carried by the count of trailing one bits. Minimum
+//   encodable size is 8 bytes (z = 0).
+//
+//   TOR (top of range): entry i covers [pmpaddr[i-1]<<2, pmpaddr[i]<<2),
+//   so an arbitrary 4-byte-aligned range takes a register pair.
+//
+// The simulator stores regions directly; these codecs are the tests'
+// statement of what silicon can express.
+
+// EncodeNAPOT encodes r as a single pmpaddr register value. r must be
+// naturally aligned, power-of-two sized, and at least 8 bytes.
+func EncodeNAPOT(r phys.Region) (uint64, error) {
+	if !IsNAPOT(r) {
+		return 0, fmt.Errorf("hw: region %v not NAPOT-encodable", r)
+	}
+	size := r.Size()
+	if size < 8 {
+		return 0, fmt.Errorf("hw: region %v below the 8-byte NAPOT minimum", r)
+	}
+	return uint64(r.Start)>>2 | (size>>3 - 1), nil
+}
+
+// DecodeNAPOT inverts EncodeNAPOT. An all-ones value (the whole
+// address space, size 2^66 on RV64) is rejected: it is not
+// representable as a Region.
+func DecodeNAPOT(v uint64) (phys.Region, error) {
+	z := bits.TrailingZeros64(^v) // count of trailing one bits
+	if z >= 61 {
+		return phys.Region{}, fmt.Errorf("hw: pmpaddr %#x: NAPOT size overflows the address space", v)
+	}
+	size := uint64(1) << (z + 3)
+	base := (v &^ (uint64(1)<<z - 1)) << 2
+	return phys.MakeRegion(phys.Addr(base), size), nil
+}
+
+// EncodeTOR encodes r as a (pmpaddr[i-1], pmpaddr[i]) register pair.
+// Both bounds must be 4-byte aligned; any such non-empty range is
+// encodable.
+func EncodeTOR(r phys.Region) (lo, hi uint64, err error) {
+	if r.Empty() {
+		return 0, 0, fmt.Errorf("hw: tor encode: empty region %v", r)
+	}
+	if r.Start%4 != 0 || r.End%4 != 0 {
+		return 0, 0, fmt.Errorf("hw: region %v not 4-byte aligned", r)
+	}
+	return uint64(r.Start) >> 2, uint64(r.End) >> 2, nil
+}
+
+// DecodeTOR inverts EncodeTOR. An empty range (hi <= lo) is an error:
+// hardware treats such an entry as matching nothing.
+func DecodeTOR(lo, hi uint64) (phys.Region, error) {
+	if hi <= lo {
+		return phys.Region{}, fmt.Errorf("hw: tor pair (%#x, %#x) is an empty range", lo, hi)
+	}
+	return phys.Region{Start: phys.Addr(lo << 2), End: phys.Addr(hi << 2)}, nil
 }

@@ -182,16 +182,3 @@ func (t *TLB) appendSlots(dst []Translation) []Translation {
 	}
 	return dst
 }
-
-// Len returns the number of cached entries.
-func (t *TLB) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.slots[:t.hi] {
-		if t.slots[i].used {
-			n++
-		}
-	}
-	return n
-}

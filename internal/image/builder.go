@@ -78,17 +78,3 @@ func (img *Image) WithShared(name string, size uint64) *Image {
 	})
 	return img
 }
-
-// WithUserSegment appends a confidential segment restricted to ring 3
-// inside the domain (compartment payloads).
-func (img *Image) WithUserSegment(name string, data []byte, rights cap.Rights) *Image {
-	img.Segments = append(img.Segments, Segment{
-		Name:         name,
-		Data:         data,
-		Rights:       rights,
-		Ring:         hw.RingUser,
-		Confidential: true,
-		Measured:     true,
-	})
-	return img
-}

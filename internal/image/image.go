@@ -135,16 +135,6 @@ func (img *Image) Validate() error {
 	return nil
 }
 
-// Segment returns the named segment, or nil.
-func (img *Image) Segment(name string) *Segment {
-	for i := range img.Segments {
-		if img.Segments[i].Name == name {
-			return &img.Segments[i]
-		}
-	}
-	return nil
-}
-
 // TotalPages returns the image's page footprint when loaded.
 func (img *Image) TotalPages() uint64 {
 	var n uint64

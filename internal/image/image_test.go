@@ -192,3 +192,13 @@ func TestSegmentLookupAndSizes(t *testing.T) {
 		t.Fatalf("data page size = %d", d.PageSize())
 	}
 }
+
+// Segment returns the named segment, or nil.
+func (img *Image) Segment(name string) *Segment {
+	for i := range img.Segments {
+		if img.Segments[i].Name == name {
+			return &img.Segments[i]
+		}
+	}
+	return nil
+}

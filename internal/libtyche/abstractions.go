@@ -79,7 +79,6 @@ func (c *Client) NewConfidentialVM(img *image.Image, cores []phys.CoreID, opts L
 // via attestation that *only* the two of them map it.
 type Channel struct {
 	c        *Client
-	peer     core.DomainID
 	region   phys.Region
 	peerNode cap.NodeID
 }
@@ -99,14 +98,11 @@ func (c *Client) OpenChannel(peer core.DomainID, pages uint64, cleanup cap.Clean
 		c.heap.Free(r)
 		return nil, err
 	}
-	return &Channel{c: c, peer: peer, region: r, peerNode: node}, nil
+	return &Channel{c: c, region: r, peerNode: node}, nil
 }
 
 // Region returns the channel's physical region.
 func (ch *Channel) Region() phys.Region { return ch.region }
-
-// Peer returns the domain on the other end.
-func (ch *Channel) Peer() core.DomainID { return ch.peer }
 
 // RefCount returns the channel region's live reference count; 2 means
 // "exactly us and the peer".

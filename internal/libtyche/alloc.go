@@ -10,7 +10,6 @@ package libtyche
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -94,12 +93,4 @@ func (a *Allocator) Free(r phys.Region) error {
 	a.free = append(a.free, r)
 	a.free = phys.NormalizeRegions(a.free)
 	return nil
-}
-
-// Extents returns the free list (sorted, for diagnostics).
-func (a *Allocator) Extents() []phys.Region {
-	out := make([]phys.Region, len(a.free))
-	copy(out, a.free)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }

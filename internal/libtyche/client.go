@@ -117,11 +117,6 @@ func (c *Client) Read(a phys.Addr, n uint64) ([]byte, error) {
 	return c.mon.CopyFrom(c.self, a, n)
 }
 
-// Attest produces the client's own signed report.
-func (c *Client) Attest(nonce []byte) (*core.Report, error) {
-	return c.mon.Attest(c.self, nonce)
-}
-
 // coreNode finds the client's capability for a core.
 func (c *Client) coreNode(id phys.CoreID) (cap.NodeID, error) {
 	for _, n := range c.mon.OwnerNodes(c.self) {

@@ -44,12 +44,9 @@ type Domain struct {
 
 	base       phys.Addr
 	placements []image.Placement
-	entry      phys.Addr
 	// memNodes maps segment name to the capability node the new domain
 	// received for it.
-	memNodes map[string]cap.NodeID
-	// parentShares maps shared segment names to the *creator-side*
-	// region (same region; creator retains access for communication).
+	memNodes    map[string]cap.NodeID
 	measurement tpm.Digest
 	sealed      bool
 }
@@ -57,14 +54,8 @@ type Domain struct {
 // ID returns the domain's identity.
 func (d *Domain) ID() core.DomainID { return d.id }
 
-// Entry returns the domain's entry point.
-func (d *Domain) Entry() phys.Addr { return d.entry }
-
 // Base returns the load address.
 func (d *Domain) Base() phys.Addr { return d.base }
-
-// Sealed reports whether the domain was sealed.
-func (d *Domain) Sealed() bool { return d.sealed }
 
 // Measurement returns the seal-time measurement (zero until sealed).
 func (d *Domain) Measurement() tpm.Digest { return d.measurement }
@@ -314,7 +305,6 @@ func (c *Client) Load(img *image.Image, opts LoadOptions) (*Domain, error) {
 			return fail(err)
 		}
 	}
-	d.entry = entry
 	if userFilter != nil {
 		for _, coreID := range opts.Cores {
 			ctx, err := c.mon.DomainContext(c.self, id, coreID)

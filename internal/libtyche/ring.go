@@ -56,24 +56,17 @@ func (c *Client) NewRing(entries uint64) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.RingAt(region.Start, entries)
+	return c.ringAt(region.Start, entries)
 }
 
-// RingAt registers a ring at a caller-chosen base address (the memory
+// ringAt registers a ring at a caller-chosen base address (the memory
 // must already be the domain's, read+write).
-func (c *Client) RingAt(base phys.Addr, entries uint64) (*Ring, error) {
+func (c *Client) ringAt(base phys.Addr, entries uint64) (*Ring, error) {
 	if err := c.mon.RingSetup(c.self, base, entries); err != nil {
 		return nil, err
 	}
 	return &Ring{cl: c, base: base, entries: entries}, nil
 }
-
-// Base returns the ring's base address (guest programs need it to
-// address the same ring from assembly).
-func (r *Ring) Base() phys.Addr { return r.base }
-
-// Entries returns the ring's capacity.
-func (r *Ring) Entries() uint64 { return r.entries }
 
 // Enqueue publishes one descriptor (verb + up to five args, the r1..r5
 // of the synchronous ABI) without trapping. It returns ErrRingFull when

@@ -102,18 +102,12 @@ func (p *Process) State() ProcState { return p.state }
 // ExitCode returns the exit code (valid once exited).
 func (p *Process) ExitCode() uint64 { return p.exitCode }
 
-// Fault returns the fatal trap (valid once faulted).
-func (p *Process) Fault() hw.Trap { return p.fault }
-
 // Logs returns the values the process logged via SysLog.
 func (p *Process) Logs() []uint64 {
 	out := make([]uint64, len(p.logs))
 	copy(out, p.logs)
 	return out
 }
-
-// CodeRegion returns the process's code placement.
-func (p *Process) CodeRegion() phys.Region { return p.code }
 
 // DataRegion returns the process's data placement.
 func (p *Process) DataRegion() phys.Region { return p.data }
@@ -183,12 +177,6 @@ func NewWithClient(mon *core.Monitor, lib *libtyche.Client) (*OS, error) {
 // Client exposes the OS's libtyche client (the OS uses it to spawn
 // monitor-level compartments alongside its processes).
 func (o *OS) Client() *libtyche.Client { return o.lib }
-
-// Stats returns the OS event counters.
-func (o *OS) Stats() Stats { return o.stats }
-
-// Domain returns the domain the OS kernel runs as.
-func (o *OS) Domain() core.DomainID { return o.self }
 
 // Process returns the process record for pid.
 func (o *OS) Process(pid Pid) (*Process, error) {

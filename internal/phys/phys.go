@@ -95,21 +95,6 @@ func (r Region) Overlaps(o Region) bool {
 	return !r.Empty() && !o.Empty() && r.Start < o.End && o.Start < r.End
 }
 
-// Intersect returns the overlapping part of r and o (possibly empty).
-func (r Region) Intersect(o Region) Region {
-	s, e := r.Start, r.End
-	if o.Start > s {
-		s = o.Start
-	}
-	if o.End < e {
-		e = o.End
-	}
-	if e < s {
-		e = s
-	}
-	return Region{Start: s, End: e}
-}
-
 // Validate checks that r is non-empty and page-aligned at both ends.
 func (r Region) Validate() error {
 	if r.Empty() {
@@ -123,25 +108,6 @@ func (r Region) Validate() error {
 
 func (r Region) String() string {
 	return fmt.Sprintf("[%#x,%#x)", uint64(r.Start), uint64(r.End))
-}
-
-// Subtract returns the parts of r not covered by o, in address order.
-// The result has zero, one, or two regions.
-func (r Region) Subtract(o Region) []Region {
-	if !r.Overlaps(o) {
-		if r.Empty() {
-			return nil
-		}
-		return []Region{r}
-	}
-	var out []Region
-	if o.Start > r.Start {
-		out = append(out, Region{Start: r.Start, End: o.Start})
-	}
-	if o.End < r.End {
-		out = append(out, Region{Start: o.End, End: r.End})
-	}
-	return out
 }
 
 // NormalizeRegions sorts regions by start address and merges adjacent or

@@ -177,3 +177,41 @@ func TestPageHelpers(t *testing.T) {
 		t.Fatal("page number wrong")
 	}
 }
+
+// Intersect and Subtract are region algebra the tests check region
+// helpers against; the capability engine carves in place instead
+// (cap.appendEffective).
+
+// Intersect returns the overlapping part of r and o (possibly empty).
+func (r Region) Intersect(o Region) Region {
+	s, e := r.Start, r.End
+	if o.Start > s {
+		s = o.Start
+	}
+	if o.End < e {
+		e = o.End
+	}
+	if e < s {
+		e = s
+	}
+	return Region{Start: s, End: e}
+}
+
+// Subtract returns the parts of r not covered by o, in address order.
+// The result has zero, one, or two regions.
+func (r Region) Subtract(o Region) []Region {
+	if !r.Overlaps(o) {
+		if r.Empty() {
+			return nil
+		}
+		return []Region{r}
+	}
+	var out []Region
+	if o.Start > r.Start {
+		out = append(out, Region{Start: r.Start, End: o.Start})
+	}
+	if o.End < r.End {
+		out = append(out, Region{Start: o.End, End: r.End})
+	}
+	return out
+}

@@ -142,10 +142,6 @@ func (s *Service) Finalize() error {
 	return shipErr
 }
 
-// Err is Finalize: the verdict exists only once the service is closed,
-// and closing it ships the final digest.
-func (s *Service) Err() error { return s.Finalize() }
-
 // Checker exposes the checker (counts, verdicts).
 func (s *Service) Checker() *check.Checker { return s.ck }
 

@@ -54,8 +54,8 @@ func TestServiceCleanRun(t *testing.T) {
 	if err := svc.Finalize(); err != nil {
 		t.Fatalf("clean run flagged: %v", err)
 	}
-	if svc.Err() != nil {
-		t.Fatalf("Err after Finalize: %v", svc.Err())
+	if err := svc.Finalize(); err != nil {
+		t.Fatalf("second Finalize: %v", err)
 	}
 	if svc.Shipped() == 0 {
 		t.Fatal("no digests shipped")

@@ -390,9 +390,6 @@ func (s *Scheduler) requeue(v *queued, now uint64) {
 	s.push(v.home, v)
 }
 
-// Quantum returns a vCPU's time slice in instructions.
-func (s *Scheduler) Quantum() int { return s.pol.quantum() }
-
 // Pending returns the number of queued vCPUs.
 func (s *Scheduler) Pending() int {
 	n := 0
@@ -401,9 +398,6 @@ func (s *Scheduler) Pending() int {
 	}
 	return n
 }
-
-// Depth returns core's current queue depth.
-func (s *Scheduler) Depth(c phys.CoreID) int { return len(s.queues[c]) }
 
 // Counters returns the event tallies so far.
 func (s *Scheduler) Counters() Counters { return s.ctr }
@@ -432,10 +426,6 @@ func (s *Scheduler) Hash() uint64 {
 	}
 	return h.Sum64()
 }
-
-// Latencies returns the per-dispatch queue latency samples (cycles
-// between enqueue and the dispatch decision).
-func (s *Scheduler) Latencies() []uint64 { return slices.Clone(s.lats) }
 
 // LatencyP99 returns the 99th-percentile transition-to-dispatch
 // latency in cycles (0 with no samples).

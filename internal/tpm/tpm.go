@@ -125,19 +125,12 @@ func (t *TPM) Extend(idx int, digest Digest, desc string) error {
 	return nil
 }
 
-// PCR returns the current value of PCR idx.
-func (t *TPM) PCR(idx int) (Digest, error) {
+// pcr returns the current value of PCR idx.
+func (t *TPM) pcr(idx int) (Digest, error) {
 	if idx < 0 || idx >= NumPCRs {
 		return Digest{}, fmt.Errorf("tpm: PCR index %d out of range", idx)
 	}
 	return t.pcrs[idx], nil
-}
-
-// EventLog returns a copy of the measured-boot event log.
-func (t *TPM) EventLog() []Event {
-	out := make([]Event, len(t.log))
-	copy(out, t.log)
-	return out
 }
 
 // Quote is a signed attestation of selected PCR values bound to a
@@ -179,7 +172,7 @@ func (t *TPM) MakeQuote(nonce []byte, pcrs []int, userData []byte) (*Quote, erro
 	copy(idx, pcrs)
 	vals := make([]Digest, len(idx))
 	for i, ix := range idx {
-		v, err := t.PCR(ix)
+		v, err := t.pcr(ix)
 		if err != nil {
 			return nil, err
 		}
@@ -222,18 +215,4 @@ func QuotedPCR(q *Quote, idx int) (Digest, bool) {
 		}
 	}
 	return Digest{}, false
-}
-
-// ReplayLog recomputes the PCR values implied by the event log and
-// reports whether they match the live PCR bank — the standard
-// log-vs-PCR consistency check a verifier performs.
-func (t *TPM) ReplayLog() bool {
-	var replay [NumPCRs]Digest
-	for _, e := range t.log {
-		h := sha256.New()
-		h.Write(replay[e.PCR][:])
-		h.Write(e.Digest[:])
-		copy(replay[e.PCR][:], h.Sum(nil))
-	}
-	return replay == t.pcrs
 }

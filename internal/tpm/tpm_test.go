@@ -17,7 +17,7 @@ func newTPM(t *testing.T) *TPM {
 
 func TestExtendSemantics(t *testing.T) {
 	tp := newTPM(t)
-	zero, err := tp.PCR(0)
+	zero, err := tp.pcr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestExtendSemantics(t *testing.T) {
 	if err := tp.Extend(PCRMonitor, d, "monitor"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tp.PCR(PCRMonitor)
+	got, _ := tp.pcr(PCRMonitor)
 	h := sha256.New()
 	h.Write(make([]byte, DigestSize))
 	h.Write(d[:])
@@ -43,8 +43,8 @@ func TestExtendSemantics(t *testing.T) {
 	tp.Extend(PCRMonitor, d2, "b")
 	tp2.Extend(PCRMonitor, d2, "b")
 	tp2.Extend(PCRMonitor, d, "a")
-	a, _ := tp.PCR(PCRMonitor)
-	b, _ := tp2.PCR(PCRMonitor)
+	a, _ := tp.pcr(PCRMonitor)
+	b, _ := tp2.pcr(PCRMonitor)
 	if a == b {
 		t.Fatal("different extend orders must yield different PCRs")
 	}
@@ -58,7 +58,7 @@ func TestExtendOutOfRange(t *testing.T) {
 	if err := tp.Extend(-1, Digest{}, "x"); err == nil {
 		t.Fatal("expected negative index to fail")
 	}
-	if _, err := tp.PCR(NumPCRs); err == nil {
+	if _, err := tp.pcr(NumPCRs); err == nil {
 		t.Fatal("expected out-of-range read to fail")
 	}
 }
@@ -82,7 +82,7 @@ func TestQuoteVerify(t *testing.T) {
 	if !ok {
 		t.Fatal("PCR 17 missing from quote")
 	}
-	live, _ := tp.PCR(PCRMonitor)
+	live, _ := tp.pcr(PCRMonitor)
 	if v != live {
 		t.Fatal("quoted PCR differs from live PCR")
 	}

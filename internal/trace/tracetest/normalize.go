@@ -1,10 +1,14 @@
-package trace
+// Package tracetest holds what the tests of more than one package use
+// to compare traces. Nothing outside tests imports it.
+package tracetest
 
 import (
 	"fmt"
 	"math/bits"
 	"sort"
 	"strings"
+
+	"github.com/tyche-sim/tyche/internal/trace"
 )
 
 // Normalize renders events as a canonical text form suitable for
@@ -19,8 +23,8 @@ import (
 // renumbered by first appearance. A round targets the cores resident
 // for its domains, not every core, so the same logical run normalises
 // identically on 2 or 8 cores.
-func Normalize(events []Event) string {
-	evs := append([]Event(nil), events...)
+func Normalize(events []trace.Event) string {
+	evs := append([]trace.Event(nil), events...)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 
 	// Dense renumbering of capability-node IDs. Only kinds whose Node
@@ -55,7 +59,7 @@ func Normalize(events []Event) string {
 
 	var b strings.Builder
 	pendingAcks := -1 // acks seen for the last shootdown, -1 = none open
-	var pending Event
+	var pending trace.Event
 	var doms []string // the open round's domains
 	flush := func() {
 		if pendingAcks < 0 {
@@ -72,24 +76,24 @@ func Normalize(events []Event) string {
 	}
 	for _, ev := range evs {
 		switch ev.Kind {
-		case KShootdown:
+		case trace.KShootdown:
 			flush()
 			pending, pendingAcks = ev, 0
 			doms = append(doms[:0], fmt.Sprint(ev.Domain))
 			continue
-		case KShootdownFor:
+		case trace.KShootdownFor:
 			if pendingAcks >= 0 {
 				doms = append(doms, fmt.Sprint(ev.Domain))
 				continue
 			}
-		case KShootdownAck:
+		case trace.KShootdownAck:
 			if pendingAcks >= 0 {
 				pendingAcks++
 				continue
 			}
 			// Ack with no open shootdown: keep it visible — the checker
 			// would flag it, and golden traces should too.
-		case KBoot:
+		case trace.KBoot:
 			flush()
 			b.WriteString("boot\n")
 			continue
@@ -97,9 +101,9 @@ func Normalize(events []Event) string {
 		flush()
 		node := fmt.Sprint(ev.Node)
 		switch ev.Kind {
-		case KShare, KGrant, KRevoke:
+		case trace.KShare, trace.KGrant, trace.KRevoke:
 			node = canonNode(ev.Node)
-		case KOpBegin, KOpEnd:
+		case trace.KOpBegin, trace.KOpEnd:
 			// Node carries the operation-frame token, minted from a
 			// global counter — renumber by first appearance so traces
 			// compare across runs (token 0, the legacy untokened form,

@@ -60,7 +60,7 @@ func TestPlatformMemoryEncryptionOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Monitor.MemoryEncryptionActive() {
+	if p.Monitor.Machine().Crypto != nil {
 		t.Fatal("encryption on by default")
 	}
 }
