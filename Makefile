@@ -48,10 +48,13 @@ race-engine:
 	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -race -count=3 ./internal/backend ./internal/cap ./internal/core || exit 1; done
 
 # The parallel benchmarks and the control plane's validate -> derive ->
-# publish microbenchmarks, kept running.
+# publish microbenchmarks, kept running; then a hundred steady-state
+# migration hops, so every run prints a hop's allocations (the pin is
+# TestMigrateHopAllocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench SpaceParallel -benchtime 1x ./internal/cap
 	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchtime 1x ./internal/backend ./internal/core
+	$(GO) test -run '^$$' -bench MigrateHop -benchmem -benchtime 100x ./internal/fleet
 
 # Shuffled execution order keeps tests honest about hidden inter-test
 # state; the seed is printed on failure for replay.

@@ -212,6 +212,9 @@ func modelInvariants(s *Space) error {
 	if err := carveMatchesReference(s); err != nil {
 		return err
 	}
+	if err := scopedSweepsMatchRefCounts(s, sweepRegions(4)); err != nil {
+		return err
+	}
 	return ownerQueriesMatchSweep(s)
 }
 

@@ -190,6 +190,10 @@ func (h *propHarness) checkInvariants() {
 	if err := carveMatchesReference(s); err != nil {
 		t.Fatalf("I6 violated: %v", err)
 	}
+	// I7: the scoped sweeps answer what the reference-count map implies.
+	if err := scopedSweepsMatchRefCounts(s, sweepRegions(propPages)); err != nil {
+		t.Fatalf("I7 violated: %v", err)
+	}
 }
 
 func TestCapabilityInvariantsRandomOps(t *testing.T) {

@@ -107,6 +107,91 @@ func sameOwners(a, b []OwnerID) bool {
 	return true
 }
 
+// The scoped sweeps below answer what a migration hop asks about one
+// tenant — how many owners share a grant at most (1: it is the tenant's
+// alone), what its death would leave unowned — from the effective
+// pieces that touch the region, in stack buffers: no map, no event
+// sort, no owner slices. Each answers what RefCounts implies for the
+// region, and costs what the machine holds there.
+
+// ownerPiece is one effective memory piece of one owner, clipped to the
+// region a scoped sweep asks about.
+type ownerPiece struct {
+	owner OwnerID
+	phys.Region
+}
+
+// appendPieces appends every owner's effective memory pieces that
+// overlap r, clipped to r. One owner's pieces are contiguous in the
+// result, so a sweep counts distinct owners without a set; the owners
+// come in map order, which none of the sweeps depends on. The caller
+// holds mu.
+func (s *Space) appendPieces(dst []ownerPiece, r phys.Region) []ownerPiece {
+	var buf [8]phys.Region // a node's pieces: one unless grants split it
+	for o, nodes := range s.owned {
+		for _, n := range nodes {
+			if n.res.Kind != ResMemory || !n.res.Mem.Overlaps(r) {
+				continue
+			}
+			for _, p := range appendEffective(buf[:0], n) {
+				if p.Overlaps(r) {
+					dst = append(dst, ownerPiece{o, phys.Region{Start: max(p.Start, r.Start), End: min(p.End, r.End)}})
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// MaxOwners returns the largest number of distinct owners with effective
+// access to any one byte of r — the highest Count of the RefCounts
+// segments overlapping r, 0 if none does. The count only rises where a
+// piece starts, so only piece starts are probed.
+func (s *Space) MaxOwners(r phys.Region) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var buf [16]ownerPiece
+	pieces := s.appendPieces(buf[:0], r)
+	best := 0
+	for _, at := range pieces {
+		n, counted := 0, false
+		for i, p := range pieces {
+			if i > 0 && p.owner != pieces[i-1].owner {
+				counted = false
+			}
+			if !counted && p.Contains(at.Start) {
+				n, counted = n+1, true
+			}
+		}
+		best = max(best, n)
+	}
+	return best
+}
+
+// AppendExclusive appends the memory only owner has effective access to,
+// normalized: its effective memory with every other owner's effective
+// pieces carved out — the RefCounts segments whose owners are {owner},
+// merged.
+func (s *Space) AppendExclusive(dst []phys.Region, owner OwnerID) []phys.Region {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	base := len(dst)
+	for _, n := range s.owned[owner] {
+		dst = appendEffective(dst, n)
+	}
+	dst = dst[:base+len(phys.NormalizeInPlace(dst[base:]))]
+	if len(dst) == base {
+		return dst
+	}
+	var buf [16]ownerPiece
+	for _, p := range s.appendPieces(buf[:0], phys.Region{Start: dst[base].Start, End: dst[len(dst)-1].End}) {
+		if p.owner != owner {
+			dst = carve(dst, base, p.Region)
+		}
+	}
+	return dst
+}
+
 // CoreRefCount returns the number of distinct owners holding RightRun on
 // core.
 func (s *Space) CoreRefCount(core phys.CoreID) int {

@@ -110,11 +110,16 @@ func (a CleanupAction) String() string {
 // Which structure answers which question: a question about one owner —
 // its memory grants, cores, devices, nodes, an access check, the tops of
 // its teardown — walks owned[owner], so it costs what the owner holds,
-// in ascending-ID order with no sort. A question about every owner
-// (reference counts, device holders, tree dumps) ranges nodes and costs
-// what the machine holds; who the owners are is the keys of owned. Go
-// randomises map iteration, so nothing that stops early or must be
-// ordered ranges a map.
+// in ascending-ID order with no sort. A question about how one region is
+// shared — how many owners hold any byte of it, what only one owner
+// holds (MaxOwners, AppendExclusive in refcount.go) — gathers the
+// effective pieces over that region, owner by owner, into a stack
+// buffer: no map, sort or owner slice per call. A question about every
+// owner (the reference-count map, device holders, tree dumps) ranges
+// nodes and costs what the machine holds; who the owners are is the
+// keys of owned. Go randomises map iteration, so nothing ranges a map
+// whose answer or order could depend on the visit order: the scoped
+// sweeps range owned, but a count or a carve is the same in any order.
 type Space struct {
 	mu sync.RWMutex
 
@@ -245,9 +250,10 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 		if effectiveEnd(parent, sub.Mem.Start) < sub.Mem.End {
 			return 0, fmt.Errorf("%w: %v already granted away from %v", ErrSubresource, sub.Mem, parent.res)
 		}
-	} else if k == KindGranted && grantedAway(parent) {
-		// Granting a core or device suspends the parent's use entirely;
-		// re-granting an already-granted core/device is invalid.
+	} else if grantedAway(parent) {
+		// Granting a core or device suspends the parent's use entirely,
+		// and with it the parent's right to delegate it: neither a
+		// re-grant nor a share of a granted-away core or device.
 		return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
 	}
 	n := &node{owner: newOwner, res: sub, rights: rights, cleanup: cleanup, kind: k, parent: parent}
@@ -480,6 +486,19 @@ func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
+}
+
+// OwnerCoreNode returns owner's first capability node for core, in ID
+// order, whatever its rights.
+func (s *Space) OwnerCoreNode(owner OwnerID, core phys.CoreID) (NodeID, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, n := range s.owned[owner] {
+		if n.res.Kind == ResCore && n.res.Core == core {
+			return n.id, true
+		}
+	}
+	return 0, false
 }
 
 // grantedAway reports whether n's core or device — delegated whole or

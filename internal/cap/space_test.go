@@ -345,6 +345,60 @@ func TestCoreCapabilities(t *testing.T) {
 	}
 }
 
+// TestGrantedAwayCoreOrDeviceIsNotDelegable: a grant of a core or device
+// suspends the grantor's use of it, and with it every delegation from
+// that node — a share too, which would otherwise hand the core to a third
+// owner behind the grantee's back. Revoking the grant restores both.
+func TestGrantedAwayCoreOrDeviceIsNotDelegable(t *testing.T) {
+	s := NewSpace()
+	c := mustRoot(t, s, 1, CoreResource(1), CoreFull)
+	d := mustRoot(t, s, 1, DeviceResource(0), DeviceFull)
+	gc, err := s.Grant(c, 2, CoreResource(1), RightRun|RightShare, CleanNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := s.Grant(d, 2, DeviceResource(0), RightUse|RightDMA|RightShare, CleanNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, tree := s.Generation(), s.TreeString()
+	for _, tc := range []struct {
+		node NodeID
+		res  Resource
+		r    Rights
+	}{{c, CoreResource(1), RightRun}, {d, DeviceResource(0), RightUse}} {
+		if _, err := s.Share(tc.node, 3, tc.res, tc.r, CleanNone); !errors.Is(err, ErrSubresource) {
+			t.Fatalf("share of granted-away %v: err = %v, want ErrSubresource", tc.res, err)
+		}
+		if _, err := s.Grant(tc.node, 3, tc.res, tc.r, CleanNone); !errors.Is(err, ErrSubresource) {
+			t.Fatalf("re-grant of granted-away %v: err = %v, want ErrSubresource", tc.res, err)
+		}
+	}
+	if s.OwnerHasCore(3, 1) || s.CoreRefCount(1) != 1 || s.DeviceRefCount(0) != 1 ||
+		!slices.Equal(s.DeviceUsers(0), []OwnerID{2}) || !slices.Equal(s.DeviceDMAHolders(0), []OwnerID{2}) {
+		t.Fatalf("refused delegations changed the holders: core refs %d, device users %v, DMA holders %v",
+			s.CoreRefCount(1), s.DeviceUsers(0), s.DeviceDMAHolders(0))
+	}
+	if s.Generation() != gen || s.TreeString() != tree {
+		t.Fatalf("refused delegations changed the space:\n%s", s.TreeString())
+	}
+	// The grantee may still delegate what it was granted.
+	if _, err := s.Share(gc, 3, CoreResource(1), RightRun, CleanNone); err != nil {
+		t.Fatalf("grantee's share of its core: %v", err)
+	}
+	for _, g := range []NodeID{gc, gd} {
+		if _, err := s.Revoke(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Share(c, 3, CoreResource(1), RightRun, CleanNone); err != nil {
+		t.Fatalf("share after the grant's revocation: %v", err)
+	}
+	if _, err := s.Share(d, 3, DeviceResource(0), RightUse, CleanNone); err != nil {
+		t.Fatalf("device share after the grant's revocation: %v", err)
+	}
+}
+
 func TestDeviceCapabilities(t *testing.T) {
 	s := NewSpace()
 	d := mustRoot(t, s, 1, DeviceResource(0), DeviceFull)

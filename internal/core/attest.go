@@ -30,17 +30,28 @@ type MeasuredRegion struct {
 // offline hashing tool (tyche-hash, §4.2: "generating a binary's hash
 // offline to be compared with the attestation provided by Tyche")
 // reproduces it exactly.
+//
+// The encoding streams into the hash: the codec writes each region's
+// fixed-width header into a small buffer and the content goes to the
+// hash as is, so no copy of the measured memory is built.
 func ComputeMeasurement(entry phys.Addr, regions []MeasuredRegion) tpm.Digest {
-	var w codec.Writer
+	h := sha256.New()
+	w := codec.Writer{Buf: make([]byte, 0, 64)}
 	w.Raw([]byte("tyche-domain-measurement-v1"))
 	w.U64(uint64(entry))
 	w.U64(uint64(len(regions)))
 	for _, r := range regions {
 		w.U64(uint64(r.Region.Start))
 		w.U64(uint64(r.Region.End))
-		w.Blob(r.Content)
+		w.U64(uint64(len(r.Content))) // Blob's length prefix; its bytes follow
+		h.Write(w.Buf)
+		h.Write(r.Content)
+		w.Buf = w.Buf[:0]
 	}
-	return sha256.Sum256(w.Buf)
+	h.Write(w.Buf)
+	var d tpm.Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // ResourceRecord is one entry of a domain's attested resource

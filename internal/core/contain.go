@@ -180,12 +180,7 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 		// flight can change them now) and before the detach destroys the
 		// ownership records. Shared regions are left intact — a surviving
 		// co-owner still uses them.
-		for _, rc := range m.space.RefCounts() {
-			if rc.Count == 1 && len(rc.Owners) == 1 && rc.Owners[0] == owner {
-				scrubRegions = append(scrubRegions, rc.Region)
-			}
-		}
-		scrubRegions = phys.NormalizeRegions(scrubRegions)
+		scrubRegions = m.space.AppendExclusive(scrubRegions, owner)
 	}
 	for _, r := range scrubRegions {
 		m.emit(trace.KScrubPlan, d.id, 0, 0, uint64(r.Start), r.Size())

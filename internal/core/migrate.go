@@ -220,9 +220,8 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 	}
 
 	snap := &DomainSnapshot{Name: d.name}
-	// Memory: every grant must be exclusive (refcount 1, sole owner) —
-	// the same sweep the forced scrub uses to find reclaimable regions.
-	rcs := m.space.RefCounts()
+	// Memory: every grant must be exclusive — no byte of it held by a
+	// second owner (reference count 1).
 	grants := m.space.OwnerMemoryGrants(owner)
 	if len(grants) == 0 {
 		return nil, fmt.Errorf("%w: domain %d holds no memory", ErrNotMigratable, id)
@@ -230,10 +229,8 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 	base := grants[0].Region.Start
 	end := grants[0].Region.End
 	for _, g := range grants {
-		for _, rc := range rcs {
-			if rc.Region.Overlaps(g.Region) && (rc.Count != 1 || len(rc.Owners) != 1 || rc.Owners[0] != owner) {
-				return nil, fmt.Errorf("%w: region %v of domain %d is shared", ErrNotMigratable, g.Region, id)
-			}
+		if m.space.MaxOwners(g.Region) != 1 {
+			return nil, fmt.Errorf("%w: region %v of domain %d is shared", ErrNotMigratable, g.Region, id)
 		}
 		if g.Region.Start < base {
 			base = g.Region.Start
@@ -253,7 +250,7 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 			Offset: uint64(g.Region.Start - base),
 			Size:   g.Region.Size(),
 			Rights: g.Rights,
-			Data:   append([]byte(nil), view...),
+			Data:   view, // View's own copy
 		})
 	}
 	snap.Cores = len(m.space.OwnerCores(owner))
@@ -348,7 +345,7 @@ func (m *Monitor) RestoreDomain(caller DomainID, node cap.NodeID, cores []phys.C
 		}
 	}
 	for _, c := range cores {
-		cn, ok := m.callerCoreNode(caller, c)
+		cn, ok := m.space.OwnerCoreNode(cap.OwnerID(caller), c)
 		if !ok {
 			return id, fmt.Errorf("%w: caller %d holds no capability for core %v", ErrNotMigratable, caller, c)
 		}
@@ -396,14 +393,4 @@ func (m *Monitor) RestoreDomain(caller DomainID, node cap.NodeID, cores []phys.C
 	}
 	m.stats.migrationsIn.Add(1)
 	return id, nil
-}
-
-// callerCoreNode finds caller's capability node for a physical core.
-func (m *Monitor) callerCoreNode(caller DomainID, c phys.CoreID) (cap.NodeID, bool) {
-	for _, n := range m.space.OwnerNodes(cap.OwnerID(caller)) {
-		if n.Resource.Kind == cap.ResCore && n.Resource.Core == c {
-			return n.ID, true
-		}
-	}
-	return 0, false
 }

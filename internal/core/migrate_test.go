@@ -236,7 +236,7 @@ func TestMigrateSchedulerState(t *testing.T) {
 	// The vCPU needs a core capability on the destination too; restore
 	// shares destination cores explicitly, so none are delegated here —
 	// dom0's core roots suffice for dispatch on A.
-	coreNode, ok := mA.callerCoreNode(InitialDomain, 1)
+	coreNode, ok := mA.space.OwnerCoreNode(cap.OwnerID(InitialDomain), 1)
 	if !ok {
 		t.Fatal("dom0 lost core 1")
 	}

@@ -1033,23 +1033,13 @@ func (m *Monitor) Enumerate(id DomainID) ([]ResourceRecord, error) {
 
 func (m *Monitor) enumerate(owner cap.OwnerID) []ResourceRecord {
 	var out []ResourceRecord
-	// One sweep of the reference-count map serves every record (the
-	// per-region query is quadratic in enumeration size).
-	rcs := m.space.RefCounts()
-	maxRef := func(r phys.Region) int {
-		max := 0
-		for _, rc := range rcs {
-			if rc.Region.Overlaps(r) && rc.Count > max {
-				max = rc.Count
-			}
-		}
-		return max
-	}
+	// A grant's count is the most owners any byte of it has: a sweep of
+	// the pieces over that grant, not of the machine.
 	for _, g := range m.space.OwnerMemoryGrants(owner) {
 		out = append(out, ResourceRecord{
 			Resource: cap.MemResource(g.Region),
 			Rights:   g.Rights,
-			RefCount: maxRef(g.Region),
+			RefCount: m.space.MaxOwners(g.Region),
 		})
 	}
 	for _, c := range m.space.OwnerCores(owner) {
@@ -1117,16 +1107,25 @@ func (m *Monitor) CopyInto(id DomainID, a phys.Addr, data []byte) error {
 
 // CopyFrom reads the domain's memory after validating read access.
 func (m *Monitor) CopyFrom(id DomainID, a phys.Addr, n uint64) ([]byte, error) {
-	p := m.renter()
-	defer m.rexit(p)
-	if err := m.checkRange(id, a, n, cap.RightRead); err != nil {
-		return nil, err
+	if n > m.mach.Mem.Size() { // no domain holds more than the machine: refuse before allocating
+		return nil, m.deny("domain %d lacks %v at %v", id, cap.RightRead, a)
 	}
 	buf := make([]byte, n)
-	if err := m.mach.Mem.ReadAt(a, buf); err != nil {
+	if err := m.ReadInto(id, a, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadInto is CopyFrom into the caller's buffer: it fills buf from the
+// domain's memory at a after validating read access.
+func (m *Monitor) ReadInto(id DomainID, a phys.Addr, buf []byte) error {
+	p := m.renter()
+	defer m.rexit(p)
+	if err := m.checkRange(id, a, uint64(len(buf)), cap.RightRead); err != nil {
+		return err
+	}
+	return m.mach.Mem.ReadAt(a, buf)
 }
 
 func (m *Monitor) checkRange(id DomainID, a phys.Addr, n uint64, want cap.Rights) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -92,6 +93,60 @@ func TestBootValidation(t *testing.T) {
 	mach, _ := hw.NewMachine(hw.Config{MemBytes: 2 * DefaultMonitorReserve, NumCores: 1})
 	if _, err := Boot(BootConfig{Machine: mach, TPM: rot, Backend: "weird"}); err == nil {
 		t.Fatal("unknown backend must fail")
+	}
+}
+
+// TestGrantedCoreStaysWithSealedEnclave: dom0 grants a core to an
+// enclave and seals it; the core is then the enclave's alone, so dom0's
+// later share of it to another domain is refused, and the refusal
+// changes neither the capability space nor what the enclave's
+// attestation reports.
+func TestGrantedCoreStaysWithSealedEnclave(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	enclave, err := m.CreateDomain(InitialDomain, "enclave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := m.CreateDomain(InitialDomain, "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Grant(InitialDomain, dom0MemNode(t, m), enclave, memRes(64, 2), cap.MemRWX, cap.CleanZero); err != nil {
+		t.Fatal(err)
+	}
+	coreNode, ok := m.space.OwnerCoreNode(cap.OwnerID(InitialDomain), 1)
+	if !ok {
+		t.Fatal("dom0 holds no capability for core 1")
+	}
+	if _, err := m.Grant(InitialDomain, coreNode, enclave, cap.CoreResource(1), cap.RightRun, cap.CleanFlushCache); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetEntry(InitialDomain, enclave, phys.Addr(64*pg)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Seal(InitialDomain, enclave); err != nil {
+		t.Fatal(err)
+	}
+	gen, tree, denied := m.CapGeneration(), m.LineageTree(), m.Stats().DeniedOps
+	before, err := m.Enumerate(enclave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Share(InitialDomain, coreNode, other, cap.CoreResource(1), cap.RightRun, cap.CleanNone); !errors.Is(err, cap.ErrSubresource) {
+		t.Fatalf("dom0 shared a core it granted to a sealed enclave: err = %v", err)
+	}
+	after, err := m.Enumerate(enclave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CapGeneration() != gen || m.LineageTree() != tree || !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused share changed the state:\n%s\nenclave resources %v -> %v", m.LineageTree(), before, after)
+	}
+	if got := m.Stats().DeniedOps; got != denied+1 {
+		t.Fatalf("DeniedOps %d -> %d, want +1", denied, got)
+	}
+	if m.space.OwnerHasCore(cap.OwnerID(other), 1) || m.space.CoreRefCount(1) != 1 {
+		t.Fatalf("core 1: other holds it %v, refcount %d", m.space.OwnerHasCore(cap.OwnerID(other), 1), m.space.CoreRefCount(1))
 	}
 }
 

@@ -223,7 +223,7 @@ func TestVCPUPreemptResumeExact(t *testing.T) {
 func shareCores(t testing.TB, m *Monitor, id DomainID, cores []phys.CoreID) {
 	t.Helper()
 	for _, c := range cores {
-		n, ok := m.callerCoreNode(InitialDomain, c)
+		n, ok := m.space.OwnerCoreNode(cap.OwnerID(InitialDomain), c)
 		if !ok {
 			t.Fatalf("dom0 holds no capability for %v", c)
 		}

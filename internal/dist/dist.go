@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/attest"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -238,6 +239,8 @@ type half struct {
 	block cipher.Block // AES-128-CTR, IV = seq
 	mac   hash.Hash    // HMAC-SHA256 over header and ciphertext
 	seq   uint64
+	frame []byte         // seal's buffer, reused frame after frame
+	sum   [frameTag]byte // open's recomputed tag
 }
 
 // newHalf derives one direction's keys from the ECDH secret:
@@ -387,16 +390,18 @@ func (h *half) keystream(seq uint64) cipher.Stream {
 }
 
 // seal builds the frame for plaintext under the direction's current
-// sequence number, in one buffer.
+// sequence number in the direction's frame buffer, which the next seal
+// overwrites: the wire takes its own copy of what it carries.
 func (h *half) seal(plaintext []byte) []byte {
 	n := len(plaintext)
-	frame := make([]byte, frameHeader+n, frameHeader+n+frameTag)
+	frame := slices.Grow(h.frame[:0], frameHeader+n+frameTag)[:frameHeader+n]
 	binary.LittleEndian.PutUint64(frame[:8], h.seq)
 	binary.LittleEndian.PutUint64(frame[8:frameHeader], uint64(n))
 	h.keystream(h.seq).XORKeyStream(frame[frameHeader:], plaintext)
 	h.mac.Reset()
 	h.mac.Write(frame)
-	return h.mac.Sum(frame)
+	h.frame = h.mac.Sum(frame)
+	return h.frame
 }
 
 // open authenticates frame against the direction's keys and current
@@ -407,10 +412,9 @@ func (h *half) open(frame []byte) ([]byte, error) {
 		return nil, ErrTampered
 	}
 	body, tag := frame[:len(frame)-frameTag], frame[len(frame)-frameTag:]
-	var sum [frameTag]byte
 	h.mac.Reset()
 	h.mac.Write(body)
-	if !hmac.Equal(h.mac.Sum(sum[:0]), tag) {
+	if !hmac.Equal(h.mac.Sum(h.sum[:0]), tag) {
 		return nil, ErrTampered
 	}
 	seq := binary.LittleEndian.Uint64(body[:8])
@@ -461,11 +465,10 @@ func (c *Conn) SendOver(wire *Wire, from *Endpoint, plaintext []byte) ([]byte, e
 	if !ok {
 		return nil, ErrLinkLost
 	}
-	got, err := to.receive(rx)
-	if err != nil {
+	if err := to.receive(rx); err != nil {
 		return nil, err
 	}
-	pt, err := h.open(got)
+	pt, err := h.open(rx)
 	if err != nil {
 		return nil, err
 	}
@@ -496,16 +499,16 @@ func (e *Endpoint) transmit(frame []byte) error {
 
 // receive has the NIC DMA-write rx into the endpoint's registered
 // buffer and raise an interrupt for the owning domain, which then reads
-// the frame back — under the NIC's queue, like transmit.
-func (e *Endpoint) receive(rx []byte) ([]byte, error) {
+// the frame back over rx — under the NIC's queue, like transmit.
+func (e *Endpoint) receive(rx []byte) error {
 	nic := e.Monitor.Machine().Device(e.NIC)
 	nic.Acquire()
 	defer nic.Release()
 	if err := nic.DMAWrite(e.Buffer.Start, rx); err != nil {
-		return nil, fmt.Errorf("dist: rx dma: %w", err)
+		return fmt.Errorf("dist: rx dma: %w", err)
 	}
 	nic.RaiseIRQ(1)
-	return e.Monitor.CopyFrom(e.Domain, e.Buffer.Start, uint64(len(rx)))
+	return e.Monitor.ReadInto(e.Domain, e.Buffer.Start, rx)
 }
 
 // WireCarried reports whether the adversary's tap (see Tap) ever saw

@@ -185,6 +185,64 @@ func TestOnlySweepsRangeNodeIndex(t *testing.T) {
 	})
 }
 
+// refCountsCallers are the only functions of internal/core that may ask
+// the capability space for its machine-wide reference-count map: the
+// monitor's Figure 4 export and the memory-encryption retag of the whole
+// address space, both questions about every owner. A question about one
+// domain — is its memory exclusive, its attested counts, what its death
+// scrubs — asks a scoped sweep and costs what lies under that domain
+// (ARCHITECTURE §7).
+var refCountsCallers = map[string]bool{
+	"RefCounts":      true,
+	"syncEncryption": true,
+}
+
+// spaceRefCounts matches a call of RefCounts on a field named space.
+func spaceRefCounts(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	s, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || s.Sel.Name != "RefCounts" {
+		return false
+	}
+	x, ok := s.X.(*ast.SelectorExpr)
+	return ok && x.Sel.Name == "space"
+}
+
+// TestOnlyAllOwnerQuestionsCallRefCounts parses internal/core's non-test
+// files; the rule sees a planted per-domain caller.
+func TestOnlyAllOwnerQuestionsCallRefCounts(t *testing.T) {
+	check := func(files []goFile) (bad []string) {
+		for fn, at := range callers(files, spaceRefCounts) {
+			if !refCountsCallers[fn] {
+				bad = append(bad, fn+" ("+at+")")
+			}
+		}
+		return bad
+	}
+	core := parseTree(t, false, "internal/core")
+	if bad := check(core); len(bad) > 0 {
+		t.Errorf("internal/core builds the machine-wide reference-count map in %v; only %v may", bad, refCountsCallers)
+	}
+	if got := callers(core, spaceRefCounts); len(got) != len(refCountsCallers) {
+		t.Errorf("space.RefCounts is called from %v, want exactly the allowed %v", got, refCountsCallers)
+	}
+	withPlant := append(core, plant(t, "internal/core/planted.go", `package core
+func (m *Monitor) exclusive(owner cap.OwnerID) (out []phys.Region) {
+	for _, rc := range m.space.RefCounts() {
+		if rc.Count == 1 && rc.Owners[0] == owner {
+			out = append(out, rc.Region)
+		}
+	}
+	return out
+}`))
+	if bad := check(withPlant); len(bad) != 1 || !strings.HasPrefix(bad[0], "exclusive ") {
+		t.Errorf("with a planted per-domain caller: found %v, want exactly the plant", bad)
+	}
+}
+
 // TestOneCarveOneDerivation: the per-node region list with its Subtract
 // ping-pong (effectiveRegions) lives on only as the tests' reference,
 // and nothing in internal/phys sorts through reflection.

@@ -114,7 +114,18 @@ func (r Region) String() string {
 // overlapping ones, dropping empties. It does not mutate its argument:
 // the copy it sorts is the buffer it merges into and returns.
 func NormalizeRegions(regs []Region) []Region {
-	out := slices.DeleteFunc(slices.Clone(regs), Region.Empty)
+	out := NormalizeInPlace(slices.Clone(regs))
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// NormalizeInPlace is NormalizeRegions in regs' own storage, for a caller
+// that builds the list in a buffer it owns: it returns the normalized
+// prefix of regs.
+func NormalizeInPlace(regs []Region) []Region {
+	out := slices.DeleteFunc(regs, Region.Empty)
 	slices.SortFunc(out, func(a, b Region) int { return cmp.Compare(a.Start, b.Start) })
 	n := 0 // out[:n] is merged; the merge never writes past what it has read
 	for _, r := range out {
@@ -124,9 +135,6 @@ func NormalizeRegions(regs []Region) []Region {
 		}
 		out[n] = r
 		n++
-	}
-	if n == 0 {
-		return nil
 	}
 	return out[:n]
 }
