@@ -90,9 +90,8 @@ experiments-quick:
 	$(GO) run ./cmd/tyche-bench -quick -parallel 4 -out $${TMPDIR:-/tmp}/BENCH.json
 
 # The whole module under the race detector: cores driven from their own
-# goroutines (the concurrency tests), migrations beside fleet.Serve,
-# cross-core shootdowns, the parallel bench harness. -short trims the
-# heaviest sweeps.
+# goroutines (the concurrency tests), cross-core shootdowns, the parallel
+# bench harness. -short trims the heaviest sweeps.
 ci-race: vet
 	$(GO) test -race -short ./...
 
@@ -167,8 +166,10 @@ drain:
 
 # The migration path — kept node-pair channels, per-node attestation
 # sessions, the channel transport under them — under the race detector,
-# ten times at 1, 2 and 4 host threads; then one hop and one send with
-# their allocations, for the record. A kept-channel hop taking 0
+# ten times at 1, 2 and 4 host threads. A fleet runs its hops on one
+# goroutine; two channels sharing one agent's NIC are the part driven
+# from two (ChannelsSharingOneNIC). Then one hop and one send with their
+# allocations, for the record. A kept-channel hop taking 0
 # handshakes is asserted by TestFleetMigrationChannelLifecycle (steadyHop
 # requires 0 TPM quotes), not read off the benchmark line.
 migrate:
@@ -177,26 +178,25 @@ migrate:
 	done
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
 
-# The simulated datacenter fleet. fleet.Serve runs every request on its
-# caller's goroutine, so a fleet replays from its seed:
-# TestServeReproducible (a kill mid-serving and a migration between two
-# serves) and C23's whole Result must come out identical at 1, 2 and 4
-# host threads. Race legs run the serve-during-migration stress (Migrate
-# on its own goroutine beside Serve: the load balancer, the placement
-# drain and the node-death protocol) and the kill-during-serving test.
-# The hardware-filter legs pin what once failed on any host with two
-# threads: a filter resync publishes the new extent table in one step (a
-# core on another thread never reads a deny-all dom0 filter), and
-# channels sharing one node NIC do not interleave. The -fleet demo keeps
-# the interactive path honest. (C23's migration-abort, kill-churn and
+# The simulated datacenter fleet. A fleet is one thread's object — every
+# call, Serve, Migrate and FailNode among them, runs on its caller's
+# goroutine — so it replays from its seed: TestServeReproducible (a kill
+# mid-serving and a migration between two serves), the re-placement
+# order after a node death (TestFailNodeReplacesDeterministically) and
+# C23's whole Result must come out identical at 1, 2 and 4 host threads.
+# The race legs run the fleet tests, serving interleaved with migrations
+# and the kill during serving among them. The hardware-filter legs pin
+# what once failed on any host with two threads: a filter resync
+# publishes the new extent table in one step (a core on another thread
+# never reads a deny-all dom0 filter), and channels sharing one node NIC
+# do not interleave. The -fleet demo keeps the interactive path honest.
+# (C23's migration-abort, kill-churn and
 # fleet-verification gates run in ci-test's pooled sweep.)
 fleet:
 	$(GO) test -race -run 'TestFleet' -v ./internal/fleet
-	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestServeReproducible' ./internal/fleet || exit 1; done
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestServeReproducible|TestFailNodeReplacesDeterministically' ./internal/fleet || exit 1; done
 	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestResultsAreHostIndependent/C23' ./internal/bench || exit 1; done
 	$(GO) test -race -count 3 -run 'TestFleetServeDuringMigration|TestFleetKillDuringServing' ./internal/fleet
-	GOMAXPROCS=2 $(GO) test -count 20 -run 'TestFleetServeDuringMigration' ./internal/fleet
-	GOMAXPROCS=2 $(GO) test -race -count 5 -run 'TestFleetServeDuringMigration' ./internal/fleet
 	$(GO) test -race -count 5 -run 'EPTReplaceIsOnePublish|ResyncNeverPublishesPartialFilter|ChannelsSharingOneNIC' ./internal/hw ./internal/core ./internal/dist
 	$(GO) test -race -run 'Migrate|Depart|Snapshot|Restore' ./internal/core ./internal/dist
 	$(GO) run ./cmd/tyche-sim -fleet 4

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/dist"
@@ -18,14 +17,14 @@ import (
 // reports (tier two) over all nodes.
 type hopWorld struct {
 	f      *Fleet
-	quotes atomic.Int64
+	quotes int
 }
 
 func newHopWorld(t testing.TB) *hopWorld {
 	t.Helper()
 	w := &hopWorld{f: newTestFleet(t, 3)}
 	for _, n := range w.f.Nodes {
-		n.TPM.SetQuoteHook(func() error { w.quotes.Add(1); return nil })
+		n.TPM.SetQuoteHook(func() error { w.quotes++; return nil })
 	}
 	if err := w.f.Deploy(ServiceSpec{Name: "pay", Delta: 777}, 1); err != nil {
 		t.Fatal(err)
@@ -69,14 +68,10 @@ func (w *hopWorld) channel(a, b int) *dist.Conn {
 	if a > b {
 		a, b = b, a
 	}
-	w.f.pairMu.Lock()
 	pc := w.f.pairs[[2]int{a, b}]
-	w.f.pairMu.Unlock()
 	if pc == nil {
 		return nil
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	return pc.conn
 }
 
@@ -89,12 +84,12 @@ func (w *hopWorld) steadyHop(t *testing.T, to int) {
 	if kept == nil {
 		t.Fatalf("node%d and node%d have no open channel", from, to)
 	}
-	quotes, reports := w.quotes.Load(), w.reports()
+	quotes, reports := w.quotes, w.reports()
 	w.hop(t, to, nil)
 	if w.channel(from, to) != kept {
 		t.Errorf("hop node%d->node%d replaced the pair's open channel", from, to)
 	}
-	if got := w.quotes.Load() - quotes; got != 0 {
+	if got := w.quotes - quotes; got != 0 {
 		t.Errorf("hop node%d->node%d took %d TPM quotes, want 0", from, to, got)
 	}
 	if got := w.reports() - reports; got != 1 {
@@ -127,14 +122,11 @@ func (w *hopWorld) abortedHop(t *testing.T, to int, wire *dist.Wire, want error)
 	}
 }
 
-// together runs two migrations at once and waits for both.
-func (w *hopWorld) together(t *testing.T, svcA string, fromA, toA int, svcB string, fromB, toB int) {
+// inTurn runs two migrations, one after the other.
+func (w *hopWorld) inTurn(t *testing.T, svcA string, fromA, toA int, svcB string, fromB, toB int) {
 	t.Helper()
-	errs := make(chan error, 2)
-	go func() { errs <- w.f.Migrate(svcA, fromA, toA, nil) }()
-	go func() { errs <- w.f.Migrate(svcB, fromB, toB, nil) }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
+	for _, err := range []error{w.f.Migrate(svcA, fromA, toA, nil), w.f.Migrate(svcB, fromB, toB, nil)} {
+		if err != nil {
 			t.Error(err)
 		}
 	}
@@ -146,7 +138,7 @@ type lifecycleCase struct {
 }
 
 // TestFleetMigrationChannelLifecycle: what opens a node pair's kept
-// channel, what rides it, and what closes it. Run under -race.
+// channel, what rides it, and what closes it.
 func TestFleetMigrationChannelLifecycle(t *testing.T) {
 	// abortRow: a hop whose frame the wire loses or damages aborts as it
 	// always did and closes the channel; the clean retry opens a new one —
@@ -157,9 +149,9 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			w.hop(t, 1, nil)
 			first := w.channel(0, 1)
 			w.abortedHop(t, 0, wire, want)
-			quotes := w.quotes.Load()
+			quotes := w.quotes
 			w.hop(t, 0, nil)
-			if got := w.quotes.Load() - quotes; got != 2 {
+			if got := w.quotes - quotes; got != 2 {
 				t.Errorf("the hop after an abort took %d TPM quotes, want 2 (one handshake)", got)
 			}
 			if again := w.channel(0, 1); again == nil || again == first {
@@ -177,7 +169,7 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			// Deploy's placement proved node 0's session; the first hop
 			// pays one handshake (two quotes) and node 1's session.
 			w.hop(t, 1, nil)
-			if got := w.quotes.Load(); got != 4 {
+			if got := w.quotes; got != 4 {
 				t.Errorf("placement and first hop took %d TPM quotes, want 4", got)
 			}
 			w.hop(t, 2, nil)
@@ -224,12 +216,8 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl := w.f.LB().Placements("pay")[0]
-			blackouts := len(w.f.Blackouts())
-			if !pl.tryAcquire() {
-				t.Fatal("placement not routable")
-			}
+			blackouts, out := len(w.f.Blackouts()), w.f.Stats().MigrationsOut
 			err := w.f.Migrate("pay", 1, 0, nil)
-			pl.release()
 			if err == nil || !strings.Contains(err.Error(), "connect") {
 				t.Fatalf("hop to a node whose agent is gone: err = %v, want a connect failure", err)
 			}
@@ -239,13 +227,17 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			if got := len(w.f.Blackouts()); got != blackouts {
 				t.Fatalf("a refused hop recorded a blackout")
 			}
+			if got := w.f.Stats().MigrationsOut; got != out {
+				t.Fatalf("a refused hop snapshotted the source: MigrationsOut %d -> %d", out, got)
+			}
 			if w.channel(0, 1) != nil {
 				t.Fatal("the channel outlived the agent that held its keys")
 			}
 		}},
-		{"two services cross one pair at once", func(t *testing.T, w *hopWorld) {
+		{"two services cross one pair in turn", func(t *testing.T, w *hopWorld) {
 			// "idx" lands on the emptiest node; the two then swap nodes, so
-			// both directions of one channel are wanted at once.
+			// the second hop rides the channel the first opened, the other
+			// way.
 			if err := w.f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -253,10 +245,10 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			if pay == idx {
 				t.Fatalf("both services were placed on node%d", pay)
 			}
-			quotes := w.quotes.Load()
-			w.together(t, "pay", pay, idx, "idx", idx, pay)
-			if got := w.quotes.Load() - quotes; got != 2 {
-				t.Errorf("two concurrent hops over one pair took %d TPM quotes, want 2 (one handshake)", got)
+			quotes := w.quotes
+			w.inTurn(t, "pay", pay, idx, "idx", idx, pay)
+			if got := w.quotes - quotes; got != 2 {
+				t.Errorf("two hops over one pair took %d TPM quotes, want 2 (one handshake)", got)
 			}
 			if got := w.f.LB().Placements("idx")[0].Node; w.at(t) != idx || got != pay {
 				t.Errorf("after the swap pay is on node%d and idx on node%d, want node%d and node%d", w.at(t), got, idx, pay)
@@ -266,10 +258,10 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			}
 			auditClean(t, w.f)
 		}},
-		{"two sources reach one target at once", func(t *testing.T, w *hopWorld) {
+		{"two sources reach one target in turn", func(t *testing.T, w *hopWorld) {
 			// Two pairs that share node 2: their handshakes both bind a key
-			// into node 2's agent report, and both hops want node 2's
-			// session, which neither has proved yet.
+			// into node 2's agent report, and the first hop proves node 2's
+			// session for both.
 			if err := w.f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -277,9 +269,9 @@ func TestFleetMigrationChannelLifecycle(t *testing.T) {
 			if pay == 2 || idx == 2 || pay == idx {
 				t.Fatalf("pay on node%d and idx on node%d: want them apart and node2 empty", pay, idx)
 			}
-			quotes := w.quotes.Load()
-			w.together(t, "pay", pay, 2, "idx", idx, 2)
-			if got := w.quotes.Load() - quotes; got != 5 {
+			quotes := w.quotes
+			w.inTurn(t, "pay", pay, 2, "idx", idx, 2)
+			if got := w.quotes - quotes; got != 5 {
 				t.Errorf("two first hops into node2 took %d TPM quotes, want 5 (two handshakes, one session)", got)
 			}
 			if _, err := w.f.Serve([]string{"pay", "idx"}, 80, 1); err != nil {
@@ -312,10 +304,7 @@ func TestDigestChannelRetainsNoFrames(t *testing.T) {
 	}
 	before := liveHeap()
 	for i := 0; i < digests; i++ {
-		f.cpMu.Lock()
-		_, err := n.conn.Send(n.ep, digest)
-		f.cpMu.Unlock()
-		if err != nil {
+		if _, err := n.conn.Send(n.ep, digest); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,12 +368,12 @@ func BenchmarkMigrateHop(b *testing.B) {
 	for _, to := range []int{1, 2, 0} {
 		w.hop(b, to, nil)
 	}
-	quotes := w.quotes.Load()
+	quotes := w.quotes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.hop(b, (w.at(b)+1+i%2)%3, nil)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(w.quotes.Load()-quotes)/2/float64(b.N), "handshakes/hop")
+	b.ReportMetric(float64(w.quotes-quotes)/2/float64(b.N), "handshakes/hop")
 }

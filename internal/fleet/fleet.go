@@ -27,13 +27,16 @@
 // which is what lets measurements and absolute jump targets survive
 // migration and re-placement at the same physical base (see
 // internal/core/migrate.go).
+//
+// A Fleet is one thread's object: its calls — Deploy, Serve, Pulse,
+// Migrate, FailNode, Audit — run on their caller's goroutine, one at a
+// time, and none may run beside another. So a fleet holds no lock, and
+// its history is a function of its seed and the calls made on it.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/attest"
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -124,12 +127,11 @@ type Node struct {
 	workers []phys.CoreID
 	next    int // index into workers of the core the next request takes
 
-	mu   sync.Mutex
 	conn *dist.Conn      // digest channel to the control plane
 	ep   *dist.Endpoint  // this node's side of the digest channel
 	sess *attest.Session // the monitor key this node's TPM proved (session)
 
-	failed atomic.Bool
+	failed bool
 }
 
 // Workers returns the node's tenant-serving cores.
@@ -138,7 +140,7 @@ func (n *Node) Workers() []phys.CoreID {
 }
 
 // Failed reports whether the control plane declared the node dead.
-func (n *Node) Failed() bool { return n.failed.Load() }
+func (n *Node) Failed() bool { return n.failed }
 
 // alive reports whether domain id still exists on the node.
 func (n *Node) alive(id core.DomainID) bool {
@@ -147,7 +149,7 @@ func (n *Node) alive(id core.DomainID) bool {
 }
 
 // nextCore returns the worker core the node's next request runs on:
-// the workers in rotation. Only Serve's thread calls it.
+// the workers in rotation.
 func (n *Node) nextCore() phys.CoreID {
 	c := n.workers[n.next]
 	n.next = (n.next + 1) % len(n.workers)
@@ -180,27 +182,21 @@ type Fleet struct {
 	// cp is the control-plane machine hosting the digest-channel
 	// endpoints and the per-node remote verifiers.
 	cp   *Node
-	cpMu sync.Mutex // serializes receives into the CP's shared buffer
 	vers []*check.RemoteVerifier
 
 	lb *LoadBalancer
 
-	baseMu   sync.Mutex
 	nextBase phys.Addr
 	tmpls    map[string]*template
 
-	nonceMu sync.Mutex
-	nonce   uint64
+	nonce uint64
 
 	// pairs holds the kept node-to-node migration channels by
 	// (lower, higher) node index (migrate.go).
-	pairMu sync.Mutex
-	pairs  map[[2]int]*pairChannel
+	pairs map[[2]int]*pairChannel
 
-	blackMu   sync.Mutex
 	blackouts []uint64 // nanoseconds per completed migration
 
-	errMu    sync.Mutex
 	firstErr error
 }
 
@@ -365,9 +361,7 @@ func (f *Fleet) openDigestChannel(n *Node) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
 	n.conn, n.ep = conn, epN
-	n.mu.Unlock()
 	return nil
 }
 
@@ -376,15 +370,10 @@ func (f *Fleet) openDigestChannel(n *Node) error {
 // what actually arrived. A digest with no channel to cross is an error,
 // which the node's service latches.
 func (f *Fleet) shipDigest(n *Node, raw []byte) error {
-	n.mu.Lock()
-	conn, ep := n.conn, n.ep
-	n.mu.Unlock()
-	if conn == nil {
+	if n.conn == nil {
 		return fmt.Errorf("fleet: %s has no digest channel", n.Name)
 	}
-	f.cpMu.Lock()
-	defer f.cpMu.Unlock()
-	got, err := conn.Send(ep, raw)
+	got, err := n.conn.Send(n.ep, raw)
 	if err != nil {
 		return err
 	}
@@ -393,9 +382,8 @@ func (f *Fleet) shipDigest(n *Node, raw []byte) error {
 
 // Pulse drives every live node to a quiescent point (a short dedicated
 // RunCores round over its worker cores), firing the monitors'
-// checkpoints so pending digest intervals ship. Pulse and Serve are one
-// thread's calls: Serve pulses between its waves, and a caller pulses
-// between its Serve calls, never beside one.
+// checkpoints so pending digest intervals ship. Serve pulses between
+// its waves; a caller may pulse between any two fleet calls.
 func (f *Fleet) Pulse() {
 	for _, n := range f.Nodes {
 		if n.Failed() {
@@ -409,37 +397,24 @@ func (f *Fleet) Pulse() {
 
 // nextNonce returns a fresh attestation nonce (unique per fleet).
 func (f *Fleet) nextNonce() []byte {
-	f.nonceMu.Lock()
-	defer f.nonceMu.Unlock()
 	f.nonce++
 	return []byte(fmt.Sprintf("fleet-%d-%d", f.cfg.Seed, f.nonce))
 }
 
 func (f *Fleet) latch(err error) {
-	if err == nil {
-		return
-	}
-	f.errMu.Lock()
-	defer f.errMu.Unlock()
 	if f.firstErr == nil {
 		f.firstErr = err
 	}
 }
 
-// Err returns the first asynchronous control-plane error (node
-// re-placement, pulse, drain timeout), if any.
-func (f *Fleet) Err() error {
-	f.errMu.Lock()
-	defer f.errMu.Unlock()
-	return f.firstErr
-}
+// Err returns the first control-plane error no call returned (a pulse,
+// a node's scrub or re-placement), if any.
+func (f *Fleet) Err() error { return f.firstErr }
 
 // allocBase carves a fleet-global tenant base: bump-down from the top
 // of the identical per-node heap, never reused, so every assigned span
 // is free on every node — including after kills and migrations.
 func (f *Fleet) allocBase(pages uint64) phys.Addr {
-	f.baseMu.Lock()
-	defer f.baseMu.Unlock()
 	f.nextBase -= phys.Addr(pages * pg)
 	return f.nextBase
 }
@@ -493,16 +468,10 @@ func (f *Fleet) buildTemplate(spec ServiceSpec) *template {
 
 // Deploy admits a service onto `replicas` distinct nodes.
 func (f *Fleet) Deploy(spec ServiceSpec, replicas int) error {
-	f.baseMu.Lock()
 	if _, dup := f.tmpls[spec.Name]; dup {
-		f.baseMu.Unlock()
 		return fmt.Errorf("fleet: service %q already deployed", spec.Name)
 	}
-	f.baseMu.Unlock()
-	tmpl := f.buildTemplate(spec)
-	f.baseMu.Lock()
-	f.tmpls[spec.Name] = tmpl
-	f.baseMu.Unlock()
+	f.tmpls[spec.Name] = f.buildTemplate(spec)
 	for i := 0; i < replicas; i++ {
 		if _, err := f.place(spec.Name); err != nil {
 			return err
@@ -517,9 +486,7 @@ func (f *Fleet) Deploy(spec ServiceSpec, replicas int) error {
 // the restored domain against the expected measurement, register with
 // the load balancer.
 func (f *Fleet) place(name string) (*Placement, error) {
-	f.baseMu.Lock()
 	tmpl := f.tmpls[name]
-	f.baseMu.Unlock()
 	if tmpl == nil {
 		return nil, fmt.Errorf("fleet: unknown service %q", name)
 	}
@@ -561,8 +528,6 @@ func (f *Fleet) placeOn(n *Node, tmpl *template) (*Placement, error) {
 // key is fixed at boot, so the proof is kept for as long as the node is
 // (FailNode drops it).
 func (f *Fleet) session(n *Node) (*attest.Session, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.sess != nil {
 		return n.sess, nil
 	}
@@ -620,28 +585,21 @@ func (f *Fleet) ArmKill(i int, afterAccesses uint64) {
 	n.Inj.Arm(n.Mach, n.TPM)
 }
 
-// FailNode is the control plane's node-death protocol: forget the
-// node's migration channels and attestation session, stop routing,
-// drain in-flight requests, destroy the node's remaining tenant
-// plaintext (forced scrub), and re-place every lost service at the
-// same base on surviving nodes. Idempotent; safe from Serve's thread
-// (which calls it when a request dies on a machine check) and from a
-// caller beside Serve.
+// FailNode is the control plane's node-death protocol: mark the node
+// dead, forget its migration channels and attestation session, stop
+// routing to it, destroy its remaining tenant plaintext (forced scrub),
+// and re-place every lost service at the same base on surviving nodes,
+// in the order DeregisterNode returns them. Idempotent; Serve calls it
+// when a request dies on a machine check.
 func (f *Fleet) FailNode(i int) {
 	n := f.Nodes[i]
-	if !n.failed.CompareAndSwap(false, true) {
+	if n.failed {
 		return
 	}
+	n.failed = true
 	f.dropChannels(i)
-	n.mu.Lock()
 	n.sess = nil
-	n.mu.Unlock()
 	lost := f.lb.DeregisterNode(i)
-	for _, pl := range lost {
-		if err := pl.Drain(); err != nil {
-			f.latch(fmt.Errorf("fleet: drain %s on %s: %w", pl.Service, n.Name, err))
-		}
-	}
 	// Destroy surviving tenant instances on the dead node — machine
 	// checks already killed (and scrubbed) the ones caught running.
 	var alive []core.DomainID

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/core"
@@ -189,27 +188,29 @@ func TestFleetMigrationAbortsCleanly(t *testing.T) {
 // TestFleetMigrateConnectsBeforeFreeze: the channel handshake runs
 // before the placement is frozen, so one that fails — here the source
 // expects a different agent on the target than the one that answers —
-// returns at once with the placement never deregistered. The request
-// held in flight across the call is what tells "never frozen" from
-// "frozen and re-registered": a freeze would have to drain it first.
+// returns at once with the placement never deregistered. Two replicas
+// tell "never frozen" from "frozen and re-registered": a re-registered
+// source would lose its round-robin position, and a snapshot would
+// count as a migration out.
 func TestFleetMigrateConnectsBeforeFreeze(t *testing.T) {
-	f := newTestFleet(t, 2)
-	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 1); err != nil {
+	f := newTestFleet(t, 3)
+	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 2); err != nil {
 		t.Fatal(err)
 	}
-	pl := f.LB().Placements("idx")[0]
-	from, to := pl.Node, 1-pl.Node
+	before := f.LB().Placements("idx")
+	from := before[0].Node
+	to := 3 - before[0].Node - before[1].Node // the node without a replica
 	f.Nodes[to].AgentImg = image.NewProgram("impostor", []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if !pl.tryAcquire() {
-		t.Fatal("placement not routable")
-	}
+	out := f.Stats().MigrationsOut
 	err := f.Migrate("idx", from, to, nil)
-	pl.release()
 	if err == nil || !strings.Contains(err.Error(), "connect") {
 		t.Fatalf("migrate to an impostor agent: err = %v, want a connect failure", err)
 	}
-	if after := f.LB().Placements("idx"); len(after) != 1 || after[0] != pl {
-		t.Fatalf("placements after failed connect: %+v", after)
+	if after := f.LB().Placements("idx"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("placements after failed connect: %+v, want %+v in that order", after, before)
+	}
+	if got := f.Stats().MigrationsOut; got != out {
+		t.Fatalf("failed connect snapshotted the source: MigrationsOut %d -> %d", out, got)
 	}
 	if bs := f.Blackouts(); len(bs) != 0 {
 		t.Fatalf("failed connect recorded blackouts %v", bs)
@@ -291,8 +292,9 @@ func TestFleetKillDuringServing(t *testing.T) {
 	auditClean(t, f)
 }
 
-// TestFleetServeDuringMigration races the serving loop against live
-// migrations (the CI race leg's target).
+// TestFleetServeDuringMigration interleaves serving with live
+// migrations on the fleet's one thread: "alpha" is chased around the
+// fleet between Serve batches, and every request lands correctly.
 func TestFleetServeDuringMigration(t *testing.T) {
 	f := newTestFleet(t, 3)
 	if err := f.Deploy(ServiceSpec{Name: "alpha", Delta: 21}, 2); err != nil {
@@ -301,48 +303,33 @@ func TestFleetServeDuringMigration(t *testing.T) {
 	if err := f.Deploy(ServiceSpec{Name: "beta", Delta: 4000}, 2); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	var serveErr error
-	var stats ServeStats
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		stats, serveErr = f.Serve([]string{"alpha", "beta"}, 400, 1)
-	}()
-	// Chase "alpha" around the fleet while requests are in flight.
+	serve := func() {
+		t.Helper()
+		stats, err := f.Serve([]string{"alpha", "beta"}, 100, 1)
+		if err != nil {
+			t.Fatalf("serving failed between migrations: %v", err)
+		}
+		if stats.Requests != 100 {
+			t.Fatalf("served %d, want 100", stats.Requests)
+		}
+	}
+	serve()
 	migrations := 0
 	for hop := 0; hop < 3; hop++ {
-		pls := f.LB().Placements("alpha")
-		if len(pls) == 0 {
-			break
-		}
-		pl := pls[0]
-		to := -1
+		pl := f.LB().Placements("alpha")[0]
 		hosts := f.LB().ReplicaNodes("alpha")
+		to := -1
 		for i := range f.Nodes {
-			if i != pl.Node && !hosts[i] && !f.Nodes[i].Failed() {
+			if !hosts[i] {
 				to = i
 				break
 			}
 		}
-		if to < 0 {
-			break
-		}
 		if err := f.Migrate("alpha", pl.Node, to, nil); err != nil {
-			t.Errorf("hop %d: %v", hop, err)
-			break
+			t.Fatalf("hop %d: %v", hop, err)
 		}
 		migrations++
-	}
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("serving failed during migration: %v", serveErr)
-	}
-	if stats.Requests != 400 {
-		t.Fatalf("served %d, want 400", stats.Requests)
-	}
-	if migrations == 0 {
-		t.Fatal("no migration completed")
+		serve()
 	}
 	// Four initial admissions plus one restore per migration.
 	s := f.Stats()
@@ -351,6 +338,65 @@ func TestFleetServeDuringMigration(t *testing.T) {
 			s.MigrationsOut, s.MigrationsIn, migrations, 4+migrations)
 	}
 	auditClean(t, f)
+}
+
+// TestFailNodeReplacesDeterministically: node death re-places the lost
+// services by name, so which survivor takes which is fixed by the
+// fleet's history, not by map order. Node 0 hosts every fifth of 40
+// services; the four survivors, equally loaded, take them in turn.
+func TestFailNodeReplacesDeterministically(t *testing.T) {
+	f := newTestFleet(t, 5)
+	var names []string
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("s%02d", i)
+		names = append(names, name)
+		if err := f.Deploy(ServiceSpec{Name: name, Delta: uint32(i + 1)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.FailNode(0)
+	var moved []string
+	for i, name := range names {
+		pls := f.LB().Placements(name)
+		if len(pls) != 1 {
+			t.Fatalf("%s has %d placements after the kill, want 1", name, len(pls))
+		}
+		if i%5 == 0 {
+			moved = append(moved, fmt.Sprintf("%s@%d", name, pls[0].Node))
+		} else if pls[0].Node != i%5 {
+			t.Fatalf("%s moved from node%d to node%d, but node%d survived", name, i%5, pls[0].Node, i%5)
+		}
+	}
+	got := strings.Join(moved, " ")
+	if want := "s00@1 s05@2 s10@3 s15@4 s20@1 s25@2 s30@3 s35@4"; got != want {
+		t.Fatalf("node0's services re-placed as %s, want %s", got, want)
+	}
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeRefusesWhatItCannotRoute: a name with no deployed service is
+// refused before anything runs, and a deployed service with no replica
+// left fails on its first pick, with no retry.
+func TestServeRefusesWhatItCannotRoute(t *testing.T) {
+	f := newTestFleet(t, 2)
+	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := f.Nodes[0].Mon.Stats()
+	stats, err := f.Serve([]string{"idx", "nosuch"}, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), `unknown service "nosuch"`) || stats != (ServeStats{}) {
+		t.Fatalf("Serve naming an undeployed service = %+v, %v; want it refused", stats, err)
+	}
+	if after := f.Nodes[0].Mon.Stats(); after != before {
+		t.Fatalf("the refused Serve changed node0: %+v -> %+v", before, after)
+	}
+	f.LB().Deregister(f.LB().Placements("idx")[0])
+	stats, err = f.Serve([]string{"idx"}, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "no live replica") || stats != (ServeStats{}) {
+		t.Fatalf("Serve with no replica left = %+v, %v; want a failed first pick", stats, err)
+	}
 }
 
 // TestFleetVerifierFlagsSeededNode seeds a violation on exactly one
@@ -399,9 +445,7 @@ func TestFleetVerifierFlagsSeededNode(t *testing.T) {
 func TestDigestWithoutChannelFailsClosed(t *testing.T) {
 	f := newTestFleet(t, 1)
 	n := f.Nodes[0]
-	n.mu.Lock()
 	n.conn = nil
-	n.mu.Unlock()
 	if err := n.SVC.Finalize(); err == nil || !strings.Contains(err.Error(), "no digest channel") {
 		t.Fatalf("Finalize = %v, want the refused digest latched", err)
 	}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/tyche-sim/tyche/internal/core"
@@ -12,12 +11,8 @@ import (
 
 // pairChannel is the attested channel two nodes' agents keep between
 // them: one per unordered node pair, opened by the pair's first
-// migration and used by every later one in either direction. mu admits
-// one migration of the pair at a time: a dist.Conn carries one transfer
-// at a time, and a migration waiting here has not frozen its placement
-// yet.
+// migration and used by every later one in either direction.
 type pairChannel struct {
-	mu     sync.Mutex
 	conn   *dist.Conn // nil until the first hop and after close
 	lo, hi *dist.Endpoint
 	wire   dist.Wire // carries the hops whose caller named no wire
@@ -28,8 +23,6 @@ type pairChannel struct {
 // drops the node's channels, so none is created behind its back.
 func (f *Fleet) pair(a, b *Node) *pairChannel {
 	k := [2]int{min(a.Index, b.Index), max(a.Index, b.Index)}
-	f.pairMu.Lock()
-	defer f.pairMu.Unlock()
 	pc := f.pairs[k]
 	if pc == nil && !a.Failed() && !b.Failed() {
 		pc = &pairChannel{}
@@ -39,11 +32,8 @@ func (f *Fleet) pair(a, b *Node) *pairChannel {
 }
 
 // dropChannels forgets every channel that ends at node i, which is
-// marked failed. It takes no channel's own lock, so it cannot wait on a
-// migration: one in flight finishes on the record it holds.
+// marked failed.
 func (f *Fleet) dropChannels(i int) {
-	f.pairMu.Lock()
-	defer f.pairMu.Unlock()
 	for k := range f.pairs {
 		if k[0] == i || k[1] == i {
 			delete(f.pairs, k)
@@ -53,7 +43,7 @@ func (f *Fleet) dropChannels(i int) {
 
 // open returns the pair's channel and src's endpoint of it, performing
 // the mutual handshake if the channel is not open or an agent that
-// holds its keys is gone. pc.mu is held.
+// holds its keys is gone.
 func (f *Fleet) open(pc *pairChannel, src, dst *Node) (*dist.Conn, *dist.Endpoint, error) {
 	if pc.conn != nil && !(src.alive(src.Agent.ID()) && dst.alive(dst.Agent.ID())) {
 		pc.conn = nil // the keys were the agents'
@@ -103,7 +93,8 @@ func (f *Fleet) open(pc *pairChannel, src, dst *Node) (*dist.Conn, *dist.Endpoin
 //     closed, while the source still serves. The handshake reads
 //     nothing the freeze protects, and a failed one returns with the
 //     placement never deregistered.
-//  1. Freeze: deregister the placement and drain in-flight requests.
+//  1. Freeze: deregister the placement. Requests run to completion on
+//     the fleet's one thread, so none is in flight.
 //  2. Snapshot: capture the quiescent domain (memory, capability
 //     shape, entry config, parked vCPUs) under an epoch pin.
 //  3. Ship: serialize and send over the channel. The payload is sealed
@@ -128,9 +119,7 @@ func (f *Fleet) open(pc *pairChannel, src, dst *Node) (*dist.Conn, *dist.Endpoin
 // domain).
 func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	src, dst := f.Nodes[from], f.Nodes[to]
-	f.baseMu.Lock()
 	tmpl := f.tmpls[service]
-	f.baseMu.Unlock()
 	if tmpl == nil {
 		return fmt.Errorf("fleet: unknown service %q", service)
 	}
@@ -153,8 +142,6 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	if pc == nil {
 		return fail("connect", errors.New("a node of the pair is dead"))
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	conn, epSrc, err := f.open(pc, src, dst)
 	if err != nil {
 		return fail("connect", err)
@@ -170,9 +157,6 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 		// Source untouched: re-register and report.
 		f.lb.Register(pl)
 		return fail(stage, err)
-	}
-	if err := pl.Drain(); err != nil {
-		return abort("drain", err)
 	}
 
 	// Step 2: snapshot the quiescent source.
@@ -207,7 +191,7 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	// Step 5: unfreeze on the target — blackout ends.
 	moved := &Placement{Service: service, Node: to, Dom: newID, Base: tmpl.base, Delta: pl.Delta}
 	f.lb.Register(moved)
-	f.recordBlackout(uint64(time.Since(start).Nanoseconds()))
+	f.blackouts = append(f.blackouts, uint64(time.Since(start).Nanoseconds()))
 
 	// Step 6: the source departs with a forced crypto-erase.
 	if err := src.Mon.DepartKill(pl.Dom); err != nil {
@@ -216,16 +200,8 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 	return nil
 }
 
-func (f *Fleet) recordBlackout(ns uint64) {
-	f.blackMu.Lock()
-	defer f.blackMu.Unlock()
-	f.blackouts = append(f.blackouts, ns)
-}
-
 // Blackouts returns every completed migration's blackout
 // (deregister-to-reregister) in nanoseconds.
 func (f *Fleet) Blackouts() []uint64 {
-	f.blackMu.Lock()
-	defer f.blackMu.Unlock()
 	return append([]uint64(nil), f.blackouts...)
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -16,7 +15,7 @@ const invokeBudget = 1_000_000
 // ServeStats is one Serve call's outcome.
 type ServeStats struct {
 	Requests  uint64 // completed with a verified-correct reply
-	Retries   uint64 // re-routed after a node fault or routing race
+	Retries   uint64 // re-routed after a node fault
 	NodeKills int    // nodes the control plane declared dead mid-run
 }
 
@@ -75,19 +74,24 @@ func (f *Fleet) invoke(n *Node, pl *Placement, c phys.CoreID, arg uint32) (uint3
 // fleet's history is a function of its seed and the calls made on it.
 // Requests are issued in waves; between waves every live node is pulsed
 // to a quiescent point so runtime-verification digests ship
-// mid-serving, not only at the end. Serve and Pulse are one thread's
-// calls; Migrate, FailNode and Audit may run beside them. workers is
-// unused: it is kept only for callers that still pass it (ROADMAP
-// benchmark queue (iv)).
+// mid-serving, not only at the end. A name with no deployed service is
+// refused before anything runs. workers is unused: it is kept only for
+// callers that still pass it (ROADMAP benchmark queue (iv)).
 //
 // When a request dies on a machine check the control plane runs the
-// node-death protocol (drain, crypto-erase, re-place) and the request
-// retries on a surviving replica. Every reply is checked against the
-// service transform; a mismatch is a cross-tenant leak and aborts.
+// node-death protocol (crypto-erase, re-place) and the request retries
+// on a surviving replica. A service with no replica left fails the
+// call. Every reply is checked against the service transform; a
+// mismatch is a cross-tenant leak and aborts.
 func (f *Fleet) Serve(services []string, requests int, workers int) (ServeStats, error) {
 	var stats ServeStats
 	if len(services) == 0 {
 		return stats, errors.New("fleet: serve: no services named")
+	}
+	for _, svc := range services {
+		if f.tmpls[svc] == nil {
+			return stats, fmt.Errorf("fleet: serve: unknown service %q", svc)
+		}
 	}
 	const waves = 4
 	perWave := (requests + waves - 1) / waves
@@ -112,31 +116,24 @@ func (f *Fleet) Serve(services []string, requests int, workers int) (ServeStats,
 	return stats, nil
 }
 
-// serveOne routes and executes a single request, retrying across the
-// fleet until a correct reply lands or no replica remains; each retry
-// adds one to *retries.
+// serveOne routes and executes a single request, retrying on another
+// replica until a correct reply lands or none remains; each retry adds
+// one to *retries. A retry follows a live node's death, so there are at
+// most as many as there are nodes.
 func (f *Fleet) serveOne(service string, arg uint32, retries *uint64) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			*retries++
 		}
-		if attempt > 64 {
-			return fmt.Errorf("fleet: request to %q starved after %d attempts", service, attempt)
-		}
 		pl := f.lb.Pick(service)
 		if pl == nil {
-			if f.allDead() {
-				return fmt.Errorf("fleet: no live replica of %q", service)
-			}
-			runtime.Gosched()
-			continue
+			return fmt.Errorf("fleet: no live replica of %q", service)
 		}
 		n := f.Nodes[pl.Node]
 		got, err := f.invoke(n, pl, n.nextCore(), arg)
-		pl.release()
-		if err == errNodeFault {
+		if err == errNodeFault && !n.Failed() {
 			// The injector took the node down mid-request: run the
-			// death protocol once, retry elsewhere.
+			// death protocol, retry elsewhere.
 			f.FailNode(pl.Node)
 			continue
 		}
@@ -151,13 +148,4 @@ func (f *Fleet) serveOne(service string, arg uint32, retries *uint64) error {
 		}
 		return nil
 	}
-}
-
-func (f *Fleet) allDead() bool {
-	for _, n := range f.Nodes {
-		if !n.Failed() {
-			return false
-		}
-	}
-	return true
 }

@@ -288,6 +288,31 @@ func fanOut(work func()) { var wg sync.WaitGroup; wg.Add(1); go func() { defer w
 	}
 }
 
+// TestFleetHoldsNoLock: a fleet is one thread's object — its calls run
+// on their caller's goroutine, one at a time — so no non-test file of
+// internal/fleet imports sync or sync/atomic. The rule sees a planted
+// mutex.
+func TestFleetHoldsNoLock(t *testing.T) {
+	check := func(files []goFile) (bad []string) {
+		for _, g := range files {
+			if g.imports("sync") || g.imports("sync/atomic") {
+				bad = append(bad, g.rel)
+			}
+		}
+		return bad
+	}
+	files := parseTree(t, false, "internal/fleet")
+	if bad := check(files); len(bad) > 0 {
+		t.Errorf("internal/fleet imports sync or sync/atomic: %v", bad)
+	}
+	planted := plant(t, "internal/fleet/planted.go", `package fleet
+import "sync"
+var mu sync.Mutex`)
+	if bad := check(append(files, planted)); len(bad) != 1 {
+		t.Error("a planted mutex in internal/fleet went unnoticed")
+	}
+}
+
 // gone matches the names of deleted designs, none of which may come
 // back under any name: the A/B scaffolding (the big lock, its build, the
 // reclaim and scrub fan-outs, the parallel ring drains), the tracer's
@@ -299,7 +324,10 @@ func fanOut(work func()) { var wg sync.WaitGroup; wg.Add(1); go func() { defer w
 // harness's opt-in trace audit, the monitor's run queue (its policy
 // switch, the resumed-arrival path and the kill-time purge), the
 // fleet's serving fan-out (the wave goroutines, their error latch and
-// the node core channel), and the sharded checker — its type, the
+// the node core channel), the fleet's locking (the in-flight acquire,
+// the drain timeout, the pick retry's all-dead probe, the blackout
+// recorder, the pair-table and control-plane locks), and the sharded
+// checker — its type, the
 // per-ring sink and its method, its fixed-shard constructor and replay,
 // matched as whole names so that NewSharded and AttachSharded, the
 // leftovers benchmark/ compiles against, stay allowed; and, as whole
@@ -314,6 +342,7 @@ var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShard
 	`syncAfterChange|destroyDomain|forceKill|synchronizeShared|traceAudit|` +
 	`SetSchedPolicy|ScheduleResumed|schedPurge|PurgeDomain|SchedPurged|` +
 	`serveWave|errLatch|acquireCore|releaseCore|` +
+	`tryAcquire|errDrainTimeout|allDead|recordBlackout|pairMu|cpMu|` +
 	`^(?:Sharded|ShardSink|ShardEvent|NewShardedN|ReplaySharded)$|` +
 	`^(?:RevokeOwner|RegionRefCount|OwnerHasDevice|Ops|Program|ClearEntry|MemoryEncryptionActive|BlackoutP99)$|` +
 	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$`)
