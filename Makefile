@@ -48,12 +48,14 @@ race-engine:
 	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -race -count=3 ./internal/backend ./internal/cap ./internal/core || exit 1; done
 
 # The parallel benchmarks and the control plane's validate -> derive ->
-# publish microbenchmarks, kept running; then a hundred steady-state
-# migration hops, so every run prints a hop's allocations (the pin is
-# TestMigrateHopAllocations).
+# publish microbenchmarks, kept running with their allocations printed
+# beside their ns (a share/revoke round's included); then a hundred
+# steady-state migration hops, so every run prints a hop's allocations
+# (the pins are TestSyncDomainAllocationPins, TestShareRevokeAllocations
+# and TestMigrateHopAllocations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench SpaceParallel -benchtime 1x ./internal/cap
-	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchtime 1x ./internal/backend ./internal/core
+	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem -benchtime 1x ./internal/backend ./internal/core
 	$(GO) test -run '^$$' -bench MigrateHop -benchmem -benchtime 100x ./internal/fleet
 
 # Shuffled execution order keeps tests honest about hidden inter-test
@@ -63,7 +65,8 @@ shuffle:
 
 # Short fuzz smokes beyond the seed corpora the plain test run replays:
 # the monitor API (every fuzz world carries the online checker as its
-# oracle); the EPT's extent table against its per-page model; the
+# oracle); the EPT's extent table against its per-page model, scoped
+# replaces (what a resync splices in) among its operations; the
 # interpreter's decoded-page cache and fast exit against the uncached
 # fetch (random programs that store into their own code, with writes,
 # DMA, scrubs, revocations, flushes, ring switches and injected faults

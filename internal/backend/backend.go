@@ -12,7 +12,6 @@
 package backend
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -31,10 +30,13 @@ type Backend interface {
 	// InstallDomain creates hardware state for a new trust domain.
 	InstallDomain(owner cap.OwnerID) error
 
-	// SyncDomain reprograms the domain's hardware access-control state
-	// from the current capability space. Must be called after any
-	// capability operation affecting the domain.
-	SyncDomain(owner cap.OwnerID) error
+	// SyncDomainRange reprograms the domain's hardware access-control
+	// state on the pages of scope from the current capability space,
+	// leaving every page outside scope as installed. Must be called
+	// after any capability operation affecting the domain, with a scope
+	// covering every page the operation can have changed for it:
+	// phys.AllMemory rebuilds the whole view.
+	SyncDomainRange(owner cap.OwnerID, scope phys.Region) error
 
 	// RemoveDomain tears down the domain's hardware state.
 	RemoveDomain(owner cap.OwnerID) error
@@ -112,33 +114,31 @@ type Segment = hw.EPTMapping
 // path are not.
 type scratch struct {
 	grants  []cap.MemoryGrant
-	events  []sweepEvent
+	events  []uint64
 	segs    []Segment
 	changed []Segment
-}
-
-type sweepEvent struct {
-	at    phys.Addr
-	perm  hw.Perm
-	delta int // +1 opens a grant, -1 closes one
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // WithSegments is the one derivation both backends and the device path
-// program from: the effective memory grants of owners, with the rights
-// in strip removed, flattened and handed to use. segs is pooled scratch,
-// valid only until use returns: use copies what it keeps (hw.EPT.Replace
-// and the pmp layout both do) and retains no part of it. changed is a
-// second pooled buffer for what the rebuild writes (hw.EPT.Replace's
-// changed extents): the slice use leaves in it keeps its storage for
-// the next derivation.
-func WithSegments(space *cap.Space, strip cap.Rights, use func(segs []Segment, changed *[]Segment) error, owners ...cap.OwnerID) error {
+// program from: the effective memory grants of owners inside scope,
+// clipped to it, with the rights in strip removed, flattened and handed
+// to use. What use installs is the scope's pages only — the backends
+// splice segs into the installed view (hw.Splice), so a capability
+// change is derived over the range it moved and a whole view over
+// phys.AllMemory. segs is pooled scratch, valid only until use returns:
+// use copies what it keeps (hw.EPT.Replace and the pmp layout both do)
+// and retains no part of it. changed is a second pooled buffer for what
+// the rebuild writes (hw.EPT.Replace's changed extents, the pmp
+// splice): the slice use leaves in it keeps its storage for the next
+// derivation.
+func WithSegments(space *cap.Space, strip cap.Rights, scope phys.Region, use func(segs []Segment, changed *[]Segment) error, owners ...cap.OwnerID) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.grants = sc.grants[:0]
 	for _, o := range owners {
-		sc.grants = space.AppendOwnerMemoryGrants(sc.grants, o)
+		sc.grants = space.AppendOwnerMemoryGrantsIn(sc.grants, o, scope)
 	}
 	for i := range sc.grants {
 		sc.grants[i].Rights &^= strip
@@ -155,7 +155,18 @@ func FlattenGrants(grants []cap.MemoryGrant) []Segment {
 	return sc.flatten(grants)
 }
 
-// flatten sweeps grants into sc.segs, reusing sc's buffers.
+// A sweep event is one word: the page-aligned address a grant opens or
+// closes at, the open bit above the permission, the permission in the
+// low bits. Sorting the words orders events by address, closes before
+// opens at one address.
+const (
+	eventOpen = 1 << 3
+	eventPerm = eventOpen - 1
+)
+
+// flatten sweeps grants into sc.segs, reusing sc's buffers. Grant
+// regions are page-aligned (capabilities are), which leaves an
+// address's low bits free for the rest of its event.
 func (sc *scratch) flatten(grants []cap.MemoryGrant) []Segment {
 	events := sc.events[:0]
 	for _, g := range grants {
@@ -163,31 +174,30 @@ func (sc *scratch) flatten(grants []cap.MemoryGrant) []Segment {
 		if p == hw.PermNone || g.Region.Empty() {
 			continue
 		}
-		events = append(events, sweepEvent{g.Region.Start, p, +1}, sweepEvent{g.Region.End, p, -1})
+		events = append(events, uint64(g.Region.Start)|eventOpen|uint64(p), uint64(g.Region.End)|uint64(p))
 	}
-	// Sweep with permission multiset; close before open at equal points.
-	slices.SortFunc(events, func(a, b sweepEvent) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.delta, b.delta)
-	})
+	slices.Sort(events)
 	var counts [hw.PermRWX + 1]int // open grants per permission value
 	out := sc.segs[:0]
 	var prev phys.Addr
 	cur := hw.PermNone
 	for _, e := range events {
+		at, p := phys.Addr(e).PageAlign(), e&eventPerm
 		// A region that closes where an identical-permission one opens
 		// continues the run: extend it rather than start a new segment.
-		if e.at > prev && cur != hw.PermNone {
+		if at > prev && cur != hw.PermNone {
 			if n := len(out); n > 0 && out[n-1].Region.End == prev && out[n-1].Perm == cur {
-				out[n-1].Region.End = e.at
+				out[n-1].Region.End = at
 			} else {
-				out = append(out, Segment{Region: phys.Region{Start: prev, End: e.at}, Perm: cur})
+				out = append(out, Segment{Region: phys.Region{Start: prev, End: at}, Perm: cur})
 			}
 		}
-		prev = e.at
-		counts[e.perm] += e.delta
+		prev = at
+		if e&eventOpen != 0 {
+			counts[p]++
+		} else {
+			counts[p]--
+		}
 		cur = hw.PermNone
 		for perm, n := range counts {
 			if n > 0 {

@@ -273,7 +273,7 @@ func TestPMPBudgetValidation(t *testing.T) {
 	if _, err := s.CreateRoot(1, mem(12, 2), cap.MemFull, cap.CleanNone); err != nil {
 		t.Fatal(err)
 	}
-	err = bk.SyncDomain(1)
+	err = bk.SyncDomainRange(1, phys.AllMemory)
 	var exhausted *backend.PMPExhaustedError
 	if !errors.As(err, &exhausted) {
 		t.Fatalf("err = %v, want PMPExhaustedError", err)
@@ -361,7 +361,7 @@ func TestPMPSyncReprogramsRunningCore(t *testing.T) {
 	if _, err := s.Grant(root, 2, mem(0, 8), cap.MemRW, cap.CleanNone); err != nil {
 		t.Fatal(err)
 	}
-	if err := bk.SyncDomain(1); err != nil {
+	if err := bk.SyncDomainRange(1, phys.AllMemory); err != nil {
 		t.Fatal(err)
 	}
 	if core.Context().Filter.Check(0, hw.PermR) {
@@ -674,7 +674,7 @@ func TestDifferentialBackends(t *testing.T) {
 				if err := bkV.SyncDomain(d); err != nil {
 					t.Fatalf("vtx sync: %v", err)
 				}
-				if err := bkP.SyncDomain(d); err != nil {
+				if err := bkP.SyncDomainRange(d, phys.AllMemory); err != nil {
 					t.Fatalf("pmp sync: %v", err)
 				}
 			}

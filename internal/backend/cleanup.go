@@ -19,10 +19,10 @@ func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
 	// permissions, which is the union across holders.
 	filter := hw.NewEPT()
 	program := func(segs []Segment, changed *[]Segment) (err error) {
-		*changed, err = filter.Replace(segs, *changed)
+		*changed, err = filter.Replace(phys.AllMemory, segs, *changed)
 		return err
 	}
-	if err := WithSegments(space, cap.RightExec, program, space.DeviceDMAHolders(dev)...); err != nil {
+	if err := WithSegments(space, cap.RightExec, phys.AllMemory, program, space.DeviceDMAHolders(dev)...); err != nil {
 		return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	return filter, nil

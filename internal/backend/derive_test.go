@@ -98,8 +98,20 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				model := pageModel(s.OwnerMemoryGrants(o), 0)
-				if err := backend.WithSegments(s, 0, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
+				if err := backend.WithSegments(s, 0, phys.AllMemory, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
 					t.Errorf("seed %d owner %d: %v", seed, o, err)
+				}
+				// A scoped derivation is the model on the scope's pages
+				// and nothing elsewhere.
+				scope := mem(uint64(o)*derivePages/5, derivePages/3).Mem
+				scoped := model
+				for p := range scoped {
+					if !scope.Contains(phys.Addr(p) * pg) {
+						scoped[p] = hw.PermNone
+					}
+				}
+				if err := backend.WithSegments(s, 0, scope, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, scoped) }, o); err != nil {
+					t.Errorf("seed %d owner %d, scope %v: %v", seed, o, scope, err)
 				}
 				if err := checkSegments(backend.FlattenGrants(s.OwnerMemoryGrants(o)), model); err != nil {
 					t.Errorf("seed %d owner %d, FlattenGrants: %v", seed, o, err)
@@ -170,9 +182,9 @@ func poolKeepsItems() bool {
 }
 
 // TestSyncDomainAllocationPins: a rebuild allocates only what it
-// publishes — nothing for a view that did not change (a Share never
-// changes the sharer's, a Revoke of a share never the revoker's), the
-// new table and its header for one that did.
+// publishes — nothing for a view that did not change, whole or over a
+// scope (a range a grant split, a range no grant touches), the new
+// table and its header for one that did.
 func TestSyncDomainAllocationPins(t *testing.T) {
 	if !poolKeepsItems() {
 		t.Skip("sync.Pool drops items here (race detector): scratch is reallocated at random")
@@ -192,6 +204,15 @@ func TestSyncDomainAllocationPins(t *testing.T) {
 	for _, o := range []cap.OwnerID{1, 2} {
 		if n := testing.AllocsPerRun(100, func() { sync(o) }); n != 0 {
 			t.Errorf("SyncDomain(%d) of an unchanged view allocates %v objects, want 0", o, n)
+		}
+		for _, scope := range []phys.Region{mem(890, 20).Mem, mem(3000, 4).Mem} {
+			if n := testing.AllocsPerRun(100, func() {
+				if err := bk.SyncDomainRange(o, scope); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("SyncDomainRange(%d, %v) of an unchanged range allocates %v objects, want 0", o, scope, n)
+			}
 		}
 	}
 	root := s.OwnerNodes(1)[0].ID

@@ -22,7 +22,7 @@ import (
 )
 
 // segments is a domain's validated layout. mu guards segs, which
-// SyncDomain rewrites while transitions on other cores program them
+// SyncDomainRange rewrites while transitions on other cores program them
 // into PMP files.
 type segments struct {
 	mu   sync.Mutex
@@ -81,24 +81,27 @@ func (b *Backend) InstallDomain(owner cap.OwnerID) error {
 	if err := b.doms.Install(owner, &segments{}); err != nil {
 		return err
 	}
-	return b.SyncDomain(owner)
+	return b.SyncDomainRange(owner, phys.AllMemory)
 }
 
-// SyncDomain implements backend.Backend: recompute the domain's segment
-// layout and validate it against the PMP budget. The hardware itself is
-// reprogrammed lazily at transition time (PMP is per-core state).
-func (b *Backend) SyncDomain(owner cap.OwnerID) error {
+// SyncDomainRange implements backend.Backend: rederive the domain's
+// segments on scope's pages, splice them into its layout (hw.Splice)
+// and validate the spliced layout against the PMP budget. The hardware
+// itself is reprogrammed lazily at transition time (PMP is per-core
+// state), except on the cores running the domain now.
+func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, func(segs []backend.Segment, _ *[]backend.Segment) error {
-		if need, avail := len(segs), b.Budget(); need > avail {
-			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
-		}
+	return backend.WithSegments(b.space, 0, scope, func(segs []backend.Segment, spliced *[]backend.Segment) error {
 		d.State.mu.Lock()
 		defer d.State.mu.Unlock()
-		d.State.segs = append(d.State.segs[:0], segs...) // segs is scratch
+		*spliced = hw.Splice((*spliced)[:0], d.State.segs, scope, segs)
+		if need, avail := len(*spliced), b.Budget(); need > avail {
+			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
+		}
+		d.State.segs = append(d.State.segs[:0], *spliced...) // spliced is scratch
 		// Cores currently running this domain must be reprogrammed now:
 		// access may have been revoked.
 		for _, c := range b.mach.Cores {

@@ -49,19 +49,26 @@ func (b *Backend) InstallDomain(owner cap.OwnerID) error {
 	return b.SyncDomain(owner)
 }
 
-// SyncDomain implements backend.Backend: rebuild the domain's EPT from
-// its current effective capabilities and publish it in one step, so a
-// core running the domain never sees a partly programmed table. Only
-// what the rebuild changed is paid for: EPTUpdatePage per changed page
-// and one ept-map per changed extent (PermNone for one unmapped), so a
-// view that did not change costs nothing and emits nothing.
+// SyncDomain rebuilds the domain's whole view: SyncDomainRange over
+// phys.AllMemory, what installation programs.
 func (b *Backend) SyncDomain(owner cap.OwnerID) error {
+	return b.SyncDomainRange(owner, phys.AllMemory)
+}
+
+// SyncDomainRange implements backend.Backend: rederive the domain's view
+// on scope's pages from its current effective capabilities and splice
+// it into its EPT in one publish (hw.EPT.Replace), so a core running the
+// domain never sees a partly programmed table. Only what the rebuild
+// changed is paid for: EPTUpdatePage per changed page and one ept-map
+// per changed extent (PermNone for one unmapped), so a view that did not
+// change costs nothing and emits nothing.
+func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 	d, err := b.doms.Get(owner)
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, func(segs []backend.Segment, changed *[]backend.Segment) (err error) {
-		if *changed, err = d.State.Replace(segs, *changed); err != nil {
+	return backend.WithSegments(b.space, 0, scope, func(segs []backend.Segment, changed *[]backend.Segment) (err error) {
+		if *changed, err = d.State.Replace(scope, segs, *changed); err != nil {
 			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
 		}
 		var pages uint64

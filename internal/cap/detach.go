@@ -57,18 +57,30 @@ func (d *Detached) Actions() []CleanupAction {
 	return d.actions
 }
 
-// ParentOwners returns the distinct owners of the surviving parents the
-// detached tops hang off — the grantors whose suspended access Release
-// restores. Their hardware must be resynchronised after Release just
-// like the detached owners': the capability space says they have the
-// granted-back regions again, but their filters were programmed while
-// the suspension was in force. Captured, sorted, at detach time; like
-// Actions, the slice is the record's own and read-only to the caller.
+// ParentOwners returns the distinct owners of the surviving parents
+// the detached *granted* tops hang off — the grantors whose suspended
+// access Release restores. Their hardware must be resynchronised after
+// Release just like the detached owners': the capability space says
+// they have the granted-back regions again, but their filters were
+// programmed while the suspension was in force. The parent of a shared
+// top is not listed: a share never suspended its access, so neither the
+// detach nor the release changes it. Captured, sorted, at detach time;
+// like Actions, the slice is the record's own and read-only to the
+// caller.
 func (d *Detached) ParentOwners() []OwnerID {
 	if d == nil {
 		return nil
 	}
 	return d.parents
+}
+
+// addTop records n, whose subtree was just detached, as a top, and its
+// parent's owner if n was granted out of a surviving parent.
+func (d *Detached) addTop(n *node) {
+	d.tops = append(d.tops, n)
+	if n.kind == KindGranted && n.parent != nil && !n.parent.detached {
+		d.parents = append(d.parents, n.parent.owner)
+	}
 }
 
 // detachSubtree walks children-first, removing every node from the
@@ -101,10 +113,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	}
 	det := newDetached()
 	s.detachSubtree(n, det)
-	det.tops = append(det.tops, n)
-	if n.parent != nil && !n.parent.detached {
-		det.parents = append(det.parents, n.parent.owner)
-	}
+	det.addTop(n)
 	s.limbo.Add(int64(len(det.actions)))
 	s.mutate()
 	return det, nil
@@ -120,10 +129,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	det := newDetached()
 	for _, n := range s.ownerTops(owner) {
 		s.detachSubtree(n, det)
-		det.tops = append(det.tops, n)
-		if n.parent != nil && !n.parent.detached {
-			det.parents = append(det.parents, n.parent.owner)
-		}
+		det.addTop(n)
 	}
 	slices.Sort(det.parents)
 	det.parents = slices.Compact(det.parents)

@@ -215,6 +215,9 @@ func modelInvariants(s *Space) error {
 	if err := scopedSweepsMatchRefCounts(s, sweepRegions(4)); err != nil {
 		return err
 	}
+	if err := clippedGrantsMatchClip(s, sweepRegions(4)); err != nil {
+		return err
+	}
 	return ownerQueriesMatchSweep(s)
 }
 

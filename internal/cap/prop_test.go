@@ -194,6 +194,11 @@ func (h *propHarness) checkInvariants() {
 	if err := scopedSweepsMatchRefCounts(s, sweepRegions(propPages)); err != nil {
 		t.Fatalf("I7 violated: %v", err)
 	}
+	// I8: an owner's grants clipped to a region are the clip of its
+	// whole grant list.
+	if err := clippedGrantsMatchClip(s, sweepRegions(propPages)); err != nil {
+		t.Fatalf("I8 violated: %v", err)
+	}
 }
 
 func TestCapabilityInvariantsRandomOps(t *testing.T) {

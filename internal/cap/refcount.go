@@ -2,6 +2,7 @@ package cap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -195,21 +196,27 @@ func (s *Space) AppendExclusive(dst []phys.Region, owner OwnerID) []phys.Region 
 // CoreRefCount returns the number of distinct owners holding RightRun on
 // core.
 func (s *Space) CoreRefCount(core phys.CoreID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	owners := make(map[OwnerID]bool)
-	for _, n := range s.nodes {
-		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
-			owners[n.owner] = true
-		}
-	}
-	return len(owners)
+	return s.holderCount(CoreResource(core), RightRun)
 }
 
 // DeviceRefCount returns the number of distinct owners holding RightUse
 // on dev.
 func (s *Space) DeviceRefCount(dev phys.DeviceID) int {
-	return len(s.deviceHolders(dev, RightUse))
+	return s.holderCount(DeviceResource(dev), RightUse)
+}
+
+// holderCount counts the owners holding want on the core or device res:
+// each owner's list is asked once, so the count needs no set.
+func (s *Space) holderCount(res Resource, want Rights) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	count := 0
+	for _, nodes := range s.owned {
+		if holds(nodes, res, want) {
+			count++
+		}
+	}
+	return count
 }
 
 // DeviceDMAHolders returns the owners with live (not granted-away) DMA
@@ -226,20 +233,28 @@ func (s *Space) DeviceUsers(dev phys.DeviceID) []OwnerID {
 }
 
 // deviceHolders returns owners holding `want` on dev through a node
-// whose device has not been granted away.
+// whose device has not been granted away: each owner's list is asked
+// once, so no set is needed, only the sort.
 func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := make(map[OwnerID]bool)
-	for _, n := range s.nodes {
-		if n.res.Kind == ResDevice && n.res.Device == dev && n.rights.Has(want) && !grantedAway(n) {
-			set[n.owner] = true
+	var out []OwnerID
+	for o, nodes := range s.owned {
+		if holds(nodes, DeviceResource(dev), want) {
+			out = append(out, o)
 		}
 	}
-	out := make([]OwnerID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// holds reports whether one of nodes is a live capability on the core or
+// device res with rights want: not granted away. Caller holds mu.
+func holds(nodes []*node, res Resource, want Rights) bool {
+	for _, n := range nodes {
+		if res.ContainsResource(n.res) && n.rights.Has(want) && !grantedAway(n) {
+			return true
+		}
+	}
+	return false
 }

@@ -115,11 +115,14 @@ func (a CleanupAction) String() string {
 // holds (MaxOwners, AppendExclusive in refcount.go) — gathers the
 // effective pieces over that region, owner by owner, into a stack
 // buffer: no map, sort or owner slice per call. A question about every
-// owner (the reference-count map, device holders, tree dumps) ranges
-// nodes and costs what the machine holds; who the owners are is the
-// keys of owned. Go randomises map iteration, so nothing ranges a map
-// whose answer or order could depend on the visit order: the scoped
-// sweeps range owned, but a count or a carve is the same in any order.
+// owner's memory (the reference-count map, tree dumps) ranges nodes and
+// costs what the machine holds; who the owners are is the keys of
+// owned, and who holds a core or device — how many, or which, sorted —
+// asks each owner's list once, with no set. Go randomises map
+// iteration, so nothing ranges a map whose answer or order could depend
+// on the visit order: the scoped sweeps and the holder questions range
+// owned, but a count, a carve or a sorted list is the same in any
+// order.
 type Space struct {
 	mu sync.RWMutex
 
@@ -462,12 +465,25 @@ func (s *Space) OwnerMemoryGrants(owner OwnerID) []MemoryGrant {
 // AppendOwnerMemoryGrants appends OwnerMemoryGrants(owner) to dst, for a
 // caller that rebuilds a filter into a buffer it reuses.
 func (s *Space) AppendOwnerMemoryGrants(dst []MemoryGrant, owner OwnerID) []MemoryGrant {
+	return s.AppendOwnerMemoryGrantsIn(dst, owner, phys.AllMemory)
+}
+
+// AppendOwnerMemoryGrantsIn appends owner's effective memory grants
+// clipped to r, in node-ID order, dropping what lies outside it: the
+// grants a rebuild of r's pages derives from. Nodes whose region misses
+// r are skipped without carving their pieces.
+func (s *Space) AppendOwnerMemoryGrantsIn(dst []MemoryGrant, owner OwnerID, r phys.Region) []MemoryGrant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var buf [8]phys.Region // a node's pieces: one unless grants split it
 	for _, n := range s.owned[owner] {
-		for _, r := range appendEffective(buf[:0], n) {
-			dst = append(dst, MemoryGrant{Region: r, Rights: n.rights, Node: n.id})
+		if n.res.Kind != ResMemory || !n.res.Mem.Overlaps(r) {
+			continue
+		}
+		for _, p := range appendEffective(buf[:0], n) {
+			if p = p.Intersect(r); !p.Empty() {
+				dst = append(dst, MemoryGrant{Region: p, Rights: n.rights, Node: n.id})
+			}
 		}
 	}
 	return dst

@@ -57,14 +57,36 @@ func scopedSweepsMatchRefCounts(s *Space, regions []phys.Region) error {
 	return nil
 }
 
-// TestScopedSweepsMatchRefCounts: on random forests — overlapping roots
-// of three owners (each holding several pieces), shares and grants
-// among six, revocations, and detaches kept unreleased for a while, so
-// a detached grant still carves its parent — every scoped answer equals
-// what RefCounts implies. The exhaustive model and the random property
-// harness run the same comparison on their states.
-func TestScopedSweepsMatchRefCounts(t *testing.T) {
-	regions := sweepRegions(propPages)
+// clippedGrantsMatchClip compares each owner's grants clipped to each
+// region with what clipping its whole grant list gives — the node walk
+// that skips nodes missing the region must drop nothing and keep
+// nothing more — for every owner holding a capability and for one
+// holding none, after a prefix it must leave alone.
+func clippedGrantsMatchClip(s *Space, regions []phys.Region) error {
+	prefix := MemoryGrant{Region: phys.MakeRegion(1<<40, pg), Rights: RightRead, Node: 1 << 30}
+	for _, o := range append(s.Owners(), 99) {
+		all := s.AppendOwnerMemoryGrants(nil, o)
+		for _, r := range regions {
+			want := []MemoryGrant{prefix}
+			for _, g := range all {
+				if g.Region = g.Region.Intersect(r); !g.Region.Empty() {
+					want = append(want, g)
+				}
+			}
+			if got := s.AppendOwnerMemoryGrantsIn([]MemoryGrant{prefix}, o, r); !slices.Equal(got, want) {
+				return fmt.Errorf("AppendOwnerMemoryGrantsIn(%d, %v) = %v, the clip of its grants %v is %v", o, r, got, all, want)
+			}
+		}
+	}
+	return nil
+}
+
+// onRandomForests runs check every fifth step of random forests —
+// overlapping roots of three owners (each holding several pieces),
+// shares and grants among six, revocations, and detaches kept
+// unreleased for a while, so a detached grant still carves its parent.
+func onRandomForests(t *testing.T, check func(*Space) error) {
+	t.Helper()
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := &propHarness{t: t, s: NewSpace(), rng: rng}
@@ -98,7 +120,7 @@ func TestScopedSweepsMatchRefCounts(t *testing.T) {
 				h.randomOp()
 			}
 			if step%5 == 0 {
-				if err := scopedSweepsMatchRefCounts(h.s, regions); err != nil {
+				if err := check(h.s); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				if h.s.LimboNodes() > 0 {
@@ -112,11 +134,29 @@ func TestScopedSweepsMatchRefCounts(t *testing.T) {
 	}
 }
 
+// TestScopedSweepsMatchRefCounts: on random forests every scoped answer
+// equals what RefCounts implies. The exhaustive model and the random
+// property harness run the same comparison on their states.
+func TestScopedSweepsMatchRefCounts(t *testing.T) {
+	regions := sweepRegions(propPages)
+	onRandomForests(t, func(s *Space) error { return scopedSweepsMatchRefCounts(s, regions) })
+}
+
+// TestClippedGrantsMatchClip: on random forests an owner's grants
+// clipped to a region — what a scoped rebuild derives from — are the
+// clip of its whole grant list. The exhaustive model and the random
+// property harness run the same comparison on their states.
+func TestClippedGrantsMatchClip(t *testing.T) {
+	regions := sweepRegions(propPages)
+	onRandomForests(t, func(s *Space) error { return clippedGrantsMatchClip(s, regions) })
+}
+
 // TestScopedSweepAllocationPins: the questions a migration hop asks of
 // the space about one tenant — how many owners share a region at most,
-// what its death would leave unowned (into the caller's buffer) —
-// allocate nothing, over a tenant whose grants split its grantor's
-// piece, with a neighbour sharing next to one of them.
+// what its death would leave unowned (into the caller's buffer), how
+// many share a core (its attestation asks once per core) — allocate
+// nothing, over a tenant whose grants split its grantor's piece, with a
+// neighbour sharing next to one of them.
 func TestScopedSweepAllocationPins(t *testing.T) {
 	s := NewSpace()
 	root := mustRoot(t, s, 1, mem(0, 64), MemFull)
@@ -131,6 +171,12 @@ func TestScopedSweepAllocationPins(t *testing.T) {
 	}
 	if _, err := s.Share(heap, 4, mem(21, 4), MemRW, CleanNone); err != nil {
 		t.Fatal(err)
+	}
+	core := mustRoot(t, s, 1, CoreResource(0), CoreFull)
+	for _, o := range []OwnerID{2, 3, 3} {
+		if _, err := s.Share(core, o, CoreResource(0), RightRun, CleanNone); err != nil {
+			t.Fatal(err)
+		}
 	}
 	grant := mem(20, 1).Mem
 	var buf [8]phys.Region
@@ -151,6 +197,11 @@ func TestScopedSweepAllocationPins(t *testing.T) {
 		{"AppendExclusive", func() {
 			if got := s.AppendExclusive(buf[:0], 3); len(got) != 3 {
 				t.Fatalf("tenant's exclusive memory %v, want its three pages", got)
+			}
+		}},
+		{"CoreRefCount", func() {
+			if got := s.CoreRefCount(0); got != 3 {
+				t.Fatalf("core 0 is shared by %d owners, want 3 (one of them twice)", got)
 			}
 		}},
 	} {

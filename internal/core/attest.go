@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/codec"
@@ -35,22 +37,45 @@ type MeasuredRegion struct {
 // fixed-width header into a small buffer and the content goes to the
 // hash as is, so no copy of the measured memory is built.
 func ComputeMeasurement(entry phys.Addr, regions []MeasuredRegion) tpm.Digest {
-	h := sha256.New()
-	w := codec.Writer{Buf: make([]byte, 0, 64)}
-	w.Raw([]byte("tyche-domain-measurement-v1"))
-	w.U64(uint64(entry))
-	w.U64(uint64(len(regions)))
+	mm := newMeasurer(entry, len(regions))
 	for _, r := range regions {
-		w.U64(uint64(r.Region.Start))
-		w.U64(uint64(r.Region.End))
-		w.U64(uint64(len(r.Content))) // Blob's length prefix; its bytes follow
-		h.Write(w.Buf)
-		h.Write(r.Content)
-		w.Buf = w.Buf[:0]
+		mm.region(r.Region, uint64(len(r.Content))).Write(r.Content)
 	}
-	h.Write(w.Buf)
+	return mm.sum()
+}
+
+// measurer is ComputeMeasurement's encoding as a stream: the header,
+// then per region its bounds and length followed by its content, which
+// the caller writes into the hash region returns — from a slice, or
+// from physical memory under its read lock (Monitor.seal).
+type measurer struct {
+	h hash.Hash
+	w codec.Writer
+}
+
+func newMeasurer(entry phys.Addr, regions int) *measurer {
+	mm := &measurer{h: sha256.New(), w: codec.Writer{Buf: make([]byte, 0, 64)}}
+	mm.w.Raw([]byte("tyche-domain-measurement-v1"))
+	mm.w.U64(uint64(entry))
+	mm.w.U64(uint64(regions))
+	return mm
+}
+
+// region writes r's header for size content bytes and returns the hash
+// the content goes into next.
+func (mm *measurer) region(r phys.Region, size uint64) io.Writer {
+	mm.w.U64(uint64(r.Start))
+	mm.w.U64(uint64(r.End))
+	mm.w.U64(size) // Blob's length prefix; its bytes follow
+	mm.h.Write(mm.w.Buf)
+	mm.w.Buf = mm.w.Buf[:0]
+	return mm.h
+}
+
+func (mm *measurer) sum() tpm.Digest {
+	mm.h.Write(mm.w.Buf)
 	var d tpm.Digest
-	h.Sum(d[:0])
+	mm.h.Sum(d[:0])
 	return d
 }
 

@@ -87,7 +87,7 @@ type Domain struct {
 	state   atomic.Int32 // DomainState; zero value is StateActive
 
 	// mu guards the mutable fields below. The monitor also holds it
-	// while rebuilding this domain's hardware state (backend SyncDomain)
+	// while rebuilding this domain's hardware state (backend SyncDomainRange)
 	// so rebuilds for one domain are serialised.
 	mu sync.Mutex
 

@@ -216,11 +216,11 @@ func (b *failingBackend) ExecuteCleanups(acts []cap.CleanupAction) error {
 	return b.Backend.ExecuteCleanups(acts)
 }
 
-func (b *failingBackend) SyncDomain(o cap.OwnerID) error {
+func (b *failingBackend) SyncDomainRange(o cap.OwnerID, scope phys.Region) error {
 	if b.sync != nil {
 		return b.sync
 	}
-	return b.Backend.SyncDomain(o)
+	return b.Backend.SyncDomainRange(o, scope)
 }
 
 // TestDrainErrorSurfaced: no drain failure may vanish. A malformed

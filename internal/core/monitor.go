@@ -405,7 +405,7 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 	}
 	// Every device's IOMMU context, programmed for the first time, and
 	// the encryption keying.
-	if err := m.resync(nil, m.mach.DeviceIDs()); err != nil {
+	if err := m.resync(nil, m.mach.DeviceIDs(), phys.AllMemory); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -642,19 +642,26 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 		addr, size = uint64(sub.Mem.Start), sub.Mem.Size()
 	}
 	m.emit(kind, caller, uint64(dst), uint64(id), addr, size)
-	// Both endpoints are rebuilt whatever their state: a grantor whose
-	// death a racing kill publishes mid-grant must not keep hardware
-	// access to what the tree just gave away.
-	cd, _ := m.Domain(caller)
-	doms := []*Domain{cd, dd}
-	if cd == dd {
-		doms = doms[:1]
+	// The owners whose access moved: the grantee, and for a grant the
+	// grantor too, whatever its state — a grantor whose death a racing
+	// kill publishes mid-grant must not keep hardware access to what the
+	// tree just gave away. A share leaves the sharer's access as it was.
+	// Only the delegated range moved; a core or device delegation moved
+	// no memory at all.
+	doms := []*Domain{dd}
+	if grant && caller != dst {
+		cd, _ := m.Domain(caller)
+		doms = []*Domain{cd, dd}
 	}
 	var devs []phys.DeviceID
-	if sub.Kind == cap.ResDevice {
+	var scope phys.Region
+	switch sub.Kind {
+	case cap.ResDevice:
 		devs = []phys.DeviceID{sub.Device}
+	case cap.ResMemory:
+		scope = sub.Mem
 	}
-	if err := m.resync(doms, devs); err != nil {
+	if err := m.resync(doms, devs, scope); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -773,18 +780,23 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 
 	// The owners whose access the detaches changed — the owners of the
 	// detached capabilities and the grantors Release handed access back
-	// to — less the dead, and the devices whose capabilities were among
-	// those revoked.
+	// to — less the dead, the devices whose capabilities were among
+	// those revoked, and the span of the revoked memory: no owner's view
+	// moved outside it.
 	var ownerBuf [8]cap.OwnerID // a revocation rarely touches more
 	var domBuf [8]*Domain
 	var devBuf [4]phys.DeviceID
 	owners, doms, devs := ownerBuf[:0], domBuf[:0], devBuf[:0]
+	var scope phys.Region
 	for _, det := range dets {
 		owners = append(owners, det.ParentOwners()...)
 		for _, a := range det.Actions() {
 			owners = append(owners, a.Owner)
-			if a.Resource.Kind == cap.ResDevice {
+			switch a.Resource.Kind {
+			case cap.ResDevice:
 				devs = append(devs, a.Resource.Device)
+			case cap.ResMemory:
+				scope = span(scope, a.Resource.Mem)
 			}
 		}
 	}
@@ -795,10 +807,22 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 			doms = append(doms, d)
 		}
 	}
-	if err := m.resync(doms, devs); firstErr == nil {
+	if err := m.resync(doms, devs, scope); firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
+}
+
+// span returns the smallest region covering a and b; an empty one
+// covers nothing.
+func span(a, b phys.Region) phys.Region {
+	switch {
+	case a.Empty():
+		return b
+	case b.Empty():
+		return a
+	}
+	return phys.Region{Start: min(a.Start, b.Start), End: max(a.End, b.End)}
 }
 
 // lockCores takes every core's scheduling lock, in core order, for the
@@ -830,23 +854,28 @@ func (m *Monitor) endShootdownBatch() {
 }
 
 // resync reprograms the hardware a capability change can have affected,
-// in three steps: the filter of every domain in doms, the IOMMU context
-// of every device in devs or held with DMA rights by one of doms (in
-// machine device order), then the encryption keying. It is the one
-// resync of delegation, revocation, kill and boot; each caller decides
-// which domains to list. A failed step (a PMP layout over budget) must
-// not strand the ones after it on filters that still map what their
-// owners lost, so every step runs regardless and the first error is
-// returned.
+// in three steps: the filter of every domain in doms on the pages of
+// scope, the IOMMU context of every device in devs or held with DMA
+// rights by one of doms (in machine device order), then the encryption
+// keying. It is the one resync of delegation, revocation, kill and
+// boot; each caller decides which domains to list and which range
+// moved — a delegation's memory, the span of a revocation's, nothing
+// for a core or device — and a domain's filter is rederived there only.
+// A device's context is rebuilt whole. A failed step (a PMP layout over
+// budget) must not strand the ones after it on filters that still map
+// what their owners lost, so every step runs regardless and the first
+// error is returned.
 //
 // Each domain's rebuild takes Domain.mu — one at a time, never as a held
 // pair, so rings of delegating domains cannot convoy — which serialises
 // rebuilds of one domain across concurrent delegations and
 // revocations. Every rebuild reads the capability space at rebuild
-// time, so the last one to run sees (at least) every mutation committed
-// before it, and a revocation's scrub and release wait out the pins of
-// in-flight delegations, so no rebuild reprograms a filter from state
-// that is mid-reclaim.
+// time, and every mutation is followed by a rebuild whose scope covers
+// what it changed, so the last rebuild to run over a page sees (at
+// least) every mutation of that page committed before it; and a
+// revocation's scrub and release wait out the pins of in-flight
+// delegations, so no rebuild reprograms a filter from state that is
+// mid-reclaim.
 //
 // The device question goes to each domain — a walk of what it holds —
 // not to each device, which would sweep the whole capability index once
@@ -856,11 +885,11 @@ func (m *Monitor) endShootdownBatch() {
 // domains is needed: a device's holder set changes only through a
 // delegation or revocation of the device itself, which resyncs it after
 // it commits, under hwMu, reading the space at rebuild time.
-func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID) error {
+func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID, scope phys.Region) error {
 	var firstErr error
 	for _, d := range doms {
 		d.mu.Lock()
-		err := m.bk.SyncDomain(cap.OwnerID(d.id))
+		err := m.bk.SyncDomainRange(cap.OwnerID(d.id), scope)
 		d.mu.Unlock()
 		if firstErr == nil {
 			firstErr = err
@@ -984,15 +1013,16 @@ func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 	if !d.entrySet {
 		return tpm.Digest{}, fmt.Errorf("%w: seal requires an entry point", ErrNoEntry)
 	}
-	var contents []MeasuredRegion
-	for _, r := range phys.NormalizeRegions(d.measured) {
-		data, err := m.mach.Mem.View(r)
-		if err != nil {
+	// ComputeMeasurement's encoding, with each region's bytes streamed
+	// from physical memory into the hash rather than copied out first.
+	regions := phys.NormalizeRegions(d.measured)
+	mm := newMeasurer(d.entry, len(regions))
+	for _, r := range regions {
+		if err := m.mach.Mem.WriteRegionTo(mm.region(r, r.Size()), r); err != nil {
 			return tpm.Digest{}, err
 		}
-		contents = append(contents, MeasuredRegion{Region: r, Content: data})
 	}
-	d.measurement = ComputeMeasurement(d.entry, contents)
+	d.measurement = mm.sum()
 	d.setState(StateSealed)
 	m.space.Seal(cap.OwnerID(id))
 	m.stats.capOps.Add(1)
@@ -1035,7 +1065,8 @@ func (m *Monitor) enumerate(owner cap.OwnerID) []ResourceRecord {
 	var out []ResourceRecord
 	// A grant's count is the most owners any byte of it has: a sweep of
 	// the pieces over that grant, not of the machine.
-	for _, g := range m.space.OwnerMemoryGrants(owner) {
+	var grants [8]cap.MemoryGrant // a domain rarely holds more
+	for _, g := range m.space.AppendOwnerMemoryGrants(grants[:0], owner) {
 		out = append(out, ResourceRecord{
 			Resource: cap.MemResource(g.Region),
 			Rights:   g.Rights,

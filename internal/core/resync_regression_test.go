@@ -285,8 +285,12 @@ func (r *deviceSyncRecorder) SyncDevice(dev phys.DeviceID) error {
 // devices whose DMA holders overlap: a holds both, b only the second, c
 // none, and dom0 has granted both away. The monitor asks each affected
 // owner which devices it holds; the golden sequences are what sweeping
-// every device's holder set gave, and the sweep itself is re-run next to
-// each as the reference.
+// every device's holder set gives, and the sweep itself is re-run next
+// to each as the reference. A share, and the revocation of a share,
+// changes only its grantee's or holder's access — never the sharer's —
+// so only the devices that owner holds are rebuilt. After every step
+// each device's installed context must equal a fresh build from the
+// capability space: a device left out must not have needed the rebuild.
 func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 	mach, err := hw.NewMachine(hw.Config{
 		MemBytes: 8 << 20, NumCores: 2, IOMMUAllowByDefault: true,
@@ -323,7 +327,7 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 	b, _ := m.CreateDomain(InitialDomain, "b")
 	c, _ := m.CreateDomain(InitialDomain, "c")
 	const share = cap.MemRW | cap.RightShare
-	aMem := must(m.Grant(InitialDomain, memNode, a, memRes(128, 4), share, cap.CleanZero))
+	aMem := must(m.Grant(InitialDomain, memNode, a, memRes(128, 4), share|cap.RightGrant, cap.CleanZero))
 	bMem := must(m.Grant(InitialDomain, memNode, b, memRes(136, 4), share, cap.CleanZero))
 	must(m.Grant(InitialDomain, devNode[0], a, cap.DeviceResource(0), cap.RightUse|cap.RightDMA, cap.CleanNone))
 	bNic := must(m.Grant(InitialDomain, devNode[1], b, cap.DeviceResource(1), cap.DeviceFull, cap.CleanNone))
@@ -353,23 +357,27 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 		{"a shares a page with c", func() (err error) {
 			aToC, err = m.Share(a, aMem, c, memRes(128, 1), cap.MemRW, cap.CleanZero)
 			return
-		}, nil, []DomainID{a, c}, []phys.DeviceID{0, 1}},
+		}, nil, []DomainID{c}, nil},
 		{"b shares a page with c", func() (err error) {
 			bToC, err = m.Share(b, bMem, c, memRes(136, 1), cap.MemRW, cap.CleanZero)
 			return
-		}, nil, []DomainID{b, c}, []phys.DeviceID{1}},
+		}, nil, []DomainID{c}, nil},
 		{"dom0, which granted both devices away, shares a page with c", func() error {
 			_, err := m.Share(InitialDomain, memNode, c, memRes(200, 1), cap.MemRW, cap.CleanZero)
 			return err
-		}, nil, []DomainID{InitialDomain, c}, nil},
+		}, nil, []DomainID{c}, nil},
+		{"a grants c a page", func() error {
+			_, err := m.Grant(a, aMem, c, memRes(130, 1), cap.MemRW, cap.CleanZero)
+			return err
+		}, nil, []DomainID{a, c}, []phys.DeviceID{0, 1}},
 		{"b revokes its page from c", func() error { return m.Revoke(b, bToC) },
-			nil, []DomainID{b, c}, []phys.DeviceID{1}},
+			nil, []DomainID{c}, nil},
 		{"a revokes its page from c", func() error { return m.Revoke(a, aToC) },
-			nil, []DomainID{a, c}, []phys.DeviceID{0, 1}},
+			nil, []DomainID{c}, nil},
 		{"b revokes a's share of the second device", func() error { return m.Revoke(b, aNic) },
-			[]phys.DeviceID{1}, []DomainID{a, b}, []phys.DeviceID{0, 1}},
-		{"c, holding no device, is killed", func() error { return m.KillDomain(InitialDomain, c) },
-			nil, []DomainID{c, InitialDomain}, nil},
+			[]phys.DeviceID{1}, []DomainID{a}, []phys.DeviceID{0, 1}},
+		{"c, holding no device, is killed: a regains its granted page", func() error { return m.KillDomain(InitialDomain, c) },
+			nil, []DomainID{c, a}, []phys.DeviceID{0}},
 	} {
 		rec.devs = nil
 		if err := step.do(); err != nil {
@@ -380,6 +388,15 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 		}
 		if ref := sweep(step.devs, step.owners...); !slices.Equal(rec.devs, ref) {
 			t.Errorf("%s: resynchronised devices %v, the holder sweep says %v", step.name, rec.devs, ref)
+		}
+		for _, dev := range mach.DeviceIDs() {
+			fresh, err := backend.BuildDeviceFilter(m.space, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mach.IOMMU.ContextOf(dev).(*hw.EPT).Mappings(), fresh.Mappings(); !slices.Equal(got, want) {
+				t.Errorf("%s: %v's installed context %v, a fresh build %v", step.name, dev, got, want)
+			}
 		}
 	}
 }
@@ -683,7 +700,7 @@ func TestUnchangedResyncIsFree(t *testing.T) {
 	m, _ := bootTracedWorld(t, BackendVTX)
 	tr := m.Machine().Tracer()
 	seq0, c0 := len(tr.Events()), m.Machine().Clock.Cycles()
-	if err := m.bk.SyncDomain(cap.OwnerID(InitialDomain)); err != nil {
+	if err := m.bk.SyncDomainRange(cap.OwnerID(InitialDomain), phys.AllMemory); err != nil {
 		t.Fatal(err)
 	}
 	if c := m.Machine().Clock.Cycles() - c0; c != 0 {
@@ -691,5 +708,135 @@ func TestUnchangedResyncIsFree(t *testing.T) {
 	}
 	if evs := tr.Events()[seq0:]; len(evs) != 0 {
 		t.Errorf("a resync of an unchanged view emitted %v", evs)
+	}
+}
+
+// syncRecorder is a backend that notes every domain rebuild the monitor
+// asks for, with its scope, in order.
+type syncRecorder struct {
+	backend.Backend
+	owners []DomainID
+	scopes []phys.Region
+}
+
+func (r *syncRecorder) SyncDomainRange(o cap.OwnerID, scope phys.Region) error {
+	r.owners = append(r.owners, DomainID(o))
+	r.scopes = append(r.scopes, scope)
+	return r.Backend.SyncDomainRange(o, scope)
+}
+
+// TestResyncTouchesOnlyChangedOwners pins which domains each capability
+// operation rebuilds, and over which range: a share its grantee, a
+// grant its grantor and grantee, each over the delegated range; the
+// revocation of a share only the owners of what it detached, of a
+// grant those and the grantor, each over the span of the detached
+// memory; a core delegation its grantee over no memory at all. After
+// every step every installed filter must equal the page-by-page model
+// of the capability space (checkFiltersExact) — on pmp, whose filter is
+// a core's register file, with that core programmed for each domain in
+// turn — so a domain left out, or a range left out, must not have
+// needed the rebuild.
+func TestResyncTouchesOnlyChangedOwners(t *testing.T) {
+	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := bootWorld(t, kind)
+			rec := &syncRecorder{Backend: m.bk}
+			m.bk = rec
+			node := dom0MemNode(t, m)
+			a, err := m.CreateDomain(InitialDomain, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := m.CreateDomain(InitialDomain, "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			doms := []DomainID{InitialDomain, a, b}
+			checkExact := func(step string) {
+				t.Helper()
+				if kind == BackendVTX {
+					checkFiltersExact(t, m, doms)
+					return
+				}
+				for _, id := range doms {
+					if d, _ := m.Domain(id); d.State() == StateDead {
+						continue
+					}
+					if err := m.bk.Transition(m.Machine().Cores[0], cap.OwnerID(id), false); err != nil {
+						t.Fatalf("%s: programming core 0 for domain %d: %v", step, id, err)
+					}
+					checkFiltersExact(t, m, []DomainID{id})
+				}
+			}
+			const deleg = cap.MemRW | cap.RightShare | cap.RightGrant
+			var aShare, aGrant, bShare, bGrant, nested cap.NodeID
+			coreNode, ok := m.space.OwnerCoreNode(cap.OwnerID(InitialDomain), 1)
+			if !ok {
+				t.Fatal("dom0 holds no capability for core 1")
+			}
+			for _, step := range []struct {
+				name   string
+				do     func() error
+				owners []DomainID
+				scope  phys.Region
+			}{
+				{"dom0 shares a page with a", func() (err error) {
+					aShare, err = m.Share(InitialDomain, node, a, memRes(300, 4), deleg, cap.CleanNone)
+					return
+				}, []DomainID{a}, memRes(300, 4).Mem},
+				{"dom0 grants a pages", func() (err error) {
+					aGrant, err = m.Grant(InitialDomain, node, a, memRes(310, 4), deleg, cap.CleanZero)
+					return
+				}, []DomainID{InitialDomain, a}, memRes(310, 4).Mem},
+				{"a shares part of its shared page on to b", func() (err error) {
+					bShare, err = m.Share(a, aShare, b, memRes(301, 2), cap.MemRW, cap.CleanNone)
+					return
+				}, []DomainID{b}, memRes(301, 2).Mem},
+				{"a grants b a page of its grant", func() (err error) {
+					bGrant, err = m.Grant(a, aGrant, b, memRes(311, 1), cap.MemRW|cap.RightShare, cap.CleanZero)
+					return
+				}, []DomainID{a, b}, memRes(311, 1).Mem},
+				{"b shares the granted page back to dom0", func() (err error) {
+					nested, err = m.Share(b, bGrant, InitialDomain, memRes(311, 1), cap.RightRead, cap.CleanNone)
+					return
+				}, []DomainID{InitialDomain}, memRes(311, 1).Mem},
+				{"dom0 shares a core with a", func() error {
+					_, err := m.Share(InitialDomain, coreNode, a, cap.CoreResource(1), cap.RightRun, cap.CleanNone)
+					return err
+				}, []DomainID{a}, phys.Region{}},
+				{"a revokes its share to b", func() error { return m.Revoke(a, bShare) },
+					[]DomainID{b}, memRes(301, 2).Mem},
+				{"dom0 drops the page b shared it", func() error { return m.Revoke(InitialDomain, nested) },
+					[]DomainID{InitialDomain}, memRes(311, 1).Mem},
+				{"b shares the granted page back to dom0 again", func() (err error) {
+					nested, err = m.Share(b, bGrant, InitialDomain, memRes(311, 1), cap.RightRead, cap.CleanNone)
+					return
+				}, []DomainID{InitialDomain}, memRes(311, 1).Mem},
+				{"dom0 revokes its grant to a, with a's grant to b and b's share under it", func() error { return m.Revoke(InitialDomain, aGrant) },
+					[]DomainID{InitialDomain, a, b}, memRes(310, 4).Mem},
+				{"a drops its share from dom0", func() error { return m.Revoke(a, aShare) },
+					[]DomainID{a}, memRes(300, 4).Mem},
+				{"dom0 grants b a page", func() error {
+					_, err := m.Grant(InitialDomain, node, b, memRes(320, 1), cap.MemRW, cap.CleanZero)
+					return err
+				}, []DomainID{InitialDomain, b}, memRes(320, 1).Mem},
+				{"b is killed: dom0 regains the page", func() error { return m.KillDomain(InitialDomain, b) },
+					[]DomainID{InitialDomain}, memRes(320, 1).Mem},
+			} {
+				rec.owners, rec.scopes = nil, nil
+				if err := step.do(); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				if !slices.Equal(rec.owners, step.owners) {
+					t.Errorf("%s: rebuilt domains %v, want %v", step.name, rec.owners, step.owners)
+				}
+				for i, scope := range rec.scopes {
+					if scope != step.scope {
+						t.Errorf("%s: rebuilt domain %d over %v, want %v", step.name, rec.owners[i], scope, step.scope)
+					}
+				}
+				checkExact(step.name)
+			}
+		})
 	}
 }

@@ -323,7 +323,7 @@ func TestDigestChannelRetainsNoFrames(t *testing.T) {
 // reference counts, what its departure scrubs) sweep the pieces over
 // that tenant into stack buffers; a hop that went back to building the
 // machine-wide reference-count map three times would cost ~85 more.
-// Measured at 92 objects; under the race detector, where sync.Pool drops
+// Measured at 87 objects; under the race detector, where sync.Pool drops
 // items on purpose and pooled scratch is reallocated at random, at
 // 105-109.
 func TestMigrateHopAllocations(t *testing.T) {

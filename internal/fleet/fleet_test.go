@@ -220,6 +220,38 @@ func TestFleetMigrateConnectsBeforeFreeze(t *testing.T) {
 	}
 }
 
+// TestFleetMigrateRefusesHostingTarget: a hop onto the source itself,
+// or onto another node that already hosts the service, returns at once
+// with nothing frozen — the placements keep their round-robin order,
+// no snapshot counts as a migration out and no blackout is recorded.
+func TestFleetMigrateRefusesHostingTarget(t *testing.T) {
+	f := newTestFleet(t, 3)
+	if err := f.Deploy(ServiceSpec{Name: "idx", Delta: 31}, 2); err != nil {
+		t.Fatal(err)
+	}
+	before := f.LB().Placements("idx")
+	a, b := before[0].Node, before[1].Node
+	out := f.Stats().MigrationsOut
+	for _, hop := range [][2]int{{a, a}, {a, b}, {b, a}} {
+		err := f.Migrate("idx", hop[0], hop[1], nil)
+		if err == nil || !strings.Contains(err.Error(), "already hosts") {
+			t.Fatalf("migrate %d->%d onto a node hosting the service: err = %v, want a refusal", hop[0], hop[1], err)
+		}
+		if after := f.LB().Placements("idx"); !reflect.DeepEqual(after, before) {
+			t.Fatalf("placements after refused hop %d->%d: %+v, want %+v in that order", hop[0], hop[1], after, before)
+		}
+		if got := f.Stats().MigrationsOut; got != out {
+			t.Fatalf("refused hop %d->%d snapshotted the source: MigrationsOut %d -> %d", hop[0], hop[1], out, got)
+		}
+	}
+	if bs := f.Blackouts(); len(bs) != 0 {
+		t.Fatalf("refused hops recorded blackouts %v", bs)
+	}
+	if _, err := f.Serve([]string{"idx"}, 40, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeOneAllocations pins the heap objects of one routed request —
 // pick, core rotation, Call, RunCore, reply check — with runtime
 // verification attached: none, once the trace rings have grown.

@@ -86,6 +86,9 @@ func (f *Fleet) open(pc *pairChannel, src, dst *Node) (*dist.Conn, *dist.Endpoin
 // still verifies a fresh-nonce report of the restored domain, signed by
 // the TPM-proven monitor key, sealed and of the expected measurement.
 //
+// A target that already hosts the service, the source itself included,
+// is refused before step 0, with nothing frozen.
+//
 // Protocol; the blackout is steps 1 to 5:
 //
 //  0. Channel: take the pair's channel, opening it with a mutual
@@ -124,17 +127,23 @@ func (f *Fleet) Migrate(service string, from, to int, wire *dist.Wire) error {
 		return fmt.Errorf("fleet: unknown service %q", service)
 	}
 	var pl *Placement
+	hosted := false // the target already runs the service
 	for _, p := range f.lb.Placements(service) {
-		if p.Node == from {
+		if p.Node == from && pl == nil {
 			pl = p
-			break
 		}
+		hosted = hosted || p.Node == to
 	}
 	if pl == nil {
 		return fmt.Errorf("fleet: %q has no placement on %s", service, src.Name)
 	}
 	fail := func(stage string, err error) error {
 		return fmt.Errorf("fleet: migrate %q %s->%s: %s: %w", service, src.Name, dst.Name, stage, err)
+	}
+	// The target's RestoreDomain would refuse the tenant too, but only
+	// after the source had been frozen, snapshotted and shipped.
+	if hosted {
+		return fail("target", fmt.Errorf("%s already hosts %q", dst.Name, service))
 	}
 
 	// Step 0: the pair's channel, outside the blackout.

@@ -482,7 +482,7 @@ func calls(method string) func(ast.Node) bool {
 // cross-core shootdown round.
 func TestOneDestructiveTail(t *testing.T) {
 	core := parseTree(t, false, "internal/core")
-	for _, method := range []string{"SyncDomain", "ExecuteCleanups"} {
+	for _, method := range []string{"SyncDomainRange", "ExecuteCleanups"} {
 		if fns := callers(core, calls(method)); len(fns) != 1 {
 			t.Errorf("internal/core calls .%s( from %d functions %v, want exactly 1", method, len(fns), fns)
 		}
@@ -495,7 +495,7 @@ func TestOneDestructiveTail(t *testing.T) {
 
 // filterWrites are the charges and trace kinds of a filter write. Each
 // is paid or emitted in exactly one function, the one that knows what
-// the write changed (ARCHITECTURE §2): vtx's SyncDomain charges and
+// the write changed (ARCHITECTURE §2): vtx's SyncDomainRange charges and
 // traces each changed EPT extent, pmp's program each changed entry.
 var filterWrites = []struct {
 	name  string

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,15 +28,15 @@ import (
 //     one pointer store, and only then bumps the generation once. A
 //     reader therefore sees the old filter or the new one, never a
 //     half-built one, and a new generation implies the new table;
-//   - a Replace diffs the next table against the published one and
-//     reports the changed extents, which are all a resync pays for and
-//     traces; one whose table equals the published one stores nothing
-//     and reports nothing: same filter, same pointer, generation still
-//     moves — a resync is a resync to everything keyed on the
+//   - a Replace diffs its scope's next runs against the published table
+//     there and reports the changed extents, which are all a resync pays
+//     for and traces; one whose runs equal the published ones stores
+//     nothing and reports nothing: same filter, same pointer, generation
+//     still moves — a resync is a resync to everything keyed on the
 //     generation (TLB tags, contexts), whether or not it changed the
 //     filter.
 //
-// Writers (copy-on-write splices for Map/Unmap, whole-table Replace and
+// Writers (copy-on-write splices for Map/Unmap, scoped Replace and
 // Clear) are serialised by wmu; readers never take it.
 type EPT struct {
 	wmu sync.Mutex
@@ -113,71 +114,116 @@ func (e *EPT) Map(r phys.Region, p Perm) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	old := e.runs()
-	next := make([]EPTMapping, 0, len(old)+2)
-	i := 0
-	for ; i < len(old) && old[i].Region.End <= r.Start; i++ {
-		next = append(next, old[i])
-	}
-	if i < len(old) && old[i].Region.Start < r.Start {
-		next = append(next, EPTMapping{Region: phys.Region{Start: old[i].Region.Start, End: r.Start}, Perm: old[i].Perm})
-	}
-	if p != PermNone {
-		next = appendRun(next, EPTMapping{Region: r, Perm: p})
-	}
-	for ; i < len(old) && old[i].Region.End <= r.End; i++ {
-	}
-	if i < len(old) && old[i].Region.Start < r.End {
-		next = appendRun(next, EPTMapping{Region: phys.Region{Start: r.End, End: old[i].Region.End}, Perm: old[i].Perm})
-		i++
-	}
-	for ; i < len(old); i++ {
-		next = appendRun(next, old[i])
-	}
-	e.publish(next)
+	e.publish(Splice(make([]EPTMapping, 0, len(old)+2), old, r, []EPTMapping{{Region: r, Perm: p}}))
 	return nil
 }
 
 // Unmap removes all permissions for region r.
 func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 
-// Replace publishes runs as the whole table in one step: no reader can
-// observe a mix of the old and the new filter. runs must be page-aligned,
-// non-empty, sorted by address and disjoint; otherwise Replace returns an
-// error and leaves the table and the generation unchanged. PermNone runs
-// are dropped and adjacent equal-permission runs merged.
+// Replace publishes, in one step, the table with every page of scope
+// set to what runs gives it and every page outside scope as it was: no
+// reader can observe a mix of the old and the new filter. A whole-table
+// rebuild is the scope phys.AllMemory. scope must be page-aligned; runs
+// must be page-aligned, non-empty, sorted by address, disjoint and
+// inside scope; otherwise Replace returns an error and leaves the table
+// and the generation unchanged. PermNone runs are dropped and adjacent
+// equal-permission runs merged.
 //
-// Replace sweeps the new table against the published one and returns
-// what the rebuild writes: every maximal extent of pages whose
-// permission differs, with its new permission (PermNone for pages no
-// longer mapped), in address order. The extents reuse buf's storage, so
-// a caller that keeps buf allocates nothing for them. The table keeps
-// its own copy of runs, made only when some extent changed; the
-// generation is bumped either way.
-func (e *EPT) Replace(runs, buf []EPTMapping) (changed []EPTMapping, err error) {
-	var stack [32]EPTMapping // larger tables spill to the heap
-	next := stack[:0]
-	var end phys.Addr
+// Replace diffs the scope's new runs against the published table there
+// and returns what the rebuild writes: every maximal extent of pages
+// whose permission differs, with its new permission (PermNone for pages
+// no longer mapped), in address order. The extents reuse buf's storage,
+// so a caller that keeps buf allocates nothing for them. The table is
+// spliced into a new copy only when some extent changed; the generation
+// is bumped either way.
+func (e *EPT) Replace(scope phys.Region, runs, buf []EPTMapping) (changed []EPTMapping, err error) {
+	if !scope.Start.PageAligned() || !scope.End.PageAligned() {
+		return buf[:0], fmt.Errorf("hw: ept replace: scope %v not page-aligned", scope)
+	}
+	var stack [32]EPTMapping // larger scopes spill to the heap
+	in := stack[:0]
+	end := scope.Start
 	for _, m := range runs {
 		if err := m.Region.Validate(); err != nil {
 			return buf[:0], fmt.Errorf("hw: ept replace: %w", err)
+		}
+		if !scope.ContainsRegion(m.Region) {
+			return buf[:0], fmt.Errorf("hw: ept replace: run %v outside scope %v", m.Region, scope)
 		}
 		if m.Region.Start < end {
 			return buf[:0], fmt.Errorf("hw: ept replace: run %v unsorted or overlapping (previous run ends at %v)", m.Region, end)
 		}
 		end = m.Region.End
 		if m.Perm != PermNone {
-			next = appendRun(next, m)
+			in = appendRun(in, m)
 		}
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	changed = diffRuns(e.runs(), next, buf[:0])
+	old := e.runs()
+	changed = clipRuns(diffRuns(overlapping(old, scope), in, buf[:0]), scope)
 	if len(changed) == 0 {
 		e.gen.Add(1)
 		return changed, nil
 	}
-	e.publish(slices.Clone(next))
+	var tab [32]EPTMapping // larger tables spill to the heap
+	e.publish(slices.Clone(Splice(tab[:0], old, scope, in)))
 	return changed, nil
+}
+
+// Splice appends to dst the canonical table runs with scope's pages
+// replaced: runs' extents before scope (the one straddling its start
+// cut there), then in's non-PermNone runs, then runs' extents after
+// scope (the one straddling its end cut there), adjacent equal runs
+// merged. runs must be canonical; in must be sorted, disjoint and
+// inside scope. It is the one splice over extent tables: Map and
+// Replace publish with it, and the pmp backend installs a scoped
+// rebuild's layout with it.
+func Splice(dst, runs []EPTMapping, scope phys.Region, in []EPTMapping) []EPTMapping {
+	i := 0
+	for ; i < len(runs) && runs[i].Region.Start < scope.Start; i++ {
+		r := runs[i]
+		r.Region.End = min(r.Region.End, scope.Start)
+		dst = appendRun(dst, r)
+	}
+	for _, m := range in {
+		if m.Perm != PermNone {
+			dst = appendRun(dst, m)
+		}
+	}
+	// The last run that started before scope may also reach past it.
+	for i = max(i-1, 0); i < len(runs); i++ {
+		if r := runs[i]; r.Region.End > scope.End {
+			r.Region.Start = max(r.Region.Start, scope.End)
+			dst = appendRun(dst, r)
+		}
+	}
+	return dst
+}
+
+// overlapping returns the runs of a canonical table that share a page
+// with scope, found by binary search.
+func overlapping(runs []EPTMapping, scope phys.Region) []EPTMapping {
+	lo, _ := slices.BinarySearchFunc(runs, scope.Start, func(m EPTMapping, a phys.Addr) int {
+		return cmp.Compare(m.Region.End-1, a)
+	})
+	hi, _ := slices.BinarySearchFunc(runs[lo:], scope.End, func(m EPTMapping, a phys.Addr) int {
+		return cmp.Compare(m.Region.Start, a)
+	})
+	return runs[lo : lo+hi]
+}
+
+// clipRuns cuts sorted disjoint runs to scope in place, dropping what
+// lies outside it.
+func clipRuns(runs []EPTMapping, scope phys.Region) []EPTMapping {
+	out := runs[:0]
+	for _, m := range runs {
+		if m.Region = m.Region.Intersect(scope); !m.Region.Empty() {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // diffRuns appends to out the extents where two canonical tables

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -80,16 +81,25 @@ func (m *eptModel) mappings() []EPTMapping {
 }
 
 // replace is Replace's contract spelled out: malformed input changes
-// nothing; well-formed input becomes the whole table.
-func (m *eptModel) replace(runs []EPTMapping) bool {
-	var end phys.Addr
+// nothing; well-formed input becomes the table on every page of scope,
+// and every page outside it keeps its permission.
+func (m *eptModel) replace(scope phys.Region, runs []EPTMapping) bool {
+	if !scope.Start.PageAligned() || !scope.End.PageAligned() {
+		return false
+	}
+	end := scope.Start
 	for _, r := range runs {
-		if r.Region.Validate() != nil || r.Region.Start < end {
+		if r.Region.Validate() != nil || r.Region.Start < end || r.Region.End > scope.End {
 			return false
 		}
 		end = r.Region.End
 	}
-	m.clear()
+	m.pages = maps.Clone(m.pages) // the caller keeps the table before
+	for pg := range m.pages {
+		if scope.Contains(phys.Addr(pg << phys.PageShift)) {
+			delete(m.pages, pg)
+		}
+	}
 	for _, r := range runs {
 		m.mapRegion(r.Region, r.Perm)
 	}
@@ -153,7 +163,9 @@ func compareEPT(t *testing.T, e *EPT, m *eptModel, step int) {
 // Replace takes that as its first run, offset off the page grid if flag
 // bit 3 is set, and reads up to two more (start, count, permission)
 // triples as flag bits 4-5 say; the runs may be unsorted, overlapping or
-// empty.
+// empty. Its scope is the whole address space, or with flag bit 6 the
+// (start, count) pair read before the extra runs, offset off the page
+// grid with flag bit 7; the runs may lie partly or wholly outside it.
 func runEPTOps(t *testing.T, data []byte) {
 	t.Helper()
 	e, m := NewEPT(), newEPTModel()
@@ -164,8 +176,8 @@ func runEPTOps(t *testing.T, data []byte) {
 		return phys.Region{Start: phys.Addr(s << phys.PageShift), End: phys.Addr((s + n) << phys.PageShift)}
 	}
 	for step := 0; len(data) >= 4; step++ {
-		op, r, p := data[0]%4, region(data[1], data[2]), Perm(data[3])&PermRWX
-		unaligned, extra := data[3]&8 != 0, int(data[3]>>4)%3
+		op, r, p, flags := data[0]%4, region(data[1], data[2]), Perm(data[3])&PermRWX, data[3]
+		unaligned, extra := flags&8 != 0, int(flags>>4&3)%3
 		data = data[4:]
 		gen := e.Generation()
 		changed := true
@@ -194,22 +206,30 @@ func runEPTOps(t *testing.T, data []byte) {
 			if unaligned {
 				runs[0].Region.Start += 0x10
 			}
+			scope := phys.AllMemory
+			if flags&0x40 != 0 && len(data) >= 2 {
+				scope = region(data[0], data[1])
+				if flags&0x80 != 0 {
+					scope.End += 0x10
+				}
+				data = data[2:]
+			}
 			for ; extra > 0 && len(data) >= 3; extra-- {
 				runs = append(runs, EPTMapping{Region: region(data[0], data[1]), Perm: Perm(data[2]) & PermRWX})
 				data = data[3:]
 			}
 			before, held := m.pages, e.tab.Load() // an accepted replace gives the model a new map
-			ext, err := e.Replace(runs, buf)
+			ext, err := e.Replace(scope, runs, buf)
 			buf = ext
-			changed = m.replace(runs)
+			changed = m.replace(scope, runs)
 			if (err == nil) != changed {
-				t.Fatalf("step %d: Replace(%v) error = %v, model accepted = %v", step, runs, err, changed)
+				t.Fatalf("step %d: Replace(%v, %v) error = %v, model accepted = %v", step, scope, runs, err, changed)
 			}
 			if want := m.diff(before); changed && !slices.Equal(ext, want) {
-				t.Fatalf("step %d: Replace(%v) reported %v, page-by-page difference %v", step, runs, ext, want)
+				t.Fatalf("step %d: Replace(%v, %v) reported %v, page-by-page difference %v", step, scope, runs, ext, want)
 			}
 			if len(ext) == 0 && e.tab.Load() != held {
-				t.Fatalf("step %d: Replace(%v) reported no change but published a new table", step, runs)
+				t.Fatalf("step %d: Replace(%v, %v) reported no change but published a new table", step, scope, runs)
 			}
 		}
 		if want := gen + 1; changed && e.Generation() != want {
@@ -232,13 +252,18 @@ func TestEPTMatchesPageModel(t *testing.T) {
 }
 
 func FuzzEPTExtents(f *testing.F) {
-	f.Add([]byte{0, 2, 4, 3, 0, 4, 4, 1, 1, 3, 2, 0})              // map, overlapping map, unmap across the seam
-	f.Add([]byte{0, 0, 48, 7, 1, 10, 1, 0, 0, 10, 1, 7})           // punch a hole and fill it back: one run again
-	f.Add([]byte{3, 1, 2, 0x21, 3, 2, 1, 9, 1, 4})                 // replace with three runs, the first two mergeable
-	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x11, 1, 4, 2})              // replace with unsorted runs: rejected
-	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x09})                       // replace with an unaligned run: rejected
-	f.Add([]byte{0, 1, 3, 2, 2, 0, 0, 0, 3, 0, 0, 1, 0, 47, 1, 4}) // clear, replace with an empty run, map the last page
-	f.Add([]byte{3, 2, 8, 3, 3, 2, 8, 3, 3, 2, 8, 7, 3, 2, 4, 3})  // replace, the same again, widen the run, shrink it
+	f.Add([]byte{0, 2, 4, 3, 0, 4, 4, 1, 1, 3, 2, 0})                    // map, overlapping map, unmap across the seam
+	f.Add([]byte{0, 0, 48, 7, 1, 10, 1, 0, 0, 10, 1, 7})                 // punch a hole and fill it back: one run again
+	f.Add([]byte{3, 1, 2, 0x21, 3, 2, 1, 9, 1, 4})                       // replace with three runs, the first two mergeable
+	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x11, 1, 4, 2})                    // replace with unsorted runs: rejected
+	f.Add([]byte{0, 5, 5, 5, 3, 9, 2, 0x09})                             // replace with an unaligned run: rejected
+	f.Add([]byte{0, 1, 3, 2, 2, 0, 0, 0, 3, 0, 0, 1, 0, 47, 1, 4})       // clear, replace with an empty run, map the last page
+	f.Add([]byte{3, 2, 8, 3, 3, 2, 8, 3, 3, 2, 8, 7, 3, 2, 4, 3})        // replace, the same again, widen the run, shrink it
+	f.Add([]byte{0, 0, 40, 3, 3, 4, 2, 0x45, 2, 8, 3, 5, 1, 0x41, 6, 2}) // scoped replaces inside a run: split it, then narrow the scope
+	f.Add([]byte{0, 0, 40, 3, 3, 4, 2, 3, 3, 4, 2, 0x43, 4, 2})          // scoped replace of an unchanged range: nothing written
+	f.Add([]byte{0, 0, 40, 3, 3, 4, 8, 0x41, 6, 2})                      // run outside its scope: rejected
+	f.Add([]byte{0, 0, 40, 3, 3, 4, 2, 0xc1, 4, 2})                      // unaligned scope: rejected
+	f.Add([]byte{0, 0, 40, 3, 3, 9, 0, 0x40, 9, 0})                      // empty scope: nothing written
 	f.Fuzz(func(t *testing.T, data []byte) { runEPTOps(t, data) })
 }
 
@@ -248,7 +273,7 @@ func TestEPTReplaceRejectsMalformed(t *testing.T) {
 	}
 	e := NewEPT()
 	good := []EPTMapping{run(0x1000, 0x3000, PermRX), run(0x8000, 0x9000, PermRW)}
-	if _, err := e.Replace(good, nil); err != nil {
+	if _, err := e.Replace(phys.AllMemory, good, nil); err != nil {
 		t.Fatal(err)
 	}
 	gen := e.Generation()
@@ -259,7 +284,7 @@ func TestEPTReplaceRejectsMalformed(t *testing.T) {
 		"empty":          {run(0x2000, 0x2000, PermR)},
 		"bad after good": {run(0x1000, 0x2000, PermR), run(0x1800, 0x3000, PermR)},
 	} {
-		if _, err := e.Replace(bad, nil); err == nil {
+		if _, err := e.Replace(phys.AllMemory, bad, nil); err == nil {
 			t.Errorf("%s: Replace(%v) accepted", name, bad)
 		}
 		if got := e.Mappings(); !reflect.DeepEqual(got, good) {
@@ -290,7 +315,7 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 		{page(0, 2, PermR), page(2, 4, PermRWX), page(20, 2, PermRW)},
 	}
 	e := NewEPT()
-	if _, err := e.Replace(layouts[0], nil); err != nil {
+	if _, err := e.Replace(phys.AllMemory, layouts[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
@@ -299,7 +324,7 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; !stop.Load(); i++ {
-			if _, err := e.Replace(layouts[i%2], nil); err != nil {
+			if _, err := e.Replace(phys.AllMemory, layouts[i%2], nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -328,11 +353,11 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	scratch := []EPTMapping{page(4, 1, PermRX), page(8, 4, PermRW), page(12, 4, PermRW), page(30, 1, PermNone)}
 	want := []EPTMapping{page(4, 1, PermRX), page(8, 8, PermRW)}
 	e := NewEPT()
-	if ext, err := e.Replace(scratch, nil); err != nil || !slices.Equal(ext, want) {
+	if ext, err := e.Replace(phys.AllMemory, scratch, nil); err != nil || !slices.Equal(ext, want) {
 		t.Fatalf("first Replace reported %v, err %v; want %v", ext, err, want)
 	}
 	held, gen := e.tab.Load(), e.Generation()
-	if ext, err := e.Replace(scratch, nil); err != nil || len(ext) != 0 {
+	if ext, err := e.Replace(phys.AllMemory, scratch, nil); err != nil || len(ext) != 0 {
 		t.Fatalf("an equal Replace reported %v, err %v; want nothing", ext, err)
 	}
 	if e.tab.Load() != held {
@@ -342,18 +367,18 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 		t.Errorf("an equal Replace moved the generation from %d to %d, want one bump", gen, e.Generation())
 	}
 	unmapped := []EPTMapping{page(4, 1, PermNone), page(8, 8, PermNone)}
-	if ext, err := e.Replace(nil, nil); err != nil || !slices.Equal(ext, unmapped) {
+	if ext, err := e.Replace(phys.AllMemory, nil, nil); err != nil || !slices.Equal(ext, unmapped) {
 		t.Fatalf("emptying Replace reported %v, err %v; want %v", ext, err, unmapped)
 	}
 	empty := e.tab.Load()
-	if ext, err := e.Replace(scratch[3:], nil); err != nil || len(ext) != 0 { // only a PermNone run: still empty
+	if ext, err := e.Replace(phys.AllMemory, scratch[3:], nil); err != nil || len(ext) != 0 { // only a PermNone run: still empty
 		t.Fatalf("an empty Replace of an empty table reported %v, err %v", ext, err)
 	}
 	if e.tab.Load() != empty || e.Generation() != gen+3 || e.Mappings() != nil {
 		t.Errorf("an empty Replace of an empty table: pointer moved %v, generation %d (want %d), mappings %v",
 			e.tab.Load() != empty, e.Generation(), gen+3, e.Mappings())
 	}
-	if _, err := e.Replace(scratch, nil); err != nil {
+	if _, err := e.Replace(phys.AllMemory, scratch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.tab.Load() == held {
@@ -373,7 +398,7 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 		big[i] = page(uint64(2*i), 1, PermR)
 	}
 	for range 2 {
-		if _, err := e.Replace(big, nil); err != nil {
+		if _, err := e.Replace(phys.AllMemory, big, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -174,8 +175,21 @@ func (m *PhysMem) Zero(r phys.Region) error {
 	return nil
 }
 
-// View returns a read-only snapshot copy of region r, used for
-// measurement (hashing) during attestation.
+// WriteRegionTo writes region r's bytes to w in one Write under the
+// read lock, copying nothing: for a consumer that only reads them as
+// they pass, such as the hash a domain's measurement is computed in. w
+// must not retain the slice it is handed.
+func (m *PhysMem) WriteRegionTo(w io.Writer, r phys.Region) error {
+	if err := m.check(r.Start, r.Size()); err != nil {
+		return err
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, err := w.Write(m.data[r.Start:r.End])
+	return err
+}
+
+// View returns a read-only snapshot copy of region r.
 func (m *PhysMem) View(r phys.Region) ([]byte, error) {
 	if err := m.check(r.Start, r.Size()); err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ func eptWithRuns(tb testing.TB, n int) *EPT {
 		}
 	}
 	e := NewEPT()
-	if _, err := e.Replace(runs, nil); err != nil {
+	if _, err := e.Replace(phys.AllMemory, runs, nil); err != nil {
 		tb.Fatal(err)
 	}
 	if got := len(e.Mappings()); got != n {
@@ -139,7 +139,7 @@ func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
 	runs := e.Mappings()
 	buf := make([]EPTMapping, 0, 16)
 	if n := testing.AllocsPerRun(100, func() {
-		if ext, err := e.Replace(runs, buf); err != nil || len(ext) != 0 {
+		if ext, err := e.Replace(phys.AllMemory, runs, buf); err != nil || len(ext) != 0 {
 			t.Fatalf("unchanged Replace reported %v, err %v", ext, err)
 		}
 	}); n != 0 {
@@ -150,7 +150,7 @@ func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		flip[i%len(flip)].Perm ^= PermX
 		i++
-		if ext, err := e.Replace(flip, buf); err != nil || len(ext) != 1 {
+		if ext, err := e.Replace(phys.AllMemory, flip, buf); err != nil || len(ext) != 1 {
 			t.Fatalf("one-run Replace reported %v, err %v", ext, err)
 		}
 	}); n > 2 {

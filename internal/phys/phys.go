@@ -106,6 +106,18 @@ func (r Region) Validate() error {
 	return nil
 }
 
+// Intersect returns the part of r inside o, empty (at the later start)
+// when they do not overlap: what a rebuild scoped to o keeps of r.
+func (r Region) Intersect(o Region) Region {
+	s, e := max(r.Start, o.Start), min(r.End, o.End)
+	return Region{Start: s, End: max(e, s)}
+}
+
+// AllMemory is the region of every page-aligned address: the scope of
+// a rebuild that recomputes a whole view rather than the range one
+// change touched.
+var AllMemory = Region{Start: 0, End: ^Addr(0) &^ (PageSize - 1)}
+
 func (r Region) String() string {
 	return fmt.Sprintf("[%#x,%#x)", uint64(r.Start), uint64(r.End))
 }

@@ -178,24 +178,8 @@ func TestPageHelpers(t *testing.T) {
 	}
 }
 
-// Intersect and Subtract are region algebra the tests check region
-// helpers against; the capability engine carves in place instead
-// (cap.appendEffective).
-
-// Intersect returns the overlapping part of r and o (possibly empty).
-func (r Region) Intersect(o Region) Region {
-	s, e := r.Start, r.End
-	if o.Start > s {
-		s = o.Start
-	}
-	if o.End < e {
-		e = o.End
-	}
-	if e < s {
-		e = s
-	}
-	return Region{Start: s, End: e}
-}
+// Subtract is region algebra the tests check region helpers against;
+// the capability engine carves in place instead (cap.appendEffective).
 
 // Subtract returns the parts of r not covered by o, in address order.
 // The result has zero, one, or two regions.
