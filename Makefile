@@ -52,11 +52,14 @@ race-engine:
 # beside their ns (a share/revoke round's included); then a hundred
 # steady-state migration hops, so every run prints a hop's allocations
 # (the pins are TestSyncDomainAllocationPins, TestShareRevokeAllocations
-# and TestMigrateHopAllocations).
+# and TestMigrateHopAllocations); and a fleet node's machine coming up,
+# so every run prints a machine's set-up cost (the footprint pins are
+# TestNewPhysMemFootprint and TestFleetLiveHeap).
 bench-smoke:
 	$(GO) test -run '^$$' -bench SpaceParallel -benchtime 1x ./internal/cap
 	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem -benchtime 1x ./internal/backend ./internal/core
 	$(GO) test -run '^$$' -bench MigrateHop -benchmem -benchtime 100x ./internal/fleet
+	$(GO) test -run '^$$' -bench NewMachine -benchmem -benchtime 20x ./internal/hw
 
 # Shuffled execution order keeps tests honest about hidden inter-test
 # state; the seed is printed on failure for replay.
@@ -72,12 +75,15 @@ shuffle:
 # DMA, scrubs, revocations, flushes, ring switches and injected faults
 # between steps); the slot-array TLB against the map-backed TLB it
 # replaced (that no index grows back beside the array is internal/guard's
-# TestTLBHasNoMap).
+# TestTLBHasNoMap); physical memory's page frames against a flat byte
+# model with per-page versions (frames made only by writes, never by
+# reads, scrubs or refused accesses).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMonitorAPI -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzEPTExtents -fuzztime=15s ./internal/hw
 	$(GO) test -run='^$$' -fuzz=FuzzStepDifferential -fuzztime=15s ./internal/hw
 	$(GO) test -run='^$$' -fuzz=FuzzTLBOps -fuzztime=15s ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzPhysMem -fuzztime=15s ./internal/hw
 
 # internal/bench compares counts, simulated cycles and verdicts — never
 # host time (that is benchmark/'s job) — so its tests must be green at

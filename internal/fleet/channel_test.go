@@ -345,6 +345,37 @@ func TestMigrateHopAllocations(t *testing.T) {
 	}
 }
 
+// TestFleetLiveHeap pins what a small fleet costs the host: three
+// default-sized (32 MiB) nodes, a service and 64 hops around them keep
+// under 8 MiB live, because a node's memory holds frames only for the
+// pages its software wrote (a flat memory held 96 MiB for the three).
+func TestFleetLiveHeap(t *testing.T) {
+	const bound = 8 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := New(Config{Nodes: 3, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &hopWorld{f: f}
+	if err := f.Deploy(ServiceSpec{Name: "pay", Delta: 777}, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		w.hop(t, (w.at(t)+1+i%2)%3, nil)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap after 64 hops: %.1f MiB", float64(live)/(1<<20))
+	if live > bound {
+		t.Errorf("a 3-node fleet after 64 hops holds %.1f MiB live, want at most %d MiB",
+			float64(live)/(1<<20), bound>>20)
+	}
+}
+
 // poolKeepsItems reports whether a sync.Pool hands back what it was just
 // given: under the race detector Put drops a quarter of its arguments.
 func poolKeepsItems() bool {

@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -334,10 +333,24 @@ func runDifferential(t testing.TB, script []byte) {
 		if sa, sb := snapshot(a.c), snapshot(b.c); sa != sb {
 			t.Fatalf("event %d (%s): state differs\ncached    %+v\nreference %+v", i, what, sa, sb)
 		}
-		if !bytes.Equal(a.m.Mem.data, b.m.Mem.data) {
+		if !sameMemory(a.m.Mem, b.m.Mem) {
 			t.Fatalf("event %d (%s): memory differs", i, what)
 		}
 	}
+}
+
+// sameMemory reports whether two memories hold the same bytes, compared
+// page by page through what each page reads as.
+func sameMemory(a, b *PhysMem) bool {
+	if a.Size() != b.Size() {
+		return false
+	}
+	for pg := range a.frames {
+		if *a.page(uint64(pg)) != *b.page(uint64(pg)) {
+			return false
+		}
+	}
+	return true
 }
 
 // fzSeed assembles a script: the program, then events given as byte

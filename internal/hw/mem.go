@@ -17,14 +17,24 @@ import (
 // their filters before touching it. The monitor accesses it directly
 // (the monitor is the most privileged software on the machine).
 //
+// Memory is held as one page frame per page, made on the page's first
+// write: a page nothing has written has no frame and reads as zeros
+// through one shared zero page, so a machine costs the host only the
+// pages its software wrote. Accesses walk page by page, so one that
+// crosses a page boundary behaves as it would on flat memory. A scrub
+// (Zero) clears the frames it covers in place and never releases one:
+// the pages a domain used are the pages its successor will use.
+//
 // Memory is shared by every core and DMA engine, so each data operation
 // holds an RWMutex — the simulator's stand-in for a coherent memory
 // bus. Isolation between domains comes from the access filters, not
-// from this lock; it only keeps Go-level access to the backing array
-// defined when cores genuinely race.
+// from this lock; it only keeps Go-level access to the frames defined
+// when cores genuinely race. A frame is made under the exclusive lock
+// its write already holds.
 //
-// Every page also carries a write version: a counter bumped inside the
-// exclusive section of every operation that changes the page's bytes.
+// Every page also carries a write version, whether or not it has a
+// frame: a counter bumped inside the exclusive section of every
+// operation that changes (or scrubs) the page's bytes.
 // A core's decoded-page cache (cpu.go) keeps instructions it read at
 // version v and reuses them for as long as one atomic load still says
 // v, so an instruction fetch takes no lock. The ordering this gives is
@@ -39,41 +49,78 @@ import (
 // because the bump happens before the writer's Unlock.
 type PhysMem struct {
 	mu   sync.RWMutex
-	data []byte
+	size uint64
+	// frames holds one frame per page, indexed by page number; nil
+	// until the page's first write.
+	frames []*[phys.PageSize]byte
 	// vers holds one write version per page, indexed by page number.
 	vers []atomic.Uint64
 }
 
-// NewPhysMem allocates size bytes of zeroed physical memory. size must be
-// page-aligned and non-zero.
+// zeroPage is what every frameless page reads as. Nothing writes it.
+var zeroPage [phys.PageSize]byte
+
+// NewPhysMem returns size bytes of zeroed physical memory, none of it
+// backed by a frame yet. size must be page-aligned and non-zero.
 func NewPhysMem(size uint64) (*PhysMem, error) {
 	if size == 0 || size%phys.PageSize != 0 {
 		return nil, fmt.Errorf("hw: memory size %#x not page-aligned", size)
 	}
 	return &PhysMem{
-		data: make([]byte, size),
-		vers: make([]atomic.Uint64, size/phys.PageSize),
+		size:   size,
+		frames: make([]*[phys.PageSize]byte, size/phys.PageSize),
+		vers:   make([]atomic.Uint64, size/phys.PageSize),
 	}, nil
 }
 
 // Size returns the total bytes of physical memory.
-func (m *PhysMem) Size() uint64 { return uint64(len(m.data)) }
+func (m *PhysMem) Size() uint64 { return m.size }
 
 func (m *PhysMem) check(a phys.Addr, n uint64) error {
-	if uint64(a) >= uint64(len(m.data)) || uint64(len(m.data))-uint64(a) < n {
-		return fmt.Errorf("hw: physical access %v+%d out of bounds (mem %#x)", a, n, len(m.data))
+	if uint64(a) >= m.size || m.size-uint64(a) < n {
+		return fmt.Errorf("hw: physical access %v+%d out of bounds (mem %#x)", a, n, m.size)
 	}
 	return nil
 }
 
-// bump advances the write version of every page [a, a+n) touches. The
-// caller holds mu exclusively and has just changed those bytes.
-func (m *PhysMem) bump(a phys.Addr, n uint64) {
-	if n == 0 {
-		return
+// page returns page pg's bytes for reading: its frame, or the zero page
+// if it has none. The caller holds mu.
+func (m *PhysMem) page(pg uint64) *[phys.PageSize]byte {
+	if f := m.frames[pg]; f != nil {
+		return f
 	}
-	for pg := a.Page(); pg <= (a + phys.Addr(n) - 1).Page(); pg++ {
+	return &zeroPage
+}
+
+// frame returns page pg's frame for writing, making it on first use.
+// The caller holds mu exclusively.
+func (m *PhysMem) frame(pg uint64) *[phys.PageSize]byte {
+	f := m.frames[pg]
+	if f == nil {
+		f = new([phys.PageSize]byte)
+		m.frames[pg] = f
+	}
+	return f
+}
+
+// read copies memory starting at a into buf, page by page. The caller
+// has checked bounds and holds mu.
+func (m *PhysMem) read(a phys.Addr, buf []byte) {
+	for len(buf) > 0 {
+		n := copy(buf, m.page(a.Page())[uint64(a)%phys.PageSize:])
+		buf, a = buf[n:], a+phys.Addr(n)
+	}
+}
+
+// write copies buf into memory starting at a, page by page, and bumps
+// each page it touches. The caller has checked bounds and holds mu
+// exclusively.
+func (m *PhysMem) write(a phys.Addr, buf []byte) {
+	for len(buf) > 0 {
+		pg := a.Page()
+		n := copy(m.frame(pg)[uint64(a)%phys.PageSize:], buf)
 		m.vers[pg].Add(1)
+		buf, a = buf[n:], a+phys.Addr(n)
 	}
 }
 
@@ -89,7 +136,7 @@ func (m *PhysMem) fetchWord(a phys.Addr) (word [InstrSize]byte, ver uint64, err 
 		return word, 0, err
 	}
 	m.mu.RLock()
-	copy(word[:], m.data[a:])
+	m.read(a, word[:])
 	ver = m.vers[a.Page()].Load()
 	m.mu.RUnlock()
 	return word, ver, nil
@@ -102,7 +149,7 @@ func (m *PhysMem) ReadAt(a phys.Addr, buf []byte) error {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	copy(buf, m.data[a:])
+	m.read(a, buf)
 	return nil
 }
 
@@ -113,8 +160,7 @@ func (m *PhysMem) WriteAt(a phys.Addr, buf []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	copy(m.data[a:], buf)
-	m.bump(a, uint64(len(buf)))
+	m.write(a, buf)
 	return nil
 }
 
@@ -123,9 +169,11 @@ func (m *PhysMem) Read64(a phys.Addr) (uint64, error) {
 	if err := m.check(a, 8); err != nil {
 		return 0, err
 	}
+	var w [8]byte
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return binary.LittleEndian.Uint64(m.data[a:]), nil
+	m.read(a, w[:])
+	m.mu.RUnlock()
+	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
 // Write64 stores a little-endian 64-bit word at a.
@@ -133,10 +181,11 @@ func (m *PhysMem) Write64(a phys.Addr, v uint64) error {
 	if err := m.check(a, 8); err != nil {
 		return err
 	}
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	binary.LittleEndian.PutUint64(m.data[a:], v)
-	m.bump(a, 8)
+	m.write(a, w[:])
 	return nil
 }
 
@@ -147,7 +196,7 @@ func (m *PhysMem) ReadByteAt(a phys.Addr) (byte, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.data[a], nil
+	return m.page(a.Page())[uint64(a)%phys.PageSize], nil
 }
 
 // WriteByteAt stores b at a.
@@ -157,36 +206,54 @@ func (m *PhysMem) WriteByteAt(a phys.Addr, b byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data[a] = b
-	m.bump(a, 1)
+	m.frame(a.Page())[uint64(a)%phys.PageSize] = b
+	m.vers[a.Page()].Add(1)
 	return nil
 }
 
 // Zero clears the region r. It is used by the monitor's zeroing
-// revocation policy; callers charge the cycle cost via the cost model.
+// revocation policy; callers charge the cycle cost via the cost model,
+// the same for a page that has no frame (which it leaves frameless) as
+// for one it clears. It bumps every page of r either way, and releases
+// no frame.
 func (m *PhysMem) Zero(r phys.Region) error {
 	if err := m.check(r.Start, r.Size()); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	clear(m.data[r.Start:r.End])
-	m.bump(r.Start, r.Size())
+	for a := r.Start; a < r.End; {
+		pg := a.Page()
+		off := uint64(a) % phys.PageSize
+		n := min(phys.PageSize-off, uint64(r.End-a))
+		if f := m.frames[pg]; f != nil {
+			clear(f[off : off+n])
+		}
+		m.vers[pg].Add(1)
+		a += phys.Addr(n)
+	}
 	return nil
 }
 
-// WriteRegionTo writes region r's bytes to w in one Write under the
-// read lock, copying nothing: for a consumer that only reads them as
-// they pass, such as the hash a domain's measurement is computed in. w
-// must not retain the slice it is handed.
+// WriteRegionTo writes region r's bytes to w under the read lock, one
+// Write per page, copying nothing: for a consumer that only reads them
+// as they pass, such as the hash a domain's measurement is computed in.
+// w must not retain the slices it is handed.
 func (m *PhysMem) WriteRegionTo(w io.Writer, r phys.Region) error {
 	if err := m.check(r.Start, r.Size()); err != nil {
 		return err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, err := w.Write(m.data[r.Start:r.End])
-	return err
+	for a := r.Start; a < r.End; {
+		off := uint64(a) % phys.PageSize
+		n := min(phys.PageSize-off, uint64(r.End-a))
+		if _, err := w.Write(m.page(a.Page())[off : off+n]); err != nil {
+			return err
+		}
+		a += phys.Addr(n)
+	}
+	return nil
 }
 
 // View returns a read-only snapshot copy of region r.
@@ -194,9 +261,9 @@ func (m *PhysMem) View(r phys.Region) ([]byte, error) {
 	if err := m.check(r.Start, r.Size()); err != nil {
 		return nil, err
 	}
+	out := make([]byte, r.Size())
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]byte, r.Size())
-	copy(out, m.data[r.Start:r.End])
+	m.read(r.Start, out)
 	return out, nil
 }

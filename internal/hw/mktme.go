@@ -115,12 +115,11 @@ func (m *MKTME) keystream(block cipher.Block, addr uint64, out *[16]byte) {
 // under their key (or unrecoverable randomness-like bytes if the key
 // was crypto-erased — modelled as encryption under a dead-key marker).
 func (m *MKTME) RawView(mem *PhysMem, r phys.Region) ([]byte, error) {
-	plain, err := mem.View(r)
+	// View's copy is the caller's own, so it is encrypted in place.
+	out, err := mem.View(r)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(plain))
-	copy(out, plain)
 	for off := 0; off < len(out); off += 16 {
 		addr := uint64(r.Start) + uint64(off)
 		id := m.pageKey[phys.Addr(addr).Page()]
