@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify benchmark-check ci-test race-engine bench-smoke shuffle fuzz-smoke \
-	bench-threads experiments-quick ci-race scheduler batched ci-epoch mutation rv epoch drain migrate fleet \
+.PHONY: all build vet test race verify benchmark-check ci-test bench-smoke shuffle fuzz-smoke \
+	bench-threads experiments-quick ci-race scheduler batched mutation rv migrate fleet \
 	fuzz cover bench bench-control experiments examples clean
 
 all: build vet test
@@ -38,17 +38,10 @@ benchmark-check:
 
 # CI's main job: verify, then the heavier recipes. (The static rules
 # are internal/guard's tests, run by every `go test` below.)
-ci-test: verify race-engine bench-smoke shuffle fuzz-smoke fuzz bench-threads experiments-quick examples
+ci-test: verify bench-smoke shuffle fuzz-smoke fuzz bench-threads experiments-quick examples
 
-# The package with the lock and the two that share the derivation's
-# scratch pool across goroutines, under the race detector at each thread
-# count. (The allocation pins are tests: TestSyncDomainAllocationPins,
-# TestCapAllocationPins, TestShareRevokeAllocations.)
-race-engine:
-	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -race -count=3 ./internal/backend ./internal/cap ./internal/core || exit 1; done
-
-# The parallel benchmarks and the control plane's validate -> derive ->
-# publish microbenchmarks, kept running with their allocations printed
+# The control plane's validate -> derive -> publish microbenchmarks,
+# kept running with their allocations printed
 # beside their ns (a share/revoke round's included); then a hundred
 # steady-state migration hops, so every run prints a hop's allocations
 # (the pins are TestSyncDomainAllocationPins, TestShareRevokeAllocations
@@ -56,7 +49,6 @@ race-engine:
 # so every run prints a machine's set-up cost (the footprint pins are
 # TestNewPhysMemFootprint and TestFleetLiveHeap).
 bench-smoke:
-	$(GO) test -run '^$$' -bench SpaceParallel -benchtime 1x ./internal/cap
 	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem -benchtime 1x ./internal/backend ./internal/core
 	$(GO) test -run '^$$' -bench MigrateHop -benchmem -benchtime 100x ./internal/fleet
 	$(GO) test -run '^$$' -bench NewMachine -benchmem -benchtime 20x ./internal/hw
@@ -77,19 +69,22 @@ shuffle:
 # replaced (that no index grows back beside the array is internal/guard's
 # TestTLBHasNoMap); physical memory's page frames against a flat byte
 # model with per-page versions (frames made only by writes, never by
-# reads, scrubs or refused accesses).
+# reads, scrubs or refused accesses). -fuzzminimizetime=0: the time goes
+# to fuzzing, not to minimizing each new interesting input (up to 60 s
+# by default, longer than a smoke runs).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzMonitorAPI -fuzztime=30s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzEPTExtents -fuzztime=15s ./internal/hw
-	$(GO) test -run='^$$' -fuzz=FuzzStepDifferential -fuzztime=15s ./internal/hw
-	$(GO) test -run='^$$' -fuzz=FuzzTLBOps -fuzztime=15s ./internal/hw
-	$(GO) test -run='^$$' -fuzz=FuzzPhysMem -fuzztime=15s ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzMonitorAPI -fuzztime=30s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzEPTExtents -fuzztime=15s -fuzzminimizetime=0 ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzStepDifferential -fuzztime=15s -fuzzminimizetime=0 ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzTLBOps -fuzztime=15s -fuzzminimizetime=0 ./internal/hw
+	$(GO) test -run='^$$' -fuzz=FuzzPhysMem -fuzztime=15s -fuzzminimizetime=0 ./internal/hw
 
 # internal/bench compares counts, simulated cycles and verdicts — never
 # host time (that is benchmark/'s job) — so its tests must be green at
-# any host thread count.
+# any host thread count. Its worker pool runs separate worlds on
+# separate goroutines; the race detector shows they share nothing.
 bench-threads:
-	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 ./internal/bench || exit 1; done
+	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -race -count=5 ./internal/bench || exit 1; done
 
 # Every paper table and figure regenerates with all shape checks passing
 # (the tool exits non-zero otherwise). Experiments run over a worker
@@ -98,93 +93,61 @@ bench-threads:
 experiments-quick:
 	$(GO) run ./cmd/tyche-bench -quick -parallel 4 -out $${TMPDIR:-/tmp}/BENCH.json
 
-# The whole module under the race detector: cores driven from their own
-# goroutines (the concurrency tests), cross-core shootdowns, the parallel
-# bench harness. -short trims the heaviest sweeps.
+# The whole module under the race detector: a world is one goroutine's,
+# so what it catches is a goroutine that should not be there, or worlds
+# that share state (the parallel bench harness). -short trims the
+# heaviest sweeps.
 ci-race: vet
 	$(GO) test -race -short ./...
 
-# The scheduler under the race detector: management code driving a real
-# monitor (internal/sched's tests, the oversubscription, determinism,
-# kill, dispatch-error, reproducibility and migration ones among them),
-# then the monitor's vCPU mechanism it calls, then the interactive demo.
+# The scheduler: management code driving a real monitor
+# (internal/sched's tests, the oversubscription, determinism, kill,
+# dispatch-error, reproducibility and migration ones among them), then
+# the monitor's vCPU mechanism it calls, then the interactive demo.
 # (C19's gates run in ci-test's pooled sweep.)
 scheduler:
-	$(GO) test -race ./internal/sched
-	$(GO) test -race -run 'VCPU|Schedul|Timer|Yield|RunCores' ./internal/core ./internal/hw
+	$(GO) test ./internal/sched
+	$(GO) test -run 'VCPU|Schedul|Timer|Yield|RunCores' ./internal/core ./internal/hw
 	$(GO) run ./cmd/tyche-sim -cores 4 -domains 10
 
-# The asynchronous batched ABI under the race detector: concurrent ring
-# registration, drain and teardown and coalesced shootdown rounds, from
-# the core monitor and the libtyche guest-side ring API (C20's gates run
-# in ci-test's pooled sweep); the -batched demo keeps the interactive
-# path honest.
+# The asynchronous batched ABI: ring registration, drain and teardown
+# and coalesced shootdown rounds, from the core monitor and the libtyche
+# guest-side ring API (C20's gates run in ci-test's pooled sweep); the
+# -batched demo keeps the interactive path honest.
 batched:
-	$(GO) test -race -run 'Ring' ./internal/core ./internal/libtyche
+	$(GO) test -run 'Ring' ./internal/core ./internal/libtyche
 	$(GO) run ./cmd/tyche-sim -batched
 
-# Epoch-based reclamation: the engine's unit tests under the race
-# detector, then `make epoch`. (The epochbug oracle runs with the other
-# mutation oracles in `make rv`.)
-ci-epoch:
-	$(GO) test -race -run 'Epoch' -v ./internal/core
-	$(MAKE) epoch
-
-# The seven mutation oracles — the only build tags there are. Each build
+# The six mutation oracles — the only build tags there are. Each build
 # carries one seeded bug; the online checker and check.Replay of the
 # trace must flag it with the same verdict (rangebug's left-out core the
 # stale-translation oracle too).
 mutation:
-	for tag in tracebug epochbug scrubbug ackbug drainbug migratebug rangebug; do \
+	for tag in tracebug scrubbug ackbug drainbug migratebug rangebug; do \
 		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
 	done
 
-# Runtime verification: the trace, checker and rv packages under the
-# race detector (emit, engine.step and a steady-state merge allocating
-# nothing are tests there), merges racing four emitters ten times at 1,
-# 2 and 4 host threads, the online check against its replay on real
-# workloads, the seven mutation oracles and a 30 s fuzz smoke of the
+# Runtime verification: the trace, checker and rv packages (emit,
+# engine.step and a steady-state merge allocating nothing are tests
+# there), the online check against its replay on real workloads, the six mutation oracles and a 30 s fuzz smoke of the
 # online check against Replay and of the engine against its allocating
 # twin. The rv service on real worlds is C21 phase A, C23 and
 # internal/rv's tests.
 rv:
-	$(GO) test -race ./internal/trace/... ./internal/rv
-	for threads in 1 2 4; do \
-		GOMAXPROCS=$$threads $(GO) test -race -count=10 -run '^TestMergeDuringConcurrentEmit$$' ./internal/trace/check || exit 1; \
-	done
-	$(GO) test -race -run '^TestOnlineCheckMatchesReplay$$' ./internal/core
+	$(GO) test ./internal/trace/... ./internal/rv
+	$(GO) test -run '^TestOnlineCheckMatchesReplay$$' ./internal/core
 	$(MAKE) mutation
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/trace/check
 
-# The linearizability storm and the pin-slot exhaustion test under the
-# race detector, at 1, 2 and 4 host threads.
-epoch:
-	for threads in 1 2 4; do \
-		GOMAXPROCS=$$threads $(GO) test -race -count=20 -run 'TestEpochLinearizableRevokeStorm|TestEpochPinSlotsExhausted' ./internal/core || exit 1; \
-	done
-
-# The drain round against everything that races it — readers on other
-# cores, revoke and kill storms, filter resyncs, running interpreters and
-# trace emitters — under the race detector, at 1, 2 and 4 host threads.
-drain:
-	for threads in 1 2 4; do \
-		GOMAXPROCS=$$threads $(GO) test -race -count=1 -run 'Drain|Ring|Epoch|Revoke|ResyncNeverPublishesPartialFilter' ./internal/core ./internal/rv || exit 1; \
-		GOMAXPROCS=$$threads $(GO) test -race -count 5 -run 'RunObservesPublishedWrites|FlushDuringRun|RunPublishesCounters' ./internal/hw || exit 1; \
-		GOMAXPROCS=$$threads $(GO) test -race -count 20 -run 'EventsDuringEmit|BackendContextStable' ./internal/trace ./internal/backend || exit 1; \
-	done
-
 # The migration path — kept node-pair channels, per-node attestation
-# sessions, the channel transport under them — under the race detector,
-# ten times at 1, 2 and 4 host threads. A fleet runs its hops on one
-# goroutine; two channels sharing one agent's NIC are the part driven
-# from two (ChannelsSharingOneNIC). Then one hop and one send with their
+# sessions, the channel transport under them. A fleet runs its hops on
+# one goroutine, and two channels sharing one agent's NIC take turns on
+# it (ChannelsSharingOneNIC). Then one hop and one send with their
 # allocations, for the record. A kept-channel hop taking 0
 # handshakes is asserted by TestFleetMigrationChannelLifecycle (steadyHop
 # requires 0 TPM quotes), not read off the benchmark line.
 migrate:
-	for threads in 1 2 4; do \
-		GOMAXPROCS=$$threads $(GO) test -race -count=10 ./internal/fleet ./internal/dist ./internal/attest || exit 1; \
-	done
+	$(GO) test ./internal/fleet ./internal/dist ./internal/attest
 	$(GO) test -run '^$$' -bench 'MigrateHop|Send' -benchmem ./internal/fleet ./internal/dist
 
 # The simulated datacenter fleet. A fleet is one thread's object — every
@@ -193,34 +156,30 @@ migrate:
 # mid-serving and a migration between two serves), the re-placement
 # order after a node death (TestFailNodeReplacesDeterministically) and
 # C23's whole Result must come out identical at 1, 2 and 4 host threads.
-# The race legs run the fleet tests, serving interleaved with migrations
-# and the kill during serving among them. The hardware-filter legs pin
-# what once failed on any host with two threads: a filter resync
-# publishes the new extent table in one step (a core on another thread
-# never reads a deny-all dom0 filter), and channels sharing one node NIC
-# do not interleave. The -fleet demo keeps the interactive path honest.
+# Then the fleet tests, serving interleaved with migrations and the kill
+# during serving among them. The -fleet demo keeps the interactive path
+# honest.
 # (C23's migration-abort, kill-churn and
 # fleet-verification gates run in ci-test's pooled sweep.)
 fleet:
-	$(GO) test -race -run 'TestFleet' -v ./internal/fleet
+	$(GO) test -run 'TestFleet' -v ./internal/fleet
 	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestServeReproducible|TestFailNodeReplacesDeterministically' ./internal/fleet || exit 1; done
 	for t in 1 2 4; do GOMAXPROCS=$$t $(GO) test -count=5 -run 'TestResultsAreHostIndependent/C23' ./internal/bench || exit 1; done
-	$(GO) test -race -count 3 -run 'TestFleetServeDuringMigration|TestFleetKillDuringServing' ./internal/fleet
-	$(GO) test -race -count 5 -run 'EPTReplaceIsOnePublish|ResyncNeverPublishesPartialFilter|ChannelsSharingOneNIC' ./internal/hw ./internal/core ./internal/dist
-	$(GO) test -race -run 'Migrate|Depart|Snapshot|Restore' ./internal/core ./internal/dist
+	$(GO) test -run 'Migrate|Depart|Snapshot|Restore' ./internal/core ./internal/dist
 	$(GO) run ./cmd/tyche-sim -fleet 4
 
 # The byte strings that cross a trust boundary, fuzzed 15 s each:
 # snapshot bytes into RestoreDomain, descriptors a guest writes into its
 # ring, image manifests into the loader's decoder, digest bodies through
 # the decoder and the remote verifier, and altered frames into a
-# channel's open.
+# channel's open. As in fuzz-smoke, -fuzzminimizetime=0 spends the time
+# fuzzing.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDomain$$' -fuzztime 15s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRingDescriptor$$' -fuzztime 15s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzImageManifest$$' -fuzztime 15s ./internal/image
-	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime 15s ./internal/trace/check
-	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime 15s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDomain$$' -fuzztime 15s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRingDescriptor$$' -fuzztime 15s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzImageManifest$$' -fuzztime 15s -fuzzminimizetime=0 ./internal/image
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime 15s -fuzzminimizetime=0 ./internal/trace/check
+	$(GO) test -run '^$$' -fuzz '^FuzzDistFrame$$' -fuzztime 15s -fuzzminimizetime=0 ./internal/dist
 
 cover:
 	$(GO) test -cover ./...

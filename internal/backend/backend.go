@@ -9,6 +9,9 @@
 // and pmp (RISC-V machine mode: per-core PMP reprogramming with a fixed
 // entry budget). They enforce identical capability semantics; the
 // cross-backend differential tests check exactly that.
+//
+// A backend is used by one goroutine at a time — its monitor's — and
+// holds no lock.
 package backend
 
 import (
@@ -55,9 +58,11 @@ type Backend interface {
 	// core. Backends without a fast mechanism return ErrNoFastPath.
 	RegisterFastPair(core phys.CoreID, a, b cap.OwnerID) error
 
-	// SyncDevice reprograms the IOMMU context of dev from the
-	// capability space (union of DMA-right holders' memory).
-	SyncDevice(dev phys.DeviceID) error
+	// SyncDeviceRange reprograms the IOMMU context of dev on the pages of
+	// scope from the capability space (union of DMA-right holders'
+	// memory), leaving every page outside scope as installed: the
+	// backend-neutral SyncDeviceRange.
+	SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error
 
 	// ExecuteCleanups performs the cleanup actions emitted by a
 	// revocation: zeroing memory, flushing caches and TLBs.
@@ -108,10 +113,9 @@ func rightsToPerm(r cap.Rights) hw.Perm {
 // hw.EPT.Replace as it is.
 type Segment = hw.EPTMapping
 
-// scratch is the buffers one derivation runs in. They come from a pool,
-// not from the domain: rebuilds of one domain are serialised by the
-// monitor's Domain.mu, but InstallDomain, RestoreDomain and the device
-// path are not.
+// scratch is the buffers one derivation runs in. They come from a
+// package-level pool, which separate worlds on separate goroutines
+// share: the one sync name a backend uses.
 type scratch struct {
 	grants  []cap.MemoryGrant
 	events  []uint64

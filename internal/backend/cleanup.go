@@ -8,24 +8,33 @@ import (
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
-// BuildDeviceFilter computes the IOMMU context for dev from capability
-// state: the union of the effective memory (minus execute, meaningless
-// on the bus) of every domain holding DMA rights on the device.
+// SyncDeviceRange reprograms dev's IOMMU context on the pages of scope
+// from capability state: the union of the effective memory (minus
+// execute, meaningless on the bus) of every domain holding DMA rights on
+// the device, spliced into the installed filter (hw.EPT.Replace) as a
+// domain's view is, every page outside scope left as installed.
 // Confining a device therefore means granting its DMA capability to a
-// narrow I/O domain (Figure 2's GPU pattern). Both backends program the
-// result into the machine's IOMMU.
-func BuildDeviceFilter(space *cap.Space, dev phys.DeviceID) (*hw.EPT, error) {
+// narrow I/O domain (Figure 2's GPU pattern). A device with no filter of
+// its own yet gets a whole new one, attached once; every later resync
+// edits that filter in place. It is the device path of both backends.
+func SyncDeviceRange(iu *hw.IOMMU, space *cap.Space, dev phys.DeviceID, scope phys.Region) error {
+	filter, installed := iu.ContextOf(dev).(*hw.EPT)
+	if !installed {
+		filter, scope = hw.NewEPT(), phys.AllMemory
+	}
 	// One flatten over every holder's grants: the sweep ORs overlapping
 	// permissions, which is the union across holders.
-	filter := hw.NewEPT()
 	program := func(segs []Segment, changed *[]Segment) (err error) {
-		*changed, err = filter.Replace(phys.AllMemory, segs, *changed)
+		*changed, err = filter.Replace(scope, segs, *changed)
 		return err
 	}
-	if err := WithSegments(space, cap.RightExec, phys.AllMemory, program, space.DeviceDMAHolders(dev)...); err != nil {
-		return nil, fmt.Errorf("backend: device %v filter: %w", dev, err)
+	if err := WithSegments(space, cap.RightExec, scope, program, space.DeviceDMAHolders(dev)...); err != nil {
+		return fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
-	return filter, nil
+	if !installed {
+		iu.Attach(dev, filter)
+	}
+	return nil
 }
 
 // RunCleanups executes revocation cleanup actions on the machine: the

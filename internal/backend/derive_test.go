@@ -53,8 +53,7 @@ func checkSegments(segs []backend.Segment, model [derivePages + 1]hw.Perm) error
 // of overlapping sub-ranges with different rights, some carved by grants
 // further down — derived through the pooled entry point and programmed
 // by both backends, against the page-by-page model. The domains are
-// rebuilt from concurrent goroutines, as InstallDomain, RestoreDomain
-// and the device path may: the scratch pool is shared between them.
+// rebuilt one after another through the shared scratch pool.
 func TestDerivationMatchesPageModel(t *testing.T) {
 	rights := []cap.Rights{cap.RightRead, cap.MemRW, cap.MemRWX, cap.RightRead | cap.RightExec, cap.RightShare}
 	for seed := int64(1); seed <= 30; seed++ {
@@ -92,11 +91,8 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		owners := []cap.OwnerID{1, 2, 3}
-		var wg sync.WaitGroup
 		for _, o := range owners {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+			func() {
 				model := pageModel(s.OwnerMemoryGrants(o), 0)
 				if err := backend.WithSegments(s, 0, phys.AllMemory, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
 					t.Errorf("seed %d owner %d: %v", seed, o, err)
@@ -138,7 +134,6 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 				}
 			}()
 		}
-		wg.Wait()
 		for _, o := range owners { // PMP files are per core: program them one at a time
 			if err := bkP.Transition(m.Cores[1], o, false); err != nil {
 				continue // not installed: over budget above
@@ -155,10 +150,7 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 		for _, o := range s.DeviceDMAHolders(0) {
 			all = append(all, s.OwnerMemoryGrants(o)...)
 		}
-		filter, err := backend.BuildDeviceFilter(s, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		filter := deviceFilter(t, s, 0)
 		for p, want := range pageModel(all, cap.RightExec) {
 			if got := filter.Lookup(phys.Addr(p) * pg); got != want {
 				t.Errorf("seed %d device page %d: filter %v, model %v", seed, p, got, want)

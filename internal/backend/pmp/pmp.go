@@ -12,7 +12,6 @@ package pmp
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/backend"
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -21,18 +20,14 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace"
 )
 
-// segments is a domain's validated layout. mu guards segs, which
-// SyncDomainRange rewrites while transitions on other cores program them
-// into PMP files.
+// segments is a domain's validated layout.
 type segments struct {
-	mu   sync.Mutex
 	segs []backend.Segment
 }
 
 // Backend is the machine-mode PMP enforcement backend. Domains live in
-// the shared lock-free table (backend.Domains carries the concurrency
-// contract); a removed domain's PMP files have been cleared, so a
-// reader racing the removal sees deny-all.
+// a backend.Domains table; a removed domain's PMP files have been
+// cleared, so a core still holding its context sees deny-all.
 type Backend struct {
 	mach     *hw.Machine
 	space    *cap.Space
@@ -95,8 +90,6 @@ func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 		return err
 	}
 	return backend.WithSegments(b.space, 0, scope, func(segs []backend.Segment, spliced *[]backend.Segment) error {
-		d.State.mu.Lock()
-		defer d.State.mu.Unlock()
 		*spliced = hw.Splice((*spliced)[:0], d.State.segs, scope, segs)
 		if need, avail := len(*spliced), b.Budget(); need > avail {
 			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
@@ -116,8 +109,7 @@ func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 }
 
 // program makes segs the core's unlocked PMP contents from entry from,
-// in one step: a core running the domain on another host thread must
-// never fetch from a cleared or half-written file. It is the one place
+// in one step (PMP.Replace). It is the one place
 // a PMP write is paid for: PMPWrite and one pmp-write event per entry
 // whose contents changed (a deprogrammed entry is traced with no
 // region). A domain's layout was validated against the budget at sync
@@ -190,10 +182,7 @@ func (b *Backend) Transition(core *hw.Core, to cap.OwnerID, fast bool) error {
 	}
 	cost := b.mach.Cost
 	b.mach.Clock.Advance(cost.MTrap)
-	d.State.mu.Lock()
-	err = b.program(core, to, b.reserved, d.State.segs)
-	d.State.mu.Unlock()
-	if err != nil {
+	if err := b.program(core, to, b.reserved, d.State.segs); err != nil {
 		return err
 	}
 	b.mach.Clock.Advance(cost.MRet)
@@ -206,17 +195,12 @@ func (b *Backend) RegisterFastPair(phys.CoreID, cap.OwnerID, cap.OwnerID) error 
 	return fmt.Errorf("%w: pmp backend has no VMFUNC analogue", backend.ErrNoFastPath)
 }
 
-// SyncDevice implements backend.Backend. The RISC-V platform model has
-// no IOMMU contexts per se; we model an equivalent bus filter so the
+// SyncDeviceRange implements backend.Backend. The RISC-V platform model
+// has no IOMMU contexts per se; we model an equivalent bus filter so the
 // capability semantics match the vtx backend (differential tests rely
 // on identical accept/deny decisions).
-func (b *Backend) SyncDevice(dev phys.DeviceID) error {
-	filter, err := backend.BuildDeviceFilter(b.space, dev)
-	if err != nil {
-		return err
-	}
-	b.mach.IOMMU.Attach(dev, filter)
-	return nil
+func (b *Backend) SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error {
+	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, dev, scope)
 }
 
 // ExecuteCleanups implements backend.Backend.

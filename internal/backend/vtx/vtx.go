@@ -18,8 +18,7 @@ import (
 )
 
 // Backend is the VT-x enforcement backend. A domain's state is its EPT,
-// kept in the shared lock-free domain table (backend.Domains carries
-// the concurrency contract); RemoveDomain empties the EPT rather than
+// kept in a backend.Domains table; RemoveDomain empties the EPT rather than
 // freeing it, so a core that died holding one of the domain's contexts
 // sees deny-all, never a dangling table. The registered fast pairs live
 // in each core's VMFUNC lists (hw.Core) and nowhere else.
@@ -57,8 +56,7 @@ func (b *Backend) SyncDomain(owner cap.OwnerID) error {
 
 // SyncDomainRange implements backend.Backend: rederive the domain's view
 // on scope's pages from its current effective capabilities and splice
-// it into its EPT in one publish (hw.EPT.Replace), so a core running the
-// domain never sees a partly programmed table. Only what the rebuild
+// it into its EPT (hw.EPT.Replace). Only what the rebuild
 // changed is paid for: EPTUpdatePage per changed page and one ept-map
 // per changed extent (PermNone for one unmapped), so a view that did not
 // change costs nothing and emits nothing.
@@ -158,15 +156,17 @@ func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
 	return nil
 }
 
-// SyncDevice implements backend.Backend: program the device's IOMMU
-// context entry from capability state.
+// SyncDeviceRange implements backend.Backend: program the device's
+// IOMMU context entry from capability state.
+func (b *Backend) SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error {
+	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, dev, scope)
+}
+
+// SyncDevice resyncs the device's whole context: SyncDeviceRange over
+// phys.AllMemory, diffed into the installed filter. It is what
+// benchmark/'s backend.sync_device_us times.
 func (b *Backend) SyncDevice(dev phys.DeviceID) error {
-	filter, err := backend.BuildDeviceFilter(b.space, dev)
-	if err != nil {
-		return err
-	}
-	b.mach.IOMMU.Attach(dev, filter)
-	return nil
+	return b.SyncDeviceRange(dev, phys.AllMemory)
 }
 
 // ExecuteCleanups implements backend.Backend: zero revoked memory, flush

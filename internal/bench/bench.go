@@ -662,13 +662,12 @@ type pinnedWorker struct {
 }
 
 // pinnedRun is the outcome of a pinned-worker run. Counters and cycles
-// cover the concurrent phase only: launched cores in, halted cores out.
+// cover the multi-core phase only: launched cores in, halted cores out.
 type pinnedRun struct {
 	w             *world
 	doms          []*libtyche.Domain
 	before, after core.Stats
 	cycles        uint64
-	lockAcqs      uint64 // revocation-mutex acquisitions
 	// unmet lists why the run is incomplete: a worker that did not halt
 	// with its loop counter (r10) drained and no failure marker in r15,
 	// or a caller's exact accounting that did not add up.
@@ -720,7 +719,6 @@ func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
 	if spec.armed != nil {
 		spec.armed(w)
 	}
-	_, acqBefore := w.mon.LockWait()
 	p.before = w.mon.Stats()
 	cyclesBefore := w.mach.Clock.Cycles()
 	runs, err := w.mon.RunCores(spec.budget, cores...)
@@ -729,8 +727,6 @@ func runPinned(cfg Config, spec pinnedSpec) (*pinnedRun, error) {
 	}
 	p.cycles = w.mach.Clock.Cycles() - cyclesBefore
 	p.after = w.mon.Stats()
-	_, acqAfter := w.mon.LockWait()
-	p.lockAcqs = acqAfter - acqBefore
 	for _, id := range cores {
 		run, ok := runs[id]
 		c := w.mach.Core(id)

@@ -18,13 +18,11 @@ func init() {
 		Paper: "§3.2 exact system-wide reference counts; §3 the monitor mediates every operation, at every width",
 		Gates: append([]Gate{
 			{"{capring}-complete", "{capring}_incomplete", eq(0), "every worker drains its loop"},
-			{"{capring}-lock-exact", "{capring}_lock_acquisitions / {capring}_revocations", eq(1), "one revocation-mutex acquisition per revocation"},
 			{"{capring}-refcounts-restored", "{capring}_shared_scratch_runs", eq(0), "§3.2: exact refcounts: every scratch page back at 1"},
 			{"{capring}-ops-exact", "{capring}_revocations / {capring}_ops", eq(1), "one revocation per iteration, none lost or duplicated"},
 			{"{capring}-ops-exact", "{capring}_vmexits / {capring}_ops", ge(2), "every share and revoke is a monitor entry"},
 			{"{capring}-generation-advances", "{capring}_generations", gt(0), "revocations advance the capability generation"},
 			{"{storm}-complete", "{storm}_incomplete", eq(0), "every worker drains its loop"},
-			{"{storm}-lock-exact", "{storm}_lock_acquisitions", eq(0), "the transition path never takes the revocation mutex"},
 			{"{storm}-ops-exact", "{storm}_transitions / {storm}_ops", eq(2), "§3: two mediated transitions per call+return"},
 			{"{storm}-ops-exact", "{storm}_vmexits / {storm}_ops", ge(2), "every call and return is a monitor entry"},
 		}, traceGates...),
@@ -40,13 +38,10 @@ func init() {
 //
 //	capring — each worker shares its private scratch page to the next
 //	          worker in the ring and immediately revokes the share: a
-//	          delegation from a pinned reader entry, then an epoch-based
-//	          detach under the revocation mutex — the heaviest mutation
-//	          mix the monitor serves;
+//	          delegation, then a detach and its retire — the heaviest
+//	          mutation mix the monitor serves;
 //	storm   — each worker loops a mediated call+return into a private
-//	          service domain: the pure read path, where every entry pins
-//	          an epoch, takes no top-level lock and never waits on
-//	          another core.
+//	          service domain: the pure transition path.
 //
 // Each sweep point runs once, on a world the online invariant checker
 // audits from boot (C21 gates that observing moves no simulated cycle),
@@ -54,7 +49,7 @@ func init() {
 // totals included, is a function of the seed. Wall-clock scaling with
 // host threads is not claimed.
 func runC15(cfg Config, res *Result) error {
-	res.Columns = []string{"workload", "workers", "ops", "cycles", "cyc/op", "vmexits", "lock acqs"}
+	res.Columns = []string{"workload", "workers", "ops", "cycles", "cyc/op", "vmexits"}
 	sweep, iters := []int{1, 2, 4, 8}, 48
 	if cfg.Quick {
 		sweep, iters = []int{1, 4}, 16
@@ -80,12 +75,11 @@ func c15Point(res *Result, key string, workers, iters int, p *pinnedRun) string 
 	ops := uint64(workers * iters)
 	vmexits := p.after.VMExits - p.before.VMExits
 	res.row(key, fmt.Sprintf("%d", workers), fmtU(ops), fmtU(p.cycles), fmtU(p.cycles/ops),
-		fmtU(vmexits), fmtU(p.lockAcqs))
+		fmtU(vmexits))
 	res.sweep(key, tag)
 	res.metric(tag+"_cycles", float64(p.cycles))
 	res.metric(tag+"_ops", float64(ops))
 	res.metric(tag+"_vmexits", float64(vmexits))
-	res.metric(tag+"_lock_acquisitions", float64(p.lockAcqs))
 	res.incomplete(tag, p.unmet)
 	p.w.audit(res, tag)
 	return tag

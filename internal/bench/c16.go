@@ -44,9 +44,8 @@ func init() {
 // domain size) and the per-core TLB shootdown (linear in the cores the
 // victim is resident on — launched on every core of the core axis, on
 // none elsewhere); the sweep exposes both axes. A third axis holds the victim fixed and grows the population of
-// unrelated live domains: epoch-based revocation detaches only the
-// victim's subtree and defers node frees to the grace period, so kill
-// latency must stay flat as the rest of the machine fills up — the
+// unrelated live domains: revocation detaches only the victim's
+// subtree, so kill latency must stay flat as the rest of the machine fills up — the
 // bystanders are never walked, locked, or resynced. A final end-to-end
 // round injects a deterministic machine check under a running victim
 // and checks that a concurrent survivor finishes its workload untouched

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/core"
@@ -358,10 +357,8 @@ func runC20BatchOfOne(cfg Config, res *Result) error {
 
 // opSpans is a trace sink collecting the cycle span of every capability
 // operation (KOpBegin..KOpEnd, matched by token). Frames carry unique
-// tokens so a token map suffices; the tracer already serialises sink
-// delivery but the mutex keeps the final read safe.
+// tokens so a token map suffices.
 type opSpans struct {
-	mu    sync.Mutex
 	open  map[uint64]uint64
 	spans []uint64
 }
@@ -371,22 +368,16 @@ func newOpSpans() *opSpans { return &opSpans{open: make(map[uint64]uint64)} }
 func (s *opSpans) Event(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KOpBegin:
-		s.mu.Lock()
 		s.open[ev.Node] = ev.Cycle
-		s.mu.Unlock()
 	case trace.KOpEnd:
-		s.mu.Lock()
 		if b, ok := s.open[ev.Node]; ok {
 			delete(s.open, ev.Node)
 			s.spans = append(s.spans, ev.Cycle-b)
 		}
-		s.mu.Unlock()
 	}
 }
 
 // p99 returns the 99th-percentile span (0 when nothing was observed).
 func (s *opSpans) p99() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return sched.Percentile(s.spans, 99)
 }

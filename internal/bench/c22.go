@@ -11,13 +11,13 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "C22",
-		Title: "Reclamation rounds: multi-ring drains, shared grace periods, kill storm",
-		Paper: "§3 every operation is mediated: a reclamation round retires many tenants' revocations for one grace period and one shootdown round",
+		Title: "Reclamation rounds: multi-ring drains, kill storm",
+		Paper: "§3 every operation is mediated: a reclamation round retires many tenants' revocations behind one shootdown round",
 		Gates: append([]Gate{
 			{"mixed-complete", "mixed_ring_ops / mixed_descriptors", eq(1), "every descriptor every tenant enqueued is drained"},
 			{"mixed-coalesces", "mixed_shootdown_rounds / mixed_drain_rounds", eq(1), "§3: a reclamation round retires many revocations behind one shootdown round"},
 			{"storm-kills", "storm_kills", eq(c22StormVictims), "the storm kills every victim"},
-			{"storm-graces", "storm_graces", le(c22StormVictims * 2 / 3), "the kills share grace periods: at most kills/1.5"},
+			{"storm-rounds", "storm_shootdown_rounds", le(c22StormVictims * 2 / 3), "the kills share shootdown rounds: at most kills/1.5"},
 		}, traceGates...),
 	}, runC22)
 }
@@ -28,9 +28,9 @@ func init() {
 //	        mix (flush-cleanup revokes + attests) with a ForceKillAll
 //	        storm at the end.
 //	storm — a 12-victim ForceKillAll over ring-owning tenants with
-//	        exclusive slabs; its grace periods are read from EpochStats.
+//	        exclusive slabs; it counts the storm's shootdown rounds.
 func runC22(cfg Config, res *Result) error {
-	res.Columns = []string{"phase", "cycles", "ops", "graces"}
+	res.Columns = []string{"phase", "cycles", "ops", "rounds"}
 	if err := runC22Mixed(cfg, res); err != nil {
 		return fmt.Errorf("c22 mixed: %w", err)
 	}
@@ -176,7 +176,7 @@ func runC22Storm(cfg Config, res *Result) error {
 		}
 	}
 	f.w.mon.DrainRings()
-	es0 := f.w.mon.EpochStats()
+	sd0 := f.w.ck.Counts().Shootdowns
 	var kills int
 	kc, err := cycles(f.w.mach, func() (err error) {
 		kills, err = f.w.mon.ForceKillAll(f.doms...)
@@ -185,11 +185,10 @@ func runC22Storm(cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	es1 := f.w.mon.EpochStats()
-	res.row("storm", fmtU(kc), fmt.Sprint(kills), fmtU(es1.Syncs-es0.Syncs))
+	rounds := f.w.ck.Counts().Shootdowns - sd0
+	res.row("storm", fmtU(kc), fmt.Sprint(kills), fmtU(rounds))
 	res.metric("storm_kills", float64(kills))
-	res.metric("storm_graces", float64(es1.Syncs-es0.Syncs))
-	res.metric("storm_combined", float64(es1.CombinedSyncs-es0.CombinedSyncs))
+	res.metric("storm_shootdown_rounds", float64(rounds))
 	f.w.audit(res, "storm")
 	return nil
 }

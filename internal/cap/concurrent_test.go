@@ -3,25 +3,22 @@ package cap
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
 
-// TestSpaceConcurrentMatchesModel runs delegators and readers against one
-// Space at once. Each delegator owns a disjoint owner pair and a private
-// slab of pages, on which every answer is predictable and is asserted
-// after every step (the per-worker model); all of them also delegate
-// through the common owners 2 and 3 and compete for the same cores and
-// devices, where only the set of permitted errors is predictable. Readers
-// run every per-owner query and every sweep meanwhile, and one checker
-// holds the lock shared to compare the owner lists with the index in
-// whatever state the writers last left. Between phases everything is
-// parked and the sequential oracles run on the result.
+// TestSpaceConcurrentMatchesModel interleaves delegators and readers on
+// one Space, round-robin. Each delegator owns a disjoint owner pair and a
+// private slab of pages, on which every answer is predictable and is
+// asserted after every step (the per-worker model); all of them also
+// delegate through the common owners 2 and 3 and compete for the same
+// cores and devices, where only the set of permitted errors is
+// predictable. After every delegator's round a reader runs every
+// per-owner query and every sweep and compares the owner lists with the
+// index in whatever state the writers last left. Between phases the
+// sequential oracles run on the result.
 func TestSpaceConcurrentMatchesModel(t *testing.T) {
 	const (
 		workers  = 6
@@ -238,34 +235,15 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 	}
 
 	for phase := 0; phase < phases && !t.Failed(); phase++ {
-		var stop atomic.Bool
-		var writers, readers sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			writers.Add(1)
-			go func() {
-				defer writers.Done()
-				for r := 0; r < rounds && !t.Failed(); r++ {
-					delegate(w, phase*rounds+r)
-				}
-			}()
+		for r := 0; r < rounds && !t.Failed(); r++ {
+			for w := 0; w < workers; w++ {
+				delegate(w, phase*rounds+r)
+				read()
+			}
 		}
-		for r := 0; r < 3; r++ {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for !stop.Load() && !t.Failed() {
-					read()
-					runtime.Gosched()
-				}
-			}()
-		}
-		writers.Wait()
-		stop.Store(true)
-		readers.Wait()
 		if t.Failed() {
 			return
 		}
-		// The barrier: nothing runs, so the sequential oracles apply.
 		(&propHarness{t: t, s: s}).checkInvariants()
 		if s.LimboNodes() != 0 || s.NumNodes() != baseline {
 			t.Fatalf("phase %d left %d nodes in limbo and %d indexed (want 0 and %d)", phase, s.LimboNodes(), s.NumNodes(), baseline)

@@ -2,8 +2,8 @@ package cap
 
 import "slices"
 
-// Revocation, in the two phases the monitor runs with its grace period
-// and scrub in between. It is the only revocation there is: Revoke
+// Revocation, in the two phases the monitor runs with its scrub in
+// between. It is the only revocation there is: Revoke
 // (space.go) is the same two phases run back to back.
 //
 //   - Detach / DetachOwner — the *publish*: the subtree's nodes leave
@@ -13,18 +13,15 @@ import "slices"
 //     effective regions still exclude the granted range: the grant
 //     suspension persists and the parent cannot re-delegate the region
 //     while the old owner's copy is being scrubbed.
-//   - Release — after the grace period and the scrub: unlink the
-//     detached tops from their live parents, restoring the parents'
-//     effective access. Nothing references the subtrees after that (no
-//     *node leaves Space.mu), so the collector takes them. The caller
+//   - Release — after the scrub: unlink the detached tops from their
+//     live parents, restoring the parents' effective access. Nothing
+//     references the subtrees after that (no *node leaves the package),
+//     so the collector takes them. The caller
 //     resynchronises the affected owners' hardware immediately after,
 //     so Release itself does not bump the generation — the interim
 //     staleness is in the safe (more restrictive) direction. A Detached
 //     that is never released (its cleanups failed) keeps its parents
 //     suspended: fail closed.
-//
-// Both hold Space.mu exclusively and are short; the monitor serialises
-// them per destructive operation with its own revMu.
 
 // Detached holds a detached-but-not-yet-released set of capability
 // subtrees: the output of Detach/DetachOwner, consumed by Release.
@@ -85,7 +82,6 @@ func (d *Detached) addTop(n *node) {
 
 // detachSubtree walks children-first, removing every node from the
 // index and marking it detached, without touching any lineage link.
-// Caller holds mu exclusively.
 func (s *Space) detachSubtree(n *node, det *Detached) {
 	for _, c := range n.children {
 		if c.detached {
@@ -105,8 +101,6 @@ func (s *Space) detachSubtree(n *node, det *Detached) {
 // but stay linked to the lineage forest so grant suspensions persist
 // until Release.
 func (s *Space) Detach(id NodeID) (*Detached, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n, err := s.get(id)
 	if err != nil {
 		return nil, err
@@ -114,7 +108,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	det := newDetached()
 	s.detachSubtree(n, det)
 	det.addTop(n)
-	s.limbo.Add(int64(len(det.actions)))
+	s.limbo += len(det.actions)
 	s.mutate()
 	return det, nil
 }
@@ -124,8 +118,6 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 // the index; the owner's seal flag is cleared. Used when a domain is
 // killed.
 func (s *Space) DetachOwner(owner OwnerID) *Detached {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	det := newDetached()
 	for _, n := range s.ownerTops(owner) {
 		s.detachSubtree(n, det)
@@ -137,15 +129,15 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 		s.mutate()
 	}
 	delete(s.sealed, owner)
-	s.limbo.Add(int64(len(det.actions)))
+	s.limbo += len(det.actions)
 	return det
 }
 
 // Release unlinks the detached tops from their surviving parents,
 // restoring the parents' effective access to anything the detached
 // subtrees had been granted, and with that drops the last reference to
-// the subtrees. Called after the grace period and after the revoked
-// state has been scrubbed; a second call is a no-op. Release does not
+// the subtrees. Called after the revoked state has been scrubbed; a
+// second call is a no-op. Release does not
 // bump the generation: it only widens access back toward the parents,
 // and the monitor resynchronises the affected owners' hardware
 // immediately after, so any interim staleness is in the restrictive
@@ -154,14 +146,12 @@ func (s *Space) Release(det *Detached) {
 	if det == nil || det.tops == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, n := range det.tops {
 		if n.parent != nil && !n.parent.detached {
 			n.parent.children = removeChild(n.parent.children, n)
 		}
 	}
-	s.limbo.Add(-int64(len(det.actions)))
+	s.limbo -= len(det.actions)
 	clear(det.tops) // the inline buffer must not keep the subtree alive
 	det.tops = nil
 }
@@ -173,4 +163,4 @@ func (s *Space) Reclaim(*Detached) {}
 // LimboNodes returns how many capability records are detached and not
 // yet released: 0 whenever no revocation is in flight. Kept for
 // benchmark/ until ROADMAP's benchmark queue (iv).
-func (s *Space) LimboNodes() int { return int(s.limbo.Load()) }
+func (s *Space) LimboNodes() int { return s.limbo }

@@ -11,8 +11,6 @@ import (
 // tyche-sim dump. Roots are boot-time capabilities; indentation shows
 // derivation.
 func (s *Space) TreeString() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var roots []*node
 	for _, n := range s.nodes {
 		if n.parent == nil {

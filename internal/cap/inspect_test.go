@@ -15,8 +15,6 @@ import (
 // RefCountAt returns the number of distinct owners with effective access
 // at address a: the brute-force twin of RefCounts.
 func (s *Space) RefCountAt(a phys.Addr) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	owners := make(map[OwnerID]bool)
 	for _, n := range s.nodes {
 		if effectiveEnd(n, a) > a {
@@ -28,15 +26,11 @@ func (s *Space) RefCountAt(a phys.Addr) int {
 
 // Sealed reports whether owner is sealed.
 func (s *Space) Sealed(owner OwnerID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.sealed[owner]
 }
 
 // Node returns a snapshot of the capability id.
 func (s *Space) Node(id NodeID) (Info, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n, err := s.get(id)
 	if err != nil {
 		return Info{}, err
@@ -46,8 +40,6 @@ func (s *Space) Node(id NodeID) (Info, error) {
 
 // EffectiveRegions returns the node's effective memory regions.
 func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n, err := s.get(id)
 	if err != nil {
 		return nil, err
@@ -58,8 +50,6 @@ func (s *Space) EffectiveRegions(id NodeID) ([]phys.Region, error) {
 // OwnerMemory returns the union of owner's effective memory regions that
 // carry at least the rights in want (normalized).
 func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var regs []phys.Region
 	for _, n := range s.owned[owner] {
 		if n.rights.Has(want) {
@@ -71,8 +61,6 @@ func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 
 // Owners returns every owner holding at least one capability, sorted.
 func (s *Space) Owners() []OwnerID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]OwnerID, 0, len(s.owned)) // owned holds no empty list
 	for o := range s.owned {
 		out = append(out, o)

@@ -225,8 +225,6 @@ func modelInvariants(s *Space) error {
 // walks hold exactly the indexed nodes, each under its owner, in
 // insertion (ascending ID) order, with no empty list.
 func ownedMatchesIndex(s *Space) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	listed := 0
 	for o, l := range s.owned {
 		if len(l) == 0 {

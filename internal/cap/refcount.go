@@ -34,8 +34,6 @@ func (rc RegionCount) String() string {
 // a constant owner set, in address order. Regions with no owner are
 // omitted.
 func (s *Space) RefCounts() []RegionCount {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	// Per-owner union of effective coverage (a single owner holding two
 	// overlapping capabilities still counts once).
 	perOwner := make(map[OwnerID][]phys.Region)
@@ -125,8 +123,7 @@ type ownerPiece struct {
 // appendPieces appends every owner's effective memory pieces that
 // overlap r, clipped to r. One owner's pieces are contiguous in the
 // result, so a sweep counts distinct owners without a set; the owners
-// come in map order, which none of the sweeps depends on. The caller
-// holds mu.
+// come in map order, which none of the sweeps depends on.
 func (s *Space) appendPieces(dst []ownerPiece, r phys.Region) []ownerPiece {
 	var buf [8]phys.Region // a node's pieces: one unless grants split it
 	for o, nodes := range s.owned {
@@ -149,8 +146,6 @@ func (s *Space) appendPieces(dst []ownerPiece, r phys.Region) []ownerPiece {
 // segments overlapping r, 0 if none does. The count only rises where a
 // piece starts, so only piece starts are probed.
 func (s *Space) MaxOwners(r phys.Region) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var buf [16]ownerPiece
 	pieces := s.appendPieces(buf[:0], r)
 	best := 0
@@ -174,8 +169,6 @@ func (s *Space) MaxOwners(r phys.Region) int {
 // pieces carved out — the RefCounts segments whose owners are {owner},
 // merged.
 func (s *Space) AppendExclusive(dst []phys.Region, owner OwnerID) []phys.Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	base := len(dst)
 	for _, n := range s.owned[owner] {
 		dst = appendEffective(dst, n)
@@ -208,8 +201,6 @@ func (s *Space) DeviceRefCount(dev phys.DeviceID) int {
 // holderCount counts the owners holding want on the core or device res:
 // each owner's list is asked once, so the count needs no set.
 func (s *Space) holderCount(res Resource, want Rights) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	count := 0
 	for _, nodes := range s.owned {
 		if holds(nodes, res, want) {
@@ -236,8 +227,6 @@ func (s *Space) DeviceUsers(dev phys.DeviceID) []OwnerID {
 // whose device has not been granted away: each owner's list is asked
 // once, so no set is needed, only the sort.
 func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []OwnerID
 	for o, nodes := range s.owned {
 		if holds(nodes, DeviceResource(dev), want) {
@@ -249,7 +238,7 @@ func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
 }
 
 // holds reports whether one of nodes is a live capability on the core or
-// device res with rights want: not granted away. Caller holds mu.
+// device res with rights want: not granted away.
 func holds(nodes []*node, res Resource, want Rights) bool {
 	for _, n := range nodes {
 		if res.ContainsResource(n.res) && n.rights.Has(want) && !grantedAway(n) {

@@ -10,6 +10,9 @@
 // configuration (EPT/PMP/IOMMU updates, zeroing, flushes). This mirrors
 // the paper's split between the capability model ("written in safe Rust,
 // meant to be formally verified") and the platform-specific backend.
+//
+// A Space is used by one goroutine at a time — its monitor's — and holds
+// no lock.
 package cap
 
 import "strings"

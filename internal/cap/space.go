@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -55,9 +53,8 @@ var (
 
 type node struct {
 	// owner, res, rights, cleanup and kind are immutable and id is set
-	// once, by insert; parent and children are written only with Space.mu
-	// held exclusively. So is detached, which marks a node a revocation
-	// has removed from the index but not yet released (detach.go).
+	// once, by insert. detached marks a node a revocation has removed
+	// from the index but not yet released (detach.go).
 	id       NodeID
 	owner    OwnerID
 	res      Resource
@@ -99,14 +96,6 @@ func (a CleanupAction) String() string {
 // trust domain lives in one lineage forest rooted at the boot-time
 // capabilities.
 //
-// Space is safe for concurrent use under one RWMutex. The operations
-// that change the forest, the index or a seal flag — CreateRoot, Share,
-// Grant, Seal and the detach family (Detach, DetachOwner, Release, and
-// Revoke composed from them) — hold it exclusively; every query holds
-// it shared. The generation, node and limbo counters are atomics
-// because the monitor reads them without the lock. No Space lock is
-// ever held across a call out of the package.
-//
 // Which structure answers which question: a question about one owner —
 // its memory grants, cores, devices, nodes, an access check, the tops of
 // its teardown — walks owned[owner], so it costs what the owner holds,
@@ -124,18 +113,16 @@ func (a CleanupAction) String() string {
 // owned, but a count, a carve or a sorted list is the same in any
 // order.
 type Space struct {
-	mu sync.RWMutex
-
 	nodes  map[NodeID]*node
 	sealed map[OwnerID]bool
 	// owned[o] lists o's indexed nodes in insertion order, which is
-	// ascending ID order: an ID is drawn with mu held exclusively.
+	// ascending ID order.
 	owned  map[OwnerID][]*node
 	nextID NodeID
 
-	gen      atomic.Uint64
-	numNodes atomic.Int64
-	limbo    atomic.Int64 // detached, not yet released (detach.go)
+	gen      uint64
+	numNodes int
+	limbo    int // detached, not yet released (detach.go)
 }
 
 // NewSpace returns an empty capability space.
@@ -150,26 +137,25 @@ func NewSpace() *Space {
 
 // Generation increments on every mutation; backends use it to detect
 // staleness of derived hardware state.
-func (s *Space) Generation() uint64 { return s.gen.Load() }
+func (s *Space) Generation() uint64 { return s.gen }
 
 // NumNodes returns the number of live capability nodes.
-func (s *Space) NumNodes() int { return int(s.numNodes.Load()) }
+func (s *Space) NumNodes() int { return s.numNodes }
 
-func (s *Space) mutate() { s.gen.Add(1) }
+func (s *Space) mutate() { s.gen++ }
 
-// insert gives n the next ID, indexes it and counts the mutation. Caller
-// holds mu exclusively.
+// insert gives n the next ID, indexes it and counts the mutation.
 func (s *Space) insert(n *node) NodeID {
 	n.id = s.nextID
 	s.nextID++
 	s.nodes[n.id] = n
 	s.owned[n.owner] = append(s.owned[n.owner], n)
-	s.numNodes.Add(1)
+	s.numNodes++
 	s.mutate()
 	return n.id
 }
 
-// remove unindexes n. Caller holds mu exclusively.
+// remove unindexes n.
 func (s *Space) remove(n *node) {
 	delete(s.nodes, n.id)
 	l := s.owned[n.owner]
@@ -181,7 +167,7 @@ func (s *Space) remove(n *node) {
 	} else {
 		s.owned[n.owner] = l
 	}
-	s.numNodes.Add(-1)
+	s.numNodes--
 }
 
 // CreateRoot mints a root capability for owner. Only the monitor calls
@@ -193,15 +179,13 @@ func (s *Space) CreateRoot(owner OwnerID, res Resource, rights Rights, cleanup C
 	if !rights.Subset(res.ValidRights()) {
 		return 0, fmt.Errorf("%w: rights %v not valid for %v", ErrInvalid, rights, res.Kind)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.sealed[owner] {
 		return 0, fmt.Errorf("%w: owner %d cannot receive new capabilities", ErrSealed, owner)
 	}
 	return s.insert(&node{owner: owner, res: res, rights: rights, cleanup: cleanup, kind: KindRoot}), nil
 }
 
-// get looks a node up in the index. Caller holds mu.
+// get looks a node up in the index.
 func (s *Space) get(id NodeID) (*node, error) {
 	n, ok := s.nodes[id]
 	if !ok {
@@ -212,8 +196,6 @@ func (s *Space) get(id NodeID) (*node, error) {
 
 // derive validates and creates a child capability of kind k.
 func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights, cleanup Cleanup, k NodeKind) (NodeID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	parent, err := s.get(id)
 	if err != nil {
 		return 0, err
@@ -282,7 +264,7 @@ func (s *Space) Grant(id NodeID, newOwner OwnerID, sub Resource, rights Rights, 
 // Because lineage is a tree (every share/grant mints a fresh node),
 // revocation terminates even when domains have shared a region back and
 // forth in a cycle. It is the two phases of detach.go run back to
-// back, for a caller with no grace period to wait out between them.
+// back, for a caller with nothing to scrub between them.
 func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
 	det, err := s.Detach(id)
 	if err != nil {
@@ -295,7 +277,6 @@ func (s *Space) Revoke(id NodeID) ([]CleanupAction, error) {
 // ownerTops returns, in ID order, owner's nodes that have no ancestor of
 // the same owner: revoking their subtrees reaches every node owner
 // holds. A fresh slice — the teardown edits the list it was read from.
-// Caller holds mu.
 func (s *Space) ownerTops(owner OwnerID) []*node {
 	var tops []*node
 	for _, n := range s.owned[owner] {
@@ -323,8 +304,6 @@ func removeChild(children []*node, target *node) []*node {
 // capabilities (§3.1: "domains can be sealed, so that their resources
 // cannot be extended").
 func (s *Space) Seal(owner OwnerID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sealed[owner] = true
 	s.mutate()
 }
@@ -333,8 +312,6 @@ func (s *Space) Seal(owner OwnerID) {
 // root, the owner of the capability it was derived from: the two
 // parties entitled to revoke it. Unlike Node it snapshots no children.
 func (s *Space) NodeOwners(id NodeID) (owner, parent OwnerID, derived bool, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n, err := s.get(id)
 	if err != nil {
 		return 0, 0, false, err
@@ -345,7 +322,7 @@ func (s *Space) NodeOwners(id NodeID) (owner, parent OwnerID, derived bool, err 
 	return n.owner, n.parent.owner, true, nil
 }
 
-// info snapshots a node; the caller holds mu.
+// info snapshots a node;
 func (s *Space) info(n *node) Info {
 	inf := Info{
 		ID: n.id, Owner: n.owner, Resource: n.res, Rights: n.rights,
@@ -367,8 +344,6 @@ func (s *Space) info(n *node) Info {
 // OwnerNodes returns snapshots of every capability owned by owner, in
 // ID order.
 func (s *Space) OwnerNodes(owner OwnerID) []Info {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []Info
 	for _, n := range s.owned[owner] {
 		out = append(out, s.info(n))
@@ -382,7 +357,7 @@ func (s *Space) OwnerNodes(owner OwnerID) []Info {
 // runs in place on the appended tail: it starts as one region, and
 // subtracting from a sorted, disjoint, non-adjacent list leaves it
 // sorted, disjoint and non-adjacent, so there is nothing to sort or
-// merge afterwards. The caller holds mu.
+// merge afterwards.
 func appendEffective(dst []phys.Region, n *node) []phys.Region {
 	if n.res.Kind != ResMemory {
 		return dst
@@ -427,7 +402,6 @@ func carve(regs []phys.Region, base int, cut phys.Region) []phys.Region {
 // region up to the first granted-out child past a — or a itself when n
 // confers no access there. It answers the yes/no questions (an access
 // check, derive's "not granted away") without materialising regions.
-// The caller holds mu.
 func effectiveEnd(n *node, a phys.Addr) phys.Addr {
 	if n.res.Kind != ResMemory || !n.res.Mem.Contains(a) {
 		return a
@@ -473,8 +447,6 @@ func (s *Space) AppendOwnerMemoryGrants(dst []MemoryGrant, owner OwnerID) []Memo
 // grants a rebuild of r's pages derives from. Nodes whose region misses
 // r are skipped without carving their pieces.
 func (s *Space) AppendOwnerMemoryGrantsIn(dst []MemoryGrant, owner OwnerID, r phys.Region) []MemoryGrant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var buf [8]phys.Region // a node's pieces: one unless grants split it
 	for _, n := range s.owned[owner] {
 		if n.res.Kind != ResMemory || !n.res.Mem.Overlaps(r) {
@@ -492,8 +464,6 @@ func (s *Space) AppendOwnerMemoryGrantsIn(dst []MemoryGrant, owner OwnerID, r ph
 // OwnerCores returns the cores owner may run on (holding RightRun),
 // minus cores granted away, sorted.
 func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []phys.CoreID
 	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResCore && n.rights.Has(RightRun) && !grantedAway(n) {
@@ -507,8 +477,6 @@ func (s *Space) OwnerCores(owner OwnerID) []phys.CoreID {
 // OwnerCoreNode returns owner's first capability node for core, in ID
 // order, whatever its rights.
 func (s *Space) OwnerCoreNode(owner OwnerID, core phys.CoreID) (NodeID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResCore && n.res.Core == core {
 			return n.id, true
@@ -518,7 +486,7 @@ func (s *Space) OwnerCoreNode(owner OwnerID, core phys.CoreID) (NodeID, bool) {
 }
 
 // grantedAway reports whether n's core or device — delegated whole or
-// not at all — is granted to a child. Caller holds mu.
+// not at all — is granted to a child.
 func grantedAway(n *node) bool {
 	for _, c := range n.children {
 		if c.kind == KindGranted && c.res.Kind == n.res.Kind && c.res.Core == n.res.Core && c.res.Device == n.res.Device {
@@ -530,8 +498,6 @@ func grantedAway(n *node) bool {
 
 // OwnerHasCore reports whether owner holds RightRun on core.
 func (s *Space) OwnerHasCore(owner OwnerID, core phys.CoreID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResCore && n.res.Core == core && n.rights.Has(RightRun) && !grantedAway(n) {
 			return true
@@ -554,8 +520,6 @@ func (s *Space) AppendOwnerDMADevices(dst []phys.DeviceID, owner OwnerID) []phys
 }
 
 func (s *Space) appendOwnerDevices(dst []phys.DeviceID, owner OwnerID, want Rights) []phys.DeviceID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	base := len(dst)
 	for _, n := range s.owned[owner] {
 		if n.res.Kind == ResDevice && n.rights.Has(want) && !grantedAway(n) {
@@ -570,18 +534,14 @@ func (s *Space) appendOwnerDevices(dst []phys.DeviceID, owner OwnerID, want Righ
 // want at address a: some node with the rights contains a and no granted
 // child of it does.
 func (s *Space) CheckMemAccess(owner OwnerID, a phys.Addr, want Rights) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.coveredUntil(owner, a, want) > a
 }
 
-// CheckMemRange is CheckMemAccess for every page of r under one lock
-// hold, with the same per-page meaning: different pages may be covered
+// CheckMemRange is CheckMemAccess for every page of r, with the same
+// per-page meaning: different pages may be covered
 // by different nodes. It returns the first address owner lacks want at,
 // and whether there is none.
 func (s *Space) CheckMemRange(owner OwnerID, r phys.Region, want Rights) (phys.Addr, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for at := r.Start; at < r.End; {
 		end := s.coveredUntil(owner, at, want)
 		if end <= at {
@@ -594,7 +554,6 @@ func (s *Space) CheckMemRange(owner OwnerID, r phys.Region, want Rights) (phys.A
 
 // coveredUntil returns how far owner's access with rights want runs
 // unbroken from a through any one node — a itself if it has none there.
-// The caller holds mu.
 func (s *Space) coveredUntil(owner OwnerID, a phys.Addr, want Rights) phys.Addr {
 	end := a
 	for _, n := range s.owned[owner] {

@@ -90,14 +90,11 @@ const (
 // (32 KiB a domain) is a generous console and a harmless ceiling.
 const MaxDomainLog = MaxRingEntries
 
-// handleVMCall services one guest hypercall on core. It runs with no
-// monitor lock held — RunCore dispatches traps lock-free and every
-// operation takes exactly the entry it needs. What is decoded here is
+// handleVMCall services one guest hypercall on core. What is decoded here is
 // what only a trap can do: the transfer verbs (a direct switch — a
 // request executes one CallReturn and must not pay a call layer), the
 // ring doorbell and registration, the yield, and CallRevoke as a full
-// synchronous Revoke (a destructive entry). Every other verb is
-// execVerb's, run under one pinned reader entry. It returns stop=true
+// synchronous Revoke. Every other verb is execVerb's. It returns stop=true
 // when the run loop should hand control back to the embedder
 // (CallYield).
 func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool) {
@@ -135,9 +132,7 @@ func (m *Monitor) handleVMCall(c *hw.Core, core phys.CoreID) (stop bool) {
 		c.Regs[1] = n
 		c.Regs[0] = statusOf(err)
 	default:
-		p := m.renter()
 		status, result, yields := m.execVerb(cur, call, c.Regs[1], c.Regs[2], c.Regs[3], c.Regs[4], c.Regs[5])
-		m.rexit(p)
 		c.Regs[0] = status
 		if yields {
 			c.Regs[1] = result
@@ -155,9 +150,8 @@ func statusOf(err error) uint64 {
 }
 
 // execVerb is the one body of every guest verb that is neither a
-// control transfer nor path-specific, run with the caller's monitor
-// entry already held: the trap path's reader pin, or the drain round's
-// destructive entry (ring.go). It returns the status, and the verb's
+// control transfer nor path-specific, from the trap path or a drain
+// round (ring.go). It returns the status, and the verb's
 // value when yields — a trap leaves r1 alone otherwise, a completion
 // carries 0. Verbs it does not know, which is also every verb only one
 // path may issue, are StatusBadCall.
@@ -166,15 +160,13 @@ func (m *Monitor) execVerb(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (sta
 	case CallSelfID:
 		return StatusOK, uint64(owner), true
 	case CallLog:
-		if d, ok := m.tab.Load().get(owner); ok {
-			d.mu.Lock()
+		if d, ok := m.tab.get(owner); ok {
 			full := len(d.logbuf) >= MaxDomainLog
 			if !full {
 				d.logbuf = append(d.logbuf, a1)
 			}
-			d.mu.Unlock()
 			if full {
-				m.stats.deniedOps.Add(1)
+				m.stats.DeniedOps++
 				return StatusDenied, 0, false
 			}
 		}
@@ -195,10 +187,7 @@ func (m *Monitor) execVerb(owner DomainID, verb, a1, a2, a3, a4, a5 uint64) (sta
 	case CallAttest:
 		var nonce [8]byte
 		binary.LittleEndian.PutUint64(nonce[:], a1)
-		rep, d, err := m.buildReport(owner, nonce[:])
-		if err == nil {
-			rep, err = m.commitReport(rep, d)
-		}
+		rep, err := m.Attest(owner, nonce[:])
 		if err != nil {
 			return StatusDenied, 0, false
 		}

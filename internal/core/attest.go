@@ -47,7 +47,7 @@ func ComputeMeasurement(entry phys.Addr, regions []MeasuredRegion) tpm.Digest {
 // measurer is ComputeMeasurement's encoding as a stream: the header,
 // then per region its bounds and length followed by its content, which
 // the caller writes into the hash region returns — from a slice, or
-// from physical memory under its read lock (Monitor.seal).
+// from physical memory (Monitor.seal).
 type measurer struct {
 	h hash.Hash
 	w codec.Writer
@@ -136,57 +136,24 @@ func reportMessage(r *Report) []byte {
 // Attest produces a signed report for the domain, fresh for the given
 // nonce. Reports are not secret: any live domain (or the embedding
 // system on behalf of a remote verifier) may request one.
-//
-// The expensive work — resource enumeration and the signature — runs
-// without any monitor entry: the domain record is snapshotted under
-// its own mutex and every capability query is internally consistent.
-// Only the final commit (counter + trace event) is a pinned reader
-// entry that re-checks liveness, so a report is never announced for a
-// domain that has since been killed, and the KAttest emit is sequenced
-// before any concurrent kill's KKill.
 func (m *Monitor) Attest(id DomainID, nonce []byte) (*Report, error) {
-	r, d, err := m.buildReport(id, nonce)
+	d, err := m.liveDomain(id)
 	if err != nil {
 		return nil, err
 	}
-	p := m.renter()
-	defer m.rexit(p)
-	return m.commitReport(r, d)
-}
-
-// buildReport assembles and signs the report lock-free.
-func (m *Monitor) buildReport(id DomainID, nonce []byte) (*Report, *Domain, error) {
-	d, err := m.liveDomain(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.mu.Lock()
-	entry := d.entry
-	measurement := d.measurement
-	reportData := d.reportData
-	d.mu.Unlock()
 	r := &Report{
 		Domain:      id,
 		Name:        d.name,
 		Nonce:       append([]byte(nil), nonce...),
 		Sealed:      d.State() == StateSealed,
-		Entry:       entry,
-		Measurement: measurement,
-		ReportData:  reportData,
+		Entry:       d.entry,
+		Measurement: d.measurement,
+		ReportData:  d.reportData,
 		Resources:   m.enumerate(cap.OwnerID(id)),
 		MonitorKey:  m.AttestationKey(),
 	}
 	r.Sig = ed25519.Sign(m.attPriv, reportMessage(r))
-	return r, d, nil
-}
-
-// commitReport re-checks liveness and announces the report (monitor
-// entry held: Attest's pin, or the guest verb's entry — execVerb).
-func (m *Monitor) commitReport(r *Report, d *Domain) (*Report, error) {
-	if d.State() == StateDead {
-		return nil, fmt.Errorf("%w: %d", ErrDead, d.id)
-	}
-	m.stats.attests.Add(1)
+	m.stats.Attests++
 	m.emit(trace.KAttest, d.id, 0, 0, 0, 0)
 	return r, nil
 }

@@ -174,7 +174,7 @@ func BenchmarkCheckRange(b *testing.B) {
 	if err := m.RingSetup(tenant, phys.Addr(280*pg), 200); err != nil {
 		b.Fatal(err)
 	}
-	r, _ := m.ringOf(tenant)
+	r := m.rings[tenant]
 	if last := r.region.End - 1; last.Page() != 283 {
 		b.Fatalf("ring footprint is %v", r.region)
 	}

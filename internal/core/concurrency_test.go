@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -16,17 +14,17 @@ import (
 	"github.com/tyche-sim/tyche/internal/trace/check"
 )
 
-// Concurrency stress tests for the SMP monitor: many threads (Go-level
-// API, and RunCore from one goroutine per core) hammering one
-// capability space at once. Run them under -race; the CI race job does.
-// RunCores itself steps its cores on one goroutine, and the last test
-// pins that its results do not depend on the host.
+// Interleaving stress tests for the multi-core monitor: many workers
+// (Go-level API callers, and guest cores stepped by RunCores) taking
+// turns on one capability space. A monitor is one goroutine's object,
+// so the interleaving lives in program order and simulated time; the
+// last test pins that the results do not depend on the host.
 
-// TestConcurrentAPICapabilityOps has K goroutines share+revoke disjoint
-// regions of dom0 memory through the Go-level API while a reader
-// goroutine continuously enumerates, and asserts the bookkeeping the
-// paper's verifiers depend on comes out exact: per-region refcounts
-// back to 1, no lost or phantom revocations.
+// TestConcurrentAPICapabilityOps interleaves K workers that share+revoke
+// disjoint regions of dom0 memory through the Go-level API, with a
+// reader enumerating between every two steps, and asserts the
+// bookkeeping the paper's verifiers depend on comes out exact:
+// per-region refcounts back to 1, no lost or phantom revocations.
 func TestConcurrentAPICapabilityOps(t *testing.T) {
 	m, ck := bootTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
@@ -49,49 +47,31 @@ func TestConcurrentAPICapabilityOps(t *testing.T) {
 		}
 		ws[i] = worker{dom: dom, region: phys.MakeRegion(phys.Addr(uint64(128+i)*pg), pg)}
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for i := range ws {
-		wg.Add(1)
-		go func(w worker) {
-			defer wg.Done()
-			for n := 0; n < iters; n++ {
-				id, err := m.Share(InitialDomain, node, w.dom, cap.MemResource(w.region), cap.MemRW, cap.CleanFlushTLB)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := m.Revoke(InitialDomain, id); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(ws[i])
+	// The reader exercises the enumeration paths between every two steps.
+	read := func() {
+		m.RefCounts()
+		m.Enumerate(InitialDomain)
+		m.Stats()
+		m.CapGeneration()
 	}
-	// A reader thread exercises the enumeration paths mid-flight.
-	stop := make(chan struct{})
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.RefCounts()
-				m.Enumerate(InitialDomain)
-				m.Stats()
-				m.CapGeneration()
+	// Every worker's region is shared before any is revoked, so each
+	// revocation runs beside the other workers' live shares.
+	var ids [workers]cap.NodeID
+	for n := 0; n < iters; n++ {
+		for i, w := range ws {
+			id, err := m.Share(InitialDomain, node, w.dom, cap.MemResource(w.region), cap.MemRW, cap.CleanFlushTLB)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ids[i] = id
+			read()
 		}
-	}()
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+		for i := range ws {
+			if err := m.Revoke(InitialDomain, ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			read()
+		}
 	}
 
 	stats := m.Stats()
@@ -111,31 +91,6 @@ func TestConcurrentAPICapabilityOps(t *testing.T) {
 		}
 	}
 	assertTraceClean(t, m, ck)
-}
-
-// runCoresConcurrently drives each listed core's RunCore from its own
-// goroutine: the host concurrency between cores that RunCores, which
-// steps its cores in turn on the caller's goroutine, never creates.
-func runCoresConcurrently(m *Monitor, budget int, cores ...phys.CoreID) (map[phys.CoreID]RunResult, error) {
-	results := make(map[phys.CoreID]RunResult, len(cores))
-	errs := make([]error, len(cores))
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for i, c := range cores {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := m.RunCore(c, budget)
-			mu.Lock()
-			results[c] = res
-			mu.Unlock()
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
-	return results, errors.Join(errs...)
 }
 
 // ringWorker is one domain of a vmcallRing world.
@@ -226,8 +181,8 @@ func vmcallRing(t *testing.T, cores, iters int) (*Monitor, *check.Checker, []rin
 }
 
 // TestConcurrentGuestVMCallStress is the guest-ABI version: four cores,
-// each driven by its own goroutine, run vmcallRing's share+revoke loop —
-// monitor entries from four host threads race on one space. Afterwards
+// stepped in turn by RunCores, run vmcallRing's share+revoke loop —
+// monitor entries from four cores interleave on one space. Afterwards
 // refcount and generation invariants must hold exactly.
 func TestConcurrentGuestVMCallStress(t *testing.T) {
 	const cores = 4
@@ -238,7 +193,7 @@ func TestConcurrentGuestVMCallStress(t *testing.T) {
 	m, ck, ws := vmcallRing(t, cores, iters)
 	statsBefore := m.Stats()
 	genBefore := m.CapGeneration()
-	runs, err := runCoresConcurrently(m, 100_000, 0, 1, 2, 3)
+	runs, err := m.RunCores(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,13 @@
 // through a backend, and mediates every inter-domain control transfer
 // (§3.5: "the monitor does not choose resources to allocate to a domain,
 // but rather validates allocation").
+//
+// A Monitor is used by one goroutine at a time and holds no lock; see
+// Monitor for what that means for multi-core runs.
 package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -72,24 +73,12 @@ type SyscallHandler func(c *hw.Core) error
 // Domain is the monitor's record of one trust domain (§3.1: "a trust
 // domain is an identity associated with a set of access rights to
 // physical resources").
-//
-// Concurrency: id, name, and creator are immutable after creation. The
-// lifecycle state is atomic so the lock-free read path (liveness checks,
-// Domains(), VMCall dispatch) observes it without a lock. Everything
-// else — entry point, measured regions, handlers, report data, log —
-// is guarded by mu, the per-domain mutex in the monitor's lock order
-// (below revMu/tabMu and coreSched.mu, above hwMu and the
-// capability-space locks).
+// id, name, and creator are immutable after creation.
 type Domain struct {
 	id      DomainID
 	name    string
 	creator DomainID
-	state   atomic.Int32 // DomainState; zero value is StateActive
-
-	// mu guards the mutable fields below. The monitor also holds it
-	// while rebuilding this domain's hardware state (backend SyncDomainRange)
-	// so rebuilds for one domain are serialised.
-	mu sync.Mutex
+	state   DomainState // zero value is StateActive
 
 	entry     phys.Addr
 	entrySet  bool
@@ -122,44 +111,17 @@ type Domain struct {
 // Name returns the human-readable name (not part of the TCB).
 func (d *Domain) Name() string { return d.name }
 
-// State returns the lifecycle state (atomic, lock-free).
-func (d *Domain) State() DomainState { return DomainState(d.state.Load()) }
-
-// setState publishes a lifecycle transition. StateDead is absorbing:
-// once a kill has published death, a configuration reader that
-// validated liveness just before (e.g. an epoch-pinned seal) must not
-// resurrect the domain by storing over it — the CAS loop makes the
-// late writer lose.
-func (d *Domain) setState(s DomainState) {
-	for {
-		old := d.state.Load()
-		if DomainState(old) == StateDead {
-			return
-		}
-		if d.state.CompareAndSwap(old, int32(s)) {
-			return
-		}
-	}
-}
+// State returns the lifecycle state.
+func (d *Domain) State() DomainState { return d.state }
 
 // Entry returns the fixed entry point (valid once set).
-func (d *Domain) Entry() (phys.Addr, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.entry, d.entrySet
-}
+func (d *Domain) Entry() (phys.Addr, bool) { return d.entry, d.entrySet }
 
 // EntryRing returns the privilege ring execution enters the domain in.
-func (d *Domain) EntryRing() hw.Ring {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.entryRing
-}
+func (d *Domain) EntryRing() hw.Ring { return d.entryRing }
 
 // Log returns the values the domain logged via the LOG hypercall.
 func (d *Domain) Log() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]uint64, len(d.logbuf))
 	copy(out, d.logbuf)
 	return out

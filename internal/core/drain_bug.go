@@ -7,7 +7,7 @@ package core
 // round's first revocation's flush cleanups OUTSIDE the round's
 // shootdown accumulator, so extra unbatched shootdown rounds appear
 // inside the KDrainBegin/KDrainEnd frame. Mirrors the tracebug /
-// epochbug / scrubbug pattern: the mutation test proves the checker's
+// scrubbug pattern: the mutation test proves the checker's
 // cross-ring coalescing property rejects the bug, which is what
 // licenses deferring revocation tails to the round.
 const DrainBugArmed = false

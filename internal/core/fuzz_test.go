@@ -33,10 +33,9 @@ import (
 // a vCPU whose code page is granted with a TLB-flushing cleanup, bursts
 // of dispatch/run/preempt rounds); ops 16-18 the batched ABI (ring
 // setup, raw descriptor enqueue, doorbell flush); ops 19-21 are the
-// revoke-heavy mix for the epoch-reclamation scheme (revoke bursts,
-// create+share+revoke churn, revocations interleaved with ring
-// drains); op 22 bursts concurrent doorbell flushes from every
-// ring-owning domain; op 23 runs the migration pipeline (snapshot →
+// revoke-heavy mix (revoke bursts, create+share+revoke churn,
+// revocations interleaved with ring drains); op 22 bursts doorbell
+// flushes from every ring-owning domain; op 23 runs the migration pipeline (snapshot →
 // transfer → restore on a lazily-booted second monitor, sometimes
 // followed by the departure kill); op 24 fast-switches a core from the
 // domain installed there to dom0. Widening the opcode space shifts how pre-existing corpus
@@ -232,8 +231,8 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				delete(rings, d)
 			}
 		case 19:
-			// Revoke burst: back-to-back detach→quiesce→reclaim cycles,
-			// the hot path of the epoch engine. Arbitrary nodes from
+			// Revoke burst: back-to-back detach→retire cycles, the
+			// destructive tail's hot path. Arbitrary nodes from
 			// arbitrary callers — most are denied, the rest cascade.
 			for n := pick(3) + 1; n > 0; n-- {
 				_ = m.Revoke(randDomain(), randNode())
@@ -248,22 +247,17 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 				}
 			}
 		case 21:
-			// Revocation interleaved with a ring drain: the two
-			// destructive-family entries serialise on revMu while
-			// readers keep flowing — the exact contention the epoch
-			// scheme exists for.
+			// Revocation interleaved with a ring drain.
 			_ = m.Revoke(randDomain(), randNode())
 			d := randDomain()
 			if _, err := m.RingFlush(d); err != nil {
 				delete(rings, d)
 			}
 		case 22:
-			// Concurrent doorbells: every registered owner flushes from
-			// its own goroutine in one burst, so drain rounds contend on
-			// revMu with each other and with whatever destructive ops
-			// neighbouring stream positions run. One operand byte (once a
-			// worker count) is still consumed, so the committed corpus
-			// decodes as it always did.
+			// A burst of doorbells: every registered owner flushes, in
+			// owner order. One operand byte (once a worker count) is
+			// still consumed, so the committed corpus decodes as it
+			// always did.
 			next()
 			var owners []DomainID
 			for d := range rings {
@@ -273,20 +267,8 @@ func driveMonitorOps(tb testing.TB, m *Monitor, data []byte) {
 			if len(owners) == 0 {
 				break
 			}
-			failed := make([]bool, len(owners))
-			var wg sync.WaitGroup
-			for i, d := range owners {
-				wg.Add(1)
-				go func(i int, d DomainID) {
-					defer wg.Done()
-					if _, err := m.RingFlush(d); err != nil {
-						failed[i] = true
-					}
-				}(i, d)
-			}
-			wg.Wait()
-			for i, d := range owners {
-				if failed[i] {
+			for _, d := range owners {
+				if _, err := m.RingFlush(d); err != nil {
 					delete(rings, d)
 				}
 			}

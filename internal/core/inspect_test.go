@@ -6,22 +6,13 @@ import "github.com/tyche-sim/tyche/internal/tpm"
 
 // Measurement returns the measurement computed at seal time; the zero
 // digest before sealing.
-func (d *Domain) Measurement() tpm.Digest {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.measurement
-}
+func (d *Domain) Measurement() tpm.Digest { return d.measurement }
 
 // RingPending returns how many descriptors are enqueued but not yet
 // drained on the domain's ring (0 with no ring) — a test and
 // diagnostics hook.
 func (m *Monitor) RingPending(id DomainID) uint64 {
-	// Look the ring up only after entering as a reader: a concurrent
-	// RingSetup replaces the registration, and mixing the new ring's
-	// tail with the old ring's head yields a garbage count.
-	p := m.renter()
-	defer m.rexit(p)
-	r, ok := m.ringOf(id)
+	r, ok := m.rings[id]
 	if !ok {
 		return 0
 	}
@@ -29,5 +20,5 @@ func (m *Monitor) RingPending(id DomainID) uint64 {
 	if err != nil {
 		return 0
 	}
-	return tail - r.head.Load()
+	return tail - r.head
 }

@@ -21,15 +21,11 @@ type IRQHandler func(c *hw.Core, irq hw.IRQ) error
 // SetIRQHandler installs the domain's interrupt handler. The domain
 // itself or its creator may configure it.
 func (m *Monitor) SetIRQHandler(caller, id DomainID, h IRQHandler) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.domainFor(caller, id, "install IRQ handlers for")
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
 	d.irq = h
-	d.mu.Unlock()
 	return nil
 }
 
@@ -38,43 +34,33 @@ func (m *Monitor) SetIRQHandler(caller, id DomainID, h IRQHandler) error {
 // whose holder has no handler (or devices nobody holds) are dropped and
 // counted — exactly what real hardware does with masked vectors.
 //
-// The routing decision is a pinned reader entry — the capability
-// lookup and the liveness it depends on must not race a revocation's
-// reclaim, and the KIRQRoute emit must be sequenced before a
-// concurrent kill's KKill — and reads the receiving domain's handler
-// under its own mutex. The handler itself is invoked with the entry
-// fully exited (unpinned, unlocked), because Go-level handlers are
-// domain kernels that re-enter the monitor through its public API.
+// Go-level handlers are domain kernels that re-enter the monitor
+// through its public API.
 func (m *Monitor) routeIRQs(c *hw.Core) error {
 	for {
 		irq, ok := m.mach.TakeIRQ()
 		if !ok {
 			return nil
 		}
-		p := m.renter()
 		var handler IRQHandler
-		tab := m.tab.Load()
 		for _, owner := range m.space.DeviceUsers(irq.Device) {
-			d, ok := tab.get(DomainID(owner))
+			d, ok := m.tab.get(DomainID(owner))
 			if !ok || d.State() == StateDead {
 				continue
 			}
-			d.mu.Lock()
 			h := d.irq
-			d.mu.Unlock()
 			if h == nil {
 				continue
 			}
-			m.stats.irqsRouted.Add(1)
+			m.stats.IRQsRouted++
 			m.emit(trace.KIRQRoute, DomainID(owner), uint64(irq.Device), uint64(irq.Vector), 0, 0)
 			handler = h
 			break
 		}
 		if handler == nil {
-			m.stats.irqsDropped.Add(1)
+			m.stats.IRQsDropped++
 			m.emit(trace.KIRQDrop, 0, uint64(irq.Device), uint64(irq.Vector), 0, 0)
 		}
-		m.rexit(p)
 		if handler == nil {
 			continue
 		}

@@ -180,12 +180,8 @@ func DecodeSnapshot(b []byte) (*DomainSnapshot, error) {
 // must be fully quiescent — not current on any core, no saved call
 // frames referencing it, no registered submission ring — and its
 // memory must be exclusively held: migrating one side of a shared
-// region would fork the sharing relationship. The epoch pin keeps the
-// capture atomic against revocation: a concurrent kill's scrub waits
-// out the pin, so a snapshot never reads half-scrubbed memory.
+// region would fork the sharing relationship.
 func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.liveDomain(id)
 	if err != nil {
 		return nil, err
@@ -196,22 +192,17 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 	// Quiescence: the domain is not on any core, and no core's mediated
 	// call stack would unwind into it.
 	for c, sc := range m.sched {
-		sc.mu.Lock()
 		onCore := sc.hasCur && sc.cur == id
 		for _, f := range sc.frames {
 			if f == id {
 				onCore = true
 			}
 		}
-		sc.mu.Unlock()
 		if onCore {
 			return nil, fmt.Errorf("%w: domain %d is active on core %v", ErrNotMigratable, id, c)
 		}
 	}
-	m.ringMu.Lock()
-	_, hasRing := m.rings[id]
-	m.ringMu.Unlock()
-	if hasRing {
+	if _, hasRing := m.rings[id]; hasRing {
 		return nil, fmt.Errorf("%w: domain %d has a registered submission ring", ErrNotMigratable, id)
 	}
 	owner := cap.OwnerID(id)
@@ -255,7 +246,6 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 	}
 	snap.Cores = len(m.space.OwnerCores(owner))
 
-	d.mu.Lock()
 	snap.Entry = uint64(d.entry)
 	snap.EntrySet = d.entrySet
 	snap.EntryRing = d.entryRing
@@ -267,36 +257,30 @@ func (m *Monitor) SnapshotDomain(id DomainID) (*DomainSnapshot, error) {
 			Size:   r.Size(),
 		})
 	}
-	d.mu.Unlock()
 
-	// The domain's waiting vCPUs travel with it. Capture is only sound
-	// while no dispatch is in flight (the fleet freezes serving before
-	// snapshotting). A vCPU that would run or unwind into a domain that
+	// The domain's waiting vCPUs travel with it. A vCPU that would run or unwind into a domain that
 	// stays behind cannot migrate, nor can the domain while another
 	// domain's vCPU would run or unwind into it.
-	for _, o := range *m.tab.Load() {
-		if m.vcpus.Load() == 0 {
+	for _, o := range m.tab {
+		if m.vcpus == 0 {
 			break // no live domain has a vCPU
 		}
 		if o.State() == StateDead {
 			continue
 		}
-		o.mu.Lock()
 		for _, v := range o.vcpus {
 			if v.state != vcpuFresh && v.state != vcpuSaved ||
 				o.id != id && v.running != id && !slices.Contains(v.frames, id) {
 				continue
 			}
 			if o.id != id || v.running != id || len(v.frames) > 0 {
-				o.mu.Unlock()
 				return nil, fmt.Errorf("%w: a waiting vCPU of domain %d holds a mediated call stack", ErrNotMigratable, id)
 			}
 			snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{Started: v.state == vcpuSaved, Regs: v.regs, PC: uint64(v.pc), Ring: v.ring})
 		}
-		o.mu.Unlock()
 	}
 
-	m.stats.migrationsOut.Add(1)
+	m.stats.MigrationsOut++
 	return snap, nil
 }
 
@@ -391,6 +375,6 @@ func (m *Monitor) RestoreDomain(caller DomainID, node cap.NodeID, cores []phys.C
 		}
 		m.addVCPU(d, &vcpu{state: vcpuSaved, running: id, regs: vs.Regs, pc: phys.Addr(vs.PC), ring: vs.Ring})
 	}
-	m.stats.migrationsIn.Add(1)
+	m.stats.MigrationsIn++
 	return id, nil
 }

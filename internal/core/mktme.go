@@ -17,10 +17,8 @@ import (
 // another dividend of exact system-wide refcounts.
 
 // domainKey returns (allocating on first use) the domain's memory
-// encryption key. keyMu guards the key table; it is a leaf lock.
+// encryption key.
 func (m *Monitor) domainKey(id DomainID) (hw.KeyID, error) {
-	m.keyMu.Lock()
-	defer m.keyMu.Unlock()
 	if k, ok := m.memKeys[id]; ok {
 		return k, nil
 	}
@@ -34,14 +32,11 @@ func (m *Monitor) domainKey(id DomainID) (hw.KeyID, error) {
 
 // syncEncryption retags the whole physical address space from the
 // current reference-count map. Called after every capability mutation
-// when encryption is on; callers on the shared-lock path serialise the
-// engine writes under hwMu.
+// when encryption is on.
 func (m *Monitor) syncEncryption() error {
 	if m.mach.Crypto == nil {
 		return nil
 	}
-	m.hwMu.Lock()
-	defer m.hwMu.Unlock()
 	for _, rc := range m.space.RefCounts() {
 		key := hw.KeyPlaintext
 		if rc.Count == 1 {
@@ -66,8 +61,6 @@ func (m *Monitor) cryptoErase(id DomainID) {
 	if m.mach.Crypto == nil {
 		return
 	}
-	m.keyMu.Lock()
-	defer m.keyMu.Unlock()
 	if k, ok := m.memKeys[id]; ok {
 		m.mach.Crypto.FreeKey(k)
 		delete(m.memKeys, id)
@@ -75,11 +68,8 @@ func (m *Monitor) cryptoErase(id DomainID) {
 }
 
 // DomainKeyID exposes the key a domain's exclusive memory is encrypted
-// under (diagnostics; key material never leaves the engine). Takes only
-// the leaf key-table lock, never the monitor lock.
+// under (diagnostics; key material never leaves the engine).
 func (m *Monitor) DomainKeyID(id DomainID) (hw.KeyID, bool) {
-	m.keyMu.Lock()
-	defer m.keyMu.Unlock()
 	k, ok := m.memKeys[id]
 	return k, ok
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tyche-sim/tyche/internal/backend"
@@ -88,70 +86,9 @@ type Stats struct {
 	MigrationsIn  uint64 // domains restored (and re-attested) on arrival
 }
 
-// statCounters is the monitor's live tally: one atomic per Stats field,
-// so counters update without any lock and Stats() snapshots them
-// allocation-free.
-type statCounters struct {
-	vmExits      atomic.Uint64
-	transitions  atomic.Uint64
-	fastSwitches atomic.Uint64
-	syscalls     atomic.Uint64
-	capOps       atomic.Uint64
-	revocations  atomic.Uint64
-	attests      atomic.Uint64
-	deniedOps    atomic.Uint64
-	irqsRouted   atomic.Uint64
-	irqsDropped  atomic.Uint64
-
-	machineChecks atomic.Uint64
-	forcedKills   atomic.Uint64
-	pagesScrubbed atomic.Uint64
-	coresParked   atomic.Uint64
-
-	ringOps          atomic.Uint64
-	ringFlushes      atomic.Uint64
-	ringShootdowns   atomic.Uint64
-	ringOpsCoalesced atomic.Uint64
-	ringDrainErrors  atomic.Uint64
-
-	migrationsOut atomic.Uint64
-	migrationsIn  atomic.Uint64
-}
-
-func (s *statCounters) snapshot() Stats {
-	return Stats{
-		VMExits:       s.vmExits.Load(),
-		Transitions:   s.transitions.Load(),
-		FastSwitches:  s.fastSwitches.Load(),
-		Syscalls:      s.syscalls.Load(),
-		CapOps:        s.capOps.Load(),
-		Revocations:   s.revocations.Load(),
-		Attests:       s.attests.Load(),
-		DeniedOps:     s.deniedOps.Load(),
-		IRQsRouted:    s.irqsRouted.Load(),
-		IRQsDropped:   s.irqsDropped.Load(),
-		MachineChecks: s.machineChecks.Load(),
-		ForcedKills:   s.forcedKills.Load(),
-		PagesScrubbed: s.pagesScrubbed.Load(),
-		CoresParked:   s.coresParked.Load(),
-
-		RingOps:          s.ringOps.Load(),
-		RingFlushes:      s.ringFlushes.Load(),
-		RingShootdowns:   s.ringShootdowns.Load(),
-		RingOpsCoalesced: s.ringOpsCoalesced.Load(),
-		RingDrainErrors:  s.ringDrainErrors.Load(),
-
-		MigrationsOut: s.migrationsOut.Load(),
-		MigrationsIn:  s.migrationsIn.Load(),
-	}
-}
-
-// domainTable is the atomically-published domain index: entry i is
-// domain InitialDomain+i. IDs are dense and domains never leave it —
-// death is a state transition, observed through Domain.State. Readers
-// load it with one atomic pointer read and no lock; CreateDomain, under
-// tabMu, appends past every published length (so under no reader) and
-// publishes the longer slice.
+// domainTable is the domain index: entry i is domain InitialDomain+i.
+// IDs are dense and domains never leave it — death is a state
+// transition, observed through Domain.State.
 type domainTable []*Domain
 
 // get returns domain id, or false if it was never created.
@@ -163,10 +100,8 @@ func (t domainTable) get(id DomainID) (*Domain, bool) {
 }
 
 // coreSched is one core's scheduling state: the mediated call stack and
-// the monitor's notion of the current domain. Each core has its own
-// mutex, so transitions on different cores never contend.
+// the monitor's notion of the current domain.
 type coreSched struct {
-	mu     sync.Mutex
 	frames []DomainID
 	cur    DomainID
 	hasCur bool
@@ -175,68 +110,22 @@ type coreSched struct {
 
 // Monitor is the isolation monitor instance controlling one machine.
 //
-// The monitor is safe for concurrent use. There is no top-level lock:
-// state is partitioned so the dominant operations run concurrently:
+// A monitor is one goroutine's object, like the machine it drives: every
+// entry — the API, RunCore and RunCores, the ring drains — runs on its
+// caller's goroutine, one at a time, and holds no lock. RunCores steps
+// several cores on that one goroutine; simulated multi-core
+// interleaving lives in simulated time, where the trace checkers see
+// every step. Separate monitors (separate machines) share nothing and
+// may run on separate goroutines.
 //
-//   - Lock-free read path: domain lookup goes through an
-//     atomically-published immutable table (tab); liveness is the
-//     domain's atomic state; Stats are atomics; capability queries go
-//     to the internally-synchronised cap.Space. Stats, Domain, Domains,
-//     DomainKeyID, Enumerate, Attest's enumeration+signing, RefCounts,
-//     and read-only VMCall dispatch take no monitor lock at all.
-//   - Entries that rely on the state they read staying reachable —
-//     delegations, transitions, seals, copies, IRQ routing, attestation
-//     — pin the epoch engine (renter/rexit, epoch.go) and take no
-//     top-level lock. The destructive family (Revoke, KillDomain,
-//     ForceKill, containFault, ring drains) serialises on revMu
-//     (denter/dexit) and follows the RCU discipline: publish the removal
-//     (capability-subtree detach, atomic death state), synchronize
-//     (wait for every pre-publish pin to drop), then run the
-//     irreversible effects (cleanups, scrub, shootdown, release of
-//     the detached records, hardware resync) — all of it inside the
-//     entry, nothing deferred past dexit. Revocation therefore runs
-//     concurrently with lock-free readers; only its publish steps are
-//     serialized. Domain creation serialises on tabMu, the only other
-//     writer of the published table.
-//   - Per-domain mutexes (Domain.mu) guard one domain's mutable record
-//     (entry point, measured regions, handlers, log); per-core mutexes
-//     (coreSched.mu) guard one core's call stack and serialise
-//     transitions on that core; hwMu serialises whole-machine hardware
-//     resync (device filters, encryption keying); the capability space
-//     has one lock of its own (see cap.Space).
-//
-// Lock order (documented, enforced by construction): revMu / tabMu →
-// coreSched.mu (a destructive entry holds every core's, in core order,
-// around its shootdowns) → Domain.mu (two domains in ascending
-// DomainID) → hwMu → the capability-space lock / hardware-object
-// locks. Locks are only ever
-// taken left-to-right; cap and hw locks are leaves, never held across
-// calls back into the monitor. ep.synchronize is called while holding
-// only revMu, before any leaf lock, so a pinned reader can always
-// finish. Go-level syscall and IRQ handlers are invoked with no monitor
-// locks held — they re-enter the monitor through the public API like
-// any caller.
+// The destructive family (Revoke, KillDomain, ForceKill, containFault,
+// ring drains) keeps one order in plain program order: publish the
+// removal (capability-subtree detach, death state), then the
+// irreversible effects (cleanups, scrub, shootdown, release of the
+// detached records), then the hardware resync — all of it inside the
+// entry. Go-level syscall and IRQ handlers re-enter the monitor through
+// the public API like any caller.
 type Monitor struct {
-	// hwMu serialises global hardware resynchronisation: IOMMU device
-	// filters and memory-encryption keying, which read system-wide
-	// capability state and write shared hardware objects.
-	hwMu sync.Mutex
-
-	// revMu serialises the destructive family — revoke, kill,
-	// containment, ring drains — against itself: the single-writer side
-	// of the epoch scheme, and the only top-level lock an entry can
-	// block on. revWaitNs/revAcqs account that blocking for LockWait
-	// (wall time only; simulated clocks are never touched).
-	revMu     sync.Mutex
-	revWaitNs atomic.Int64
-	revAcqs   atomic.Uint64
-	// tabMu serialises domain creation, the only writer of the
-	// published domain table besides boot.
-	tabMu sync.Mutex
-	// ep is the epoch-based reclamation engine (epoch.go): readers pin,
-	// destructive operations publish, synchronize and then reclaim.
-	ep epochEngine
-
 	mach  *hw.Machine
 	space *cap.Space
 	bk    backend.Backend
@@ -245,41 +134,30 @@ type Monitor struct {
 	identity  []byte
 	monRegion phys.Region
 
-	tab atomic.Pointer[domainTable]
+	tab domainTable
 
 	// opTok mints trace-frame tokens: KOpBegin/KOpEnd pairs carry one in
-	// their Node field so the checker can match frames that interleave
-	// (concurrent delegations from reader entries).
-	opTok atomic.Uint64
+	// their Node field so the checker can match each frame's ends.
+	opTok uint64
 
 	attPriv ed25519.PrivateKey
 	attPub  ed25519.PublicKey
 
-	// sched holds per-core scheduling state; the map itself is built at
-	// boot and never mutated, so indexing it is lock-free.
+	// sched holds per-core scheduling state, built at boot.
 	sched map[phys.CoreID]*coreSched
 	// vcpus counts the vCPUs of live domains (vcpu.go).
-	vcpus atomic.Int64
+	vcpus int
 
 	// memKeys maps domains to their MKTME keys (empty when the machine
-	// has no engine), guarded by keyMu.
-	keyMu   sync.Mutex
+	// has no engine).
 	memKeys map[DomainID]hw.KeyID
 
-	// ringMu guards the submission-ring registry (ring.go), a leaf:
-	// setup registers from a reader entry, drains and teardown walk it
-	// from destructive entries. ringCount mirrors
-	// len(rings) so DrainRings at a round barrier can skip the drain
-	// entirely — one atomic load — when no domain ever set a ring up,
-	// keeping unbatched runs cycle-identical to pre-ring builds.
-	ringMu    sync.Mutex
-	rings     map[DomainID]*domainRing
-	ringCount atomic.Int64
+	// rings is the submission-ring registry (ring.go).
+	rings map[DomainID]*domainRing
 
-	// drainErrMu/firstDrainErr latch the first drain failure a round
-	// could not hand to a caller, so tests and embedders can observe
-	// what Stats().RingDrainErrors only counts.
-	drainErrMu    sync.Mutex
+	// firstDrainErr latches the first drain failure a round could not
+	// hand to a caller, so tests and embedders can observe what
+	// Stats().RingDrainErrors only counts.
 	firstDrainErr error
 
 	// checkpoint, when installed (SetCheckpoint), runs at the monitor's
@@ -288,15 +166,9 @@ type Monitor struct {
 	// ring-drain doorbells. The runtime-verification service
 	// (internal/rv) registers its checker's merge here: each merge
 	// closes one interval of the node's digest chain.
-	checkpoint atomic.Pointer[func()]
+	checkpoint func()
 
-	// hookDelegatePreEmit, when non-nil, runs inside delegate
-	// after the capability mutation and before the trace emit. Test-only
-	// (never set outside _test files): the epoch mutation test parks a
-	// delegation here to hold its pin open across a concurrent kill.
-	hookDelegatePreEmit func(DomainID)
-
-	stats statCounters
+	stats Stats
 }
 
 // Sentinel errors of the monitor API.
@@ -342,7 +214,6 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 	for _, c := range m.mach.CoreIDs() {
 		m.sched[c] = &coreSched{}
 	}
-	m.ep.init()
 
 	// Measured boot: firmware, then the monitor itself (DRTM-style).
 	if err := m.rot.Extend(tpm.PCRFirmware, tpm.Measure([]byte("platform-firmware/v1")), "firmware"); err != nil {
@@ -385,7 +256,7 @@ func Boot(cfg BootConfig) (*Monitor, error) {
 
 	// Initial domain: everything else.
 	init := &Domain{id: InitialDomain, name: "dom0", creator: MonitorDomain}
-	m.tab.Store(&domainTable{init})
+	m.tab = domainTable{init}
 	owner := cap.OwnerID(InitialDomain)
 	if _, err := m.space.CreateRoot(owner, cap.MemResource(phys.Region{Start: 0, End: monRegion.Start}), cap.MemFull, cap.CleanNone); err != nil {
 		return nil, err
@@ -421,26 +292,24 @@ func (m *Monitor) Backend() string { return m.bk.Name() }
 // MonitorRegion returns the monitor's self-protected memory.
 func (m *Monitor) MonitorRegion() phys.Region { return m.monRegion }
 
-// Stats returns an allocation-free snapshot of the monitor's event
-// counters: every field is one atomic load. Each field is individually
-// exact, but nothing excludes the revocation family (epoch scheme), so
-// a snapshot may land between the logically-paired counter updates of
-// an in-flight revoke — e.g. see CapOps already incremented but
-// Revocations not yet. The tearing is bounded by the number of
-// in-flight operations and resolves as soon as they retire; quiescent
-// snapshots are exact. Delegations, transitions, and revocations are
-// never blocked by a Stats reader.
-func (m *Monitor) Stats() Stats { return m.stats.snapshot() }
+// Stats returns a copy of the monitor's event counters.
+func (m *Monitor) Stats() Stats { return m.stats }
 
-// LockWait returns the cumulative wall time destructive-family entries
-// spent blocked on revMu — the one top-level lock a monitor entry can
-// wait on; reader entries pin an epoch and block on nothing — and the
-// number of revMu acquisitions, which C15 gates exactly (one per
-// revocation, none for readers). The accounting is wall-clock only
-// and never advances simulated cycles.
-func (m *Monitor) LockWait() (time.Duration, uint64) {
-	return time.Duration(m.revWaitNs.Load()), m.revAcqs.Load()
+// LockWait always returns zero: the monitor holds no lock. It is kept
+// for benchmark/, which compiles against it, until ROADMAP's benchmark
+// queue (iv).
+func (m *Monitor) LockWait() (time.Duration, uint64) { return 0, 0 }
+
+// EpochStats holds the two counters benchmark/ reads; both are zero.
+type EpochStats struct {
+	Syncs, ElidedSyncs uint64
 }
+
+// EpochStats always returns zeros: there is no reclamation engine, a
+// destructive entry runs its tail in program order. It is kept for
+// benchmark/, which compiles against it, until ROADMAP's benchmark
+// queue (iv).
+func (m *Monitor) EpochStats() EpochStats { return EpochStats{} }
 
 // SetCheckpoint installs fn (nil removes it) to run at the monitor's
 // quiescent points: every round barrier and every ring-drain doorbell.
@@ -450,20 +319,14 @@ func (m *Monitor) LockWait() (time.Duration, uint64) {
 // cycles — checkpoints are host-side work, invisible to the cycle
 // clock, which is what keeps cycle histories bit-identical with
 // verification on or off.
-func (m *Monitor) SetCheckpoint(fn func()) {
-	if fn == nil {
-		m.checkpoint.Store(nil)
-		return
-	}
-	m.checkpoint.Store(&fn)
-}
+func (m *Monitor) SetCheckpoint(fn func()) { m.checkpoint = fn }
 
-// Checkpoint fires the installed checkpoint hook, if any: one atomic
-// load on the (default) uninstalled path. RunCores fires it at the end
-// of its round; a caller driving RunSlices fires it at its barriers.
+// Checkpoint fires the installed checkpoint hook, if any. RunCores
+// fires it at the end of its round; a caller driving RunSlices fires it
+// at its barriers.
 func (m *Monitor) Checkpoint() {
-	if f := m.checkpoint.Load(); f != nil {
-		(*f)()
+	if m.checkpoint != nil {
+		m.checkpoint()
 	}
 }
 
@@ -477,21 +340,19 @@ func (m *Monitor) AttestationKey() ed25519.PublicKey {
 	return out
 }
 
-// Domain returns the domain record for id. Lock-free: the record comes
-// from the published domain table.
+// Domain returns the domain record for id.
 func (m *Monitor) Domain(id DomainID) (*Domain, error) {
-	d, ok := m.tab.Load().get(id)
+	d, ok := m.tab.get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
 	}
 	return d, nil
 }
 
-// Domains returns the IDs of all non-dead domains in ascending order,
-// read from the published snapshot without taking any lock.
+// Domains returns the IDs of all non-dead domains in ascending order.
 func (m *Monitor) Domains() []DomainID {
 	var out []DomainID
-	for _, d := range *m.tab.Load() {
+	for _, d := range m.tab {
 		if d.State() != StateDead {
 			out = append(out, d.id)
 		}
@@ -499,11 +360,7 @@ func (m *Monitor) Domains() []DomainID {
 	return out
 }
 
-// liveDomain resolves id to a live domain (lock-free). Liveness is a
-// moment-in-time fact: a concurrent kill may publish death right after
-// this returns. Callers that act on the answer hold an epoch pin, so
-// the kill's irreversible effects (scrub, reclaim, KKill) wait for
-// them to finish — the operation linearizes before the kill.
+// liveDomain resolves id to a live domain.
 func (m *Monitor) liveDomain(id DomainID) (*Domain, error) {
 	d, err := m.Domain(id)
 	if err != nil {
@@ -516,7 +373,7 @@ func (m *Monitor) liveDomain(id DomainID) (*Domain, error) {
 }
 
 func (m *Monitor) deny(format string, args ...any) error {
-	m.stats.deniedOps.Add(1)
+	m.stats.DeniedOps++
 	return fmt.Errorf("%w: %s", ErrDenied, fmt.Sprintf(format, args...))
 }
 
@@ -539,26 +396,18 @@ func (m *Monitor) domainFor(caller, id DomainID, what string) (*Domain, error) {
 // "software running in any trust domain can access the isolation
 // monitor API").
 //
-// Creation appends to the domain table under tabMu — it stalls neither
-// readers nor the destructive family, and costs the same however many
-// domains came before. The epoch pin orders the KCreate emit before any
-// concurrent kill of the creator retires.
+// Creation appends to the domain table, and costs the same however many
+// domains came before.
 func (m *Monitor) CreateDomain(caller DomainID, name string) (DomainID, error) {
-	p := m.renter()
-	defer m.rexit(p)
-	m.tabMu.Lock()
-	defer m.tabMu.Unlock()
 	if _, err := m.liveDomain(caller); err != nil {
 		return 0, err
 	}
-	tab := *m.tab.Load()
-	id := InitialDomain + DomainID(len(tab))
+	id := InitialDomain + DomainID(len(m.tab))
 	d := &Domain{id: id, name: name, creator: caller}
 	if err := m.bk.InstallDomain(cap.OwnerID(id)); err != nil {
 		return 0, err
 	}
-	tab = append(tab, d)
-	m.tab.Store(&tab)
+	m.tab = append(m.tab, d)
 	m.emit(trace.KCreate, id, uint64(caller), 0, 0, 0)
 	return id, nil
 }
@@ -578,35 +427,23 @@ func (m *Monitor) nodeOwnedBy(node cap.NodeID, owner DomainID) error {
 
 // Share derives a shared child capability from caller's node for dst.
 func (m *Monitor) Share(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup) (cap.NodeID, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	return m.delegate(caller, node, dst, sub, rights, cleanup, false)
 }
 
 // Grant transfers exclusive, revocable control of the sub-resource from
 // caller's node to dst.
 func (m *Monitor) Grant(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup) (cap.NodeID, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	return m.delegate(caller, node, dst, sub, rights, cleanup, true)
 }
 
-// delegate validates and performs one Share or Grant with a monitor
-// entry already held: a pinned reader entry from Share, Grant and the
-// trap path, the destructive entry inside a drain round. The capability
-// space provides its own per-owner locking for the mutation, and
-// hardware resync is serialised per affected domain, so two delegations
-// between disjoint domain pairs run fully in parallel. A kill racing
-// the delegation either loses the liveness check (it published death
-// first) or waits out the entry in its grace period — in which case the
-// delegated capability is part of the subtree its DetachOwner then
-// revokes.
+// delegate validates and performs one Share or Grant: the body of Share,
+// Grant, their guest calls and their ring descriptors.
 func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub cap.Resource, rights cap.Rights, cleanup cap.Cleanup, grant bool) (cap.NodeID, error) {
 	op := trace.OpShare
 	if grant {
 		op = trace.OpGrant
 	}
-	tok := m.opTok.Add(1)
+	tok := m.newTok()
 	m.emit(trace.KOpBegin, caller, op, tok, 0, 0)
 	defer m.emit(trace.KOpEnd, caller, op, tok, 0, 0)
 	if _, err := m.liveDomain(caller); err != nil {
@@ -626,13 +463,10 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 		id, err = m.space.Share(node, cap.OwnerID(dst), sub, rights, cleanup)
 	}
 	if err != nil {
-		m.stats.deniedOps.Add(1)
+		m.stats.DeniedOps++
 		return 0, err
 	}
-	m.stats.capOps.Add(1)
-	if m.hookDelegatePreEmit != nil {
-		m.hookDelegatePreEmit(dst)
-	}
+	m.stats.CapOps++
 	kind := trace.KShare
 	if grant {
 		kind = trace.KGrant
@@ -643,9 +477,7 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 	}
 	m.emit(kind, caller, uint64(dst), uint64(id), addr, size)
 	// The owners whose access moved: the grantee, and for a grant the
-	// grantor too, whatever its state — a grantor whose death a racing
-	// kill publishes mid-grant must not keep hardware access to what the
-	// tree just gave away. A share leaves the sharer's access as it was.
+	// grantor too. A share leaves the sharer's access as it was.
 	// Only the delegated range moved; a core or device delegation moved
 	// no memory at all.
 	doms := []*Domain{dd}
@@ -673,48 +505,38 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 // management code in control despite making policy configuration
 // available to all software" (§3.2).
 //
-// Revocation never stops the world; it follows the epoch discipline,
-// and these three steps are its only implementation — a ring drain
-// round (drain.go) runs the same publish per descriptor, one shared
-// grace, and the same retire over everything it published, and a kill
+// Revocation runs in two steps, and these are its only implementation —
+// a ring drain round (drain.go) runs the same publish per descriptor
+// and the same retire over everything it published, and a kill
 // (contain.go) retires the victim's detached subtree through the same
 // retire after its forced scrub:
 //
 //	publish  — revokePublish: Detach removes the subtree from the
-//	           capability index in one short exclusive critical
-//	           section. New readers stop seeing the capabilities; grant
-//	           suspensions persist, so the parents cannot re-delegate
-//	           the regions yet.
-//	quiesce  — synchronize waits out every reader that could have
-//	           validated access before the detach. After it returns,
-//	           no check-then-act entry still relies on revoked state.
-//	reclaim  — retire: cleanups (zero/flush + shootdowns) scrub the
-//	           revoked state, Release hands the parents their access
-//	           back and drops the detached records, and affected
-//	           hardware is resynchronised.
+//	           capability index. Grant suspensions persist, so the
+//	           parents cannot re-delegate the regions yet.
+//	retire   — cleanups (zero/flush + shootdowns) scrub the revoked
+//	           state, Release hands the parents their access back and
+//	           drops the detached records, and affected hardware is
+//	           resynchronised.
 //
 // The KOpBegin/KOpEnd frame brackets all of it, so the trace checker's
 // shootdown-ack-inside-frame and scrub ordering invariants hold.
 func (m *Monitor) Revoke(caller DomainID, node cap.NodeID) error {
-	m.denter()
-	defer m.dexit()
-	tok := m.opTok.Add(1)
+	tok := m.newTok()
 	m.emit(trace.KOpBegin, caller, trace.OpRevoke, tok, 0, 0)
 	defer m.emit(trace.KOpEnd, caller, trace.OpRevoke, tok, 0, 0)
 	det, err := m.revokePublish(caller, node)
 	if err != nil {
 		return err
 	}
-	m.ep.synchronize(1)
 	return m.retire(false, det)
 }
 
 // revokePublish authorises caller's revocation of node and publishes
-// it (destructive-family entry held): the detach is the only semantic
-// commit point — no reader can see the subtree once it returns, and
-// the grant suspensions persist until retire releases them — so any
-// number of publishes may stack up before one grace period covers them
-// all. It is the only caller of cap.Space.Detach.
+// it: the detach is the only semantic commit point — no query sees the
+// subtree once it returns, and the grant suspensions persist until
+// retire releases them — so any number of publishes may stack up before
+// one retire covers them all. It is the only caller of cap.Space.Detach.
 func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached, error) {
 	if _, err := m.liveDomain(caller); err != nil {
 		return nil, err
@@ -731,15 +553,14 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 	if err != nil {
 		return nil, err
 	}
-	m.stats.capOps.Add(1)
-	m.stats.revocations.Add(1)
+	m.stats.CapOps++
+	m.stats.Revocations++
 	m.emit(trace.KRevoke, caller, 0, uint64(node), 0, 0)
 	return det, nil
 }
 
 // retire runs the irreversible tail of published revocations, in
-// order (destructive-family entry held; the caller has waited out a
-// grace period covering every publish). It is the one tail of Revoke,
+// order. It is the one tail of Revoke,
 // a drain round and a kill. With coalesce the shootdowns the cleanups
 // request retire as at most one cross-core round — the drain round's
 // form, counted in the ring statistics; otherwise they run as they
@@ -747,7 +568,6 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 // stay suspended: fail closed); the rest still retire, every affected
 // live owner is still resynchronised, and the first error is returned.
 func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
-	m.lockCores()
 	if coalesce {
 		m.mach.BeginShootdownBatch()
 	}
@@ -776,7 +596,6 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 	if coalesce {
 		m.endShootdownBatch()
 	}
-	m.unlockCores()
 
 	// The owners whose access the detaches changed — the owners of the
 	// detached capabilities and the grantors Release handed access back
@@ -801,9 +620,8 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 		}
 	}
 	slices.Sort(owners)
-	tab := m.tab.Load()
 	for _, o := range slices.Compact(owners) {
-		if d, ok := tab.get(DomainID(o)); ok && d.State() != StateDead {
+		if d, ok := m.tab.get(DomainID(o)); ok && d.State() != StateDead {
 			doms = append(doms, d)
 		}
 	}
@@ -825,32 +643,18 @@ func span(a, b phys.Region) phys.Region {
 	return phys.Region{Start: min(a.Start, b.Start), End: max(a.End, b.End)}
 }
 
-// lockCores takes every core's scheduling lock, in core order, for the
-// span of the cleanups that shoot down TLBs (destructive-family entry
-// held). A round targets the cores resident for its domains, and a
-// mediated transition changes a core's residency and emits its
-// KTransition under that core's lock — so with every lock held, each
-// transition lands on the same side of the round in the hardware and
-// in the trace, and the checker's residency is the hardware's.
-func (m *Monitor) lockCores() {
-	for i := range m.mach.Cores {
-		m.sched[phys.CoreID(i)].mu.Lock()
-	}
-}
-
-// unlockCores releases what lockCores took.
-func (m *Monitor) unlockCores() {
-	for i := range m.mach.Cores {
-		m.sched[phys.CoreID(i)].mu.Unlock()
-	}
+// newTok mints the next trace-frame token.
+func (m *Monitor) newTok() uint64 {
+	m.opTok++
+	return m.opTok
 }
 
 // endShootdownBatch retires the armed shootdown accumulator and counts
 // the round in the ring statistics.
 func (m *Monitor) endShootdownBatch() {
 	rounds, coalesced := m.mach.EndShootdownBatch()
-	m.stats.ringShootdowns.Add(uint64(rounds))
-	m.stats.ringOpsCoalesced.Add(uint64(coalesced))
+	m.stats.RingShootdowns += uint64(rounds)
+	m.stats.RingOpsCoalesced += uint64(coalesced)
 }
 
 // resync reprograms the hardware a capability change can have affected,
@@ -861,36 +665,25 @@ func (m *Monitor) endShootdownBatch() {
 // boot; each caller decides which domains to list and which range
 // moved — a delegation's memory, the span of a revocation's, nothing
 // for a core or device — and a domain's filter is rederived there only.
-// A device's context is rebuilt whole. A failed step (a PMP layout over
+// So is the context of a device a listed domain holds with DMA rights; a
+// device in devs, whose holder set moved, is rederived whole. A failed
+// step (a PMP layout over
 // budget) must not strand the ones after it on filters that still map
 // what their owners lost, so every step runs regardless and the first
 // error is returned.
 //
-// Each domain's rebuild takes Domain.mu — one at a time, never as a held
-// pair, so rings of delegating domains cannot convoy — which serialises
-// rebuilds of one domain across concurrent delegations and
-// revocations. Every rebuild reads the capability space at rebuild
-// time, and every mutation is followed by a rebuild whose scope covers
-// what it changed, so the last rebuild to run over a page sees (at
-// least) every mutation of that page committed before it; and a
-// revocation's scrub and release wait out the pins of in-flight
-// delegations, so no rebuild reprograms a filter from state that is
-// mid-reclaim.
+// Every rebuild reads the capability space at rebuild time, and every
+// mutation is followed by a rebuild whose scope covers what it changed.
 //
 // The device question goes to each domain — a walk of what it holds —
 // not to each device, which would sweep the whole capability index once
 // per machine device. A device's filter is the union of its DMA holders'
 // memory, so it can only have changed if its holder set did (the caller
-// lists it in devs) or if a holder is among doms. No snapshot across
-// domains is needed: a device's holder set changes only through a
-// delegation or revocation of the device itself, which resyncs it after
-// it commits, under hwMu, reading the space at rebuild time.
+// lists it in devs) or if a holder is among doms.
 func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID, scope phys.Region) error {
 	var firstErr error
 	for _, d := range doms {
-		d.mu.Lock()
 		err := m.bk.SyncDomainRange(cap.OwnerID(d.id), scope)
-		d.mu.Unlock()
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -901,16 +694,17 @@ func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID, scope phys.Region
 		held = m.space.AppendOwnerDMADevices(held, cap.OwnerID(d.id))
 	}
 	if len(held) > 0 {
-		m.hwMu.Lock()
 		for _, dev := range m.mach.DeviceIDs() {
-			if !slices.Contains(held, dev) {
+			devScope := scope
+			if slices.Contains(devs, dev) {
+				devScope = phys.AllMemory // its holder set moved
+			} else if !slices.Contains(held, dev) {
 				continue
 			}
-			if err := m.bk.SyncDevice(dev); firstErr == nil {
+			if err := m.bk.SyncDeviceRange(dev, devScope); firstErr == nil {
 				firstErr = err
 			}
 		}
-		m.hwMu.Unlock()
 	}
 	if err := m.syncEncryption(); firstErr == nil {
 		firstErr = err
@@ -922,14 +716,10 @@ func (m *Monitor) resync(doms []*Domain, devs []phys.DeviceID, scope phys.Region
 // entry point"). Only the domain itself or its creator may configure it,
 // and only before sealing.
 func (m *Monitor) SetEntry(caller, id DomainID, entry phys.Addr) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.State() == StateSealed {
 		return fmt.Errorf("%w: %d", ErrSealedState, id)
 	}
@@ -946,14 +736,10 @@ func (m *Monitor) SetEntry(caller, id DomainID, entry phys.Addr) error {
 // ring 3 so the domain's first-level filter applies from the first
 // instruction). Same authorization and sealing rules as SetEntry.
 func (m *Monitor) SetEntryRing(caller, id DomainID, ring hw.Ring) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.State() == StateSealed {
 		return fmt.Errorf("%w: %d", ErrSealedState, id)
 	}
@@ -964,14 +750,10 @@ func (m *Monitor) SetEntryRing(caller, id DomainID, ring hw.Ring) error {
 // AddMeasuredRegion marks a region of the domain's memory whose content
 // is included in the seal-time measurement.
 func (m *Monitor) AddMeasuredRegion(caller, id DomainID, r phys.Region) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.domainFor(caller, id, "configure")
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.State() == StateSealed {
 		return fmt.Errorf("%w: %d", ErrSealedState, id)
 	}
@@ -990,23 +772,16 @@ func (m *Monitor) AddMeasuredRegion(caller, id DomainID, r phys.Region) error {
 // A sealed domain can no longer receive resources; its attestation
 // becomes stable (§3.1).
 func (m *Monitor) Seal(caller, id DomainID) (tpm.Digest, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	return m.seal(caller, id)
 }
 
-// seal is Seal with a monitor entry already held (Seal's pin, the
-// guest's CallSealSelf on either path).
-// The domain mutex serialises it against concurrent configuration of
-// the same domain; the capability space orders the seal against
-// in-flight delegations to the domain under its own lock.
+// seal is Seal's body, shared with the guest's CallSealSelf on either
+// path.
 func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 	d, err := m.domainFor(caller, id, "seal")
 	if err != nil {
 		return tpm.Digest{}, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.State() == StateSealed {
 		return tpm.Digest{}, fmt.Errorf("%w: %d", ErrSealedState, id)
 	}
@@ -1023,9 +798,9 @@ func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 		}
 	}
 	d.measurement = mm.sum()
-	d.setState(StateSealed)
+	d.state = StateSealed
 	m.space.Seal(cap.OwnerID(id))
-	m.stats.capOps.Add(1)
+	m.stats.CapOps++
 	m.emit(trace.KSeal, id, uint64(caller), 0, 0, 0)
 	return d.measurement, nil
 }
@@ -1034,8 +809,6 @@ func (m *Monitor) seal(caller, id DomainID) (tpm.Digest, error) {
 // capabilities ever derived from them) is revoked with its cleanup
 // policies executed, and its hardware state is removed.
 func (m *Monitor) KillDomain(caller, id DomainID) error {
-	m.denter()
-	defer m.dexit()
 	d, err := m.domainFor(caller, id, "kill")
 	if err != nil {
 		return err
@@ -1049,11 +822,7 @@ func (m *Monitor) KillDomain(caller, id DomainID) error {
 // Enumerate returns the domain's resources as the attestation would
 // list them: effective regions, rights, and system-wide reference
 // counts (§3.4: "resource enumeration and reference counts make sharing
-// and communication paths between domains explicit"). Lock-free: every
-// query goes to the internally-synchronised capability space. Each
-// record is individually consistent; a concurrent delegation may land
-// between records, exactly as it may land right after Enumerate
-// returns.
+// and communication paths between domains explicit").
 func (m *Monitor) Enumerate(id DomainID) ([]ResourceRecord, error) {
 	if _, err := m.liveDomain(id); err != nil {
 		return nil, err
@@ -1091,14 +860,14 @@ func (m *Monitor) enumerate(owner cap.OwnerID) []ResourceRecord {
 }
 
 // RefCounts exposes the system-wide memory reference-count map
-// (Figure 4). Lock-free at the monitor level.
+// (Figure 4).
 func (m *Monitor) RefCounts() []cap.RegionCount {
 	return m.space.RefCounts()
 }
 
 // CapGeneration exposes the capability space's mutation generation —
-// every delegation or revocation bumps it, so concurrency tests can
-// assert the monitor observed the expected volume of mutations.
+// every delegation or revocation bumps it, so tests can assert the
+// monitor observed the expected volume of mutations.
 func (m *Monitor) CapGeneration() uint64 {
 	return m.space.Generation()
 }
@@ -1124,12 +893,7 @@ func (m *Monitor) CheckAccess(id DomainID, a phys.Addr, want cap.Rights) bool {
 // domain holds write access over every touched page. Go-level domain
 // logic (the OS kit, libraries, examples) uses this instead of raw
 // physical writes so that the capability system is never bypassed.
-// The epoch pin keeps the check-then-copy atomic against revocation:
-// a concurrent revoke's scrub and reclaim wait out the pin, so a copy
-// that validated access never lands on already-scrubbed memory.
 func (m *Monitor) CopyInto(id DomainID, a phys.Addr, data []byte) error {
-	p := m.renter()
-	defer m.rexit(p)
 	if err := m.checkRange(id, a, uint64(len(data)), cap.RightWrite); err != nil {
 		return err
 	}
@@ -1151,8 +915,6 @@ func (m *Monitor) CopyFrom(id DomainID, a phys.Addr, n uint64) ([]byte, error) {
 // ReadInto is CopyFrom into the caller's buffer: it fills buf from the
 // domain's memory at a after validating read access.
 func (m *Monitor) ReadInto(id DomainID, a phys.Addr, buf []byte) error {
-	p := m.renter()
-	defer m.rexit(p)
 	if err := m.checkRange(id, a, uint64(len(buf)), cap.RightRead); err != nil {
 		return err
 	}
@@ -1182,8 +944,6 @@ func (m *Monitor) checkRange(id DomainID, a phys.Addr, n uint64, want cap.Rights
 // itself may set it — it is runtime material (e.g. the hash of a
 // key-exchange public key), settable even after sealing.
 func (m *Monitor) SetReportData(caller, id DomainID, data tpm.Digest) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.liveDomain(id)
 	if err != nil {
 		return err
@@ -1191,24 +951,18 @@ func (m *Monitor) SetReportData(caller, id DomainID, data tpm.Digest) error {
 	if caller != id {
 		return m.deny("only domain %d itself may set its report data", id)
 	}
-	d.mu.Lock()
 	d.reportData = data
-	d.mu.Unlock()
 	return nil
 }
 
 // SetSyscallHandler installs the Go-level ring-0 trap handler for the
 // domain (its "kernel").
 func (m *Monitor) SetSyscallHandler(caller, id DomainID, h SyscallHandler) error {
-	p := m.renter()
-	defer m.rexit(p)
 	d, err := m.domainFor(caller, id, "install handlers for")
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
 	d.syscall = h
-	d.mu.Unlock()
 	return nil
 }
 
@@ -1217,8 +971,6 @@ func (m *Monitor) SetSyscallHandler(caller, id DomainID, h SyscallHandler) error
 // first-level filter). The monitor-controlled Filter inside it keeps
 // enforcing regardless of what the domain does to OSFilter.
 func (m *Monitor) DomainContext(caller, id DomainID, core phys.CoreID) (*hw.Context, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	if _, err := m.domainFor(caller, id, "access the context of"); err != nil {
 		return nil, err
 	}

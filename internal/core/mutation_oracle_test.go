@@ -48,7 +48,7 @@ func bootDualTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Chec
 // all four oracles; the three foreign ones skip here.
 func skipUnlessOnlyMutation(t *testing.T, own bool) {
 	t.Helper()
-	anyArmed := hw.ShootdownBugArmed || hw.AckBugArmed || hw.RangeBugArmed || ScrubBugArmed || EpochBugArmed || DrainBugArmed || MigrateBugArmed
+	anyArmed := hw.ShootdownBugArmed || hw.AckBugArmed || hw.RangeBugArmed || ScrubBugArmed || DrainBugArmed || MigrateBugArmed
 	if anyArmed && !own {
 		t.Skip("a different seeded mutation is armed")
 	}

@@ -95,17 +95,25 @@ func TestRevokeResyncsGrantorFilter(t *testing.T) {
 // have affected; a device wrongly left out would keep a stale context.
 func requireDeviceFilterCurrent(t *testing.T, m *Monitor, dev phys.DeviceID, when string) {
 	t.Helper()
-	want, err := backend.BuildDeviceFilter(m.space, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := rebuiltDeviceFilter(t, m, dev)
 	got, ok := m.Machine().IOMMU.ContextOf(dev).(*hw.EPT)
 	if !ok {
 		t.Fatalf("%s: device %v has no extent-table context", when, dev)
 	}
-	if !reflect.DeepEqual(got.Mappings(), want.Mappings()) {
-		t.Errorf("%s: device %v filter is %v, capability state says %v", when, dev, got.Mappings(), want.Mappings())
+	if !reflect.DeepEqual(got.Mappings(), want) {
+		t.Errorf("%s: device %v filter is %v, capability state says %v", when, dev, got.Mappings(), want)
 	}
+}
+
+// rebuiltDeviceFilter is dev's context rebuilt whole from the capability
+// space, on an IOMMU of its own: what the installed context must equal.
+func rebuiltDeviceFilter(t testing.TB, m *Monitor, dev phys.DeviceID) []hw.EPTMapping {
+	t.Helper()
+	iu := hw.NewIOMMU(false)
+	if err := backend.SyncDeviceRange(iu, m.space, dev, phys.AllMemory); err != nil {
+		t.Fatal(err)
+	}
+	return iu.ContextOf(dev).(*hw.EPT).Mappings()
 }
 
 // TestRevocationNarrowsDeviceFilter: a driver domain hands pages and the
@@ -202,14 +210,11 @@ func TestRevocationNarrowsDeviceFilter(t *testing.T) {
 
 // TestResyncNeverPublishesPartialFilter: dom0, running on core 0, shares
 // a page with a child and revokes it again, over and over; every round
-// rebuilds dom0's filter twice. Page 4 is dom0's throughout, so a core
-// running dom0 must be able to fetch from it at every instant. A rebuild
-// that clears the filter and then writes it back segment by segment — an
-// EPT unmapped and remapped, a PMP file cleared and reprogrammed entry by
-// entry — has a deny-all window in between, which a reader on another
-// thread hits within a few hundred rounds (the fleet's fault(0x4000 --x
-// at pc=0x4000), the C15 capring's fault(0x10000 --x) on the PMP
-// backend). Needs two host threads to bite; run under -race as well.
+// rebuilds dom0's filter twice. Page 4 is dom0's throughout, so the
+// filter installed on the core running dom0 must let it fetch from page
+// 4 after every rebuild, and each rebuild must install its filter in one
+// step (one generation bump), never clear it and write it back segment
+// by segment.
 func TestResyncNeverPublishesPartialFilter(t *testing.T) {
 	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -232,37 +237,23 @@ func TestResyncNeverPublishesPartialFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const rounds = 400
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < rounds; i++ {
-					id, err := m.Share(InitialDomain, node, child, memRes(200, 1), cap.MemRW, cap.CleanNone)
-					if err == nil {
-						err = m.Revoke(InitialDomain, id)
-					}
-					if err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}()
-			for reads := 0; ; reads++ {
+			check := func(i int, what string) {
+				t.Helper()
 				if p := ctx.Filter.Lookup(idle); !p.Allows(hw.PermX) {
-					t.Errorf("read %d: dom0's filter shows %v at %v mid-resync", reads, p, idle)
-					break
-				}
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatal(err)
-					}
-					return
-				default:
+					t.Fatalf("round %d: after the %s dom0's filter shows %v at %v", i, what, p, idle)
 				}
 			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
+			const rounds = 400
+			for i := 0; i < rounds; i++ {
+				id, err := m.Share(InitialDomain, node, child, memRes(200, 1), cap.MemRW, cap.CleanNone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(i, "share")
+				if err := m.Revoke(InitialDomain, id); err != nil {
+					t.Fatal(err)
+				}
+				check(i, "revoke")
 			}
 		})
 	}
@@ -275,9 +266,9 @@ type deviceSyncRecorder struct {
 	devs []phys.DeviceID
 }
 
-func (r *deviceSyncRecorder) SyncDevice(dev phys.DeviceID) error {
+func (r *deviceSyncRecorder) SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error {
 	r.devs = append(r.devs, dev)
-	return r.Backend.SyncDevice(dev)
+	return r.Backend.SyncDeviceRange(dev, scope)
 }
 
 // TestDeviceResyncMatchesHolderSweep pins which IOMMU contexts each
@@ -390,11 +381,7 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 			t.Errorf("%s: resynchronised devices %v, the holder sweep says %v", step.name, rec.devs, ref)
 		}
 		for _, dev := range mach.DeviceIDs() {
-			fresh, err := backend.BuildDeviceFilter(m.space, dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := mach.IOMMU.ContextOf(dev).(*hw.EPT).Mappings(), fresh.Mappings(); !slices.Equal(got, want) {
+			if got, want := mach.IOMMU.ContextOf(dev).(*hw.EPT).Mappings(), rebuiltDeviceFilter(t, m, dev); !slices.Equal(got, want) {
 				t.Errorf("%s: %v's installed context %v, a fresh build %v", step.name, dev, got, want)
 			}
 		}
@@ -836,6 +823,64 @@ func TestResyncTouchesOnlyChangedOwners(t *testing.T) {
 					}
 				}
 				checkExact(step.name)
+			}
+		})
+	}
+}
+
+// TestDeviceFilterMatchesRebuildEveryStep: a device resync splices only
+// the range that moved into the installed filter, so after every step
+// of a share/grant/revoke/kill sequence on the device's DMA holder the
+// installed filter must equal one rebuilt whole from the capability
+// space, on both backends.
+func TestDeviceFilterMatchesRebuildEveryStep(t *testing.T) {
+	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := bootWorld(t, kind)
+			var devNode cap.NodeID
+			for _, n := range m.OwnerNodes(InitialDomain) {
+				if n.Resource.Kind == cap.ResDevice {
+					devNode = n.ID
+				}
+			}
+			node := dom0MemNode(t, m)
+			holder, _ := m.CreateDomain(InitialDomain, "holder")
+			peer, _ := m.CreateDomain(InitialDomain, "peer")
+			var slab, page, grant, peerShare cap.NodeID
+			for _, step := range []struct {
+				name string
+				do   func() error
+			}{
+				{"grant the device to the holder", func() (err error) {
+					_, err = m.Grant(InitialDomain, devNode, holder, cap.DeviceResource(0), cap.RightUse|cap.RightDMA, cap.CleanNone)
+					return err
+				}},
+				{"share the holder a slab", func() (err error) {
+					slab, err = m.Share(InitialDomain, node, holder, memRes(300, 8), cap.MemRW|cap.RightShare|cap.RightGrant, cap.CleanNone)
+					return err
+				}},
+				{"share the holder one page", func() (err error) {
+					page, err = m.Share(InitialDomain, node, holder, memRes(400, 1), cap.MemRW, cap.CleanNone)
+					return err
+				}},
+				{"the holder grants part of its slab away", func() (err error) {
+					grant, err = m.Grant(holder, slab, peer, memRes(302, 2), cap.MemRW, cap.CleanZero)
+					return err
+				}},
+				{"the holder shares the peer a page", func() (err error) {
+					peerShare, err = m.Share(holder, slab, peer, memRes(306, 1), cap.MemRW, cap.CleanNone)
+					return err
+				}},
+				{"revoke the one page", func() error { return m.Revoke(InitialDomain, page) }},
+				{"revoke the grant: the holder regains it", func() error { return m.Revoke(holder, grant) }},
+				{"revoke the peer's share", func() error { return m.Revoke(holder, peerShare) }},
+				{"kill the peer", func() error { return m.KillDomain(InitialDomain, peer) }},
+				{"kill the holder", func() error { return m.KillDomain(InitialDomain, holder) }},
+			} {
+				if err := step.do(); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				requireDeviceFilterCurrent(t, m, 0, step.name)
 			}
 		})
 	}

@@ -11,8 +11,8 @@ package core
 // version (arXiv 2507.12364) makes low-cost composable monitor calls
 // the foundation, and Sanctorum (arXiv 1812.10605) demands a minimal
 // per-call monitor footprint. Batching amortises the footprint that
-// cannot be eliminated: one VM exit, one revMu acquisition, one grace
-// period, one hardware resync and — the big win — ONE cross-core TLB
+// cannot be eliminated: one VM exit, one hardware resync and — the big
+// win — ONE cross-core TLB
 // shootdown round per batch of revocations instead of one per
 // revocation (hw.BeginShootdownBatch).
 //
@@ -38,7 +38,7 @@ package core
 // is kept monitor-side and mirrored out for the guest's benefit.
 //
 // Trust and validation. Ring setup capability-checks the whole
-// footprint for read+write from a reader entry and records the
+// footprint for read+write and records the
 // capability-space generation; a drain revalidates only when the
 // generation moved. Because a batch can itself revoke the ring's
 // backing memory (or grant it away), the drain rechecks after every
@@ -47,22 +47,13 @@ package core
 // the owner loses access — the monitor never writes a completion into
 // memory the owner no longer holds.
 //
-// Lock order: drains are destructive-family entries (revMu, epoch.go)
-// and every drain is a round (drain.go): this file reads descriptors
-// and executes them — a CallRevoke only publishes — and the round's
-// tail retires what the batch published after one shared grace period.
-// Batches mix delegations with revocations, and one revMu section for
-// the whole round both amortises the acquisition and keeps the
-// coalesced shootdown race-free — every shootdown call site in the
-// monitor (round retires, revocation cleanups, kill scrubs) runs under
-// revMu, so arming the machine-level accumulator there is sound.
-// Pinned readers keep flowing during a drain. ringMu is a leaf guarding
-// only the registry map.
+// Every drain is a round (drain.go): this file reads descriptors and
+// executes them — a CallRevoke only publishes — and the round's tail
+// retires what the batch published.
 
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -113,8 +104,8 @@ type domainRing struct {
 	region  phys.Region
 	// head is the authoritative consume index (the sqHead word in
 	// guest memory is a mirror, never trusted). Only the drain advances
-	// it; RingPending reads it from a reader entry, hence the atomic.
-	head atomic.Uint64
+	// it.
+	head uint64
 	// capGen is the capability-space generation at the last successful
 	// access validation of the ring footprint.
 	capGen uint64
@@ -132,8 +123,6 @@ type domainRing struct {
 // header. Guests reach this via CallRingSetup (r1 = base,
 // r2 = entries).
 func (m *Monitor) RingSetup(caller DomainID, base phys.Addr, entries uint64) error {
-	p := m.renter()
-	defer m.rexit(p)
 	if entries == 0 || entries > MaxRingEntries {
 		return m.deny("ring capacity %d out of range [1,%d]", entries, MaxRingEntries)
 	}
@@ -157,32 +146,8 @@ func (m *Monitor) RingSetup(caller DomainID, base phys.Addr, entries uint64) err
 			return err
 		}
 	}
-	m.ringMu.Lock()
-	if _, had := m.rings[caller]; !had {
-		m.ringCount.Add(1)
-	}
 	m.rings[caller] = r
-	m.ringMu.Unlock()
 	return nil
-}
-
-// ringDrop unregisters a domain's ring (ringMu taken internally, from
-// any entry). Used by drain aborts and domain destruction.
-func (m *Monitor) ringDrop(id DomainID) {
-	m.ringMu.Lock()
-	if _, had := m.rings[id]; had {
-		delete(m.rings, id)
-		m.ringCount.Add(-1)
-	}
-	m.ringMu.Unlock()
-}
-
-// ringOf looks up a domain's ring.
-func (m *Monitor) ringOf(id DomainID) (*domainRing, bool) {
-	m.ringMu.Lock()
-	r, ok := m.rings[id]
-	m.ringMu.Unlock()
-	return r, ok
 }
 
 // RingFlush drains the caller's ring now, as a round of its own (the
@@ -196,12 +161,10 @@ func (m *Monitor) RingFlush(caller DomainID) (uint64, error) {
 }
 
 func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
-	m.denter()
-	defer m.dexit()
 	if _, err := m.liveDomain(caller); err != nil {
 		return 0, err
 	}
-	r, ok := m.ringOf(caller)
+	r, ok := m.rings[caller]
 	if !ok {
 		return 0, m.deny("domain %d has no ring (CallRingSetup first)", caller)
 	}
@@ -211,38 +174,30 @@ func (m *Monitor) ringFlush(caller DomainID, core int32) (uint64, error) {
 		err = r.err
 	}
 	// Ring-drain doorbells double as runtime-verification merge points:
-	// the drained batch's trace frame is complete here. Other cores may
-	// still be emitting — the shard merge's stability gate defers
-	// cross-core resolution in that case.
+	// the drained batch's trace frame is complete here.
 	m.Checkpoint()
 	return n, err
 }
 
-// DrainRings drains every registered ring as one round (one
-// destructive-family section) and returns the total descriptors
-// executed. Management code driving its own rounds (internal/sched)
-// calls it at every round barrier; embedders may call it directly. With
-// no rings registered it is one atomic load and returns immediately —
-// unbatched runs never take a lock here.
+// DrainRings drains every registered ring as one round and returns the
+// total descriptors executed. Management code driving its own rounds
+// (internal/sched) calls it at every round barrier; embedders may call
+// it directly. With no rings registered it returns immediately.
 func (m *Monitor) DrainRings() uint64 {
-	if m.ringCount.Load() == 0 {
+	if len(m.rings) == 0 {
 		return 0
 	}
-	m.denter()
-	defer m.dexit()
-	m.ringMu.Lock()
 	rings := make([]*domainRing, 0, len(m.rings))
 	for _, r := range m.rings {
 		rings = append(rings, r)
 	}
-	m.ringMu.Unlock()
 	slices.SortFunc(rings, func(a, b *domainRing) int { return cmp.Compare(a.owner, b.owner) })
 	// Dead or vanished owners drop out before the round.
 	rings = slices.DeleteFunc(rings, func(r *domainRing) bool {
 		d, err := m.Domain(r.owner)
 		dead := err != nil || d.State() == StateDead
 		if dead {
-			m.ringDrop(r.owner)
+			delete(m.rings, r.owner)
 		}
 		return dead
 	})
@@ -271,14 +226,14 @@ func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {
 	// Revalidate ring access only if the capability space moved since
 	// the last check (pre-validated fast path).
 	if err := m.ringRevalidate(r); err != nil {
-		m.ringDrop(r.owner)
+		delete(m.rings, r.owner)
 		return 0, err
 	}
 	tail, err := mem.Read64(r.base + RingOffSQTail)
 	if err != nil {
 		return 0, err
 	}
-	head := r.head.Load()
+	head := r.head
 	pending := tail - head
 	if pending == 0 {
 		return 0, nil
@@ -290,7 +245,7 @@ func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {
 			r.owner, tail, head, r.entries)
 	}
 
-	tok := m.opTok.Add(1)
+	tok := m.newTok()
 	m.mach.Trace(core, trace.KBatchBegin, uint64(r.owner), pending, tok, 0, 0)
 
 	var executed uint64
@@ -328,7 +283,8 @@ func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {
 			break
 		}
 	}
-	head = r.head.Add(executed)
+	r.head += executed
+	head = r.head
 	if !aborted {
 		// Mirror progress for the guest (monitor-side head stays
 		// authoritative).
@@ -336,11 +292,11 @@ func (m *Monitor) drainRing(r *domainRing, core int32) (uint64, error) {
 			_ = mem.Write64(r.base+RingOffCQTail, head)
 		}
 	}
-	m.stats.ringOps.Add(executed)
-	m.stats.ringFlushes.Add(1)
+	m.stats.RingOps += executed
+	m.stats.RingFlushes++
 	m.mach.Trace(core, trace.KBatchEnd, uint64(r.owner), executed, tok, 0, 0)
 	if aborted {
-		m.ringDrop(r.owner)
+		delete(m.rings, r.owner)
 		return executed, m.deny("domain %d lost its ring mid-batch after %d ops", r.owner, executed)
 	}
 	return executed, nil
@@ -368,7 +324,7 @@ func (m *Monitor) ringRevalidate(r *domainRing) error {
 // StatusBadCall without poisoning the rest of the batch, exactly as a
 // denied op fails only itself. Every verb is execVerb's (abi.go), in
 // full, except CallRevoke, whose completion is decided by its publish:
-// the grace period and the irreversible tail retire with the round, so
+// the irreversible tail retires with the round, so
 // inside one batch a revoked grant's parent regains access when the
 // round retires, not between two descriptors.
 func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (status, result uint64) {
@@ -376,7 +332,7 @@ func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (stat
 		status, result, _ = m.execVerb(r.owner, verb, a1, a2, a3, a4, a5)
 		return status, result
 	}
-	tok := m.opTok.Add(1)
+	tok := m.newTok()
 	m.emit(trace.KOpBegin, r.owner, trace.OpRevoke, tok, 0, 0)
 	det, err := m.revokePublish(r.owner, cap.NodeID(a1))
 	m.emit(trace.KOpEnd, r.owner, trace.OpRevoke, tok, 0, 0)
@@ -387,9 +343,9 @@ func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (stat
 	return StatusOK, 0
 }
 
-// ringTeardownLocked removes a dying domain's ring (destructive-family
-// entry held, called from destroyPublish BEFORE the death publish and
-// the detach destroy the domain's capabilities). The pending
+// ringTeardown removes a dying domain's ring (called from
+// destroyPublish BEFORE the death publish and the detach destroy the
+// domain's capabilities). The pending
 // descriptors are never executed — dead-domain silence extends to
 // queued work — and the header is
 // scrubbed so a stale ring cannot be mistaken for live state by whoever
@@ -401,12 +357,12 @@ func (m *Monitor) ringExec(r *domainRing, verb, a1, a2, a3, a4, a5 uint64) (stat
 // loss the registration is simply dropped; exclusively-held pages (the
 // usual home of a ring) are zeroed wholesale by the forced-scrub path
 // regardless.
-func (m *Monitor) ringTeardownLocked(id DomainID) {
-	r, ok := m.ringOf(id)
+func (m *Monitor) ringTeardown(id DomainID) {
+	r, ok := m.rings[id]
 	if !ok {
 		return
 	}
-	m.ringDrop(id)
+	delete(m.rings, id)
 	if err := m.ringRevalidate(r); err != nil {
 		return
 	}

@@ -589,7 +589,7 @@ func FuzzRingDescriptor(f *testing.F) {
 			if err != nil && !errors.Is(err, ErrDenied) {
 				t.Fatalf("descriptor %v: untyped flush error %v", desc, err)
 			}
-			if _, ok := m.ringOf(tenant); !ok {
+			if _, ok := m.rings[tenant]; !ok {
 				break // the batch revoked or gave away its own ring
 			}
 			if n != 1 {

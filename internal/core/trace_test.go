@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -282,10 +281,9 @@ func TestShootdownMutationOracle(t *testing.T) {
 }
 
 // TestStatsSnapshotConsistent is the regression test for Stats()
-// returning a coherent point-in-time snapshot: while workers loop
-// share+revoke, every observed snapshot must satisfy the workload's
-// algebra (each revoke is preceded by its share, both count as cap
-// ops), which a torn read would break.
+// returning a coherent point-in-time snapshot: while workers take turns
+// to share+revoke, every snapshot must satisfy the workload's algebra
+// exactly (each revoke is preceded by its share, both count as cap ops).
 func TestStatsSnapshotConsistent(t *testing.T) {
 	m, ck := bootTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
@@ -304,61 +302,35 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	}
 	base := m.Stats()
 
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for n := 0; n < iters; n++ {
-				id, err := m.Share(InitialDomain, node, doms[i], memRes(uint64(140+i), 1), cap.MemRW, cap.CleanFlushTLB)
-				if err != nil {
-					t.Errorf("share: %v", err)
-					return
-				}
-				if err := m.Revoke(InitialDomain, id); err != nil {
-					t.Errorf("revoke: %v", err)
-					return
-				}
-			}
-		}(i)
-	}
-	stop := make(chan struct{})
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Shares and revokes alternate per worker, and each op bumps
-			// capOps before revocations, so the *instantaneous* algebra is
-			// 2·rev(t) ≤ cap(t) ≤ 2·rev(t) + 2·workers. Under the epoch
-			// scheme Stats holds no exclusive lock, so a single snapshot's
-			// two counters are read at different instants and can tear by
-			// however many revokes complete in between. What stays
-			// checkable is the linearizable bracket: a snapshot's CapOps
-			// must fit the algebra against the Revocations of the
-			// snapshots taken just before and just after it. A torn read
-			// of a counter word itself would still blow this bound.
-			s1 := m.Stats()
-			s2 := m.Stats()
-			s3 := m.Stats()
-			cap2 := int64(s2.CapOps - base.CapOps)
-			rev1 := int64(s1.Revocations - base.Revocations)
-			rev3 := int64(s3.Revocations - base.Revocations)
-			if cap2 < 2*rev1 || cap2 > 2*rev3+2*workers {
-				t.Errorf("incoherent snapshot: capOps delta %d outside [2*%d, 2*%d+%d]",
-					cap2, rev1, rev3, 2*workers)
-				return
-			}
+	// Shares and revokes alternate per worker and the workers take
+	// turns, so after every operation the algebra holds exactly: every
+	// revoke follows its share, and open counts the shares not yet
+	// revoked.
+	check := func(open int) {
+		t.Helper()
+		st := m.Stats()
+		caps, revs := st.CapOps-base.CapOps, st.Revocations-base.Revocations
+		if caps != 2*revs+uint64(open) {
+			t.Fatalf("incoherent snapshot: capOps delta %d, revocations delta %d, %d shares open", caps, revs, open)
 		}
-	}()
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
+	}
+	var ids [workers]cap.NodeID
+	for n := 0; n < iters; n++ {
+		for i := range doms {
+			id, err := m.Share(InitialDomain, node, doms[i], memRes(uint64(140+i), 1), cap.MemRW, cap.CleanFlushTLB)
+			if err != nil {
+				t.Fatalf("share: %v", err)
+			}
+			ids[i] = id
+			check(i + 1)
+		}
+		for i := range doms {
+			if err := m.Revoke(InitialDomain, ids[i]); err != nil {
+				t.Fatalf("revoke: %v", err)
+			}
+			check(workers - i - 1)
+		}
+	}
 
 	st := m.Stats()
 	if got, want := st.Revocations-base.Revocations, uint64(workers*iters); got != want {

@@ -18,14 +18,6 @@ import (
 // mediated unless RegisterFastPath registered its two endpoints as a
 // pair: the pair is per core, dies with either endpoint, and is the
 // only thing that ever enters a VMFUNC list.
-//
-// Concurrency: transitions are epoch-pinned reader entries (epoch.go)
-// — they run concurrently with transitions on other cores, with
-// delegations, and with the destructive family, whose irreversible
-// effects wait out the pins.
-// The per-core coreSched mutex serialises transitions on one core;
-// cores never touch each other's scheduling state, so the transition
-// path has no cross-core contention at all.
 
 // ErrCallDepth reports an attempt to return with no caller frame.
 var ErrCallDepth = errors.New("core: call stack empty")
@@ -39,12 +31,10 @@ func (m *Monitor) Current(core phys.CoreID) (DomainID, bool) {
 	if !ok {
 		return 0, false
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	return m.currentDomain(core, sc)
 }
 
-// currentDomain is Current with the core's scheduling lock held.
+// currentDomain is Current for the core's scheduling state.
 func (m *Monitor) currentDomain(core phys.CoreID, sc *coreSched) (DomainID, bool) {
 	if c := m.mach.Core(core); c != nil && c.Context() != nil {
 		return DomainID(c.Context().Owner), true
@@ -79,8 +69,6 @@ func (m *Monitor) Launch(id DomainID, core phys.CoreID) error {
 // launch is Launch on behalf of vCPU v (none for the zero VCPU): the
 // core remembers which vCPU it runs, the only one PreemptVCPU saves.
 func (m *Monitor) launch(id DomainID, core phys.CoreID, v VCPU) error {
-	p := m.renter()
-	defer m.rexit(p)
 	entry, ring, err := m.validateEntry(id, core)
 	if err != nil {
 		return err
@@ -88,8 +76,6 @@ func (m *Monitor) launch(id DomainID, core phys.CoreID, v VCPU) error {
 	// A validated core capability names a machine core: only Boot mints
 	// core roots, one per core.
 	c, sc := m.mach.Core(core), m.sched[core]
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if err := m.bk.Transition(c, cap.OwnerID(id), false); err != nil {
 		return err
 	}
@@ -98,7 +84,7 @@ func (m *Monitor) launch(id DomainID, core phys.CoreID, v VCPU) error {
 	c.Ring = ring
 	sc.cur, sc.hasCur, sc.vcpu = id, true, v
 	sc.frames = sc.frames[:0]
-	m.stats.transitions.Add(1)
+	m.stats.Transitions++
 	m.emitCore(core, trace.KTransition, id, 0, 0, 0, trace.TransLaunch)
 	return nil
 }
@@ -106,18 +92,12 @@ func (m *Monitor) launch(id DomainID, core phys.CoreID, v VCPU) error {
 // Call transfers control on core from the current domain to target,
 // entering at target's fixed entry point with argument registers
 // r0..r5 copied from the caller. The transfer is validated: the target
-// must be live, runnable on the core, and have an entry point. The
-// target's record is read under the core lock (coreSched.mu →
-// Domain.mu, the documented order).
+// must be live, runnable on the core, and have an entry point.
 func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
-	p := m.renter()
-	defer m.rexit(p)
 	sc, ok := m.sched[core]
 	if !ok {
 		return fmt.Errorf("core: no core %v", core)
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	entry, ring, err := m.validateEntry(target, core)
 	if err != nil {
 		return err
@@ -145,7 +125,7 @@ func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 	c.Ring = ring
 	sc.frames = append(sc.frames, cur)
 	sc.cur, sc.hasCur = target, true
-	m.stats.transitions.Add(1)
+	m.stats.Transitions++
 	m.emitCore(core, trace.KTransition, target, uint64(cur), 0, 0, trace.TransCall)
 	return nil
 }
@@ -157,14 +137,10 @@ func (m *Monitor) Call(core phys.CoreID, target DomainID) error {
 // that died while the callee ran leaves the core with nowhere to return
 // to.
 func (m *Monitor) Return(core phys.CoreID) error {
-	p := m.renter()
-	defer m.rexit(p)
 	sc, ok := m.sched[core]
 	if !ok {
 		return fmt.Errorf("core: no core %v", core)
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if len(sc.frames) == 0 {
 		return ErrCallDepth
 	}
@@ -186,7 +162,7 @@ func (m *Monitor) Return(core phys.CoreID) error {
 	c.RestoreFrom(callerCtx)
 	c.Regs[0], c.Regs[1] = ret0, ret1
 	sc.cur, sc.hasCur = caller, true
-	m.stats.transitions.Add(1)
+	m.stats.Transitions++
 	m.emitCore(core, trace.KTransition, caller, uint64(returning), 0, 0, trace.TransReturn)
 	return nil
 }
@@ -197,8 +173,6 @@ func (m *Monitor) Return(core phys.CoreID) error {
 // "accelerate existing operations with hardware, such as fast (100
 // cycles) domain transitions using VMFUNC" (§4.1).
 func (m *Monitor) RegisterFastPath(caller DomainID, a, b DomainID, core phys.CoreID) error {
-	p := m.renter()
-	defer m.rexit(p)
 	if _, err := m.liveDomain(caller); err != nil {
 		return err
 	}
@@ -221,8 +195,6 @@ func (m *Monitor) RegisterFastPath(caller DomainID, a, b DomainID, core phys.Cor
 // entirely (the fast path trades register hygiene for speed; domains
 // using it share a protocol, like Hodor-style data-plane libraries).
 func (m *Monitor) FastSwitch(core phys.CoreID, target DomainID) error {
-	p := m.renter()
-	defer m.rexit(p)
 	td, err := m.liveDomain(target)
 	if err != nil {
 		return err
@@ -235,8 +207,6 @@ func (m *Monitor) FastSwitch(core phys.CoreID, target DomainID) error {
 	if !ok {
 		return fmt.Errorf("core: no core %v", core)
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	from, running := m.currentDomain(core, sc)
 	if !running {
 		return fmt.Errorf("%w: %v", ErrNotRunning, core)
@@ -247,7 +217,7 @@ func (m *Monitor) FastSwitch(core phys.CoreID, target DomainID) error {
 	}
 	c.PC = entry
 	sc.cur, sc.hasCur = target, true
-	m.stats.fastSwitches.Add(1)
+	m.stats.FastSwitches++
 	m.emitCore(core, trace.KTransition, target, uint64(from), 0, 0, trace.TransFast)
 	return nil
 }
@@ -277,12 +247,7 @@ type RunResult struct {
 //   - Fault/Illegal: execution stops and the trap is reported; policy
 //     belongs to the embedding system, not the monitor.
 //
-// RunCore itself holds no monitor lock: guest execution between traps
-// is always lock-free, and each trap handler takes exactly the locks
-// its operation needs (pinned reader entries for most; the destructive
-// entry for fault containment). Cores running independent workloads
-// therefore do not serialise on monitor entries at all, and RunCore is
-// safe to call for different cores from different goroutines.
+// RunCore runs on its caller's goroutine, like every monitor entry.
 func (m *Monitor) RunCore(core phys.CoreID, budget int) (RunResult, error) {
 	r, err := m.startRun(core, budget)
 	if err != nil {
@@ -327,8 +292,6 @@ func (r *coreRun) cur() DomainID {
 	if ctx := r.c.Context(); ctx != nil {
 		return DomainID(ctx.Owner)
 	}
-	r.sc.mu.Lock()
-	defer r.sc.mu.Unlock()
 	return r.sc.cur
 }
 
@@ -363,9 +326,7 @@ func (r *coreRun) step(n int) bool {
 				return false // the slice is spent, not the run
 			}
 		case hw.TrapHalt:
-			r.sc.mu.Lock()
 			depth := len(r.sc.frames)
-			r.sc.mu.Unlock()
 			if depth > 0 {
 				if err = m.Return(core); err == nil {
 					continue
@@ -373,7 +334,7 @@ func (r *coreRun) step(n int) bool {
 			}
 		case hw.TrapVMCall:
 			m.mach.Clock.Advance(m.mach.Cost.VMExit)
-			m.stats.vmExits.Add(1)
+			m.stats.VMExits++
 			stop := m.handleVMCall(c, core)
 			m.mach.Clock.Advance(m.mach.Cost.VMEntry)
 			if !stop {
@@ -384,19 +345,17 @@ func (r *coreRun) step(n int) bool {
 			r.res.Yielded = true
 		case hw.TrapSyscall:
 			m.mach.Clock.Advance(m.mach.Cost.Syscall)
-			m.stats.syscalls.Add(1)
+			m.stats.Syscalls++
 			var handler SyscallHandler
-			if d, ok := m.tab.Load().get(dom); ok {
-				d.mu.Lock()
+			if d, ok := m.tab.get(dom); ok {
 				handler = d.syscall
-				d.mu.Unlock()
 			}
 			if handler == nil {
 				err = fmt.Errorf("core: domain %d has no syscall handler", dom)
 				break
 			}
 			// The handler is the domain's Go-level kernel: it re-enters
-			// the monitor through the public API, so it runs unlocked.
+			// the monitor through the public API.
 			if err = handler(c); err == nil {
 				m.mach.Clock.Advance(m.mach.Cost.Sysret)
 				continue
@@ -404,17 +363,10 @@ func (r *coreRun) step(n int) bool {
 		case hw.TrapMachineCheck:
 			// A hardware fault killed whatever ran here. Contain it:
 			// destroy the victim domain (scrubbed), park the core, and
-			// report the trap. Containment is a destructive-family
-			// entry — readers on other cores keep flowing; the teardown
-			// waits out their epoch pins instead of the whole world.
-			// Synchronize never waits on this core's own pin (the trap
-			// handler holds none), so containing from the faulting core
-			// cannot self-deadlock.
+			// report the trap.
 			m.mach.Clock.Advance(m.mach.Cost.VMExit)
-			m.stats.vmExits.Add(1)
-			m.denter()
+			m.stats.VMExits++
 			err = m.containFault(core, dom)
-			m.dexit()
 		}
 		// The budget ran out, the preemption timer fired, a fault or an
 		// illegal instruction, or a trap above that did not continue:

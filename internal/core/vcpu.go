@@ -59,10 +59,8 @@ func (m *Monitor) CreateVCPU(id DomainID) (VCPU, error) {
 
 // addVCPU appends a vCPU to the domain's record and names it.
 func (m *Monitor) addVCPU(d *Domain, v *vcpu) VCPU {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.vcpus = append(d.vcpus, v)
-	m.vcpus.Add(1)
+	m.vcpus++
 	return VCPU{d.id, len(d.vcpus) - 1}
 }
 
@@ -78,15 +76,12 @@ func (m *Monitor) DispatchVCPU(v VCPU, core phys.CoreID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	d.mu.Lock()
 	if uint(v.Index) >= uint(len(d.vcpus)) || d.vcpus[v.Index].state == vcpuOut { // a dead domain has none
-		d.mu.Unlock()
 		return false, nil
 	}
 	ctx := d.vcpus[v.Index]
 	saved := *ctx
 	ctx.state = vcpuOut // claimed: no second dispatch restores the same state
-	d.mu.Unlock()
 
 	var live bool
 	if saved.state == vcpuFresh {
@@ -99,9 +94,7 @@ func (m *Monitor) DispatchVCPU(v VCPU, core phys.CoreID) (bool, error) {
 		live, err = m.resume(v, &saved, core)
 	}
 	if err != nil { // a dropped vCPU stays out for good
-		d.mu.Lock()
 		ctx.state = saved.state
-		d.mu.Unlock()
 	}
 	return live, err
 }
@@ -109,12 +102,8 @@ func (m *Monitor) DispatchVCPU(v VCPU, core phys.CoreID) (bool, error) {
 // resume is DispatchVCPU's TransDispatch transition: validated like
 // Launch (the running domain and every saved caller live, the running
 // domain holds the core) but restoring the saved state instead of
-// entering at the fixed entry point. Pinned reader entry → per-core
-// lock, the standard transition order; the pin orders the dispatch's
-// KTransition before any concurrent kill's KKill.
+// entering at the fixed entry point.
 func (m *Monitor) resume(v VCPU, ctx *vcpu, core phys.CoreID) (bool, error) {
-	p := m.renter()
-	defer m.rexit(p)
 	for _, id := range append(ctx.frames[:len(ctx.frames):len(ctx.frames)], ctx.running) {
 		if _, err := m.liveDomain(id); err != nil {
 			return false, nil // a dead caller's stack can never unwind
@@ -124,15 +113,13 @@ func (m *Monitor) resume(v VCPU, ctx *vcpu, core phys.CoreID) (bool, error) {
 		return false, nil
 	}
 	c, sc := m.mach.Core(core), m.sched[core] // the capability names a machine core, as in Launch
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if err := m.bk.Transition(c, cap.OwnerID(ctx.running), false); err != nil {
 		return false, err
 	}
 	c.Regs, c.PC, c.Ring = ctx.regs, ctx.pc, ctx.ring
 	sc.frames = append(sc.frames[:0], ctx.frames...)
 	sc.cur, sc.hasCur, sc.vcpu = ctx.running, true, v
-	m.stats.transitions.Add(1)
+	m.stats.Transitions++
 	m.emitCore(core, trace.KTransition, ctx.running, 0, 0, 0, trace.TransDispatch)
 	return true, nil
 }
@@ -157,14 +144,11 @@ func (m *Monitor) PreemptVCPU(v VCPU, core phys.CoreID) error {
 	if !ok {
 		return fmt.Errorf("core: no core %v", core)
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if sc.vcpu != v || v == (VCPU{}) {
 		return fmt.Errorf("%w: vCPU %d of domain %d is not on %v", ErrNotRunning, v.Index, v.Domain, core)
 	}
 	c := m.mach.Core(core)
-	d, _ := m.tab.Load().get(v.Domain) // dispatched, so it exists
-	d.mu.Lock()
+	d, _ := m.tab.get(v.Domain) // dispatched, so it exists
 	if v.Index < len(d.vcpus) { // else the domain died: nothing is kept
 		ctx := d.vcpus[v.Index]
 		ctx.regs, ctx.pc, ctx.ring = c.Regs, c.PC, c.Ring
@@ -174,7 +158,6 @@ func (m *Monitor) PreemptVCPU(v VCPU, core phys.CoreID) error {
 		ctx.frames = append(ctx.frames[:0], sc.frames...)
 		ctx.state = vcpuSaved
 	}
-	d.mu.Unlock()
 	sc.frames = sc.frames[:0]
 	sc.cur, sc.hasCur, sc.vcpu = 0, false, VCPU{}
 	return nil

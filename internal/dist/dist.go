@@ -277,10 +277,7 @@ func newChallenge() ([]byte, error) {
 
 // gatherEvidence produces an endpoint's evidence — boot quote and domain
 // report alike — for the challenge its peer drew. Binding the key sets
-// the domain's report data and the report then reads it back, so two
-// handshakes of one domain must not interleave there: like a transfer,
-// the two steps hold the NIC's queue, which every channel of the domain
-// shares.
+// the domain's report data and the report then reads it back.
 func (e *Endpoint) gatherEvidence(challenge []byte) (*handshakeEvidence, error) {
 	x := ecdh.X25519()
 	priv, err := x.GenerateKey(rand.Reader)
@@ -289,9 +286,6 @@ func (e *Endpoint) gatherEvidence(challenge []byte) (*handshakeEvidence, error) 
 	}
 	e.priv = priv
 	pub := priv.PublicKey().Bytes()
-	nic := e.Monitor.Machine().Device(e.NIC)
-	nic.Acquire()
-	defer nic.Release()
 	if err := e.Monitor.SetReportData(e.Domain, e.Domain, tpm.Measure(pub)); err != nil {
 		return nil, err
 	}
@@ -480,14 +474,10 @@ func (c *Conn) SendOver(wire *Wire, from *Endpoint, plaintext []byte) ([]byte, e
 // domain writes it — capability-checked) and has the NIC DMA-read it
 // back out (IOMMU-checked) over frame, which then holds what the NIC put
 // on the wire. Every channel of a node runs over the same buffer and
-// NIC, so the two steps hold the NIC's queue: a frame staged by another
-// channel cannot land between them. transmit and receive never hold two
-// NICs at once, so concurrent transfers in opposite directions cannot
-// deadlock.
+// NIC; the two steps run back to back, so a frame staged by another
+// channel cannot land between them.
 func (e *Endpoint) transmit(frame []byte) error {
 	nic := e.Monitor.Machine().Device(e.NIC)
-	nic.Acquire()
-	defer nic.Release()
 	if err := e.Monitor.CopyInto(e.Domain, e.Buffer.Start, frame); err != nil {
 		return err
 	}
@@ -499,11 +489,9 @@ func (e *Endpoint) transmit(frame []byte) error {
 
 // receive has the NIC DMA-write rx into the endpoint's registered
 // buffer and raise an interrupt for the owning domain, which then reads
-// the frame back over rx — under the NIC's queue, like transmit.
+// the frame back over rx.
 func (e *Endpoint) receive(rx []byte) error {
 	nic := e.Monitor.Machine().Device(e.NIC)
-	nic.Acquire()
-	defer nic.Release()
 	if err := nic.DMAWrite(e.Buffer.Start, rx); err != nil {
 		return fmt.Errorf("dist: rx dma: %w", err)
 	}

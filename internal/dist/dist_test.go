@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -371,10 +370,10 @@ func TestOversizedMessageRejected(t *testing.T) {
 
 // Every channel of a node stages frames in the same registered buffer
 // and moves them with the same NIC (the fleet runs a migration transfer
-// and an rv digest ship through one agent at once). Two channels that
-// share machine A — one sending from it, one receiving into it — must
-// not see each other's frames. Run under -race: it also pins the NIC's
-// DMA counter.
+// and an rv digest ship through one agent, interleaved). Two channels
+// that share machine A — one sending from it, one receiving into it —
+// take turns, and must not see each other's frames; the NIC's DMA
+// counter is pinned too.
 func TestChannelsSharingOneNIC(t *testing.T) {
 	ma := buildMachine(t, nil)
 	mb := buildMachine(t, nil)
@@ -390,25 +389,19 @@ func TestChannelsSharingOneNIC(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 200
-	send := func(conn *Conn, from *Endpoint, msg []byte) error {
-		for i := 0; i < rounds; i++ {
-			got, err := conn.Send(from, msg)
-			if err != nil {
-				return fmt.Errorf("round %d: %w", i, err)
-			}
-			if !bytes.Equal(got, msg) {
-				return fmt.Errorf("round %d: received %d bytes, sent %d", i, len(got), len(msg))
-			}
+	send := func(i int, conn *Conn, from *Endpoint, msg []byte) {
+		got, err := conn.Send(from, msg)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
 		}
-		return nil
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("round %d: received %d bytes, sent %d", i, len(got), len(msg))
+		}
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- send(connAB, aToB, bytes.Repeat([]byte{0xa5}, 3000)) }()
-	go func() { errs <- send(connCA, cToA, bytes.Repeat([]byte{0x5a}, 700)) }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
+	ab, ca := bytes.Repeat([]byte{0xa5}, 3000), bytes.Repeat([]byte{0x5a}, 700)
+	for i := 0; i < rounds; i++ {
+		send(i, connAB, aToB, ab)
+		send(i, connCA, cToA, ca)
 	}
 	nic := ma.mon.Machine().Device(0)
 	if got := nic.DMACount(); got != 2*rounds {

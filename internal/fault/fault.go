@@ -7,20 +7,22 @@
 // Determinism model. Every fault carries a countdown (After) over the
 // events that match it. Core-targeted faults (machine checks, stalls)
 // count that core's own memory accesses, which are totally ordered by
-// the core's instruction stream even under SMP. Device-targeted faults
-// count the interrupt controller's raise/poll events, which are ordered
-// by its lock. Randomness exists only at plan-construction time
+// the core's instruction stream. Device-targeted faults count the
+// interrupt controller's raise/poll events, which are ordered by the one
+// goroutine driving the machine. Randomness exists only at plan-construction time
 // (FromSeed); at injection time the injector is a pure counter machine.
 //
 // Runtime Verification for Trustworthy Computing (PAPERS.md) motivates
 // the loop: inject, let the monitor contain, re-check every isolation
-// invariant, repeat — under the race detector.
+// invariant, repeat.
+//
+// An Injector belongs to one machine's world and, like it, is used by
+// one goroutine at a time; it holds no lock.
 package fault
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -131,11 +133,9 @@ type armed struct {
 	done uint64
 }
 
-// Injector implements hw.FaultInjector over a fixed schedule. It is
-// safe for concurrent use by all cores and devices; the determinism
-// contract is documented on the package.
+// Injector implements hw.FaultInjector over a fixed schedule; the
+// determinism contract is documented on the package.
 type Injector struct {
-	mu    sync.Mutex
 	armed []*armed
 	fired []Firing
 }
@@ -151,15 +151,11 @@ func NewInjector(faults ...Fault) *Injector {
 
 // Fired returns every firing so far, in firing order.
 func (in *Injector) Fired() []Firing {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return append([]Firing(nil), in.fired...)
 }
 
 // Exhausted reports whether every armed fault has fired its full count.
 func (in *Injector) Exhausted() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, af := range in.armed {
 		if af.done < af.f.count() {
 			return false
@@ -178,8 +174,6 @@ func (in *Injector) Arm(m *hw.Machine, t *tpm.TPM) {
 
 // OnAccess implements hw.FaultInjector for core-targeted faults.
 func (in *Injector) OnAccess(core phys.CoreID, a phys.Addr, want hw.Perm) hw.FaultAction {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	act := hw.FaultNone
 	for _, af := range in.armed {
 		if (af.f.Kind != MachineCheck && af.f.Kind != CoreStall) || af.f.Core != core {
@@ -204,8 +198,6 @@ func (in *Injector) OnAccess(core phys.CoreID, a phys.Addr, want hw.Perm) hw.Fau
 
 // OnRaiseIRQ implements hw.FaultInjector for dropped interrupts.
 func (in *Injector) OnRaiseIRQ(dev phys.DeviceID, vector uint32) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	drop := false
 	for _, af := range in.armed {
 		if af.f.Kind != DropIRQ || af.f.Device != dev {
@@ -226,8 +218,6 @@ func (in *Injector) OnRaiseIRQ(dev phys.DeviceID, vector uint32) bool {
 // Every controller poll counts as one matching event per armed
 // SpuriousIRQ fault; the first due fault delivers.
 func (in *Injector) TakeSpuriousIRQ() (hw.IRQ, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, af := range in.armed {
 		if af.f.Kind != SpuriousIRQ {
 			continue
@@ -247,8 +237,6 @@ func (in *Injector) TakeSpuriousIRQ() (hw.IRQ, bool) {
 // quote attempt counts as one matching event per armed QuoteFail fault.
 func (in *Injector) quoteHook() func() error {
 	return func() error {
-		in.mu.Lock()
-		defer in.mu.Unlock()
 		var err error
 		for _, af := range in.armed {
 			if af.f.Kind != QuoteFail {

@@ -99,7 +99,7 @@ func (f *Fleet) open(pc *pairChannel, src, dst *Node) (*dist.Conn, *dist.Endpoin
 //  1. Freeze: deregister the placement. Requests run to completion on
 //     the fleet's one thread, so none is in flight.
 //  2. Snapshot: capture the quiescent domain (memory, capability
-//     shape, entry config, parked vCPUs) under an epoch pin.
+//     shape, entry config, parked vCPUs).
 //  3. Ship: serialize and send over the channel. The payload is sealed
 //     to it (AEAD + transcript MAC), so a tampered frame surfaces as
 //     dist.ErrTampered and a dropped one as dist.ErrLinkLost before

@@ -6,14 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 )
 
-// The docs restate two facts of the code that change with it: the
-// monitor's lock order and the guest ABI's verb numbers. These tests
-// hold each restatement to its source.
+// The docs restate a fact of the code that changes with it: the guest
+// ABI's verb numbers. This test holds the restatement to its source.
 
 // readDoc returns a file under the repository root.
 func readDoc(t *testing.T, rel string) string {
@@ -23,38 +21,6 @@ func readDoc(t *testing.T, rel string) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// lockName matches a lock in a lock-order statement: revMu, hwMu,
-// coreSched.mu, Domain.mu, ...
-var lockName = regexp.MustCompile(`\b[A-Za-z]+(?:Mu|\.mu)\b`)
-
-// lockOrder returns the locks named from "Lock order" up to the leaf
-// capability-space lock, in order.
-func lockOrder(t *testing.T, where, text string) []string {
-	t.Helper()
-	i := strings.Index(text, "Lock order")
-	j := strings.Index(text[max(i, 0):], "capability-space lock")
-	if i < 0 || j < 0 {
-		t.Fatalf("%s states no lock order ending at the capability-space lock", where)
-	}
-	return lockName.FindAllString(text[i:i+j], -1)
-}
-
-// TestLockOrderDocMatchesCode: ARCHITECTURE §7's lock order names the
-// locks of the Lock order paragraph on core.Monitor, in the same order.
-func TestLockOrderDocMatchesCode(t *testing.T) {
-	var comment string
-	inspect(parseTree(t, false, "internal/core/monitor.go"), func(g goFile, n ast.Node) {
-		if d, ok := n.(*ast.GenDecl); ok && d.Tok == token.TYPE && d.Specs[0].(*ast.TypeSpec).Name.Name == "Monitor" {
-			comment = d.Doc.Text()
-		}
-	})
-	code := lockOrder(t, "core.Monitor's doc comment", comment)
-	doc := lockOrder(t, "docs/ARCHITECTURE.md", readDoc(t, "docs/ARCHITECTURE.md"))
-	if len(code) < 3 || !slices.Equal(doc, code) {
-		t.Errorf("ARCHITECTURE.md's lock order %v, the code's %v", doc, code)
-	}
 }
 
 // verbRow matches a row of docs/ABI.md's monitor-call table.

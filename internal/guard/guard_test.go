@@ -150,20 +150,66 @@ func TestBenchReadsNoClock(t *testing.T) {
 	}
 }
 
-// TestCapSpaceHasOneLock: the capability space is one RWMutex over plain
-// maps (ARCHITECTURE §7), with no second lock and no sync.Map.
-func TestCapSpaceHasOneLock(t *testing.T) {
-	locks := 0
-	inspect(parseTree(t, false, "internal/cap"), func(g goFile, n ast.Node) {
-		switch selector(n) {
-		case "sync.RWMutex":
-			locks++
-		case "sync.Map":
-			t.Errorf("%s: sync.Map; the space keeps plain maps under its one lock", g.at(n))
+// lockFree are the trees whose objects — the monitor, the machine, the
+// capability space, the backends, the tracer and checker, and the
+// per-machine attachments (runtime verification, the TPM, the fault
+// injector) — are used by one goroutine at a time and hold no lock.
+var lockFree = []string{"internal/core", "internal/cap", "internal/backend", "internal/hw",
+	"internal/trace", "internal/rv", "internal/tpm", "internal/fault"}
+
+// poolFile is the one lock-free file that may import sync: it declares
+// backend.scratchPool, a sync.Pool that separate worlds on separate
+// goroutines share, and names no other sync identifier.
+const poolFile = "internal/backend/backend.go"
+
+// heldLocks returns, for every non-test file of files, each import of
+// sync/atomic, and each import of sync outside poolFile or use of a sync
+// name other than sync.Pool in it.
+func heldLocks(files []goFile) (bad []string) {
+	for _, g := range files {
+		if g.imports("sync/atomic") {
+			bad = append(bad, g.rel+": imports sync/atomic")
 		}
-	})
-	if locks != 1 {
-		t.Errorf("internal/cap names sync.RWMutex %d times, want exactly 1", locks)
+		if !g.imports("sync") {
+			continue
+		}
+		if g.rel != poolFile {
+			bad = append(bad, g.rel+": imports sync")
+			continue
+		}
+		ast.Inspect(g.f, func(n ast.Node) bool {
+			if sel := selector(n); strings.HasPrefix(sel, "sync.") && sel != "sync.Pool" {
+				bad = append(bad, g.at(n)+": "+sel)
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// TestMonitorHoldsNoLock: no non-test file of the lock-free trees imports
+// sync or sync/atomic, but for the scratch pool's sync.Pool. The rule
+// sees a planted mutex, a planted atomic and a second sync name beside
+// the pool.
+func TestMonitorHoldsNoLock(t *testing.T) {
+	var files []goFile
+	for _, p := range lockFree {
+		files = append(files, parseTree(t, false, p)...)
+	}
+	if bad := heldLocks(files); len(bad) > 0 {
+		t.Errorf("a lock-free tree holds a lock: %v", bad)
+	}
+	for _, planted := range []goFile{
+		plant(t, "internal/cap/planted.go", "package cap\nimport \"sync\"\nvar mu sync.RWMutex"),
+		plant(t, "internal/hw/planted.go", "package hw\nimport \"sync/atomic\"\nvar n atomic.Uint64"),
+		plant(t, poolFile, "package backend\nimport \"sync\"\nvar scratchPool sync.Pool\nvar mu sync.Mutex"),
+	} {
+		if bad := heldLocks([]goFile{planted}); len(bad) != 1 {
+			t.Errorf("a planted lock in %s went unnoticed: %v", planted.rel, bad)
+		}
+	}
+	if bad := heldLocks([]goFile{plant(t, poolFile, "package backend\nimport \"sync\"\nvar scratchPool = sync.Pool{}")}); len(bad) != 0 {
+		t.Errorf("the scratch pool alone was flagged: %v", bad)
 	}
 }
 
@@ -262,9 +308,8 @@ func TestOneCarveOneDerivation(t *testing.T) {
 // TestCoreStartsNoGoroutine: RunCores steps every core on its caller's
 // goroutine, and fleet.Serve runs every request on its caller's
 // goroutine, so neither internal/core nor internal/fleet starts a
-// goroutine or waits for one. Cores run concurrently only where a
-// caller drives RunCore from several goroutines. The rule sees a
-// planted goroutine and a planted WaitGroup in internal/fleet.
+// goroutine or waits for one. The rule sees a planted goroutine and a
+// planted WaitGroup in internal/fleet.
 func TestCoreStartsNoGoroutine(t *testing.T) {
 	check := func(files []goFile) (bad []string) {
 		inspect(files, func(g goFile, n ast.Node) {
@@ -334,7 +379,10 @@ var mu sync.Mutex`)
 // names too, the exported entry points only tests reached (the owner
 // teardown beside DetachOwner, the refcount and device queries beside
 // RefCounts and OwnerDevices, the PMP writes beside Replace, the op
-// counter beside Generation) and those nothing called at all.
+// counter beside Generation) and those nothing called at all; and the
+// monitor's host-thread machinery — the epoch engine, its reader and
+// destructive entry brackets, the core, hardware, table, ring and
+// drain-error locks, and the epochbug mutation.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
@@ -345,7 +393,9 @@ var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShard
 	`tryAcquire|errDrainTimeout|allDead|recordBlackout|pairMu|cpMu|` +
 	`^(?:Sharded|ShardSink|ShardEvent|NewShardedN|ReplaySharded)$|` +
 	`^(?:RevokeOwner|RegionRefCount|OwnerHasDevice|Ops|Program|ClearEntry|MemoryEncryptionActive|BlackoutP99)$|` +
-	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$`)
+	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$|` +
+	`epochEngine|epochSlot|lockCores|unlockCores|hwMu|revMu|tabMu|ringMu|drainErrMu|EpochBugArmed|` +
+	`^(?:renter|rexit|denter|dexit)$`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it

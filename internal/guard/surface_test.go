@@ -26,7 +26,6 @@ var exportAllowed = map[string]string{
 	"hw.Core.ClearStall":         "the firmware reset of a stalled core: the embedder's recovery step, which the fault tests take",
 	"hw.Device.DMACount":         "a device's DMA count: dist's tests see channels share one NIC through it",
 	"hw.EPT.Mappings":            "an EPT's contents as runs: what backend's and core's tests compare a derived filter with",
-	"hw.IOMMU.ContextOf":         "the IOMMU's context entry for a device: core's tests read the filter a resync published",
 	"hw.Machine.PendingIRQs":     "the interrupt controller's queue depth: the IRQ tests of core, dist and fault read it",
 
 	"core.Domain.Log": "the read side of the LOG hypercall, a guest's only output: core's and libtyche's tests check what a guest ran",

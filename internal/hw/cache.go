@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -23,17 +22,11 @@ const DefaultCacheLines = 512
 //
 // The model is direct-mapped by line index with tags, which is enough to
 // produce real conflict-eviction behaviour for prime+probe.
-//
-// The cache belongs to one core, but the monitor's flush-on-transition
-// cleanups flush other cores' caches (the simulated IPI), so each set
-// is one atomic word: an access is a load, a compare and, on a miss, a
-// store; a flush swaps each occupied set to empty. An access that races
-// a flush lands before or after it, set by set, as on hardware.
 type Cache struct {
-	lines []atomic.Uint64 // resident line tag per set, 0 = empty (tag is addr/64+1)
-	mask  uint64          // len(lines)-1: the set of a line is its low bits
+	lines []uint64 // resident line tag per set, 0 = empty (tag is addr/64+1)
+	mask  uint64   // len(lines)-1: the set of a line is its low bits
 
-	hits, misses, flushedLines atomic.Uint64
+	hits, misses, flushedLines uint64
 }
 
 // NewCache returns a cache with n line slots; n <= 0 selects
@@ -47,22 +40,22 @@ func NewCache(n int) *Cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("hw: cache of %d lines: the line count must be a power of two", n))
 	}
-	return &Cache{lines: make([]atomic.Uint64, n), mask: uint64(n - 1)}
+	return &Cache{lines: make([]uint64, n), mask: uint64(n - 1)}
 }
 
-func (c *Cache) slot(a phys.Addr) (set *atomic.Uint64, tag uint64) {
+func (c *Cache) slot(a phys.Addr) (set *uint64, tag uint64) {
 	line := uint64(a) / CacheLineSize
 	return &c.lines[line&c.mask], line + 1
 }
 
 // touch makes a's line resident, returning true if it already was. The
-// owning core counts the outcome itself (see Core.publish).
+// owning core counts the outcome itself, into hits or misses.
 func (c *Cache) touch(a phys.Addr) bool {
 	set, tag := c.slot(a)
-	if set.Load() == tag {
+	if *set == tag {
 		return true
 	}
-	set.Store(tag)
+	*set = tag
 	return false
 }
 
@@ -70,7 +63,7 @@ func (c *Cache) touch(a phys.Addr) bool {
 // attacker's measurement primitive.
 func (c *Cache) Probe(a phys.Addr) bool {
 	set, tag := c.slot(a)
-	return set.Load() == tag
+	return *set == tag
 }
 
 // Flush invalidates the whole cache and returns the number of lines it
@@ -78,10 +71,11 @@ func (c *Cache) Probe(a phys.Addr) bool {
 func (c *Cache) Flush() uint64 {
 	var n uint64
 	for i := range c.lines {
-		if c.lines[i].Load() != 0 && c.lines[i].Swap(0) != 0 {
+		if c.lines[i] != 0 {
+			c.lines[i] = 0
 			n++
 		}
 	}
-	c.flushedLines.Add(n)
+	c.flushedLines += n
 	return n
 }

@@ -13,9 +13,12 @@
 // the monitor's enforcement behaviour and the relative performance shape
 // of its mechanisms (VMFUNC vs VM-exit vs context switch, PMP slot
 // pressure, cache-flush revocation policies) are preserved.
+//
+// A Machine — its memory, cores, filters, IOMMU, devices and clock — is
+// used by one goroutine at a time and holds no lock. Several cores are
+// stepped on that one goroutine, interleaved in simulated time;
+// separate machines share nothing and may run on separate goroutines.
 package hw
-
-import "sync/atomic"
 
 // CostModel holds the cycle costs charged for simulated hardware events.
 // The defaults are drawn from published measurements on contemporary
@@ -103,33 +106,27 @@ func DefaultCostModel() CostModel {
 }
 
 // Clock is a cycle counter. The machine's global clock aggregates one
-// shard per core so that concurrently running cores never contend on a
-// single counter: each core advances only its own shard, the monitor
+// shard per core: each core advances only its own shard, the monitor
 // and devices advance the global counter, and Cycles sums them all.
-// Counters are atomic so aggregate reads are safe while cores run; a
-// core adds what a Run charged when the Run returns (Core.publish), so
-// a read taken while cores run lags by their Runs in flight.
 type Clock struct {
-	cycles atomic.Uint64
-	// shards are per-core clocks registered at machine construction;
-	// the slice is immutable afterwards, so reads need no lock.
+	cycles uint64
+	// shards are per-core clocks registered at machine construction.
 	shards []*Clock
 }
 
 // Advance adds n cycles to the clock.
-func (c *Clock) Advance(n uint64) { c.cycles.Add(n) }
+func (c *Clock) Advance(n uint64) { c.cycles += n }
 
 // Cycles returns the cycles elapsed since machine construction or the
 // last Reset, summed across the clock and its shards.
 func (c *Clock) Cycles() uint64 {
-	total := c.cycles.Load()
+	total := c.cycles
 	for _, s := range c.shards {
-		total += s.cycles.Load()
+		total += s.cycles
 	}
 	return total
 }
 
 // AddShard registers s so its cycles count toward c's total. Only the
-// machine constructor calls this; shards must not be added while cores
-// run.
+// machine constructor calls this.
 func (c *Clock) AddShard(s *Clock) { c.shards = append(c.shards, s) }

@@ -2,8 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -114,18 +112,7 @@ type Context struct {
 	SavedRing Ring
 }
 
-// Core is one simulated CPU core. Architectural state (Regs, PC, Ring,
-// the MRU translation cache, the decoded-page cache, the timer, the
-// pending counters) belongs to the goroutine driving the core and is
-// plain memory: a retired instruction touches nothing another goroutine
-// writes except through one atomic load each of the stall and halt
-// latches, the installed context, the fault injector, the filter
-// generation, the TLB flush count, the data-cache set and the fetched
-// page's write version — what the fast exit (hot) re-checks on every
-// fetch that stays on its page. State that other cores or the
-// monitor touch while this core runs (installed context, halt latch,
-// VMFUNC list, TLB, cache sets, published counters) is atomic or
-// internally locked.
+// Core is one simulated CPU core.
 type Core struct {
 	id   phys.CoreID
 	mach *Machine
@@ -141,22 +128,16 @@ type Core struct {
 	// backend; idle under the VT-x backend).
 	PMPUnit *PMP
 
-	ctx     atomic.Pointer[Context]
+	ctx     *Context
 	res     residency
 	tlb     *TLB
 	cache   *Cache
-	halted  atomic.Bool
-	stalled atomic.Bool
+	halted  bool
+	stalled bool
 
 	// clk is this core's clock shard: guest execution charges it, and
 	// the machine clock aggregates shards on read.
 	clk Clock
-
-	// pend holds what the instructions of the current Run (or Step) have
-	// charged and counted so far. publish adds it to clk, instrs and the
-	// TLB and cache statistics when Run or Step returns, so the hot path
-	// performs no atomic read-modify-write.
-	pend pending
 
 	// decoded caches instructions already fetched and validated, by
 	// page (see decodedPage). A slot is allocated the first time the core
@@ -168,21 +149,18 @@ type Core struct {
 	// fetch + a data page or two) skips the TLB map lookup entirely.
 	// Each way validates the filter generation and the TLB flush count,
 	// so a permission change or shootdown invalidates it implicitly.
-	// Only the driving goroutine touches it (hits/misses included).
 	mru mruSet
 
 	// vmfunc is the core's pre-registered fast-switch lists (the VMFUNC
 	// EPTP list, one per domain): guest code may switch only to a
-	// context the monitor installed here for the domain it runs in. The
-	// backend edits it cross-core on domain removal.
-	vmfuncMu sync.Mutex
-	vmfunc   map[vmfuncKey]*Context
+	// context the monitor installed here for the domain it runs in.
+	vmfunc map[vmfuncKey]*Context
 
 	timer      int
 	timerArmed bool
 
-	instrs atomic.Uint64
-	faults atomic.Uint64
+	instrs uint64
+	faults uint64
 }
 
 // MRUWays is the associativity of the per-core front-side translation
@@ -214,8 +192,7 @@ type mruSet struct {
 	next int
 	last int
 	// hits and misses tally front-side lookups (a miss that then hits
-	// the TLB still counts as an mru miss). Plain fields: only the
-	// goroutine driving the core writes them; read them quiescent.
+	// the TLB still counts as an mru miss).
 	hits, misses uint64
 }
 
@@ -262,9 +239,7 @@ type Translation struct {
 // AppendTranslations appends every translation the core can still use
 // without a walk: each valid TLB slot, and each MRU way the TLB has not
 // been flushed under since it was filled (a way is still only used
-// while its ASID is installed and its generation current). Call it
-// only while the core is quiescent: the MRU belongs to the goroutine
-// driving the core.
+// while its ASID is installed and its generation current).
 func (c *Core) AppendTranslations(dst []Translation) []Translation {
 	dst = c.tlb.appendSlots(dst)
 	flush := c.tlb.FlushCount()
@@ -277,8 +252,7 @@ func (c *Core) AppendTranslations(dst []Translation) []Translation {
 }
 
 // MRUStats returns the front-side translation cache's hit and miss
-// counts. Read it only while the core is quiescent (the counters belong
-// to the driving goroutine).
+// counts.
 func (c *Core) MRUStats() (hits, misses uint64) {
 	return c.mru.hits, c.mru.misses
 }
@@ -287,7 +261,7 @@ func (c *Core) MRUStats() (hits, misses uint64) {
 func (c *Core) ID() phys.CoreID { return c.id }
 
 // Context returns the installed execution context (nil if none).
-func (c *Core) Context() *Context { return c.ctx.Load() }
+func (c *Core) Context() *Context { return c.ctx }
 
 // TLBUnit exposes the core's TLB (for monitor flush operations and
 // tests).
@@ -296,38 +270,33 @@ func (c *Core) TLBUnit() *TLB { return c.tlb }
 // CacheUnit exposes the core's data cache.
 func (c *Core) CacheUnit() *Cache { return c.cache }
 
-// InstrCount returns the number of retired instructions. It is exact
-// whenever Run or Step has returned; read from another goroutine while
-// the core is inside a Run, it lags by what that Run has retired so far.
-func (c *Core) InstrCount() uint64 { return c.instrs.Load() }
+// InstrCount returns the number of retired instructions.
+func (c *Core) InstrCount() uint64 { return c.instrs }
 
 // ClearStall un-poisons a stalled core — the model of a firmware-level
 // core reset. The monitor only does this once the crashed domain's
 // state is fully contained.
-func (c *Core) ClearStall() { c.stalled.Store(false) }
+func (c *Core) ClearStall() { c.stalled = false }
 
 // Cycles returns the cycles this core's guest execution has consumed.
-// The machine clock already includes them in its total. Like InstrCount
-// it is exact at every Run and Step return and lags inside a Run.
+// The machine clock already includes them in its total.
 func (c *Core) Cycles() uint64 { return c.clk.Cycles() }
 
 // InstallContext binds ctx to the core, flushing the TLB (a full
 // context switch on untagged hardware invalidates cached translations),
 // so the core is resident for ctx's owner alone.
 func (c *Core) InstallContext(ctx *Context) {
-	c.ctx.Store(ctx)
-	c.res.mu.Lock()
+	c.ctx = ctx
 	c.tlb.Flush()
 	c.res.reset(ctx)
-	c.res.mu.Unlock()
 	c.mru.invalidate()
-	c.halted.Store(false)
+	c.halted = false
 }
 
 // ClearHalt resumes a halted core: the privileged software that just
 // reprogrammed the core's state (a kernel scheduling a process, the
 // monitor re-entering a domain) clears the halt latch.
-func (c *Core) ClearHalt() { c.halted.Store(false) }
+func (c *Core) ClearHalt() { c.halted = false }
 
 // vmfuncKey names index idx of the VMFUNC list in force while domain
 // from is installed.
@@ -337,8 +306,6 @@ type vmfuncKey struct{ from, idx uint64 }
 // list. Only the monitor's backend calls this; code running in from
 // can then switch to the view without an exit.
 func (c *Core) SetVMFuncEntry(from, idx uint64, ctx *Context) {
-	c.vmfuncMu.Lock()
-	defer c.vmfuncMu.Unlock()
 	if c.vmfunc == nil {
 		c.vmfunc = make(map[vmfuncKey]*Context)
 	}
@@ -348,8 +315,6 @@ func (c *Core) SetVMFuncEntry(from, idx uint64, ctx *Context) {
 // ClearVMFuncEntry removes owner from the VMFUNC lists: its own list
 // and its index in every other domain's.
 func (c *Core) ClearVMFuncEntry(owner uint64) {
-	c.vmfuncMu.Lock()
-	defer c.vmfuncMu.Unlock()
 	for k := range c.vmfunc {
 		if k.from == owner || k.idx == owner {
 			delete(c.vmfunc, k)
@@ -361,12 +326,10 @@ func (c *Core) ClearVMFuncEntry(owner uint64) {
 // what the guest instruction and the backend's monitor-driven fast
 // switch both consult, so the two obey one relation.
 func (c *Core) VMFuncEntry(idx uint64) (*Context, bool) {
-	cur := c.ctx.Load()
+	cur := c.ctx
 	if cur == nil {
 		return nil, false
 	}
-	c.vmfuncMu.Lock()
-	defer c.vmfuncMu.Unlock()
 	ctx, ok := c.vmfunc[vmfuncKey{cur.Owner, idx}]
 	return ctx, ok
 }
@@ -374,23 +337,17 @@ func (c *Core) VMFuncEntry(idx uint64) (*Context, bool) {
 // SwitchContextTagged binds ctx to the core without flushing the TLB,
 // relying on ASID tagging for correctness — the VMFUNC fast path. The
 // translations of the contexts loaded before stay, so the core becomes
-// resident for ctx's owner as well. The context is stored first: a
-// whole flush racing the switch then either sees ctx installed or
-// leaves the owner it adds here in place.
+// resident for ctx's owner as well.
 func (c *Core) SwitchContextTagged(ctx *Context) {
-	c.ctx.Store(ctx)
-	c.res.mu.Lock()
+	c.ctx = ctx
 	c.res.add(ctx.Owner)
-	c.res.mu.Unlock()
-	c.halted.Store(false)
+	c.halted = false
 }
 
 // residentFor reports whether the core may cache a translation of any
 // of domains: whether it loaded a context of one of them since its TLB
 // was last flushed whole.
 func (c *Core) residentFor(domains ...uint64) bool {
-	c.res.mu.Lock()
-	defer c.res.mu.Unlock()
 	for _, d := range domains {
 		if c.res.holds(d) {
 			return true
@@ -409,10 +366,8 @@ func (c *Core) invalidate(regions []phys.Region, full bool) {
 		}
 		return
 	}
-	c.res.mu.Lock()
 	c.tlb.Flush()
-	c.res.reset(c.ctx.Load())
-	c.res.mu.Unlock()
+	c.res.reset(c.ctx)
 }
 
 // residentSlots is how many domains a core's residency record names
@@ -424,10 +379,8 @@ const residentSlots = 8
 // hold a translation of one of them, so a shootdown round for other
 // domains need not interrupt the core. The record is a fixed array:
 // once more than residentSlots domains share a TLB it overflows and the
-// core counts as resident for every domain, which is safe. mu guards
-// it and orders a whole flush with the reset that follows it.
+// core counts as resident for every domain, which is safe.
 type residency struct {
-	mu   sync.Mutex
 	n    int // domains recorded; above residentSlots the record overflowed
 	doms [residentSlots]uint64
 }
@@ -477,30 +430,7 @@ func (c *Core) RestoreFrom(ctx *Context) {
 	c.Regs = ctx.SavedRegs
 	c.PC = ctx.SavedPC
 	c.Ring = ctx.SavedRing
-	c.halted.Store(false)
-}
-
-// pending is what a core has charged and counted since its counters
-// were last published.
-type pending struct {
-	cycles, instrs         uint64
-	tlbHits                uint64 // translations served by the MRU cache
-	cacheHits, cacheMisses uint64
-}
-
-// publish adds the pending figures to the counters other goroutines
-// and the trace clock read. Run and Step call it before they return
-// (Run before it traces the trap), so every value observed at a trap,
-// an IRQ route or a trace stamp is the one a per-instruction charge
-// would have produced.
-func (c *Core) publish() {
-	p := &c.pend
-	c.clk.Advance(p.cycles)
-	c.instrs.Add(p.instrs)
-	c.tlb.hits.Add(p.tlbHits)
-	c.cache.hits.Add(p.cacheHits)
-	c.cache.misses.Add(p.cacheMisses)
-	*p = pending{}
+	c.halted = false
 }
 
 // decodedSlots is the number of pages whose decoded instructions a core
@@ -521,12 +451,12 @@ const instrsPerPage = phys.PageSize / InstrSize
 // charged (by hot or access), so a slot needs no ASID, generation or
 // flush keying. Its content depends only on writes to the page, and
 // every write bumps the version (see PhysMem). vers points at that
-// counter, so a hit loads it without going through the machine. A new
+// counter, so a hit reads it without going through the machine. A new
 // slot's vers is nil, but the slot has no valid bit until fill keys it.
 type decodedPage struct {
 	page  uint64
 	ver   uint64
-	vers  *atomic.Uint64
+	vers  *uint64
 	valid [instrsPerPage / 64]uint64
 	ins   [instrsPerPage]Instr
 }
@@ -535,7 +465,7 @@ type decodedPage struct {
 // slot holds it at the page's current write version, or nil.
 func (s *decodedPage) word(pc phys.Addr) *Instr {
 	i := uint64(pc) % phys.PageSize / InstrSize
-	if s == nil || s.page != pc.Page() || s.valid[i/64]&(1<<(i%64)) == 0 || s.ver != s.vers.Load() {
+	if s == nil || s.page != pc.Page() || s.valid[i/64]&(1<<(i%64)) == 0 || s.ver != *s.vers {
 		return nil
 	}
 	return &s.ins[i]
@@ -569,21 +499,21 @@ func (c *Core) hot() *Instr {
 	if w.page != pg || !w.ok || w.perm&PermX == 0 || pc%InstrSize != 0 {
 		return nil
 	}
-	if c.stalled.Load() || c.halted.Load() {
+	if c.stalled || c.halted {
 		return nil
 	}
 	ins := c.decoded[pg%decodedSlots].word(pc)
 	if ins == nil {
 		return nil
 	}
-	ctx := c.ctx.Load()
+	ctx := c.ctx
 	if ctx == nil || w.asid != ctx.ASID {
 		return nil
 	}
 	if c.Ring != RingKernel && ctx.OSFilter != nil {
 		return nil
 	}
-	if c.mach.fault.Load() != nil || w.flush != c.tlb.FlushCount() {
+	if c.mach.fault != nil || w.flush != c.tlb.FlushCount() {
 		return nil
 	}
 	if w.gen != ctx.Filter.Generation() {
@@ -591,17 +521,16 @@ func (c *Core) hot() *Instr {
 	}
 	c.mru.hits++
 	cost := &c.mach.Cost
-	p := &c.pend
-	p.tlbHits++
-	// One addition to p.cycles, not access's two: consecutive fetches
+	c.tlb.hits++
+	// One addition to the clock, not access's two: consecutive fetches
 	// chain through it, so each extra read-modify-write lengthens every
 	// instruction.
 	if c.cache.touch(pc) {
-		p.cacheHits++
-		p.cycles += cost.TLBHit + cost.MemHit
+		c.cache.hits++
+		c.clk.cycles += cost.TLBHit + cost.MemHit
 	} else {
-		p.cacheMisses++
-		p.cycles += cost.TLBHit + cost.MemMiss
+		c.cache.misses++
+		c.clk.cycles += cost.TLBHit + cost.MemMiss
 	}
 	return ins
 }
@@ -609,23 +538,22 @@ func (c *Core) hot() *Instr {
 // access checks and charges one guest memory access of size bytes at a.
 // It returns a non-nil trap on denial.
 func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
-	ctx := c.ctx.Load()
+	ctx := c.ctx
 	if ctx == nil {
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "no context installed"}
 	}
 	if fi := c.mach.FaultInjector(); fi != nil {
 		switch fi.OnAccess(c.id, a, want) {
 		case FaultAbort:
-			c.faults.Add(1)
+			c.faults++
 			return &Trap{Kind: TrapMachineCheck, Addr: a, Want: want, PC: c.PC, Info: "injected machine check"}
 		case FaultStall:
-			c.faults.Add(1)
-			c.stalled.Store(true)
+			c.faults++
+			c.stalled = true
 			return &Trap{Kind: TrapMachineCheck, Addr: a, Want: want, PC: c.PC, Info: "core stalled"}
 		}
 	}
 	cost := &c.mach.Cost
-	p := &c.pend
 	// Bus bounds.
 	if uint64(a) >= c.mach.Mem.Size() || c.mach.Mem.Size()-uint64(a) < size {
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "bus error"}
@@ -635,7 +563,7 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 	// assembler and loaders keep data naturally aligned; anything else
 	// fails closed.
 	if uint64(a)%phys.PageSize+size > phys.PageSize {
-		c.faults.Add(1)
+		c.faults++
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "access straddles a page boundary"}
 	}
 	pg := a.Page()
@@ -643,41 +571,41 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 	var perm Perm
 	if mp, ok := c.mru.lookup(ctx.ASID, pg, gen, c.tlb.FlushCount()); ok {
 		perm = mp
-		p.tlbHits++
-		p.cycles += cost.TLBHit
+		c.tlb.hits++
+		c.clk.cycles += cost.TLBHit
 	} else {
 		var hit bool
 		perm, hit = c.tlb.Lookup(ctx.ASID, pg, gen)
 		if hit {
-			p.cycles += cost.TLBHit
+			c.clk.cycles += cost.TLBHit
 		} else {
 			walk := cost.PageWalk
 			if ctx.UsesEPT {
 				walk += cost.EPTWalk
 			}
-			p.cycles += walk
+			c.clk.cycles += walk
 			perm = ctx.Filter.Lookup(a)
 			c.tlb.Insert(ctx.ASID, pg, perm, gen)
 		}
 		c.mru.insert(ctx.ASID, pg, gen, c.tlb.FlushCount(), perm)
 	}
 	if !perm.Allows(want) {
-		c.faults.Add(1)
+		c.faults++
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC}
 	}
 	// First-level (OS) filter: enforced for user ring only; ring 0 in a
 	// commodity domain bypasses it — that is the monopoly the monitor's
 	// second-level filter above does NOT bypass.
 	if c.Ring != RingKernel && ctx.OSFilter != nil && !ctx.OSFilter.Check(a, want) {
-		c.faults.Add(1)
+		c.faults++
 		return &Trap{Kind: TrapFault, Addr: a, Want: want, PC: c.PC, Info: "first-level (OS) denial"}
 	}
 	if c.cache.touch(a) {
-		p.cacheHits++
-		p.cycles += cost.MemHit
+		c.cache.hits++
+		c.clk.cycles += cost.MemHit
 	} else {
-		p.cacheMisses++
-		p.cycles += cost.MemMiss
+		c.cache.misses++
+		c.clk.cycles += cost.MemMiss
 	}
 	return nil
 }
@@ -743,16 +671,16 @@ func illegalInfo(word [InstrSize]byte) string {
 	return err.Error()
 }
 
-// step executes one instruction without publishing the pending
-// counters. It reports whether the instruction retired with no exit
-// event; when it returns false, *t describes the event. The trap goes
-// through a pointer so that the retiring path moves no Trap around.
+// step executes one instruction. It reports whether the instruction
+// retired with no exit event; when it returns false, *t describes the
+// event. The trap goes through a pointer so that the retiring path
+// moves no Trap around.
 func (c *Core) step(t *Trap) bool {
-	if c.stalled.Load() {
+	if c.stalled {
 		*t = Trap{Kind: TrapMachineCheck, PC: c.PC, Info: "core stalled"}
 		return false
 	}
-	if c.halted.Load() {
+	if c.halted {
 		*t = Trap{Kind: TrapHalt, PC: c.PC}
 		return false
 	}
@@ -772,50 +700,49 @@ func (c *Core) step(t *Trap) bool {
 // through one; the fast exit passes its decoded slot's word directly.
 func (c *Core) exec(ins *Instr, t *Trap) bool {
 	cost := &c.mach.Cost
-	p := &c.pend
 	next := c.PC + InstrSize
 	r := &c.Regs
 	switch ins.Op {
 	case OpHlt:
-		c.halted.Store(true)
-		p.instrs++
+		c.halted = true
+		c.instrs++
 		*t = Trap{Kind: TrapHalt, PC: c.PC}
 		return false
 	case OpNop:
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpMovi:
 		r[ins.Rd] = uint64(ins.Imm)
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpMov:
 		r[ins.Rd] = r[ins.Rs1]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpAdd:
 		r[ins.Rd] = r[ins.Rs1] + r[ins.Rs2]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpSub:
 		r[ins.Rd] = r[ins.Rs1] - r[ins.Rs2]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpMul:
 		r[ins.Rd] = r[ins.Rs1] * r[ins.Rs2]
-		p.cycles += cost.ALUOp * 3
+		c.clk.cycles += cost.ALUOp * 3
 	case OpAnd:
 		r[ins.Rd] = r[ins.Rs1] & r[ins.Rs2]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpOr:
 		r[ins.Rd] = r[ins.Rs1] | r[ins.Rs2]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpXor:
 		r[ins.Rd] = r[ins.Rs1] ^ r[ins.Rs2]
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpShl:
 		r[ins.Rd] = r[ins.Rs1] << (r[ins.Rs2] & 63)
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpShr:
 		r[ins.Rd] = r[ins.Rs1] >> (r[ins.Rs2] & 63)
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpAddi:
 		r[ins.Rd] = r[ins.Rs1] + uint64(ins.Imm)
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpLd:
 		a := phys.Addr(r[ins.Rs1] + uint64(ins.Imm))
 		if ft := c.access(a, PermR, 8); ft != nil {
@@ -862,42 +789,42 @@ func (c *Core) exec(ins *Instr, t *Trap) bool {
 		}
 	case OpJmp:
 		next = phys.Addr(ins.Imm)
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpJz:
 		if r[ins.Rs1] == 0 {
 			next = phys.Addr(ins.Imm)
 		}
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpJnz:
 		if r[ins.Rs1] != 0 {
 			next = phys.Addr(ins.Imm)
 		}
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpJlt:
 		if r[ins.Rs1] < r[ins.Rs2] {
 			next = phys.Addr(ins.Imm)
 		}
-		p.cycles += cost.ALUOp
+		c.clk.cycles += cost.ALUOp
 	case OpVmfunc:
 		// The guest-level fast switch: no exit, tagged TLB survives.
 		// An index outside the monitor-installed list vm-exits on real
 		// hardware; we model it as a fault the run loop reports.
 		target, ok := c.VMFuncEntry(r[14])
 		if !ok {
-			c.faults.Add(1)
+			c.faults++
 			*t = Trap{Kind: TrapFault, Addr: c.PC, Want: PermX, PC: c.PC,
 				Info: fmt.Sprintf("vmfunc: index %d not registered", r[14])}
 			return false
 		}
-		p.cycles += cost.VMFunc
+		c.clk.cycles += cost.VMFunc
 		c.SwitchContextTagged(target)
 	case OpVmcall:
-		p.instrs++
+		c.instrs++
 		c.PC = next // resume after the call
 		*t = Trap{Kind: TrapVMCall, PC: c.PC - InstrSize}
 		return false
 	case OpSyscall:
-		p.instrs++
+		c.instrs++
 		c.PC = next
 		*t = Trap{Kind: TrapSyscall, PC: c.PC - InstrSize}
 		return false
@@ -905,7 +832,7 @@ func (c *Core) exec(ins *Instr, t *Trap) bool {
 		*t = Trap{Kind: TrapIllegal, PC: c.PC, Info: ins.Op.String()}
 		return false
 	}
-	p.instrs++
+	c.instrs++
 	c.PC = next
 	if c.tickTimer() {
 		*t = Trap{Kind: TrapTimer, PC: c.PC}
@@ -918,22 +845,21 @@ func (c *Core) exec(ins *Instr, t *Trap) bool {
 // It returns the number of retired instructions (the instruction that
 // raised a retiring trap — VMCALL, SYSCALL, HLT, timer — counts;
 // faulting instructions do not retire) and the trap (TrapNone when the
-// budget ran out). The core's counters are published once, when Run
-// returns and before the trap is traced. Each fetch tries the fast exit
+// budget ran out). Each fetch tries the fast exit
 // (hot) here rather than inside step, so the common instruction costs
 // one call before exec, not three.
 func (c *Core) Run(maxInstrs int) (int, Trap) {
 	var t Trap
 	running := true
-	for running && int(c.pend.instrs) < maxInstrs {
+	start := c.instrs
+	for running && int(c.instrs-start) < maxInstrs {
 		if ins := c.hot(); ins != nil {
 			running = c.exec(ins, &t)
 		} else {
 			running = c.step(&t)
 		}
 	}
-	n := int(c.pend.instrs)
-	c.publish()
+	n := int(c.instrs - start)
 	if running {
 		return n, Trap{Kind: TrapNone, PC: c.PC}
 	}
@@ -944,12 +870,12 @@ func (c *Core) Run(maxInstrs int) (int, Trap) {
 // traceTrap emits the guest-exit event for a trap ending a Run. Budget
 // exhaustion (TrapNone) is not a trap and is not traced.
 func (c *Core) traceTrap(t Trap) {
-	tr := c.mach.tracer.Load()
+	tr := c.mach.tracer
 	if tr == nil {
 		return
 	}
 	var owner uint64
-	if ctx := c.ctx.Load(); ctx != nil {
+	if ctx := c.ctx; ctx != nil {
 		owner = uint64(ctx.Owner)
 	}
 	tr.Emit(int32(c.id), trace.KTrap, owner, uint64(t.Kind), uint64(t.PC), uint64(t.Addr), 0)

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -17,31 +15,20 @@ import (
 // access filter (§3.3: "memory virtualization provides a second level of
 // page tables to enforce memory access control at page granularity").
 //
-// The contents are an immutable extent table: disjoint runs of
-// identically permissioned pages, sorted by address, adjacent equal runs
-// merged, no empty or PermNone run. Cores walk the table while the
-// monitor reprograms it on another core, so the publish discipline is:
-//
-//   - readers load the table pointer once and binary-search it — no lock,
-//     and a table never changes after it is published;
-//   - a writer builds the next table off to the side, publishes it with
-//     one pointer store, and only then bumps the generation once. A
-//     reader therefore sees the old filter or the new one, never a
-//     half-built one, and a new generation implies the new table;
-//   - a Replace diffs its scope's next runs against the published table
-//     there and reports the changed extents, which are all a resync pays
-//     for and traces; one whose runs equal the published ones stores
-//     nothing and reports nothing: same filter, same pointer, generation
-//     still moves — a resync is a resync to everything keyed on the
-//     generation (TLB tags, contexts), whether or not it changed the
-//     filter.
-//
-// Writers (copy-on-write splices for Map/Unmap, scoped Replace and
-// Clear) are serialised by wmu; readers never take it.
+// The contents are an extent table: disjoint runs of identically
+// permissioned pages, sorted by address, adjacent equal runs merged, no
+// empty or PermNone run. A table never changes once installed: a write
+// splices the next table from the old one into a new slice (the old one
+// is what it reads from), installs it, and bumps the generation once. A
+// Replace diffs its scope's next runs against the installed table there
+// and reports the changed extents, which are all a resync pays for and
+// traces; one whose runs equal the installed ones installs nothing and
+// reports nothing: same filter, generation still moves — a resync is a
+// resync to everything keyed on the generation (TLB tags, contexts),
+// whether or not it changed the filter.
 type EPT struct {
-	wmu sync.Mutex
-	tab atomic.Pointer[[]EPTMapping]
-	gen atomic.Uint64
+	tab []EPTMapping
+	gen uint64
 }
 
 // EPTMapping is one contiguous run of identically permissioned pages.
@@ -55,18 +42,10 @@ func (m EPTMapping) String() string { return fmt.Sprintf("%v %v", m.Region, m.Pe
 // NewEPT returns an empty EPT denying all access.
 func NewEPT() *EPT { return &EPT{} }
 
-func (e *EPT) runs() []EPTMapping {
-	if t := e.tab.Load(); t != nil {
-		return *t
-	}
-	return nil
-}
-
-// publish makes runs the live table: one store, then one generation
-// bump (wmu held).
-func (e *EPT) publish(runs []EPTMapping) {
-	e.tab.Store(&runs)
-	e.gen.Add(1)
+// install makes runs the live table and bumps the generation.
+func (e *EPT) install(runs []EPTMapping) {
+	e.tab = runs
+	e.gen++
 }
 
 // Check implements AccessFilter.
@@ -76,7 +55,7 @@ func (e *EPT) Check(a phys.Addr, want Perm) bool {
 
 // Lookup implements AccessFilter: a binary search for the run holding a.
 func (e *EPT) Lookup(a phys.Addr) Perm {
-	runs := e.runs()
+	runs := e.tab
 	lo, hi := 0, len(runs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -93,7 +72,7 @@ func (e *EPT) Lookup(a phys.Addr) Perm {
 }
 
 // Generation implements AccessFilter.
-func (e *EPT) Generation() uint64 { return e.gen.Load() }
+func (e *EPT) Generation() uint64 { return e.gen }
 
 // appendRun appends m to a table under construction, extending the last
 // run instead when m continues it with the same permission.
@@ -111,26 +90,22 @@ func (e *EPT) Map(r phys.Region, p Perm) error {
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("hw: ept map: %w", err)
 	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	old := e.runs()
-	e.publish(Splice(make([]EPTMapping, 0, len(old)+2), old, r, []EPTMapping{{Region: r, Perm: p}}))
+	e.install(Splice(make([]EPTMapping, 0, len(e.tab)+2), e.tab, r, []EPTMapping{{Region: r, Perm: p}}))
 	return nil
 }
 
 // Unmap removes all permissions for region r.
 func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 
-// Replace publishes, in one step, the table with every page of scope
-// set to what runs gives it and every page outside scope as it was: no
-// reader can observe a mix of the old and the new filter. A whole-table
+// Replace installs, in one step, the table with every page of scope
+// set to what runs gives it and every page outside scope as it was. A whole-table
 // rebuild is the scope phys.AllMemory. scope must be page-aligned; runs
 // must be page-aligned, non-empty, sorted by address, disjoint and
 // inside scope; otherwise Replace returns an error and leaves the table
 // and the generation unchanged. PermNone runs are dropped and adjacent
 // equal-permission runs merged.
 //
-// Replace diffs the scope's new runs against the published table there
+// Replace diffs the scope's new runs against the installed table there
 // and returns what the rebuild writes: every maximal extent of pages
 // whose permission differs, with its new permission (PermNone for pages
 // no longer mapped), in address order. The extents reuse buf's storage,
@@ -159,16 +134,13 @@ func (e *EPT) Replace(scope phys.Region, runs, buf []EPTMapping) (changed []EPTM
 			in = appendRun(in, m)
 		}
 	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	old := e.runs()
-	changed = clipRuns(diffRuns(overlapping(old, scope), in, buf[:0]), scope)
+	changed = clipRuns(diffRuns(overlapping(e.tab, scope), in, buf[:0]), scope)
 	if len(changed) == 0 {
-		e.gen.Add(1)
+		e.gen++
 		return changed, nil
 	}
 	var tab [32]EPTMapping // larger tables spill to the heap
-	e.publish(slices.Clone(Splice(tab[:0], old, scope, in)))
+	e.install(slices.Clone(Splice(tab[:0], e.tab, scope, in)))
 	return changed, nil
 }
 
@@ -178,7 +150,7 @@ func (e *EPT) Replace(scope phys.Region, runs, buf []EPTMapping) (changed []EPTM
 // scope (the one straddling its end cut there), adjacent equal runs
 // merged. runs must be canonical; in must be sorted, disjoint and
 // inside scope. It is the one splice over extent tables: Map and
-// Replace publish with it, and the pmp backend installs a scoped
+// Replace install with it, and the pmp backend installs a scoped
 // rebuild's layout with it.
 func Splice(dst, runs []EPTMapping, scope phys.Region, in []EPTMapping) []EPTMapping {
 	i := 0
@@ -274,19 +246,14 @@ func stretch(runs []EPTMapping, i int, at phys.Addr) (Perm, phys.Addr) {
 }
 
 // Clear removes every mapping.
-func (e *EPT) Clear() {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	e.publish(nil)
-}
+func (e *EPT) Clear() { e.install(nil) }
 
 // Mappings returns the EPT contents as maximal runs of identically
 // permissioned pages, in address order. Used for attestation enumeration
 // and debugging dumps.
 func (e *EPT) Mappings() []EPTMapping {
-	runs := e.runs()
-	if len(runs) == 0 {
+	if len(e.tab) == 0 {
 		return nil
 	}
-	return append([]EPTMapping(nil), runs...)
+	return append([]EPTMapping(nil), e.tab...)
 }

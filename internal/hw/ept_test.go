@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -218,7 +216,7 @@ func runEPTOps(t *testing.T, data []byte) {
 				runs = append(runs, EPTMapping{Region: region(data[0], data[1]), Perm: Perm(data[2]) & PermRWX})
 				data = data[3:]
 			}
-			before, held := m.pages, e.tab.Load() // an accepted replace gives the model a new map
+			before, held := m.pages, e.tab // an accepted replace gives the model a new map
 			ext, err := e.Replace(scope, runs, buf)
 			buf = ext
 			changed = m.replace(scope, runs)
@@ -228,7 +226,7 @@ func runEPTOps(t *testing.T, data []byte) {
 			if want := m.diff(before); changed && !slices.Equal(ext, want) {
 				t.Fatalf("step %d: Replace(%v, %v) reported %v, page-by-page difference %v", step, scope, runs, ext, want)
 			}
-			if len(ext) == 0 && e.tab.Load() != held {
+			if len(ext) == 0 && !sameTable(e.tab, held) {
 				t.Fatalf("step %d: Replace(%v, %v) reported no change but published a new table", step, scope, runs)
 			}
 		}
@@ -301,11 +299,11 @@ func TestEPTReplaceRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestEPTReplaceIsOnePublish: while one goroutine swaps the table between
-// two layouts that both map page 4, a reader of page 4 sees one layout's
-// permission or the other's — never the deny-all gap a Clear-then-Map
-// rebuild has between its two steps. Meaningful on two or more threads
-// and under -race.
+// TestEPTReplaceIsOnePublish: swapping the table between two layouts
+// that both map page 4 installs each whole in one step — one generation
+// bump per Replace, and page 4 reads that layout's permission after it,
+// never the deny-all gap a Clear-then-Map rebuild has between its two
+// steps.
 func TestEPTReplaceIsOnePublish(t *testing.T) {
 	page := func(pg uint64, n uint64, p Perm) EPTMapping {
 		return EPTMapping{Region: phys.MakeRegion(phys.Addr(pg<<phys.PageShift), n*phys.PageSize), Perm: p}
@@ -314,31 +312,27 @@ func TestEPTReplaceIsOnePublish(t *testing.T) {
 		{page(4, 1, PermRX), page(8, 8, PermRW)},
 		{page(0, 2, PermR), page(2, 4, PermRWX), page(20, 2, PermRW)},
 	}
+	want := [2]Perm{PermRX, PermRWX}
 	e := NewEPT()
-	if _, err := e.Replace(phys.AllMemory, layouts[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; !stop.Load(); i++ {
-			if _, err := e.Replace(phys.AllMemory, layouts[i%2], nil); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	const addr = 4 << phys.PageShift
-	for i := 0; i < 200000; i++ {
-		if p := e.Lookup(addr); p != PermRX && p != PermRWX {
-			t.Errorf("read %d: Lookup(%#x) = %v, a permission neither layout grants", i, addr, p)
-			break
+	for i := 0; i < 64; i++ {
+		gen := e.Generation()
+		if _, err := e.Replace(phys.AllMemory, layouts[i%2], nil); err != nil {
+			t.Fatal(err)
+		}
+		if e.Generation() != gen+1 {
+			t.Fatalf("replace %d moved the generation %d -> %d, want one bump", i, gen, e.Generation())
+		}
+		if p := e.Lookup(addr); p != want[i%2] {
+			t.Fatalf("replace %d: Lookup(%#x) = %v, want %v", i, addr, p, want[i%2])
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
+}
+
+// sameTable reports whether a and b are the same installed table (the
+// same backing array), not merely equal ones.
+func sameTable(a, b []EPTMapping) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestEPTReplaceEqualTable: same filter, same pointer, nothing reported,
@@ -356,12 +350,12 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	if ext, err := e.Replace(phys.AllMemory, scratch, nil); err != nil || !slices.Equal(ext, want) {
 		t.Fatalf("first Replace reported %v, err %v; want %v", ext, err, want)
 	}
-	held, gen := e.tab.Load(), e.Generation()
+	held, gen := e.tab, e.Generation()
 	if ext, err := e.Replace(phys.AllMemory, scratch, nil); err != nil || len(ext) != 0 {
 		t.Fatalf("an equal Replace reported %v, err %v; want nothing", ext, err)
 	}
-	if e.tab.Load() != held {
-		t.Error("an equal Replace published a new table")
+	if !sameTable(e.tab, held) {
+		t.Error("an equal Replace installed a new table")
 	}
 	if e.Generation() != gen+1 {
 		t.Errorf("an equal Replace moved the generation from %d to %d, want one bump", gen, e.Generation())
@@ -370,18 +364,18 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	if ext, err := e.Replace(phys.AllMemory, nil, nil); err != nil || !slices.Equal(ext, unmapped) {
 		t.Fatalf("emptying Replace reported %v, err %v; want %v", ext, err, unmapped)
 	}
-	empty := e.tab.Load()
+	empty := e.tab
 	if ext, err := e.Replace(phys.AllMemory, scratch[3:], nil); err != nil || len(ext) != 0 { // only a PermNone run: still empty
 		t.Fatalf("an empty Replace of an empty table reported %v, err %v", ext, err)
 	}
-	if e.tab.Load() != empty || e.Generation() != gen+3 || e.Mappings() != nil {
-		t.Errorf("an empty Replace of an empty table: pointer moved %v, generation %d (want %d), mappings %v",
-			e.tab.Load() != empty, e.Generation(), gen+3, e.Mappings())
+	if !sameTable(e.tab, empty) || e.Generation() != gen+3 || e.Mappings() != nil {
+		t.Errorf("an empty Replace of an empty table: table moved %v, generation %d (want %d), mappings %v",
+			!sameTable(e.tab, empty), e.Generation(), gen+3, e.Mappings())
 	}
 	if _, err := e.Replace(phys.AllMemory, scratch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.tab.Load() == held {
+	if sameTable(e.tab, held) {
 		t.Error("an unequal Replace reused a table it had retired")
 	}
 	for i := range scratch {
@@ -390,8 +384,8 @@ func TestEPTReplaceEqualTable(t *testing.T) {
 	if got := e.Mappings(); !reflect.DeepEqual(got, want) {
 		t.Errorf("table follows the caller's buffer: %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(*held, want) {
-		t.Errorf("the table a reader held across the Replaces changed: %v, want %v", *held, want)
+	if !reflect.DeepEqual(held, want) {
+		t.Errorf("the table a reader held across the Replaces changed: %v, want %v", held, want)
 	}
 	big := make([]EPTMapping, 100) // past the stack buffer
 	for i := range big {

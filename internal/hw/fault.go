@@ -11,10 +11,9 @@ import "github.com/tyche-sim/tyche/internal/phys"
 //
 // Determinism contract: hardware calls the injector at architecturally
 // ordered points. Per-core events (OnAccess) are ordered by that core's
-// own instruction stream, so a countdown over them replays exactly even
-// under SMP. Machine-wide events (IRQ raise/take) are ordered by the
-// interrupt controller's lock; they are deterministic on a single
-// runner and aggregate-deterministic under concurrent cores.
+// own instruction stream, so a countdown over them replays exactly.
+// Machine-wide events (IRQ raise/take) are ordered by the one goroutine
+// driving the machine.
 
 // FaultAction is the outcome of consulting the injector for one access.
 type FaultAction int
@@ -43,9 +42,8 @@ func (a FaultAction) String() string {
 	return "action(?)"
 }
 
-// FaultInjector is the hardware-facing fault hook. Implementations must
-// be safe for concurrent use: every core consults OnAccess, and devices
-// raise IRQs from arbitrary goroutines.
+// FaultInjector is the hardware-facing fault hook: every core consults
+// OnAccess, and the interrupt controller the other two.
 type FaultInjector interface {
 	// OnAccess is consulted before each guest memory access (including
 	// instruction fetch) on core. It returns the action to take.
@@ -59,20 +57,8 @@ type FaultInjector interface {
 }
 
 // SetFaultInjector installs (or, with nil, removes) the machine's fault
-// injector. Install before running cores; swapping mid-run is safe but
-// the handoff point is scheduler-dependent.
-func (m *Machine) SetFaultInjector(f FaultInjector) {
-	if f == nil {
-		m.fault.Store(nil)
-		return
-	}
-	m.fault.Store(&f)
-}
+// injector.
+func (m *Machine) SetFaultInjector(f FaultInjector) { m.fault = f }
 
 // FaultInjector returns the installed injector, or nil.
-func (m *Machine) FaultInjector() FaultInjector {
-	if p := m.fault.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (m *Machine) FaultInjector() FaultInjector { return m.fault }

@@ -10,9 +10,9 @@ import "github.com/tyche-sim/tyche/internal/phys"
 func (c *Cache) Touch(a phys.Addr) bool {
 	hit := c.touch(a)
 	if hit {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return hit
 }
@@ -21,7 +21,7 @@ func (c *Cache) Touch(a phys.Addr) bool {
 func (c *Cache) Resident() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].Load() != 0 {
+		if c.lines[i] != 0 {
 			n++
 		}
 	}
@@ -32,26 +32,26 @@ func (c *Cache) Resident() int {
 // its accesses when its Run or Step returns, so while it is inside a
 // Run hits and misses lag.
 func (c *Cache) Stats() (hits, misses, flushed uint64) {
-	return c.hits.Load(), c.misses.Load(), c.flushedLines.Load()
+	return c.hits, c.misses, c.flushedLines
 }
 
 // Reset zeroes the clock and all its shards.
 func (c *Clock) Reset() {
-	c.cycles.Store(0)
+	c.cycles = 0
 	for _, s := range c.shards {
-		s.cycles.Store(0)
+		s.cycles = 0
 	}
 }
 
 // FaultCount returns the number of access faults taken.
-func (c *Core) FaultCount() uint64 { return c.faults.Load() }
+func (c *Core) FaultCount() uint64 { return c.faults }
 
 // Halted reports whether the core executed HLT and was not resumed.
-func (c *Core) Halted() bool { return c.halted.Load() }
+func (c *Core) Halted() bool { return c.halted }
 
 // Stalled reports whether the core took an injected hard stall. A
 // stalled core raises TrapMachineCheck on every step until ClearStall.
-func (c *Core) Stalled() bool { return c.stalled.Load() }
+func (c *Core) Stalled() bool { return c.stalled }
 
 // Step executes a single instruction. It returns a trap describing any
 // exit event; Trap.Kind==TrapNone means the instruction retired and
@@ -63,13 +63,12 @@ func (c *Core) Step() Trap {
 	} else {
 		c.step(&t)
 	}
-	c.publish()
 	return t
 }
 
 // Stats returns check/denial counters.
 func (iu *IOMMU) Stats() (checks, denials uint64) {
-	return iu.checks.Load(), iu.denials.Load()
+	return iu.checks, iu.denials
 }
 
 // TimerArmed reports whether the timer is running.
@@ -92,8 +91,6 @@ func (m *MKTME) EncryptedPages() int { return len(m.pageKey) }
 
 // Len returns the number of cached entries.
 func (t *TLB) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for i := range t.slots[:t.hi] {
 		if t.slots[i].used {
@@ -106,7 +103,7 @@ func (t *TLB) Len() int {
 // MappedPages returns the number of pages with any permission.
 func (e *EPT) MappedPages() int {
 	var n uint64
-	for _, m := range e.runs() {
+	for _, m := range e.tab {
 		n += m.Region.Pages()
 	}
 	return int(n)
@@ -114,8 +111,6 @@ func (e *EPT) MappedPages() int {
 
 // FreeEntries returns how many entries are unprogrammed.
 func (p *PMP) FreeEntries() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	free := 0
 	for _, e := range p.entries {
 		if !e.used {
@@ -127,8 +122,6 @@ func (p *PMP) FreeEntries() int {
 
 // Entries returns a copy of the register file for inspection.
 func (p *PMP) Entries() []PMPEntry {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	out := make([]PMPEntry, len(p.entries))
 	copy(out, p.entries)
 	return out

@@ -3,8 +3,6 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -12,19 +10,18 @@ import (
 )
 
 // The interpreter's oracle. refStep is the fetch the core performed
-// before it had a decoded-page cache — the checked access, a locked read
-// of the bytes, a Decode — followed by the same exec the core runs, so
+// before it had a decoded-page cache — the checked access, a read of
+// the bytes, a Decode — followed by the same exec the core runs, so
 // the two can differ only in what the cache changed. The tests below run
 // both on identical machines and compare everything observable.
 
 // refStep executes one instruction on c through the uncached fetch.
 func refStep(c *Core) Trap {
 	var t Trap
-	defer c.publish()
-	if c.stalled.Load() {
+	if c.stalled {
 		return Trap{Kind: TrapMachineCheck, PC: c.PC, Info: "core stalled"}
 	}
-	if c.halted.Load() {
+	if c.halted {
 		return Trap{Kind: TrapHalt, PC: c.PC}
 	}
 	if ft := c.access(c.PC, PermX, InstrSize); ft != nil {
@@ -569,12 +566,10 @@ func loadSpin(t *testing.T, m *Machine) {
 }
 
 // TestRunObservesPublishedWrites: a core spinning through Run after Run
-// in its own goroutine executes from its decoded-page cache; a write to
-// the loop's exit instruction from the test's goroutine — through the
-// CPU-side store path, through DMA, and through the scrub path — must
-// be executed by every Run that starts after the write returned. The
-// runner tells the test, over a channel, that a Run has started after
-// the test asked; that Run must not complete its budget.
+// executes from its decoded-page cache; a write to the loop's exit
+// instruction between two Runs — through the CPU-side store path,
+// through DMA, and through the scrub path — must be executed by the
+// next Run, which therefore does not complete its budget.
 func TestRunObservesPublishedWrites(t *testing.T) {
 	hlt := binary.LittleEndian.Uint64(fzEnc(Instr{Op: OpHlt}))
 	writes := []struct {
@@ -593,56 +588,25 @@ func TestRunObservesPublishedWrites(t *testing.T) {
 			f := newFzMachine(t, true)
 			loadSpin(t, f.m)
 			const budget = 64
-			written := make(chan struct{}) // closed once the write has returned
-			type result struct {
-				after bool // this Run started after written was closed
-				n     int
-				trap  Trap
-			}
-			results := make(chan result, 1)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					after := false
-					select {
-					case <-written:
-						after = true
-					default:
-					}
-					n, trap := f.c.Run(budget)
-					if after || trap.Kind != TrapNone {
-						results <- result{after, n, trap}
-						return
-					}
-					runtime.Gosched()
-				}
-			}()
 			// Let the loop get hot in the cache before rewriting it.
-			for f.c.InstrCount() < 10*budget {
-				runtime.Gosched()
+			for range 10 {
+				if n, trap := f.c.Run(budget); n != budget || trap.Kind != TrapNone {
+					t.Fatalf("warm-up run retired %d, trap %v", n, trap)
+				}
 			}
 			if err := w.do(f.m); err != nil {
-				t.Error(err)
+				t.Fatal(err)
 			}
-			close(written)
-			r := <-results
-			wg.Wait()
-			// Either the Run in flight during the write already saw it, or
-			// the first Run to start afterwards did; in both cases the
-			// core stopped on the new instruction.
-			if r.trap.Kind != w.want {
-				t.Fatalf("run (started after the write: %v) retired %d and returned %v, want %v",
-					r.after, r.n, r.trap, w.want)
+			n, trap := f.c.Run(budget)
+			if trap.Kind != w.want {
+				t.Fatalf("run after the write retired %d and returned %v, want %v", n, trap, w.want)
 			}
 		})
 	}
 }
 
-// TestFlushDuringRun: the monitor's cross-core cleanups flush a running
-// core's cache and TLB. There must be no data race, every line a Flush
-// reports is one it cleared (so CacheFlushLine charges stay exact: what
+// TestFlushDuringRun: the monitor's cleanups flush a core's cache and
+// TLB between its Runs. Every line a Flush reports is one it cleared (so CacheFlushLine charges stay exact: what
 // the flushes report plus what is left resident equals what the misses
 // made resident), and the core's execution is unaffected.
 func TestFlushDuringRun(t *testing.T) {
@@ -654,33 +618,17 @@ func TestFlushDuringRun(t *testing.T) {
 	if err := f.m.Mem.WriteAt(fzCode, a.MustAssemble(fzCode)); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if n, trap := f.c.Run(256); n != 256 || trap.Kind != TrapNone {
-				t.Errorf("run retired %d, trap %v", n, trap)
-				return
-			}
-			runtime.Gosched()
-		}
-	}()
 	var cleared uint64
 	for i := 0; i < 200; i++ {
+		// Runs of varying length, so the flushes land at every point
+		// of the walk.
+		if n, trap := f.c.Run(97 + i); n != 97+i || trap.Kind != TrapNone {
+			t.Fatalf("run retired %d, trap %v", n, trap)
+		}
 		cleared += f.c.CacheUnit().Flush()
 		f.c.TLBUnit().Flush()
 		f.c.TLBUnit().FlushRegion(phys.MakeRegion(fzData, phys.PageSize))
-		runtime.Gosched()
 	}
-	close(stop)
-	wg.Wait()
 	cleared += f.c.CacheUnit().Flush()
 	_, misses, flushed := f.c.CacheUnit().Stats()
 	if flushed != cleared {

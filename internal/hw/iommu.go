@@ -2,8 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -17,16 +15,13 @@ import (
 // the IOMMU into deny-by-default and attaches per-device filters derived
 // from device capabilities (§3.3: "devices can be partitioned using
 // SR-IOV and isolated using I/O-MMUs").
-// Context entries are behind an RWMutex (DMA checks race with the
-// monitor attaching filters) and the counters are atomic.
 type IOMMU struct {
-	mu  sync.RWMutex
 	ctx map[phys.DeviceID]AccessFilter
 	// DefaultAllow admits DMA from devices with no context entry. The
-	// monitor flips it once at boot, before cores run.
+	// monitor flips it once at boot.
 	DefaultAllow bool
 
-	checks, denials atomic.Uint64
+	checks, denials uint64
 }
 
 // NewIOMMU returns an IOMMU with no context entries. allowByDefault
@@ -37,35 +32,28 @@ func NewIOMMU(allowByDefault bool) *IOMMU {
 
 // Attach installs f as the context entry for dev.
 func (iu *IOMMU) Attach(dev phys.DeviceID, f AccessFilter) {
-	iu.mu.Lock()
-	defer iu.mu.Unlock()
 	iu.ctx[dev] = f
 }
 
 // ContextOf returns dev's filter, or nil if none installed.
 func (iu *IOMMU) ContextOf(dev phys.DeviceID) AccessFilter {
-	iu.mu.RLock()
-	defer iu.mu.RUnlock()
 	return iu.ctx[dev]
 }
 
 // Check reports whether device dev may access address a with permission
 // want.
 func (iu *IOMMU) Check(dev phys.DeviceID, a phys.Addr, want Perm) bool {
-	iu.checks.Add(1)
-	iu.mu.RLock()
+	iu.checks++
 	f, ok := iu.ctx[dev]
-	allow := iu.DefaultAllow
-	iu.mu.RUnlock()
 	if !ok {
-		if allow {
+		if iu.DefaultAllow {
 			return true
 		}
-		iu.denials.Add(1)
+		iu.denials++
 		return false
 	}
 	if !f.Check(a, want) {
-		iu.denials.Add(1)
+		iu.denials++
 		return false
 	}
 	return true

@@ -29,8 +29,6 @@ func (m *Machine) RaiseIRQ(dev phys.DeviceID, vector uint32) {
 		return
 	}
 	m.Trace(trace.GlobalCore, trace.KIRQRaise, 0, uint64(dev), uint64(vector), 0, 0)
-	m.irqMu.Lock()
-	defer m.irqMu.Unlock()
 	m.irqs = append(m.irqs, IRQ{Device: dev, Vector: vector})
 }
 
@@ -43,8 +41,6 @@ func (m *Machine) TakeIRQ() (IRQ, bool) {
 			return irq, true
 		}
 	}
-	m.irqMu.Lock()
-	defer m.irqMu.Unlock()
 	if len(m.irqs) == 0 {
 		return IRQ{}, false
 	}
@@ -54,11 +50,7 @@ func (m *Machine) TakeIRQ() (IRQ, bool) {
 }
 
 // PendingIRQs returns the number of undelivered interrupts.
-func (m *Machine) PendingIRQs() int {
-	m.irqMu.Lock()
-	defer m.irqMu.Unlock()
-	return len(m.irqs)
-}
+func (m *Machine) PendingIRQs() int { return len(m.irqs) }
 
 // RaiseIRQ lets a device signal completion to its driver.
 func (d *Device) RaiseIRQ(vector uint32) { d.mach.RaiseIRQ(d.ID, vector) }

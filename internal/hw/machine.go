@@ -2,8 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -51,25 +49,19 @@ type Machine struct {
 	// encryption).
 	Crypto *MKTME
 
-	// irqs is the interrupt controller's pending queue; devices raise
-	// from any goroutine, so it is lock-protected.
-	irqMu sync.Mutex
-	irqs  []IRQ
+	// irqs is the interrupt controller's pending queue.
+	irqs []IRQ
 
-	// fault is the optional fault injector (see fault.go); read on every
-	// guest access, so it is an atomic pointer rather than a locked field.
-	fault atomic.Pointer[FaultInjector]
+	// fault is the optional fault injector (see fault.go).
+	fault FaultInjector
 
 	// tracer is the optional event trace (see trace.go in this package
-	// and internal/trace); checked on every emit site, so it is an
-	// atomic pointer like the fault injector.
-	tracer atomic.Pointer[trace.Tracer]
+	// and internal/trace).
+	tracer *trace.Tracer
 
 	// sdBatch, when non-nil, diverts shootdowns into a coalescing
 	// accumulator instead of running them immediately (see
-	// BeginShootdownBatch). Armed and drained only by the monitor while
-	// it holds its revocation mutex, which is also the only state every
-	// shootdown call site runs under — so a plain field suffices.
+	// BeginShootdownBatch).
 	sdBatch *shootdownBatch
 
 	// sdBatchCache is the accumulator sdBatch arms — cached on the
@@ -80,7 +72,7 @@ type Machine struct {
 	// ackSwallowed latches the seeded ackbug mutation (ack_bug.go) so
 	// exactly one shootdown round per machine loses core 0's ack. Dead
 	// weight in normal builds (ackDropOne is constant false).
-	ackSwallowed atomic.Bool
+	ackSwallowed bool
 }
 
 // NewMachine builds a machine from cfg.

@@ -282,7 +282,7 @@ func runPhysMemScript(t *testing.T, script []byte) {
 			}
 		}
 		for p := range vers {
-			if v := m.vers[p].Load(); v != vers[p] {
+			if v := m.vers[p]; v != vers[p] {
 				t.Fatalf("op %d %d at %v+%d: page %d at version %d, want %d", i, op, a, n, p, v, vers[p])
 			}
 			if (m.frames[p] != nil) != written[p] {

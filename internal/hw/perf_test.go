@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -170,9 +169,9 @@ func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMachineRunAll runs all four cores at once, one goroutine each:
-// every core executes its own sum loop, and per-core traps, registers,
-// and the aggregated machine clock must all come out right.
+// TestMachineRunAll runs all four cores, one after the other: every core
+// executes its own sum loop, and per-core traps, registers, and the
+// aggregated machine clock must all come out right.
 func TestMachineRunAll(t *testing.T) {
 	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 4})
 	if err != nil {
@@ -198,15 +197,9 @@ func TestMachineRunAll(t *testing.T) {
 		c.PC = base
 	}
 	traps := make([]Trap, len(m.Cores))
-	var wg sync.WaitGroup
 	for i, c := range m.Cores {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, traps[i] = c.Run(10000)
-		}()
+		_, traps[i] = c.Run(10000)
 	}
-	wg.Wait()
 	for i, trap := range traps {
 		if trap.Kind != TrapHalt {
 			t.Fatalf("core %d trap = %v, want halt", i, trap)

@@ -2,8 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 )
@@ -32,13 +30,9 @@ type PMPEntry struct {
 // calls out for the RISC-V backend: "PMP only supports a fixed number of
 // segments, which requires a careful memory layout of trust domains and
 // validation by the monitor" (§4).
-// The register file is behind an RWMutex because the PMP backend
-// reprograms *other* cores' units when a domain's footprint changes
-// while those cores may be executing guest code against them.
 type PMP struct {
-	mu      sync.RWMutex
 	entries []PMPEntry
-	gen     atomic.Uint64
+	gen     uint64
 }
 
 // NewPMP returns a PMP unit with n entries (n must be positive) using
@@ -58,22 +52,17 @@ func (p *PMP) Lock(i int) error {
 	if i < 0 || i >= len(p.entries) {
 		return fmt.Errorf("hw: pmp entry %d out of range", i)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.entries[i].used {
 		return fmt.Errorf("hw: cannot lock unprogrammed pmp entry %d", i)
 	}
 	p.entries[i].Locked = true
-	p.gen.Add(1)
+	p.gen++
 	return nil
 }
 
 // Replace makes segs the unit's whole unlocked contents in one step:
 // segs go to consecutive entries from index from and every other
-// unlocked entry is deprogrammed, under one write lock and one
-// generation bump. A core checking accesses against the unit on another
-// host thread therefore sees the old register file or the new one, never
-// a cleared or half-written one. Only entries whose contents differ are
+// unlocked entry is deprogrammed, with one generation bump. Only entries whose contents differ are
 // written; their indexes are returned in ascending order, reusing buf's
 // storage (callers charge PMPWrite per entry written). The generation
 // moves when the file held an unlocked entry or segs is non-empty,
@@ -81,8 +70,6 @@ func (p *PMP) Lock(i int) error {
 // locked, or a region is invalid or not encodable, Replace returns an
 // error and leaves the file and the generation unchanged.
 func (p *PMP) Replace(from int, segs []EPTMapping, buf []int) (wrote []int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if from < 0 || from+len(segs) > len(p.entries) {
 		return buf[:0], fmt.Errorf("hw: pmp entries %d..%d out of range (have %d)", from, from+len(segs)-1, len(p.entries))
 	}
@@ -112,7 +99,7 @@ func (p *PMP) Replace(from int, segs []EPTMapping, buf []int) (wrote []int, err 
 		}
 	}
 	if bump {
-		p.gen.Add(1)
+		p.gen++
 	}
 	return wrote, nil
 }
@@ -125,8 +112,6 @@ func (p *PMP) Check(a phys.Addr, want Perm) bool {
 
 // Lookup implements AccessFilter.
 func (p *PMP) Lookup(a phys.Addr) Perm {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, e := range p.entries {
 		if e.used && e.Region.Contains(a) {
 			return e.Perm
@@ -136,4 +121,4 @@ func (p *PMP) Lookup(a phys.Addr) Perm {
 }
 
 // Generation implements AccessFilter.
-func (p *PMP) Generation() uint64 { return p.gen.Load() }
+func (p *PMP) Generation() uint64 { return p.gen }

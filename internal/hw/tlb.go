@@ -1,11 +1,6 @@
 package hw
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"github.com/tyche-sim/tyche/internal/phys"
-)
+import "github.com/tyche-sim/tyche/internal/phys"
 
 // DefaultTLBEntries is the modelled TLB capacity per core.
 const DefaultTLBEntries = 64
@@ -33,25 +28,17 @@ const DefaultTLBEntries = 64
 // full 64-entry array costs what the map probe it replaced did
 // (BenchmarkTLBLookupHit, BenchmarkTLBInsertEvict).
 //
-// The TLB belongs to one core but is mutated cross-core by the
-// monitor's cleanup shootdowns (backend.RunCleanups flushes the TLB of
-// every core resident for the domain that lost access), so all
-// operations take an internal mutex; statistics
-// counters are atomic so they can be read while the core runs. The
-// owning core reaches the TLB only when its MRU translation cache
-// misses; hits the MRU serves are counted by the core and added to
-// hits when its Run or Step returns.
+// The owning core reaches the TLB only when its MRU translation cache
+// misses; the core counts the hits its MRU serves into hits itself.
 type TLB struct {
-	// Strict, when true, validates generation on every hit. Toggled
-	// only while the core is quiescent.
+	// Strict, when true, validates generation on every hit.
 	Strict bool
 
-	mu    sync.Mutex
 	slots []tlbSlot
 	hi    int // every slot at or above hi is free; only Flush lowers it
 	hand  int
 
-	hits, misses, flushes atomic.Uint64
+	hits, misses, flushes uint64
 }
 
 type tlbKey struct {
@@ -75,7 +62,7 @@ func NewTLB(capacity int) *TLB {
 	return &TLB{slots: make([]tlbSlot, capacity)}
 }
 
-// find returns the slot caching k, or nil (t.mu held).
+// find returns the slot caching k, or nil.
 func (t *TLB) find(k tlbKey) *tlbSlot {
 	for i := range t.slots[:t.hi] {
 		if s := &t.slots[i]; s.key == k && s.used {
@@ -89,33 +76,28 @@ func (t *TLB) find(k tlbKey) *tlbSlot {
 // filter generation gen. It returns the cached permission and whether it
 // was a hit. In non-strict mode a stale entry is still returned as a hit.
 func (t *TLB) Lookup(asid, pg uint64, gen uint64) (Perm, bool) {
-	t.mu.Lock()
 	s := t.find(tlbKey{asid, pg})
 	if s != nil && t.Strict && s.gen != gen {
 		*s, s = tlbSlot{}, nil
 	}
 	if s == nil {
-		t.mu.Unlock()
-		t.misses.Add(1)
+		t.misses++
 		return 0, false
 	}
 	s.ref = true
 	perm := s.perm
-	t.mu.Unlock()
-	t.hits.Add(1)
+	t.hits++
 	return perm, true
 }
 
 // FlushCount returns the number of flush operations so far. The core's
 // MRU translation cache keys on it to stay coherent with shootdowns.
-func (t *TLB) FlushCount() uint64 { return t.flushes.Load() }
+func (t *TLB) FlushCount() uint64 { return t.flushes }
 
 // Insert caches the decision for page pg of asid, evicting with the
 // clock hand if full.
 func (t *TLB) Insert(asid, pg uint64, perm Perm, gen uint64) {
 	k := tlbKey{asid, pg}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := t.find(k)
 	if s == nil {
 		s = t.reclaim()
@@ -142,39 +124,33 @@ func (t *TLB) reclaim() *tlbSlot {
 
 // Flush invalidates every entry on the core.
 func (t *TLB) Flush() {
-	t.mu.Lock()
 	clear(t.slots[:t.hi])
 	t.hi, t.hand = 0, 0
-	t.mu.Unlock()
-	t.flushes.Add(1)
+	t.flushes++
 }
 
 // FlushRegion invalidates entries covering r in every address space —
 // the shootdown a revocation triggers.
 func (t *TLB) FlushRegion(r phys.Region) {
 	first, end := r.Start.Page(), r.End.Page()
-	t.mu.Lock()
 	for i := range t.slots[:t.hi] {
 		if s := &t.slots[i]; s.used && s.key.page >= first && s.key.page < end {
 			*s = tlbSlot{}
 		}
 	}
-	t.mu.Unlock()
-	t.flushes.Add(1)
+	t.flushes++
 }
 
 // Stats returns hit/miss/flush counters. Hits include the translations
 // the owning core's MRUWays-way front-side cache served, so the ratio
-// describes the whole translation path; those are published when the
-// core's Run or Step returns, so while it is inside a Run hits lags.
+// describes the whole translation path; those are added when the core's
+// Run or Step returns.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
-	return t.hits.Load(), t.misses.Load(), t.flushes.Load()
+	return t.hits, t.misses, t.flushes
 }
 
 // appendSlots appends a Translation for every valid slot.
 func (t *TLB) appendSlots(dst []Translation) []Translation {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, s := range t.slots[:t.hi] {
 		if s.used {
 			dst = append(dst, Translation{ASID: s.key.asid, Page: s.key.page, Perm: s.perm, Gen: s.gen})

@@ -104,8 +104,6 @@ func (m *tlbModel) resident() map[tlbKey]tlbSlot {
 // cached twice.
 func (t *TLB) resident(tb testing.TB) map[tlbKey]tlbSlot {
 	tb.Helper()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make(map[tlbKey]tlbSlot)
 	for i, s := range t.slots {
 		if !s.used {

@@ -9,10 +9,10 @@ import (
 )
 
 // Event tracing hookup and the cross-core shootdown round. The machine
-// owns the tracer the same way it owns the fault injector: an atomic
-// pointer installed at run time, nil by default. Emit sites throughout
-// hw, core, and the backends call Machine.Trace, a single atomic load
-// and a nil check while no tracer is installed.
+// owns the tracer the same way it owns the fault injector: a field
+// installed at run time, nil by default. Emit sites throughout hw, core,
+// and the backends call Machine.Trace, a nil check while no tracer is
+// installed.
 //
 // Every shootdown — one region, a full flush, or a coalesced batch —
 // runs as one shootdownRound, the only emitter of KShootdown and the
@@ -23,16 +23,15 @@ import (
 // tracer. Installing emits the KBoot event that opens the trace and
 // tells checkers the core count.
 func (m *Machine) SetTracer(t *trace.Tracer) {
+	m.tracer = t
 	if t == nil {
-		m.tracer.Store(nil)
 		return
 	}
-	m.tracer.Store(t)
 	m.Trace(trace.GlobalCore, trace.KBoot, 0, 0, 0, 0, uint64(len(m.Cores)))
 }
 
 // Tracer returns the installed tracer, or nil.
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer.Load() }
+func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
 
 // NewTracer builds a tracer sized for this machine whose timestamps
 // read the machine's aggregate cycle clock. It is not installed;
@@ -43,7 +42,7 @@ func (m *Machine) NewTracer(perRing int) *trace.Tracer {
 
 // Trace emits one event if a tracer is installed.
 func (m *Machine) Trace(core int32, k trace.Kind, domain, aux, node, addr, size uint64) {
-	if t := m.tracer.Load(); t != nil {
+	if t := m.tracer; t != nil {
 		t.Emit(core, k, domain, aux, node, addr, size)
 	}
 }
@@ -88,9 +87,7 @@ func (m *Machine) ShootdownAll(domains ...uint64) {
 
 // BeginShootdownBatch arms shootdown coalescing: until the matching
 // EndShootdownBatch, ShootdownRegion/ShootdownAll only record what must
-// be invalidated and for whom. The caller must hold whatever lock
-// serialises all shootdown call sites (the monitor's revocation mutex);
-// batches do not nest.
+// be invalidated and for whom. Batches do not nest.
 func (m *Machine) BeginShootdownBatch() {
 	b := &m.sdBatchCache
 	b.regions = b.regions[:0]
@@ -172,7 +169,8 @@ func (m *Machine) shootdownRound(regions []phys.Region, full bool, domains []uin
 		}
 		c.invalidate(regions, full)
 		m.Clock.Advance(m.Cost.TLBFlush)
-		if ackDropOne && i == 0 && m.ackSwallowed.CompareAndSwap(false, true) {
+		if ackDropOne && i == 0 && !m.ackSwallowed {
+			m.ackSwallowed = true
 			// Seeded mutation (ackbug build tag): the flush ran but the
 			// acknowledgement is lost — the round completes short.
 			continue

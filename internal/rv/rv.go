@@ -9,9 +9,8 @@
 // one digest: the one for the merge that follows it, or the final one
 // Finalize ships.
 //
-// Cost model: with the service attached every emit takes the tracer's
-// sink mutex and, under it, the checker's mutex to step its engine;
-// a checkpoint copies the interval's structural events into the one
+// Cost model: with the service attached every emit steps the checker's
+// engine; a checkpoint copies the interval's structural events into the one
 // buffer it lends the digest. In steady state checking allocates
 // nothing for any event kind: the checker appends to a reused buffer,
 // and the engine recycles its frames and shootdown records. What
@@ -29,11 +28,12 @@
 // (trace/check property 6), the drain doorbell remains the service's
 // merge point, and the frames ride the digests' audit stream, so the
 // remote verifier's replay audits property 6 again on its own engine.
+//
+// A Service belongs to one machine's world and, like it, is used by one
+// goroutine at a time; it holds no lock.
 package rv
 
 import (
-	"sync"
-
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -60,7 +60,6 @@ type Service struct {
 	tr *trace.Tracer
 	ck *check.Checker
 
-	mu      sync.Mutex
 	db      *check.DigestBuilder
 	ship    func([]byte) error
 	shipErr error
@@ -98,18 +97,13 @@ func Attach(mach *hw.Machine, mon *core.Monitor, opts Options) (*Service, error)
 }
 
 // checkpoint is the monitor's quiescent-point hook: merge the checker
-// and, in shipping mode, emit the interval's digest. Merging under mu
-// keeps the chain in merge order when checkpoints race.
-func (s *Service) checkpoint() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.digestLocked(s.ck.Merge(), false)
-}
+// and, in shipping mode, emit the interval's digest.
+func (s *Service) checkpoint() { s.digest(s.ck.Merge(), false) }
 
-// digestLocked builds and ships one digest for a merge. Empty
+// digest builds and ships one digest for a merge. Empty
 // non-final intervals (no structural events, no new violations) are
 // skipped so checkpoint-dense runs don't flood the channel.
-func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
+func (s *Service) digest(rep check.MergeReport, isFinal bool) {
 	if s.ship == nil {
 		return
 	}
@@ -129,17 +123,14 @@ func (s *Service) digestLocked(rep check.MergeReport, isFinal bool) {
 // verdict: invariant violations, or else a latched digest-shipping
 // error.
 func (s *Service) Finalize() error {
-	s.mu.Lock()
 	if !s.final {
 		s.final = true
-		s.digestLocked(s.ck.End(), true)
+		s.digest(s.ck.End(), true)
 	}
-	shipErr := s.shipErr
-	s.mu.Unlock()
 	if err := s.ck.Err(); err != nil {
 		return err
 	}
-	return shipErr
+	return s.shipErr
 }
 
 // Checker exposes the checker (counts, verdicts).
@@ -149,8 +140,4 @@ func (s *Service) Checker() *check.Checker { return s.ck }
 func (s *Service) Tracer() *trace.Tracer { return s.tr }
 
 // Shipped returns how many digests have been emitted.
-func (s *Service) Shipped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shipped
-}
+func (s *Service) Shipped() uint64 { return s.shipped }

@@ -134,7 +134,7 @@ func TestShipErrorLatched(t *testing.T) {
 }
 
 // TestServiceParallelDrain audits the drain round end to end: a
-// two-ring round plus a shared-grace kill storm must verify clean
+// two-ring round plus a kill storm must verify clean
 // on-node, and the drain frames must reach the remote verifier in the
 // digests' audit stream and replay clean there.
 func TestServiceParallelDrain(t *testing.T) {

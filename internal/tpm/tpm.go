@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // NumPCRs is the number of platform configuration registers, matching
@@ -65,24 +64,16 @@ type TPM struct {
 
 	// quoteHook, when set, is consulted at the top of MakeQuote; a
 	// non-nil error aborts the quote. Fault injection uses it to model
-	// transient root-of-trust failures. Guarded by hookMu so concurrent
-	// quoting races neither the hook pointer nor its internal state.
-	hookMu    sync.Mutex
+	// transient root-of-trust failures.
 	quoteHook func() error
 }
 
 // SetQuoteHook installs (or, with nil, removes) a hook consulted before
-// every MakeQuote. The hook runs under the TPM's internal lock.
-func (t *TPM) SetQuoteHook(h func() error) {
-	t.hookMu.Lock()
-	defer t.hookMu.Unlock()
-	t.quoteHook = h
-}
+// every MakeQuote.
+func (t *TPM) SetQuoteHook(h func() error) { t.quoteHook = h }
 
 // checkQuoteHook runs the installed hook, if any.
 func (t *TPM) checkQuoteHook() error {
-	t.hookMu.Lock()
-	defer t.hookMu.Unlock()
 	if t.quoteHook == nil {
 		return nil
 	}

@@ -1,9 +1,8 @@
 // Package check is an online invariant checker over the monitor's
 // event trace. One engine evaluates the properties below, and one
 // Checker wraps it: attached to a trace.Tracer as a Sink it validates
-// the stream as it is produced — the tracer delivers every event under
-// its sink mutex, in Seq order, whatever the number of emitting host
-// threads — and Replay feeds it a previously captured trace instead.
+// the stream as it is produced — the tracer delivers every event in Seq
+// order — and Replay feeds it a previously captured trace instead.
 // Online, Merge closes an interval at the monitor's quiescent points:
 // it hands over the interval's structural events (the audit stream a
 // trace digest ships, see digest.go) and the violations no earlier
@@ -48,14 +47,17 @@
 //
 // Shootdown rounds are attributed to the innermost open frame that can
 // legitimately own one — a revoke/kill operation, a ring-drain batch,
-// or a drain round. Delegation frames never start rounds, so
-// a share/grant frame concurrently open on another core must not adopt
-// (and then fail) a round a destructive operation started.
+// or a drain round. Delegation frames never start rounds, so an open
+// share/grant frame must not adopt (and then fail) a round a
+// destructive operation started.
 //
 // Alongside the properties the checker tallies event-derived counters
 // (Counts) that tests compare against Monitor.Stats(): the two are
 // produced by independent code paths at the same commit points, so a
 // mismatch means an emit point or a stats update drifted.
+//
+// A Checker, like the tracer that feeds it, is used by one goroutine at
+// a time and holds no lock.
 package check
 
 import (
@@ -63,7 +65,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/phys"
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -268,11 +269,9 @@ func (c *engine) step(ev trace.Event) {
 			c.violate(ev, "operation end with no open operation")
 			break
 		}
-		// Frames carry a token in Node so interleaved operations match
-		// their own begin exactly: a delegation is a reader entry (an
-		// epoch pin, no lock), so callers on several host threads
-		// interleave its frame with others, and a kill nests revocations.
-		// Token 0 is the legacy form: strict LIFO.
+		// Frames carry a token in Node so each end matches its own begin
+		// exactly; a kill nests revocations. Token 0 is the legacy form:
+		// strict LIFO.
 		idx := len(c.frames) - 1
 		if ev.Node != 0 {
 			idx = -1
@@ -474,12 +473,9 @@ func (c *engine) round(ev trace.Event) *shootdown {
 
 // roundOwner returns the innermost open frame that can own a shootdown
 // round: a ring-drain batch, a drain round, or a destructive
-// (revoke/kill) operation. Delegation frames never start rounds — a
-// delegation is a reader entry, so when several host threads drive the
-// monitor its frame can be open while a destructive operation on
-// another thread starts a round, and attributing the round to whichever
-// frame opened last would blame an innocent share/grant for an ack
-// protocol it does not take part in.
+// (revoke/kill) operation. Delegation frames never start rounds, so a
+// round is never attributed to a share/grant, which takes no part in
+// the ack protocol.
 func (c *engine) roundOwner() *frame {
 	for i := len(c.frames) - 1; i >= 0; i-- {
 		f := c.frames[i]
@@ -532,12 +528,9 @@ func violationsErr(vs []Violation) error {
 	return fmt.Errorf("%s", msg)
 }
 
-// Checker validates the event stream online. It implements trace.Sink;
-// all methods are safe for concurrent use, so Merge and End may run on
-// any goroutine while the tracer delivers events.
+// Checker validates the event stream online. It implements trace.Sink.
 type Checker struct {
-	mu sync.Mutex
-	e  *engine
+	e *engine
 	// audit holds the structural events consumed since the last merge,
 	// at most MaxAuditEvents of them; dropped counts the ones past the
 	// cap, so a checker that is never merged stays bounded.
@@ -590,7 +583,6 @@ func structural(k trace.Kind) bool {
 
 // Event consumes one trace event (trace.Sink).
 func (c *Checker) Event(ev trace.Event) {
-	c.mu.Lock()
 	c.e.step(ev)
 	if structural(ev.Kind) {
 		if len(c.audit) < MaxAuditEvents {
@@ -599,7 +591,6 @@ func (c *Checker) Event(ev trace.Event) {
 			c.dropped++
 		}
 	}
-	c.mu.Unlock()
 }
 
 // Merge closes the interval since the last merge: it reports the
@@ -607,16 +598,14 @@ func (c *Checker) Event(ev trace.Event) {
 // the violations no earlier report carried. The events are copied into
 // the one buffer the report lends. After End it returns an empty report.
 func (c *Checker) Merge() MergeReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.ended {
 		return MergeReport{}
 	}
-	return c.mergeLocked()
+	return c.merge()
 }
 
-// mergeLocked is Merge with c.mu held.
-func (c *Checker) mergeLocked() MergeReport {
+// merge is Merge's body, End's final merge too.
+func (c *Checker) merge() MergeReport {
 	c.lent = append(c.lent[:0], c.audit...)
 	rep := MergeReport{Events: c.lent, Dropped: c.dropped}
 	if vs := c.e.violations[c.reported:]; len(vs) > 0 {
@@ -631,20 +620,16 @@ func (c *Checker) mergeLocked() MergeReport {
 // interval with them. Call once the run is quiescent. Idempotent:
 // later calls return an empty report.
 func (c *Checker) End() MergeReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.ended {
 		return MergeReport{}
 	}
 	c.ended = true
 	c.e.end()
-	return c.mergeLocked()
+	return c.merge()
 }
 
 // Violations returns every failure recorded so far.
 func (c *Checker) Violations() []Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]Violation(nil), c.e.violations...)
 }
 
@@ -657,7 +642,5 @@ func (c *Checker) Err() error {
 
 // Counts returns the event-derived statistics tally.
 func (c *Checker) Counts() Counts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.e.counts
 }

@@ -172,8 +172,8 @@ func (b *DigestBuilder) Build(rep MergeReport) []byte {
 // RemoteVerifier consumes a node's digest chain on another machine:
 // it checks chain integrity (hashes, links, interval continuity),
 // records the node's own verdicts, and independently replays the audit
-// stream through its own engine to catch divergence. Not safe for
-// concurrent use; one verifier per watched node.
+// stream through its own engine to catch divergence. One verifier per
+// watched node.
 type RemoteVerifier struct {
 	node      string
 	prevHash  string

@@ -3,7 +3,6 @@ package check
 import (
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/trace"
@@ -91,12 +90,11 @@ func TestCheckerAuditBounded(t *testing.T) {
 	}
 }
 
-// TestMergeDuringConcurrentEmit: four goroutines emit delegation frames
-// through one tracer — one of them kills a domain another keeps using —
-// while a fifth merges in a loop. Every structural event lands in
+// TestMergeDuringConcurrentEmit: four cores' delegation frames interleave
+// through one tracer — one core kills a domain another keeps using —
+// with a merge after every few events. Every structural event lands in
 // exactly one report, in Seq order, and the reports' violations and
-// End's verdict are Replay's over the tracer's events. `make rv` runs it
-// under the race detector ten times at 1, 2 and 4 host threads.
+// End's verdict are Replay's over the tracer's events.
 func TestMergeDuringConcurrentEmit(t *testing.T) {
 	const emitters, rounds = 4, 300 // fewer structural events than MaxAuditEvents: one interval holds them all
 	tr := trace.New(emitters, 8*rounds, nil)
@@ -110,39 +108,31 @@ func TestMergeDuringConcurrentEmit(t *testing.T) {
 		audited = append(audited, rep.Events...)
 		reported = append(reported, rep.NewViolations...)
 	}
-	stop, merged := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(merged)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// Each core's frame is one step of four events; the cores' frames
+	// overlap, each core's opening before the previous core's closes.
+	for i := range rounds {
+		for g := range emitters {
+			core := int32(g)
+			dom := uint64(10 + core)
+			tok := uint64(core)<<32 | uint64(i+1)
+			tr.Emit(core, trace.KVMCall, dom, 3, 0, 0, 0)
+			tr.Emit(core, trace.KOpBegin, dom, trace.OpShare, tok, 0, 0)
+			if g > 0 {
+				prev := uint64(core-1)<<32 | uint64(i+1)
+				tr.Emit(core-1, trace.KOpEnd, dom-1, trace.OpShare, prev, 0, 0)
+			}
+			tr.Emit(core, trace.KShare, dom, 2, tok, 0x1000, 4096)
+			if g == emitters-1 {
+				tr.Emit(core, trace.KOpEnd, dom, trace.OpShare, tok, 0, 0)
+			}
+			if core == 0 && i == rounds/2 {
+				tr.Emit(trace.GlobalCore, trace.KKill, 10+emitters-1, 0, 0, 0, 0)
+			}
+			if (i*emitters+g)%3 == 0 {
 				collect(ck.Merge())
 			}
 		}
-	}()
-	var wg sync.WaitGroup
-	for g := range emitters {
-		wg.Add(1)
-		go func(core int32) {
-			defer wg.Done()
-			dom := uint64(10 + core)
-			for i := range rounds {
-				tok := uint64(core)<<32 | uint64(i+1)
-				tr.Emit(core, trace.KVMCall, dom, 3, 0, 0, 0)
-				tr.Emit(core, trace.KOpBegin, dom, trace.OpShare, tok, 0, 0)
-				tr.Emit(core, trace.KShare, dom, 2, tok, 0x1000, 4096)
-				tr.Emit(core, trace.KOpEnd, dom, trace.OpShare, tok, 0, 0)
-				if core == 0 && i == rounds/2 {
-					tr.Emit(trace.GlobalCore, trace.KKill, 10+emitters-1, 0, 0, 0, 0)
-				}
-			}
-		}(int32(g))
 	}
-	wg.Wait()
-	close(stop)
-	<-merged
 	collect(ck.End())
 
 	evs := tr.Events()

@@ -14,28 +14,24 @@
 // online invariant checker that attaches to a Tracer as a Sink and
 // validates the stream as it is produced, or replays a dumped trace.
 //
-// Cost model. Tracing is off by default: the machine holds an atomic
-// tracer pointer and every emit site is a nil-check branch, so the
-// disabled path costs one atomic load and a branch — in every build:
+// Cost model. Tracing is off by default: the machine holds a tracer
+// pointer and every emit site is a nil-check branch — in every build:
 // there is one, and the binary that is tested is the binary that can be
 // verified (benchmark/ prices both states as trace.emit_ns and
 // bench.trace_overhead_pct). Enabled, an emit builds the event on the
-// stack and, under the tracer's one mutex — the sink mutex — draws its
-// sequence number, copies it into its ring and hands it to every
-// attached Sink; nothing is allocated once the ring has grown to its
-// capacity. So with runtime verification attached (internal/rv attaches
-// its checker as a Sink) every emit takes the sink mutex and steps the
-// checker under it, and sinks observe one linearisation of the run, in
-// Seq order, however many host threads emit. A machine's cores run on
-// one goroutine, so the mutex is contended only by callers that drive a
-// monitor from several threads.
+// stack, draws its sequence number, copies it into its ring and hands it
+// to every attached Sink; nothing is allocated once the ring has grown
+// to its capacity. So with runtime verification attached (internal/rv
+// attaches its checker as a Sink) every emit steps the checker, and
+// sinks observe the run in Seq order.
+//
+// A Tracer, like the machine that emits into it, is used by one
+// goroutine at a time and holds no lock.
 package trace
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // GlobalCore is the Core value for events emitted from monitor or
@@ -75,10 +71,8 @@ const (
 	KTransition
 	// KOpBegin/KOpEnd bracket one monitor operation that may shoot down
 	// TLBs (delegation, revocation, destruction): Domain = caller or
-	// victim, Aux = OpShare..OpKill, Node = frame token. Delegations run
-	// concurrently from reader entries, so frames may interleave — the
-	// token pairs each end with its begin — and they may nest (a kill
-	// revokes).
+	// victim, Aux = OpShare..OpKill, Node = frame token. The token pairs
+	// each end with its begin; frames may nest (a kill revokes).
 	KOpBegin
 	KOpEnd
 	// KShare/KGrant are successful delegations: Domain = caller,
@@ -231,10 +225,9 @@ func (e Event) String() string {
 		e.Seq, e.Cycle, e.Core, e.Kind, e.Domain, e.Aux, e.Node, e.Addr, e.Size)
 }
 
-// Sink receives every event at emission time, serialised under the
-// tracer's sink mutex and in Seq order however many host threads emit —
-// one linearisation of the run, suitable for online checking. Sinks
-// must not call back into the Tracer.
+// Sink receives every event at emission time, in Seq order — one
+// linearisation of the run, suitable for online checking. Sinks must
+// not call back into the Tracer.
 type Sink interface {
 	Event(Event)
 }
@@ -275,20 +268,14 @@ const DefaultRingEntries = 4096
 const ringEager = 256
 
 // Tracer records events into one ring per core plus one for global
-// (monitor/device) context. It is safe for concurrent use by every
-// core, the monitor, and devices.
+// (monitor/device) context.
 type Tracer struct {
 	cycles func() uint64
 	rings  []*ring // rings[0] = global, rings[c+1] = core c
 
-	// seq is the last sequence number drawn. Only an emitter holding mu
-	// writes it; Len reads it without the lock.
-	seq atomic.Uint64
+	// seq is the last sequence number drawn.
+	seq uint64
 
-	// mu orders emitters: sequence number, ring store and delivery to
-	// the sinks happen under it, so Seq rises along every ring and every
-	// sink sees emission order and Seq agree exactly.
-	mu    sync.Mutex
 	sinks []Sink
 }
 
@@ -310,8 +297,6 @@ func New(cores, perRing int, cycles func() uint64) *Tracer {
 // Attach registers a sink: it receives every event emitted from now
 // on, in Seq order.
 func (t *Tracer) Attach(s Sink) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.sinks = append(t.sinks, s)
 }
 
@@ -332,24 +317,20 @@ func (t *Tracer) Emit(core int32, k Kind, domain, aux, node, addr, size uint64) 
 	if t.cycles != nil {
 		ev.Cycle = t.cycles()
 	}
-	t.mu.Lock()
-	ev.Seq = t.seq.Load() + 1
-	t.seq.Store(ev.Seq)
+	t.seq++
+	ev.Seq = t.seq
 	t.rings[ri].append(&ev)
 	for _, s := range t.sinks {
 		s.Event(ev)
 	}
-	t.mu.Unlock()
 }
 
 // Len returns the number of events emitted so far (including any the
 // rings have since overwritten).
-func (t *Tracer) Len() uint64 { return t.seq.Load() }
+func (t *Tracer) Len() uint64 { return t.seq }
 
 // Dropped returns how many events have been overwritten by ring wrap.
 func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var dropped uint64
 	for _, r := range t.rings {
 		dropped += r.pos - uint64(len(r.slots)) // all but the last max
@@ -358,16 +339,12 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Events snapshots every buffered event across all rings, sorted by
-// sequence number. The rings are copied under the tracer's mutex, so
-// with emitters running the snapshot is whole: every event up to one
-// sequence number that the rings still hold.
+// sequence number.
 func (t *Tracer) Events() []Event {
 	var out []Event
-	t.mu.Lock()
 	for _, r := range t.rings {
 		out = append(out, r.slots...)
 	}
-	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -92,66 +90,20 @@ func TestRingGrowthAllocations(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmitIsRaceFree hammers the append path, one ring per
-// goroutine; the -race runs of CI are the real assertion.
-func TestConcurrentEmitIsRaceFree(t *testing.T) {
-	const goroutines, per = 8, 2000
-	tr := New(goroutines, 64, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tr.Emit(int32(g), KTrap, uint64(g), uint64(i), 0, 0, 0)
-			}
-		}(g)
-	}
-	// A concurrent reader snapshotting mid-emission.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			for _, ev := range tr.Events() {
-				if ev.Kind != KTrap {
-					t.Errorf("torn event: %v", ev)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := tr.Len(); got != goroutines*per {
-		t.Fatalf("emitted %d, want %d", got, goroutines*per)
-	}
-}
-
 // pattern fills an event's payload from (emitter, index), so a reader
 // can tell an emitted event from a torn or invented one.
 func pattern(g, i uint64) (domain, aux, node, addr, size uint64) {
 	return g, i, g<<32 | i, ^(g<<32 | i), (g + 1) * (i + 1)
 }
 
-// TestEventsDuringEmit: four emitters wrap one 64-slot ring many times
-// while a reader loops on Events(). Every snapshot must hold whole,
-// emitted events; since all of them land in the one ring and Seq is
-// assigned inside its critical section, a snapshot is also a run of
-// consecutive sequence numbers with each emitter's events in order.
+// TestEventsDuringEmit: four interleaved emitters wrap one 64-slot ring
+// many times, with a snapshot of Events() after every few emits. Every
+// snapshot must hold whole, emitted events; since all of them land in
+// the one ring, a snapshot is also a run of consecutive sequence numbers
+// with each emitter's events in order.
 func TestEventsDuringEmit(t *testing.T) {
 	const emitters, per, slots = 4, 2000, 64
 	tr := New(0, slots, nil)
-	var wg sync.WaitGroup
-	for g := uint64(0); g < emitters; g++ {
-		wg.Add(1)
-		go func(g uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				d, a, n, ad, sz := pattern(g, i)
-				tr.Emit(GlobalCore, KShare, d, a, n, ad, sz)
-			}
-		}(g)
-	}
 	check := func(evs []Event) {
 		var next [emitters]uint64
 		for i, ev := range evs {
@@ -172,15 +124,15 @@ func TestEventsDuringEmit(t *testing.T) {
 			next[ev.Domain] = ev.Aux + 1
 		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for tr.Len() < emitters*per && !t.Failed() {
+	for i := uint64(0); i < per && !t.Failed(); i++ {
+		for g := uint64(0); g < emitters; g++ {
+			d, a, n, ad, sz := pattern(g, i)
+			tr.Emit(GlobalCore, KShare, d, a, n, ad, sz)
+		}
+		if i%7 == 0 {
 			check(tr.Events())
 		}
-	}()
-	wg.Wait()
-	<-done
+	}
 	evs := tr.Events()
 	check(evs)
 	if len(evs) != slots || evs[slots-1].Seq != emitters*per {
@@ -193,7 +145,7 @@ func TestEventsDuringEmit(t *testing.T) {
 }
 
 // countSink is the cheapest Sink: what Emit costs with one attached is
-// Emit's own cost, its sink mutex included.
+// Emit's own cost.
 type countSink struct{ n uint64 }
 
 func (c *countSink) Event(Event) { c.n++ }
@@ -201,8 +153,8 @@ func (c *countSink) Event(Event) { c.n++ }
 // TestEmitAllocatesNothing pins the emit path into a grown ring at zero
 // heap objects with a cycle source and a sink attached.
 func TestEmitAllocatesNothing(t *testing.T) {
-	var cyc atomic.Uint64
-	tr := New(3, 64, func() uint64 { return cyc.Add(7) })
+	var cyc uint64
+	tr := New(3, 64, func() uint64 { cyc += 7; return cyc })
 	tr.Attach(&countSink{})
 	for i := 0; i < 64; i++ { // grow both rings to their capacity
 		tr.Emit(1, KSeal, 0, 0, 0, 0, 0)
@@ -217,8 +169,8 @@ func TestEmitAllocatesNothing(t *testing.T) {
 }
 
 func BenchmarkTracerEmit(b *testing.B) {
-	var cyc atomic.Uint64
-	tr := New(3, 0, func() uint64 { return cyc.Add(7) })
+	var cyc uint64
+	tr := New(3, 0, func() uint64 { cyc += 7; return cyc })
 	tr.Attach(&countSink{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -226,32 +178,19 @@ func BenchmarkTracerEmit(b *testing.B) {
 	}
 }
 
-type collectSink struct {
-	mu  sync.Mutex
-	evs []Event
-}
+type collectSink struct{ evs []Event }
 
-func (s *collectSink) Event(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.evs = append(s.evs, ev)
-}
+func (s *collectSink) Event(ev Event) { s.evs = append(s.evs, ev) }
 
 func TestSinkSeesTotalOrder(t *testing.T) {
 	tr := New(4, 0, nil)
 	sink := &collectSink{}
 	tr.Attach(sink)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Emit(int32(g), KVMCall, uint64(g), 0, 0, 0, 0)
-			}
-		}(g)
+	for i := 0; i < 500; i++ {
+		for g := 0; g < 4; g++ {
+			tr.Emit(int32(g), KVMCall, uint64(g), 0, 0, 0, 0)
+		}
 	}
-	wg.Wait()
 	if len(sink.evs) != 2000 {
 		t.Fatalf("sink saw %d events, want 2000", len(sink.evs))
 	}
