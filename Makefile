@@ -110,12 +110,15 @@ scheduler:
 	$(GO) test -run 'VCPU|Schedul|Timer|Yield|RunCores' ./internal/core ./internal/hw
 	$(GO) run ./cmd/tyche-sim -cores 4 -domains 10
 
-# The asynchronous batched ABI: ring registration, drain and teardown
-# and coalesced shootdown rounds, from the core monitor and the libtyche
-# guest-side ring API (C20's gates run in ci-test's pooled sweep); the
-# -batched demo keeps the interactive path honest.
+# The asynchronous batched ABI: ring registration, drain and teardown,
+# from the core monitor and the libtyche guest-side ring API (C20's
+# gates run in ci-test's pooled sweep), and the one shootdown round
+# every operation frame flushes — a drain round's, a kill's and a
+# synchronous revoke's, the machine's flush, and the checker's
+# one-round-per-frame rule; the -batched demo keeps the interactive
+# path honest.
 batched:
-	$(GO) test -run 'Ring' ./internal/core ./internal/libtyche
+	$(GO) test -run 'Ring|OneRound|SyncRevokeGolden' ./internal/core ./internal/libtyche ./internal/hw ./internal/trace/check
 	$(GO) run ./cmd/tyche-sim -batched
 
 # The six mutation oracles — the only build tags there are. Each build

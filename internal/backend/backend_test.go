@@ -477,6 +477,14 @@ func TestRunCleanups(t *testing.T) {
 	if m.Clock.Cycles() == before {
 		t.Fatal("cleanups must charge cycles")
 	}
+	// The shootdown is only recorded: the operation that ran the
+	// cleanups flushes it as its one round.
+	if _, hit := core.TLBUnit().Lookup(1, r.Start.Page(), 0); !hit {
+		t.Fatal("the cleanups ran a shootdown round before the flush")
+	}
+	if rounds, _ := m.FlushShootdowns(); rounds != 1 {
+		t.Fatalf("flush ran %d rounds, want 1", rounds)
+	}
 	b, err := m.Mem.ReadByteAt(r.Start)
 	if err != nil || b != 0 {
 		t.Fatalf("memory not zeroed: %#x %v", b, err)

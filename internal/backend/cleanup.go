@@ -28,7 +28,8 @@ func SyncDeviceRange(iu *hw.IOMMU, space *cap.Space, dev phys.DeviceID, scope ph
 		*changed, err = filter.Replace(scope, segs, *changed)
 		return err
 	}
-	if err := WithSegments(space, cap.RightExec, scope, program, space.DeviceDMAHolders(dev)...); err != nil {
+	var buf [8]cap.OwnerID // a device rarely has more DMA holders
+	if err := WithSegments(space, cap.RightExec, scope, program, space.AppendDeviceDMAHolders(buf[:0], dev)...); err != nil {
 		return fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	if !installed {

@@ -147,7 +147,7 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 		// The device path: every DMA holder's grants in one flatten, execute
 		// stripped.
 		var all []cap.MemoryGrant
-		for _, o := range s.DeviceDMAHolders(0) {
+		for _, o := range s.AppendDeviceDMAHolders(nil, 0) {
 			all = append(all, s.OwnerMemoryGrants(o)...)
 		}
 		filter := deviceFilter(t, s, 0)

@@ -169,8 +169,8 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 		if errC == nil && (s.OwnerHasCore(1, phys.CoreID(k)) || !s.OwnerHasCore(b, phys.CoreID(k))) {
 			fail("granted core %d is not exclusive", k)
 		}
-		if errD == nil && !slices.Equal(s.DeviceDMAHolders(phys.DeviceID(k)), []OwnerID{b}) {
-			fail("granted device %d DMA holders %v", k, s.DeviceDMAHolders(phys.DeviceID(k)))
+		if errD == nil && !slices.Equal(s.AppendDeviceDMAHolders(nil, phys.DeviceID(k)), []OwnerID{b}) {
+			fail("granted device %d DMA holders %v", k, s.AppendDeviceDMAHolders(nil, phys.DeviceID(k)))
 		}
 		for _, id := range []NodeID{c2, cs, cg, dg} {
 			if id == 0 {
@@ -223,7 +223,7 @@ func TestSpaceConcurrentMatchesModel(t *testing.T) {
 		}
 		s.CoreRefCount(2)
 		s.DeviceRefCount(2)
-		s.DeviceUsers(3)
+		s.AppendDeviceUsers(nil, 3)
 		s.TreeString()
 		// Every mutation bumps the generation, which never goes back.
 		if gen := s.Generation(); gen < gen0 || s.NumNodes() < baseline || s.LimboNodes() < 0 {

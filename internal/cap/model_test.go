@@ -344,7 +344,7 @@ func ownerQueriesMatchSweep(s *Space) error {
 			}
 		}
 		for d := phys.DeviceID(0); d < 4; d++ {
-			if got, want := slices.Contains(s.DeviceDMAHolders(d), o), slices.Contains(dma, d); got != want {
+			if got, want := slices.Contains(s.AppendDeviceDMAHolders(nil, d), o), slices.Contains(dma, d); got != want {
 				return fmt.Errorf("owner %d holds DMA on %v: DeviceDMAHolders says %v, the owner's nodes say %v", o, d, got, want)
 			}
 		}

@@ -210,31 +210,34 @@ func (s *Space) holderCount(res Resource, want Rights) int {
 	return count
 }
 
-// DeviceDMAHolders returns the owners with live (not granted-away) DMA
-// rights on dev, sorted. The backends build the device's IOMMU context
-// from exactly this set.
-func (s *Space) DeviceDMAHolders(dev phys.DeviceID) []OwnerID {
-	return s.deviceHolders(dev, RightDMA)
+// AppendDeviceDMAHolders appends to dst the owners with live (not
+// granted-away) DMA rights on dev, sorted, and returns the extended
+// slice. The backends build the device's IOMMU context from exactly
+// this set, into a buffer of their own.
+func (s *Space) AppendDeviceDMAHolders(dst []OwnerID, dev phys.DeviceID) []OwnerID {
+	return s.appendDeviceHolders(dst, dev, RightDMA)
 }
 
-// DeviceUsers returns the owners with live RightUse on dev, sorted. The
-// monitor routes the device's interrupts to this set.
-func (s *Space) DeviceUsers(dev phys.DeviceID) []OwnerID {
-	return s.deviceHolders(dev, RightUse)
+// AppendDeviceUsers appends to dst the owners with live RightUse on
+// dev, sorted, and returns the extended slice. The monitor routes the
+// device's interrupts to this set.
+func (s *Space) AppendDeviceUsers(dst []OwnerID, dev phys.DeviceID) []OwnerID {
+	return s.appendDeviceHolders(dst, dev, RightUse)
 }
 
-// deviceHolders returns owners holding `want` on dev through a node
-// whose device has not been granted away: each owner's list is asked
-// once, so no set is needed, only the sort.
-func (s *Space) deviceHolders(dev phys.DeviceID, want Rights) []OwnerID {
-	var out []OwnerID
+// appendDeviceHolders appends to dst the owners holding `want` on dev
+// through a node whose device has not been granted away, sorted: each
+// owner's list is asked once, so no set is needed, only the sort of
+// what it appended.
+func (s *Space) appendDeviceHolders(dst []OwnerID, dev phys.DeviceID, want Rights) []OwnerID {
+	base := len(dst)
 	for o, nodes := range s.owned {
 		if holds(nodes, DeviceResource(dev), want) {
-			out = append(out, o)
+			dst = append(dst, o)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // holds reports whether one of nodes is a live capability on the core or

@@ -513,7 +513,7 @@ func (s *Space) OwnerDevices(owner OwnerID) []phys.DeviceID {
 }
 
 // AppendOwnerDMADevices appends to dst the devices owner holds live (not
-// granted-away) DMA rights on, sorted: the inverse of DeviceDMAHolders,
+// granted-away) DMA rights on, sorted: the inverse of AppendDeviceDMAHolders,
 // answered from the owner's own list.
 func (s *Space) AppendOwnerDMADevices(dst []phys.DeviceID, owner OwnerID) []phys.DeviceID {
 	return s.appendOwnerDevices(dst, owner, RightDMA)

@@ -375,9 +375,9 @@ func TestGrantedAwayCoreOrDeviceIsNotDelegable(t *testing.T) {
 		}
 	}
 	if s.OwnerHasCore(3, 1) || s.CoreRefCount(1) != 1 || s.DeviceRefCount(0) != 1 ||
-		!slices.Equal(s.DeviceUsers(0), []OwnerID{2}) || !slices.Equal(s.DeviceDMAHolders(0), []OwnerID{2}) {
+		!slices.Equal(s.AppendDeviceUsers(nil, 0), []OwnerID{2}) || !slices.Equal(s.AppendDeviceDMAHolders(nil, 0), []OwnerID{2}) {
 		t.Fatalf("refused delegations changed the holders: core refs %d, device users %v, DMA holders %v",
-			s.CoreRefCount(1), s.DeviceUsers(0), s.DeviceDMAHolders(0))
+			s.CoreRefCount(1), s.AppendDeviceUsers(nil, 0), s.AppendDeviceDMAHolders(nil, 0))
 	}
 	if s.Generation() != gen || s.TreeString() != tree {
 		t.Fatalf("refused delegations changed the space:\n%s", s.TreeString())
@@ -484,7 +484,7 @@ func TestOwnerDMADevicesInvertsDeviceDMAHolders(t *testing.T) {
 				t.Errorf("%s: owner %d holds DMA on %v, want %v", step.name, o, got, step.want[o])
 			}
 			for d := phys.DeviceID(0); d < 3; d++ {
-				if byDev, byOwner := slices.Contains(s.DeviceDMAHolders(d), o), slices.Contains(got, d); byDev != byOwner {
+				if byDev, byOwner := slices.Contains(s.AppendDeviceDMAHolders(nil, d), o), slices.Contains(got, d); byDev != byOwner {
 					t.Errorf("%s: owner %d on %v: DeviceDMAHolders says %v, OwnerDMADevices says %v", step.name, o, d, byDev, byOwner)
 				}
 			}

@@ -156,7 +156,9 @@ func TestClippedGrantsMatchClip(t *testing.T) {
 // what its death would leave unowned (into the caller's buffer), how
 // many share a core (its attestation asks once per core) — allocate
 // nothing, over a tenant whose grants split its grantor's piece, with a
-// neighbour sharing next to one of them.
+// neighbour sharing next to one of them. So do the device questions —
+// who holds DMA rights on it, asked by every device resync, and who may
+// use it, asked for every routed interrupt (into the caller's buffer).
 func TestScopedSweepAllocationPins(t *testing.T) {
 	s := NewSpace()
 	root := mustRoot(t, s, 1, mem(0, 64), MemFull)
@@ -178,8 +180,15 @@ func TestScopedSweepAllocationPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dev := mustRoot(t, s, 1, DeviceResource(0), DeviceFull)
+	for _, o := range []OwnerID{3, 2} {
+		if _, err := s.Share(dev, o, DeviceResource(0), RightDMA, CleanNone); err != nil {
+			t.Fatal(err)
+		}
+	}
 	grant := mem(20, 1).Mem
 	var buf [8]phys.Region
+	var owners [8]OwnerID
 	for _, q := range []struct {
 		name string
 		run  func()
@@ -197,6 +206,16 @@ func TestScopedSweepAllocationPins(t *testing.T) {
 		{"AppendExclusive", func() {
 			if got := s.AppendExclusive(buf[:0], 3); len(got) != 3 {
 				t.Fatalf("tenant's exclusive memory %v, want its three pages", got)
+			}
+		}},
+		{"AppendDeviceDMAHolders", func() {
+			if got := s.AppendDeviceDMAHolders(owners[:0], 0); !slices.Equal(got, []OwnerID{1, 2, 3}) {
+				t.Fatalf("device 0's DMA holders %v, want [1 2 3]", got)
+			}
+		}},
+		{"AppendDeviceUsers", func() {
+			if got := s.AppendDeviceUsers(owners[:0], 0); !slices.Equal(got, []OwnerID{1}) {
+				t.Fatalf("device 0's users %v, want [1]", got)
 			}
 		}},
 		{"CoreRefCount", func() {

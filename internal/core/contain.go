@@ -13,8 +13,9 @@ package core
 // containFault — publishes the death (the absorbing state store), then
 // runs the irreversible teardown: detach, forced scrub, the
 // revocation's own retire (cleanups, release, resync), backend removal,
-// key erase. KKill is emitted last, so the scrub-before-kill and
-// dead-domain-silence trace invariants hold.
+// key erase, and the kill's one shootdown round. KKill is emitted last,
+// so the scrub-before-kill and dead-domain-silence trace invariants
+// hold.
 
 import (
 	"slices"
@@ -40,11 +41,12 @@ func (m *Monitor) ForceKill(id DomainID) error {
 // ForceKillAll force-kills a batch of domains — the kill-storm path.
 // Each victim is validated and its death published in argument order,
 // then each is detached and its exclusive memory zeroed in the same
-// order, one cross-core shootdown round covers every victim's scrub,
-// and the rest of each reclaim — cleanups, resync, key erase — follows
-// in that order again. Victims that fail validation (dead, unknown, or
-// the initial domain) are skipped; the first such error is returned
-// alongside the number actually killed.
+// order, the rest of each reclaim — cleanups, resync, key erase —
+// follows in that order again, and one cross-core shootdown round
+// covers every victim's scrub and cleanups, as it does a single kill's.
+// Victims that fail validation (dead, unknown, or the initial domain)
+// are skipped; the first such error is returned alongside the number
+// actually killed.
 func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 	return m.forceDestroy(false, ids...)
 }
@@ -113,42 +115,39 @@ type destroyTicket struct {
 	// migratebug mutation elides the crypto-erase on.
 	depart bool
 
-	// Set by destroyScrub for destroyReclaim: the detached subtree, the
-	// regions zeroed whose KScrub a storm's round still owes, and the
-	// error that stopped the scrub.
+	// Set by destroyScrub for reclaim: the detached subtree, the regions
+	// zeroed whose KScrub the kill's round still owes, and the error that
+	// stopped the scrub.
 	det      *cap.Detached
 	scrubbed []phys.Region
 	err      error
 }
 
-// reclaim is every kill's reclaim step: each published victim's
-// irreversible tail in publish order — a single kill or a storm. Every
-// victim is scrubbed first, then each one's tail runs. A storm's scrubs
-// retire behind one cross-core shootdown round, as a drain round's
-// revocations do, before any victim's KScrub and KKill; a single kill
-// shoots each region down as it is zeroed. It returns the first error;
-// every tail runs regardless.
+// reclaim is every kill's reclaim step, a single kill and a storm
+// alike: each published victim is scrubbed, then each one's tail runs,
+// all in publish order, recording their shootdowns; then one cross-core
+// round retires every victim's, before any victim's KScrub, KKill and
+// KOpEnd. It returns the first error; every tail runs regardless.
 func (m *Monitor) reclaim(ticks ...destroyTicket) error {
-	storm := len(ticks) > 1
-	if storm {
-		m.mach.BeginShootdownBatch()
-	}
 	for i := range ticks {
-		m.destroyScrub(&ticks[i], storm)
-	}
-	if storm {
-		m.mach.EndShootdownBatch()
-		for _, t := range ticks {
-			for _, r := range t.scrubbed {
-				m.scrubDone(t.d.id, r)
-			}
-		}
+		m.destroyScrub(&ticks[i])
 	}
 	var firstErr error
 	for _, t := range ticks {
 		if err := m.destroyReclaim(t); firstErr == nil {
 			firstErr = err
 		}
+	}
+	m.mach.FlushShootdowns()
+	for _, t := range ticks {
+		for _, r := range t.scrubbed {
+			m.stats.PagesScrubbed += r.Pages()
+			m.emit(trace.KScrub, t.d.id, 0, 0, uint64(r.Start), r.Size())
+		}
+		if t.err == nil {
+			m.emit(trace.KKill, t.d.id, 0, 0, 0, 0)
+		}
+		m.emit(trace.KOpEnd, t.d.id, trace.OpKill, t.tok, 0, 0)
 	}
 	return firstErr
 }
@@ -176,11 +175,9 @@ func (m *Monitor) destroyPublish(d *Domain) destroyTicket {
 
 // destroyScrub runs the first irreversible step of a kill published by
 // destroyPublish: plan the forced scrub, detach the subtree, then zero
-// and shoot down every planned region. With batched the shootdowns are
-// only recorded into the armed batch and the zeroed regions kept in
-// t.scrubbed for reclaim to announce after the round; otherwise each
-// region's KScrub follows its own round.
-func (m *Monitor) destroyScrub(t *destroyTicket, batched bool) {
+// every planned region and record its shootdown. The zeroed regions are
+// kept in t.scrubbed for reclaim to announce after the round.
+func (m *Monitor) destroyScrub(t *destroyTicket) {
 	d := t.d
 	owner := cap.OwnerID(d.id)
 	var plan []phys.Region
@@ -197,8 +194,8 @@ func (m *Monitor) destroyScrub(t *destroyTicket, batched bool) {
 	// derived ones) leave the index, while grant suspensions persist so
 	// parents cannot re-delegate regions that are about to be scrubbed.
 	t.det = m.space.DetachOwner(owner)
-	// The scrub's rounds invalidate for the victim and every owner in
-	// its detached subtree: the domains that lose the regions.
+	// The scrub's shootdowns invalidate for the victim and every owner
+	// in its detached subtree: the domains that lose the regions.
 	var domBuf [8]uint64
 	doms := append(domBuf[:0], uint64(owner))
 	for _, a := range t.det.Actions() {
@@ -208,8 +205,9 @@ func (m *Monitor) destroyScrub(t *destroyTicket, batched bool) {
 	doms = slices.Compact(doms)
 	m.stats.Revocations++
 	m.emit(trace.KRevoke, d.id, 1, 0, 0, 0)
-	// Forced scrub, region by region in plan order: zero, charge, shoot
-	// down, KScrub — every KScrub precedes the KKill.
+	// Forced scrub, region by region in plan order: zero, charge, record
+	// the shootdown. Every KScrub follows the round and precedes the
+	// KKill.
 	//
 	// The migratebug mutation elides the whole erase on the departure
 	// path (scrub, shootdowns, key drop) AFTER the plan was announced:
@@ -232,25 +230,15 @@ func (m *Monitor) destroyScrub(t *destroyTicket, batched bool) {
 		}
 		m.mach.Clock.Advance(r.Size() / hw.CacheLineSize * m.mach.Cost.ZeroLine)
 		m.mach.ShootdownRegion(r, doms...)
-		if batched {
-			t.scrubbed = append(t.scrubbed, r)
-		} else {
-			m.scrubDone(d.id, r)
-		}
+		t.scrubbed = append(t.scrubbed, r)
 	}
 }
 
-// scrubDone counts and announces a region zeroed and shot down.
-func (m *Monitor) scrubDone(id DomainID, r phys.Region) {
-	m.stats.PagesScrubbed += r.Pages()
-	m.emit(trace.KScrub, id, 0, 0, uint64(r.Start), r.Size())
-}
-
 // destroyReclaim runs the rest of a kill's irreversible tail once
-// destroyScrub has scrubbed it.
+// destroyScrub has scrubbed it, short of the round and the events
+// reclaim emits after it.
 func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	d := t.d
-	defer m.emit(trace.KOpEnd, d.id, trace.OpKill, t.tok, 0, 0)
 	if t.err != nil {
 		return t.err
 	}
@@ -262,7 +250,7 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	// whatever a step returns — a failed cleanup or survivor rebuild must
 	// not leave the victim's backend state, key and schedule entries
 	// behind — and the first error is returned.
-	firstErr := m.retire(false, t.det)
+	firstErr := m.retire(t.det)
 	if err := m.bk.RemoveDomain(owner); firstErr == nil {
 		firstErr = err
 	}
@@ -280,7 +268,6 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	// property over KTransition checks it).
 	m.vcpus -= len(d.vcpus)
 	d.vcpus = nil
-	m.emit(trace.KKill, d.id, 0, 0, 0, 0)
 	return firstErr
 }
 

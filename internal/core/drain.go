@@ -16,11 +16,13 @@ package core
 //	  cap.Space.Detach + KRevoke). The order is the round's whole
 //	  schedule, so a round is reproducible down to the capability node
 //	  IDs it hands out: (owner, descriptor) order.
-//	Retire: Monitor.retire runs the deferred tails with the machine's
-//	  shootdown accumulator armed and one hardware resync, so the whole
-//	  round retires at most one cross-core shootdown round
-//	  (trace.KDrainBegin/KDrainEnd bracket it; the checker's property 6
-//	  enforces the coalescing).
+//	Retire: Monitor.retire runs the deferred tails with one hardware
+//	  resync, recording their shootdowns, and the round flushes them
+//	  before trace.KDrainEnd closes it: at most one cross-core shootdown
+//	  round however many rings deferred revocations into it, the rule
+//	  every operation frame keeps (the checker's property 5). Its count
+//	  goes into Stats.RingShootdowns/RingOpsCoalesced, which count drain
+//	  rounds only.
 //
 // Why deferring a revocation's tail is sound: Detach is the publish —
 // queries stop seeing the subtree, and the parents' grant suspensions
@@ -73,9 +75,12 @@ func (m *Monitor) drainRound(core int32, rings []*domainRing) (uint64, error) {
 	}
 	var err error
 	if len(dets) > 0 {
-		err = m.retire(true, dets...)
+		err = m.retire(dets...)
 		m.noteDrainError(err)
 	}
+	rounds, coalesced := m.mach.FlushShootdowns()
+	m.stats.RingShootdowns += uint64(rounds)
+	m.stats.RingOpsCoalesced += uint64(coalesced)
 	m.mach.Trace(core, trace.KDrainEnd, 0, total, tok, 0, 0)
 	return total, err
 }

@@ -3,11 +3,11 @@
 package core
 
 // DrainBugArmed reports whether this binary carries the seeded
-// coalescing bug (the drainbug build tag): the retire step runs a drain
-// round's first revocation's flush cleanups OUTSIDE the round's
-// shootdown accumulator, so extra unbatched shootdown rounds appear
-// inside the KDrainBegin/KDrainEnd frame. Mirrors the tracebug /
-// scrubbug pattern: the mutation test proves the checker's
-// cross-ring coalescing property rejects the bug, which is what
-// licenses deferring revocation tails to the round.
+// coalescing bug (the drainbug build tag): the retire step flushes the
+// shootdowns of its first revocation on their own, so a drain round
+// that retires more runs a second shootdown round inside its
+// KDrainBegin/KDrainEnd frame. Mirrors the tracebug / scrubbug pattern:
+// the mutation test proves the checker's one-round-per-frame property
+// rejects the bug, which is what licenses deferring revocation tails to
+// the round.
 const DrainBugArmed = false

@@ -338,22 +338,22 @@ func TestRingRoundWindow(t *testing.T) {
 
 // TestSyncRevokeGolden pins the synchronous Share+Revoke, derived by
 // hand from the cost model: the event kinds in order and the cycle
-// charges — in particular a two-capability subtree still retires two
-// uncoalesced shootdown rounds inside its one op frame, a round pays
-// only for the cores resident for its domain, and a resync pays only
-// for the pages its rebuild changed.
+// charges — in particular a two-capability subtree retires one
+// coalesced shootdown round, flushed by its one op frame before the
+// frame closes, a round pays only for the cores resident for its
+// domains, and a resync pays only for the pages its rebuild changed.
 //
 // vtx: the shares give child 2 pages and grand 1, and neither sharer's
 // view changes, so they cost (2 + 1) pages × EPTUpdatePage 7 = 21 and
 // emit one ept-map each. The revoke zeroes 2 pages (2 × 64 lines ×
-// ZeroLine 3 = 384), runs 2 shootdown rounds — one for grand, one for
-// child — that target no core, since neither ever ran on one (0 acks,
-// 0 × TLBFlush), and unmaps child's 2 pages and grand's 1 (3 × 7 =
-// 21): 405, with one ept-map per unmapped extent; dom0's view is
-// unchanged.
+// ZeroLine 3 = 384), unmaps child's 2 pages and grand's 1 (3 × 7 = 21),
+// with one ept-map per unmapped extent (dom0's view is unchanged), and
+// runs 1 shootdown round for child and grand (a shootdown and a
+// shootdown-for) that targets no core, since neither ever ran on one
+// (0 acks, 0 × TLBFlush): 405.
 // pmp: a layout is programmed into a core only when the domain runs
 // there, and no core runs these, so the shares cost 0 and the revoke
-// only its zeroing: 384, its two rounds again targeting no core.
+// only its zeroing: 384, its one round again targeting no core.
 func TestSyncRevokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		kind          BackendKind
@@ -361,9 +361,9 @@ func TestSyncRevokeGolden(t *testing.T) {
 		events        string
 	}{
 		{BackendVTX, 21, 405, "op-begin share ept-map op-end op-begin share ept-map op-end " +
-			"op-begin revoke shootdown shootdown ept-map ept-map op-end"},
+			"op-begin revoke ept-map ept-map shootdown shootdown-for op-end"},
 		{BackendPMP, 0, 384, "op-begin share op-end op-begin share op-end " +
-			"op-begin revoke shootdown shootdown op-end"},
+			"op-begin revoke shootdown shootdown-for op-end"},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			m, ck := bootTracedWorld(t, tc.kind)

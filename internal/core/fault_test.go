@@ -500,76 +500,96 @@ func (l *roundLog) Event(ev trace.Event) {
 	}
 }
 
-// TestForceKillAllSharesOneRound: a kill storm's forced scrubs retire
-// behind one shootdown round, which targets the core a victim is
-// resident on. When the storm returns every victim's two exclusive
-// regions are zero and back under dom0, and the trace is clean.
+// TestForceKillAllSharesOneRound: a kill's forced scrubs and cleanups
+// retire behind one shootdown round, which targets the core a victim is
+// resident on — for a kill storm, and for a single kill of a victim with
+// two exclusive regions. When the kill returns every victim's two
+// exclusive regions are zero and back under dom0, and the trace is
+// clean.
 func TestForceKillAllSharesOneRound(t *testing.T) {
-	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
-		t.Run(string(kind), func(t *testing.T) {
-			m, ck := bootTracedWorld(t, kind)
-			node := dom0MemNode(t, m)
-			var coreNode cap.NodeID
-			for _, n := range m.OwnerNodes(InitialDomain) {
-				if n.Resource.Kind == cap.ResCore && n.Resource.Core == 1 {
-					coreNode = n.ID
-				}
-			}
-			const victims = 4
-			var doms []DomainID
-			var pages []uint64
-			for i := 0; i < victims; i++ {
-				code, data := uint64(200+4*i), uint64(202+4*i) // not adjacent: two scrub regions
-				if err := m.CopyInto(InitialDomain, phys.Addr(data*pg), victimPattern); err != nil {
-					t.Fatal(err)
-				}
-				v, err := m.CreateDomain(InitialDomain, fmt.Sprintf("victim%d", i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Grant(InitialDomain, node, v, memRes(code, 1), cap.MemRWX, cap.CleanNone); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Grant(InitialDomain, node, v, memRes(data, 1), cap.MemRW, cap.CleanNone); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Share(InitialDomain, coreNode, v, cap.CoreResource(1), cap.RightRun, cap.CleanNone); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.SetEntry(InitialDomain, v, phys.Addr(code*pg)); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Launch(v, 1); err != nil {
-					t.Fatal(err)
-				}
-				doms = append(doms, v)
-				pages = append(pages, code, data)
-			}
-			var rounds roundLog
-			m.Machine().Tracer().Attach(&rounds)
-			scrubbed := m.Stats().PagesScrubbed
-			if n, err := m.ForceKillAll(doms...); n != victims || err != nil {
-				t.Fatalf("ForceKillAll = %d, %v; want %d, nil", n, err, victims)
-			}
-			if len(rounds) != 1 {
-				t.Fatalf("storm ran %d shootdown rounds, want 1", len(rounds))
-			}
-			if rounds[0].Aux&(1<<1) == 0 {
-				t.Fatalf("storm round targets cores %#b, want core 1, where the last victim is resident", rounds[0].Aux)
-			}
-			if got := m.Stats().PagesScrubbed - scrubbed; got != 2*victims {
-				t.Fatalf("storm scrubbed %d pages, want %d", got, 2*victims)
-			}
-			for _, page := range pages {
-				data, err := m.CopyFrom(InitialDomain, phys.Addr(page*pg), pg)
-				if err != nil {
-					t.Fatalf("page %d not back under dom0: %v", page, err)
-				}
-				if !bytes.Equal(data, make([]byte, pg)) {
-					t.Fatalf("page %d not scrubbed", page)
-				}
-			}
-			assertTraceClean(t, m, ck)
-		})
+	for _, row := range []struct {
+		prefix  string // of the subtest name: a storm's rows are the backend's
+		victims int
+	}{
+		{"", 4},
+		{"single-", 1},
+	} {
+		for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
+			t.Run(row.prefix+string(kind), func(t *testing.T) {
+				killInOneRound(t, kind, row.victims)
+			})
+		}
 	}
+}
+
+// killInOneRound launches victims on core 1, each with two
+// non-adjacent exclusive pages, and kills them: ForceKillAll for more
+// than one, ForceKill for one.
+func killInOneRound(t *testing.T, kind BackendKind, victims int) {
+	m, ck := bootTracedWorld(t, kind)
+	node := dom0MemNode(t, m)
+	var coreNode cap.NodeID
+	for _, n := range m.OwnerNodes(InitialDomain) {
+		if n.Resource.Kind == cap.ResCore && n.Resource.Core == 1 {
+			coreNode = n.ID
+		}
+	}
+	var doms []DomainID
+	var pages []uint64
+	for i := 0; i < victims; i++ {
+		code, data := uint64(200+4*i), uint64(202+4*i) // not adjacent: two scrub regions
+		if err := m.CopyInto(InitialDomain, phys.Addr(data*pg), victimPattern); err != nil {
+			t.Fatal(err)
+		}
+		v, err := m.CreateDomain(InitialDomain, fmt.Sprintf("victim%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Grant(InitialDomain, node, v, memRes(code, 1), cap.MemRWX, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Grant(InitialDomain, node, v, memRes(data, 1), cap.MemRW, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Share(InitialDomain, coreNode, v, cap.CoreResource(1), cap.RightRun, cap.CleanNone); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetEntry(InitialDomain, v, phys.Addr(code*pg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Launch(v, 1); err != nil {
+			t.Fatal(err)
+		}
+		doms = append(doms, v)
+		pages = append(pages, code, data)
+	}
+	var rounds roundLog
+	m.Machine().Tracer().Attach(&rounds)
+	scrubbed := m.Stats().PagesScrubbed
+	if victims == 1 {
+		if err := m.ForceKill(doms[0]); err != nil {
+			t.Fatalf("ForceKill: %v", err)
+		}
+	} else if n, err := m.ForceKillAll(doms...); n != victims || err != nil {
+		t.Fatalf("ForceKillAll = %d, %v; want %d, nil", n, err, victims)
+	}
+	if len(rounds) != 1 {
+		t.Fatalf("kill of %d victims ran %d shootdown rounds, want 1", victims, len(rounds))
+	}
+	if rounds[0].Aux&(1<<1) == 0 {
+		t.Fatalf("kill round targets cores %#b, want core 1, where the last victim is resident", rounds[0].Aux)
+	}
+	if got := m.Stats().PagesScrubbed - scrubbed; got != 2*uint64(victims) {
+		t.Fatalf("kill scrubbed %d pages, want %d", got, 2*victims)
+	}
+	for _, page := range pages {
+		data, err := m.CopyFrom(InitialDomain, phys.Addr(page*pg), pg)
+		if err != nil {
+			t.Fatalf("page %d not back under dom0: %v", page, err)
+		}
+		if !bytes.Equal(data, make([]byte, pg)) {
+			t.Fatalf("page %d not scrubbed", page)
+		}
+	}
+	assertTraceClean(t, m, ck)
 }

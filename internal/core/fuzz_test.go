@@ -586,7 +586,7 @@ func checkFiltersExact(t testing.TB, m *Monitor, domains []DomainID) {
 		if f == nil {
 			t.Fatalf("device %v has no IOMMU context", dev)
 		}
-		build(hw.PermX, m.space.DeviceDMAHolders(dev)...)
+		build(hw.PermX, m.space.AppendDeviceDMAHolders(nil, dev)...)
 		compare(fmt.Sprintf("device %v", dev), f)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
 	"github.com/tyche-sim/tyche/internal/trace"
 )
@@ -43,7 +44,8 @@ func (m *Monitor) routeIRQs(c *hw.Core) error {
 			return nil
 		}
 		var handler IRQHandler
-		for _, owner := range m.space.DeviceUsers(irq.Device) {
+		var users [4]cap.OwnerID // a device rarely has more users
+		for _, owner := range m.space.AppendDeviceUsers(users[:0], irq.Device) {
 			d, ok := m.tab.get(DomainID(owner))
 			if !ok || d.State() == StateDead {
 				continue

@@ -514,22 +514,25 @@ func (m *Monitor) delegate(caller DomainID, node cap.NodeID, dst DomainID, sub c
 //	publish  — revokePublish: Detach removes the subtree from the
 //	           capability index. Grant suspensions persist, so the
 //	           parents cannot re-delegate the regions yet.
-//	retire   — cleanups (zero/flush + shootdowns) scrub the revoked
-//	           state, Release hands the parents their access back and
-//	           drops the detached records, and affected hardware is
-//	           resynchronised.
+//	retire   — cleanups (zero/flush, shootdowns recorded) scrub the
+//	           revoked state, Release hands the parents their access
+//	           back and drops the detached records, and affected
+//	           hardware is resynchronised.
 //
-// The KOpBegin/KOpEnd frame brackets all of it, so the trace checker's
-// shootdown-ack-inside-frame and scrub ordering invariants hold.
+// The KOpBegin/KOpEnd frame brackets all of it, and the frame flushes
+// the recorded shootdowns as its one round before it closes, error
+// returns included, so the trace checker's one-round-per-frame and
+// scrub ordering invariants hold.
 func (m *Monitor) Revoke(caller DomainID, node cap.NodeID) error {
 	tok := m.newTok()
 	m.emit(trace.KOpBegin, caller, trace.OpRevoke, tok, 0, 0)
 	defer m.emit(trace.KOpEnd, caller, trace.OpRevoke, tok, 0, 0)
+	defer m.mach.FlushShootdowns()
 	det, err := m.revokePublish(caller, node)
 	if err != nil {
 		return err
 	}
-	return m.retire(false, det)
+	return m.retire(det)
 }
 
 // revokePublish authorises caller's revocation of node and publishes
@@ -560,30 +563,22 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 }
 
 // retire runs the irreversible tail of published revocations, in
-// order. It is the one tail of Revoke,
-// a drain round and a kill. With coalesce the shootdowns the cleanups
-// request retire as at most one cross-core round — the drain round's
-// form, counted in the ring statistics; otherwise they run as they
-// come. A subtree whose cleanups fail is never released (its parents
-// stay suspended: fail closed); the rest still retire, every affected
-// live owner is still resynchronised, and the first error is returned.
-func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
-	if coalesce {
-		m.mach.BeginShootdownBatch()
-	}
+// order. It is the one tail of Revoke, a drain round and a kill. The
+// shootdowns the cleanups request are only recorded: the calling
+// operation's frame flushes them as its one round. A subtree whose
+// cleanups fail is never released (its parents stay suspended: fail
+// closed); the rest still retire, every affected live owner is still
+// resynchronised, and the first error is returned.
+func (m *Monitor) retire(dets ...*cap.Detached) error {
 	var firstErr error
 	for i, det := range dets {
-		// Seeded mutation (drainbug build tag): the round's first
-		// revocation skips the coalescing — its flush cleanups run as
-		// immediate, unbatched shootdown rounds inside the drain frame,
-		// which the checker's cross-ring coalescing property must flag.
-		escape := DrainBugArmed && coalesce && i == 0
-		if escape {
-			m.endShootdownBatch()
-		}
 		err := m.bk.ExecuteCleanups(det.Actions())
-		if escape {
-			m.mach.BeginShootdownBatch()
+		if DrainBugArmed && i == 0 {
+			// Seeded mutation (drainbug build tag): the first
+			// revocation's shootdowns are flushed on their own, so a
+			// frame that retires more runs a second round, which the
+			// checker's one-round-per-frame rule must flag.
+			m.mach.FlushShootdowns()
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -592,9 +587,6 @@ func (m *Monitor) retire(coalesce bool, dets ...*cap.Detached) error {
 			continue
 		}
 		m.space.Release(det)
-	}
-	if coalesce {
-		m.endShootdownBatch()
 	}
 
 	// The owners whose access the detaches changed — the owners of the
@@ -647,14 +639,6 @@ func span(a, b phys.Region) phys.Region {
 func (m *Monitor) newTok() uint64 {
 	m.opTok++
 	return m.opTok
-}
-
-// endShootdownBatch retires the armed shootdown accumulator and counts
-// the round in the ring statistics.
-func (m *Monitor) endShootdownBatch() {
-	rounds, coalesced := m.mach.EndShootdownBatch()
-	m.stats.RingShootdowns += uint64(rounds)
-	m.stats.RingOpsCoalesced += uint64(coalesced)
 }
 
 // resync reprograms the hardware a capability change can have affected,

@@ -259,11 +259,11 @@ func TestScrubMutationOracle(t *testing.T) {
 }
 
 // TestDrainMutationOracle: under the drainbug build tag the retire
-// step runs a drain round's first revocation's flush cleanups OUTSIDE
-// the round's shootdown accumulator, so extra unbatched shootdown
-// rounds retire inside the KDrainBegin/KDrainEnd frame. Online and
-// replayed, the check must flag the cross-ring coalescing property
-// (6); in normal builds the identical run must be clean.
+// step flushes a drain round's first revocation's shootdowns on their
+// own, so a second shootdown round retires inside the
+// KDrainBegin/KDrainEnd frame. Online and replayed, the check must flag
+// the one-round-per-frame property (5); in normal builds the identical
+// run must be clean.
 func TestDrainMutationOracle(t *testing.T) {
 	skipUnlessOnlyMutation(t, DrainBugArmed)
 	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
@@ -295,7 +295,7 @@ func TestDrainMutationOracle(t *testing.T) {
 	err := assertCheckersAgree(t, ck, tr)
 	if DrainBugArmed {
 		if err == nil {
-			t.Fatal("seeded uncoalesced drain shootdowns (drainbug) not flagged by the checkers")
+			t.Fatal("seeded second drain shootdown round (drainbug) not flagged by the checkers")
 		}
 		if !strings.Contains(err.Error(), "drain round performed") {
 			t.Fatalf("wrong violation for seeded bug: %v", err)

@@ -329,7 +329,7 @@ func TestDeviceResyncMatchesHolderSweep(t *testing.T) {
 	sweep := func(devs []phys.DeviceID, owners ...DomainID) []phys.DeviceID {
 		var out []phys.DeviceID
 		for _, dev := range mach.DeviceIDs() {
-			if slices.Contains(devs, dev) || slices.ContainsFunc(m.space.DeviceDMAHolders(dev), func(h cap.OwnerID) bool {
+			if slices.Contains(devs, dev) || slices.ContainsFunc(m.space.AppendDeviceDMAHolders(nil, dev), func(h cap.OwnerID) bool {
 				return slices.Contains(owners, DomainID(h))
 			}) {
 				out = append(out, dev)

@@ -13,8 +13,8 @@ package core
 // per-call monitor footprint. Batching amortises the footprint that
 // cannot be eliminated: one VM exit, one hardware resync and — the big
 // win — ONE cross-core TLB
-// shootdown round per batch of revocations instead of one per
-// revocation (hw.BeginShootdownBatch).
+// shootdown round per drain round of revocations instead of one per
+// revocation (the round's frame flushes hw.FlushShootdowns once).
 //
 // Ring memory layout (all fields 64-bit little-endian words, base must
 // be within memory the ring owner holds read+write):

@@ -382,7 +382,9 @@ var mu sync.Mutex`)
 // counter beside Generation) and those nothing called at all; and the
 // monitor's host-thread machinery — the epoch engine, its reader and
 // destructive entry brackets, the core, hardware, table, ring and
-// drain-error locks, and the epochbug mutation.
+// drain-error locks, and the epochbug mutation; and the shootdown
+// batch brackets and their cached accumulator, since every operation
+// frame flushes the machine's one accumulator once.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
@@ -395,7 +397,8 @@ var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShard
 	`^(?:RevokeOwner|RegionRefCount|OwnerHasDevice|Ops|Program|ClearEntry|MemoryEncryptionActive|BlackoutP99)$|` +
 	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$|` +
 	`epochEngine|epochSlot|lockCores|unlockCores|hwMu|revMu|tabMu|ringMu|drainErrMu|EpochBugArmed|` +
-	`^(?:renter|rexit|denter|dexit)$`)
+	`^(?:renter|rexit|denter|dexit)$|` +
+	`BeginShootdownBatch|EndShootdownBatch|endShootdownBatch|sdBatchCache`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it

@@ -59,15 +59,12 @@ type Machine struct {
 	// and internal/trace).
 	tracer *trace.Tracer
 
-	// sdBatch, when non-nil, diverts shootdowns into a coalescing
-	// accumulator instead of running them immediately (see
-	// BeginShootdownBatch).
-	sdBatch *shootdownBatch
-
-	// sdBatchCache is the accumulator sdBatch arms — cached on the
-	// machine (its region slice reused across batches) so arming is
-	// allocation-free: the per-ring drain hot path pins 0 allocs/op.
-	sdBatchCache shootdownBatch
+	// shootdowns is the one shootdown accumulator: ShootdownRegion and
+	// ShootdownAll record into it and FlushShootdowns runs its round. Its
+	// slices are reused across flushes, so recording and flushing are
+	// allocation-free once warm: the per-ring drain hot path pins 0
+	// allocs/op.
+	shootdowns shootdowns
 
 	// ackSwallowed latches the seeded ackbug mutation (ack_bug.go) so
 	// exactly one shootdown round per machine loses core 0's ack. Dead

@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"testing"
 
@@ -22,25 +23,33 @@ func frameCount(m *PhysMem) int {
 
 // TestNewPhysMemFootprint pins what a machine's memory costs the host
 // before anything is written: one frame pointer and one write version
-// per page, 16 B, whatever the configured size.
+// per page, 16 B, whatever the configured size. TotalAlloc counts every
+// goroutine's allocations, and a runtime thread start inside the window
+// adds about 5 KB, so the smallest of three constructions is judged:
+// other goroutines only add bytes, so a NewPhysMem that really
+// allocates more fails every attempt.
 func TestNewPhysMemFootprint(t *testing.T) {
 	const size = 32 << 20
 	pages := uint64(size / phys.PageSize)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := NewPhysMem(size)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := NewPhysMem(size)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		if n := frameCount(m); n != 0 {
+			t.Errorf("a new memory has %d frames, want 0", n)
+		}
 	}
-	runtime.KeepAlive(m)
 	// The PhysMem header itself is the only allowance beyond 16 B/page.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, 16*pages+256; got > limit {
+	if limit := 16*pages + 256; got > limit {
 		t.Errorf("NewPhysMem(%d MiB) allocated %d B (%.2f B/page), want at most %d", size>>20, got,
 			float64(got)/float64(pages), limit)
-	}
-	if n := frameCount(m); n != 0 {
-		t.Errorf("a new memory has %d frames, want 0", n)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // InstallContext's flush leaves it resident for the new context alone,
 // a round interrupts — and charges TLBFlush for — only the cores
 // resident for its domains (nothing when none is), a whole-TLB round
-// leaves a targeted core resident for its installed context alone, and
-// none of it allocates.
+// leaves a targeted core resident for its installed context alone, a
+// request runs no round before the flush, and none of it allocates.
 func TestShootdownTargetsResidentCores(t *testing.T) {
 	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 4})
 	if err != nil {
@@ -41,6 +41,12 @@ func TestShootdownTargetsResidentCores(t *testing.T) {
 			m.ShootdownAll(dom)
 		} else {
 			m.ShootdownRegion(r, dom)
+		}
+		if len(tr.Events()) != n {
+			t.Fatal("recording a shootdown ran a round before the flush")
+		}
+		if rounds, coalesced := m.FlushShootdowns(); rounds != 1 || coalesced != 1 {
+			t.Fatalf("flush = %d rounds, %d requests; want 1, 1", rounds, coalesced)
 		}
 		evs := tr.Events()[n:]
 		if evs[0].Kind != trace.KShootdown {
@@ -70,8 +76,46 @@ func TestShootdownTargetsResidentCores(t *testing.T) {
 		c0.InstallContext(a)
 		c0.SwitchContextTagged(b)
 		m.ShootdownRegion(r, 2)
+		m.FlushShootdowns()
 	}); n != 0 {
 		t.Fatalf("switches and a round allocate %.1f objects, want 0", n)
+	}
+}
+
+// TestFlushRunsOneRound: every request recorded since the last flush
+// retires in one round — one KShootdown for the first domain, one
+// KShootdownFor for each other, the adjacent regions merged, a full
+// flush if any request asked for one — and a flush with nothing
+// recorded runs none.
+func TestFlushRunsOneRound(t *testing.T) {
+	m, err := NewMachine(Config{MemBytes: 1 << 20, NumCores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.NewTracer(0)
+	m.SetTracer(tr)
+	m.Cores[1].InstallContext(&Context{Owner: 3, ASID: 1, Filter: AllowAll{}})
+	n := len(tr.Events())
+	if rounds, coalesced := m.FlushShootdowns(); rounds != 0 || coalesced != 0 || len(tr.Events()) != n {
+		t.Fatalf("empty flush = %d rounds, %d requests, %d events; want none", rounds, coalesced, len(tr.Events())-n)
+	}
+	m.ShootdownRegion(phys.MakeRegion(0x5000, phys.PageSize), 3)
+	m.ShootdownRegion(phys.MakeRegion(0x4000, phys.PageSize), 2, 3)
+	if rounds, coalesced := m.FlushShootdowns(); rounds != 1 || coalesced != 2 {
+		t.Fatalf("flush = %d rounds, %d requests; want 1, 2", rounds, coalesced)
+	}
+	evs := tr.Events()[n:]
+	if len(evs) != 3 || evs[0].Kind != trace.KShootdown || evs[1].Kind != trace.KShootdownFor || evs[2].Kind != trace.KShootdownAck {
+		t.Fatalf("round events %v, want shootdown, shootdown-for, one ack", evs)
+	}
+	if sd := evs[0]; sd.Domain != 2 || evs[1].Domain != 3 || sd.Aux != 0b10 || sd.Addr != 0x4000 || sd.Size != 2*phys.PageSize {
+		t.Fatalf("round %v for %d; want domains 2 and 3, core 1, [0x4000,+8192)", sd, evs[1].Domain)
+	}
+	m.ShootdownRegion(phys.MakeRegion(0x4000, phys.PageSize), 3)
+	m.ShootdownAll(3)
+	n = len(tr.Events())
+	if rounds, _ := m.FlushShootdowns(); rounds != 1 || tr.Events()[n].Node != 1 {
+		t.Fatalf("a flush with a full request ran %d rounds, %v; want one whole-TLB round", rounds, tr.Events()[n])
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // and the backends call Machine.Trace, a nil check while no tracer is
 // installed.
 //
-// Every shootdown — one region, a full flush, or a coalesced batch —
-// runs as one shootdownRound, the only emitter of KShootdown and the
-// only home of the tracebug, ackbug and rangebug mutation hooks, so the
-// checkers' shootdown properties audit one body.
+// Every shootdown an operation records — regions, full flushes or both
+// — runs in its one shootdownRound, the only emitter of KShootdown and
+// the only home of the tracebug, ackbug and rangebug mutation hooks, so
+// the checkers' shootdown properties audit one body.
 
 // SetTracer installs (or, with nil, removes) the machine's event
 // tracer. Installing emits the KBoot event that opens the trace and
@@ -47,75 +47,57 @@ func (m *Machine) Trace(core int32, k trace.Kind, domain, aux, node, addr, size 
 	}
 }
 
-// shootdownBatch accumulates the shootdowns requested while a batch is
-// armed, so one cross-core round can retire them together.
-type shootdownBatch struct {
+// shootdowns accumulates the shootdowns a monitor operation requests,
+// so that the operation's one cross-core round retires them together.
+type shootdowns struct {
 	regions []phys.Region
 	domains []uint64
 	full    bool
 	ops     int // logical shootdown requests absorbed
 }
 
-// ShootdownRegion invalidates a physical region from the TLB of every
-// core that may cache a translation of one of domains — the domains
-// that lost access to it — the cross-core shootdown a revocation or a
-// scrub triggers on real hardware via IPIs. While a shootdown batch is
-// armed (BeginShootdownBatch) the request is only recorded; the
-// coalesced round runs at EndShootdownBatch.
+// ShootdownRegion records that a physical region must be invalidated
+// from the TLB of every core that may cache a translation of one of
+// domains — the domains that lost access to it — the cross-core
+// shootdown a revocation or a scrub triggers on real hardware via IPIs.
+// The round runs at the enclosing monitor operation's FlushShootdowns.
 func (m *Machine) ShootdownRegion(r phys.Region, domains ...uint64) {
-	if b := m.sdBatch; b != nil {
-		b.regions = append(b.regions, r)
-		b.domains = append(b.domains, domains...)
-		b.ops++
-		return
-	}
-	m.shootdownRound([]phys.Region{r}, false, domains)
+	p := &m.shootdowns
+	p.regions = append(p.regions, r)
+	p.domains = append(p.domains, domains...)
+	p.ops++
 }
 
-// ShootdownAll flushes the entire TLB of every core that may cache a
-// translation of one of domains (the shootdown for non-memory resources
-// and address-space-wide invalidations).
+// ShootdownAll records that the entire TLB of every core that may cache
+// a translation of one of domains must be flushed (the shootdown for
+// non-memory resources and address-space-wide invalidations).
 func (m *Machine) ShootdownAll(domains ...uint64) {
-	if b := m.sdBatch; b != nil {
-		b.domains = append(b.domains, domains...)
-		b.full = true
-		b.ops++
-		return
-	}
-	m.shootdownRound(nil, true, domains)
+	p := &m.shootdowns
+	p.domains = append(p.domains, domains...)
+	p.full = true
+	p.ops++
 }
 
-// BeginShootdownBatch arms shootdown coalescing: until the matching
-// EndShootdownBatch, ShootdownRegion/ShootdownAll only record what must
-// be invalidated and for whom. Batches do not nest.
-func (m *Machine) BeginShootdownBatch() {
-	b := &m.sdBatchCache
-	b.regions = b.regions[:0]
-	b.domains = b.domains[:0]
-	b.full = false
-	b.ops = 0
-	m.sdBatch = b
-}
-
-// EndShootdownBatch disarms coalescing and, if anything was recorded,
-// performs ONE cross-core round over every accumulated region (or a
-// full flush if any was requested) for the union of the accumulated
-// domains — the io_uring-style amortisation of revocation cost. It is
-// the same round an unbatched request runs, so a batch that recorded
-// exactly one region-shootdown is indistinguishable from the unbatched
-// ShootdownRegion in events and cycles. Returns the number of rounds
-// performed (0 or 1) and the number of logical shootdown requests
-// coalesced into it.
-func (m *Machine) EndShootdownBatch() (rounds, coalesced int) {
-	b := m.sdBatch
-	m.sdBatch = nil
-	if b == nil || b.ops == 0 {
+// FlushShootdowns is the one flush of the shootdown accumulator: if
+// anything was recorded since the last flush it performs ONE cross-core
+// round over every recorded region (or a full flush if any was
+// requested) for the union of the recorded domains, then empties the
+// accumulator. A monitor operation runs on one goroutine with no guest
+// step inside it, so the operation that took access away calls it once
+// before its frame closes. Returns the number of rounds performed (0 or
+// 1) and the number of logical shootdown requests coalesced into it.
+func (m *Machine) FlushShootdowns() (rounds, coalesced int) {
+	p := &m.shootdowns
+	if p.ops == 0 {
 		return 0, 0
 	}
-	slices.Sort(b.domains)
-	b.domains = slices.Compact(b.domains)
-	m.shootdownRound(phys.NormalizeRegions(b.regions), b.full, b.domains)
-	return 1, b.ops
+	slices.Sort(p.domains)
+	p.domains = slices.Compact(p.domains)
+	p.regions = phys.NormalizeInPlace(p.regions)
+	m.shootdownRound(p.regions, p.full, p.domains)
+	coalesced = p.ops
+	p.regions, p.domains, p.full, p.ops = p.regions[:0], p.domains[:0], false, 0
+	return 1, coalesced
 }
 
 // shootdownRound is the one cross-core shootdown round. It targets the

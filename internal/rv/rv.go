@@ -25,9 +25,10 @@
 // Ring drains are covered without special cases: every drain is a
 // round (core/drain.go), which emits one KDrainBegin/KDrainEnd frame
 // whose single coalesced shootdown round the checker audits
-// (trace/check property 6), the drain doorbell remains the service's
-// merge point, and the frames ride the digests' audit stream, so the
-// remote verifier's replay audits property 6 again on its own engine.
+// (trace/check property 5, one round per frame), the drain doorbell
+// remains the service's merge point, and the frames ride the digests'
+// audit stream, so the remote verifier's replay audits property 5 again
+// on its own engine.
 //
 // A Service belongs to one machine's world and, like it, is used by one
 // goroutine at a time; it holds no lock.

@@ -34,16 +34,14 @@
 //     reusable before it is scrubbed.
 //  4. Structural sanity: operations balance (KOpEnd matches KOpBegin),
 //     and acknowledgements only occur for an open shootdown.
-//  5. Batch coalescing: a ring drain (KBatchBegin..KBatchEnd) performs
-//     at most one cross-core shootdown round of its own, no matter how
-//     many revocations the batch executed, and that round — like any
-//     op's — is fully acknowledged before the batch closes. Batches
-//     are also subject to dead-domain silence: a drain never runs for
-//     a killed ring owner.
-//  6. Cross-ring coalescing: a drain round
-//     (KDrainBegin..KDrainEnd) performs at most one cross-ring
-//     shootdown round for all the revocations its ring drains
-//     deferred, fully acknowledged before the round closes.
+//  5. One round per frame: every frame — a monitor operation
+//     (KOpBegin..KOpEnd), a ring drain (KBatchBegin..KBatchEnd) or a
+//     drain round (KDrainBegin..KDrainEnd) — performs at most one
+//     cross-core shootdown round, however many revocations, scrubs or
+//     victims it retired, and that round is fully acknowledged before
+//     the frame closes. One body checks it at every frame close. Batches
+//     are also subject to dead-domain silence: a drain never runs for a
+//     killed ring owner.
 //
 // Shootdown rounds are attributed to the innermost open frame that can
 // legitimately own one — a revoke/kill operation, a ring-drain batch,
@@ -222,47 +220,21 @@ func (c *engine) step(ev trace.Event) {
 		c.open(ev, false, true)
 
 	case trace.KDrainEnd:
-		idx := -1
-		for i := len(c.frames) - 1; i >= 0; i-- {
-			if c.frames[i].drain && c.frames[i].ev.Node == ev.Node {
-				idx = i
-				break
-			}
-		}
+		idx := c.find(ev.Node, func(f *frame) bool { return f.drain })
 		if idx < 0 {
 			c.violate(ev, "drain round end token %d matches no open drain round", ev.Node)
 			break
 		}
-		f := c.pop(idx)
-		// Property 6: one coalesced cross-ring shootdown round per
-		// drain round, no matter how many rings deferred
-		// revocation shootdowns into it.
-		if len(f.shootdown) > 1 {
-			c.violate(ev, "drain round performed %d shootdown rounds (cross-ring coalescing requires at most 1)",
-				len(f.shootdown))
-		}
-		c.retire(f, ev, "drain ", "round")
+		c.retire(c.pop(idx), ev)
 
 	case trace.KBatchEnd:
 		c.counts.BatchedOps += ev.Aux
-		idx := -1
-		for i := len(c.frames) - 1; i >= 0; i-- {
-			if c.frames[i].batch && c.frames[i].ev.Node == ev.Node {
-				idx = i
-				break
-			}
-		}
+		idx := c.find(ev.Node, func(f *frame) bool { return f.batch })
 		if idx < 0 {
 			c.violate(ev, "batch end token %d matches no open batch", ev.Node)
 			break
 		}
-		f := c.pop(idx)
-		// Property 5: one coalesced shootdown round per drained batch.
-		if len(f.shootdown) > 1 {
-			c.violate(ev, "batch performed %d shootdown rounds (coalescing requires at most 1)",
-				len(f.shootdown))
-		}
-		c.retire(f, ev, "batch ", "batch")
+		c.retire(c.pop(idx), ev)
 
 	case trace.KOpEnd:
 		if len(c.frames) == 0 {
@@ -270,17 +242,11 @@ func (c *engine) step(ev trace.Event) {
 			break
 		}
 		// Frames carry a token in Node so each end matches its own begin
-		// exactly; a kill nests revocations. Token 0 is the legacy form:
-		// strict LIFO.
+		// exactly; a kill storm nests its victims' frames. Token 0 is the
+		// legacy form: strict LIFO.
 		idx := len(c.frames) - 1
 		if ev.Node != 0 {
-			idx = -1
-			for i := len(c.frames) - 1; i >= 0; i-- {
-				if c.frames[i].ev.Node == ev.Node {
-					idx = i
-					break
-				}
-			}
+			idx = c.find(ev.Node, func(*frame) bool { return true })
 			if idx < 0 {
 				c.violate(ev, "operation end token %d matches no open operation", ev.Node)
 				break
@@ -290,10 +256,7 @@ func (c *engine) step(ev trace.Event) {
 		if f.ev.Aux != ev.Aux {
 			c.violate(ev, "operation end %d does not match open operation %d", ev.Aux, f.ev.Aux)
 		}
-		// Property 2: every shootdown this operation started must have
-		// been acknowledged by every core it targeted before the
-		// operation returns.
-		c.retire(f, ev, "", "operation")
+		c.retire(f, ev)
 
 	case trace.KShootdown:
 		c.counts.Shootdowns++
@@ -431,6 +394,17 @@ func (c *engine) open(ev trace.Event, batch, drain bool) {
 	c.frames = append(c.frames, f)
 }
 
+// find returns the index of the innermost open frame that has token tok
+// and that is accepts, or -1.
+func (c *engine) find(tok uint64, is func(*frame) bool) int {
+	for i := len(c.frames) - 1; i >= 0; i-- {
+		if f := c.frames[i]; f.ev.Node == tok && is(f) {
+			return i
+		}
+	}
+	return -1
+}
+
 // pop takes frame idx off the open stack.
 func (c *engine) pop(idx int) *frame {
 	f := c.frames[idx]
@@ -438,15 +412,25 @@ func (c *engine) pop(idx int) *frame {
 	return f
 }
 
-// retire closes f at ev: every shootdown round f owned must have been
-// acknowledged by every core it targeted (the violation reads
-// "<what>shootdown ... when <when> completed"). Then f and its rounds
-// go back to the free lists.
-func (c *engine) retire(f *frame, ev trace.Event, what, when string) {
+// retire closes f at ev, its KOpEnd, KBatchEnd or KDrainEnd. Property
+// 5, one body for every frame: f performed at most one shootdown round,
+// and every round it performed was acknowledged by every core it
+// targeted. Then f and its rounds go back to the free lists.
+func (c *engine) retire(f *frame, ev trace.Event) {
+	what := "operation"
+	switch {
+	case f.batch:
+		what = "batch"
+	case f.drain:
+		what = "drain round"
+	}
+	if len(f.shootdown) > 1 {
+		c.violate(ev, "%s performed %d shootdown rounds (a frame performs at most 1)", what, len(f.shootdown))
+	}
 	for _, sd := range f.shootdown {
 		if acked, targeted := sd.acked(); acked != targeted {
-			c.violate(ev, "%sshootdown [%#x,+%d) acked by %d/%d cores when %s completed",
-				what, sd.ev.Addr, sd.ev.Size, acked, targeted, when)
+			c.violate(ev, "shootdown [%#x,+%d) acked by %d/%d cores when %s completed",
+				sd.ev.Addr, sd.ev.Size, acked, targeted, what)
 		}
 		if c.last == sd {
 			c.last = nil

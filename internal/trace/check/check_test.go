@@ -215,3 +215,59 @@ func TestShootdownTargetsResidency(t *testing.T) {
 		wantViolation(t, f, "acked by 0/1 cores")
 	})
 }
+
+// TestFrameRunsOneRound: property 5 holds for every frame kind. A revoke
+// frame and a kill frame that each run two fully acked rounds are each
+// flagged once, by the engine and by its twin alike; a kill storm whose
+// victims' frames nest and share one round is clean.
+func TestFrameRunsOneRound(t *testing.T) {
+	ev := func(seq uint64, k trace.Kind, dom, aux, node, addr, size uint64) trace.Event {
+		return trace.Event{Seq: seq, Core: trace.GlobalCore, Kind: k, Domain: dom, Aux: aux, Node: node, Addr: addr, Size: size}
+	}
+	twoRounds := func(op uint64) []trace.Event {
+		return []trace.Event{
+			ev(1, trace.KBoot, 0, 0, 0, 0, 1),
+			ev(2, trace.KOpBegin, 5, op, 1, 0, 0),
+			ev(3, trace.KShootdown, 5, 1, 0, 0x4000, 4096),
+			ev(4, trace.KShootdownAck, 0, 0, 0, 0x4000, 4096),
+			ev(5, trace.KShootdown, 5, 1, 0, 0x6000, 4096),
+			ev(6, trace.KShootdownAck, 0, 0, 0, 0x6000, 4096),
+			ev(7, trace.KOpEnd, 5, op, 1, 0, 0),
+		}
+	}
+	storm := []trace.Event{
+		ev(1, trace.KBoot, 0, 0, 0, 0, 1),
+		ev(2, trace.KOpBegin, 5, trace.OpKill, 1, 0, 0),
+		ev(3, trace.KOpBegin, 6, trace.OpKill, 2, 0, 0),
+		ev(4, trace.KShootdown, 5, 1, 0, 0, 0),
+		ev(5, trace.KShootdownFor, 6, 0, 0, 0, 0),
+		ev(6, trace.KShootdownAck, 0, 0, 0, 0, 0),
+		ev(7, trace.KKill, 5, 0, 0, 0, 0),
+		ev(8, trace.KOpEnd, 5, trace.OpKill, 1, 0, 0),
+		ev(9, trace.KKill, 6, 0, 0, 0, 0),
+		ev(10, trace.KOpEnd, 6, trace.OpKill, 2, 0, 0),
+	}
+	for _, tc := range []struct {
+		name string
+		evs  []trace.Event
+		want string
+	}{
+		{"revoke", twoRounds(trace.OpRevoke), "operation performed 2 shootdown rounds"},
+		{"kill", twoRounds(trace.OpKill), "operation performed 2 shootdown rounds"},
+		{"storm", storm, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Replay(tc.evs).Violations()
+			twin := replayTwin(tc.evs).violations
+			if len(got) != len(twin) || (len(got) > 0 && got[0] != twin[0]) {
+				t.Fatalf("engine %v, twin %v", got, twin)
+			}
+			switch {
+			case tc.want == "" && len(got) != 0:
+				t.Fatalf("clean storm flagged: %v", got)
+			case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0].Msg, tc.want)):
+				t.Fatalf("violations %v, want one mentioning %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -108,7 +108,25 @@ func FuzzTraceReplay(f *testing.F) {
 		[8]byte{byte(trace.KShootdown), 0, 0, 0, 0, 2, 1, 1},
 	))
 
-	// Two drain rounds (property 6): one whose ring revokes inside its
+	// Property 5 on operation frames: a revoke and a kill that each run
+	// two fully acked rounds of their own (1 core).
+	f.Add(fuzzSeed(
+		[8]byte{kb, 0, 0, 0, 0, 0, 1, 0},
+		[8]byte{byte(trace.KOpBegin), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
+		[8]byte{byte(trace.KShootdown), 0, 1, 1, 0, 4, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 4, 1, 0},
+		[8]byte{byte(trace.KShootdown), 0, 1, 1, 0, 6, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 6, 1, 0},
+		[8]byte{byte(trace.KOpEnd), 0, 1, byte(trace.OpRevoke), 1, 0, 0, 0},
+		[8]byte{byte(trace.KOpBegin), 0, 5, byte(trace.OpKill), 2, 0, 0, 0},
+		[8]byte{byte(trace.KShootdown), 0, 5, 1, 0, 4, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 4, 1, 0},
+		[8]byte{byte(trace.KShootdown), 0, 5, 1, 0, 6, 1, 0},
+		[8]byte{byte(trace.KShootdownAck), 0, 0, 0, 0, 6, 1, 0},
+		[8]byte{byte(trace.KKill), 0, 5, 0, 0, 0, 0, 0},
+		[8]byte{byte(trace.KOpEnd), 0, 5, byte(trace.OpKill), 2, 0, 0, 0},
+	))
+	// Two drain rounds (property 5): one whose ring revokes inside its
 	// batch and whose one cross-ring round is fully acked, one with two
 	// rounds of its own, the first acked by one core of two.
 	f.Add(fuzzSeed(

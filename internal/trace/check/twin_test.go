@@ -98,19 +98,7 @@ func (c *twinEngine) step(ev trace.Event) {
 		}
 		f := c.frames[idx]
 		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
-		if len(f.shootdown) > 1 {
-			c.violate(ev, "drain round performed %d shootdown rounds (cross-ring coalescing requires at most 1)",
-				len(f.shootdown))
-		}
-		for _, sd := range f.shootdown {
-			if acked, targeted := sd.acked(); acked != targeted {
-				c.violate(ev, "drain shootdown [%#x,+%d) acked by %d/%d cores when round completed",
-					sd.ev.Addr, sd.ev.Size, acked, targeted)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.oneRound(f, ev)
 
 	case trace.KBatchEnd:
 		c.counts.BatchedOps += ev.Aux
@@ -127,19 +115,7 @@ func (c *twinEngine) step(ev trace.Event) {
 		}
 		f := c.frames[idx]
 		c.frames = append(c.frames[:idx], c.frames[idx+1:]...)
-		if len(f.shootdown) > 1 {
-			c.violate(ev, "batch performed %d shootdown rounds (coalescing requires at most 1)",
-				len(f.shootdown))
-		}
-		for _, sd := range f.shootdown {
-			if acked, targeted := sd.acked(); acked != targeted {
-				c.violate(ev, "batch shootdown [%#x,+%d) acked by %d/%d cores when batch completed",
-					sd.ev.Addr, sd.ev.Size, acked, targeted)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.oneRound(f, ev)
 
 	case trace.KOpEnd:
 		if len(c.frames) == 0 {
@@ -165,15 +141,7 @@ func (c *twinEngine) step(ev trace.Event) {
 		if f.ev.Aux != ev.Aux {
 			c.violate(ev, "operation end %d does not match open operation %d", ev.Aux, f.ev.Aux)
 		}
-		for _, sd := range f.shootdown {
-			if acked, targeted := sd.acked(); acked != targeted {
-				c.violate(ev, "shootdown [%#x,+%d) acked by %d/%d cores when operation completed",
-					sd.ev.Addr, sd.ev.Size, acked, targeted)
-			}
-			if c.last == sd {
-				c.last = nil
-			}
-		}
+		c.oneRound(f, ev)
 
 	case trace.KShootdown:
 		c.counts.Shootdowns++
@@ -296,6 +264,29 @@ func (c *twinEngine) require(ev trace.Event) {
 		if c.resident[int32(core)][ev.Domain] && !c.last.targeted(uint64(core)) {
 			c.violate(ev, "shootdown [%#x,+%d) left out core %d, resident for domain %d",
 				ev.Addr, ev.Size, core, ev.Domain)
+		}
+	}
+}
+
+// oneRound closes frame f at ev: a frame of any kind may perform one
+// shootdown round, acked by every core it targets before ev.
+func (c *twinEngine) oneRound(f *twinFrame, ev trace.Event) {
+	name := "operation"
+	if f.batch {
+		name = "batch"
+	} else if f.drain {
+		name = "drain round"
+	}
+	if n := len(f.shootdown); n >= 2 {
+		c.violate(ev, "%s performed %d shootdown rounds (a frame performs at most 1)", name, n)
+	}
+	for _, sd := range f.shootdown {
+		if acked, targeted := sd.acked(); acked != targeted {
+			c.violate(ev, "shootdown [%#x,+%d) acked by %d/%d cores when %s completed",
+				sd.ev.Addr, sd.ev.Size, acked, targeted, name)
+		}
+		if c.last == sd {
+			c.last = nil
 		}
 	}
 }

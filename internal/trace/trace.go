@@ -132,8 +132,9 @@ const (
 	// KBatchBegin opens one ring drain: Domain = ring owner,
 	// Aux = descriptors pending, Node = frame token. The logical ops the
 	// batch executes emit their ordinary events inside the frame, so the
-	// checker still sees every op; deferred shootdowns coalesce into at
-	// most one KShootdown round before the frame closes.
+	// checker still sees every op. A revocation the batch executes only
+	// publishes: its shootdown joins the enclosing drain round's one
+	// round. Like every frame, a batch runs at most one round.
 	KBatchBegin
 	// KBatchEnd closes the drain: Domain = ring owner, Aux = descriptors
 	// executed, Node = the matching begin token.
