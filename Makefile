@@ -42,14 +42,17 @@ ci-test: verify bench-smoke shuffle fuzz-smoke fuzz bench-threads experiments-qu
 
 # The control plane's validate -> derive -> publish microbenchmarks,
 # kept running with their allocations printed
-# beside their ns (a share/revoke round's included); then a hundred
+# beside their ns (a share/revoke round's included, through the
+# synchronous API and through the ring); then a hundred
 # steady-state migration hops, so every run prints a hop's allocations
-# (the pins are TestSyncDomainAllocationPins, TestShareRevokeAllocations
-# and TestMigrateHopAllocations); and a fleet node's machine coming up,
+# (the pins are TestSyncDomainAllocationPins,
+# TestEPTReplaceUnchangedAllocatesNothing, TestShareRevokeAllocations,
+# TestRingRoundAllocations, TestRevocationRecordsAreReused and
+# TestMigrateHopAllocations); and a fleet node's machine coming up,
 # so every run prints a machine's set-up cost (the footprint pins are
 # TestNewPhysMemFootprint and TestFleetLiveHeap).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem -benchtime 1x ./internal/backend ./internal/core
+	$(GO) test -run '^$$' -bench 'SyncDomain|BuildDeviceFilter|CheckRange|ShareRevokeRound' -benchmem -benchtime 100x ./internal/backend ./internal/core ./internal/libtyche
 	$(GO) test -run '^$$' -bench MigrateHop -benchmem -benchtime 100x ./internal/fleet
 	$(GO) test -run '^$$' -bench NewMachine -benchmem -benchtime 20x ./internal/hw
 

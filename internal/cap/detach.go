@@ -15,31 +15,54 @@ import "slices"
 //     while the old owner's copy is being scrubbed.
 //   - Release — after the scrub: unlink the detached tops from their
 //     live parents, restoring the parents' effective access. Nothing
-//     references the subtrees after that (no *node leaves the package),
-//     so the collector takes them. The caller
-//     resynchronises the affected owners' hardware immediately after,
-//     so Release itself does not bump the generation — the interim
-//     staleness is in the safe (more restrictive) direction. A Detached
-//     that is never released (its cleanups failed) keeps its parents
-//     suspended: fail closed.
+//     references the subtrees after that (no *node leaves the package,
+//     and the record drops its tops), so the collector takes them. The
+//     caller resynchronises the affected owners' hardware immediately
+//     after, so Release itself does not bump the generation — the
+//     interim staleness is in the safe (more restrictive) direction. A
+//     Detached that is never released (its cleanups failed) keeps its
+//     parents suspended: fail closed.
+//   - Reclaim — once the caller has read the released record (its
+//     actions and parent owners drive the resync), the record goes back
+//     to the Space's free list, and the next Detach or DetachOwner
+//     reuses it and the storage of its lists.
 
 // Detached holds a detached-but-not-yet-released set of capability
-// subtrees: the output of Detach/DetachOwner, consumed by Release.
-// actions holds one entry per detached node. The three lists start in
-// one-entry buffers inside the record, so the record of a one-node
-// revoke is one object; a bigger detach grows past them.
+// subtrees: the output of Detach/DetachOwner, consumed by Release and
+// handed back by Reclaim. actions holds one entry per detached node.
+// The three lists start in one-entry buffers inside the record, so a
+// fresh record of a one-node revoke is one object; a bigger detach
+// grows past them, and a reclaimed record keeps what it grew to.
 type Detached struct {
-	tops    []*node // nil once released
+	tops    []*node
 	actions []CleanupAction
 	parents []OwnerID
+	state   detState
+	next    *Detached // the record after it on the free list
 
 	topBuf    [1]*node
 	actionBuf [1]CleanupAction
 	parentBuf [1]OwnerID
 }
 
-// newDetached returns an empty record whose lists use its own buffers.
-func newDetached() *Detached {
+// detState is where a record is in its life: detached, released, or
+// back on the free list.
+type detState uint8
+
+const (
+	detDetached detState = iota
+	detReleased
+	detFree
+)
+
+// newDetached returns an empty record, off the free list when it holds
+// one.
+func (s *Space) newDetached() *Detached {
+	if det := s.free; det != nil {
+		s.free, det.next = det.next, nil
+		det.state = detDetached
+		return det
+	}
 	det := &Detached{}
 	det.tops, det.actions, det.parents = det.topBuf[:0], det.actionBuf[:0], det.parentBuf[:0]
 	return det
@@ -105,7 +128,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	if err != nil {
 		return nil, err
 	}
-	det := newDetached()
+	det := s.newDetached()
 	s.detachSubtree(n, det)
 	det.addTop(n)
 	s.limbo += len(det.actions)
@@ -118,7 +141,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 // the index; the owner's seal flag is cleared. Used when a domain is
 // killed.
 func (s *Space) DetachOwner(owner OwnerID) *Detached {
-	det := newDetached()
+	det := s.newDetached()
 	for _, n := range s.ownerTops(owner) {
 		s.detachSubtree(n, det)
 		det.addTop(n)
@@ -143,7 +166,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 // immediately after, so any interim staleness is in the restrictive
 // direction.
 func (s *Space) Release(det *Detached) {
-	if det == nil || det.tops == nil {
+	if det == nil || det.state != detDetached {
 		return
 	}
 	for _, n := range det.tops {
@@ -152,13 +175,23 @@ func (s *Space) Release(det *Detached) {
 		}
 	}
 	s.limbo -= len(det.actions)
-	clear(det.tops) // the inline buffer must not keep the subtree alive
-	det.tops = nil
+	clear(det.tops) // the record must not keep the subtree alive
+	det.state = detReleased
 }
 
-// Reclaim does nothing: Release frees everything a revocation holds.
-// Kept for benchmark/ until ROADMAP's benchmark queue (iv).
-func (s *Space) Reclaim(*Detached) {}
+// Reclaim hands a released record back to the free list, for the next
+// Detach or DetachOwner to reuse; the caller must not read it again.
+// On a record not yet released it does nothing: its nodes stay linked
+// and its parents suspended (fail closed), and the collector takes it
+// once the caller drops it. A second call is a no-op too.
+func (s *Space) Reclaim(det *Detached) {
+	if det == nil || det.state != detReleased {
+		return
+	}
+	det.tops, det.actions, det.parents = det.tops[:0], det.actions[:0], det.parents[:0]
+	det.state = detFree
+	det.next, s.free = s.free, det
+}
 
 // LimboNodes returns how many capability records are detached and not
 // yet released: 0 whenever no revocation is in flight. Kept for

@@ -378,8 +378,8 @@ func TestOwnerIndexFollowsDetach(t *testing.T) {
 	for _, step := range []func(){
 		func() {},
 		func() { s.Release(det); released = snap() },
-		// A second Release and the empty Reclaim (the one call the repo's
-		// tests make: it is kept for benchmark/) change nothing.
+		// A second Release, and the Reclaim that hands the record back to
+		// the free list, change nothing the space answers.
 		func() { s.Release(det); s.Reclaim(det) },
 	} {
 		step()
@@ -396,4 +396,63 @@ func TestOwnerIndexFollowsDetach(t *testing.T) {
 	if got := snap(); got != released || s.LimboNodes() != 0 {
 		t.Fatalf("a second Release or Reclaim changed the space:\n%s\nafter the first Release:\n%s", got, released)
 	}
+}
+
+// TestReclaimReusesReleasedRecords: Reclaim hands a released record to
+// the free list, where the next Detach or DetachOwner takes it, keeping
+// nothing of its last use; on a record not yet released it does
+// nothing — the parent stays suspended (fail closed) — and a second
+// Reclaim does not list the record twice.
+func TestReclaimReusesReleasedRecords(t *testing.T) {
+	s := NewSpace()
+	root, _ := s.CreateRoot(1, mem(0, 8), MemFull, CleanNone)
+	grant := func(start uint64) NodeID {
+		t.Helper()
+		id, err := s.Grant(root, 2, mem(start, 1), MemRW, CleanZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	det, err := s.Detach(grant(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Reclaim(det)
+	if freeRecords(s) != 0 || s.CheckMemAccess(1, 0, RightRead) || s.LimboNodes() != 1 {
+		t.Fatalf("Reclaim of an unreleased record: %d free, parent access %v, limbo %d",
+			freeRecords(s), s.CheckMemAccess(1, 0, RightRead), s.LimboNodes())
+	}
+	s.Release(det)
+	s.Reclaim(det)
+	s.Reclaim(det)
+	if freeRecords(s) != 1 || !s.CheckMemAccess(1, 0, RightRead) {
+		t.Fatalf("after Release and two Reclaims: %d free, want 1; parent access %v", freeRecords(s), s.CheckMemAccess(1, 0, RightRead))
+	}
+	next, err := s.Detach(grant(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != det || freeRecords(s) != 0 {
+		t.Fatalf("Detach did not take the reclaimed record (%d still free)", freeRecords(s))
+	}
+	if acts := next.Actions(); len(acts) != 1 || acts[0].Resource != mem(2, 1) || !slices.Equal(next.ParentOwners(), []OwnerID{1}) {
+		t.Fatalf("reused record holds actions %v, parents %v", acts, next.ParentOwners())
+	}
+	s.Release(next)
+	s.Reclaim(next)
+	grant(4)
+	owned := s.DetachOwner(2)
+	if owned != det || len(owned.Actions()) != 1 || owned.Actions()[0].Resource != mem(4, 1) {
+		t.Fatalf("DetachOwner did not take the reclaimed record clean: actions %v", owned.Actions())
+	}
+}
+
+// freeRecords returns how many records are on s's free list.
+func freeRecords(s *Space) int {
+	n := 0
+	for det := s.free; det != nil; det = det.next {
+		n++
+	}
+	return n
 }

@@ -122,7 +122,8 @@ type Space struct {
 
 	gen      uint64
 	numNodes int
-	limbo    int // detached, not yet released (detach.go)
+	limbo    int       // detached, not yet released (detach.go)
+	free     *Detached // reclaimed records, linked through next (detach.go)
 }
 
 // NewSpace returns an empty capability space.

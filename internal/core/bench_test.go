@@ -110,19 +110,21 @@ func poolKeepsItems() bool {
 }
 
 // TestShareRevokeAllocations pins the allocations of one synchronous
-// Share + Revoke pair on capSyncWorld. What is left is what the pair
-// keeps or hands on: the capability node, the Detached record (one
-// object: its lists start in buffers inside it) and the child's two new
-// tables, 2 + 2. The four filter rebuilds allocate nothing else — the
-// sharer's and the revoker's views do not change. When the record was a
-// struct plus three one-entry slices, the pair was 9 objects; when every
-// rebuild materialised regions, grants, sweep events and a table, 63;
-// when the queries behind them swept the node index, 139. Counted on
-// go1.24. With the online checker attached the pair costs the same:
-// internal/rv's TestCheckedShareRevokeAllocations.
+// Share + Revoke pair on capSyncWorld at what the pair keeps: the
+// capability node. The Detached record comes off the space's free list
+// and goes back once the revoke's resync has read it, and the child's
+// filter is spliced into the table's spare buffer and swapped in, both
+// times; the sharer's and the revoker's views do not change. When every
+// filter write copied its table and every revoke allocated its record,
+// the pair was 4 objects (2 + 1 + 1); when the record was a struct plus
+// three one-entry slices, 9; when every rebuild materialised regions,
+// grants, sweep events and a table, 63; when the queries behind them
+// swept the node index, 139. Counted on go1.24. With the online checker
+// attached the pair costs the same: internal/rv's
+// TestCheckedShareRevokeAllocations.
 func TestShareRevokeAllocations(t *testing.T) {
 	m, tenant, child, heap := capSyncWorld(t)
-	pinned := 6.0
+	pinned := 1.0
 	if !poolKeepsItems() {
 		pinned = 63
 	}

@@ -32,10 +32,7 @@ package core
 // of the same batch, so re-delegating a page in the batch that revokes
 // it is denied and succeeds on the next flush.
 
-import (
-	"github.com/tyche-sim/tyche/internal/cap"
-	"github.com/tyche-sim/tyche/internal/trace"
-)
+import "github.com/tyche-sim/tyche/internal/trace"
 
 // noteDrainError surfaces a drain failure no caller is there to take:
 // counted in Stats().RingDrainErrors, first occurrence latched for
@@ -64,7 +61,7 @@ func (m *Monitor) drainRound(core int32, rings []*domainRing) (uint64, error) {
 	m.mach.Trace(core, trace.KDrainBegin, 0, uint64(len(rings)), tok, 0, 0)
 
 	var total uint64
-	var dets []*cap.Detached
+	dets := m.drainDets[:0]
 	for _, r := range rings {
 		var n uint64
 		n, r.err = m.drainRing(r, core)
@@ -78,6 +75,8 @@ func (m *Monitor) drainRound(core int32, rings []*domainRing) (uint64, error) {
 		err = m.retire(dets...)
 		m.noteDrainError(err)
 	}
+	clear(dets)
+	m.drainDets = dets[:0]
 	rounds, coalesced := m.mach.FlushShootdowns()
 	m.stats.RingShootdowns += uint64(rounds)
 	m.stats.RingOpsCoalesced += uint64(coalesced)

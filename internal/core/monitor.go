@@ -169,6 +169,9 @@ type Monitor struct {
 	checkpoint func()
 
 	stats Stats
+
+	// drainDets is drainRound's scratch: the round's deferred records.
+	drainDets []*cap.Detached
 }
 
 // Sentinel errors of the monitor API.
@@ -568,7 +571,9 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 // operation's frame flushes them as its one round. A subtree whose
 // cleanups fail is never released (its parents stay suspended: fail
 // closed); the rest still retire, every affected live owner is still
-// resynchronised, and the first error is returned.
+// resynchronised, and the first error is returned. Once the resync has
+// read them, the records go back to the capability space for reuse
+// (Reclaim skips an unreleased one).
 func (m *Monitor) retire(dets ...*cap.Detached) error {
 	var firstErr error
 	for i, det := range dets {
@@ -619,6 +624,9 @@ func (m *Monitor) retire(dets ...*cap.Detached) error {
 	}
 	if err := m.resync(doms, devs, scope); firstErr == nil {
 		firstErr = err
+	}
+	for _, det := range dets {
+		m.space.Reclaim(det)
 	}
 	return firstErr
 }

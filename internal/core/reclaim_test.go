@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/cap"
@@ -259,4 +260,48 @@ func TestEpochLinearizableRevokeStorm(t *testing.T) {
 		}
 	}
 	assertTraceClean(t, m, ck)
+}
+
+// TestRevocationRecordsAreReused: over a thousand create → share →
+// revoke → ForceKill cycles, the capability space's free list of
+// revocation records stays as short as the records one frame used (one
+// here): a revoke's record and a kill's both come off the list and go
+// back once their retire is done. A DetachOwner that allocated while
+// retire returned its record would grow the list by one per kill. The
+// list is the space's own, so the test walks it by reflection.
+func TestRevocationRecordsAreReused(t *testing.T) {
+	m := bootWorld(t, BackendVTX)
+	node := dom0MemNode(t, m)
+	freeRecords := func() int {
+		n := 0
+		for det := reflect.ValueOf(m.space).Elem().FieldByName("free"); !det.IsNil(); det = det.Elem().FieldByName("next") {
+			n++
+		}
+		return n
+	}
+	for i := 0; i < 1000; i++ {
+		dom, err := m.CreateDomain(InitialDomain, "cycle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Share(InitialDomain, node, dom, memRes(160, 1), cap.MemRW, cap.CleanZero); err != nil {
+			t.Fatal(err)
+		}
+		id, err := m.Share(InitialDomain, node, dom, memRes(161, 1), cap.MemRW, cap.CleanZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Revoke(InitialDomain, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ForceKill(dom); err != nil {
+			t.Fatal(err)
+		}
+		if n := freeRecords(); n > 1 {
+			t.Fatalf("cycle %d: %d records on the free list, want at most 1", i, n)
+		}
+	}
+	if n := freeRecords(); n != 1 {
+		t.Fatalf("%d records on the free list after the cycles, want 1", n)
+	}
 }

@@ -323,13 +323,15 @@ func TestDigestChannelRetainsNoFrames(t *testing.T) {
 // reference counts, what its departure scrubs) sweep the pieces over
 // that tenant into stack buffers; a hop that went back to building the
 // machine-wide reference-count map three times would cost ~85 more.
-// Measured at 87 objects; under the race detector, where sync.Pool drops
-// items on purpose and pooled scratch is reallocated at random, at
-// 105-109.
+// Filter writes splice into each table's spare buffer and revocation
+// records are reused, which took a hop from 77 objects to 70, its
+// measure now; under the race
+// detector, where sync.Pool drops items on purpose and pooled scratch is
+// reallocated at random, at 77-78.
 func TestMigrateHopAllocations(t *testing.T) {
-	bound := 100.0
+	bound := 75.0
 	if !poolKeepsItems() {
-		bound = 125
+		bound = 95
 	}
 	w := newHopWorld(t)
 	for _, to := range []int{1, 2, 0} { // open every pair's channel
@@ -343,6 +345,7 @@ func TestMigrateHopAllocations(t *testing.T) {
 	if n > bound {
 		t.Errorf("a warmed hop allocates %v objects, want at most %v", n, bound)
 	}
+	t.Logf("a warmed hop allocates %v objects (bound %v)", n, bound)
 }
 
 // TestFleetLiveHeap pins what a small fleet costs the host: three

@@ -17,9 +17,12 @@ import (
 //
 // The contents are an extent table: disjoint runs of identically
 // permissioned pages, sorted by address, adjacent equal runs merged, no
-// empty or PermNone run. A table never changes once installed: a write
-// splices the next table from the old one into a new slice (the old one
-// is what it reads from), installs it, and bumps the generation once. A
+// empty or PermNone run. The EPT owns two buffers, the installed table
+// and a spare: a write splices the next table from the installed one
+// into the spare (the installed one is what it reads from), swaps the
+// two, and bumps the generation once, so a warmed table's writes
+// allocate nothing. No reader holds the table across a write — a
+// machine is one goroutine's object, and Mappings hands out a copy. A
 // Replace diffs its scope's next runs against the installed table there
 // and reports the changed extents, which are all a resync pays for and
 // traces; one whose runs equal the installed ones installs nothing and
@@ -27,8 +30,9 @@ import (
 // resync to everything keyed on the generation (TLB tags, contexts),
 // whether or not it changed the filter.
 type EPT struct {
-	tab []EPTMapping
-	gen uint64
+	tab   []EPTMapping
+	spare []EPTMapping // the next write's storage; never tab's array
+	gen   uint64
 }
 
 // EPTMapping is one contiguous run of identically permissioned pages.
@@ -42,9 +46,10 @@ func (m EPTMapping) String() string { return fmt.Sprintf("%v %v", m.Region, m.Pe
 // NewEPT returns an empty EPT denying all access.
 func NewEPT() *EPT { return &EPT{} }
 
-// install makes runs the live table and bumps the generation.
+// install makes runs, spliced into the spare, the live table, keeps the
+// old table's storage as the next spare, and bumps the generation.
 func (e *EPT) install(runs []EPTMapping) {
-	e.tab = runs
+	e.tab, e.spare = runs, e.tab[:0]
 	e.gen++
 }
 
@@ -90,7 +95,8 @@ func (e *EPT) Map(r phys.Region, p Perm) error {
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("hw: ept map: %w", err)
 	}
-	e.install(Splice(make([]EPTMapping, 0, len(e.tab)+2), e.tab, r, []EPTMapping{{Region: r, Perm: p}}))
+	run := [1]EPTMapping{{Region: r, Perm: p}}
+	e.install(Splice(e.spare[:0], e.tab, r, run[:]))
 	return nil
 }
 
@@ -110,8 +116,8 @@ func (e *EPT) Unmap(r phys.Region) error { return e.Map(r, PermNone) }
 // whose permission differs, with its new permission (PermNone for pages
 // no longer mapped), in address order. The extents reuse buf's storage,
 // so a caller that keeps buf allocates nothing for them. The table is
-// spliced into a new copy only when some extent changed; the generation
-// is bumped either way.
+// spliced into the spare and swapped in only when some extent changed;
+// the generation is bumped either way.
 func (e *EPT) Replace(scope phys.Region, runs, buf []EPTMapping) (changed []EPTMapping, err error) {
 	if !scope.Start.PageAligned() || !scope.End.PageAligned() {
 		return buf[:0], fmt.Errorf("hw: ept replace: scope %v not page-aligned", scope)
@@ -139,8 +145,7 @@ func (e *EPT) Replace(scope phys.Region, runs, buf []EPTMapping) (changed []EPTM
 		e.gen++
 		return changed, nil
 	}
-	var tab [32]EPTMapping // larger tables spill to the heap
-	e.install(slices.Clone(Splice(tab[:0], e.tab, scope, in)))
+	e.install(Splice(e.spare[:0], e.tab, scope, in))
 	return changed, nil
 }
 
@@ -245,8 +250,12 @@ func stretch(runs []EPTMapping, i int, at phys.Addr) (Perm, phys.Addr) {
 	return runs[i].Perm, runs[i].Region.End
 }
 
-// Clear removes every mapping.
-func (e *EPT) Clear() { e.install(nil) }
+// Clear removes every mapping and drops both buffers, so a removed
+// domain's filter keeps nothing.
+func (e *EPT) Clear() {
+	e.tab, e.spare = nil, nil
+	e.gen++
+}
 
 // Mappings returns the EPT contents as maximal runs of identically
 // permissioned pages, in address order. Used for attestation enumeration

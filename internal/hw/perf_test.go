@@ -143,8 +143,9 @@ func TestEPTLookupAllocatesNothing(t *testing.T) {
 
 // TestEPTReplaceUnchangedAllocatesNothing: a resync whose view did not
 // change sweeps the table and allocates nothing — no copy, no extents.
-// A changed one allocates the published copy and its header, and its
-// extents reuse the caller's buffer.
+// Once warmed, a changed one allocates nothing either: it splices into
+// the table's spare buffer and swaps the two, and its extents reuse the
+// caller's buffer. So does a Map.
 func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
 	e := eptWithRuns(t, 16)
 	runs := e.Mappings()
@@ -164,8 +165,17 @@ func TestEPTReplaceUnchangedAllocatesNothing(t *testing.T) {
 		if ext, err := e.Replace(phys.AllMemory, flip, buf); err != nil || len(ext) != 1 {
 			t.Fatalf("one-run Replace reported %v, err %v", ext, err)
 		}
-	}); n > 2 {
-		t.Errorf("Replace of a changed table allocates %.1f times, want at most 2 (the table and its header)", n)
+	}); n != 0 {
+		t.Errorf("Replace of a changed table allocates %.1f times, want 0", n)
+	}
+	page := phys.MakeRegion(phys.Addr(3<<phys.PageShift), phys.PageSize)
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		if err := e.Map(page, Perm(i%2)*PermX|PermR); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Map allocates %.1f times, want 0", n)
 	}
 }
 

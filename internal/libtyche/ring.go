@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/tyche-sim/tyche/internal/core"
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -44,6 +45,8 @@ type Ring struct {
 	// Reap has consumed completions.
 	tail   uint64
 	cqHead uint64
+	// cq is Reap's read buffer, kept across calls.
+	cq []byte
 }
 
 // NewRing allocates ring memory from the client's heap, registers it
@@ -109,8 +112,9 @@ func (r *Ring) Flush() (uint64, error) {
 // monitor's own flush does (core/ring.go): a tail more than the ring's
 // capacity ahead returns ErrCQOverrun. The pending span takes one
 // capability-checked read, or two when it wraps past the last slot,
-// and Reap moves its cursor only once they have succeeded, so a failed
-// Reap loses nothing.
+// into the ring's own buffer, and Reap moves its cursor only once they
+// have succeeded, so a failed Reap loses nothing. The result is a fresh
+// slice, the caller's to keep.
 func (r *Ring) Reap() ([]Completion, error) {
 	cqTail, err := r.word(core.RingOffCQTail)
 	if err != nil {
@@ -124,17 +128,16 @@ func (r *Ring) Reap() ([]Completion, error) {
 		return nil, fmt.Errorf("%w: tail %d is %d entries past head %d, capacity %d",
 			ErrCQOverrun, cqTail, pending, r.cqHead, r.entries)
 	}
-	first := min(pending, r.entries-r.cqHead%r.entries)
-	b, err := r.cl.Read(r.base+phys.Addr(core.RingCQOff(r.entries, r.cqHead)), first*core.RingCQBytes)
-	if err != nil {
+	first := min(pending, r.entries-r.cqHead%r.entries) * core.RingCQBytes
+	b := slices.Grow(r.cq[:0], int(pending*core.RingCQBytes))[:pending*core.RingCQBytes]
+	r.cq = b
+	if err := r.read(core.RingCQOff(r.entries, r.cqHead), b[:first]); err != nil {
 		return nil, err
 	}
-	if rest := pending - first; rest > 0 {
-		wrapped, err := r.cl.Read(r.base+phys.Addr(core.RingCQOff(r.entries, 0)), rest*core.RingCQBytes)
-		if err != nil {
+	if first < uint64(len(b)) {
+		if err := r.read(core.RingCQOff(r.entries, 0), b[first:]); err != nil {
 			return nil, err
 		}
-		b = append(b, wrapped...)
 	}
 	out := make([]Completion, pending)
 	for i := range out {
@@ -151,9 +154,14 @@ func (r *Ring) Reap() ([]Completion, error) {
 // word reads one 64-bit header word (capability-checked like any other
 // guest access).
 func (r *Ring) word(off uint64) (uint64, error) {
-	b, err := r.cl.Read(r.base+phys.Addr(off), 8)
-	if err != nil {
+	var w [8]byte
+	if err := r.read(off, w[:]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(w[:]), nil
+}
+
+// read fills buf from the ring at offset off, capability-checked.
+func (r *Ring) read(off uint64, buf []byte) error {
+	return r.cl.mon.ReadInto(r.cl.self, r.base+phys.Addr(off), buf)
 }

@@ -347,7 +347,10 @@ func TestServiceShipsEveryViolationOnce(t *testing.T) {
 // TestCheckedShareRevokeAllocations: runtime verification adds no
 // allocation to a Share + Revoke pair, counting the merge that resolves
 // the pair's events — the pair allocates as much on a machine with the
-// service attached as on one without. The engine recycles its frames
+// service attached as on one without, and that is what the pair keeps:
+// the capability node, and the child's per-owner node list, which the
+// space drops when the revoke empties it (here the child holds nothing
+// else) and the next share makes again. The engine recycles its frames
 // and shootdown records, the checker and the merge reuse their buffers,
 // and the trace rings are small enough to reach capacity in the
 // warm-up.
@@ -413,6 +416,9 @@ func TestCheckedShareRevokeAllocations(t *testing.T) {
 		return testing.AllocsPerRun(100, round)
 	}
 	bare, checked := pair(false), pair(true)
+	if bare > 2 {
+		t.Fatalf("a Share + Revoke pair allocates %.0f objects, want at most 2 (the capability node and the child's owner list)", bare)
+	}
 	if checked != bare {
 		t.Fatalf("a Share + Revoke pair allocates %.0f objects checked, %.0f unchecked: the checker adds %.0f",
 			checked, bare, checked-bare)
