@@ -124,14 +124,14 @@ batched:
 	$(GO) test -run 'Ring|OneRound|SyncRevokeGolden' ./internal/core ./internal/libtyche ./internal/hw ./internal/trace/check
 	$(GO) run ./cmd/tyche-sim -batched
 
-# The six mutation oracles — the only build tags there are. Each build
-# carries one seeded bug; the online checker and check.Replay of the
-# trace must flag it with the same verdict (rangebug's left-out core the
-# stale-translation oracle too).
+# The six mutation oracles. The product carries no seeded bug: each
+# mutant is a row of internal/core's mutants table — edits of the
+# product source — built with go test -overlay, and the online checker
+# and check.Replay of the trace must flag it with the same verdict
+# (rangebug's left-out core the stale-translation oracle too). Prints
+# each mutant's name and verdict; a survivor fails the target.
 mutation:
-	for tag in tracebug scrubbug ackbug drainbug migratebug rangebug; do \
-		$(GO) test -tags $$tag -run MutationOracle ./internal/core || exit 1; \
-	done
+	$(GO) test -count=1 -run '^TestMutants$$' -v ./internal/core -args -mutants
 
 # Runtime verification: the trace, checker and rv packages (emit,
 # engine.step and a steady-state merge allocating nothing are tests

@@ -46,7 +46,7 @@ func TestExperimentsPassAllChecks(t *testing.T) {
 }
 
 // TestResultsAreHostIndependent is the reproducibility contract: an
-// experiment's Result is a pure function of (seed, build tags), so two
+// experiment's Result is a pure function of its seed, so two
 // runs with one seed must marshal to the same bytes. No experiment is
 // exempt.
 func TestResultsAreHostIndependent(t *testing.T) {

@@ -39,7 +39,7 @@ func init() {
 //	A — transparency: the C19-style oversubscribed scheduler workload
 //	    at 8-core full load, run once under each observer mode:
 //	      off        — no tracer installed: every emit site is one
-//	                   atomic nil-load and branch;
+//	                   nil check and branch;
 //	      ring       — per-core ring buffers recording every
 //	                   event;
 //	      ring+check — ring plus the online invariant checker as

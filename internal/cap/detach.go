@@ -138,8 +138,9 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 
 // DetachOwner is the publish step of an owner's teardown: every
 // capability owned by owner (and everything derived from those) leaves
-// the index; the owner's seal flag is cleared. Used when a domain is
-// killed.
+// the index; the owner's seal flag and its (now empty) node list are
+// dropped, so a killed owner leaves nothing behind. Used when a domain
+// is killed.
 func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	det := s.newDetached()
 	for _, n := range s.ownerTops(owner) {
@@ -152,6 +153,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 		s.mutate()
 	}
 	delete(s.sealed, owner)
+	delete(s.owned, owner)
 	s.limbo += len(det.actions)
 	return det
 }

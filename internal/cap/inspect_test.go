@@ -60,10 +60,14 @@ func (s *Space) OwnerMemory(owner OwnerID, want Rights) []phys.Region {
 }
 
 // Owners returns every owner holding at least one capability, sorted.
+// owned holds no list for a torn-down owner, but a live owner's may be
+// empty.
 func (s *Space) Owners() []OwnerID {
-	out := make([]OwnerID, 0, len(s.owned)) // owned holds no empty list
-	for o := range s.owned {
-		out = append(out, o)
+	out := make([]OwnerID, 0, len(s.owned))
+	for o, l := range s.owned {
+		if len(l) > 0 {
+			out = append(out, o)
+		}
 	}
 	slices.Sort(out)
 	return out

@@ -80,7 +80,7 @@ func modelAlphabet() []modelOp {
 		}},
 		{"revoke-owner-2", func(s *Space, nodes *[]NodeID) error {
 			s.Release(s.DetachOwner(2))
-			return nil
+			return ownedMatchesIndex(s, 2)
 		}},
 		{"seal-3", func(s *Space, nodes *[]NodeID) error {
 			s.Seal(3)
@@ -223,13 +223,16 @@ func modelInvariants(s *Space) error {
 
 // ownedMatchesIndex checks that the per-owner lists the access check
 // walks hold exactly the indexed nodes, each under its owner, in
-// insertion (ascending ID) order, with no empty list.
-func ownedMatchesIndex(s *Space) error {
+// insertion (ascending ID) order, with no list for a torn-down owner
+// (those given, each freshly torn down).
+func ownedMatchesIndex(s *Space, tornDown ...OwnerID) error {
+	for _, o := range tornDown {
+		if _, ok := s.owned[o]; ok {
+			return fmt.Errorf("torn-down owner %d still has a list", o)
+		}
+	}
 	listed := 0
 	for o, l := range s.owned {
-		if len(l) == 0 {
-			return fmt.Errorf("owner %d: empty list", o)
-		}
 		for k, n := range l {
 			if got, err := s.get(n.id); err != nil || got != n || n.owner != o {
 				return fmt.Errorf("owner %d lists node %d, which the index does not hold for it", o, n.id)

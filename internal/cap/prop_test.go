@@ -417,6 +417,9 @@ func TestRevokeOwnerMidGrantNeutrality(t *testing.T) {
 
 		// The fault: the monitor kills the victim mid-chain.
 		s.Release(s.DetachOwner(victim))
+		if err := ownedMatchesIndex(s, victim); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		// Anything the victim re-shared dies with its lineage; the
 		// accomplice's derived-only access must be gone too.
 		after := captureState(s, survivors)

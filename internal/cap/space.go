@@ -116,7 +116,8 @@ type Space struct {
 	nodes  map[NodeID]*node
 	sealed map[OwnerID]bool
 	// owned[o] lists o's indexed nodes in insertion order, which is
-	// ascending ID order.
+	// ascending ID order. A live owner keeps its list when it empties;
+	// a torn-down owner has none.
 	owned  map[OwnerID][]*node
 	nextID NodeID
 
@@ -156,17 +157,13 @@ func (s *Space) insert(n *node) NodeID {
 	return n.id
 }
 
-// remove unindexes n.
+// remove unindexes n. An owner's emptied list stays, so its next
+// capability reuses it; DetachOwner drops the list with the owner.
 func (s *Space) remove(n *node) {
 	delete(s.nodes, n.id)
 	l := s.owned[n.owner]
 	if i := slices.Index(l, n); i >= 0 {
-		l = slices.Delete(l, i, i+1)
-	}
-	if len(l) == 0 {
-		delete(s.owned, n.owner)
-	} else {
-		s.owned[n.owner] = l
+		s.owned[n.owner] = slices.Delete(l, i, i+1)
 	}
 	s.numNodes--
 }

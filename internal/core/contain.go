@@ -34,7 +34,7 @@ import (
 // force-killable — it is the platform's root workload; faults on it
 // park the faulting core instead (see containFault).
 func (m *Monitor) ForceKill(id DomainID) error {
-	_, err := m.forceDestroy(false, id)
+	_, err := m.forceDestroy(id)
 	return err
 }
 
@@ -48,7 +48,7 @@ func (m *Monitor) ForceKill(id DomainID) error {
 // are skipped; the first such error is returned alongside the number
 // actually killed.
 func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
-	return m.forceDestroy(false, ids...)
+	return m.forceDestroy(ids...)
 }
 
 // DepartKill destroys a domain on migration departure: the source-side
@@ -59,18 +59,17 @@ func (m *Monitor) ForceKillAll(ids ...DomainID) (int, error) {
 // before the kill completes, or two plaintext instances of a
 // confidential workload exist at once. The scrub-before-kill trace
 // invariant audits exactly that: every planned region must be scrubbed
-// and shot down before the KKill closes the destruction (the
-// migratebug mutation elides the erase and the checker, online and
-// replayed, must flag it — see TestMigrateMutationOracle).
+// and shot down before the KKill closes the destruction (the migratebug
+// mutant elides the erase and the checker, online and replayed, must
+// flag it — see TestMigrateMutationOracle).
 func (m *Monitor) DepartKill(id DomainID) error {
-	_, err := m.forceDestroy(true, id)
-	return err
+	return m.ForceKill(id)
 }
 
 // forceDestroy is the one monitor-authority kill driver behind
-// ForceKill, ForceKillAll and DepartKill (with depart): it validates and
-// publishes each victim in order, then reclaims them.
-func (m *Monitor) forceDestroy(depart bool, ids ...DomainID) (int, error) {
+// ForceKill and ForceKillAll: it validates and publishes each victim in
+// order, then reclaims them.
+func (m *Monitor) forceDestroy(ids ...DomainID) (int, error) {
 	var buf [1]destroyTicket // the single-victim kills
 	ticks := buf[:0]
 	var firstErr error
@@ -85,7 +84,7 @@ func (m *Monitor) forceDestroy(depart bool, ids ...DomainID) (int, error) {
 			}
 			continue
 		}
-		ticks = append(ticks, m.forcePublish(d, depart))
+		ticks = append(ticks, m.forcePublish(d))
 	}
 	if err := m.reclaim(ticks...); firstErr == nil {
 		firstErr = err
@@ -95,11 +94,11 @@ func (m *Monitor) forceDestroy(depart bool, ids ...DomainID) (int, error) {
 
 // forcePublish publishes a monitor-authority kill of d: counted, traced
 // as KForceKill, and reclaimed with the forced scrub.
-func (m *Monitor) forcePublish(d *Domain, depart bool) destroyTicket {
+func (m *Monitor) forcePublish(d *Domain) destroyTicket {
 	m.stats.ForcedKills++
 	m.emit(trace.KForceKill, d.id, 0, 0, 0, 0)
 	t := m.destroyPublish(d)
-	t.scrub, t.depart = true, depart
+	t.scrub = true
 	return t
 }
 
@@ -111,9 +110,6 @@ type destroyTicket struct {
 	// scrub marks a monitor-authority kill: the domain's exclusive
 	// memory is zeroed and shot down whatever its cleanup policies say.
 	scrub bool
-	// depart marks a migration-departure kill (DepartKill): the path the
-	// migratebug mutation elides the crypto-erase on.
-	depart bool
 
 	// Set by destroyScrub for reclaim: the detached subtree, the regions
 	// zeroed whose KScrub the kill's round still owes, and the error that
@@ -208,22 +204,8 @@ func (m *Monitor) destroyScrub(t *destroyTicket) {
 	// Forced scrub, region by region in plan order: zero, charge, record
 	// the shootdown. Every KScrub follows the round and precedes the
 	// KKill.
-	//
-	// The migratebug mutation elides the whole erase on the departure
-	// path (scrub, shootdowns, key drop) AFTER the plan was announced:
-	// every KScrubPlan stays unmatched at the KKill, which is what both
-	// trace checkers must flag.
-	if departEraseElided && t.depart {
-		return
-	}
 	t.scrubbed = plan[:0] // written behind the loop's reads
-	for i, r := range plan {
-		if scrubSkipFirst && i == 0 {
-			// Seeded mutation (scrubbug build tag): the first planned
-			// region is neither zeroed nor shot down — its KScrubPlan is
-			// still unmatched when KKill closes the destruction.
-			continue
-		}
+	for _, r := range plan {
 		if err := m.mach.Mem.Zero(r); err != nil {
 			t.err = err
 			return
@@ -243,7 +225,6 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 		return t.err
 	}
 	owner := cap.OwnerID(d.id)
-	elide := departEraseElided && t.depart
 	// Scrub done: the detached subtree retires as a revocation's does —
 	// cleanups, release (parents regain granted-back regions), resync of
 	// the surviving owners. Past this point the kill runs to its end
@@ -254,9 +235,7 @@ func (m *Monitor) destroyReclaim(t destroyTicket) error {
 	if err := m.bk.RemoveDomain(owner); firstErr == nil {
 		firstErr = err
 	}
-	if !elide {
-		m.cryptoErase(d.id)
-	}
+	m.cryptoErase(d.id)
 	// Clear scheduling state referring to the dead domain.
 	for _, sc := range m.sched {
 		if sc.hasCur && sc.cur == d.id {
@@ -293,5 +272,5 @@ func (m *Monitor) containFault(core phys.CoreID, victim DomainID) error {
 	if victim == InitialDomain {
 		return nil
 	}
-	return m.reclaim(m.forcePublish(d, false))
+	return m.reclaim(m.forcePublish(d))
 }

@@ -576,15 +576,8 @@ func (m *Monitor) revokePublish(caller DomainID, node cap.NodeID) (*cap.Detached
 // (Reclaim skips an unreleased one).
 func (m *Monitor) retire(dets ...*cap.Detached) error {
 	var firstErr error
-	for i, det := range dets {
+	for _, det := range dets {
 		err := m.bk.ExecuteCleanups(det.Actions())
-		if DrainBugArmed && i == 0 {
-			// Seeded mutation (drainbug build tag): the first
-			// revocation's shootdowns are flushed on their own, so a
-			// frame that retires more runs a second round, which the
-			// checker's one-round-per-frame rule must flag.
-			m.mach.FlushShootdowns()
-		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -40,18 +40,25 @@ func bootDualTracedWorld(tb testing.TB, kind BackendKind) (*Monitor, *check.Chec
 	return m, ck, tr
 }
 
-// skipUnlessOnlyMutation skips the calling oracle when a *different*
-// seeded mutation is compiled in: every mutation breaks real
-// machinery, so a foreign bug trips the clean-run half of the other
-// oracles (e.g. tracebug's unflushed core fails the scrub oracle's
-// kill). Each CI mutation leg builds with exactly one tag and runs
-// all four oracles; the three foreign ones skip here.
-func skipUnlessOnlyMutation(t *testing.T, own bool) {
+// skipUnlessOnlyMutation skips the calling oracle when a mutant other
+// than own (a mutants row's name; "" for none) is compiled in: every
+// mutant breaks real machinery, so a foreign bug trips the clean-run
+// half of the other oracles (e.g. tracebug's unflushed core fails the
+// scrub oracle's kill). Each mutant build runs every oracle; the
+// foreign ones skip here.
+func skipUnlessOnlyMutation(t *testing.T, own string) {
 	t.Helper()
-	anyArmed := hw.ShootdownBugArmed || hw.AckBugArmed || hw.RangeBugArmed || ScrubBugArmed || DrainBugArmed || MigrateBugArmed
-	if anyArmed && !own {
-		t.Skip("a different seeded mutation is armed")
+	if mutant != "" && mutant != own {
+		t.Skipf("mutant %s is compiled in", mutant)
 	}
+}
+
+// logCaught reports what an oracle caught, on the one line TestMutants
+// reads back: the checkers' error and any further evidence.
+func logCaught(t *testing.T, err error, evidence ...string) {
+	t.Helper()
+	verdict := strings.Join(strings.Fields(err.Error()), " ") // on one line
+	t.Logf("caught: %s", strings.Join(append([]string{verdict}, evidence...), "; "))
 }
 
 // launchOn makes core resident for dom, so the shootdown rounds for
@@ -143,16 +150,16 @@ func residentTenant(tb testing.TB, m *Monitor, fast bool) (DomainID, cap.NodeID)
 	return dom, grant
 }
 
-// TestRangeMutationOracle: under the rangebug build tag every shootdown
+// TestRangeMutationOracle: under the rangebug mutant every shootdown
 // round leaves out the highest core resident for its domains. Here that
 // is core 1, which ran the tenant — on vtx entered and left by fast
 // switches: the revoke of the tenant's code page must target it. The
 // check, online and replayed, must flag the left-out core with one
 // message, and the stale-translation oracle must find the translation
-// core 1 kept; in normal builds the same run is clean on both counts,
+// core 1 kept; in the product the same run is clean on both counts,
 // on both backends.
 func TestRangeMutationOracle(t *testing.T) {
-	skipUnlessOnlyMutation(t, hw.RangeBugArmed)
+	skipUnlessOnlyMutation(t, "rangebug")
 	for _, kind := range []BackendKind{BackendVTX, BackendPMP} {
 		t.Run(string(kind), func(t *testing.T) {
 			m, ck, tr := bootDualTracedWorld(t, kind)
@@ -165,7 +172,7 @@ func TestRangeMutationOracle(t *testing.T) {
 			}
 			stale := checkStaleTranslations(m)
 			err := assertCheckersAgree(t, ck, tr)
-			if hw.RangeBugArmed {
+			if mutant == "rangebug" {
 				want := fmt.Sprintf("left out core 1, resident for domain %d", dom)
 				if err == nil || len(ck.Violations()) != 1 || !strings.Contains(err.Error(), want) {
 					t.Fatalf("seeded left-out core (rangebug): want one violation %q, got %v", want, err)
@@ -173,6 +180,7 @@ func TestRangeMutationOracle(t *testing.T) {
 				if stale == nil {
 					t.Fatal("seeded left-out core (rangebug) kept no stale translation the oracle sees")
 				}
+				logCaught(t, err, "stale translation: "+stale.Error())
 				return
 			}
 			if err != nil {
@@ -221,14 +229,14 @@ func assertCheckersAgree(tb testing.TB, ck *check.Checker, tr *trace.Tracer) err
 	return onlineErr
 }
 
-// TestScrubMutationOracle: under the scrubbug build tag the kill path
+// TestScrubMutationOracle: under the scrubbug mutant the kill path
 // skips zeroing (and shooting down) the first planned exclusive
 // region, so a KScrubPlan is left unmatched when KKill closes the
 // destruction. Online and replayed, the check must flag the
-// scrub-before-kill property; in normal builds the identical run must
+// scrub-before-kill property; in the product the identical run must
 // be clean.
 func TestScrubMutationOracle(t *testing.T) {
-	skipUnlessOnlyMutation(t, ScrubBugArmed)
+	skipUnlessOnlyMutation(t, "scrubbug")
 	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "victim")
@@ -244,13 +252,14 @@ func TestScrubMutationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = assertCheckersAgree(t, ck, tr)
-	if ScrubBugArmed {
+	if mutant == "scrubbug" {
 		if err == nil {
 			t.Fatal("seeded skipped scrub (scrubbug) not flagged by the checkers")
 		}
 		if !strings.Contains(err.Error(), "killed with unscrubbed exclusive region") {
 			t.Fatalf("wrong violation for seeded bug: %v", err)
 		}
+		logCaught(t, err)
 		return
 	}
 	if err != nil {
@@ -258,14 +267,14 @@ func TestScrubMutationOracle(t *testing.T) {
 	}
 }
 
-// TestDrainMutationOracle: under the drainbug build tag the retire
+// TestDrainMutationOracle: under the drainbug mutant the retire
 // step flushes a drain round's first revocation's shootdowns on their
 // own, so a second shootdown round retires inside the
 // KDrainBegin/KDrainEnd frame. Online and replayed, the check must flag
-// the one-round-per-frame property (5); in normal builds the identical
+// the one-round-per-frame property (5); in the product the identical
 // run must be clean.
 func TestDrainMutationOracle(t *testing.T) {
-	skipUnlessOnlyMutation(t, DrainBugArmed)
+	skipUnlessOnlyMutation(t, "drainbug")
 	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	// Two ring-owning tenants, each with two revocable flush-on-revoke
@@ -293,13 +302,14 @@ func TestDrainMutationOracle(t *testing.T) {
 		t.Fatalf("round executed %d descriptors, want 4", n)
 	}
 	err := assertCheckersAgree(t, ck, tr)
-	if DrainBugArmed {
+	if mutant == "drainbug" {
 		if err == nil {
 			t.Fatal("seeded second drain shootdown round (drainbug) not flagged by the checkers")
 		}
 		if !strings.Contains(err.Error(), "drain round performed") {
 			t.Fatalf("wrong violation for seeded bug: %v", err)
 		}
+		logCaught(t, err)
 		return
 	}
 	if err != nil {
@@ -307,14 +317,14 @@ func TestDrainMutationOracle(t *testing.T) {
 	}
 }
 
-// TestAckMutationOracle: under the ackbug build tag the first
+// TestAckMutationOracle: under the ackbug mutant the first
 // shootdown round that targets core 0 loses its acknowledgement (the flush itself
 // still runs — a completion-protocol bug, unlike tracebug's stale
 // TLB). Online and replayed, the check must flag the
 // shootdown-round-completeness property when the enclosing operation
 // retires short one ack.
 func TestAckMutationOracle(t *testing.T) {
-	skipUnlessOnlyMutation(t, hw.AckBugArmed)
+	skipUnlessOnlyMutation(t, "ackbug")
 	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "target")
@@ -333,13 +343,14 @@ func TestAckMutationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = assertCheckersAgree(t, ck, tr)
-	if hw.AckBugArmed {
+	if mutant == "ackbug" {
 		if err == nil {
 			t.Fatal("seeded lost ack (ackbug) not flagged by the checkers")
 		}
 		if !strings.Contains(err.Error(), "acked by") {
 			t.Fatalf("wrong violation for seeded bug: %v", err)
 		}
+		logCaught(t, err)
 		return
 	}
 	if err != nil {
@@ -347,15 +358,15 @@ func TestAckMutationOracle(t *testing.T) {
 	}
 }
 
-// TestMigrateMutationOracle: under the migratebug build tag the
+// TestMigrateMutationOracle: under the migratebug mutant the
 // migration departure path (DepartKill) elides the source-side
 // crypto-erase — the exclusive regions are announced for scrubbing but
 // neither zeroed, shot down, nor key-erased, so the departed tenant's
 // plaintext outlives the migration. Online and replayed, the check
-// must flag the scrub-before-kill property; in normal builds the
+// must flag the scrub-before-kill property; in the product the
 // identical departure must be clean and the plaintext gone.
 func TestMigrateMutationOracle(t *testing.T) {
-	skipUnlessOnlyMutation(t, MigrateBugArmed)
+	skipUnlessOnlyMutation(t, "migratebug")
 	m, ck, tr := bootDualTracedWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
 	dom, err := m.CreateDomain(InitialDomain, "departing")
@@ -381,7 +392,7 @@ func TestMigrateMutationOracle(t *testing.T) {
 	}
 	leaked := bytes.Contains(view, secret)
 	err = assertCheckersAgree(t, ck, tr)
-	if MigrateBugArmed {
+	if mutant == "migratebug" {
 		if err == nil {
 			t.Fatal("seeded elided departure erase (migratebug) not flagged by the checkers")
 		}
@@ -389,8 +400,9 @@ func TestMigrateMutationOracle(t *testing.T) {
 			t.Fatalf("wrong violation for seeded bug: %v", err)
 		}
 		if !leaked {
-			t.Fatal("migratebug armed but the plaintext was erased — mutation not wired to the departure path")
+			t.Fatal("migratebug compiled in but the plaintext was erased — the mutant is not wired to the departure path")
 		}
+		logCaught(t, err, "plaintext leaked")
 		return
 	}
 	if err != nil {

@@ -173,7 +173,7 @@ func audited(k trace.Kind) bool {
 // TestOnlineCheckMatchesReplay runs every workload shape at every core
 // count and pins the online check to its replay.
 func TestOnlineCheckMatchesReplay(t *testing.T) {
-	skipUnlessOnlyMutation(t, false) // any armed mutation dirties the workloads
+	skipUnlessOnlyMutation(t, "") // any mutant dirties the workloads
 	workloads := []struct {
 		name string
 		run  func(*testing.T, *Monitor, int)

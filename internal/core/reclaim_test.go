@@ -267,18 +267,22 @@ func TestEpochLinearizableRevokeStorm(t *testing.T) {
 // revocation records stays as short as the records one frame used (one
 // here): a revoke's record and a kill's both come off the list and go
 // back once their retire is done. A DetachOwner that allocated while
-// retire returned its record would grow the list by one per kill. The
-// list is the space's own, so the test walks it by reflection.
+// retire returned its record would grow the list by one per kill. Nor
+// does the space keep a killed owner's node list: its per-owner lists
+// stay as many as the owners alive. Both are the space's own, so the
+// test reads them by reflection.
 func TestRevocationRecordsAreReused(t *testing.T) {
 	m := bootWorld(t, BackendVTX)
 	node := dom0MemNode(t, m)
+	space := reflect.ValueOf(m.space).Elem()
 	freeRecords := func() int {
 		n := 0
-		for det := reflect.ValueOf(m.space).Elem().FieldByName("free"); !det.IsNil(); det = det.Elem().FieldByName("next") {
+		for det := space.FieldByName("free"); !det.IsNil(); det = det.Elem().FieldByName("next") {
 			n++
 		}
 		return n
 	}
+	owners := space.FieldByName("owned").Len()
 	for i := 0; i < 1000; i++ {
 		dom, err := m.CreateDomain(InitialDomain, "cycle")
 		if err != nil {
@@ -299,6 +303,9 @@ func TestRevocationRecordsAreReused(t *testing.T) {
 		}
 		if n := freeRecords(); n > 1 {
 			t.Fatalf("cycle %d: %d records on the free list, want at most 1", i, n)
+		}
+		if n := space.FieldByName("owned").Len(); n != owners {
+			t.Fatalf("cycle %d: the space lists %d owners, want the %d alive before the cycles", i, n, owners)
 		}
 	}
 	if n := freeRecords(); n != 1 {

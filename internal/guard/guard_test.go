@@ -27,9 +27,10 @@ type goFile struct {
 
 // parseTree parses every Go file under the given paths (relative to the
 // repository root, walked recursively), _test.go files only when tests
-// is set. Build tags are ignored: a rule holds in every build. Hidden
-// directories and nested modules (benchmark/) are not part of this
-// module and are skipped.
+// is set. The module is one build (no file carries a constraint), so a
+// rule sees every file the build compiles. Hidden directories and
+// nested modules (benchmark/) are not part of this module and are
+// skipped.
 func parseTree(t *testing.T, tests bool, paths ...string) []goFile {
 	t.Helper()
 	root := filepath.Join("..", "..")
@@ -382,9 +383,11 @@ var mu sync.Mutex`)
 // counter beside Generation) and those nothing called at all; and the
 // monitor's host-thread machinery — the epoch engine, its reader and
 // destructive entry brackets, the core, hardware, table, ring and
-// drain-error locks, and the epochbug mutation; and the shootdown
-// batch brackets and their cached accumulator, since every operation
-// frame flushes the machine's one accumulator once.
+// drain-error locks, and the epochbug mutation; the shootdown batch
+// brackets and their cached accumulator, since every operation frame
+// flushes the machine's one accumulator once; and the seeded-bug build
+// tags' armed constants and product hooks, since every mutant is a row
+// of internal/core's mutants table, patched in by go test -overlay.
 var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShards|RingParallelDrains|monLock|notrace|ErrNotCompiled|` +
 	`cachedCall|cachedReturn|synchronizeAt|lockOwners|rlockOwner|rlockAll|revokeSubtree|numShards|` +
 	`deferFree|deferq|minObserved|setOnline|epochMaxCores|SetTransitionCache|tcLookup|tcFill|cfgGen|overlapShards|CoreRun$|` +
@@ -398,7 +401,9 @@ var gone = regexp.MustCompile(`biglock|BigLockBuild|SetReclaimWorkers|ScrubShard
 	`^(?:Bounds|CodeRegion|Creator|DefaultConfig|Inflight|LiveNodes|Peer|WithUserSegment)$|` +
 	`epochEngine|epochSlot|lockCores|unlockCores|hwMu|revMu|tabMu|ringMu|drainErrMu|EpochBugArmed|` +
 	`^(?:renter|rexit|denter|dexit)$|` +
-	`BeginShootdownBatch|EndShootdownBatch|endShootdownBatch|sdBatchCache`)
+	`BeginShootdownBatch|EndShootdownBatch|endShootdownBatch|sdBatchCache|` +
+	`ShootdownBugArmed|AckBugArmed|RangeBugArmed|ScrubBugArmed|DrainBugArmed|MigrateBugArmed|` +
+	`shootdownSkipLast|ackDropOne|ackSwallowed|rangeSkipOne|scrubSkipFirst|departEraseElided`)
 
 // goneFields are deleted fields of the bench Config: every experiment
 // world carries the online checker, so there is no switch to turn it
@@ -409,20 +414,34 @@ var goneFields = map[string]bool{"Trace": true, "Verify": true}
 // -verify went with those fields.
 var goneFlags = map[string]bool{`"traced"`: true, `"verify"`: true}
 
-// TestDeletedNamesStayGone parses every Go file of the module, tests
-// included: no identifier may match gone, nor trace.Compiled be named,
-// nor a //go:build line name a deleted tag, nor the bench Config declare
-// a gone field, nor a flag package call name a gone flag.
-func TestDeletedNamesStayGone(t *testing.T) {
-	files := parseTree(t, true, ".")
+// buildConstrained returns the build constraint lines of files: the
+// module is one build, so there should be none.
+func buildConstrained(files []goFile) (bad []string) {
 	for _, g := range files {
 		for _, cg := range g.f.Comments {
 			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//go:build") && gone.MatchString(c.Text) {
-					t.Errorf("%s: %s names a deleted build", g.at(c), c.Text)
+				if strings.HasPrefix(c.Text, "//go:build") || strings.HasPrefix(c.Text, "// +build") {
+					bad = append(bad, g.at(c)+": "+c.Text)
 				}
 			}
 		}
+	}
+	return bad
+}
+
+// TestDeletedNamesStayGone parses every Go file of the module, tests
+// included: no file may carry a build constraint (a seeded bug is a
+// mutants row, not a build tag; the rule sees a planted one), no
+// identifier may match gone, nor trace.Compiled be named, nor the bench
+// Config declare a gone field, nor a flag package call name a gone flag.
+func TestDeletedNamesStayGone(t *testing.T) {
+	files := parseTree(t, true, ".")
+	if bad := buildConstrained(files); len(bad) > 0 {
+		t.Errorf("the module is one build, but files carry build constraints: %v", bad)
+	}
+	planted := plant(t, "internal/hw/planted.go", "//go:build rangebug\n\npackage hw\n")
+	if bad := buildConstrained([]goFile{planted}); len(bad) != 1 {
+		t.Errorf("a planted //go:build line was seen %d times, want 1", len(bad))
 	}
 	isGone := map[string]bool{} // the regexp runs once per distinct name
 	inspect(files, func(g goFile, n ast.Node) {
@@ -682,8 +701,8 @@ var tcbAllowed = map[string]bool{
 }
 
 // linked returns the packages of this module that files import,
-// transitively (each package's non-test files, build tags ignored),
-// with the importing file of each.
+// transitively (each package's non-test files), with the importing file
+// of each.
 func linked(t *testing.T, files []goFile) map[string]string {
 	out := map[string]string{}
 	for todo := files; len(todo) > 0; {
@@ -709,7 +728,7 @@ func linked(t *testing.T, files []goFile) map[string]string {
 // plant parses src as a file at rel.
 func plant(t *testing.T, rel, src string) goFile {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, rel, src, 0)
+	f, err := parser.ParseFile(fset, rel, src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,11 +65,6 @@ type Machine struct {
 	// allocation-free once warm: the per-ring drain hot path pins 0
 	// allocs/op.
 	shootdowns shootdowns
-
-	// ackSwallowed latches the seeded ackbug mutation (ack_bug.go) so
-	// exactly one shootdown round per machine loses core 0's ack. Dead
-	// weight in normal builds (ackDropOne is constant false).
-	ackSwallowed bool
 }
 
 // NewMachine builds a machine from cfg.

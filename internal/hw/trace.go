@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"math/bits"
 	"slices"
 
 	"github.com/tyche-sim/tyche/internal/phys"
@@ -15,8 +14,7 @@ import (
 // installed.
 //
 // Every shootdown an operation records — regions, full flushes or both
-// — runs in its one shootdownRound, the only emitter of KShootdown and
-// the only home of the tracebug, ackbug and rangebug mutation hooks, so
+// — runs in its one shootdownRound, the only emitter of KShootdown, so
 // the checkers' shootdown properties audit one body.
 
 // SetTracer installs (or, with nil, removes) the machine's event
@@ -131,11 +129,6 @@ func (m *Machine) shootdownRound(regions []phys.Region, full bool, domains []uin
 			targets |= 1 << i
 		}
 	}
-	if rangeSkipOne && targets != 0 {
-		// Seeded mutation (rangebug build tag): the round leaves out
-		// the highest resident core, which keeps its translations.
-		targets &^= 1 << (bits.Len64(targets) - 1)
-	}
 	m.Trace(trace.GlobalCore, trace.KShootdown, first, targets, whole, addr, size)
 	for _, d := range rest {
 		m.Trace(trace.GlobalCore, trace.KShootdownFor, d, 0, 0, addr, size)
@@ -144,19 +137,8 @@ func (m *Machine) shootdownRound(regions []phys.Region, full bool, domains []uin
 		if targets&(1<<i) == 0 {
 			continue
 		}
-		if shootdownSkipLast && i == len(m.Cores)-1 {
-			// Seeded mutation (tracebug build tag): the last core is
-			// targeted but keeps its stale translations and never acks.
-			continue
-		}
 		c.invalidate(regions, full)
 		m.Clock.Advance(m.Cost.TLBFlush)
-		if ackDropOne && i == 0 && !m.ackSwallowed {
-			m.ackSwallowed = true
-			// Seeded mutation (ackbug build tag): the flush ran but the
-			// acknowledgement is lost — the round completes short.
-			continue
-		}
 		m.Trace(trace.GlobalCore, trace.KShootdownAck, 0, uint64(i), 0, addr, size)
 	}
 }

@@ -416,8 +416,8 @@ func TestCheckedShareRevokeAllocations(t *testing.T) {
 		return testing.AllocsPerRun(100, round)
 	}
 	bare, checked := pair(false), pair(true)
-	if bare > 2 {
-		t.Fatalf("a Share + Revoke pair allocates %.0f objects, want at most 2 (the capability node and the child's owner list)", bare)
+	if bare > 1 {
+		t.Fatalf("a Share + Revoke pair allocates %.0f objects, want at most 1 (the capability node: the child's emptied owner list is kept)", bare)
 	}
 	if checked != bare {
 		t.Fatalf("a Share + Revoke pair allocates %.0f objects checked, %.0f unchecked: the checker adds %.0f",

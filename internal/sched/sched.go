@@ -305,7 +305,7 @@ func (s *Scheduler) Run(budget int) (map[phys.CoreID]core.RunResult, error) {
 		// Round-barrier ring drain: every core is quiescent and the
 		// cycle clock is at a sequential point, so batched work lands at
 		// a deterministic place in the schedule. With no rings
-		// registered it is one atomic load.
+		// registered it is one map-length check.
 		if firstErr == nil {
 			if n := m.DrainRings(); n > 0 {
 				s.ctr.BarrierDrains++

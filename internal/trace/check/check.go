@@ -138,9 +138,8 @@ type frame struct {
 type region struct{ addr, size uint64 }
 
 // engine is the property state machine itself, with no locking: one
-// instance per linearised event stream. The Checker wraps it in a
-// mutex, and a RemoteVerifier replays a node's audit stream through its
-// own.
+// instance per linearised event stream. A Checker owns one, and a
+// RemoteVerifier replays a node's audit stream through its own.
 //
 // A closed frame and the shootdown records it owned go back to free
 // lists (acks cleared, not remade), so once the engine has seen the

@@ -240,8 +240,8 @@ type Sink interface {
 // events stays small; its next growth takes the whole capacity in one
 // step, so a busy ring stops making garbage after a handful of
 // doublings rather than at every one of them up to its capacity. The
-// oldest events are overwritten once the ring wraps. The tracer's mutex
-// guards it.
+// oldest events are overwritten once the ring wraps. Like its tracer,
+// it is used by one goroutine at a time and holds no lock.
 type ring struct {
 	slots []Event
 	max   int    // capacity: len(slots) never exceeds it
