@@ -138,12 +138,14 @@ mutation:
 # there), the online check against its replay on real workloads, the six mutation oracles and a 30 s fuzz smoke of the
 # online check against Replay and of the engine against its allocating
 # twin. The rv service on real worlds is C21 phase A, C23 and
-# internal/rv's tests.
+# internal/rv's tests. As in fuzz-smoke, -fuzzminimizetime=0 spends the
+# time fuzzing: minimizing a new input stalls the smoke for the rest of
+# its 30 s.
 rv:
 	$(GO) test ./internal/trace/... ./internal/rv
 	$(GO) test -run '^TestOnlineCheckMatchesReplay$$' ./internal/core
 	$(MAKE) mutation
-	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/trace/check
+	$(GO) test -run='^$$' -fuzz=FuzzTraceReplay -fuzztime=30s -fuzzminimizetime=0 ./internal/trace/check
 
 # The migration path — kept node-pair channels, per-node attestation
 # sessions, the channel transport under them. A fleet runs its hops on

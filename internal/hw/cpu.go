@@ -140,9 +140,9 @@ type Core struct {
 	clk Clock
 
 	// decoded caches instructions already fetched and validated, by
-	// page (see decodedPage). A slot is allocated the first time the core
-	// fetches from a page that maps to it.
-	decoded [decodedSlots]*decodedPage
+	// page (see decodedPage and decodedSet). A way is allocated the first
+	// time the core fills a page into it.
+	decoded [decodedSets]decodedSet
 
 	// mru is a small fully-associative translation cache in front of the
 	// TLB: code alternating between a handful of pages (instruction
@@ -433,14 +433,16 @@ func (c *Core) RestoreFrom(ctx *Context) {
 	c.halted = false
 }
 
-// decodedSlots is the number of pages whose decoded instructions a core
-// keeps, direct-mapped by page number.
-const decodedSlots = 8
+// decodedSets is the number of sets of a core's decoded-page cache. A
+// page maps to set page % decodedSets and may sit in either of the
+// set's two ways, so two code pages that collide — a tenant's body and
+// the idle loop it returns to — both stay decoded.
+const decodedSets = 8
 
 // instrsPerPage is the number of aligned instruction words in a page.
 const instrsPerPage = phys.PageSize / InstrSize
 
-// decodedPage is one slot of a core's decoded-page cache: the aligned
+// decodedPage is one way of a core's decoded-page cache: the aligned
 // instruction words of one physical page that the core has fetched and
 // validated while the page's write version was ver. Words are filled
 // one at a time as they are executed — guests keep code and data on one
@@ -448,11 +450,12 @@ const instrsPerPage = phys.PageSize / InstrSize
 // for a page of decodes.
 //
 // The cache holds bytes, never rights: every fetch is still checked and
-// charged (by hot or access), so a slot needs no ASID, generation or
-// flush keying. Its content depends only on writes to the page, and
-// every write bumps the version (see PhysMem). vers points at that
-// counter, so a hit reads it without going through the machine. A new
-// slot's vers is nil, but the slot has no valid bit until fill keys it.
+// charged (by hot, for each fetch of its chain, or by access), so a way
+// needs no ASID, generation or flush keying. Its content depends only on
+// writes to the page, and every write bumps the version (see PhysMem).
+// vers points at that counter, so a hit reads it without going through
+// the machine. fill keys a way as it puts it in a set, so a way in a set
+// has a page.
 type decodedPage struct {
 	page  uint64
 	ver   uint64
@@ -461,78 +464,146 @@ type decodedPage struct {
 	ins   [instrsPerPage]Instr
 }
 
-// word returns the decoded instruction at the aligned address pc if the
-// slot holds it at the page's current write version, or nil.
+// word returns the decoded instruction at the aligned address pc, which
+// lies on the way's page, if the way holds it at the page's current
+// write version, or nil. A nil way holds nothing.
 func (s *decodedPage) word(pc phys.Addr) *Instr {
 	i := uint64(pc) % phys.PageSize / InstrSize
-	if s == nil || s.page != pc.Page() || s.valid[i/64]&(1<<(i%64)) == 0 || s.ver != *s.vers {
+	if s == nil || s.valid[i/64]&(1<<(i%64)) == 0 || s.ver != *s.vers {
 		return nil
 	}
 	return &s.ins[i]
 }
 
-// hot is the interpreter's fast exit: the whole of access(PC, X) and
-// fetch for an instruction fetch that stays where the previous access
-// left the core. It applies when
+// decodedSet is one set of the decoded-page cache: two ways, the most
+// recently used first, so that the way fill replaces is the least
+// recently used one. Either way may be nil until a page fills it.
+type decodedSet [2]*decodedPage
+
+// lookup returns the way that holds page pg, moved to the front, or
+// nil.
+func (d *decodedSet) lookup(pg uint64) *decodedPage {
+	if s := d[0]; s != nil && s.page == pg {
+		return s
+	}
+	if s := d[1]; s != nil && s.page == pg {
+		d[0], d[1] = s, d[0]
+		return s
+	}
+	return nil
+}
+
+// chainOps are the opcodes whose retirement changes nothing a fetch
+// check reads but the PC: the ALU ops and the branches. (exec changes
+// the registers and the clock too, which no check reads, and ends the
+// run on a timer expiry.)
+const chainOps = 1<<OpNop | 1<<OpMovi | 1<<OpMov | 1<<OpAdd | 1<<OpSub | 1<<OpMul |
+	1<<OpAnd | 1<<OpOr | 1<<OpXor | 1<<OpShl | 1<<OpShr | 1<<OpAddi |
+	1<<OpJmp | 1<<OpJz | 1<<OpJnz | 1<<OpJlt
+
+// hot is the interpreter's fast exit: it stands in for access(PC, X)
+// and fetch for an instruction fetch that stays where the previous
+// access left the core, and then executes a chain of instructions from
+// the same decoded page. It admits the first fetch when
 //
 //   - the core is neither stalled nor halted and PC is aligned;
-//   - PC's decoded slot holds the word at the page's current version;
+//   - PC's decoded way holds the word at the page's current version;
 //   - the MRU way of the last hit or fill translates PC's page for the
 //     installed context's ASID under the filter's current generation
 //     and the TLB's current flush count, and allows X;
 //   - no fault injector is installed; and
 //   - the first-level filter does not apply (ring 0, or no OSFilter).
 //
-// Then it charges and counts what access would — a TLB hit served by
-// the MRU way, and the data-cache touch — and returns the instruction.
-// Otherwise it returns nil having consulted, counted and charged
+// Otherwise it returns ran false having consulted, counted and charged
 // nothing, and the caller takes step, whose access and fetch handle
-// every case.
+// every case. The checks run cheapest and likeliest to fail first: a
+// fetch that has just left its page, or follows a load or store to
+// another page, finds the last way on the wrong page and falls through
+// after a few loads.
 //
-// The checks run cheapest and likeliest to fail first: a fetch that has
-// just left its page, or follows a load or store to another page, finds
-// the last way on the wrong page and falls through after a few loads.
-func (c *Core) hot() *Instr {
+// Each following fetch re-checks only what the instruction just retired
+// could have changed. Within one Run no monitor code, DMA or other core
+// runs (a fault injector's hook does, from access, but hot admits
+// nothing while one is installed), so only the retiring instruction
+// moves the core's state between two fetches, and what it can move
+// depends on its class:
+//
+//   - an ALU op or a branch moves only the PC;
+//   - ld, st, ldb and stb move the MRU way, and a store may bump a
+//     page's write version;
+//   - vmfunc switches the context; and
+//   - hlt, vmcall, syscall and the timer's expiry end the run.
+//
+// So after an ALU op or a branch the next fetch needs three checks: PC
+// on the same page, PC aligned, and the word's valid bit in the decoded
+// way. After anything else, at a check that fails, or when the
+// instruction count reaches end, hot returns and Run's loop goes back
+// to hot or step, which check everything. running is exec's verdict on
+// the last instruction (false with *t set on a trap).
+//
+// Every fetch hot admits is charged and counted as access would: a TLB
+// hit served by the MRU way, and the data-cache touch — with one
+// addition to the clock, not access's two, since consecutive fetches
+// chain through it and each extra read-modify-write lengthens every
+// instruction.
+func (c *Core) hot(end uint64, t *Trap) (ran, running bool) {
 	pc := c.PC
 	pg := pc.Page()
 	w := &c.mru.ways[c.mru.last]
 	if w.page != pg || !w.ok || w.perm&PermX == 0 || pc%InstrSize != 0 {
-		return nil
+		return false, true
 	}
 	if c.stalled || c.halted {
-		return nil
+		return false, true
 	}
-	ins := c.decoded[pg%decodedSlots].word(pc)
+	s := c.decoded[pg%decodedSets].lookup(pg)
+	ins := s.word(pc)
 	if ins == nil {
-		return nil
+		return false, true
 	}
 	ctx := c.ctx
 	if ctx == nil || w.asid != ctx.ASID {
-		return nil
+		return false, true
 	}
 	if c.Ring != RingKernel && ctx.OSFilter != nil {
-		return nil
+		return false, true
 	}
 	if c.mach.fault != nil || w.flush != c.tlb.FlushCount() {
-		return nil
+		return false, true
 	}
 	if w.gen != ctx.Filter.Generation() {
-		return nil
+		return false, true
 	}
-	c.mru.hits++
 	cost := &c.mach.Cost
-	c.tlb.hits++
-	// One addition to the clock, not access's two: consecutive fetches
-	// chain through it, so each extra read-modify-write lengthens every
-	// instruction.
-	if c.cache.touch(pc) {
-		c.cache.hits++
-		c.clk.cycles += cost.TLBHit + cost.MemHit
-	} else {
-		c.cache.misses++
-		c.clk.cycles += cost.TLBHit + cost.MemMiss
+	for {
+		c.mru.hits++
+		c.tlb.hits++
+		mem := cost.MemHit
+		if c.cache.touch(pc) {
+			c.cache.hits++
+		} else {
+			c.cache.misses++
+			mem = cost.MemMiss
+		}
+		c.clk.cycles += cost.TLBHit + mem
+		op := ins.Op
+		if !c.exec(ins, t) {
+			return true, false
+		}
+		pc = c.PC
+		i := uint64(pc) % phys.PageSize / InstrSize
+		switch {
+		case chainOps>>op&1 == 0: // it may have moved more than the PC
+		case c.instrs == end: // the budget is spent
+		case pc.Page() != pg: // it left the page
+		case pc%InstrSize != 0: // a jump to a misaligned target
+		case s.valid[i/64]&(1<<(i%64)) == 0: // a word not decoded yet
+		default:
+			ins = &s.ins[i]
+			continue
+		}
+		return true, true
 	}
-	return ins
 }
 
 // access checks and charges one guest memory access of size bytes at a.
@@ -618,8 +689,8 @@ func (c *Core) access(a phys.Addr, want Perm, size uint64) *Trap {
 // by value it is split across five registers and reassembled with byte
 // stores, which the profile showed costing more than the lookup.
 func (c *Core) fetch(ins *Instr, t *Trap) bool {
-	if c.PC%InstrSize == 0 {
-		if w := c.decoded[c.PC.Page()%decodedSlots].word(c.PC); w != nil {
+	if pc := c.PC; pc%InstrSize == 0 {
+		if w := c.decoded[pc.Page()%decodedSets].lookup(pc.Page()).word(pc); w != nil {
 			*ins = *w
 			return true
 		}
@@ -629,8 +700,10 @@ func (c *Core) fetch(ins *Instr, t *Trap) bool {
 
 // fill reads the word at PC from memory together with its page's write
 // version, validates it and, for an aligned PC, records it in the
-// page's slot — resetting the slot first if it held another page or an
-// older version. Unaligned PCs and illegal words are never cached.
+// page's way — resetting the way first if it held an older version. A
+// page in neither way of its set takes the least recently used one,
+// allocated the first time. Unaligned PCs and illegal words are never
+// cached.
 func (c *Core) fill(out *Instr, t *Trap) bool {
 	pc := c.PC
 	word, ver, err := c.mach.Mem.fetchWord(pc)
@@ -648,13 +721,17 @@ func (c *Core) fill(out *Instr, t *Trap) bool {
 		return true
 	}
 	pg := pc.Page()
-	s := c.decoded[pg%decodedSlots]
+	d := &c.decoded[pg%decodedSets]
+	s := d.lookup(pg)
 	if s == nil {
-		s = new(decodedPage)
-		c.decoded[pg%decodedSlots] = s
-	}
-	if s.vers == nil || s.page != pg || s.ver != ver {
+		if s = d[1]; s == nil {
+			s = new(decodedPage)
+		}
+		d[0], d[1] = s, d[0]
 		s.page, s.ver, s.vers = pg, ver, c.mach.Mem.version(pg)
+		s.valid = [len(s.valid)]uint64{}
+	} else if s.ver != ver {
+		s.ver = ver
 		s.valid = [len(s.valid)]uint64{}
 	}
 	i := uint64(pc) % phys.PageSize / InstrSize
@@ -697,7 +774,7 @@ func (c *Core) step(t *Trap) bool {
 
 // exec executes the instruction fetched from PC, with step's contract.
 // It takes the instruction by pointer, for the reason fetch returns it
-// through one; the fast exit passes its decoded slot's word directly.
+// through one; the fast exit passes its decoded way's word directly.
 func (c *Core) exec(ins *Instr, t *Trap) bool {
 	cost := &c.mach.Cost
 	next := c.PC + InstrSize
@@ -845,17 +922,20 @@ func (c *Core) exec(ins *Instr, t *Trap) bool {
 // It returns the number of retired instructions (the instruction that
 // raised a retiring trap — VMCALL, SYSCALL, HLT, timer — counts;
 // faulting instructions do not retire) and the trap (TrapNone when the
-// budget ran out). Each fetch tries the fast exit
-// (hot) here rather than inside step, so the common instruction costs
-// one call before exec, not three.
+// budget ran out). Each fetch the loop makes tries the fast exit (hot)
+// here rather than inside step; one it admits starts a chain, which
+// executes on from the same decoded page for as long as the retired
+// instructions are ALU ops and branches, so the common instruction
+// costs exec and three checks. The budget is exact: a chain stops at
+// it.
 func (c *Core) Run(maxInstrs int) (int, Trap) {
 	var t Trap
 	running := true
 	start := c.instrs
-	for running && int(c.instrs-start) < maxInstrs {
-		if ins := c.hot(); ins != nil {
-			running = c.exec(ins, &t)
-		} else {
+	end := start + uint64(max(maxInstrs, 0))
+	for running && c.instrs < end {
+		var ran bool
+		if ran, running = c.hot(end, &t); !ran {
 			running = c.step(&t)
 		}
 	}

@@ -58,9 +58,7 @@ func (c *Core) Stalled() bool { return c.stalled }
 // execution may continue.
 func (c *Core) Step() Trap {
 	var t Trap
-	if ins := c.hot(); ins != nil {
-		c.exec(ins, &t)
-	} else {
+	if ran, _ := c.hot(c.instrs+1, &t); !ran {
 		c.step(&t)
 	}
 	return t

@@ -83,16 +83,18 @@ func snapshot(c *Core) coreState {
 	return s
 }
 
-// Memory layout of the differential machines. Pages 1 and 9 share a
-// decoded-page slot, so jumping between them evicts.
+// Memory layout of the differential machines. Pages 1, 9 and 17 fall in
+// one set of the decoded-page cache, which has two ways: code on two of
+// them stays decoded, and a loop over all three evicts.
 const (
-	fzPages   = 16
-	fzCode    = phys.Addr(1 * phys.PageSize) // rwx: the program, and its own stores
-	fzData    = phys.Addr(2 * phys.PageSize) // rw
-	fzROCode  = phys.Addr(3 * phys.PageSize) // r-x
-	fzHole    = phys.Addr(4 * phys.PageSize) // unmapped
-	fzCode9   = phys.Addr(9 * phys.PageSize) // rwx, same slot as fzCode
-	fzMaxProg = 32                           // instruction words in the initial program
+	fzPages   = 24
+	fzCode    = phys.Addr(1 * phys.PageSize)  // rwx: the program, and its own stores
+	fzData    = phys.Addr(2 * phys.PageSize)  // rw
+	fzROCode  = phys.Addr(3 * phys.PageSize)  // r-x
+	fzHole    = phys.Addr(4 * phys.PageSize)  // unmapped
+	fzCode9   = phys.Addr(9 * phys.PageSize)  // rwx, same set as fzCode
+	fzCode17  = phys.Addr(17 * phys.PageSize) // rwx, same set again
+	fzMaxProg = 32                            // instruction words in the initial program
 )
 
 // fzInjector fires one fault action after a number of accesses. It is
@@ -164,8 +166,12 @@ func newFzMachine(t testing.TB, cached bool) *fzMachine {
 		t.Fatal(err)
 	}
 	c := m.Cores[0]
-	c.InstallContext(&Context{Owner: 1, Filter: e, OSFilter: os, Entry: fzCode, UsesEPT: true, ASID: 1})
+	// vmfunc switches to a view tagged ASID 2 with r14 = 0, and back with
+	// r14 = 1.
+	ctx := &Context{Owner: 1, Filter: e, OSFilter: os, Entry: fzCode, UsesEPT: true, ASID: 1}
+	c.InstallContext(ctx)
 	c.SetVMFuncEntry(1, 0, &Context{Owner: 1, Filter: e, Entry: fzCode, UsesEPT: true, ASID: 2})
+	c.SetVMFuncEntry(1, 1, ctx)
 	c.PC = fzCode
 	c.Regs = [NumRegs]uint64{0, uint64(fzCode), uint64(fzData), uint64(fzCode + phys.PageSize - 4),
 		uint64(fzCode9), ^uint64(7), 6, 7, 8, uint64(fzROCode), uint64(fzHole), 11, 12, 13, 0, 15}
@@ -181,7 +187,7 @@ func newFzMachine(t testing.TB, cached bool) *fzMachine {
 // fzWord turns eight arbitrary bytes into an instruction word that is
 // usually legal and whose immediate usually lands inside the machine:
 // opcodes 24 and 25 and rd 16 are illegal, bit 16 of the immediate puts
-// a target past the end of memory.
+// a target on pages 16 to 31, past the end of memory for the upper half.
 func fzWord(b []byte) []byte {
 	return []byte{b[0] % (uint8(opMax) + 2), b[1] % (NumRegs + 1), b[2] % NumRegs, b[3] % NumRegs,
 		b[4], b[5], b[6] & 1, 0}
@@ -384,6 +390,10 @@ func fzSeeds() [][]byte {
 	}
 	at := func(i int) uint32 { return code + uint32(i)*InstrSize }
 	spin := []Instr{nop, nop, jmp(at(0))}
+	// A word copied from one absolute address to another, through r9.
+	copyLd := func(from uint32) Instr { return Instr{Op: OpLd, Rd: 9, Imm: from} }
+	copySt := func(to uint32) Instr { return Instr{Op: OpSt, Rs2: 9, Imm: to} }
+	p9, p10 := uint32(fzCode9), uint32(10*phys.PageSize)
 	return [][]byte{
 		// A loop, then budgeted runs: the plain cached path.
 		fzSeed([]Instr{movi(6, 0), movi(7, 5), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(2)}, hlt},
@@ -399,7 +409,7 @@ func fzSeeds() [][]byte {
 			{Op: OpStb, Rs1: 1, Rs2: 7, Imm: 6 * InstrSize}, jmp(at(6)), hlt, jmp(at(0))},
 			steps(12)),
 		// Unaligned, straddling and out-of-range jump targets, illegal words.
-		fzSeed([]Instr{jmp(at(1) + 4), nop, nop, jmp(code + phys.PageSize - 4), {Op: opMax}, {Op: OpNop, Rd: 16}, jmp(0x10000)},
+		fzSeed([]Instr{jmp(at(1) + 4), nop, nop, jmp(code + phys.PageSize - 4), {Op: opMax}, {Op: OpNop, Rd: 16}, jmp(fzPages * phys.PageSize)},
 			steps(4), []byte{fzSetPC, 0, 3 * InstrSize}, steps(2), []byte{fzSetPC, 0, 4 * InstrSize}, steps(1),
 			[]byte{fzSetPC, 0, 5 * InstrSize}, steps(1), []byte{fzSetPC, 0, 6 * InstrSize}, steps(2),
 			[]byte{fzSetPC, 3, 8}, steps(1), []byte{fzSetPC, 3, 13}, steps(1), []byte{fzSetPC, 2, 4}, steps(1)),
@@ -453,6 +463,61 @@ func fzSeeds() [][]byte {
 		// the next fetch finds the page's version moved.
 		fzSeed([]Instr{{Op: OpSt, Rs1: 1, Rs2: 0, Imm: 20 * InstrSize}, nop, jmp(at(0))},
 			steps(9), []byte{fzRun, 30}, steps(3)),
+
+		// The chain. Each seed runs a loop through Run, where a fetch the
+		// fast exit admits executes on from the same decoded page, and
+		// ends the chain in one of the ways it can end.
+		// A loop across a page boundary: two words at the start of page
+		// 9, two at the start of page 10, so a chain that starts on the
+		// second word of either page leaves it for a word whose index the
+		// page it left holds too. The program copies the four words there
+		// (r0 is 0, so r0+imm is an absolute address).
+		fzSeed([]Instr{jmp(at(5)), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(p10), nop, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: p9},
+			copyLd(at(1)), copySt(p9), copyLd(at(2)), copySt(p9 + InstrSize),
+			copyLd(at(3)), copySt(p10), copyLd(at(4)), copySt(p10 + InstrSize),
+			movi(6, 0), movi(7, 40), jmp(p9)},
+			[]byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(2)),
+		// A jump into the middle of a decoded word: at(2)+4 reads as a
+		// nop (the addi's immediate, 1, is its opcode), then at(3)+4 as an
+		// illegal word. The second Run reaches the jump in a chain.
+		fzSeed([]Instr{movi(6, 0), movi(7, 5), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(2)},
+			jmp(at(2) + 4)},
+			[]byte{fzRun, 63}, []byte{fzSetPC, 0, 0}, []byte{fzRun, 63}, []byte{fzSetPC, 0, 0}, steps(9)),
+		// The timer expiring mid-chain, at different points of the loop.
+		fzSeed(spin, steps(3), []byte{fzTimer, 5}, []byte{fzRun, 63}, []byte{fzTimer, 14}, []byte{fzRun, 63},
+			[]byte{fzTimer, 1}, []byte{fzRun, 63}, []byte{fzRun, 9}),
+		// Run's budget ending mid-chain, and a budget of one.
+		fzSeed(spin, steps(3), []byte{fzRun, 0}, []byte{fzRun, 1}, []byte{fzRun, 4}, []byte{fzRun, 16}, []byte{fzRun, 63},
+			steps(1), []byte{fzRun, 2}),
+		// A vmfunc and a store to the data page inside the loop: each ends
+		// the chain, and the next fetch re-checks everything. r14 goes 1,
+		// 0, 1, 0, so the first vmfunc, run cold, stays in the view tagged
+		// ASID 1, and the second, run in a chain, switches to ASID 2. The
+		// first Run ends on the nop after it, the fetch that must miss.
+		fzSeed([]Instr{movi(6, 0), movi(7, 4), movi(12, 1), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1},
+			{Op: OpXor, Rd: 14, Rs1: 14, Rs2: 12}, {Op: OpVmfunc}, nop, {Op: OpSt, Rs1: 2, Rs2: 6},
+			{Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(3)}, hlt},
+			[]byte{fzRun, 12}, []byte{fzRun, 63}, []byte{fzSetPC, 0, 0}, []byte{fzRun, 63}),
+		// A byte store into the loop's own code, to a word the chain would
+		// execute next: the first two iterations store to the data page,
+		// the third turns word 9's nop into mov r10, r1.
+		fzSeed([]Instr{movi(6, 0), movi(7, 3), movi(8, uint32(fzData)), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1},
+			{Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(6)}, movi(8, at(9)), {Op: OpStb, Rs1: 8, Rs2: 6}, nop, nop,
+			{Op: OpNop, Rd: 10, Rs1: 1}, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(3)}, hlt},
+			[]byte{fzRun, 63}),
+		// Loads from four pages besides the code page: five translations
+		// for four MRU ways, so a load the fast exit admitted may evict the
+		// code page's way, and the next fetch must miss.
+		fzSeed([]Instr{{Op: OpLd, Rd: 8}, {Op: OpLd, Rd: 8, Imm: uint32(fzData)}, {Op: OpLd, Rd: 8, Imm: p10}, nop,
+			{Op: OpLd, Rd: 8, Imm: p10 + phys.PageSize}, nop, jmp(at(0))},
+			[]byte{fzRun, 63}, []byte{fzRun, 63}),
+		// Three code pages in one decoded set: a loop from page 1 through
+		// pages 9 and 17 and back, so every page entry evicts the least
+		// recently used of the set's two ways.
+		fzSeed([]Instr{jmp(at(3)), jmp(uint32(fzCode17)), {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(9)},
+			copyLd(at(1)), copySt(uint32(fzCode9)), copyLd(at(2)), copySt(uint32(fzCode17)), movi(6, 0), movi(7, 20),
+			{Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(uint32(fzCode9))},
+			[]byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(5)),
 	}
 }
 
@@ -713,27 +778,101 @@ func TestRunPublishesCounters(t *testing.T) {
 	}
 }
 
+// jmpTo emits a jump to the absolute address to, for code that jumps
+// between separately assembled pieces.
+func jmpTo(a *Asm, to phys.Addr) *Asm { return a.emit(Instr{Op: OpJmp, Imm: uint32(to)}) }
+
+// TestDecodedCacheKeepsCallerAndCallee: code alternating between two
+// pages of one decoded set — a fleet node's idle loop on page 4 and a
+// tenant's body on page 7932, both ≡ 4 mod 8 — keeps both decoded.
+// After warm-up the set holds the same two ways at the same versions
+// with the same words marked, so no fetch fills a word again: a direct-
+// mapped cache would evict one page on every call and every return.
+func TestDecodedCacheKeepsCallerAndCallee(t *testing.T) {
+	const caller, callee = phys.Addr(4 * phys.PageSize), phys.Addr(7932 * phys.PageSize)
+	m, err := NewMachine(Config{MemBytes: 32 << 20, NumCores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAsm().Label("loop").Addi(1, 1, 1)
+	jmpTo(a, callee).Jmp("loop")
+	b := NewAsm().Addi(2, 2, 1).Nop()
+	jmpTo(b, caller+2*InstrSize)
+	for _, p := range []struct {
+		at   phys.Addr
+		code *Asm
+	}{{caller, a}, {callee, b}} {
+		if err := m.Mem.WriteAt(p.at, p.code.MustAssemble(p.at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := m.Cores[0]
+	c.InstallContext(&Context{Owner: 1, Filter: AllowAll{}, Entry: caller})
+	c.PC = caller
+	set := &c.decoded[caller.Page()%decodedSets]
+	if set != &c.decoded[callee.Page()%decodedSets] {
+		t.Fatal("caller and callee fall in different sets")
+	}
+	// Each round trip retires six instructions: a Run of 60 makes ten.
+	if n, trap := c.Run(60); n != 60 || trap.Kind != TrapNone {
+		t.Fatalf("warm-up retired %d, trap %v", n, trap)
+	}
+	ways := map[uint64]decodedPage{}
+	for _, s := range set {
+		if s != nil {
+			ways[s.page] = *s
+		}
+	}
+	if len(ways) != 2 {
+		t.Fatalf("after warm-up the set holds %d pages, want the caller's and the callee's", len(ways))
+	}
+	for round := range 20 {
+		r1 := c.Regs[1]
+		if n, trap := c.Run(60 + round); n != 60+round || trap.Kind != TrapNone {
+			t.Fatalf("round %d retired %d, trap %v", round, n, trap)
+		}
+		if c.Regs[1]-r1 < 10 {
+			t.Fatalf("round %d made %d calls, want at least 10", round, c.Regs[1]-r1)
+		}
+		for _, s := range set {
+			if s == nil || s.page != caller.Page() && s.page != callee.Page() {
+				t.Fatalf("round %d: the set lost a page: %v", round, set)
+			}
+			if w := ways[s.page]; s.ver != w.ver || s.valid != w.valid {
+				t.Fatalf("round %d: page %d refilled (version %d, valid %x; after warm-up %d, %x)",
+					round, s.page, s.ver, s.valid, w.ver, w.valid)
+			}
+		}
+	}
+}
+
 // runLoop is one shape of guest code the interpreter's allocation pin
 // and BenchmarkRun execute: 2,003 instructions from base to a hlt.
 type runLoop struct {
 	name string
 	base phys.Addr
 	prog *Asm
+	// callee, when set, is a second piece of code at calleeBase, which
+	// prog calls and which jumps back.
+	calleeBase phys.Addr
+	callee     *Asm
 }
 
 // loopInstrs is what each runLoop retires, its hlt included.
 const loopInstrs = 2003
 
-// runLoops returns the three shapes:
+// runLoops returns the four shapes:
 //
 //   - alu is the repository's BenchmarkGuestExecution loop, two ALU
-//     instructions an iteration: every fetch takes the fast exit;
+//     instructions an iteration: after the first fetch each one chains;
 //   - ldst adds a load and a store to the data page, so every fetch
 //     after one of them finds the MRU way of the data page and falls
 //     through to access;
 //   - crosspage straddles two code pages, two instructions on each, so
 //     the first fetch on each page falls through and the second takes
-//     the exit.
+//     the exit;
+//   - pingpong calls from page 4 into page 12, the same decoded set,
+//     and returns: both pages stay decoded in the set's two ways.
 func runLoops() []runLoop {
 	alu := NewAsm()
 	alu.Movi(1, 0).Movi(2, 1000)
@@ -744,11 +883,18 @@ func runLoops() []runLoop {
 	cross := NewAsm()
 	cross.Movi(1, 0).Movi(2, 500)
 	cross.Label("loop").Addi(1, 1, 1).Nop().Nop().Jlt(1, 2, "loop").Hlt()
+	const caller, callee = phys.Addr(4 * phys.PageSize), phys.Addr(12 * phys.PageSize)
+	ping := NewAsm()
+	ping.Movi(1, 0).Movi(2, 400)
+	jmpTo(ping.Label("loop").Addi(1, 1, 1), callee).Jlt(1, 2, "loop").Hlt()
+	pong := jmpTo(NewAsm().Nop(), caller+4*InstrSize)
 	return []runLoop{
-		{"alu", fzCode, alu},
-		{"ldst", fzCode, ldst},
+		{name: "alu", base: fzCode, prog: alu},
+		{name: "ldst", base: fzCode, prog: ldst},
 		// Two words of prologue and two of the loop end page 5.
-		{"crosspage", 6*phys.PageSize - 4*InstrSize, cross},
+		{name: "crosspage", base: 6*phys.PageSize - 4*InstrSize, prog: cross},
+		// Five instructions an iteration, two of them on the callee's page.
+		{name: "pingpong", base: caller, prog: ping, calleeBase: callee, callee: pong},
 	}
 }
 
@@ -760,6 +906,11 @@ func loopCore(tb testing.TB, l runLoop) func() (int, Trap) {
 	m := testMachine(tb)
 	if err := m.Mem.WriteAt(l.base, l.prog.MustAssemble(l.base)); err != nil {
 		tb.Fatal(err)
+	}
+	if l.callee != nil {
+		if err := m.Mem.WriteAt(l.calleeBase, l.callee.MustAssemble(l.calleeBase)); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	e := NewEPT()
 	if err := e.Map(phys.MakeRegion(0, 16*phys.PageSize), PermRWX); err != nil {
