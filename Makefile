@@ -46,9 +46,10 @@ ci-test: verify bench-smoke shuffle fuzz-smoke fuzz bench-threads experiments-qu
 # synchronous API and through the ring); then a hundred
 # steady-state migration hops, so every run prints a hop's allocations
 # (the pins are TestSyncDomainAllocationPins,
-# TestEPTReplaceUnchangedAllocatesNothing, TestShareRevokeAllocations,
-# TestRingRoundAllocations, TestRevocationRecordsAreReused and
-# TestMigrateHopAllocations); and a fleet node's machine coming up,
+# TestEPTReplaceUnchangedAllocatesNothing, TestShareRevokeAllocations
+# at 0, TestRingRoundAllocations at 2 — Reap's two slices —,
+# TestRevocationRecordsAreReused and TestMigrateHopAllocations at 70,
+# each the same pin under -race); and a fleet node's machine coming up,
 # so every run prints a machine's set-up cost (the footprint pins are
 # TestNewPhysMemFootprint and TestFleetLiveHeap).
 bench-smoke:

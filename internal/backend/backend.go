@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/tyche-sim/tyche/internal/cap"
 	"github.com/tyche-sim/tyche/internal/hw"
@@ -113,17 +112,15 @@ func rightsToPerm(r cap.Rights) hw.Perm {
 // hw.EPT.Replace as it is.
 type Segment = hw.EPTMapping
 
-// scratch is the buffers one derivation runs in. They come from a
-// package-level pool, which separate worlds on separate goroutines
-// share: the one sync name a backend uses.
-type scratch struct {
+// Scratch is the buffers a derivation runs in. Each backend owns one
+// and hands it to every derivation it makes, one at a time, so a
+// resync reuses what the last one grew and allocates nothing.
+type Scratch struct {
 	grants  []cap.MemoryGrant
 	events  []uint64
 	segs    []Segment
 	changed []Segment
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // WithSegments is the one derivation both backends and the device path
 // program from: the effective memory grants of owners inside scope,
@@ -131,15 +128,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // to use. What use installs is the scope's pages only — the backends
 // splice segs into the installed view (hw.Splice), so a capability
 // change is derived over the range it moved and a whole view over
-// phys.AllMemory. segs is pooled scratch, valid only until use returns:
-// use copies what it keeps (hw.EPT.Replace and the pmp layout both do)
-// and retains no part of it. changed is a second pooled buffer for what
+// phys.AllMemory. segs is sc's, valid only until use returns: use
+// copies what it keeps (hw.EPT.Replace and the pmp layout both do) and
+// retains no part of it. changed is a second buffer of sc's for what
 // the rebuild writes (hw.EPT.Replace's changed extents, the pmp
 // splice): the slice use leaves in it keeps its storage for the next
 // derivation.
-func WithSegments(space *cap.Space, strip cap.Rights, scope phys.Region, use func(segs []Segment, changed *[]Segment) error, owners ...cap.OwnerID) error {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+func WithSegments(space *cap.Space, sc *Scratch, strip cap.Rights, scope phys.Region, use func(segs []Segment, changed *[]Segment) error, owners ...cap.OwnerID) error {
 	sc.grants = sc.grants[:0]
 	for _, o := range owners {
 		sc.grants = space.AppendOwnerMemoryGrantsIn(sc.grants, o, scope)
@@ -155,7 +150,7 @@ func WithSegments(space *cap.Space, strip cap.Rights, scope phys.Region, use fun
 // overlap and merging adjacent equal-permission runs. The result is the
 // caller's.
 func FlattenGrants(grants []cap.MemoryGrant) []Segment {
-	var sc scratch
+	var sc Scratch
 	return sc.flatten(grants)
 }
 
@@ -171,7 +166,7 @@ const (
 // flatten sweeps grants into sc.segs, reusing sc's buffers. Grant
 // regions are page-aligned (capabilities are), which leaves an
 // address's low bits free for the rest of its event.
-func (sc *scratch) flatten(grants []cap.MemoryGrant) []Segment {
+func (sc *Scratch) flatten(grants []cap.MemoryGrant) []Segment {
 	events := sc.events[:0]
 	for _, g := range grants {
 		p := rightsToPerm(g.Rights)

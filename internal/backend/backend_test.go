@@ -517,7 +517,7 @@ func TestRunCleanups(t *testing.T) {
 func deviceFilter(t testing.TB, s *cap.Space, dev phys.DeviceID) *hw.EPT {
 	t.Helper()
 	iu := hw.NewIOMMU(false)
-	if err := backend.SyncDeviceRange(iu, s, dev, phys.AllMemory); err != nil {
+	if err := backend.SyncDeviceRange(iu, s, new(backend.Scratch), dev, phys.AllMemory); err != nil {
 		t.Fatal(err)
 	}
 	return iu.ContextOf(dev).(*hw.EPT)
@@ -806,7 +806,8 @@ func BenchmarkSyncDomainTenant(b *testing.B) {
 // filter. Only the resync is timed.
 func BenchmarkBuildDeviceFilter(b *testing.B) {
 	m, s := resyncWorld(b)
-	if err := backend.SyncDeviceRange(m.IOMMU, s, 0, phys.AllMemory); err != nil {
+	var sc backend.Scratch
+	if err := backend.SyncDeviceRange(m.IOMMU, s, &sc, 0, phys.AllMemory); err != nil {
 		b.Fatal(err)
 	}
 	root := s.OwnerMemoryGrants(1)[0].Node
@@ -827,7 +828,7 @@ func BenchmarkBuildDeviceFilter(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := backend.SyncDeviceRange(m.IOMMU, s, 0, page.Mem); err != nil {
+		if err := backend.SyncDeviceRange(m.IOMMU, s, &sc, 0, page.Mem); err != nil {
 			b.Fatal(err)
 		}
 	}

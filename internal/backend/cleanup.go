@@ -16,8 +16,9 @@ import (
 // Confining a device therefore means granting its DMA capability to a
 // narrow I/O domain (Figure 2's GPU pattern). A device with no filter of
 // its own yet gets a whole new one, attached once; every later resync
-// edits that filter in place. It is the device path of both backends.
-func SyncDeviceRange(iu *hw.IOMMU, space *cap.Space, dev phys.DeviceID, scope phys.Region) error {
+// edits that filter in place. It is the device path of both backends,
+// derived in the calling backend's scratch.
+func SyncDeviceRange(iu *hw.IOMMU, space *cap.Space, sc *Scratch, dev phys.DeviceID, scope phys.Region) error {
 	filter, installed := iu.ContextOf(dev).(*hw.EPT)
 	if !installed {
 		filter, scope = hw.NewEPT(), phys.AllMemory
@@ -29,7 +30,7 @@ func SyncDeviceRange(iu *hw.IOMMU, space *cap.Space, dev phys.DeviceID, scope ph
 		return err
 	}
 	var buf [8]cap.OwnerID // a device rarely has more DMA holders
-	if err := WithSegments(space, cap.RightExec, scope, program, space.AppendDeviceDMAHolders(buf[:0], dev)...); err != nil {
+	if err := WithSegments(space, sc, cap.RightExec, scope, program, space.AppendDeviceDMAHolders(buf[:0], dev)...); err != nil {
 		return fmt.Errorf("backend: device %v filter: %w", dev, err)
 	}
 	if !installed {

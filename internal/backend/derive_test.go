@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/tyche-sim/tyche/internal/backend"
@@ -51,9 +50,9 @@ func checkSegments(segs []backend.Segment, model [derivePages + 1]hw.Perm) error
 
 // TestDerivationMatchesPageModel: random overlapping grant sets — shares
 // of overlapping sub-ranges with different rights, some carved by grants
-// further down — derived through the pooled entry point and programmed
+// further down — derived through the one entry point and programmed
 // by both backends, against the page-by-page model. The domains are
-// rebuilt one after another through the shared scratch pool.
+// rebuilt one after another in one scratch.
 func TestDerivationMatchesPageModel(t *testing.T) {
 	rights := []cap.Rights{cap.RightRead, cap.MemRW, cap.MemRWX, cap.RightRead | cap.RightExec, cap.RightShare}
 	for seed := int64(1); seed <= 30; seed++ {
@@ -91,10 +90,11 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		owners := []cap.OwnerID{1, 2, 3}
+		var sc backend.Scratch
 		for _, o := range owners {
 			func() {
 				model := pageModel(s.OwnerMemoryGrants(o), 0)
-				if err := backend.WithSegments(s, 0, phys.AllMemory, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
+				if err := backend.WithSegments(s, &sc, 0, phys.AllMemory, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, model) }, o); err != nil {
 					t.Errorf("seed %d owner %d: %v", seed, o, err)
 				}
 				// A scoped derivation is the model on the scope's pages
@@ -106,7 +106,7 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 						scoped[p] = hw.PermNone
 					}
 				}
-				if err := backend.WithSegments(s, 0, scope, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, scoped) }, o); err != nil {
+				if err := backend.WithSegments(s, &sc, 0, scope, func(segs []backend.Segment, _ *[]backend.Segment) error { return checkSegments(segs, scoped) }, o); err != nil {
 					t.Errorf("seed %d owner %d, scope %v: %v", seed, o, scope, err)
 				}
 				if err := checkSegments(backend.FlattenGrants(s.OwnerMemoryGrants(o)), model); err != nil {
@@ -159,28 +159,11 @@ func TestDerivationMatchesPageModel(t *testing.T) {
 	}
 }
 
-// poolKeepsItems reports whether a sync.Pool hands back what it was just
-// given: under the race detector Put drops a quarter of its arguments on
-// purpose, and an allocation pin over pooled scratch cannot hold.
-func poolKeepsItems() bool {
-	var p sync.Pool
-	for i := 0; i < 64; i++ {
-		p.Put(new(int))
-		if p.Get() == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSyncDomainAllocationPins: a rebuild allocates nothing — not for a
 // view that did not change, whole or over a scope (a range a grant
 // split, a range no grant touches), and not for one that did, whose new
 // table is spliced into the EPT's spare buffer and swapped in.
 func TestSyncDomainAllocationPins(t *testing.T) {
-	if !poolKeepsItems() {
-		t.Skip("sync.Pool drops items here (race detector): scratch is reallocated at random")
-	}
 	m, s := resyncWorld(t)
 	bk := vtx.New(m, s)
 	for _, o := range []cap.OwnerID{1, 2} {

@@ -27,12 +27,14 @@ type segments struct {
 
 // Backend is the machine-mode PMP enforcement backend. Domains live in
 // a backend.Domains table; a removed domain's PMP files have been
-// cleared, so a core still holding its context sees deny-all.
+// cleared, so a core still holding its context sees deny-all. Every
+// derivation runs in the backend's own scratch.
 type Backend struct {
 	mach     *hw.Machine
 	space    *cap.Space
 	doms     *backend.Domains[*segments]
 	reserved int // entries locked for monitor self-protection per core
+	scratch  backend.Scratch
 }
 
 // New returns a PMP backend over mach and space. If monitorRegion is
@@ -89,7 +91,7 @@ func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, scope, func(segs []backend.Segment, spliced *[]backend.Segment) error {
+	return backend.WithSegments(b.space, &b.scratch, 0, scope, func(segs []backend.Segment, spliced *[]backend.Segment) error {
 		*spliced = hw.Splice((*spliced)[:0], d.State.segs, scope, segs)
 		if need, avail := len(*spliced), b.Budget(); need > avail {
 			return &backend.PMPExhaustedError{Owner: owner, Needed: need, Available: avail}
@@ -200,7 +202,7 @@ func (b *Backend) RegisterFastPair(phys.CoreID, cap.OwnerID, cap.OwnerID) error 
 // capability semantics match the vtx backend (differential tests rely
 // on identical accept/deny decisions).
 func (b *Backend) SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error {
-	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, dev, scope)
+	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, &b.scratch, dev, scope)
 }
 
 // ExecuteCleanups implements backend.Backend.

@@ -21,11 +21,13 @@ import (
 // kept in a backend.Domains table; RemoveDomain empties the EPT rather than
 // freeing it, so a core that died holding one of the domain's contexts
 // sees deny-all, never a dangling table. The registered fast pairs live
-// in each core's VMFUNC lists (hw.Core) and nowhere else.
+// in each core's VMFUNC lists (hw.Core) and nowhere else. Every
+// derivation runs in the backend's own scratch.
 type Backend struct {
-	mach  *hw.Machine
-	space *cap.Space
-	doms  *backend.Domains[*hw.EPT]
+	mach    *hw.Machine
+	space   *cap.Space
+	doms    *backend.Domains[*hw.EPT]
+	scratch backend.Scratch
 }
 
 // New returns a VT-x backend over mach and space.
@@ -65,7 +67,7 @@ func (b *Backend) SyncDomainRange(owner cap.OwnerID, scope phys.Region) error {
 	if err != nil {
 		return err
 	}
-	return backend.WithSegments(b.space, 0, scope, func(segs []backend.Segment, changed *[]backend.Segment) (err error) {
+	return backend.WithSegments(b.space, &b.scratch, 0, scope, func(segs []backend.Segment, changed *[]backend.Segment) (err error) {
 		if *changed, err = d.State.Replace(scope, segs, *changed); err != nil {
 			return fmt.Errorf("vtx: syncing domain %d: %w", owner, err)
 		}
@@ -159,7 +161,7 @@ func (b *Backend) RegisterFastPair(core phys.CoreID, a, bID cap.OwnerID) error {
 // SyncDeviceRange implements backend.Backend: program the device's
 // IOMMU context entry from capability state.
 func (b *Backend) SyncDeviceRange(dev phys.DeviceID, scope phys.Region) error {
-	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, dev, scope)
+	return backend.SyncDeviceRange(b.mach.IOMMU, b.space, &b.scratch, dev, scope)
 }
 
 // SyncDevice resyncs the device's whole context: SyncDeviceRange over

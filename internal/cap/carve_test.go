@@ -187,9 +187,9 @@ func TestCarveShapes(t *testing.T) {
 
 // TestCapAllocationPins: what the monitor's control plane pays the
 // allocator inside the capability engine. A range check allocates
-// nothing; a share and its two-phase revocation allocate the records
-// they keep (the node, its index and child-list entries, the Detached
-// and its two lists) and nothing else.
+// nothing, and neither does a share and its two-phase revocation once
+// the record is reclaimed: the node and the record come off the space's
+// free lists, and the index and child lists keep their storage.
 func TestCapAllocationPins(t *testing.T) {
 	s := NewSpace()
 	root := mustRoot(t, s, 1, mem(0, 64), MemFull)
@@ -220,7 +220,8 @@ func TestCapAllocationPins(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Release(det)
-	}); n > 8 {
-		t.Errorf("Share + Detach/Release allocates %v objects, want at most 8", n)
+		s.Reclaim(det)
+	}); n != 0 {
+		t.Errorf("Share + Detach/Release/Reclaim allocates %v objects, want 0", n)
 	}
 }

@@ -14,9 +14,7 @@ import "slices"
 //     suspension persists and the parent cannot re-delegate the region
 //     while the old owner's copy is being scrubbed.
 //   - Release — after the scrub: unlink the detached tops from their
-//     live parents, restoring the parents' effective access. Nothing
-//     references the subtrees after that (no *node leaves the package,
-//     and the record drops its tops), so the collector takes them. The
+//     live parents, restoring the parents' effective access. The
 //     caller resynchronises the affected owners' hardware immediately
 //     after, so Release itself does not bump the generation — the
 //     interim staleness is in the safe (more restrictive) direction. A
@@ -25,22 +23,31 @@ import "slices"
 //   - Reclaim — once the caller has read the released record (its
 //     actions and parent owners drive the resync), the record goes back
 //     to the Space's free list, and the next Detach or DetachOwner
-//     reuses it and the storage of its lists.
+//     reuses it and the storage of its lists. So do the nodes it
+//     detached: each is unlinked from any parent that still lists it,
+//     cleared but for the storage of its children list, and put on the
+//     Space's node free list (chained through the free nodes' parent
+//     links, as records are through next), where the next Share, Grant
+//     or root takes it. Its ID is not reused — the index dropped it at
+//     the detach — so a stale NodeID never finds the node again. A
+//     record that is never released recycles nothing, and one that is
+//     released but never reclaimed (Revoke's) is the collector's.
 
 // Detached holds a detached-but-not-yet-released set of capability
 // subtrees: the output of Detach/DetachOwner, consumed by Release and
-// handed back by Reclaim. actions holds one entry per detached node.
-// The three lists start in one-entry buffers inside the record, so a
-// fresh record of a one-node revoke is one object; a bigger detach
-// grows past them, and a reclaimed record keeps what it grew to.
+// handed back by Reclaim. nodes and actions hold one entry per detached
+// node, children first. The three lists start in one-entry buffers
+// inside the record, so a fresh record of a one-node revoke is one
+// object; a bigger detach grows past them, and a reclaimed record keeps
+// what it grew to.
 type Detached struct {
-	tops    []*node
+	nodes   []*node
 	actions []CleanupAction
 	parents []OwnerID
 	state   detState
 	next    *Detached // the record after it on the free list
 
-	topBuf    [1]*node
+	nodeBuf   [1]*node
 	actionBuf [1]CleanupAction
 	parentBuf [1]OwnerID
 }
@@ -64,7 +71,7 @@ func (s *Space) newDetached() *Detached {
 		return det
 	}
 	det := &Detached{}
-	det.tops, det.actions, det.parents = det.topBuf[:0], det.actionBuf[:0], det.parentBuf[:0]
+	det.nodes, det.actions, det.parents = det.nodeBuf[:0], det.actionBuf[:0], det.parentBuf[:0]
 	return det
 }
 
@@ -94,26 +101,27 @@ func (d *Detached) ParentOwners() []OwnerID {
 	return d.parents
 }
 
-// addTop records n, whose subtree was just detached, as a top, and its
-// parent's owner if n was granted out of a surviving parent.
-func (d *Detached) addTop(n *node) {
-	d.tops = append(d.tops, n)
-	if n.kind == KindGranted && n.parent != nil && !n.parent.detached {
+// addParentOwner records the owner of the parent n was granted out of,
+// n being the top of a subtree just detached, if that parent survives.
+func (d *Detached) addParentOwner(n *node) {
+	if n.kind == KindGranted && n.parent != nil && n.parent.state == nodeLive {
 		d.parents = append(d.parents, n.parent.owner)
 	}
 }
 
 // detachSubtree walks children-first, removing every node from the
 // index and marking it detached, without touching any lineage link.
+// A child an earlier revocation detached is that record's, and skipped.
 func (s *Space) detachSubtree(n *node, det *Detached) {
 	for _, c := range n.children {
-		if c.detached {
+		if c.state != nodeLive {
 			continue
 		}
 		s.detachSubtree(c, det)
 	}
-	n.detached = true
+	n.state = nodeDetached
 	s.remove(n)
+	det.nodes = append(det.nodes, n)
 	det.actions = append(det.actions, CleanupAction{
 		Node: n.id, Owner: n.owner, Resource: n.res, Cleanup: n.cleanup,
 	})
@@ -130,7 +138,7 @@ func (s *Space) Detach(id NodeID) (*Detached, error) {
 	}
 	det := s.newDetached()
 	s.detachSubtree(n, det)
-	det.addTop(n)
+	det.addParentOwner(n)
 	s.limbo += len(det.actions)
 	s.mutate()
 	return det, nil
@@ -145,7 +153,7 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 	det := s.newDetached()
 	for _, n := range s.ownerTops(owner) {
 		s.detachSubtree(n, det)
-		det.addTop(n)
+		det.addParentOwner(n)
 	}
 	slices.Sort(det.parents)
 	det.parents = slices.Compact(det.parents)
@@ -160,9 +168,11 @@ func (s *Space) DetachOwner(owner OwnerID) *Detached {
 
 // Release unlinks the detached tops from their surviving parents,
 // restoring the parents' effective access to anything the detached
-// subtrees had been granted, and with that drops the last reference to
-// the subtrees. Called after the revoked state has been scrubbed; a
-// second call is a no-op. Release does not
+// subtrees had been granted, and the tops forget those parents, so a
+// record released and never reclaimed (Revoke's) points at no node
+// Reclaim may recycle. Only a top can have a live parent: every
+// other node's parent was detached with it. Called after the revoked
+// state has been scrubbed; a second call is a no-op. Release does not
 // bump the generation: it only widens access back toward the parents,
 // and the monitor resynchronises the affected owners' hardware
 // immediately after, so any interim staleness is in the restrictive
@@ -171,26 +181,42 @@ func (s *Space) Release(det *Detached) {
 	if det == nil || det.state != detDetached {
 		return
 	}
-	for _, n := range det.tops {
-		if n.parent != nil && !n.parent.detached {
-			n.parent.children = removeChild(n.parent.children, n)
+	for _, n := range det.nodes {
+		if p := n.parent; p != nil && p.state == nodeLive {
+			p.children, n.parent = removeChild(p.children, n), nil
 		}
 	}
 	s.limbo -= len(det.actions)
-	clear(det.tops) // the record must not keep the subtree alive
 	det.state = detReleased
 }
 
 // Reclaim hands a released record back to the free list, for the next
-// Detach or DetachOwner to reuse; the caller must not read it again.
-// On a record not yet released it does nothing: its nodes stay linked
+// Detach or DetachOwner to reuse, and its nodes to the node free list,
+// for the next insert; the caller must not read it again. The nodes go
+// children first, each leaving the list of a detached parent — in this
+// record, or in another not yet reclaimed (a live parent's list Release
+// already left). So by the time a node goes, its list holds only tops
+// of other records not yet reclaimed, and they forget their parent. On
+// a record not yet released Reclaim does nothing: its nodes stay linked
 // and its parents suspended (fail closed), and the collector takes it
 // once the caller drops it. A second call is a no-op too.
 func (s *Space) Reclaim(det *Detached) {
 	if det == nil || det.state != detReleased {
 		return
 	}
-	det.tops, det.actions, det.parents = det.tops[:0], det.actions[:0], det.parents[:0]
+	for _, n := range det.nodes {
+		if p := n.parent; p != nil && p.state == nodeDetached {
+			p.children = removeChild(p.children, n)
+		}
+		for _, c := range n.children {
+			c.parent = nil
+		}
+		clear(n.children)
+		*n = node{parent: s.freeNodes, children: n.children[:0], state: nodeFree}
+		s.freeNodes = n
+	}
+	clear(det.nodes)
+	det.nodes, det.actions, det.parents = det.nodes[:0], det.actions[:0], det.parents[:0]
 	det.state = detFree
 	det.next, s.free = s.free, det
 }

@@ -1,6 +1,7 @@
 package cap
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -19,11 +20,36 @@ import (
 //
 // World: 3 owners, 4 pages. Alphabet: a small set of share/grant/revoke
 // /seal moves whose parameters cover the interesting interactions
-// (overlap, re-delegation, circular sharing, revoking mid-lineage).
+// (overlap, re-delegation, circular sharing, revoking mid-lineage), and
+// the two phases of a revocation run apart: publishes that stack up
+// unreleased, then one retire of them all, as a drain round runs them.
+// Every revocation that retires is reclaimed, so the derives that follow
+// reuse its nodes; one through Space.Revoke is released and never
+// reclaimed, so its nodes stay out of reuse while the nodes around them
+// are recycled.
+
+// modelWorld is one explored state: the space, the node handles the
+// moves pick from, and the published revocations not yet retired.
+type modelWorld struct {
+	s       *Space
+	nodes   []NodeID
+	pending []*Detached
+}
 
 type modelOp struct {
 	name  string
-	apply func(s *Space, nodes *[]NodeID) error
+	apply func(w *modelWorld) error
+}
+
+// retire releases dets in order, then reclaims them in order: the
+// monitor's tail of a revocation, a drain round or a kill.
+func retire(s *Space, dets ...*Detached) {
+	for _, det := range dets {
+		s.Release(det)
+	}
+	for _, det := range dets {
+		s.Reclaim(det)
+	}
 }
 
 func modelAlphabet() []modelOp {
@@ -37,53 +63,78 @@ func modelAlphabet() []modelOp {
 		return nodes[i%len(nodes)], true
 	}
 	return []modelOp{
-		{"share0->2", func(s *Space, nodes *[]NodeID) error {
-			n, ok := pick(*nodes, 0)
+		{"share0->2", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, 0)
 			if !ok {
 				return nil
 			}
-			id, err := s.Share(n, 2, region(0, 2), MemRW|RightShare|RightGrant, CleanZero)
+			id, err := w.s.Share(n, 2, region(0, 2), MemRW|RightShare|RightGrant, CleanZero)
 			if err == nil {
-				*nodes = append(*nodes, id)
+				w.nodes = append(w.nodes, id)
 			}
 			return nil
 		}},
-		{"grant1->3", func(s *Space, nodes *[]NodeID) error {
-			n, ok := pick(*nodes, 0)
+		{"grant1->3", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, 0)
 			if !ok {
 				return nil
 			}
-			id, err := s.Grant(n, 3, region(1, 2), MemRW|RightShare, CleanObfuscate)
+			id, err := w.s.Grant(n, 3, region(1, 2), MemRW|RightShare, CleanObfuscate)
 			if err == nil {
-				*nodes = append(*nodes, id)
+				w.nodes = append(w.nodes, id)
 			}
 			return nil
 		}},
-		{"share-last->1", func(s *Space, nodes *[]NodeID) error {
-			n, ok := pick(*nodes, len(*nodes)-1)
+		{"share-last->1", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, len(w.nodes)-1)
 			if !ok {
 				return nil
 			}
-			id, err := s.Share(n, 1, region(0, 1), MemRW, CleanNone)
+			id, err := w.s.Share(n, 1, region(0, 1), MemRW, CleanNone)
 			if err == nil {
-				*nodes = append(*nodes, id)
+				w.nodes = append(w.nodes, id)
 			}
 			return nil
 		}},
-		{"revoke-mid", func(s *Space, nodes *[]NodeID) error {
-			n, ok := pick(*nodes, 1)
+		{"revoke-mid", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, 1)
 			if !ok {
 				return nil
 			}
-			_, _ = s.Revoke(n)
+			_, _ = w.s.Revoke(n)
 			return nil
 		}},
-		{"revoke-owner-2", func(s *Space, nodes *[]NodeID) error {
-			s.Release(s.DetachOwner(2))
-			return ownedMatchesIndex(s, 2)
+		{"retire-mid", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, 1)
+			if !ok {
+				return nil
+			}
+			if det, err := w.s.Detach(n); err == nil {
+				retire(w.s, det)
+			}
+			return nil
 		}},
-		{"seal-3", func(s *Space, nodes *[]NodeID) error {
-			s.Seal(3)
+		{"revoke-owner-2", func(w *modelWorld) error {
+			retire(w.s, w.s.DetachOwner(2))
+			return ownedMatchesIndex(w.s, 2)
+		}},
+		{"seal-3", func(w *modelWorld) error {
+			w.s.Seal(3)
+			return nil
+		}},
+		{"publish-last", func(w *modelWorld) error {
+			n, ok := pick(w.nodes, len(w.nodes)-1)
+			if !ok {
+				return nil
+			}
+			if det, err := w.s.Detach(n); err == nil {
+				w.pending = append(w.pending, det)
+			}
+			return nil
+		}},
+		{"retire-pending", func(w *modelWorld) error {
+			retire(w.s, w.pending...)
+			w.pending = w.pending[:0]
 			return nil
 		}},
 	}
@@ -114,24 +165,83 @@ func TestCapabilityModelExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := []NodeID{root}
+		w := &modelWorld{s: s, nodes: []NodeID{root}}
 		for step, opIdx := range seq {
-			if err := ops[opIdx].apply(s, &nodes); err != nil {
+			if err := ops[opIdx].apply(w); err != nil {
 				t.Fatalf("seq %v step %d (%s): %v", seq, step, ops[opIdx].name, err)
 			}
 			// Drop dead node handles.
-			live := nodes[:0]
-			for _, id := range nodes {
+			live := w.nodes[:0]
+			for _, id := range w.nodes {
 				if _, err := s.Node(id); err == nil {
 					live = append(live, id)
 				}
 			}
-			nodes = live
+			w.nodes = live
 			if err := modelInvariants(s); err != nil {
+				t.Fatalf("seq %v after step %d (%s): %v", seq, step, ops[opIdx].name, err)
+			}
+			if err := recyclingSound(s, w.pending); err != nil {
 				t.Fatalf("seq %v after step %d (%s): %v", seq, step, ops[opIdx].name, err)
 			}
 		}
 	}
+}
+
+// recyclingSound checks the node free list against the rest of the
+// space: every node on it is listed once and cleared, and none is
+// reachable — through children or parent links, transitively — from the
+// index or from a record in unreleased, which must be every record not
+// yet released, as limbo counts them.
+func recyclingSound(s *Space, unreleased []*Detached) error {
+	free := make(map[*node]bool)
+	for n := s.freeNodes; n != nil; n = n.parent {
+		if free[n] {
+			return fmt.Errorf("a node is on the free list twice")
+		}
+		if n.state != nodeFree || n.id != 0 || len(n.children) != 0 {
+			return fmt.Errorf("a node on the free list is not cleared: %+v", *n)
+		}
+		free[n] = true
+	}
+	seen := make(map[*node]bool)
+	var walk func(n *node, from string) error
+	walk = func(n *node, from string) error {
+		if n == nil || seen[n] {
+			return nil
+		}
+		if free[n] || n.state == nodeFree {
+			return fmt.Errorf("a node on the free list is reachable from %s", from)
+		}
+		seen[n] = true
+		if err := walk(n.parent, from); err != nil {
+			return err
+		}
+		for _, c := range n.children {
+			if err := walk(c, from); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, n := range s.nodes {
+		if err := walk(n, fmt.Sprintf("indexed node %d", n.id)); err != nil {
+			return err
+		}
+	}
+	limbo := 0
+	for _, det := range unreleased {
+		limbo += len(det.nodes)
+		for _, n := range det.nodes {
+			if err := walk(n, "an unreleased record"); err != nil {
+				return err
+			}
+		}
+	}
+	if limbo != s.LimboNodes() {
+		return fmt.Errorf("unreleased records hold %d nodes, limbo counts %d", limbo, s.LimboNodes())
+	}
+	return nil
 }
 
 // modelInvariants checks every global invariant of one state.
@@ -405,7 +515,11 @@ func TestOwnerIndexFollowsDetach(t *testing.T) {
 // the free list, where the next Detach or DetachOwner takes it, keeping
 // nothing of its last use; on a record not yet released it does
 // nothing — the parent stays suspended (fail closed) — and a second
-// Reclaim does not list the record twice.
+// Reclaim does not list the record twice. The record's nodes go to the
+// node free list, where the next derive takes them, in four cases
+// besides the plain one: records stacked on one lineage, an unreleased
+// record under a recycled parent, a record Revoke released and never
+// reclaimed under a recycled parent, and a stale ID.
 func TestReclaimReusesReleasedRecords(t *testing.T) {
 	s := NewSpace()
 	root, _ := s.CreateRoot(1, mem(0, 8), MemFull, CleanNone)
@@ -449,6 +563,194 @@ func TestReclaimReusesReleasedRecords(t *testing.T) {
 	if owned != det || len(owned.Actions()) != 1 || owned.Actions()[0].Resource != mem(4, 1) {
 		t.Fatalf("DetachOwner did not take the reclaimed record clean: actions %v", owned.Actions())
 	}
+	if err := recyclingSound(s, []*Detached{owned}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A child's subtree is detached before its parent's, so the parent's
+	// record skips it; both retire together, reclaimed either way round.
+	for _, innerFirst := range []bool{true, false} {
+		s := NewSpace()
+		root := mustRoot(t, s, 1, mem(0, 8), MemFull)
+		parent := mustDerive(t, s.Grant, root, 2, mem(0, 4), MemRW|RightGrant)
+		child := mustDerive(t, s.Grant, parent, 3, mem(1, 1), MemRW)
+		inner, err := s.Detach(child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := s.Detach(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outer.Actions()) != 1 {
+			t.Fatalf("the parent's record took %d nodes, want only the parent", len(outer.Actions()))
+		}
+		s.Release(inner)
+		s.Release(outer)
+		if innerFirst {
+			s.Reclaim(inner)
+			s.Reclaim(outer)
+		} else {
+			s.Reclaim(outer)
+			s.Reclaim(inner)
+		}
+		if n := freeNodes(s); n != 2 {
+			t.Fatalf("stacked records (inner reclaimed first: %v) freed %d nodes, want 2", innerFirst, n)
+		}
+		if err := recyclingSound(s, nil); err != nil {
+			t.Fatalf("stacked records (inner reclaimed first: %v): %v", innerFirst, err)
+		}
+		if _, ok := s.CheckMemRange(1, mem(0, 8).Mem, RightRead); !ok {
+			t.Fatal("the root's owner did not regain the stacked grants")
+		}
+		a := mustDerive(t, s.Grant, root, 2, mem(0, 2), MemRW|RightShare)
+		b := mustDerive(t, s.Share, a, 3, mem(0, 1), MemRW)
+		if freeNodes(s) != 0 || a <= child || b <= child {
+			t.Fatalf("derives took nodes %d and %d, %d left free", a, b, freeNodes(s))
+		}
+		if err := modelInvariants(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A record whose cleanups failed is never released; its top's parent
+	// is revoked and recycled under it, and the node reused.
+	s = NewSpace()
+	root = mustRoot(t, s, 1, mem(0, 8), MemFull)
+	parent := mustDerive(t, s.Grant, root, 2, mem(0, 4), MemRW|RightGrant)
+	held, err := s.Detach(mustDerive(t, s.Grant, parent, 3, mem(1, 1), MemRW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pnode := s.nodes[parent]
+	if det, err := s.Detach(parent); err != nil {
+		t.Fatal(err)
+	} else {
+		retire(s, det)
+	}
+	if err := recyclingSound(s, []*Detached{held}); err != nil {
+		t.Fatal(err)
+	}
+	if held.nodes[0].parent != nil {
+		t.Fatal("an unreleased record's top still points at its recycled parent")
+	}
+	reused := mustDerive(t, s.Share, root, 2, mem(4, 2), MemRW|RightShare)
+	if s.nodes[reused] != pnode {
+		t.Fatal("the recycled parent was not reused")
+	}
+	mustDerive(t, s.Share, reused, 3, mem(4, 1), MemRW)
+	retire(s, held)
+	if inf, err := s.Node(reused); err != nil || len(inf.Children) != 1 {
+		t.Fatalf("retiring the record under the recycled parent changed the node that reused it: %+v, %v", inf, err)
+	}
+	if err := recyclingSound(s, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same stack with the parent's record never released: the
+	// child's record retires alone, and the parent stops listing it.
+	s = NewSpace()
+	root = mustRoot(t, s, 1, mem(0, 8), MemFull)
+	parent = mustDerive(t, s.Grant, root, 2, mem(0, 4), MemRW|RightGrant)
+	inner, err := s.Detach(mustDerive(t, s.Grant, parent, 3, mem(1, 1), MemRW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held, err = s.Detach(parent); err != nil {
+		t.Fatal(err)
+	}
+	retire(s, inner)
+	if err := recyclingSound(s, []*Detached{held}); err != nil {
+		t.Fatal(err)
+	}
+	if s.CheckMemAccess(1, 0, RightRead) {
+		t.Fatal("the root's owner regained a grant whose record was never released")
+	}
+
+	// A record Revoke released and never reclaimed: its top forgets the
+	// parent it left, and that parent is revoked, recycled and reused
+	// while the record's node stays out of reuse.
+	s = NewSpace()
+	root = mustRoot(t, s, 1, mem(0, 8), MemFull)
+	parent = mustDerive(t, s.Grant, root, 2, mem(0, 4), MemRW|RightGrant|RightShare)
+	top := mustDerive(t, s.Grant, parent, 3, mem(1, 1), MemRW)
+	pnode, tnode := s.nodes[parent], s.nodes[top]
+	if _, err := s.Revoke(top); err != nil {
+		t.Fatal(err)
+	}
+	if tnode.parent != nil || len(pnode.children) != 0 || freeNodes(s) != 0 {
+		t.Fatalf("Revoke left the top's parent %p (children %d), %d nodes free", tnode.parent, len(pnode.children), freeNodes(s))
+	}
+	if det, err := s.Detach(parent); err != nil {
+		t.Fatal(err)
+	} else {
+		retire(s, det)
+	}
+	reused = mustDerive(t, s.Grant, root, 2, mem(0, 4), MemRW|RightShare)
+	if s.nodes[reused] != pnode || freeNodes(s) != 0 {
+		t.Fatalf("the recycled parent was not reused, or more than it was freed (%d left)", freeNodes(s))
+	}
+	if again := mustDerive(t, s.Share, reused, 3, mem(1, 1), MemRW); s.nodes[again] == tnode {
+		t.Fatal("a node of a record never reclaimed was reused")
+	}
+	if tnode.state != nodeDetached || tnode.parent != nil || len(pnode.children) != 1 {
+		t.Fatalf("reusing the parent reached the revoked top: state %v, parent %p; the parent lists %d", tnode.state, tnode.parent, len(pnode.children))
+	}
+	if err := recyclingSound(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := modelInvariants(s); err != nil {
+		t.Fatal(err)
+	}
+
+	// A recycled node is asked for by the ID it had.
+	s = NewSpace()
+	root = mustRoot(t, s, 1, mem(0, 8), MemFull)
+	old := mustDerive(t, s.Share, root, 2, mem(0, 1), MemRW|RightShare)
+	onode := s.nodes[old]
+	if det, err := s.Detach(old); err != nil {
+		t.Fatal(err)
+	} else {
+		retire(s, det)
+	}
+	fresh := mustDerive(t, s.Share, root, 3, mem(2, 1), MemRW)
+	if s.nodes[fresh] != onode || fresh == old {
+		t.Fatalf("the share took node %d, not the recycled one under a new ID", fresh)
+	}
+	if _, err := s.Node(old); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Node(%d) of a recycled node: %v", old, err)
+	}
+	if _, _, _, err := s.NodeOwners(old); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("NodeOwners(%d) of a recycled node: %v", old, err)
+	}
+	if _, err := s.Share(old, 2, mem(2, 1), MemRW, CleanNone); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Share from a recycled node's ID: %v", err)
+	}
+	if _, err := s.Detach(old); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Detach of a recycled node's ID: %v", err)
+	}
+	if inf, err := s.Node(fresh); err != nil || inf.Owner != 3 || inf.Resource != mem(2, 1) {
+		t.Fatalf("the reused node reads %+v, %v", inf, err)
+	}
+}
+
+// mustDerive is a Share or Grant from parent that must succeed.
+func mustDerive(t *testing.T, derive func(NodeID, OwnerID, Resource, Rights, Cleanup) (NodeID, error), parent NodeID, owner OwnerID, res Resource, rights Rights) NodeID {
+	t.Helper()
+	id, err := derive(parent, owner, res, rights, CleanZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// freeNodes returns how many nodes are on s's node free list.
+func freeNodes(s *Space) int {
+	n := 0
+	for f := s.freeNodes; f != nil; f = f.parent {
+		n++
+	}
+	return n
 }
 
 // freeRecords returns how many records are on s's free list.

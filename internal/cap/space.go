@@ -52,19 +52,29 @@ var (
 )
 
 type node struct {
-	// owner, res, rights, cleanup and kind are immutable and id is set
-	// once, by insert. detached marks a node a revocation has removed
-	// from the index but not yet released (detach.go).
+	// id, owner, res, rights, cleanup and kind are set once, by insert,
+	// and fixed until Reclaim recycles the node (detach.go).
 	id       NodeID
 	owner    OwnerID
 	res      Resource
 	rights   Rights
 	cleanup  Cleanup
 	kind     NodeKind
-	parent   *node
+	parent   *node // on the free list, the next free node (detach.go)
 	children []*node
-	detached bool
+	state    nodeState
 }
+
+// nodeState is where a node is in its life: indexed, detached by a
+// revocation that has not been reclaimed yet, or on the space's free
+// list (detach.go).
+type nodeState uint8
+
+const (
+	nodeLive nodeState = iota
+	nodeDetached
+	nodeFree
+)
 
 // Info is an exported snapshot of one capability node.
 type Info struct {
@@ -121,10 +131,11 @@ type Space struct {
 	owned  map[OwnerID][]*node
 	nextID NodeID
 
-	gen      uint64
-	numNodes int
-	limbo    int       // detached, not yet released (detach.go)
-	free     *Detached // reclaimed records, linked through next (detach.go)
+	gen       uint64
+	numNodes  int
+	limbo     int       // detached, not yet released (detach.go)
+	free      *Detached // reclaimed records, linked through next (detach.go)
+	freeNodes *node     // reclaimed nodes, linked through parent (detach.go)
 }
 
 // NewSpace returns an empty capability space.
@@ -146,10 +157,22 @@ func (s *Space) NumNodes() int { return s.numNodes }
 
 func (s *Space) mutate() { s.gen++ }
 
-// insert gives n the next ID, indexes it and counts the mutation.
-func (s *Space) insert(n *node) NodeID {
-	n.id = s.nextID
+// insert makes a node under parent (nil for a root) with the next ID,
+// indexes it and counts the mutation. The node comes off the free list
+// when it holds one, keeping the storage of its children list; IDs are
+// never reused, so an ID that named the node before is not found.
+func (s *Space) insert(owner OwnerID, res Resource, rights Rights, cleanup Cleanup, kind NodeKind, parent *node) NodeID {
+	n := s.freeNodes
+	if n != nil {
+		s.freeNodes = n.parent
+	} else {
+		n = new(node)
+	}
+	*n = node{id: s.nextID, owner: owner, res: res, rights: rights, cleanup: cleanup, kind: kind, parent: parent, children: n.children}
 	s.nextID++
+	if parent != nil {
+		parent.children = append(parent.children, n)
+	}
 	s.nodes[n.id] = n
 	s.owned[n.owner] = append(s.owned[n.owner], n)
 	s.numNodes++
@@ -180,7 +203,7 @@ func (s *Space) CreateRoot(owner OwnerID, res Resource, rights Rights, cleanup C
 	if s.sealed[owner] {
 		return 0, fmt.Errorf("%w: owner %d cannot receive new capabilities", ErrSealed, owner)
 	}
-	return s.insert(&node{owner: owner, res: res, rights: rights, cleanup: cleanup, kind: KindRoot}), nil
+	return s.insert(owner, res, rights, cleanup, KindRoot, nil), nil
 }
 
 // get looks a node up in the index.
@@ -239,9 +262,7 @@ func (s *Space) derive(id NodeID, newOwner OwnerID, sub Resource, rights Rights,
 		// re-grant nor a share of a granted-away core or device.
 		return 0, fmt.Errorf("%w: %v already granted away", ErrSubresource, sub)
 	}
-	n := &node{owner: newOwner, res: sub, rights: rights, cleanup: cleanup, kind: k, parent: parent}
-	parent.children = append(parent.children, n)
-	return s.insert(n), nil
+	return s.insert(newOwner, sub, rights, cleanup, k, parent), nil
 }
 
 // Share derives a child capability for newOwner over sub, keeping the
@@ -330,7 +351,7 @@ func (s *Space) info(n *node) Info {
 		inf.Parent = n.parent.id
 	}
 	for _, c := range n.children {
-		if c.detached {
+		if c.state != nodeLive {
 			continue // limbo children are no longer observable
 		}
 		inf.Children = append(inf.Children, c.id)

@@ -110,7 +110,7 @@ func requireDeviceFilterCurrent(t *testing.T, m *Monitor, dev phys.DeviceID, whe
 func rebuiltDeviceFilter(t testing.TB, m *Monitor, dev phys.DeviceID) []hw.EPTMapping {
 	t.Helper()
 	iu := hw.NewIOMMU(false)
-	if err := backend.SyncDeviceRange(iu, m.space, dev, phys.AllMemory); err != nil {
+	if err := backend.SyncDeviceRange(iu, m.space, new(backend.Scratch), dev, phys.AllMemory); err != nil {
 		t.Fatal(err)
 	}
 	return iu.ContextOf(dev).(*hw.EPT).Mappings()

@@ -57,3 +57,54 @@ func TestABIDocMatchesCode(t *testing.T) {
 		}
 	}
 }
+
+// indexRow matches a row of DESIGN.md's experiment index, capturing its
+// ID; benchRef matches a backticked benchmark name in it, with the
+// sub-benchmark it names, if any.
+var (
+	indexRow = regexp.MustCompile("(?m)^\\| ([A-Z]\\d+) \\|.*$")
+	benchRef = regexp.MustCompile("`(Benchmark\\w+)(?:/(\\w+))?`")
+)
+
+// badBenchRefs returns what is wrong with the benchmarks the experiment
+// index in doc names, given the module's Benchmark functions, and how
+// many it names.
+func badBenchRefs(doc string, funcs map[string]bool) (bad []string, named int) {
+	i := strings.Index(doc, "## Experiment index")
+	if i < 0 {
+		return []string{"no experiment index"}, 0
+	}
+	for _, row := range indexRow.FindAllStringSubmatch(doc[i:], -1) {
+		for _, ref := range benchRef.FindAllStringSubmatch(row[0], -1) {
+			named++
+			if !funcs[ref[1]] {
+				bad = append(bad, "row "+row[1]+" names "+ref[1]+", which no test file declares")
+			}
+			if ref[2] != "" && ref[2] != row[1] {
+				bad = append(bad, "row "+row[1]+" names "+ref[1]+"/"+ref[2]+", another experiment's")
+			}
+		}
+	}
+	return bad, named
+}
+
+// TestDesignIndexNamesRealBenchmarks: every benchmark DESIGN.md's
+// experiment index says regenerates a row is a Benchmark function of
+// the module, and a sub-benchmark it names is the row's own experiment.
+// The rule sees a planted name that no file declares and a planted
+// sub-benchmark of another row.
+func TestDesignIndexNamesRealBenchmarks(t *testing.T) {
+	funcs := map[string]bool{}
+	inspect(parseTree(t, true, "."), func(g goFile, n ast.Node) {
+		if fn, ok := n.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+			funcs[fn.Name.Name] = true
+		}
+	})
+	if bad, named := badBenchRefs(readDoc(t, "DESIGN.md"), funcs); len(bad) > 0 || named == 0 {
+		t.Errorf("DESIGN.md's experiment index names %d benchmarks: %v", named, bad)
+	}
+	planted := "## Experiment index\n\n| C2 | x | `BenchmarkC2Transitions` |\n| C3 | x | `BenchmarkExperiments/C4` |\n"
+	if bad, _ := badBenchRefs(planted, funcs); len(bad) != 2 {
+		t.Errorf("planted bad benchmark names went unnoticed: %v", bad)
+	}
+}

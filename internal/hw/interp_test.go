@@ -212,14 +212,16 @@ func (s *fzScript) word() []byte {
 }
 
 // Script events. A script is a program length, that many words, and
-// then events until the bytes run out; event bytes at or above fzEvents
-// wrap.
+// then events until the bytes run out. An event byte modulo fzEvents
+// is its event; the quotient names the page a write event writes
+// (fzPage), counting from the code page, so an event byte below
+// fzEvents writes page 1.
 const (
 	fzStep     = iota // one instruction
 	fzRun             // Run(arg%64+1)
-	fzWriteAt         // Mem.WriteAt(code+arg, word): arg is a byte offset, so words can be half overwritten
+	fzWriteAt         // Mem.WriteAt(page+arg, word): arg is a byte offset, so words can be half overwritten
 	fzDMAWrite        // the same through the device
-	fzReload          // Mem.Zero(code page), then arg%8 new words at its start (scrub, then reuse)
+	fzReload          // Mem.Zero(page), then arg%8 new words at its start (scrub, then reuse)
 	fzToggleX         // revoke or restore X on the code page (a generation bump)
 	fzInject          // install the injector: arg&1 stall or abort, after arg>>1&7 accesses
 	fzSetPC           // clear halt and stall; PC = fzTargets[arg%len] + arg2
@@ -229,12 +231,31 @@ const (
 	fzEvents
 )
 
+// fzPage is the page an event byte names: page 1 for a byte below
+// fzEvents, the next page for each fzEvents above it, wrapping past the
+// last page back to page 1. Page 0 is never written: no context maps
+// it, so nothing runs from it. Every write event has a byte for each
+// page from 1 to fzPages-1, which fzOn returns.
+func fzPage(b byte) phys.Addr {
+	return phys.Addr(1+int(b)/fzEvents%(fzPages-1)) * phys.PageSize
+}
+
+// fzOn is the event byte of write event ev on page pg, which must be
+// one fzPage names.
+func fzOn(ev byte, pg int) byte {
+	if pg < 1 || pg >= fzPages {
+		panic(fmt.Sprintf("fzOn: page %d is never written", pg))
+	}
+	return ev + byte((pg-1)*fzEvents)
+}
+
 var fzTargets = [...]phys.Addr{fzCode, fzCode9, fzCode + phys.PageSize - 8, fzPages*phys.PageSize - 16,
 	fzROCode, fzHole, fzData, 5 * phys.PageSize}
 
-// apply performs one scripted event on f. It returns the trap and the
-// count an execution event produced, and text describing what it did.
-func (f *fzMachine) apply(t testing.TB, ev byte, arg, arg2 byte, word []byte, reload []byte) (Trap, int, string) {
+// apply performs one scripted event on f, a write event on page. It
+// returns the trap and the count an execution event produced, and text
+// describing what it did.
+func (f *fzMachine) apply(t testing.TB, ev byte, page phys.Addr, arg, arg2 byte, word []byte, reload []byte) (Trap, int, string) {
 	c := f.c
 	code := phys.MakeRegion(fzCode, phys.PageSize)
 	must := func(err error) {
@@ -248,15 +269,15 @@ func (f *fzMachine) apply(t testing.TB, ev byte, arg, arg2 byte, word []byte, re
 		n, trap := f.run(c, int(arg%64)+1)
 		return trap, n, fmt.Sprintf("run %d", arg%64+1)
 	case fzWriteAt:
-		must(f.m.Mem.WriteAt(fzCode+phys.Addr(arg), word))
-		return Trap{}, 0, fmt.Sprintf("WriteAt code+%d % x", arg, word)
+		must(f.m.Mem.WriteAt(page+phys.Addr(arg), word))
+		return Trap{}, 0, fmt.Sprintf("WriteAt %v+%d % x", page, arg, word)
 	case fzDMAWrite:
-		must(f.m.Devices[0].DMAWrite(fzCode+phys.Addr(arg), word))
-		return Trap{}, 0, fmt.Sprintf("DMAWrite code+%d % x", arg, word)
+		must(f.m.Devices[0].DMAWrite(page+phys.Addr(arg), word))
+		return Trap{}, 0, fmt.Sprintf("DMAWrite %v+%d % x", page, arg, word)
 	case fzReload:
-		must(f.m.Mem.Zero(code))
-		must(f.m.Mem.WriteAt(fzCode, reload))
-		return Trap{}, 0, fmt.Sprintf("zero code page, reload % x", reload)
+		must(f.m.Mem.Zero(phys.MakeRegion(page, phys.PageSize)))
+		must(f.m.Mem.WriteAt(page, reload))
+		return Trap{}, 0, fmt.Sprintf("zero page %v, reload % x", page, reload)
 	case fzToggleX:
 		p := PermRWX
 		if f.ept.Lookup(fzCode) == PermRWX {
@@ -313,7 +334,8 @@ func runDifferential(t testing.TB, script []byte) {
 		}
 	}
 	for i := 0; len(s.data) > 0 && i < 4096; i++ {
-		ev := s.byte() % fzEvents
+		eb := s.byte()
+		ev, page := eb%fzEvents, fzPage(eb)
 		var arg, arg2 byte
 		var word, reload []byte
 		switch ev {
@@ -328,8 +350,8 @@ func runDifferential(t testing.TB, script []byte) {
 				reload = append(reload, s.word()...)
 			}
 		}
-		ta, na, what := a.apply(t, ev, arg, arg2, word, reload)
-		tb, nb, _ := b.apply(t, ev, arg, arg2, word, reload)
+		ta, na, what := a.apply(t, ev, page, arg, arg2, word, reload)
+		tb, nb, _ := b.apply(t, ev, page, arg, arg2, word, reload)
 		if ta != tb || na != nb {
 			t.Fatalf("event %d (%s): cached returned %d, %+v; reference %d, %+v", i, what, na, ta, nb, tb)
 		}
@@ -394,6 +416,21 @@ func fzSeeds() [][]byte {
 	copyLd := func(from uint32) Instr { return Instr{Op: OpLd, Rd: 9, Imm: from} }
 	copySt := func(to uint32) Instr { return Instr{Op: OpSt, Rs2: 9, Imm: to} }
 	p9, p10 := uint32(fzCode9), uint32(10*phys.PageSize)
+	// A loop across a page boundary: two words at the start of page 9,
+	// two at the start of page 10, so a chain that starts on the second
+	// word of either page leaves it for a word whose index the page it
+	// left holds too. The program copies the four words there (r0 is 0,
+	// so r0+imm is an absolute address).
+	loop910 := []Instr{jmp(at(5)), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(p10), nop, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: p9},
+		copyLd(at(1)), copySt(p9), copyLd(at(2)), copySt(p9 + InstrSize),
+		copyLd(at(3)), copySt(p10), copyLd(at(4)), copySt(p10 + InstrSize),
+		movi(6, 0), movi(7, 40), jmp(p9)}
+	// Three code pages in one decoded set: a loop from page 1 through
+	// pages 9 and 17 and back, so every page entry evicts the least
+	// recently used of the set's two ways.
+	loop1917 := []Instr{jmp(at(3)), jmp(uint32(fzCode17)), {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(9)},
+		copyLd(at(1)), copySt(uint32(fzCode9)), copyLd(at(2)), copySt(uint32(fzCode17)), movi(6, 0), movi(7, 20),
+		{Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(uint32(fzCode9))}
 	return [][]byte{
 		// A loop, then budgeted runs: the plain cached path.
 		fzSeed([]Instr{movi(6, 0), movi(7, 5), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(2)}, hlt},
@@ -467,16 +504,8 @@ func fzSeeds() [][]byte {
 		// The chain. Each seed runs a loop through Run, where a fetch the
 		// fast exit admits executes on from the same decoded page, and
 		// ends the chain in one of the ways it can end.
-		// A loop across a page boundary: two words at the start of page
-		// 9, two at the start of page 10, so a chain that starts on the
-		// second word of either page leaves it for a word whose index the
-		// page it left holds too. The program copies the four words there
-		// (r0 is 0, so r0+imm is an absolute address).
-		fzSeed([]Instr{jmp(at(5)), {Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(p10), nop, {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: p9},
-			copyLd(at(1)), copySt(p9), copyLd(at(2)), copySt(p9 + InstrSize),
-			copyLd(at(3)), copySt(p10), copyLd(at(4)), copySt(p10 + InstrSize),
-			movi(6, 0), movi(7, 40), jmp(p9)},
-			[]byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(2)),
+		// The loop across pages 9 and 10.
+		fzSeed(loop910, []byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(2)),
 		// A jump into the middle of a decoded word: at(2)+4 reads as a
 		// nop (the addi's immediate, 1, is its opcode), then at(3)+4 as an
 		// illegal word. The second Run reaches the jump in a chain.
@@ -511,13 +540,29 @@ func fzSeeds() [][]byte {
 		fzSeed([]Instr{{Op: OpLd, Rd: 8}, {Op: OpLd, Rd: 8, Imm: uint32(fzData)}, {Op: OpLd, Rd: 8, Imm: p10}, nop,
 			{Op: OpLd, Rd: 8, Imm: p10 + phys.PageSize}, nop, jmp(at(0))},
 			[]byte{fzRun, 63}, []byte{fzRun, 63}),
-		// Three code pages in one decoded set: a loop from page 1 through
-		// pages 9 and 17 and back, so every page entry evicts the least
-		// recently used of the set's two ways.
-		fzSeed([]Instr{jmp(at(3)), jmp(uint32(fzCode17)), {Op: OpJlt, Rs1: 6, Rs2: 7, Imm: at(9)},
-			copyLd(at(1)), copySt(uint32(fzCode9)), copyLd(at(2)), copySt(uint32(fzCode17)), movi(6, 0), movi(7, 20),
-			{Op: OpAddi, Rd: 6, Rs1: 6, Imm: 1}, jmp(uint32(fzCode9))},
-			[]byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(5)),
+		// The loop through pages 1, 9 and 17.
+		fzSeed(loop1917, []byte{fzRun, 63}, []byte{fzRun, 63}, []byte{fzRun, 63}, steps(5)),
+
+		// Writes into code on a page other than the program's, each
+		// between two runs of a hot loop on it. The 9/10 loop has its jlt
+		// on page 10 overwritten with a halt, then with a jump back to
+		// page 9, then half overwritten (the jump's target zeroed); its
+		// addi on page 9 is rewritten by DMA, and page 10 is scrubbed and
+		// reloaded with the jump back.
+		fzSeed(loop910, []byte{fzRun, 40}, append([]byte{fzOn(fzWriteAt, 10), InstrSize}, fzEnc(hlt)...), []byte{fzRun, 63},
+			[]byte{fzSetPC, 1, 0}, append([]byte{fzOn(fzWriteAt, 10), InstrSize}, fzEnc(jmp(p9))...), []byte{fzRun, 63},
+			append([]byte{fzOn(fzWriteAt, 10), InstrSize + 4}, fzEnc(hlt)...), []byte{fzRun, 63},
+			[]byte{fzSetPC, 1, 0}, append([]byte{fzOn(fzDMAWrite, 9), 0}, fzEnc(movi(6, 1))...), []byte{fzRun, 63},
+			[]byte{fzOn(fzReload, 10), 2}, fzEnc(nop), fzEnc(jmp(p9)), []byte{fzSetPC, 1, 0}, []byte{fzRun, 63}),
+		// The 1/9/17 loop has page 17 scrubbed and reloaded with a halt,
+		// then with a jump straight back to page 9, so the chain runs
+		// between two pages of one set; then page 17 is overwritten with a
+		// halt again, and page 9's jump rewritten by DMA into a jump to
+		// itself.
+		fzSeed(loop1917, []byte{fzRun, 63}, []byte{fzOn(fzReload, 17), 1}, fzEnc(hlt), []byte{fzRun, 63},
+			[]byte{fzSetPC, 1, 0}, []byte{fzOn(fzReload, 17), 2}, fzEnc(movi(6, 0)), fzEnc(jmp(p9)), []byte{fzRun, 63},
+			append([]byte{fzOn(fzWriteAt, 17), 0}, fzEnc(hlt)...), []byte{fzRun, 63},
+			[]byte{fzSetPC, 1, 0}, append([]byte{fzOn(fzDMAWrite, 9), 0}, fzEnc(jmp(p9))...), []byte{fzRun, 63}),
 	}
 }
 
